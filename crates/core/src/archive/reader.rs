@@ -21,8 +21,8 @@ use cfc_sz::{crc32, CfcError, Codec, DecodeScratch, SzCompressor};
 use cfc_tensor::{Dataset, Field, Region, Shape};
 
 use crate::hybrid::HybridModel;
-use crate::pipeline::deserialize_model;
-use crate::predict::predict_differences;
+use crate::pipeline::{check_model_fits, deserialize_model};
+use crate::predict::CfnnInference;
 use crate::predictor::{CrossFieldHybridPredictor, TemporalHybridPredictor, TEMPORAL_ARITY};
 
 use super::damage::{DamageMap, DecodePolicy, Salvaged};
@@ -62,17 +62,20 @@ pub(crate) fn record_block_damage(damage: &mut DamageMap, name: &str, idx: usize
 }
 
 /// Reusable per-worker buffers for block decode: the raw (compressed)
-/// block bytes plus the codec-level [`DecodeScratch`]. One scratch per
-/// worker thread lets steady-state block decode reuse its big
-/// element-proportional buffers instead of reallocating them per block;
-/// only the decoded field itself (and small per-stream transients) is
-/// freshly allocated.
+/// block bytes, the codec-level [`DecodeScratch`] and the CFNN activation
+/// workspace. One scratch per worker thread lets steady-state block decode
+/// reuse its big element-proportional buffers instead of reallocating them
+/// per block; only the decoded field itself (and small per-stream
+/// transients) is freshly allocated.
 #[derive(Debug, Default)]
 pub struct ArchiveScratch {
     /// Raw block bytes read from the source (CRC-checked before decode).
     block: Vec<u8>,
     /// Codec-level reusable buffers (payload/codes/outliers).
     dec: DecodeScratch,
+    /// CFNN activations: empty until the first cross-field target block,
+    /// so workers that only see baseline or delta blocks never pay for it.
+    nn: cfc_nn::Workspace,
     /// Times the raw block buffer had to grow.
     block_growths: usize,
 }
@@ -83,11 +86,12 @@ impl ArchiveScratch {
         Self::default()
     }
 
-    /// Total capacity growths across the raw block buffer and the
-    /// codec-level buffers since construction. Stable across decodes ⇔
-    /// steady-state block decode reuses the covered buffers.
+    /// Total capacity growths across the raw block buffer, the
+    /// codec-level buffers and the CFNN activations since construction.
+    /// Stable across decodes ⇔ steady-state block decode reuses the
+    /// covered buffers.
     pub fn growths(&self) -> usize {
-        self.block_growths + self.dec.growths()
+        self.block_growths + self.dec.growths() + self.nn.growths()
     }
 }
 
@@ -99,9 +103,14 @@ impl ArchiveScratch {
 /// cache attached.
 pub(crate) type AnchorMemo = HashMap<(usize, usize), Field>;
 
-/// A target field's parsed meta area: serialized CFNN bytes plus the
-/// fitted hybrid weights.
-pub(crate) type TargetMeta = (Vec<u8>, HybridModel);
+/// A target or temporal-delta field's parsed meta area: the embedded CFNN
+/// compiled for inference (`None` for a delta, whose anchor is the previous
+/// epoch) plus the fitted hybrid weights, both already checked against the
+/// entry's anchors and dimensionality.
+pub(crate) struct TargetMeta {
+    pub(crate) model: Option<CfnnInference>,
+    pub(crate) hybrid: HybridModel,
+}
 
 /// Reads archives written by [`super::ArchiveWriter`] — lazily, from any
 /// positional [`ArchiveSource`] (a file, an in-memory buffer, a
@@ -509,14 +518,39 @@ impl<R: ArchiveSource> ArchiveReader<R> {
         Ok(meta)
     }
 
-    /// Parse a target's meta area into (model bytes, hybrid weights).
-    fn parse_target_meta(meta: &[u8]) -> Result<TargetMeta, CfcError> {
+    /// Parse a target or delta entry's meta area, once for all its blocks:
+    /// the model is compiled here, and everything in it that could
+    /// disagree with the entry is rejected here.
+    fn parse_target_meta(entry: &ArchiveEntry, meta: &[u8]) -> Result<TargetMeta, CfcError> {
         let mut r = Reader::new(meta);
         let model_len = r.len_u64("embedded model length")?;
-        let model_bytes = r.bytes(model_len, "embedded model")?.to_vec();
+        let model_bytes = r.bytes(model_len, "embedded model")?;
         let hybrid_len = r.len_u64("hybrid weights length")?;
         let hybrid = HybridModel::try_deserialize(r.bytes(hybrid_len, "hybrid weights")?)?;
-        Ok((model_bytes, hybrid))
+        let ndim = entry.shape.expect("v2 entries record shape").ndim();
+        let (model, arity, what) = if entry.role == FieldRole::Delta {
+            if !(2..=3).contains(&ndim) {
+                return Err(CfcError::Corrupt {
+                    context: "archive entry",
+                    detail: format!("{ndim}-D temporal-delta field"),
+                });
+            }
+            (None, TEMPORAL_ARITY, "temporal-delta")
+        } else {
+            let model = deserialize_model(model_bytes)?;
+            check_model_fits(&model, entry.anchors.len(), ndim)?;
+            (Some(model), ndim + 1, "cross-field")
+        };
+        if hybrid.arity() != arity {
+            return Err(CfcError::Corrupt {
+                context: "hybrid weights",
+                detail: format!(
+                    "arity {} for a {ndim}-D {what} field (expected {arity})",
+                    hybrid.arity()
+                ),
+            });
+        }
+        Ok(TargetMeta { model, hybrid })
     }
 
     /// Decode one baseline (non-target) block to its slab field through a
@@ -575,53 +609,33 @@ impl<R: ArchiveSource> ArchiveReader<R> {
         entry: &ArchiveEntry,
         idx: usize,
         anchor_slabs: &[&Field],
-        model_bytes: &[u8],
-        hybrid: &HybridModel,
+        meta: &TargetMeta,
         scratch: &mut ArchiveScratch,
     ) -> Result<Field, CfcError> {
-        self.decode_target_block_inner(entry, idx, anchor_slabs, model_bytes, hybrid, scratch)
-            .map_err(|e| e.in_field(&entry.qualified_name(), Some(idx)))
+        (|| {
+            self.read_block_into(entry, idx, scratch)?;
+            let ArchiveScratch { block, dec, nn, .. } = scratch;
+            self.decode_target_bytes_inner(entry, idx, block, anchor_slabs, meta, dec, nn)
+        })()
+        .map_err(|e| e.in_field(&entry.qualified_name(), Some(idx)))
     }
 
     /// Decode one target block from already-fetched, CRC-verified bytes
     /// given its decoded anchor slabs and parsed meta — the pure-CPU half
     /// of [`ArchiveReader::decode_target_block`], used by tier-2 cache
     /// promotion (no source I/O for the block itself).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn decode_target_block_bytes(
         &self,
         entry: &ArchiveEntry,
         idx: usize,
         bytes: &[u8],
         anchor_slabs: &[&Field],
-        model_bytes: &[u8],
-        hybrid: &HybridModel,
+        meta: &TargetMeta,
         scratch: &mut ArchiveScratch,
     ) -> Result<Field, CfcError> {
-        self.decode_target_bytes_inner(
-            entry,
-            idx,
-            bytes,
-            anchor_slabs,
-            model_bytes,
-            hybrid,
-            &mut scratch.dec,
-        )
-        .map_err(|e| e.in_field(&entry.qualified_name(), Some(idx)))
-    }
-
-    fn decode_target_block_inner(
-        &self,
-        entry: &ArchiveEntry,
-        idx: usize,
-        anchor_slabs: &[&Field],
-        model_bytes: &[u8],
-        hybrid: &HybridModel,
-        scratch: &mut ArchiveScratch,
-    ) -> Result<Field, CfcError> {
-        self.read_block_into(entry, idx, scratch)?;
-        let ArchiveScratch { block, dec, .. } = scratch;
-        self.decode_target_bytes_inner(entry, idx, block, anchor_slabs, model_bytes, hybrid, dec)
+        let ArchiveScratch { dec, nn, .. } = scratch;
+        self.decode_target_bytes_inner(entry, idx, bytes, anchor_slabs, meta, dec, nn)
+            .map_err(|e| e.in_field(&entry.qualified_name(), Some(idx)))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -631,43 +645,21 @@ impl<R: ArchiveSource> ArchiveReader<R> {
         idx: usize,
         bytes: &[u8],
         anchor_slabs: &[&Field],
-        model_bytes: &[u8],
-        hybrid: &HybridModel,
+        meta: &TargetMeta,
         dec: &mut DecodeScratch,
+        nn: &mut cfc_nn::Workspace,
     ) -> Result<Field, CfcError> {
         let container = Container::try_from_bytes(bytes)?;
         self.check_slab_shape(entry, idx, container.shape)?;
-        let ndim = container.shape.ndim();
-        let mut model = deserialize_model(model_bytes)?;
-        if model.spec.in_channels != anchor_slabs.len() * ndim {
-            return Err(CfcError::ShapeMismatch {
-                expected: format!("{} input channels", model.spec.in_channels),
-                found: format!("{} anchors × {ndim} axes", anchor_slabs.len()),
-            });
-        }
-        if model.spec.out_channels != ndim {
-            return Err(CfcError::Corrupt {
-                context: "embedded model",
-                detail: format!(
-                    "{} output channels for a {ndim}-D block",
-                    model.spec.out_channels
-                ),
-            });
-        }
-        if hybrid.arity() != ndim + 1 {
-            return Err(CfcError::Corrupt {
-                context: "hybrid weights",
-                detail: format!("arity {} for a {ndim}-D block", hybrid.arity()),
-            });
-        }
+        let model = meta.model.as_ref().expect("target meta carries a model");
         if anchor_slabs.iter().any(|a| a.shape() != container.shape) {
             return Err(CfcError::ShapeMismatch {
                 expected: container.shape.to_string(),
                 found: "anchor slab with a different shape".into(),
             });
         }
-        let diffs = predict_differences(&mut model, anchor_slabs);
-        let predictor = CrossFieldHybridPredictor::new(&diffs, container.eb, hybrid.clone());
+        let diffs = model.predict(anchor_slabs, nn);
+        let predictor = CrossFieldHybridPredictor::new(&diffs, container.eb, meta.hybrid.clone());
         let lattice = baseline_decoder().decompress_lattice_with(&container, &predictor, dec)?;
         Ok(lattice.reconstruct(container.eb))
     }
@@ -718,22 +710,6 @@ impl<R: ArchiveSource> ArchiveReader<R> {
     ) -> Result<Field, CfcError> {
         let container = Container::try_from_bytes(bytes)?;
         self.check_slab_shape(entry, idx, container.shape)?;
-        let ndim = container.shape.ndim();
-        if !(2..=3).contains(&ndim) {
-            return Err(CfcError::Corrupt {
-                context: "archive entry",
-                detail: format!("{ndim}-D temporal-delta block"),
-            });
-        }
-        if hybrid.arity() != TEMPORAL_ARITY {
-            return Err(CfcError::Corrupt {
-                context: "hybrid weights",
-                detail: format!(
-                    "arity {} for a temporal-delta block (expected {TEMPORAL_ARITY})",
-                    hybrid.arity()
-                ),
-            });
-        }
         if prev_slab.shape() != container.shape {
             return Err(CfcError::ShapeMismatch {
                 expected: container.shape.to_string(),
@@ -824,13 +800,12 @@ impl<R: ArchiveSource> ArchiveReader<R> {
 
     /// Parse a target or temporal-delta entry's meta once (`None` for
     /// baseline/anchor roles) — multi-block decodes hoist this out of
-    /// their block loops. Delta entries embed no model (their anchor is
-    /// the previous epoch), so their model bytes are empty.
+    /// their block loops.
     pub(crate) fn target_meta(&self, entry: &ArchiveEntry) -> Result<Option<TargetMeta>, CfcError> {
         if entry.role != FieldRole::Target && entry.role != FieldRole::Delta {
             return Ok(None);
         }
-        Self::parse_target_meta(&self.read_meta(entry)?)
+        Self::parse_target_meta(entry, &self.read_meta(entry)?)
             .map(Some)
             .map_err(|e| e.in_field(&entry.qualified_name(), None))
     }
@@ -848,13 +823,13 @@ impl<R: ArchiveSource> ArchiveReader<R> {
         memo: &mut AnchorMemo,
     ) -> Result<Field, CfcError> {
         if entry.role == FieldRole::Delta {
-            let (_, hybrid) = meta.ok_or(CfcError::Corrupt {
+            let meta = meta.ok_or(CfcError::Corrupt {
                 context: "archive entry",
                 detail: "delta entry without meta".into(),
             })?;
-            return self.decode_delta_chain(entry, idx, hybrid, scratch, memo);
+            return self.decode_delta_chain(entry, idx, &meta.hybrid, scratch, memo);
         }
-        let Some((model_bytes, hybrid)) = meta else {
+        let Some(meta) = meta else {
             return self.decode_baseline_block(entry, idx, scratch);
         };
         let mut anchor_keys = Vec::with_capacity(entry.anchors.len());
@@ -870,7 +845,7 @@ impl<R: ArchiveSource> ArchiveReader<R> {
             anchor_keys.push(ai);
         }
         let slab_refs: Vec<&Field> = anchor_keys.iter().map(|&ai| &memo[&(ai, idx)]).collect();
-        self.decode_target_block(entry, idx, &slab_refs, model_bytes, hybrid, scratch)
+        self.decode_target_block(entry, idx, &slab_refs, meta, scratch)
     }
 
     /// Decode a temporal-delta block by walking its chain back to the
@@ -918,7 +893,7 @@ impl<R: ArchiveSource> ArchiveReader<R> {
                 hybrid
             } else {
                 owned = self.target_meta(ce)?.expect("delta entries carry meta");
-                &owned.1
+                &owned.hybrid
             };
             let prev_slab = memo.get(&prev_key).expect("chain predecessor decoded");
             let f = self.decode_delta_block(ce, idx, prev_slab, h, scratch)?;
@@ -1160,8 +1135,7 @@ impl<R: ArchiveSource> ArchiveReader<R> {
                 .map(|a| decoded[a.as_str()].slab(r0, r1))
                 .collect();
             let refs: Vec<&Field> = anchor_slabs.iter().collect();
-            let (model_bytes, hybrid) = &metas[fi];
-            self.decode_target_block(e, bi, &refs, model_bytes, hybrid, s)
+            self.decode_target_block(e, bi, &refs, &metas[fi], s)
         });
         let mut t_slabs: HashMap<&str, Vec<Field>> = HashMap::new();
         for (&(fi, _), res) in t_tasks.iter().zip(phase2) {

@@ -910,7 +910,7 @@ impl<R: ArchiveSource> StoreCore<R> {
                 idx,
                 bytes,
                 &prev,
-                &meta.1,
+                &meta.hybrid,
                 &mut scratch,
             );
         }
@@ -922,15 +922,8 @@ impl<R: ArchiveSource> StoreCore<R> {
         let meta = self.target_meta(fi)?;
         let anchors = self.anchor_blocks(entry, idx, demand)?;
         let refs: Vec<&Field> = anchors.iter().map(|a| a.as_ref()).collect();
-        self.reader.decode_target_block_bytes(
-            entry,
-            idx,
-            bytes,
-            &refs,
-            &meta.0,
-            &meta.1,
-            &mut scratch,
-        )
+        self.reader
+            .decode_target_block_bytes(entry, idx, bytes, &refs, &meta, &mut scratch)
     }
 
     /// [`StoreCore::decode_uncached`] behind a bounded transient-retry
@@ -999,7 +992,7 @@ impl<R: ArchiveSource> StoreCore<R> {
                 idx,
                 &bytes,
                 &prev,
-                &meta.1,
+                &meta.hybrid,
                 &mut scratch,
             )?;
             self.stash_tier2((fi, idx), bytes, gen);
@@ -1028,8 +1021,7 @@ impl<R: ArchiveSource> StoreCore<R> {
             idx,
             &bytes,
             &refs,
-            &meta.0,
-            &meta.1,
+            &meta,
             &mut scratch,
         )?;
         self.stash_tier2((fi, idx), bytes, gen);

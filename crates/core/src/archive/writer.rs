@@ -20,7 +20,6 @@ use cfc_tensor::{Dataset, Field, FieldStats, Shape};
 use crate::config::{CfnnSpec, CrossFieldConfig, TrainConfig};
 use crate::hybrid::{HybridConfig, HybridModel};
 use crate::pipeline::{deserialize_model, serialize_model};
-use crate::predict::predict_differences;
 use crate::predictor::{
     sample_hybrid_training, sample_temporal_training, CrossFieldHybridPredictor,
     TemporalHybridPredictor,
@@ -818,8 +817,8 @@ impl ArchiveWriter {
             Ok::<_, CfcError>(serialize_model(&trained))
         });
         // 2b: per target — blockwise inference, one hybrid fit, blockwise
-        // encode (blocks in parallel; each worker deserializes its own
-        // model copy, the same bytes the decoder will see)
+        // encode (blocks in parallel, sharing one model parsed from the
+        // same bytes the decoder will see)
         for ((name, plan), model_res) in targets.iter().zip(trained_models) {
             let model_bytes = model_res?;
             let target = ds.expect_field(name);
@@ -835,14 +834,14 @@ impl ArchiveWriter {
 
             // blockwise inference on the decoded anchor slabs — identical
             // to what the decoder computes per block
-            let block_diffs = run_parallel(n_blocks, threads, |bi| {
-                let (r0, r1) = block_range(dim0, chunk_slabs, bi);
-                let slabs: Vec<Field> = dec_refs.iter().map(|a| a.slab(r0, r1)).collect();
-                let slab_refs: Vec<&Field> = slabs.iter().collect();
-                let mut model = deserialize_model(&model_bytes)?;
-                Ok::<_, CfcError>(predict_differences(&mut model, &slab_refs))
-            });
-            let block_diffs: Vec<Vec<Field>> = block_diffs.into_iter().collect::<Result<_, _>>()?;
+            let model = deserialize_model(&model_bytes)?;
+            let block_diffs: Vec<Vec<Field>> =
+                run_parallel_scratch(n_blocks, threads, cfc_nn::Workspace::default, |ws, bi| {
+                    let (r0, r1) = block_range(dim0, chunk_slabs, bi);
+                    let slabs: Vec<Field> = dec_refs.iter().map(|a| a.slab(r0, r1)).collect();
+                    let slab_refs: Vec<&Field> = slabs.iter().collect();
+                    model.predict(&slab_refs, ws)
+                });
 
             // hybrid fit on the whole-field view of the blockwise diffs
             let step = 2.0 * eb;

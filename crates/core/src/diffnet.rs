@@ -43,25 +43,6 @@ pub fn input_channel_count(n_anchors: usize, ndim: usize) -> usize {
     n_anchors * ndim
 }
 
-/// Assemble the normalized input channel list for the CFNN from anchor
-/// fields: for each anchor (in order), its `ndim` backward-difference fields
-/// normalized by the stored transforms.
-pub fn anchor_channels(anchors: &[&Field], normalizers: &[Normalizer]) -> Vec<Field> {
-    let ndim = anchors[0].shape().ndim();
-    assert_eq!(
-        normalizers.len(),
-        anchors.len() * ndim,
-        "normalizer count mismatch"
-    );
-    let mut out = Vec::with_capacity(anchors.len() * ndim);
-    for (ai, a) in anchors.iter().enumerate() {
-        for (di, d) in difference_channels(a).into_iter().enumerate() {
-            out.push(normalizers[ai * ndim + di].apply_field(&d));
-        }
-    }
-    out
-}
-
 /// Number of 2-D processing slices for a field (1 for 2-D, depth for 3-D).
 pub fn slice_count(field: &Field) -> usize {
     match field.shape().ndim() {
@@ -113,24 +94,6 @@ mod tests {
         assert_eq!(difference_channels(&f2).len(), 2);
         let f3 = Field::zeros(Shape::d3(3, 4, 4));
         assert_eq!(difference_channels(&f3).len(), 3);
-    }
-
-    #[test]
-    fn anchor_channels_layout() {
-        let a = Field::from_fn(Shape::d2(6, 6), |i| (i[0] * 6 + i[1]) as f32);
-        let b = a.map(|v| v * -2.0);
-        let anchors = [&a, &b];
-        let chans: Vec<Field> = anchors
-            .iter()
-            .flat_map(|f| difference_channels(f))
-            .collect();
-        let norms = fit_normalizers(&chans);
-        let assembled = anchor_channels(&anchors, &norms);
-        assert_eq!(assembled.len(), 4);
-        // every channel is within [-1, 1] after max-abs normalization
-        for ch in &assembled {
-            assert!(ch.as_slice().iter().all(|&v| v.abs() <= 1.0 + 1e-6));
-        }
     }
 
     #[test]

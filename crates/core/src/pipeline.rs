@@ -32,11 +32,10 @@ use cfc_sz::{
 };
 use cfc_tensor::{Field, FieldStats, Normalizer};
 
-use crate::config::CfnnSpec;
 use crate::hybrid::{HybridConfig, HybridModel};
-use crate::predict::predict_differences;
+use crate::predict::{predict_differences, CfnnInference};
 use crate::predictor::{sample_hybrid_training, CrossFieldHybridPredictor};
-use crate::train::{TrainReport, TrainedCfnn};
+use crate::train::TrainedCfnn;
 
 /// Cross-field enhanced error-bounded compressor.
 #[derive(Debug, Clone, Copy)]
@@ -151,22 +150,8 @@ impl CrossFieldCompressor {
         let container = Container::try_from_bytes(bytes)?;
         let shape = container.shape;
         let ndim = shape.ndim();
-        let mut trained = deserialize_model(container.require_section(SectionTag::Model)?)?;
-        if trained.spec.in_channels != anchors_dec.len() * ndim {
-            return Err(CfcError::ShapeMismatch {
-                expected: format!("{} input channels", trained.spec.in_channels),
-                found: format!("{} anchors × {ndim} axes", anchors_dec.len()),
-            });
-        }
-        if trained.spec.out_channels != ndim {
-            return Err(CfcError::Corrupt {
-                context: "embedded model",
-                detail: format!(
-                    "{} output channels for a {ndim}-D stream",
-                    trained.spec.out_channels
-                ),
-            });
-        }
+        let model = deserialize_model(container.require_section(SectionTag::Model)?)?;
+        check_model_fits(&model, anchors_dec.len(), ndim)?;
         if anchors_dec.iter().any(|a| a.shape() != shape) {
             return Err(CfcError::ShapeMismatch {
                 expected: shape.to_string(),
@@ -181,7 +166,7 @@ impl CrossFieldCompressor {
                 detail: format!("arity {} for a {ndim}-D stream", hybrid.arity()),
             });
         }
-        let diffs = predict_differences(&mut trained, anchors_dec);
+        let diffs = model.predict(anchors_dec, &mut cfc_nn::Workspace::default());
         let predictor = CrossFieldHybridPredictor::new(&diffs, container.eb, hybrid);
         let sz = self.baseline();
         let lattice = sz.decompress_lattice(&container, &predictor)?;
@@ -307,12 +292,34 @@ pub(crate) fn serialize_model(trained: &TrainedCfnn) -> Vec<u8> {
 /// (the largest legitimate spec here is ~139 channels).
 const MAX_SPEC_DIM: usize = 1 << 14;
 
-/// Fallible inverse of [`serialize_model`] for untrusted bytes: validates
-/// the spec, normalizer counts, and — critically — that the embedded
-/// network's layers chain with compatible channel counts from
-/// `spec.in_channels` to `spec.out_channels`, so inference cannot hit a
-/// shape assert later.
-pub(crate) fn deserialize_model(buf: &[u8]) -> Result<TrainedCfnn, CfcError> {
+/// A model's channel counts against the anchors and dimensionality it is
+/// about to be run on.
+pub(crate) fn check_model_fits(
+    model: &CfnnInference,
+    n_anchors: usize,
+    ndim: usize,
+) -> Result<(), CfcError> {
+    if model.in_channels() != n_anchors * ndim {
+        return Err(CfcError::ShapeMismatch {
+            expected: format!("{} input channels", model.in_channels()),
+            found: format!("{n_anchors} anchors × {ndim} axes"),
+        });
+    }
+    if model.out_channels() != ndim {
+        return Err(CfcError::Corrupt {
+            context: "embedded model",
+            detail: format!("{} output channels for {ndim}-D data", model.out_channels()),
+        });
+    }
+    Ok(())
+}
+
+/// Fallible inverse of [`serialize_model`] for untrusted bytes, straight to
+/// the inference-only form: validates the spec, normalizer counts, and —
+/// critically — that the embedded network's layers chain with compatible
+/// channel counts from `spec.in_channels` to `spec.out_channels`, so
+/// inference cannot hit a shape assert later.
+pub(crate) fn deserialize_model(buf: &[u8]) -> Result<CfnnInference, CfcError> {
     let corrupt = |detail: String| CfcError::Corrupt {
         context: "embedded model",
         detail,
@@ -325,27 +332,24 @@ pub(crate) fn deserialize_model(buf: &[u8]) -> Result<TrainedCfnn, CfcError> {
         }
         Ok(v)
     };
-    let spec = CfnnSpec {
-        in_channels: dim(&mut r, "model in_channels")?,
-        out_channels: dim(&mut r, "model out_channels")?,
-        feat1: dim(&mut r, "model feat1")?,
-        feat2: dim(&mut r, "model feat2")?,
-        reduction: dim(&mut r, "model reduction")?,
-    };
+    let in_channels = dim(&mut r, "model in_channels")?;
+    let out_channels = dim(&mut r, "model out_channels")?;
+    // the layers themselves carry these; only their range is checked
+    for what in ["model feat1", "model feat2", "model reduction"] {
+        dim(&mut r, what)?;
+    }
     let input_norms = get_norms(&mut r)?;
     let target_norms = get_norms(&mut r)?;
-    if input_norms.len() != spec.in_channels {
+    if input_norms.len() != in_channels {
         return Err(corrupt(format!(
-            "{} input normalizers for {} channels",
-            input_norms.len(),
-            spec.in_channels
+            "{} input normalizers for {in_channels} channels",
+            input_norms.len()
         )));
     }
-    if target_norms.len() != spec.out_channels {
+    if target_norms.len() != out_channels {
         return Err(corrupt(format!(
-            "{} target normalizers for {} channels",
-            target_norms.len(),
-            spec.out_channels
+            "{} target normalizers for {out_channels} channels",
+            target_norms.len()
         )));
     }
     if input_norms
@@ -359,33 +363,7 @@ pub(crate) fn deserialize_model(buf: &[u8]) -> Result<TrainedCfnn, CfcError> {
     let net_bytes = r.bytes(net_len, "model net")?;
     let net = cfc_nn::Sequential::try_deserialize(net_bytes)
         .map_err(|e| corrupt(format!("network: {e}")))?;
-    // verify the layers chain from in_channels to out_channels so forward
-    // passes cannot panic on channel mismatches
-    let mut channels = spec.in_channels;
-    for (inc, outc) in net.layer_geometry().into_iter().flatten() {
-        if inc != channels {
-            return Err(corrupt(format!(
-                "layer expects {inc} channels, previous layer produces {channels}"
-            )));
-        }
-        channels = outc;
-    }
-    if channels != spec.out_channels {
-        return Err(corrupt(format!(
-            "network produces {channels} channels, spec declares {}",
-            spec.out_channels
-        )));
-    }
-    Ok(TrainedCfnn {
-        net,
-        spec,
-        input_norms,
-        target_norms,
-        report: TrainReport {
-            losses: Vec::new(),
-            n_patches: 0,
-        },
-    })
+    CfnnInference::new(&net, input_norms, target_norms).map_err(corrupt)
 }
 
 fn put_norms(out: &mut Vec<u8>, norms: &[Normalizer]) {

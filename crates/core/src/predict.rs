@@ -1,67 +1,161 @@
 //! CFNN inference: predicted target-difference fields and the
 //! difference-only reconstruction used by the paper's Figure 6.
 
-use cfc_nn::Tensor;
-use cfc_tensor::{diff, Axis, Field, Shape};
+use cfc_nn::{InferencePlan, Sequential, Workspace};
+use cfc_tensor::{diff, Axis, Field, Normalizer, Shape};
 
 use crate::diffnet;
 use crate::train::TrainedCfnn;
 
-/// Slices processed per forward batch (bounds activation memory).
-const SLICE_BATCH: usize = 4;
+/// A CFNN ready for inference: the network compiled into an
+/// [`InferencePlan`] plus the normalizers both sides apply. Immutable and
+/// `Send + Sync` — the archive reader parses a target's model once and
+/// every block, on every thread, predicts through the same value.
+pub struct CfnnInference {
+    plan: InferencePlan,
+    input_norms: Vec<Normalizer>,
+    target_norms: Vec<Normalizer>,
+}
 
-/// Run CFNN inference over full fields.
-///
-/// `anchors` must be the *decompressed* anchor fields (paper §III-B: the
-/// model is trained on original data but applied to decompressed data so
-/// encoder and decoder see identical inputs). Returns `ndim` predicted
-/// backward-difference fields for the target, in axis order, already
-/// denormalized to physical units.
-pub fn predict_differences(trained: &mut TrainedCfnn, anchors: &[&Field]) -> Vec<Field> {
-    let shape = anchors[0].shape();
-    let ndim = shape.ndim();
-    assert_eq!(
-        trained.spec.in_channels,
-        anchors.len() * ndim,
-        "anchor count mismatch"
-    );
-
-    let channels = diffnet::anchor_channels(anchors, &trained.input_norms);
-    let n_slices = diffnet::slice_count(anchors[0]);
-    let slice_shape = diffnet::processing_slice(anchors[0], 0).shape();
-    let (h, w) = (slice_shape.dims()[0], slice_shape.dims()[1]);
-    let in_c = trained.spec.in_channels;
-    let out_c = trained.spec.out_channels;
-
-    let mut outputs: Vec<Vec<f32>> = vec![vec![0.0; shape.len()]; out_c];
-    let mut k0 = 0usize;
-    while k0 < n_slices {
-        let b = SLICE_BATCH.min(n_slices - k0);
-        let mut x = Tensor::zeros(b, in_c, h, w);
-        for bi in 0..b {
-            for (ci, ch) in channels.iter().enumerate() {
-                let sl = diffnet::processing_slice(ch, k0 + bi);
-                x.plane_mut(bi, ci).copy_from_slice(sl.as_slice());
-            }
+impl CfnnInference {
+    /// Compile `net` for `input_norms.len()` input channels. Fails when the
+    /// layers do not chain from there to `target_norms.len()` outputs.
+    pub fn new(
+        net: &Sequential,
+        input_norms: Vec<Normalizer>,
+        target_norms: Vec<Normalizer>,
+    ) -> Result<Self, String> {
+        let plan = InferencePlan::compile(net, input_norms.len())?;
+        if plan.out_channels() != target_norms.len() {
+            return Err(format!(
+                "network produces {} channels, spec declares {}",
+                plan.out_channels(),
+                target_norms.len()
+            ));
         }
-        let y = trained.net.forward(&x, false);
-        for bi in 0..b {
-            for (ci, out) in outputs.iter_mut().enumerate() {
-                let plane = y.plane(bi, ci);
-                let norm = &trained.target_norms[ci];
-                let dst_base = (k0 + bi) * h * w;
-                for (pi, &v) in plane.iter().enumerate() {
-                    out[dst_base + pi] = norm.invert(v);
+        Ok(CfnnInference {
+            plan,
+            input_norms,
+            target_norms,
+        })
+    }
+
+    /// Input channels: anchors × axes.
+    pub fn in_channels(&self) -> usize {
+        self.input_norms.len()
+    }
+
+    /// Output channels: one predicted difference field per axis.
+    pub fn out_channels(&self) -> usize {
+        self.target_norms.len()
+    }
+
+    /// Run CFNN inference over full fields.
+    ///
+    /// `anchors` must be the *decompressed* anchor fields (paper §III-B:
+    /// the model is trained on original data but applied to decompressed
+    /// data so encoder and decoder see identical inputs). Returns `ndim`
+    /// predicted backward-difference fields for the target, in axis order,
+    /// already denormalized to physical units.
+    ///
+    /// One 2-D slice at a time: the anchors' normalized backward
+    /// differences are written straight into the plan's input planes and
+    /// its output planes denormalized straight into the result, so with a
+    /// kept `ws` only the returned fields are allocated.
+    pub fn predict(&self, anchors: &[&Field], ws: &mut Workspace) -> Vec<Field> {
+        let shape = anchors[0].shape();
+        let ndim = shape.ndim();
+        assert_eq!(
+            self.in_channels(),
+            anchors.len() * ndim,
+            "anchor count mismatch"
+        );
+        assert!(
+            anchors.iter().all(|a| a.shape() == shape),
+            "anchor shape mismatch"
+        );
+        let n_slices = diffnet::slice_count(anchors[0]);
+        let (h, w) = (shape.dims()[ndim - 2], shape.dims()[ndim - 1]);
+        let hw = h * w;
+
+        let mut outputs: Vec<Vec<f32>> = vec![vec![0.0; shape.len()]; self.out_channels()];
+        for k in 0..n_slices {
+            let y = self.plan.run(ws, h, w, |input| {
+                for (ci, plane) in input.chunks_exact_mut(hw).enumerate() {
+                    // channel layout: anchor-major, then axis
+                    let v = &anchors[ci / ndim].as_slice()[k * hw..(k + 1) * hw];
+                    // the same slice one step back along the slice axis
+                    let below =
+                        (k > 0).then(|| &anchors[ci / ndim].as_slice()[(k - 1) * hw..k * hw]);
+                    let axis = ci % ndim + (3 - ndim);
+                    normalized_diff_plane(plane, v, below, axis, w, &self.input_norms[ci]);
+                }
+            });
+            for ((out, norm), plane) in outputs
+                .iter_mut()
+                .zip(&self.target_norms)
+                .zip(y.chunks_exact(hw))
+            {
+                for (o, &v) in out[k * hw..(k + 1) * hw].iter_mut().zip(plane) {
+                    *o = norm.invert(v);
                 }
             }
         }
-        k0 += b;
+        outputs
+            .into_iter()
+            .map(|data| Field::from_vec(shape, data))
+            .collect()
     }
+}
 
-    outputs
-        .into_iter()
-        .map(|data| Field::from_vec(shape, data))
-        .collect()
+/// One slice `v` (rows of `w`) of [`diff::backward_diff`], normalized, into
+/// `dst`. `axis` counts as in a 3-D field — 0 steps between slices
+/// (`below` is the previous one, `None` on the first), 1 between rows, 2
+/// between columns; the first sample along the axis has difference 0.
+fn normalized_diff_plane(
+    dst: &mut [f32],
+    v: &[f32],
+    below: Option<&[f32]>,
+    axis: usize,
+    w: usize,
+    norm: &Normalizer,
+) {
+    let edge = norm.apply(0.0);
+    match (axis, below) {
+        (0, None) => dst.fill(edge),
+        (0, Some(below)) => {
+            for ((d, &cur), &prev) in dst.iter_mut().zip(v).zip(below) {
+                *d = norm.apply(cur - prev);
+            }
+        }
+        (1, _) => {
+            dst[..w].fill(edge);
+            for ((d, &cur), &prev) in dst[w..].iter_mut().zip(&v[w..]).zip(v) {
+                *d = norm.apply(cur - prev);
+            }
+        }
+        _ => {
+            for (d, row) in dst.chunks_exact_mut(w).zip(v.chunks_exact(w)) {
+                d[0] = edge;
+                for (d, pair) in d[1..].iter_mut().zip(row.windows(2)) {
+                    *d = norm.apply(pair[1] - pair[0]);
+                }
+            }
+        }
+    }
+}
+
+/// [`CfnnInference::predict`] for a freshly trained bundle: compiles the
+/// plan and allocates a workspace per call. Paths that predict block after
+/// block build a [`CfnnInference`] once and keep a [`Workspace`].
+pub fn predict_differences(trained: &mut TrainedCfnn, anchors: &[&Field]) -> Vec<Field> {
+    CfnnInference::new(
+        &trained.net,
+        trained.input_norms.clone(),
+        trained.target_norms.clone(),
+    )
+    .expect("a trained network chains from its input to its target normalizers")
+    .predict(anchors, &mut Workspace::default())
 }
 
 /// Reconstruct a field *purely* from predicted backward differences along

@@ -41,16 +41,36 @@ impl ChannelAttention {
         assert!(reduction >= 1);
         let hidden = (c / reduction).max(1);
         let mut rng = init::seeded(seed);
-        ChannelAttention {
+        let w1 = init::kaiming_uniform(&mut rng, hidden * c, c);
+        let w2 = init::xavier_uniform(&mut rng, c * hidden, hidden, c);
+        Self::from_weights(c, reduction, w1, w2).expect("consistent geometry")
+    }
+
+    /// A gate around existing weights (`w1[hidden][c]`, `w2[c][hidden]`) —
+    /// what deserialization builds: no RNG draw, no gradient buffers.
+    pub fn from_weights(
+        c: usize,
+        reduction: usize,
+        w1: Vec<f32>,
+        w2: Vec<f32>,
+    ) -> Result<Self, String> {
+        if reduction == 0 {
+            return Err("attention reduction must be at least 1".into());
+        }
+        let hidden = (c / reduction).max(1);
+        if w1.len() != c * hidden || w2.len() != hidden * c {
+            return Err("attention weight count mismatch".into());
+        }
+        Ok(ChannelAttention {
             c,
             reduction,
             hidden,
-            w1: init::kaiming_uniform(&mut rng, hidden * c, c),
-            w2: init::xavier_uniform(&mut rng, c * hidden, hidden, c),
-            grad_w1: vec![0.0; hidden * c],
-            grad_w2: vec![0.0; c * hidden],
+            w1,
+            w2,
+            grad_w1: Vec::new(),
+            grad_w2: Vec::new(),
             cache: None,
-        }
+        })
     }
 
     /// Bottleneck width.
@@ -63,7 +83,7 @@ impl ChannelAttention {
         (&self.w1, &self.w2)
     }
 
-    /// Overwrite weights (deserialization).
+    /// Overwrite weights.
     pub fn set_weights(&mut self, w1: &[f32], w2: &[f32]) {
         assert_eq!(w1.len(), self.w1.len());
         assert_eq!(w2.len(), self.w2.len());
@@ -71,19 +91,94 @@ impl ChannelAttention {
         self.w2.copy_from_slice(w2);
     }
 
-    /// `z = W2 · relu(W1 · x)`; returns `(pre_activation, z)`.
-    fn mlp(&self, x: &[f32]) -> (Vec<f32>, Vec<f32>) {
-        let mut pre = vec![0.0f32; self.hidden];
-        for hh in 0..self.hidden {
-            let row = &self.w1[hh * self.c..(hh + 1) * self.c];
-            pre[hh] = row.iter().zip(x).map(|(&w, &v)| w * v).sum();
-        }
-        let mut z = vec![0.0f32; self.c];
-        for cc in 0..self.c {
+    /// One sample's gates from its pooled statistics:
+    /// `sigmoid(W2·relu(W1·avg) + W2·relu(W1·mx))`. The hidden
+    /// pre-activations land in `pre_a` / `pre_m` (backward needs them).
+    fn gates(
+        &self,
+        avg: &[f32],
+        mx: &[f32],
+        pre_a: &mut [f32],
+        pre_m: &mut [f32],
+        gate: &mut [f32],
+    ) {
+        let hidden = |x: &[f32], pre: &mut [f32]| {
+            for (hh, p) in pre.iter_mut().enumerate() {
+                let row = &self.w1[hh * self.c..(hh + 1) * self.c];
+                *p = row.iter().zip(x).map(|(&w, &v)| w * v).sum();
+            }
+        };
+        hidden(avg, pre_a);
+        hidden(mx, pre_m);
+        let out = |cc: usize, pre: &[f32]| -> f32 {
             let row = &self.w2[cc * self.hidden..(cc + 1) * self.hidden];
-            z[cc] = row.iter().zip(&pre).map(|(&w, &h)| w * h.max(0.0)).sum();
+            row.iter().zip(pre).map(|(&w, &h)| w * h.max(0.0)).sum()
+        };
+        for (cc, g) in gate.iter_mut().enumerate() {
+            *g = sigmoid(out(cc, pre_a) + out(cc, pre_m));
         }
-        (pre, z)
+    }
+
+    /// Inference on one sample (`c` planes of `hw` values) in place.
+    /// `scratch` is resized to hold the pooled statistics and gates, so a
+    /// caller that keeps it allocates nothing after the first call.
+    pub(crate) fn gate_in_place(&self, sample: &mut [f32], hw: usize, scratch: &mut Vec<f32>) {
+        let (c, hidden) = (self.c, self.hidden);
+        scratch.clear();
+        scratch.resize(3 * c + 2 * hidden, 0.0);
+        let (avg, rest) = scratch.split_at_mut(c);
+        let (mx, rest) = rest.split_at_mut(c);
+        let (gate, rest) = rest.split_at_mut(c);
+        let (pre_a, pre_m) = rest.split_at_mut(hidden);
+        pool_sample(sample, hw, |cc, (sum, m, _)| {
+            avg[cc] = sum / hw as f32;
+            mx[cc] = m;
+        });
+        self.gates(avg, mx, pre_a, pre_m, gate);
+        for (plane, &s) in sample.chunks_exact_mut(hw).zip(gate.iter()) {
+            for v in plane {
+                *v *= s;
+            }
+        }
+    }
+}
+
+/// Sum, maximum and first position of the maximum of each of `L` planes.
+/// Every sum is its own sequential, index-order `sum += v` — never a vector
+/// reduction: its rounding is part of what encoder and decoder must agree
+/// on. Walking `L` planes in step only lets their independent add chains
+/// overlap instead of each waiting out the adder's latency alone.
+fn pool_planes<const L: usize>(planes: [&[f32]; L]) -> [(f32, f32, usize); L] {
+    let mut acc = [(0.0f32, f32::NEG_INFINITY, 0usize); L];
+    for i in 0..planes[0].len() {
+        for (a, plane) in acc.iter_mut().zip(planes) {
+            let v = plane[i];
+            a.0 += v;
+            if v > a.1 {
+                a.1 = v;
+                a.2 = i;
+            }
+        }
+    }
+    acc
+}
+
+/// [`pool_planes`] over every `hw`-long plane of one sample, four at a
+/// time; `put(channel, (sum, max, argmax))` receives each result.
+fn pool_sample(sample: &[f32], hw: usize, mut put: impl FnMut(usize, (f32, f32, usize))) {
+    let mut quads = sample.chunks_exact(4 * hw);
+    let mut cc = 0;
+    for quad in &mut quads {
+        let (a, b) = quad.split_at(2 * hw);
+        let ((p0, p1), (p2, p3)) = (a.split_at(hw), b.split_at(hw));
+        for stats in pool_planes([p0, p1, p2, p3]) {
+            put(cc, stats);
+            cc += 1;
+        }
+    }
+    for plane in quads.remainder().chunks_exact(hw) {
+        put(cc, pool_planes([plane])[0]);
+        cc += 1;
     }
 }
 
@@ -92,34 +187,26 @@ impl Layer for ChannelAttention {
         assert_eq!(input.c, self.c, "attention channel mismatch");
         let (n, c, h, w) = input.dims();
         let hw = (h * w) as f32;
+        let hidden = self.hidden;
         let mut avg = vec![0.0f32; n * c];
-        let mut mx = vec![f32::NEG_INFINITY; n * c];
+        let mut mx = vec![0.0f32; n * c];
         let mut argmax = vec![0usize; n * c];
-        for b in 0..n {
-            for cc in 0..c {
-                let plane = input.plane(b, cc);
-                let mut sum = 0.0f32;
-                for (i, &v) in plane.iter().enumerate() {
-                    sum += v;
-                    if v > mx[b * c + cc] {
-                        mx[b * c + cc] = v;
-                        argmax[b * c + cc] = i;
-                    }
-                }
-                avg[b * c + cc] = sum / hw;
-            }
-        }
         let mut gate = vec![0.0f32; n * c];
-        let mut pre_a = vec![0.0f32; n * self.hidden];
-        let mut pre_m = vec![0.0f32; n * self.hidden];
+        let mut pre_a = vec![0.0f32; n * hidden];
+        let mut pre_m = vec![0.0f32; n * hidden];
         for b in 0..n {
-            let (pa, za) = self.mlp(&avg[b * c..(b + 1) * c]);
-            let (pm, zm) = self.mlp(&mx[b * c..(b + 1) * c]);
-            pre_a[b * self.hidden..(b + 1) * self.hidden].copy_from_slice(&pa);
-            pre_m[b * self.hidden..(b + 1) * self.hidden].copy_from_slice(&pm);
-            for cc in 0..c {
-                gate[b * c + cc] = sigmoid(za[cc] + zm[cc]);
-            }
+            pool_sample(input.sample(b), h * w, |cc, (sum, m, am)| {
+                avg[b * c + cc] = sum / hw;
+                mx[b * c + cc] = m;
+                argmax[b * c + cc] = am;
+            });
+            self.gates(
+                &avg[b * c..(b + 1) * c],
+                &mx[b * c..(b + 1) * c],
+                &mut pre_a[b * hidden..(b + 1) * hidden],
+                &mut pre_m[b * hidden..(b + 1) * hidden],
+                &mut gate[b * c..(b + 1) * c],
+            );
         }
         let mut out = input.clone();
         for b in 0..n {
@@ -131,6 +218,8 @@ impl Layer for ChannelAttention {
             }
         }
         if train {
+            self.grad_w1.resize(self.w1.len(), 0.0);
+            self.grad_w2.resize(self.w2.len(), 0.0);
             self.cache = Some(Cache {
                 input: input.clone(),
                 gate,

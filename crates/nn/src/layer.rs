@@ -60,17 +60,23 @@ impl ReLU {
     }
 }
 
+/// ReLU in place. A comparison, not `max`: NaN and `-0.0` pass through
+/// unchanged, and inference must reproduce that bit for bit.
+pub(crate) fn relu_in_place(data: &mut [f32]) {
+    for v in data {
+        if *v < 0.0 {
+            *v = 0.0;
+        }
+    }
+}
+
 impl Layer for ReLU {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let mut out = input.clone();
         if train {
             self.mask = input.data.iter().map(|&v| v > 0.0).collect();
         }
-        for v in &mut out.data {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
-        }
+        relu_in_place(&mut out.data);
         out
     }
 

@@ -14,6 +14,8 @@
 //! * [`ChannelAttention`] — CBAM-style avg+max pooled MLP gate,
 //! * [`ReLU`] — activation,
 //! * [`Sequential`] — layer stack with full backprop,
+//! * [`InferencePlan`] — a `Sequential` compiled once for allocation-free,
+//!   thread-shareable, bit-identical forward passes,
 //! * [`Adam`] / [`Sgd`] — optimizers,
 //! * [`mse_loss`] — the paper's training loss,
 //! * byte-exact model (de)serialization for embedding into streams.
@@ -27,13 +29,15 @@ pub mod init;
 pub mod layer;
 pub mod loss;
 pub mod optim;
+pub mod plan;
 pub mod sequential;
 pub mod tensor;
 
 pub use attention::ChannelAttention;
-pub use conv::{Conv2d, DepthwiseConv2d};
+pub use conv::{Conv2d, DepthwiseConv2d, Kernel, PackedConv};
 pub use layer::{Layer, ParamSet, ReLU};
 pub use loss::{mse_loss, mse_loss_masked};
 pub use optim::{Adam, Optimizer, Sgd};
-pub use sequential::Sequential;
+pub use plan::{InferencePlan, Workspace};
+pub use sequential::{AnyLayer, Sequential};
 pub use tensor::Tensor;

@@ -95,10 +95,19 @@ impl Sequential {
         self.layers.is_empty()
     }
 
+    /// The layers, in order.
+    pub fn layers(&self) -> &[AnyLayer] {
+        &self.layers
+    }
+
     /// Forward pass through the stack.
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
-        for l in &mut self.layers {
+        let mut layers = self.layers.iter_mut();
+        let Some(first) = layers.next() else {
+            return input.clone();
+        };
+        let mut x = first.as_layer().forward(input, train);
+        for l in layers {
             x = l.as_layer().forward(&x, train);
         }
         x
@@ -134,24 +143,6 @@ impl Sequential {
             .iter_mut()
             .map(|l| l.as_layer().num_params())
             .sum()
-    }
-
-    /// Channel geometry per layer: `(in, out)` for channel-transforming
-    /// layers, `None` for shape-preserving ones (ReLU).
-    ///
-    /// Lets callers that rebuild networks from untrusted bytes verify the
-    /// layers chain correctly *before* running `forward` (whose internal
-    /// channel asserts would otherwise panic).
-    pub fn layer_geometry(&self) -> Vec<Option<(usize, usize)>> {
-        self.layers
-            .iter()
-            .map(|l| match l {
-                AnyLayer::Conv(c) => Some((c.in_c, c.out_c)),
-                AnyLayer::Depthwise(c) => Some((c.c, c.c)),
-                AnyLayer::Attention(a) => Some((a.c, a.c)),
-                AnyLayer::ReLU(_) => None,
-            })
-            .collect()
     }
 
     /// Serialize architecture + weights to bytes.
@@ -209,66 +200,38 @@ impl Sequential {
     /// callers wrap it into their own error type.
     pub fn try_deserialize(buf: &[u8]) -> Result<Self, String> {
         // channel/kernel sanity caps: largest legitimate CFNN here is ~139
-        // channels with 3×3 kernels, so these bounds are generous while
-        // keeping `Conv2d::new` allocations proportional to honest input
+        // channels with 3×3 kernels
         const MAX_CHANNELS: usize = 1 << 14;
         const MAX_KERNEL: usize = 64;
 
         let mut r = TryReader { buf, pos: 0 };
         let n = r.u16()? as usize;
-        let mut layers = Vec::with_capacity(n);
+        let mut layers = Vec::new(); // `n` is untrusted: grow with the layers actually read
         for li in 0..n {
-            let tag = r.u8()?;
-            match tag {
+            let layer = match r.u8()? {
                 1 => {
                     let in_c = r.dim(MAX_CHANNELS, "in_channels")?;
                     let out_c = r.dim(MAX_CHANNELS, "out_channels")?;
                     let k = r.dim(MAX_KERNEL, "kernel")?;
-                    let w = r.f32s()?;
-                    let b = r.f32s()?;
-                    let expect_w = in_c
-                        .checked_mul(out_c)
-                        .and_then(|v| v.checked_mul(k * k))
-                        .ok_or_else(|| format!("layer {li}: conv geometry overflows"))?;
-                    if w.len() != expect_w || b.len() != out_c {
-                        return Err(format!(
-                            "layer {li}: conv weights {}/{} mismatch geometry {expect_w}/{out_c}",
-                            w.len(),
-                            b.len()
-                        ));
-                    }
-                    let mut conv = Conv2d::new(in_c, out_c, k, 0);
-                    conv.set_weights(&w, &b);
-                    layers.push(AnyLayer::Conv(conv));
+                    let (w, b) = (r.f32s()?, r.f32s()?);
+                    Conv2d::from_weights(in_c, out_c, k, w, b).map(AnyLayer::Conv)
                 }
                 2 => {
                     let c = r.dim(MAX_CHANNELS, "channels")?;
                     let k = r.dim(MAX_KERNEL, "kernel")?;
-                    let w = r.f32s()?;
-                    let b = r.f32s()?;
-                    if w.len() != c * k * k || b.len() != c {
-                        return Err(format!("layer {li}: depthwise weight count mismatch"));
-                    }
-                    let mut dw = DepthwiseConv2d::new(c, k, 0);
-                    dw.set_weights(&w, &b);
-                    layers.push(AnyLayer::Depthwise(dw));
+                    let (w, b) = (r.f32s()?, r.f32s()?);
+                    DepthwiseConv2d::from_weights(c, k, w, b).map(AnyLayer::Depthwise)
                 }
-                3 => layers.push(AnyLayer::ReLU(ReLU::new())),
+                3 => Ok(AnyLayer::ReLU(ReLU::new())),
                 4 => {
                     let c = r.dim(MAX_CHANNELS, "channels")?;
                     let red = r.dim(MAX_CHANNELS, "reduction")?;
-                    let w1 = r.f32s()?;
-                    let w2 = r.f32s()?;
-                    let hidden = (c / red).max(1);
-                    if w1.len() != c * hidden || w2.len() != hidden * c {
-                        return Err(format!("layer {li}: attention weight count mismatch"));
-                    }
-                    let mut att = ChannelAttention::new(c, red, 0);
-                    att.set_weights(&w1, &w2);
-                    layers.push(AnyLayer::Attention(att));
+                    let (w1, w2) = (r.f32s()?, r.f32s()?);
+                    ChannelAttention::from_weights(c, red, w1, w2).map(AnyLayer::Attention)
                 }
-                t => return Err(format!("layer {li}: unknown layer tag {t}")),
-            }
+                t => Err(format!("unknown layer tag {t}")),
+            };
+            layers.push(layer.map_err(|e| format!("layer {li}: {e}"))?);
         }
         Ok(Sequential { layers })
     }

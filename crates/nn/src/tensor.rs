@@ -85,6 +85,20 @@ impl Tensor {
         &mut self.data[start..start + hw]
     }
 
+    /// All `c` planes of sample `n`, contiguous.
+    #[inline]
+    pub fn sample(&self, n: usize) -> &[f32] {
+        let chw = self.c * self.h * self.w;
+        &self.data[n * chw..(n + 1) * chw]
+    }
+
+    /// Mutable [`Tensor::sample`].
+    #[inline]
+    pub fn sample_mut(&mut self, n: usize) -> &mut [f32] {
+        let chw = self.c * self.h * self.w;
+        &mut self.data[n * chw..(n + 1) * chw]
+    }
+
     /// Same-shape zero tensor.
     pub fn zeros_like(&self) -> Tensor {
         Tensor::zeros(self.n, self.c, self.h, self.w)

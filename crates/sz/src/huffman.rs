@@ -34,6 +34,12 @@ pub const MAX_CODE_LEN: u32 = 32;
 /// default residual alphabet (radius 512 ⇒ 1025 symbols) in one probe.
 pub const TABLE_BITS: u32 = 11;
 
+/// Most symbols the dense encoder LUT covers (2 MiB of entries): every
+/// quantizer alphabet `0..=2·radius` up to SZ3's 2^16-bin default. The LUT
+/// is sized by the largest *symbol*, not the alphabet, so without a cap one
+/// stray `u32::MAX` in a sparse alphabet asks for 64 GiB.
+const ENC_LUT_CAP: usize = 1 << 17;
+
 /// A canonical Huffman code table.
 ///
 /// The encoder LUT and decoder tables are built lazily on first use and
@@ -115,13 +121,18 @@ impl HuffmanTable {
         self.lengths.len()
     }
 
-    /// Expected encoded size in bits for the given frequencies.
-    pub fn expected_bits(&self, freqs: &[(u32, u64)]) -> u64 {
-        let by_sym = self.by_sym.get_or_init(|| {
+    /// The cached `(symbol, code length)` index sorted by symbol.
+    fn by_sym(&self) -> &[(u32, u32)] {
+        self.by_sym.get_or_init(|| {
             let mut v = self.lengths.to_vec();
             v.sort_unstable_by_key(|&(sym, _)| sym);
             v
-        });
+        })
+    }
+
+    /// Expected encoded size in bits for the given frequencies.
+    pub fn expected_bits(&self, freqs: &[(u32, u64)]) -> u64 {
+        let by_sym = self.by_sym();
         let mut total = 0u64;
         for &(sym, count) in freqs {
             if let Ok(i) = by_sym.binary_search_by_key(&sym, |&(s, _)| s) {
@@ -131,15 +142,40 @@ impl HuffmanTable {
         total
     }
 
-    /// The cached dense encoder LUT (symbol → bit-reversed code + length).
+    /// The cached dense encoder LUT (symbol → bit-reversed code + length)
+    /// over the symbols below [`ENC_LUT_CAP`]; wider ones go through
+    /// [`HuffmanTable::wide_code`].
     fn enc_lut(&self) -> &[(u64, u32)] {
         self.enc.get_or_init(|| {
             let max_sym = self.lengths.iter().map(|&(s, _)| s).max().unwrap();
-            let mut lut: Vec<(u64, u32)> = vec![(0, 0); max_sym as usize + 1];
+            let mut lut: Vec<(u64, u32)> = vec![(0, 0); (max_sym as usize + 1).min(ENC_LUT_CAP)];
             for (pos, &(sym, len)) in self.lengths.iter().enumerate() {
-                lut[sym as usize] = (reverse_bits(self.codes[pos], len), len);
+                if let Some(slot) = lut.get_mut(sym as usize) {
+                    *slot = (reverse_bits(self.codes[pos], len), len);
+                }
             }
             lut
+        })
+    }
+
+    /// Bit-reversed code and length of a symbol the dense LUT does not
+    /// hold: two binary searches, symbol → length → canonical position.
+    #[cold]
+    fn wide_code(&self, sym: u32) -> Result<(u64, u32), CfcError> {
+        let by_sym = self.by_sym();
+        let found = by_sym
+            .binary_search_by_key(&sym, |&(s, _)| s)
+            .ok()
+            .and_then(|i| {
+                let len = by_sym[i].1;
+                let pos = self
+                    .lengths
+                    .binary_search_by_key(&(len, sym), |&(s, l)| (l, s));
+                pos.ok()
+                    .map(|pos| (reverse_bits(self.codes[pos], len), len))
+            });
+        found.ok_or_else(|| {
+            CfcError::InvalidInput(format!("symbol {sym} has no code in this Huffman table"))
         })
     }
 
@@ -184,16 +220,13 @@ impl HuffmanTable {
     /// On error `out` may hold a partial bitstream; callers discard its
     /// contents, not the buffer.
     pub fn try_encode_append(&self, data: &[u32], out: &mut Vec<u8>) -> Result<(), CfcError> {
-        #[inline]
-        fn lut_get(lut: &[(u64, u32)], s: u32) -> Result<(u64, u32), CfcError> {
+        let lut = self.enc_lut();
+        let lut_get = |s: u32| -> Result<(u64, u32), CfcError> {
             match lut.get(s as usize) {
                 Some(&(code, len)) if len > 0 => Ok((code, len)),
-                _ => Err(CfcError::InvalidInput(format!(
-                    "symbol {s} has no code in this Huffman table"
-                ))),
+                _ => self.wide_code(s),
             }
-        }
-        let lut = self.enc_lut();
+        };
         let mut acc = 0u64;
         let mut nbits = 0u32;
         // bits at positions ≥ nbits of acc are zero; flush a full word as
@@ -217,12 +250,12 @@ impl HuffmanTable {
         }
         let mut pairs = data.chunks_exact(2);
         for pair in &mut pairs {
-            let (c0, l0) = lut_get(lut, pair[0])?;
-            let (c1, l1) = lut_get(lut, pair[1])?;
+            let (c0, l0) = lut_get(pair[0])?;
+            let (c1, l1) = lut_get(pair[1])?;
             push_bits!(c0 | (c1 << l0), l0 + l1);
         }
         if let [s] = *pairs.remainder() {
-            let (code, len) = lut_get(lut, s)?;
+            let (code, len) = lut_get(s)?;
             push_bits!(code, len);
         }
         out.extend_from_slice(&acc.to_le_bytes()[..(nbits as usize).div_ceil(8)]);
@@ -851,6 +884,27 @@ mod tests {
         // in-table symbols still encode fine through the checked path
         let bits = table.try_encode(&[7, 9, 7]).unwrap();
         assert_eq!(table.decode(&bits, 3), vec![7, 9, 7]);
+    }
+
+    #[test]
+    fn one_huge_symbol_does_not_size_the_encoder_lut() {
+        // regression: the dense LUT was `max_sym + 1` entries, so this
+        // sparse alphabet asked for 64 GiB (and only ever "worked" where
+        // calloc overcommits)
+        let mut data: Vec<u32> = (0..300).map(|i| i % 7).collect();
+        data.extend([
+            u32::MAX,
+            ENC_LUT_CAP as u32,
+            ENC_LUT_CAP as u32 - 1,
+            u32::MAX,
+        ]);
+        let table = HuffmanTable::from_symbols(&data);
+        assert!(table.enc_lut().len() <= ENC_LUT_CAP);
+        let bits = table.encode(&data);
+        assert_eq!(table.decode(&bits, data.len()), data);
+        // a wide symbol that was never counted is still a typed error
+        let err = table.try_encode(&[3, u32::MAX - 1]).unwrap_err();
+        assert!(matches!(err, CfcError::InvalidInput(_)), "{err:?}");
     }
 
     #[test]

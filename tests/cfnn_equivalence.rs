@@ -1,0 +1,529 @@
+//! Differential bit-exactness suite for CFNN inference.
+//!
+//! CFNN predictions are computed on both sides of the codec, so archives on
+//! disk decode within their error bound only as long as inference keeps
+//! producing the bits it produced when they were written. This file holds
+//! the oracle — the tap-major convolution loops, ReLU, channel attention
+//! and input/output marshalling exactly as they stood before the
+//! register-tiled kernels and inference plans replaced them — and compares
+//! everything that runs today against it with `to_bits()`:
+//!
+//! * every [`Kernel`] the host offers (the portable body too, on an AVX2
+//!   host) over kernel sizes, plane shapes on both sides of every strip
+//!   threshold, channel counts that do not divide the tile, zero weights
+//!   and non-finite inputs;
+//! * [`InferencePlan`] and `Sequential::forward` on the paper's networks,
+//!   batch 1 against batch 4;
+//! * `predict_differences` on 2-D fields and on a partial last block.
+//!
+//! NaN *payloads* are outside the contract: where two different NaNs meet
+//! in an add, IEEE 754 lets either through and compilers are free to
+//! commute the operands. Whether a value is NaN is inside it.
+
+use cross_field_compression::core::config::CfnnSpec;
+use cross_field_compression::core::diffnet::{build_cfnn, fit_normalizers};
+use cross_field_compression::core::predict::predict_differences;
+use cross_field_compression::core::train::{TrainReport, TrainedCfnn};
+use cross_field_compression::nn::conv::depthwise;
+use cross_field_compression::nn::layer::sigmoid;
+use cross_field_compression::nn::{
+    AnyLayer, InferencePlan, Kernel, PackedConv, Sequential, Tensor, Workspace,
+};
+use cross_field_compression::tensor::{diff, Field, Shape};
+
+// ---- the oracle -----------------------------------------------------------
+
+/// Full convolution of one sample, one whole-plane sweep per kernel tap.
+#[allow(clippy::too_many_arguments)]
+fn reference_conv(
+    weight: &[f32], // [out_c][in_c][k][k]
+    bias: &[f32],
+    in_c: usize,
+    k: usize,
+    src: &[f32],
+    dst: &mut [f32],
+    h: usize,
+    w: usize,
+) {
+    let (hw, kk, pad) = (h * w, k * k, k / 2);
+    for (oc, dst) in dst.chunks_exact_mut(hw).enumerate() {
+        dst.fill(bias[oc]);
+        for ic in 0..in_c {
+            let src = &src[ic * hw..(ic + 1) * hw];
+            let kernel = &weight[(oc * in_c + ic) * kk..][..kk];
+            reference_taps(kernel, k, pad, src, dst, h, w, true);
+        }
+    }
+}
+
+/// Depthwise convolution of one sample: zero weights are *not* skipped.
+fn reference_depthwise(
+    weight: &[f32], // [c][k][k]
+    bias: &[f32],
+    k: usize,
+    src: &[f32],
+    dst: &mut [f32],
+    h: usize,
+    w: usize,
+) {
+    let (hw, kk, pad) = (h * w, k * k, k / 2);
+    for (c, dst) in dst.chunks_exact_mut(hw).enumerate() {
+        dst.fill(bias[c]);
+        let src = &src[c * hw..(c + 1) * hw];
+        reference_taps(&weight[c * kk..][..kk], k, pad, src, dst, h, w, false);
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn reference_taps(
+    kernel: &[f32],
+    k: usize,
+    pad: usize,
+    src: &[f32],
+    dst: &mut [f32],
+    h: usize,
+    w: usize,
+    skip_zero: bool,
+) {
+    for ky in 0..k {
+        let dy = ky as isize - pad as isize;
+        for kx in 0..k {
+            let dx = kx as isize - pad as isize;
+            let kv = kernel[ky * k + kx];
+            if skip_zero && kv == 0.0 {
+                continue;
+            }
+            // valid output rows/columns for this tap
+            let y0 = (-dy).max(0) as usize;
+            let y1 = (h as isize - dy).clamp(0, h as isize) as usize;
+            let x0 = (-dx).max(0) as usize;
+            let x1 = (w as isize - dx).clamp(0, w as isize) as usize;
+            for y in y0..y1 {
+                let sy = (y as isize + dy) as usize;
+                for x in x0..x1 {
+                    let sx = (x as isize + dx) as usize;
+                    dst[y * w + x] += kv * src[sy * w + sx];
+                }
+            }
+        }
+    }
+}
+
+fn reference_relu(data: &mut [f32]) {
+    for v in data {
+        if *v < 0.0 {
+            *v = 0.0;
+        }
+    }
+}
+
+/// CBAM channel attention of one sample, in place.
+fn reference_attention(w1: &[f32], w2: &[f32], c: usize, sample: &mut [f32], hw: usize) {
+    let hidden = w1.len() / c;
+    let (mut avg, mut mx) = (vec![0.0f32; c], vec![f32::NEG_INFINITY; c]);
+    for (cc, plane) in sample.chunks_exact(hw).enumerate() {
+        let mut sum = 0.0f32;
+        for &v in plane {
+            sum += v;
+            if v > mx[cc] {
+                mx[cc] = v;
+            }
+        }
+        avg[cc] = sum / hw as f32;
+    }
+    let mlp = |x: &[f32]| -> Vec<f32> {
+        let pre: Vec<f32> = (0..hidden)
+            .map(|hh| {
+                let row = &w1[hh * c..(hh + 1) * c];
+                row.iter().zip(x).map(|(&w, &v)| w * v).sum()
+            })
+            .collect();
+        (0..c)
+            .map(|cc| {
+                let row = &w2[cc * hidden..(cc + 1) * hidden];
+                row.iter().zip(&pre).map(|(&w, &h)| w * h.max(0.0)).sum()
+            })
+            .collect()
+    };
+    let (za, zm) = (mlp(&avg), mlp(&mx));
+    for (cc, plane) in sample.chunks_exact_mut(hw).enumerate() {
+        let s = sigmoid(za[cc] + zm[cc]);
+        for v in plane {
+            *v *= s;
+        }
+    }
+}
+
+/// One sample through `net`, layer by layer, on the oracle loops.
+fn reference_forward(net: &Sequential, input: &[f32], h: usize, w: usize) -> Vec<f32> {
+    let hw = h * w;
+    let mut x = input.to_vec();
+    for layer in net.layers() {
+        match layer {
+            AnyLayer::Conv(c) => {
+                let (wt, b) = c.weights();
+                let mut y = vec![0.0; c.out_c * hw];
+                reference_conv(wt, b, c.in_c, c.k, &x, &mut y, h, w);
+                x = y;
+            }
+            AnyLayer::Depthwise(d) => {
+                let (wt, b) = d.weights();
+                let mut y = vec![0.0; d.c * hw];
+                reference_depthwise(wt, b, d.k, &x, &mut y, h, w);
+                x = y;
+            }
+            AnyLayer::ReLU(_) => reference_relu(&mut x),
+            AnyLayer::Attention(a) => {
+                let (w1, w2) = a.weights();
+                reference_attention(w1, w2, a.c, &mut x, hw);
+            }
+        }
+    }
+    x
+}
+
+// ---- helpers --------------------------------------------------------------
+
+struct Lcg(u64);
+
+impl Lcg {
+    /// Uniform in `[-1, 1)`.
+    fn next(&mut self) -> f32 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (self.0 >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+    }
+
+    fn vec(&mut self, n: usize, scale: f32) -> Vec<f32> {
+        (0..n).map(|_| self.next() * scale).collect()
+    }
+}
+
+fn same(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+#[track_caller]
+fn assert_same(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    if let Some(i) = (0..got.len()).find(|&i| !same(got[i], want[i])) {
+        panic!(
+            "{what}: element {i} is {:?} ({:#010x}), reference {:?} ({:#010x})",
+            got[i],
+            got[i].to_bits(),
+            want[i],
+            want[i].to_bits()
+        );
+    }
+}
+
+/// Sprinkle the values a fast path is most likely to get wrong.
+fn poison(data: &mut [f32], rng: &mut Lcg) {
+    let specials = [
+        -0.0,
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.0,
+        f32::MIN_POSITIVE / 2.0,
+    ];
+    for (i, &s) in specials.iter().enumerate() {
+        let at = ((rng.next() + 1.0) * 0.5 * data.len() as f32) as usize % data.len();
+        data[(at + i) % data.len()] = s;
+    }
+}
+
+/// Every kernel variant against the oracle on one full convolution.
+fn check_conv(in_c: usize, out_c: usize, k: usize, h: usize, w: usize, zeros: bool, special: bool) {
+    let mut rng = Lcg((in_c * 31 + out_c * 17 + k * 7 + h * 3 + w) as u64);
+    let mut weight = rng.vec(out_c * in_c * k * k, 0.4);
+    let bias = rng.vec(out_c, 0.2);
+    if zeros {
+        for (i, v) in weight.iter_mut().enumerate() {
+            match i % 5 {
+                0 => *v = 0.0,
+                3 => *v = -0.0,
+                _ => {}
+            }
+        }
+    }
+    let mut src = rng.vec(in_c * h * w, 1.0);
+    if special {
+        poison(&mut src, &mut rng);
+    }
+    let mut want = vec![0.0; out_c * h * w];
+    reference_conv(&weight, &bias, in_c, k, &src, &mut want, h, w);
+    let packed = PackedConv::new(in_c, out_c, k, &weight, &bias);
+    for kernel in Kernel::available() {
+        let mut got = vec![f32::NAN; out_c * h * w];
+        packed.run(kernel, &src, &mut got, h, w);
+        let what = format!(
+            "{} conv {in_c}->{out_c} k{k} {h}x{w} zeros={zeros} special={special}",
+            kernel.name()
+        );
+        assert_same(&got, &want, &what);
+    }
+}
+
+fn check_depthwise(c: usize, k: usize, h: usize, w: usize, special: bool) {
+    let mut rng = Lcg((c * 13 + k * 5 + h * 3 + w) as u64);
+    let mut weight = rng.vec(c * k * k, 0.4);
+    // depthwise multiplies zero weights through: 0·inf must stay NaN and
+    // -0.0 + 0·x must become +0.0
+    weight[0] = 0.0;
+    weight[k * k - 1] = -0.0;
+    let mut bias = rng.vec(c, 0.2);
+    bias[0] = -0.0;
+    let mut src = rng.vec(c * h * w, 1.0);
+    if special {
+        poison(&mut src, &mut rng);
+    }
+    let mut want = vec![0.0; c * h * w];
+    reference_depthwise(&weight, &bias, k, &src, &mut want, h, w);
+    for kernel in Kernel::available() {
+        let mut got = vec![f32::NAN; c * h * w];
+        depthwise(kernel, k, &weight, &bias, &src, &mut got, h, w);
+        let what = format!(
+            "{} depthwise {c} k{k} {h}x{w} special={special}",
+            kernel.name()
+        );
+        assert_same(&got, &want, &what);
+    }
+}
+
+const EXTENTS: [usize; 10] = [1, 2, 3, 7, 12, 17, 24, 32, 33, 128];
+const CHANNELS: [usize; 4] = [3, 9, 24, 33];
+
+// ---- kernels against the oracle -------------------------------------------
+
+#[test]
+fn the_host_offers_the_portable_kernel_first() {
+    let kernels = Kernel::available();
+    assert_eq!(kernels[0], Kernel::PORTABLE);
+    assert_eq!(*kernels.last().unwrap(), Kernel::detect());
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        assert_eq!(kernels.len(), 2, "AVX2 host must test both bodies");
+        assert_eq!(kernels[1].name(), "avx2");
+    }
+}
+
+#[test]
+fn conv_matches_reference_on_every_plane_shape() {
+    // both strip widths, the overlapping last strip, the scalar border and
+    // planes too narrow or too short for any strip
+    for k in [1, 3, 5] {
+        for h in EXTENTS {
+            for w in EXTENTS {
+                check_conv(3, 5, k, h, w, false, false);
+            }
+        }
+    }
+}
+
+#[test]
+fn conv_matches_reference_on_channel_counts_off_the_tile() {
+    for k in [1, 3] {
+        for in_c in CHANNELS {
+            for out_c in CHANNELS {
+                check_conv(in_c, out_c, k, 5, 21, false, false);
+            }
+        }
+    }
+    for out_c in [1, 2, 4, 6, 7] {
+        check_conv(2, out_c, 5, 6, 13, false, false);
+    }
+    // the benchmark's three convolutions, at its plane width
+    for (in_c, out_c, k) in [(9, 24, 3), (24, 32, 1), (32, 3, 3)] {
+        check_conv(in_c, out_c, k, 3, 128, false, false);
+    }
+}
+
+#[test]
+fn conv_skips_zero_weights_and_keeps_special_values() {
+    for k in [1, 3, 5] {
+        for (h, w) in [(1, 1), (3, 7), (7, 12), (4, 24), (5, 33), (2, 128)] {
+            for (zeros, special) in [(true, false), (false, true), (true, true)] {
+                check_conv(3, 9, k, h, w, zeros, special);
+                check_conv(9, 3, k, h, w, zeros, special);
+            }
+        }
+    }
+}
+
+#[test]
+fn depthwise_matches_reference() {
+    for k in [1, 3, 5] {
+        for h in [1, 2, 7, 17] {
+            for w in EXTENTS {
+                check_depthwise(3, k, h, w, w % 2 == 1);
+            }
+        }
+        check_depthwise(24, k, 12, 12, false);
+        check_depthwise(33, k, 3, 33, true);
+    }
+}
+
+// ---- plans and networks against the oracle --------------------------------
+
+/// Plan (per sample) and `Sequential::forward` (whole batch) against the
+/// oracle, on a batch of 4 and on each sample as a batch of 1.
+fn check_network(spec: &CfnnSpec, seed: u64, h: usize, w: usize, special: bool) {
+    let mut net = build_cfnn(spec, seed);
+    let (in_c, out_c) = (spec.in_channels, spec.out_channels);
+    let mut rng = Lcg(seed ^ 0xABCD);
+    let mut data = rng.vec(4 * in_c * h * w, 1.0);
+    if special {
+        // one non-finite value reaches every later pixel through the
+        // attention gate: confine it to the last sample
+        let n = data.len();
+        poison(&mut data[n - in_c * h * w..], &mut rng);
+    }
+    let batch = Tensor::from_vec(4, in_c, h, w, data);
+    let forward4 = net.forward(&batch, false);
+    assert_eq!(forward4.dims(), (4, out_c, h, w));
+
+    let plan = InferencePlan::compile(&net, in_c).expect("build_cfnn chains");
+    assert_eq!(
+        (plan.in_channels(), plan.out_channels()),
+        (in_c, out_c),
+        "plan geometry"
+    );
+    let mut ws = Workspace::default();
+    for b in 0..4 {
+        let what = |path: &str| format!("{path}, sample {b} of {h}x{w} special={special}");
+        let want = reference_forward(&net, batch.sample(b), h, w);
+        assert_same(forward4.sample(b), &want, &what("forward batch 4"));
+        let single = Tensor::from_vec(1, in_c, h, w, batch.sample(b).to_vec());
+        assert_same(
+            &net.forward(&single, false).data,
+            &want,
+            &what("forward batch 1"),
+        );
+        let got = plan.run(&mut ws, h, w, |dst| dst.copy_from_slice(batch.sample(b)));
+        assert_same(got, &want, &what("plan"));
+    }
+}
+
+#[test]
+fn plan_and_forward_match_reference_on_the_3d_network() {
+    let spec = CfnnSpec::scaled_3d(3);
+    check_network(&spec, 11, 12, 12, false); // a training patch
+    check_network(&spec, 12, 7, 33, true);
+    check_network(&spec, 13, 32, 32, false); // the golden fixtures' planes
+}
+
+#[test]
+fn plan_and_forward_match_reference_on_the_2d_network() {
+    let spec = CfnnSpec::scaled_2d(2);
+    check_network(&spec, 21, 24, 24, false); // the other training patch
+    check_network(&spec, 22, 3, 17, true);
+    check_network(&spec, 23, 1, 1, false);
+}
+
+#[test]
+fn a_workspace_serves_plans_and_planes_of_any_size() {
+    // the store hands one scratch to blocks of different targets and
+    // shapes: stale activations from a bigger run must not leak
+    let big = build_cfnn(&CfnnSpec::scaled_3d(3), 1);
+    let small = build_cfnn(&CfnnSpec::scaled_2d(2), 2);
+    let big_plan = InferencePlan::compile(&big, 9).unwrap();
+    let small_plan = InferencePlan::compile(&small, 4).unwrap();
+    let mut rng = Lcg(77);
+    let mut ws = Workspace::default();
+    for (plan, net, in_c, h, w) in [
+        (&big_plan, &big, 9, 17, 24),
+        (&small_plan, &small, 4, 5, 9),
+        (&big_plan, &big, 9, 3, 40),
+        (&small_plan, &small, 4, 17, 24),
+    ] {
+        let x = rng.vec(in_c * h * w, 1.0);
+        let got = plan.run(&mut ws, h, w, |dst| dst.copy_from_slice(&x));
+        assert_same(got, &reference_forward(net, &x, h, w), "shared workspace");
+    }
+}
+
+// ---- predict_differences against the old marshalling ----------------------
+
+/// `predict_differences` as it was: difference fields, normalized copies,
+/// per-slice copies into a tensor, the network, denormalized copies out.
+fn reference_predict(trained: &TrainedCfnn, anchors: &[&Field]) -> Vec<Vec<f32>> {
+    let shape = anchors[0].shape();
+    let ndim = shape.ndim();
+    let (h, w) = (shape.dims()[ndim - 2], shape.dims()[ndim - 1]);
+    let hw = h * w;
+    let channels: Vec<Field> = anchors
+        .iter()
+        .flat_map(|a| diff::backward_diff_all(a))
+        .zip(&trained.input_norms)
+        .map(|(d, n)| n.apply_field(&d))
+        .collect();
+    let mut out = vec![Vec::new(); trained.target_norms.len()];
+    for k in 0..shape.len() / hw {
+        let x: Vec<f32> = channels
+            .iter()
+            .flat_map(|ch| ch.as_slice()[k * hw..(k + 1) * hw].iter().copied())
+            .collect();
+        let y = reference_forward(&trained.net, &x, h, w);
+        for ((out, norm), plane) in out.iter_mut().zip(&trained.target_norms).zip(y.chunks(hw)) {
+            out.extend(plane.iter().map(|&v| norm.invert(v)));
+        }
+    }
+    out
+}
+
+fn check_predict(shape: Shape, spec: CfnnSpec, seed: u64) {
+    let n_anchors = spec.in_channels / shape.ndim();
+    let anchors: Vec<Field> = (0..n_anchors)
+        .map(|a| {
+            Field::from_fn(shape, |i| {
+                let t: usize = i.iter().enumerate().map(|(d, &v)| (d + 2) * v).sum();
+                ((t + 5 * a) as f32 * 0.37).sin() * (3.0 + a as f32) + 0.01 * t as f32
+            })
+        })
+        .collect();
+    let refs: Vec<&Field> = anchors.iter().collect();
+    let diffs: Vec<Field> = refs
+        .iter()
+        .flat_map(|a| diff::backward_diff_all(a))
+        .collect();
+    let mut trained = TrainedCfnn {
+        net: build_cfnn(&spec, seed),
+        spec,
+        input_norms: fit_normalizers(&diffs),
+        // any non-trivial scale and shift: the inverse must be applied as is
+        target_norms: fit_normalizers(&diffs[..spec.out_channels])
+            .into_iter()
+            .map(|mut n| {
+                n.shift = 0.25;
+                n
+            })
+            .collect(),
+        report: TrainReport {
+            losses: Vec::new(),
+            n_patches: 0,
+        },
+    };
+    let want = reference_predict(&trained, &refs);
+    let got = predict_differences(&mut trained, &refs);
+    assert_eq!(got.len(), want.len());
+    for (axis, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(g.shape(), shape);
+        assert_same(g.as_slice(), w, &format!("{shape} axis {axis}"));
+    }
+}
+
+#[test]
+fn predict_differences_matches_the_old_path_on_a_partial_last_block() {
+    // 3 of a block's 4 slabs, planes on the narrow-strip path
+    check_predict(Shape::d3(3, 9, 14), CfnnSpec::scaled_3d(3), 31);
+    // a single slab: the slice-axis difference is all boundary
+    check_predict(Shape::d3(1, 5, 20), CfnnSpec::scaled_3d(2), 32);
+}
+
+#[test]
+fn predict_differences_matches_the_old_path_in_2d() {
+    check_predict(Shape::d2(12, 24), CfnnSpec::scaled_2d(2), 41);
+}

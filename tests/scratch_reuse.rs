@@ -136,6 +136,61 @@ fn steady_state_block_decode_reuses_buffers() {
     );
 }
 
+/// The CFNN activation workspace rides in the same scratch: it must cost
+/// nothing until a cross-field target block is decoded, and nothing more
+/// after the first one.
+#[test]
+fn cfnn_workspace_is_lazy_then_reused() {
+    use cross_field_compression::core::TrainConfig;
+    let mut ds = snapshot(48, 40);
+    let rh = ds.expect_field("T").zip_map(ds.expect_field("P"), |t, p| {
+        0.5 * (t - 280.0) + 0.04 * (p - 1000.0)
+    });
+    ds.push("RH", rh);
+    let bytes = ArchiveBuilder::relative(1e-3)
+        .train_config(TrainConfig::fast())
+        .cross_field("RH", &["T", "P"])
+        .chunk_elements(6 * 40) // 8 equal blocks
+        .build()
+        .write(&ds)
+        .unwrap();
+    let reader = ArchiveReader::new(&bytes).unwrap();
+    let n_blocks = reader.entries()[0].n_blocks();
+    let pass = |field: &str, scratch: &mut ArchiveScratch| -> Vec<Field> {
+        (0..n_blocks)
+            .map(|bi| reader.decode_block_with(field, bi, scratch).unwrap())
+            .collect()
+    };
+
+    let mut scratch = ArchiveScratch::new();
+    pass("T", &mut scratch);
+    let baseline_warmed = scratch.growths();
+    pass("P", &mut scratch);
+    assert_eq!(
+        scratch.growths(),
+        baseline_warmed,
+        "baseline blocks must not size anything new"
+    );
+
+    let first = pass("RH", &mut scratch);
+    let target_warmed = scratch.growths();
+    assert!(
+        target_warmed > baseline_warmed,
+        "the first target block sizes the CFNN activations"
+    );
+    let second = pass("RH", &mut scratch);
+    assert_eq!(
+        scratch.growths(),
+        target_warmed,
+        "steady-state target decode must not grow any scratch buffer"
+    );
+    assert_eq!(first, second);
+    assert_eq!(
+        Field::concat_axis0(&second),
+        reader.decode_field("RH").unwrap()
+    );
+}
+
 /// Property sweep over the batched encode pipeline: random skewed /
 /// uniform / wide symbol streams through word-level Huffman emission and
 /// the reusable scratch chain, checked for byte identity with the

@@ -2,13 +2,8 @@
 //! per-figure binaries and criterion benches.
 
 pub mod golden;
-pub mod perf;
 pub mod pgm;
 pub mod rng;
 pub mod runner;
-pub mod scrub_perf;
-pub mod serve_perf;
-pub mod store_perf;
-pub mod temporal_perf;
 
 pub use runner::{run_codec, ExperimentContext, FieldResult, PAPER_ERROR_BOUNDS};

@@ -221,9 +221,10 @@ pub fn bench_archive(builder: cfc_core::archive::ArchiveBuilder, ds: &Dataset) -
     let field_mb = (ds.shape().len() * 4) as f64 / 1e6;
 
     let t0 = Instant::now();
-    let (bytes, report) = builder
+    let mut bytes = Vec::new();
+    let report = builder
         .build()
-        .write_with_report(ds)
+        .write_to(ds, &mut bytes)
         .expect("archive write");
     let write_s = t0.elapsed().as_secs_f64();
 

@@ -185,8 +185,8 @@ impl<'a> IntoIterator for &'a DamageMap {
 }
 
 /// Decoded data plus the damage report describing which parts of it are
-/// fill rather than signal. Produced by the `*_policy` decode entry points
-/// on [`super::ArchiveReader`] and [`super::ArchiveStore`]; `damage` is
+/// fill rather than signal. Produced by `read` on
+/// [`super::ArchiveReader`] and [`super::ArchiveStore`]; `damage` is
 /// empty when every block decoded cleanly (always, under
 /// [`DecodePolicy::Strict`]).
 #[derive(Debug, Clone)]

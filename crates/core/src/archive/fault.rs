@@ -1,14 +1,14 @@
 //! Deterministic fault injection for archive robustness tests and benches.
 //!
-//! [`FaultInjectingReader`] wraps any `Read + Seek` source and perturbs the
-//! byte stream according to a [`FaultPlan`] built up front:
+//! [`FaultInjectingReader`] wraps any [`ArchiveSource`] and perturbs what
+//! its positional reads return according to a [`FaultPlan`] built up front:
 //!
 //! * **Bit flips** — XOR a mask into the byte at a chosen offset, or at
 //!   seeded-pseudorandom offsets within a range ([`FaultPlan::flip_at`],
 //!   [`FaultPlan::flip_random`]). The underlying source is never mutated;
 //!   corruption happens in the read path, so the same source can be read
 //!   clean through a different reader.
-//! * **Truncation** — the stream reports EOF at a chosen length
+//! * **Truncation** — the source ends at a chosen length
 //!   ([`FaultPlan::truncate_at`]), modelling a torn upload.
 //! * **Transient errors** — reads overlapping a chosen offset range fail
 //!   with a transient [`std::io::ErrorKind`] a bounded number of times,
@@ -23,18 +23,20 @@
 //! [`FaultPlan::stats`] afterwards. Everything is deterministic — the same
 //! seed and plan produce the same corrupted stream on every run.
 //!
-//! ### Transient errors and `read_exact`
+//! ### Transient errors are `TimedOut`, not `Interrupted`
 //!
-//! `std::io::Read::read_exact` silently retries `ErrorKind::Interrupted`,
-//! so an injected `Interrupted` fault would never escape to the caller's
-//! retry layer. [`FaultPlan::transient_at`] therefore defaults to
+//! I/O layers under an [`ArchiveSource`] (`std`'s `read_exact`, the
+//! kernel's restartable syscalls) swallow `ErrorKind::Interrupted` and
+//! try again, so an injected `Interrupted` would model a fault no caller
+//! ever sees. [`FaultPlan::transient_at`] therefore defaults to
 //! `ErrorKind::TimedOut` — still classified transient by
-//! [`cfc_sz::CfcError::is_transient`] — which propagates out of
-//! `read_exact` and genuinely exercises the store's retry loop.
+//! [`cfc_sz::CfcError::is_transient`] — which reaches the store's retry
+//! loop the way a real flaky disk does.
 
-use std::io::{Read, Seek, SeekFrom};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
+
+use super::source::ArchiveSource;
 
 /// Counters for faults actually delivered, readable from any [`FaultPlan`]
 /// clone while the reader is in use elsewhere.
@@ -145,8 +147,8 @@ impl FaultPlan {
         self
     }
 
-    /// Report EOF once the read position reaches `len` bytes, as if the
-    /// source had been torn off there.
+    /// End the source at `len` bytes, as if it had been torn off there:
+    /// reads reaching past it fail with `UnexpectedEof`.
     pub fn truncate_at(mut self, len: u64) -> FaultPlan {
         self.state_mut().truncate_at = Some(len);
         self
@@ -155,9 +157,8 @@ impl FaultPlan {
     /// Fail reads overlapping `range` with `ErrorKind::TimedOut` the first
     /// `times` times, then let them through.
     ///
-    /// `TimedOut` rather than `Interrupted`: `read_exact` swallows
-    /// `Interrupted` internally, and the point of a transient fault is to
-    /// reach the *caller's* retry logic (see module docs).
+    /// `TimedOut` rather than `Interrupted`: the point of a transient
+    /// fault is to reach the *caller's* retry logic (see module docs).
     pub fn transient_at(self, range: std::ops::Range<u64>, times: u32) -> FaultPlan {
         self.transient_at_kind(range, times, std::io::ErrorKind::TimedOut)
     }
@@ -225,48 +226,50 @@ impl FaultPlan {
     }
 }
 
-/// A `Read + Seek` adapter that injects the faults described by a
+/// An [`ArchiveSource`] that injects the faults described by a
 /// [`FaultPlan`] into an otherwise healthy source. See the module docs for
-/// the fault vocabulary.
+/// the fault vocabulary. Positional like the source it wraps: faults are
+/// keyed by absolute offset, so concurrent readers suffer them
+/// independently — no cursor, no lock.
 #[derive(Debug)]
-pub struct FaultInjectingReader<R> {
-    inner: R,
+pub struct FaultInjectingReader<S> {
+    inner: S,
     plan: FaultPlan,
-    pos: u64,
 }
 
-impl<R: Read + Seek> FaultInjectingReader<R> {
-    /// Wrap `inner`, injecting the faults in `plan`. The wrapper assumes
-    /// `inner` is positioned at its start.
-    pub fn new(inner: R, plan: FaultPlan) -> FaultInjectingReader<R> {
-        FaultInjectingReader {
-            inner,
-            plan,
-            pos: 0,
-        }
+impl<S: ArchiveSource> FaultInjectingReader<S> {
+    /// Wrap `inner`, injecting the faults in `plan`.
+    pub fn new(inner: S, plan: FaultPlan) -> FaultInjectingReader<S> {
+        FaultInjectingReader { inner, plan }
     }
 
     /// The wrapped source.
-    pub fn into_inner(self) -> R {
+    pub fn into_inner(self) -> S {
         self.inner
     }
 }
 
-impl<R: Read + Seek> Read for FaultInjectingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+impl<S: ArchiveSource> ArchiveSource for FaultInjectingReader<S> {
+    /// The *effective* (possibly truncated) length, so size probes see
+    /// the torn file, not the original.
+    fn len(&self) -> std::io::Result<u64> {
+        let real = self.inner.len()?;
+        Ok(match self.plan.state.truncate_at {
+            Some(limit) => real.min(limit),
+            None => real,
+        })
+    }
+
+    fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
         let st = &self.plan.state;
-        let mut want = buf.len() as u64;
-        if let Some(limit) = st.truncate_at {
-            let left = limit.saturating_sub(self.pos);
-            if left < want {
-                st.truncated_reads.fetch_add(1, Ordering::Relaxed);
-                want = left;
-            }
-            if want == 0 {
-                return Ok(0);
-            }
+        let span = offset..offset.saturating_add(buf.len() as u64);
+        if st.truncate_at.is_some_and(|limit| span.end > limit) {
+            st.truncated_reads.fetch_add(1, Ordering::Relaxed);
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "failed to fill whole buffer",
+            ));
         }
-        let span = self.pos..self.pos + want;
         for site in &st.sites {
             if site.start >= span.end || site.end <= span.start {
                 continue;
@@ -311,79 +314,47 @@ impl<R: Read + Seek> Read for FaultInjectingReader<R> {
                 }
             }
         }
-        let n = self.inner.read(&mut buf[..want as usize])?;
-        let got = self.pos..self.pos + n as u64;
+        self.inner.read_exact_at(offset, buf)?;
         // flips is sorted; find the slice of flips inside the bytes served.
-        let lo = st.flips.partition_point(|&(off, _)| off < got.start);
+        let lo = st.flips.partition_point(|&(off, _)| off < span.start);
         for &(off, mask) in &st.flips[lo..] {
-            if off >= got.end {
+            if off >= span.end {
                 break;
             }
-            buf[(off - got.start) as usize] ^= mask;
+            buf[(off - span.start) as usize] ^= mask;
             st.flips_applied.fetch_add(1, Ordering::Relaxed);
         }
-        self.pos += n as u64;
-        Ok(n)
+        Ok(())
     }
-}
-
-impl<R: Read + Seek> Seek for FaultInjectingReader<R> {
-    fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
-        // Resolve End against the *effective* (possibly truncated) length so
-        // size probes like seek(End(0)) see the torn file, not the original.
-        let target = match pos {
-            SeekFrom::Start(off) => off,
-            SeekFrom::Current(delta) => checked_offset(self.pos, delta)?,
-            SeekFrom::End(delta) => {
-                let real_end = self.inner.seek(SeekFrom::End(0))?;
-                let end = match self.plan.state.truncate_at {
-                    Some(limit) => real_end.min(limit),
-                    None => real_end,
-                };
-                checked_offset(end, delta)?
-            }
-        };
-        self.pos = self.inner.seek(SeekFrom::Start(target))?;
-        Ok(self.pos)
-    }
-}
-
-fn checked_offset(base: u64, delta: i64) -> std::io::Result<u64> {
-    base.checked_add_signed(delta).ok_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "seek to a negative or overflowing position",
-        )
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
-    fn source(n: usize) -> Cursor<Vec<u8>> {
-        Cursor::new((0..n).map(|i| i as u8).collect())
+    fn source(n: usize) -> Vec<u8> {
+        (0..n).map(|i| i as u8).collect()
     }
 
-    fn read_all<R: Read>(r: &mut R) -> Vec<u8> {
-        let mut out = Vec::new();
-        r.read_to_end(&mut out).expect("read_to_end");
+    /// Everything the source admits to holding, in one positional read.
+    fn read_all<S: ArchiveSource>(r: &S) -> Vec<u8> {
+        let mut out = vec![0u8; r.len().expect("len") as usize];
+        r.read_exact_at(0, &mut out).expect("read whole source");
         out
     }
 
     #[test]
     fn transparent_without_faults() {
-        let mut r = FaultInjectingReader::new(source(64), FaultPlan::new());
-        assert_eq!(read_all(&mut r), source(64).into_inner());
+        let r = FaultInjectingReader::new(source(64), FaultPlan::new());
+        assert_eq!(read_all(&r), source(64));
     }
 
     #[test]
     fn flips_exactly_the_planned_bytes() {
         let plan = FaultPlan::new().flip_at(3, 0xff).flip_at(60, 0x01);
-        let mut r = FaultInjectingReader::new(source(64), plan.clone());
-        let got = read_all(&mut r);
-        let mut want = source(64).into_inner();
+        let r = FaultInjectingReader::new(source(64), plan.clone());
+        let got = read_all(&r);
+        let mut want = source(64);
         want[3] ^= 0xff;
         want[60] ^= 0x01;
         assert_eq!(got, want);
@@ -392,14 +363,13 @@ mod tests {
     }
 
     #[test]
-    fn flips_apply_across_read_boundaries_and_seeks() {
+    fn flips_apply_on_every_read_of_the_byte() {
         let plan = FaultPlan::new().flip_at(10, 0x80);
-        let mut r = FaultInjectingReader::new(source(64), plan.clone());
-        // Read the flipped byte twice via seek; the flip applies both times.
+        let r = FaultInjectingReader::new(source(64), plan.clone());
+        // Read the flipped byte twice; the flip applies both times.
         for _ in 0..2 {
-            r.seek(SeekFrom::Start(10)).expect("seek");
             let mut b = [0u8; 1];
-            r.read_exact(&mut b).expect("read");
+            r.read_exact_at(10, &mut b).expect("read");
             assert_eq!(b[0], 10 ^ 0x80);
         }
         assert_eq!(plan.stats().flips_applied, 2);
@@ -420,26 +390,27 @@ mod tests {
     }
 
     #[test]
-    fn truncation_reports_eof_and_bounds_end_seeks() {
+    fn truncation_reports_eof_and_bounds_the_length() {
         let plan = FaultPlan::new().truncate_at(16);
-        let mut r = FaultInjectingReader::new(source(64), plan.clone());
-        assert_eq!(read_all(&mut r), &source(64).into_inner()[..16]);
-        assert_eq!(r.seek(SeekFrom::End(0)).expect("seek end"), 16);
+        let r = FaultInjectingReader::new(source(64), plan.clone());
+        assert_eq!(r.len().expect("len"), 16);
+        assert_eq!(read_all(&r), &source(64)[..16]);
+        let mut buf = [0u8; 4];
+        let err = r.read_exact_at(14, &mut buf).expect_err("torn off at 16");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
         assert!(plan.stats().truncated_reads > 0);
     }
 
     #[test]
     fn transient_fault_fails_then_recovers() {
         let plan = FaultPlan::new().transient_at(8..12, 2);
-        let mut r = FaultInjectingReader::new(source(64), plan.clone());
+        let r = FaultInjectingReader::new(source(64), plan.clone());
         let mut buf = [0u8; 16];
         for _ in 0..2 {
-            r.seek(SeekFrom::Start(0)).expect("seek");
-            let err = r.read_exact(&mut buf).expect_err("injected timeout");
+            let err = r.read_exact_at(0, &mut buf).expect_err("injected timeout");
             assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
         }
-        r.seek(SeekFrom::Start(0)).expect("seek");
-        r.read_exact(&mut buf).expect("site burned out");
+        r.read_exact_at(0, &mut buf).expect("site burned out");
         assert_eq!(buf[8], 8);
         assert_eq!(plan.stats().transient_errors, 2);
     }
@@ -447,26 +418,24 @@ mod tests {
     #[test]
     fn unreadable_site_fails_forever() {
         let plan = FaultPlan::new().unreadable_at(30..34);
-        let mut r = FaultInjectingReader::new(source(64), plan.clone());
+        let r = FaultInjectingReader::new(source(64), plan.clone());
         let mut buf = [0u8; 8];
         for _ in 0..3 {
-            r.seek(SeekFrom::Start(28)).expect("seek");
-            r.read_exact(&mut buf).expect_err("bad sector");
+            r.read_exact_at(28, &mut buf).expect_err("bad sector");
         }
         // Reads that do not overlap the site still succeed.
-        r.seek(SeekFrom::Start(0)).expect("seek");
-        r.read_exact(&mut buf).expect("clean range");
+        r.read_exact_at(0, &mut buf).expect("clean range");
         assert_eq!(plan.stats().permanent_errors, 3);
     }
 
     #[test]
     fn panic_site_panics_on_overlap() {
         let plan = FaultPlan::new().panic_at(5..6);
-        let mut r = FaultInjectingReader::new(source(64), plan);
+        let r = FaultInjectingReader::new(source(64), plan);
         let mut buf = [0u8; 4];
-        r.read_exact(&mut buf).expect("before the site");
+        r.read_exact_at(0, &mut buf).expect("before the site");
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = r.read_exact(&mut buf);
+            let _ = r.read_exact_at(4, &mut buf);
         }));
         assert!(panicked.is_err(), "read over the site must panic");
     }

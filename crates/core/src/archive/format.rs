@@ -1,17 +1,22 @@
 //! CFAR wire format: constants, field roles, chunk geometry, and manifest
-//! parsing for both container versions.
+//! parsing for every container version.
 //!
 //! Everything in this module is pure structure — no compression, no
 //! threading. [`super::writer`] serializes these structs, [`super::reader`]
 //! and [`super::store`] consume them. The per-field manifest row is
 //! [`ArchiveEntry`]; the incremental, bounds-checked parse over a
 //! positional [`ArchiveSource`] is the crate-private `TocReader` plus
-//! `parse_entry_v1` / `parse_entry_v2`.
+//! `parse_entry`.
+//!
+//! This is the one place that knows the container versions differ: a v1
+//! row (one monolithic stream, no shape, no index, no CRC) is normalised
+//! here into an entry with exactly one block, so the read path above sees
+//! one manifest model — a list of entries, each a list of blocks.
 
 use bytes::BufMut;
 use cfc_sz::stream::MAX_ELEMENTS;
 use cfc_sz::CfcError;
-use cfc_tensor::Shape;
+use cfc_tensor::{Field, Region, Shape};
 
 use super::source::ArchiveSource;
 
@@ -122,8 +127,9 @@ pub(crate) struct BlockMeta {
     pub(crate) rel_offset: u64,
     /// Encoded length in bytes.
     pub(crate) len: usize,
-    /// CRC32 of the encoded bytes.
-    pub(crate) crc: u32,
+    /// CRC32 of the encoded bytes (`None` for the single block of a v1
+    /// entry, whose container predates block checksums).
+    pub(crate) crc: Option<u32>,
 }
 
 /// One parsed archive entry (manifest row; payloads stay on the source
@@ -140,9 +146,9 @@ pub struct ArchiveEntry {
     pub eb_abs: f64,
     /// Epoch this entry belongs to (always 0 for v1/v2 archives).
     pub epoch: usize,
-    /// CRC32 over the meta area (v3; 0 for v1/v2, which predate the
+    /// CRC32 over the meta area (v3; `None` for v1/v2, which predate the
     /// column).
-    pub(crate) meta_crc: u32,
+    pub(crate) meta_crc: Option<u32>,
     /// Field shape (`None` for v1 archives, whose manifests predate the
     /// shape column — the shape is learned by decoding).
     pub(crate) shape: Option<Shape>,
@@ -154,7 +160,8 @@ pub struct ArchiveEntry {
     pub(crate) payload_len: usize,
     /// Meta-area length (embedded model + hybrid weights; v2 targets only).
     pub(crate) meta_len: usize,
-    /// Block index (empty for v1).
+    /// Block index, never empty: a v1 entry is one block spanning its
+    /// whole stream.
     pub(crate) blocks: Vec<BlockMeta>,
 }
 
@@ -172,7 +179,7 @@ impl ArchiveEntry {
 
     /// Number of independently decodable blocks (1 for v1 archives).
     pub fn n_blocks(&self) -> usize {
-        self.blocks.len().max(1)
+        self.blocks.len()
     }
 
     /// Field shape, when the manifest records it (v2).
@@ -186,13 +193,13 @@ impl ArchiveEntry {
         self.meta_len
     }
 
-    /// Compressed size of one block (v2 archives).
+    /// Compressed size of one block.
     pub fn block_len(&self, idx: usize) -> Option<usize> {
         self.blocks.get(idx).map(|b| b.len)
     }
 
     /// Absolute `(offset, length)` of one block's bytes in the archive
-    /// source (v2) — for integrity scrubbers and corruption tests.
+    /// source — for integrity scrubbers and corruption tests.
     pub fn block_span(&self, idx: usize) -> Option<(u64, usize)> {
         self.blocks
             .get(idx)
@@ -209,13 +216,98 @@ impl ArchiveEntry {
     /// for this block costs. `None` for v1 entries, whose manifests do not
     /// record the shape.
     pub fn block_decoded_bytes(&self, idx: usize) -> Option<usize> {
-        let shape = self.shape?;
         if idx >= self.blocks.len() {
             return None;
         }
-        let (r0, r1) = block_range(shape.dims()[0], self.chunk_slabs, idx);
-        let slab_len: usize = shape.dims()[1..].iter().product::<usize>().max(1);
-        Some((r1 - r0) * slab_len * 4)
+        Some(self.slab_shape(idx)?.len() * 4)
+    }
+
+    /// Axis-0 row range `[r0, r1)` block `idx` covers — `None` when the
+    /// manifest records no geometry (v1: the one block is the whole field).
+    pub(crate) fn block_rows(&self, idx: usize) -> Option<(usize, usize)> {
+        let shape = self.shape?;
+        Some(block_range(shape.dims()[0], self.chunk_slabs, idx))
+    }
+
+    /// Shape of block `idx`'s decoded slab, under the same condition as
+    /// [`ArchiveEntry::block_rows`].
+    pub(crate) fn slab_shape(&self, idx: usize) -> Option<Shape> {
+        let (r0, r1) = self.block_rows(idx)?;
+        Some(slab_shape_of(self.shape?, r1 - r0))
+    }
+
+    /// Whether the payload opens with a meta area (embedded model and/or
+    /// hybrid weights) that block decodes parse first. A v1 target has
+    /// none: its monolithic stream embeds its own model.
+    pub(crate) fn has_meta(&self) -> bool {
+        self.meta_len > 0 && matches!(self.role, FieldRole::Target | FieldRole::Delta)
+    }
+
+    /// Blocks `first..=last` a read of `region` (the whole field when
+    /// `None`) has to decode, validating the region against the recorded
+    /// shape. Without a recorded shape every block is needed and the
+    /// region can only be checked against the decoded field
+    /// ([`ArchiveEntry::cut`] does).
+    pub(crate) fn block_cover(&self, region: Option<&Region>) -> Result<(usize, usize), CfcError> {
+        match (region, self.shape) {
+            (Some(region), Some(shape)) => {
+                region
+                    .validate(shape)
+                    .map_err(|m| CfcError::InvalidInput(m).in_field(&self.name, None))?;
+                Ok(region.block_cover(self.chunk_slabs))
+            }
+            _ => Ok((0, self.blocks.len().saturating_sub(1))),
+        }
+    }
+
+    /// Stitch the decoded blocks `b_first..` of this entry and cut
+    /// `region` (the whole field when `None`) out of them.
+    pub(crate) fn cut(
+        &self,
+        region: Option<&Region>,
+        b_first: usize,
+        blocks: &[&Field],
+    ) -> Result<Field, CfcError> {
+        let Some(region) = region else {
+            return Ok(Field::concat_axis0_refs(blocks));
+        };
+        // re-anchor the region to the stitched slab range
+        let local = region.rebase_axis0(b_first * self.chunk_slabs);
+        let stitched;
+        let covered = match blocks {
+            [one] => *one,
+            _ => {
+                stitched = Field::concat_axis0_refs(blocks);
+                &stitched
+            }
+        };
+        if self.shape.is_none() {
+            local
+                .validate(covered.shape())
+                .map_err(|m| CfcError::InvalidInput(m).in_field(&self.name, None))?;
+        }
+        Ok(covered.crop(&local))
+    }
+
+    /// A slab of `fill` values shaped like block `idx` — what a salvage
+    /// decode substitutes for a damaged block. `None` when the manifest
+    /// records no shape to fill (v1).
+    pub(crate) fn fill_slab(&self, idx: usize, fill: f32) -> Option<Field> {
+        let slab = self.slab_shape(idx)?;
+        Some(Field::from_vec(slab, vec![fill; slab.len()]))
+    }
+
+    /// Verify a decoded block's shape against the manifest's chunk
+    /// geometry (a block stream that lies about its slab is corrupt).
+    /// Entries without recorded geometry have nothing to contradict.
+    pub(crate) fn check_slab_shape(&self, idx: usize, found: Shape) -> Result<(), CfcError> {
+        match self.slab_shape(idx) {
+            Some(expected) if found != expected => Err(CfcError::ShapeMismatch {
+                expected: format!("block {idx} of {}: {expected}", self.qualified_name()),
+                found: found.to_string(),
+            }),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -374,10 +466,18 @@ impl<S: ArchiveSource> TocReader<'_, S> {
     }
 }
 
-/// Parse one v1 manifest row (monolithic per-field stream, no shape, no
-/// block index) and skip over its payload.
-pub(crate) fn parse_entry_v1<S: ArchiveSource>(
+/// Parse one manifest row of a `version` container and skip over its
+/// payload, validating every length and offset against the source size.
+///
+/// * v1: one monolithic per-field stream — no shape, no index, no CRC. It
+///   becomes an entry with exactly one block spanning the stream.
+/// * v2: shape, chunk geometry, meta area, block index.
+/// * v3: the v2 layout with a CRC32 over the meta area inserted between
+///   the payload length and the block index.
+pub(crate) fn parse_entry<S: ArchiveSource>(
     toc: &mut TocReader<'_, S>,
+    version: u16,
+    epoch: usize,
 ) -> Result<ArchiveEntry, CfcError> {
     let name = toc.str("field name")?;
     let role = FieldRole::from_u8(toc.u8("field role")?).ok_or(CfcError::Corrupt {
@@ -396,63 +496,27 @@ pub(crate) fn parse_entry_v1<S: ArchiveSource>(
             detail: format!("error bound {eb_abs}"),
         });
     }
-    let stream_len = toc.len_u64("field stream length")?;
-    let payload_base = toc.pos;
-    toc.skip(stream_len as u64, "field stream")?;
-    Ok(ArchiveEntry {
-        name,
-        role,
-        anchors,
-        eb_abs,
-        epoch: 0,
-        meta_crc: 0,
-        shape: None,
-        chunk_slabs: 0,
-        payload_base,
-        payload_len: stream_len,
-        meta_len: 0,
-        blocks: Vec::new(),
-    })
-}
-
-/// Parse one v2 manifest row (shape, chunk geometry, meta area, block
-/// index) and skip over its payload, validating every length and offset
-/// against the source size.
-pub(crate) fn parse_entry_v2<S: ArchiveSource>(
-    toc: &mut TocReader<'_, S>,
-) -> Result<ArchiveEntry, CfcError> {
-    parse_entry_chunked(toc, false, 0)
-}
-
-/// Parse one v3 manifest row: the v2 layout with a CRC32 over the meta
-/// area inserted between the payload length and the block index.
-pub(crate) fn parse_entry_v3<S: ArchiveSource>(
-    toc: &mut TocReader<'_, S>,
-    epoch: usize,
-) -> Result<ArchiveEntry, CfcError> {
-    parse_entry_chunked(toc, true, epoch)
-}
-
-fn parse_entry_chunked<S: ArchiveSource>(
-    toc: &mut TocReader<'_, S>,
-    with_meta_crc: bool,
-    epoch: usize,
-) -> Result<ArchiveEntry, CfcError> {
-    let name = toc.str("field name")?;
-    let role = FieldRole::from_u8(toc.u8("field role")?).ok_or(CfcError::Corrupt {
-        context: "archive entry",
-        detail: "unknown role byte".into(),
-    })?;
-    let n_anchors = toc.u16("anchor count")? as usize;
-    let mut anchors = Vec::with_capacity(n_anchors.min(64));
-    for _ in 0..n_anchors {
-        anchors.push(toc.str("anchor name")?);
-    }
-    let eb_abs = toc.f64("field error bound")?;
-    if !(eb_abs.is_finite() && eb_abs > 0.0) {
-        return Err(CfcError::Corrupt {
-            context: "archive entry",
-            detail: format!("error bound {eb_abs}"),
+    if version == 1 {
+        let stream_len = toc.len_u64("field stream length")?;
+        let payload_base = toc.pos;
+        toc.skip(stream_len as u64, "field stream")?;
+        return Ok(ArchiveEntry {
+            name,
+            role,
+            anchors,
+            eb_abs,
+            epoch,
+            meta_crc: None,
+            shape: None,
+            chunk_slabs: 0,
+            payload_base,
+            payload_len: stream_len,
+            meta_len: 0,
+            blocks: vec![BlockMeta {
+                rel_offset: 0,
+                len: stream_len,
+                crc: None,
+            }],
         });
     }
     let ndim = toc.u8("field ndim")? as usize;
@@ -508,10 +572,10 @@ fn parse_entry_chunked<S: ArchiveSource>(
             detail: format!("meta {meta_len} exceeds payload {payload_len}"),
         });
     }
-    let meta_crc = if with_meta_crc {
-        toc.u32("field meta crc")?
+    let meta_crc = if version >= 3 {
+        Some(toc.u32("field meta crc")?)
     } else {
-        0
+        None
     };
     // the index itself: 20 bytes per block
     if (n_blocks as u64).saturating_mul(20) > toc.remaining() {
@@ -543,7 +607,7 @@ fn parse_entry_chunked<S: ArchiveSource>(
         blocks.push(BlockMeta {
             rel_offset,
             len,
-            crc,
+            crc: Some(crc),
         });
     }
     let payload_base = toc.pos;
@@ -603,7 +667,7 @@ mod tests {
             anchors: Vec::new(),
             eb_abs: 1e-3,
             epoch: 0,
-            meta_crc: 0,
+            meta_crc: None,
             shape: Some(Shape::d2(10, 6)),
             chunk_slabs: 4,
             payload_base: 0,
@@ -613,17 +677,17 @@ mod tests {
                 BlockMeta {
                     rel_offset: 0,
                     len: 1,
-                    crc: 0,
+                    crc: None,
                 },
                 BlockMeta {
                     rel_offset: 1,
                     len: 1,
-                    crc: 0,
+                    crc: None,
                 },
                 BlockMeta {
                     rel_offset: 2,
                     len: 1,
-                    crc: 0,
+                    crc: None,
                 },
             ],
         };

@@ -16,38 +16,66 @@
 //!            per-field block index (offset | length | CRC32)
 //!
 //!   ArchiveReader::open(impl ArchiveSource) ──► manifest only (no payloads)
-//!        decode_all(): every block of every field in parallel
+//!        read(&ReadRequest { field, epoch, region, policy }): the general
+//!            read — touches only the blocks that intersect the region's
+//!            axis-0 range (decode_region / decode_field are its strict
+//!            one-line conveniences)
 //!        decode_block(field, i): reads + decodes ONE block (plus the same
 //!            anchor blocks when the field is a cross-field target)
-//!        decode_region(field, region): touches only the blocks that
-//!            intersect the region's axis-0 range
+//!        decode_all(): every block of every field in parallel
 //!
 //!   ArchiveStore::new(reader, config) ──► shared, thread-safe serving
-//!        layer: the same decode calls behind a two-tier cache (byte-
-//!        budgeted LRU of decoded blocks over an LRU of compressed block
-//!        bytes) with single-flight dedup and sequential-scan prefetch —
-//!        repeated or concurrent reads of hot regions (and the anchor
-//!        blocks cross-field targets drag in) decode once and then hit
-//!        the cache; evicted blocks re-enter via a cheap in-memory decode
+//!        layer: the same calls behind a two-tier cache (byte-budgeted LRU
+//!        of decoded blocks over an LRU of compressed block bytes) with
+//!        single-flight dedup and sequential-scan prefetch — repeated or
+//!        concurrent reads of hot regions (and the anchor blocks
+//!        cross-field targets drag in) decode once and then hit the
+//!        cache; evicted blocks re-enter via a cheap in-memory decode
 //! ```
+//!
+//! ## One decode walk
+//!
+//! The paper's decoder is one rule — a target block needs its anchors'
+//! *decoded* block first, then CFNN inference and the hybrid mix — and
+//! temporal archives add one more: a delta block needs the same block of
+//! the previous epoch. Both live in exactly one place,
+//! `ArchiveReader::resolve_block`, which walks a block's dependencies
+//! depth-first with an explicit stack (a delta chain may be thousands of
+//! links long; the call stack must not be) and hands each block, with its
+//! decoded dependencies, to the one block decoder,
+//! `ArchiveReader::decode_block_bytes`. What differs between callers is
+//! only *where blocks come from*, a `BlockBackend`:
+//!
+//! | caller | "already have it?" | "produce it" |
+//! |---|---|---|
+//! | `ArchiveReader::read` / `decode_block` | never | read from the source into the caller's scratch, decode |
+//! | `ArchiveReader::decode_all`, target phase | the slab of a field the first phase decoded | same |
+//! | `ArchiveStore` (demand and prefetch) | tier-1 hit, or wait on the block's in-flight decode | claim the single-flight slot, bytes from tier 2 or the source (with retry), decode, insert, publish |
+//!
+//! The three container versions meet below this: [`format`](mod@format)
+//! normalises a v1 row into an entry with one block, so the read path has
+//! no per-version branches.
 //!
 //! ## Module layout
 //!
 //! * [`format`](mod@format) — the CFAR wire format: magic/version
 //!   constants, the [`FieldRole`] tag, chunk geometry arithmetic, manifest
-//!   ([`ArchiveEntry`]) parsing for both container versions.
+//!   ([`ArchiveEntry`]) parsing for every container version.
 //! * [`writer`] — [`ArchiveBuilder`] → [`ArchiveWriter`]: role planning,
 //!   CFNN training, parallel per-(field, block) encode, serialization.
 //! * [`source`](mod@source) — [`ArchiveSource`]: the positional
 //!   (`pread`-style) byte-source trait archives are read through, so
-//!   concurrent block decodes never serialize on a shared cursor;
-//!   [`SeekSource`] adapts plain `Read + Seek` streams.
+//!   concurrent block decodes never serialize on a shared cursor.
 //! * [`reader`] — [`ArchiveReader`]: stateless, lazily-reading decode of
 //!   whole snapshots, single fields, single blocks, or axis-aligned
-//!   regions from any [`ArchiveSource`].
+//!   regions from any [`ArchiveSource`]; home of the walk, the block
+//!   decoder and [`ReadRequest`].
 //! * [`store`] — [`ArchiveStore`]: a concurrent serving layer over a
 //!   reader, with a two-tier block cache (decoded fields over compressed
 //!   bytes), speculative sequential prefetch, and [`StoreStats`] counters.
+//! * [`damage`], [`scrub`], [`fault`] — salvage policy and damage
+//!   reports, offline verification and repair, deterministic fault
+//!   injection.
 //!
 //! ## Container versions
 //!
@@ -68,8 +96,8 @@
 //!   block predict 0, the SZ convention), so any block can be decoded
 //!   after reading only its own bytes.
 //! * **v1** (read-only): one monolithic CFSZ stream per field, model
-//!   embedded in the stream. [`ArchiveReader`] still decodes it; random
-//!   access degrades to whole-field decode.
+//!   embedded in the stream. Read as a one-block entry, so random access
+//!   degrades to whole-field decode.
 //!
 //! The decode path is total: corrupt, truncated, or adversarial archives
 //! return [`cfc_sz::CfcError`], never panic, and every block read is
@@ -93,11 +121,11 @@ pub use format::{
     ArchiveEntry, FieldInfo, FieldRole, ARCHIVE_MAGIC, ARCHIVE_VERSION, ARCHIVE_VERSION_SNAPSHOT,
     DEFAULT_CHUNK_ELEMENTS, DEFAULT_KEYFRAME_INTERVAL, MIN_SUPPORTED_VERSION,
 };
-pub use reader::{ArchiveReader, ArchiveScratch};
+pub use reader::{ArchiveReader, ArchiveScratch, ReadRequest};
 pub use scrub::{
     repair_bytes, scrub_bytes, RepairOutcome, ScrubFinding, ScrubKind, ScrubOptions, ScrubReport,
 };
-pub use source::{ArchiveSource, SeekSource};
+pub use source::ArchiveSource;
 pub use store::{ArchiveStore, StoreConfig, StoreStats};
 pub use writer::{ArchiveBuilder, ArchiveReport, ArchiveWriter, FieldReport, TemporalReport};
 

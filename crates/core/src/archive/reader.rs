@@ -3,22 +3,47 @@
 //!
 //! [`ArchiveReader::open`] parses and validates only the manifest; payload
 //! bytes are read (and CRC-checked) when something is decoded. Every
-//! decode error is wrapped with the field (and, where block random access
-//! is involved, block index) it occurred in via
-//! [`CfcError::in_field`] — match on
-//! [`CfcError::root_cause`] when you care about the underlying failure.
+//! decode error is wrapped with the field (and block index) it occurred in
+//! via [`CfcError::in_field`] — match on [`CfcError::root_cause`] when you
+//! care about the underlying failure.
+//!
+//! ## One block decoder, one dependency walk
+//!
+//! "Decode block `idx` of entry `fi`" exists once, for every container
+//! version and every caller:
+//!
+//! * `ArchiveReader::decode_block_bytes` is the only function that turns
+//!   block bytes into a [`Field`]: fetched, CRC-checked bytes + the decoded
+//!   slabs the block depends on + the entry's parsed meta in, slab out, one
+//!   `match` on the entry's role.
+//! * `ArchiveReader::resolve_block` is the only function that knows what a
+//!   block depends on — the same block of each same-epoch anchor for a
+//!   cross-field target, the same block of the same field one epoch back
+//!   for a temporal delta, nothing otherwise — and resolves it depth-first
+//!   with an **explicit stack**: a delta chain is as long as the archive's
+//!   keyframe interval says, and call-stack depth must not be a property
+//!   of the file being read.
+//!
+//! The walk never touches bytes or caches itself; it drives a
+//! `BlockBackend`, which answers "do you already have block `(fi, idx)`?"
+//! and "here are its dependencies, produce it". This module's backend
+//! (`Direct`) reads from the source through a caller's [`ArchiveScratch`]
+//! and, inside [`ArchiveReader::decode_all`], hands out slabs of the fields
+//! an earlier phase decoded; [`super::store::ArchiveStore`]'s backend is
+//! its cache (tier 1 → single-flight → tier 2 → source).
 //!
 //! The reader is deliberately *stateless*: nothing decoded is retained
 //! between calls (beyond caller-provided [`ArchiveScratch`] buffers).
 //! For a serving layer that caches decoded blocks across calls and
 //! threads, wrap a reader in [`super::store::ArchiveStore`].
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 use cfc_sz::error::Reader;
 use cfc_sz::stream::Container;
-use cfc_sz::{crc32, CfcError, Codec, DecodeScratch, SzCompressor};
-use cfc_tensor::{Dataset, Field, Region, Shape};
+use cfc_sz::{crc32, CfcError, DecodeScratch, SzCompressor};
+use cfc_tensor::{Dataset, Field, Region};
 
 use crate::hybrid::HybridModel;
 use crate::pipeline::{check_model_fits, deserialize_model};
@@ -27,20 +52,55 @@ use crate::predictor::{CrossFieldHybridPredictor, TemporalHybridPredictor, TEMPO
 
 use super::damage::{DamageMap, DecodePolicy, Salvaged};
 use super::format::{
-    block_range, parse_entry_v1, parse_entry_v2, parse_entry_v3, slab_shape_of, ArchiveEntry,
-    BlockMeta, FieldRole, TocReader, ARCHIVE_MAGIC, ARCHIVE_VERSION, MIN_SUPPORTED_VERSION,
+    parse_entry, ArchiveEntry, BlockMeta, FieldRole, TocReader, ARCHIVE_MAGIC, ARCHIVE_VERSION,
+    MIN_SUPPORTED_VERSION,
 };
+use super::run_parallel_scratch;
 use super::source::ArchiveSource;
-use super::{run_parallel, run_parallel_scratch};
 
-/// A slab of `fill` values shaped like block `idx` of a v2 entry — what a
-/// salvage decode substitutes for a damaged block.
-pub(crate) fn fill_slab(entry: &ArchiveEntry, idx: usize, fill: f32) -> Field {
-    let shape = entry.shape.expect("v2 entries record shape");
-    let (r0, r1) = block_range(shape.dims()[0], entry.chunk_slabs, idx);
-    let slab = slab_shape_of(shape, r1 - r0);
-    let n = slab.len();
-    Field::from_vec(slab, vec![fill; n])
+/// One read, fully specified: which field, at which epoch, which part of
+/// it, and what to do about damaged blocks. The argument of
+/// [`ArchiveReader::read`] and [`super::ArchiveStore::read`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReadRequest<'a> {
+    /// Field name.
+    pub field: &'a str,
+    /// Epoch (0 for single-snapshot archives).
+    pub epoch: usize,
+    /// Axis-aligned region to cut out; `None` reads the whole field.
+    pub region: Option<Region>,
+    /// Fail on the first damaged block, or fill it and report it.
+    pub policy: DecodePolicy,
+}
+
+impl<'a> ReadRequest<'a> {
+    /// The whole of `field` at epoch 0, strictly.
+    pub fn new(field: &'a str) -> Self {
+        ReadRequest {
+            field,
+            epoch: 0,
+            region: None,
+            policy: DecodePolicy::Strict,
+        }
+    }
+
+    /// This request at `epoch`.
+    pub fn at(mut self, epoch: usize) -> Self {
+        self.epoch = epoch;
+        self
+    }
+
+    /// This request narrowed to `region`.
+    pub fn region(mut self, region: &Region) -> Self {
+        self.region = Some(*region);
+        self
+    }
+
+    /// This request under `policy`.
+    pub fn policy(mut self, policy: DecodePolicy) -> Self {
+        self.policy = policy;
+        self
+    }
 }
 
 /// Record block `idx` of the (epoch-qualified) field `name` as damaged in
@@ -95,13 +155,76 @@ impl ArchiveScratch {
     }
 }
 
-/// Per-call memo of decoded anchor blocks, keyed by `(entry index, block
-/// index)`. One multi-block decode call (`decode_region`, `decode_field`)
-/// threads a single memo through its block loop so each anchor block is
-/// decoded at most once per call — even when a target lists the same
-/// anchor more than once, and even with no [`super::store::ArchiveStore`]
-/// cache attached.
-pub(crate) type AnchorMemo = HashMap<(usize, usize), Field>;
+/// `(flat entry index, block index along axis 0)` — how the walk, its
+/// backends and the store's cache tiers name a block.
+pub(crate) type BlockKey = (usize, usize);
+
+/// A backend's answer to "do you have this block?".
+pub(crate) enum Lookup<B, T> {
+    /// Yes — no decode needed.
+    Ready(B),
+    /// No. The ticket carries whatever the backend set aside for the
+    /// decode (the store: its single-flight slot and any tier-2 bytes) and
+    /// comes back in [`BlockBackend::finish`] or [`BlockBackend::abandon`].
+    Miss(T),
+}
+
+/// Where [`ArchiveReader::resolve_block`] gets blocks from. The walk owns
+/// the dependency order; the backend owns bytes, caches and counters.
+pub(crate) trait BlockBackend {
+    /// Handle to a decoded block (`Field`, or `Arc<Field>` for a cache).
+    type Block: Borrow<Field>;
+    /// State carried from a miss to the decode that resolves it.
+    type Ticket;
+
+    /// Look `key` up; every miss is followed by exactly one `finish` or
+    /// `abandon` with its ticket. `Err` is a failure to even look (the
+    /// store: the decode this request coalesced onto failed).
+    fn begin(&mut self, key: BlockKey) -> Result<Lookup<Self::Block, Self::Ticket>, CfcError>;
+
+    /// Produce `key` given its decoded dependencies, in
+    /// `ArchiveReader::block_deps` order: fetch its bytes, run
+    /// `ArchiveReader::decode_block_bytes`, remember the result.
+    fn finish(
+        &mut self,
+        key: BlockKey,
+        ticket: Self::Ticket,
+        deps: &[&Field],
+    ) -> Result<Self::Block, CfcError>;
+
+    /// A dependency of the block `ticket` was issued for failed with
+    /// `err`, so it will never be finished.
+    fn abandon(&mut self, _ticket: Self::Ticket, _err: &CfcError) {}
+}
+
+/// The block loop behind every multi-block read: `get` each block of
+/// `first..=last`; under [`DecodePolicy::Salvage`] a failed block becomes
+/// a fill slab (passed through `filled`, never cached by anyone) and an
+/// entry in the returned [`DamageMap`] instead of failing the call. An
+/// entry with no recorded shape (v1) has nothing to shape a fill slab
+/// after, so its failures fail the call under either policy.
+pub(crate) fn salvage_blocks<B>(
+    entry: &ArchiveEntry,
+    (first, last): (usize, usize),
+    policy: DecodePolicy,
+    mut get: impl FnMut(usize) -> Result<B, CfcError>,
+    mut filled: impl FnMut(Field) -> B,
+) -> Result<(Vec<B>, DamageMap), CfcError> {
+    let mut damage = DamageMap::new();
+    let mut blocks = Vec::with_capacity(last + 1 - first);
+    for bi in first..=last {
+        blocks.push(match get(bi) {
+            Ok(block) => block,
+            Err(e) => {
+                let fill = policy.fill().and_then(|fill| entry.fill_slab(bi, fill));
+                let Some(slab) = fill else { return Err(e) };
+                record_block_damage(&mut damage, &entry.qualified_name(), bi, &e);
+                filled(slab)
+            }
+        });
+    }
+    Ok((blocks, damage))
+}
 
 /// A target or temporal-delta field's parsed meta area: the embedded CFNN
 /// compiled for inference (`None` for a delta, whose anchor is the previous
@@ -113,8 +236,8 @@ pub(crate) struct TargetMeta {
 }
 
 /// Reads archives written by [`super::ArchiveWriter`] — lazily, from any
-/// positional [`ArchiveSource`] (a file, an in-memory buffer, a
-/// [`super::source::SeekSource`]-wrapped stream). Only the manifest is
+/// positional [`ArchiveSource`] (a file, an in-memory buffer). Only the
+/// manifest is
 /// parsed up front; payload bytes are read (and CRC-checked) when a field,
 /// block, or region is decoded.
 ///
@@ -220,12 +343,7 @@ impl<R: ArchiveSource> ArchiveReader<R> {
                 }
             }
             for _ in 0..n_fields {
-                let entry = match version {
-                    1 => parse_entry_v1(&mut toc)?,
-                    2 => parse_entry_v2(&mut toc)?,
-                    _ => parse_entry_v3(&mut toc, epoch)?,
-                };
-                entries.push(entry);
+                entries.push(parse_entry(&mut toc, version, epoch)?);
             }
         }
 
@@ -303,22 +421,20 @@ impl<R: ArchiveSource> ArchiveReader<R> {
                 }
             }
         }
-        // v2 manifests record geometry up front: every field (of every
-        // epoch) must agree on shape and chunking, or block-level
-        // cross-field and temporal decode is unsound
-        if version >= 2 {
-            let first = &entries[0];
-            for e in &entries[1..] {
-                if e.shape != first.shape || e.chunk_slabs != first.chunk_slabs {
-                    return Err(CfcError::Corrupt {
-                        context: "archive",
-                        detail: format!(
-                            "field {} disagrees with {} on shape or chunk geometry",
-                            e.qualified_name(),
-                            first.name
-                        ),
-                    });
-                }
+        // every field (of every epoch) must agree on shape and chunking,
+        // or block-level cross-field and temporal decode is unsound (v1
+        // manifests record neither, and agree on that)
+        let first = &entries[0];
+        for e in &entries[1..] {
+            if e.shape != first.shape || e.chunk_slabs != first.chunk_slabs {
+                return Err(CfcError::Corrupt {
+                    context: "archive",
+                    detail: format!(
+                        "field {} disagrees with {} on shape or chunk geometry",
+                        e.qualified_name(),
+                        first.name
+                    ),
+                });
             }
         }
         Ok(ArchiveReader {
@@ -389,13 +505,6 @@ impl<R: ArchiveSource> ArchiveReader<R> {
             .iter()
             .find(|e| e.name == name)
             .map(|e| e.info())
-    }
-
-    pub(crate) fn entry(&self, name: &str) -> Result<&ArchiveEntry, CfcError> {
-        self.epoch0()
-            .iter()
-            .find(|e| e.name == name)
-            .ok_or_else(|| CfcError::InvalidInput(format!("archive has no field {name}")))
     }
 
     /// Position of `name` in the manifest (the stable key block caches and
@@ -481,7 +590,7 @@ impl<R: ArchiveSource> ArchiveReader<R> {
             &mut scratch.block,
         )?;
         scratch.block_growths += usize::from(scratch.block.capacity() > cap);
-        verify_block_crc(b, &scratch.block)
+        verify_crc("archive block", b.crc, &scratch.block)
     }
 
     /// Read one block's raw (compressed) bytes into a fresh owned buffer
@@ -496,25 +605,16 @@ impl<R: ArchiveSource> ArchiveReader<R> {
     ) -> Result<Vec<u8>, CfcError> {
         let b = self.block_meta(entry, idx)?;
         let bytes = self.read_at(entry.payload_base + b.rel_offset, b.len, "archive block")?;
-        verify_block_crc(b, &bytes)?;
+        verify_crc("archive block", b.crc, &bytes)?;
         Ok(bytes)
     }
 
     /// Read a field's meta area (embedded model + hybrid weights),
-    /// verifying the manifest's meta CRC on v3 archives — meta rot
-    /// surfaces as a typed checksum error, never a garbled decode.
+    /// verifying the manifest's meta CRC where it records one (v3) — meta
+    /// rot surfaces as a typed checksum error, never a garbled decode.
     fn read_meta(&self, entry: &ArchiveEntry) -> Result<Vec<u8>, CfcError> {
         let meta = self.read_at(entry.payload_base, entry.meta_len, "archive field meta")?;
-        if self.version >= 3 {
-            let found = crc32(&meta);
-            if found != entry.meta_crc {
-                return Err(CfcError::ChecksumMismatch {
-                    context: "archive field meta",
-                    expected: entry.meta_crc,
-                    found,
-                });
-            }
-        }
+        verify_crc("archive field meta", entry.meta_crc, &meta)?;
         Ok(meta)
     }
 
@@ -527,7 +627,13 @@ impl<R: ArchiveSource> ArchiveReader<R> {
         let model_bytes = r.bytes(model_len, "embedded model")?;
         let hybrid_len = r.len_u64("hybrid weights length")?;
         let hybrid = HybridModel::try_deserialize(r.bytes(hybrid_len, "hybrid weights")?)?;
-        let ndim = entry.shape.expect("v2 entries record shape").ndim();
+        let ndim = entry
+            .shape
+            .ok_or(CfcError::Corrupt {
+                context: "archive entry",
+                detail: "meta area on an entry without a recorded shape".into(),
+            })?
+            .ndim();
         let (model, arity, what) = if entry.role == FieldRole::Delta {
             if !(2..=3).contains(&ndim) {
                 return Err(CfcError::Corrupt {
@@ -553,204 +659,213 @@ impl<R: ArchiveSource> ArchiveReader<R> {
         Ok(TargetMeta { model, hybrid })
     }
 
-    /// Decode one baseline (non-target) block to its slab field through a
-    /// reusable scratch. Errors carry the field/block context.
-    pub(crate) fn decode_baseline_block(
-        &self,
-        entry: &ArchiveEntry,
-        idx: usize,
-        scratch: &mut ArchiveScratch,
-    ) -> Result<Field, CfcError> {
-        self.decode_baseline_block_inner(entry, idx, scratch)
-            .map_err(|e| e.in_field(&entry.qualified_name(), Some(idx)))
+    /// Parse a target or temporal-delta entry's meta once (`None` for
+    /// entries without a meta area: baselines, anchors, v1 targets) —
+    /// multi-block decodes hoist this out of their block loops.
+    pub(crate) fn target_meta(&self, entry: &ArchiveEntry) -> Result<Option<TargetMeta>, CfcError> {
+        if !entry.has_meta() {
+            return Ok(None);
+        }
+        Self::parse_target_meta(entry, &self.read_meta(entry)?)
+            .map(Some)
+            .map_err(|e| e.in_field(&entry.qualified_name(), None))
     }
 
-    fn decode_baseline_block_inner(
-        &self,
-        entry: &ArchiveEntry,
-        idx: usize,
-        scratch: &mut ArchiveScratch,
-    ) -> Result<Field, CfcError> {
-        self.read_block_into(entry, idx, scratch)?;
-        let ArchiveScratch { block, dec, .. } = scratch;
-        self.decode_baseline_bytes_inner(entry, idx, block, dec)
+    /// Entry `fi`'s meta parsed ahead of a walk, in the form [`Direct`]
+    /// takes it (empty for entries without a meta area).
+    fn own_meta(&self, fi: usize) -> Result<Vec<(usize, TargetMeta)>, CfcError> {
+        let meta = self.target_meta(&self.entries[fi])?;
+        Ok(meta.map(|m| (fi, m)).into_iter().collect())
     }
 
-    /// Decode one baseline block from already-fetched, CRC-verified bytes
-    /// — the pure-CPU half of [`ArchiveReader::decode_baseline_block`],
-    /// used by tier-2 cache promotion (no source I/O).
-    pub(crate) fn decode_baseline_block_bytes(
+    /// The one block decoder: already fetched, CRC-checked `bytes` of block
+    /// `idx` of `entry`, the decoded slabs it depends on (`deps`, in
+    /// [`ArchiveReader::block_deps`] order) and the entry's parsed meta in;
+    /// the block's slab out. Pure CPU — no source I/O, no cache. Errors
+    /// carry the epoch-qualified field and the block index.
+    pub(crate) fn decode_block_bytes(
         &self,
         entry: &ArchiveEntry,
         idx: usize,
         bytes: &[u8],
-        scratch: &mut ArchiveScratch,
-    ) -> Result<Field, CfcError> {
-        self.decode_baseline_bytes_inner(entry, idx, bytes, &mut scratch.dec)
-            .map_err(|e| e.in_field(&entry.qualified_name(), Some(idx)))
-    }
-
-    fn decode_baseline_bytes_inner(
-        &self,
-        entry: &ArchiveEntry,
-        idx: usize,
-        bytes: &[u8],
-        dec: &mut DecodeScratch,
-    ) -> Result<Field, CfcError> {
-        let field = baseline_decoder().decompress_with(bytes, dec)?;
-        self.check_slab_shape(entry, idx, field.shape())?;
-        Ok(field)
-    }
-
-    /// Decode one target block given its decoded anchor slabs and parsed
-    /// meta. Errors carry the field/block context.
-    pub(crate) fn decode_target_block(
-        &self,
-        entry: &ArchiveEntry,
-        idx: usize,
-        anchor_slabs: &[&Field],
-        meta: &TargetMeta,
-        scratch: &mut ArchiveScratch,
-    ) -> Result<Field, CfcError> {
-        (|| {
-            self.read_block_into(entry, idx, scratch)?;
-            let ArchiveScratch { block, dec, nn, .. } = scratch;
-            self.decode_target_bytes_inner(entry, idx, block, anchor_slabs, meta, dec, nn)
-        })()
-        .map_err(|e| e.in_field(&entry.qualified_name(), Some(idx)))
-    }
-
-    /// Decode one target block from already-fetched, CRC-verified bytes
-    /// given its decoded anchor slabs and parsed meta — the pure-CPU half
-    /// of [`ArchiveReader::decode_target_block`], used by tier-2 cache
-    /// promotion (no source I/O for the block itself).
-    pub(crate) fn decode_target_block_bytes(
-        &self,
-        entry: &ArchiveEntry,
-        idx: usize,
-        bytes: &[u8],
-        anchor_slabs: &[&Field],
-        meta: &TargetMeta,
+        deps: &[&Field],
+        meta: Option<&TargetMeta>,
         scratch: &mut ArchiveScratch,
     ) -> Result<Field, CfcError> {
         let ArchiveScratch { dec, nn, .. } = scratch;
-        self.decode_target_bytes_inner(entry, idx, bytes, anchor_slabs, meta, dec, nn)
-            .map_err(|e| e.in_field(&entry.qualified_name(), Some(idx)))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn decode_target_bytes_inner(
-        &self,
-        entry: &ArchiveEntry,
-        idx: usize,
-        bytes: &[u8],
-        anchor_slabs: &[&Field],
-        meta: &TargetMeta,
-        dec: &mut DecodeScratch,
-        nn: &mut cfc_nn::Workspace,
-    ) -> Result<Field, CfcError> {
-        let container = Container::try_from_bytes(bytes)?;
-        self.check_slab_shape(entry, idx, container.shape)?;
-        let model = meta.model.as_ref().expect("target meta carries a model");
-        if anchor_slabs.iter().any(|a| a.shape() != container.shape) {
-            return Err(CfcError::ShapeMismatch {
-                expected: container.shape.to_string(),
-                found: "anchor slab with a different shape".into(),
-            });
-        }
-        let diffs = model.predict(anchor_slabs, nn);
-        let predictor = CrossFieldHybridPredictor::new(&diffs, container.eb, meta.hybrid.clone());
-        let lattice = baseline_decoder().decompress_lattice_with(&container, &predictor, dec)?;
-        Ok(lattice.reconstruct(container.eb))
-    }
-
-    /// Decode one temporal-delta block given the decoded same-name slab of
-    /// the previous epoch. Errors carry the epoch-qualified field/block
-    /// context.
-    pub(crate) fn decode_delta_block(
-        &self,
-        entry: &ArchiveEntry,
-        idx: usize,
-        prev_slab: &Field,
-        hybrid: &HybridModel,
-        scratch: &mut ArchiveScratch,
-    ) -> Result<Field, CfcError> {
-        (|| {
-            self.read_block_into(entry, idx, scratch)?;
-            let ArchiveScratch { block, dec, .. } = scratch;
-            self.decode_delta_bytes_inner(entry, idx, block, prev_slab, hybrid, dec)
+        // the bound is irrelevant on decode (streams carry their own), so
+        // any positive value works
+        let sz = SzCompressor::baseline(1e-3);
+        // open a lattice-coded block and hold it to the manifest's geometry
+        // and to the slabs it is about to be predicted from
+        let open = |what: &str| {
+            let container = Container::try_from_bytes(bytes)?;
+            entry.check_slab_shape(idx, container.shape)?;
+            if deps.iter().any(|d| d.shape() != container.shape) {
+                return Err(CfcError::ShapeMismatch {
+                    expected: container.shape.to_string(),
+                    found: format!("{what} slab with a different shape"),
+                });
+            }
+            Ok(container)
+        };
+        let missing = |what: &str| CfcError::Corrupt {
+            context: "archive entry",
+            detail: format!("{} entry without {what}", entry.role.label()),
+        };
+        (|| match (entry.role, meta) {
+            (FieldRole::Independent | FieldRole::Anchor, _) => {
+                let field = sz.decompress_with(bytes, dec)?;
+                entry.check_slab_shape(idx, field.shape())?;
+                Ok(field)
+            }
+            // no meta area: a v1 target, whose monolithic stream embeds its
+            // own model and hybrid weights — the one thing left that the
+            // read path knows about v1
+            (FieldRole::Target, None) => {
+                crate::pipeline::CrossFieldCompressor::new(1e-3).decompress(bytes, deps)
+            }
+            (FieldRole::Target, Some(meta)) => {
+                let container = open("anchor")?;
+                let model = meta.model.as_ref().ok_or_else(|| missing("a model"))?;
+                let diffs = model.predict(deps, nn);
+                let predictor =
+                    CrossFieldHybridPredictor::new(&diffs, container.eb, meta.hybrid.clone());
+                let lattice = sz.decompress_lattice_with(&container, &predictor, dec)?;
+                Ok(lattice.reconstruct(container.eb))
+            }
+            (FieldRole::Delta, Some(meta)) => {
+                let container = open("previous-epoch")?;
+                let [prev] = deps else {
+                    return Err(missing("its previous epoch"));
+                };
+                // same prediction the writer used: the previous epoch's
+                // decoded slab mixed with the Lorenzo guess by the hybrid
+                // weights shipped in the meta area
+                let predictor =
+                    TemporalHybridPredictor::new(prev, container.eb, meta.hybrid.clone());
+                let lattice = sz.decompress_lattice_with(&container, &predictor, dec)?;
+                Ok(lattice.reconstruct(container.eb))
+            }
+            (FieldRole::Delta, None) => Err(missing("meta")),
         })()
         .map_err(|e| e.in_field(&entry.qualified_name(), Some(idx)))
     }
 
-    /// Decode one temporal-delta block from already-fetched, CRC-verified
-    /// bytes — the pure-CPU half of [`ArchiveReader::decode_delta_block`],
-    /// used by tier-2 cache promotion.
-    pub(crate) fn decode_delta_block_bytes(
+    /// Flat indices of the entries block `idx` of entry `fi` decodes
+    /// against (the same `idx` of each): the same-epoch anchors of a
+    /// cross-field target in manifest order (repeats included), the same
+    /// field one epoch back for a temporal delta, nothing otherwise.
+    fn block_deps(&self, fi: usize) -> Vec<usize> {
+        let entry = &self.entries[fi];
+        match entry.role {
+            // `open` checked that anchors resolve within their own epoch
+            // and that delta roles appear only past epoch 0
+            FieldRole::Target => entry
+                .anchors
+                .iter()
+                .filter_map(|a| self.entry_index_at(a, entry.epoch).ok())
+                .collect(),
+            FieldRole::Delta => fi.checked_sub(self.n_fields).into_iter().collect(),
+            FieldRole::Independent | FieldRole::Anchor => Vec::new(),
+        }
+    }
+
+    /// The one dependency walk: produce block `idx` of entry `fi` out of
+    /// `backend`, first producing — depth-first, dependencies before
+    /// dependents, each at most once — every block it decodes against that
+    /// the backend does not already have.
+    ///
+    /// Iterative on purpose. A delta chain is as deep as the writer's
+    /// keyframe interval made it, and a recursive walk turns a long (valid)
+    /// chain into a stack overflow, which aborts the process past any
+    /// `catch_unwind`. Pending blocks live in `stack`; a block's resolved
+    /// dependencies live in `ready` only until the block itself is
+    /// finished, so a chain of any length holds a bounded number of slabs.
+    pub(crate) fn resolve_block<K: BlockBackend>(
         &self,
-        entry: &ArchiveEntry,
+        fi: usize,
         idx: usize,
-        bytes: &[u8],
-        prev_slab: &Field,
-        hybrid: &HybridModel,
+        backend: &mut K,
+    ) -> Result<K::Block, CfcError> {
+        struct Pending<T> {
+            fi: usize,
+            ticket: T,
+            deps: Vec<usize>,
+        }
+        let mut stack: Vec<Pending<K::Ticket>> = Vec::new();
+        let mut ready: Vec<(usize, K::Block)> = Vec::new();
+        let mut want = fi;
+        let failed = 'walk: loop {
+            match backend.begin((want, idx)) {
+                Ok(Lookup::Ready(block)) if stack.is_empty() => return Ok(block),
+                Ok(Lookup::Ready(block)) => ready.push((want, block)),
+                Ok(Lookup::Miss(ticket)) => stack.push(Pending {
+                    fi: want,
+                    ticket,
+                    deps: self.block_deps(want),
+                }),
+                Err(e) => break e,
+            }
+            // finish every pending block whose dependencies are all ready,
+            // then ask for the first one still missing
+            want = loop {
+                let top = stack.last().expect("a miss is pending until finished");
+                let unresolved = |d: &&usize| !ready.iter().any(|(r, _)| r == *d);
+                if let Some(&dep) = top.deps.iter().find(unresolved) {
+                    break dep;
+                }
+                let Pending {
+                    fi: cur,
+                    ticket,
+                    deps,
+                } = stack.pop().expect("checked above");
+                let slabs: Vec<&Field> = deps
+                    .iter()
+                    .filter_map(|d| ready.iter().find(|(r, _)| r == d))
+                    .map(|(_, block)| block.borrow())
+                    .collect();
+                let block = match backend.finish((cur, idx), ticket, &slabs) {
+                    Ok(block) => block,
+                    Err(e) => break 'walk e,
+                };
+                if stack.is_empty() {
+                    return Ok(block);
+                }
+                ready.retain(|(r, _)| !deps.contains(r));
+                ready.push((cur, block));
+            };
+        };
+        // every block still pending depended on the one that failed
+        while let Some(p) = stack.pop() {
+            backend.abandon(p.ticket, &failed);
+        }
+        Err(failed)
+    }
+
+    /// Block `idx` of `field` at `epoch`, through `scratch`.
+    fn block_at(
+        &self,
+        field: &str,
+        idx: usize,
+        epoch: usize,
         scratch: &mut ArchiveScratch,
     ) -> Result<Field, CfcError> {
-        self.decode_delta_bytes_inner(entry, idx, bytes, prev_slab, hybrid, &mut scratch.dec)
-            .map_err(|e| e.in_field(&entry.qualified_name(), Some(idx)))
-    }
-
-    fn decode_delta_bytes_inner(
-        &self,
-        entry: &ArchiveEntry,
-        idx: usize,
-        bytes: &[u8],
-        prev_slab: &Field,
-        hybrid: &HybridModel,
-        dec: &mut DecodeScratch,
-    ) -> Result<Field, CfcError> {
-        let container = Container::try_from_bytes(bytes)?;
-        self.check_slab_shape(entry, idx, container.shape)?;
-        if prev_slab.shape() != container.shape {
-            return Err(CfcError::ShapeMismatch {
-                expected: container.shape.to_string(),
-                found: "previous-epoch slab with a different shape".into(),
-            });
-        }
-        // same prediction the writer used: the previous epoch's decoded
-        // slab mixed with the Lorenzo guess by the hybrid weights shipped
-        // in the meta area
-        let predictor = TemporalHybridPredictor::new(prev_slab, container.eb, hybrid.clone());
-        let lattice = baseline_decoder().decompress_lattice_with(&container, &predictor, dec)?;
-        Ok(lattice.reconstruct(container.eb))
-    }
-
-    /// Verify a decoded block's shape against the manifest's chunk
-    /// geometry (a block stream that lies about its slab is corrupt).
-    fn check_slab_shape(
-        &self,
-        entry: &ArchiveEntry,
-        idx: usize,
-        found: Shape,
-    ) -> Result<(), CfcError> {
-        let shape = entry.shape.expect("v2 entries record shape");
-        let (r0, r1) = block_range(shape.dims()[0], entry.chunk_slabs, idx);
-        let expected = slab_shape_of(shape, r1 - r0);
-        if found != expected {
-            return Err(CfcError::ShapeMismatch {
-                expected: format!("block {idx} of {}: {expected}", entry.qualified_name()),
-                found: found.to_string(),
-            });
-        }
-        Ok(())
+        let fi = self.entry_index_at(field, epoch)?;
+        let entry = &self.entries[fi];
+        self.block_meta(entry, idx)
+            .map_err(|e| e.in_field(field, Some(idx)))?;
+        let metas = self.own_meta(fi)?;
+        self.resolve_block(fi, idx, &mut Direct::new(self, scratch, &metas))
     }
 
     /// Decode a single block of `field` (block `idx` along axis 0),
     /// touching only that block's bytes — plus, for a cross-field target,
     /// the same block of each anchor and the field's meta area.
     ///
-    /// For v1 archives only block 0 exists and decodes the whole field.
+    /// A v1 field is one block holding the whole field.
     pub fn decode_block(&self, field: &str, idx: usize) -> Result<Field, CfcError> {
-        self.decode_block_with(field, idx, &mut ArchiveScratch::new())
+        self.block_at(field, idx, 0, &mut ArchiveScratch::new())
     }
 
     /// [`ArchiveReader::decode_block`] at an explicit epoch. A temporal
@@ -762,16 +877,7 @@ impl<R: ArchiveSource> ArchiveReader<R> {
         idx: usize,
         epoch: usize,
     ) -> Result<Field, CfcError> {
-        let entry = &self.entries[self.entry_index_at(field, epoch)?];
-        let meta = self.target_meta(entry)?;
-        let mut memo = AnchorMemo::new();
-        self.decode_block_v2(
-            entry,
-            idx,
-            meta.as_ref(),
-            &mut ArchiveScratch::new(),
-            &mut memo,
-        )
+        self.block_at(field, idx, epoch, &mut ArchiveScratch::new())
     }
 
     /// [`ArchiveReader::decode_block`] through a caller-owned
@@ -783,138 +889,54 @@ impl<R: ArchiveSource> ArchiveReader<R> {
         idx: usize,
         scratch: &mut ArchiveScratch,
     ) -> Result<Field, CfcError> {
-        let entry = self.entry(field)?;
-        if self.version == 1 {
-            if idx != 0 {
-                return Err(CfcError::InvalidInput(format!(
-                    "v1 archives hold one stream per field; block {idx} does not exist"
-                ))
-                .in_field(field, Some(idx)));
-            }
-            return self.decode_field_v1(entry);
-        }
-        let meta = self.target_meta(entry)?;
-        let mut memo = AnchorMemo::new();
-        self.decode_block_v2(entry, idx, meta.as_ref(), scratch, &mut memo)
+        self.block_at(field, idx, 0, scratch)
     }
 
-    /// Parse a target or temporal-delta entry's meta once (`None` for
-    /// baseline/anchor roles) — multi-block decodes hoist this out of
-    /// their block loops.
-    pub(crate) fn target_meta(&self, entry: &ArchiveEntry) -> Result<Option<TargetMeta>, CfcError> {
-        if entry.role != FieldRole::Target && entry.role != FieldRole::Delta {
-            return Ok(None);
-        }
-        Self::parse_target_meta(entry, &self.read_meta(entry)?)
-            .map(Some)
-            .map_err(|e| e.in_field(&entry.qualified_name(), None))
-    }
-
-    /// Decode one v2 block given the field's already-parsed meta, memoizing
-    /// decoded anchor blocks in `memo` so one multi-block call (or one
-    /// block whose target lists an anchor twice) decodes each anchor block
-    /// at most once.
-    pub(crate) fn decode_block_v2(
-        &self,
-        entry: &ArchiveEntry,
-        idx: usize,
-        meta: Option<&TargetMeta>,
-        scratch: &mut ArchiveScratch,
-        memo: &mut AnchorMemo,
-    ) -> Result<Field, CfcError> {
-        if entry.role == FieldRole::Delta {
-            let meta = meta.ok_or(CfcError::Corrupt {
-                context: "archive entry",
-                detail: "delta entry without meta".into(),
-            })?;
-            return self.decode_delta_chain(entry, idx, &meta.hybrid, scratch, memo);
-        }
-        let Some(meta) = meta else {
-            return self.decode_baseline_block(entry, idx, scratch);
-        };
-        let mut anchor_keys = Vec::with_capacity(entry.anchors.len());
-        for a in &entry.anchors {
-            // manifest validation guarantees anchors exist (within the
-            // entry's own epoch) and are not targets
-            let ai = self
-                .entry_index_at(a, entry.epoch)
-                .expect("validated anchor");
-            if let std::collections::hash_map::Entry::Vacant(slot) = memo.entry((ai, idx)) {
-                slot.insert(self.decode_baseline_block(&self.entries[ai], idx, scratch)?);
-            }
-            anchor_keys.push(ai);
-        }
-        let slab_refs: Vec<&Field> = anchor_keys.iter().map(|&ai| &memo[&(ai, idx)]).collect();
-        self.decode_target_block(entry, idx, &slab_refs, meta, scratch)
-    }
-
-    /// Decode a temporal-delta block by walking its chain back to the
-    /// nearest memoized predecessor or covering keyframe, then decoding
-    /// forward — iteratively, so chain length costs neither stack depth
-    /// nor repeated work. Intermediate epochs land in `memo`; exactly
-    /// `1 keyframe + chain` blocks of this field position are read.
-    fn decode_delta_chain(
-        &self,
-        entry: &ArchiveEntry,
-        idx: usize,
-        hybrid: &HybridModel,
-        scratch: &mut ArchiveScratch,
-        memo: &mut AnchorMemo,
-    ) -> Result<Field, CfcError> {
-        let fi = self
-            .entry_index_at(&entry.name, entry.epoch)
-            .expect("own entry");
-        // walk back over delta predecessors that are not yet decoded
-        let mut stack = vec![fi];
-        loop {
-            let cur = *stack.last().expect("non-empty chain");
-            let prev = cur - self.n_fields;
-            if memo.contains_key(&(prev, idx)) {
-                break;
-            }
-            let pe = &self.entries[prev];
-            if pe.role == FieldRole::Delta {
-                stack.push(prev);
-                continue;
-            }
-            // covering keyframe: decode it (baseline or cross-field
-            // target) into the memo and stop walking
-            let pmeta = self.target_meta(pe)?;
-            let base = self.decode_block_v2(pe, idx, pmeta.as_ref(), scratch, memo)?;
-            memo.insert((prev, idx), base);
-            break;
-        }
-        // decode forward through the chain, oldest epoch first
-        while let Some(ci) = stack.pop() {
-            let ce = &self.entries[ci];
-            let prev_key = (ci - self.n_fields, idx);
-            let owned;
-            let h: &HybridModel = if ci == fi {
-                hybrid
-            } else {
-                owned = self.target_meta(ce)?.expect("delta entries carry meta");
-                &owned.hybrid
-            };
-            let prev_slab = memo.get(&prev_key).expect("chain predecessor decoded");
-            let f = self.decode_delta_block(ce, idx, prev_slab, h, scratch)?;
-            if ci == fi {
-                return Ok(f);
-            }
-            memo.insert((ci, idx), f);
-        }
-        unreachable!("chain always contains the requested entry")
-    }
-
-    /// Decode an axis-aligned [`Region`] of `field`, reading only the
-    /// blocks whose axis-0 slabs intersect it (plus the matching anchor
-    /// blocks when the field is a cross-field target — each anchor block
-    /// decoded at most once per call).
+    /// The general read: `req.region` of `req.field` at `req.epoch` (the
+    /// whole field when the region is `None`), decoding only the blocks
+    /// whose axis-0 slabs intersect it — plus what those blocks decode
+    /// against: the matching anchor blocks of a cross-field target, the
+    /// delta chain back to the covering keyframe. The entry's meta area is
+    /// parsed once for the call; one scratch serves every block.
     ///
-    /// On v1 archives this degrades to a whole-field decode followed by a
-    /// crop — the v1 container has no random-access index.
+    /// Under [`DecodePolicy::Strict`] the first damaged block fails the
+    /// call and the returned [`DamageMap`] is always empty. Under
+    /// [`DecodePolicy::Salvage`] damaged blocks are filled with the
+    /// policy's fill value and reported in the map instead (damage in an
+    /// anchor or chain predecessor cascades to its dependents, correctly
+    /// attributed — see the [`super::damage`] module docs); epochs past
+    /// the first are reported under the qualified name `{field}@e{epoch}`.
+    /// Errors outside block payloads — unknown field or epoch, invalid
+    /// region — still fail the call, as does any damage on a v1 archive,
+    /// whose single-block fields record no shape to fill.
+    pub fn read(&self, req: &ReadRequest<'_>) -> Result<Salvaged<Field>, CfcError> {
+        let fi = self.entry_index_at(req.field, req.epoch)?;
+        let entry = &self.entries[fi];
+        let cover = entry.block_cover(req.region.as_ref())?;
+        // a meta area is itself payload that can rot: every block of the
+        // entry then fails the same way, which Salvage turns into one
+        // damage record per requested block
+        let metas = self.own_meta(fi);
+        let mut scratch = ArchiveScratch::new();
+        let (slabs, damage) = salvage_blocks(
+            entry,
+            cover,
+            req.policy,
+            |bi| {
+                let metas = metas.as_ref().map_err(CfcError::clone)?;
+                self.resolve_block(fi, bi, &mut Direct::new(self, &mut scratch, metas))
+            },
+            |fill| fill,
+        )?;
+        let refs: Vec<&Field> = slabs.iter().collect();
+        let data = entry.cut(req.region.as_ref(), cover.0, &refs)?;
+        Ok(Salvaged { data, damage })
+    }
+
+    /// Strictly decode an axis-aligned [`Region`] of `field`
+    /// ([`ArchiveReader::read`] with the defaults).
     pub fn decode_region(&self, field: &str, region: &Region) -> Result<Field, CfcError> {
-        self.decode_region_policy(field, region, DecodePolicy::Strict)
-            .map(|s| s.data)
+        self.decode_region_at(field, region, 0)
     }
 
     /// [`ArchiveReader::decode_region`] at an explicit epoch.
@@ -924,122 +946,24 @@ impl<R: ArchiveSource> ArchiveReader<R> {
         region: &Region,
         epoch: usize,
     ) -> Result<Field, CfcError> {
-        self.decode_region_policy_at(field, region, epoch, DecodePolicy::Strict)
-            .map(|s| s.data)
+        let req = ReadRequest::new(field).at(epoch).region(region);
+        self.read(&req).map(|s| s.data)
     }
 
-    /// [`ArchiveReader::decode_region`] under an explicit [`DecodePolicy`].
-    ///
-    /// Under [`DecodePolicy::Salvage`] damaged blocks no longer fail the
-    /// call: their slice of the output is filled with the policy's fill
-    /// value and reported in the returned [`DamageMap`] (anchor damage
-    /// cascades to its dependents, correctly attributed — see the
-    /// [`super::damage`] module docs). Errors outside block payloads —
-    /// unknown field, invalid region — still fail the call, as does any
-    /// damage on a v1 archive, whose monolithic per-field stream leaves
-    /// nothing to salvage block-wise.
-    pub fn decode_region_policy(
-        &self,
-        field: &str,
-        region: &Region,
-        policy: DecodePolicy,
-    ) -> Result<Salvaged<Field>, CfcError> {
-        self.decode_region_policy_at(field, region, 0, policy)
+    /// Strictly decode a whole field by name ([`ArchiveReader::read`] with
+    /// the defaults).
+    pub fn decode_field(&self, name: &str) -> Result<Field, CfcError> {
+        self.decode_field_at(name, 0)
     }
 
-    /// [`ArchiveReader::decode_region_policy`] at an explicit epoch.
-    /// Damage on epochs past the first is reported under the qualified
-    /// name `{field}@e{epoch}`, so the same block index in different
-    /// epochs never collides in the [`DamageMap`].
-    pub fn decode_region_policy_at(
-        &self,
-        field: &str,
-        region: &Region,
-        epoch: usize,
-        policy: DecodePolicy,
-    ) -> Result<Salvaged<Field>, CfcError> {
-        let entry = &self.entries[self.entry_index_at(field, epoch)?];
-        if self.version == 1 {
-            let full = self.decode_field_v1(entry)?;
-            region
-                .validate(full.shape())
-                .map_err(|m| CfcError::InvalidInput(m).in_field(field, None))?;
-            return Ok(Salvaged {
-                data: full.crop(region),
-                damage: DamageMap::new(),
-            });
-        }
-        let shape = entry.shape.expect("v2 entries record shape");
-        region
-            .validate(shape)
-            .map_err(|m| CfcError::InvalidInput(m).in_field(field, None))?;
-        let (b_first, b_last) = region.block_cover(entry.chunk_slabs);
-        let (slabs, damage) = self.decode_blocks_policy(entry, b_first, b_last, policy)?;
-        let stitched = Field::concat_axis0(&slabs);
-        // re-anchor the region to the stitched slab range
-        Ok(Salvaged {
-            data: stitched.crop(&region.rebase_axis0(b_first * entry.chunk_slabs)),
-            damage,
-        })
+    /// [`ArchiveReader::decode_field`] at an explicit epoch.
+    pub fn decode_field_at(&self, name: &str, epoch: usize) -> Result<Field, CfcError> {
+        self.read(&ReadRequest::new(name).at(epoch)).map(|s| s.data)
     }
 
-    /// Decode v2 blocks `b_first..=b_last` of `entry` under `policy`,
-    /// sharing one scratch, anchor memo, and parsed meta across the loop.
-    /// The single implementation behind both the strict and salvage
-    /// region/field decode entry points.
-    fn decode_blocks_policy(
-        &self,
-        entry: &ArchiveEntry,
-        b_first: usize,
-        b_last: usize,
-        policy: DecodePolicy,
-    ) -> Result<(Vec<Field>, DamageMap), CfcError> {
-        // A target's meta area is itself payload that can rot; under
-        // Salvage a bad meta area damages every requested block of the
-        // target (there is nothing to decode any block against).
-        let meta: Result<Option<TargetMeta>, CfcError> = match self.target_meta(entry) {
-            Ok(m) => Ok(m),
-            Err(e) => match policy {
-                DecodePolicy::Strict => return Err(e),
-                DecodePolicy::Salvage { .. } => Err(e),
-            },
-        };
-        let mut damage = DamageMap::new();
-        let mut scratch = ArchiveScratch::new(); // shared by the block loop
-        let mut memo = AnchorMemo::new(); // anchor blocks decode once per call
-        let mut slabs = Vec::with_capacity(b_last - b_first + 1);
-        for bi in b_first..=b_last {
-            let slab = match &meta {
-                Err(meta_err) => {
-                    let fill = policy.fill().expect("strict meta failure returned above");
-                    damage.record(
-                        &entry.qualified_name(),
-                        bi,
-                        None,
-                        meta_err.root_cause().clone(),
-                    );
-                    fill_slab(entry, bi, fill)
-                }
-                Ok(m) => {
-                    match self.decode_block_v2(entry, bi, m.as_ref(), &mut scratch, &mut memo) {
-                        Ok(f) => f,
-                        Err(e) => match policy {
-                            DecodePolicy::Strict => return Err(e),
-                            DecodePolicy::Salvage { fill } => {
-                                record_block_damage(&mut damage, &entry.qualified_name(), bi, &e);
-                                fill_slab(entry, bi, fill)
-                            }
-                        },
-                    }
-                }
-            };
-            slabs.push(slab);
-        }
-        Ok((slabs, damage))
-    }
-
-    /// Decode every field, every block in parallel: baselines and anchors
-    /// first, then the cross-field targets against the decoded anchors.
+    /// Decode every field of epoch 0, every block in parallel: baselines
+    /// and anchors first, then the cross-field targets against the decoded
+    /// anchors.
     pub fn decode_all(&self) -> Result<Dataset, CfcError> {
         self.decode_all_with_threads(
             std::thread::available_parallelism()
@@ -1050,114 +974,48 @@ impl<R: ArchiveSource> ArchiveReader<R> {
 
     /// [`ArchiveReader::decode_all`] with an explicit worker-thread cap.
     pub fn decode_all_with_threads(&self, threads: usize) -> Result<Dataset, CfcError> {
-        let mut decoded: HashMap<&str, Field> = HashMap::new();
-
-        if self.version == 1 {
-            let independents: Vec<&ArchiveEntry> = self
-                .epoch0()
-                .iter()
-                .filter(|e| e.role != FieldRole::Target)
-                .collect();
-            let phase1 = run_parallel(independents.len(), threads, |i| {
-                self.decode_field_v1(independents[i])
-            });
-            for (e, res) in independents.iter().zip(phase1) {
-                decoded.insert(e.name.as_str(), res?);
-            }
-            let targets: Vec<&ArchiveEntry> = self
-                .epoch0()
-                .iter()
-                .filter(|e| e.role == FieldRole::Target)
-                .collect();
-            let phase2 = run_parallel(targets.len(), threads, |i| {
-                let e = targets[i];
-                let refs: Vec<&Field> = e.anchors.iter().map(|a| &decoded[a.as_str()]).collect();
-                self.decode_field_v1_anchored(e, &refs)
-            });
-            let mut targets_dec: HashMap<&str, Field> = HashMap::new();
-            for (e, res) in targets.iter().zip(phase2) {
-                targets_dec.insert(e.name.as_str(), res?);
-            }
-            decoded.extend(targets_dec);
-            return self.assemble(decoded);
-        }
-
-        // ---- v2+: flatten (field, block) and decode in parallel --------
         // Only the first epoch — it is always a keyframe, so every entry
-        // here is a baseline, anchor, or same-epoch target.
-        let independents: Vec<&ArchiveEntry> = self
-            .epoch0()
-            .iter()
-            .filter(|e| e.role != FieldRole::Target)
-            .collect();
-        let tasks: Vec<(usize, usize)> = independents
-            .iter()
-            .enumerate()
-            .flat_map(|(fi, e)| (0..e.blocks.len()).map(move |bi| (fi, bi)))
-            .collect();
-        let phase1 = run_parallel_scratch(tasks.len(), threads, ArchiveScratch::new, |s, t| {
-            let (fi, bi) = tasks[t];
-            self.decode_baseline_block(independents[fi], bi, s)
-        });
-        let mut slabs: HashMap<&str, Vec<Field>> = HashMap::new();
-        for (&(fi, _), res) in tasks.iter().zip(phase1) {
-            slabs
-                .entry(independents[fi].name.as_str())
-                .or_default()
-                .push(res?);
-        }
-        for (name, parts) in slabs {
-            decoded.insert(name, Field::concat_axis0(&parts));
-        }
-
-        let targets: Vec<&ArchiveEntry> = self
-            .epoch0()
-            .iter()
-            .filter(|e| e.role == FieldRole::Target)
-            .collect();
-        let mut metas = Vec::with_capacity(targets.len());
-        for e in &targets {
-            metas.push(self.target_meta(e)?.expect("target entries carry meta"));
-        }
-        let t_tasks: Vec<(usize, usize)> = targets
-            .iter()
-            .enumerate()
-            .flat_map(|(fi, e)| (0..e.blocks.len()).map(move |bi| (fi, bi)))
-            .collect();
-        let phase2 = run_parallel_scratch(t_tasks.len(), threads, ArchiveScratch::new, |s, t| {
-            let (fi, bi) = t_tasks[t];
-            let e = targets[fi];
-            let shape = e.shape.expect("v2 shape");
-            let (r0, r1) = block_range(shape.dims()[0], e.chunk_slabs, bi);
-            let anchor_slabs: Vec<Field> = e
-                .anchors
-                .iter()
-                .map(|a| decoded[a.as_str()].slab(r0, r1))
+        // is a baseline, an anchor, or a same-epoch target. Two fan-outs
+        // over (field, block) through the one walk: the second finds its
+        // anchors among the fields the first decoded.
+        let mut decoded: HashMap<usize, Field> = HashMap::new();
+        let mut metas = Vec::new();
+        for targets in [false, true] {
+            let fields: Vec<usize> = (0..self.n_fields)
+                .filter(|&fi| (self.entries[fi].role == FieldRole::Target) == targets)
                 .collect();
-            let refs: Vec<&Field> = anchor_slabs.iter().collect();
-            self.decode_target_block(e, bi, &refs, &metas[fi], s)
-        });
-        let mut t_slabs: HashMap<&str, Vec<Field>> = HashMap::new();
-        for (&(fi, _), res) in t_tasks.iter().zip(phase2) {
-            t_slabs
-                .entry(targets[fi].name.as_str())
-                .or_default()
-                .push(res?);
-        }
-        for (name, parts) in t_slabs {
-            decoded.insert(name, Field::concat_axis0(&parts));
+            for &fi in &fields {
+                metas.extend(self.own_meta(fi)?);
+            }
+            let tasks: Vec<BlockKey> = fields
+                .iter()
+                .flat_map(|&fi| (0..self.entries[fi].blocks.len()).map(move |bi| (fi, bi)))
+                .collect();
+            let results =
+                run_parallel_scratch(tasks.len(), threads, ArchiveScratch::new, |s, t| {
+                    let (fi, bi) = tasks[t];
+                    let mut backend = Direct::new(self, s, &metas);
+                    backend.decoded = Some(&decoded);
+                    self.resolve_block(fi, bi, &mut backend)
+                });
+            let mut slabs: HashMap<usize, Vec<Field>> = HashMap::new();
+            for (&(fi, _), res) in tasks.iter().zip(results) {
+                slabs.entry(fi).or_default().push(res?);
+            }
+            for (fi, parts) in slabs {
+                decoded.insert(fi, Field::concat_axis0(&parts));
+            }
         }
         self.assemble(decoded)
     }
 
-    /// Assemble decoded fields into a [`Dataset`] in archive order,
-    /// validating the common shape before the (panicking) `Dataset::push`
-    /// can see a mismatch.
-    fn assemble(&self, mut decoded: HashMap<&str, Field>) -> Result<Dataset, CfcError> {
-        let first = &self.entries[0];
-        let shape = decoded[first.name.as_str()].shape();
-        for e in self.epoch0() {
-            let found = decoded[e.name.as_str()].shape();
+    /// Assemble one epoch's decoded fields (keyed by position in the
+    /// epoch) into a [`Dataset`] in archive order, validating the common
+    /// shape before the (panicking) `Dataset::push` can see a mismatch.
+    fn assemble(&self, mut decoded: HashMap<usize, Field>) -> Result<Dataset, CfcError> {
+        let shape = decoded[&0].shape();
+        for (pos, e) in self.epoch0().iter().enumerate() {
+            let found = decoded[&pos].shape();
             if found != shape {
                 return Err(CfcError::ShapeMismatch {
                     expected: shape.to_string(),
@@ -1166,10 +1024,8 @@ impl<R: ArchiveSource> ArchiveReader<R> {
             }
         }
         let mut ds = Dataset::new(self.name.clone(), shape);
-        for e in self.epoch0() {
-            let field = decoded
-                .remove(e.name.as_str())
-                .expect("every entry decoded");
+        for (pos, e) in self.epoch0().iter().enumerate() {
+            let field = decoded.remove(&pos).expect("every entry decoded");
             ds.push(e.name.clone(), field);
         }
         Ok(ds)
@@ -1188,129 +1044,98 @@ impl<R: ArchiveSource> ArchiveReader<R> {
         if epoch == 0 {
             return self.decode_all();
         }
-        let shape = self.entries[0]
-            .shape
-            .expect("multi-epoch archives are chunked");
-        let mut ds = Dataset::new(self.name.clone(), shape);
-        for pos in 0..self.n_fields {
-            let name = self.entries[pos].name.clone();
-            let field = self.decode_field_at(&name, epoch)?;
-            ds.push(name, field);
+        let mut decoded = HashMap::new();
+        for (pos, e) in self.epoch0().iter().enumerate() {
+            decoded.insert(pos, self.decode_field_at(&e.name, epoch)?);
         }
-        Ok(ds)
-    }
-
-    /// Decode a single field by name (decoding its anchors first if it is
-    /// a cross-field target — each anchor block decoded at most once).
-    pub fn decode_field(&self, name: &str) -> Result<Field, CfcError> {
-        self.decode_field_policy(name, DecodePolicy::Strict)
-            .map(|s| s.data)
-    }
-
-    /// [`ArchiveReader::decode_field`] at an explicit epoch.
-    pub fn decode_field_at(&self, name: &str, epoch: usize) -> Result<Field, CfcError> {
-        self.decode_field_policy_at(name, epoch, DecodePolicy::Strict)
-            .map(|s| s.data)
-    }
-
-    /// [`ArchiveReader::decode_field`] under an explicit [`DecodePolicy`]
-    /// (same salvage semantics as
-    /// [`ArchiveReader::decode_region_policy`]).
-    pub fn decode_field_policy(
-        &self,
-        name: &str,
-        policy: DecodePolicy,
-    ) -> Result<Salvaged<Field>, CfcError> {
-        self.decode_field_policy_at(name, 0, policy)
-    }
-
-    /// [`ArchiveReader::decode_field_policy`] at an explicit epoch.
-    pub fn decode_field_policy_at(
-        &self,
-        name: &str,
-        epoch: usize,
-        policy: DecodePolicy,
-    ) -> Result<Salvaged<Field>, CfcError> {
-        let entry = &self.entries[self.entry_index_at(name, epoch)?];
-        if self.version == 1 {
-            return self.decode_field_v1(entry).map(|data| Salvaged {
-                data,
-                damage: DamageMap::new(),
-            });
-        }
-        let (slabs, damage) =
-            self.decode_blocks_policy(entry, 0, entry.blocks.len() - 1, policy)?;
-        Ok(Salvaged {
-            data: Field::concat_axis0(&slabs),
-            damage,
-        })
-    }
-
-    /// Decode a v1 entry's monolithic stream, decoding its anchors first
-    /// when it is a target.
-    pub(crate) fn decode_field_v1(&self, entry: &ArchiveEntry) -> Result<Field, CfcError> {
-        if entry.role != FieldRole::Target {
-            let stream = self
-                .read_at(
-                    entry.payload_base,
-                    entry.payload_len,
-                    "archive field stream",
-                )
-                .map_err(|e| e.in_field(&entry.name, None))?;
-            return baseline_decoder()
-                .decompress(&stream)
-                .map_err(|e| e.in_field(&entry.name, None));
-        }
-        let mut anchors = Vec::with_capacity(entry.anchors.len());
-        for a in &entry.anchors {
-            let ae = self.entry(a).expect("validated anchor");
-            anchors.push(self.decode_field_v1(ae)?);
-        }
-        let refs: Vec<&Field> = anchors.iter().collect();
-        self.decode_field_v1_anchored(entry, &refs)
-    }
-
-    /// Decode a v1 target stream against already-decoded anchor fields
-    /// (the store routes cached anchors through here).
-    pub(crate) fn decode_field_v1_anchored(
-        &self,
-        entry: &ArchiveEntry,
-        anchors: &[&Field],
-    ) -> Result<Field, CfcError> {
-        let stream = self
-            .read_at(
-                entry.payload_base,
-                entry.payload_len,
-                "archive field stream",
-            )
-            .map_err(|e| e.in_field(&entry.name, None))?;
-        cross_decoder()
-            .decompress(&stream, anchors)
-            .map_err(|e| e.in_field(&entry.name, None))
+        self.assemble(decoded)
     }
 }
 
-/// Verify a block's CRC32 against its index row.
-fn verify_block_crc(b: &BlockMeta, bytes: &[u8]) -> Result<(), CfcError> {
+/// The reader's own [`BlockBackend`]: every block is read from the source
+/// into a caller's [`ArchiveScratch`] and decoded on the spot; nothing is
+/// kept beyond the walk.
+struct Direct<'a, R> {
+    reader: &'a ArchiveReader<R>,
+    scratch: &'a mut ArchiveScratch,
+    /// Metas parsed ahead of the walk, by entry index — the requested
+    /// entry's, so a multi-block read parses it once. Any other entry the
+    /// walk reaches (a chain link, the keyframe under it) is parsed when
+    /// its block is.
+    metas: &'a [(usize, TargetMeta)],
+    /// Whole fields an earlier `decode_all` phase decoded, by entry index;
+    /// their slabs are served without touching the source.
+    decoded: Option<&'a HashMap<usize, Field>>,
+}
+
+impl<'a, R> Direct<'a, R> {
+    fn new(
+        reader: &'a ArchiveReader<R>,
+        scratch: &'a mut ArchiveScratch,
+        metas: &'a [(usize, TargetMeta)],
+    ) -> Self {
+        Direct {
+            reader,
+            scratch,
+            metas,
+            decoded: None,
+        }
+    }
+}
+
+impl<R: ArchiveSource> BlockBackend for Direct<'_, R> {
+    type Block = Field;
+    type Ticket = ();
+
+    fn begin(&mut self, (fi, idx): BlockKey) -> Result<Lookup<Field, ()>, CfcError> {
+        let Some(whole) = self.decoded.and_then(|d| d.get(&fi)) else {
+            return Ok(Lookup::Miss(()));
+        };
+        Ok(Lookup::Ready(
+            match self.reader.entries[fi].block_rows(idx) {
+                Some((r0, r1)) => whole.slab(r0, r1),
+                None => whole.clone(),
+            },
+        ))
+    }
+
+    fn finish(&mut self, (fi, idx): BlockKey, (): (), deps: &[&Field]) -> Result<Field, CfcError> {
+        let entry = &self.reader.entries[fi];
+        let parsed;
+        let meta = match self.metas.iter().find(|(i, _)| *i == fi) {
+            Some((_, meta)) => Some(meta),
+            None => {
+                parsed = self.reader.target_meta(entry)?;
+                parsed.as_ref()
+            }
+        };
+        self.reader
+            .read_block_into(entry, idx, self.scratch)
+            .map_err(|e| e.in_field(&entry.qualified_name(), Some(idx)))?;
+        // lend the fetched bytes to the decoder alongside the rest of the
+        // scratch, then hand the buffer back for the next block
+        let bytes = std::mem::take(&mut self.scratch.block);
+        let field = self
+            .reader
+            .decode_block_bytes(entry, idx, &bytes, deps, meta, self.scratch);
+        self.scratch.block = bytes;
+        field
+    }
+}
+
+/// Verify bytes against the CRC32 the manifest records for them, where it
+/// records one (v1 blocks and v1/v2 meta areas predate their checksums).
+fn verify_crc(context: &'static str, expected: Option<u32>, bytes: &[u8]) -> Result<(), CfcError> {
+    let Some(expected) = expected else {
+        return Ok(());
+    };
     let found = crc32(bytes);
-    if found != b.crc {
+    if found != expected {
         return Err(CfcError::ChecksumMismatch {
-            context: "archive block",
-            expected: b.crc,
+            context,
+            expected,
             found,
         });
     }
     Ok(())
-}
-
-/// Decoder-side baseline codec. The bound is irrelevant on decode (streams
-/// carry their own), so any positive value works.
-fn baseline_decoder() -> SzCompressor {
-    SzCompressor::baseline(1e-3)
-}
-
-/// Decoder-side cross-field pipeline for v1 streams (same note as
-/// [`baseline_decoder`]).
-fn cross_decoder() -> crate::pipeline::CrossFieldCompressor {
-    crate::pipeline::CrossFieldCompressor::new(1e-3)
 }

@@ -63,7 +63,7 @@ use super::damage::DecodePolicy;
 use super::format::{
     n_blocks_for, put_str, qualified_field_name, FieldRole, ARCHIVE_MAGIC, ARCHIVE_VERSION,
 };
-use super::reader::ArchiveReader;
+use super::reader::{ArchiveReader, ReadRequest};
 
 /// Options for [`scrub_bytes`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -759,7 +759,10 @@ fn deep_check(bytes: &[u8], w: &Walk, findings: &mut Vec<ScrubFinding>) {
         }
     };
     for e in &w.entries {
-        match reader.decode_field_policy_at(&e.name, e.epoch, DecodePolicy::salvage()) {
+        let req = ReadRequest::new(&e.name)
+            .at(e.epoch)
+            .policy(DecodePolicy::salvage());
+        match reader.read(&req) {
             Ok(s) => {
                 for d in &s.damage {
                     let dup = findings.iter().any(|f| {
@@ -1139,7 +1142,7 @@ mod tests {
         let mut needle = Vec::with_capacity(20);
         needle.extend_from_slice(&b.rel_offset.to_le_bytes());
         needle.extend_from_slice(&(b.len as u64).to_le_bytes());
-        needle.extend_from_slice(&b.crc.to_le_bytes());
+        needle.extend_from_slice(&b.crc.expect("v2 rows record a crc").to_le_bytes());
         find(bytes, &needle)
     }
 

@@ -9,20 +9,14 @@
 //! * [`std::fs::File`] implements it via the OS positional-read call
 //!   (`pread` on unix, `seek_read` on windows): no lock, no shared file
 //!   cursor, every thread reads independently.
-//! * `Cursor<Vec<u8>>` implements it by slicing the buffer: lock-free.
-//! * [`SeekSource`] adapts any `Read + Seek` stream (e.g. the
-//!   deterministic [`super::fault::FaultInjectingReader`]) behind a mutex
-//!   — the old behaviour, for sources that genuinely carry one cursor.
+//! * `Cursor<Vec<u8>>` and `Vec<u8>` implement it by slicing the buffer:
+//!   lock-free.
+//! * [`super::fault::FaultInjectingReader`] wraps any of them and applies
+//!   its fault plan by absolute offset — still no cursor, still no lock.
 //!
-//! Before this trait the reader kept its source in a `Mutex<R>` and every
-//! block read across every thread — the whole serving fleet — serialized
-//! on one seek+read critical section. With positional reads the kernel
-//! (or the slice) is the only arbiter, which is what lets cache-miss
-//! storms, `decode_all` workers, and speculative prefetch overlap their
-//! I/O instead of queueing on a lock.
-
-use std::io::{Read, Seek, SeekFrom};
-use std::sync::Mutex;
+//! With positional reads the kernel (or the slice) is the only arbiter,
+//! which is what lets cache-miss storms, `decode_all` workers, and
+//! speculative prefetch overlap their I/O instead of queueing on a lock.
 
 /// A thread-safe positional byte source: the archive subsystem's view of
 /// "somewhere bytes live". All methods take `&self`; implementations must
@@ -117,47 +111,6 @@ fn read_exact_at_slice(bytes: &[u8], offset: u64, buf: &mut [u8]) -> std::io::Re
     }
 }
 
-/// Adapts any `Read + Seek` stream into an [`ArchiveSource`] by
-/// serializing positional reads behind a mutex (seek, then read).
-///
-/// This is the compatibility path for genuinely stateful sources — the
-/// deterministic [`super::fault::FaultInjectingReader`] in tests and
-/// benches, network streams, anything with one real cursor. Sources that
-/// can do better (files, in-memory buffers) implement [`ArchiveSource`]
-/// directly and skip the lock.
-#[derive(Debug)]
-pub struct SeekSource<R> {
-    inner: Mutex<R>,
-}
-
-impl<R: Read + Seek + Send> SeekSource<R> {
-    /// Wrap a seekable stream. The stream's current position is not
-    /// assumed or preserved; every read seeks absolutely.
-    pub fn new(inner: R) -> Self {
-        SeekSource {
-            inner: Mutex::new(inner),
-        }
-    }
-
-    /// Unwrap the adapted stream.
-    pub fn into_inner(self) -> R {
-        self.inner.into_inner().unwrap_or_else(|p| p.into_inner())
-    }
-}
-
-impl<R: Read + Seek + Send> ArchiveSource for SeekSource<R> {
-    fn len(&self) -> std::io::Result<u64> {
-        let mut g = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        g.seek(SeekFrom::End(0))
-    }
-
-    fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
-        let mut g = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        g.seek(SeekFrom::Start(offset))?;
-        g.read_exact(buf)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,18 +131,6 @@ mod tests {
         assert_eq!(buf, [0, 1, 2, 3]);
         assert!(src.read_exact_at(62, &mut buf).is_err(), "past the end");
         assert!(src.read_exact_at(u64::MAX, &mut buf).is_err());
-    }
-
-    #[test]
-    fn seek_source_adapts_streams() {
-        let src = SeekSource::new(std::io::Cursor::new(bytes(32)));
-        assert_eq!(src.len().unwrap(), 32);
-        let mut buf = [0u8; 2];
-        src.read_exact_at(30, &mut buf).unwrap();
-        assert_eq!(buf, [30, 31]);
-        src.read_exact_at(0, &mut buf).unwrap();
-        assert_eq!(buf, [0, 1]);
-        assert!(src.read_exact_at(31, &mut buf).is_err());
     }
 
     #[test]

@@ -2,10 +2,20 @@
 //! [`ArchiveReader`] with a two-tier block cache and speculative
 //! sequential prefetch.
 //!
-//! A plain [`ArchiveReader`] is stateless: every `decode_region` call
-//! re-decodes the blocks it covers, and a cross-field target pays an extra
-//! decode of its anchor blocks on every read. [`ArchiveStore`] turns the
-//! per-request decode tax into a cache hit:
+//! A plain [`ArchiveReader`] is stateless: every read re-decodes the
+//! blocks it covers, and a cross-field target pays an extra decode of its
+//! anchor blocks on every read. [`ArchiveStore`] turns the per-request
+//! decode tax into a cache hit.
+//!
+//! The store decodes nothing on its own terms: a block request runs the
+//! reader's one dependency walk (`ArchiveReader::resolve_block`) with this
+//! module's `Cached` backend, so "what does this block need first" and
+//! "bytes + dependencies → samples" are the reader's code, and the store
+//! only answers *do I have it* and *where do its bytes come from*. The
+//! walk is iterative, so a cold read at the tail of a delta chain costs
+//! heap, not call stack, however long the chain — the anchors of a
+//! target and every link of a chain are each their own lookup,
+//! single-flight claim, retry loop and insert.
 //!
 //! * **Tier 1: decoded-block LRU** — keyed by `(field, block)`, bounded by
 //!   a byte budget ([`StoreConfig::capacity_bytes`]) measured in decoded
@@ -20,8 +30,8 @@
 //!   difference between microseconds and a disk (or object-store)
 //!   round-trip. Tier-1 evictions *demote* (refresh the tier-2 entry);
 //!   tier-2 hits *promote* back into tier 1 on decode.
-//! * **Speculative prefetch** — `decode_region`/`decode_field`/
-//!   `decode_block` report the block window they covered; two consecutive
+//! * **Speculative prefetch** — `read` and `decode_block` report the
+//!   block window they covered; two consecutive
 //!   windows on a field with the same positive axis-0 stride make an
 //!   active scan, and the next [`StoreConfig::prefetch_depth`] blocks are
 //!   decoded ahead on detached workers through the same single-flight
@@ -37,7 +47,7 @@
 //!   serving stays allocation-light without per-thread ownership.
 //!
 //! Nothing ever enters either tier unless its whole decode succeeded:
-//! CRC-failed bytes and [`DecodePolicy::Salvage`] fill are never cached,
+//! CRC-failed bytes and [`DecodePolicy::Salvage`](super::DecodePolicy::Salvage) fill are never cached,
 //! in tier 1 *or* tier 2. [`ArchiveStore::purge`] and
 //! [`ArchiveStore::invalidate_field`] drop cached state after the
 //! underlying archive is rewritten (e.g. by `cfc-fsck --repair`), with a
@@ -70,13 +80,15 @@ use std::sync::{Arc, Mutex};
 use cfc_sz::{CfcError, ScratchPool};
 use cfc_tensor::{Field, Region};
 
-use super::damage::{DamageMap, DecodePolicy, Salvaged};
-use super::format::FieldRole;
-use super::reader::{fill_slab, record_block_damage, ArchiveReader, ArchiveScratch, TargetMeta};
+use super::damage::Salvaged;
+use super::reader::{
+    salvage_blocks, ArchiveReader, ArchiveScratch, BlockBackend, BlockKey, Lookup, ReadRequest,
+    TargetMeta,
+};
 use super::source::ArchiveSource;
 
 use prefetch::{PrefetchShared, WorkerSet};
-use tier::{lock, BlockKey, CacheInner, Flight, FlightPublisher};
+use tier::{lock, CacheInner, Flight, FlightPublisher};
 
 /// Unknown-field errors cached for negative lookups (bounded so an
 /// adversarial probe stream can't grow the map without limit).
@@ -210,7 +222,7 @@ pub struct StoreStats {
     /// ([`StoreConfig::max_retries`] bounds the attempts per decode).
     pub retries: u64,
     /// Damaged blocks replaced by fill values by a
-    /// [`DecodePolicy::Salvage`] decode instead of failing the call.
+    /// [`DecodePolicy::Salvage`](super::DecodePolicy::Salvage) decode instead of failing the call.
     pub salvaged_blocks: u64,
     /// Demand misses whose compressed bytes were still in tier 2 — served
     /// by an in-memory decode, no source I/O. Always ≤ `misses`.
@@ -514,8 +526,8 @@ impl<R: ArchiveSource + 'static> ArchiveStore<R> {
     /// Decode one block of `field` through the cache, sharing the decoded
     /// samples with every other holder (`Arc`). Semantics match
     /// [`ArchiveReader::decode_block`]: for a cross-field target the
-    /// matching anchor blocks are decoded (and cached) too; for v1
-    /// archives only block 0 exists and holds the whole field.
+    /// matching anchor blocks are decoded (and cached) too; a v1 field is
+    /// one block holding the whole field.
     pub fn decode_block(&self, field: &str, idx: usize) -> Result<Arc<Field>, CfcError> {
         self.decode_block_at(field, idx, 0)
     }
@@ -541,34 +553,42 @@ impl<R: ArchiveSource + 'static> ArchiveStore<R> {
         self.core.get_block(fi, idx, true)
     }
 
-    /// Decode an axis-aligned region of `field` through the cache —
-    /// [`ArchiveReader::decode_region`] semantics, but every covering
-    /// block (and anchor block) is a potential cache hit, so repeated
+    /// The general read, through the cache: [`ArchiveReader::read`]
+    /// semantics, but every covering block (and every anchor or chain
+    /// block it decodes against) is a potential cache hit, so repeated
     /// reads over a hot window decode nothing after the first call — and
     /// a sequential scan of windows triggers readahead of the blocks the
     /// next windows will need.
-    pub fn decode_region(&self, field: &str, region: &Region) -> Result<Field, CfcError> {
-        self.decode_region_policy(field, region, DecodePolicy::Strict)
-            .map(|s| s.data)
+    ///
+    /// Under [`DecodePolicy::Salvage`](super::DecodePolicy::Salvage) filled blocks are **never cached**
+    /// — neither tier ever holds anything but strictly-decoded data, so a
+    /// later strict read of the same block re-reads the source rather
+    /// than being served fill. Each filled block bumps
+    /// [`StoreStats::salvaged_blocks`].
+    pub fn read(&self, req: &ReadRequest<'_>) -> Result<Salvaged<Field>, CfcError> {
+        let fi = self.core.entry_index_at(req.field, req.epoch)?;
+        let entry = &self.core.reader.entries()[fi];
+        let cover = entry.block_cover(req.region.as_ref())?;
+        self.maybe_prefetch(fi, cover.0, cover.1);
+        let (blocks, damage) = salvage_blocks(
+            entry,
+            cover,
+            req.policy,
+            |bi| self.core.get_block(fi, bi, true),
+            |fill| {
+                lock(&self.core.cache).salvaged_blocks += 1;
+                Arc::new(fill)
+            },
+        )?;
+        let refs: Vec<&Field> = blocks.iter().map(|b| b.as_ref()).collect();
+        let data = entry.cut(req.region.as_ref(), cover.0, &refs)?;
+        Ok(Salvaged { data, damage })
     }
 
-    /// [`ArchiveStore::decode_region`] under an explicit [`DecodePolicy`].
-    ///
-    /// Salvage semantics match
-    /// [`ArchiveReader::decode_region_policy`]: damaged blocks are filled
-    /// and reported in the [`DamageMap`] instead of failing the call, with
-    /// anchor damage cascaded to its dependents. Filled blocks are **never
-    /// cached** — neither tier ever holds anything but strictly-decoded
-    /// data, so a later strict read of the same block re-reads the source
-    /// rather than being served fill. Each filled block bumps
-    /// [`StoreStats::salvaged_blocks`].
-    pub fn decode_region_policy(
-        &self,
-        field: &str,
-        region: &Region,
-        policy: DecodePolicy,
-    ) -> Result<Salvaged<Field>, CfcError> {
-        self.decode_region_policy_at(field, region, 0, policy)
+    /// Strictly decode an axis-aligned region of `field` through the cache
+    /// ([`ArchiveStore::read`] with the defaults).
+    pub fn decode_region(&self, field: &str, region: &Region) -> Result<Field, CfcError> {
+        self.decode_region_at(field, region, 0)
     }
 
     /// [`ArchiveStore::decode_region`] at an explicit epoch.
@@ -578,99 +598,20 @@ impl<R: ArchiveSource + 'static> ArchiveStore<R> {
         region: &Region,
         epoch: usize,
     ) -> Result<Field, CfcError> {
-        self.decode_region_policy_at(field, region, epoch, DecodePolicy::Strict)
-            .map(|s| s.data)
+        let req = ReadRequest::new(field).at(epoch).region(region);
+        self.read(&req).map(|s| s.data)
     }
 
-    /// [`ArchiveStore::decode_region_policy`] at an explicit epoch.
-    /// Damage on epochs past the first is reported under the qualified
-    /// name `{field}@e{epoch}`.
-    pub fn decode_region_policy_at(
-        &self,
-        field: &str,
-        region: &Region,
-        epoch: usize,
-        policy: DecodePolicy,
-    ) -> Result<Salvaged<Field>, CfcError> {
-        let fi = self.core.entry_index_at(field, epoch)?;
-        let entry = &self.core.reader.entries()[fi];
-        if self.core.reader.version() == 1 {
-            let full = self.core.get_block(fi, 0, true)?;
-            region
-                .validate(full.shape())
-                .map_err(|m| CfcError::InvalidInput(m).in_field(field, None))?;
-            return Ok(Salvaged {
-                data: full.crop(region),
-                damage: DamageMap::new(),
-            });
-        }
-        let shape = entry.shape().expect("v2 entries record shape");
-        region
-            .validate(shape)
-            .map_err(|m| CfcError::InvalidInput(m).in_field(field, None))?;
-        let (b_first, b_last) = region.block_cover(entry.chunk_slabs());
-        self.maybe_prefetch(fi, b_first, b_last);
-        let (blocks, damage) = self.core.get_blocks_policy(fi, b_first, b_last, policy)?;
-        let local = region.rebase_axis0(b_first * entry.chunk_slabs());
-        if blocks.len() == 1 {
-            return Ok(Salvaged {
-                data: blocks[0].crop(&local),
-                damage,
-            });
-        }
-        let refs: Vec<&Field> = blocks.iter().map(|b| b.as_ref()).collect();
-        Ok(Salvaged {
-            data: Field::concat_axis0_refs(&refs).crop(&local),
-            damage,
-        })
-    }
-
-    /// Decode a whole field through the cache (stitched owned copy).
+    /// Strictly decode a whole field through the cache (stitched owned
+    /// copy; [`ArchiveStore::read`] with the defaults).
     pub fn decode_field(&self, field: &str) -> Result<Field, CfcError> {
-        self.decode_field_policy(field, DecodePolicy::Strict)
-            .map(|s| s.data)
-    }
-
-    /// [`ArchiveStore::decode_field`] under an explicit [`DecodePolicy`]
-    /// (same salvage semantics as
-    /// [`ArchiveStore::decode_region_policy`]).
-    pub fn decode_field_policy(
-        &self,
-        field: &str,
-        policy: DecodePolicy,
-    ) -> Result<Salvaged<Field>, CfcError> {
-        self.decode_field_policy_at(field, 0, policy)
+        self.decode_field_at(field, 0)
     }
 
     /// [`ArchiveStore::decode_field`] at an explicit epoch.
     pub fn decode_field_at(&self, field: &str, epoch: usize) -> Result<Field, CfcError> {
-        self.decode_field_policy_at(field, epoch, DecodePolicy::Strict)
+        self.read(&ReadRequest::new(field).at(epoch))
             .map(|s| s.data)
-    }
-
-    /// [`ArchiveStore::decode_field_policy`] at an explicit epoch.
-    pub fn decode_field_policy_at(
-        &self,
-        field: &str,
-        epoch: usize,
-        policy: DecodePolicy,
-    ) -> Result<Salvaged<Field>, CfcError> {
-        let fi = self.core.entry_index_at(field, epoch)?;
-        let entry = &self.core.reader.entries()[fi];
-        if self.core.reader.version() == 1 {
-            return Ok(Salvaged {
-                data: (*self.core.get_block(fi, 0, true)?).clone(),
-                damage: DamageMap::new(),
-            });
-        }
-        let n_blocks = entry.n_blocks();
-        self.maybe_prefetch(fi, 0, n_blocks - 1);
-        let (blocks, damage) = self.core.get_blocks_policy(fi, 0, n_blocks - 1, policy)?;
-        let refs: Vec<&Field> = blocks.iter().map(|b| b.as_ref()).collect();
-        Ok(Salvaged {
-            data: Field::concat_axis0_refs(&refs),
-            damage,
-        })
     }
 
     /// Report a demand access of blocks `[b_first, b_last]` to the scan
@@ -679,11 +620,7 @@ impl<R: ArchiveSource + 'static> ArchiveStore<R> {
     /// enabled and an active scan is detected.
     fn maybe_prefetch(&self, fi: usize, b_first: usize, b_last: usize) {
         let cfg = &self.core.config;
-        if cfg.capacity_bytes == 0
-            || cfg.prefetch_depth == 0
-            || cfg.prefetch_workers == 0
-            || self.core.reader.version() == 1
-        {
+        if cfg.capacity_bytes == 0 || cfg.prefetch_depth == 0 || cfg.prefetch_workers == 0 {
             return;
         }
         let n_blocks = self.core.reader.entries()[fi].n_blocks();
@@ -750,81 +687,19 @@ impl<R: ArchiveSource> StoreCore<R> {
         Ok(epoch * self.reader.fields_per_epoch() + pos)
     }
 
-    /// Fetch v2 blocks `b_first..=b_last` of entry `fi` through the cache
-    /// under `policy`: strict propagates the first failure, salvage
-    /// substitutes a fill slab (never cached) and records the damage.
-    fn get_blocks_policy(
-        &self,
-        fi: usize,
-        b_first: usize,
-        b_last: usize,
-        policy: DecodePolicy,
-    ) -> Result<(Vec<Arc<Field>>, DamageMap), CfcError> {
-        let entry = &self.reader.entries()[fi];
-        let mut damage = DamageMap::new();
-        let mut blocks = Vec::with_capacity(b_last - b_first + 1);
-        for bi in b_first..=b_last {
-            let block = match self.get_block(fi, bi, true) {
-                Ok(b) => b,
-                Err(e) => match policy {
-                    DecodePolicy::Strict => return Err(e),
-                    DecodePolicy::Salvage { fill } => {
-                        record_block_damage(&mut damage, &entry.qualified_name(), bi, &e);
-                        lock(&self.cache).salvaged_blocks += 1;
-                        Arc::new(fill_slab(entry, bi, fill))
-                    }
-                },
-            };
-            blocks.push(block);
-        }
-        Ok((blocks, damage))
-    }
-
-    /// Cache-or-decode one block, with single-flight dedup: concurrent
-    /// requests for the same block coalesce onto one decode, and the
-    /// decoder hands its result (or error) straight to every waiter —
-    /// even when the block is too big to cache.
+    /// Cache-or-decode one block: the reader's dependency walk over this
+    /// store's cache (see [`Cached`]). A tier-1 hit returns from the
+    /// walk's first lookup; a miss resolves what the block decodes
+    /// against — anchors, the delta chain — through the same cache, link
+    /// by link, without recursing.
     ///
     /// `demand` distinguishes caller traffic from speculative work:
     /// prefetch lookups never touch the hit/miss counters or tier-1
     /// recency, so [`StoreStats::hit_rate`] keeps describing what callers
     /// experienced.
     fn get_block(&self, fi: usize, idx: usize, demand: bool) -> Result<Arc<Field>, CfcError> {
-        let key = (fi, idx);
-        if self.config.capacity_bytes == 0 {
-            if demand {
-                lock(&self.cache).misses += 1;
-            }
-            return self.decode_with_retry(fi, idx, demand, 0).map(Arc::new);
-        }
-        let (flight, t2, gen) = {
-            let mut g = lock(&self.cache);
-            if let Some(field) = g.t1_lookup(key, demand) {
-                return Ok(field);
-            }
-            if let Some(f) = g.inflight.get(&key) {
-                // coalesce: wait on the in-flight decode's own slot and
-                // share whatever it produces
-                let f = Arc::clone(f);
-                if demand {
-                    g.coalesced += 1;
-                }
-                drop(g);
-                let shared = f.wait();
-                if demand && shared.is_ok() {
-                    lock(&self.cache).hits += 1;
-                }
-                return shared;
-            }
-            if demand {
-                g.misses += 1;
-            }
-            let t2 = g.t2_lookup(&key, demand);
-            let f = Arc::new(Flight::default());
-            g.inflight.insert(key, Arc::clone(&f));
-            (f, t2, g.generation)
-        };
-        self.finish_decode(key, flight, t2, demand, gen)
+        let mut backend = Cached { core: self, demand };
+        self.reader.resolve_block(fi, idx, &mut backend)
     }
 
     /// Speculatively decode one block (worker entry point): skip if it is
@@ -833,116 +708,63 @@ impl<R: ArchiveSource> StoreCore<R> {
     /// failed prefetch simply leaves the block for the demand path (which
     /// will surface the error with retry semantics).
     fn prefetch_block(&self, key: BlockKey) {
-        let (flight, t2, gen) = {
-            let mut g = lock(&self.cache);
+        {
+            let g = lock(&self.cache);
             if g.t1_contains(&key) || g.inflight.contains_key(&key) {
                 return;
             }
-            let f = Arc::new(Flight::default());
-            g.inflight.insert(key, Arc::clone(&f));
-            let t2 = g.t2_lookup(&key, false);
-            (f, t2, g.generation)
-        };
-        let _ = self.finish_decode(key, flight, t2, false, gen);
+        }
+        let _ = self.get_block(key.0, key.1, false);
     }
 
-    /// The decode tail shared by demand misses and prefetch: decode from
-    /// tier-2 bytes when available (promotion) or from the source,
-    /// insert into the cache unless the generation moved, and publish to
-    /// coalesced waiters.
-    fn finish_decode(
-        &self,
-        key: BlockKey,
-        flight: Arc<Flight>,
-        t2: Option<Arc<Vec<u8>>>,
-        demand: bool,
-        gen: u64,
-    ) -> Result<Arc<Field>, CfcError> {
-        let mut publisher = FlightPublisher {
-            inner: &self.cache,
-            key,
-            flight,
-            outcome: None,
-        };
-        let promoted = t2.is_some();
-        let result = match t2 {
-            Some(bytes) => self.decode_from_tier2(key.0, key.1, &bytes, demand),
-            None => self.decode_with_retry(key.0, key.1, demand, gen),
-        }
-        .map(Arc::new);
-        if let Ok(arc) = &result {
-            let mut g = lock(&self.cache);
-            if g.generation == gen {
-                g.insert_t1(key, Arc::clone(arc), !demand, self.config.capacity_bytes);
-                if promoted {
-                    g.promotions += 1;
-                }
-            }
-            if !demand {
-                g.prefetched_blocks += 1;
-            }
-        }
-        publisher.outcome = Some(result.clone());
-        drop(publisher); // publishes to waiters + clears in-flight (also on unwind)
-        result
-    }
-
-    /// Decode a block from its tier-2 compressed bytes — pure CPU for the
-    /// block itself (anchor blocks still go through the cache). No retry
-    /// loop: there is no source I/O to fail transiently, and the nested
-    /// anchor fetches carry their own.
-    fn decode_from_tier2(
-        &self,
-        fi: usize,
-        idx: usize,
-        bytes: &[u8],
-        demand: bool,
-    ) -> Result<Field, CfcError> {
-        let entry = &self.reader.entries()[fi];
-        let mut scratch = self.scratch.get();
-        if entry.role == FieldRole::Delta {
-            // the temporal anchor (same position, previous epoch) goes
-            // through the cache like any cross-field anchor would
-            let meta = self.target_meta(fi)?;
-            let prev = self.get_block(fi - self.reader.fields_per_epoch(), idx, demand)?;
-            return self.reader.decode_delta_block_bytes(
-                entry,
-                idx,
-                bytes,
-                &prev,
-                &meta.hybrid,
-                &mut scratch,
-            );
-        }
-        if entry.role != FieldRole::Target {
-            return self
-                .reader
-                .decode_baseline_block_bytes(entry, idx, bytes, &mut scratch);
-        }
-        let meta = self.target_meta(fi)?;
-        let anchors = self.anchor_blocks(entry, idx, demand)?;
-        let refs: Vec<&Field> = anchors.iter().map(|a| a.as_ref()).collect();
-        self.reader
-            .decode_target_block_bytes(entry, idx, bytes, &refs, &meta, &mut scratch)
-    }
-
-    /// [`StoreCore::decode_uncached`] behind a bounded transient-retry
-    /// loop: a decode that failed with a transient I/O error
+    /// Decode one block given its resolved dependencies: bytes from tier
+    /// 2 (a promotion — no source I/O for the block) or from the source,
+    /// then the reader's one block decoder. Source bytes are stashed in
+    /// tier 2 on success — and only on success, so CRC-failed or
+    /// structurally-corrupt bytes never enter the tier.
+    ///
+    /// A decode that failed with a *transient* I/O error
     /// ([`CfcError::is_transient`] — interrupted syscall, timeout) is
     /// re-attempted up to [`StoreConfig::max_retries`] times with linear
     /// backoff. Deterministic failures (checksum mismatch, truncation,
     /// structural corruption) are never retried — the same bad bytes would
-    /// just be re-read.
-    fn decode_with_retry(
+    /// just be re-read. Dependencies were resolved (and retried) on their
+    /// own before this call.
+    fn decode(
         &self,
-        fi: usize,
-        idx: usize,
-        demand: bool,
+        (fi, idx): BlockKey,
+        t2: Option<&[u8]>,
+        deps: &[&Field],
         gen: u64,
     ) -> Result<Field, CfcError> {
+        let entry = &self.reader.entries()[fi];
+        let mut scratch = self.scratch.get();
         let mut attempt = 0u32;
         loop {
-            match self.decode_uncached(fi, idx, demand, gen) {
+            let once = (|| {
+                let meta = self.target_meta(fi)?;
+                let meta = meta.as_deref();
+                if let Some(bytes) = t2 {
+                    return self.reader.decode_block_bytes(
+                        entry,
+                        idx,
+                        bytes,
+                        deps,
+                        meta,
+                        &mut scratch,
+                    );
+                }
+                let bytes = self
+                    .reader
+                    .fetch_block_bytes(entry, idx)
+                    .map_err(|e| e.in_field(&entry.qualified_name(), Some(idx)))?;
+                let field =
+                    self.reader
+                        .decode_block_bytes(entry, idx, &bytes, deps, meta, &mut scratch)?;
+                self.stash_tier2((fi, idx), bytes, gen);
+                Ok(field)
+            })();
+            match once {
                 Err(e) if e.is_transient() && attempt < self.config.max_retries => {
                     attempt += 1;
                     lock(&self.cache).retries += 1;
@@ -951,81 +773,6 @@ impl<R: ArchiveSource> StoreCore<R> {
                 other => return other,
             }
         }
-    }
-
-    /// Decode one block from the source (no cache read for the block
-    /// itself; anchor blocks still go through the cache). On success the
-    /// block's compressed bytes are stashed in tier 2 — and only on
-    /// success, so CRC-failed or structurally-corrupt bytes never enter
-    /// the tier.
-    fn decode_uncached(
-        &self,
-        fi: usize,
-        idx: usize,
-        demand: bool,
-        gen: u64,
-    ) -> Result<Field, CfcError> {
-        let entry = &self.reader.entries()[fi];
-        if self.reader.version() == 1 {
-            if entry.role != FieldRole::Target {
-                return self.reader.decode_field_v1(entry);
-            }
-            let anchors = self.anchor_blocks(entry, 0, demand)?;
-            let refs: Vec<&Field> = anchors.iter().map(|a| a.as_ref()).collect();
-            return self.reader.decode_field_v1_anchored(entry, &refs);
-        }
-        let mut scratch = self.scratch.get();
-        if entry.role == FieldRole::Delta {
-            // Fetch the temporal anchor — block `idx` of the same field
-            // position in the previous epoch — through the cache. The
-            // recursion is depth-first along the delta chain and stops at
-            // the covering keyframe, so a cold random epoch access reads
-            // exactly one keyframe block plus the chain's delta blocks.
-            let meta = self.target_meta(fi)?;
-            let prev = self.get_block(fi - self.reader.fields_per_epoch(), idx, demand)?;
-            let bytes = self
-                .reader
-                .fetch_block_bytes(entry, idx)
-                .map_err(|e| e.in_field(&entry.qualified_name(), Some(idx)))?;
-            let field = self.reader.decode_delta_block_bytes(
-                entry,
-                idx,
-                &bytes,
-                &prev,
-                &meta.hybrid,
-                &mut scratch,
-            )?;
-            self.stash_tier2((fi, idx), bytes, gen);
-            return Ok(field);
-        }
-        if entry.role != FieldRole::Target {
-            let bytes = self
-                .reader
-                .fetch_block_bytes(entry, idx)
-                .map_err(|e| e.in_field(&entry.name, Some(idx)))?;
-            let field =
-                self.reader
-                    .decode_baseline_block_bytes(entry, idx, &bytes, &mut scratch)?;
-            self.stash_tier2((fi, idx), bytes, gen);
-            return Ok(field);
-        }
-        let meta = self.target_meta(fi)?;
-        let anchors = self.anchor_blocks(entry, idx, demand)?;
-        let refs: Vec<&Field> = anchors.iter().map(|a| a.as_ref()).collect();
-        let bytes = self
-            .reader
-            .fetch_block_bytes(entry, idx)
-            .map_err(|e| e.in_field(&entry.name, Some(idx)))?;
-        let field = self.reader.decode_target_block_bytes(
-            entry,
-            idx,
-            &bytes,
-            &refs,
-            &meta,
-            &mut scratch,
-        )?;
-        self.stash_tier2((fi, idx), bytes, gen);
-        Ok(field)
     }
 
     /// Stash a successfully decoded block's compressed bytes in tier 2
@@ -1041,53 +788,133 @@ impl<R: ArchiveSource> StoreCore<R> {
         g.insert_t2(key, Arc::new(bytes), self.config.tier2_capacity_bytes);
     }
 
-    /// Fetch a target's anchor blocks through the cache, decoding each
-    /// distinct anchor block once even when the anchor list repeats a
-    /// name.
-    fn anchor_blocks(
-        &self,
-        entry: &super::format::ArchiveEntry,
-        idx: usize,
-        demand: bool,
-    ) -> Result<Vec<Arc<Field>>, CfcError> {
-        let mut fetched: HashMap<usize, Arc<Field>> = HashMap::new();
-        let mut out = Vec::with_capacity(entry.anchors.len());
-        for a in &entry.anchors {
-            let ai = self
-                .reader
-                .entry_index_at(a, entry.epoch)
-                .expect("validated anchor");
-            let block = match fetched.get(&ai) {
-                Some(b) => b.clone(),
-                None => {
-                    let b = self.get_block(ai, idx, demand)?;
-                    fetched.insert(ai, b.clone());
-                    b
-                }
-            };
-            out.push(block);
+    /// Parse (once) and share an entry's meta area — `None` for entries
+    /// that have none. The parse (an archive read plus model
+    /// deserialization) runs *outside* the map lock so cold starts on
+    /// different target fields stay concurrent; a racing duplicate parse
+    /// is harmless and the first insert wins.
+    fn target_meta(&self, fi: usize) -> Result<Option<Arc<TargetMeta>>, CfcError> {
+        let entry = &self.reader.entries()[fi];
+        if !entry.has_meta() {
+            return Ok(None);
         }
-        Ok(out)
+        if let Some(m) = lock(&self.metas).get(&fi) {
+            return Ok(Some(m.clone()));
+        }
+        let Some(parsed) = self.reader.target_meta(entry)? else {
+            return Ok(None);
+        };
+        let mut metas = lock(&self.metas);
+        Ok(Some(metas.entry(fi).or_insert(Arc::new(parsed)).clone()))
+    }
+}
+
+/// The store's [`BlockBackend`]: the dependency walk's view of the cache.
+/// `begin` is a tier-1 lookup that coalesces onto an in-flight decode of
+/// the same block or, on a miss, claims the block's single-flight slot
+/// (picking up its tier-2 bytes if resident); `finish` decodes, inserts
+/// and publishes to whoever coalesced in the meantime.
+struct Cached<'a, R> {
+    core: &'a StoreCore<R>,
+    demand: bool,
+}
+
+/// A claimed miss, carried from [`Cached::begin`] to [`Cached::finish`].
+struct Claim<'a> {
+    /// The block's single-flight slot (`None` with caching off: there is
+    /// nothing to coalesce onto). Publishes on drop, so a decode that
+    /// unwinds never wedges its waiters.
+    publisher: Option<FlightPublisher<'a>>,
+    /// The block's compressed bytes, when tier 2 still had them.
+    t2: Option<Arc<Vec<u8>>>,
+    /// Invalidation generation the claim was made under.
+    gen: u64,
+}
+
+impl<'a, R: ArchiveSource> BlockBackend for Cached<'a, R> {
+    type Block = Arc<Field>;
+    type Ticket = Claim<'a>;
+
+    fn begin(&mut self, key: BlockKey) -> Result<Lookup<Arc<Field>, Claim<'a>>, CfcError> {
+        let (core, demand) = (self.core, self.demand);
+        let mut g = lock(&core.cache);
+        if core.config.capacity_bytes == 0 {
+            if demand {
+                g.misses += 1;
+            }
+            return Ok(Lookup::Miss(Claim {
+                publisher: None,
+                t2: None,
+                gen: 0,
+            }));
+        }
+        if let Some(field) = g.t1_lookup(key, demand) {
+            return Ok(Lookup::Ready(field));
+        }
+        if let Some(f) = g.inflight.get(&key) {
+            // coalesce: wait on the in-flight decode's own slot and share
+            // whatever it produces — even when it is too big to cache
+            let f = Arc::clone(f);
+            if demand {
+                g.coalesced += 1;
+            }
+            drop(g);
+            let shared = f.wait()?;
+            if demand {
+                lock(&core.cache).hits += 1;
+            }
+            return Ok(Lookup::Ready(shared));
+        }
+        if demand {
+            g.misses += 1;
+        }
+        let t2 = g.t2_lookup(&key, demand);
+        let flight = Arc::new(Flight::default());
+        g.inflight.insert(key, Arc::clone(&flight));
+        Ok(Lookup::Miss(Claim {
+            publisher: Some(FlightPublisher {
+                inner: &core.cache,
+                key,
+                flight,
+                outcome: None,
+            }),
+            t2,
+            gen: g.generation,
+        }))
     }
 
-    /// Parse (once) and share a target field's meta area. The parse (an
-    /// archive read plus model deserialization) runs *outside* the map
-    /// lock so cold starts on different target fields stay concurrent; a
-    /// racing duplicate parse is harmless and the first insert wins.
-    fn target_meta(&self, fi: usize) -> Result<Arc<TargetMeta>, CfcError> {
-        {
-            let metas = lock(&self.metas);
-            if let Some(m) = metas.get(&fi) {
-                return Ok(m.clone());
+    fn finish(
+        &mut self,
+        key: BlockKey,
+        claim: Claim<'a>,
+        deps: &[&Field],
+    ) -> Result<Arc<Field>, CfcError> {
+        let (core, demand) = (self.core, self.demand);
+        let t2 = claim.t2.as_ref().map(|b| b.as_slice());
+        let result = core.decode(key, t2, deps, claim.gen).map(Arc::new);
+        let Some(mut publisher) = claim.publisher else {
+            return result;
+        };
+        if let Ok(arc) = &result {
+            let mut g = lock(&core.cache);
+            if g.generation == claim.gen {
+                g.insert_t1(key, Arc::clone(arc), !demand, core.config.capacity_bytes);
+                if claim.t2.is_some() {
+                    g.promotions += 1;
+                }
+            }
+            if !demand {
+                g.prefetched_blocks += 1;
             }
         }
-        let entry = &self.reader.entries()[fi];
-        let parsed = Arc::new(
-            self.reader
-                .target_meta(entry)?
-                .expect("target and delta entries carry meta"),
-        );
-        let mut metas = lock(&self.metas);
-        Ok(metas.entry(fi).or_insert(parsed).clone())
+        publisher.outcome = Some(result.clone());
+        drop(publisher); // publishes to waiters + clears in-flight
+        result
+    }
+
+    fn abandon(&mut self, claim: Claim<'a>, err: &CfcError) {
+        if let Some(mut publisher) = claim.publisher {
+            publisher.outcome = Some(Err(err.clone()));
+        }
     }
 }

@@ -19,8 +19,9 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
+use super::super::reader::BlockKey;
 use super::super::source::ArchiveSource;
-use super::tier::{lock, BlockKey};
+use super::tier::lock;
 use super::StoreCore;
 
 /// Per-field scan detector: the last accessed block window and the stride

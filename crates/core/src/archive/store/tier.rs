@@ -30,8 +30,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use cfc_sz::CfcError;
 use cfc_tensor::Field;
 
-/// Cache key: (entry index in the manifest, block index along axis 0).
-pub(super) type BlockKey = (usize, usize);
+use super::super::reader::BlockKey;
 
 struct T1Entry {
     field: Arc<Field>,

@@ -1,5 +1,5 @@
 //! Unit tests for the archive subsystem: writer/reader roundtrips, plan
-//! validation, corruption handling, the per-call anchor memo, and the
+//! validation, corruption handling, per-call anchor dedup, and the
 //! concurrent [`ArchiveStore`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,11 +52,12 @@ fn small_train() -> TrainConfig {
 #[test]
 fn archive_roundtrips_every_field_within_bound() {
     let ds = snapshot(40, 40);
-    let (bytes, report) = ArchiveBuilder::relative(1e-3)
+    let mut bytes = Vec::new();
+    let report = ArchiveBuilder::relative(1e-3)
         .train_config(small_train())
         .cross_field("RH", &["T", "P"])
         .build()
-        .write_with_report(&ds)
+        .write_to(&ds, &mut bytes)
         .unwrap();
     assert_eq!(report.fields.len(), 3);
     assert!(report.ratio() > 1.0, "ratio {}", report.ratio());
@@ -81,12 +82,13 @@ fn archive_roundtrips_every_field_within_bound() {
 fn chunked_archive_roundtrips_and_blocks_match_slabs() {
     let ds = snapshot(40, 40);
     // 8 rows per block → 5 blocks
-    let (bytes, report) = ArchiveBuilder::relative(1e-3)
+    let mut bytes = Vec::new();
+    let report = ArchiveBuilder::relative(1e-3)
         .train_config(small_train())
         .cross_field("RH", &["T", "P"])
         .chunk_elements(8 * 40)
         .build()
-        .write_with_report(&ds)
+        .write_to(&ds, &mut bytes)
         .unwrap();
     assert!(report.fields.iter().all(|f| f.n_blocks == 5), "{report:?}");
 
@@ -157,10 +159,11 @@ fn decode_region_matches_decode_all_crop() {
 fn single_partial_block_accounting_is_consistent() {
     // dim0 (9) smaller than the chunk (16 slabs) → one partial block
     let ds = snapshot(9, 40);
-    let (bytes, report) = ArchiveBuilder::relative(1e-3)
+    let mut bytes = Vec::new();
+    let report = ArchiveBuilder::relative(1e-3)
         .chunk_elements(16 * 40)
         .build()
-        .write_with_report(&ds)
+        .write_to(&ds, &mut bytes)
         .unwrap();
     assert!(report.fields.iter().all(|f| f.n_blocks == 1));
     let reader = ArchiveReader::new(&bytes).unwrap();
@@ -294,7 +297,8 @@ fn decode_field_reads_one_target() {
     let builder = ArchiveBuilder::relative(1e-3)
         .train_config(small_train())
         .cross_field("RH", &["T", "P"]);
-    let (bytes, report) = builder.build().write_with_report(&ds).unwrap();
+    let mut bytes = Vec::new();
+    let report = builder.build().write_to(&ds, &mut bytes).unwrap();
     let reader = ArchiveReader::new(&bytes).unwrap();
     let rh = reader.decode_field("RH").unwrap();
     let eb = report
@@ -362,9 +366,10 @@ fn oversized_field_name_is_an_error() {
 #[test]
 fn all_baseline_plan_needs_no_roles() {
     let ds = snapshot(20, 20);
-    let (bytes, report) = ArchiveBuilder::relative(1e-3)
+    let mut bytes = Vec::new();
+    let report = ArchiveBuilder::relative(1e-3)
         .build()
-        .write_with_report(&ds)
+        .write_to(&ds, &mut bytes)
         .unwrap();
     assert!(report
         .fields
@@ -406,10 +411,11 @@ fn three_d_datasets_chunk_along_depth() {
     let mut ds = Dataset::new("D3", shape);
     ds.push("U", u);
     ds.push("V", v);
-    let (bytes, report) = ArchiveBuilder::relative(1e-3)
+    let mut bytes = Vec::new();
+    let report = ArchiveBuilder::relative(1e-3)
         .chunk_elements(3 * 12 * 12)
         .build()
-        .write_with_report(&ds)
+        .write_to(&ds, &mut bytes)
         .unwrap();
     // 10 slabs at 3/block → 4 blocks, last one partial
     assert!(report.fields.iter().all(|f| f.n_blocks == 4));
@@ -508,8 +514,8 @@ fn counting_reader(bytes: &[u8]) -> (CountingArchiveReader, Arc<AtomicU64>) {
 #[test]
 fn decode_region_reads_each_anchor_block_once_even_with_duplicate_anchors() {
     let ds = snapshot(40, 40);
-    // RH deliberately lists T twice: without the per-call memo every
-    // target block would decode (and read) its T block twice
+    // RH deliberately lists T twice: the dependency walk must resolve
+    // each distinct anchor block once, not once per mention
     let bytes = ArchiveBuilder::relative(1e-3)
         .train_config(small_train())
         .cross_field("RH", &["T", "T"])
@@ -519,8 +525,8 @@ fn decode_region_reads_each_anchor_block_once_even_with_duplicate_anchors() {
         .unwrap();
 
     let (reader, read) = counting_reader(&bytes);
-    let rh = reader.entry("RH").unwrap().clone();
-    let t = reader.entry("T").unwrap().clone();
+    let entry = |name: &str| reader.entries()[reader.entry_index(name).unwrap()].clone();
+    let (rh, t) = (entry("RH"), entry("T"));
     let region = Region::d2(5, 30, 0, 40); // blocks 0..=3
     let after_toc = read.load(Ordering::Relaxed);
     let got = reader.decode_region("RH", &region).unwrap();
@@ -768,13 +774,14 @@ fn evolving(rows: usize, cols: usize, n: usize) -> Vec<Dataset> {
 #[test]
 fn temporal_archive_roundtrips_and_is_epoch_addressable() {
     let snaps = evolving(36, 30, 7);
-    let (bytes, report) = ArchiveBuilder::relative(1e-3)
+    let mut bytes = Vec::new();
+    let report = ArchiveBuilder::relative(1e-3)
         .train_config(small_train())
         .cross_field("RH", &["T", "P"])
         .chunk_elements(6 * 30)
         .keyframe_interval(3)
         .build()
-        .write_epochs_with_report(&snaps)
+        .write_epochs_to(&snaps, &mut bytes)
         .unwrap();
     assert_eq!(report.epochs.len(), 7);
     assert_eq!(report.keyframe_interval, 3);

@@ -171,7 +171,7 @@ pub struct ArchiveWriter {
     cfg: ArchiveBuilder,
 }
 
-/// Per-field outcome reported by [`ArchiveWriter::write_with_report`].
+/// Per-field outcome reported by [`ArchiveWriter::write_to`].
 #[derive(Debug, Clone)]
 pub struct FieldReport {
     /// Field name.
@@ -221,8 +221,8 @@ impl ArchiveReport {
     }
 }
 
-/// Whole-series outcome of a multi-epoch ([`ArchiveWriter::write_epochs`])
-/// write.
+/// Whole-series outcome of a multi-epoch
+/// ([`ArchiveWriter::write_epochs_to`]) write.
 #[derive(Debug, Clone)]
 pub struct TemporalReport {
     /// Per-epoch reports; the index is the epoch number.
@@ -333,14 +333,9 @@ impl ArchiveWriter {
     /// Compress every field of `ds` and serialize the archive into a
     /// buffer (thin wrapper over [`ArchiveWriter::write_to`]).
     pub fn write(&self, ds: &Dataset) -> Result<Vec<u8>, CfcError> {
-        self.write_with_report(ds).map(|(bytes, _)| bytes)
-    }
-
-    /// [`ArchiveWriter::write`] plus the per-field report.
-    pub fn write_with_report(&self, ds: &Dataset) -> Result<(Vec<u8>, ArchiveReport), CfcError> {
         let mut buf = Vec::new();
-        let report = self.write_to(ds, &mut buf)?;
-        Ok((buf, report))
+        self.write_to(ds, &mut buf)?;
+        Ok(buf)
     }
 
     /// Compress every field of `ds` and stream the archive into `sink`.
@@ -384,17 +379,9 @@ impl ArchiveWriter {
     /// Compress a sequence of snapshots into one multi-epoch (v3) archive
     /// (thin wrapper over [`ArchiveWriter::write_epochs_to`]).
     pub fn write_epochs(&self, snapshots: &[Dataset]) -> Result<Vec<u8>, CfcError> {
-        self.write_epochs_with_report(snapshots).map(|(b, _)| b)
-    }
-
-    /// [`ArchiveWriter::write_epochs`] plus the per-epoch report.
-    pub fn write_epochs_with_report(
-        &self,
-        snapshots: &[Dataset],
-    ) -> Result<(Vec<u8>, TemporalReport), CfcError> {
         let mut buf = Vec::new();
-        let report = self.write_epochs_to(snapshots, &mut buf)?;
-        Ok((buf, report))
+        self.write_epochs_to(snapshots, &mut buf)?;
+        Ok(buf)
     }
 
     /// Compress a sequence of snapshots into one multi-epoch (v3) archive

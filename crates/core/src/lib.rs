@@ -32,7 +32,7 @@
 //!   baselines, and cross-field targets) into one versioned,
 //!   self-describing *chunked* container — every field split into
 //!   independently decodable, CRC-protected blocks, encoded in parallel —
-//!   that [`ArchiveReader`] opens from any `Read + Seek` source with **no
+//!   that [`ArchiveReader`] opens from any positional byte source with **no
 //!   out-of-band configuration**, serving whole snapshots
 //!   (`decode_all`), single blocks (`decode_block`), or axis-aligned
 //!   windows (`decode_region`) while reading only the bytes it needs.

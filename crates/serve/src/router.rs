@@ -24,9 +24,7 @@
 //! element count, so a client can parse the payload without re-asking the
 //! manifest.
 
-use cfc_core::archive::ArchiveSource;
-
-use cfc_core::archive::{ArchiveStore, DecodePolicy, FieldInfo};
+use cfc_core::archive::{ArchiveSource, ArchiveStore, DecodePolicy, FieldInfo, ReadRequest};
 use cfc_sz::CfcError;
 use cfc_tensor::Field;
 
@@ -161,7 +159,11 @@ fn handle_region<R: ArchiveSource + 'static>(
             &format!("archive has {} epochs, asked for {epoch}", store.n_epochs()),
         );
     }
-    match store.decode_region_policy_at(name, &region, epoch, policy) {
+    let req = ReadRequest::new(name)
+        .at(epoch)
+        .region(&region)
+        .policy(policy);
+    match store.read(&req) {
         Ok(salvaged) => {
             let field = salvaged.data;
             let start: Vec<usize> = (0..region.ndim()).map(|k| region.start(k)).collect();

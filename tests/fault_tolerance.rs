@@ -18,7 +18,7 @@ use std::io::Cursor;
 
 use cross_field_compression::core::archive::{
     repair_bytes, scrub_bytes, ArchiveBuilder, ArchiveReader, ArchiveStore, DecodePolicy,
-    FaultInjectingReader, FaultPlan, ScrubKind, ScrubOptions, SeekSource, StoreConfig,
+    FaultInjectingReader, FaultPlan, ReadRequest, ScrubKind, ScrubOptions, StoreConfig,
 };
 use cross_field_compression::core::config::TrainConfig;
 use cross_field_compression::tensor::{Dataset, Field, Region, Shape};
@@ -114,12 +114,9 @@ fn faulty_store(
     bytes: Vec<u8>,
     plan: FaultPlan,
     config: StoreConfig,
-) -> ArchiveStore<SeekSource<FaultInjectingReader<Cursor<Vec<u8>>>>> {
-    ArchiveStore::open(
-        SeekSource::new(FaultInjectingReader::new(Cursor::new(bytes), plan)),
-        config,
-    )
-    .expect("manifest reads cleanly")
+) -> ArchiveStore<FaultInjectingReader<Cursor<Vec<u8>>>> {
+    ArchiveStore::open(FaultInjectingReader::new(Cursor::new(bytes), plan), config)
+        .expect("manifest reads cleanly")
 }
 
 #[test]
@@ -173,10 +170,10 @@ fn exhausted_retries_surface_as_transient_errors() {
 
     // salvage turns the same exhaustion into fill + damage
     let s = store
-        .decode_region_policy(
-            "A",
-            &Region::d2(0, 2 * ROWS_PER_BLOCK, 0, COLS),
-            DecodePolicy::salvage(),
+        .read(
+            &ReadRequest::new("A")
+                .region(&Region::d2(0, 2 * ROWS_PER_BLOCK, 0, COLS))
+                .policy(DecodePolicy::salvage()),
         )
         .expect("salvage survives a permanently-failing block");
     assert_eq!(s.damage.blocks_of("A"), vec![0]);
@@ -202,7 +199,11 @@ fn salvage_fill_is_never_cached() {
     // salvage twice: the fill is rebuilt each time (cache never holds it)
     for round in 1..=2u64 {
         let s = store
-            .decode_region_policy("T", &region, DecodePolicy::Salvage { fill: -3.0 })
+            .read(
+                &ReadRequest::new("T")
+                    .region(&region)
+                    .policy(DecodePolicy::Salvage { fill: -3.0 }),
+            )
             .expect("salvage");
         assert_eq!(s.damage.blocks_of("T"), vec![1], "round {round}");
         let span = ROWS_PER_BLOCK * COLS;
@@ -290,7 +291,7 @@ fn keyframe_damage_cascades_blame_through_delta_epochs() {
 
     // epoch 0: the target cascades off its damaged anchor block
     let s = reader
-        .decode_field_policy_at("T", 0, DecodePolicy::salvage())
+        .read(&ReadRequest::new("T").policy(DecodePolicy::salvage()))
         .expect("salvage epoch 0");
     assert_eq!(s.damage.blocks_of("A"), vec![2]);
     assert_eq!(s.damage.blocks_of("T"), vec![2]);
@@ -304,7 +305,11 @@ fn keyframe_damage_cascades_blame_through_delta_epochs() {
     // own (healthy) bytes
     for epoch in [1usize, 2] {
         let s = reader
-            .decode_field_policy_at("T", epoch, DecodePolicy::salvage())
+            .read(
+                &ReadRequest::new("T")
+                    .at(epoch)
+                    .policy(DecodePolicy::salvage()),
+            )
             .expect("salvage delta epoch");
         let name = format!("T@e{epoch}");
         assert_eq!(s.damage.blocks_of(&name), vec![2], "{}", s.damage.summary());
@@ -321,7 +326,11 @@ fn keyframe_damage_cascades_blame_through_delta_epochs() {
     for epoch in 3..EPOCHS {
         for field in ["A", "T"] {
             let s = reader
-                .decode_field_policy_at(field, epoch, DecodePolicy::salvage())
+                .read(
+                    &ReadRequest::new(field)
+                        .at(epoch)
+                        .policy(DecodePolicy::salvage()),
+                )
                 .expect("decode past next keyframe");
             assert!(
                 s.damage.is_empty(),

@@ -1,0 +1,265 @@
+//! Every way of asking for the same samples gives the same bits.
+//!
+//! The archive layer has one block decoder and one dependency walk
+//! (`ArchiveReader::resolve_block`); the reader, the store and
+//! `decode_all` differ only in where the walk gets its blocks. These
+//! tests pin what that buys:
+//!
+//! * over every committed golden fixture — v1, v2 and v3, whole and
+//!   partial last blocks, keyframes and delta chains — `read`, the
+//!   `decode_*` conveniences, the block primitive and `decode_epoch`
+//!   agree bit for bit, through the reader and through the store, cold
+//!   and warm, strict and salvage;
+//! * the store resolves a delta chain with the same constant stack the
+//!   reader does, however long the chain is.
+
+use std::io::Cursor;
+
+use cross_field_compression::core::archive::{
+    ArchiveBuilder, ArchiveReader, ArchiveStore, DecodePolicy, ReadRequest, StoreConfig,
+};
+use cross_field_compression::core::hybrid::HybridConfig;
+use cross_field_compression::tensor::{Dataset, Field, Region, Shape};
+
+fn fixture(name: &str) -> Vec<u8> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()))
+}
+
+fn assert_same_bits(got: &Field, want: &Field, what: &str) {
+    assert_eq!(got.shape(), want.shape(), "{what}: shape");
+    assert!(
+        got.as_slice()
+            .iter()
+            .zip(want.as_slice())
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "{what}: samples differ"
+    );
+}
+
+/// The middle half of every axis: crosses block boundaries wherever the
+/// field has more than two blocks, and never touches an edge.
+fn interior(shape: Shape) -> Region {
+    let ranges: Vec<(usize, usize)> = shape
+        .dims()
+        .iter()
+        .map(|&d| (d / 4, (3 * d / 4).max(d / 4 + 1)))
+        .collect();
+    Region::from_ranges(&ranges)
+}
+
+#[test]
+fn every_read_entry_point_agrees_on_every_golden_fixture() {
+    for name in [
+        "small_v1.cfar",
+        "small_v2.cfar",
+        "partial_v2.cfar",
+        "small_v3_keyframes.cfar",
+        "small_v3_delta.cfar",
+        "partial_v3.cfar",
+    ] {
+        let bytes = fixture(name);
+        let reader = ArchiveReader::new(&bytes).expect("open");
+        let store =
+            ArchiveStore::open(Cursor::new(bytes.clone()), StoreConfig::default()).expect("open");
+        for epoch in 0..reader.n_epochs() {
+            let whole_epoch = reader.decode_epoch(epoch).expect("decode_epoch");
+            for info in reader.field_infos() {
+                let field = info.name.as_str();
+                let at = format!("{name} {field}@e{epoch}");
+                let whole = ReadRequest::new(field).at(epoch);
+
+                // the reference: a strict whole-field read through the reader
+                let want = reader.read(&whole).expect("reader.read");
+                assert!(want.damage.is_empty(), "{at}: strict read reports damage");
+                let want = want.data;
+
+                // salvage on an undamaged archive: same data, nothing to report
+                let salvage = whole.policy(DecodePolicy::Salvage { fill: f32::NAN });
+                for (s, path) in [
+                    (reader.read(&salvage), "reader salvage"),
+                    (store.read(&salvage), "store salvage"),
+                ] {
+                    let s = s.expect(path);
+                    assert!(s.damage.is_empty(), "{at}: {path} reports damage");
+                    assert_same_bits(&s.data, &want, &format!("{at}: {path}"));
+                }
+
+                // the store, cold (first touch of this epoch's blocks was the
+                // salvage read above, so go around the cache once) and warm
+                store.clear();
+                for pass in ["cold", "warm"] {
+                    let got = store.read(&whole).expect("store.read");
+                    assert!(got.damage.is_empty(), "{at}: store {pass} reports damage");
+                    assert_same_bits(&got.data, &want, &format!("{at}: store {pass}"));
+                }
+
+                // the strict conveniences are the same read
+                assert_same_bits(
+                    &reader
+                        .decode_field_at(field, epoch)
+                        .expect("decode_field_at"),
+                    &want,
+                    &format!("{at}: reader.decode_field_at"),
+                );
+                assert_same_bits(
+                    &store
+                        .decode_field_at(field, epoch)
+                        .expect("decode_field_at"),
+                    &want,
+                    &format!("{at}: store.decode_field_at"),
+                );
+
+                // the block primitive, every block, on both layers
+                let entry = reader
+                    .entries()
+                    .iter()
+                    .find(|e| e.name == field && e.epoch == epoch)
+                    .expect("entry");
+                assert_eq!(entry.n_blocks(), info.n_blocks, "{at}: block count");
+                let from_reader: Vec<Field> = (0..entry.n_blocks())
+                    .map(|b| reader.decode_block_at(field, b, epoch).expect("block"))
+                    .collect();
+                assert_same_bits(
+                    &Field::concat_axis0(&from_reader),
+                    &want,
+                    &format!("{at}: reader blocks"),
+                );
+                let from_store: Vec<_> = (0..entry.n_blocks())
+                    .map(|b| store.decode_block_at(field, b, epoch).expect("block"))
+                    .collect();
+                let refs: Vec<&Field> = from_store.iter().map(|b| b.as_ref()).collect();
+                assert_same_bits(
+                    &Field::concat_axis0_refs(&refs),
+                    &want,
+                    &format!("{at}: store blocks"),
+                );
+                if epoch == 0 {
+                    assert_same_bits(
+                        &reader.decode_block(field, 0).expect("decode_block"),
+                        &from_reader[0],
+                        &format!("{at}: decode_block"),
+                    );
+                }
+                assert!(
+                    reader
+                        .decode_block_at(field, entry.n_blocks(), epoch)
+                        .is_err()
+                        && store
+                            .decode_block_at(field, entry.n_blocks(), epoch)
+                            .is_err(),
+                    "{at}: a block past the end is an error"
+                );
+
+                // the whole-epoch decode holds the same field
+                assert_same_bits(
+                    whole_epoch.expect_field(field),
+                    &want,
+                    &format!("{at}: decode_epoch"),
+                );
+
+                // a sub-region is the crop of the whole, on both layers
+                let region = interior(want.shape());
+                let crop = want.crop(&region);
+                let sub = whole.region(&region);
+                assert_same_bits(
+                    &reader.read(&sub).expect("region").data,
+                    &crop,
+                    &format!("{at}: reader region"),
+                );
+                assert_same_bits(
+                    &store.read(&sub).expect("region").data,
+                    &crop,
+                    &format!("{at}: store region"),
+                );
+                assert_same_bits(
+                    &reader
+                        .decode_region_at(field, &region, epoch)
+                        .expect("decode_region_at"),
+                    &crop,
+                    &format!("{at}: reader.decode_region_at"),
+                );
+                assert_same_bits(
+                    &store
+                        .decode_region_at(field, &region, epoch)
+                        .expect("decode_region_at"),
+                    &crop,
+                    &format!("{at}: store.decode_region_at"),
+                );
+                // and a region that does not fit is a typed error everywhere
+                let too_big = Region::from_ranges(
+                    &want
+                        .shape()
+                        .dims()
+                        .iter()
+                        .map(|&d| (0, d + 1))
+                        .collect::<Vec<_>>(),
+                );
+                assert!(
+                    reader.read(&whole.region(&too_big)).is_err()
+                        && store.read(&whole.region(&too_big)).is_err(),
+                    "{at}: an out-of-bounds region is an error"
+                );
+            }
+        }
+    }
+}
+
+/// A delta chain is as long as the writer's keyframe interval made it.
+/// Reading its tail must not spend call stack per link: a recursive walk
+/// overflows — and a stack overflow aborts the process, past any
+/// `catch_unwind` — on archives our own writer produces.
+#[test]
+fn store_reads_the_tail_of_a_long_delta_chain_on_a_small_stack() {
+    const EPOCHS: usize = 3_000;
+    let shape = Shape::d2(8, 8);
+    let snapshots: Vec<Dataset> = (0..EPOCHS)
+        .map(|e| {
+            let t = e as f32 * 0.01;
+            let mut ds = Dataset::new("CHAIN", shape);
+            ds.push(
+                "X",
+                Field::from_fn(shape, |i| {
+                    ((i[0] as f32) * 0.4 + t).sin() + (i[1] as f32) * 0.1 + t
+                }),
+            );
+            ds
+        })
+        .collect();
+    let bytes = ArchiveBuilder::relative(1e-3)
+        // one fit sample per element: the default 4096 would spend the
+        // test fitting 64-element fields
+        .hybrid_config(HybridConfig {
+            n_samples: 64,
+            ..HybridConfig::default()
+        })
+        .keyframe_interval(EPOCHS)
+        .build()
+        .write_epochs(&snapshots)
+        .expect("write");
+    let last = EPOCHS - 1;
+    let want = ArchiveReader::new(&bytes)
+        .expect("open")
+        .decode_field_at("X", last)
+        .expect("reader decodes the tail");
+
+    // 256 KiB is an eighth of the stack a `cfc-serve` worker gets
+    let got = std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(move || {
+            [StoreConfig::default(), StoreConfig::uncached()].map(|config| {
+                ArchiveStore::open(Cursor::new(bytes.clone()), config)
+                    .expect("open")
+                    .decode_field_at("X", last)
+                    .expect("store decodes the tail")
+            })
+        })
+        .expect("spawn")
+        .join()
+        .expect("the walk must not overflow a small stack");
+    for (got, config) in got.iter().zip(["default", "uncached"]) {
+        assert_same_bits(got, &want, &format!("{config} store"));
+    }
+}

@@ -17,8 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cross_field_compression::core::archive::{
-    ArchiveBuilder, ArchiveReader, ArchiveStore, FaultInjectingReader, FaultPlan, SeekSource,
-    StoreConfig,
+    ArchiveBuilder, ArchiveReader, ArchiveStore, FaultInjectingReader, FaultPlan, StoreConfig,
 };
 use cross_field_compression::core::TrainConfig;
 use cross_field_compression::tensor::{Dataset, Field, Region, Shape};
@@ -374,7 +373,7 @@ fn worker_survives_handler_panic() {
         .expect("T entry");
     let (off, len) = reader.entries()[ti].block_span(1).expect("span");
     let plan = FaultPlan::new().panic_at(off..off + len as u64);
-    let faulty = SeekSource::new(FaultInjectingReader::new(Cursor::new(bytes), plan));
+    let faulty = FaultInjectingReader::new(Cursor::new(bytes), plan);
     let store = ArchiveStore::open(faulty, StoreConfig::default()).expect("parse");
     let server = ArchiveServer::bind(store, "127.0.0.1:0", test_config()).expect("bind");
     let addr = server.local_addr();

@@ -3,7 +3,9 @@
 //! return `Err(CfcError)` — never panic, never decode garbage silently —
 //! through both the baseline [`SzCompressor`] and the archive reader.
 
-use cross_field_compression::core::archive::{ArchiveBuilder, ArchiveReader, DecodePolicy};
+use cross_field_compression::core::archive::{
+    ArchiveBuilder, ArchiveReader, DecodePolicy, ReadRequest,
+};
 use cross_field_compression::core::config::{CfnnSpec, TrainConfig};
 use cross_field_compression::core::pipeline::{CrossFieldCodec, CrossFieldCompressor};
 use cross_field_compression::core::train::train_cfnn;
@@ -385,7 +387,7 @@ fn salvage_sweep_recovers_every_healthy_block() {
         }
 
         let s = r
-            .decode_field_policy(name, DecodePolicy::Salvage { fill: f32::NAN })
+            .read(&ReadRequest::new(name).policy(DecodePolicy::Salvage { fill: f32::NAN }))
             .expect("salvage decode");
         assert_eq!(s.damage.blocks_of(name), vec![*b], "{name}[{b}]");
         assert_eq!(s.damage.len(), 1, "exactly one damaged location");
@@ -430,7 +432,7 @@ fn salvage_cascades_anchor_damage_to_targets() {
 
     let r = ArchiveReader::new(&bad).expect("manifest parses");
     let s = r
-        .decode_field_policy("T", DecodePolicy::salvage())
+        .read(&ReadRequest::new("T").policy(DecodePolicy::salvage()))
         .expect("salvage decode of the dependent target");
     assert_eq!(s.damage.blocks_of("T"), vec![2]);
     assert_eq!(s.damage.blocks_of("A"), vec![2], "root damage recorded too");
@@ -482,7 +484,7 @@ fn salvage_reports_exactly_the_corrupted_set() {
 
     let r = ArchiveReader::new(&bad).expect("manifest parses");
     let s = r
-        .decode_field_policy("T", DecodePolicy::salvage())
+        .read(&ReadRequest::new("T").policy(DecodePolicy::salvage()))
         .expect("salvage decode");
     assert_eq!(s.damage.blocks_of("T"), vec![0, 2]);
     assert_eq!(s.damage.len(), 2);
@@ -599,7 +601,11 @@ fn v3_meta_corruption_sweep_is_typed_not_garbled() {
 
             // salvage decode: total, with every block of the field damaged
             let s = reader
-                .decode_field_policy_at(&name, epoch, DecodePolicy::salvage())
+                .read(
+                    &ReadRequest::new(&name)
+                        .at(epoch)
+                        .policy(DecodePolicy::salvage()),
+                )
                 .expect("salvage never fails on payload rot");
             assert_eq!(
                 s.damage.blocks_of(&qualified).len(),

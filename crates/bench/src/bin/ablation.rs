@@ -13,13 +13,13 @@
 //!    showing the overhead-vs-accuracy trade.
 
 use cfc_core::config::{paper_table3, CfnnSpec, TrainConfig};
+use cfc_core::diffnet::slice_geometry;
 use cfc_core::hybrid::HybridModel;
 use cfc_core::pipeline::CrossFieldCompressor;
 use cfc_core::predict::predict_differences;
 use cfc_core::predictor::{sample_hybrid_training, CrossFieldHybridPredictor};
-use cfc_core::train::train_cfnn;
+use cfc_core::train::{fit_patches, train_cfnn};
 use cfc_datagen::{paper_catalog, GenParams};
-use cfc_nn::{mse_loss, Adam, Optimizer, Tensor};
 use cfc_sz::Codec;
 use cfc_sz::{codec, CentralDiffPredictor, ErrorBound, QuantLattice, QuantizerConfig};
 use cfc_tensor::{Field, FieldStats, Normalizer};
@@ -144,92 +144,37 @@ fn value_vs_difference_cnn() {
     );
 }
 
-/// Train the same architecture on raw (normalized) values; returns MSE
-/// relative to target variance.
+/// Train the same architecture on raw (normalized) values through the
+/// standard training loop; returns MSE relative to target variance.
 fn train_value_cnn(anchors: &[&Field], target: &Field, spec: &CfnnSpec) -> f64 {
-    use cfc_core::diffnet;
-    use rand::Rng as _;
-    use rand::SeedableRng as _;
-    let ndim = target.shape().ndim();
-    // channels = anchor values replicated per axis so the architecture (and
-    // parameter count) is identical to the difference net
-    let norms: Vec<Normalizer> = anchors
-        .iter()
-        .flat_map(|a| {
-            let n = Normalizer::max_abs(a.as_slice(), 1.0);
-            std::iter::repeat_n(n, ndim)
-        })
-        .collect();
-    let x_channels: Vec<Field> = anchors
-        .iter()
-        .flat_map(|a| {
-            let n = Normalizer::max_abs(a.as_slice(), 1.0);
-            std::iter::repeat_n(n.apply_field(a), ndim)
-        })
-        .collect();
-    let _ = norms;
-    let t_norm = Normalizer::max_abs(target.as_slice(), 1.0);
-    let y_field = t_norm.apply_field(target);
-    let y_channels: Vec<Field> = std::iter::repeat_n(y_field, ndim).collect();
+    let shape = target.shape();
+    let ndim = shape.ndim();
+    let (_, rows, cols) = slice_geometry(shape);
+    let normalized = |f: &Field| Normalizer::max_abs(f.as_slice(), 1.0).apply_field(f);
+    let x_fields: Vec<Field> = anchors.iter().map(|a| normalized(a)).collect();
+    let y_field = normalized(target);
 
-    let cfgt = TrainConfig::default();
-    let mut net = diffnet::build_cfnn(spec, cfgt.seed);
-    let mut opt = Adam::new(cfgt.lr);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(cfgt.seed);
-    let n_slices = diffnet::slice_count(target);
-    let sl_shape = diffnet::processing_slice(target, 0).shape();
-    let (rows, cols) = (sl_shape.dims()[0], sl_shape.dims()[1]);
-    let p = cfgt.patch;
-    let gather = |channels: &[Field], k: usize, r0: usize, c0: usize| -> Vec<f32> {
-        let mut out = Vec::with_capacity(channels.len() * p * p);
-        for ch in channels {
-            let sl = diffnet::processing_slice(ch, k);
-            let src = sl.as_slice();
-            for i in 0..p {
-                out.extend_from_slice(&src[(r0 + i) * cols + c0..(r0 + i) * cols + c0 + p]);
-            }
+    let cfg = TrainConfig::default();
+    let p = cfg.patch;
+    let window = |f: &Field, k: usize, r0: usize, c0: usize, plane: &mut [f32]| {
+        let slice = &f.as_slice()[k * rows * cols..][..rows * cols];
+        for (i, row) in plane.chunks_exact_mut(p).enumerate() {
+            row.copy_from_slice(&slice[(r0 + i) * cols + c0..][..p]);
         }
-        out
     };
-    let mut patches = Vec::new();
-    for _ in 0..cfgt.n_patches {
-        let k = if n_slices > 1 {
-            rng.random_range(1..n_slices)
-        } else {
-            0
-        };
-        let r0 = rng.random_range(1..rows - p);
-        let c0 = rng.random_range(1..cols - p);
-        patches.push((
-            gather(&x_channels, k, r0, c0),
-            gather(&y_channels, k, r0, c0),
-        ));
-    }
-    let (in_c, out_c) = (spec.in_channels, spec.out_channels);
-    let mut final_loss = f32::INFINITY;
-    for _ in 0..cfgt.epochs {
-        let mut epoch = 0.0;
-        let mut nb = 0;
-        for chunk in patches.chunks(cfgt.batch) {
-            let b = chunk.len();
-            let mut x = Tensor::zeros(b, in_c, p, p);
-            let mut y = Tensor::zeros(b, out_c, p, p);
-            for (bi, (px, py)) in chunk.iter().enumerate() {
-                x.data[bi * in_c * p * p..(bi + 1) * in_c * p * p].copy_from_slice(px);
-                y.data[bi * out_c * p * p..(bi + 1) * out_c * p * p].copy_from_slice(py);
-            }
-            net.zero_grad();
-            let out = net.forward(&x, true);
-            let (loss, grad) = mse_loss(&out, &y);
-            net.backward(&grad);
-            opt.step(&mut net.params());
-            epoch += loss;
-            nb += 1;
+    let (_, report) = fit_patches(spec, &cfg, shape, |k, r0, c0, x, y| {
+        // every field's values replicated per axis, so the architecture
+        // (and parameter count) is identical to the difference net
+        for (ci, plane) in x.chunks_exact_mut(p * p).enumerate() {
+            window(&x_fields[ci / ndim], k, r0, c0, plane);
         }
-        final_loss = epoch / nb as f32;
-    }
+        for plane in y.chunks_exact_mut(p * p) {
+            window(&y_field, k, r0, c0, plane);
+        }
+    });
+    let final_loss = report.losses.last().copied().unwrap_or(f32::INFINITY);
     // relative to the normalized target variance
-    let s = FieldStats::of(&t_norm.apply_field(target));
+    let s = FieldStats::of(&y_field);
     (final_loss as f64) / (s.std * s.std).max(1e-30)
 }
 

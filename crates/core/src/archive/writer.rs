@@ -635,9 +635,10 @@ impl ArchiveWriter {
         let shape = ds.shape();
         let ndim = shape.ndim();
         if !self.cfg.targets.is_empty() {
-            // cross-field targets go through CFNN training, whose patch
-            // sampler asserts patch + 1 < slice extent — surface that as a
-            // plan error instead of a panic inside a worker thread
+            // cross-field targets go through CFNN training, which asserts
+            // a usable configuration and patch + 1 < slice extent — surface
+            // those as plan errors instead of panics inside a worker thread
+            self.cfg.train.validate().map_err(CfcError::InvalidInput)?;
             if ndim == 1 {
                 return Err(CfcError::InvalidInput(
                     "cross-field targets require 2-D or 3-D datasets".into(),

@@ -126,6 +126,26 @@ impl Default for TrainConfig {
 }
 
 impl TrainConfig {
+    /// What training needs of a configuration whatever the data: a patch
+    /// and a batch of at least one, and a finite positive learning rate.
+    /// `n_patches` and `epochs` may be zero — an untrained network is a
+    /// valid, if useless, model.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.patch == 0 {
+            return Err("TrainConfig::patch must be at least 1".into());
+        }
+        if self.batch == 0 {
+            return Err("TrainConfig::batch must be at least 1".into());
+        }
+        if !(self.lr.is_finite() && self.lr > 0.0) {
+            return Err(format!(
+                "TrainConfig::lr must be finite and positive, got {}",
+                self.lr
+            ));
+        }
+        Ok(())
+    }
+
     /// Tiny config for unit tests.
     pub fn fast() -> Self {
         TrainConfig {

@@ -2,7 +2,7 @@
 //! by training and inference.
 
 use cfc_nn::Sequential;
-use cfc_tensor::{diff, Axis, Field, Normalizer};
+use cfc_tensor::{Field, Normalizer, Shape};
 
 use crate::config::CfnnSpec;
 
@@ -18,16 +18,6 @@ pub fn build_cfnn(spec: &CfnnSpec, seed: u64) -> Sequential {
         .conv(spec.feat2, spec.out_channels, 3, seed ^ 0x55)
 }
 
-/// All backward-difference planes of one field, per axis, as slice-stacks.
-///
-/// For a 2-D field this is simply `[d_axis0, d_axis1]` (each a 2-D field).
-/// For a 3-D field each element is the full 3-D difference volume; consumers
-/// slice it along axis 0 when assembling per-slice CNN inputs. The axis
-/// order is fixed and shared between encoder and decoder.
-pub fn difference_channels(field: &Field) -> Vec<Field> {
-    diff::backward_diff_all(field)
-}
-
 /// Per-channel normalizers (symmetric max-abs to `[-1, 1]`) for a set of
 /// difference fields. Stored in the stream so both sides normalize inference
 /// inputs identically.
@@ -38,36 +28,23 @@ pub fn fit_normalizers(channels: &[Field]) -> Vec<Normalizer> {
         .collect()
 }
 
-/// Channel count for `n_anchors` fields of dimensionality `ndim`.
-pub fn input_channel_count(n_anchors: usize, ndim: usize) -> usize {
-    n_anchors * ndim
-}
-
-/// Number of 2-D processing slices for a field (1 for 2-D, depth for 3-D).
-pub fn slice_count(field: &Field) -> usize {
-    match field.shape().ndim() {
-        2 => 1,
-        3 => field.shape().dim(Axis::X),
-        n => panic!("cross-field prediction supports 2-D/3-D fields, got {n}-D"),
-    }
-}
-
-/// Extract processing slice `k` of a (difference) field as a 2-D field.
-pub fn processing_slice(field: &Field, k: usize) -> Field {
-    match field.shape().ndim() {
-        2 => {
-            assert_eq!(k, 0);
-            field.clone()
-        }
-        3 => field.slice(Axis::X, k),
-        _ => unreachable!(),
+/// How a field is cut into the 2-D slices the CNN processes: `(slices,
+/// rows, cols)` — one slice for a 2-D field, one per step along the first
+/// axis for a 3-D one.
+pub fn slice_geometry(shape: Shape) -> (usize, usize, usize) {
+    match *shape.dims() {
+        [rows, cols] => (1, rows, cols),
+        [slices, rows, cols] => (slices, rows, cols),
+        _ => panic!(
+            "cross-field prediction supports 2-D/3-D fields, got {}-D",
+            shape.ndim()
+        ),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfc_tensor::Shape;
 
     #[test]
     fn cfnn_output_shape_matches_spec() {
@@ -89,20 +66,8 @@ mod tests {
     }
 
     #[test]
-    fn difference_channels_per_ndim() {
-        let f2 = Field::zeros(Shape::d2(4, 4));
-        assert_eq!(difference_channels(&f2).len(), 2);
-        let f3 = Field::zeros(Shape::d3(3, 4, 4));
-        assert_eq!(difference_channels(&f3).len(), 3);
-    }
-
-    #[test]
-    fn slice_helpers() {
-        let f3 = Field::from_fn(Shape::d3(3, 2, 2), |i| i[0] as f32);
-        assert_eq!(slice_count(&f3), 3);
-        assert_eq!(processing_slice(&f3, 2).as_slice(), &[2.0; 4]);
-        let f2 = Field::zeros(Shape::d2(2, 2));
-        assert_eq!(slice_count(&f2), 1);
-        assert_eq!(processing_slice(&f2, 0).shape(), f2.shape());
+    fn slice_geometry_per_ndim() {
+        assert_eq!(slice_geometry(Shape::d3(3, 4, 5)), (3, 4, 5));
+        assert_eq!(slice_geometry(Shape::d2(4, 5)), (1, 4, 5));
     }
 }

@@ -74,8 +74,7 @@ impl CfnnInference {
             anchors.iter().all(|a| a.shape() == shape),
             "anchor shape mismatch"
         );
-        let n_slices = diffnet::slice_count(anchors[0]);
-        let (h, w) = (shape.dims()[ndim - 2], shape.dims()[ndim - 1]);
+        let (n_slices, h, w) = diffnet::slice_geometry(shape);
         let hw = h * w;
 
         let mut outputs: Vec<Vec<f32>> = vec![vec![0.0; shape.len()]; self.out_channels()];

@@ -4,9 +4,17 @@
 //! model serves every error bound (paper §III-D2). Patches of normalized
 //! backward differences are sampled away from array borders (where the
 //! difference convention pads with zeros) and fitted by MSE with Adam.
+//!
+//! Two halves: [`train_cfnn`] turns fields into difference channels and
+//! their normalizers — one streaming pass per field, and each patch
+//! differenced and normalized straight from the original samples, so no
+//! whole-volume difference or normalized copy is ever allocated — and
+//! [`fit_patches`] samples the windows and runs the one training loop,
+//! whatever the channels hold (`crates/bench`'s ablation fits raw values
+//! through it).
 
 use cfc_nn::{mse_loss, Adam, Optimizer, Sequential, Tensor};
-use cfc_tensor::{Field, Normalizer};
+use cfc_tensor::{Field, Normalizer, Shape};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -56,9 +64,10 @@ pub fn train_cfnn(
     anchors: &[&Field],
     target: &Field,
 ) -> TrainedCfnn {
-    let ndim = target.shape().ndim();
+    let shape = target.shape();
+    let ndim = shape.ndim();
     assert!(
-        anchors.iter().all(|a| a.shape() == target.shape()),
+        anchors.iter().all(|a| a.shape() == shape),
         "anchor/target shape mismatch"
     );
     assert_eq!(
@@ -71,39 +80,64 @@ pub fn train_cfnn(
         "spec does not match dimensionality"
     );
 
-    // --- difference channels + normalizers (original data) -----------------
-    let anchor_diffs: Vec<Field> = anchors
-        .iter()
-        .flat_map(|a| diffnet::difference_channels(a))
-        .collect();
-    let input_norms = diffnet::fit_normalizers(&anchor_diffs);
-    let target_diffs = diffnet::difference_channels(target);
-    let target_norms = diffnet::fit_normalizers(&target_diffs);
+    // channel layout: anchor-major, then axis
+    let x_channels: Vec<DiffChannel> = anchors.iter().flat_map(|a| diff_channels(a)).collect();
+    let y_channels = diff_channels(target);
+    let pp = cfg.patch * cfg.patch;
+    let (net, report) = fit_patches(spec, cfg, shape, |k, r0, c0, x, y| {
+        for (channels, planes) in [(&x_channels, x), (&y_channels, y)] {
+            for (ch, plane) in channels.iter().zip(planes.chunks_exact_mut(pp)) {
+                ch.gather(k, r0, c0, cfg.patch, plane);
+            }
+        }
+    });
 
-    let x_channels: Vec<Field> = anchor_diffs
-        .iter()
-        .zip(&input_norms)
-        .map(|(f, n)| n.apply_field(f))
-        .collect();
-    let y_channels: Vec<Field> = target_diffs
-        .iter()
-        .zip(&target_norms)
-        .map(|(f, n)| n.apply_field(f))
-        .collect();
+    TrainedCfnn {
+        net,
+        spec: *spec,
+        input_norms: x_channels.iter().map(|ch| ch.norm).collect(),
+        target_norms: y_channels.iter().map(|ch| ch.norm).collect(),
+        report,
+    }
+}
 
-    // --- patch sampling ------------------------------------------------------
-    let n_slices = diffnet::slice_count(target);
-    let slice_shape = diffnet::processing_slice(target, 0).shape();
-    let (rows, cols) = (slice_shape.dims()[0], slice_shape.dims()[1]);
+/// Sample `cfg.n_patches` windows of `cfg.patch`² from the 2-D slices of
+/// `shape` and fit a freshly built CFNN to them.
+///
+/// `gather(k, r0, c0, x, y)` fills one window's `spec.in_channels` input
+/// planes and `spec.out_channels` target planes (channel-major, `patch`²
+/// values each) from slice `k`, rows from `r0`, columns from `c0`. Windows
+/// never touch index 0 of an axis that has more than one sample.
+///
+/// One `StdRng` seeded with `cfg.seed` draws every window (`k`, `r0`, `c0`
+/// in that order) and then every epoch's shuffle, so the draw order — and
+/// with it the trained model — is a function of `cfg` and the data alone.
+/// Panics on a configuration [`TrainConfig::validate`] rejects or a patch
+/// that leaves no border inside a slice.
+pub fn fit_patches(
+    spec: &CfnnSpec,
+    cfg: &TrainConfig,
+    shape: Shape,
+    mut gather: impl FnMut(usize, usize, usize, &mut [f32], &mut [f32]),
+) -> (Sequential, TrainReport) {
+    if let Err(why) = cfg.validate() {
+        panic!("{why}");
+    }
+    let (n_slices, rows, cols) = diffnet::slice_geometry(shape);
     let p = cfg.patch;
     assert!(
         p + 1 < rows && p + 1 < cols,
         "patch {p} too large for {rows}x{cols} slices"
     );
+    let (in_len, out_len) = (spec.in_channels * p * p, spec.out_channels * p * p);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
-    let mut patches: Vec<(Vec<f32>, Vec<f32>)> = Vec::with_capacity(cfg.n_patches);
-    for _ in 0..cfg.n_patches {
+    let mut xs = vec![0.0f32; cfg.n_patches * in_len];
+    let mut ys = vec![0.0f32; cfg.n_patches * out_len];
+    for (x, y) in xs
+        .chunks_exact_mut(in_len)
+        .zip(ys.chunks_exact_mut(out_len))
+    {
         // skip index 0 along every axis: backward differences there are the
         // zero-padding convention, not data
         let k = if n_slices > 1 {
@@ -113,30 +147,28 @@ pub fn train_cfnn(
         };
         let r0 = rng.random_range(1..rows - p);
         let c0 = rng.random_range(1..cols - p);
-        let x = gather_patch(&x_channels, k, r0, c0, p, cols);
-        let y = gather_patch(&y_channels, k, r0, c0, p, cols);
-        patches.push((x, y));
+        gather(k, r0, c0, x, y);
     }
 
-    // --- training loop ---------------------------------------------------------
     let mut net = diffnet::build_cfnn(spec, cfg.seed);
     let mut opt = Adam::new(cfg.lr);
-    let in_c = spec.in_channels;
-    let out_c = spec.out_channels;
     let mut losses = Vec::with_capacity(cfg.epochs);
-    let mut order: Vec<usize> = (0..patches.len()).collect();
+    let mut order: Vec<usize> = (0..cfg.n_patches).collect();
+    // the batch tensors are filled in place, step after step
+    let mut x = Tensor::zeros(0, spec.in_channels, p, p);
+    let mut y = Tensor::zeros(0, spec.out_channels, p, p);
     for _epoch in 0..cfg.epochs {
         order.shuffle(&mut rng);
         let mut epoch_loss = 0.0f64;
         let mut n_batches = 0usize;
         for chunk in order.chunks(cfg.batch) {
-            let b = chunk.len();
-            let mut x = Tensor::zeros(b, in_c, p, p);
-            let mut y = Tensor::zeros(b, out_c, p, p);
+            x.set_batch(chunk.len());
+            y.set_batch(chunk.len());
             for (bi, &pi) in chunk.iter().enumerate() {
-                let (px, py) = &patches[pi];
-                x.data[bi * in_c * p * p..(bi + 1) * in_c * p * p].copy_from_slice(px);
-                y.data[bi * out_c * p * p..(bi + 1) * out_c * p * p].copy_from_slice(py);
+                x.sample_mut(bi)
+                    .copy_from_slice(&xs[pi * in_len..][..in_len]);
+                y.sample_mut(bi)
+                    .copy_from_slice(&ys[pi * out_len..][..out_len]);
             }
             net.zero_grad();
             let out = net.forward(&x, true);
@@ -148,39 +180,95 @@ pub fn train_cfnn(
         }
         losses.push((epoch_loss / n_batches.max(1) as f64) as f32);
     }
-
-    TrainedCfnn {
-        net,
-        spec: *spec,
-        input_norms,
-        target_norms,
-        report: TrainReport {
-            losses,
-            n_patches: patches.len(),
-        },
-    }
+    let report = TrainReport {
+        losses,
+        n_patches: cfg.n_patches,
+    };
+    (net, report)
 }
 
-/// Gather a `channels × p × p` patch at `(slice k, r0, c0)` from per-channel
-/// (possibly 3-D) fields, channel-major.
-fn gather_patch(
-    channels: &[Field],
-    k: usize,
-    r0: usize,
-    c0: usize,
-    p: usize,
+/// One CFNN channel: a field's backward difference along one axis,
+/// normalized — computed window by window from the original samples.
+struct DiffChannel<'a> {
+    v: &'a [f32],
+    /// Extent of a 2-D slice of the field.
+    rows: usize,
     cols: usize,
-) -> Vec<f32> {
-    let mut out = Vec::with_capacity(channels.len() * p * p);
-    for ch in channels {
-        let slice = diffnet::processing_slice(ch, k);
-        let src = slice.as_slice();
-        for i in 0..p {
-            let base = (r0 + i) * cols + c0;
-            out.extend_from_slice(&src[base..base + p]);
+    /// Distance in `v` to the previous sample along the axis.
+    step: usize,
+    norm: Normalizer,
+}
+
+/// The difference channels of one field, in axis order, each with the
+/// max-abs normalizer of its whole difference volume.
+fn diff_channels(field: &Field) -> Vec<DiffChannel<'_>> {
+    let (_, rows, cols) = diffnet::slice_geometry(field.shape());
+    let v = field.as_slice();
+    // largest |difference| along the slice, row and column axis in one pass
+    // (the samples at index 0 of an axis have difference 0 and cannot win)
+    let mut largest = [0.0f32; 3];
+    for (at, cur) in v.chunks_exact(cols).enumerate() {
+        if at >= rows {
+            largest[0] = max_abs_diff(largest[0], cur, &v[(at - rows) * cols..][..cols]);
+        }
+        if at % rows > 0 {
+            largest[1] = max_abs_diff(largest[1], cur, &v[(at - 1) * cols..][..cols]);
+        }
+        largest[2] = max_abs_diff(largest[2], &cur[1..], cur);
+    }
+    let steps = [rows * cols, cols, 1];
+    (3 - field.shape().ndim()..3)
+        .map(|axis| DiffChannel {
+            v,
+            rows,
+            cols,
+            step: steps[axis],
+            norm: Normalizer::max_abs(&largest[axis..=axis], 1.0),
+        })
+        .collect()
+}
+
+/// The largest `|cur[i] − prev[i]|` over the pairs, or `m` if that is
+/// larger. Eight running maxima, so the compiler can keep them in vector
+/// registers; a maximum does not depend on the order it is taken in, and a
+/// NaN difference never wins a comparison — as it never wins `f32::max`.
+fn max_abs_diff(m: f32, cur: &[f32], prev: &[f32]) -> f32 {
+    const LANES: usize = 8;
+    let larger = |a: f32, b: f32| if b > a { b } else { a };
+    let n = cur.len().min(prev.len());
+    let (mut cur, mut prev) = (cur[..n].chunks_exact(LANES), prev[..n].chunks_exact(LANES));
+    let mut lanes = [m; LANES];
+    for (c, p) in (&mut cur).zip(&mut prev) {
+        for l in 0..LANES {
+            lanes[l] = larger(lanes[l], (c[l] - p[l]).abs());
         }
     }
-    out
+    let tail = cur.remainder().iter().zip(prev.remainder());
+    tail.map(|(&c, &p)| (c - p).abs())
+        .chain(lanes)
+        .fold(m, larger)
+}
+
+impl DiffChannel<'_> {
+    /// The `p × p` window at rows from `r0`, columns from `c0` of slice `k`.
+    /// The arithmetic is `predict::normalized_diff_plane`'s — `cur − prev`,
+    /// then [`Normalizer::apply`] — so the network trains on the bits
+    /// inference will feed it.
+    fn gather(&self, k: usize, r0: usize, c0: usize, p: usize, dst: &mut [f32]) {
+        let (rows, cols) = (self.rows, self.cols);
+        let base = (k * rows + r0) * cols + c0;
+        if base < self.step {
+            // the first slab of a volume: no slice below it
+            return dst.fill(self.norm.apply(0.0));
+        }
+        for (i, row) in dst.chunks_exact_mut(p).enumerate() {
+            let at = base + i * cols;
+            let (cur, prev) = (&self.v[at..at + p], &self.v[at - self.step..][..p]);
+            for ((d, &cur), &prev) in row.iter_mut().zip(cur).zip(prev) {
+                *d = self.norm.apply(cur - prev);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -213,6 +301,47 @@ mod tests {
             "loss did not converge: {:?}",
             trained.report.losses
         );
+    }
+
+    #[test]
+    fn channels_match_the_materialized_difference_volumes() {
+        // the path this module used to take: difference volumes, their
+        // normalizers, normalized copies, windows cut from those
+        let p = 3;
+        for shape in [Shape::d2(9, 21), Shape::d3(4, 9, 21), Shape::d3(1, 9, 21)] {
+            let f = Field::from_fn(shape, |i| {
+                let t: usize = i.iter().enumerate().map(|(d, &v)| (3 * d + 2) * v).sum();
+                (t as f32 * 0.37).sin() * 40.0 + 0.3 * t as f32
+            });
+            let diffs = cfc_tensor::diff::backward_diff_all(&f);
+            let norms = diffnet::fit_normalizers(&diffs);
+            let channels = diff_channels(&f);
+            assert_eq!(channels.len(), diffs.len());
+            let (slices, rows, cols) = diffnet::slice_geometry(shape);
+            for ((ch, diff), norm) in channels.iter().zip(&diffs).zip(&norms) {
+                assert_eq!(ch.norm, *norm, "{shape}");
+                let want = norm.apply_field(diff);
+                // every window the sampler can draw
+                for k in usize::from(slices > 1)..slices {
+                    for r0 in 1..rows - p {
+                        for c0 in 1..cols - p {
+                            let mut got = vec![f32::NAN; p * p];
+                            ch.gather(k, r0, c0, p, &mut got);
+                            for (i, row) in got.chunks_exact(p).enumerate() {
+                                let at = (k * rows + r0 + i) * cols + c0;
+                                let bits =
+                                    |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                                assert_eq!(
+                                    bits(row),
+                                    bits(&want.as_slice()[at..at + p]),
+                                    "{shape} window ({k}, {r0}, {c0}) row {i}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

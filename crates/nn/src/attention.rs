@@ -6,7 +6,7 @@
 //! gates that rescale the feature map.
 
 use crate::init;
-use crate::layer::{sigmoid, Layer, ParamSet};
+use crate::layer::{keep, sigmoid, Layer, ParamSet};
 use crate::tensor::Tensor;
 
 /// Channel attention gate.
@@ -220,8 +220,9 @@ impl Layer for ChannelAttention {
         if train {
             self.grad_w1.resize(self.w1.len(), 0.0);
             self.grad_w2.resize(self.w2.len(), 0.0);
+            let previous = self.cache.take().map(|old| old.input);
             self.cache = Some(Cache {
-                input: input.clone(),
+                input: keep(previous, input),
                 gate,
                 avg,
                 mx,
@@ -233,15 +234,11 @@ impl Layer for ChannelAttention {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self
-            .cache
-            .as_ref()
-            .expect("backward before forward")
-            .clone();
+    fn backward(&mut self, grad_out: &Tensor, want_input: bool) -> Option<Tensor> {
+        let cache = self.cache.as_ref().expect("backward before forward");
         let (n, c, h, w) = cache.input.dims();
-        let hw = h * w;
-        let mut grad_in = cache.input.zeros_like();
+        let (hw, hidden) = (h * w, self.hidden);
+        let mut grad_in = want_input.then(|| cache.input.zeros_like());
 
         for b in 0..n {
             // ds[c] = Σ_hw G·X ; direct path dX = G·s
@@ -255,46 +252,46 @@ impl Layer for ChannelAttention {
                     ds += g[i] * x[i];
                 }
                 dz[cc] = ds * s * (1.0 - s);
-                let gi = grad_in.plane_mut(b, cc);
-                for i in 0..hw {
-                    gi[i] += g[i] * s;
+                if let Some(grad_in) = &mut grad_in {
+                    let gi = grad_in.plane_mut(b, cc);
+                    for i in 0..hw {
+                        gi[i] += g[i] * s;
+                    }
                 }
             }
             // shared MLP backward for each pooled path
             for path in 0..2 {
-                let (pooled, pre): (&[f32], &[f32]) = if path == 0 {
-                    (
-                        &cache.avg[b * c..(b + 1) * c],
-                        &cache.pre_a[b * self.hidden..(b + 1) * self.hidden],
-                    )
+                let (pooled, pre) = if path == 0 {
+                    (&cache.avg, &cache.pre_a)
                 } else {
-                    (
-                        &cache.mx[b * c..(b + 1) * c],
-                        &cache.pre_m[b * self.hidden..(b + 1) * self.hidden],
-                    )
+                    (&cache.mx, &cache.pre_m)
                 };
+                let (pooled, pre) = (&pooled[b * c..][..c], &pre[b * hidden..][..hidden]);
                 // dW2 += dz ⊗ relu(pre); dh = W2ᵀ dz
-                let mut dh = vec![0.0f32; self.hidden];
+                let mut dh = vec![0.0f32; hidden];
                 for cc in 0..c {
-                    for hh in 0..self.hidden {
+                    for hh in 0..hidden {
                         let hval = pre[hh].max(0.0);
-                        self.grad_w2[cc * self.hidden + hh] += dz[cc] * hval;
-                        dh[hh] += self.w2[cc * self.hidden + hh] * dz[cc];
+                        self.grad_w2[cc * hidden + hh] += dz[cc] * hval;
+                        dh[hh] += self.w2[cc * hidden + hh] * dz[cc];
                     }
                 }
                 // relu' then dW1 += dpre ⊗ pooled ; dpooled = W1ᵀ dpre
                 let mut dpooled = vec![0.0f32; c];
-                for hh in 0..self.hidden {
+                for hh in 0..hidden {
                     if pre[hh] <= 0.0 {
                         continue;
                     }
                     let dpre = dh[hh];
                     for cc in 0..c {
-                        self.grad_w1[hh * self.c + cc] += dpre * pooled[cc];
-                        dpooled[cc] += self.w1[hh * self.c + cc] * dpre;
+                        self.grad_w1[hh * c + cc] += dpre * pooled[cc];
+                        dpooled[cc] += self.w1[hh * c + cc] * dpre;
                     }
                 }
                 // route pooled gradients back into the feature map
+                let Some(grad_in) = &mut grad_in else {
+                    continue;
+                };
                 for cc in 0..c {
                     let gi = grad_in.plane_mut(b, cc);
                     if path == 0 {
@@ -379,7 +376,9 @@ mod tests {
         att.zero_grad();
         let out = att.forward(&input, true);
         let (_, grad) = mse_loss(&out, &target);
-        let grad_in = att.backward(&grad);
+        let grad_in = att
+            .backward(&grad, true)
+            .expect("asked for the input gradient");
 
         let eps = 1e-3f32;
         let analytic: Vec<Vec<f32>> = att.params().iter().map(|p| p.grads.to_vec()).collect();

@@ -1,12 +1,12 @@
 //! Convolution layers — full (also used as 1×1 pointwise) and depthwise —
-//! and the register-tiled kernels every forward pass runs on.
+//! and the register-tiled kernels every forward and backward pass runs on.
 //!
 //! Stride is fixed at 1 with "same" zero padding — the CFNN predicts a
 //! difference value for *every* grid point, so spatial dims never shrink.
 //!
 //! # Tiling
 //!
-//! The kernels are *output-stationary*: a strip of `XT = 16` (8 on narrow
+//! The forward kernels are *output-stationary*: a strip of `XT = 16` (8 on narrow
 //! planes, 64 for a lone output channel) adjacent pixels of one row × up
 //! to `OCT = 4` output channels lives in accumulators (eight 256-bit
 //! registers under AVX2) while the loops run over every input channel and
@@ -18,7 +18,8 @@
 //! (an output element is computed from scratch, so computing it twice is
 //! harmless); the `k / 2` border columns, where some taps fall outside
 //! the plane, and planes narrower than one strip plus padding take a
-//! scalar path with the same loop nest.
+//! scalar path with the same loop nest. A pointwise convolution's pixels
+//! do not see each other, so its plane is handed over as one long row.
 //!
 //! # Order of operations is the contract
 //!
@@ -36,17 +37,62 @@
 //! `avx2` without `fma` — so it cannot contract the multiply-add.
 //! `tests/cfnn_equivalence.rs` compares every [`Kernel`] the host offers
 //! against tap-major reference loops with `to_bits()`.
-
-use rayon::prelude::*;
+//!
+//! Training runs at compression time and its result — the model — is
+//! written into the archive, so the backward pass is under the same
+//! contract: the same data and seed give the same model bytes on every
+//! kernel and host. Its two chains, per sample `b` ascending:
+//!
+//! * **Weight gradient** of `w[oc][ic][ky][kx]`: `acc` starts at `+0.0`;
+//!   over the output pixels `(y, x)` in raster order whose source pixel
+//!   `(y + ky - k/2, x + kx - k/2)` lies inside the plane (border taps are
+//!   skipped, not added as `· 0`), `acc = acc + go[oc][y][x] * in[ic][..]`
+//!   as a rounded multiply then a rounded add; then `grad_w += acc`. The
+//!   bias gradient is the plane of `go[oc]` summed in raster order
+//!   starting from its first pixel, then `grad_b += sum`.
+//! * **Input gradient** of `in[ic][y][x]`: starts at `+0.0`; for `oc`, then
+//!   `ky`, then `kx` ascending, `acc = acc + w[oc][ic][ky][kx] *
+//!   go[oc][y - ky + k/2][x - kx + k/2]`, taps outside the plane skipped,
+//!   zero weights skipped by full convolutions and multiplied through by
+//!   depthwise ones — the forward chain with the channel roles swapped
+//!   and the offsets mirrored.
+//!
+//! A weight's chain is a reduction *over pixels*, so its order is fixed
+//! and pixels can never share a vector: summing a row eight pixels at a
+//! time and folding the lanes afterwards adds the same numbers in a
+//! different order and rounds differently. Different weights' chains are
+//! independent, so lanes run *across channels* instead. The weight
+//! gradient kernel is weight-stationary — the mirror image of the forward
+//! one: the `GL = 8` output channels (one 256-bit register a row) × up to
+//! `GR = 8` input channels of one tap live in accumulators while the
+//! sample's pixels stream past in raster order, every lane keeping its
+//! own chain, and are added to `grad_w` once per sample. Per pixel that is
+//! one vector load of the output gradient and `GR` broadcasts of the
+//! input, which wants both with channels adjacent: the sample's input and
+//! output gradient are transposed to pixel-major once per backward pass
+//! (and that keeps the update of a tile one straight-line block, which is
+//! what lets the compiler hold the accumulators in vector registers). The
+//! input gradient is a reduction over channels and taps for each pixel,
+//! exactly like the forward pass, and runs on the forward kernels:
+//! weights transposed `[ic][oc]` and repacked per step, zero bias, and the
+//! planes of `go` reversed end to end — a same-padded correlation of a
+//! plane reversed in both axes *is* the correlation with mirrored
+//! offsets, read backwards, with the taps still walked in ascending
+//! `(ky, kx)` order — then the result reversed back.
 
 use crate::init;
-use crate::layer::{Layer, ParamSet};
+use crate::layer::{keep, Layer, ParamSet};
 use crate::tensor::Tensor;
 
 /// Output channels per register tile.
 const OCT: usize = 4;
 /// Pixels per strip; planes too narrow for it use strips of `XT / 2`.
 const XT: usize = 16;
+/// Lanes of a weight-gradient accumulator row: adjacent output channels
+/// (channels of a depthwise layer).
+const GL: usize = 8;
+/// Most input channels per weight-gradient tile, one accumulator row each.
+const GR: usize = 8;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Isa {
@@ -149,6 +195,10 @@ impl PackedConv {
     pub fn run(&self, kernel: Kernel, src: &[f32], dst: &mut [f32], h: usize, w: usize) {
         assert_eq!(src.len(), self.in_c * h * w, "conv input size");
         assert_eq!(dst.len(), self.out_c * h * w, "conv output size");
+        // a pointwise convolution's pixels do not see each other: its plane
+        // is one long row — all strips and no borders, however narrow the
+        // rows (a training patch's are narrower than a strip)
+        let (h, w) = if self.k == 1 { (1, h * w) } else { (h, w) };
         match kernel.0 {
             Isa::Portable => conv_sample(self, src, dst, h, w),
             #[cfg(target_arch = "x86_64")]
@@ -432,6 +482,259 @@ fn point<const T: usize, const SKIP: bool>(tap: &Taps, bias: &[f32], dst: &mut [
     }
 }
 
+/// `src` — planes of `hw` values — with channels adjacent: `dst[p * cp +
+/// c]`. Returns `cp`, the channel count rounded up to whole [`GL`] lanes;
+/// the padding lanes are zero.
+fn pixel_major(src: &[f32], hw: usize, dst: &mut Vec<f32>) -> usize {
+    let cp = (src.len() / hw).next_multiple_of(GL);
+    dst.clear();
+    dst.resize(hw * cp, 0.0);
+    for (ch, plane) in src.chunks_exact(hw).enumerate() {
+        for (p, &v) in plane.iter().enumerate() {
+            dst[p * cp + ch] = v;
+        }
+    }
+    cp
+}
+
+fn reverse_planes(data: &mut [f32], hw: usize) {
+    for plane in data.chunks_exact_mut(hw) {
+        plane.reverse();
+    }
+}
+
+/// A layer's input gradient (shaped like `input`) on a forward kernel:
+/// `correlate(src, dst)` runs it over one sample, and sees every plane of
+/// the output gradient reversed end to end; its result is reversed back.
+fn input_gradient(
+    input: &Tensor,
+    grad_out: &Tensor,
+    mut correlate: impl FnMut(&[f32], &mut [f32]),
+) -> Tensor {
+    let hw = input.h * input.w;
+    let mut grad_in = input.zeros_like();
+    let mut reversed = Vec::new();
+    for b in 0..input.n {
+        reversed.clear();
+        reversed.extend_from_slice(grad_out.sample(b));
+        reverse_planes(&mut reversed, hw);
+        let gi = grad_in.sample_mut(b);
+        correlate(&reversed, gi);
+        reverse_planes(gi, hw);
+    }
+    grad_in
+}
+
+/// `grad_b[c] +=` the sum of channel `c`'s plane in raster order, every
+/// channel its own chain started from the first pixel; `go_t` is
+/// pixel-major with `cp` lanes a pixel.
+fn bias_grad(go_t: &[f32], cp: usize, grad_b: &mut [f32]) {
+    let mut pixels = go_t.chunks_exact(cp);
+    let Some(first) = pixels.next() else {
+        return;
+    };
+    let mut sum = first.to_vec();
+    for px in pixels {
+        for (s, &g) in sum.iter_mut().zip(px) {
+            *s += g;
+        }
+    }
+    for (gb, s) in grad_b.iter_mut().zip(sum) {
+        *gb += s;
+    }
+}
+
+/// The output pixels along one axis of extent `n` whose source under
+/// kernel offset `t` (of `k`) lies inside the plane.
+#[inline(always)]
+fn tap_range(t: usize, k: usize, n: usize) -> std::ops::Range<usize> {
+    let pad = k / 2;
+    pad.saturating_sub(t)..n.min((n + pad).saturating_sub(t))
+}
+
+/// One sample as the weight-gradient kernels read it: the layer's input
+/// and the output gradient, both pixel-major (`icp` / `ocp` lanes a
+/// pixel), and the geometry.
+struct GradOperands<'a> {
+    src_t: &'a [f32],
+    icp: usize,
+    go_t: &'a [f32],
+    ocp: usize,
+    k: usize,
+    h: usize,
+    w: usize,
+}
+
+impl GradOperands<'_> {
+    /// The pixel pairs tap `(ky, kx)` multiplies, in raster order, as runs
+    /// of adjacent pixels: `(first source pixel, first output pixel,
+    /// length)`, one run per output row the tap reaches.
+    #[inline(always)]
+    fn runs(&self, ky: usize, kx: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+        let (w, pad) = (self.w, self.k / 2);
+        let xs = tap_range(kx, self.k, w);
+        let ys = if xs.is_empty() {
+            0..0
+        } else {
+            tap_range(ky, self.k, self.h)
+        };
+        ys.map(move |y| {
+            let src = (y + ky - pad) * w + xs.start + kx - pad;
+            (src, y * w + xs.start, xs.len())
+        })
+    }
+}
+
+/// A batch's parameter gradients, sample by sample: input and output
+/// gradient transposed to pixel-major, the bias gradient accumulated, and
+/// `weight_grad` handed the operands.
+fn param_gradients(
+    input: &Tensor,
+    grad_out: &Tensor,
+    k: usize,
+    grad_b: &mut [f32],
+    mut weight_grad: impl FnMut(&GradOperands),
+) {
+    let (n, _, h, w) = input.dims();
+    let (mut src_t, mut go_t) = (Vec::new(), Vec::new());
+    for b in 0..n {
+        let ops = GradOperands {
+            icp: pixel_major(input.sample(b), h * w, &mut src_t),
+            ocp: pixel_major(grad_out.sample(b), h * w, &mut go_t),
+            src_t: &src_t,
+            go_t: &go_t,
+            k,
+            h,
+            w,
+        };
+        bias_grad(ops.go_t, ops.ocp, grad_b);
+        weight_grad(&ops);
+    }
+}
+
+/// One sample's contribution to a full convolution's weight gradient
+/// (`[out_c][in_c][k][k]`).
+fn conv_grad_w(kernel: Kernel, ops: &GradOperands, in_c: usize, out_c: usize, grad_w: &mut [f32]) {
+    match kernel.0 {
+        Isa::Portable => conv_grad_w_sample(ops, in_c, out_c, grad_w),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Isa::Avx2` is only constructed by `Kernel::detect` after AVX2 was detected
+        Isa::Avx2 => unsafe { conv_grad_w_sample_avx2(ops, in_c, out_c, grad_w) },
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn conv_grad_w_sample_avx2(ops: &GradOperands, in_c: usize, out_c: usize, grad_w: &mut [f32]) {
+    conv_grad_w_sample(ops, in_c, out_c, grad_w)
+}
+
+#[inline(always)]
+fn conv_grad_w_sample(ops: &GradOperands, in_c: usize, out_c: usize, grad_w: &mut [f32]) {
+    let k = ops.k;
+    for oc0 in (0..out_c).step_by(GL) {
+        for ic0 in (0..in_c).step_by(GR) {
+            for ky in 0..k {
+                for kx in 0..k {
+                    let mut flush = |acc: &[[f32; GL]]| {
+                        for (r, row) in acc.iter().enumerate() {
+                            for (l, &a) in row.iter().take(out_c - oc0).enumerate() {
+                                grad_w[(((oc0 + l) * in_c + ic0 + r) * k + ky) * k + kx] += a;
+                            }
+                        }
+                    };
+                    macro_rules! tile {
+                        ($($r:literal)*) => {
+                            match GR.min(in_c - ic0) {
+                                $($r => flush(&grad_w_tile::<$r>(ops, ic0, oc0, ky, kx)),)*
+                                _ => unreachable!("a tile holds 1..=GR input channels"),
+                            }
+                        };
+                    }
+                    tile!(1 2 3 4 5 6 7 8);
+                }
+            }
+        }
+    }
+}
+
+/// One tap's weight gradients for `R` input channels from `ic0` × [`GL`]
+/// output channels from `oc0`: `R × GL` accumulators stay put while the
+/// sample's pixels stream past in raster order.
+#[inline(always)]
+fn grad_w_tile<const R: usize>(
+    ops: &GradOperands,
+    ic0: usize,
+    oc0: usize,
+    ky: usize,
+    kx: usize,
+) -> [[f32; GL]; R] {
+    let mut acc = [[0.0f32; GL]; R];
+    for (src, out, len) in ops.runs(ky, kx) {
+        let src = &ops.src_t[src * ops.icp + ic0..];
+        let go = &ops.go_t[out * ops.ocp + oc0..];
+        for j in 0..len {
+            let sv: &[f32; R] = src[j * ops.icp..][..R]
+                .try_into()
+                .expect("slice of length R");
+            let gv: &[f32; GL] = go[j * ops.ocp..][..GL]
+                .try_into()
+                .expect("slice of length GL");
+            for r in 0..R {
+                for l in 0..GL {
+                    acc[r][l] += gv[l] * sv[r];
+                }
+            }
+        }
+    }
+    acc
+}
+
+/// One sample's contribution to a depthwise convolution's weight
+/// gradient (`[c][k][k]`); `ops.icp == ops.ocp`.
+fn depthwise_grad_w(kernel: Kernel, ops: &GradOperands, c: usize, grad_w: &mut [f32]) {
+    match kernel.0 {
+        Isa::Portable => depthwise_grad_w_sample(ops, c, grad_w),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Isa::Avx2` is only constructed by `Kernel::detect` after AVX2 was detected
+        Isa::Avx2 => unsafe { depthwise_grad_w_sample_avx2(ops, c, grad_w) },
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn depthwise_grad_w_sample_avx2(ops: &GradOperands, c: usize, grad_w: &mut [f32]) {
+    depthwise_grad_w_sample(ops, c, grad_w)
+}
+
+#[inline(always)]
+fn depthwise_grad_w_sample(ops: &GradOperands, c: usize, grad_w: &mut [f32]) {
+    let (k, cp) = (ops.k, ops.ocp);
+    for c0 in (0..c).step_by(GL) {
+        for ky in 0..k {
+            for kx in 0..k {
+                let mut acc = [0.0f32; GL];
+                for (src, out, len) in ops.runs(ky, kx) {
+                    let src = &ops.src_t[src * cp + c0..];
+                    let go = &ops.go_t[out * cp + c0..];
+                    for j in 0..len {
+                        let sv: &[f32; GL] =
+                            src[j * cp..][..GL].try_into().expect("slice of length GL");
+                        let gv: &[f32; GL] =
+                            go[j * cp..][..GL].try_into().expect("slice of length GL");
+                        for l in 0..GL {
+                            acc[l] += gv[l] * sv[l];
+                        }
+                    }
+                }
+                for (l, &a) in acc.iter().take(c - c0).enumerate() {
+                    grad_w[((c0 + l) * k + ky) * k + kx] += a;
+                }
+            }
+        }
+    }
+}
+
 /// Same-padded 2-D convolution with bias.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
@@ -510,6 +813,42 @@ impl Conv2d {
     pub(crate) fn packed(&self) -> PackedConv {
         PackedConv::new(self.in_c, self.out_c, self.k, &self.weight, &self.bias)
     }
+
+    /// [`Layer::backward`] on a chosen kernel body; all of them accumulate
+    /// and return the same bits (see the module docs for the chains).
+    pub fn backward_with(
+        &mut self,
+        kernel: Kernel,
+        grad_out: &Tensor,
+        want_input: bool,
+    ) -> Option<Tensor> {
+        let input = self.cached_input.as_ref().expect("backward before forward");
+        let (n, _, h, w) = input.dims();
+        assert_eq!(
+            grad_out.dims(),
+            (n, self.out_c, h, w),
+            "conv2d gradient shape"
+        );
+        let (in_c, out_c, k) = (self.in_c, self.out_c, self.k);
+        param_gradients(input, grad_out, k, &mut self.grad_b, |ops| {
+            conv_grad_w(kernel, ops, in_c, out_c, &mut self.grad_w)
+        });
+        if !want_input {
+            return None;
+        }
+        // the forward kernel with the channel roles swapped; the optimizer
+        // moves the weights between calls: transpose and repack each time
+        let kk = k * k;
+        let mut transposed = vec![0.0; self.weight.len()];
+        for (at, taps) in self.weight.chunks_exact(kk).enumerate() {
+            let (oc, ic) = (at / in_c, at % in_c);
+            transposed[(ic * out_c + oc) * kk..][..kk].copy_from_slice(taps);
+        }
+        let packed = PackedConv::new(out_c, in_c, k, &transposed, &vec![0.0; in_c]);
+        Some(input_gradient(input, grad_out, |src, dst| {
+            packed.run(kernel, src, dst, h, w)
+        }))
+    }
 }
 
 impl Layer for Conv2d {
@@ -526,97 +865,13 @@ impl Layer for Conv2d {
         if train {
             self.grad_w.resize(self.weight.len(), 0.0);
             self.grad_b.resize(self.bias.len(), 0.0);
-            self.cached_input = Some(input.clone());
+            self.cached_input = Some(keep(self.cached_input.take(), input));
         }
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self.cached_input.as_ref().expect("backward before forward");
-        let (n, _, h, w) = input.dims();
-        let pad = self.k / 2;
-        let k = self.k;
-        let kk = k * k;
-
-        // bias gradients
-        for b in 0..n {
-            for oc in 0..self.out_c {
-                self.grad_b[oc] += grad_out.plane(b, oc).iter().sum::<f32>();
-            }
-        }
-
-        // weight gradients: parallel over oc (disjoint grad_w slices)
-        let in_c = self.in_c;
-        self.grad_w
-            .par_chunks_mut(in_c * kk)
-            .enumerate()
-            .for_each(|(oc, gw)| {
-                for b in 0..n {
-                    let go = grad_out.plane(b, oc);
-                    for ic in 0..in_c {
-                        let src = input.plane(b, ic);
-                        for ky in 0..k {
-                            let dy = ky as isize - pad as isize;
-                            for kx in 0..k {
-                                let dx = kx as isize - pad as isize;
-                                let y0 = (-dy).max(0) as usize;
-                                let y1 = (h as isize - dy).min(h as isize) as usize;
-                                let x0 = (-dx).max(0) as usize;
-                                let x1 = (w as isize - dx).min(w as isize) as usize;
-                                let mut acc = 0.0f32;
-                                for y in y0..y1 {
-                                    let sy = (y as isize + dy) as usize;
-                                    for x in x0..x1 {
-                                        let sx = (x as isize + dx) as usize;
-                                        acc += go[y * w + x] * src[sy * w + sx];
-                                    }
-                                }
-                                gw[ic * kk + ky * k + kx] += acc;
-                            }
-                        }
-                    }
-                }
-            });
-
-        // input gradients: full correlation with flipped kernel
-        let mut grad_in = input.zeros_like();
-        let out_c = self.out_c;
-        let weight = &self.weight;
-        grad_in
-            .data
-            .par_chunks_mut(h * w)
-            .enumerate()
-            .for_each(|(plane, gi)| {
-                let b = plane / in_c;
-                let ic = plane % in_c;
-                for oc in 0..out_c {
-                    let go = grad_out.plane(b, oc);
-                    let kernel = &weight[(oc * in_c + ic) * kk..(oc * in_c + ic + 1) * kk];
-                    for ky in 0..k {
-                        let dy = ky as isize - pad as isize;
-                        for kx in 0..k {
-                            let dx = kx as isize - pad as isize;
-                            let kv = kernel[ky * k + kx];
-                            if kv == 0.0 {
-                                continue;
-                            }
-                            // gi[iy][ix] += kv * go[iy - dy][ix - dx]
-                            let y0 = dy.max(0) as usize;
-                            let y1 = (h as isize + dy).min(h as isize) as usize;
-                            let x0 = dx.max(0) as usize;
-                            let x1 = (w as isize + dx).min(w as isize) as usize;
-                            for iy in y0..y1 {
-                                let oy = (iy as isize - dy) as usize;
-                                for ix in x0..x1 {
-                                    let ox = (ix as isize - dx) as usize;
-                                    gi[iy * w + ix] += kv * go[oy * w + ox];
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-        grad_in
+    fn backward(&mut self, grad_out: &Tensor, want_input: bool) -> Option<Tensor> {
+        self.backward_with(Kernel::detect(), grad_out, want_input)
     }
 
     fn params(&mut self) -> Vec<ParamSet<'_>> {
@@ -699,6 +954,32 @@ impl DepthwiseConv2d {
     }
 }
 
+impl DepthwiseConv2d {
+    /// [`Layer::backward`] on a chosen kernel body; see
+    /// [`Conv2d::backward_with`].
+    pub fn backward_with(
+        &mut self,
+        kernel: Kernel,
+        grad_out: &Tensor,
+        want_input: bool,
+    ) -> Option<Tensor> {
+        let input = self.cached_input.as_ref().expect("backward before forward");
+        let (_, c, h, w) = input.dims();
+        assert_eq!(grad_out.dims(), input.dims(), "depthwise gradient shape");
+        let k = self.k;
+        param_gradients(input, grad_out, k, &mut self.grad_b, |ops| {
+            depthwise_grad_w(kernel, ops, c, &mut self.grad_w)
+        });
+        if !want_input {
+            return None;
+        }
+        let zero_bias = vec![0.0; c];
+        Some(input_gradient(input, grad_out, |src, dst| {
+            depthwise(kernel, k, &self.weight, &zero_bias, src, dst, h, w)
+        }))
+    }
+}
+
 impl Layer for DepthwiseConv2d {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         assert_eq!(input.c, self.c, "depthwise channel mismatch");
@@ -720,85 +1001,13 @@ impl Layer for DepthwiseConv2d {
         if train {
             self.grad_w.resize(self.weight.len(), 0.0);
             self.grad_b.resize(self.bias.len(), 0.0);
-            self.cached_input = Some(input.clone());
+            self.cached_input = Some(keep(self.cached_input.take(), input));
         }
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self.cached_input.as_ref().expect("backward before forward");
-        let (n, _, h, w) = input.dims();
-        let pad = self.k / 2;
-        let k = self.k;
-        let kk = k * k;
-
-        for b in 0..n {
-            for c in 0..self.c {
-                self.grad_b[c] += grad_out.plane(b, c).iter().sum::<f32>();
-            }
-        }
-
-        self.grad_w
-            .par_chunks_mut(kk)
-            .enumerate()
-            .for_each(|(c, gw)| {
-                for b in 0..n {
-                    let go = grad_out.plane(b, c);
-                    let src = input.plane(b, c);
-                    for ky in 0..k {
-                        let dy = ky as isize - pad as isize;
-                        for kx in 0..k {
-                            let dx = kx as isize - pad as isize;
-                            let y0 = (-dy).max(0) as usize;
-                            let y1 = (h as isize - dy).min(h as isize) as usize;
-                            let x0 = (-dx).max(0) as usize;
-                            let x1 = (w as isize - dx).min(w as isize) as usize;
-                            let mut acc = 0.0f32;
-                            for y in y0..y1 {
-                                let sy = (y as isize + dy) as usize;
-                                for x in x0..x1 {
-                                    let sx = (x as isize + dx) as usize;
-                                    acc += go[y * w + x] * src[sy * w + sx];
-                                }
-                            }
-                            gw[ky * k + kx] += acc;
-                        }
-                    }
-                }
-            });
-
-        let mut grad_in = input.zeros_like();
-        let weight = &self.weight;
-        let cc = self.c;
-        grad_in
-            .data
-            .par_chunks_mut(h * w)
-            .enumerate()
-            .for_each(|(plane, gi)| {
-                let b = plane / cc;
-                let c = plane % cc;
-                let go = grad_out.plane(b, c);
-                let kernel = &weight[c * kk..(c + 1) * kk];
-                for ky in 0..k {
-                    let dy = ky as isize - pad as isize;
-                    for kx in 0..k {
-                        let dx = kx as isize - pad as isize;
-                        let kv = kernel[ky * k + kx];
-                        let y0 = dy.max(0) as usize;
-                        let y1 = (h as isize + dy).min(h as isize) as usize;
-                        let x0 = dx.max(0) as usize;
-                        let x1 = (w as isize + dx).min(w as isize) as usize;
-                        for iy in y0..y1 {
-                            let oy = (iy as isize - dy) as usize;
-                            for ix in x0..x1 {
-                                let ox = (ix as isize - dx) as usize;
-                                gi[iy * w + ix] += kv * go[oy * w + ox];
-                            }
-                        }
-                    }
-                }
-            });
-        grad_in
+    fn backward(&mut self, grad_out: &Tensor, want_input: bool) -> Option<Tensor> {
+        self.backward_with(Kernel::detect(), grad_out, want_input)
     }
 
     fn params(&mut self) -> Vec<ParamSet<'_>> {
@@ -831,7 +1040,9 @@ mod tests {
         layer.zero_grad();
         let out = layer.forward(input, true);
         let (_, grad) = mse_loss(&out, target);
-        let grad_in = layer.backward(&grad);
+        let grad_in = layer
+            .backward(&grad, true)
+            .expect("asked for the input gradient");
 
         // numeric parameter gradients
         let eps = 1e-3f32;

@@ -17,14 +17,17 @@ pub struct ParamSet<'a> {
 /// A differentiable layer.
 ///
 /// The forward pass caches whatever the backward pass needs; backward
-/// consumes the output gradient, accumulates parameter gradients, and
-/// returns the input gradient.
+/// consumes the output gradient, accumulates parameter gradients, and —
+/// only when asked — computes the input gradient. The layer at the bottom
+/// of a stack is never asked: nothing reads the gradient of the data, and
+/// for a convolution it costs as much as the forward pass.
 pub trait Layer: Send {
     /// Forward pass. `train` enables caching for backward.
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
 
-    /// Backward pass; must follow a `forward(_, true)`.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+    /// Backward pass; must follow a `forward(_, true)`. Returns the input
+    /// gradient exactly when `want_input` is set.
+    fn backward(&mut self, grad_out: &Tensor, want_input: bool) -> Option<Tensor>;
 
     /// Learnable parameter blocks (empty for stateless layers).
     fn params(&mut self) -> Vec<ParamSet<'_>> {
@@ -47,6 +50,18 @@ pub trait Layer: Send {
     fn name(&self) -> &'static str;
 }
 
+/// A copy of `input` for the backward pass, in the allocation the previous
+/// training step's copy (if there was one) used.
+pub(crate) fn keep(previous: Option<Tensor>, input: &Tensor) -> Tensor {
+    match previous {
+        Some(mut kept) => {
+            kept.clone_from(input);
+            kept
+        }
+        None => input.clone(),
+    }
+}
+
 /// Rectified linear unit.
 #[derive(Debug, Default)]
 pub struct ReLU {
@@ -61,12 +76,12 @@ impl ReLU {
 }
 
 /// ReLU in place. A comparison, not `max`: NaN and `-0.0` pass through
-/// unchanged, and inference must reproduce that bit for bit.
+/// unchanged, and inference must reproduce that bit for bit. Every element
+/// is stored, so the comparison compiles to a select rather than a branch
+/// that activations of mixed sign mispredict half the time.
 pub(crate) fn relu_in_place(data: &mut [f32]) {
     for v in data {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
+        *v = if *v < 0.0 { 0.0 } else { *v };
     }
 }
 
@@ -74,21 +89,22 @@ impl Layer for ReLU {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let mut out = input.clone();
         if train {
-            self.mask = input.data.iter().map(|&v| v > 0.0).collect();
+            self.mask.clear();
+            self.mask.extend(input.data.iter().map(|&v| v > 0.0));
         }
         relu_in_place(&mut out.data);
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, want_input: bool) -> Option<Tensor> {
         assert_eq!(self.mask.len(), grad_out.len(), "backward without forward");
-        let mut g = grad_out.clone();
-        for (v, &keep) in g.data.iter_mut().zip(&self.mask) {
-            if !keep {
-                *v = 0.0;
+        want_input.then(|| {
+            let mut g = grad_out.clone();
+            for (v, &keep) in g.data.iter_mut().zip(&self.mask) {
+                *v = if keep { *v } else { 0.0 };
             }
-        }
-        g
+            g
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -124,8 +140,12 @@ mod tests {
         let mut l = ReLU::new();
         let t = Tensor::from_vec(1, 1, 1, 4, vec![-1.0, 0.5, 2.0, -3.0]);
         let _ = l.forward(&t, true);
-        let g = l.backward(&Tensor::from_vec(1, 1, 1, 4, vec![1.0; 4]));
+        let ones = Tensor::from_vec(1, 1, 1, 4, vec![1.0; 4]);
+        let g = l
+            .backward(&ones, true)
+            .expect("asked for the input gradient");
         assert_eq!(g.data, vec![0.0, 1.0, 1.0, 0.0]);
+        assert!(l.backward(&ones, false).is_none());
     }
 
     #[test]

@@ -113,13 +113,17 @@ impl Sequential {
         x
     }
 
-    /// Backward pass (after a training forward). Returns the input gradient.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for l in self.layers.iter_mut().rev() {
-            g = l.as_layer().backward(&g);
+    /// Backward pass (after a training forward): accumulates every
+    /// layer's parameter gradients from the loss gradient `grad_out`. The
+    /// gradient flows down to the first layer's output and stops there —
+    /// the gradient with respect to the network's input has no reader, so
+    /// the first layer is not asked for it.
+    pub fn backward(&mut self, grad_out: &Tensor) {
+        let mut below: Option<Tensor> = None;
+        for (i, l) in self.layers.iter_mut().enumerate().rev() {
+            let g = below.as_ref().unwrap_or(grad_out);
+            below = l.as_layer().backward(g, i > 0);
         }
-        g
     }
 
     /// All parameter blocks in layer order.

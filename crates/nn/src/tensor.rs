@@ -1,7 +1,7 @@
 //! NCHW activation tensor.
 
 /// A dense 4-D `batch × channels × height × width` tensor of `f32`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Tensor {
     /// Row-major NCHW data.
     pub data: Vec<f32>,
@@ -13,6 +13,22 @@ pub struct Tensor {
     pub h: usize,
     /// Width.
     pub w: usize,
+}
+
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        Tensor {
+            data: self.data.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies into the existing allocation when it is large enough — the
+    /// training loop re-fills the same caches every step.
+    fn clone_from(&mut self, source: &Self) {
+        self.data.clone_from(&source.data);
+        (self.n, self.c, self.h, self.w) = source.dims();
+    }
 }
 
 impl Tensor {
@@ -97,6 +113,13 @@ impl Tensor {
     pub fn sample_mut(&mut self, n: usize) -> &mut [f32] {
         let chw = self.c * self.h * self.w;
         &mut self.data[n * chw..(n + 1) * chw]
+    }
+
+    /// Change the batch size in place, keeping the allocation; samples
+    /// beyond the old size are zero.
+    pub fn set_batch(&mut self, n: usize) {
+        self.data.resize(n * self.c * self.h * self.w, 0.0);
+        self.n = n;
     }
 
     /// Same-shape zero tensor.

@@ -1,17 +1,24 @@
-//! Differential bit-exactness suite for CFNN inference.
+//! Differential bit-exactness suite for CFNN inference and training.
 //!
 //! CFNN predictions are computed on both sides of the codec, so archives on
 //! disk decode within their error bound only as long as inference keeps
-//! producing the bits it produced when they were written. This file holds
-//! the oracle — the tap-major convolution loops, ReLU, channel attention
-//! and input/output marshalling exactly as they stood before the
-//! register-tiled kernels and inference plans replaced them — and compares
-//! everything that runs today against it with `to_bits()`:
+//! producing the bits it produced when they were written; and the model is
+//! trained at compression time and written into the archive, so the same
+//! data must keep training to the same bytes. This file holds the oracle —
+//! the tap-major convolution loops (forward, weight, bias and input
+//! gradient), ReLU, channel attention and input/output marshalling exactly
+//! as they stood before the register-tiled kernels and inference plans
+//! replaced them — and compares everything that runs today against it with
+//! `to_bits()`:
 //!
 //! * every [`Kernel`] the host offers (the portable body too, on an AVX2
 //!   host) over kernel sizes, plane shapes on both sides of every strip
 //!   threshold, channel counts that do not divide the tile, zero weights
 //!   and non-finite inputs;
+//! * the same kernels' backward passes — `grad_w`, `grad_b` and `grad_in`
+//!   of full and depthwise convolutions — over the same axes, batch 1 and
+//!   4, accumulated over two calls, with `-0.0`, NaN and infinities in the
+//!   output gradient;
 //! * [`InferencePlan`] and `Sequential::forward` on the paper's networks,
 //!   batch 1 against batch 4;
 //! * `predict_differences` on 2-D fields and on a partial last block.
@@ -27,7 +34,8 @@ use cross_field_compression::core::train::{TrainReport, TrainedCfnn};
 use cross_field_compression::nn::conv::depthwise;
 use cross_field_compression::nn::layer::sigmoid;
 use cross_field_compression::nn::{
-    AnyLayer, InferencePlan, Kernel, PackedConv, Sequential, Tensor, Workspace,
+    AnyLayer, Conv2d, DepthwiseConv2d, InferencePlan, Kernel, Layer, PackedConv, Sequential,
+    Tensor, Workspace,
 };
 use cross_field_compression::tensor::{diff, Field, Shape};
 
@@ -107,6 +115,153 @@ fn reference_taps(
             }
         }
     }
+}
+
+/// One weight's chain for one sample, as `Conv2d::backward` and
+/// `DepthwiseConv2d::backward` ran it: the products of `go` with `src`
+/// shifted by the tap's offset, summed over the plane in raster order.
+/// (The ranges are clamped as in [`reference_taps`]; the layers' own loops
+/// were not, and indexed out of bounds on a plane narrower than `k / 2`.)
+fn reference_weight_chain(
+    go: &[f32],
+    src: &[f32],
+    h: usize,
+    w: usize,
+    dy: isize,
+    dx: isize,
+) -> f32 {
+    let y0 = (-dy).max(0) as usize;
+    let y1 = (h as isize - dy).clamp(0, h as isize) as usize;
+    let x0 = (-dx).max(0) as usize;
+    let x1 = (w as isize - dx).clamp(0, w as isize) as usize;
+    let mut acc = 0.0f32;
+    for y in y0..y1 {
+        let sy = (y as isize + dy) as usize;
+        for x in x0..x1 {
+            let sx = (x as isize + dx) as usize;
+            acc += go[y * w + x] * src[sy * w + sx];
+        }
+    }
+    acc
+}
+
+/// One tap's sweep over an input-gradient plane: `gi[iy][ix] += kv *
+/// go[iy - dy][ix - dx]` wherever the output pixel exists.
+fn reference_input_tap(
+    gi: &mut [f32],
+    go: &[f32],
+    kv: f32,
+    h: usize,
+    w: usize,
+    dy: isize,
+    dx: isize,
+) {
+    let y0 = dy.max(0) as usize;
+    let y1 = (h as isize + dy).clamp(0, h as isize) as usize;
+    let x0 = dx.max(0) as usize;
+    let x1 = (w as isize + dx).clamp(0, w as isize) as usize;
+    for iy in y0..y1 {
+        let oy = (iy as isize - dy) as usize;
+        for ix in x0..x1 {
+            let ox = (ix as isize - dx) as usize;
+            gi[iy * w + ix] += kv * go[oy * w + ox];
+        }
+    }
+}
+
+/// Bias gradient of either convolution: each output-gradient plane summed
+/// front to back, sample after sample.
+fn reference_grad_b(grad_b: &mut [f32], grad_out: &Tensor) {
+    for b in 0..grad_out.n {
+        for (oc, gb) in grad_b.iter_mut().enumerate() {
+            *gb += grad_out.plane(b, oc).iter().sum::<f32>();
+        }
+    }
+}
+
+/// Weight gradient (`[out_c][in_c][k][k]`) of a full convolution.
+fn reference_grad_w(grad_w: &mut [f32], k: usize, input: &Tensor, grad_out: &Tensor) {
+    let (n, in_c, h, w) = input.dims();
+    let (kk, pad) = (k * k, k / 2);
+    for (oc, gw) in grad_w.chunks_exact_mut(in_c * kk).enumerate() {
+        for b in 0..n {
+            let go = grad_out.plane(b, oc);
+            for ic in 0..in_c {
+                let src = input.plane(b, ic);
+                for ky in 0..k {
+                    let dy = ky as isize - pad as isize;
+                    for kx in 0..k {
+                        let dx = kx as isize - pad as isize;
+                        gw[ic * kk + ky * k + kx] += reference_weight_chain(go, src, h, w, dy, dx);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Input gradient of a full convolution: zero weights are skipped.
+fn reference_grad_in(weight: &[f32], in_c: usize, k: usize, grad_out: &Tensor) -> Tensor {
+    let (n, out_c, h, w) = grad_out.dims();
+    let (kk, pad) = (k * k, k / 2);
+    let mut grad_in = Tensor::zeros(n, in_c, h, w);
+    for (plane, gi) in grad_in.data.chunks_exact_mut(h * w).enumerate() {
+        let (b, ic) = (plane / in_c, plane % in_c);
+        for oc in 0..out_c {
+            let go = grad_out.plane(b, oc);
+            let kernel = &weight[(oc * in_c + ic) * kk..][..kk];
+            for ky in 0..k {
+                let dy = ky as isize - pad as isize;
+                for kx in 0..k {
+                    let dx = kx as isize - pad as isize;
+                    let kv = kernel[ky * k + kx];
+                    if kv == 0.0 {
+                        continue;
+                    }
+                    reference_input_tap(gi, go, kv, h, w, dy, dx);
+                }
+            }
+        }
+    }
+    grad_in
+}
+
+/// Weight gradient (`[c][k][k]`) of a depthwise convolution.
+fn reference_depthwise_grad_w(grad_w: &mut [f32], k: usize, input: &Tensor, grad_out: &Tensor) {
+    let (n, _, h, w) = input.dims();
+    let pad = k / 2;
+    for (c, gw) in grad_w.chunks_exact_mut(k * k).enumerate() {
+        for b in 0..n {
+            let (go, src) = (grad_out.plane(b, c), input.plane(b, c));
+            for ky in 0..k {
+                let dy = ky as isize - pad as isize;
+                for kx in 0..k {
+                    let dx = kx as isize - pad as isize;
+                    gw[ky * k + kx] += reference_weight_chain(go, src, h, w, dy, dx);
+                }
+            }
+        }
+    }
+}
+
+/// Input gradient of a depthwise convolution: zero weights are *not*
+/// skipped.
+fn reference_depthwise_grad_in(weight: &[f32], k: usize, grad_out: &Tensor) -> Tensor {
+    let (_, c, h, w) = grad_out.dims();
+    let (kk, pad) = (k * k, k / 2);
+    let mut grad_in = grad_out.zeros_like();
+    for (plane, gi) in grad_in.data.chunks_exact_mut(h * w).enumerate() {
+        let go = grad_out.plane(plane / c, plane % c);
+        let kernel = &weight[(plane % c) * kk..][..kk];
+        for ky in 0..k {
+            let dy = ky as isize - pad as isize;
+            for kx in 0..k {
+                let dx = kx as isize - pad as isize;
+                reference_input_tap(gi, go, kernel[ky * k + kx], h, w, dy, dx);
+            }
+        }
+    }
+    grad_in
 }
 
 fn reference_relu(data: &mut [f32]) {
@@ -363,6 +518,202 @@ fn depthwise_matches_reference() {
         }
         check_depthwise(24, k, 12, 12, false);
         check_depthwise(33, k, 3, 33, true);
+    }
+}
+
+// ---- backward kernels against the oracle ----------------------------------
+
+/// Which convolution a backward check runs.
+#[derive(Clone, Copy)]
+enum Conv {
+    Full { in_c: usize, out_c: usize },
+    Depthwise { c: usize },
+}
+
+/// One training forward, then a backward call per output gradient with no
+/// `zero_grad` in between: `(grad_w, grad_b, every call's grad_in)`.
+fn run_backward<L: Layer>(
+    layer: Result<L, String>,
+    input: &Tensor,
+    grad_outs: &[Tensor],
+    mut backward: impl FnMut(&mut L, &Tensor) -> Option<Tensor>,
+) -> (Vec<f32>, Vec<f32>, Vec<Option<Tensor>>) {
+    let mut layer = layer.expect("consistent geometry");
+    layer.forward(input, true);
+    let grad_in = grad_outs
+        .iter()
+        .map(|go| backward(&mut layer, go))
+        .collect();
+    let params = layer.params();
+    (params[0].grads.to_vec(), params[1].grads.to_vec(), grad_in)
+}
+
+/// Every kernel variant's `grad_w`, `grad_b` and `grad_in` against the
+/// oracle: a batch of `n`, two backward calls on different output
+/// gradients without `zero_grad` between them.
+fn check_backward(conv: Conv, k: usize, h: usize, w: usize, n: usize, zeros: bool, special: bool) {
+    let (in_c, out_c) = match conv {
+        Conv::Full { in_c, out_c } => (in_c, out_c),
+        Conv::Depthwise { c } => (c, c),
+    };
+    let mut rng = Lcg((in_c * 29 + out_c * 19 + k * 11 + h * 5 + w * 3 + n) as u64);
+    let n_weights = match conv {
+        Conv::Full { .. } => out_c * in_c * k * k,
+        Conv::Depthwise { c } => c * k * k,
+    };
+    let mut weight = rng.vec(n_weights, 0.4);
+    if zeros {
+        for (i, v) in weight.iter_mut().enumerate() {
+            match i % 5 {
+                0 => *v = 0.0,
+                3 => *v = -0.0,
+                _ => {}
+            }
+        }
+    }
+    let bias = rng.vec(out_c, 0.2);
+    let input = Tensor::from_vec(n, in_c, h, w, rng.vec(n * in_c * h * w, 1.0));
+    let grad_outs: Vec<Tensor> = (0..2)
+        .map(|_| {
+            let mut data = rng.vec(n * out_c * h * w, 0.05);
+            if special {
+                poison(&mut data, &mut rng);
+            }
+            Tensor::from_vec(n, out_c, h, w, data)
+        })
+        .collect();
+
+    let mut want_w = vec![0.0f32; n_weights];
+    let mut want_b = vec![0.0f32; out_c];
+    let mut want_in = Vec::new();
+    for go in &grad_outs {
+        reference_grad_b(&mut want_b, go);
+        match conv {
+            Conv::Full { in_c, .. } => {
+                reference_grad_w(&mut want_w, k, &input, go);
+                want_in.push(reference_grad_in(&weight, in_c, k, go));
+            }
+            Conv::Depthwise { .. } => {
+                reference_depthwise_grad_w(&mut want_w, k, &input, go);
+                want_in.push(reference_depthwise_grad_in(&weight, k, go));
+            }
+        }
+    }
+
+    for kernel in Kernel::available() {
+        let what = |part: &str| {
+            let name = match conv {
+                Conv::Full { .. } => format!("conv {in_c}->{out_c}"),
+                Conv::Depthwise { c } => format!("depthwise {c}"),
+            };
+            format!(
+                "{} {name} k{k} {h}x{w} batch {n} zeros={zeros} special={special}: {part}",
+                kernel.name()
+            )
+        };
+        // with and without the input gradient: the parameter gradients
+        // must not depend on whether anyone asked for it
+        for want_input in [true, false] {
+            let (grad_w, grad_b, grad_in) = match conv {
+                Conv::Full { in_c, out_c } => run_backward(
+                    Conv2d::from_weights(in_c, out_c, k, weight.clone(), bias.clone()),
+                    &input,
+                    &grad_outs,
+                    |layer, go| layer.backward_with(kernel, go, want_input),
+                ),
+                Conv::Depthwise { c } => run_backward(
+                    DepthwiseConv2d::from_weights(c, k, weight.clone(), bias.clone()),
+                    &input,
+                    &grad_outs,
+                    |layer, go| layer.backward_with(kernel, go, want_input),
+                ),
+            };
+            assert_same(&grad_w, &want_w, &what("grad_w"));
+            assert_same(&grad_b, &want_b, &what("grad_b"));
+            for (call, (got, want)) in grad_in.iter().zip(&want_in).enumerate() {
+                match got {
+                    Some(got) if want_input => {
+                        assert_eq!(got.dims(), want.dims());
+                        assert_same(&got.data, &want.data, &what(&format!("grad_in #{call}")));
+                    }
+                    None if !want_input => {}
+                    _ => panic!("{}", what("grad_in present exactly when asked for")),
+                }
+            }
+        }
+    }
+}
+
+/// Plane shapes on both sides of every strip width the input gradient's
+/// kernels switch at, and of the kernel edge.
+const PLANES: [(usize, usize); 7] = [
+    (1, 1),
+    (2, 3),
+    (7, 7),
+    (12, 12),
+    (17, 33),
+    (3, 128),
+    (128, 128),
+];
+
+#[test]
+fn conv_gradients_match_reference_on_every_plane_shape() {
+    for k in [1, 3, 5] {
+        for (h, w) in PLANES {
+            let conv = Conv::Full { in_c: 3, out_c: 5 };
+            check_backward(conv, k, h, w, 1, false, false);
+            if h * w <= 1024 {
+                check_backward(conv, k, h, w, 4, false, false);
+            }
+        }
+    }
+}
+
+#[test]
+fn conv_gradients_match_reference_on_channel_counts_off_the_tile() {
+    for k in [1, 3] {
+        for in_c in CHANNELS {
+            for out_c in CHANNELS {
+                check_backward(Conv::Full { in_c, out_c }, k, 5, 21, 2, false, false);
+            }
+        }
+    }
+    for (in_c, out_c) in [(1, 1), (2, 7), (8, 8), (16, 17), (17, 16)] {
+        check_backward(Conv::Full { in_c, out_c }, 5, 6, 13, 1, false, false);
+    }
+    // the benchmark's three convolutions, on a training batch's patches
+    for (in_c, out_c, k) in [(9, 24, 3), (24, 32, 1), (32, 3, 3)] {
+        check_backward(Conv::Full { in_c, out_c }, k, 12, 12, 4, false, false);
+    }
+}
+
+#[test]
+fn conv_gradients_skip_zero_weights_and_keep_special_values() {
+    for k in [1, 3, 5] {
+        for (h, w) in [(1, 1), (2, 3), (7, 7), (4, 24), (5, 33)] {
+            for (zeros, special) in [(true, false), (false, true), (true, true)] {
+                for n in [1, 4] {
+                    check_backward(Conv::Full { in_c: 3, out_c: 9 }, k, h, w, n, zeros, special);
+                    check_backward(Conv::Full { in_c: 9, out_c: 3 }, k, h, w, n, zeros, special);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn depthwise_gradients_match_reference() {
+    for k in [1, 3, 5] {
+        for (h, w) in PLANES {
+            // zero weights are multiplied through: 0 · inf must stay NaN
+            let special = w % 2 == 1;
+            check_backward(Conv::Depthwise { c: 3 }, k, h, w, 1, true, special);
+            if h * w <= 1024 {
+                check_backward(Conv::Depthwise { c: 9 }, k, h, w, 4, special, true);
+            }
+        }
+        check_backward(Conv::Depthwise { c: 24 }, k, 12, 12, 4, false, false);
+        check_backward(Conv::Depthwise { c: 33 }, k, 3, 33, 2, true, true);
     }
 }
 

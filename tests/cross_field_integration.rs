@@ -1,12 +1,13 @@
 //! Cross-crate integration tests: the full paper pipeline on the synthetic
 //! datasets, spanning `cfc-datagen → cfc-core → cfc-sz → cfc-metrics`.
 
+use cross_field_compression::core::archive::{ArchiveBuilder, ArchiveReader};
 use cross_field_compression::core::config::{CfnnSpec, TrainConfig};
 use cross_field_compression::core::pipeline::CrossFieldCompressor;
 use cross_field_compression::core::train::train_cfnn;
 use cross_field_compression::datagen::{self, GenParams};
 use cross_field_compression::metrics::{max_abs_error, psnr, ssim_field};
-use cross_field_compression::sz::{Codec, SzCompressor};
+use cross_field_compression::sz::{CfcError, Codec, SzCompressor};
 use cross_field_compression::tensor::{Field, FieldStats, Shape};
 
 fn small_params() -> GenParams {
@@ -203,5 +204,73 @@ fn dataset_stats_are_stable_for_seeded_generation() {
         assert_eq!(f.as_slice(), g.as_slice(), "{name} differs across runs");
         let s = FieldStats::of(f);
         assert!(s.std.is_finite() && s.std > 0.0, "{name} degenerate");
+    }
+}
+
+#[test]
+fn a_bad_train_config_is_a_typed_error_and_an_untrained_net_is_a_model() {
+    // Err: used to panic inside a writer worker (`chunks(0)`, a zero-sized
+    // pooling window) or, for a NaN rate, to write an all-NaN model.
+    // Ok: zero patches or epochs leave the network at its initialization —
+    // useless as a predictor, valid as a model: the hybrid fit leans on
+    // Lorenzo and the archive decodes within its bound.
+    let fast = TrainConfig::fast();
+    let table: [(&str, TrainConfig, Option<&str>); 8] = [
+        ("patch 0", TrainConfig { patch: 0, ..fast }, Some("patch")),
+        ("batch 0", TrainConfig { batch: 0, ..fast }, Some("batch")),
+        (
+            "lr NaN",
+            TrainConfig {
+                lr: f32::NAN,
+                ..fast
+            },
+            Some("lr"),
+        ),
+        (
+            "lr inf",
+            TrainConfig {
+                lr: f32::INFINITY,
+                ..fast
+            },
+            Some("lr"),
+        ),
+        ("lr 0", TrainConfig { lr: 0.0, ..fast }, Some("lr")),
+        ("lr < 0", TrainConfig { lr: -1e-3, ..fast }, Some("lr")),
+        (
+            "no patches",
+            TrainConfig {
+                n_patches: 0,
+                ..fast
+            },
+            None,
+        ),
+        ("no epochs", TrainConfig { epochs: 0, ..fast }, None),
+    ];
+    let ds = datagen::scale::generate(Shape::d3(4, 24, 24), small_params());
+    for (what, cfg, rejected) in table {
+        let written = ArchiveBuilder::relative(1e-3)
+            .train_config(cfg)
+            .cross_field("RH", &["T", "QV", "PRES"])
+            .build()
+            .write(&ds);
+        match (written, rejected) {
+            (Err(CfcError::InvalidInput(why)), Some(field)) => {
+                assert!(why.contains(field), "{what}: {why}");
+            }
+            (Ok(bytes), None) => {
+                let reader = ArchiveReader::new(&bytes).expect("parse");
+                let dec = reader.decode_all().expect("decode");
+                for e in reader.entries() {
+                    let err = max_abs_error(ds.expect_field(&e.name), dec.expect_field(&e.name));
+                    assert!(
+                        err <= e.eb_abs * (1.0 + 1e-9),
+                        "{what}: {} off by {err}, bound {}",
+                        e.name,
+                        e.eb_abs
+                    );
+                }
+            }
+            (other, _) => panic!("{what}: {:?}", other.map(|bytes| bytes.len())),
+        }
     }
 }

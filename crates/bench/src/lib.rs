@@ -1,5 +1,5 @@
 //! `cfc-bench` — shared experiment-harness plumbing for the per-table /
-//! per-figure binaries and criterion benches.
+//! per-figure binaries.
 
 pub mod golden;
 pub mod pgm;

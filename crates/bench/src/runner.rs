@@ -11,7 +11,7 @@ use cfc_core::config::{paper_table3, CrossFieldConfig, TrainConfig};
 use cfc_core::pipeline::{CrossFieldCompressor, CrossFieldStream};
 use cfc_core::train::{train_cfnn, TrainedCfnn};
 use cfc_datagen::{paper_catalog, Dataset, GenParams};
-use cfc_sz::{Codec, EncodedStream, SzCompressor};
+use cfc_sz::{Codec, EncodedStream};
 use cfc_tensor::Field;
 
 /// Round-trip `field` through any [`Codec`], returning the stream and the
@@ -176,106 +176,4 @@ impl ExperimentContext {
             model_bytes: ours.model_bytes,
         }
     }
-}
-
-/// One field's chunked-archive measurement: block geometry, sizes, and
-/// encode/decode throughput at block granularity.
-#[derive(Debug, Clone)]
-pub struct BlockThroughput {
-    /// Field name.
-    pub field: String,
-    /// Role label from the manifest.
-    pub role: String,
-    /// Number of blocks the field was split into.
-    pub n_blocks: usize,
-    /// Compressed payload bytes (meta + blocks).
-    pub payload_bytes: usize,
-    /// Mean compressed block size in bytes.
-    pub mean_block_bytes: f64,
-    /// Raw MB/s for a full-field decode through the block path.
-    pub decode_mb_s: f64,
-    /// Raw MB/s for decoding one middle block alone (random access).
-    pub block_decode_mb_s: f64,
-}
-
-/// Measurement of one chunked-archive write + decode cycle.
-#[derive(Debug, Clone)]
-pub struct ArchiveBench {
-    /// Whole-archive compression ratio.
-    pub ratio: f64,
-    /// Raw MB/s of the (parallel, per-block) archive write.
-    pub write_mb_s: f64,
-    /// Raw MB/s of the (parallel, per-block) full decode.
-    pub decode_all_mb_s: f64,
-    /// Per-field block statistics.
-    pub fields: Vec<BlockThroughput>,
-}
-
-/// Write `ds` as a chunked archive and measure per-block encode/decode
-/// throughput (raw-dataset MB per wall-clock second).
-pub fn bench_archive(builder: cfc_core::archive::ArchiveBuilder, ds: &Dataset) -> ArchiveBench {
-    use cfc_core::archive::ArchiveReader;
-    use std::time::Instant;
-
-    let raw_mb = (ds.len() * ds.shape().len() * 4) as f64 / 1e6;
-    let field_mb = (ds.shape().len() * 4) as f64 / 1e6;
-
-    let t0 = Instant::now();
-    let mut bytes = Vec::new();
-    let report = builder
-        .build()
-        .write_to(ds, &mut bytes)
-        .expect("archive write");
-    let write_s = t0.elapsed().as_secs_f64();
-
-    let reader = ArchiveReader::new(&bytes).expect("archive parse");
-    let t1 = Instant::now();
-    let _ = reader.decode_all().expect("archive decode");
-    let decode_s = t1.elapsed().as_secs_f64();
-
-    let fields = reader
-        .entries()
-        .iter()
-        .map(|e| {
-            let n_blocks = e.n_blocks();
-            let t = Instant::now();
-            let _ = reader.decode_field(&e.name).expect("field decode");
-            let field_s = t.elapsed().as_secs_f64();
-            let mid = n_blocks / 2;
-            let t = Instant::now();
-            let block = reader.decode_block(&e.name, mid).expect("block decode");
-            let block_s = t.elapsed().as_secs_f64();
-            let block_mb = (block.len() * 4) as f64 / 1e6;
-            BlockThroughput {
-                field: e.name.clone(),
-                role: e.role.label().to_string(),
-                n_blocks,
-                payload_bytes: e.stream_len(),
-                mean_block_bytes: e.stream_len() as f64 / n_blocks as f64,
-                decode_mb_s: field_mb / field_s.max(1e-9),
-                block_decode_mb_s: block_mb / block_s.max(1e-9),
-            }
-        })
-        .collect();
-
-    ArchiveBench {
-        ratio: report.ratio(),
-        write_mb_s: raw_mb / write_s.max(1e-9),
-        decode_all_mb_s: raw_mb / decode_s.max(1e-9),
-        fields,
-    }
-}
-
-/// Format a ratio improvement like the paper: `26.72(+3.76%)`.
-pub fn fmt_ours(result: &FieldResult) -> String {
-    format!(
-        "{:.2}({:+.2}%)",
-        result.ours_ratio,
-        result.improvement_pct()
-    )
-}
-
-/// Resolve the baseline compressor used everywhere in the harness.
-pub fn baseline_at(rel_eb: f64) -> SzCompressor {
-    SzCompressor::baseline(rel_eb)
 }

@@ -58,11 +58,16 @@
 //!
 //! ## Module layout
 //!
-//! * [`format`](mod@format) — the CFAR wire format: magic/version
-//!   constants, the [`FieldRole`] tag, chunk geometry arithmetic, manifest
-//!   ([`ArchiveEntry`]) parsing for every container version.
+//! * [`format`](mod@format) — the CFAR wire format, and the only module
+//!   that knows it: the layout of header, manifest row and meta area for
+//!   every container version, the one reader and one writer of each, the
+//!   one list of rules a manifest is held to (reported into a sink, so
+//!   [`ArchiveReader::open`] stops at the first broken rule and the
+//!   scrubber collects them all), the typed row ([`ArchiveEntry`]), the
+//!   [`FieldRole`] tag and the chunk geometry arithmetic.
 //! * [`writer`] — [`ArchiveBuilder`] → [`ArchiveWriter`]: role planning,
-//!   CFNN training, parallel per-(field, block) encode, serialization.
+//!   CFNN training, parallel per-(field, block) encode; what it serializes
+//!   goes out through `format`'s writers.
 //! * [`source`](mod@source) — [`ArchiveSource`]: the positional
 //!   (`pread`-style) byte-source trait archives are read through, so
 //!   concurrent block decodes never serialize on a shared cursor.
@@ -75,7 +80,10 @@
 //!   bytes), speculative sequential prefetch, and [`StoreStats`] counters.
 //! * [`damage`], [`scrub`], [`fault`] — salvage policy and damage
 //!   reports, offline verification and repair, deterministic fault
-//!   injection.
+//!   injection. The scrubber reads and judges manifests through `format`
+//!   like `open` does and adds only what a scrubber alone asks (checksums,
+//!   block magic, index tiling, a full decode); its repairs emit through
+//!   `format`'s writers.
 //!
 //! ## Container versions
 //!

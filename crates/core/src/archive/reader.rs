@@ -40,7 +40,6 @@
 use std::borrow::Borrow;
 use std::collections::HashMap;
 
-use cfc_sz::error::Reader;
 use cfc_sz::stream::Container;
 use cfc_sz::{crc32, CfcError, DecodeScratch, SzCompressor};
 use cfc_tensor::{Dataset, Field, Region};
@@ -52,8 +51,7 @@ use crate::predictor::{CrossFieldHybridPredictor, TemporalHybridPredictor, TEMPO
 
 use super::damage::{DamageMap, DecodePolicy, Salvaged};
 use super::format::{
-    parse_entry, ArchiveEntry, BlockMeta, FieldRole, TocReader, ARCHIVE_MAGIC, ARCHIVE_VERSION,
-    MIN_SUPPORTED_VERSION,
+    read_manifest, read_meta_area, ArchiveEntry, BlockMeta, FieldRole, RawManifest,
 };
 use super::run_parallel_scratch;
 use super::source::ArchiveSource;
@@ -266,184 +264,27 @@ impl ArchiveReader<std::io::Cursor<Vec<u8>>> {
 }
 
 impl<R: ArchiveSource> ArchiveReader<R> {
-    /// Parse and validate the archive table of contents from a positional
-    /// source. Payloads are not read yet.
+    /// Read the archive manifest from a positional source and hold it to
+    /// the rule list, both through [`format`](mod@super::format). Payloads
+    /// are not read yet.
     ///
     /// Total over arbitrary bytes: bad magic, future versions, truncation,
     /// block indexes pointing past EOF, duplicate or dangling names all
     /// return [`CfcError`].
     pub fn open(src: R) -> Result<Self, CfcError> {
         let src_len = src.len().map_err(|e| CfcError::io("sizing archive", &e))?;
-        let mut toc = TocReader {
-            src: &src,
-            pos: 0,
-            len: src_len,
-        };
-
-        let magic = toc.bytes(4, "archive magic")?;
-        if magic != ARCHIVE_MAGIC[..] {
-            return Err(CfcError::BadMagic {
-                expected: *ARCHIVE_MAGIC,
-                found: magic,
-            });
-        }
-        let version = toc.u16("archive version")?;
-        if !(MIN_SUPPORTED_VERSION..=ARCHIVE_VERSION).contains(&version) {
-            return Err(CfcError::UnsupportedVersion {
-                found: version,
-                supported: ARCHIVE_VERSION,
-            });
-        }
-        let name = toc.str("archive name")?;
-        let (n_epochs, keyframe_interval) = if version >= 3 {
-            let n_epochs = toc.u32("epoch count")? as usize;
-            let interval = toc.u32("keyframe interval")? as usize;
-            if n_epochs == 0 || interval == 0 {
-                return Err(CfcError::Corrupt {
-                    context: "archive",
-                    detail: format!("{n_epochs} epochs at keyframe interval {interval}"),
-                });
-            }
-            (n_epochs, interval)
-        } else {
-            (1, 1)
-        };
-        let n_fields = toc.u32("field count")? as usize;
-        if n_fields == 0 {
-            return Err(CfcError::Corrupt {
-                context: "archive",
-                detail: "zero fields".into(),
-            });
-        }
-        // every entry needs ≥ 19 bytes of fixed headers
-        let total = n_fields.checked_mul(n_epochs).ok_or(CfcError::Corrupt {
-            context: "archive",
-            detail: "entry count overflows".into(),
-        })?;
-        if (total as u64).saturating_mul(19) > toc.remaining() {
-            return Err(CfcError::Truncated {
-                context: "archive field table",
-                needed: total * 19,
-                available: toc.remaining() as usize,
-            });
-        }
-        let mut entries = Vec::with_capacity(total);
-        for epoch in 0..n_epochs {
-            if version >= 3 {
-                let kind = toc.u8("epoch kind")?;
-                let expect = u8::from(epoch % keyframe_interval != 0);
-                if kind != expect {
-                    return Err(CfcError::Corrupt {
-                        context: "archive",
-                        detail: format!(
-                            "epoch {epoch} kind byte {kind} disagrees with \
-                             keyframe interval {keyframe_interval}"
-                        ),
-                    });
-                }
-            }
-            for _ in 0..n_fields {
-                entries.push(parse_entry(&mut toc, version, epoch)?);
-            }
-        }
-
-        // referential integrity of the manifest, per epoch: names are
-        // unique within an epoch, anchors resolve within the same epoch,
-        // delta roles appear exactly in delta epochs
-        for epoch in 0..n_epochs {
-            let ep = &entries[epoch * n_fields..(epoch + 1) * n_fields];
-            let delta_epoch = version >= 3 && epoch % keyframe_interval != 0;
-            let names: Vec<&str> = ep.iter().map(|e| e.name.as_str()).collect();
-            for (i, e) in ep.iter().enumerate() {
-                if names[..i].contains(&e.name.as_str()) {
-                    return Err(CfcError::Corrupt {
-                        context: "archive",
-                        detail: format!("duplicate field {}", e.qualified_name()),
-                    });
-                }
-                if (e.role == FieldRole::Delta) != delta_epoch {
-                    return Err(CfcError::Corrupt {
-                        context: "archive",
-                        detail: format!(
-                            "field {} role {} in a {} epoch",
-                            e.qualified_name(),
-                            e.role.label(),
-                            if delta_epoch { "delta" } else { "keyframe" },
-                        ),
-                    });
-                }
-                if e.role == FieldRole::Target && e.anchors.is_empty() {
-                    return Err(CfcError::Corrupt {
-                        context: "archive",
-                        detail: format!("target {} without anchors", e.qualified_name()),
-                    });
-                }
-                if e.role == FieldRole::Delta && !e.anchors.is_empty() {
-                    return Err(CfcError::Corrupt {
-                        context: "archive",
-                        detail: format!(
-                            "delta field {} lists anchors; its anchor is the previous epoch",
-                            e.qualified_name()
-                        ),
-                    });
-                }
-                for a in &e.anchors {
-                    match ep.iter().find(|o| &o.name == a) {
-                        None => {
-                            return Err(CfcError::Corrupt {
-                                context: "archive",
-                                detail: format!("field {} references unknown anchor {a}", e.name),
-                            })
-                        }
-                        Some(o) if o.role == FieldRole::Target => {
-                            return Err(CfcError::Corrupt {
-                                context: "archive",
-                                detail: format!("anchor {a} of {} is itself a target", e.name),
-                            })
-                        }
-                        Some(_) => {}
-                    }
-                }
-            }
-            // every epoch must list the same fields in the same order, or
-            // the flat epoch × n_fields indexing (and with it the delta
-            // chain) is unsound
-            if epoch > 0 {
-                let first: Vec<&str> = entries[..n_fields]
-                    .iter()
-                    .map(|e| e.name.as_str())
-                    .collect();
-                if names != first {
-                    return Err(CfcError::Corrupt {
-                        context: "archive",
-                        detail: format!("epoch {epoch} fields differ from epoch 0"),
-                    });
-                }
-            }
-        }
-        // every field (of every epoch) must agree on shape and chunking,
-        // or block-level cross-field and temporal decode is unsound (v1
-        // manifests record neither, and agree on that)
-        let first = &entries[0];
-        for e in &entries[1..] {
-            if e.shape != first.shape || e.chunk_slabs != first.chunk_slabs {
-                return Err(CfcError::Corrupt {
-                    context: "archive",
-                    detail: format!(
-                        "field {} disagrees with {} on shape or chunk geometry",
-                        e.qualified_name(),
-                        first.name
-                    ),
-                });
-            }
-        }
+        // the first broken rule is the error
+        let RawManifest { header, rows } = read_manifest(&src, src_len, &mut |_, _, _, e| Err(e))?;
         Ok(ArchiveReader {
-            name,
-            version,
-            entries,
-            n_epochs,
-            n_fields,
-            keyframe_interval,
+            entries: rows
+                .into_iter()
+                .map(|row| row.into_entry(header.version))
+                .collect(),
+            name: header.name,
+            version: header.version,
+            n_epochs: header.n_epochs as usize,
+            n_fields: header.n_fields as usize,
+            keyframe_interval: header.keyframe_interval as usize,
             src,
             src_len,
         })
@@ -622,11 +463,8 @@ impl<R: ArchiveSource> ArchiveReader<R> {
     /// the model is compiled here, and everything in it that could
     /// disagree with the entry is rejected here.
     fn parse_target_meta(entry: &ArchiveEntry, meta: &[u8]) -> Result<TargetMeta, CfcError> {
-        let mut r = Reader::new(meta);
-        let model_len = r.len_u64("embedded model length")?;
-        let model_bytes = r.bytes(model_len, "embedded model")?;
-        let hybrid_len = r.len_u64("hybrid weights length")?;
-        let hybrid = HybridModel::try_deserialize(r.bytes(hybrid_len, "hybrid weights")?)?;
+        let (model_bytes, hybrid_bytes) = read_meta_area(meta)?;
+        let hybrid = HybridModel::try_deserialize(hybrid_bytes)?;
         let ndim = entry
             .shape
             .ok_or(CfcError::Corrupt {

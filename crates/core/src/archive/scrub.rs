@@ -3,19 +3,19 @@
 //! [`scrub_bytes`] walks a CFAR archive and verifies everything that can
 //! be verified without (or, in deep mode, with) decoding:
 //!
-//! * **Header invariants** — magic, version, role bytes, error bounds,
-//!   shape/chunk-geometry agreement across fields.
-//! * **Block index** — every row's span inside the payload area, rows
-//!   ascending, adjacent, starting at the meta boundary and ending exactly
-//!   at the payload end (the writer emits contiguous blocks; anything else
-//!   is index rot).
+//! * **The manifest rules** — everything [`ArchiveReader::open`] holds a
+//!   header and its rows to, from the one rule list in
+//!   [`format`](mod@super::format): header counts, role bytes, error
+//!   bounds, geometry, index rows inside their payload, lengths inside the
+//!   source, the per-epoch anchor graph, agreement between epochs and
+//!   between fields.
+//! * **Block index tiling** — rows ascending, adjacent, starting at the
+//!   meta boundary and ending exactly at the payload end (the writer emits
+//!   contiguous blocks; anything else is index rot), and no anchor list on
+//!   a field that is not a target.
 //! * **Checksums** — every block's bytes re-hashed against the CRC32
 //!   recorded in its index row, its `CFSZ` stream magic checked, and (v3)
 //!   the meta area re-hashed against the manifest's meta CRC.
-//! * **Anchor graph** — duplicate names, dangling anchors, targets
-//!   anchored on targets, targets without anchors; on v3 archives the
-//!   checks run per epoch, plus the epoch-kind rules (delta roles appear
-//!   exactly in delta epochs, delta entries carry no anchor list).
 //! * **Deep mode** — every block of every field actually decoded (via a
 //!   salvage-policy decode, so one rotten block doesn't mask the rest);
 //!   damage that the cheap checks missed surfaces as
@@ -41,27 +41,29 @@
 //!   targets orphaned by a dropped anchor) are dropped.
 //!
 //! Multi-epoch (v3) archives repair at epoch granularity instead: a torn
-//! tail is cut back to the longest prefix of fully-present epochs and the
-//! header's epoch count patched in place. Truncating *inside* an epoch
+//! tail is cut back to the longest prefix of fully-present epochs under a
+//! header that counts that many. Truncating *inside* an epoch
 //! would break its intra-epoch anchor graph, and cutting a keyframe's
 //! blocks would orphan every delta epoch chained on it, so no finer repair
 //! is attempted.
 //!
 //! Both operate on in-memory bytes: a scrubber is an offline tool and
-//! archives are file-sized. The walk is *lenient* — unlike
-//! [`ArchiveReader::open`], which rejects a corrupt manifest at the first
-//! violation, the scrub walk records a finding and keeps going wherever
-//! the byte layout still lets it.
+//! archives are file-sized. Neither parses or judges a manifest itself:
+//! they read it through `format::read_manifest`, as `open` does. `open`'s
+//! sink ends the read at the first broken rule; the scrubber's turns each
+//! into a finding and lets the read go on wherever the byte layout still
+//! allows. What is left here is what only a scrubber asks (tiling,
+//! checksums, block magic, the deep decode) and the repairs, which emit
+//! through `format`'s writers. Hence the invariant: an archive whose light
+//! scrub is clean opens, and one whose deep scrub is clean decodes.
 
-use cfc_sz::error::Reader;
 use cfc_sz::stream::Container;
 use cfc_sz::{crc32, CfcError};
 
-use bytes::BufMut;
-
 use super::damage::DecodePolicy;
 use super::format::{
-    n_blocks_for, put_str, qualified_field_name, FieldRole, ARCHIVE_MAGIC, ARCHIVE_VERSION,
+    n_blocks_for, read_manifest, write_header, write_row, FieldRole, RawBlock, RawHeader,
+    RawManifest, RawRow,
 };
 use super::reader::{ArchiveReader, ReadRequest};
 
@@ -198,444 +200,126 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// One raw index row as the manifest records it (nothing validated).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct RawRow {
-    rel: u64,
-    len: u64,
-    crc: u32,
-}
+/// The findings of one pass, in walk order.
+#[derive(Default)]
+struct Findings(Vec<ScrubFinding>);
 
-/// One manifest row parsed leniently: sizes trusted far enough to locate
-/// the next row, every *value* kept raw for the checks to judge.
-#[derive(Debug)]
-struct RawEntry {
-    name: String,
-    role_byte: u8,
-    anchors: Vec<String>,
-    eb: f64,
-    dims: Vec<u64>,
-    chunk_slabs: u32,
-    meta_len: u64,
-    /// CRC32 the manifest records over the meta area (v3; 0 before).
-    meta_crc: u32,
-    payload_len: u64,
-    rows: Vec<RawRow>,
-    /// Epoch the entry belongs to (always 0 for v1/v2).
-    epoch: usize,
-    /// Absolute offset of the payload area (meta, then blocks).
-    payload_base: u64,
-    /// Payload bytes physically present (`< payload_len` when torn).
-    payload_available: u64,
-}
-
-impl RawEntry {
-    /// The payload slice that physically exists in `bytes`.
-    fn payload<'a>(&self, bytes: &'a [u8]) -> &'a [u8] {
-        let base = self.payload_base as usize;
-        &bytes[base..base + self.payload_available as usize]
-    }
-
-    /// Epoch-qualified display name, matching reader damage reports.
-    fn qualified(&self) -> String {
-        qualified_field_name(&self.name, self.epoch)
+impl Findings {
+    fn add(&mut self, kind: ScrubKind, field: Option<&str>, block: Option<usize>, detail: String) {
+        self.0.push(ScrubFinding {
+            kind,
+            field: field.map(str::to_string),
+            block,
+            detail,
+        });
     }
 }
 
-/// Lenient walk result: whatever was parseable, plus the structural
-/// findings hit along the way.
-struct Walk {
-    version: u16,
-    name: String,
-    /// Fields *per epoch* (the header's field count).
-    declared_fields: usize,
-    /// Epochs the header declares (1 for v1/v2).
-    n_epochs: usize,
-    /// Keyframe interval the header declares (1 for v1/v2).
-    keyframe_interval: usize,
-    entries: Vec<RawEntry>,
-    findings: Vec<ScrubFinding>,
-}
-
-fn structure(detail: String) -> ScrubFinding {
-    ScrubFinding {
-        kind: ScrubKind::Structure,
-        field: None,
-        block: None,
-        detail,
-    }
-}
-
-/// Read a u16-length-prefixed string.
-fn read_str(r: &mut Reader<'_>, context: &'static str) -> Result<String, CfcError> {
-    let len = r.u16(context)? as usize;
-    let bytes = r.bytes(len, context)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| CfcError::Corrupt {
-        context: "archive string",
-        detail: format!("{context} is not valid UTF-8"),
-    })
-}
-
-/// Walk the archive as far as the byte layout allows, recording structural
-/// findings instead of failing on the first.
-fn walk(bytes: &[u8]) -> Walk {
-    let mut w = Walk {
-        version: 0,
-        name: String::new(),
-        declared_fields: 0,
-        n_epochs: 1,
-        keyframe_interval: 1,
-        entries: Vec::new(),
-        findings: Vec::new(),
-    };
-    let mut r = Reader::new(bytes);
-    let header = (|| -> Result<(), CfcError> {
-        let magic = r.bytes(4, "archive magic")?;
-        if magic != &ARCHIVE_MAGIC[..] {
-            return Err(CfcError::BadMagic {
-                expected: *ARCHIVE_MAGIC,
-                found: magic.to_vec(),
-            });
-        }
-        let version = r.u16("archive version")?;
-        if !(1..=ARCHIVE_VERSION).contains(&version) {
-            return Err(CfcError::UnsupportedVersion {
-                found: version,
-                supported: ARCHIVE_VERSION,
-            });
-        }
-        w.version = version;
-        w.name = read_str(&mut r, "archive name")?;
-        if version >= 3 {
-            w.n_epochs = r.u32("epoch count")? as usize;
-            w.keyframe_interval = r.u32("keyframe interval")? as usize;
-            if w.n_epochs == 0 || w.keyframe_interval == 0 {
-                return Err(CfcError::Corrupt {
-                    context: "archive",
-                    detail: format!(
-                        "{} epochs at keyframe interval {}",
-                        w.n_epochs, w.keyframe_interval
-                    ),
-                });
-            }
-        }
-        w.declared_fields = r.u32("field count")? as usize;
+/// Read the manifest through the one codec, as far as its layout can be
+/// followed, with every broken rule a finding. `Err` when not even the
+/// header could be read.
+fn walk(bytes: &[u8], findings: &mut Findings) -> Result<RawManifest, String> {
+    let mut collect = |kind, field: Option<&str>, block, e: CfcError| {
+        findings.add(kind, field, block, e.to_string());
         Ok(())
-    })();
-    if let Err(e) = header {
-        w.findings.push(structure(format!("archive header: {e}")));
-        return w;
-    }
-    let total = w.declared_fields * w.n_epochs;
-    'epochs: for epoch in 0..w.n_epochs {
-        if w.version >= 3 {
-            match r.u8("epoch kind") {
-                Ok(kind) => {
-                    let expect = u8::from(epoch % w.keyframe_interval != 0);
-                    if kind != expect {
-                        w.findings.push(structure(format!(
-                            "epoch {epoch} kind byte {kind} disagrees with keyframe \
-                             interval {}",
-                            w.keyframe_interval
-                        )));
-                    }
-                }
-                Err(e) => {
-                    w.findings
-                        .push(structure(format!("epoch {epoch} kind byte: {e}")));
-                    break 'epochs;
-                }
-            }
-        }
-        for fi in 0..w.declared_fields {
-            match parse_raw_entry(bytes, &mut r, w.version, epoch) {
-                Ok(entry) => {
-                    let torn = entry.payload_available < entry.payload_len;
-                    w.entries.push(entry);
-                    if torn {
-                        // the next manifest row would start past EOF
-                        let missing = total - w.entries.len();
-                        if missing > 0 {
-                            w.findings.push(structure(format!(
-                                "{missing} trailing field manifest(s) missing after torn payload"
-                            )));
-                        }
-                        break 'epochs;
-                    }
-                }
-                Err(e) => {
-                    w.findings.push(structure(if w.version >= 3 {
-                        format!("field manifest {fi} of epoch {epoch}: {e}")
-                    } else {
-                        format!("field manifest {fi}: {e}")
-                    }));
-                    break 'epochs;
-                }
-            }
-        }
-    }
-    w
+    };
+    read_manifest(&bytes, bytes.len() as u64, &mut collect)
+        .map_err(|e| format!("archive header: {e}"))
 }
 
-/// Parse one manifest row just strictly enough to locate the next one.
-fn parse_raw_entry(
-    bytes: &[u8],
-    r: &mut Reader<'_>,
-    version: u16,
-    epoch: usize,
-) -> Result<RawEntry, CfcError> {
-    let name = read_str(r, "field name")?;
-    let role_byte = r.u8("field role")?;
-    let n_anchors = r.u16("anchor count")? as usize;
-    let mut anchors = Vec::with_capacity(n_anchors.min(64));
-    for _ in 0..n_anchors {
-        anchors.push(read_str(r, "anchor name")?);
-    }
-    let eb = r.f64("field error bound")?;
-    if version == 1 {
-        let payload_len = r.u64("field stream length")?;
-        let payload_base = r.position() as u64;
-        let available = payload_len.min((bytes.len() as u64).saturating_sub(payload_base));
-        // skip whatever of the payload exists
-        let skip = available as usize;
-        let _ = r.bytes(skip, "field stream")?;
-        return Ok(RawEntry {
-            name,
-            role_byte,
-            anchors,
-            eb,
-            dims: Vec::new(),
-            chunk_slabs: 0,
-            meta_len: 0,
-            meta_crc: 0,
-            payload_len,
-            rows: Vec::new(),
-            epoch,
-            payload_base,
-            payload_available: available,
-        });
-    }
-    let ndim = r.u8("field ndim")? as usize;
-    if ndim == 0 || ndim > 8 {
-        // beyond any plausible layout we can no longer locate the next row
-        return Err(CfcError::Corrupt {
-            context: "archive entry",
-            detail: format!("ndim {ndim} leaves the manifest unnavigable"),
-        });
-    }
-    let mut dims = Vec::with_capacity(ndim);
-    for _ in 0..ndim {
-        dims.push(r.u64("field dims")?);
-    }
-    let chunk_slabs = r.u32("chunk slabs")?;
-    let n_blocks = r.u32("block count")? as usize;
-    let meta_len = r.u64("field meta length")?;
-    let payload_len = r.u64("field payload length")?;
-    let meta_crc = if version >= 3 {
-        r.u32("field meta crc")?
-    } else {
-        0
-    };
-    if n_blocks > bytes.len() / 20 + 1 {
-        return Err(CfcError::Corrupt {
-            context: "archive block index",
-            detail: format!("{n_blocks} declared blocks cannot fit the archive"),
-        });
-    }
-    let mut rows = Vec::with_capacity(n_blocks);
-    for _ in 0..n_blocks {
-        let rel = r.u64("block offset")?;
-        let len = r.u64("block length")?;
-        let crc = r.u32("block crc")?;
-        rows.push(RawRow { rel, len, crc });
-    }
-    let payload_base = r.position() as u64;
-    let available = payload_len.min((bytes.len() as u64).saturating_sub(payload_base));
-    let _ = r.bytes(available as usize, "field payload")?;
-    Ok(RawEntry {
-        name,
-        role_byte,
-        anchors,
-        eb,
-        dims,
-        chunk_slabs,
-        meta_len,
-        meta_crc,
-        payload_len,
-        rows,
-        epoch,
-        payload_base,
-        payload_available: available,
-    })
+/// The payload slice of `e` that physically exists in `bytes`.
+fn payload<'a>(e: &RawRow, bytes: &'a [u8]) -> &'a [u8] {
+    let base = e.payload_base as usize;
+    &bytes[base..base + e.present() as usize]
 }
 
 /// Verify an archive's integrity without modifying anything. See the
 /// [module docs](self) for the checks; the result is a [`ScrubReport`]
 /// whose findings are empty exactly when the archive is healthy.
 pub fn scrub_bytes(bytes: &[u8], opts: &ScrubOptions) -> ScrubReport {
-    let mut w = walk(bytes);
-    let mut findings = std::mem::take(&mut w.findings);
+    let mut findings = Findings::default();
+    let manifest = walk(bytes, &mut findings)
+        .map_err(|detail| findings.add(ScrubKind::Structure, None, None, detail));
+    let rows = manifest.as_ref().map_or(&[][..], |m| &m.rows);
     let mut blocks_checked = 0usize;
 
-    for e in &w.entries {
-        check_entry_header(e, w.version, &mut findings);
-        if w.version >= 2 {
-            check_index(e, &mut findings);
-            blocks_checked += check_blocks(e, bytes, &mut findings);
-        }
-        if w.version >= 3 {
-            check_meta_crc(e, bytes, &mut findings);
-        }
-        if e.payload_available < e.payload_len {
-            findings.push(ScrubFinding {
-                kind: ScrubKind::Truncation,
-                field: Some(e.qualified()),
-                block: first_torn_block(e),
-                detail: format!(
-                    "payload torn: {} of {} bytes present",
-                    e.payload_available, e.payload_len
-                ),
-            });
+    // what the manifest rules do not cover, and only a scrubber asks
+    for e in rows {
+        let name = e.qualified_name();
+        check_tiling(e, &name, &mut findings);
+        blocks_checked += check_blocks(e, &name, bytes, &mut findings);
+        check_meta_crc(e, &name, bytes, &mut findings);
+        let is = |role: FieldRole| e.role == role as u8;
+        if !is(FieldRole::Target) && !is(FieldRole::Delta) && !e.anchors.is_empty() {
+            let detail = format!("non-target carries {} anchor reference(s)", e.anchors.len());
+            findings.add(ScrubKind::AnchorGraph, Some(&name), None, detail);
         }
     }
-    check_anchor_graph(&w.entries, w.version, w.keyframe_interval, &mut findings);
 
     if opts.deep {
-        deep_check(bytes, &w, &mut findings);
+        deep_check(bytes, rows, &mut findings);
     }
 
     ScrubReport {
         archive_len: bytes.len() as u64,
-        version: w.version,
-        fields_checked: w.entries.len(),
+        version: manifest.as_ref().map_or(0, |m| m.header.version),
+        fields_checked: rows.len(),
         blocks_checked,
         deep: opts.deep,
-        findings,
-    }
-}
-
-/// Index of the first block row not fully inside the present payload.
-fn first_torn_block(e: &RawEntry) -> Option<usize> {
-    e.rows
-        .iter()
-        .position(|r| r.rel.saturating_add(r.len) > e.payload_available)
-}
-
-fn check_entry_header(e: &RawEntry, version: u16, findings: &mut Vec<ScrubFinding>) {
-    let mut bad = |detail: String| {
-        findings.push(ScrubFinding {
-            kind: ScrubKind::Structure,
-            field: Some(e.qualified()),
-            block: None,
-            detail,
-        })
-    };
-    if FieldRole::from_u8(e.role_byte).is_none() {
-        bad(format!("unknown role byte {}", e.role_byte));
-    }
-    if !(e.eb.is_finite() && e.eb > 0.0) {
-        bad(format!("error bound {}", e.eb));
-    }
-    if version >= 2 {
-        if e.dims.is_empty() || e.dims.len() > 3 {
-            bad(format!("ndim {} outside 1..=3", e.dims.len()));
-        }
-        if e.dims.contains(&0) {
-            bad("zero axis extent".into());
-        }
-        if e.chunk_slabs == 0 {
-            bad("zero chunk slabs".into());
-        }
-        if e.meta_len > e.payload_len {
-            bad(format!(
-                "meta {} exceeds payload {}",
-                e.meta_len, e.payload_len
-            ));
-        }
-        if let (Some(&dim0), true) = (e.dims.first(), e.chunk_slabs > 0) {
-            let want = n_blocks_for(dim0 as usize, e.chunk_slabs as usize);
-            if e.dims.iter().all(|&d| d > 0) && e.rows.len() != want {
-                bad(format!(
-                    "{} index rows for extent {dim0} at {} slabs/block (want {want})",
-                    e.rows.len(),
-                    e.chunk_slabs
-                ));
-            }
-        }
+        findings: findings.0,
     }
 }
 
 /// The writer tiles the payload with blocks: row 0 starts at the meta
 /// boundary, rows are adjacent and ascending, the last row ends exactly at
-/// the payload end. Anything else is index rot.
-fn check_index(e: &RawEntry, findings: &mut Vec<ScrubFinding>) {
-    let mut bad = |block: usize, detail: String| {
-        findings.push(ScrubFinding {
-            kind: ScrubKind::IndexBounds,
-            field: Some(e.qualified()),
-            block: Some(block),
-            detail,
-        })
-    };
+/// the payload end. The manifest rules only ask that every row lie inside
+/// the payload; anything short of a tiling is index rot all the same.
+fn check_tiling(e: &RawRow, name: &str, findings: &mut Findings) {
+    let mut bad =
+        |block, detail| findings.add(ScrubKind::IndexBounds, Some(name), Some(block), detail);
+    let payload_len = e.payload_len;
     let mut expected = e.meta_len;
-    for (bi, row) in e.rows.iter().enumerate() {
-        if row.rel != expected {
+    for (bi, row) in e.blocks.iter().enumerate() {
+        if row.rel_offset != expected {
+            let at = row.rel_offset;
             bad(
                 bi,
-                format!("row offset {} (expected {expected} for adjacency)", row.rel),
-            );
-        }
-        let end = row.rel.saturating_add(row.len);
-        if end > e.payload_len {
-            bad(
-                bi,
-                format!(
-                    "row spans [{}, {end}) outside payload of {} bytes",
-                    row.rel, e.payload_len
-                ),
+                format!("row offset {at} (expected {expected} for adjacency)"),
             );
         }
         // resynchronize on the row's own claim, so one garbled row yields
         // a bounded number of findings rather than flagging every
         // successor
-        expected = end.min(e.payload_len);
+        expected = row.rel_offset.saturating_add(row.len).min(payload_len);
     }
-    if !e.rows.is_empty() && expected != e.payload_len && e.payload_available == e.payload_len {
+    if !e.blocks.is_empty() && expected != payload_len && !e.is_torn() {
         bad(
-            e.rows.len() - 1,
-            format!("index covers {expected} of {} payload bytes", e.payload_len),
+            e.blocks.len() - 1,
+            format!("index covers {expected} of {payload_len} payload bytes"),
         );
     }
 }
 
 /// CRC + stream-magic verification of every block physically present.
 /// Returns how many blocks were checked.
-fn check_blocks(e: &RawEntry, bytes: &[u8], findings: &mut Vec<ScrubFinding>) -> usize {
-    let payload = e.payload(bytes);
+fn check_blocks(e: &RawRow, name: &str, bytes: &[u8], findings: &mut Findings) -> usize {
+    let payload = payload(e, bytes);
     let mut checked = 0usize;
-    for (bi, row) in e.rows.iter().enumerate() {
-        let end = row.rel.saturating_add(row.len);
+    for (bi, row) in e.blocks.iter().enumerate() {
+        let end = row.rel_offset.saturating_add(row.len);
         if end > payload.len() as u64 {
             continue; // torn or out-of-bounds; reported elsewhere
         }
-        let block = &payload[row.rel as usize..end as usize];
+        let block = &payload[row.rel_offset as usize..end as usize];
         checked += 1;
         let found = crc32(block);
         if found != row.crc {
-            findings.push(ScrubFinding {
-                kind: ScrubKind::Checksum,
-                field: Some(e.qualified()),
-                block: Some(bi),
-                detail: format!("recorded {:#010x}, computed {found:#010x}", row.crc),
-            });
+            let detail = format!("recorded {:#010x}, computed {found:#010x}", row.crc);
+            findings.add(ScrubKind::Checksum, Some(name), Some(bi), detail);
         }
         if block.len() < 4 || &block[..4] != b"CFSZ" {
-            findings.push(ScrubFinding {
-                kind: ScrubKind::BlockMagic,
-                field: Some(e.qualified()),
-                block: Some(bi),
-                detail: "block does not start a CFSZ container".into(),
-            });
+            let detail = "block does not start a CFSZ container".into();
+            findings.add(ScrubKind::BlockMagic, Some(name), Some(bi), detail);
         }
     }
     checked
@@ -643,151 +327,53 @@ fn check_blocks(e: &RawEntry, bytes: &[u8], findings: &mut Vec<ScrubFinding>) ->
 
 /// v3 manifests record a CRC32 over the meta area; re-hash whatever of it
 /// is physically present (a short meta is torn, reported elsewhere).
-fn check_meta_crc(e: &RawEntry, bytes: &[u8], findings: &mut Vec<ScrubFinding>) {
-    if e.payload_available < e.meta_len {
+fn check_meta_crc(e: &RawRow, name: &str, bytes: &[u8], findings: &mut Findings) {
+    let Some(recorded) = e.meta_crc else {
+        return;
+    };
+    if e.present() < e.meta_len {
         return;
     }
-    let meta = &e.payload(bytes)[..e.meta_len as usize];
-    let found = crc32(meta);
-    if found != e.meta_crc {
-        findings.push(ScrubFinding {
-            kind: ScrubKind::Checksum,
-            field: Some(e.qualified()),
-            block: None,
-            detail: format!(
-                "meta area: recorded {:#010x}, computed {found:#010x}",
-                e.meta_crc
-            ),
-        });
-    }
-}
-
-fn check_anchor_graph(
-    entries: &[RawEntry],
-    version: u16,
-    keyframe_interval: usize,
-    findings: &mut Vec<ScrubFinding>,
-) {
-    for (i, e) in entries.iter().enumerate() {
-        let mut bad = |detail: String| {
-            findings.push(ScrubFinding {
-                kind: ScrubKind::AnchorGraph,
-                field: Some(e.qualified()),
-                block: None,
-                detail,
-            })
-        };
-        // names are scoped per epoch; anchors resolve within the epoch too
-        let peers = || entries.iter().filter(|o| o.epoch == e.epoch);
-        if entries[..i]
-            .iter()
-            .any(|o| o.epoch == e.epoch && o.name == e.name)
-        {
-            bad("duplicate field name".into());
-        }
-        let is_target = e.role_byte == FieldRole::Target as u8;
-        let is_delta = e.role_byte == FieldRole::Delta as u8;
-        if is_target && e.anchors.is_empty() {
-            bad("target without anchors".into());
-        }
-        if is_delta && !e.anchors.is_empty() {
-            bad(format!(
-                "delta field carries {} anchor reference(s); its anchor is the \
-                 previous epoch",
-                e.anchors.len()
-            ));
-        }
-        if !is_target && !is_delta && !e.anchors.is_empty() {
-            bad(format!(
-                "non-target carries {} anchor reference(s)",
-                e.anchors.len()
-            ));
-        }
-        for a in &e.anchors {
-            match peers().find(|o| &o.name == a) {
-                None => bad(format!("references unknown anchor {a}")),
-                Some(o) if o.role_byte == FieldRole::Target as u8 => {
-                    bad(format!("anchor {a} is itself a target"))
-                }
-                Some(_) => {}
-            }
-        }
-        // v3: delta roles appear exactly in delta epochs
-        if version >= 3 && keyframe_interval > 0 {
-            let delta_epoch = e.epoch % keyframe_interval != 0;
-            if is_delta != delta_epoch {
-                findings.push(ScrubFinding {
-                    kind: ScrubKind::Structure,
-                    field: Some(e.qualified()),
-                    block: None,
-                    detail: format!(
-                        "role byte {} in a {} epoch",
-                        e.role_byte,
-                        if delta_epoch { "delta" } else { "keyframe" },
-                    ),
-                });
-            }
-        }
-        // v2+: all fields of every epoch agree on shape and chunk geometry
-        if version >= 2 && i > 0 {
-            let first = &entries[0];
-            if e.dims != first.dims || e.chunk_slabs != first.chunk_slabs {
-                findings.push(ScrubFinding {
-                    kind: ScrubKind::Structure,
-                    field: Some(e.qualified()),
-                    block: None,
-                    detail: format!("disagrees with {} on shape or chunk geometry", first.name),
-                });
-            }
-        }
+    let found = crc32(&payload(e, bytes)[..e.meta_len as usize]);
+    if found != recorded {
+        let detail = format!("meta area: recorded {recorded:#010x}, computed {found:#010x}");
+        findings.add(ScrubKind::Checksum, Some(name), None, detail);
     }
 }
 
 /// Deep verification: strict-open the archive and salvage-decode every
 /// field, converting the damage map into findings. Damage already located
 /// by the cheap checks (same field + block) is not re-reported.
-fn deep_check(bytes: &[u8], w: &Walk, findings: &mut Vec<ScrubFinding>) {
-    let reader = match ArchiveReader::new(bytes) {
-        Ok(r) => r,
-        Err(e) => {
-            // the lenient walk will usually have said why already; only
-            // add a finding when it did not
-            if findings.is_empty() {
-                findings.push(structure(format!("strict open failed: {e}")));
-            }
-            return;
-        }
+fn deep_check(bytes: &[u8], rows: &[RawRow], findings: &mut Findings) {
+    // `open` holds the manifest to the rules the walk just collected
+    // under: whatever stops it is a finding already
+    let Ok(reader) = ArchiveReader::new(bytes) else {
+        return;
     };
-    for e in &w.entries {
+    for e in rows {
         let req = ReadRequest::new(&e.name)
             .at(e.epoch)
             .policy(DecodePolicy::salvage());
         match reader.read(&req) {
             Ok(s) => {
                 for d in &s.damage {
-                    let dup = findings.iter().any(|f| {
+                    let dup = findings.0.iter().any(|f| {
                         f.field.as_deref() == Some(d.field.as_str()) && f.block == Some(d.block)
                     });
                     if dup {
                         continue;
                     }
-                    findings.push(ScrubFinding {
-                        kind: ScrubKind::Decode,
-                        field: Some(d.field.clone()),
-                        block: Some(d.block),
-                        detail: match &d.cascaded_from {
-                            Some(a) => format!("cascaded from anchor {a}: {}", d.error),
-                            None => d.error.to_string(),
-                        },
-                    });
+                    let detail = match &d.cascaded_from {
+                        Some(a) => format!("cascaded from anchor {a}: {}", d.error),
+                        None => d.error.to_string(),
+                    };
+                    findings.add(ScrubKind::Decode, Some(&d.field), Some(d.block), detail);
                 }
             }
-            Err(err) => findings.push(ScrubFinding {
-                kind: ScrubKind::Decode,
-                field: Some(e.qualified()),
-                block: None,
-                detail: err.to_string(),
-            }),
+            Err(err) => {
+                let name = e.qualified_name();
+                findings.add(ScrubKind::Decode, Some(&name), None, err.to_string());
+            }
         }
     }
 }
@@ -805,7 +391,7 @@ pub struct RepairOutcome {
 /// Scan a payload area for self-delimiting `CFSZ` block boundaries.
 /// Returns the rows recovered before the first unparseable offset (fewer
 /// than expected ⇔ the tail is torn or rotten).
-fn scan_blocks(payload: &[u8], meta_len: u64) -> Vec<RawRow> {
+fn scan_blocks(payload: &[u8], meta_len: u64) -> Vec<RawBlock> {
     let mut rows = Vec::new();
     let mut pos = meta_len as usize;
     while pos < payload.len() {
@@ -816,8 +402,8 @@ fn scan_blocks(payload: &[u8], meta_len: u64) -> Vec<RawRow> {
         if pos + len > payload.len() {
             break; // container promises more bytes than exist: torn
         }
-        rows.push(RawRow {
-            rel: pos as u64,
+        rows.push(RawBlock {
+            rel_offset: pos as u64,
             len: len as u64,
             crc: crc32(&payload[pos..pos + len]),
         });
@@ -830,46 +416,43 @@ fn scan_blocks(payload: &[u8], meta_len: u64) -> Vec<RawRow> {
 /// *inside* an epoch would break its intra-epoch anchor graph, and cutting
 /// a keyframe's blocks would orphan every delta epoch chained on it, so
 /// the only re-encoding-free recovery is keeping the longest prefix of
-/// fully-present epochs and patching the header's epoch count in place
-/// (a u32 right after the archive name). Non-torn damage (payload or
-/// index rot) is left untouched — rewriting it would bless corrupt data.
-fn repair_v3(bytes: &[u8], w: &Walk) -> Result<RepairOutcome, CfcError> {
-    let per_epoch = w.declared_fields;
-    let mut complete = 0usize;
-    while complete < w.n_epochs {
-        let lo = complete * per_epoch;
-        let hi = lo + per_epoch;
-        if hi > w.entries.len()
-            || w.entries[lo..hi]
-                .iter()
-                .any(|e| e.payload_available < e.payload_len)
-        {
-            break;
-        }
-        complete += 1;
-    }
+/// fully-present epochs under a header that counts that many. Non-torn
+/// damage (payload or index rot) is left untouched — rewriting it would
+/// bless corrupt data.
+fn repair_v3(bytes: &[u8], m: &RawManifest) -> Result<RepairOutcome, CfcError> {
+    let (n_epochs, per_epoch) = (m.header.n_epochs as usize, m.header.n_fields as usize);
+    let is_complete = |epoch: usize| {
+        let rows = m.rows.get(epoch * per_epoch..(epoch + 1) * per_epoch);
+        rows.is_some_and(|ep| !ep.iter().any(RawRow::is_torn))
+    };
+    let complete = (0..n_epochs).take_while(|&e| is_complete(e)).count();
     if complete == 0 {
         return Err(CfcError::Corrupt {
             context: "archive repair",
             detail: "no complete epoch to keep".into(),
         });
     }
-    if complete == w.n_epochs {
+    if complete == n_epochs {
         return Ok(RepairOutcome {
             bytes: bytes.to_vec(),
             actions: Vec::new(),
         });
     }
-    let last = &w.entries[complete * per_epoch - 1];
+    let last = &m.rows[complete * per_epoch - 1];
     let end = (last.payload_base + last.payload_len) as usize;
-    let mut out = bytes[..end].to_vec();
-    let off = 8 + w.name.len(); // magic(4) + version(2) + name length(2)
-    out[off..off + 4].copy_from_slice(&(complete as u32).to_le_bytes());
+    // the same header with fewer epochs is the same length
+    let mut out = Vec::with_capacity(end);
+    let header = RawHeader {
+        n_epochs: complete as u32,
+        ..m.header.clone()
+    };
+    write_header(&mut out, &header);
+    let kept_from = out.len();
+    out.extend_from_slice(&bytes[kept_from..end]);
     Ok(RepairOutcome {
         bytes: out,
         actions: vec![format!(
-            "truncate torn tail: keep the first {complete} of {} epoch(s)",
-            w.n_epochs
+            "truncate torn tail: keep the first {complete} of {n_epochs} epoch(s)"
         )],
     })
 }
@@ -885,66 +468,57 @@ fn repair_v3(bytes: &[u8], w: &Walk) -> Result<RepairOutcome, CfcError> {
 /// header, v1 container (no block structure to recover), no field with
 /// any intact block, or payload rot that scanning cannot resolve.
 pub fn repair_bytes(bytes: &[u8]) -> Result<RepairOutcome, CfcError> {
-    let w = walk(bytes);
-    if w.version == 0 {
-        return Err(CfcError::Corrupt {
-            context: "archive repair",
-            detail: w
-                .findings
-                .first()
-                .map(|f| f.detail.clone())
-                .unwrap_or_else(|| "unreadable header".into()),
-        });
-    }
-    if w.version == 1 {
+    let m = walk(bytes, &mut Findings::default()).map_err(|detail| CfcError::Corrupt {
+        context: "archive repair",
+        detail,
+    })?;
+    if m.header.version == 1 {
         return Err(CfcError::InvalidInput(
             "v1 archives hold one monolithic stream per field; there is no \
              block structure to rebuild"
                 .into(),
         ));
     }
-    if w.version >= 3 {
-        return repair_v3(bytes, &w);
+    if m.header.version >= 3 {
+        return repair_v3(bytes, &m);
     }
     let mut actions = Vec::new();
 
     // Per entry: recover rows by scanning, note how many blocks are intact.
     struct Plan<'a> {
-        entry: &'a RawEntry,
-        rows: Vec<RawRow>,
-        intact_blocks: usize,
-        declared_blocks: usize,
+        entry: &'a RawRow,
+        rows: Vec<RawBlock>,
     }
-    let mut plans = Vec::with_capacity(w.entries.len());
-    for e in &w.entries {
-        if e.payload_available < e.meta_len {
+    let mut plans = Vec::with_capacity(m.rows.len());
+    for e in &m.rows {
+        let meta_len = e.meta_len;
+        if e.present() < meta_len {
             actions.push(format!("drop field {}: meta area torn off", e.name));
             continue;
         }
-        let declared = e.rows.len();
-        let scanned = scan_blocks(e.payload(bytes), e.meta_len);
+        let declared = e.blocks.len();
+        let scanned = scan_blocks(payload(e, bytes), meta_len);
         if scanned.is_empty() {
             actions.push(format!("drop field {}: no intact blocks found", e.name));
             continue;
         }
-        let torn = e.payload_available < e.payload_len;
         let boundaries_match = scanned.len() == declared
             && scanned
                 .iter()
-                .zip(&e.rows)
-                .all(|(s, d)| s.rel == d.rel && s.len == d.len);
+                .zip(&e.blocks)
+                .all(|(s, d)| s.rel_offset == d.rel_offset && s.len == d.len);
         let rows = if boundaries_match {
             // Index offsets agree with the payload. A CRC mismatch here is
             // payload rot, not index rot — refuse to bless it.
-            e.rows.clone()
-        } else if !torn && scanned.len() == declared {
+            e.blocks.clone()
+        } else if !e.is_torn() && scanned.len() == declared {
             actions.push(format!(
                 "rebuild index of field {}: {} rows recovered by boundary scan",
                 e.name, declared
             ));
-            scanned.clone()
-        } else if torn {
-            scanned.clone()
+            scanned
+        } else if e.is_torn() {
+            scanned
         } else {
             return Err(CfcError::Corrupt {
                 context: "archive repair",
@@ -956,13 +530,7 @@ pub fn repair_bytes(bytes: &[u8]) -> Result<RepairOutcome, CfcError> {
                 ),
             });
         };
-        let intact = rows.len();
-        plans.push(Plan {
-            entry: e,
-            rows,
-            intact_blocks: intact,
-            declared_blocks: declared,
-        });
+        plans.push(Plan { entry: e, rows });
     }
     if plans.is_empty() {
         return Err(CfcError::Corrupt {
@@ -995,10 +563,11 @@ pub fn repair_bytes(bytes: &[u8]) -> Result<RepairOutcome, CfcError> {
 
     // Common intact prefix across fields (v2 fields share shape, so a
     // truncation in one field truncates them all).
-    let keep_blocks = plans.iter().map(|p| p.intact_blocks).min().unwrap_or(0);
-    let full = plans
-        .iter()
-        .all(|p| p.intact_blocks == p.declared_blocks && keep_blocks == p.declared_blocks);
+    let keep_blocks = plans.iter().map(|p| p.rows.len()).min().unwrap_or(0);
+    let full = plans.iter().all(|p| {
+        let declared = p.entry.blocks.len();
+        p.rows.len() == declared && keep_blocks == declared
+    });
     if !full {
         actions.push(format!(
             "truncate every field to its first {keep_blocks} block(s)"
@@ -1014,8 +583,7 @@ pub fn repair_bytes(bytes: &[u8]) -> Result<RepairOutcome, CfcError> {
     }
 
     // ---- emit the repaired archive --------------------------------------
-    let first = &plans[0];
-    let chunk_slabs = first.entry.chunk_slabs as usize;
+    let chunk_slabs = plans[0].entry.chunk_slabs as usize;
     let new_dim0 = |orig: u64| -> u64 {
         if keep_blocks < n_blocks_for(orig as usize, chunk_slabs.max(1)) {
             (keep_blocks * chunk_slabs) as u64
@@ -1024,42 +592,27 @@ pub fn repair_bytes(bytes: &[u8]) -> Result<RepairOutcome, CfcError> {
         }
     };
     let mut out = Vec::with_capacity(bytes.len());
-    out.put_slice(ARCHIVE_MAGIC);
-    out.put_u16_le(w.version);
-    put_str(&mut out, &w.name);
-    out.put_u32_le(plans.len() as u32);
+    let header = RawHeader {
+        n_fields: plans.len() as u32,
+        ..m.header.clone()
+    };
+    write_header(&mut out, &header);
     for p in &plans {
         let e = p.entry;
-        put_str(&mut out, &e.name);
-        out.put_u8(e.role_byte);
-        out.put_u16_le(e.anchors.len() as u16);
-        for a in &e.anchors {
-            put_str(&mut out, a);
-        }
-        out.put_f64_le(e.eb);
-        out.put_u8(e.dims.len() as u8);
-        for (axis, &d) in e.dims.iter().enumerate() {
-            out.put_u64_le(if axis == 0 { new_dim0(d) } else { d });
-        }
-        out.put_u32_le(e.chunk_slabs);
-        let kept = &p.rows[..keep_blocks.min(p.rows.len())];
-        out.put_u32_le(kept.len() as u32);
-        out.put_u64_le(e.meta_len);
-        let blocks_len: u64 = kept.iter().map(|r| r.len).sum();
-        out.put_u64_le(e.meta_len + blocks_len);
+        let meta_len = e.meta_len;
+        let kept = &p.rows[..keep_blocks];
         // rows, re-packed adjacent from the meta boundary
-        let mut rel = e.meta_len;
-        for row in kept {
-            out.put_u64_le(rel);
-            out.put_u64_le(row.len);
-            out.put_u32_le(row.crc);
-            rel += row.len;
+        let mut row = e.clone();
+        row.tile(kept.iter().map(|r| (r.len, r.crc)));
+        if let Some(d) = row.dims.first_mut() {
+            *d = new_dim0(*d);
         }
+        write_row(&mut out, &row);
         // payload: meta area, then each kept block's bytes
-        let payload = e.payload(bytes);
-        out.put_slice(&payload[..e.meta_len as usize]);
+        let payload = payload(e, bytes);
+        out.extend_from_slice(&payload[..meta_len as usize]);
         for row in kept {
-            out.put_slice(&payload[row.rel as usize..(row.rel + row.len) as usize]);
+            out.extend_from_slice(&payload[row.rel_offset as usize..][..row.len as usize]);
         }
     }
     Ok(RepairOutcome {

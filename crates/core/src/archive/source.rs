@@ -9,8 +9,8 @@
 //! * [`std::fs::File`] implements it via the OS positional-read call
 //!   (`pread` on unix, `seek_read` on windows): no lock, no shared file
 //!   cursor, every thread reads independently.
-//! * `Cursor<Vec<u8>>` and `Vec<u8>` implement it by slicing the buffer:
-//!   lock-free.
+//! * `Cursor<Vec<u8>>`, `Vec<u8>` and `&[u8]` implement it by slicing the
+//!   buffer: lock-free.
 //! * [`super::fault::FaultInjectingReader`] wraps any of them and applies
 //!   its fault plan by absolute offset — still no cursor, still no lock.
 //!
@@ -94,8 +94,18 @@ impl ArchiveSource for Vec<u8> {
     }
 }
 
-/// Positional read out of an in-memory slice (shared by the `Cursor` and
-/// `Vec<u8>` impls).
+impl ArchiveSource for &[u8] {
+    fn len(&self) -> std::io::Result<u64> {
+        Ok(<[u8]>::len(self) as u64)
+    }
+
+    fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
+        read_exact_at_slice(self, offset, buf)
+    }
+}
+
+/// Positional read out of an in-memory slice (shared by the in-memory
+/// impls).
 fn read_exact_at_slice(bytes: &[u8], offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
     let start = usize::try_from(offset).unwrap_or(usize::MAX);
     let end = start.checked_add(buf.len());

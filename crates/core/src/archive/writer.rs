@@ -10,7 +10,6 @@
 use std::collections::HashMap;
 use std::io::Write;
 
-use bytes::BufMut;
 use cfc_sz::{
     CfcError, DecodeScratch, EncodeScratch, ErrorBound, QuantLattice, QuantizerConfig, ScratchPool,
     SzCompressor,
@@ -27,8 +26,9 @@ use crate::predictor::{
 use crate::train::train_cfnn;
 
 use super::format::{
-    block_range, chunk_slabs_for, n_blocks_for, put_str, slab_shape_of, FieldRole, ARCHIVE_MAGIC,
-    ARCHIVE_VERSION, ARCHIVE_VERSION_SNAPSHOT, DEFAULT_CHUNK_ELEMENTS, DEFAULT_KEYFRAME_INTERVAL,
+    block_range, chunk_slabs_for, epoch_kind, n_blocks_for, slab_shape_of, write_header,
+    write_meta_area, write_row, FieldRole, RawHeader, RawRow, ARCHIVE_VERSION,
+    ARCHIVE_VERSION_SNAPSHOT, DEFAULT_CHUNK_ELEMENTS, DEFAULT_KEYFRAME_INTERVAL,
 };
 use super::{run_parallel, run_parallel_scratch};
 
@@ -280,53 +280,45 @@ impl EncodedField {
             eb_abs: self.eb_abs,
         }
     }
+
+    /// Serialize the field (manifest row, meta area, blocks) into `sink`,
+    /// returning the bytes written. v3 rows (`with_meta_crc`) record a
+    /// CRC32 over the meta area.
+    fn write_to<W: Write>(&self, sink: &mut W, with_meta_crc: bool) -> Result<usize, CfcError> {
+        let mut row = RawRow {
+            name: self.name.clone(),
+            role: self.role as u8,
+            anchors: self.anchors.clone(),
+            eb_abs: self.eb_abs,
+            dims: self.shape.dims().iter().map(|&d| d as u64).collect(),
+            chunk_slabs: self.chunk_slabs as u32,
+            meta_len: self.meta.len() as u64,
+            meta_crc: with_meta_crc.then(|| cfc_sz::crc32(&self.meta)),
+            ..RawRow::default()
+        };
+        let blocks = self.blocks.iter();
+        row.tile(blocks.map(|b| (b.len() as u64, cfc_sz::crc32(b))));
+        let mut head = Vec::new();
+        write_row(&mut head, &row);
+        let mut written = 0;
+        for part in [&head, &self.meta].into_iter().chain(&self.blocks) {
+            sink.write_all(part).map_err(io_err)?;
+            written += part.len();
+        }
+        Ok(written)
+    }
 }
 
-/// Serialize one field (manifest row + meta + blocks) into `sink`,
-/// returning the bytes written. v3 rows (`with_meta_crc`) add a CRC32
-/// over the meta area between the payload length and the block index.
-fn write_field<W: Write>(
-    sink: &mut W,
-    e: &EncodedField,
-    with_meta_crc: bool,
-) -> Result<usize, CfcError> {
-    let io = |err: std::io::Error| CfcError::io("writing archive", &err);
-    let mut h = Vec::new();
-    put_str(&mut h, &e.name);
-    h.put_u8(e.role as u8);
-    h.put_u16_le(e.anchors.len() as u16);
-    for a in &e.anchors {
-        put_str(&mut h, a);
-    }
-    h.put_f64_le(e.eb_abs);
-    h.put_u8(e.shape.ndim() as u8);
-    for &d in e.shape.dims() {
-        h.put_u64_le(d as u64);
-    }
-    h.put_u32_le(e.chunk_slabs as u32);
-    h.put_u32_le(e.blocks.len() as u32);
-    h.put_u64_le(e.meta.len() as u64);
-    h.put_u64_le(e.payload_len() as u64);
-    if with_meta_crc {
-        h.put_u32_le(cfc_sz::crc32(&e.meta));
-    }
-    // block index: offsets relative to the payload area, which starts
-    // with the meta bytes
-    let mut rel = e.meta.len() as u64;
-    for b in &e.blocks {
-        h.put_u64_le(rel);
-        h.put_u64_le(b.len() as u64);
-        h.put_u32_le(cfc_sz::crc32(b));
-        rel += b.len() as u64;
-    }
-    sink.write_all(&h).map_err(io)?;
-    sink.write_all(&e.meta).map_err(io)?;
-    let mut written = h.len() + e.meta.len();
-    for b in &e.blocks {
-        sink.write_all(b).map_err(io)?;
-        written += b.len();
-    }
-    Ok(written)
+fn io_err(e: std::io::Error) -> CfcError {
+    CfcError::io("writing archive", &e)
+}
+
+/// Write an archive header into `sink`, returning the bytes written.
+fn write_header_to<W: Write>(sink: &mut W, header: &RawHeader) -> Result<usize, CfcError> {
+    let mut head = Vec::new();
+    write_header(&mut head, header);
+    sink.write_all(&head).map_err(io_err)?;
+    Ok(head.len())
 }
 
 impl ArchiveWriter {
@@ -347,27 +339,24 @@ impl ArchiveWriter {
         let encoded = self.encode(ds)?;
         let ordered: Vec<&EncodedField> = ds.iter().map(|(n, _)| &encoded[n]).collect();
 
-        let io = |e: std::io::Error| CfcError::io("writing archive", &e);
-        let mut written = 0usize;
-
-        // ---- archive header --------------------------------------------
-        let mut head = Vec::new();
-        head.put_slice(ARCHIVE_MAGIC);
         // single snapshots keep emitting the v2 layout byte-for-byte;
         // only multi-epoch writes bump to ARCHIVE_VERSION
-        head.put_u16_le(ARCHIVE_VERSION_SNAPSHOT);
-        put_str(&mut head, ds.name());
-        head.put_u32_le(ordered.len() as u32);
-        sink.write_all(&head).map_err(io)?;
-        written += head.len();
+        let header = RawHeader {
+            version: ARCHIVE_VERSION_SNAPSHOT,
+            name: ds.name().to_string(),
+            n_epochs: 1,
+            keyframe_interval: 1,
+            n_fields: ordered.len() as u32,
+        };
+        let mut written = write_header_to(&mut sink, &header)?;
 
-        // ---- per-field header + index + payload ------------------------
+        // ---- per-field row + index + payload ---------------------------
         let mut fields = Vec::with_capacity(ordered.len());
         for e in &ordered {
-            written += write_field(&mut sink, e, false)?;
+            written += e.write_to(&mut sink, false)?;
             fields.push(e.report());
         }
-        sink.flush().map_err(io)?;
+        sink.flush().map_err(io_err)?;
 
         Ok(ArchiveReport {
             fields,
@@ -430,16 +419,14 @@ impl ArchiveWriter {
             ));
         }
 
-        let io = |e: std::io::Error| CfcError::io("writing archive", &e);
-        let mut head = Vec::new();
-        head.put_slice(ARCHIVE_MAGIC);
-        head.put_u16_le(ARCHIVE_VERSION);
-        put_str(&mut head, first.name());
-        head.put_u32_le(snapshots.len() as u32);
-        head.put_u32_le(interval as u32);
-        head.put_u32_le(first.len() as u32);
-        sink.write_all(&head).map_err(io)?;
-        let mut written = head.len();
+        let header = RawHeader {
+            version: ARCHIVE_VERSION,
+            name: first.name().to_string(),
+            n_epochs: snapshots.len() as u32,
+            keyframe_interval: interval as u32,
+            n_fields: first.len() as u32,
+        };
+        let mut written = write_header_to(&mut sink, &header)?;
 
         let mut epochs = Vec::with_capacity(snapshots.len());
         let mut mirror: HashMap<String, Field> = HashMap::new();
@@ -457,13 +444,12 @@ impl ArchiveWriter {
             } else {
                 self.encode_delta_epoch(ds, &mirror, next_is_delta)?
             };
-            sink.write_all(&[if keyframe { 0u8 } else { 1u8 }])
-                .map_err(io)?;
+            sink.write_all(&[epoch_kind(e, interval)]).map_err(io_err)?;
             written += 1;
             let mut fields = Vec::with_capacity(ordered.len());
             let mut epoch_bytes = 1usize;
             for f in &ordered {
-                let n = write_field(&mut sink, f, true)?;
+                let n = f.write_to(&mut sink, true)?;
                 written += n;
                 epoch_bytes += n;
                 fields.push(f.report());
@@ -475,7 +461,7 @@ impl ArchiveWriter {
             });
             mirror = new_mirror;
         }
-        sink.flush().map_err(io)?;
+        sink.flush().map_err(io_err)?;
 
         Ok(TemporalReport {
             epochs,
@@ -579,13 +565,6 @@ impl ArchiveWriter {
                 mirror.insert(name.to_string(), Field::concat_axis0(&dec_slabs));
             }
 
-            let mut meta = Vec::new();
-            // no embedded model: the anchor is the previous epoch itself
-            meta.put_u64_le(0);
-            let hb = hybrid.serialize();
-            meta.put_u64_le(hb.len() as u64);
-            meta.extend_from_slice(&hb);
-
             out.push(EncodedField {
                 name: name.to_string(),
                 role: FieldRole::Delta,
@@ -593,7 +572,8 @@ impl ArchiveWriter {
                 eb_abs: eb_user,
                 shape,
                 chunk_slabs,
-                meta,
+                // no embedded model: the anchor is the previous epoch itself
+                meta: write_meta_area(&[], &hybrid.serialize()),
                 blocks,
             });
         }
@@ -871,13 +851,6 @@ impl ArchiveWriter {
                 },
             );
 
-            let mut meta = Vec::new();
-            meta.put_u64_le(model_bytes.len() as u64);
-            meta.extend_from_slice(&model_bytes);
-            let hb = hybrid.serialize();
-            meta.put_u64_le(hb.len() as u64);
-            meta.extend_from_slice(&hb);
-
             if want_mirror {
                 // lattice coding is lossless, so the reader's per-block
                 // reconstruction concatenates to exactly this field
@@ -892,7 +865,7 @@ impl ArchiveWriter {
                     eb_abs: eb_user,
                     shape,
                     chunk_slabs,
-                    meta,
+                    meta: write_meta_area(&model_bytes, &hybrid.serialize()),
                     blocks,
                 },
             );

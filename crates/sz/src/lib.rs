@@ -45,7 +45,6 @@ pub mod crc;
 pub mod error;
 pub mod error_bound;
 pub mod huffman;
-pub mod interp;
 pub mod lattice;
 pub mod lossless;
 pub mod predict;

@@ -1,0 +1,209 @@
+//! Ablation studies for the design choices the paper argues for, all on
+//! the Hurricane Wf field at a 1e-3 relative bound:
+//!
+//! 1. **Hybrid vs single predictors** — Lorenzo-only, cross-field-only, and
+//!    the learned hybrid (paper §III-C's motivation for combining).
+//! 2. **Difference CNN vs direct-value CNN** — the paper's §III-B argument
+//!    that predicting raw values "rarely performs well".
+//! 3. **Causality** — the central-difference predictor's encode/decode
+//!    mismatch (paper Fig. 3).
+//! 4. **Coupling sweep** — cross-field gains as a function of the actual
+//!    cross-field information content (0 → independent fields).
+//! 5. **Model size** — compact / scaled / paper-parity CFNNs on one field,
+//!    showing the overhead-vs-accuracy trade.
+
+use std::io;
+
+use cfc_core::config::{CfnnSpec, CrossFieldConfig, TrainConfig};
+use cfc_core::diffnet::slice_geometry;
+use cfc_core::hybrid::HybridModel;
+use cfc_core::predict::predict_differences;
+use cfc_core::predictor::CrossFieldHybridPredictor;
+use cfc_core::train::fit_patches;
+use cfc_datagen::GenParams;
+use cfc_sz::compressor::{encode_codes, encode_outliers};
+use cfc_sz::{codec, CentralDiffPredictor, QuantLattice, QuantizerConfig};
+use cfc_tensor::{Field, FieldStats, Normalizer};
+
+use crate::runner::{table3_row, Case, ExperimentContext};
+
+/// All five ablations in order.
+pub fn ablation(ctx: &mut ExperimentContext) -> io::Result<()> {
+    let wf = table3_row("Wf");
+    let train_cfg = ctx.train_config();
+    let case = ctx.case(&wf, 1e-3);
+    hybrid_vs_single(&case);
+    value_vs_difference_cnn(&case, &train_cfg);
+    causality_demo();
+    coupling_sweep(&wf, ctx.quick);
+    model_size_sweep(ctx, &wf);
+    Ok(())
+}
+
+/// 1. Lorenzo-only vs cross-only vs learned hybrid on Hurricane Wf.
+fn hybrid_vs_single(case: &Case) {
+    println!("== Ablation 1: hybrid vs single predictors (Hurricane Wf, rel 1e-3) ==");
+    let quant = QuantizerConfig::default();
+    let n = case.target.len() as f64;
+
+    let measure = |weights: Vec<f64>| -> f64 {
+        let model = HybridModel {
+            weights,
+            losses: vec![],
+        };
+        let pred = CrossFieldHybridPredictor::new(&case.diffs, case.eb, model);
+        let enc = codec::encode(&case.lattice, &pred, &quant);
+        let bytes = encode_codes(&enc.codes).len() + encode_outliers(&enc.outliers).len();
+        n * 4.0 / bytes as f64
+    };
+
+    let lorenzo = measure(vec![1.0, 0.0, 0.0, 0.0]);
+    let cross = measure(vec![0.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]);
+    let hybrid = measure(case.hybrid.weights.clone());
+    println!("  Lorenzo only      : {lorenzo:.2}x  (residual stream only)");
+    println!("  cross-field only  : {cross:.2}x");
+    println!(
+        "  learned hybrid    : {hybrid:.2}x  weights {:?}",
+        case.hybrid.weights
+    );
+    println!(
+        "  hybrid beats both : {}\n",
+        hybrid >= lorenzo.max(cross) * 0.999
+    );
+}
+
+/// 2. The paper's §III-B claim: direct value prediction underperforms
+///    difference prediction. Both nets share the architecture; only the
+///    target/input representation changes.
+fn value_vs_difference_cnn(case: &Case, train_cfg: &TrainConfig) {
+    println!("== Ablation 2: direct-value CNN vs difference CNN (Hurricane Wf) ==");
+    // difference CNN: the row's model on the *original* anchors, its
+    // prediction error relative to the variance of the true differences
+    let diffs = predict_differences(case.trained, &case.anchors);
+    let truth = cfc_tensor::diff::backward_diff_all(case.target);
+    let diff_mse: f64 = diffs
+        .iter()
+        .zip(&truth)
+        .map(|(p, t)| cfc_metrics::mse(p, t))
+        .sum::<f64>()
+        / diffs.len() as f64;
+    let dvar: f64 = truth
+        .iter()
+        .map(|t| {
+            let s = FieldStats::of(t);
+            s.std * s.std
+        })
+        .sum::<f64>()
+        / truth.len() as f64;
+    let diff_rel = diff_mse / dvar.max(1e-30);
+
+    // value CNN: same architecture trained on normalized raw values
+    let value_rel = train_value_cnn(case, train_cfg);
+    println!("  difference CNN relative MSE : {diff_rel:.4}");
+    println!("  value CNN relative MSE      : {value_rel:.4}");
+    println!(
+        "  differences easier to learn : {} (paper §III-B)\n",
+        diff_rel < value_rel
+    );
+}
+
+/// Train the same architecture on raw (normalized) values through the
+/// standard training loop; returns MSE relative to target variance.
+fn train_value_cnn(case: &Case, cfg: &TrainConfig) -> f64 {
+    let shape = case.target.shape();
+    let ndim = shape.ndim();
+    let (_, rows, cols) = slice_geometry(shape);
+    let normalized = |f: &Field| Normalizer::max_abs(f.as_slice(), 1.0).apply_field(f);
+    let x_fields: Vec<Field> = case.anchors.iter().map(|a| normalized(a)).collect();
+    let y_field = normalized(case.target);
+
+    let p = cfg.patch;
+    let window = |f: &Field, k: usize, r0: usize, c0: usize, plane: &mut [f32]| {
+        let slice = &f.as_slice()[k * rows * cols..][..rows * cols];
+        for (i, row) in plane.chunks_exact_mut(p).enumerate() {
+            row.copy_from_slice(&slice[(r0 + i) * cols + c0..][..p]);
+        }
+    };
+    let (_, report) = fit_patches(&case.trained.spec, cfg, shape, |k, r0, c0, x, y| {
+        // every field's values replicated per axis, so the architecture
+        // (and parameter count) is identical to the difference net
+        for (ci, plane) in x.chunks_exact_mut(p * p).enumerate() {
+            window(&x_fields[ci / ndim], k, r0, c0, plane);
+        }
+        for plane in y.chunks_exact_mut(p * p) {
+            window(&y_field, k, r0, c0, plane);
+        }
+    });
+    let final_loss = report.losses.last().copied().unwrap_or(f32::INFINITY);
+    // relative to the normalized target variance
+    let s = FieldStats::of(&y_field);
+    (final_loss as f64) / (s.std * s.std).max(1e-30)
+}
+
+/// 3. Central differences are non-causal: the decoder diverges (paper Fig. 3).
+fn causality_demo() {
+    println!("== Ablation 3: causality (paper Fig. 3) ==");
+    let f = Field::from_fn(cfc_tensor::Shape::d2(64, 64), |i| {
+        ((i[0] as f32) * 0.23).sin() * 12.0 + ((i[1] as f32) * 0.31).cos() * 9.0
+    });
+    let eb = 1e-3 * FieldStats::of(&f).range() as f64;
+    let lattice = QuantLattice::prequantize(&f, eb);
+    let quant = QuantizerConfig::default();
+    let enc = codec::encode(&lattice, &CentralDiffPredictor, &quant);
+    let dec = codec::try_decode(
+        lattice.shape(),
+        &enc.codes,
+        &enc.outliers,
+        &CentralDiffPredictor,
+        &quant,
+    )
+    .expect("codes and outliers straight from the encoder");
+    let mismatches = dec
+        .as_slice()
+        .iter()
+        .zip(lattice.as_slice())
+        .filter(|(a, b)| a != b)
+        .count();
+    println!(
+        "  central-difference round-trip mismatches: {mismatches}/{} lattice points",
+        lattice.len()
+    );
+    println!("  (Lorenzo and the cross-field backward-difference predictor give 0)\n");
+}
+
+/// 4. Gains vs cross-field coupling strength.
+fn coupling_sweep(wf: &CrossFieldConfig, quick: bool) {
+    println!("== Ablation 4: coupling sweep (Hurricane Wf, rel 1e-3) ==");
+    for coupling in [0.0f32, 0.5, 1.0] {
+        let params = GenParams::default().with_coupling(coupling);
+        let r = ExperimentContext::new(params, quick).run(wf, 1e-3);
+        println!(
+            "  coupling {coupling:.1}: baseline {:6.2}x  ours {:6.2}x  ({:+.2}%)",
+            r.baseline_ratio,
+            r.ours_ratio,
+            r.improvement_pct()
+        );
+    }
+    println!("  (gains should grow with coupling; at 0 the model is pure overhead)\n");
+}
+
+/// 5. Model-size sweep on one field.
+fn model_size_sweep(ctx: &mut ExperimentContext, wf: &CrossFieldConfig) {
+    println!("== Ablation 5: CFNN size (Hurricane Wf, rel 1e-3) ==");
+    for (name, spec) in [
+        ("compact", CfnnSpec::compact(3, 3)),
+        ("scaled (default)", CfnnSpec::scaled_3d(3)),
+        ("paper-parity", CfnnSpec::paper_3d(3)),
+    ] {
+        let r = ctx.run(&CrossFieldConfig { spec, ..wf.clone() }, 1e-3);
+        println!(
+            "  {name:<18} {:>7} params  model {:>7} B  ours {:6.2}x  ({:+.2}% vs baseline {:.2}x)",
+            spec.num_params(),
+            r.model_bytes,
+            r.ours_ratio,
+            r.improvement_pct(),
+            r.baseline_ratio,
+        );
+    }
+    println!("  (bigger nets must pay for themselves; on scaled grids they cannot)");
+}

@@ -206,14 +206,14 @@ pub fn write_v1(ds: &Dataset) -> Vec<u8> {
     let orig_refs: Vec<&Field> = anchors.iter().map(|a| ds.expect_field(a)).collect();
     let dec_refs: Vec<&Field> = anchors_dec.iter().collect();
     let spec = CfnnSpec::scaled_2d(anchors.len());
-    let mut trained = train_cfnn(
+    let trained = train_cfnn(
         &spec,
         &golden_train_config(),
         &orig_refs,
         ds.expect_field(target),
     );
     let stream = cross
-        .compress(&mut trained, ds.expect_field(target), &dec_refs)
+        .compress(&trained, ds.expect_field(target), &dec_refs)
         .expect("target");
     streams.push((
         target.to_string(),

@@ -1,31 +1,29 @@
-//! Shared experiment runner: dataset generation, model training (cached per
-//! target field), and baseline/cross-field compression at a sweep of error
-//! bounds — the machinery behind Table II, Figure 8, and the ablations.
+//! What every experiment of the `experiments` binary starts from: the
+//! generated datasets, one trained CFNN per Table III row, and — for one
+//! row at one error bound — either the measured round-trip
+//! ([`ExperimentContext::run`], the cell of Table II and the point of
+//! Figure 8) or the quantities the encoder computes on the way there
+//! ([`ExperimentContext::case`], what Figures 5 and 6 and the ablations
+//! look inside).
 //!
-//! Baseline measurements go through the unified [`Codec`] trait, so any
-//! codec implementing it can be benchmarked with [`run_codec`].
+//! Measurements go through [`CrossFieldCompressor`] with one model per
+//! target serving every bound, which is the paper's protocol; the archive
+//! writer retrains on every write and is measured by `benchmark/`.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::path::Path;
 
-use cfc_core::config::{paper_table3, CrossFieldConfig, TrainConfig};
+use cfc_core::config::{paper_table3, CfnnSpec, CrossFieldConfig, TrainConfig};
+use cfc_core::hybrid::HybridModel;
 use cfc_core::pipeline::{CrossFieldCompressor, CrossFieldStream};
+use cfc_core::predict::predict_differences;
+use cfc_core::predictor::sample_hybrid_training;
 use cfc_core::train::{train_cfnn, TrainedCfnn};
-use cfc_datagen::{paper_catalog, Dataset, GenParams};
-use cfc_sz::{Codec, EncodedStream};
-use cfc_tensor::Field;
-
-/// Round-trip `field` through any [`Codec`], returning the stream and the
-/// reconstruction. Experiment inputs are trusted, so failures panic with
-/// the codec's diagnostic.
-pub fn run_codec<C: Codec>(codec: &C, field: &Field) -> (EncodedStream, Field) {
-    let stream = codec
-        .compress(field)
-        .unwrap_or_else(|e| panic!("{} compress failed: {e}", codec.name()));
-    let recon = codec
-        .decompress(&stream.bytes)
-        .unwrap_or_else(|e| panic!("{} decompress failed: {e}", codec.name()));
-    (stream, recon)
-}
+use cfc_datagen::{Dataset, GenParams};
+use cfc_metrics::{max_abs_error, psnr};
+use cfc_sz::{Codec, EncodedStream, QuantLattice};
+use cfc_tensor::{Field, FieldStats, Shape};
 
 /// The relative error bounds of the paper's Table II, largest to smallest.
 pub const PAPER_ERROR_BOUNDS: [f64; 5] = [5e-3, 2e-3, 1e-3, 5e-4, 2e-4];
@@ -47,10 +45,9 @@ pub struct FieldResult {
     pub baseline_bitrate: f64,
     /// Cross-field bit rate.
     pub ours_bitrate: f64,
-    /// PSNR of the (shared) reconstruction at this bound.
+    /// PSNR of the decoded cross-field stream, which [`ExperimentContext::run`]
+    /// has checked to be the baseline's reconstruction bit for bit.
     pub psnr: f64,
-    /// Hybrid weights fitted at this bound (Lorenzo first).
-    pub hybrid_weights: Vec<f64>,
     /// Bytes spent on the embedded model.
     pub model_bytes: usize,
 }
@@ -62,118 +59,253 @@ impl FieldResult {
     }
 }
 
+/// Header of [`write_csv`], the layout of `tests/golden/table2_*.csv`.
+pub const CSV_HEADER: &str = "dataset,field,rel_eb,baseline_ratio,ours_ratio,improvement_pct,\
+                              baseline_bitrate,ours_bitrate,psnr,model_bytes";
+
+/// Write measurements as CSV, one row each under [`CSV_HEADER`].
+pub fn write_csv(path: &Path, results: &[FieldResult]) -> std::io::Result<()> {
+    let mut csv = format!("{CSV_HEADER}\n");
+    for r in results {
+        let _ = writeln!(
+            csv,
+            "{},{},{:e},{:.4},{:.4},{:.3},{:.4},{:.4},{:.3},{}",
+            r.dataset,
+            r.field,
+            r.rel_eb,
+            r.baseline_ratio,
+            r.ours_ratio,
+            r.improvement_pct(),
+            r.baseline_bitrate,
+            r.ours_bitrate,
+            r.psnr,
+            r.model_bytes
+        );
+    }
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent)?;
+    }
+    std::fs::write(path, csv)
+}
+
+/// One cross-field encode of a Table III row at one bound, stopped before
+/// the residual stage: everything `CrossFieldCompressor::compress` computes
+/// on the way there, in the order it computes it.
+pub struct Case<'a> {
+    /// The original target field.
+    pub target: &'a Field,
+    /// The original anchor fields (the CFNN's training inputs).
+    pub anchors: Vec<&'a Field>,
+    /// The row's CFNN, trained on the originals.
+    pub trained: &'a TrainedCfnn,
+    /// Per-axis target differences the CFNN predicts from the anchors as
+    /// the decoder will have them (round-tripped at this bound).
+    pub diffs: Vec<Field>,
+    /// The absolute bound the target is quantized at.
+    pub eb: f64,
+    /// The target prequantized at `eb`.
+    pub lattice: QuantLattice,
+    /// The hybrid model's training sample: candidate predictions (Lorenzo
+    /// first) and true values at sampled lattice points, in lattice units.
+    pub samples: (Vec<Vec<f64>>, Vec<f64>),
+    /// The least-squares fit on `samples` — the weights the stream embeds.
+    pub hybrid: HybridModel,
+}
+
+/// The Table III row of one target field.
+pub fn table3_row(target: &str) -> CrossFieldConfig {
+    paper_table3()
+        .into_iter()
+        .find(|r| r.target == target)
+        .unwrap_or_else(|| panic!("Table III has no target {target}"))
+}
+
 /// Generated datasets + trained models, reused across experiments.
 pub struct ExperimentContext {
-    /// Generation parameters used.
-    pub params: GenParams,
-    /// Training configuration used for every CFNN.
-    pub train_cfg: TrainConfig,
-    datasets: HashMap<String, Dataset>,
-    models: HashMap<String, TrainedCfnn>,
+    /// The reduced size: every grid extent × 0.4 and `TrainConfig::fast()`
+    /// in place of the catalog's default shapes and `TrainConfig::default()`.
+    pub quick: bool,
+    params: GenParams,
+    datasets: HashMap<&'static str, Dataset>,
+    models: HashMap<(&'static str, &'static str, CfnnSpec), TrainedCfnn>,
 }
 
 impl ExperimentContext {
-    /// Generate all three datasets at their default (scaled) shapes.
-    pub fn new(params: GenParams, train_cfg: TrainConfig) -> Self {
-        let mut datasets = HashMap::new();
-        for info in paper_catalog() {
-            datasets.insert(info.name.to_string(), info.generate_default(params));
-        }
+    /// An empty context: datasets are generated and models trained when an
+    /// experiment first asks for them.
+    pub fn new(params: GenParams, quick: bool) -> Self {
         ExperimentContext {
+            quick,
             params,
-            train_cfg,
-            datasets,
+            datasets: HashMap::new(),
             models: HashMap::new(),
         }
     }
 
-    /// Context with a scale factor < 1 shrinking every dataset (for smoke
-    /// tests and CI); 1.0 = default experiment shapes.
-    pub fn new_scaled(params: GenParams, train_cfg: TrainConfig, scale: f64) -> Self {
-        let mut datasets = HashMap::new();
-        for info in paper_catalog() {
+    /// Training configuration used for every CFNN.
+    pub fn train_config(&self) -> TrainConfig {
+        if self.quick {
+            TrainConfig::fast()
+        } else {
+            TrainConfig::default()
+        }
+    }
+
+    /// One of the paper's datasets (by catalog name) at this context's size.
+    pub fn dataset(&mut self, name: &str) -> &Dataset {
+        let info =
+            cfc_datagen::catalog::find(name).unwrap_or_else(|| panic!("unknown dataset {name}"));
+        let scale = if self.quick { 0.4 } else { 1.0 };
+        self.datasets.entry(info.name).or_insert_with(|| {
             let dims: Vec<usize> = info
                 .default_dims
                 .dims()
                 .iter()
                 .map(|&d| ((d as f64 * scale) as usize).max(12))
                 .collect();
-            let shape = cfc_tensor::Shape::from_slice(&dims);
-            datasets.insert(info.name.to_string(), info.generate(shape, params));
-        }
-        ExperimentContext {
-            params,
-            train_cfg,
-            datasets,
-            models: HashMap::new(),
-        }
+            info.generate(Shape::from_slice(&dims), self.params)
+        })
     }
 
-    /// Access a generated dataset.
-    pub fn dataset(&self, name: &str) -> &Dataset {
-        &self.datasets[name]
+    /// `row` against this context: its target, its anchors, and its CFNN,
+    /// trained on those originals when first asked for and kept.
+    fn resolve(&mut self, row: &CrossFieldConfig) -> (&Field, Vec<&Field>, &TrainedCfnn) {
+        self.dataset(row.dataset);
+        let ds = &self.datasets[row.dataset];
+        let target = ds.expect_field(row.target);
+        let anchors: Vec<&Field> = row.anchors.iter().map(|a| ds.expect_field(a)).collect();
+        let cfg = self.train_config();
+        // keyed by spec too: the model-size ablation trains one row at several
+        let trained = self
+            .models
+            .entry((row.dataset, row.target, row.spec))
+            .or_insert_with(|| train_cfnn(&row.spec, &cfg, &anchors, target));
+        (target, anchors, trained)
     }
 
-    /// The paper's experiment rows (Table III).
-    pub fn configs(&self) -> Vec<CrossFieldConfig> {
-        paper_table3()
-    }
-
-    /// Train (or fetch the cached) CFNN for one experiment row.
-    pub fn model(&mut self, cfg: &CrossFieldConfig) -> &mut TrainedCfnn {
-        let key = format!("{}:{}", cfg.dataset, cfg.target);
-        if !self.models.contains_key(&key) {
-            let ds = &self.datasets[cfg.dataset];
-            let target = ds.expect_field(cfg.target);
-            let anchors: Vec<&Field> = cfg.anchors.iter().map(|a| ds.expect_field(a)).collect();
-            let trained = train_cfnn(&cfg.spec, &self.train_cfg, &anchors, target);
-            self.models.insert(key.clone(), trained);
-        }
-        self.models.get_mut(&key).unwrap()
-    }
-
-    /// Decompressed anchors for one experiment row at one error bound.
-    pub fn anchors_dec(&self, cfg: &CrossFieldConfig, rel_eb: f64) -> Vec<Field> {
+    /// The set-up of one cross-field encode: anchors round-tripped at
+    /// `rel_eb`, the row's CFNN run on them, the target prequantized at
+    /// the resolved bound, the hybrid model sampled and fitted.
+    pub fn case(&mut self, row: &CrossFieldConfig, rel_eb: f64) -> Case<'_> {
         let comp = CrossFieldCompressor::new(rel_eb);
-        let ds = &self.datasets[cfg.dataset];
-        cfg.anchors
+        let (target, anchors, trained) = self.resolve(row);
+        let anchors_dec = roundtrip_anchors(&comp, &anchors);
+        let diffs = predict_differences(trained, &anchors_dec.iter().collect::<Vec<_>>());
+        let eb = comp
+            .bound
+            .try_resolve_quantization(&FieldStats::of(target))
+            .expect("a generated field has a positive finite range");
+        let lattice = QuantLattice::prequantize(target, eb);
+        let step = 2.0 * eb;
+        let dq: Vec<Vec<f64>> = diffs
             .iter()
-            .map(|a| {
-                comp.roundtrip_anchor(ds.expect_field(a))
-                    .unwrap_or_else(|e| panic!("anchor {a} roundtrip failed: {e}"))
-            })
-            .collect()
+            .map(|f| f.as_slice().iter().map(|&v| v as f64 / step).collect())
+            .collect();
+        let samples =
+            sample_hybrid_training(&lattice, &dq, comp.hybrid.n_samples, comp.hybrid.seed);
+        let hybrid = HybridModel::fit_least_squares(&samples.0, &samples.1);
+        Case {
+            target,
+            anchors,
+            trained,
+            diffs,
+            eb,
+            lattice,
+            samples,
+            hybrid,
+        }
+    }
+
+    /// The baseline stream of `row`'s target at `rel_eb` and its decode.
+    pub fn baseline_roundtrip(
+        &mut self,
+        row: &CrossFieldConfig,
+        rel_eb: f64,
+    ) -> (EncodedStream, Field) {
+        let target = self.dataset(row.dataset).expect_field(row.target);
+        let codec = CrossFieldCompressor::new(rel_eb).baseline();
+        let stream = codec.compress(target).expect("baseline compress");
+        let recon = codec
+            .decompress(&stream.bytes)
+            .expect("baseline decompress");
+        (stream, recon)
+    }
+
+    /// The cross-field stream of `row`'s target at `rel_eb` and its decode
+    /// against the same round-tripped anchors, held to the bound pointwise.
+    pub fn cross_field_roundtrip(
+        &mut self,
+        row: &CrossFieldConfig,
+        rel_eb: f64,
+    ) -> (CrossFieldStream, Field) {
+        let comp = CrossFieldCompressor::new(rel_eb);
+        let (target, anchors, trained) = self.resolve(row);
+        let anchors_dec = roundtrip_anchors(&comp, &anchors);
+        let refs: Vec<&Field> = anchors_dec.iter().collect();
+        let stream = comp
+            .compress(trained, target, &refs)
+            .expect("cross-field compress");
+        let recon = comp
+            .decompress(&stream.bytes, &refs)
+            .expect("cross-field decompress");
+        let worst = max_abs_error(target, &recon);
+        assert!(
+            worst <= stream.eb_abs,
+            "{} @ {rel_eb:e}: decoded cross-field stream is off by {worst:e}, bound {:e}",
+            row.target,
+            stream.eb_abs
+        );
+        (stream, recon)
     }
 
     /// Run baseline + cross-field compression for one row at one bound.
-    pub fn run(&mut self, cfg: &CrossFieldConfig, rel_eb: f64) -> FieldResult {
-        let comp = CrossFieldCompressor::new(rel_eb);
-        let target = self.datasets[cfg.dataset].expect_field(cfg.target).clone();
+    pub fn run(&mut self, row: &CrossFieldConfig, rel_eb: f64) -> FieldResult {
+        let (baseline, baseline_recon) = self.baseline_roundtrip(row, rel_eb);
+        let (ours, recon) = self.cross_field_roundtrip(row, rel_eb);
+        // dual quantization: both methods prequantize the same lattice at
+        // the same bound, so they differ in bit-rate and nothing else
+        assert!(
+            recon
+                .as_slice()
+                .iter()
+                .zip(baseline_recon.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "{} @ {rel_eb:e}: cross-field and baseline reconstructions differ",
+            row.target
+        );
+        let target = self.dataset(row.dataset).expect_field(row.target);
         let n = target.len();
-
-        // baseline, through the unified Codec trait
-        let (baseline, recon) = run_codec(&comp.baseline(), &target);
-        let psnr = cfc_metrics::psnr(&target, &recon);
-
-        // ours
-        let anchors_dec = self.anchors_dec(cfg, rel_eb);
-        let anchor_refs: Vec<&Field> = anchors_dec.iter().collect();
-        let trained = self.model(cfg);
-        let ours: CrossFieldStream = comp
-            .compress(trained, &target, &anchor_refs)
-            .unwrap_or_else(|e| panic!("cross-field compress of {} failed: {e}", cfg.target));
-
         FieldResult {
-            dataset: cfg.dataset.to_string(),
-            field: cfg.target.to_string(),
+            dataset: row.dataset.to_string(),
+            field: row.target.to_string(),
             rel_eb,
             baseline_ratio: baseline.ratio(n),
             ours_ratio: ours.ratio(n),
             baseline_bitrate: baseline.bit_rate(n),
             ours_bitrate: ours.bit_rate(n),
-            psnr,
-            hybrid_weights: ours.hybrid.weights.clone(),
+            psnr: psnr(target, &recon),
             model_bytes: ours.model_bytes,
         }
     }
+
+    /// Every cell of Table II: each Table III row at each of
+    /// [`PAPER_ERROR_BOUNDS`], row-major.
+    pub fn table2(&mut self) -> Vec<FieldResult> {
+        let mut results = Vec::new();
+        for row in paper_table3() {
+            for eb in PAPER_ERROR_BOUNDS {
+                eprintln!("running {} {} @ {eb:.0e}…", row.dataset, row.target);
+                results.push(self.run(&row, eb));
+            }
+        }
+        results
+    }
+}
+
+/// What the decoder will have for each anchor at `comp`'s bound.
+fn roundtrip_anchors(comp: &CrossFieldCompressor, anchors: &[&Field]) -> Vec<Field> {
+    anchors
+        .iter()
+        .map(|a| comp.roundtrip_anchor(a).expect("anchor round-trip"))
+        .collect()
 }

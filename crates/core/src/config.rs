@@ -4,7 +4,7 @@
 ///
 /// The network is: `conv3×3(in→f1) → ReLU → depthwise3×3(f1) →
 /// pointwise1×1(f1→f2) → ReLU → channel-attention(f2, r) → conv3×3(f2→out)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CfnnSpec {
     /// Input channels: `n_anchors × n_dims` backward-difference planes.
     pub in_channels: usize,

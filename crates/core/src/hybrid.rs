@@ -174,15 +174,9 @@ impl HybridModel {
         out
     }
 
-    /// Parse weights written by [`HybridModel::serialize`]. Panics on
-    /// malformed input; use [`HybridModel::try_deserialize`] for untrusted
-    /// bytes.
-    pub fn deserialize(bytes: &[u8]) -> Self {
-        Self::try_deserialize(bytes).expect("corrupt hybrid weights")
-    }
-
-    /// Fallible parse of untrusted hybrid-weight bytes: validates the
-    /// declared count against the payload and requires finite weights.
+    /// Parse weights written by [`HybridModel::serialize`]. The bytes are
+    /// untrusted: validates the declared count against the payload and
+    /// requires finite weights.
     pub fn try_deserialize(bytes: &[u8]) -> Result<Self, cfc_sz::CfcError> {
         use cfc_sz::CfcError;
         let n = *bytes.first().ok_or(CfcError::Truncated {
@@ -336,7 +330,7 @@ mod tests {
             weights: vec![0.6, 0.25, 0.1, 0.05],
             losses: vec![],
         };
-        let m2 = HybridModel::deserialize(&m.serialize());
+        let m2 = HybridModel::try_deserialize(&m.serialize()).unwrap();
         assert_eq!(m.weights, m2.weights);
     }
 

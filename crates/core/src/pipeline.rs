@@ -22,8 +22,6 @@
 //! anchors behind the unified [`Codec`] trait, so a cross-field target
 //! compresses/decompresses through the same two-method API as the baseline.
 
-use std::sync::Mutex;
-
 use bytes::BufMut;
 use cfc_sz::error::Reader;
 use cfc_sz::stream::{Container, SectionTag};
@@ -80,7 +78,7 @@ impl CrossFieldCompressor {
     /// the target shape or the trained model's channel layout.
     pub fn compress(
         &self,
-        trained: &mut TrainedCfnn,
+        trained: &TrainedCfnn,
         target: &Field,
         anchors_dec: &[&Field],
     ) -> Result<CrossFieldStream, CfcError> {
@@ -101,7 +99,7 @@ impl CrossFieldCompressor {
         }
         let stats = FieldStats::of(target);
         // quantize at the ULP-guarded bound (see
-        // `ErrorBound::resolve_quantization`); report the user-facing bound
+        // `ErrorBound::try_resolve_quantization`); report the user-facing bound
         let eb_user = self.bound.try_resolve(&stats)?;
         let eb = self.bound.try_resolve_quantization(&stats)?;
         let lattice = QuantLattice::prequantize(target, eb);
@@ -229,9 +227,7 @@ impl CrossFieldStream {
 /// before their dependants).
 pub struct CrossFieldCodec {
     inner: CrossFieldCompressor,
-    /// `forward` mutates layer activation caches, so inference needs
-    /// interior mutability behind the `&self` Codec API.
-    trained: Mutex<TrainedCfnn>,
+    trained: TrainedCfnn,
     anchors_dec: Vec<Field>,
 }
 
@@ -241,7 +237,7 @@ impl CrossFieldCodec {
     pub fn new(inner: CrossFieldCompressor, trained: TrainedCfnn, anchors_dec: Vec<Field>) -> Self {
         CrossFieldCodec {
             inner,
-            trained: Mutex::new(trained),
+            trained,
             anchors_dec,
         }
     }
@@ -255,8 +251,7 @@ impl CrossFieldCodec {
 impl Codec for CrossFieldCodec {
     fn compress(&self, field: &Field) -> Result<EncodedStream, CfcError> {
         let refs: Vec<&Field> = self.anchors_dec.iter().collect();
-        let mut trained = self.trained.lock().expect("codec mutex poisoned");
-        let stream = self.inner.compress(&mut trained, field, &refs)?;
+        let stream = self.inner.compress(&self.trained, field, &refs)?;
         Ok(stream.to_encoded())
     }
 
@@ -418,10 +413,8 @@ mod tests {
         let comp = CrossFieldCompressor::new(1e-3);
         let anchor_dec = comp.roundtrip_anchor(&anchor).unwrap();
         let spec = CfnnSpec::compact(1, 2);
-        let mut trained = train_cfnn(&spec, &TrainConfig::fast(), &[&anchor], &target);
-        let stream = comp
-            .compress(&mut trained, &target, &[&anchor_dec])
-            .unwrap();
+        let trained = train_cfnn(&spec, &TrainConfig::fast(), &[&anchor], &target);
+        let stream = comp.compress(&trained, &target, &[&anchor_dec]).unwrap();
         let dec = comp.decompress(&stream.bytes, &[&anchor_dec]).unwrap();
         check_bound(&target, &dec, stream.eb_abs);
     }
@@ -446,10 +439,8 @@ mod tests {
             lr: 4e-3,
             seed: 3,
         };
-        let mut trained = train_cfnn(&spec, &cfg, &[&anchor], &target);
-        let stream = comp
-            .compress(&mut trained, &target, &[&anchor_dec])
-            .unwrap();
+        let trained = train_cfnn(&spec, &cfg, &[&anchor], &target);
+        let stream = comp.compress(&trained, &target, &[&anchor_dec]).unwrap();
         let dec = comp.decompress(&stream.bytes, &[&anchor_dec]).unwrap();
         check_bound(&target, &dec, stream.eb_abs);
     }
@@ -461,10 +452,8 @@ mod tests {
         let comp = CrossFieldCompressor::new(5e-4);
         let anchor_dec = comp.roundtrip_anchor(&anchor).unwrap();
         let spec = CfnnSpec::compact(1, 2);
-        let mut trained = train_cfnn(&spec, &TrainConfig::fast(), &[&anchor], &target);
-        let stream = comp
-            .compress(&mut trained, &target, &[&anchor_dec])
-            .unwrap();
+        let trained = train_cfnn(&spec, &TrainConfig::fast(), &[&anchor], &target);
+        let stream = comp.compress(&trained, &target, &[&anchor_dec]).unwrap();
         let a = comp.decompress(&stream.bytes, &[&anchor_dec]).unwrap();
         let b = comp.decompress(&stream.bytes, &[&anchor_dec]).unwrap();
         assert_eq!(a.as_slice(), b.as_slice());
@@ -476,10 +465,8 @@ mod tests {
         let comp = CrossFieldCompressor::new(1e-3);
         let anchor_dec = comp.roundtrip_anchor(&anchor).unwrap();
         let spec = CfnnSpec::compact(1, 2);
-        let mut trained = train_cfnn(&spec, &TrainConfig::fast(), &[&anchor], &target);
-        let stream = comp
-            .compress(&mut trained, &target, &[&anchor_dec])
-            .unwrap();
+        let trained = train_cfnn(&spec, &TrainConfig::fast(), &[&anchor], &target);
+        let stream = comp.compress(&trained, &target, &[&anchor_dec]).unwrap();
         assert!(stream.model_bytes > 0);
         assert!(stream.bytes.len() > stream.model_bytes);
         // model ≈ 4 bytes/param + arch overhead
@@ -494,10 +481,8 @@ mod tests {
         let comp = CrossFieldCompressor::new(1e-3);
         let anchor_dec = comp.roundtrip_anchor(&anchor).unwrap();
         let spec = CfnnSpec::compact(1, 2);
-        let mut trained = train_cfnn(&spec, &TrainConfig::fast(), &[&anchor], &target);
-        let stream = comp
-            .compress(&mut trained, &target, &[&anchor_dec])
-            .unwrap();
+        let trained = train_cfnn(&spec, &TrainConfig::fast(), &[&anchor], &target);
+        let stream = comp.compress(&trained, &target, &[&anchor_dec]).unwrap();
         let sum: f64 = stream.hybrid.weights.iter().sum();
         assert!(
             (sum - 1.0).abs() < 1e-9,
@@ -512,10 +497,8 @@ mod tests {
         let comp = CrossFieldCompressor::new(1e-3);
         let anchor_dec = comp.roundtrip_anchor(&anchor).unwrap();
         let spec = CfnnSpec::compact(1, 2);
-        let mut trained = train_cfnn(&spec, &TrainConfig::fast(), &[&anchor], &target);
-        let stream = comp
-            .compress(&mut trained, &target, &[&anchor_dec])
-            .unwrap();
+        let trained = train_cfnn(&spec, &TrainConfig::fast(), &[&anchor], &target);
+        let stream = comp.compress(&trained, &target, &[&anchor_dec]).unwrap();
         let res = comp.decompress(&stream.bytes, &[&anchor_dec, &anchor_dec]);
         assert!(
             matches!(res, Err(CfcError::ShapeMismatch { .. })),
@@ -543,10 +526,8 @@ mod tests {
         let comp = CrossFieldCompressor::new(1e-3);
         let anchor_dec = comp.roundtrip_anchor(&anchor).unwrap();
         let spec = CfnnSpec::compact(1, 2);
-        let mut trained = train_cfnn(&spec, &TrainConfig::fast(), &[&anchor], &target);
-        let stream = comp
-            .compress(&mut trained, &target, &[&anchor_dec])
-            .unwrap();
+        let trained = train_cfnn(&spec, &TrainConfig::fast(), &[&anchor], &target);
+        let stream = comp.compress(&trained, &target, &[&anchor_dec]).unwrap();
         // find and corrupt bytes inside the model section payload
         let len = stream.bytes.len();
         for cut in [len / 2, len - stream.model_bytes / 2] {

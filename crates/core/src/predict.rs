@@ -1,8 +1,8 @@
-//! CFNN inference: predicted target-difference fields and the
-//! difference-only reconstruction used by the paper's Figure 6.
+//! CFNN inference: predicted target-difference fields and the one-step
+//! prediction fields shown in the paper's Figure 6.
 
 use cfc_nn::{InferencePlan, Sequential, Workspace};
-use cfc_tensor::{diff, Axis, Field, Normalizer, Shape};
+use cfc_tensor::{Field, Normalizer};
 
 use crate::diffnet;
 use crate::train::TrainedCfnn;
@@ -107,7 +107,7 @@ impl CfnnInference {
     }
 }
 
-/// One slice `v` (rows of `w`) of [`diff::backward_diff`], normalized, into
+/// One slice `v` (rows of `w`) of [`cfc_tensor::diff::backward_diff`], normalized, into
 /// `dst`. `axis` counts as in a 3-D field — 0 steps between slices
 /// (`below` is the previous one, `None` on the first), 1 between rows, 2
 /// between columns; the first sample along the axis has difference 0.
@@ -147,7 +147,7 @@ fn normalized_diff_plane(
 /// [`CfnnInference::predict`] for a freshly trained bundle: compiles the
 /// plan and allocates a workspace per call. Paths that predict block after
 /// block build a [`CfnnInference`] once and keep a [`Workspace`].
-pub fn predict_differences(trained: &mut TrainedCfnn, anchors: &[&Field]) -> Vec<Field> {
+pub fn predict_differences(trained: &TrainedCfnn, anchors: &[&Field]) -> Vec<Field> {
     CfnnInference::new(
         &trained.net,
         trained.input_norms.clone(),
@@ -155,141 +155,6 @@ pub fn predict_differences(trained: &mut TrainedCfnn, anchors: &[&Field]) -> Vec
     )
     .expect("a trained network chains from its input to its target normalizers")
     .predict(anchors, &mut Workspace::default())
-}
-
-/// Reconstruct a field *purely* from predicted backward differences along
-/// one axis, seeded with the true boundary hyperplane — the paper's Fig. 6
-/// "cross-field (no error control)" reconstruction.
-pub fn reconstruct_from_differences(predicted_diff: &Field, axis: Axis, boundary: &Field) -> Field {
-    diff::integrate_backward(predicted_diff, axis, boundary)
-}
-
-/// Average the per-axis difference reconstructions (all axes available).
-pub fn reconstruct_averaged(diffs: &[Field], original: &Field) -> Field {
-    let ndim = original.shape().ndim();
-    assert_eq!(diffs.len(), ndim);
-    let mut acc = Field::zeros(original.shape());
-    for (di, d) in diffs.iter().enumerate() {
-        let axis = Axis::ALL[di];
-        let boundary = original.slice(axis, 0);
-        let rec = reconstruct_from_differences(d, axis, &boundary);
-        acc = acc.zip_map(&rec, |a, b| a + b);
-    }
-    let inv = 1.0 / ndim as f32;
-    acc.map(|v| v * inv)
-}
-
-/// Lorenzo-only reconstruction without error control: each value is the
-/// Lorenzo prediction from previously *reconstructed* values (errors
-/// accumulate — exactly the artifact mechanism Fig. 7 highlights).
-pub fn lorenzo_unbounded(original: &Field) -> Field {
-    let shape = original.shape();
-    match shape.ndim() {
-        2 => {
-            let (rows, cols) = (shape.dims()[0], shape.dims()[1]);
-            let mut rec = Field::zeros(shape);
-            for i in 0..rows {
-                for j in 0..cols {
-                    let v = if i == 0 || j == 0 {
-                        original.get(&[i, j]) // seed borders with truth
-                    } else {
-                        let a = rec.get(&[i - 1, j]);
-                        let b = rec.get(&[i, j - 1]);
-                        let c = rec.get(&[i - 1, j - 1]);
-                        a + b - c
-                    };
-                    rec.set(&[i, j], v);
-                }
-            }
-            rec
-        }
-        3 => {
-            let d = shape.dims().to_vec();
-            let mut rec = Field::zeros(shape);
-            for k in 0..d[0] {
-                for i in 0..d[1] {
-                    for j in 0..d[2] {
-                        let v = if k == 0 || i == 0 || j == 0 {
-                            original.get(&[k, i, j])
-                        } else {
-                            rec.get(&[k - 1, i, j])
-                                + rec.get(&[k, i - 1, j])
-                                + rec.get(&[k, i, j - 1])
-                                - rec.get(&[k - 1, i - 1, j])
-                                - rec.get(&[k - 1, i, j - 1])
-                                - rec.get(&[k, i - 1, j - 1])
-                                + rec.get(&[k - 1, i - 1, j - 1])
-                        };
-                        rec.set(&[k, i, j], v);
-                    }
-                }
-            }
-            rec
-        }
-        _ => panic!("unsupported dimensionality"),
-    }
-}
-
-/// Hybrid reconstruction without error control (paper Fig. 6 right panel):
-/// every interior value is the weighted combination of the Lorenzo
-/// prediction and the per-axis difference predictions, all computed from
-/// previously *reconstructed* values; borders are seeded with truth.
-pub fn hybrid_unbounded(original: &Field, diffs: &[Field], weights: &[f64]) -> Field {
-    let shape = original.shape();
-    let ndim = shape.ndim();
-    assert_eq!(diffs.len(), ndim);
-    assert_eq!(weights.len(), ndim + 1);
-    let mut rec = Field::zeros(shape);
-    match ndim {
-        2 => {
-            let (rows, cols) = (shape.dims()[0], shape.dims()[1]);
-            for i in 0..rows {
-                for j in 0..cols {
-                    let v = if i == 0 || j == 0 {
-                        original.get(&[i, j])
-                    } else {
-                        let a = rec.get(&[i - 1, j]) as f64;
-                        let b = rec.get(&[i, j - 1]) as f64;
-                        let c = rec.get(&[i - 1, j - 1]) as f64;
-                        let lor = a + b - c;
-                        let px = a + diffs[0].get(&[i, j]) as f64;
-                        let py = b + diffs[1].get(&[i, j]) as f64;
-                        (weights[0] * lor + weights[1] * px + weights[2] * py) as f32
-                    };
-                    rec.set(&[i, j], v);
-                }
-            }
-        }
-        3 => {
-            let d = shape.dims().to_vec();
-            for k in 0..d[0] {
-                for i in 0..d[1] {
-                    for j in 0..d[2] {
-                        let v = if k == 0 || i == 0 || j == 0 {
-                            original.get(&[k, i, j])
-                        } else {
-                            let pk = rec.get(&[k - 1, i, j]) as f64;
-                            let pi = rec.get(&[k, i - 1, j]) as f64;
-                            let pj = rec.get(&[k, i, j - 1]) as f64;
-                            let lor = pk + pi + pj
-                                - rec.get(&[k - 1, i - 1, j]) as f64
-                                - rec.get(&[k - 1, i, j - 1]) as f64
-                                - rec.get(&[k, i - 1, j - 1]) as f64
-                                + rec.get(&[k - 1, i - 1, j - 1]) as f64;
-                            let px = pk + diffs[0].get(&[k, i, j]) as f64;
-                            let py = pi + diffs[1].get(&[k, i, j]) as f64;
-                            let pz = pj + diffs[2].get(&[k, i, j]) as f64;
-                            (weights[0] * lor + weights[1] * px + weights[2] * py + weights[3] * pz)
-                                as f32
-                        };
-                        rec.set(&[k, i, j], v);
-                    }
-                }
-            }
-        }
-        _ => panic!("unsupported dimensionality"),
-    }
-    rec
 }
 
 /// One-step-ahead prediction fields: at every point, the value each
@@ -385,21 +250,12 @@ fn candidate_values(original: &Field, diffs: &[Field], idx: &[usize]) -> (f64, V
     }
 }
 
-/// Convenience: shape-checked zero-field like `f`.
-pub fn zeros_like(f: &Field) -> Field {
-    Field::zeros(f.shape())
-}
-
-/// Build a 2-D field from a closure (test/bench helper re-export).
-pub fn field2_from_fn(rows: usize, cols: usize, f: impl FnMut(&[usize]) -> f32) -> Field {
-    Field::from_fn(Shape::d2(rows, cols), f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{CfnnSpec, TrainConfig};
     use crate::train::train_cfnn;
+    use cfc_tensor::{diff, Shape};
 
     fn correlated_pair(rows: usize, cols: usize) -> (Field, Field) {
         let a = Field::from_fn(Shape::d2(rows, cols), |i| {
@@ -413,8 +269,8 @@ mod tests {
     fn predicted_differences_have_target_shape() {
         let (a, t) = correlated_pair(40, 40);
         let spec = CfnnSpec::compact(1, 2);
-        let mut trained = train_cfnn(&spec, &TrainConfig::fast(), &[&a], &t);
-        let diffs = predict_differences(&mut trained, &[&a]);
+        let trained = train_cfnn(&spec, &TrainConfig::fast(), &[&a], &t);
+        let diffs = predict_differences(&trained, &[&a]);
         assert_eq!(diffs.len(), 2);
         for d in &diffs {
             assert_eq!(d.shape(), t.shape());
@@ -431,8 +287,8 @@ mod tests {
             epochs: 20,
             ..TrainConfig::fast()
         };
-        let mut trained = train_cfnn(&spec, &cfg, &[&a], &t);
-        let pred = predict_differences(&mut trained, &[&a]);
+        let trained = train_cfnn(&spec, &cfg, &[&a], &t);
+        let pred = predict_differences(&trained, &[&a]);
         let truth = diff::backward_diff_all(&t);
         let mse = |x: &Field, y: &Field| -> f64 {
             x.as_slice()
@@ -450,55 +306,5 @@ mod tests {
             m_pred < m_zero * 0.6,
             "prediction mse {m_pred} not clearly better than zero baseline {m_zero}"
         );
-    }
-
-    #[test]
-    fn integration_of_true_differences_recovers_field() {
-        let (_, t) = correlated_pair(24, 24);
-        let diffs = diff::backward_diff_all(&t);
-        let rec = reconstruct_from_differences(&diffs[0], Axis::X, &t.slice(Axis::X, 0));
-        for (a, b) in rec.as_slice().iter().zip(t.as_slice()) {
-            assert!((a - b).abs() < 1e-3);
-        }
-        let avg = reconstruct_averaged(&diffs, &t);
-        for (a, b) in avg.as_slice().iter().zip(t.as_slice()) {
-            assert!((a - b).abs() < 1e-3);
-        }
-    }
-
-    #[test]
-    fn lorenzo_unbounded_is_exact_on_affine_fields() {
-        let f = Field::from_fn(Shape::d2(16, 16), |i| 2.0 * i[0] as f32 - 3.0 * i[1] as f32);
-        let rec = lorenzo_unbounded(&f);
-        for (a, b) in rec.as_slice().iter().zip(f.as_slice()) {
-            assert!((a - b).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn hybrid_unbounded_with_true_diffs_is_exact() {
-        let (_, t) = correlated_pair(20, 20);
-        let diffs = diff::backward_diff_all(&t);
-        // pure axis weights with exact differences reproduce the field
-        let rec = hybrid_unbounded(&t, &diffs, &[0.0, 0.5, 0.5]);
-        for (a, b) in rec.as_slice().iter().zip(t.as_slice()) {
-            assert!((a - b).abs() < 1e-2, "{a} vs {b}");
-        }
-        // pure-Lorenzo weights reduce to the Lorenzo reconstruction
-        let rec_l = hybrid_unbounded(&t, &diffs, &[1.0, 0.0, 0.0]);
-        let lor = lorenzo_unbounded(&t);
-        for (a, b) in rec_l.as_slice().iter().zip(lor.as_slice()) {
-            assert!((a - b).abs() < 1e-3);
-        }
-    }
-
-    #[test]
-    fn lorenzo_unbounded_3d_runs() {
-        let f = Field::from_fn(Shape::d3(4, 8, 8), |i| (i[0] + i[1] + i[2]) as f32);
-        let rec = lorenzo_unbounded(&f);
-        assert_eq!(rec.shape(), f.shape());
-        for (a, b) in rec.as_slice().iter().zip(f.as_slice()) {
-            assert!((a - b).abs() < 1e-4);
-        }
     }
 }

@@ -375,7 +375,8 @@ mod tests {
         let predictor = CrossFieldHybridPredictor { dq, model, ndim: 2 };
         let quant = QuantizerConfig { radius: 512 };
         let enc = codec::encode(&lat, &predictor, &quant);
-        let dec = codec::decode(lat.shape(), &enc.codes, &enc.outliers, &predictor, &quant);
+        let dec =
+            codec::try_decode(lat.shape(), &enc.codes, &enc.outliers, &predictor, &quant).unwrap();
         assert_eq!(dec.as_slice(), lat.as_slice());
     }
 
@@ -396,7 +397,8 @@ mod tests {
         let predictor = CrossFieldHybridPredictor { dq, model, ndim: 2 };
         let quant = QuantizerConfig { radius: 512 };
         let enc = codec::encode(&lat, &predictor, &quant);
-        let dec = codec::decode(lat.shape(), &enc.codes, &enc.outliers, &predictor, &quant);
+        let dec =
+            codec::try_decode(lat.shape(), &enc.codes, &enc.outliers, &predictor, &quant).unwrap();
         assert_eq!(dec.as_slice(), lat.as_slice());
     }
 
@@ -420,7 +422,7 @@ mod tests {
         let predictor = CrossFieldHybridPredictor { dq, model, ndim: 3 };
         let quant = QuantizerConfig { radius: 512 };
         let enc = codec::encode(&lat, &predictor, &quant);
-        let dec = codec::decode(shape, &enc.codes, &enc.outliers, &predictor, &quant);
+        let dec = codec::try_decode(shape, &enc.codes, &enc.outliers, &predictor, &quant).unwrap();
         assert_eq!(dec.as_slice(), lat.as_slice());
     }
 
@@ -517,7 +519,8 @@ mod tests {
         let predictor = TemporalHybridPredictor { pq, model, ndim: 2 };
         let quant = QuantizerConfig { radius: 512 };
         let enc = codec::encode(&cur, &predictor, &quant);
-        let dec = codec::decode(cur.shape(), &enc.codes, &enc.outliers, &predictor, &quant);
+        let dec =
+            codec::try_decode(cur.shape(), &enc.codes, &enc.outliers, &predictor, &quant).unwrap();
         assert_eq!(dec.as_slice(), cur.as_slice());
     }
 
@@ -536,7 +539,7 @@ mod tests {
         let predictor = TemporalHybridPredictor { pq, model, ndim: 3 };
         let quant = QuantizerConfig { radius: 512 };
         let enc = codec::encode(&cur, &predictor, &quant);
-        let dec = codec::decode(shape, &enc.codes, &enc.outliers, &predictor, &quant);
+        let dec = codec::try_decode(shape, &enc.codes, &enc.outliers, &predictor, &quant).unwrap();
         assert_eq!(dec.as_slice(), cur.as_slice());
     }
 

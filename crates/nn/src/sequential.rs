@@ -187,15 +187,8 @@ impl Sequential {
         out
     }
 
-    /// Rebuild a network from [`Sequential::serialize`] bytes.
-    ///
-    /// Panics on malformed input; use [`Sequential::try_deserialize`] for
-    /// untrusted bytes (e.g. models embedded in compressed streams).
-    pub fn deserialize(buf: &[u8]) -> Self {
-        Self::try_deserialize(buf).expect("corrupt serialized network")
-    }
-
-    /// Fallible rebuild from untrusted bytes.
+    /// Rebuild a network from [`Sequential::serialize`] bytes, which are
+    /// untrusted (e.g. models embedded in compressed streams).
     ///
     /// Validates every read against the remaining buffer and every weight
     /// block against the layer geometry it claims, so hostile input can
@@ -383,7 +376,7 @@ mod tests {
         let input = rand_tensor(1, 2, 6, 6, 8);
         let out1 = net.forward(&input, false);
         let bytes = net.serialize();
-        let mut net2 = Sequential::deserialize(&bytes);
+        let mut net2 = Sequential::try_deserialize(&bytes).unwrap();
         let out2 = net2.forward(&input, false);
         assert_eq!(out1.data, out2.data);
         assert_eq!(net.num_params(), net2.num_params());

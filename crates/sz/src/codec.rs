@@ -113,22 +113,9 @@ pub fn encode_with(
 /// Sequentially reconstruct the lattice from codes + outliers.
 ///
 /// Must visit points in exactly the row-major order the encoder used; each
-/// reconstructed value becomes a neighbour for later predictions. Panics on
-/// corrupt streams; use [`try_decode`] for untrusted input.
-pub fn decode(
-    shape: Shape,
-    codes: &[u32],
-    outliers: &[i64],
-    predictor: &dyn Predictor,
-    quant: &QuantizerConfig,
-) -> QuantLattice {
-    try_decode(shape, codes, outliers, predictor, quant)
-        .expect("corrupt or mismatched residual stream")
-}
-
-/// Fallible reconstruction from untrusted codes and outliers: count
-/// mismatches, out-of-alphabet codes, and outlier over/under-runs all
-/// return [`CfcError`] instead of panicking.
+/// reconstructed value becomes a neighbour for later predictions. The
+/// input is untrusted: count mismatches, out-of-alphabet codes, and outlier
+/// over/under-runs all return [`CfcError`] instead of panicking.
 pub fn try_decode(
     shape: Shape,
     codes: &[u32],
@@ -220,13 +207,14 @@ mod tests {
         let lat = lattice2(17, 13, |i, j| ((i * j) as i64 % 23) - 11 + (i as i64 * 100));
         let quant = QuantizerConfig { radius: 512 };
         let enc = encode(&lat, &LorenzoPredictor, &quant);
-        let dec = decode(
+        let dec = try_decode(
             lat.shape(),
             &enc.codes,
             &enc.outliers,
             &LorenzoPredictor,
             &quant,
-        );
+        )
+        .unwrap();
         assert_eq!(dec.as_slice(), lat.as_slice());
     }
 
@@ -243,13 +231,14 @@ mod tests {
         let lat = QuantLattice::from_vec(Shape::d3(6, 7, 8), data);
         let quant = QuantizerConfig { radius: 512 };
         let enc = encode(&lat, &LorenzoPredictor, &quant);
-        let dec = decode(
+        let dec = try_decode(
             lat.shape(),
             &enc.codes,
             &enc.outliers,
             &LorenzoPredictor,
             &quant,
-        );
+        )
+        .unwrap();
         assert_eq!(dec.as_slice(), lat.as_slice());
     }
 
@@ -261,13 +250,14 @@ mod tests {
         );
         let quant = QuantizerConfig { radius: 64 };
         let enc = encode(&lat, &LorenzoPredictor, &quant);
-        let dec = decode(
+        let dec = try_decode(
             lat.shape(),
             &enc.codes,
             &enc.outliers,
             &LorenzoPredictor,
             &quant,
-        );
+        )
+        .unwrap();
         assert_eq!(dec.as_slice(), lat.as_slice());
     }
 
@@ -278,13 +268,14 @@ mod tests {
         let quant = QuantizerConfig { radius: 4 };
         let enc = encode(&lat, &LorenzoPredictor, &quant);
         assert!(!enc.outliers.is_empty(), "test should exercise escapes");
-        let dec = decode(
+        let dec = try_decode(
             lat.shape(),
             &enc.codes,
             &enc.outliers,
             &LorenzoPredictor,
             &quant,
-        );
+        )
+        .unwrap();
         assert_eq!(dec.as_slice(), lat.as_slice());
     }
 
@@ -295,13 +286,14 @@ mod tests {
         let lat = lattice2(16, 16, |i, j| ((i * 31 + j * 17) % 97) as i64);
         let quant = QuantizerConfig { radius: 512 };
         let enc = encode(&lat, &CentralDiffPredictor, &quant);
-        let dec = decode(
+        let dec = try_decode(
             lat.shape(),
             &enc.codes,
             &enc.outliers,
             &CentralDiffPredictor,
             &quant,
-        );
+        )
+        .unwrap();
         assert_ne!(
             dec.as_slice(),
             lat.as_slice(),
@@ -326,19 +318,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "outlier stream")]
     fn truncated_outliers_detected() {
         let lat = lattice2(8, 8, |i, j| if (i + j) % 2 == 0 { 9_999_999 } else { 0 });
         let quant = QuantizerConfig { radius: 2 };
         let enc = encode(&lat, &LorenzoPredictor, &quant);
         assert!(enc.outliers.len() > 1);
         let truncated = &enc.outliers[..enc.outliers.len() - 1];
-        let _ = decode(
+        let res = try_decode(
             lat.shape(),
             &enc.codes,
             truncated,
             &LorenzoPredictor,
             &quant,
+        );
+        assert!(
+            matches!(&res, Err(CfcError::Corrupt { detail, .. }) if detail.contains("outlier stream")),
+            "{res:?}"
         );
     }
 }

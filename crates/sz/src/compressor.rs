@@ -316,12 +316,6 @@ pub fn encode_codes_into(
     lossless::compress_with(payload, lz)
 }
 
-/// Inverse of [`encode_codes`]. Panics on corrupt input; use
-/// [`try_decode_codes`] for untrusted bytes.
-pub fn decode_codes(bytes: &[u8], count: usize) -> Vec<u32> {
-    try_decode_codes(bytes, count).expect("corrupt residual code stream")
-}
-
 /// Fallible inverse of [`encode_codes`].
 ///
 /// `count` is the expected symbol count (the stream's declared element
@@ -370,18 +364,6 @@ pub fn encode_outliers_into(
         write_varint(payload, zz);
     }
     lossless::compress_with(payload, lz)
-}
-
-/// Inverse of [`encode_outliers`]. Panics on corrupt input; use
-/// [`try_decode_outliers`] for untrusted bytes.
-pub fn decode_outliers(bytes: &[u8]) -> Vec<i64> {
-    try_decode_outliers(bytes).expect("corrupt outlier stream")
-}
-
-/// Fallible inverse of [`encode_outliers`] with no outlier-count budget
-/// (trusted input).
-pub fn try_decode_outliers(bytes: &[u8]) -> Result<Vec<i64>, CfcError> {
-    try_decode_outliers_bounded(bytes, usize::MAX)
 }
 
 /// Fallible inverse of [`encode_outliers`] for untrusted input.
@@ -620,7 +602,10 @@ mod tests {
     fn varint_roundtrip() {
         let vals: Vec<i64> = vec![0, 1, -1, 63, -64, 1 << 20, -(1 << 40), i64::MAX, i64::MIN];
         let bytes = encode_outliers(&vals);
-        assert_eq!(decode_outliers(&bytes), vals);
+        assert_eq!(
+            try_decode_outliers_bounded(&bytes, vals.len()).unwrap(),
+            vals
+        );
     }
 
     #[test]

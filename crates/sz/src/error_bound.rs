@@ -18,39 +18,8 @@ pub enum ErrorBound {
 
 impl ErrorBound {
     /// Resolve to the absolute bound for a field with the given statistics.
-    pub fn resolve(&self, stats: &FieldStats) -> f64 {
-        let eb = match *self {
-            ErrorBound::Absolute(eb) => eb,
-            ErrorBound::Relative(rel) => rel * stats.range() as f64,
-        };
-        assert!(
-            eb.is_finite() && eb > 0.0,
-            "error bound must be positive and finite, got {eb}"
-        );
-        eb
-    }
-
-    /// Resolve to the *quantization* bound: the user-facing bound shrunk by
-    /// the worst-case `f32` rounding of the reconstruction.
-    ///
-    /// Reconstruction computes `(q · 2eb) as f32`, which adds up to half a
-    /// ULP of the value magnitude on top of the quantization error. Without
-    /// this guard a sample like `1005.0` at `eb ≈ 0.07` can miss the bound
-    /// by ~1e-5 (f32 ULP at 1000 is 6.1e-5). Guarding keeps the public
-    /// contract `|v − v'| ≤ eb` exact.
-    pub fn resolve_quantization(&self, stats: &FieldStats) -> f64 {
-        let eb = self.resolve(stats);
-        let max_abs = stats.min.abs().max(stats.max.abs()) as f64;
-        let ulp_slack = max_abs * f32::EPSILON as f64;
-        // if the requested bound is below f32 resolution it cannot be met
-        // exactly anyway; keep at least half the bound rather than going ≤ 0
-        (eb - ulp_slack).max(eb * 0.5)
-    }
-
-    /// Fallible version of [`ErrorBound::resolve`] for the [`crate::Codec`]
-    /// encode path: a non-positive or non-finite resolved bound (e.g. a
-    /// relative bound on a constant or non-finite field) is an
-    /// [`CfcError::InvalidInput`] instead of a panic.
+    /// A non-positive or non-finite resolved bound (e.g. a relative bound
+    /// on a constant or non-finite field) is a [`CfcError::InvalidInput`].
     pub fn try_resolve(&self, stats: &FieldStats) -> Result<f64, CfcError> {
         // min/max alone miss NaN samples (f32::min/max skip NaN operands),
         // but the running mean poisons on any non-finite sample — without
@@ -76,11 +45,20 @@ impl ErrorBound {
         Ok(eb)
     }
 
-    /// Fallible version of [`ErrorBound::resolve_quantization`].
+    /// Resolve to the *quantization* bound: the user-facing bound shrunk by
+    /// the worst-case `f32` rounding of the reconstruction.
+    ///
+    /// Reconstruction computes `(q · 2eb) as f32`, which adds up to half a
+    /// ULP of the value magnitude on top of the quantization error. Without
+    /// this guard a sample like `1005.0` at `eb ≈ 0.07` can miss the bound
+    /// by ~1e-5 (f32 ULP at 1000 is 6.1e-5). Guarding keeps the public
+    /// contract `|v − v'| ≤ eb` exact.
     pub fn try_resolve_quantization(&self, stats: &FieldStats) -> Result<f64, CfcError> {
         let eb = self.try_resolve(stats)?;
         let max_abs = stats.min.abs().max(stats.max.abs()) as f64;
         let ulp_slack = max_abs * f32::EPSILON as f64;
+        // if the requested bound is below f32 resolution it cannot be met
+        // exactly anyway; keep at least half the bound rather than going ≤ 0
         Ok((eb - ulp_slack).max(eb * 0.5))
     }
 
@@ -111,20 +89,20 @@ mod tests {
 
     #[test]
     fn absolute_passes_through() {
-        let eb = ErrorBound::Absolute(0.5).resolve(&stats(0.0, 100.0));
-        assert_eq!(eb, 0.5);
+        let eb = ErrorBound::Absolute(0.5).try_resolve(&stats(0.0, 100.0));
+        assert_eq!(eb.unwrap(), 0.5);
     }
 
     #[test]
     fn relative_scales_with_range() {
-        let eb = ErrorBound::Relative(1e-3).resolve(&stats(-50.0, 50.0));
-        assert!((eb - 0.1).abs() < 1e-12);
+        let eb = ErrorBound::Relative(1e-3).try_resolve(&stats(-50.0, 50.0));
+        assert!((eb.unwrap() - 0.1).abs() < 1e-12);
     }
 
     #[test]
-    #[should_panic]
-    fn zero_range_relative_bound_panics() {
-        let _ = ErrorBound::Relative(1e-3).resolve(&stats(3.0, 3.0));
+    fn zero_range_relative_bound_is_invalid_input() {
+        let eb = ErrorBound::Relative(1e-3).try_resolve(&stats(3.0, 3.0));
+        assert!(matches!(eb, Err(CfcError::InvalidInput(_))), "{eb:?}");
     }
 
     #[test]

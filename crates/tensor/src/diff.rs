@@ -20,11 +20,6 @@ pub fn backward_diff(field: &Field, axis: Axis) -> Field {
     diff_impl(field, axis, DiffKind::Backward)
 }
 
-/// `d[i] = v[i+1] − v[i]` along `axis`; the last sample keeps difference 0.
-pub fn forward_diff(field: &Field, axis: Axis) -> Field {
-    diff_impl(field, axis, DiffKind::Forward)
-}
-
 /// `d[i] = (v[i+1] − v[i−1]) / 2` along `axis`; boundary samples fall back to
 /// one-sided differences.
 pub fn central_diff(field: &Field, axis: Axis) -> Field {
@@ -39,39 +34,9 @@ pub fn backward_diff_all(field: &Field) -> Vec<Field> {
         .collect()
 }
 
-/// Reconstruct a field from its backward differences along `axis` given the
-/// hyperplane of starting values (the samples at index 0 along `axis`,
-/// flattened in row-major order of the remaining axes).
-pub fn integrate_backward(diff: &Field, axis: Axis, start: &Field) -> Field {
-    let shape = diff.shape();
-    assert_eq!(
-        start.shape(),
-        shape.slice_shape(axis),
-        "start hyperplane has wrong shape"
-    );
-    let mut out = Field::zeros(shape);
-    let strides = shape.strides();
-    let stride = strides[axis.index()];
-    let n = shape.dim(axis);
-    let lanes = lane_starts(shape, axis);
-    let d = diff.as_slice();
-    let s = start.as_slice();
-    let o = out.as_mut_slice();
-    for (lane, &base) in lanes.iter().enumerate() {
-        let mut acc = s[lane];
-        o[base] = acc;
-        for i in 1..n {
-            acc += d[base + i * stride];
-            o[base + i * stride] = acc;
-        }
-    }
-    out
-}
-
 #[derive(Clone, Copy)]
 enum DiffKind {
     Backward,
-    Forward,
     Central,
 }
 
@@ -126,11 +91,6 @@ fn diff_impl(field: &Field, axis: Axis, kind: DiffKind) -> Field {
                         lane[i] = v[base + i * stride] - v[base + (i - 1) * stride];
                     }
                 }
-                DiffKind::Forward => {
-                    for i in 0..n.saturating_sub(1) {
-                        lane[i] = v[base + (i + 1) * stride] - v[base + i * stride];
-                    }
-                }
                 DiffKind::Central => {
                     if n == 1 {
                         // single-sample lane: difference stays 0
@@ -169,13 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_diff_1d() {
-        let f = Field::from_vec(Shape::d1(4), vec![1.0, 3.0, 6.0, 10.0]);
-        let d = forward_diff(&f, Axis::X);
-        assert_eq!(d.as_slice(), &[2.0, 3.0, 4.0, 0.0]);
-    }
-
-    #[test]
     fn central_diff_1d() {
         let f = Field::from_vec(Shape::d1(4), vec![1.0, 3.0, 6.0, 10.0]);
         let d = central_diff(&f, Axis::X);
@@ -189,21 +142,6 @@ mod tests {
         assert_eq!(dx.as_slice(), &[0.0, 0.0, 0.0, 7.0, 14.0, 28.0]);
         let dy = backward_diff(&f, Axis::Y);
         assert_eq!(dy.as_slice(), &[0.0, 1.0, 2.0, 0.0, 8.0, 16.0]);
-    }
-
-    #[test]
-    fn integrate_inverts_backward_diff() {
-        let f = Field::from_fn(Shape::d3(3, 4, 5), |idx| {
-            (idx[0] * 31 + idx[1] * 7 + idx[2]) as f32 * 0.25 + 1.0
-        });
-        for &ax in Axis::first(3) {
-            let d = backward_diff(&f, ax);
-            let start = f.slice(ax, 0);
-            let rec = integrate_backward(&d, ax, &start);
-            for (a, b) in rec.as_slice().iter().zip(f.as_slice()) {
-                assert!((a - b).abs() < 1e-4, "{a} vs {b} along {ax:?}");
-            }
-        }
     }
 
     #[test]

@@ -62,15 +62,13 @@ fn main() {
             out_channels: 3,
             ..CfnnSpec::scaled_3d(anchors.len())
         };
-        let mut trained = train_cfnn(&spec, &TrainConfig::default(), &anchors, target);
+        let trained = train_cfnn(&spec, &TrainConfig::default(), &anchors, target);
         let anchors_dec: Vec<Field> = anchors
             .iter()
             .map(|a| comp.roundtrip_anchor(a).expect("anchor roundtrip"))
             .collect();
         let refs: Vec<&Field> = anchors_dec.iter().collect();
-        let stream = comp
-            .compress(&mut trained, target, &refs)
-            .expect("compress");
+        let stream = comp.compress(&trained, target, &refs).expect("compress");
         println!(
             "anchors {:<18} → {:.2}x ({:+.2}% vs baseline)",
             chosen.join("+"),

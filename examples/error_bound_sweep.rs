@@ -33,7 +33,7 @@ fn main() {
     let true_mean = FieldStats::of(target).mean;
 
     // one model serves every bound (trained on original data, §III-D2)
-    let mut trained = train_cfnn(&row.spec, &TrainConfig::default(), &anchors, target);
+    let trained = train_cfnn(&row.spec, &TrainConfig::default(), &anchors, target);
 
     println!("LWCF error-bound sweep (global mean cloud forcing: {true_mean:.4} W/m²)\n");
     println!(
@@ -48,9 +48,7 @@ fn main() {
             .map(|a| comp.roundtrip_anchor(a).expect("anchor roundtrip"))
             .collect();
         let refs: Vec<&Field> = anchors_dec.iter().collect();
-        let stream = comp
-            .compress(&mut trained, target, &refs)
-            .expect("compress");
+        let stream = comp.compress(&trained, target, &refs).expect("compress");
         let rec = comp.decompress(&stream.bytes, &refs).expect("decompress");
         let drift = (FieldStats::of(&rec).mean - true_mean).abs();
         println!(

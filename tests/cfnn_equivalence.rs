@@ -840,7 +840,7 @@ fn check_predict(shape: Shape, spec: CfnnSpec, seed: u64) {
         .iter()
         .flat_map(|a| diff::backward_diff_all(a))
         .collect();
-    let mut trained = TrainedCfnn {
+    let trained = TrainedCfnn {
         net: build_cfnn(&spec, seed),
         spec,
         input_norms: fit_normalizers(&diffs),
@@ -858,7 +858,7 @@ fn check_predict(shape: Shape, spec: CfnnSpec, seed: u64) {
         },
     };
     let want = reference_predict(&trained, &refs);
-    let got = predict_differences(&mut trained, &refs);
+    let got = predict_differences(&trained, &refs);
     assert_eq!(got.len(), want.len());
     for (axis, (g, w)) in got.iter().zip(&want).enumerate() {
         assert_eq!(g.shape(), shape);

@@ -58,8 +58,8 @@ fn cross_field_pipeline_roundtrips_on_hurricane() {
         .collect();
     let refs: Vec<&Field> = anchors_dec.iter().collect();
     let spec = CfnnSpec::compact(3, 3);
-    let mut trained = train_cfnn(&spec, &TrainConfig::fast(), &anchors, target);
-    let stream = comp.compress(&mut trained, target, &refs).unwrap();
+    let trained = train_cfnn(&spec, &TrainConfig::fast(), &anchors, target);
+    let stream = comp.compress(&trained, target, &refs).unwrap();
     let dec = comp.decompress(&stream.bytes, &refs).unwrap();
     assert!(max_abs_error(target, &dec) <= stream.eb_abs * (1.0 + 1e-9));
     assert!(ssim_field(target, &dec) > 0.9);
@@ -100,10 +100,8 @@ fn cross_field_beats_baseline_on_strongly_coupled_pair() {
         n_patches: 128,
         ..TrainConfig::fast()
     };
-    let mut trained = train_cfnn(&spec, &cfg, &[&anchor], &target);
-    let ours = comp
-        .compress(&mut trained, &target, &[&anchor_dec])
-        .unwrap();
+    let trained = train_cfnn(&spec, &cfg, &[&anchor], &target);
+    let ours = comp.compress(&trained, &target, &[&anchor_dec]).unwrap();
     let base = comp.baseline().compress(&target).unwrap();
     let n = target.len();
     assert!(
@@ -124,8 +122,8 @@ fn psnr_identical_between_methods_at_same_bound() {
     let comp = CrossFieldCompressor::new(1e-3);
     let anchor_dec = comp.roundtrip_anchor(anchors[0]).unwrap();
     let spec = CfnnSpec::compact(1, 2);
-    let mut trained = train_cfnn(&spec, &TrainConfig::fast(), &anchors, target);
-    let ours = comp.compress(&mut trained, target, &[&anchor_dec]).unwrap();
+    let trained = train_cfnn(&spec, &TrainConfig::fast(), &anchors, target);
+    let ours = comp.compress(&trained, target, &[&anchor_dec]).unwrap();
     let ours_rec = comp.decompress(&ours.bytes, &[&anchor_dec]).unwrap();
     let base = comp.baseline();
     let base_rec = base
@@ -155,8 +153,8 @@ fn model_rides_in_stream_and_decoder_needs_no_training() {
         .collect();
     let refs: Vec<&Field> = anchors_dec.iter().collect();
     let spec = CfnnSpec::compact(2, 2);
-    let mut trained = train_cfnn(&spec, &TrainConfig::fast(), &anchors, target);
-    let stream = comp.compress(&mut trained, target, &refs).unwrap();
+    let trained = train_cfnn(&spec, &TrainConfig::fast(), &anchors, target);
+    let stream = comp.compress(&trained, target, &refs).unwrap();
     drop(trained); // decoder must not need it
     let dec = comp.decompress(&stream.bytes, &refs).unwrap();
     assert!(max_abs_error(target, &dec) <= stream.eb_abs * (1.0 + 1e-9));
@@ -180,8 +178,8 @@ fn coupling_zero_removes_cross_field_advantage() {
         .collect();
     let refs: Vec<&Field> = anchors_dec.iter().collect();
     let spec = CfnnSpec::compact(3, 3);
-    let mut trained = train_cfnn(&spec, &TrainConfig::fast(), &anchors, target);
-    let ours = comp.compress(&mut trained, target, &refs).unwrap();
+    let trained = train_cfnn(&spec, &TrainConfig::fast(), &anchors, target);
+    let ours = comp.compress(&trained, target, &refs).unwrap();
     let base = comp.baseline().compress(target).unwrap();
     // the learned model discovered the anchors carry nothing: Lorenzo gets
     // the single largest weight (axis predictors collapse toward plain

@@ -49,13 +49,13 @@ proptest! {
     #[test]
     fn outlier_roundtrip(vals in prop::collection::vec(any::<i64>(), 0..512)) {
         let bytes = compressor::encode_outliers(&vals);
-        prop_assert_eq!(compressor::decode_outliers(&bytes), vals);
+        prop_assert_eq!(compressor::try_decode_outliers_bounded(&bytes, vals.len()).unwrap(), vals);
     }
 
     /// Residual code coding round-trips (Huffman + LZSS composition).
     #[test]
     fn code_stream_roundtrip(codes in prop::collection::vec(0u32..1025, 1..2048)) {
         let bytes = compressor::encode_codes(&codes);
-        prop_assert_eq!(compressor::decode_codes(&bytes, codes.len()), codes);
+        prop_assert_eq!(compressor::try_decode_codes(&bytes, codes.len()).unwrap(), codes);
     }
 }

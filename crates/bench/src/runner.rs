@@ -18,7 +18,7 @@ use cfc_core::config::{paper_table3, CfnnSpec, CrossFieldConfig, TrainConfig};
 use cfc_core::hybrid::HybridModel;
 use cfc_core::pipeline::{CrossFieldCompressor, CrossFieldStream};
 use cfc_core::predict::predict_differences;
-use cfc_core::predictor::sample_hybrid_training;
+use cfc_core::predictor::fit_cross_field_hybrid;
 use cfc_core::train::{train_cfnn, TrainedCfnn};
 use cfc_datagen::{Dataset, GenParams};
 use cfc_metrics::{max_abs_error, psnr};
@@ -196,14 +196,8 @@ impl ExperimentContext {
             .try_resolve_quantization(&FieldStats::of(target))
             .expect("a generated field has a positive finite range");
         let lattice = QuantLattice::prequantize(target, eb);
-        let step = 2.0 * eb;
-        let dq: Vec<Vec<f64>> = diffs
-            .iter()
-            .map(|f| f.as_slice().iter().map(|&v| v as f64 / step).collect())
-            .collect();
-        let samples =
-            sample_hybrid_training(&lattice, &dq, comp.hybrid.n_samples, comp.hybrid.seed);
-        let hybrid = HybridModel::fit_least_squares(&samples.0, &samples.1);
+        let (samples, hybrid) =
+            fit_cross_field_hybrid(&lattice, std::slice::from_ref(&diffs), eb, &comp.hybrid);
         Case {
             target,
             anchors,

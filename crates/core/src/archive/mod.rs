@@ -65,9 +65,12 @@
 //!   [`ArchiveReader::open`] stops at the first broken rule and the
 //!   scrubber collects them all), the typed row ([`ArchiveEntry`]), the
 //!   [`FieldRole`] tag and the chunk geometry arithmetic.
-//! * [`writer`] — [`ArchiveBuilder`] → [`ArchiveWriter`]: role planning,
-//!   CFNN training, parallel per-(field, block) encode; what it serializes
-//!   goes out through `format`'s writers.
+//! * [`writer`] — [`ArchiveBuilder`] → [`ArchiveWriter`]: the plan (roles,
+//!   geometry, every field's bounds), CFNN training, and the write side's
+//!   counterpart of the walk: one block encoder that independent, anchor,
+//!   target and delta blocks all go through (see its module docs), behind
+//!   one emitter for snapshots and series; what it serializes goes out
+//!   through `format`'s writers.
 //! * [`source`](mod@source) — [`ArchiveSource`]: the positional
 //!   (`pread`-style) byte-source trait archives are read through, so
 //!   concurrent block decodes never serialize on a shared cursor.

@@ -1,18 +1,40 @@
-//! Archive write path: role planning, parallel per-(field, block) encode,
-//! and CFAR v2 serialization.
+//! Archive write path: planning, the one block encoder, and the one
+//! emitter behind the v2 snapshot and the v3 epoch series.
 //!
 //! [`ArchiveBuilder`] collects the error bound, training configuration,
 //! chunking, and the paper-Table-3-style field-role plan;
 //! [`ArchiveBuilder::build`] finalizes it into an [`ArchiveWriter`] whose
-//! [`write_to`](ArchiveWriter::write_to) streams the whole dataset into
-//! any `io::Write` sink without seeking.
+//! [`write_to`](ArchiveWriter::write_to) streams one dataset, and
+//! [`write_epochs_to`](ArchiveWriter::write_epochs_to) a series of them,
+//! into any `io::Write` sink without seeking.
+//!
+//! ## One encode step
+//!
+//! The paper's encoder (Fig. 2) is one rule — prequantize, predict each
+//! lattice point, entropy-code the residuals — and a `Block` is what the
+//! rule takes: a lattice, the bound it was quantized at, a causal predictor.
+//! `ArchiveWriter::encode_blocks` is the only place a block becomes bytes,
+//! run as one `(field, block)` task list per phase over one scratch pool per
+//! write. The roles differ only in where lattice and predictor come from:
+//!
+//! | role | lattice | predictor |
+//! |---|---|---|
+//! | independent, anchor | the slab, quantized at the bound its own statistics resolve | Lorenzo |
+//! | target | the slab's rows of the whole-field lattice (the hybrid fit samples it whole) | Lorenzo mixed with the CFNN differences inferred from the anchors' views of that block |
+//! | delta | the slab, quantized like an independent's | Lorenzo mixed with the previous epoch's view of that slab |
+//!
+//! Lattice coding is lossless: the reader rebuilds exactly the lattice that
+//! went in and dequantizes it at the bound the block records, so
+//! `lattice.reconstruct(eb)` *is* the reader's view of the block. That —
+//! never a decode of bytes just written — is what the writer hands to
+//! whatever conditions on the block: a target's inference, the next epoch's
+//! deltas.
 
-use std::collections::HashMap;
 use std::io::Write;
 
 use cfc_sz::{
-    CfcError, DecodeScratch, EncodeScratch, ErrorBound, QuantLattice, QuantizerConfig, ScratchPool,
-    SzCompressor,
+    CfcError, EncodeScratch, ErrorBound, LorenzoPredictor, Predictor, PredictorKind, QuantLattice,
+    QuantizerConfig, ScratchPool, SzCompressor,
 };
 use cfc_tensor::{Dataset, Field, FieldStats, Shape};
 
@@ -20,7 +42,7 @@ use crate::config::{CfnnSpec, CrossFieldConfig, TrainConfig};
 use crate::hybrid::{HybridConfig, HybridModel};
 use crate::pipeline::{deserialize_model, serialize_model};
 use crate::predictor::{
-    sample_hybrid_training, sample_temporal_training, CrossFieldHybridPredictor,
+    fit_cross_field_hybrid, sample_temporal_training, CrossFieldHybridPredictor,
     TemporalHybridPredictor,
 };
 use crate::train::train_cfnn;
@@ -46,7 +68,6 @@ struct TargetPlan {
 #[derive(Debug, Clone)]
 pub struct ArchiveBuilder {
     bound: ErrorBound,
-    quantizer: QuantizerConfig,
     hybrid: HybridConfig,
     train: TrainConfig,
     targets: Vec<(String, TargetPlan)>,
@@ -61,7 +82,6 @@ impl ArchiveBuilder {
     pub fn new(bound: ErrorBound) -> Self {
         ArchiveBuilder {
             bound,
-            quantizer: QuantizerConfig::default(),
             hybrid: HybridConfig::default(),
             train: TrainConfig::default(),
             targets: Vec::new(),
@@ -80,12 +100,6 @@ impl ArchiveBuilder {
     /// [`TrainConfig::default`]).
     pub fn train_config(mut self, cfg: TrainConfig) -> Self {
         self.train = cfg;
-        self
-    }
-
-    /// Override the residual quantizer.
-    pub fn quantizer(mut self, q: QuantizerConfig) -> Self {
-        self.quantizer = q;
         self
     }
 
@@ -128,18 +142,6 @@ impl ArchiveBuilder {
             TargetPlan {
                 anchors: anchors.iter().map(|s| s.to_string()).collect(),
                 spec: None,
-            },
-        ));
-        self
-    }
-
-    /// Like [`ArchiveBuilder::cross_field`] with an explicit CFNN spec.
-    pub fn cross_field_with_spec(mut self, target: &str, anchors: &[&str], spec: CfnnSpec) -> Self {
-        self.targets.push((
-            target.to_string(),
-            TargetPlan {
-                anchors: anchors.iter().map(|s| s.to_string()).collect(),
-                spec: Some(spec),
             },
         ));
         self
@@ -246,36 +248,88 @@ impl TemporalReport {
     }
 }
 
-/// One compressed field en route to serialization.
-struct EncodedField {
-    name: String,
-    role: FieldRole,
-    anchors: Vec<String>,
-    eb_abs: f64,
+/// What the three roles hand the one block encoder: a prequantized
+/// lattice, the bound it was quantized at (recorded in the block, so the
+/// reader dequantizes at the same), and the causal predictor its residuals
+/// are taken against.
+struct Block {
+    lattice: QuantLattice,
+    eb: f64,
+    predictor: Box<dyn Predictor>,
+}
+
+/// The block of a baseline or delta field: the slab quantized at the bound
+/// resolved from the slab's own statistics, under the field's user-facing
+/// bound — so every block satisfies that bound on its own, and a delta
+/// block lands on the lattice an independent encode of the same slab would.
+fn quantize_slab(slab: &Field, eb_user: f64) -> Result<(QuantLattice, f64), CfcError> {
+    let eb = ErrorBound::Absolute(eb_user).try_resolve_quantization(&FieldStats::of(slab))?;
+    Ok((QuantLattice::prequantize(slab, eb), eb))
+}
+
+/// One field out of the block encoder: its blocks in axis-0 order and,
+/// where asked for, the reader's view of the field.
+type FieldBlocks = (Vec<Vec<u8>>, Option<Field>);
+
+/// One cross-field row of the plan, resolved against the dataset.
+struct TargetRow<'a> {
+    /// Position of the target in the dataset.
+    field: usize,
+    /// Positions of its anchors, in plan order.
+    anchors: Vec<usize>,
+    anchor_names: &'a [String],
+    spec: CfnnSpec,
+}
+
+/// What a write settles before any encode or training work: the field
+/// list and chunk geometry every epoch shares, every field's role, and
+/// every field's bounds in every epoch — so a plan that names a missing
+/// field, a shape that cannot be chunked, or a field no bound resolves for
+/// (NaN, ±Inf, a constant under a relative bound, a lattice that would
+/// saturate) is refused once, up front.
+struct Plan<'a> {
+    names: Vec<&'a str>,
     shape: Shape,
     chunk_slabs: usize,
+    n_blocks: usize,
+    roles: Vec<FieldRole>,
+    targets: Vec<TargetRow<'a>>,
+    /// `bounds[epoch][field]`: the user-facing bound and the quantization
+    /// bound of the whole field (what a target's lattice and a delta's
+    /// hybrid fit are quantized at; baseline and delta blocks resolve
+    /// their own, see [`quantize_slab`]).
+    bounds: Vec<Vec<(f64, f64)>>,
+}
+
+impl Plan<'_> {
+    /// Axis-0 rows `[r0, r1)` of block `bi`.
+    fn rows(&self, bi: usize) -> (usize, usize) {
+        block_range(self.shape.dims()[0], self.chunk_slabs, bi)
+    }
+}
+
+/// One compressed field en route to serialization.
+struct EncodedField<'p> {
+    role: FieldRole,
+    /// Anchor names (targets only).
+    anchors: &'p [String],
+    eb_abs: f64,
     /// Meta payload: empty for baseline fields; `model | hybrid` (each
-    /// u64-length-prefixed) for targets.
+    /// u64-length-prefixed) for targets; an empty model and the temporal
+    /// hybrid for deltas, whose anchor is the previous epoch itself.
     meta: Vec<u8>,
     /// Per-block encoded streams, in axis-0 order.
     blocks: Vec<Vec<u8>>,
+    /// The reader's view of the field, kept when something conditions on it.
+    view: Option<Field>,
 }
 
-/// Encoded fields by name, plus (when requested) the decoded mirror the
-/// next delta epoch conditions on.
-type EncodeWithMirrorResult =
-    Result<(HashMap<String, EncodedField>, HashMap<String, Field>), CfcError>;
-
-impl EncodedField {
-    fn payload_len(&self) -> usize {
-        self.meta.len() + self.blocks.iter().map(Vec::len).sum::<usize>()
-    }
-
-    fn report(&self) -> FieldReport {
+impl EncodedField<'_> {
+    fn report(&self, name: &str) -> FieldReport {
         FieldReport {
-            name: self.name.clone(),
+            name: name.to_string(),
             role: self.role,
-            bytes: self.payload_len(),
+            bytes: self.meta.len() + self.blocks.iter().map(Vec::len).sum::<usize>(),
             n_blocks: self.blocks.len(),
             eb_abs: self.eb_abs,
         }
@@ -284,14 +338,20 @@ impl EncodedField {
     /// Serialize the field (manifest row, meta area, blocks) into `sink`,
     /// returning the bytes written. v3 rows (`with_meta_crc`) record a
     /// CRC32 over the meta area.
-    fn write_to<W: Write>(&self, sink: &mut W, with_meta_crc: bool) -> Result<usize, CfcError> {
+    fn write_to<W: Write>(
+        &self,
+        sink: &mut W,
+        name: &str,
+        plan: &Plan,
+        with_meta_crc: bool,
+    ) -> Result<usize, CfcError> {
         let mut row = RawRow {
-            name: self.name.clone(),
+            name: name.to_string(),
             role: self.role as u8,
-            anchors: self.anchors.clone(),
+            anchors: self.anchors.to_vec(),
             eb_abs: self.eb_abs,
-            dims: self.shape.dims().iter().map(|&d| d as u64).collect(),
-            chunk_slabs: self.chunk_slabs as u32,
+            dims: plan.shape.dims().iter().map(|&d| d as u64).collect(),
+            chunk_slabs: plan.chunk_slabs as u32,
             meta_len: self.meta.len() as u64,
             meta_crc: with_meta_crc.then(|| cfc_sz::crc32(&self.meta)),
             ..RawRow::default()
@@ -313,12 +373,8 @@ fn io_err(e: std::io::Error) -> CfcError {
     CfcError::io("writing archive", &e)
 }
 
-/// Write an archive header into `sink`, returning the bytes written.
-fn write_header_to<W: Write>(sink: &mut W, header: &RawHeader) -> Result<usize, CfcError> {
-    let mut head = Vec::new();
-    write_header(&mut head, header);
-    sink.write_all(&head).map_err(io_err)?;
-    Ok(head.len())
+fn invalid(why: impl Into<String>) -> CfcError {
+    CfcError::InvalidInput(why.into())
 }
 
 impl ArchiveWriter {
@@ -334,34 +390,16 @@ impl ArchiveWriter {
     ///
     /// Blocks are written in field order as soon as the (parallel) encode
     /// completes; the sink never needs to seek, so a growing file, a socket,
-    /// or a pipe all work.
-    pub fn write_to<W: Write>(&self, ds: &Dataset, mut sink: W) -> Result<ArchiveReport, CfcError> {
-        let encoded = self.encode(ds)?;
-        let ordered: Vec<&EncodedField> = ds.iter().map(|(n, _)| &encoded[n]).collect();
-
-        // single snapshots keep emitting the v2 layout byte-for-byte;
-        // only multi-epoch writes bump to ARCHIVE_VERSION
-        let header = RawHeader {
-            version: ARCHIVE_VERSION_SNAPSHOT,
-            name: ds.name().to_string(),
-            n_epochs: 1,
-            keyframe_interval: 1,
-            n_fields: ordered.len() as u32,
-        };
-        let mut written = write_header_to(&mut sink, &header)?;
-
-        // ---- per-field row + index + payload ---------------------------
-        let mut fields = Vec::with_capacity(ordered.len());
-        for e in &ordered {
-            written += e.write_to(&mut sink, false)?;
-            fields.push(e.report());
-        }
-        sink.flush().map_err(io_err)?;
-
+    /// or a pipe all work. A single snapshot is a one-epoch series in the
+    /// v2 layout, which it keeps emitting byte for byte; only multi-epoch
+    /// writes bump to [`ARCHIVE_VERSION`].
+    pub fn write_to<W: Write>(&self, ds: &Dataset, sink: W) -> Result<ArchiveReport, CfcError> {
+        let mut series = self.emit(std::slice::from_ref(ds), ARCHIVE_VERSION_SNAPSHOT, sink)?;
+        let epoch = series.epochs.pop().expect("one epoch written");
+        // an epoch's report leaves out the archive header; a snapshot's counts it
         Ok(ArchiveReport {
-            fields,
-            raw_bytes: ds.len() * ds.shape().len() * 4,
-            archive_bytes: written,
+            archive_bytes: series.archive_bytes,
+            ..epoch
         })
     }
 
@@ -385,492 +423,504 @@ impl ArchiveWriter {
     pub fn write_epochs_to<W: Write>(
         &self,
         snapshots: &[Dataset],
+        sink: W,
+    ) -> Result<TemporalReport, CfcError> {
+        self.emit(snapshots, ARCHIVE_VERSION, sink)
+    }
+
+    /// The one emitter: plan, header, then epoch after epoch — each encoded
+    /// in full, then its rows and payloads streamed out in field order. A
+    /// `version` before [`ARCHIVE_VERSION`] has no epoch columns: no kind
+    /// byte ahead of an epoch, no CRC over a meta area.
+    fn emit<W: Write>(
+        &self,
+        snapshots: &[Dataset],
+        version: u16,
         mut sink: W,
     ) -> Result<TemporalReport, CfcError> {
-        let first = snapshots.first().ok_or_else(|| {
-            CfcError::InvalidInput("cannot archive an empty epoch sequence".into())
-        })?;
-        if u32::try_from(snapshots.len()).is_err() {
-            return Err(CfcError::InvalidInput(
-                "epoch count exceeds the u32 header prefix".into(),
-            ));
-        }
-        let shape = first.shape();
-        let names: Vec<&str> = first.iter().map(|(n, _)| n).collect();
-        for (e, ds) in snapshots.iter().enumerate().skip(1) {
-            if ds.shape() != shape {
-                return Err(CfcError::InvalidInput(format!(
-                    "epoch {e} shape differs from epoch 0"
-                )));
-            }
-            let ns: Vec<&str> = ds.iter().map(|(n, _)| n).collect();
-            if ns != names {
-                return Err(CfcError::InvalidInput(format!(
-                    "epoch {e} fields differ from epoch 0"
-                )));
-            }
-        }
+        let plan = self.plan(snapshots)?;
         let interval = self.cfg.keyframe_interval;
-        if shape.ndim() == 1 && snapshots.len() > 1 && interval > 1 {
-            return Err(CfcError::InvalidInput(
-                "temporal deltas require 2-D or 3-D datasets; \
-                 use keyframe_interval(1) for 1-D series"
-                    .into(),
-            ));
-        }
+        let temporal = version >= ARCHIVE_VERSION;
+        // pooled scratch: worker buffers return to the pool between phases
+        // and between epochs, so steady-state capacity is paid once per
+        // thread for the whole write, not once per task list
+        let pool: ScratchPool<EncodeScratch> = ScratchPool::new(self.threads());
 
+        let mut head = Vec::new();
         let header = RawHeader {
-            version: ARCHIVE_VERSION,
-            name: first.name().to_string(),
+            version,
+            name: snapshots[0].name().to_string(),
             n_epochs: snapshots.len() as u32,
             keyframe_interval: interval as u32,
-            n_fields: first.len() as u32,
+            n_fields: plan.names.len() as u32,
         };
-        let mut written = write_header_to(&mut sink, &header)?;
+        write_header(&mut head, &header);
+        sink.write_all(&head).map_err(io_err)?;
+        let mut written = head.len();
 
         let mut epochs = Vec::with_capacity(snapshots.len());
-        let mut mirror: HashMap<String, Field> = HashMap::new();
+        let mut views: Vec<Option<Field>> = Vec::new();
         for (e, ds) in snapshots.iter().enumerate() {
-            let keyframe = e % interval == 0;
-            // the decoded mirror is only carried while a delta epoch follows
+            // the reader's view is only carried while a delta epoch follows
             let next_is_delta = e + 1 < snapshots.len() && (e + 1) % interval != 0;
-            let (ordered, new_mirror) = if keyframe {
-                let (mut encoded, m) = self.encode_with_mirror(ds, next_is_delta)?;
-                let ordered: Vec<EncodedField> = ds
-                    .iter()
-                    .map(|(n, _)| encoded.remove(n).expect("encoded field"))
-                    .collect();
-                (ordered, m)
-            } else {
-                self.encode_delta_epoch(ds, &mirror, next_is_delta)?
-            };
-            sink.write_all(&[epoch_kind(e, interval)]).map_err(io_err)?;
-            written += 1;
-            let mut fields = Vec::with_capacity(ordered.len());
-            let mut epoch_bytes = 1usize;
-            for f in &ordered {
-                let n = f.write_to(&mut sink, true)?;
-                written += n;
-                epoch_bytes += n;
-                fields.push(f.report());
+            let encoded = self.encode_epoch(&plan, e, ds, &views, next_is_delta, &pool)?;
+            let mut epoch_bytes = 0;
+            if temporal {
+                sink.write_all(&[epoch_kind(e, interval)]).map_err(io_err)?;
+                epoch_bytes += 1;
             }
+            let mut fields = Vec::with_capacity(encoded.len());
+            for (name, f) in plan.names.iter().zip(&encoded) {
+                epoch_bytes += f.write_to(&mut sink, name, &plan, temporal)?;
+                fields.push(f.report(name));
+            }
+            written += epoch_bytes;
             epochs.push(ArchiveReport {
                 fields,
-                raw_bytes: ds.len() * shape.len() * 4,
+                raw_bytes: plan.names.len() * plan.shape.len() * 4,
                 archive_bytes: epoch_bytes,
             });
-            mirror = new_mirror;
+            views = encoded.into_iter().map(|f| f.view).collect();
         }
         sink.flush().map_err(io_err)?;
 
         Ok(TemporalReport {
             epochs,
             keyframe_interval: interval,
-            raw_bytes: snapshots.len() * first.len() * shape.len() * 4,
+            raw_bytes: snapshots.len() * plan.names.len() * plan.shape.len() * 4,
             archive_bytes: written,
         })
     }
 
-    /// Encode one delta epoch: every field is conditioned on the decoded
-    /// same-name field of the previous epoch — "previous epoch" as the
-    /// anchor role. Per block, the prediction mixes the causal Lorenzo
-    /// guess, the previous epoch's decoded value, and the
-    /// temporally-corrected Lorenzo (see
-    /// [`crate::predictor::TemporalHybridPredictor`]), weighted by a
-    /// per-field hybrid fit that ships in the meta area.
-    fn encode_delta_epoch(
-        &self,
-        ds: &Dataset,
-        prev: &HashMap<String, Field>,
-        want_mirror: bool,
-    ) -> Result<(Vec<EncodedField>, HashMap<String, Field>), CfcError> {
-        let shape = ds.shape();
-        if !(2..=3).contains(&shape.ndim()) {
-            return Err(CfcError::InvalidInput(
-                "temporal delta epochs require 2-D or 3-D datasets".into(),
-            ));
+    /// Settle everything a write can refuse before doing any work (see
+    /// [`Plan`]).
+    fn plan<'a>(&'a self, snapshots: &'a [Dataset]) -> Result<Plan<'a>, CfcError> {
+        let first = snapshots
+            .first()
+            .ok_or_else(|| invalid("cannot archive an empty epoch sequence"))?;
+        if u32::try_from(snapshots.len()).is_err() {
+            return Err(invalid("epoch count exceeds the u32 header prefix"));
         }
-        let chunk_slabs = chunk_slabs_for(shape, self.cfg.chunk_elements);
-        let dim0 = shape.dims()[0];
-        let n_blocks = n_blocks_for(dim0, chunk_slabs);
-        let threads = self.threads();
-        let enc_pool: ScratchPool<EncodeScratch> = ScratchPool::new(threads);
-
-        let mut out = Vec::with_capacity(ds.len());
-        let mut mirror = HashMap::new();
-        for (name, field) in ds.iter() {
-            let prev_field = prev.get(name).ok_or_else(|| {
-                CfcError::InvalidInput(format!("no previous-epoch state for field {name}"))
-            })?;
-            let stats = FieldStats::of(field);
-            let eb_user = self.cfg.bound.try_resolve(&stats)?;
-            let bound = ErrorBound::Absolute(eb_user);
-
-            // hybrid weights: fitted once per field on the whole-field
-            // lattice against the previous epoch's decoded values; the
-            // weights ship in the meta area, so encoder and decoder share
-            // them by construction
-            let eb_fit = bound.try_resolve_quantization(&stats)?;
-            let lattice_fit = QuantLattice::prequantize(field, eb_fit);
-            let step = 2.0 * eb_fit;
-            let pq_full: Vec<f64> = prev_field
-                .as_slice()
-                .iter()
-                .map(|&v| v as f64 / step)
-                .collect();
-            let (preds, targets) = sample_temporal_training(
-                &lattice_fit,
-                &pq_full,
-                self.cfg.hybrid.n_samples,
-                self.cfg.hybrid.seed,
-            );
-            let hybrid = HybridModel::fit_least_squares(&preds, &targets);
-
-            let sz = SzCompressor {
-                bound,
-                quantizer: self.cfg.quantizer,
-                predictor: cfc_sz::PredictorKind::Lorenzo,
-            };
-            let results = run_parallel_scratch(
-                n_blocks,
-                threads,
-                || enc_pool.get(),
-                |s, bi| {
-                    let (r0, r1) = block_range(dim0, chunk_slabs, bi);
-                    let slab = field.slab(r0, r1);
-                    // the quantization bound is resolved from the slab's
-                    // own stats, exactly like an independent encode of the
-                    // same slab — this is what makes a delta-chain decode
-                    // bit-identical to an independently-encoded snapshot
-                    let eb_q = bound.try_resolve_quantization(&FieldStats::of(&slab))?;
-                    let lattice = QuantLattice::prequantize(&slab, eb_q);
-                    let prev_slab = prev_field.slab(r0, r1);
-                    let predictor = TemporalHybridPredictor::new(&prev_slab, eb_q, hybrid.clone());
-                    let (container, _) =
-                        sz.compress_lattice_with(&lattice, &predictor, eb_q, &mut *s);
-                    let decoded = want_mirror.then(|| lattice.reconstruct(eb_q));
-                    Ok::<_, CfcError>((container.to_bytes(), decoded))
-                },
-            );
-            let mut blocks = Vec::with_capacity(n_blocks);
-            let mut dec_slabs = Vec::new();
-            for res in results {
-                let (bytes, decoded) = res?;
-                blocks.push(bytes);
-                if let Some(d) = decoded {
-                    dec_slabs.push(d);
-                }
-            }
-            if want_mirror {
-                mirror.insert(name.to_string(), Field::concat_axis0(&dec_slabs));
-            }
-
-            out.push(EncodedField {
-                name: name.to_string(),
-                role: FieldRole::Delta,
-                anchors: Vec::new(),
-                eb_abs: eb_user,
-                shape,
-                chunk_slabs,
-                // no embedded model: the anchor is the previous epoch itself
-                meta: write_meta_area(&[], &hybrid.serialize()),
-                blocks,
-            });
+        if first.is_empty() {
+            return Err(invalid("cannot archive an empty dataset"));
         }
-        Ok((out, mirror))
-    }
-
-    /// Validate the plan and encode every field into blocks (in parallel).
-    fn encode(&self, ds: &Dataset) -> Result<HashMap<String, EncodedField>, CfcError> {
-        Ok(self.encode_with_mirror(ds, false)?.0)
-    }
-
-    /// [`ArchiveWriter::encode`] plus (when `want_mirror`) the decoded
-    /// view of every field — bit-identical to what a reader reconstructs
-    /// from the emitted blocks. Multi-epoch writes feed this mirror to the
-    /// next epoch's delta encode so writer and reader condition on exactly
-    /// the same anchor values.
-    fn encode_with_mirror(&self, ds: &Dataset, want_mirror: bool) -> EncodeWithMirrorResult {
-        if ds.is_empty() {
-            return Err(CfcError::InvalidInput(
-                "cannot archive an empty dataset".into(),
-            ));
-        }
-        for (name, _) in ds.iter() {
+        let shape = first.shape();
+        let names: Vec<&str> = first.iter().map(|(n, _)| n).collect();
+        for name in &names {
             // names are serialized with a u16 length prefix; `as u16` would
             // silently truncate in release builds and corrupt the archive
             if name.len() > u16::MAX as usize {
-                return Err(CfcError::InvalidInput(format!(
+                return Err(invalid(format!(
                     "field name of {} bytes exceeds the u16 length prefix",
                     name.len()
                 )));
             }
         }
-        if u32::try_from(ds.len()).is_err() {
-            return Err(CfcError::InvalidInput(
-                "field count exceeds the u32 table prefix".into(),
+        if u32::try_from(names.len()).is_err() {
+            return Err(invalid("field count exceeds the u32 table prefix"));
+        }
+        for (e, ds) in snapshots.iter().enumerate().skip(1) {
+            if ds.shape() != shape {
+                return Err(invalid(format!("epoch {e} shape differs from epoch 0")));
+            }
+            if !ds.iter().map(|(n, _)| n).eq(names.iter().copied()) {
+                return Err(invalid(format!("epoch {e} fields differ from epoch 0")));
+            }
+        }
+        let ndim = shape.ndim();
+        if ndim == 1 && snapshots.len() > 1 && self.cfg.keyframe_interval > 1 {
+            return Err(invalid(
+                "temporal deltas require 2-D or 3-D datasets; \
+                 use keyframe_interval(1) for 1-D series",
             ));
         }
-        let roles = self.plan_roles(ds)?;
-        let shape = ds.shape();
-        let ndim = shape.ndim();
         if !self.cfg.targets.is_empty() {
             // cross-field targets go through CFNN training, which asserts
             // a usable configuration and patch + 1 < slice extent — surface
             // those as plan errors instead of panics inside a worker thread
             self.cfg.train.validate().map_err(CfcError::InvalidInput)?;
             if ndim == 1 {
-                return Err(CfcError::InvalidInput(
-                    "cross-field targets require 2-D or 3-D datasets".into(),
-                ));
+                return Err(invalid("cross-field targets require 2-D or 3-D datasets"));
             }
             let dims = shape.dims();
-            let (srows, scols) = if ndim == 2 {
-                (dims[0], dims[1])
-            } else {
-                (dims[1], dims[2])
-            };
+            let (srows, scols) = (dims[ndim - 2], dims[ndim - 1]);
             let p = self.cfg.train.patch;
             if p + 1 >= srows || p + 1 >= scols {
-                return Err(CfcError::InvalidInput(format!(
+                return Err(invalid(format!(
                     "training patch {p} too large for {srows}x{scols} slices; \
                      shrink TrainConfig::patch or use a larger dataset"
                 )));
             }
-            if self
-                .cfg
-                .targets
-                .iter()
-                .any(|(_, plan)| plan.anchors.len() > u16::MAX as usize)
-            {
-                return Err(CfcError::InvalidInput("more than u16::MAX anchors".into()));
-            }
         }
+        let (roles, targets) = self.plan_roles(&names, ndim)?;
 
         let chunk_slabs = chunk_slabs_for(shape, self.cfg.chunk_elements);
-        let dim0 = shape.dims()[0];
-        let n_blocks = n_blocks_for(dim0, chunk_slabs);
+        let n_blocks = n_blocks_for(shape.dims()[0], chunk_slabs);
         if u32::try_from(n_blocks).is_err() || u32::try_from(chunk_slabs).is_err() {
-            return Err(CfcError::InvalidInput(
-                "chunk geometry exceeds the u32 index prefix".into(),
-            ));
+            return Err(invalid("chunk geometry exceeds the u32 index prefix"));
         }
-        let threads = self.threads();
 
-        // ---- phase 1: anchors + independents, parallel over blocks -----
-        let independents: Vec<(&str, &Field, FieldRole)> = ds
+        // each field's user-facing bound comes from full-field statistics
+        // and is what every one of its blocks is then held to
+        let bound = self.cfg.bound;
+        let bounds = snapshots
             .iter()
-            .filter_map(|(n, f)| match roles[n] {
-                FieldRole::Target => None,
-                role => Some((n, f, role)),
+            .map(|ds| {
+                ds.iter()
+                    .map(|(_, field)| {
+                        let stats = FieldStats::of(field);
+                        Ok((
+                            bound.try_resolve(&stats)?,
+                            bound.try_resolve_quantization(&stats)?,
+                        ))
+                    })
+                    .collect()
             })
-            .collect();
-        // resolve each field's user-facing bound once from full-field
-        // statistics, then compress each block at that *absolute* bound so
-        // every block independently satisfies it
-        let mut field_ebs = Vec::with_capacity(independents.len());
-        for (_, field, _) in &independents {
-            field_ebs.push(self.cfg.bound.try_resolve(&FieldStats::of(field))?);
-        }
-        let tasks: Vec<(usize, usize)> = (0..independents.len())
-            .flat_map(|fi| (0..n_blocks).map(move |bi| (fi, bi)))
-            .collect();
-        // pooled scratch: worker buffers return to the pools between
-        // phases and between the sequential per-target encode loops, so
-        // steady-state capacity is paid once per thread for the whole
-        // archive, not once per run_parallel_scratch call
-        let enc_pool: ScratchPool<EncodeScratch> = ScratchPool::new(threads);
-        let dec_pool: ScratchPool<DecodeScratch> = ScratchPool::new(threads);
-        let phase1 = run_parallel_scratch(
-            tasks.len(),
-            threads,
-            || (enc_pool.get(), dec_pool.get()),
-            |(enc_scratch, dec_scratch), t| {
-                let (fi, bi) = tasks[t];
-                let (_, field, role) = independents[fi];
-                let block = SzCompressor {
-                    bound: ErrorBound::Absolute(field_ebs[fi]),
-                    quantizer: self.cfg.quantizer,
-                    predictor: cfc_sz::PredictorKind::Lorenzo,
-                };
-                let (r0, r1) = block_range(dim0, chunk_slabs, bi);
-                let slab = field.slab(r0, r1);
-                let stream = block.compress_with(&slab, &mut *enc_scratch)?;
-                // anchors are round-tripped here: the decoder's view of an
-                // anchor IS the decoded block stream, so reusing these bytes
-                // keeps both sides bit-identical by construction (mirror
-                // requests round-trip every field the same way)
-                let decoded = if role == FieldRole::Anchor || want_mirror {
-                    Some(block.decompress_with(&stream.bytes, &mut *dec_scratch)?)
-                } else {
-                    None
-                };
-                Ok::<_, CfcError>((stream.bytes, decoded))
-            },
-        );
-        let mut encoded: HashMap<String, EncodedField> = independents
-            .iter()
-            .enumerate()
-            .map(|(fi, (name, _, role))| {
-                (
-                    name.to_string(),
-                    EncodedField {
-                        name: name.to_string(),
-                        role: *role,
-                        anchors: Vec::new(),
-                        eb_abs: field_ebs[fi],
-                        shape,
-                        chunk_slabs,
-                        meta: Vec::new(),
-                        blocks: Vec::with_capacity(n_blocks),
-                    },
-                )
-            })
-            .collect();
-        let mut decoded_slabs: HashMap<&str, Vec<Field>> = HashMap::new();
-        for (t, res) in tasks.iter().zip(phase1) {
-            let (fi, _) = *t;
-            let (name, _, role) = independents[fi];
-            let (bytes, decoded) = res?;
-            encoded
-                .get_mut(name)
-                .expect("phase1 field")
-                .blocks
-                .push(bytes);
-            if role == FieldRole::Anchor || want_mirror {
-                decoded_slabs
-                    .entry(name)
-                    .or_default()
-                    .push(decoded.expect("decoded block"));
+            .collect::<Result<_, CfcError>>()?;
+
+        Ok(Plan {
+            names,
+            shape,
+            chunk_slabs,
+            n_blocks,
+            roles,
+            targets,
+            bounds,
+        })
+    }
+
+    /// Resolve the role of every field and the plan's rows against the
+    /// dataset's field `names`, validating the plan.
+    fn plan_roles<'a>(
+        &'a self,
+        names: &[&str],
+        ndim: usize,
+    ) -> Result<(Vec<FieldRole>, Vec<TargetRow<'a>>), CfcError> {
+        let position = |name: &str| names.iter().position(|n| *n == name);
+        let mut roles = vec![FieldRole::Independent; names.len()];
+        let mut rows = Vec::with_capacity(self.cfg.targets.len());
+        for (target, plan) in &self.cfg.targets {
+            let field = position(target)
+                .ok_or_else(|| invalid(format!("plan names unknown target field {target}")))?;
+            if plan.anchors.is_empty() {
+                return Err(invalid(format!("target {target} has no anchors")));
             }
-        }
-        let anchors_dec: HashMap<&str, Field> = decoded_slabs
-            .into_iter()
-            .map(|(n, slabs)| (n, Field::concat_axis0(&slabs)))
-            .collect();
-        let mut mirror: HashMap<String, Field> = if want_mirror {
-            anchors_dec
-                .iter()
-                .map(|(n, f)| (n.to_string(), f.clone()))
-                .collect()
-        } else {
-            HashMap::new()
-        };
-
-        // ---- phase 2: cross-field targets ------------------------------
-        // 2a: train every CFNN in parallel (training dominates the cost)
-        let targets: Vec<(&str, &TargetPlan)> = self
-            .cfg
-            .targets
-            .iter()
-            .map(|(n, p)| (n.as_str(), p))
-            .collect();
-        let trained_models = run_parallel(targets.len(), threads, |i| {
-            let (name, plan) = targets[i];
-            let target = ds.expect_field(name);
-            let orig_refs: Vec<&Field> = plan.anchors.iter().map(|a| ds.expect_field(a)).collect();
-            let spec = plan
-                .spec
-                .unwrap_or_else(|| default_spec(plan.anchors.len(), ndim));
-            if spec.in_channels != plan.anchors.len() * ndim || spec.out_channels != ndim {
-                return Err(CfcError::InvalidInput(format!(
-                    "spec for target {name} does not match {} anchors × {ndim} axes",
-                    plan.anchors.len()
+            if plan.anchors.len() > u16::MAX as usize {
+                return Err(invalid("more than u16::MAX anchors"));
+            }
+            let mut anchors = Vec::with_capacity(plan.anchors.len());
+            for anchor in &plan.anchors {
+                if anchor == target {
+                    return Err(invalid(format!("target {target} cannot anchor itself")));
+                }
+                if self.cfg.targets.iter().any(|(t, _)| t == anchor) {
+                    return Err(invalid(format!(
+                        "anchor {anchor} of {target} is itself a cross-field target; \
+                         anchors must decode independently"
+                    )));
+                }
+                let a = position(anchor)
+                    .ok_or_else(|| invalid(format!("plan names unknown anchor field {anchor}")))?;
+                roles[a] = FieldRole::Anchor;
+                anchors.push(a);
+            }
+            if roles[field] == FieldRole::Target {
+                return Err(invalid(format!("duplicate plan for target {target}")));
+            }
+            roles[field] = FieldRole::Target;
+            // without a spec, the scaled paper architecture for the
+            // dataset's dimensionality
+            let spec = plan.spec.unwrap_or_else(|| match ndim {
+                3 => CfnnSpec::scaled_3d(anchors.len()),
+                _ => CfnnSpec::scaled_2d(anchors.len()),
+            });
+            if spec.in_channels != anchors.len() * ndim || spec.out_channels != ndim {
+                return Err(invalid(format!(
+                    "spec for target {target} does not match {} anchors × {ndim} axes",
+                    anchors.len()
                 )));
             }
-            // trained on original data (one model serves every bound,
-            // paper §III-D2); inference will see the decoded anchors,
-            // exactly like the reader
-            let trained = train_cfnn(&spec, &self.cfg.train, &orig_refs, target);
-            Ok::<_, CfcError>(serialize_model(&trained))
+            rows.push(TargetRow {
+                field,
+                anchors,
+                anchor_names: &plan.anchors,
+                spec,
+            });
+        }
+        Ok((roles, rows))
+    }
+
+    /// Encode epoch `e`: a keyframe at multiples of the keyframe interval,
+    /// deltas against `prev` — the previous epoch's views — otherwise.
+    /// With `want_views`, every field comes back with the reader's view of
+    /// it, for the epoch that follows to condition on.
+    fn encode_epoch<'p>(
+        &self,
+        plan: &'p Plan,
+        e: usize,
+        ds: &Dataset,
+        prev: &[Option<Field>],
+        want_views: bool,
+        pool: &ScratchPool<EncodeScratch>,
+    ) -> Result<Vec<EncodedField<'p>>, CfcError> {
+        let fields: Vec<&Field> = ds.iter().map(|(_, f)| f).collect();
+        let bounds = &plan.bounds[e];
+        if e.is_multiple_of(self.cfg.keyframe_interval) {
+            self.encode_keyframe(plan, &fields, bounds, want_views, pool)
+        } else {
+            self.encode_delta(plan, &fields, bounds, prev, want_views, pool)
+        }
+    }
+
+    /// The one block encoder, run as one task list over the blocks of
+    /// `n_fields` fields: `block_of(field, block, rows)` says what block
+    /// `block` of field `field` — axis-0 rows `[r0, r1)` — is, and this turns it
+    /// into bytes. Per field, in order: the blocks, and where
+    /// `want_view(field)` the reader's view of the field — each block's
+    /// lattice dequantized at the bound the block records, which is all a
+    /// reader does with the lattice it decodes.
+    fn encode_blocks(
+        &self,
+        plan: &Plan,
+        pool: &ScratchPool<EncodeScratch>,
+        n_fields: usize,
+        want_view: impl Fn(usize) -> bool + Sync,
+        block_of: impl Fn(usize, usize, (usize, usize)) -> Result<Block, CfcError> + Sync,
+    ) -> Result<Vec<FieldBlocks>, CfcError> {
+        let tasks: Vec<(usize, usize)> = (0..n_fields)
+            .flat_map(|fi| (0..plan.n_blocks).map(move |bi| (fi, bi)))
+            .collect();
+        let sz = SzCompressor {
+            // the block carries the bound it was quantized at; this one is
+            // never consulted
+            bound: self.cfg.bound,
+            quantizer: QuantizerConfig::default(),
+            predictor: PredictorKind::Lorenzo,
+        };
+        let done = run_parallel_scratch(
+            tasks.len(),
+            self.threads(),
+            || pool.get(),
+            |scratch, t| {
+                let (fi, bi) = tasks[t];
+                let block = block_of(fi, bi, plan.rows(bi))?;
+                let (container, _) = sz.compress_lattice_with(
+                    &block.lattice,
+                    &*block.predictor,
+                    block.eb,
+                    &mut *scratch,
+                );
+                let view = want_view(fi).then(|| block.lattice.reconstruct(block.eb));
+                Ok::<_, CfcError>((container.to_bytes(), view))
+            },
+        );
+        let mut fields: Vec<(Vec<Vec<u8>>, Vec<Field>)> = (0..n_fields)
+            .map(|_| (Vec::with_capacity(plan.n_blocks), Vec::new()))
+            .collect();
+        for (&(fi, _), res) in tasks.iter().zip(done) {
+            let (bytes, view) = res?;
+            fields[fi].0.push(bytes);
+            fields[fi].1.extend(view);
+        }
+        Ok(fields
+            .into_iter()
+            .map(|(blocks, slabs)| {
+                let view = (!slabs.is_empty()).then(|| Field::concat_axis0(&slabs));
+                (blocks, view)
+            })
+            .collect())
+    }
+
+    /// Encode a keyframe: anchors and independents first (one task list
+    /// across all of them), then every CFNN trained in parallel, then the
+    /// targets — each inferred, fitted and encoded blockwise against its
+    /// anchors' views.
+    fn encode_keyframe<'p>(
+        &self,
+        plan: &'p Plan,
+        fields: &[&Field],
+        bounds: &[(f64, f64)],
+        want_views: bool,
+        pool: &ScratchPool<EncodeScratch>,
+    ) -> Result<Vec<EncodedField<'p>>, CfcError> {
+        let threads = self.threads();
+        let base: Vec<usize> = (0..fields.len())
+            .filter(|&fi| plan.roles[fi] != FieldRole::Target)
+            .collect();
+        let encoded = self.encode_blocks(
+            plan,
+            pool,
+            base.len(),
+            // a target's inference must see its anchors as the reader will
+            |i| want_views || plan.roles[base[i]] == FieldRole::Anchor,
+            |i, _, (r0, r1)| {
+                let slab = fields[base[i]].slab(r0, r1);
+                let (lattice, eb) = quantize_slab(&slab, bounds[base[i]].0)?;
+                Ok(Block {
+                    lattice,
+                    eb,
+                    predictor: Box::new(LorenzoPredictor),
+                })
+            },
+        )?;
+        let mut out: Vec<Option<EncodedField>> = fields.iter().map(|_| None).collect();
+        for (&fi, (blocks, view)) in base.iter().zip(encoded) {
+            out[fi] = Some(EncodedField {
+                role: plan.roles[fi],
+                anchors: &[],
+                eb_abs: bounds[fi].0,
+                meta: Vec::new(),
+                blocks,
+                view,
+            });
+        }
+
+        // every CFNN trains in parallel (training dominates the cost), on
+        // original data: one model serves every bound (paper §III-D2)
+        let models = run_parallel(plan.targets.len(), threads, |i| {
+            let row = &plan.targets[i];
+            let anchors: Vec<&Field> = row.anchors.iter().map(|&a| fields[a]).collect();
+            let target = fields[row.field];
+            serialize_model(&train_cfnn(&row.spec, &self.cfg.train, &anchors, target))
         });
-        // 2b: per target — blockwise inference, one hybrid fit, blockwise
-        // encode (blocks in parallel, sharing one model parsed from the
-        // same bytes the decoder will see)
-        for ((name, plan), model_res) in targets.iter().zip(trained_models) {
-            let model_bytes = model_res?;
-            let target = ds.expect_field(name);
-            let stats = FieldStats::of(target);
-            let eb_user = self.cfg.bound.try_resolve(&stats)?;
-            let eb = self.cfg.bound.try_resolve_quantization(&stats)?;
-            let lattice = QuantLattice::prequantize(target, eb);
-            let dec_refs: Vec<&Field> = plan
+        // one target after another, so that one target's differences are
+        // alive at a time
+        let slab_len: usize = plan.shape.dims()[1..].iter().product::<usize>().max(1);
+        for (row, model_bytes) in plan.targets.iter().zip(models) {
+            let (eb_user, eb) = bounds[row.field];
+            let lattice = QuantLattice::prequantize(fields[row.field], eb);
+            let anchors: Vec<&Field> = row
                 .anchors
                 .iter()
-                .map(|a| &anchors_dec[a.as_str()])
-                .collect();
+                .map(|&a| out[a].as_ref().and_then(|f| f.view.as_ref()))
+                .collect::<Option<_>>()
+                .expect("anchors are encoded first and keep their view");
 
-            // blockwise inference on the decoded anchor slabs — identical
-            // to what the decoder computes per block
+            // blockwise inference on the anchors' views, through the model
+            // parsed from the bytes the reader will see — identical to
+            // what the reader computes per block
             let model = deserialize_model(&model_bytes)?;
-            let block_diffs: Vec<Vec<Field>> =
-                run_parallel_scratch(n_blocks, threads, cfc_nn::Workspace::default, |ws, bi| {
-                    let (r0, r1) = block_range(dim0, chunk_slabs, bi);
-                    let slabs: Vec<Field> = dec_refs.iter().map(|a| a.slab(r0, r1)).collect();
-                    let slab_refs: Vec<&Field> = slabs.iter().collect();
-                    model.predict(&slab_refs, ws)
-                });
+            let diffs: Vec<Vec<Field>> = run_parallel_scratch(
+                plan.n_blocks,
+                threads,
+                cfc_nn::Workspace::default,
+                |ws, bi| {
+                    let (r0, r1) = plan.rows(bi);
+                    let slabs: Vec<Field> = anchors.iter().map(|a| a.slab(r0, r1)).collect();
+                    model.predict(&slabs.iter().collect::<Vec<_>>(), ws)
+                },
+            );
+            let (_, hybrid) = fit_cross_field_hybrid(&lattice, &diffs, eb, &self.cfg.hybrid);
 
-            // hybrid fit on the whole-field view of the blockwise diffs
-            let step = 2.0 * eb;
-            let dq_full: Vec<Vec<f64>> = (0..ndim)
-                .map(|axis| {
-                    block_diffs
-                        .iter()
-                        .flat_map(|d| d[axis].as_slice().iter().map(|&v| v as f64 / step))
-                        .collect()
-                })
+            let (blocks, view) = self
+                .encode_blocks(
+                    plan,
+                    pool,
+                    1,
+                    |_| want_views,
+                    |_, bi, (r0, r1)| {
+                        let q = &lattice.as_slice()[r0 * slab_len..r1 * slab_len];
+                        let predictor =
+                            CrossFieldHybridPredictor::new(&diffs[bi], eb, hybrid.clone());
+                        Ok(Block {
+                            lattice: QuantLattice::from_vec(
+                                slab_shape_of(plan.shape, r1 - r0),
+                                q.to_vec(),
+                            ),
+                            eb,
+                            predictor: Box::new(predictor),
+                        })
+                    },
+                )?
+                .pop()
+                .expect("one field asked for");
+            out[row.field] = Some(EncodedField {
+                role: FieldRole::Target,
+                anchors: row.anchor_names,
+                eb_abs: eb_user,
+                meta: write_meta_area(&model_bytes, &hybrid.serialize()),
+                blocks,
+                view,
+            });
+        }
+        Ok(out
+            .into_iter()
+            .map(|f| f.expect("every field is a target or not"))
+            .collect())
+    }
+
+    /// Encode one delta epoch: every field is conditioned on the reader's
+    /// view of the same field one epoch back — "previous epoch" as the
+    /// anchor role. Per block, the prediction mixes the causal Lorenzo
+    /// guess, the previous epoch's value, and the temporally-corrected
+    /// Lorenzo (see [`crate::predictor::TemporalHybridPredictor`]),
+    /// weighted by a per-field hybrid fit that ships in the meta area.
+    fn encode_delta<'p>(
+        &self,
+        plan: &'p Plan,
+        fields: &[&Field],
+        bounds: &[(f64, f64)],
+        prev: &[Option<Field>],
+        want_views: bool,
+        pool: &ScratchPool<EncodeScratch>,
+    ) -> Result<Vec<EncodedField<'p>>, CfcError> {
+        let prev: Vec<&Field> = prev
+            .iter()
+            .map(|view| {
+                view.as_ref()
+                    .expect("the epoch before a delta keeps its views")
+            })
+            .collect();
+        // hybrid weights: fitted once per field on the whole-field lattice
+        // against the previous epoch's view; the weights ship in the meta
+        // area, so encoder and decoder share them by construction
+        let hybrids = run_parallel(fields.len(), self.threads(), |fi| {
+            let eb_fit = bounds[fi].1;
+            let lattice = QuantLattice::prequantize(fields[fi], eb_fit);
+            let step = 2.0 * eb_fit;
+            let pq: Vec<f64> = prev[fi]
+                .as_slice()
+                .iter()
+                .map(|&v| v as f64 / step)
                 .collect();
-            let (preds, targets_s) = sample_hybrid_training(
+            let (preds, targets) = sample_temporal_training(
                 &lattice,
-                &dq_full,
+                &pq,
                 self.cfg.hybrid.n_samples,
                 self.cfg.hybrid.seed,
             );
-            let hybrid = HybridModel::fit_least_squares(&preds, &targets_s);
-
-            // blockwise encode with the shared hybrid weights
-            let sz = SzCompressor {
-                bound: ErrorBound::Absolute(eb_user),
-                quantizer: self.cfg.quantizer,
-                predictor: cfc_sz::PredictorKind::Lorenzo,
-            };
-            let blocks = run_parallel_scratch(
-                n_blocks,
-                threads,
-                || enc_pool.get(),
-                |s, bi| {
-                    let (r0, r1) = block_range(dim0, chunk_slabs, bi);
-                    let slab_shape = slab_shape_of(shape, r1 - r0);
-                    let slab_lattice = lattice_slab(&lattice, shape, r0, r1, slab_shape);
-                    let predictor =
-                        CrossFieldHybridPredictor::new(&block_diffs[bi], eb, hybrid.clone());
-                    let (container, _) =
-                        sz.compress_lattice_with(&slab_lattice, &predictor, eb, &mut *s);
-                    container.to_bytes()
-                },
-            );
-
-            if want_mirror {
-                // lattice coding is lossless, so the reader's per-block
-                // reconstruction concatenates to exactly this field
-                mirror.insert(name.to_string(), lattice.reconstruct(eb));
-            }
-            encoded.insert(
-                name.to_string(),
-                EncodedField {
-                    name: name.to_string(),
-                    role: FieldRole::Target,
-                    anchors: plan.anchors.clone(),
-                    eb_abs: eb_user,
-                    shape,
-                    chunk_slabs,
-                    meta: write_meta_area(&model_bytes, &hybrid.serialize()),
-                    blocks,
-                },
-            );
-        }
-        Ok((encoded, mirror))
+            HybridModel::fit_least_squares(&preds, &targets)
+        });
+        let encoded = self.encode_blocks(
+            plan,
+            pool,
+            fields.len(),
+            |_| want_views,
+            |fi, _, (r0, r1)| {
+                let slab = fields[fi].slab(r0, r1);
+                let (lattice, eb) = quantize_slab(&slab, bounds[fi].0)?;
+                let prev_slab = prev[fi].slab(r0, r1);
+                let predictor = TemporalHybridPredictor::new(&prev_slab, eb, hybrids[fi].clone());
+                Ok(Block {
+                    lattice,
+                    eb,
+                    predictor: Box::new(predictor),
+                })
+            },
+        )?;
+        Ok(encoded
+            .into_iter()
+            .enumerate()
+            .map(|(fi, (blocks, view))| EncodedField {
+                role: FieldRole::Delta,
+                anchors: &[],
+                eb_abs: bounds[fi].0,
+                // no embedded model: the anchor is the previous epoch itself
+                meta: write_meta_area(&[], &hybrids[fi].serialize()),
+                blocks,
+                view,
+            })
+            .collect())
     }
 
     fn threads(&self) -> usize {
@@ -882,76 +932,115 @@ impl ArchiveWriter {
                 .unwrap_or(1)
         }
     }
+}
 
-    /// Resolve the role of every dataset field, validating the plan.
-    fn plan_roles<'a>(&self, ds: &'a Dataset) -> Result<HashMap<&'a str, FieldRole>, CfcError> {
-        let mut roles: HashMap<&str, FieldRole> = ds
-            .iter()
-            .map(|(n, _)| (n, FieldRole::Independent))
-            .collect();
-        let target_names: Vec<&str> = self.cfg.targets.iter().map(|(n, _)| n.as_str()).collect();
-        for (target, plan) in &self.cfg.targets {
-            let target_key = roles
-                .get_key_value(target.as_str())
-                .map(|(k, _)| *k)
-                .ok_or_else(|| {
-                    CfcError::InvalidInput(format!("plan names unknown target field {target}"))
-                })?;
-            if plan.anchors.is_empty() {
-                return Err(CfcError::InvalidInput(format!(
-                    "target {target} has no anchors"
-                )));
-            }
-            for anchor in &plan.anchors {
-                if anchor == target {
-                    return Err(CfcError::InvalidInput(format!(
-                        "target {target} cannot anchor itself"
-                    )));
-                }
-                if target_names.contains(&anchor.as_str()) {
-                    return Err(CfcError::InvalidInput(format!(
-                        "anchor {anchor} of {target} is itself a cross-field target; \
-                         anchors must decode independently"
-                    )));
-                }
-                let key = roles
-                    .get_key_value(anchor.as_str())
-                    .map(|(k, _)| *k)
-                    .ok_or_else(|| {
-                        CfcError::InvalidInput(format!("plan names unknown anchor field {anchor}"))
-                    })?;
-                roles.insert(key, FieldRole::Anchor);
-            }
-            if roles[target_key] == FieldRole::Target {
-                return Err(CfcError::InvalidInput(format!(
-                    "duplicate plan for target {target}"
-                )));
-            }
-            roles.insert(target_key, FieldRole::Target);
-        }
-        Ok(roles)
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::archive::ArchiveReader;
+
+    /// Epoch `t` of a small evolving 3-D snapshot with a cross-field pair,
+    /// seven slabs deep.
+    fn epoch(t: f32) -> Dataset {
+        let shape = Shape::d3(7, 16, 18);
+        let a = Field::from_fn(shape, |i| {
+            let (k, r, c) = (i[0] as f32, i[1] as f32, i[2] as f32);
+            0.7 * k + 0.03 * (r - 6.0 + 0.4 * t) * (c - 8.0) + 0.01 * ((i[1] * 5 + i[2]) % 7) as f32
+        });
+        let b = a.map(|v| 0.5 * v * v - 2.0 * v + 0.1 * t);
+        let mut ds = Dataset::new("MIRROR", shape);
+        ds.push("A", a);
+        ds.push("B", b);
+        ds
     }
-}
 
-/// Slab `[r0, r1)` of a prequantized lattice (contiguous row-major copy).
-fn lattice_slab(
-    lattice: &QuantLattice,
-    shape: Shape,
-    r0: usize,
-    r1: usize,
-    out: Shape,
-) -> QuantLattice {
-    let slab_len: usize = shape.dims()[1..].iter().product::<usize>().max(1);
-    QuantLattice::from_vec(
-        out,
-        lattice.as_slice()[r0 * slab_len..r1 * slab_len].to_vec(),
-    )
-}
+    fn writer() -> ArchiveWriter {
+        ArchiveBuilder::relative(1e-3)
+            .train_config(TrainConfig {
+                patch: 6,
+                n_patches: 8,
+                batch: 4,
+                epochs: 1,
+                lr: 4e-3,
+                seed: 5,
+            })
+            .cross_field("B", &["A"])
+            .chunk_elements(3 * 16 * 18)
+            .keyframe_interval(3)
+            .threads(2)
+            .build()
+    }
 
-/// Default CFNN architecture by dimensionality (the scaled paper specs).
-fn default_spec(n_anchors: usize, ndim: usize) -> CfnnSpec {
-    match ndim {
-        3 => CfnnSpec::scaled_3d(n_anchors),
-        _ => CfnnSpec::scaled_2d(n_anchors),
+    /// The view an epoch hands to the next is what a reader decodes from
+    /// the bytes written up to and including that epoch — for a keyframe's
+    /// anchor and target, for a delta on a keyframe, for a delta on a delta.
+    #[test]
+    fn the_view_each_epoch_hands_on_is_what_the_reader_decodes() {
+        let snaps: Vec<Dataset> = (0..5).map(|e| epoch(e as f32)).collect();
+        let writer = writer();
+        let plan = writer.plan(&snaps).unwrap();
+        let pool = ScratchPool::new(2);
+        let mut views: Vec<Option<Field>> = Vec::new();
+        for e in 0..snaps.len() {
+            let encoded = writer
+                .encode_epoch(&plan, e, &snaps[e], &views, true, &pool)
+                .unwrap();
+            views = encoded.into_iter().map(|f| f.view).collect();
+
+            let so_far = writer.write_epochs(&snaps[..=e]).unwrap();
+            let decoded = ArchiveReader::new(&so_far)
+                .unwrap()
+                .decode_epoch(e)
+                .unwrap();
+            for (name, view) in plan.names.iter().zip(&views) {
+                let view = view.as_ref().expect("asked for");
+                let dec = decoded.expect_field(name);
+                assert_eq!(view.shape(), dec.shape());
+                assert!(
+                    view.as_slice()
+                        .iter()
+                        .zip(dec.as_slice())
+                        .all(|(v, d)| v.to_bits() == d.to_bits()),
+                    "{name}@e{e}: the writer's view is not the reader's"
+                );
+            }
+        }
+    }
+
+    /// A field no bound resolves for is refused by the plan — the step
+    /// every encode and every training takes its bounds from — whatever
+    /// its role and whichever epoch it is in.
+    #[test]
+    fn the_plan_refuses_a_field_no_bound_resolves_for() {
+        let good = epoch(0.0);
+        let bad = |name: &str, v: f32| {
+            let mut ds = Dataset::new("MIRROR", good.shape());
+            for (n, f) in good.iter() {
+                let mut data = f.as_slice().to_vec();
+                if n == name {
+                    data[100] = v;
+                }
+                ds.push(n, Field::from_vec(f.shape(), data));
+            }
+            ds
+        };
+        let writer = writer();
+        assert!(writer.plan(&[good.clone(), good.clone()]).is_ok());
+        for name in ["A", "B"] {
+            for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                for snaps in [
+                    vec![bad(name, v)],
+                    vec![good.clone(), bad(name, v)],
+                    vec![good.clone(), good.clone(), good.clone(), bad(name, v)],
+                ] {
+                    let plan = writer.plan(&snaps).map(|_| ());
+                    assert!(
+                        matches!(plan, Err(CfcError::InvalidInput(_))),
+                        "{v} in {name}, epoch {}: {plan:?}",
+                        snaps.len() - 1
+                    );
+                }
+            }
+        }
     }
 }

@@ -26,13 +26,14 @@ use bytes::BufMut;
 use cfc_sz::error::Reader;
 use cfc_sz::stream::{Container, SectionTag};
 use cfc_sz::{
-    CfcError, Codec, EncodedStream, ErrorBound, QuantLattice, QuantizerConfig, SzCompressor,
+    CfcError, Codec, DecodeScratch, EncodeScratch, EncodedStream, ErrorBound, QuantLattice,
+    QuantizerConfig, SzCompressor,
 };
 use cfc_tensor::{Field, FieldStats, Normalizer};
 
 use crate::hybrid::{HybridConfig, HybridModel};
 use crate::predict::{predict_differences, CfnnInference};
-use crate::predictor::{sample_hybrid_training, CrossFieldHybridPredictor};
+use crate::predictor::{fit_cross_field_hybrid, CrossFieldHybridPredictor};
 use crate::train::TrainedCfnn;
 
 /// Cross-field enhanced error-bounded compressor.
@@ -108,23 +109,16 @@ impl CrossFieldCompressor {
         let diffs = predict_differences(trained, anchors_dec);
 
         // hybrid fitting on sampled lattice points
-        let step = 2.0 * eb;
-        let dq: Vec<Vec<f64>> = diffs
-            .iter()
-            .map(|f| f.as_slice().iter().map(|&v| v as f64 / step).collect())
-            .collect();
-        let (preds, targets) =
-            sample_hybrid_training(&lattice, &dq, self.hybrid.n_samples, self.hybrid.seed);
-        // closed-form least squares = the converged SGD solution (the SGD
-        // trainer exists for the Fig. 5 loss-curve reproduction; at 4–5
-        // parameters the normal equations are exact and instant)
-        let hybrid = HybridModel::fit_least_squares(&preds, &targets);
-
+        let (_, hybrid) =
+            fit_cross_field_hybrid(&lattice, std::slice::from_ref(&diffs), eb, &self.hybrid);
         let predictor = CrossFieldHybridPredictor::new(&diffs, eb, hybrid.clone());
-        predictor.check_shape(lattice.shape());
 
-        let sz = self.baseline();
-        let (mut container, enc) = sz.compress_lattice(&lattice, &predictor, eb);
+        let (mut container, n_outliers) = self.baseline().compress_lattice_with(
+            &lattice,
+            &predictor,
+            eb,
+            &mut EncodeScratch::new(),
+        );
         let model_section = serialize_model(trained);
         let model_bytes = model_section.len();
         container.push(SectionTag::Model, model_section);
@@ -135,7 +129,7 @@ impl CrossFieldCompressor {
             eb_abs: eb_user,
             model_bytes,
             hybrid,
-            n_outliers: enc.outliers.len(),
+            n_outliers,
         })
     }
 
@@ -166,8 +160,11 @@ impl CrossFieldCompressor {
         }
         let diffs = model.predict(anchors_dec, &mut cfc_nn::Workspace::default());
         let predictor = CrossFieldHybridPredictor::new(&diffs, container.eb, hybrid);
-        let sz = self.baseline();
-        let lattice = sz.decompress_lattice(&container, &predictor)?;
+        let lattice = self.baseline().decompress_lattice_with(
+            &container,
+            &predictor,
+            &mut DecodeScratch::new(),
+        )?;
         Ok(lattice.reconstruct(container.eb))
     }
 }

@@ -2,9 +2,9 @@
 //! fuses Lorenzo with CFNN-predicted backward differences (paper §III-C).
 
 use cfc_sz::{Predictor, QuantLattice};
-use cfc_tensor::{Field, Shape};
+use cfc_tensor::Field;
 
-use crate::hybrid::HybridModel;
+use crate::hybrid::{HybridConfig, HybridModel};
 
 /// Per-point candidate predictions on the lattice (Lorenzo first, then one
 /// per axis). Shared by the predictor below and hybrid-model training.
@@ -73,24 +73,6 @@ impl CrossFieldHybridPredictor {
             .map(|f| f.as_slice().iter().map(|&v| v as f64 / step).collect())
             .collect();
         CrossFieldHybridPredictor { dq, model, ndim }
-    }
-
-    /// Lattice-unit difference planes (for hybrid training reuse).
-    pub fn dq(&self) -> &[Vec<f64>] {
-        &self.dq
-    }
-
-    /// The hybrid weights in use.
-    pub fn model(&self) -> &HybridModel {
-        &self.model
-    }
-
-    /// Shape sanity check against a lattice.
-    pub fn check_shape(&self, shape: Shape) {
-        assert_eq!(shape.ndim(), self.ndim);
-        for d in &self.dq {
-            assert_eq!(d.len(), shape.len(), "dq plane length mismatch");
-        }
     }
 }
 
@@ -212,16 +194,6 @@ impl TemporalHybridPredictor {
             .collect();
         TemporalHybridPredictor { pq, model, ndim }
     }
-
-    /// The previous-epoch plane in lattice units (for training reuse).
-    pub fn pq(&self) -> &[f64] {
-        &self.pq
-    }
-
-    /// The hybrid weights in use.
-    pub fn model(&self) -> &HybridModel {
-        &self.model
-    }
 }
 
 impl Predictor for TemporalHybridPredictor {
@@ -238,6 +210,37 @@ impl Predictor for TemporalHybridPredictor {
     }
 }
 
+/// The one sampler behind both hybrid fits: `n` deterministic interior
+/// points of the true lattice (encoder side), each with the `arity`
+/// candidate predictions `candidates` fills in and the value they aim at.
+fn sample_training(
+    lattice: &QuantLattice,
+    arity: usize,
+    n: usize,
+    seed: u64,
+    candidates: impl Fn(&[usize], &mut [f64]),
+) -> (Vec<Vec<f64>>, Vec<f64>) {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let shape = lattice.shape();
+    let dims = shape.dims();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut preds = Vec::with_capacity(n);
+    let mut targets = Vec::with_capacity(n);
+    for _ in 0..n {
+        let idx: Vec<usize> = dims
+            .iter()
+            .map(|&d| if d > 1 { rng.random_range(1..d) } else { 0 })
+            .collect();
+        let mut p = vec![0.0f64; arity];
+        candidates(&idx, &mut p);
+        let off = idx.iter().zip(dims).fold(0, |off, (&i, &d)| off * d + i);
+        preds.push(p);
+        targets.push(lattice.at(off) as f64);
+    }
+    (preds, targets)
+}
+
 /// Sample temporal-hybrid training data from the true lattice (encoder
 /// side): `(candidate_predictions, targets)` at `n` deterministic interior
 /// points. `pq` is the previous epoch in current lattice units.
@@ -247,30 +250,9 @@ pub fn sample_temporal_training(
     n: usize,
     seed: u64,
 ) -> (Vec<Vec<f64>>, Vec<f64>) {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let shape = lattice.shape();
-    let ndim = shape.ndim();
-    let dims = shape.dims().to_vec();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut preds = Vec::with_capacity(n);
-    let mut targets = Vec::with_capacity(n);
-    for _ in 0..n {
-        let idx: Vec<usize> = dims
-            .iter()
-            .map(|&d| if d > 1 { rng.random_range(1..d) } else { 0 })
-            .collect();
-        let mut p = vec![0.0f64; TEMPORAL_ARITY];
-        temporal_candidate_predictions(lattice, pq, &idx, &mut p);
-        let off = match ndim {
-            2 => idx[0] * dims[1] + idx[1],
-            3 => (idx[0] * dims[1] + idx[1]) * dims[2] + idx[2],
-            _ => unreachable!(),
-        };
-        preds.push(p);
-        targets.push(lattice.as_slice()[off] as f64);
-    }
-    (preds, targets)
+    sample_training(lattice, TEMPORAL_ARITY, n, seed, |idx, out| {
+        temporal_candidate_predictions(lattice, pq, idx, out)
+    })
 }
 
 /// Sample hybrid-model training data from the true lattice (encoder side):
@@ -282,36 +264,48 @@ pub fn sample_hybrid_training(
     n: usize,
     seed: u64,
 ) -> (Vec<Vec<f64>>, Vec<f64>) {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let shape = lattice.shape();
-    let ndim = shape.ndim();
-    let dims = shape.dims().to_vec();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut preds = Vec::with_capacity(n);
-    let mut targets = Vec::with_capacity(n);
-    for _ in 0..n {
-        let idx: Vec<usize> = dims
-            .iter()
-            .map(|&d| if d > 1 { rng.random_range(1..d) } else { 0 })
-            .collect();
-        let mut p = vec![0.0f64; ndim + 1];
-        candidate_predictions(lattice, dq, &idx, &mut p);
-        let off = match ndim {
-            2 => idx[0] * dims[1] + idx[1],
-            3 => (idx[0] * dims[1] + idx[1]) * dims[2] + idx[2],
-            _ => unreachable!(),
-        };
-        preds.push(p);
-        targets.push(lattice.as_slice()[off] as f64);
-    }
-    (preds, targets)
+    sample_training(lattice, lattice.shape().ndim() + 1, n, seed, |idx, out| {
+        candidate_predictions(lattice, dq, idx, out)
+    })
+}
+
+/// The cross-field hybrid fit (paper §III-D3), spelled once for the archive
+/// writer, [`crate::pipeline::CrossFieldCompressor::compress`] and the
+/// experiment runner: the CFNN's differences converted to lattice units,
+/// candidates sampled at `cfg.n_samples` points of the target's true
+/// `lattice` (quantized at `eb`), and the weights solved in closed form —
+/// the converged SGD solution (the SGD trainer exists for the Fig. 5
+/// loss-curve reproduction; at 4–5 parameters the normal equations are
+/// exact and instant). Returns the sample beside the model fitted on it.
+///
+/// `block_diffs[b][axis]` holds the differences of the `b`-th axis-0 block
+/// of the field, as blockwise inference produces them; a whole-field caller
+/// passes its one block.
+pub fn fit_cross_field_hybrid(
+    lattice: &QuantLattice,
+    block_diffs: &[Vec<Field>],
+    eb: f64,
+    cfg: &HybridConfig,
+) -> ((Vec<Vec<f64>>, Vec<f64>), HybridModel) {
+    let step = 2.0 * eb;
+    let dq: Vec<Vec<f64>> = (0..lattice.shape().ndim())
+        .map(|axis| {
+            block_diffs
+                .iter()
+                .flat_map(|d| d[axis].as_slice().iter().map(|&v| v as f64 / step))
+                .collect()
+        })
+        .collect();
+    let samples = sample_hybrid_training(lattice, &dq, cfg.n_samples, cfg.seed);
+    let model = HybridModel::fit_least_squares(&samples.0, &samples.1);
+    (samples, model)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cfc_sz::{codec, QuantizerConfig};
+    use cfc_tensor::Shape;
 
     fn lattice2(rows: usize, cols: usize, f: impl Fn(usize, usize) -> i64) -> QuantLattice {
         let mut data = Vec::with_capacity(rows * cols);
@@ -551,10 +545,10 @@ mod tests {
             losses: vec![],
         };
         let p = TemporalHybridPredictor::new(&f, 0.1, model);
-        for (got, want) in p.pq().iter().zip([1.0, 2.0, -1.0, 0.0]) {
+        for (got, want) in p.pq.iter().zip([1.0, 2.0, -1.0, 0.0]) {
             assert!((got - want).abs() < 1e-6, "{got} vs {want}");
         }
-        assert_eq!(p.model().arity(), 3);
+        assert_eq!(p.model.arity(), 3);
     }
 
     #[test]
@@ -566,9 +560,9 @@ mod tests {
             losses: vec![],
         };
         let p = CrossFieldHybridPredictor::new(&[f, g], 0.1, model);
-        for (got, want) in p.dq()[0].iter().zip([1.0, 2.0, -1.0, 0.0]) {
+        for (got, want) in p.dq[0].iter().zip([1.0, 2.0, -1.0, 0.0]) {
             assert!((got - want).abs() < 1e-6, "{got} vs {want}"); // v / (2·0.1)
         }
-        p.check_shape(Shape::d2(2, 2));
+        assert!(p.dq.iter().all(|plane| plane.len() == 4) && p.ndim == 2);
     }
 }

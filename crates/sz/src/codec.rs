@@ -2,14 +2,13 @@
 //! reconstruction (decoder) over the prequantized lattice.
 //!
 //! Thanks to dual quantization the encoder sees the *final* lattice up
-//! front, so residuals for all points are independent and computed in
-//! parallel (one rayon task per outer-axis slab). The decoder must replay
-//! predictions against the partially reconstructed lattice in row-major
-//! order — the same order the encoder's predictor contract assumes
-//! (causality).
+//! front, so the residual of a point depends on no other residual and the
+//! encoder may compute them in any order ([`Predictor::residuals_into`];
+//! Lorenzo does it a row at a time). The decoder must replay predictions
+//! against the partially reconstructed lattice in row-major order — the
+//! same order the encoder's predictor contract assumes (causality).
 
 use cfc_tensor::Shape;
-use rayon::prelude::*;
 
 use crate::error::CfcError;
 use crate::lattice::QuantLattice;
@@ -17,67 +16,21 @@ use crate::predict::Predictor;
 use crate::quantizer::{EncodedResiduals, QuantizerConfig};
 use crate::scratch::EncodeScratch;
 
-/// Compute `delta[i] = q[i] − predict(q, i)` for every point, in parallel.
-pub fn encode_residuals(lattice: &QuantLattice, predictor: &dyn Predictor) -> Vec<i64> {
-    let shape = lattice.shape();
-    match shape.ndim() {
-        1 => {
-            let n = shape.dims()[0];
-            (0..n)
-                .into_par_iter()
-                .map(|i| lattice.at(i).wrapping_sub(predictor.predict(lattice, &[i])))
-                .collect()
-        }
-        2 => {
-            let (rows, cols) = (shape.dims()[0], shape.dims()[1]);
-            (0..rows)
-                .into_par_iter()
-                .flat_map_iter(|i| {
-                    (0..cols).map(move |j| {
-                        lattice
-                            .at(i * cols + j)
-                            .wrapping_sub(predictor.predict(lattice, &[i, j]))
-                    })
-                })
-                .collect()
-        }
-        3 => {
-            let d = shape.dims();
-            let (n0, n1, n2) = (d[0], d[1], d[2]);
-            (0..n0)
-                .into_par_iter()
-                .flat_map_iter(|k| {
-                    (0..n1).flat_map(move |i| {
-                        (0..n2).map(move |j| {
-                            lattice
-                                .at((k * n1 + i) * n2 + j)
-                                .wrapping_sub(predictor.predict(lattice, &[k, i, j]))
-                        })
-                    })
-                })
-                .collect()
-        }
-        _ => unreachable!(),
-    }
-}
-
 /// Encode a lattice into residual codes + outliers in one step.
 pub fn encode(
     lattice: &QuantLattice,
     predictor: &dyn Predictor,
     quant: &QuantizerConfig,
 ) -> EncodedResiduals {
-    let deltas = encode_residuals(lattice, predictor);
+    let mut deltas = Vec::new();
+    predictor.residuals_into(lattice, &mut deltas);
     quant.encode(&deltas, lattice.as_slice())
 }
 
-/// Compute residuals sequentially into a reusable buffer — identical
-/// values to [`encode_residuals`] (prediction on the prequantized lattice
-/// is order-independent), but no per-call allocation. Per-block archive
-/// workers prefer this: blocks already run in parallel, so nested
-/// data-parallelism would only add overhead. Dispatches to
-/// [`Predictor::residuals_into`], so structured predictors (Lorenzo) run
-/// their vectorized row kernels.
+/// Compute `delta[i] = q[i] − predict(q, i)` for every point into a
+/// reusable buffer, so per-block archive workers allocate nothing per
+/// call. Dispatches to [`Predictor::residuals_into`], so structured
+/// predictors (Lorenzo) run their vectorized row kernels.
 pub fn encode_residuals_into(
     lattice: &QuantLattice,
     predictor: &dyn Predictor,

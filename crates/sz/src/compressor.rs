@@ -11,7 +11,7 @@ use crate::huffman::HuffmanTable;
 use crate::lattice::QuantLattice;
 use crate::lossless;
 use crate::predict::{LorenzoPredictor, Predictor, RegressionPredictor};
-use crate::quantizer::{EncodedResiduals, QuantizerConfig};
+use crate::quantizer::QuantizerConfig;
 use crate::scratch::{DecodeScratch, EncodeScratch};
 use crate::stream::{Container, SectionTag};
 
@@ -50,30 +50,11 @@ impl SzCompressor {
     }
 
     /// Compress a prequantized lattice with an arbitrary (causal) predictor,
-    /// returning the container for callers that append extra sections — this
-    /// is the entry point the cross-field pipeline in `cfc-core` builds on.
-    pub fn compress_lattice(
-        &self,
-        lattice: &QuantLattice,
-        predictor: &dyn Predictor,
-        eb: f64,
-    ) -> (Container, EncodedResiduals) {
-        assert!(
-            predictor.is_causal(),
-            "refusing to encode with a non-causal predictor"
-        );
-        let mut container = Container::new(lattice.shape(), eb, self.quantizer.radius);
-        let enc = codec::encode(lattice, predictor, &self.quantizer);
-        container.push(SectionTag::Residuals, encode_codes(&enc.codes));
-        container.push(SectionTag::Outliers, encode_outliers(&enc.outliers));
-        (container, enc)
-    }
-
-    /// [`SzCompressor::compress_lattice`] with reusable scratch buffers —
-    /// byte-identical output, but residuals/codes/outliers live in
-    /// `scratch`, so per-block encode loops stop growing their big
-    /// element-proportional buffers after the first block. Returns the
-    /// container and the outlier count.
+    /// returning the container for callers that append extra sections and
+    /// the outlier count — the entry point the cross-field pipeline and the
+    /// archive's block encoder in `cfc-core` build on. Residuals, codes and
+    /// outliers live in `scratch`, so per-block encode loops stop growing
+    /// their big element-proportional buffers after the first block.
     pub fn compress_lattice_with(
         &self,
         lattice: &QuantLattice,
@@ -87,38 +68,16 @@ impl SzCompressor {
         );
         let mut container = Container::new(lattice.shape(), eb, self.quantizer.radius);
         codec::encode_with(lattice, predictor, &self.quantizer, scratch);
-        // split borrows: codes/outliers are inputs, payload/lz are staging
-        let crate::scratch::EncodeScratch {
-            codes,
-            outliers,
-            payload,
-            lz,
-            ..
-        } = scratch;
-        container.push(SectionTag::Residuals, encode_codes_into(codes, payload, lz));
-        container.push(
-            SectionTag::Outliers,
-            encode_outliers_into(outliers, payload, lz),
-        );
-        (container, scratch.streams().1.len())
+        let n_outliers = push_residual_sections(&mut container, scratch);
+        (container, n_outliers)
     }
 
     /// Decode a container's residual sections with an arbitrary predictor.
     ///
     /// Fully fallible: missing sections, corrupt payloads, and count
-    /// mismatches all return [`CfcError`].
-    pub fn decompress_lattice(
-        &self,
-        container: &Container,
-        predictor: &dyn Predictor,
-    ) -> Result<QuantLattice, CfcError> {
-        self.decompress_lattice_with(container, predictor, &mut DecodeScratch::new())
-    }
-
-    /// [`SzCompressor::decompress_lattice`] with reusable scratch buffers:
-    /// the lossless payload, residual codes, and outliers decode into
-    /// `scratch`, so repeated block decodes through one scratch allocate
-    /// only the reconstructed lattice.
+    /// mismatches all return [`CfcError`]. The lossless payload, residual
+    /// codes, and outliers decode into `scratch`, so repeated block decodes
+    /// through one scratch allocate only the reconstructed lattice.
     pub fn decompress_lattice_with(
         &self,
         container: &Container,
@@ -148,6 +107,26 @@ impl SzCompressor {
         scratch.track(before);
         result
     }
+}
+
+/// Entropy-code the `(codes, outliers)` the last [`codec::encode_with`]
+/// left in `scratch` into `container`'s two residual sections; returns the
+/// outlier count.
+fn push_residual_sections(container: &mut Container, scratch: &mut EncodeScratch) -> usize {
+    // split borrows: codes/outliers are inputs, payload/lz are staging
+    let EncodeScratch {
+        codes,
+        outliers,
+        payload,
+        lz,
+        ..
+    } = scratch;
+    container.push(SectionTag::Residuals, encode_codes_into(codes, payload, lz));
+    container.push(
+        SectionTag::Outliers,
+        encode_outliers_into(outliers, payload, lz),
+    );
+    outliers.len()
 }
 
 impl Codec for SzCompressor {
@@ -214,20 +193,7 @@ impl SzCompressor {
                 codec::encode_with(&lattice, &reg, &self.quantizer, scratch)
             }
         };
-        // split borrows: codes/outliers are inputs, payload/lz are staging
-        let crate::scratch::EncodeScratch {
-            codes,
-            outliers,
-            payload,
-            lz,
-            ..
-        } = scratch;
-        let n_outliers = outliers.len();
-        container.push(SectionTag::Residuals, encode_codes_into(codes, payload, lz));
-        container.push(
-            SectionTag::Outliers,
-            encode_outliers_into(outliers, payload, lz),
-        );
+        let n_outliers = push_residual_sections(&mut container, scratch);
         scratch.track(before);
         Ok(EncodedStream {
             bytes: container.to_bytes(),

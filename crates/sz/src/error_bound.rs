@@ -16,6 +16,10 @@ pub enum ErrorBound {
     Relative(f64),
 }
 
+/// Smallest `|v / 2eb|` a field is refused for, `2⁶²`: one bit inside
+/// `i64`, short of where `as i64` begins to saturate.
+const MAX_LATTICE_MAGNITUDE: f64 = (1u64 << 62) as f64;
+
 impl ErrorBound {
     /// Resolve to the absolute bound for a field with the given statistics.
     /// A non-positive or non-finite resolved bound (e.g. a relative bound
@@ -53,13 +57,26 @@ impl ErrorBound {
     /// this guard a sample like `1005.0` at `eb ≈ 0.07` can miss the bound
     /// by ~1e-5 (f32 ULP at 1000 is 6.1e-5). Guarding keeps the public
     /// contract `|v − v'| ≤ eb` exact.
+    ///
+    /// Every encode path resolves its bound here before it prequantizes, so
+    /// this is also where a field whose lattice would not fit is refused:
+    /// `round(v / 2eb) as i64` saturates, and a saturated point decodes to
+    /// a value nowhere near its sample. `max|v| / 2eb` must stay below `2⁶²`,
+    /// else [`CfcError::InvalidInput`].
     pub fn try_resolve_quantization(&self, stats: &FieldStats) -> Result<f64, CfcError> {
         let eb = self.try_resolve(stats)?;
         let max_abs = stats.min.abs().max(stats.max.abs()) as f64;
         let ulp_slack = max_abs * f32::EPSILON as f64;
         // if the requested bound is below f32 resolution it cannot be met
         // exactly anyway; keep at least half the bound rather than going ≤ 0
-        Ok((eb - ulp_slack).max(eb * 0.5))
+        let eb_q = (eb - ulp_slack).max(eb * 0.5);
+        if max_abs / (2.0 * eb_q) >= MAX_LATTICE_MAGNITUDE {
+            return Err(CfcError::InvalidInput(format!(
+                "error bound {eb:e} is too fine for samples of magnitude {max_abs:e}: \
+                 the quantization lattice would leave the 62 bits it is kept within"
+            )));
+        }
+        Ok(eb_q)
     }
 
     /// The raw bound value (absolute or relative factor).
@@ -103,6 +120,19 @@ mod tests {
     fn zero_range_relative_bound_is_invalid_input() {
         let eb = ErrorBound::Relative(1e-3).try_resolve(&stats(3.0, 3.0));
         assert!(matches!(eb, Err(CfcError::InvalidInput(_))), "{eb:?}");
+    }
+
+    #[test]
+    fn a_lattice_that_would_saturate_is_invalid_input() {
+        // 1e20 / (2 · 0.5) is past i64::MAX: prequantization would clamp it
+        let huge = stats(-1e20, 1e20);
+        for bound in [ErrorBound::Absolute(1.0), ErrorBound::Relative(1e-21)] {
+            let eb = bound.try_resolve_quantization(&huge);
+            assert!(matches!(eb, Err(CfcError::InvalidInput(_))), "{eb:?}");
+        }
+        // the same samples at a bound their lattice fits resolve
+        let eb = ErrorBound::Absolute(1e3).try_resolve_quantization(&huge);
+        assert_eq!(eb.unwrap(), 500.0);
     }
 
     #[test]

@@ -15,6 +15,12 @@ pub struct QuantLattice {
 
 impl QuantLattice {
     /// Prequantize a field at absolute bound `eb` (dual-quant step 1).
+    ///
+    /// The caller answers for the samples: every encode path takes `eb`
+    /// from [`crate::ErrorBound::try_resolve_quantization`] on this field's
+    /// statistics, which refuses non-finite samples and any field whose
+    /// `|v| / 2eb` would reach `2⁶²`. Past that guard `as i64` below would
+    /// saturate (and turn NaN into 0) without a word, in every build.
     pub fn prequantize(field: &Field, eb: f64) -> Self {
         assert!(eb > 0.0 && eb.is_finite());
         let step = 2.0 * eb;
@@ -22,6 +28,8 @@ impl QuantLattice {
             .as_slice()
             .iter()
             .map(|&v| {
+                // guaranteed by `try_resolve_quantization` (see above), so
+                // checked only where checks are free to be slow
                 debug_assert!(v.is_finite(), "non-finite sample {v}");
                 (v as f64 / step).round() as i64
             })

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use cross_field_compression::sz::{
-    Codec, ErrorBound, PredictorKind, QuantizerConfig, SzCompressor,
+    CfcError, Codec, ErrorBound, PredictorKind, QuantizerConfig, SzCompressor,
 };
 use cross_field_compression::tensor::{Field, Shape};
 
@@ -14,6 +14,52 @@ fn compressor(abs_eb: f64, radius: u32) -> SzCompressor {
         quantizer: QuantizerConfig { radius },
         predictor: PredictorKind::Lorenzo,
     }
+}
+
+/// The contract has no magnitude at which it quietly stops holding: for
+/// samples from 1 to 1e38 and bounds from 1e-3 to 1e12, `compress` either
+/// refuses the field (`InvalidInput`: its lattice `round(v / 2eb)` would
+/// not fit `i64`, see `ErrorBound::try_resolve_quantization`) or the decode
+/// is within the bound of the original — never `Ok` and 1e20 off, which is
+/// what `as i64` saturating at 1e20 / `Absolute(1.0)` and at 1e30 /
+/// `Absolute(1e10)` used to give.
+#[test]
+fn bound_holds_or_the_field_is_refused_at_any_magnitude() {
+    let (mut refused, mut accepted) = (Vec::new(), 0);
+    for mag_exp in (0..=38).step_by(2) {
+        for eb_exp in (-3..=12).step_by(3) {
+            let (magnitude, eb) = (10f32.powi(mag_exp), 10f64.powi(eb_exp));
+            let f = Field::from_fn(Shape::d2(8, 8), |i| {
+                let sign = if (i[0] + i[1]) % 2 == 0 { 1.0 } else { -1.0 };
+                sign * magnitude * (0.25 + (i[0] * 8 + i[1]) as f32 / 128.0)
+            });
+            let c = compressor(eb, 512);
+            match c.compress(&f) {
+                Err(CfcError::InvalidInput(_)) => refused.push((mag_exp, eb_exp)),
+                Err(e) => panic!("1e{mag_exp} at 1e{eb_exp}: {e:?}"),
+                Ok(stream) => {
+                    accepted += 1;
+                    let dec = c.decompress(&stream.bytes).unwrap();
+                    for (a, b) in f.as_slice().iter().zip(dec.as_slice()) {
+                        let err = (*a as f64 - *b as f64).abs();
+                        assert!(
+                            err <= eb,
+                            "1e{mag_exp} at 1e{eb_exp}: {a} decodes {b}, off by {err:e}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    // the two cases the saturation was seen at, and not the whole grid
+    assert!(
+        refused.contains(&(20, 0)) && refused.contains(&(30, 9)),
+        "{refused:?}"
+    );
+    assert!(
+        accepted > refused.len(),
+        "{accepted} accepted, {refused:?} refused"
+    );
 }
 
 proptest! {

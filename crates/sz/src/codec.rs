@@ -1,12 +1,17 @@
-//! Prediction codec: residual generation (encoder) and sequential
-//! reconstruction (decoder) over the prequantized lattice.
+//! Prediction codec: residual generation (encoder) and reconstruction
+//! (decoder) over the prequantized lattice.
 //!
 //! Thanks to dual quantization the encoder sees the *final* lattice up
 //! front, so the residual of a point depends on no other residual and the
 //! encoder may compute them in any order ([`Predictor::residuals_into`];
-//! Lorenzo does it a row at a time). The decoder must replay predictions
-//! against the partially reconstructed lattice in row-major order — the
-//! same order the encoder's predictor contract assumes (causality).
+//! Lorenzo does it a row at a time). The decoder has no such freedom —
+//! each reconstructed value is a neighbour of later predictions, so the
+//! lattice comes back in the row-major order the predictor's causality
+//! contract assumes — but it too asks the predictor for the whole lattice
+//! at once ([`Predictor::reconstruct_into`]): the trait's default walks the
+//! points one by one through `predict`, Lorenzo overrides it with row
+//! kernels that resolve the in-row dependency as a prefix sum, and both
+//! check every code and outlier of the untrusted stream on the way.
 
 use cfc_tensor::Shape;
 
@@ -63,12 +68,10 @@ pub fn encode_with(
     scratch.track(before);
 }
 
-/// Sequentially reconstruct the lattice from codes + outliers.
+/// Reconstruct the lattice from codes + outliers.
 ///
-/// Must visit points in exactly the row-major order the encoder used; each
-/// reconstructed value becomes a neighbour for later predictions. The
-/// input is untrusted: count mismatches, out-of-alphabet codes, and outlier
-/// over/under-runs all return [`CfcError`] instead of panicking.
+/// The input is untrusted: count mismatches, out-of-alphabet codes, and
+/// outlier over/under-runs all return [`CfcError`] instead of panicking.
 pub fn try_decode(
     shape: Shape,
     codes: &[u32],
@@ -76,68 +79,27 @@ pub fn try_decode(
     predictor: &dyn Predictor,
     quant: &QuantizerConfig,
 ) -> Result<QuantLattice, CfcError> {
+    let mut data = Vec::new();
+    try_decode_into(shape, codes, outliers, predictor, quant, &mut data)?;
+    Ok(QuantLattice::from_vec(shape, data))
+}
+
+/// [`try_decode`] into a reusable buffer of raw lattice integers.
+pub(crate) fn try_decode_into(
+    shape: Shape,
+    codes: &[u32],
+    outliers: &[i64],
+    predictor: &dyn Predictor,
+    quant: &QuantizerConfig,
+    out: &mut Vec<i64>,
+) -> Result<(), CfcError> {
     if codes.len() != shape.len() {
         return Err(CfcError::Corrupt {
             context: "residual stream",
             detail: format!("{} codes for {} samples", codes.len(), shape.len()),
         });
     }
-    let mut lattice = QuantLattice::zeros(shape);
-    let mut out_iter = outliers.iter();
-    let mut step =
-        |lattice: &mut QuantLattice, off: usize, idx: &[usize]| -> Result<(), CfcError> {
-            let code = codes[off];
-            let value = match quant.check_one(code) {
-                // wrapping: corrupt outliers can leave i64::MAX-scale
-                // neighbours in the lattice, and decode must never panic
-                Ok(Some(delta)) => predictor.predict(lattice, idx).wrapping_add(delta),
-                Ok(None) => *out_iter.next().ok_or(CfcError::Corrupt {
-                    context: "residual stream",
-                    detail: "outlier stream exhausted".into(),
-                })?,
-                Err(code) => {
-                    return Err(CfcError::Corrupt {
-                        context: "residual stream",
-                        detail: format!("code {code} outside alphabet of radius {}", quant.radius),
-                    })
-                }
-            };
-            lattice.as_mut_slice()[off] = value;
-            Ok(())
-        };
-    match shape.ndim() {
-        1 => {
-            for i in 0..shape.dims()[0] {
-                step(&mut lattice, i, &[i])?;
-            }
-        }
-        2 => {
-            let (rows, cols) = (shape.dims()[0], shape.dims()[1]);
-            for i in 0..rows {
-                for j in 0..cols {
-                    step(&mut lattice, i * cols + j, &[i, j])?;
-                }
-            }
-        }
-        3 => {
-            let d = shape.dims();
-            for k in 0..d[0] {
-                for i in 0..d[1] {
-                    for j in 0..d[2] {
-                        step(&mut lattice, (k * d[1] + i) * d[2] + j, &[k, i, j])?;
-                    }
-                }
-            }
-        }
-        _ => unreachable!("Shape guarantees 1..=3 dims"),
-    }
-    if out_iter.next().is_some() {
-        return Err(CfcError::Corrupt {
-            context: "residual stream",
-            detail: "outlier stream not fully consumed".into(),
-        });
-    }
-    Ok(lattice)
+    predictor.reconstruct_into(shape, codes, outliers, quant, out)
 }
 
 #[cfg(test)]

@@ -8,9 +8,9 @@ use crate::codec;
 use crate::error::CfcError;
 use crate::error_bound::ErrorBound;
 use crate::huffman::HuffmanTable;
-use crate::lattice::QuantLattice;
+use crate::lattice::{dequantize, QuantLattice};
 use crate::lossless;
-use crate::predict::{LorenzoPredictor, Predictor, RegressionPredictor};
+use crate::predict::{LorenzoPredictor, Predictor};
 use crate::quantizer::QuantizerConfig;
 use crate::scratch::{DecodeScratch, EncodeScratch};
 use crate::stream::{Container, SectionTag};
@@ -20,11 +20,6 @@ use crate::stream::{Container, SectionTag};
 pub enum PredictorKind {
     /// 1-layer Lorenzo (the paper's baseline configuration).
     Lorenzo,
-    /// SZ3-style block regression with the given block edge.
-    Regression {
-        /// Tile edge length (SZ3 default: 6).
-        block: usize,
-    },
 }
 
 /// An error-bounded prediction-based lossy compressor.
@@ -84,29 +79,46 @@ impl SzCompressor {
         predictor: &dyn Predictor,
         scratch: &mut DecodeScratch,
     ) -> Result<QuantLattice, CfcError> {
-        let shape = container.shape;
-        let quant = QuantizerConfig {
-            radius: container.radius,
-        };
         let before = scratch.caps();
-        let result = (|| {
-            try_decode_codes_into(
-                container.require_section(SectionTag::Residuals)?,
-                shape.len(),
-                &mut scratch.payload,
-                &mut scratch.codes,
-            )?;
-            try_decode_outliers_bounded_into(
-                container.require_section(SectionTag::Outliers)?,
-                shape.len(),
-                &mut scratch.payload,
-                &mut scratch.outliers,
-            )?;
-            codec::try_decode(shape, &scratch.codes, &scratch.outliers, predictor, &quant)
-        })();
+        let mut data = Vec::new();
+        let decoded = decode_lattice_into(container, predictor, scratch, &mut data);
         scratch.track(before);
-        result
+        decoded.map(|()| QuantLattice::from_vec(container.shape, data))
     }
+}
+
+/// Entropy-decode `container`'s two residual sections through `scratch`'s
+/// staging buffers and rebuild the raw lattice integers into `out`.
+fn decode_lattice_into(
+    container: &Container,
+    predictor: &dyn Predictor,
+    scratch: &mut DecodeScratch,
+    out: &mut Vec<i64>,
+) -> Result<(), CfcError> {
+    let shape = container.shape;
+    let quant = QuantizerConfig {
+        radius: container.radius,
+    };
+    try_decode_codes_into(
+        container.require_section(SectionTag::Residuals)?,
+        shape.len(),
+        &mut scratch.payload,
+        &mut scratch.codes,
+    )?;
+    try_decode_outliers_bounded_into(
+        container.require_section(SectionTag::Outliers)?,
+        shape.len(),
+        &mut scratch.payload,
+        &mut scratch.outliers,
+    )?;
+    codec::try_decode_into(
+        shape,
+        &scratch.codes,
+        &scratch.outliers,
+        predictor,
+        &quant,
+        out,
+    )
 }
 
 /// Entropy-code the `(codes, outliers)` the last [`codec::encode_with`]
@@ -151,7 +163,6 @@ impl Codec for SzCompressor {
     fn name(&self) -> &'static str {
         match self.predictor {
             PredictorKind::Lorenzo => "sz-lorenzo",
-            PredictorKind::Regression { .. } => "sz-regression",
         }
     }
 }
@@ -177,22 +188,8 @@ impl SzCompressor {
         let lattice = QuantLattice::prequantize(field, eb);
         let mut container = Container::new(field.shape(), eb, self.quantizer.radius);
         let before = scratch.caps();
-        match self.predictor {
-            PredictorKind::Lorenzo => {
-                codec::encode_with(&lattice, &LorenzoPredictor, &self.quantizer, scratch)
-            }
-            PredictorKind::Regression { block } => {
-                let reg = RegressionPredictor::fit(&lattice, block);
-                let mut side = Vec::with_capacity(8 + reg.coeffs().len() * 4);
-                side.extend_from_slice(&(block as u32).to_le_bytes());
-                side.extend_from_slice(&(reg.coeffs().len() as u32).to_le_bytes());
-                for &c in reg.coeffs() {
-                    side.extend_from_slice(&c.to_le_bytes());
-                }
-                container.push(SectionTag::PredictorSideInfo, lossless::compress(&side));
-                codec::encode_with(&lattice, &reg, &self.quantizer, scratch)
-            }
-        };
+        let PredictorKind::Lorenzo = self.predictor;
+        codec::encode_with(&lattice, &LorenzoPredictor, &self.quantizer, scratch);
         let n_outliers = push_residual_sections(&mut container, scratch);
         scratch.track(before);
         Ok(EncodedStream {
@@ -202,61 +199,33 @@ impl SzCompressor {
         })
     }
 
-    /// [`Codec::decompress`] with reusable scratch buffers (see
-    /// [`SzCompressor::decompress_lattice_with`]).
+    /// [`Codec::decompress`] with reusable scratch buffers: the staging
+    /// buffers of [`SzCompressor::decompress_lattice_with`] and the lattice
+    /// itself live in `scratch`, and the samples are dequantized straight
+    /// out of it, so a steady-state block decode allocates only the
+    /// returned [`Field`].
     pub fn decompress_with(
         &self,
         bytes: &[u8],
         scratch: &mut DecodeScratch,
     ) -> Result<Field, CfcError> {
         let container = Container::try_from_bytes(bytes)?;
-        let shape = container.shape;
-        let lattice = match self.predictor {
-            PredictorKind::Lorenzo => {
-                self.decompress_lattice_with(&container, &LorenzoPredictor, scratch)?
-            }
-            PredictorKind::Regression { .. } => {
-                // worst legitimate case is block = 1: one (ndim+1)-coefficient
-                // plane per sample, 4 bytes each, plus the 8-byte header
-                let side_budget = shape
-                    .len()
-                    .saturating_mul((shape.ndim() + 1) * 4)
-                    .saturating_add(8);
-                let side = lossless::try_decompress_bounded(
-                    container.require_section(SectionTag::PredictorSideInfo)?,
-                    side_budget,
-                )?;
-                let mut r = crate::error::Reader::new(&side);
-                let block = r.u32("regression block")? as usize;
-                if block == 0 {
-                    return Err(CfcError::Corrupt {
-                        context: "regression side info",
-                        detail: "zero block size".into(),
-                    });
-                }
-                let ncoef = r.u32("regression coefficient count")? as usize;
-                // from_coeffs asserts this relation, so verify it on the
-                // untrusted values first and fail gracefully instead
-                let nblocks: usize = shape.dims().iter().map(|&d| d.div_ceil(block)).product();
-                let expected = nblocks.saturating_mul(shape.ndim() + 1);
-                if ncoef != expected || ncoef != r.remaining() / 4 {
-                    return Err(CfcError::Corrupt {
-                        context: "regression side info",
-                        detail: format!(
-                            "{ncoef} coefficients, geometry needs {expected}, payload holds {}",
-                            r.remaining() / 4
-                        ),
-                    });
-                }
-                let mut coeffs = Vec::with_capacity(ncoef);
-                for _ in 0..ncoef {
-                    coeffs.push(r.f32("regression coefficient")?);
-                }
-                let reg = RegressionPredictor::from_coeffs(shape.dims().to_vec(), block, coeffs);
-                self.decompress_lattice_with(&container, &reg, scratch)?
-            }
-        };
-        Ok(lattice.reconstruct(container.eb))
+        // written by the block-regression predictor this codec once had;
+        // decoding such a stream as Lorenzo would return garbage as `Ok`
+        if container.section(SectionTag::PredictorSideInfo).is_some() {
+            return Err(CfcError::Corrupt {
+                context: "predictor side info",
+                detail: "block-regression streams are not supported".into(),
+            });
+        }
+        let PredictorKind::Lorenzo = self.predictor;
+        let before = scratch.caps();
+        let mut lattice = std::mem::take(&mut scratch.lattice);
+        let decoded = decode_lattice_into(&container, &LorenzoPredictor, scratch, &mut lattice);
+        scratch.lattice = lattice;
+        scratch.track(before);
+        decoded?;
+        Ok(dequantize(container.shape, &scratch.lattice, container.eb))
     }
 }
 
@@ -505,18 +474,6 @@ mod tests {
             c.decompress(&s1.bytes).unwrap().as_slice(),
             c.decompress(&s2.bytes).unwrap().as_slice()
         );
-    }
-
-    #[test]
-    fn regression_predictor_roundtrip() {
-        let f = smooth_field_2d(48, 48);
-        let c = SzCompressor {
-            bound: ErrorBound::Relative(1e-3),
-            quantizer: QuantizerConfig::default(),
-            predictor: PredictorKind::Regression { block: 6 },
-        };
-        let (stream, dec) = roundtrip(&c, &f);
-        check_bound(&f, &dec, stream.eb_abs);
     }
 
     #[test]

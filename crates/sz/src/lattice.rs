@@ -40,30 +40,20 @@ impl QuantLattice {
         }
     }
 
-    /// Zero lattice (decoder scratch).
-    pub fn zeros(shape: Shape) -> Self {
-        QuantLattice {
-            shape,
-            data: vec![0; shape.len()],
-        }
-    }
-
     /// Wrap raw integers.
     pub fn from_vec(shape: Shape, data: Vec<i64>) -> Self {
         assert_eq!(data.len(), shape.len());
         QuantLattice { shape, data }
     }
 
+    /// Unwrap the raw integers (inverse of [`QuantLattice::from_vec`]).
+    pub fn into_vec(self) -> Vec<i64> {
+        self.data
+    }
+
     /// Dequantize back to values (dual-quant reconstruction).
     pub fn reconstruct(&self, eb: f64) -> Field {
-        let step = 2.0 * eb;
-        Field::from_vec(
-            self.shape,
-            self.data
-                .iter()
-                .map(|&q| (q as f64 * step) as f32)
-                .collect(),
-        )
+        dequantize(self.shape, &self.data, eb)
     }
 
     /// Shape of the lattice.
@@ -140,6 +130,15 @@ impl QuantLattice {
             self.data[i as usize]
         }
     }
+}
+
+/// Dual-quant reconstruction of raw lattice integers: `q · 2·eb` as `f32`.
+pub(crate) fn dequantize(shape: Shape, data: &[i64], eb: f64) -> Field {
+    let step = 2.0 * eb;
+    Field::from_vec(
+        shape,
+        data.iter().map(|&q| (q as f64 * step) as f32).collect(),
+    )
 }
 
 #[cfg(test)]

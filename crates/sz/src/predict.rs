@@ -1,22 +1,37 @@
 //! Lattice predictors.
 //!
 //! A [`Predictor`] maps a point's already-known neighbourhood to a predicted
-//! lattice value. With dual quantization the *encoder* can evaluate
-//! predictors in parallel against the full prequantized lattice; the
-//! *decoder* evaluates them sequentially in row-major order against the
-//! partially reconstructed lattice. A predictor is only **causal** (usable)
-//! if every neighbour it touches precedes the current point in row-major
-//! order — the paper's Figure 3 argument. [`CentralDiffPredictor`] is
-//! intentionally non-causal and exists to demonstrate the resulting
+//! lattice value. With dual quantization the *encoder* sees the full
+//! prequantized lattice and computes every residual independently
+//! ([`Predictor::residuals_into`]); the *decoder* rebuilds the lattice in
+//! row-major order from those residuals ([`Predictor::reconstruct_into`]),
+//! each value a neighbour of later ones. A predictor is only **causal**
+//! (usable) if every neighbour it touches precedes the current point in
+//! row-major order — the paper's Figure 3 argument. [`CentralDiffPredictor`]
+//! is intentionally non-causal and exists to demonstrate the resulting
 //! encode/decode mismatch in tests and ablations.
 
+use cfc_tensor::Shape;
+
+use crate::error::CfcError;
 use crate::lattice::QuantLattice;
+use crate::quantizer::QuantizerConfig;
 
 /// A prediction model over the prequantized integer lattice.
 ///
-/// `idx` is the current point's multi-index (length = ndim of the lattice).
-/// Implementations must be deterministic and, for correct codecs, causal in
-/// row-major order.
+/// An implementation supplies [`Predictor::predict`], the per-point model:
+/// `idx` is the current point's multi-index (length = ndim of the lattice),
+/// and the result must be deterministic and, for correct codecs, causal in
+/// row-major order. The codec never calls `predict` itself — it asks for a
+/// whole lattice at a time through the two bulk methods, whose defaults
+/// walk the points through `predict` and define what an override has to
+/// reproduce bit for bit, wrapping arithmetic included:
+///
+/// * [`Predictor::residuals_into`] (encoder): `q[t] − predict(q, t)` for
+///   every point of a fully known lattice, in any order;
+/// * [`Predictor::reconstruct_into`] (decoder): the lattice back from
+///   residual codes and outliers, in row-major order, with the same typed
+///   error for the first malformed element the walk would meet.
 pub trait Predictor: Sync {
     /// Predicted lattice value at `idx` given the (partially) known lattice.
     fn predict(&self, lattice: &QuantLattice, idx: &[usize]) -> i64;
@@ -73,8 +88,106 @@ pub trait Predictor: Sync {
         }
     }
 
+    /// Bulk decoder-side reconstruction, the inverse of
+    /// [`Predictor::residuals_into`] followed by the residual quantizer:
+    /// rebuild the `shape` lattice into `out` (cleared first) from one code
+    /// per sample and the escaped values in scan order.
+    ///
+    /// Points are visited in exactly the row-major order the encoder's
+    /// causality contract assumes; an in-range code adds its residual to
+    /// the prediction (wrapping — a corrupt outlier can leave an
+    /// `i64::MAX`-scale neighbour in the lattice, and decode must never
+    /// panic), the escape code takes the next outlier verbatim. `codes`
+    /// and `outliers` are untrusted: the first out-of-alphabet code or
+    /// exhausted outlier stream in scan order, or outliers left over at the
+    /// end, return [`CfcError::Corrupt`]; `out` then holds nothing usable.
+    ///
+    /// The default is the per-point walk — monomorphised per predictor, so
+    /// `predict` inlines into it — and the reference an override (Lorenzo's
+    /// row kernels) is tested against.
+    ///
+    /// # Panics
+    /// If `codes.len() != shape.len()`; [`crate::codec::try_decode`] checks
+    /// that on untrusted streams first.
+    fn reconstruct_into(
+        &self,
+        shape: Shape,
+        codes: &[u32],
+        outliers: &[i64],
+        quant: &QuantizerConfig,
+        out: &mut Vec<i64>,
+    ) -> Result<(), CfcError> {
+        assert_eq!(codes.len(), shape.len(), "one code per sample");
+        out.clear();
+        out.resize(shape.len(), 0);
+        // `predict` reads a lattice: lend it `out`'s buffer for the walk
+        let mut lattice = QuantLattice::from_vec(shape, std::mem::take(out));
+        let mut pending = outliers.iter();
+        let mut step = |off: usize, idx: &[usize]| -> Result<(), CfcError> {
+            let value = match quant.check_one(codes[off]) {
+                Ok(Some(delta)) => self.predict(&lattice, idx).wrapping_add(delta),
+                Ok(None) => *pending.next().ok_or_else(outliers_exhausted)?,
+                Err(code) => return Err(outside_alphabet(code, quant)),
+            };
+            lattice.as_mut_slice()[off] = value;
+            Ok(())
+        };
+        let d = shape.dims();
+        match shape.ndim() {
+            1 => {
+                for i in 0..d[0] {
+                    step(i, &[i])?;
+                }
+            }
+            2 => {
+                for i in 0..d[0] {
+                    for j in 0..d[1] {
+                        step(i * d[1] + j, &[i, j])?;
+                    }
+                }
+            }
+            3 => {
+                for k in 0..d[0] {
+                    for i in 0..d[1] {
+                        for j in 0..d[2] {
+                            step((k * d[1] + i) * d[2] + j, &[k, i, j])?;
+                        }
+                    }
+                }
+            }
+            _ => unreachable!("lattices are 1-3 dimensional"),
+        }
+        *out = lattice.into_vec();
+        outliers_consumed(pending)
+    }
+
     /// Human-readable name for reports.
     fn name(&self) -> &'static str;
+}
+
+fn outliers_exhausted() -> CfcError {
+    CfcError::Corrupt {
+        context: "residual stream",
+        detail: "outlier stream exhausted".into(),
+    }
+}
+
+fn outside_alphabet(code: u32, quant: &QuantizerConfig) -> CfcError {
+    CfcError::Corrupt {
+        context: "residual stream",
+        detail: format!("code {code} outside alphabet of radius {}", quant.radius),
+    }
+}
+
+/// The end-of-walk check: every outlier must have been claimed by an escape.
+fn outliers_consumed(mut pending: std::slice::Iter<'_, i64>) -> Result<(), CfcError> {
+    match pending.next() {
+        None => Ok(()),
+        Some(_) => Err(CfcError::Corrupt {
+            context: "residual stream",
+            detail: "outlier stream not fully consumed".into(),
+        }),
+    }
 }
 
 /// `out[j] = cur[j] − cur[j−1]` with `cur[−1] = 0`: the 1-D Lorenzo row,
@@ -120,6 +233,46 @@ fn row_res_3d(c: &[i64], p: &[i64], b: &[i64], o: &[i64], out: &mut Vec<i64>) {
             .wrapping_add(o[j])
             .wrapping_sub(o[j - 1])
     }));
+}
+
+/// Inverse Lorenzo along one row. On entry `row[j]` holds `s[j]`, the part
+/// of the prediction that lies outside the row (`b[j] + p[j] − o[j]` in
+/// 3-D, the previous row in 2-D, zero in 1-D); since the prediction is
+/// `c[j−1] + s[j] − s[j−1]`, the value is `c[j] = s[j] + acc[j]` with
+/// `acc[j] = acc[j−1] + delta[j]` — a wrapping prefix sum of the residuals,
+/// restarted at `c[j] − s[j]` after an outlier.
+#[inline]
+fn row_rec(
+    codes: &[u32],
+    row: &mut [i64],
+    quant: &QuantizerConfig,
+    pending: &mut std::slice::Iter<'_, i64>,
+) -> Result<(), CfcError> {
+    let radius = quant.radius as i64;
+    let mut acc = 0i64;
+    if codes.iter().fold(0, |m, &c| m.max(c)) < quant.escape() {
+        // every code is a residual: nothing to pop, nothing to refuse
+        for (v, &code) in row.iter_mut().zip(codes) {
+            acc = acc.wrapping_add(code as i64 - radius);
+            *v = v.wrapping_add(acc);
+        }
+        return Ok(());
+    }
+    for (v, &code) in row.iter_mut().zip(codes) {
+        match quant.check_one(code) {
+            Ok(Some(delta)) => {
+                acc = acc.wrapping_add(delta);
+                *v = v.wrapping_add(acc);
+            }
+            Ok(None) => {
+                let q = *pending.next().ok_or_else(outliers_exhausted)?;
+                acc = q.wrapping_sub(*v);
+                *v = q;
+            }
+            Err(code) => return Err(outside_alphabet(code, quant)),
+        }
+    }
+    Ok(())
 }
 
 /// The classic Lorenzo predictor (1-layer), dimension-dispatching.
@@ -214,6 +367,48 @@ impl Predictor for LorenzoPredictor {
         }
     }
 
+    /// Row kernels, the decode-side twin of [`Predictor::residuals_into`]
+    /// above: per row, gather what the prediction takes from the three
+    /// neighbouring rows (the `k = 0` plane and the `i = 0` row reduce to
+    /// the 2-D and 1-D cases exactly as on the encode side), then
+    /// `row_rec` runs the in-row recurrence over contiguous slices.
+    fn reconstruct_into(
+        &self,
+        shape: Shape,
+        codes: &[u32],
+        outliers: &[i64],
+        quant: &QuantizerConfig,
+        out: &mut Vec<i64>,
+    ) -> Result<(), CfcError> {
+        assert_eq!(codes.len(), shape.len(), "one code per sample");
+        out.clear();
+        out.resize(shape.len(), 0);
+        let d = shape.dims();
+        // rows of `n2` samples, `n1` of them to a plane: a 2-D lattice is
+        // one plane, a 1-D lattice one row
+        let n2 = d[d.len() - 1];
+        let n1 = if d.len() >= 2 { d[d.len() - 2] } else { 1 };
+        let mut pending = outliers.iter();
+        for (r, row_codes) in codes.chunks_exact(n2).enumerate() {
+            let (done, rest) = out.split_at_mut(r * n2);
+            let cur = &mut rest[..n2];
+            let above = |rows: usize| &done[(r - rows) * n2..][..n2];
+            match (r / n1, r % n1) {
+                (0, 0) => {}
+                (0, _) => cur.copy_from_slice(above(1)),
+                (_, 0) => cur.copy_from_slice(above(n1)),
+                _ => {
+                    let (p, b, o) = (above(1), above(n1), above(n1 + 1));
+                    for j in 0..n2 {
+                        cur[j] = b[j].wrapping_add(p[j]).wrapping_sub(o[j]);
+                    }
+                }
+            }
+            row_rec(row_codes, cur, quant, &mut pending)?;
+        }
+        outliers_consumed(pending)
+    }
+
     fn name(&self) -> &'static str {
         "lorenzo"
     }
@@ -256,214 +451,6 @@ impl Predictor for CentralDiffPredictor {
 
     fn name(&self) -> &'static str {
         "central-diff"
-    }
-}
-
-/// SZ3-style block linear regression predictor.
-///
-/// The domain is tiled into `block × block(.× block)` tiles; within each tile
-/// the value is predicted by an affine model `a·di + b·dj (+ c·dk) + d`
-/// fitted by least squares against the prequantized values. Coefficients are
-/// stored as `f32` side information (accounted in the stream). This is a
-/// faithful simplification of SZ3's regression predictor; it is causal
-/// because the decoder receives the coefficients up front.
-#[derive(Debug, Clone)]
-pub struct RegressionPredictor {
-    block: usize,
-    ndim: usize,
-    /// Per-block coefficients: ndim slopes then intercept.
-    coeffs: Vec<f32>,
-    blocks: Vec<usize>, // block grid extents
-}
-
-impl RegressionPredictor {
-    /// Default SZ3 block edge.
-    pub const DEFAULT_BLOCK: usize = 6;
-
-    /// Fit per-block affine models against a prequantized lattice.
-    pub fn fit(lattice: &QuantLattice, block: usize) -> Self {
-        assert!(block >= 2);
-        let shape = lattice.shape();
-        let ndim = shape.ndim();
-        let dims: Vec<usize> = shape.dims().to_vec();
-        let blocks: Vec<usize> = dims.iter().map(|&d| d.div_ceil(block)).collect();
-        let nblocks: usize = blocks.iter().product();
-        let ncoef = ndim + 1;
-        let mut coeffs = vec![0.0f32; nblocks * ncoef];
-        for b in 0..nblocks {
-            let borigin = Self::block_origin(b, &blocks, block);
-            let fitted = Self::fit_block(lattice, &borigin, block, &dims);
-            coeffs[b * ncoef..(b + 1) * ncoef].copy_from_slice(&fitted);
-        }
-        RegressionPredictor {
-            block,
-            ndim,
-            coeffs,
-            blocks,
-        }
-    }
-
-    /// Rebuild from stored coefficients (decoder side).
-    pub fn from_coeffs(dims: Vec<usize>, block: usize, coeffs: Vec<f32>) -> Self {
-        let ndim = dims.len();
-        let blocks: Vec<usize> = dims.iter().map(|&d| d.div_ceil(block)).collect();
-        let nblocks: usize = blocks.iter().product();
-        assert_eq!(
-            coeffs.len(),
-            nblocks * (ndim + 1),
-            "coefficient count mismatch"
-        );
-        RegressionPredictor {
-            block,
-            ndim,
-            coeffs,
-            blocks,
-        }
-    }
-
-    /// The fitted coefficients (for serialization).
-    pub fn coeffs(&self) -> &[f32] {
-        &self.coeffs
-    }
-
-    /// Block edge length.
-    pub fn block(&self) -> usize {
-        self.block
-    }
-
-    /// Side-information size in bytes.
-    pub fn side_info_bytes(&self) -> usize {
-        self.coeffs.len() * 4
-    }
-
-    fn block_origin(b: usize, blocks: &[usize], block: usize) -> Vec<usize> {
-        let mut rem = b;
-        let mut origin = vec![0usize; blocks.len()];
-        for k in (0..blocks.len()).rev() {
-            origin[k] = (rem % blocks[k]) * block;
-            rem /= blocks[k];
-        }
-        origin
-    }
-
-    fn block_index(&self, idx: &[usize]) -> usize {
-        let mut b = 0usize;
-        for k in 0..self.ndim {
-            b = b * self.blocks[k] + idx[k] / self.block;
-        }
-        b
-    }
-
-    /// Least-squares fit of `a·d0 + b·d1 (+ c·d2) + intercept` on one block.
-    fn fit_block(
-        lattice: &QuantLattice,
-        origin: &[usize],
-        block: usize,
-        dims: &[usize],
-    ) -> Vec<f32> {
-        let ndim = origin.len();
-        let ncoef = ndim + 1;
-        // normal equations, tiny (≤4×4) system
-        let mut ata = vec![0.0f64; ncoef * ncoef];
-        let mut atb = vec![0.0f64; ncoef];
-        let mut extent = vec![0usize; ndim];
-        for k in 0..ndim {
-            extent[k] = block.min(dims[k] - origin[k]);
-        }
-        let total: usize = extent.iter().product();
-        for t in 0..total {
-            // unravel t into per-axis local offsets (row-major)
-            let mut rem = t;
-            let mut local = [0usize; 3];
-            for k in (0..ndim).rev() {
-                local[k] = rem % extent[k];
-                rem /= extent[k];
-            }
-            let mut row = [0.0f64; 4];
-            for k in 0..ndim {
-                row[k] = local[k] as f64;
-            }
-            row[ndim] = 1.0;
-            let off = match ndim {
-                1 => origin[0] + local[0],
-                2 => (origin[0] + local[0]) * dims[1] + origin[1] + local[1],
-                3 => {
-                    ((origin[0] + local[0]) * dims[1] + origin[1] + local[1]) * dims[2]
-                        + origin[2]
-                        + local[2]
-                }
-                _ => unreachable!(),
-            };
-            let y = lattice.as_slice()[off] as f64;
-            for r in 0..ncoef {
-                for c in 0..ncoef {
-                    ata[r * ncoef + c] += row[r] * row[c];
-                }
-                atb[r] += row[r] * y;
-            }
-        }
-        Self::solve(&mut ata, &mut atb, ncoef)
-    }
-
-    /// Gaussian elimination with partial pivoting on the tiny normal system.
-    fn solve(ata: &mut [f64], atb: &mut [f64], n: usize) -> Vec<f32> {
-        for col in 0..n {
-            // pivot
-            let mut piv = col;
-            for r in col + 1..n {
-                if ata[r * n + col].abs() > ata[piv * n + col].abs() {
-                    piv = r;
-                }
-            }
-            if ata[piv * n + col].abs() < 1e-12 {
-                continue; // singular direction (e.g. 1-wide block): slope 0
-            }
-            if piv != col {
-                for c in 0..n {
-                    ata.swap(col * n + c, piv * n + c);
-                }
-                atb.swap(col, piv);
-            }
-            let d = ata[col * n + col];
-            for r in 0..n {
-                if r == col {
-                    continue;
-                }
-                let f = ata[r * n + col] / d;
-                for c in 0..n {
-                    ata[r * n + c] -= f * ata[col * n + c];
-                }
-                atb[r] -= f * atb[col];
-            }
-        }
-        (0..n)
-            .map(|k| {
-                let d = ata[k * n + k];
-                if d.abs() < 1e-12 {
-                    0.0
-                } else {
-                    (atb[k] / d) as f32
-                }
-            })
-            .collect()
-    }
-}
-
-impl Predictor for RegressionPredictor {
-    fn predict(&self, _lattice: &QuantLattice, idx: &[usize]) -> i64 {
-        let b = self.block_index(idx);
-        let ncoef = self.ndim + 1;
-        let co = &self.coeffs[b * ncoef..(b + 1) * ncoef];
-        let mut v = co[self.ndim] as f64;
-        for k in 0..self.ndim {
-            let local = (idx[k] % self.block) as f64;
-            v += co[k] as f64 * local;
-        }
-        v.round() as i64
-    }
-
-    fn name(&self) -> &'static str {
-        "regression"
     }
 }
 
@@ -633,79 +620,5 @@ mod tests {
         let mut bulk = Vec::new();
         CentralDiffPredictor.residuals_into(&lat, &mut bulk);
         assert_eq!(bulk, residuals_reference(&CentralDiffPredictor, &lat));
-    }
-
-    #[test]
-    fn regression_fits_affine_block_exactly() {
-        let (r, c) = (12usize, 12usize);
-        let data: Vec<i64> = (0..r * c)
-            .map(|o| {
-                let (i, j) = (o / c, o % c);
-                (7 * i + 3 * j + 11) as i64
-            })
-            .collect();
-        let lat = QuantLattice::from_vec(Shape::d2(r, c), data);
-        let reg = RegressionPredictor::fit(&lat, 6);
-        for i in 0..r {
-            for j in 0..c {
-                let expect = (7 * i + 3 * j + 11) as i64;
-                let got = reg.predict(&lat, &[i, j]);
-                assert!((got - expect).abs() <= 1, "at ({i},{j}): {got} vs {expect}");
-            }
-        }
-    }
-
-    #[test]
-    fn regression_roundtrips_through_coeffs() {
-        let data: Vec<i64> = (0..100).map(|v| (v * v % 37) as i64).collect();
-        let lat = QuantLattice::from_vec(Shape::d2(10, 10), data);
-        let reg = RegressionPredictor::fit(&lat, 4);
-        let reg2 = RegressionPredictor::from_coeffs(vec![10, 10], 4, reg.coeffs().to_vec());
-        for i in 0..10 {
-            for j in 0..10 {
-                assert_eq!(reg.predict(&lat, &[i, j]), reg2.predict(&lat, &[i, j]));
-            }
-        }
-    }
-
-    #[test]
-    fn regression_handles_ragged_edges() {
-        // 7×5 with block 4 → ragged last blocks; must not panic and must
-        // produce finite predictions.
-        let data: Vec<i64> = (0..35).map(|v| v as i64 * 3).collect();
-        let lat = QuantLattice::from_vec(Shape::d2(7, 5), data);
-        let reg = RegressionPredictor::fit(&lat, 4);
-        for i in 0..7 {
-            for j in 0..5 {
-                let _ = reg.predict(&lat, &[i, j]);
-            }
-        }
-    }
-
-    #[test]
-    fn regression_3d_fit() {
-        let (n0, n1, n2) = (6usize, 6usize, 6usize);
-        let mut data = Vec::new();
-        for k in 0..n0 as i64 {
-            for i in 0..n1 as i64 {
-                for j in 0..n2 as i64 {
-                    data.push(2 * k + 5 * i - 3 * j + 1);
-                }
-            }
-        }
-        let lat = QuantLattice::from_vec(Shape::d3(n0, n1, n2), data);
-        let reg = RegressionPredictor::fit(&lat, 6);
-        for k in 0..n0 {
-            for i in 0..n1 {
-                for j in 0..n2 {
-                    let expect = 2 * k as i64 + 5 * i as i64 - 3 * j as i64 + 1;
-                    let got = reg.predict(&lat, &[k, i, j]);
-                    assert!(
-                        (got - expect).abs() <= 1,
-                        "({k},{i},{j}): {got} vs {expect}"
-                    );
-                }
-            }
-        }
     }
 }

@@ -60,21 +60,9 @@ impl QuantizerConfig {
         }
     }
 
-    /// Decode one code. `Err(())` signals the escape (caller pops an outlier).
-    #[inline]
-    pub fn decode_one(&self, code: u32) -> Result<i64, ()> {
-        if code == self.escape() {
-            Err(())
-        } else {
-            debug_assert!(code < self.escape());
-            Ok(code as i64 - self.radius as i64)
-        }
-    }
-
     /// Classify one *untrusted* code: `Ok(Some(delta))` for in-range codes,
     /// `Ok(None)` for the escape, `Err(code)` for codes outside the
-    /// alphabet (which [`QuantizerConfig::decode_one`] would silently
-    /// misinterpret in release builds).
+    /// alphabet.
     #[inline]
     pub fn check_one(&self, code: u32) -> Result<Option<i64>, u32> {
         match code.cmp(&self.escape()) {
@@ -143,7 +131,7 @@ mod tests {
         for d in -7..=7i64 {
             let (code, out) = q.encode_one(d, 999);
             assert!(out.is_none(), "{d} should be in-range");
-            assert_eq!(q.decode_one(code), Ok(d));
+            assert_eq!(q.check_one(code), Ok(Some(d)));
         }
     }
 
@@ -154,7 +142,7 @@ mod tests {
             let (code, out) = q.encode_one(d, 42);
             assert_eq!(code, q.escape());
             assert_eq!(out, Some(42));
-            assert!(q.decode_one(code).is_err());
+            assert_eq!(q.check_one(code), Ok(None));
         }
     }
 

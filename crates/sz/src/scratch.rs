@@ -2,8 +2,9 @@
 //!
 //! The chunked archive processes thousands of blocks per field; without
 //! reuse every block pays fresh allocations for its residual codes,
-//! outliers, and decompressed lossless payload — the largest per-block
-//! buffers by far (each is proportional to the block's element count). A
+//! outliers, decompressed lossless payload and, on decode, its lattice —
+//! the largest per-block buffers by far (each is proportional to the
+//! block's element count). A
 //! worker thread owns one [`EncodeScratch`]/[`DecodeScratch`] and passes
 //! it to the `*_with` codec entry points
 //! ([`crate::SzCompressor::compress_with`],
@@ -20,7 +21,8 @@
 //! steady state.
 
 /// Reusable buffers for the decode path: the decompressed lossless
-/// payload, the residual codes, and the outlier values.
+/// payload, the residual codes, the outlier values, and the reconstructed
+/// lattice a baseline block is dequantized from.
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
     /// Decompressed Huffman-table + bitstream payload (also reused for the
@@ -30,6 +32,8 @@ pub struct DecodeScratch {
     pub(crate) codes: Vec<u32>,
     /// Escaped lattice values.
     pub(crate) outliers: Vec<i64>,
+    /// Reconstructed lattice integers ([`crate::SzCompressor::decompress_with`]).
+    pub(crate) lattice: Vec<i64>,
     /// Times any buffer had to grow its capacity.
     pub(crate) growths: usize,
 }
@@ -48,20 +52,19 @@ impl DecodeScratch {
     }
 
     /// Record capacity changes against a pre-operation snapshot.
-    pub(crate) fn track(&mut self, before: (usize, usize, usize)) {
-        let (p, c, o) = before;
-        self.growths += usize::from(self.payload.capacity() > p)
-            + usize::from(self.codes.capacity() > c)
-            + usize::from(self.outliers.capacity() > o);
+    pub(crate) fn track(&mut self, before: [usize; 4]) {
+        let grown = self.caps().into_iter().zip(before);
+        self.growths += grown.filter(|&(now, was)| now > was).count();
     }
 
     /// Capacity snapshot for [`DecodeScratch::track`].
-    pub(crate) fn caps(&self) -> (usize, usize, usize) {
-        (
+    pub(crate) fn caps(&self) -> [usize; 4] {
+        [
             self.payload.capacity(),
             self.codes.capacity(),
             self.outliers.capacity(),
-        )
+            self.lattice.capacity(),
+        ]
     }
 }
 
@@ -224,6 +227,11 @@ mod tests {
         s.codes.resize(500, 0);
         s.track(before);
         assert_eq!(s.growths(), 1);
+        // the lattice buffer is covered too
+        let before = s.caps();
+        s.lattice.reserve(1000);
+        s.track(before);
+        assert_eq!(s.growths(), 2);
     }
 
     #[test]

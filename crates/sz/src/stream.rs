@@ -46,7 +46,8 @@ pub enum SectionTag {
     Residuals = 1,
     /// Outlier lattice values.
     Outliers = 2,
-    /// Predictor side information (e.g. regression coefficients).
+    /// Side information of the block-regression predictor: no longer
+    /// written, and refused by [`crate::SzCompressor::decompress_with`].
     PredictorSideInfo = 3,
     /// Serialized CFNN weights (cross-field pipeline only).
     Model = 4,

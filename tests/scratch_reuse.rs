@@ -1,10 +1,13 @@
 //! Scratch-buffer reuse: repeated decodes through one scratch are
 //! deterministic, and — the perf contract — steady-state block processing
-//! performs no new allocations in the reusable code/outlier/payload/byte
-//! buffers (asserted via the scratch types' capacity-growth counters).
+//! performs no new allocations in the reusable code/outlier/payload/
+//! lattice/byte buffers (asserted via the scratch types' capacity-growth
+//! counters).
 
 use cross_field_compression::core::archive::{ArchiveBuilder, ArchiveReader, ArchiveScratch};
-use cross_field_compression::sz::{DecodeScratch, EncodeScratch, SzCompressor};
+use cross_field_compression::sz::{
+    DecodeScratch, EncodeScratch, ErrorBound, PredictorKind, QuantizerConfig, SzCompressor,
+};
 use cross_field_compression::tensor::{Dataset, Field, Shape};
 use cross_field_compression::Codec;
 
@@ -48,6 +51,49 @@ fn codec_scratch_decode_is_deterministic_and_allocation_free() {
         warmed,
         "steady-state decode must not grow the scratch buffers"
     );
+}
+
+/// The growth counter covers all four decode buffers — staged payload,
+/// codes, outliers and the lattice a block is dequantized from — so "grows
+/// nothing" below means the returned `Field` is the only allocation left.
+#[test]
+fn decode_scratch_counts_every_buffer_then_stops_growing() {
+    // rough data at a small radius: outliers, so every buffer gets sized
+    let rough = |rows: usize, cols: usize| {
+        Field::from_fn(Shape::d2(rows, cols), |i| {
+            ((i[0] * 7919 + i[1] * 104_729) % 1000) as f32 * 3.7 - 1500.0
+        })
+    };
+    let c = SzCompressor {
+        bound: ErrorBound::Absolute(0.5),
+        quantizer: QuantizerConfig { radius: 16 },
+        predictor: PredictorKind::Lorenzo,
+    };
+    let small = c.compress(&rough(24, 24)).unwrap();
+    let large = c.compress(&rough(40, 56)).unwrap();
+    assert!(small.n_outliers > 0 && large.n_outliers > small.n_outliers);
+
+    let mut scratch = DecodeScratch::new();
+    let first = c.decompress_with(&small.bytes, &mut scratch).unwrap();
+    assert_eq!(
+        scratch.growths(),
+        4,
+        "payload, codes, outliers and lattice are each sized once"
+    );
+    c.decompress_with(&large.bytes, &mut scratch).unwrap();
+    assert_eq!(scratch.growths(), 8, "a larger block sizes all four again");
+
+    // warmed for the larger block: either stream, any order, grows nothing
+    for stream in [&small, &large, &small, &large] {
+        let again = c.decompress_with(&stream.bytes, &mut scratch).unwrap();
+        assert_eq!(again, c.decompress(&stream.bytes).unwrap());
+    }
+    assert_eq!(
+        scratch.growths(),
+        8,
+        "a warmed decompress_with must not grow"
+    );
+    assert_eq!(c.decompress(&small.bytes).unwrap(), first);
 }
 
 #[test]

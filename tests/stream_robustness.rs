@@ -144,19 +144,19 @@ fn container_preserves_unknown_future_sections() {
 
 #[test]
 fn mismatched_decoder_predictor_is_an_error() {
-    // decompressing a Lorenzo stream with a regression-configured compressor
-    // must fail cleanly (missing side-info section)
-    let (_, bytes, _) = sample_stream();
-    let wrong = SzCompressor {
-        predictor: cross_field_compression::sz::PredictorKind::Regression { block: 6 },
-        ..SzCompressor::baseline(1e-3)
-    };
+    // a stream carrying the retired block-regression predictor's side-info
+    // section must fail cleanly: replaying its residuals through Lorenzo
+    // would hand back a garbled field as Ok
+    let (c, bytes, _) = sample_stream();
+    let mut container = Container::try_from_bytes(&bytes).expect("valid stream");
+    container.push(SectionTag::PredictorSideInfo, vec![6, 0, 0, 0]);
+    let res = c.decompress(&container.to_bytes());
     assert!(
         matches!(
-            wrong.decompress(&bytes),
-            Err(CfcError::MissingSection { .. })
+            &res,
+            Err(CfcError::Corrupt { context, .. }) if *context == "predictor side info"
         ),
-        "must not silently decode with the wrong predictor"
+        "must not silently decode with the wrong predictor: {res:?}"
     );
 }
 

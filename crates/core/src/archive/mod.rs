@@ -18,8 +18,9 @@
 //!   ArchiveReader::open(impl ArchiveSource) ──► manifest only (no payloads)
 //!        read(&ReadRequest { field, epoch, region, policy }): the general
 //!            read — touches only the blocks that intersect the region's
-//!            axis-0 range (decode_region / decode_field are its strict
-//!            one-line conveniences)
+//!            axis-0 range, the last of them only up to the region's last
+//!            row (decode_region / decode_field are its strict one-line
+//!            conveniences)
 //!        decode_block(field, i): reads + decodes ONE block (plus the same
 //!            anchor blocks when the field is a cross-field target)
 //!        decode_all(): every block of every field in parallel
@@ -51,6 +52,13 @@
 //! | `ArchiveReader::read` / `decode_block` | never | read from the source into the caller's scratch, decode |
 //! | `ArchiveReader::decode_all`, target phase | the slab of a field the first phase decoded | same |
 //! | `ArchiveStore` (demand and prefetch) | tier-1 hit, or wait on the block's in-flight decode | claim the single-flight slot, bytes from tier 2 or the source (with retry), decode, insert, publish |
+//!
+//! The walk also carries how many leading axis-0 rows of the block are
+//! wanted: `read` asks the last block of a region's cover only for the rows
+//! the window reaches (everything here is causal in raster order, so they
+//! decode bit-identically from the same rows of the dependencies), every
+//! other caller — and so every cache entry — for all of them. See the
+//! [`reader`](mod@reader) module docs for what such a read still checks.
 //!
 //! The three container versions meet below this: [`format`](mod@format)
 //! normalises a v1 row into an entry with one block, so the read path has

@@ -24,6 +24,28 @@
 //!   keyframe interval says, and call-stack depth must not be a property
 //!   of the file being read.
 //!
+//! ## A region read stops at the window's last row
+//!
+//! Every predictor here is causal in raster order, and the CFNN runs a 3-D
+//! block one axis-0 slice at a time (slice *k* reads slices *k* and *k − 1*
+//! of the anchors, the attention pool is per slice), so the first *r* rows
+//! of a block decode bit-identically from the first *r* rows of what the
+//! block decodes against. [`ArchiveReader::read`] knows how many rows of
+//! the last block of a region's cover the window reaches and hands that one
+//! number to the walk: `resolve_block` passes it on to every block it
+//! resolves for that one (`ArchiveReader::dep_rows`: a target's anchors and
+//! a delta's chain predecessors bring the same leading rows; a 2-D target's
+//! block is one CNN plane, so its anchors come whole and only its own walk
+//! stops), `BlockBackend::finish` to `decode_block_bytes`, and that to the
+//! codec ([`SzCompressor::decompress_rows_with`]). What stays whole: the
+//! block's bytes are fetched and CRC-checked whole, its entropy sections
+//! are decoded whole, and the codes and outliers past the rows are still
+//! held to the alphabet and to each other — a short decode fails on exactly
+//! the blocks a whole decode fails on, with the same error. And everything
+//! that keeps or compares blocks — [`ArchiveReader::decode_all`], the
+//! `decode_block*` primitives, scrub, the store's cache — asks for
+//! `ALL_ROWS`: there is one read path, and a cache entry is a whole block.
+//!
 //! The walk never touches bytes or caches itself; it drives a
 //! `BlockBackend`, which answers "do you already have block `(fi, idx)`?"
 //! and "here are its dependencies, produce it". This module's backend
@@ -41,7 +63,7 @@ use std::borrow::Borrow;
 use std::collections::HashMap;
 
 use cfc_sz::stream::Container;
-use cfc_sz::{crc32, CfcError, DecodeScratch, SzCompressor};
+use cfc_sz::{crc32, CfcError, DecodeScratch, LorenzoPredictor, SzCompressor};
 use cfc_tensor::{Dataset, Field, Region};
 
 use crate::hybrid::HybridModel;
@@ -51,7 +73,7 @@ use crate::predictor::{CrossFieldHybridPredictor, TemporalHybridPredictor, TEMPO
 
 use super::damage::{DamageMap, DecodePolicy, Salvaged};
 use super::format::{
-    read_manifest, read_meta_area, ArchiveEntry, BlockMeta, FieldRole, RawManifest,
+    read_manifest, read_meta_area, slab_shape_of, ArchiveEntry, BlockMeta, FieldRole, RawManifest,
 };
 use super::run_parallel_scratch;
 use super::source::ArchiveSource;
@@ -157,6 +179,10 @@ impl ArchiveScratch {
 /// backends and the store's cache tiers name a block.
 pub(crate) type BlockKey = (usize, usize);
 
+/// "Every row of the block", where a count of leading axis-0 rows is asked
+/// for — what every caller but a region read's last block wants.
+pub(crate) const ALL_ROWS: usize = usize::MAX;
+
 /// A backend's answer to "do you have this block?".
 pub(crate) enum Lookup<B, T> {
     /// Yes — no decode needed.
@@ -180,14 +206,16 @@ pub(crate) trait BlockBackend {
     /// store: the decode this request coalesced onto failed).
     fn begin(&mut self, key: BlockKey) -> Result<Lookup<Self::Block, Self::Ticket>, CfcError>;
 
-    /// Produce `key` given its decoded dependencies, in
-    /// `ArchiveReader::block_deps` order: fetch its bytes, run
-    /// `ArchiveReader::decode_block_bytes`, remember the result.
+    /// Produce the leading `rows` rows of `key` given its decoded
+    /// dependencies, in `ArchiveReader::block_deps` order: fetch its bytes,
+    /// run `ArchiveReader::decode_block_bytes`, remember the result. A
+    /// backend that keeps what it produces walks with [`ALL_ROWS`].
     fn finish(
         &mut self,
         key: BlockKey,
         ticket: Self::Ticket,
         deps: &[&Field],
+        rows: usize,
     ) -> Result<Self::Block, CfcError>;
 
     /// A dependency of the block `ticket` was issued for failed with
@@ -518,9 +546,12 @@ impl<R: ArchiveSource> ArchiveReader<R> {
 
     /// The one block decoder: already fetched, CRC-checked `bytes` of block
     /// `idx` of `entry`, the decoded slabs it depends on (`deps`, in
-    /// [`ArchiveReader::block_deps`] order) and the entry's parsed meta in;
-    /// the block's slab out. Pure CPU — no source I/O, no cache. Errors
-    /// carry the epoch-qualified field and the block index.
+    /// [`ArchiveReader::block_deps`] order, each cut to
+    /// [`ArchiveReader::dep_rows`]) and the entry's parsed meta in; the
+    /// leading `rows` rows of the block's slab out — all of it for
+    /// [`ALL_ROWS`]. Pure CPU — no source I/O, no cache. Errors carry the
+    /// epoch-qualified field and the block index.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn decode_block_bytes(
         &self,
         entry: &ArchiveEntry,
@@ -528,6 +559,7 @@ impl<R: ArchiveSource> ArchiveReader<R> {
         bytes: &[u8],
         deps: &[&Field],
         meta: Option<&TargetMeta>,
+        rows: usize,
         scratch: &mut ArchiveScratch,
     ) -> Result<Field, CfcError> {
         let ArchiveScratch { dec, nn, .. } = scratch;
@@ -539,9 +571,11 @@ impl<R: ArchiveSource> ArchiveReader<R> {
         let open = |what: &str| {
             let container = Container::try_from_bytes(bytes)?;
             entry.check_slab_shape(idx, container.shape)?;
-            if deps.iter().any(|d| d.shape() != container.shape) {
+            let whole = container.shape.dims()[0];
+            let lent = slab_shape_of(container.shape, Self::dep_rows(entry, rows).min(whole));
+            if deps.iter().any(|d| d.shape() != lent) {
                 return Err(CfcError::ShapeMismatch {
-                    expected: container.shape.to_string(),
+                    expected: lent.to_string(),
                     found: format!("{what} slab with a different shape"),
                 });
             }
@@ -553,8 +587,9 @@ impl<R: ArchiveSource> ArchiveReader<R> {
         };
         (|| match (entry.role, meta) {
             (FieldRole::Independent | FieldRole::Anchor, _) => {
-                let field = sz.decompress_with(bytes, dec)?;
-                entry.check_slab_shape(idx, field.shape())?;
+                let container = Container::try_from_bytes(bytes)?;
+                let field = sz.decompress_rows_with(&container, &LorenzoPredictor, rows, dec)?;
+                entry.check_slab_shape(idx, container.shape)?;
                 Ok(field)
             }
             // no meta area: a v1 target, whose monolithic stream embeds its
@@ -566,11 +601,12 @@ impl<R: ArchiveSource> ArchiveReader<R> {
             (FieldRole::Target, Some(meta)) => {
                 let container = open("anchor")?;
                 let model = meta.model.as_ref().ok_or_else(|| missing("a model"))?;
+                // one slice at a time for a 3-D block, so only the slices
+                // the anchors were cut to; a 2-D block is one plane
                 let diffs = model.predict(deps, nn);
                 let predictor =
                     CrossFieldHybridPredictor::new(&diffs, container.eb, meta.hybrid.clone());
-                let lattice = sz.decompress_lattice_with(&container, &predictor, dec)?;
-                Ok(lattice.reconstruct(container.eb))
+                sz.decompress_rows_with(&container, &predictor, rows, dec)
             }
             (FieldRole::Delta, Some(meta)) => {
                 let container = open("previous-epoch")?;
@@ -582,8 +618,7 @@ impl<R: ArchiveSource> ArchiveReader<R> {
                 // weights shipped in the meta area
                 let predictor =
                     TemporalHybridPredictor::new(prev, container.eb, meta.hybrid.clone());
-                let lattice = sz.decompress_lattice_with(&container, &predictor, dec)?;
-                Ok(lattice.reconstruct(container.eb))
+                sz.decompress_rows_with(&container, &predictor, rows, dec)
             }
             (FieldRole::Delta, None) => Err(missing("meta")),
         })()
@@ -609,10 +644,28 @@ impl<R: ArchiveSource> ArchiveReader<R> {
         }
     }
 
-    /// The one dependency walk: produce block `idx` of entry `fi` out of
-    /// `backend`, first producing — depth-first, dependencies before
-    /// dependents, each at most once — every block it decodes against that
-    /// the backend does not already have.
+    /// Leading rows the blocks [`ArchiveReader::block_deps`] names must
+    /// bring for `rows` of a block of `entry`. Prediction is causal in
+    /// raster order and the CFNN runs a 3-D block one axis-0 slice at a
+    /// time, each slice reading its own and the previous slice of the
+    /// anchors, so a block's first rows need the same first rows of what it
+    /// decodes against — except a 2-D target, whose block is one CNN plane:
+    /// its same-padding and attention pool see every row, so its anchors
+    /// come whole and only its own walk stops short.
+    fn dep_rows(entry: &ArchiveEntry, rows: usize) -> usize {
+        let planar = entry.role == FieldRole::Target && entry.shape.is_some_and(|s| s.ndim() == 2);
+        if planar {
+            ALL_ROWS
+        } else {
+            rows
+        }
+    }
+
+    /// The one dependency walk: produce the leading `rows` rows of block
+    /// `idx` of entry `fi` ([`ALL_ROWS`]: the block) out of `backend`, first
+    /// producing — depth-first, dependencies before dependents, each at
+    /// most once, each as far as [`ArchiveReader::dep_rows`] says — every
+    /// block it decodes against that the backend does not already have.
     ///
     /// Iterative on purpose. A delta chain is as deep as the writer's
     /// keyframe interval made it, and a recursive walk turns a long (valid)
@@ -624,12 +677,14 @@ impl<R: ArchiveSource> ArchiveReader<R> {
         &self,
         fi: usize,
         idx: usize,
+        rows: usize,
         backend: &mut K,
     ) -> Result<K::Block, CfcError> {
         struct Pending<T> {
             fi: usize,
             ticket: T,
             deps: Vec<usize>,
+            rows: usize,
         }
         let mut stack: Vec<Pending<K::Ticket>> = Vec::new();
         let mut ready: Vec<(usize, K::Block)> = Vec::new();
@@ -642,6 +697,10 @@ impl<R: ArchiveSource> ArchiveReader<R> {
                     fi: want,
                     ticket,
                     deps: self.block_deps(want),
+                    // asked for by the block on top of the stack, if any
+                    rows: stack
+                        .last()
+                        .map_or(rows, |top| Self::dep_rows(&self.entries[top.fi], top.rows)),
                 }),
                 Err(e) => break e,
             }
@@ -657,13 +716,14 @@ impl<R: ArchiveSource> ArchiveReader<R> {
                     fi: cur,
                     ticket,
                     deps,
+                    rows,
                 } = stack.pop().expect("checked above");
                 let slabs: Vec<&Field> = deps
                     .iter()
                     .filter_map(|d| ready.iter().find(|(r, _)| r == d))
                     .map(|(_, block)| block.borrow())
                     .collect();
-                let block = match backend.finish((cur, idx), ticket, &slabs) {
+                let block = match backend.finish((cur, idx), ticket, &slabs, rows) {
                     Ok(block) => block,
                     Err(e) => break 'walk e,
                 };
@@ -694,7 +754,7 @@ impl<R: ArchiveSource> ArchiveReader<R> {
         self.block_meta(entry, idx)
             .map_err(|e| e.in_field(field, Some(idx)))?;
         let metas = self.own_meta(fi)?;
-        self.resolve_block(fi, idx, &mut Direct::new(self, scratch, &metas))
+        self.resolve_block(fi, idx, ALL_ROWS, &mut Direct::new(self, scratch, &metas))
     }
 
     /// Decode a single block of `field` (block `idx` along axis 0),
@@ -732,10 +792,15 @@ impl<R: ArchiveSource> ArchiveReader<R> {
 
     /// The general read: `req.region` of `req.field` at `req.epoch` (the
     /// whole field when the region is `None`), decoding only the blocks
-    /// whose axis-0 slabs intersect it — plus what those blocks decode
-    /// against: the matching anchor blocks of a cross-field target, the
-    /// delta chain back to the covering keyframe. The entry's meta area is
-    /// parsed once for the call; one scratch serves every block.
+    /// whose axis-0 slabs intersect it and, in the last of them, only the
+    /// rows up to the window's end — plus what those blocks decode
+    /// against, as far as they need it: the matching anchor blocks of a
+    /// cross-field target, the delta chain back to the covering keyframe.
+    /// Each block's bytes are still read, checksummed and entropy-decoded
+    /// whole, and the part the predictor does not walk is still checked,
+    /// so a window fails where the whole block would (see the module
+    /// docs). The entry's meta area is parsed once for the call; one
+    /// scratch serves every block.
     ///
     /// Under [`DecodePolicy::Strict`] the first damaged block fails the
     /// call and the returned [`DamageMap`] is always empty. Under
@@ -755,6 +820,11 @@ impl<R: ArchiveSource> ArchiveReader<R> {
         // entry then fails the same way, which Salvage turns into one
         // damage record per requested block
         let metas = self.own_meta(fi);
+        // rows of the cover's last block the region reaches
+        let last_rows = match (&req.region, entry.block_rows(cover.1)) {
+            (Some(region), Some((r0, _))) => region.end(0) - r0,
+            _ => ALL_ROWS,
+        };
         let mut scratch = ArchiveScratch::new();
         let (slabs, damage) = salvage_blocks(
             entry,
@@ -762,7 +832,8 @@ impl<R: ArchiveSource> ArchiveReader<R> {
             req.policy,
             |bi| {
                 let metas = metas.as_ref().map_err(CfcError::clone)?;
-                self.resolve_block(fi, bi, &mut Direct::new(self, &mut scratch, metas))
+                let rows = if bi == cover.1 { last_rows } else { ALL_ROWS };
+                self.resolve_block(fi, bi, rows, &mut Direct::new(self, &mut scratch, metas))
             },
             |fill| fill,
         )?;
@@ -834,7 +905,7 @@ impl<R: ArchiveSource> ArchiveReader<R> {
                     let (fi, bi) = tasks[t];
                     let mut backend = Direct::new(self, s, &metas);
                     backend.decoded = Some(&decoded);
-                    self.resolve_block(fi, bi, &mut backend)
+                    self.resolve_block(fi, bi, ALL_ROWS, &mut backend)
                 });
             let mut slabs: HashMap<usize, Vec<Field>> = HashMap::new();
             for (&(fi, _), res) in tasks.iter().zip(results) {
@@ -937,7 +1008,13 @@ impl<R: ArchiveSource> BlockBackend for Direct<'_, R> {
         ))
     }
 
-    fn finish(&mut self, (fi, idx): BlockKey, (): (), deps: &[&Field]) -> Result<Field, CfcError> {
+    fn finish(
+        &mut self,
+        (fi, idx): BlockKey,
+        (): (),
+        deps: &[&Field],
+        rows: usize,
+    ) -> Result<Field, CfcError> {
         let entry = &self.reader.entries[fi];
         let parsed;
         let meta = match self.metas.iter().find(|(i, _)| *i == fi) {
@@ -953,9 +1030,9 @@ impl<R: ArchiveSource> BlockBackend for Direct<'_, R> {
         // lend the fetched bytes to the decoder alongside the rest of the
         // scratch, then hand the buffer back for the next block
         let bytes = std::mem::take(&mut self.scratch.block);
-        let field = self
-            .reader
-            .decode_block_bytes(entry, idx, &bytes, deps, meta, self.scratch);
+        let field =
+            self.reader
+                .decode_block_bytes(entry, idx, &bytes, deps, meta, rows, self.scratch);
         self.scratch.block = bytes;
         field
     }

@@ -83,7 +83,7 @@ use cfc_tensor::{Field, Region};
 use super::damage::Salvaged;
 use super::reader::{
     salvage_blocks, ArchiveReader, ArchiveScratch, BlockBackend, BlockKey, Lookup, ReadRequest,
-    TargetMeta,
+    TargetMeta, ALL_ROWS,
 };
 use super::source::ArchiveSource;
 
@@ -699,7 +699,7 @@ impl<R: ArchiveSource> StoreCore<R> {
     /// experienced.
     fn get_block(&self, fi: usize, idx: usize, demand: bool) -> Result<Arc<Field>, CfcError> {
         let mut backend = Cached { core: self, demand };
-        self.reader.resolve_block(fi, idx, &mut backend)
+        self.reader.resolve_block(fi, idx, ALL_ROWS, &mut backend)
     }
 
     /// Speculatively decode one block (worker entry point): skip if it is
@@ -751,6 +751,7 @@ impl<R: ArchiveSource> StoreCore<R> {
                         bytes,
                         deps,
                         meta,
+                        ALL_ROWS,
                         &mut scratch,
                     );
                 }
@@ -758,9 +759,15 @@ impl<R: ArchiveSource> StoreCore<R> {
                     .reader
                     .fetch_block_bytes(entry, idx)
                     .map_err(|e| e.in_field(&entry.qualified_name(), Some(idx)))?;
-                let field =
-                    self.reader
-                        .decode_block_bytes(entry, idx, &bytes, deps, meta, &mut scratch)?;
+                let field = self.reader.decode_block_bytes(
+                    entry,
+                    idx,
+                    &bytes,
+                    deps,
+                    meta,
+                    ALL_ROWS,
+                    &mut scratch,
+                )?;
                 self.stash_tier2((fi, idx), bytes, gen);
                 Ok(field)
             })();
@@ -888,7 +895,10 @@ impl<'a, R: ArchiveSource> BlockBackend for Cached<'a, R> {
         key: BlockKey,
         claim: Claim<'a>,
         deps: &[&Field],
+        rows: usize,
     ) -> Result<Arc<Field>, CfcError> {
+        // a cache entry is a whole block: `get_block` walks with `ALL_ROWS`
+        debug_assert_eq!(rows, ALL_ROWS);
         let (core, demand) = (self.core, self.demand);
         let t2 = claim.t2.as_ref().map(|b| b.as_slice());
         let result = core.decode(key, t2, deps, claim.gen).map(Arc::new);

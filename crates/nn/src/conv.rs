@@ -6,20 +6,27 @@
 //!
 //! # Tiling
 //!
-//! The forward kernels are *output-stationary*: a strip of `XT = 16` (8 on narrow
-//! planes, 64 for a lone output channel) adjacent pixels of one row × up
-//! to `OCT = 4` output channels lives in accumulators (eight 256-bit
-//! registers under AVX2) while the loops run over every input channel and
-//! kernel tap, and is stored once. Per multiply-add that costs a fraction of a load instead
+//! The forward kernels are *output-stationary*: a strip of adjacent pixels
+//! of one row × up to `OCT = 4` output channels lives in accumulators
+//! while the loops run over every input channel and kernel tap, and is
+//! stored once. Per multiply-add that costs a fraction of a load instead
 //! of the two loads and one store of a loop that sweeps a whole plane per
-//! tap. Weights are repacked `[oc tile][ic][ky][kx][oc in tile]`
+//! tap. A strip is two registers a channel, so a full tile keeps eight
+//! add chains in flight: `XT = 16` pixels in the portable and AVX2 bodies
+//! (eight 256-bit registers), `XT_512 = 32` in the AVX-512 body (eight
+//! 512-bit ones); a lone output channel (depthwise, or a remainder tile)
+//! takes `XT_LONE = 64` pixels on every body to get its eight (four)
+//! chains. A row too narrow for its body's strip falls back to 16 and then
+//! to 8 pixels — a 12-pixel training patch runs on 8-pixel strips under
+//! every body. Weights are repacked `[oc tile][ic][ky][kx][oc in tile]`
 //! ([`PackedConv`]) so the four broadcasts of one tap are adjacent. The
 //! last strip of a row overlaps its neighbour rather than running short
 //! (an output element is computed from scratch, so computing it twice is
 //! harmless); the `k / 2` border columns, where some taps fall outside
-//! the plane, and planes narrower than one strip plus padding take a
-//! scalar path with the same loop nest. A pointwise convolution's pixels
-//! do not see each other, so its plane is handed over as one long row.
+//! the plane, and planes narrower than the narrowest strip plus padding
+//! take a scalar path with the same loop nest. A pointwise convolution's
+//! pixels do not see each other, so its plane is handed over as one long
+//! row.
 //!
 //! # Order of operations is the contract
 //!
@@ -33,10 +40,12 @@
 //! added as `w * 0`; full convolutions also skip taps whose weight is
 //! exactly zero (depthwise ones do not). Tiling only changes *which*
 //! elements are in flight together, never the chain of one element. The
-//! AVX2 body is the same safe Rust compiled with wider registers —
-//! `avx2` without `fma` — so it cannot contract the multiply-add.
-//! `tests/cfnn_equivalence.rs` compares every [`Kernel`] the host offers
-//! against tap-major reference loops with `to_bits()`.
+//! AVX2 and AVX-512 bodies are the same safe Rust compiled with wider
+//! registers — `avx2`, or `avx512f`, without `fma` — so they cannot
+//! contract the multiply-add: every lane still rounds its product and then
+//! its sum. `tests/cfnn_equivalence.rs` compares every [`Kernel`] the host
+//! offers against tap-major reference loops with `to_bits()` and prints
+//! which bodies those were.
 //!
 //! Training runs at compression time and its result — the model — is
 //! written into the archive, so the backward pass is under the same
@@ -71,7 +80,9 @@
 //! input, which wants both with channels adjacent: the sample's input and
 //! output gradient are transposed to pixel-major once per backward pass
 //! (and that keeps the update of a tile one straight-line block, which is
-//! what lets the compiler hold the accumulators in vector registers). The
+//! what lets the compiler hold the accumulators in vector registers).
+//! The tiles are eight lanes wide by construction (`GL`), so they have one
+//! vector body, the AVX2 one, and the AVX-512 [`Kernel`] runs it. The
 //! input gradient is a reduction over channels and taps for each pixel,
 //! exactly like the forward pass, and runs on the forward kernels:
 //! weights transposed `[ic][oc]` and repacked per step, zero bias, and the
@@ -86,8 +97,12 @@ use crate::tensor::Tensor;
 
 /// Output channels per register tile.
 const OCT: usize = 4;
-/// Pixels per strip; planes too narrow for it use strips of `XT / 2`.
+/// Pixels per strip of the 256-bit bodies: two registers a channel.
 const XT: usize = 16;
+/// Pixels per strip of the 512-bit body: again two registers a channel.
+const XT_512: usize = 32;
+/// Pixels per strip of a lone output channel, on every body.
+const XT_LONE: usize = 64;
 /// Lanes of a weight-gradient accumulator row: adjacent output channels
 /// (channels of a depthwise layer).
 const GL: usize = 8;
@@ -99,35 +114,50 @@ enum Isa {
     Portable,
     #[cfg(target_arch = "x86_64")]
     Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
-/// One compiled body of the convolution kernels. All of them produce
-/// bit-identical output; [`Kernel::detect`] picks the fastest the CPU
-/// runs, [`Kernel::available`] lists every one for differential tests.
+/// One compiled body of the convolution kernels: portable, AVX2 (256-bit
+/// strips) or AVX-512 (512-bit forward and input-gradient strips over the
+/// AVX2 weight-gradient tiles). All of them produce bit-identical output;
+/// [`Kernel::detect`] picks the fastest the CPU runs, [`Kernel::available`]
+/// lists every one it runs for differential tests. Nothing else selects a
+/// body: no feature, no environment variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Kernel(Isa); // private field: `Isa::Avx2` exists only once AVX2 was detected
+pub struct Kernel(Isa); // private field: an x86 `Isa` exists only once its feature was detected
 
 impl Kernel {
     /// The body built for the compile-time target; runs anywhere.
     pub const PORTABLE: Kernel = Kernel(Isa::Portable);
 
-    /// The fastest body this CPU supports.
+    /// The fastest body this CPU supports: the last of
+    /// [`Kernel::available`].
     pub fn detect() -> Kernel {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
-            return Kernel(Isa::Avx2);
+            // the 512-bit body's weight-gradient tiles are the AVX2 ones
+            return if std::arch::is_x86_feature_detected!("avx512f") {
+                Kernel(Isa::Avx512)
+            } else {
+                Kernel(Isa::Avx2)
+            };
         }
         Kernel::PORTABLE
     }
 
-    /// Every body this CPU supports, portable first.
+    /// Every body this CPU supports, portable first, fastest last.
     pub fn available() -> Vec<Kernel> {
-        let best = Kernel::detect();
-        if best == Kernel::PORTABLE {
-            vec![best]
-        } else {
-            vec![Kernel::PORTABLE, best]
+        #[allow(unused_mut)]
+        let mut bodies = vec![Kernel::PORTABLE];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            bodies.push(Kernel(Isa::Avx2));
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                bodies.push(Kernel(Isa::Avx512));
+            }
         }
+        bodies
     }
 
     /// Short name for test and benchmark output.
@@ -136,6 +166,8 @@ impl Kernel {
             Isa::Portable => "portable",
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => "avx512",
         }
     }
 }
@@ -200,10 +232,13 @@ impl PackedConv {
         // rows (a training patch's are narrower than a strip)
         let (h, w) = if self.k == 1 { (1, h * w) } else { (h, w) };
         match kernel.0 {
-            Isa::Portable => conv_sample(self, src, dst, h, w),
+            Isa::Portable => conv_sample::<XT>(self, src, dst, h, w),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Isa::Avx2` is only constructed by `Kernel::detect` after AVX2 was detected
+            // SAFETY: `Isa::Avx2` is only constructed by `Kernel` after AVX2 was detected
             Isa::Avx2 => unsafe { conv_sample_avx2(self, src, dst, h, w) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Isa::Avx512` is only constructed by `Kernel` after AVX-512F was detected
+            Isa::Avx512 => unsafe { conv_sample_avx512(self, src, dst, h, w) },
         }
     }
 }
@@ -228,17 +263,26 @@ pub fn depthwise(
     assert_eq!(src.len(), bias.len() * h * w, "depthwise input size");
     assert_eq!(dst.len(), src.len(), "depthwise output size");
     match kernel.0 {
-        Isa::Portable => depthwise_sample(k, weight, bias, src, dst, h, w),
+        Isa::Portable => depthwise_sample::<XT>(k, weight, bias, src, dst, h, w),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Isa::Avx2` is only constructed by `Kernel::detect` after AVX2 was detected
+        // SAFETY: `Isa::Avx2` is only constructed by `Kernel` after AVX2 was detected
         Isa::Avx2 => unsafe { depthwise_sample_avx2(k, weight, bias, src, dst, h, w) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Isa::Avx512` is only constructed by `Kernel` after AVX-512F was detected
+        Isa::Avx512 => unsafe { depthwise_sample_avx512(k, weight, bias, src, dst, h, w) },
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn conv_sample_avx2(p: &PackedConv, src: &[f32], dst: &mut [f32], h: usize, w: usize) {
-    conv_sample(p, src, dst, h, w)
+    conv_sample::<XT>(p, src, dst, h, w)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn conv_sample_avx512(p: &PackedConv, src: &[f32], dst: &mut [f32], h: usize, w: usize) {
+    conv_sample::<XT_512>(p, src, dst, h, w)
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -252,15 +296,29 @@ fn depthwise_sample_avx2(
     h: usize,
     w: usize,
 ) {
-    depthwise_sample(k, weight, bias, src, dst, h, w)
+    depthwise_sample::<XT>(k, weight, bias, src, dst, h, w)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn depthwise_sample_avx512(
+    k: usize,
+    weight: &[f32],
+    bias: &[f32],
+    src: &[f32],
+    dst: &mut [f32],
+    h: usize,
+    w: usize,
+) {
+    depthwise_sample::<XT_512>(k, weight, bias, src, dst, h, w)
 }
 
 // The bodies below are `inline(always)` so that each entry point above —
 // portable or `target_feature` — compiles its own copy with its own
-// register width.
+// register width and its own strip width `W`.
 
 #[inline(always)]
-fn conv_sample(p: &PackedConv, src: &[f32], dst: &mut [f32], h: usize, w: usize) {
+fn conv_sample<const W: usize>(p: &PackedConv, src: &[f32], dst: &mut [f32], h: usize, w: usize) {
     let hw = h * w;
     let kk = p.k * p.k;
     for oc0 in (0..p.out_c).step_by(OCT) {
@@ -271,9 +329,9 @@ fn conv_sample(p: &PackedConv, src: &[f32], dst: &mut [f32], h: usize, w: usize)
         macro_rules! tile {
             ($oct:literal) => {
                 if p.has_zero {
-                    tile_planes::<$oct, true>(wts, bias, p.in_c, p.k, src, dst, h, w)
+                    tile_planes::<W, $oct, true>(wts, bias, p.in_c, p.k, src, dst, h, w)
                 } else {
-                    tile_planes::<$oct, false>(wts, bias, p.in_c, p.k, src, dst, h, w)
+                    tile_planes::<W, $oct, false>(wts, bias, p.in_c, p.k, src, dst, h, w)
                 }
             };
         }
@@ -287,7 +345,7 @@ fn conv_sample(p: &PackedConv, src: &[f32], dst: &mut [f32], h: usize, w: usize)
 }
 
 #[inline(always)]
-fn depthwise_sample(
+fn depthwise_sample<const W: usize>(
     k: usize,
     weight: &[f32],
     bias: &[f32],
@@ -300,7 +358,7 @@ fn depthwise_sample(
     let kk = k * k;
     for (c, b) in bias.iter().enumerate() {
         let plane = c * hw..(c + 1) * hw;
-        tile_planes::<1, false>(
+        tile_planes::<W, 1, false>(
             &weight[c * kk..(c + 1) * kk],
             std::slice::from_ref(b),
             1,
@@ -315,9 +373,12 @@ fn depthwise_sample(
 
 /// All of `dst`'s `T` output planes from `src`'s `in_c` input planes;
 /// `wts` is `[ic][ky][kx][T]`. `SKIP` leaves out taps whose weight is zero.
+/// A row is cut into the widest strips that fit it: [`XT_LONE`] for a lone
+/// output channel, else `W` (the body's two registers a channel), else the
+/// halvings of `W` down to 8.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn tile_planes<const T: usize, const SKIP: bool>(
+fn tile_planes<const W: usize, const T: usize, const SKIP: bool>(
     wts: &[f32],
     bias: &[f32],
     in_c: usize,
@@ -327,7 +388,7 @@ fn tile_planes<const T: usize, const SKIP: bool>(
     h: usize,
     w: usize,
 ) {
-    const HALF: usize = XT / 2;
+    const NARROW: usize = 8;
     let pad = k / 2;
     // columns where every tap of a row lies inside the plane
     let inner = pad..w.saturating_sub(pad);
@@ -335,27 +396,30 @@ fn tile_planes<const T: usize, const SKIP: bool>(
     let strips = |n: usize| inner.clone().step_by(n).map(move |x| x.min(inner.end - n));
     // what the strips leave to the scalar path: the borders, or everything
     let scalar = match inner.len() {
-        n if n >= HALF => (0..inner.start).chain(inner.end..w),
+        n if n >= NARROW => (0..inner.start).chain(inner.end..w),
         _ => (0..w).chain(w..w),
     };
     for y in 0..h {
         let tap = Taps::new(wts, in_c, k, src, h, w, y);
-        if T == 1 && inner.len() >= 4 * XT {
-            // one output channel (depthwise, or a remainder tile) fills
-            // only XT / 8 registers, whose add chains wait on each other:
-            // a four times longer strip keeps as many chains in flight as
-            // a full tile does
-            for x0 in strips(4 * XT) {
-                strip::<{ 4 * XT }, T, SKIP>(&tap, bias, dst, x0);
-            }
+        macro_rules! strips {
+            ($n:expr) => {
+                for x0 in strips($n) {
+                    strip::<{ $n }, T, SKIP>(&tap, bias, dst, x0);
+                }
+            };
+        }
+        if T == 1 && inner.len() >= XT_LONE {
+            // one output channel (depthwise, or a remainder tile) fills a
+            // quarter of a tile's registers, whose add chains wait on each
+            // other: a longer strip keeps as many chains in flight as a
+            // full tile does
+            strips!(XT_LONE)
+        } else if W > XT && inner.len() >= W {
+            strips!(W)
         } else if inner.len() >= XT {
-            for x0 in strips(XT) {
-                strip::<XT, T, SKIP>(&tap, bias, dst, x0);
-            }
-        } else if inner.len() >= HALF {
-            for x0 in strips(HALF) {
-                strip::<HALF, T, SKIP>(&tap, bias, dst, x0);
-            }
+            strips!(XT)
+        } else if inner.len() >= NARROW {
+            strips!(NARROW)
         }
         for x in scalar.clone() {
             point::<T, SKIP>(&tap, bias, dst, x);
@@ -618,8 +682,9 @@ fn conv_grad_w(kernel: Kernel, ops: &GradOperands, in_c: usize, out_c: usize, gr
     match kernel.0 {
         Isa::Portable => conv_grad_w_sample(ops, in_c, out_c, grad_w),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Isa::Avx2` is only constructed by `Kernel::detect` after AVX2 was detected
-        Isa::Avx2 => unsafe { conv_grad_w_sample_avx2(ops, in_c, out_c, grad_w) },
+        // eight lanes across channels by construction: one body for both
+        // SAFETY: either `Isa` is only constructed by `Kernel` after AVX2 was detected
+        Isa::Avx2 | Isa::Avx512 => unsafe { conv_grad_w_sample_avx2(ops, in_c, out_c, grad_w) },
     }
 }
 
@@ -696,8 +761,8 @@ fn depthwise_grad_w(kernel: Kernel, ops: &GradOperands, c: usize, grad_w: &mut [
     match kernel.0 {
         Isa::Portable => depthwise_grad_w_sample(ops, c, grad_w),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Isa::Avx2` is only constructed by `Kernel::detect` after AVX2 was detected
-        Isa::Avx2 => unsafe { depthwise_grad_w_sample_avx2(ops, c, grad_w) },
+        // SAFETY: either `Isa` is only constructed by `Kernel` after AVX2 was detected
+        Isa::Avx2 | Isa::Avx512 => unsafe { depthwise_grad_w_sample_avx2(ops, c, grad_w) },
     }
 }
 

@@ -12,12 +12,16 @@
 //! points one by one through `predict`, Lorenzo overrides it with row
 //! kernels that resolve the in-row dependency as a prefix sum, and both
 //! check every code and outlier of the untrusted stream on the way.
+//! Row-major causality also means the first rows of a lattice depend on
+//! nothing after them, so a caller that wants only those (a region read
+//! ending inside a block) has the predictor rebuild a shorter lattice and
+//! the codec check the codes it skipped (`try_decode_into`).
 
 use cfc_tensor::Shape;
 
 use crate::error::CfcError;
 use crate::lattice::QuantLattice;
-use crate::predict::Predictor;
+use crate::predict::{check_unwalked, Predictor};
 use crate::quantizer::{EncodedResiduals, QuantizerConfig};
 use crate::scratch::EncodeScratch;
 
@@ -80,26 +84,59 @@ pub fn try_decode(
     quant: &QuantizerConfig,
 ) -> Result<QuantLattice, CfcError> {
     let mut data = Vec::new();
-    try_decode_into(shape, codes, outliers, predictor, quant, &mut data)?;
+    try_decode_into(
+        shape,
+        usize::MAX,
+        codes,
+        outliers,
+        predictor,
+        quant,
+        &mut data,
+    )?;
     Ok(QuantLattice::from_vec(shape, data))
 }
 
-/// [`try_decode`] into a reusable buffer of raw lattice integers.
+/// [`try_decode`] of the leading `rows` axis-0 rows (all of them when
+/// `rows` reaches the extent) into a reusable buffer of raw lattice
+/// integers; returns the shape `out` holds.
+///
+/// Every predictor is causal in row-major order, so those rows are the
+/// whole decode's first rows bit for bit: the predictor reconstructs a
+/// lattice of the shorter shape from the codes of those rows and the
+/// outliers they escape to. The rest of the stream is not walked but still
+/// checked, in scan order and with the walk's own errors — a short decode
+/// accepts and rejects exactly the streams a whole one does.
 pub(crate) fn try_decode_into(
     shape: Shape,
+    rows: usize,
     codes: &[u32],
     outliers: &[i64],
     predictor: &dyn Predictor,
     quant: &QuantizerConfig,
     out: &mut Vec<i64>,
-) -> Result<(), CfcError> {
+) -> Result<Shape, CfcError> {
     if codes.len() != shape.len() {
         return Err(CfcError::Corrupt {
             context: "residual stream",
             detail: format!("{} codes for {} samples", codes.len(), shape.len()),
         });
     }
-    predictor.reconstruct_into(shape, codes, outliers, quant, out)
+    assert!(rows > 0, "a decode of no rows");
+    let dims = shape.dims();
+    if rows >= dims[0] {
+        predictor.reconstruct_into(shape, codes, outliers, quant, out)?;
+        return Ok(shape);
+    }
+    let mut lead = dims.to_vec();
+    lead[0] = rows;
+    let lead = Shape::from_slice(&lead);
+    let (codes, tail) = codes.split_at(lead.len());
+    // a stream with too few outliers runs dry at the same escape either way
+    let escapes = codes.iter().filter(|&&c| c == quant.escape()).count();
+    let (outliers, tail_outliers) = outliers.split_at(escapes.min(outliers.len()));
+    predictor.reconstruct_into(lead, codes, outliers, quant, out)?;
+    check_unwalked(tail, tail_outliers, quant)?;
+    Ok(lead)
 }
 
 #[cfg(test)]

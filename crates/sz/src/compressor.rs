@@ -1,7 +1,7 @@
 //! Top-level error-bounded compressor (the SZ3 baseline of the paper),
 //! exposed through the fallible [`Codec`] trait.
 
-use cfc_tensor::{Field, FieldStats};
+use cfc_tensor::{Field, FieldStats, Shape};
 
 use crate::api::{Codec, EncodedStream};
 use crate::codec;
@@ -81,20 +81,23 @@ impl SzCompressor {
     ) -> Result<QuantLattice, CfcError> {
         let before = scratch.caps();
         let mut data = Vec::new();
-        let decoded = decode_lattice_into(container, predictor, scratch, &mut data);
+        let decoded = decode_lattice_into(container, predictor, usize::MAX, scratch, &mut data);
         scratch.track(before);
-        decoded.map(|()| QuantLattice::from_vec(container.shape, data))
+        decoded.map(|shape| QuantLattice::from_vec(shape, data))
     }
 }
 
-/// Entropy-decode `container`'s two residual sections through `scratch`'s
-/// staging buffers and rebuild the raw lattice integers into `out`.
+/// Entropy-decode `container`'s two residual sections — whole, whatever
+/// `rows` says — through `scratch`'s staging buffers and rebuild the raw
+/// lattice integers of the leading `rows` axis-0 rows into `out`; returns
+/// their shape (see [`codec::try_decode_into`]).
 fn decode_lattice_into(
     container: &Container,
     predictor: &dyn Predictor,
+    rows: usize,
     scratch: &mut DecodeScratch,
     out: &mut Vec<i64>,
-) -> Result<(), CfcError> {
+) -> Result<Shape, CfcError> {
     let shape = container.shape;
     let quant = QuantizerConfig {
         radius: container.radius,
@@ -113,6 +116,7 @@ fn decode_lattice_into(
     )?;
     codec::try_decode_into(
         shape,
+        rows,
         &scratch.codes,
         &scratch.outliers,
         predictor,
@@ -199,33 +203,56 @@ impl SzCompressor {
         })
     }
 
-    /// [`Codec::decompress`] with reusable scratch buffers: the staging
-    /// buffers of [`SzCompressor::decompress_lattice_with`] and the lattice
-    /// itself live in `scratch`, and the samples are dequantized straight
-    /// out of it, so a steady-state block decode allocates only the
-    /// returned [`Field`].
+    /// [`Codec::decompress`] with reusable scratch buffers:
+    /// [`SzCompressor::decompress_rows_with`] of every row under this
+    /// compressor's own predictor.
     pub fn decompress_with(
         &self,
         bytes: &[u8],
         scratch: &mut DecodeScratch,
     ) -> Result<Field, CfcError> {
         let container = Container::try_from_bytes(bytes)?;
-        // written by the block-regression predictor this codec once had;
-        // decoding such a stream as Lorenzo would return garbage as `Ok`
+        let PredictorKind::Lorenzo = self.predictor;
+        self.decompress_rows_with(&container, &LorenzoPredictor, usize::MAX, scratch)
+    }
+
+    /// Decode the leading `rows` axis-0 rows of `container` (all of them
+    /// when `rows` reaches the extent) under an arbitrary predictor — what
+    /// a region read that ends inside a block asks of that block. The
+    /// staging buffers of [`SzCompressor::decompress_lattice_with`] and the
+    /// lattice itself live in `scratch`, and the samples are dequantized
+    /// straight out of it, so a steady-state block decode allocates only
+    /// the returned [`Field`].
+    ///
+    /// The rows are the whole decode's first rows bit for bit, and the
+    /// call fails on exactly the streams the whole decode fails on: the
+    /// entropy stage still decodes every code and outlier, and what the
+    /// predictor does not walk is still checked.
+    ///
+    /// # Panics
+    /// If `rows` is zero.
+    pub fn decompress_rows_with(
+        &self,
+        container: &Container,
+        predictor: &dyn Predictor,
+        rows: usize,
+        scratch: &mut DecodeScratch,
+    ) -> Result<Field, CfcError> {
+        // written by the block-regression predictor this codec once had; no
+        // predictor left reads it, and replaying such a stream through
+        // another would return garbage as `Ok`
         if container.section(SectionTag::PredictorSideInfo).is_some() {
             return Err(CfcError::Corrupt {
                 context: "predictor side info",
                 detail: "block-regression streams are not supported".into(),
             });
         }
-        let PredictorKind::Lorenzo = self.predictor;
         let before = scratch.caps();
         let mut lattice = std::mem::take(&mut scratch.lattice);
-        let decoded = decode_lattice_into(&container, &LorenzoPredictor, scratch, &mut lattice);
+        let decoded = decode_lattice_into(container, predictor, rows, scratch, &mut lattice);
         scratch.lattice = lattice;
         scratch.track(before);
-        decoded?;
-        Ok(dequantize(container.shape, &scratch.lattice, container.eb))
+        Ok(dequantize(decoded?, &scratch.lattice, container.eb))
     }
 }
 

@@ -102,6 +102,12 @@ pub trait Predictor: Sync {
     /// exhausted outlier stream in scan order, or outliers left over at the
     /// end, return [`CfcError::Corrupt`]; `out` then holds nothing usable.
     ///
+    /// `shape` may have fewer axis-0 rows than the lattice the codes were
+    /// written for: a decode of a block's leading rows passes the shorter
+    /// shape with the codes and outliers of those rows, and must get the
+    /// whole decode's first rows — which causality gives, as long as a
+    /// prediction does not look at how many rows follow.
+    ///
     /// The default is the per-point walk — monomorphised per predictor, so
     /// `predict` inlines into it — and the reference an override (Lorenzo's
     /// row kernels) is tested against.
@@ -188,6 +194,33 @@ fn outliers_consumed(mut pending: std::slice::Iter<'_, i64>) -> Result<(), CfcEr
             detail: "outlier stream not fully consumed".into(),
         }),
     }
+}
+
+/// What a decode that stops early still owes the rest of an untrusted
+/// stream: the codes it did not walk and the outliers left for them, held
+/// to what [`Predictor::reconstruct_into`] would have refused on the way —
+/// the first out-of-alphabet code or escape without an outlier in scan
+/// order, then outliers nobody claimed.
+pub(crate) fn check_unwalked(
+    codes: &[u32],
+    outliers: &[i64],
+    quant: &QuantizerConfig,
+) -> Result<(), CfcError> {
+    let mut pending = outliers.iter();
+    if codes.iter().fold(0, |m, &c| m.max(c)) < quant.escape() {
+        // every code is a residual, as in `row_rec`
+        return outliers_consumed(pending);
+    }
+    for &code in codes {
+        match quant.check_one(code) {
+            Ok(Some(_)) => {}
+            Ok(None) => {
+                pending.next().ok_or_else(outliers_exhausted)?;
+            }
+            Err(code) => return Err(outside_alphabet(code, quant)),
+        }
+    }
+    outliers_consumed(pending)
 }
 
 /// `out[j] = cur[j] − cur[j−1]` with `cur[−1] = 0`: the 1-D Lorenzo row,

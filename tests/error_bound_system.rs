@@ -1,9 +1,11 @@
 //! The error bound as a property of the system, not of one decode path:
-//! `|v − v'| ≤ eb` against the **original** samples, for every
-//! baseline-coded field (independent or anchor) of a `datagen` snapshot and
-//! of a 4-epoch series, through each way a caller can get values back —
-//! `ArchiveReader::read` (whole field and a region), `decode_all` /
-//! `decode_epoch`, and `ArchiveStore::read` cold and again after the blocks
+//! `|v − v'| ≤ eb` against the **original** samples, for every field of a
+//! `datagen` snapshot and of a 4-epoch series, through each way a caller
+//! can get values back — `ArchiveReader::read` (whole field, and windows
+//! that end at every row of a block, which decode that block only so far:
+//! the cross-field target and the deltas at the end of their chain
+//! included), `decode_all` / `decode_epoch`, and for the baseline-coded
+//! fields `ArchiveStore::read` cold and again after the blocks
 //! were evicted to tier 2 and promoted back. The other
 //! read-path suites compare decode paths with each other; if all of them
 //! drifted together, only a comparison with the input would notice.
@@ -60,20 +62,27 @@ fn check_every_path(bytes: &[u8], snapshots: &[Dataset], chunk_slabs: usize) -> 
             let what = |path: &str| format!("{name}@e{epoch} ({:?}) via {path}", entry.role);
             assert_within(orig, all.expect_field(name), eb, &what("decode_all"));
             checked += 1;
-            // this suite is about the baseline path; a target is held to
-            // the bound once above, not once per path (each read of it
-            // re-runs CFNN inference, which a debug build makes slow)
-            if entry.role == FieldRole::Target {
-                continue;
-            }
             let whole = ReadRequest::new(name).at(epoch);
             let part = whole.region(&window);
 
             let got = reader.read(&whole).expect("reader whole");
             assert!(got.damage.is_empty());
             assert_within(orig, &got.data, eb, &what("ArchiveReader::read"));
-            let got = reader.read(&part).expect("reader region");
-            assert_within(&orig.crop(&window), &got.data, eb, &what("region read"));
+            // from the last row of block 0 to every row of block 1: the
+            // read decodes block 1, and what it decodes against, that far
+            for r1 in chunk_slabs + 1..=(2 * chunk_slabs).min(shape.dims()[0]) {
+                ranges[0] = (chunk_slabs - 1, r1);
+                let rows = Region::from_ranges(&ranges);
+                let got = reader.read(&whole.region(&rows)).expect("reader region");
+                assert_within(&orig.crop(&rows), &got.data, eb, &what("region read"));
+            }
+            // the store decodes whole blocks through the same decoder; a
+            // target is held to the bound on the reader's paths above, not
+            // once per tier (each read of it re-runs CFNN inference, which
+            // a debug build makes slow)
+            if entry.role == FieldRole::Target {
+                continue;
+            }
 
             let before = store.snapshot();
             let got = store.read(&whole).expect("store cold");

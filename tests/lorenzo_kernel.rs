@@ -4,11 +4,24 @@
 //! streams. The contract is equal lattice, or equal error (variant,
 //! context and detail) — the kernel may not accept, refuse or wrap
 //! differently from the walk on any input.
+//!
+//! Beside it, the decode that stops after a block's leading rows
+//! (`SzCompressor::decompress_rows_with`, what a region read asks of the
+//! last block it covers): under Lorenzo's kernels and under the hybrids'
+//! default walk it returns the whole decode's first rows, and it fails
+//! with the whole decode's error on streams damaged past those rows.
 
-use cross_field_compression::sz::{
-    codec, CfcError, LorenzoPredictor, Predictor, QuantLattice, QuantizerConfig,
+use cross_field_compression::core::predictor::{
+    CrossFieldHybridPredictor, TemporalHybridPredictor,
 };
-use cross_field_compression::tensor::Shape;
+use cross_field_compression::core::HybridModel;
+use cross_field_compression::sz::compressor::{encode_codes, encode_outliers};
+use cross_field_compression::sz::stream::{Container, SectionTag};
+use cross_field_compression::sz::{
+    codec, CfcError, DecodeScratch, LorenzoPredictor, Predictor, QuantLattice, QuantizerConfig,
+    SzCompressor,
+};
+use cross_field_compression::tensor::{Field, Shape};
 
 /// Lorenzo's `predict` with none of its bulk overrides: `reconstruct_into`
 /// on this type is the trait's per-point walk.
@@ -221,5 +234,173 @@ fn kernel_inverts_the_encoder_through_the_codec_entry_point() {
                 Err(CfcError::Corrupt { .. })
             ));
         }
+    }
+}
+
+// ---- decoding only the leading rows ----------------------------------------
+
+/// Codes and outliers as a block decoder meets them: behind the entropy
+/// stage of a container. A bound of 0.5 makes the lattice step 1, so the
+/// decoded `f32` samples are the lattice integers themselves.
+fn container(shape: Shape, quant: &QuantizerConfig, codes: &[u32], outliers: &[i64]) -> Container {
+    let mut c = Container::new(shape, 0.5, quant.radius);
+    c.push(SectionTag::Residuals, encode_codes(codes));
+    c.push(SectionTag::Outliers, encode_outliers(outliers));
+    c
+}
+
+fn leading(c: &Container, predictor: &dyn Predictor, rows: usize) -> Result<Field, CfcError> {
+    SzCompressor::baseline(1e-3).decompress_rows_with(c, predictor, rows, &mut DecodeScratch::new())
+}
+
+/// One predictor family over one shape. `predictor(rows)` is the predictor
+/// a decode of `rows` leading rows runs under — the archive reader cuts a
+/// 3-D target's CFNN output and a delta's previous epoch to the same rows,
+/// and lends a 2-D target's whole.
+fn check_leading_rows(shape: Shape, predictor: &dyn Fn(usize) -> Box<dyn Predictor>, what: &str) {
+    let n0 = shape.dims()[0];
+    let plane = shape.len() / n0;
+    let quant = QuantizerConfig { radius: 64 };
+    let esc = quant.escape();
+    // a slow walk with isolated spikes, one of them on the last sample:
+    // mostly residuals, escapes in every part of the stream
+    let mut rng = XorShift(0x9E37_79B9_7F4A_7C15 ^ shape.len() as u64);
+    let mut v = 0i64;
+    let mut data: Vec<i64> = (0..shape.len())
+        .map(|_| {
+            v += rng.below(7) as i64 - 3;
+            v + if rng.below(40) == 0 { 100_000 } else { 0 }
+        })
+        .collect();
+    *data.last_mut().unwrap() += 100_000;
+    let lattice = QuantLattice::from_vec(shape, data);
+    let whole_predictor = predictor(n0);
+    let enc = codec::encode(&lattice, whole_predictor.as_ref(), &quant);
+    assert_eq!(*enc.codes.last().unwrap(), esc, "{what}: the tail escapes");
+
+    // a clean stream: the first rows of the whole decode, for every count
+    let clean = container(shape, &quant, &enc.codes, &enc.outliers);
+    let whole = leading(&clean, whole_predictor.as_ref(), usize::MAX).expect("own stream");
+    let lattice_f32: Vec<f32> = lattice.as_slice().iter().map(|&q| q as f32).collect();
+    assert_eq!(whole.as_slice(), lattice_f32, "{what}: round trip");
+    for rows in 1..=n0 + 1 {
+        let got = leading(&clean, predictor(rows.min(n0)).as_ref(), rows).expect("own stream");
+        let want = whole.slab(0, rows.min(n0));
+        assert_eq!(got.shape(), want.shape(), "{what}: {rows} rows");
+        assert!(
+            got.as_slice()
+                .iter()
+                .zip(want.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "{what}: {rows} rows differ from the whole decode's"
+        );
+    }
+
+    // damage past the rows asked for: the whole decode's error, detail and all
+    let mut bad_code = enc.codes.clone();
+    *bad_code.last_mut().unwrap() = esc + 5;
+    let mut long = enc.outliers.clone();
+    long.push(7);
+    let damaged = [
+        (
+            "a code outside the alphabet",
+            bad_code,
+            enc.outliers.clone(),
+        ),
+        (
+            "one outlier too few",
+            enc.codes.clone(),
+            enc.outliers[..enc.outliers.len() - 1].to_vec(),
+        ),
+        ("one outlier too many", enc.codes.clone(), long),
+        // the entropy stage is asked for one symbol more than was written
+        // and may find one in the padding: whatever it makes of that, it
+        // runs whole before either decode and both inherit its verdict
+        (
+            "one code too few",
+            enc.codes[..enc.codes.len() - 1].to_vec(),
+            enc.outliers.clone(),
+        ),
+    ];
+    for (damage, codes, outliers) in &damaged {
+        let c = container(shape, &quant, codes, outliers);
+        let want = leading(&c, whole_predictor.as_ref(), usize::MAX);
+        assert!(
+            want.is_err() || codes.len() != shape.len(),
+            "{what}: {damage} must not decode"
+        );
+        for rows in (1..n0).chain([n0, usize::MAX]) {
+            let got = leading(&c, predictor(rows.min(n0)).as_ref(), rows);
+            let want = want.clone().map(|whole| whole.slab(0, rows.min(n0)));
+            assert_eq!(got, want, "{what}: {damage}, {rows} rows");
+        }
+    }
+    // and damage inside them is met by the walk itself, in scan order
+    let mut early = enc.codes.clone();
+    early[plane - 1] = esc + 9;
+    *early.last_mut().unwrap() = esc + 5;
+    let c = container(shape, &quant, &early, &enc.outliers);
+    let want = leading(&c, whole_predictor.as_ref(), usize::MAX);
+    assert!(
+        matches!(&want, Err(CfcError::Corrupt { detail, .. }) if detail.contains(&(esc + 9).to_string()))
+    );
+    assert_eq!(
+        leading(&c, predictor(1).as_ref(), 1),
+        want,
+        "{what}: first row"
+    );
+}
+
+#[test]
+fn leading_rows_decode_like_the_whole_and_fail_like_the_whole() {
+    for shape in shapes().into_iter().filter(|s| s.dims()[0] > 1) {
+        check_leading_rows(
+            shape,
+            &|_| Box::new(LorenzoPredictor),
+            &format!("lorenzo {shape}"),
+        );
+    }
+    // side fields for the hybrids: anything deterministic will do
+    let side = |shape: Shape, salt: usize| {
+        Field::from_fn(shape, |i| {
+            let at = i.iter().fold(salt, |at, &x| at * 31 + x);
+            (at % 23) as f32 * 0.5 - 5.0
+        })
+    };
+    let mix = |weights: &[f64]| HybridModel {
+        weights: weights.to_vec(),
+        losses: Vec::new(),
+    };
+    for shape in [Shape::d2(13, 17), Shape::d3(4, 5, 6), Shape::d3(5, 12, 12)] {
+        let ndim = shape.ndim();
+        let diffs: Vec<Field> = (0..ndim).map(|axis| side(shape, axis + 1)).collect();
+        let weights: &[f64] = match ndim {
+            2 => &[0.4, 0.3, 0.3],
+            _ => &[0.4, 0.3, 0.2, 0.1],
+        };
+        // a 2-D target's CFNN output comes whole, a 3-D one's cut to the rows
+        for cut in [false, true] {
+            check_leading_rows(
+                shape,
+                &|rows| {
+                    let rows = if cut { rows } else { shape.dims()[0] };
+                    let diffs: Vec<Field> = diffs.iter().map(|d| d.slab(0, rows)).collect();
+                    Box::new(CrossFieldHybridPredictor::new(&diffs, 0.5, mix(weights)))
+                },
+                &format!("cross-field hybrid {shape} cut {cut}"),
+            );
+        }
+        let prev = side(shape, 7);
+        check_leading_rows(
+            shape,
+            &|rows| {
+                Box::new(TemporalHybridPredictor::new(
+                    &prev.slab(0, rows),
+                    0.5,
+                    mix(&[0.2, 0.5, 0.3]),
+                ))
+            },
+            &format!("temporal hybrid {shape}"),
+        );
     }
 }

@@ -10,6 +10,10 @@
 //!   `decode_*` conveniences, the block primitive and `decode_epoch`
 //!   agree bit for bit, through the reader and through the store, cold
 //!   and warm, strict and salvage;
+//! * a region read, which decodes the last block of its cover only as far
+//!   as the window's last row, returns the crop of the whole decode for
+//!   every row range — in 2-D and 3-D, for targets, anchors, independents
+//!   and deltas at the tail of their chain;
 //! * the store resolves a delta chain with the same constant stack the
 //!   reader does, however long the chain is.
 
@@ -19,7 +23,20 @@ use cross_field_compression::core::archive::{
     ArchiveBuilder, ArchiveReader, ArchiveStore, DecodePolicy, ReadRequest, StoreConfig,
 };
 use cross_field_compression::core::hybrid::HybridConfig;
+use cross_field_compression::core::TrainConfig;
+use cross_field_compression::datagen::{self, GenParams};
 use cross_field_compression::tensor::{Dataset, Field, Region, Shape};
+
+/// Every committed archive: v1, v2 and v3, whole and partial last blocks,
+/// keyframes only and delta chains.
+const FIXTURES: [&str; 6] = [
+    "small_v1.cfar",
+    "small_v2.cfar",
+    "partial_v2.cfar",
+    "small_v3_keyframes.cfar",
+    "small_v3_delta.cfar",
+    "partial_v3.cfar",
+];
 
 fn fixture(name: &str) -> Vec<u8> {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -52,14 +69,7 @@ fn interior(shape: Shape) -> Region {
 
 #[test]
 fn every_read_entry_point_agrees_on_every_golden_fixture() {
-    for name in [
-        "small_v1.cfar",
-        "small_v2.cfar",
-        "partial_v2.cfar",
-        "small_v3_keyframes.cfar",
-        "small_v3_delta.cfar",
-        "partial_v3.cfar",
-    ] {
+    for name in FIXTURES {
         let bytes = fixture(name);
         let reader = ArchiveReader::new(&bytes).expect("open");
         let store =
@@ -204,6 +214,118 @@ fn every_read_entry_point_agrees_on_every_golden_fixture() {
                 );
             }
         }
+    }
+}
+
+/// Axis-0 windows `[r0, r1)` of `rows` rows in blocks of `chunk`: all of
+/// them when the field is short; otherwise, for every end row, the starts
+/// that put the window inside one block, on that block's edge, across the
+/// edge before it and at the top of the field.
+fn row_windows(rows: usize, chunk: usize) -> Vec<(usize, usize)> {
+    let mut windows = Vec::new();
+    for r1 in 1..=rows {
+        if rows <= 12 {
+            windows.extend((0..r1).map(|r0| (r0, r1)));
+            continue;
+        }
+        let edge = (r1 - 1) / chunk.max(1) * chunk;
+        let mut starts = vec![0, edge.saturating_sub(1), edge, r1 - 1];
+        starts.dedup();
+        windows.extend(starts.into_iter().map(|r0| (r0, r1)));
+    }
+    windows
+}
+
+/// Every field at epoch 0 and at the tail of the first delta chain, every
+/// window of [`row_windows`] with the other axes cropped to their middle
+/// half: `read(region)`, strict and salvage, is the crop of the whole
+/// field. Returns the windows compared.
+fn check_row_windows(bytes: &[u8], what: &str) -> usize {
+    let reader = ArchiveReader::new(bytes).expect("open");
+    let mut compared = 0;
+    // a keyframe, and the last delta before the next one: the longest chain
+    let tail = (reader.keyframe_interval() - 1).min(reader.n_epochs() - 1);
+    let mut epochs = vec![0, tail];
+    epochs.dedup();
+    for epoch in epochs {
+        for info in reader.field_infos() {
+            let whole = ReadRequest::new(&info.name).at(epoch);
+            let want = reader
+                .decode_field_at(&info.name, epoch)
+                .expect("decode_field_at");
+            let middle = interior(want.shape());
+            let mut ranges: Vec<(usize, usize)> = (0..middle.ndim())
+                .map(|axis| (middle.start(axis), middle.end(axis)))
+                .collect();
+            for window in row_windows(want.shape().dims()[0], info.chunk_slabs) {
+                ranges[0] = window;
+                let region = Region::from_ranges(&ranges);
+                let crop = want.crop(&region);
+                for policy in [
+                    DecodePolicy::Strict,
+                    DecodePolicy::Salvage { fill: f32::NAN },
+                ] {
+                    let at = format!("{what} {}@e{epoch} {region} {policy:?}", info.name);
+                    let got = reader
+                        .read(&whole.region(&region).policy(policy))
+                        .unwrap_or_else(|e| panic!("{at}: {e}"));
+                    assert!(got.damage.is_empty(), "{at}: reports damage");
+                    assert_same_bits(&got.data, &crop, &at);
+                }
+                compared += 1;
+            }
+        }
+    }
+    compared
+}
+
+#[test]
+fn a_window_is_the_crop_of_the_whole_on_every_row_range() {
+    // the bits must agree whatever the model predicts: train it briefly
+    let barely = TrainConfig {
+        epochs: 1,
+        n_patches: 8,
+        ..TrainConfig::fast()
+    };
+    // 3-D cross-field plan: 10 slabs at 4 a block, so three blocks and a
+    // two-slab tail; target, three anchors, three independents
+    let ds = datagen::scale::generate(Shape::d3(10, 16, 16), GenParams::default().with_seed(3));
+    let volume = ArchiveBuilder::relative(1e-3)
+        .train_config(barely)
+        .cross_field("RH", &["T", "QV", "PRES"])
+        .chunk_elements(4 * 16 * 16)
+        .build()
+        .write(&ds)
+        .expect("write");
+    assert_eq!(check_row_windows(&volume, "3-D snapshot"), 55 * ds.len());
+
+    // 2-D cross-field plan in three blocks of eight rows — a block is one
+    // CNN plane, so the anchors of a short target block come whole — as a
+    // snapshot and as a series whose deltas at epoch 2 end a chain that
+    // starts at that target
+    let epochs = datagen::temporal::generate(Shape::d2(24, 32), 4, GenParams::default());
+    let planar = || {
+        ArchiveBuilder::relative(1e-3)
+            .train_config(barely)
+            .cross_field("RH", &["TS", "PS"])
+            .chunk_elements(8 * 32)
+            .keyframe_interval(3)
+            .build()
+    };
+    let snapshot = planar().write(&epochs[0]).expect("write");
+    let per_field = row_windows(24, 8).len();
+    assert_eq!(
+        check_row_windows(&snapshot, "2-D snapshot"),
+        per_field * epochs[0].len()
+    );
+    let series = planar().write_epochs(&epochs).expect("write_epochs");
+    assert_eq!(
+        check_row_windows(&series, "2-D series"),
+        per_field * epochs[0].len() * 2
+    );
+
+    for name in FIXTURES {
+        assert!(check_row_windows(&fixture(name), name) > 0);
     }
 }
 

@@ -21,7 +21,8 @@ use cfc_core::predict::predict_differences;
 use cfc_core::predictor::CrossFieldHybridPredictor;
 use cfc_core::train::fit_patches;
 use cfc_datagen::GenParams;
-use cfc_sz::compressor::{encode_codes, encode_outliers};
+use cfc_sz::compressor::{encode_codes_into, encode_outliers_into};
+use cfc_sz::lossless::LzScratch;
 use cfc_sz::{codec, CentralDiffPredictor, QuantLattice, QuantizerConfig};
 use cfc_tensor::{Field, FieldStats, Normalizer};
 
@@ -46,25 +47,28 @@ fn hybrid_vs_single(case: &Case) {
     let quant = QuantizerConfig::default();
     let n = case.target.len() as f64;
 
-    let measure = |weights: Vec<f64>| -> f64 {
+    let fit = &case.fit;
+    let (mut payload, mut lz) = (Vec::new(), LzScratch::new());
+    let mut measure = |weights: Vec<f64>| -> f64 {
         let model = HybridModel {
             weights,
             losses: vec![],
         };
-        let pred = CrossFieldHybridPredictor::new(&case.diffs, case.eb, model);
-        let enc = codec::encode(&case.lattice, &pred, &quant);
-        let bytes = encode_codes(&enc.codes).len() + encode_outliers(&enc.outliers).len();
+        let pred = CrossFieldHybridPredictor::new(&fit.block_diffs[0], fit.eb, model);
+        let enc = codec::encode(&fit.lattice, &pred, &quant);
+        let bytes = encode_codes_into(&enc.codes, &mut payload, &mut lz).len()
+            + encode_outliers_into(&enc.outliers, &mut payload, &mut lz).len();
         n * 4.0 / bytes as f64
     };
 
     let lorenzo = measure(vec![1.0, 0.0, 0.0, 0.0]);
     let cross = measure(vec![0.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]);
-    let hybrid = measure(case.hybrid.weights.clone());
+    let hybrid = measure(fit.hybrid.weights.clone());
     println!("  Lorenzo only      : {lorenzo:.2}x  (residual stream only)");
     println!("  cross-field only  : {cross:.2}x");
     println!(
         "  learned hybrid    : {hybrid:.2}x  weights {:?}",
-        case.hybrid.weights
+        fit.hybrid.weights
     );
     println!(
         "  hybrid beats both : {}\n",

@@ -125,7 +125,11 @@ pub fn fig5(ctx: &mut ExperimentContext) -> io::Result<()> {
 
     // the pipeline embeds the closed-form fit; the SGD trainer run on the
     // same sample is what has a loss curve
-    let hybrid = HybridModel::train(&case.samples.0, &case.samples.1, &HybridConfig::default());
+    let hybrid = HybridModel::train(
+        &case.fit.samples.0,
+        &case.fit.samples.1,
+        &HybridConfig::default(),
+    );
     println!("\nFigure 5 (right): hybrid model training loss (lattice units)");
     std::fs::write(
         out_dir.join("hybrid_loss.csv"),
@@ -171,7 +175,7 @@ pub fn fig6(ctx: &mut ExperimentContext) -> io::Result<()> {
     // causal neighbours — the quantity whose error distribution drives the
     // compression ratio (the paper's "prediction accuracy")
     let (lorenzo_only, cross_only, hybrid_rec) =
-        one_step_predictions(target, &case.diffs, &case.hybrid.weights);
+        one_step_predictions(target, &case.fit.block_diffs[0], &case.fit.hybrid.weights);
 
     // slice 50 of 500 along dim 2 → proportional slice of the scaled grid
     let n1 = target.shape().dim(Axis::Y);
@@ -204,7 +208,7 @@ pub fn fig6(ctx: &mut ExperimentContext) -> io::Result<()> {
         "  hybrid ≤ min(cross, lorenzo): {}",
         m_hyb <= m_cross.min(m_lor) * 1.05
     );
-    println!("  hybrid weights: {:?}", case.hybrid.weights);
+    println!("  hybrid weights: {:?}", case.fit.hybrid.weights);
 
     // Figure 7: central 50×50 crop of the slice
     let dims = orig_slice.shape().dims().to_vec();

@@ -6,24 +6,25 @@
 //! ([`ExperimentContext::case`], what Figures 5 and 6 and the ablations
 //! look inside).
 //!
-//! Measurements go through [`CrossFieldCompressor`] with one model per
-//! target serving every bound, which is the paper's protocol; the archive
-//! writer retrains on every write and is measured by `benchmark/`.
+//! A target's encode set-up — inference with the model that ships, the
+//! hybrid fit — is one step in `cfc-core` ([`TargetFit`]) with two callers:
+//! the archive writer, block by block, and [`CrossFieldCompressor`], whose
+//! one block is the whole field. Measurements here go through the latter
+//! with one model per target serving every bound, which is the paper's
+//! protocol; the writer retrains on every write and is measured by
+//! `benchmark/`.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
 use cfc_core::config::{paper_table3, CfnnSpec, CrossFieldConfig, TrainConfig};
-use cfc_core::hybrid::HybridModel;
-use cfc_core::pipeline::{CrossFieldCompressor, CrossFieldStream};
-use cfc_core::predict::predict_differences;
-use cfc_core::predictor::fit_cross_field_hybrid;
+use cfc_core::pipeline::{CrossFieldCompressor, CrossFieldStream, TargetFit};
 use cfc_core::train::{train_cfnn, TrainedCfnn};
 use cfc_datagen::{Dataset, GenParams};
 use cfc_metrics::{max_abs_error, psnr};
-use cfc_sz::{Codec, EncodedStream, QuantLattice};
-use cfc_tensor::{Field, FieldStats, Shape};
+use cfc_sz::{Codec, EncodedStream};
+use cfc_tensor::{Field, Shape};
 
 /// The relative error bounds of the paper's Table II, largest to smallest.
 pub const PAPER_ERROR_BOUNDS: [f64; 5] = [5e-3, 2e-3, 1e-3, 5e-4, 2e-4];
@@ -89,8 +90,7 @@ pub fn write_csv(path: &Path, results: &[FieldResult]) -> std::io::Result<()> {
 }
 
 /// One cross-field encode of a Table III row at one bound, stopped before
-/// the residual stage: everything `CrossFieldCompressor::compress` computes
-/// on the way there, in the order it computes it.
+/// the residual stage.
 pub struct Case<'a> {
     /// The original target field.
     pub target: &'a Field,
@@ -98,18 +98,10 @@ pub struct Case<'a> {
     pub anchors: Vec<&'a Field>,
     /// The row's CFNN, trained on the originals.
     pub trained: &'a TrainedCfnn,
-    /// Per-axis target differences the CFNN predicts from the anchors as
-    /// the decoder will have them (round-tripped at this bound).
-    pub diffs: Vec<Field>,
-    /// The absolute bound the target is quantized at.
-    pub eb: f64,
-    /// The target prequantized at `eb`.
-    pub lattice: QuantLattice,
-    /// The hybrid model's training sample: candidate predictions (Lorenzo
-    /// first) and true values at sampled lattice points, in lattice units.
-    pub samples: (Vec<Vec<f64>>, Vec<f64>),
-    /// The least-squares fit on `samples` — the weights the stream embeds.
-    pub hybrid: HybridModel,
+    /// Everything `CrossFieldCompressor::compress` computes on the way to
+    /// the residual stage, from the anchors as the decoder will have them
+    /// (round-tripped at this bound): one block, the whole field.
+    pub fit: TargetFit,
 }
 
 /// The Table III row of one target field.
@@ -184,29 +176,19 @@ impl ExperimentContext {
     }
 
     /// The set-up of one cross-field encode: anchors round-tripped at
-    /// `rel_eb`, the row's CFNN run on them, the target prequantized at
-    /// the resolved bound, the hybrid model sampled and fitted.
+    /// `rel_eb`, and [`CrossFieldCompressor::fit`] of the target on them.
     pub fn case(&mut self, row: &CrossFieldConfig, rel_eb: f64) -> Case<'_> {
         let comp = CrossFieldCompressor::new(rel_eb);
         let (target, anchors, trained) = self.resolve(row);
         let anchors_dec = roundtrip_anchors(&comp, &anchors);
-        let diffs = predict_differences(trained, &anchors_dec.iter().collect::<Vec<_>>());
-        let eb = comp
-            .bound
-            .try_resolve_quantization(&FieldStats::of(target))
+        let fit = comp
+            .fit(trained, target, &anchors_dec.iter().collect::<Vec<_>>())
             .expect("a generated field has a positive finite range");
-        let lattice = QuantLattice::prequantize(target, eb);
-        let (samples, hybrid) =
-            fit_cross_field_hybrid(&lattice, std::slice::from_ref(&diffs), eb, &comp.hybrid);
         Case {
             target,
             anchors,
             trained,
-            diffs,
-            eb,
-            lattice,
-            samples,
-            hybrid,
+            fit,
         }
     }
 

@@ -62,7 +62,11 @@
 //!
 //! The three container versions meet below this: [`format`](mod@format)
 //! normalises a v1 row into an entry with one block, so the read path has
-//! no per-version branches.
+//! no per-version branches. A v1 target keeps its model and hybrid weights
+//! inside its stream rather than in a meta area; the block decoder hands
+//! such a block to [`CrossFieldCompressor::decompress`](crate::pipeline::CrossFieldCompressor::decompress),
+//! which reads them out and runs the same cross-field block decode
+//! (`pipeline::decode_target_rows`) every chunked target block runs.
 //!
 //! ## Module layout
 //!
@@ -142,7 +146,8 @@ pub use format::{
 };
 pub use reader::{ArchiveReader, ArchiveScratch, ReadRequest};
 pub use scrub::{
-    repair_bytes, scrub_bytes, RepairOutcome, ScrubFinding, ScrubKind, ScrubOptions, ScrubReport,
+    json_escape, repair_bytes, scrub_bytes, RepairOutcome, ScrubFinding, ScrubKind, ScrubOptions,
+    ScrubReport,
 };
 pub use source::ArchiveSource;
 pub use store::{ArchiveStore, StoreConfig, StoreStats};

@@ -67,9 +67,9 @@ use cfc_sz::{crc32, CfcError, DecodeScratch, LorenzoPredictor, SzCompressor};
 use cfc_tensor::{Dataset, Field, Region};
 
 use crate::hybrid::HybridModel;
-use crate::pipeline::{check_model_fits, deserialize_model};
+use crate::pipeline::{check_model_fits, decode_target_rows, deserialize_model};
 use crate::predict::CfnnInference;
-use crate::predictor::{CrossFieldHybridPredictor, TemporalHybridPredictor, TEMPORAL_ARITY};
+use crate::predictor::{TemporalHybridPredictor, TEMPORAL_ARITY};
 
 use super::damage::{DamageMap, DecodePolicy, Salvaged};
 use super::format::{
@@ -500,28 +500,28 @@ impl<R: ArchiveSource> ArchiveReader<R> {
                 detail: "meta area on an entry without a recorded shape".into(),
             })?
             .ndim();
-        let (model, arity, what) = if entry.role == FieldRole::Delta {
+        let model = if entry.role == FieldRole::Delta {
             if !(2..=3).contains(&ndim) {
                 return Err(CfcError::Corrupt {
                     context: "archive entry",
                     detail: format!("{ndim}-D temporal-delta field"),
                 });
             }
-            (None, TEMPORAL_ARITY, "temporal-delta")
+            if hybrid.arity() != TEMPORAL_ARITY {
+                return Err(CfcError::Corrupt {
+                    context: "hybrid weights",
+                    detail: format!(
+                        "arity {} for a {ndim}-D temporal-delta field (expected {TEMPORAL_ARITY})",
+                        hybrid.arity()
+                    ),
+                });
+            }
+            None
         } else {
             let model = deserialize_model(model_bytes)?;
-            check_model_fits(&model, entry.anchors.len(), ndim)?;
-            (Some(model), ndim + 1, "cross-field")
+            check_model_fits(&model, &hybrid, entry.anchors.len(), ndim)?;
+            Some(model)
         };
-        if hybrid.arity() != arity {
-            return Err(CfcError::Corrupt {
-                context: "hybrid weights",
-                detail: format!(
-                    "arity {} for a {ndim}-D {what} field (expected {arity})",
-                    hybrid.arity()
-                ),
-            });
-        }
         Ok(TargetMeta { model, hybrid })
     }
 
@@ -592,21 +592,16 @@ impl<R: ArchiveSource> ArchiveReader<R> {
                 entry.check_slab_shape(idx, container.shape)?;
                 Ok(field)
             }
-            // no meta area: a v1 target, whose monolithic stream embeds its
-            // own model and hybrid weights — the one thing left that the
-            // read path knows about v1
+            // no meta area: a v1 target, whose monolithic stream carries its
+            // model and hybrid weights as sections — the one-block caller of
+            // the decode below, and all the read path knows about v1
             (FieldRole::Target, None) => {
                 crate::pipeline::CrossFieldCompressor::new(1e-3).decompress(bytes, deps)
             }
             (FieldRole::Target, Some(meta)) => {
                 let container = open("anchor")?;
                 let model = meta.model.as_ref().ok_or_else(|| missing("a model"))?;
-                // one slice at a time for a 3-D block, so only the slices
-                // the anchors were cut to; a 2-D block is one plane
-                let diffs = model.predict(deps, nn);
-                let predictor =
-                    CrossFieldHybridPredictor::new(&diffs, container.eb, meta.hybrid.clone());
-                sz.decompress_rows_with(&container, &predictor, rows, dec)
+                decode_target_rows(&container, model, &meta.hybrid, deps, rows, nn, dec)
             }
             (FieldRole::Delta, Some(meta)) => {
                 let container = open("previous-epoch")?;

@@ -184,7 +184,8 @@ impl ScrubReport {
     }
 }
 
-fn json_escape(s: &str) -> String {
+/// Escape a string for embedding in a JSON document.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -627,6 +628,13 @@ mod tests {
     use crate::archive::writer::ArchiveBuilder;
     use crate::config::TrainConfig;
     use cfc_tensor::{Dataset, Field, Shape};
+
+    #[test]
+    fn json_escape_handles_specials() {
+        assert_eq!(json_escape("plain"), "plain");
+        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
+    }
 
     /// 2-field archive (anchor A, cross-field target T), 24×16, 6 rows per
     /// block → 4 blocks per field.

@@ -622,10 +622,12 @@ fn store_warm_cache_decodes_each_block_once() {
 #[test]
 fn store_respects_byte_budget_and_evicts_lru() {
     let (_, bytes) = chunked_cross_field_archive();
-    // every block is 8×40 f32 = 1280 B; budget fits exactly two blocks
+    // every block is 8×40 f32 = 1280 B; budget fits exactly two blocks.
+    // Blocks 0..5 in order are a scan: prefetch workers would insert (and
+    // evict) beside the demand reads, and the counts below are exact
     let store = ArchiveStore::new(
         ArchiveReader::new(&bytes).unwrap(),
-        StoreConfig::with_capacity(2 * 8 * 40 * 4),
+        StoreConfig::with_capacity(2 * 8 * 40 * 4).no_prefetch(),
     );
     for bi in 0..5 {
         store.decode_block("T", bi).unwrap();

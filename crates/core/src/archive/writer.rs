@@ -20,7 +20,7 @@
 //! | role | lattice | predictor |
 //! |---|---|---|
 //! | independent, anchor | the slab, quantized at the bound its own statistics resolve | Lorenzo |
-//! | target | the slab's rows of the whole-field lattice (the hybrid fit samples it whole) | Lorenzo mixed with the CFNN differences inferred from the anchors' views of that block |
+//! | target | the slab's rows of the whole-field lattice (the hybrid fit samples it whole) | Lorenzo mixed with the CFNN differences inferred from the anchors' views of that block — both out of one [`TargetFit`], the step `CrossFieldCompressor::compress` takes with one block |
 //! | delta | the slab, quantized like an independent's | Lorenzo mixed with the previous epoch's view of that slab |
 //!
 //! Lattice coding is lossless: the reader rebuilds exactly the lattice that
@@ -40,11 +40,8 @@ use cfc_tensor::{Dataset, Field, FieldStats, Shape};
 
 use crate::config::{CfnnSpec, CrossFieldConfig, TrainConfig};
 use crate::hybrid::{HybridConfig, HybridModel};
-use crate::pipeline::{deserialize_model, serialize_model};
-use crate::predictor::{
-    fit_cross_field_hybrid, sample_temporal_training, CrossFieldHybridPredictor,
-    TemporalHybridPredictor,
-};
+use crate::pipeline::{serialize_model, TargetFit};
+use crate::predictor::{sample_temporal_training, TemporalHybridPredictor};
 use crate::train::train_cfnn;
 
 use super::format::{
@@ -786,31 +783,24 @@ impl ArchiveWriter {
         // one target after another, so that one target's differences are
         // alive at a time
         let slab_len: usize = plan.shape.dims()[1..].iter().product::<usize>().max(1);
-        for (row, model_bytes) in plan.targets.iter().zip(models) {
+        let rows: Vec<(usize, usize)> = (0..plan.n_blocks).map(|bi| plan.rows(bi)).collect();
+        for (row, model) in plan.targets.iter().zip(models) {
             let (eb_user, eb) = bounds[row.field];
-            let lattice = QuantLattice::prequantize(fields[row.field], eb);
             let anchors: Vec<&Field> = row
                 .anchors
                 .iter()
                 .map(|&a| out[a].as_ref().and_then(|f| f.view.as_ref()))
                 .collect::<Option<_>>()
                 .expect("anchors are encoded first and keep their view");
-
-            // blockwise inference on the anchors' views, through the model
-            // parsed from the bytes the reader will see — identical to
-            // what the reader computes per block
-            let model = deserialize_model(&model_bytes)?;
-            let diffs: Vec<Vec<Field>> = run_parallel_scratch(
-                plan.n_blocks,
+            let fit = TargetFit::new(
+                model,
+                fields[row.field],
+                eb,
+                &anchors,
+                &rows,
+                &self.cfg.hybrid,
                 threads,
-                cfc_nn::Workspace::default,
-                |ws, bi| {
-                    let (r0, r1) = plan.rows(bi);
-                    let slabs: Vec<Field> = anchors.iter().map(|a| a.slab(r0, r1)).collect();
-                    model.predict(&slabs.iter().collect::<Vec<_>>(), ws)
-                },
-            );
-            let (_, hybrid) = fit_cross_field_hybrid(&lattice, &diffs, eb, &self.cfg.hybrid);
+            )?;
 
             let (blocks, view) = self
                 .encode_blocks(
@@ -819,16 +809,14 @@ impl ArchiveWriter {
                     1,
                     |_| want_views,
                     |_, bi, (r0, r1)| {
-                        let q = &lattice.as_slice()[r0 * slab_len..r1 * slab_len];
-                        let predictor =
-                            CrossFieldHybridPredictor::new(&diffs[bi], eb, hybrid.clone());
+                        let q = &fit.lattice.as_slice()[r0 * slab_len..r1 * slab_len];
                         Ok(Block {
                             lattice: QuantLattice::from_vec(
                                 slab_shape_of(plan.shape, r1 - r0),
                                 q.to_vec(),
                             ),
                             eb,
-                            predictor: Box::new(predictor),
+                            predictor: Box::new(fit.predictor(bi)),
                         })
                     },
                 )?
@@ -838,7 +826,7 @@ impl ArchiveWriter {
                 role: FieldRole::Target,
                 anchors: row.anchor_names,
                 eb_abs: eb_user,
-                meta: write_meta_area(&model_bytes, &hybrid.serialize()),
+                meta: write_meta_area(&fit.model, &fit.hybrid.serialize()),
                 blocks,
                 view,
             });

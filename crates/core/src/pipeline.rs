@@ -3,19 +3,29 @@
 //! Encoder:
 //! 1. anchors are compressed with the baseline compressor and *decompressed
 //!    again* — CFNN inference must see exactly what the decoder will see;
-//! 2. CFNN (trained once per target field on original data) predicts the
-//!    target's backward differences from the decompressed anchors;
+//! 2. the CFNN (trained once per target field on original data) is
+//!    serialized, and the model *parsed back from those bytes* — the one the
+//!    decoder will rebuild, never the in-memory training result — predicts
+//!    the target's backward differences from the decompressed anchors, one
+//!    axis-0 block at a time;
 //! 3. the hybrid model is fitted on sampled lattice points (per error
 //!    bound — it is 4–5 parameters, so this is microseconds);
-//! 4. the target lattice is encoded with the hybrid predictor; residuals go
-//!    through the shared Huffman + LZSS stages;
+//! 4. each block of the target lattice is encoded with the hybrid predictor;
+//!    residuals go through the shared Huffman + LZSS stages;
 //! 5. CFNN weights, normalizers, and hybrid weights ride in the stream and
 //!    are **counted in the compressed size**, reproducing the paper's
 //!    model-overhead effect at high compression ratios.
 //!
+//! Steps 2 and 3 are [`TargetFit`], built in one place for every encoder:
+//! the archive writer hands it a field's chunk geometry, and
+//! [`CrossFieldCompressor`] is its one-block caller — one block, the whole
+//! field, model and weights as sections of the stream instead of a meta area.
+//!
 //! Decoder: rebuild the CFNN from the stream, rerun inference on the same
-//! decompressed anchors, replay the hybrid predictions sequentially. The
-//! whole decode path is fallible — corrupt or adversarial streams return
+//! decompressed anchors, replay the hybrid predictions sequentially —
+//! `decode_target_rows`, the one cross-field block decode behind both
+//! [`CrossFieldCompressor::decompress`] and the archive reader. The whole
+//! decode path is fallible — corrupt or adversarial streams return
 //! [`CfcError`], never panic.
 //!
 //! [`CrossFieldCodec`] packages a trained model plus its decompressed
@@ -31,10 +41,110 @@ use cfc_sz::{
 };
 use cfc_tensor::{Field, FieldStats, Normalizer};
 
+use crate::archive::run_parallel_scratch;
 use crate::hybrid::{HybridConfig, HybridModel};
-use crate::predict::{predict_differences, CfnnInference};
-use crate::predictor::{fit_cross_field_hybrid, CrossFieldHybridPredictor};
+use crate::predict::CfnnInference;
+use crate::predictor::{sample_hybrid_training, CrossFieldHybridPredictor};
 use crate::train::TrainedCfnn;
+
+/// One cross-field target at one bound, set up as far as the residual
+/// stage (paper Fig. 2, §III-B and §III-D3): the lattice, the differences
+/// the *shipped* model predicts for each axis-0 block from the anchors as
+/// the decoder will have them, and the hybrid weights fitted on both.
+pub struct TargetFit {
+    /// The whole target prequantized at `eb`.
+    pub lattice: QuantLattice,
+    /// The absolute bound the lattice is quantized at.
+    pub eb: f64,
+    /// `block_diffs[b][axis]`: the predicted backward differences of the
+    /// `b`-th block (physical units), exactly what a reader infers for it.
+    pub block_diffs: Vec<Vec<Field>>,
+    /// The hybrid model's training sample: candidate predictions (Lorenzo
+    /// first) and true values at sampled lattice points, in lattice units.
+    pub samples: (Vec<Vec<f64>>, Vec<f64>),
+    /// The least-squares fit on `samples` — the weights that ship. Closed
+    /// form is the converged SGD solution (the SGD trainer exists for the
+    /// Fig. 5 loss curve; at 4–5 parameters the normal equations are exact).
+    pub hybrid: HybridModel,
+    /// The serialized model inference ran on — the bytes that ship.
+    pub model: Vec<u8>,
+}
+
+impl TargetFit {
+    /// Fit `target`, quantized at `eb`, against `anchors` — the decoder's
+    /// view of them, same shape as the target — in axis-0 blocks of rows
+    /// `[r0, r1)`. `model` is parsed as a reader would parse it and run
+    /// block by block on up to `threads` workers; the hybrid sample is
+    /// drawn from the whole lattice. The caller has matched the model's
+    /// channels to the anchors.
+    pub(crate) fn new(
+        model: Vec<u8>,
+        target: &Field,
+        eb: f64,
+        anchors: &[&Field],
+        blocks: &[(usize, usize)],
+        cfg: &HybridConfig,
+        threads: usize,
+    ) -> Result<Self, CfcError> {
+        let inference = deserialize_model(&model)?;
+        let lattice = QuantLattice::prequantize(target, eb);
+        let block_diffs: Vec<Vec<Field>> = run_parallel_scratch(
+            blocks.len(),
+            threads,
+            cfc_nn::Workspace::default,
+            |ws, bi| {
+                let (r0, r1) = blocks[bi];
+                let slabs: Vec<Field> = anchors.iter().map(|a| a.slab(r0, r1)).collect();
+                inference.predict(&slabs.iter().collect::<Vec<_>>(), ws)
+            },
+        );
+        let step = 2.0 * eb;
+        let dq: Vec<Vec<f64>> = (0..target.shape().ndim())
+            .map(|axis| {
+                block_diffs
+                    .iter()
+                    .flat_map(|d| d[axis].as_slice().iter().map(|&v| v as f64 / step))
+                    .collect()
+            })
+            .collect();
+        let samples = sample_hybrid_training(&lattice, &dq, cfg.n_samples, cfg.seed);
+        let hybrid = HybridModel::fit_least_squares(&samples.0, &samples.1);
+        Ok(TargetFit {
+            lattice,
+            eb,
+            block_diffs,
+            samples,
+            hybrid,
+            model,
+        })
+    }
+
+    /// The causal predictor block `block`'s residuals are taken against.
+    pub fn predictor(&self, block: usize) -> CrossFieldHybridPredictor {
+        CrossFieldHybridPredictor::new(&self.block_diffs[block], self.eb, self.hybrid.clone())
+    }
+}
+
+/// The one cross-field block decode: the leading `rows` axis-0 rows of
+/// `container` (all of them past its extent), predicted from `anchors` —
+/// already held to the shape of the rows they are needed for — by `model`
+/// and `hybrid`, which [`check_model_fits`] has passed.
+pub(crate) fn decode_target_rows(
+    container: &Container,
+    model: &CfnnInference,
+    hybrid: &HybridModel,
+    anchors: &[&Field],
+    rows: usize,
+    nn: &mut cfc_nn::Workspace,
+    dec: &mut DecodeScratch,
+) -> Result<Field, CfcError> {
+    // one slice at a time for a 3-D block, so only the slices the anchors
+    // were cut to; a 2-D block is one plane
+    let diffs = model.predict(anchors, nn);
+    let predictor = CrossFieldHybridPredictor::new(&diffs, container.eb, hybrid.clone());
+    // the bound is irrelevant on decode (streams carry their own)
+    SzCompressor::baseline(1e-3).decompress_rows_with(container, &predictor, rows, dec)
+}
 
 /// Cross-field enhanced error-bounded compressor.
 #[derive(Debug, Clone, Copy)]
@@ -73,21 +183,22 @@ impl CrossFieldCompressor {
         baseline.decompress(&baseline.compress(anchor)?.bytes)
     }
 
-    /// Compress `target` using a trained CFNN and the decompressed anchors.
+    /// [`CrossFieldCompressor::compress`] stopped before the residual
+    /// stage: the target's [`TargetFit`] as one block, the whole field.
     ///
     /// Fails with [`CfcError::InvalidInput`] when the anchors disagree with
     /// the target shape or the trained model's channel layout.
-    pub fn compress(
+    pub fn fit(
         &self,
         trained: &TrainedCfnn,
         target: &Field,
         anchors_dec: &[&Field],
-    ) -> Result<CrossFieldStream, CfcError> {
-        let ndim = target.shape().ndim();
-        if anchors_dec.iter().any(|a| a.shape() != target.shape()) {
+    ) -> Result<TargetFit, CfcError> {
+        let shape = target.shape();
+        let ndim = shape.ndim();
+        if anchors_dec.iter().any(|a| a.shape() != shape) {
             return Err(CfcError::InvalidInput(format!(
-                "anchor shapes must match target shape {}",
-                target.shape()
+                "anchor shapes must match target shape {shape}"
             )));
         }
         if trained.spec.in_channels != anchors_dec.len() * ndim {
@@ -98,37 +209,44 @@ impl CrossFieldCompressor {
                 anchors_dec.len() * ndim
             )));
         }
-        let stats = FieldStats::of(target);
         // quantize at the ULP-guarded bound (see
-        // `ErrorBound::try_resolve_quantization`); report the user-facing bound
-        let eb_user = self.bound.try_resolve(&stats)?;
-        let eb = self.bound.try_resolve_quantization(&stats)?;
-        let lattice = QuantLattice::prequantize(target, eb);
+        // `ErrorBound::try_resolve_quantization`)
+        let eb = self
+            .bound
+            .try_resolve_quantization(&FieldStats::of(target))?;
+        let whole = [(0, shape.dims()[0])];
+        let model = serialize_model(trained);
+        TargetFit::new(model, target, eb, anchors_dec, &whole, &self.hybrid, 1)
+    }
 
-        // cross-field inference on what the decoder will see
-        let diffs = predict_differences(trained, anchors_dec);
-
-        // hybrid fitting on sampled lattice points
-        let (_, hybrid) =
-            fit_cross_field_hybrid(&lattice, std::slice::from_ref(&diffs), eb, &self.hybrid);
-        let predictor = CrossFieldHybridPredictor::new(&diffs, eb, hybrid.clone());
-
+    /// Compress `target` using a trained CFNN and the decompressed anchors.
+    ///
+    /// Fails with [`CfcError::InvalidInput`] when the anchors disagree with
+    /// the target shape or the trained model's channel layout.
+    pub fn compress(
+        &self,
+        trained: &TrainedCfnn,
+        target: &Field,
+        anchors_dec: &[&Field],
+    ) -> Result<CrossFieldStream, CfcError> {
+        let fit = self.fit(trained, target, anchors_dec)?;
         let (mut container, n_outliers) = self.baseline().compress_lattice_with(
-            &lattice,
-            &predictor,
-            eb,
+            &fit.lattice,
+            &fit.predictor(0),
+            fit.eb,
             &mut EncodeScratch::new(),
         );
-        let model_section = serialize_model(trained);
-        let model_bytes = model_section.len();
-        container.push(SectionTag::Model, model_section);
-        container.push(SectionTag::HybridWeights, hybrid.serialize());
+        let model_bytes = fit.model.len();
+        container.push(SectionTag::Model, fit.model);
+        container.push(SectionTag::HybridWeights, fit.hybrid.serialize());
 
         Ok(CrossFieldStream {
             bytes: container.to_bytes(),
-            eb_abs: eb_user,
+            // the stream reports the user-facing bound, not the one it
+            // quantized at
+            eb_abs: self.bound.try_resolve(&FieldStats::of(target))?,
             model_bytes,
-            hybrid,
+            hybrid: fit.hybrid,
             n_outliers,
         })
     }
@@ -141,31 +259,25 @@ impl CrossFieldCompressor {
     pub fn decompress(&self, bytes: &[u8], anchors_dec: &[&Field]) -> Result<Field, CfcError> {
         let container = Container::try_from_bytes(bytes)?;
         let shape = container.shape;
-        let ndim = shape.ndim();
         let model = deserialize_model(container.require_section(SectionTag::Model)?)?;
-        check_model_fits(&model, anchors_dec.len(), ndim)?;
+        let hybrid =
+            HybridModel::try_deserialize(container.require_section(SectionTag::HybridWeights)?)?;
+        check_model_fits(&model, &hybrid, anchors_dec.len(), shape.ndim())?;
         if anchors_dec.iter().any(|a| a.shape() != shape) {
             return Err(CfcError::ShapeMismatch {
                 expected: shape.to_string(),
                 found: "anchor with a different shape".into(),
             });
         }
-        let hybrid =
-            HybridModel::try_deserialize(container.require_section(SectionTag::HybridWeights)?)?;
-        if hybrid.arity() != ndim + 1 {
-            return Err(CfcError::Corrupt {
-                context: "hybrid weights",
-                detail: format!("arity {} for a {ndim}-D stream", hybrid.arity()),
-            });
-        }
-        let diffs = model.predict(anchors_dec, &mut cfc_nn::Workspace::default());
-        let predictor = CrossFieldHybridPredictor::new(&diffs, container.eb, hybrid);
-        let lattice = self.baseline().decompress_lattice_with(
+        decode_target_rows(
             &container,
-            &predictor,
+            &model,
+            &hybrid,
+            anchors_dec,
+            usize::MAX,
+            &mut cfc_nn::Workspace::default(),
             &mut DecodeScratch::new(),
-        )?;
-        Ok(lattice.reconstruct(container.eb))
+        )
     }
 }
 
@@ -284,10 +396,12 @@ pub(crate) fn serialize_model(trained: &TrainedCfnn) -> Vec<u8> {
 /// (the largest legitimate spec here is ~139 channels).
 const MAX_SPEC_DIM: usize = 1 << 14;
 
-/// A model's channel counts against the anchors and dimensionality it is
+/// A model's channel counts, and the arity of the hybrid that mixes its
+/// outputs with Lorenzo, against the anchors and dimensionality they are
 /// about to be run on.
 pub(crate) fn check_model_fits(
     model: &CfnnInference,
+    hybrid: &HybridModel,
     n_anchors: usize,
     ndim: usize,
 ) -> Result<(), CfcError> {
@@ -301,6 +415,16 @@ pub(crate) fn check_model_fits(
         return Err(CfcError::Corrupt {
             context: "embedded model",
             detail: format!("{} output channels for {ndim}-D data", model.out_channels()),
+        });
+    }
+    if hybrid.arity() != ndim + 1 {
+        return Err(CfcError::Corrupt {
+            context: "hybrid weights",
+            detail: format!(
+                "arity {} for a {ndim}-D cross-field target (expected {})",
+                hybrid.arity(),
+                ndim + 1
+            ),
         });
     }
     Ok(())

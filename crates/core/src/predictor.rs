@@ -4,7 +4,7 @@
 use cfc_sz::{Predictor, QuantLattice};
 use cfc_tensor::Field;
 
-use crate::hybrid::{HybridConfig, HybridModel};
+use crate::hybrid::HybridModel;
 
 /// Per-point candidate predictions on the lattice (Lorenzo first, then one
 /// per axis). Shared by the predictor below and hybrid-model training.
@@ -267,38 +267,6 @@ pub fn sample_hybrid_training(
     sample_training(lattice, lattice.shape().ndim() + 1, n, seed, |idx, out| {
         candidate_predictions(lattice, dq, idx, out)
     })
-}
-
-/// The cross-field hybrid fit (paper §III-D3), spelled once for the archive
-/// writer, [`crate::pipeline::CrossFieldCompressor::compress`] and the
-/// experiment runner: the CFNN's differences converted to lattice units,
-/// candidates sampled at `cfg.n_samples` points of the target's true
-/// `lattice` (quantized at `eb`), and the weights solved in closed form —
-/// the converged SGD solution (the SGD trainer exists for the Fig. 5
-/// loss-curve reproduction; at 4–5 parameters the normal equations are
-/// exact and instant). Returns the sample beside the model fitted on it.
-///
-/// `block_diffs[b][axis]` holds the differences of the `b`-th axis-0 block
-/// of the field, as blockwise inference produces them; a whole-field caller
-/// passes its one block.
-pub fn fit_cross_field_hybrid(
-    lattice: &QuantLattice,
-    block_diffs: &[Vec<Field>],
-    eb: f64,
-    cfg: &HybridConfig,
-) -> ((Vec<Vec<f64>>, Vec<f64>), HybridModel) {
-    let step = 2.0 * eb;
-    let dq: Vec<Vec<f64>> = (0..lattice.shape().ndim())
-        .map(|axis| {
-            block_diffs
-                .iter()
-                .flat_map(|d| d[axis].as_slice().iter().map(|&v| v as f64 / step))
-                .collect()
-        })
-        .collect();
-    let samples = sample_hybrid_training(lattice, &dq, cfg.n_samples, cfg.seed);
-    let model = HybridModel::fit_least_squares(&samples.0, &samples.1);
-    (samples, model)
 }
 
 #[cfg(test)]

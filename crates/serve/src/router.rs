@@ -24,30 +24,15 @@
 //! element count, so a client can parse the payload without re-asking the
 //! manifest.
 
-use cfc_core::archive::{ArchiveSource, ArchiveStore, DecodePolicy, FieldInfo, ReadRequest};
+use cfc_core::archive::{
+    json_escape, ArchiveSource, ArchiveStore, DecodePolicy, FieldInfo, ReadRequest,
+};
 use cfc_sz::CfcError;
 use cfc_tensor::Field;
 
 use crate::http::{Request, ResponseHead};
 use crate::query::{epoch_from_query, region_request_from_query};
 use crate::server::EndpointCounters;
-
-/// Escape a string for embedding in a JSON document.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Append `data` to `out` as packed little-endian `f32` bytes.
 pub(crate) fn extend_f32_le(out: &mut Vec<u8>, data: &[f32]) {
@@ -359,13 +344,6 @@ pub(crate) fn respond<R: ArchiveSource + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn f32_le_packing_roundtrips() {

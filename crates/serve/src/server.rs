@@ -370,7 +370,7 @@ fn serve_connection<R: ArchiveSource + 'static>(shared: &Shared<R>, stream: TcpS
                 body.extend_from_slice(
                     format!(
                         "{{\"status\": {status}, \"error\": \"{}\"}}\n",
-                        router::json_escape(&e.to_string())
+                        cfc_core::archive::json_escape(&e.to_string())
                     )
                     .as_bytes(),
                 );

@@ -256,14 +256,10 @@ impl SzCompressor {
     }
 }
 
-/// Huffman + LZSS encode residual codes.
-pub fn encode_codes(codes: &[u32]) -> Vec<u8> {
-    encode_codes_into(codes, &mut Vec::new(), &mut lossless::LzScratch::new())
-}
-
-/// [`encode_codes`] through caller-owned staging: the Huffman table and
-/// bitstream land in `payload` (cleared first) and the lossless stage
-/// reuses `lz`, so per-block encode loops allocate only the output.
+/// Huffman + LZSS encode residual codes through caller-owned staging: the
+/// Huffman table and bitstream land in `payload` (cleared first) and the
+/// lossless stage reuses `lz`, so per-block encode loops allocate only the
+/// output.
 pub fn encode_codes_into(
     codes: &[u32],
     payload: &mut Vec<u8>,
@@ -278,23 +274,16 @@ pub fn encode_codes_into(
     lossless::compress_with(payload, lz)
 }
 
-/// Fallible inverse of [`encode_codes`].
+/// Fallible inverse of [`encode_codes_into`] through caller-owned buffers:
+/// `payload` stages the decompressed lossless bytes, `out` receives the
+/// codes. Both are cleared first, so block loops reuse their steady-state
+/// capacity.
 ///
 /// `count` is the expected symbol count (the stream's declared element
 /// count); it also budgets the lossless stage, since a legitimate payload
 /// holds at most the serialized table (≤ 5 bytes/distinct symbol, distinct
 /// symbols ≤ count) plus `count` codes of ≤ 32 bits — anything claiming
 /// more is a decompression bomb and is rejected before allocation.
-pub fn try_decode_codes(bytes: &[u8], count: usize) -> Result<Vec<u32>, CfcError> {
-    let mut payload = Vec::new();
-    let mut out = Vec::new();
-    try_decode_codes_into(bytes, count, &mut payload, &mut out)?;
-    Ok(out)
-}
-
-/// [`try_decode_codes`] through caller-owned buffers: `payload` stages the
-/// decompressed lossless bytes, `out` receives the codes. Both are cleared
-/// first, so block loops reuse their steady-state capacity.
 pub fn try_decode_codes_into(
     bytes: &[u8],
     count: usize,
@@ -307,13 +296,8 @@ pub fn try_decode_codes_into(
     table.try_decode_into(&payload[used..], count, out)
 }
 
-/// Serialize outliers (zig-zag varint) and LZSS the result.
-pub fn encode_outliers(outliers: &[i64]) -> Vec<u8> {
-    encode_outliers_into(outliers, &mut Vec::new(), &mut lossless::LzScratch::new())
-}
-
-/// [`encode_outliers`] through caller-owned staging (see
-/// [`encode_codes_into`]).
+/// Serialize outliers (zig-zag varint) and LZSS the result, through
+/// caller-owned staging (see [`encode_codes_into`]).
 pub fn encode_outliers_into(
     outliers: &[i64],
     payload: &mut Vec<u8>,
@@ -328,21 +312,13 @@ pub fn encode_outliers_into(
     lossless::compress_with(payload, lz)
 }
 
-/// Fallible inverse of [`encode_outliers`] for untrusted input.
+/// Fallible inverse of [`encode_outliers_into`] for untrusted input,
+/// through caller-owned buffers (see [`try_decode_codes_into`]).
 ///
 /// `max_count` (the stream's declared element count — at most one outlier
 /// per sample) budgets both the claimed outlier count and the lossless
 /// stage (each outlier is a ≤ 10-byte varint), so a hostile stream cannot
 /// demand allocations beyond what its own header already commits to.
-pub fn try_decode_outliers_bounded(bytes: &[u8], max_count: usize) -> Result<Vec<i64>, CfcError> {
-    let mut payload = Vec::new();
-    let mut out = Vec::new();
-    try_decode_outliers_bounded_into(bytes, max_count, &mut payload, &mut out)?;
-    Ok(out)
-}
-
-/// [`try_decode_outliers_bounded`] through caller-owned buffers (see
-/// [`try_decode_codes_into`]).
 pub fn try_decode_outliers_bounded_into(
     bytes: &[u8],
     max_count: usize,
@@ -551,11 +527,10 @@ mod tests {
     #[test]
     fn varint_roundtrip() {
         let vals: Vec<i64> = vec![0, 1, -1, 63, -64, 1 << 20, -(1 << 40), i64::MAX, i64::MIN];
-        let bytes = encode_outliers(&vals);
-        assert_eq!(
-            try_decode_outliers_bounded(&bytes, vals.len()).unwrap(),
-            vals
-        );
+        let bytes = encode_outliers_into(&vals, &mut Vec::new(), &mut lossless::LzScratch::new());
+        let mut out = Vec::new();
+        try_decode_outliers_bounded_into(&bytes, vals.len(), &mut Vec::new(), &mut out).unwrap();
+        assert_eq!(out, vals);
     }
 
     #[test]

@@ -191,17 +191,10 @@ impl HuffmanTable {
     /// lookup table stores bit-reversed codes — writing them LSB-first puts
     /// the MSB on the stream first, matching the decoder's peek order.
     ///
-    /// Panics when `data` contains a symbol absent from the table; use
-    /// [`HuffmanTable::try_encode`] to get a typed error instead.
-    pub fn encode(&self, data: &[u32]) -> Vec<u8> {
-        self.try_encode(data)
-            .expect("symbol absent from Huffman table")
-    }
-
-    /// Fallible [`HuffmanTable::encode`]: a symbol with no code in this
-    /// table — above the largest tabled symbol or simply never counted —
-    /// returns [`CfcError::InvalidInput`] instead of panicking (or, worse,
-    /// silently emitting zero bits and corrupting the stream).
+    /// A symbol with no code in this table — above the largest tabled
+    /// symbol or simply never counted — returns [`CfcError::InvalidInput`]
+    /// instead of panicking (or, worse, silently emitting zero bits and
+    /// corrupting the stream).
     pub fn try_encode(&self, data: &[u32]) -> Result<Vec<u8>, CfcError> {
         let mut out = Vec::new();
         self.try_encode_append(data, &mut out)?;
@@ -260,15 +253,6 @@ impl HuffmanTable {
         }
         out.extend_from_slice(&acc.to_le_bytes()[..(nbits as usize).div_ceil(8)]);
         Ok(())
-    }
-
-    /// Decode `count` symbols from `bits`.
-    ///
-    /// Panics on corrupt bitstreams; use [`HuffmanTable::try_decode`] for
-    /// untrusted input.
-    pub fn decode(&self, bits: &[u8], count: usize) -> Vec<u32> {
-        self.try_decode(bits, count)
-            .expect("corrupt Huffman bitstream")
     }
 
     /// Fallible decode of `count` symbols from untrusted `bits`.
@@ -391,15 +375,8 @@ impl HuffmanTable {
         }
     }
 
-    /// Inverse of [`HuffmanTable::serialize`]; returns the table and bytes consumed.
-    ///
-    /// Panics on malformed tables; use [`HuffmanTable::try_deserialize`]
-    /// for untrusted input.
-    pub fn deserialize(bytes: &[u8]) -> (Self, usize) {
-        Self::try_deserialize(bytes).expect("corrupt Huffman table")
-    }
-
-    /// Fallible table parse from untrusted bytes: validates the entry count
+    /// Inverse of [`HuffmanTable::serialize`] for untrusted bytes; returns
+    /// the table and bytes consumed. Validates the entry count
     /// against the buffer, each code length against [`MAX_CODE_LEN`], and
     /// symbol uniqueness (duplicates would silently corrupt canonical code
     /// assignment).
@@ -727,9 +704,9 @@ mod tests {
             data.push(sym);
         }
         let table = HuffmanTable::from_symbols(&data);
-        let bits = table.encode(&data);
+        let bits = table.try_encode(&data).unwrap();
         assert!(bits.len() * 8 < data.len() * 11, "no compression achieved");
-        let dec = table.decode(&bits, data.len());
+        let dec = table.try_decode(&bits, data.len()).unwrap();
         assert_eq!(dec, data);
     }
 
@@ -737,7 +714,9 @@ mod tests {
     fn roundtrip_uniform() {
         let data: Vec<u32> = (0..4096).map(|i| i % 256).collect();
         let table = HuffmanTable::from_symbols(&data);
-        let dec = table.decode(&table.encode(&data), data.len());
+        let dec = table
+            .try_decode(&table.try_encode(&data).unwrap(), data.len())
+            .unwrap();
         assert_eq!(dec, data);
     }
 
@@ -746,8 +725,8 @@ mod tests {
         let data = vec![7u32; 100];
         let table = HuffmanTable::from_symbols(&data);
         assert_eq!(table.alphabet_len(), 1);
-        let bits = table.encode(&data);
-        let dec = table.decode(&bits, 100);
+        let bits = table.try_encode(&data).unwrap();
+        let dec = table.try_decode(&bits, 100).unwrap();
         assert_eq!(dec, data);
     }
 
@@ -755,7 +734,7 @@ mod tests {
     fn two_symbols_get_one_bit_each() {
         let data = [vec![1u32; 70], vec![2u32; 30]].concat();
         let table = HuffmanTable::from_symbols(&data);
-        let bits = table.encode(&data);
+        let bits = table.try_encode(&data).unwrap();
         assert_eq!(bits.len(), 100usize.div_ceil(8));
     }
 
@@ -764,10 +743,10 @@ mod tests {
         let data: Vec<u32> = (0..2000).map(|i| (i * i) % 300).collect();
         let table = HuffmanTable::from_symbols(&data);
         let ser = table.serialize();
-        let (table2, used) = HuffmanTable::deserialize(&ser);
+        let (table2, used) = HuffmanTable::try_deserialize(&ser).unwrap();
         assert_eq!(used, ser.len());
-        let bits = table.encode(&data);
-        assert_eq!(table2.decode(&bits, data.len()), data);
+        let bits = table.try_encode(&data).unwrap();
+        assert_eq!(table2.try_decode(&bits, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -784,7 +763,7 @@ mod tests {
             });
         }
         let table = HuffmanTable::from_symbols(&data);
-        let bits = table.encode(&data);
+        let bits = table.try_encode(&data).unwrap();
         let bps = bits.len() as f64 * 8.0 / data.len() as f64;
         assert!(bps < 1.5, "bits per symbol {bps}");
     }
@@ -826,7 +805,12 @@ mod tests {
         assert!(max <= MAX_CODE_LEN);
         // still decodable
         let data: Vec<u32> = (0..40).collect();
-        assert_eq!(table.decode(&table.encode(&data), 40), data);
+        assert_eq!(
+            table
+                .try_decode(&table.try_encode(&data).unwrap(), 40)
+                .unwrap(),
+            data
+        );
     }
 
     #[test]
@@ -838,7 +822,7 @@ mod tests {
         let deepest = table.lengths.iter().map(|&(_, l)| l).max().unwrap();
         assert!(deepest > TABLE_BITS, "test must exercise the fallback");
         let data: Vec<u32> = (0..30).cycle().take(4000).collect();
-        let bits = table.encode(&data);
+        let bits = table.try_encode(&data).unwrap();
         let fast = table.try_decode(&bits, data.len()).unwrap();
         let slow = table.try_decode_reference(&bits, data.len()).unwrap();
         assert_eq!(fast, data);
@@ -849,7 +833,7 @@ mod tests {
     fn truncated_stream_errors_in_both_decoders() {
         let data: Vec<u32> = (0..1000).map(|i| i % 50).collect();
         let table = HuffmanTable::from_symbols(&data);
-        let bits = table.encode(&data);
+        let bits = table.try_encode(&data).unwrap();
         for cut in [0, 1, bits.len() / 2, bits.len() - 1] {
             let fast = table.try_decode(&bits[..cut], data.len());
             let slow = table.try_decode_reference(&bits[..cut], data.len());
@@ -883,7 +867,7 @@ mod tests {
         }
         // in-table symbols still encode fine through the checked path
         let bits = table.try_encode(&[7, 9, 7]).unwrap();
-        assert_eq!(table.decode(&bits, 3), vec![7, 9, 7]);
+        assert_eq!(table.try_decode(&bits, 3).unwrap(), vec![7, 9, 7]);
     }
 
     #[test]
@@ -900,8 +884,8 @@ mod tests {
         ]);
         let table = HuffmanTable::from_symbols(&data);
         assert!(table.enc_lut().len() <= ENC_LUT_CAP);
-        let bits = table.encode(&data);
-        assert_eq!(table.decode(&bits, data.len()), data);
+        let bits = table.try_encode(&data).unwrap();
+        assert_eq!(table.try_decode(&bits, data.len()).unwrap(), data);
         // a wide symbol that was never counted is still a typed error
         let err = table.try_encode(&[3, u32::MAX - 1]).unwrap_err();
         assert!(matches!(err, CfcError::InvalidInput(_)), "{err:?}");
@@ -911,7 +895,7 @@ mod tests {
     fn encode_append_reuses_and_appends() {
         let data: Vec<u32> = (0..500).map(|i| i % 9).collect();
         let table = HuffmanTable::from_symbols(&data);
-        let direct = table.encode(&data);
+        let direct = table.try_encode(&data).unwrap();
         let mut buf = vec![0xAB, 0xCD];
         table.try_encode_append(&data, &mut buf).unwrap();
         assert_eq!(&buf[..2], &[0xAB, 0xCD]);
@@ -932,12 +916,12 @@ mod tests {
         let freqs: Vec<(u32, u64)> = (0..40u32).map(|i| (i, 1u64 << i.min(50))).collect();
         let table = HuffmanTable::from_frequencies(&freqs);
         let data: Vec<u32> = (0..40u32).rev().cycle().take(5000).collect();
-        let bits = table.encode(&data);
+        let bits = table.try_encode(&data).unwrap();
         assert_eq!(table.try_decode_reference(&bits, data.len()).unwrap(), data);
         assert_eq!(table.try_decode(&bits, data.len()).unwrap(), data);
         // odd-length input exercises the unpaired-tail path
         let odd = &data[..4999];
-        let bits = table.encode(odd);
+        let bits = table.try_encode(odd).unwrap();
         assert_eq!(table.try_decode_reference(&bits, odd.len()).unwrap(), odd);
     }
 
@@ -955,7 +939,7 @@ mod tests {
         let freqs: Vec<(u32, u64)> = counts.into_iter().collect();
         let t2 = HuffmanTable::from_frequencies(&freqs);
         assert_eq!(t1.serialize(), t2.serialize());
-        assert_eq!(t1.encode(&wide), t2.encode(&wide));
+        assert_eq!(t1.try_encode(&wide).unwrap(), t2.try_encode(&wide).unwrap());
     }
 
     #[test]
@@ -977,7 +961,7 @@ mod tests {
         }
         let freqs: Vec<(u32, u64)> = counts.into_iter().collect();
         let expect = table.expected_bits(&freqs);
-        let actual = table.encode(&data).len() * 8;
+        let actual = table.try_encode(&data).unwrap().len() * 8;
         assert!(expect as usize <= actual && actual < expect as usize + 8);
         // unknown symbols contribute nothing
         assert_eq!(table.expected_bits(&[(9999, 100)]), 0);

@@ -17,14 +17,13 @@
 //! * tokens split into three streams — a flag bitmap, literal bytes, and
 //!   match `(length, distance)` records — each Huffman-coded independently,
 //! * incompressible inputs fall back to stored mode, so the worst-case
-//!   expansion is exactly the 1-byte mode header ([`compress`]'s
+//!   expansion is exactly the 1-byte mode header ([`compress_with`]'s
 //!   `input.len() + 1` contract). An entropy lower bound on the token
 //!   streams skips the Huffman stage entirely when even an ideal coder
 //!   could not beat stored mode.
 //!
 //! Steady-state encode is allocation-free through [`LzScratch`]
-//! (chains, token buffers, and stream staging all reused across blocks);
-//! [`compress`] is a thin wrapper that pays for a fresh scratch.
+//! (chains, token buffers, and stream staging all reused across blocks).
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::error::CfcError;
@@ -107,14 +106,9 @@ impl LzScratch {
 
 /// Compress arbitrary bytes. Never fails; stored-mode fallback bounds the
 /// output at exactly `input.len() + 1` bytes (the 1-byte mode header) for
-/// incompressible data.
-pub fn compress(input: &[u8]) -> Vec<u8> {
-    compress_with(input, &mut LzScratch::new())
-}
-
-/// [`compress`] with reusable scratch buffers — identical output bytes,
-/// but the hash chains, token list, and stream staging live in `scratch`,
-/// so per-block encode loops stop allocating after the first block.
+/// incompressible data. The hash chains, token list, and stream staging
+/// live in `scratch` — the output does not depend on what it held — so
+/// per-block encode loops stop allocating after the first block.
 pub fn compress_with(input: &[u8], scratch: &mut LzScratch) -> Vec<u8> {
     if input.len() < 64 || input.len() > MAX_LZ_INPUT {
         return stored(input);
@@ -138,21 +132,9 @@ pub fn parse_probe(input: &[u8], scratch: &mut LzScratch) -> usize {
     scratch.tokens.len()
 }
 
-/// Decompress bytes produced by [`compress`].
-///
-/// Panics on corrupt input; use [`try_decompress`] for untrusted bytes.
-pub fn decompress(input: &[u8]) -> Vec<u8> {
-    try_decompress(input).expect("corrupt lossless stream")
-}
-
-/// Fallible decompression of untrusted bytes: every structural violation
-/// (unknown mode, truncated section, invalid LZ distance, length mismatch)
-/// returns a [`CfcError`] instead of panicking.
-pub fn try_decompress(input: &[u8]) -> Result<Vec<u8>, CfcError> {
-    try_decompress_bounded(input, usize::MAX)
-}
-
-/// [`try_decompress`] with an output-size budget.
+/// Fallible decompression of untrusted bytes under an output-size budget:
+/// every structural violation (unknown mode, truncated section, invalid LZ
+/// distance, length mismatch) returns a [`CfcError`] instead of panicking.
 ///
 /// LZSS expands up to ~2000× (a decompression bomb), so decode paths that
 /// know how large a payload can legitimately be pass that bound here; a
@@ -610,6 +592,14 @@ fn decode_tokens(bytes: &[u8], max_len: usize, out: &mut Vec<u8>) -> Result<(), 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn compress(data: &[u8]) -> Vec<u8> {
+        compress_with(data, &mut LzScratch::new())
+    }
+
+    fn decompress(c: &[u8]) -> Vec<u8> {
+        try_decompress_bounded(c, usize::MAX).expect("valid lossless stream")
+    }
 
     fn roundtrip(data: &[u8]) {
         let c = compress(data);

@@ -56,7 +56,7 @@ proptest! {
     #[test]
     fn decoders_agree_on_valid_streams(symbols in prop::collection::vec(0u32..1025, 1..4096)) {
         let table = HuffmanTable::from_symbols(&symbols);
-        let bits = table.encode(&symbols);
+        let bits = table.try_encode(&symbols).unwrap();
         let fast = table.try_decode(&bits, symbols.len()).expect("valid stream");
         prop_assert_eq!(&fast, &symbols);
         let slow = table.try_decode_reference(&bits, symbols.len()).expect("valid stream");
@@ -73,7 +73,7 @@ proptest! {
         let mut symbols = symbols;
         skew(&mut symbols, centre, every);
         let table = HuffmanTable::from_symbols(&symbols);
-        let bits = table.encode(&symbols);
+        let bits = table.try_encode(&symbols).unwrap();
         let fast = table.try_decode(&bits, symbols.len()).expect("valid stream");
         prop_assert_eq!(&fast, &symbols);
         prop_assert_eq!(
@@ -94,7 +94,7 @@ proptest! {
         let centre = symbols[centre_idx % symbols.len()];
         skew(&mut symbols, centre, every);
         let table = HuffmanTable::from_symbols(&symbols);
-        let bits = table.encode(&symbols);
+        let bits = table.try_encode(&symbols).unwrap();
         let fast = table.try_decode(&bits, symbols.len()).expect("valid stream");
         prop_assert_eq!(&fast, &symbols);
         prop_assert_eq!(
@@ -114,7 +114,7 @@ proptest! {
         let mut symbols = symbols;
         skew(&mut symbols, 512, every);
         let table = HuffmanTable::from_symbols(&symbols);
-        let bits = table.encode(&symbols);
+        let bits = table.try_encode(&symbols).unwrap();
         let cut = ((bits.len() as f64) * frac) as usize;
         if cut < bits.len() {
             assert_equivalent(&table, &bits[..cut], symbols.len()).map_err(TestCaseError::fail)?;
@@ -144,7 +144,7 @@ proptest! {
         let mut symbols = symbols;
         skew(&mut symbols, 512, every);
         let table = HuffmanTable::from_symbols(&symbols);
-        let mut bits = table.encode(&symbols);
+        let mut bits = table.try_encode(&symbols).unwrap();
         let at = (flip as usize) % (bits.len() * 8);
         bits[at / 8] ^= 1 << (at % 8);
         assert_equivalent(&table, &bits, symbols.len()).map_err(TestCaseError::fail)?;
@@ -155,7 +155,7 @@ proptest! {
 fn single_symbol_alphabet_agrees() {
     let symbols = vec![42u32; 500];
     let table = HuffmanTable::from_symbols(&symbols);
-    let bits = table.encode(&symbols);
+    let bits = table.try_encode(&symbols).unwrap();
     assert_eq!(table.try_decode(&bits, 500).unwrap(), symbols);
     assert_eq!(
         table.try_decode(&bits, 500).unwrap(),
@@ -176,7 +176,7 @@ fn max_depth_alphabet_agrees() {
     let freqs: Vec<(u32, u64)> = (0..40u32).map(|i| (i, 1u64 << i.min(50))).collect();
     let table = HuffmanTable::from_frequencies(&freqs);
     let data: Vec<u32> = (0..40u32).cycle().take(5000).collect();
-    let bits = table.encode(&data);
+    let bits = table.try_encode(&data).unwrap();
     let fast = table.try_decode(&bits, data.len()).expect("valid stream");
     assert_eq!(fast, data);
     assert_eq!(
@@ -199,8 +199,8 @@ fn corrupt_tables_from_wire_still_decode_equivalently() {
         .map(|i| if i % 3 == 0 { i % 700 } else { 350 })
         .collect();
     let table = HuffmanTable::from_symbols(&symbols);
-    let (wire, _) = HuffmanTable::deserialize(&table.serialize());
-    let bits = table.encode(&symbols);
+    let (wire, _) = HuffmanTable::try_deserialize(&table.serialize()).unwrap();
+    let bits = table.try_encode(&symbols).unwrap();
     assert_eq!(wire.try_decode(&bits, symbols.len()).unwrap(), symbols);
     assert_eq!(
         wire.try_decode(&bits, symbols.len()).unwrap(),

@@ -1,21 +1,30 @@
 //! The error bound as a property of the system, not of one decode path:
 //! `|v − v'| ≤ eb` against the **original** samples, for every field of a
-//! `datagen` snapshot and of a 4-epoch series, through each way a caller
-//! can get values back — `ArchiveReader::read` (whole field, and windows
-//! that end at every row of a block, which decode that block only so far:
-//! the cross-field target and the deltas at the end of their chain
-//! included), `decode_all` / `decode_epoch`, and for the baseline-coded
-//! fields `ArchiveStore::read` cold and again after the blocks
-//! were evicted to tier 2 and promoted back. The other
-//! read-path suites compare decode paths with each other; if all of them
-//! drifted together, only a comparison with the input would notice.
+//! `datagen` snapshot, of a 4-epoch series and of the committed v1 fixture,
+//! the cross-field targets and the deltas at the end of their chain
+//! included, through each way a caller can get values back —
+//! `ArchiveReader::read` (whole field, and windows that end at every row of
+//! a block, which decode that block only so far), `decode_all` /
+//! `decode_epoch`, and `ArchiveStore::read` cold and again out of tier 2.
+//! The other read-path suites compare decode paths with each other; if all
+//! of them drifted together, only a comparison with the input would notice.
+//!
+//! And the two callers of the one cross-field encode step against each
+//! other: `CrossFieldCompressor::compress` and a one-block `ArchiveWriter`
+//! target reconstruct the same field bit for bit, and `decompress` and the
+//! reader refuse the same wrong-arity hybrid weights with the same error.
 
+use cfc_bench::golden;
 use cross_field_compression::core::archive::{
     ArchiveBuilder, ArchiveReader, ArchiveStore, FieldRole, ReadRequest, StoreConfig,
 };
-use cross_field_compression::core::TrainConfig;
+use cross_field_compression::core::{
+    train_cfnn, CfnnSpec, CrossFieldCompressor, HybridModel, TrainConfig,
+};
 use cross_field_compression::datagen::{self, GenParams};
+use cross_field_compression::sz::stream::{Container, SectionTag};
 use cross_field_compression::tensor::{Dataset, Field, Region, Shape};
+use cross_field_compression::CfcError;
 
 /// `|v − v'| ≤ eb` pointwise, `got` against the same window of `orig`.
 fn assert_within(orig: &Field, got: &Field, eb: f64, what: &str) {
@@ -28,7 +37,8 @@ fn assert_within(orig: &Field, got: &Field, eb: f64, what: &str) {
 
 /// Every read path over one archive, against the snapshots it was written
 /// from. `chunk_slabs` is the writer's block height, used to pick a region
-/// that crosses a block boundary. Returns how many fields it checked.
+/// that crosses a block boundary (for a one-block v1 field: any row its
+/// windows may turn on). Returns how many fields it checked.
 fn check_every_path(bytes: &[u8], snapshots: &[Dataset], chunk_slabs: usize) -> usize {
     let reader = ArchiveReader::new(bytes).expect("open");
     assert_eq!(reader.n_epochs(), snapshots.len());
@@ -76,19 +86,18 @@ fn check_every_path(bytes: &[u8], snapshots: &[Dataset], chunk_slabs: usize) -> 
                 let got = reader.read(&whole.region(&rows)).expect("reader region");
                 assert_within(&orig.crop(&rows), &got.data, eb, &what("region read"));
             }
-            // the store decodes whole blocks through the same decoder; a
-            // target is held to the bound on the reader's paths above, not
-            // once per tier (each read of it re-runs CFNN inference, which
-            // a debug build makes slow)
-            if entry.role == FieldRole::Target {
-                continue;
-            }
 
             let before = store.snapshot();
             let got = store.read(&whole).expect("store cold");
             assert_within(orig, &got.data, eb, &what("ArchiveStore::read cold"));
             let cold = store.snapshot();
-            assert!(cold.demotions > before.demotions, "{cold:?}");
+            // a one-block (v1) field is bigger than tier 1: served without
+            // being kept, nothing to evict — its second read comes out of
+            // tier 2 all the same
+            assert!(
+                cold.demotions > before.demotions || entry.n_blocks() == 1,
+                "{cold:?}"
+            );
             let got = store.read(&whole).expect("store promoted");
             assert_within(orig, &got.data, eb, &what("ArchiveStore::read promoted"));
             let got = store.read(&part).expect("store region");
@@ -144,4 +153,129 @@ fn series_holds_the_bound_against_the_original_on_every_read_path() {
         .expect("write_epochs");
     let fields = snapshots[0].len();
     assert_eq!(check_every_path(&bytes, &snapshots, 12), 4 * fields);
+}
+
+fn v1_fixture() -> Vec<u8> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/small_v1.cfar");
+    std::fs::read(&path).expect("golden v1 fixture")
+}
+
+/// The committed v1 fixture — one monolithic stream per field, the target's
+/// model and hybrid weights inside its stream — against the dataset it was
+/// written from.
+#[test]
+fn v1_fixture_holds_the_bound_against_the_original_on_every_read_path() {
+    let bytes = v1_fixture();
+    let reader = ArchiveReader::new(&bytes).expect("open");
+    assert_eq!(reader.version(), 1);
+    let roles: Vec<FieldRole> = reader.entries().iter().map(|e| e.role).collect();
+    assert_eq!(
+        roles,
+        [FieldRole::Anchor, FieldRole::Anchor, FieldRole::Target]
+    );
+    let ds = golden::golden_dataset();
+    assert_eq!(
+        check_every_path(&bytes, std::slice::from_ref(&ds), 16),
+        ds.len()
+    );
+}
+
+/// Dual quantization: the lattice is fixed by the field and the bound, so
+/// whichever caller of the encode step wrote the target, and however well
+/// its predictor did, the reader gets the same samples back.
+#[test]
+fn compress_and_a_one_block_writer_target_reconstruct_the_same_field() {
+    let ds = golden::golden_dataset();
+    let target = ds.expect_field("RH");
+    let originals = [ds.expect_field("T"), ds.expect_field("P")];
+    // the bits do not depend on the model, so neither is trained for long
+    let barely = TrainConfig {
+        epochs: 1,
+        n_patches: 8,
+        ..TrainConfig::fast()
+    };
+    let comp = CrossFieldCompressor::new(golden::GOLDEN_REL_EB);
+    let anchors_dec = originals.map(|a| comp.roundtrip_anchor(a).expect("anchor"));
+    let refs: Vec<&Field> = anchors_dec.iter().collect();
+    let trained = train_cfnn(&CfnnSpec::scaled_2d(2), &barely, &originals, target);
+    let stream = comp.compress(&trained, target, &refs).expect("compress");
+    let from_stream = comp.decompress(&stream.bytes, &refs).expect("decompress");
+    assert_within(target, &from_stream, stream.eb_abs, "decompress");
+
+    // the default chunk holds a 32×32 field whole: one block
+    let archive = ArchiveBuilder::relative(golden::GOLDEN_REL_EB)
+        .train_config(barely)
+        .cross_field("RH", &["T", "P"])
+        .build()
+        .write(&ds)
+        .expect("write");
+    let reader = ArchiveReader::new(&archive).expect("open");
+    let entry = reader.entries().iter().find(|e| e.name == "RH").unwrap();
+    assert_eq!((entry.role, entry.n_blocks()), (FieldRole::Target, 1));
+    assert_eq!(entry.eb_abs, stream.eb_abs);
+    let from_archive = reader.decode_field("RH").expect("decode_field");
+    assert_eq!(from_archive.shape(), from_stream.shape());
+    assert!(
+        from_archive
+            .as_slice()
+            .iter()
+            .zip(from_stream.as_slice())
+            .all(|(a, s)| a.to_bits() == s.to_bits()),
+        "the two callers of the encode step reconstruct different fields"
+    );
+}
+
+/// The one rule about hybrid arity refuses the same weights with the same
+/// error on both decode entries: the v1 fixture's target stream, its hybrid
+/// section swapped for one of the wrong arity, through
+/// `CrossFieldCompressor::decompress` and — patched back into the
+/// fixture — through the reader.
+#[test]
+fn a_wrong_arity_hybrid_is_the_same_error_through_decompress_and_the_reader() {
+    let v1 = v1_fixture();
+    let reader = ArchiveReader::new(&v1).expect("open");
+    let entry = reader.entries().last().expect("entries");
+    assert_eq!((entry.name.as_str(), entry.role), ("RH", FieldRole::Target));
+    let (off, len) = entry.block_span(0).expect("a v1 field is one block");
+    let off = off as usize;
+    assert_eq!(off + len, v1.len(), "the target is last");
+
+    let old = Container::try_from_bytes(&v1[off..]).expect("fixture stream");
+    let mut bad = Container::new(old.shape, old.eb, old.radius);
+    for tag in [
+        SectionTag::Residuals,
+        SectionTag::Outliers,
+        SectionTag::Model,
+    ] {
+        bad.push(tag, old.require_section(tag).expect("section").to_vec());
+    }
+    // Lorenzo + one weight per axis is arity 3 in 2-D; ship 4
+    let four = HybridModel {
+        weights: vec![0.25; 4],
+        losses: vec![],
+    };
+    bad.push(SectionTag::HybridWeights, four.serialize());
+    let bad = bad.to_bytes();
+
+    let anchors = [
+        reader.decode_field("T").unwrap(),
+        reader.decode_field("P").unwrap(),
+    ];
+    let direct = CrossFieldCompressor::new(golden::GOLDEN_REL_EB)
+        .decompress(&bad, &anchors.iter().collect::<Vec<_>>())
+        .unwrap_err();
+    assert!(
+        matches!(&direct, CfcError::Corrupt { context, .. } if *context == "hybrid weights"),
+        "{direct:?}"
+    );
+
+    // a v1 row ends `stream_len u64 | stream`
+    let mut patched = v1[..off - 8].to_vec();
+    patched.extend_from_slice(&(bad.len() as u64).to_le_bytes());
+    patched.extend_from_slice(&bad);
+    let through_reader = ArchiveReader::new(&patched)
+        .expect("open")
+        .decode_field("RH")
+        .unwrap_err();
+    assert_eq!(through_reader.root_cause(), &direct);
 }

@@ -15,7 +15,8 @@ use cross_field_compression::core::predictor::{
     CrossFieldHybridPredictor, TemporalHybridPredictor,
 };
 use cross_field_compression::core::HybridModel;
-use cross_field_compression::sz::compressor::{encode_codes, encode_outliers};
+use cross_field_compression::sz::compressor::{encode_codes_into, encode_outliers_into};
+use cross_field_compression::sz::lossless::LzScratch;
 use cross_field_compression::sz::stream::{Container, SectionTag};
 use cross_field_compression::sz::{
     codec, CfcError, DecodeScratch, LorenzoPredictor, Predictor, QuantLattice, QuantizerConfig,
@@ -244,8 +245,15 @@ fn kernel_inverts_the_encoder_through_the_codec_entry_point() {
 /// decoded `f32` samples are the lattice integers themselves.
 fn container(shape: Shape, quant: &QuantizerConfig, codes: &[u32], outliers: &[i64]) -> Container {
     let mut c = Container::new(shape, 0.5, quant.radius);
-    c.push(SectionTag::Residuals, encode_codes(codes));
-    c.push(SectionTag::Outliers, encode_outliers(outliers));
+    let (mut payload, mut lz) = (Vec::new(), LzScratch::new());
+    c.push(
+        SectionTag::Residuals,
+        encode_codes_into(codes, &mut payload, &mut lz),
+    );
+    c.push(
+        SectionTag::Outliers,
+        encode_outliers_into(outliers, &mut payload, &mut lz),
+    );
     c
 }
 

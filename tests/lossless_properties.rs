@@ -4,8 +4,14 @@
 
 use proptest::prelude::*;
 
+use cross_field_compression::sz::compressor;
 use cross_field_compression::sz::huffman::HuffmanTable;
-use cross_field_compression::sz::{compressor, lossless};
+use cross_field_compression::sz::lossless::{self, LzScratch};
+
+fn lz_roundtrip(data: &[u8]) -> Vec<u8> {
+    let c = lossless::compress_with(data, &mut LzScratch::new());
+    lossless::try_decompress_bounded(&c, usize::MAX).unwrap()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -13,7 +19,7 @@ proptest! {
     /// decompress(compress(x)) == x for arbitrary bytes.
     #[test]
     fn lzss_roundtrip_identity(data in prop::collection::vec(any::<u8>(), 0..4096)) {
-        prop_assert_eq!(lossless::decompress(&lossless::compress(&data)), data);
+        prop_assert_eq!(lz_roundtrip(&data), data);
     }
 
     /// Same with repetitive structure (exercises the match path heavily).
@@ -25,37 +31,42 @@ proptest! {
     ) {
         let mut data: Vec<u8> = unit.iter().cycle().take(unit.len() * reps).cloned().collect();
         data.extend(tail);
-        prop_assert_eq!(lossless::decompress(&lossless::compress(&data)), data);
+        prop_assert_eq!(lz_roundtrip(&data), data);
     }
 
     /// Huffman round-trip on arbitrary bounded symbol streams.
     #[test]
     fn huffman_roundtrip(symbols in prop::collection::vec(0u32..1025, 1..4096)) {
         let table = HuffmanTable::from_symbols(&symbols);
-        let bits = table.encode(&symbols);
-        prop_assert_eq!(table.decode(&bits, symbols.len()), symbols);
+        let bits = table.try_encode(&symbols).unwrap();
+        prop_assert_eq!(table.try_decode(&bits, symbols.len()).unwrap(), symbols);
     }
 
     /// Huffman table survives serialization.
     #[test]
     fn huffman_table_serde(symbols in prop::collection::vec(0u32..100_000, 1..512)) {
         let table = HuffmanTable::from_symbols(&symbols);
-        let (table2, _) = HuffmanTable::deserialize(&table.serialize());
-        let bits = table.encode(&symbols);
-        prop_assert_eq!(table2.decode(&bits, symbols.len()), symbols);
+        let (table2, _) = HuffmanTable::try_deserialize(&table.serialize()).unwrap();
+        let bits = table.try_encode(&symbols).unwrap();
+        prop_assert_eq!(table2.try_decode(&bits, symbols.len()).unwrap(), symbols);
     }
 
     /// Outlier varint coding round-trips arbitrary i64s.
     #[test]
     fn outlier_roundtrip(vals in prop::collection::vec(any::<i64>(), 0..512)) {
-        let bytes = compressor::encode_outliers(&vals);
-        prop_assert_eq!(compressor::try_decode_outliers_bounded(&bytes, vals.len()).unwrap(), vals);
+        let bytes = compressor::encode_outliers_into(&vals, &mut Vec::new(), &mut LzScratch::new());
+        let mut out = Vec::new();
+        compressor::try_decode_outliers_bounded_into(&bytes, vals.len(), &mut Vec::new(), &mut out)
+            .unwrap();
+        prop_assert_eq!(out, vals);
     }
 
     /// Residual code coding round-trips (Huffman + LZSS composition).
     #[test]
     fn code_stream_roundtrip(codes in prop::collection::vec(0u32..1025, 1..2048)) {
-        let bytes = compressor::encode_codes(&codes);
-        prop_assert_eq!(compressor::try_decode_codes(&bytes, codes.len()).unwrap(), codes);
+        let bytes = compressor::encode_codes_into(&codes, &mut Vec::new(), &mut LzScratch::new());
+        let mut out = Vec::new();
+        compressor::try_decode_codes_into(&bytes, codes.len(), &mut Vec::new(), &mut out).unwrap();
+        prop_assert_eq!(out, codes);
     }
 }

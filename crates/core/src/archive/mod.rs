@@ -184,20 +184,24 @@ where
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let mut scratch = init();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let r = f(&mut scratch, i);
-                    *slots[i].lock().expect("worker slot poisoned") = Some(r);
-                }
-            });
+    let work = || {
+        let mut scratch = init();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let r = f(&mut scratch, i);
+            *slots[i].lock().expect("worker slot poisoned") = Some(r);
         }
+    };
+    // the calling thread is one of the workers: a short task list is
+    // under way before the first spawn returns
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(work);
+        }
+        work();
     });
     slots
         .into_iter()

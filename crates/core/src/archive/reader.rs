@@ -42,7 +42,7 @@
 //! are decoded whole, and the codes and outliers past the rows are still
 //! held to the alphabet and to each other — a short decode fails on exactly
 //! the blocks a whole decode fails on, with the same error. And everything
-//! that keeps or compares blocks — [`ArchiveReader::decode_all`], the
+//! that keeps or compares blocks — [`ArchiveReader::decode_epoch`], the
 //! `decode_block*` primitives, scrub, the store's cache — asks for
 //! `ALL_ROWS`: there is one read path, and a cache entry is a whole block.
 //!
@@ -50,9 +50,22 @@
 //! `BlockBackend`, which answers "do you already have block `(fi, idx)`?"
 //! and "here are its dependencies, produce it". This module's backend
 //! (`Direct`) reads from the source through a caller's [`ArchiveScratch`]
-//! and, inside [`ArchiveReader::decode_all`], hands out slabs of the fields
-//! an earlier phase decoded; [`super::store::ArchiveStore`]'s backend is
-//! its cache (tier 1 → single-flight → tier 2 → source).
+//! and, inside an epoch decode, hands out slabs of the fields an earlier
+//! phase decoded; [`super::store::ArchiveStore`]'s backend is its cache
+//! (tier 1 → single-flight → tier 2 → source).
+//!
+//! ## One epoch decode
+//!
+//! "Decode every field of an epoch" exists once as well
+//! ([`ArchiveReader::decode_epoch`]; [`ArchiveReader::decode_all`] is its
+//! epoch 0): one `(field, block)` task list over the epoch's entries, run
+//! across the worker threads through the walk above, in two phases — first
+//! everything that is not a cross-field target (a delta entry resolves its
+//! own chain back to the keyframe, whatever roles it passes on the way),
+//! then the targets against the fields the first phase decoded. Results
+//! come back in task order, so the error of a damaged archive is the one
+//! the first failing block in `(field, block)` order raises, at any thread
+//! count.
 //!
 //! The reader is deliberately *stateless*: nothing decoded is retained
 //! between calls (beyond caller-provided [`ArchiveScratch`] buffers).
@@ -385,15 +398,21 @@ impl<R: ArchiveSource> ArchiveReader<R> {
             .ok_or_else(|| CfcError::InvalidInput(format!("archive has no field {name}")))
     }
 
-    /// Flat entry index of field `name` at `epoch`.
-    pub(crate) fn entry_index_at(&self, name: &str, epoch: usize) -> Result<usize, CfcError> {
+    /// Flat index of the first entry of `epoch`, or the typed error for an
+    /// epoch the archive does not have.
+    fn epoch_base(&self, epoch: usize) -> Result<usize, CfcError> {
         if epoch >= self.n_epochs {
             return Err(CfcError::InvalidInput(format!(
                 "archive has {} epochs, asked for {epoch}",
                 self.n_epochs
             )));
         }
-        Ok(epoch * self.n_fields + self.entry_index(name)?)
+        Ok(epoch * self.n_fields)
+    }
+
+    /// Flat entry index of field `name` at `epoch`.
+    pub(crate) fn entry_index_at(&self, name: &str, epoch: usize) -> Result<usize, CfcError> {
+        Ok(self.epoch_base(epoch)? + self.entry_index(name)?)
     }
 
     /// Read `len` bytes at absolute offset `at`.
@@ -610,9 +629,13 @@ impl<R: ArchiveSource> ArchiveReader<R> {
                 };
                 // same prediction the writer used: the previous epoch's
                 // decoded slab mixed with the Lorenzo guess by the hybrid
-                // weights shipped in the meta area
-                let predictor =
-                    TemporalHybridPredictor::new(prev, container.eb, meta.hybrid.clone());
+                // weights shipped in the meta area (the weights only: a
+                // model's loss history has no part in a prediction)
+                let hybrid = HybridModel {
+                    weights: meta.hybrid.weights.clone(),
+                    losses: Vec::new(),
+                };
+                let predictor = TemporalHybridPredictor::new(prev, container.eb, hybrid);
                 sz.decompress_rows_with(&container, &predictor, rows, dec)
             }
             (FieldRole::Delta, None) => Err(missing("meta")),
@@ -737,7 +760,7 @@ impl<R: ArchiveSource> ArchiveReader<R> {
     }
 
     /// Block `idx` of `field` at `epoch`, through `scratch`.
-    fn block_at(
+    pub(crate) fn block_at(
         &self,
         field: &str,
         idx: usize,
@@ -865,27 +888,49 @@ impl<R: ArchiveSource> ArchiveReader<R> {
         self.read(&ReadRequest::new(name).at(epoch)).map(|s| s.data)
     }
 
-    /// Decode every field of epoch 0, every block in parallel: baselines
-    /// and anchors first, then the cross-field targets against the decoded
-    /// anchors.
+    /// Decode every field of the first epoch: [`ArchiveReader::decode_epoch`]
+    /// of epoch 0, which is all of a single-snapshot archive.
     pub fn decode_all(&self) -> Result<Dataset, CfcError> {
-        self.decode_all_with_threads(
+        self.decode_epoch(0)
+    }
+
+    /// [`ArchiveReader::decode_all`] with an explicit worker-thread cap.
+    pub fn decode_all_with_threads(&self, threads: usize) -> Result<Dataset, CfcError> {
+        self.epoch_with_threads(0, threads)
+    }
+
+    /// Decode every field of one epoch into a [`Dataset`], every block in
+    /// parallel. The task list is `(field, block)` over the epoch's entries
+    /// in archive order, in two fan-outs through the one walk: first every
+    /// entry that is not a cross-field target — baselines, anchors, and
+    /// temporal deltas, each of which resolves its own chain back to the
+    /// covering keyframe — then the targets, which find their anchors among
+    /// the fields the first fan-out decoded. The first error in that order
+    /// is the one returned.
+    pub fn decode_epoch(&self, epoch: usize) -> Result<Dataset, CfcError> {
+        self.epoch_with_threads(
+            epoch,
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
         )
     }
 
-    /// [`ArchiveReader::decode_all`] with an explicit worker-thread cap.
-    pub fn decode_all_with_threads(&self, threads: usize) -> Result<Dataset, CfcError> {
-        // Only the first epoch — it is always a keyframe, so every entry
-        // is a baseline, an anchor, or a same-epoch target. Two fan-outs
-        // over (field, block) through the one walk: the second finds its
-        // anchors among the fields the first decoded.
+    /// The one epoch decode, behind [`ArchiveReader::decode_epoch`] and
+    /// [`ArchiveReader::decode_all_with_threads`].
+    pub(crate) fn epoch_with_threads(
+        &self,
+        epoch: usize,
+        threads: usize,
+    ) -> Result<Dataset, CfcError> {
+        let first = self.epoch_base(epoch)?;
+        let entries = first..first + self.n_fields;
+        // whole fields by flat entry index
         let mut decoded: HashMap<usize, Field> = HashMap::new();
         let mut metas = Vec::new();
         for targets in [false, true] {
-            let fields: Vec<usize> = (0..self.n_fields)
+            let fields: Vec<usize> = entries
+                .clone()
                 .filter(|&fi| (self.entries[fi].role == FieldRole::Target) == targets)
                 .collect();
             for &fi in &fields {
@@ -910,49 +955,23 @@ impl<R: ArchiveSource> ArchiveReader<R> {
                 decoded.insert(fi, Field::concat_axis0(&parts));
             }
         }
-        self.assemble(decoded)
-    }
 
-    /// Assemble one epoch's decoded fields (keyed by position in the
-    /// epoch) into a [`Dataset`] in archive order, validating the common
-    /// shape before the (panicking) `Dataset::push` can see a mismatch.
-    fn assemble(&self, mut decoded: HashMap<usize, Field>) -> Result<Dataset, CfcError> {
-        let shape = decoded[&0].shape();
-        for (pos, e) in self.epoch0().iter().enumerate() {
-            let found = decoded[&pos].shape();
-            if found != shape {
+        // in archive order, validating the common shape before the
+        // (panicking) `Dataset::push` can see a mismatch
+        let shape = decoded[&entries.start].shape();
+        let mut ds = Dataset::new(self.name.clone(), shape);
+        for fi in entries {
+            let field = decoded.remove(&fi).expect("every entry decoded");
+            let name = &self.entries[fi].name;
+            if field.shape() != shape {
                 return Err(CfcError::ShapeMismatch {
                     expected: shape.to_string(),
-                    found: format!("{found} in field {}", e.name),
+                    found: format!("{} in field {name}", field.shape()),
                 });
             }
-        }
-        let mut ds = Dataset::new(self.name.clone(), shape);
-        for (pos, e) in self.epoch0().iter().enumerate() {
-            let field = decoded.remove(&pos).expect("every entry decoded");
-            ds.push(e.name.clone(), field);
+            ds.push(name.clone(), field);
         }
         Ok(ds)
-    }
-
-    /// Decode every field of one epoch into a [`Dataset`]. Epoch 0 is
-    /// [`ArchiveReader::decode_all`]; later epochs decode each field
-    /// through its delta chain back to the covering keyframe.
-    pub fn decode_epoch(&self, epoch: usize) -> Result<Dataset, CfcError> {
-        if epoch >= self.n_epochs {
-            return Err(CfcError::InvalidInput(format!(
-                "archive has {} epochs, asked for {epoch}",
-                self.n_epochs
-            )));
-        }
-        if epoch == 0 {
-            return self.decode_all();
-        }
-        let mut decoded = HashMap::new();
-        for (pos, e) in self.epoch0().iter().enumerate() {
-            decoded.insert(pos, self.decode_field_at(&e.name, epoch)?);
-        }
-        self.assemble(decoded)
     }
 }
 
@@ -967,8 +986,8 @@ struct Direct<'a, R> {
     /// walk reaches (a chain link, the keyframe under it) is parsed when
     /// its block is.
     metas: &'a [(usize, TargetMeta)],
-    /// Whole fields an earlier `decode_all` phase decoded, by entry index;
-    /// their slabs are served without touching the source.
+    /// Whole fields an earlier phase of an epoch decode produced, by entry
+    /// index; their slabs are served without touching the source.
     decoded: Option<&'a HashMap<usize, Field>>,
 }
 

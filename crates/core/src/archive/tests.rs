@@ -855,3 +855,179 @@ fn temporal_write_rejects_mismatched_snapshots() {
     snaps[1] = snapshot(24, 30);
     assert!(builder().write_epochs(&snaps).is_err(), "shape drift");
 }
+
+// ---------------------------------------------------------------------
+// the one epoch decode
+// ---------------------------------------------------------------------
+
+/// A committed archive from the repository's `tests/golden`.
+fn golden(name: &str) -> Vec<u8> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(name);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()))
+}
+
+/// Five epochs of a small evolving 3-D snapshot under a cross-field plan,
+/// keyframes at 0 and 3: targets at the keyframes, deltas on top of them,
+/// blocks of three slabs with one slab left over.
+fn series_3d() -> Vec<u8> {
+    let shape = Shape::d3(7, 16, 18);
+    let snaps: Vec<Dataset> = (0..5)
+        .map(|e| {
+            let t = e as f32;
+            let a = Field::from_fn(shape, |i| {
+                let (k, r, c) = (i[0] as f32, i[1] as f32, i[2] as f32);
+                0.7 * k
+                    + 0.03 * (r - 6.0 + 0.4 * t) * (c - 8.0)
+                    + 0.01 * ((i[1] * 5 + i[2]) % 7) as f32
+            });
+            let b = a.map(|v| 0.5 * v * v - 2.0 * v + 0.1 * t);
+            let c = a.map(|v| (0.3 * v + 0.2 * t).sin());
+            let mut ds = Dataset::new("SERIES", shape);
+            ds.push("A", a);
+            ds.push("B", b);
+            ds.push("C", c);
+            ds
+        })
+        .collect();
+    ArchiveBuilder::relative(1e-3)
+        .train_config(TrainConfig {
+            patch: 6,
+            n_patches: 8,
+            batch: 4,
+            epochs: 1,
+            lr: 4e-3,
+            seed: 5,
+        })
+        .cross_field("B", &["A"])
+        .chunk_elements(3 * 16 * 18)
+        .keyframe_interval(3)
+        .build()
+        .write_epochs(&snaps)
+        .unwrap()
+}
+
+fn same_bits(a: &Field, b: &Field) -> bool {
+    a.shape() == b.shape()
+        && a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+#[test]
+fn an_epoch_decodes_to_its_per_field_reads_at_any_thread_count() {
+    let archives = [
+        ("small_v3_delta.cfar", golden("small_v3_delta.cfar")),
+        ("small_v3_keyframes.cfar", golden("small_v3_keyframes.cfar")),
+        ("partial_v3.cfar", golden("partial_v3.cfar")),
+        ("3-D series", series_3d()),
+    ];
+    for (name, bytes) in &archives {
+        let reader = ArchiveReader::new(bytes).unwrap();
+        for epoch in 0..reader.n_epochs() {
+            for threads in 1..=3 {
+                let ds = reader.epoch_with_threads(epoch, threads).unwrap();
+                assert_eq!(ds.len(), reader.fields_per_epoch());
+                for field in reader.field_names() {
+                    let want = reader.read(&ReadRequest::new(field).at(epoch)).unwrap();
+                    assert!(
+                        same_bits(ds.expect_field(field), &want.data),
+                        "{name}: {field}@e{epoch}, {threads} threads"
+                    );
+                }
+            }
+        }
+        // `decode_all` is epoch 0 and nothing else
+        let (all, first) = (
+            reader.decode_all().unwrap(),
+            reader.decode_epoch(0).unwrap(),
+        );
+        for field in reader.field_names() {
+            assert!(same_bits(
+                all.expect_field(field),
+                first.expect_field(field)
+            ));
+        }
+        for epoch in [reader.n_epochs(), reader.n_epochs() + 7] {
+            for result in [
+                reader.decode_epoch(epoch),
+                reader.epoch_with_threads(epoch, 1),
+            ] {
+                assert!(
+                    matches!(result, Err(CfcError::InvalidInput(_))),
+                    "{name}: epoch {epoch} of {}",
+                    reader.n_epochs()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_damaged_chain_link_fails_every_later_epoch_of_its_group_with_the_first_fields_error() {
+    for (name, mut bytes) in [
+        ("small_v3_delta.cfar", golden("small_v3_delta.cfar")),
+        ("partial_v3.cfar", golden("partial_v3.cfar")),
+        ("3-D series", series_3d()),
+    ] {
+        // the last block of the second field's first delta: fields before
+        // it in archive order still decode, tasks before it still succeed
+        let clean = ArchiveReader::new(&bytes).unwrap();
+        let (interval, n_fields) = (clean.keyframe_interval(), clean.fields_per_epoch());
+        assert!(interval > 1 && n_fields > 1, "{name}: no chain to damage");
+        let link = &clean.entries()[n_fields + 1];
+        assert_eq!(link.role, FieldRole::Delta);
+        let idx = link.n_blocks() - 1;
+        let at = link.payload_base + link.blocks[idx].rel_offset;
+        let (field, link_name) = (link.name.clone(), link.qualified_name());
+        bytes[at as usize + 5] ^= 0x40;
+
+        let reader = ArchiveReader::new(&bytes).unwrap();
+        for epoch in 0..reader.n_epochs() {
+            let affected = (1..interval).contains(&epoch);
+            let want = reader.decode_field_at(&field, epoch);
+            assert_eq!(want.is_err(), affected, "{name}: {field}@e{epoch}");
+            for threads in 1..=3 {
+                let got = reader.epoch_with_threads(epoch, threads).map(|_| ());
+                assert_eq!(
+                    got,
+                    want.clone().map(|_| ()),
+                    "{name}: epoch {epoch}, {threads} threads"
+                );
+                if let Err(e) = got {
+                    assert!(
+                        matches!(&e, CfcError::InField { field, block, .. }
+                            if *field == link_name && *block == Some(idx)),
+                        "{name}: {e}"
+                    );
+                    assert!(matches!(e.root_cause(), CfcError::ChecksumMismatch { .. }));
+                }
+            }
+        }
+    }
+}
+
+/// Chain decodes through one caller-owned scratch: the first grows it to
+/// the largest link, every later one — another block, another epoch's
+/// chain of the same depth — finds it grown.
+#[test]
+fn chain_decodes_stop_growing_the_scratch_after_the_first() {
+    let bytes = series_3d();
+    let reader = ArchiveReader::new(&bytes).unwrap();
+    let mut scratch = ArchiveScratch::new();
+    // epoch 2 is the tail of the first group: two deltas on a target
+    let first = reader.block_at("B", 0, 2, &mut scratch).unwrap();
+    let warmed = scratch.growths();
+    assert!(warmed > 0, "the first chain must have allocated something");
+    for _ in 0..2 {
+        let again = reader.block_at("B", 0, 2, &mut scratch).unwrap();
+        assert!(same_bits(&again, &first));
+        assert_eq!(
+            scratch.growths(),
+            warmed,
+            "a repeated chain grew the scratch"
+        );
+    }
+}

@@ -1,8 +1,8 @@
 //! The cross-field hybrid predictor: a causal [`cfc_sz::Predictor`] that
 //! fuses Lorenzo with CFNN-predicted backward differences (paper §III-C).
 
-use cfc_sz::{Predictor, QuantLattice};
-use cfc_tensor::Field;
+use cfc_sz::{CfcError, Predictor, QuantLattice, QuantizerConfig};
+use cfc_tensor::{Field, Shape};
 
 use crate::hybrid::HybridModel;
 
@@ -103,6 +103,20 @@ pub fn temporal_candidate_predictions(
     idx: &[usize],
     out: &mut [f64],
 ) {
+    temporal_candidates(lattice, |off| pq[off], idx, out)
+}
+
+/// [`temporal_candidate_predictions`] over any way of looking the previous
+/// epoch up by offset. The order of the float operations here — `(a + b) −
+/// c` and its seven-term 3-D form, `p + (lorenzo − p_lorenzo)` — is the
+/// contract the row kernels of [`TemporalHybridPredictor`] reproduce.
+#[inline]
+fn temporal_candidates(
+    lattice: &QuantLattice,
+    pq: impl Fn(usize) -> f64,
+    idx: &[usize],
+    out: &mut [f64],
+) {
     let shape = lattice.shape();
     let dims = shape.dims();
     // zero-padded lookup into the fully-known previous-epoch plane
@@ -114,7 +128,7 @@ pub fn temporal_candidate_predictions(
             }
             off = off * dims[k] + c as usize;
         }
-        pq[off]
+        pq(off)
     };
     match *idx {
         [i, j] => {
@@ -153,6 +167,26 @@ pub fn temporal_candidate_predictions(
     }
 }
 
+/// `x.round() as i64`, inline. `f64::round` (half away from zero) is a
+/// libm call on the baseline x86-64 target, and it sits on the decoder's
+/// critical path: sample `j + 1` cannot be predicted before sample `j` is
+/// rounded. Below 2⁵² the truncation `x as i64` is exact and so is the
+/// fraction `x − trunc(x)`, so comparing it with ±0.5 decides the rounding
+/// exactly; from 2⁵² on every `f64` is already an integer, and those, NaN
+/// and ±∞ go through the same saturating `as` the rounded value would.
+#[inline(always)]
+fn round_to_i64(x: f64) -> i64 {
+    const ALL_INTEGERS_FROM: f64 = (1u64 << 52) as f64;
+    if x.abs() < ALL_INTEGERS_FROM {
+        let whole = x as i64;
+        let frac = x - whole as f64;
+        whole + i64::from(frac >= 0.5) - i64::from(frac <= -0.5)
+    } else {
+        // NaN compares false and lands here too
+        x as i64
+    }
+}
+
 /// Causal temporal hybrid predictor for delta epochs.
 ///
 /// Candidates per point (mixed by a fitted [`HybridModel`] of arity
@@ -167,12 +201,30 @@ pub fn temporal_candidate_predictions(
 ///    residual of the increment plane (exact when the epoch-to-epoch
 ///    increment is locally affine, e.g. smooth advection).
 ///
-/// Both sides build `pq` from the *decoded* previous epoch, so encoder and
-/// decoder predictions agree exactly.
+/// Both sides convert the *decoded* previous epoch to lattice units with
+/// the same expression, so encoder and decoder predictions agree exactly.
+///
+/// ## The float-order contract
+///
+/// A prediction is a handful of `f64` operations rounded to the lattice,
+/// and encoder and decoder — possibly different builds on different
+/// machines — must round the same way, so the order of those operations is
+/// part of the format: [`temporal_candidate_predictions`] then
+/// [`HybridModel::combine`] (`0.0 + w₀·l + w₁·p + w₂·t`), then
+/// `f64::round`, then a saturating `as i64`. [`Predictor::predict`] spells
+/// that out per point and is the oracle (and what
+/// [`sample_temporal_training`] samples). The bulk methods are row kernels
+/// held to it bit for bit (`tests/temporal_kernel.rs`): they keep the
+/// neighbouring rows as `f64`, converted once, so that only the
+/// left-neighbour recurrence is left in the inner loop — but they may not
+/// reassociate, fuse a multiply-add, or round differently (`round_to_i64`).
 pub struct TemporalHybridPredictor {
-    pq: Vec<f64>,
+    /// The previous epoch's decoded slab, in physical units: a row is
+    /// converted to lattice units (`v / step`) when a prediction needs it.
+    prev: Field,
+    /// The lattice step, `2·eb`.
+    step: f64,
     model: HybridModel,
-    ndim: usize,
 }
 
 impl TemporalHybridPredictor {
@@ -186,23 +238,200 @@ impl TemporalHybridPredictor {
             TEMPORAL_ARITY,
             "temporal hybrid arity is fixed"
         );
-        let step = 2.0 * eb;
-        let pq: Vec<f64> = prev_slab
-            .as_slice()
-            .iter()
-            .map(|&v| v as f64 / step)
-            .collect();
-        TemporalHybridPredictor { pq, model, ndim }
+        TemporalHybridPredictor {
+            prev: prev_slab.clone(),
+            step: 2.0 * eb,
+            model,
+        }
+    }
+
+    /// The previous epoch at `off`, in current lattice units.
+    #[inline]
+    fn pq(&self, off: usize) -> f64 {
+        self.prev.as_slice()[off] as f64 / self.step
+    }
+}
+
+/// The row-at-a-time walk behind both bulk methods of
+/// [`TemporalHybridPredictor`]: lattice (`q`) and previous-epoch (`p`) rows
+/// as `f64`, each `n2 + 1` long with the zero padding of column −1 in front
+/// — `[0]` the row being walked, `[1]` the row before it in its plane
+/// (`i − 1`), `[2]` the same row one plane back (`k − 1`), `[3]` that one's
+/// predecessor. A lattice value is converted once, when it is produced,
+/// and a row that does not exist is zero padding all the way, so an edge
+/// row runs the same operations on the same zeros as the per-point walk.
+struct TemporalRows<'a> {
+    predictor: &'a TemporalHybridPredictor,
+    weights: [f64; TEMPORAL_ARITY],
+    three_d: bool,
+    /// Rows to a plane (a 2-D lattice is one plane) and samples to a row.
+    n1: usize,
+    n2: usize,
+    q: [Vec<f64>; 4],
+    p: [Vec<f64>; 4],
+}
+
+impl<'a> TemporalRows<'a> {
+    /// A walk over a lattice of `shape`, which may have fewer axis-0 rows
+    /// than the previous epoch's slab (a decode of a block's leading rows).
+    fn new(predictor: &'a TemporalHybridPredictor, shape: Shape) -> Self {
+        let d = shape.dims();
+        let (n1, n2) = (d[d.len() - 2], d[d.len() - 1]);
+        let rows = || std::array::from_fn(|_| vec![0.0f64; n2 + 1]);
+        TemporalRows {
+            predictor,
+            weights: predictor.model.weights[..]
+                .try_into()
+                .expect("arity checked at construction"),
+            three_d: d.len() == 3,
+            n1,
+            n2,
+            q: rows(),
+            p: rows(),
+        }
+    }
+
+    /// Walk row `r` (counted across planes; call with `r = 0, 1, …`), given
+    /// the rows before it (`done`). `value_at(j, prediction)` is handed each
+    /// sample's prediction in order and returns the sample's value — which
+    /// the encoder knows and the decoder has just worked out — or `None`
+    /// to stop.
+    #[inline]
+    fn walk(
+        &mut self,
+        r: usize,
+        done: &[i64],
+        mut value_at: impl FnMut(usize, i64) -> Option<i64>,
+    ) -> Option<()> {
+        let (n1, n2) = (self.n1, self.n2);
+        let (k, i) = (r / n1, r % n1);
+        // what was the current row is now the row above, in both planes
+        for rows in [&mut self.q, &mut self.p] {
+            rows.swap(0, 1);
+            rows.swap(2, 3);
+            if i == 0 {
+                rows[1].fill(0.0);
+                rows[3].fill(0.0);
+            }
+        }
+        let prev = self.predictor.prev.as_slice();
+        let step = self.predictor.step;
+        let prev_row = |r: usize, out: &mut [f64]| {
+            for (o, &v) in out[1..].iter_mut().zip(&prev[r * n2..][..n2]) {
+                *o = v as f64 / step;
+            }
+        };
+        prev_row(r, &mut self.p[0]);
+        if k > 0 {
+            prev_row(r - n1, &mut self.p[2]);
+            for (o, &v) in self.q[2][1..].iter_mut().zip(&done[(r - n1) * n2..][..n2]) {
+                *o = v as f64;
+            }
+        }
+        let [w0, w1, w2] = self.weights;
+        let [qc, qi, qk, qa] = &mut self.q;
+        let [pc, pi, pk, pa] = &self.p;
+        // the one in-row dependency: the left neighbour, zero at column −1
+        let mut left = 0.0f64;
+        for j in 0..n2 {
+            // float operations in exactly `temporal_candidates` order
+            let (lorenzo, p_lorenzo) = if self.three_d {
+                (
+                    qk[j + 1] + qi[j + 1] + left - qa[j + 1] - qk[j] - qi[j] + qa[j],
+                    pk[j + 1] + pi[j + 1] + pc[j] - pa[j + 1] - pk[j] - pi[j] + pa[j],
+                )
+            } else {
+                (qi[j + 1] + left - qi[j], pi[j + 1] + pc[j] - pi[j])
+            };
+            let p = pc[j + 1];
+            let t = p + (lorenzo - p_lorenzo);
+            // … and in `HybridModel::combine` order
+            let value = value_at(j, round_to_i64(0.0 + w0 * lorenzo + w1 * p + w2 * t))?;
+            left = value as f64;
+            qc[j + 1] = left;
+        }
+        Some(())
+    }
+}
+
+/// [`TemporalHybridPredictor::predict`] with none of the bulk overrides:
+/// the trait's per-point walk, which a malformed stream is handed back to
+/// so that its error is the oracle's own.
+struct PerPoint<'a>(&'a TemporalHybridPredictor);
+
+impl Predictor for PerPoint<'_> {
+    #[inline]
+    fn predict(&self, lattice: &QuantLattice, idx: &[usize]) -> i64 {
+        self.0.predict(lattice, idx)
+    }
+
+    fn name(&self) -> &'static str {
+        self.0.name()
     }
 }
 
 impl Predictor for TemporalHybridPredictor {
     #[inline]
     fn predict(&self, lattice: &QuantLattice, idx: &[usize]) -> i64 {
-        debug_assert_eq!(idx.len(), self.ndim);
+        debug_assert_eq!(idx.len(), self.prev.shape().ndim());
         let mut preds = [0.0f64; TEMPORAL_ARITY];
-        temporal_candidate_predictions(lattice, &self.pq, idx, &mut preds);
+        temporal_candidates(lattice, |off| self.pq(off), idx, &mut preds);
         self.model.combine(&preds).round() as i64
+    }
+
+    /// Row kernel: with the whole lattice known, a row's predictions depend
+    /// on nothing the walk produces.
+    fn residuals_into(&self, lattice: &QuantLattice, out: &mut Vec<i64>) {
+        let shape = lattice.shape();
+        let data = lattice.as_slice();
+        out.clear();
+        out.reserve(shape.len());
+        let mut rows = TemporalRows::new(self, shape);
+        for (r, cur) in data.chunks_exact(rows.n2).enumerate() {
+            rows.walk(r, data, |j, prediction| {
+                out.push(cur[j].wrapping_sub(prediction));
+                Some(cur[j])
+            });
+        }
+    }
+
+    /// Row kernel: the decode-side twin, with the left neighbour the only
+    /// thing a sample waits for. Codes and outliers are untrusted, and the
+    /// kernel holds them to what the per-point walk does — but it does not
+    /// word the refusal: the first code outside the alphabet, escape
+    /// without an outlier or outlier left over sends the whole stream
+    /// through that walk, which stops at the same element with its error.
+    fn reconstruct_into(
+        &self,
+        shape: Shape,
+        codes: &[u32],
+        outliers: &[i64],
+        quant: &QuantizerConfig,
+        out: &mut Vec<i64>,
+    ) -> Result<(), CfcError> {
+        assert_eq!(codes.len(), shape.len(), "one code per sample");
+        out.clear();
+        out.resize(shape.len(), 0);
+        let mut rows = TemporalRows::new(self, shape);
+        let n2 = rows.n2;
+        let mut pending = outliers.iter();
+        let well_formed = codes.chunks_exact(n2).enumerate().all(|(r, codes)| {
+            let (done, rest) = out.split_at_mut(r * n2);
+            let cur = &mut rest[..n2];
+            rows.walk(r, done, |j, prediction| {
+                cur[j] = match quant.check_one(codes[j]) {
+                    Ok(Some(delta)) => prediction.wrapping_add(delta),
+                    Ok(None) => *pending.next()?,
+                    Err(_) => return None,
+                };
+                Some(cur[j])
+            })
+            .is_some()
+        });
+        if well_formed && pending.next().is_none() {
+            return Ok(());
+        }
+        PerPoint(self).reconstruct_into(shape, codes, outliers, quant, out)
     }
 
     fn name(&self) -> &'static str {
@@ -402,21 +631,23 @@ mod tests {
         }
     }
 
+    /// A temporal predictor whose previous epoch is `prev`'s lattice values
+    /// (small integers, exact as `f32`) at a lattice step of one.
+    fn temporal(prev: &QuantLattice, weights: [f64; 3]) -> TemporalHybridPredictor {
+        let samples = prev.as_slice().iter().map(|&v| v as f32).collect();
+        let model = HybridModel {
+            weights: weights.to_vec(),
+            losses: vec![],
+        };
+        TemporalHybridPredictor::new(&Field::from_vec(prev.shape(), samples), 0.5, model)
+    }
+
     #[test]
     fn temporal_previous_value_candidate_is_exact_on_static_fields() {
         // identical epochs: the previous-value candidate alone reproduces
         // the lattice exactly at every point, border included
         let lat = lattice2(10, 12, |i, j| ((i * 31 + j * 17) % 57) as i64 - 20);
-        let pq: Vec<f64> = lat.as_slice().iter().map(|&v| v as f64).collect();
-        let model = HybridModel {
-            weights: vec![0.0, 1.0, 0.0],
-            losses: vec![],
-        };
-        let pred = TemporalHybridPredictor {
-            pq: pq.clone(),
-            model,
-            ndim: 2,
-        };
+        let pred = temporal(&lat, [0.0, 1.0, 0.0]);
         for i in 0..10 {
             for j in 0..12 {
                 assert_eq!(
@@ -428,11 +659,7 @@ mod tests {
         }
         // the temporal-Lorenzo candidate is exact too when the increment
         // is zero (interior and borders share the zero-padding convention)
-        let model = HybridModel {
-            weights: vec![0.0, 0.0, 1.0],
-            losses: vec![],
-        };
-        let pred = TemporalHybridPredictor { pq, model, ndim: 2 };
+        let pred = temporal(&lat, [0.0, 0.0, 1.0]);
         for i in 0..10 {
             for j in 0..12 {
                 assert_eq!(
@@ -451,12 +678,7 @@ mod tests {
         let cur = lattice2(9, 9, |i, j| {
             prev.get2(i as isize, j as isize) + 4 * i as i64 + 7 * j as i64 + 3
         });
-        let pq: Vec<f64> = prev.as_slice().iter().map(|&v| v as f64).collect();
-        let model = HybridModel {
-            weights: vec![0.0, 0.0, 1.0],
-            losses: vec![],
-        };
-        let pred = TemporalHybridPredictor { pq, model, ndim: 2 };
+        let pred = temporal(&prev, [0.0, 0.0, 1.0]);
         for i in 1..9 {
             for j in 1..9 {
                 assert_eq!(
@@ -478,7 +700,7 @@ mod tests {
         let (preds, targets) = sample_temporal_training(&cur, &pq, 400, 9);
         let model = HybridModel::fit_least_squares(&preds, &targets);
         assert_eq!(model.arity(), TEMPORAL_ARITY);
-        let predictor = TemporalHybridPredictor { pq, model, ndim: 2 };
+        let predictor = temporal(&prev, model.weights[..].try_into().unwrap());
         let quant = QuantizerConfig { radius: 512 };
         let enc = codec::encode(&cur, &predictor, &quant);
         let dec =
@@ -493,16 +715,73 @@ mod tests {
         let cur_data: Vec<i64> = prev_data.iter().map(|&v| v + 2).collect();
         let prev = QuantLattice::from_vec(shape, prev_data);
         let cur = QuantLattice::from_vec(shape, cur_data);
-        let pq: Vec<f64> = prev.as_slice().iter().map(|&v| v as f64).collect();
-        let model = HybridModel {
-            weights: vec![0.1, 0.6, 0.3],
-            losses: vec![],
-        };
-        let predictor = TemporalHybridPredictor { pq, model, ndim: 3 };
+        let predictor = temporal(&prev, [0.1, 0.6, 0.3]);
         let quant = QuantizerConfig { radius: 512 };
         let enc = codec::encode(&cur, &predictor, &quant);
         let dec = codec::try_decode(shape, &enc.codes, &enc.outliers, &predictor, &quant).unwrap();
         assert_eq!(dec.as_slice(), cur.as_slice());
+    }
+
+    #[test]
+    fn inline_rounding_is_round_then_cast_on_every_double() {
+        let same = |x: f64| {
+            assert_eq!(
+                round_to_i64(x),
+                x.round() as i64,
+                "{x:e} ({:#x})",
+                x.to_bits()
+            )
+        };
+        let mut edges = vec![
+            0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            5e-324,
+        ];
+        // powers of two around where the fraction bits run out (2^52),
+        // where `i64` does (2^63), and a step either side of each
+        for e in [-1, 0, 1, 23, 24, 31, 32, 51, 52, 53, 54, 62, 63, 64, 100] {
+            let p = 2f64.powi(e);
+            edges.extend([p, p - 0.5, p + 0.5, p - 1.0, p + 1.0]);
+        }
+        // half-integers: ties round away from zero
+        for k in [
+            0u64,
+            1,
+            2,
+            3,
+            1022,
+            1023,
+            (1 << 31) - 1,
+            (1 << 51) - 1,
+            (1 << 52) - 1,
+        ] {
+            edges.push(k as f64 + 0.5);
+        }
+        for x in edges {
+            // the value and its neighbours an ulp away, both signs
+            for bits in [x.to_bits().wrapping_sub(1), x.to_bits(), x.to_bits() + 1] {
+                same(f64::from_bits(bits));
+                same(-f64::from_bits(bits));
+            }
+        }
+        // xorshift doubles: any bit pattern (NaNs, infinities, subnormals
+        // and huge values included), then the range predictions live in
+        // with every fraction bit in play
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..2_000_000 {
+            same(f64::from_bits(next()));
+            let exponent = 1021 + next() % 56; // 2^-2 ..= 2^53
+            same(f64::from_bits((next() & !(0x7FF << 52)) | (exponent << 52)));
+        }
     }
 
     #[test]
@@ -513,8 +792,8 @@ mod tests {
             losses: vec![],
         };
         let p = TemporalHybridPredictor::new(&f, 0.1, model);
-        for (got, want) in p.pq.iter().zip([1.0, 2.0, -1.0, 0.0]) {
-            assert!((got - want).abs() < 1e-6, "{got} vs {want}");
+        for (off, want) in [1.0, 2.0, -1.0, 0.0].into_iter().enumerate() {
+            assert!((p.pq(off) - want).abs() < 1e-6, "{} vs {want}", p.pq(off));
         }
         assert_eq!(p.model.arity(), 3);
     }

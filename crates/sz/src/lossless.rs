@@ -120,18 +120,6 @@ pub fn compress_with(input: &[u8], scratch: &mut LzScratch) -> Vec<u8> {
     }
 }
 
-/// Bench/diagnostic probe: run only the LZ parse stage over `input` and
-/// return the token count (0 for inputs the parser would not see). Not
-/// part of the compression API — it exists so the perf harness can time
-/// the match search separately from entropy coding.
-pub fn parse_probe(input: &[u8], scratch: &mut LzScratch) -> usize {
-    if input.len() > MAX_LZ_INPUT {
-        return 0;
-    }
-    lz_parse(input, scratch);
-    scratch.tokens.len()
-}
-
 /// Fallible decompression of untrusted bytes under an output-size budget:
 /// every structural violation (unknown mode, truncated section, invalid LZ
 /// distance, length mismatch) returns a [`CfcError`] instead of panicking.
@@ -714,16 +702,6 @@ mod tests {
             assert_eq!(compress_with(data, &mut scratch), compress(data));
         }
         assert_eq!(scratch.cap_sum(), cap, "steady-state scratch grew");
-    }
-
-    #[test]
-    fn parse_probe_counts_tokens() {
-        let mut scratch = LzScratch::new();
-        let data = vec![b'z'; 10_000];
-        let ntok = parse_probe(&data, &mut scratch);
-        assert!(ntok > 0);
-        // a long single-byte run parses to literals + a few long matches
-        assert!(ntok < 100, "run of 10k should parse to few tokens: {ntok}");
     }
 
     #[test]

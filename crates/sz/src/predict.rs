@@ -46,8 +46,9 @@ pub trait Predictor: Sync {
     /// [`Predictor::predict`]-based loops. `out` is cleared first.
     ///
     /// The default walks the lattice point by point through `predict`;
-    /// predictors with exploitable structure (e.g. Lorenzo) override it
-    /// with row-sliced kernels that LLVM autovectorizes.
+    /// predictors with exploitable structure override it with row-sliced
+    /// kernels: Lorenzo here (integer rows LLVM autovectorizes), the
+    /// temporal hybrid in `cfc-core` (`f64` rows converted once).
     fn residuals_into(&self, lattice: &QuantLattice, out: &mut Vec<i64>) {
         let shape = lattice.shape();
         out.clear();
@@ -109,8 +110,12 @@ pub trait Predictor: Sync {
     /// prediction does not look at how many rows follow.
     ///
     /// The default is the per-point walk — monomorphised per predictor, so
-    /// `predict` inlines into it — and the reference an override (Lorenzo's
-    /// row kernels) is tested against.
+    /// `predict` inlines into it — and the reference the two overrides are
+    /// tested against: Lorenzo's row kernels (`tests/lorenzo_kernel.rs`)
+    /// and, in `cfc-core`, the temporal hybrid's, where the left neighbour
+    /// is the only thing a sample waits for (`tests/temporal_kernel.rs`).
+    /// The cross-field hybrid stays on the default: its block is bound by
+    /// CFNN inference, not by this walk.
     ///
     /// # Panics
     /// If `codes.len() != shape.len()`; [`crate::codec::try_decode`] checks

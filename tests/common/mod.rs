@@ -1,0 +1,112 @@
+//! Residual-stream builders shared by the kernel differential tests
+//! (`lorenzo_kernel.rs`, `temporal_kernel.rs`): seeded code and outlier
+//! streams, well-formed and malformed, and the container a block decoder
+//! meets them in.
+
+use cross_field_compression::sz::compressor::{encode_codes_into, encode_outliers_into};
+use cross_field_compression::sz::lossless::LzScratch;
+use cross_field_compression::sz::stream::{Container, SectionTag};
+use cross_field_compression::sz::{
+    CfcError, DecodeScratch, Predictor, QuantizerConfig, SzCompressor,
+};
+use cross_field_compression::tensor::{Field, Shape};
+
+pub struct XorShift(pub u64);
+
+impl XorShift {
+    pub fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    pub fn below(&mut self, n: u64) -> u64 {
+        (self.next() >> 11) % n
+    }
+}
+
+/// How a stream's codes are drawn.
+#[derive(Clone, Copy, Debug)]
+pub enum Codes {
+    /// Every code a residual.
+    InRange,
+    /// One code in `every` is the escape.
+    Escapes { every: u64 },
+    /// As `Escapes`, plus one code in 97 beyond the alphabet.
+    OutOfAlphabet { every: u64 },
+}
+
+/// How the outlier stream relates to the escapes in the codes.
+#[derive(Clone, Copy, Debug)]
+pub enum Outliers {
+    Exact,
+    OneShort,
+    OneLong,
+}
+
+pub fn stream(
+    rng: &mut XorShift,
+    n: usize,
+    quant: &QuantizerConfig,
+    codes: Codes,
+    outliers: Outliers,
+    huge: bool,
+) -> (Vec<u32>, Vec<i64>) {
+    let esc = quant.escape();
+    let codes: Vec<u32> = (0..n)
+        .map(|_| match codes {
+            Codes::InRange => rng.below(esc as u64) as u32,
+            Codes::Escapes { every } | Codes::OutOfAlphabet { every } if rng.below(every) == 0 => {
+                esc
+            }
+            Codes::OutOfAlphabet { .. } if rng.below(97) == 0 => {
+                esc + 1 + rng.below(1 << 20) as u32
+            }
+            _ => rng.below(esc as u64) as u32,
+        })
+        .collect();
+    let escapes = codes.iter().filter(|&&c| c == esc).count();
+    let count = match outliers {
+        Outliers::Exact => escapes,
+        Outliers::OneShort => escapes.saturating_sub(1),
+        Outliers::OneLong => escapes + 1,
+    };
+    let outliers = (0..count)
+        .map(|_| {
+            if huge {
+                // i64::MAX-scale neighbours: every later prediction wraps
+                [i64::MAX, i64::MIN, i64::MAX - 3, i64::MIN + 7][rng.below(4) as usize]
+            } else {
+                rng.below(1 << 24) as i64 - (1 << 23)
+            }
+        })
+        .collect();
+    (codes, outliers)
+}
+
+/// Codes and outliers as a block decoder meets them: behind the entropy
+/// stage of a container. A bound of 0.5 makes the lattice step 1, so the
+/// decoded `f32` samples are the lattice integers themselves.
+pub fn container(
+    shape: Shape,
+    quant: &QuantizerConfig,
+    codes: &[u32],
+    outliers: &[i64],
+) -> Container {
+    let mut c = Container::new(shape, 0.5, quant.radius);
+    let (mut payload, mut lz) = (Vec::new(), LzScratch::new());
+    c.push(
+        SectionTag::Residuals,
+        encode_codes_into(codes, &mut payload, &mut lz),
+    );
+    c.push(
+        SectionTag::Outliers,
+        encode_outliers_into(outliers, &mut payload, &mut lz),
+    );
+    c
+}
+
+pub fn leading(c: &Container, predictor: &dyn Predictor, rows: usize) -> Result<Field, CfcError> {
+    SzCompressor::baseline(1e-3).decompress_rows_with(c, predictor, rows, &mut DecodeScratch::new())
+}

@@ -11,16 +11,15 @@
 //! default walk it returns the whole decode's first rows, and it fails
 //! with the whole decode's error on streams damaged past those rows.
 
+mod common;
+
+use common::{container, leading, stream, Codes, Outliers, XorShift};
 use cross_field_compression::core::predictor::{
     CrossFieldHybridPredictor, TemporalHybridPredictor,
 };
 use cross_field_compression::core::HybridModel;
-use cross_field_compression::sz::compressor::{encode_codes_into, encode_outliers_into};
-use cross_field_compression::sz::lossless::LzScratch;
-use cross_field_compression::sz::stream::{Container, SectionTag};
 use cross_field_compression::sz::{
-    codec, CfcError, DecodeScratch, LorenzoPredictor, Predictor, QuantLattice, QuantizerConfig,
-    SzCompressor,
+    codec, CfcError, LorenzoPredictor, Predictor, QuantLattice, QuantizerConfig,
 };
 use cross_field_compression::tensor::{Field, Shape};
 
@@ -38,21 +37,6 @@ impl Predictor for PerPointLorenzo {
     }
 }
 
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        (self.next() >> 11) % n
-    }
-}
-
 fn shapes() -> Vec<Shape> {
     vec![
         Shape::d1(1),
@@ -66,65 +50,6 @@ fn shapes() -> Vec<Shape> {
         Shape::d3(4, 5, 6),
         Shape::d3(4, 32, 32),
     ]
-}
-
-/// How a stream's codes are drawn.
-#[derive(Clone, Copy, Debug)]
-enum Codes {
-    /// Every code a residual.
-    InRange,
-    /// One code in `every` is the escape.
-    Escapes { every: u64 },
-    /// As `Escapes`, plus one code in 97 beyond the alphabet.
-    OutOfAlphabet { every: u64 },
-}
-
-/// How the outlier stream relates to the escapes in the codes.
-#[derive(Clone, Copy, Debug)]
-enum Outliers {
-    Exact,
-    OneShort,
-    OneLong,
-}
-
-fn stream(
-    rng: &mut XorShift,
-    n: usize,
-    quant: &QuantizerConfig,
-    codes: Codes,
-    outliers: Outliers,
-    huge: bool,
-) -> (Vec<u32>, Vec<i64>) {
-    let esc = quant.escape();
-    let codes: Vec<u32> = (0..n)
-        .map(|_| match codes {
-            Codes::InRange => rng.below(esc as u64) as u32,
-            Codes::Escapes { every } | Codes::OutOfAlphabet { every } if rng.below(every) == 0 => {
-                esc
-            }
-            Codes::OutOfAlphabet { .. } if rng.below(97) == 0 => {
-                esc + 1 + rng.below(1 << 20) as u32
-            }
-            _ => rng.below(esc as u64) as u32,
-        })
-        .collect();
-    let escapes = codes.iter().filter(|&&c| c == esc).count();
-    let count = match outliers {
-        Outliers::Exact => escapes,
-        Outliers::OneShort => escapes.saturating_sub(1),
-        Outliers::OneLong => escapes + 1,
-    };
-    let outliers = (0..count)
-        .map(|_| {
-            if huge {
-                // i64::MAX-scale neighbours: every later prediction wraps
-                [i64::MAX, i64::MIN, i64::MAX - 3, i64::MIN + 7][rng.below(4) as usize]
-            } else {
-                rng.below(1 << 24) as i64 - (1 << 23)
-            }
-        })
-        .collect();
-    (codes, outliers)
 }
 
 fn agree(shape: Shape, codes: &[u32], outliers: &[i64], quant: &QuantizerConfig, what: &str) {
@@ -239,27 +164,6 @@ fn kernel_inverts_the_encoder_through_the_codec_entry_point() {
 }
 
 // ---- decoding only the leading rows ----------------------------------------
-
-/// Codes and outliers as a block decoder meets them: behind the entropy
-/// stage of a container. A bound of 0.5 makes the lattice step 1, so the
-/// decoded `f32` samples are the lattice integers themselves.
-fn container(shape: Shape, quant: &QuantizerConfig, codes: &[u32], outliers: &[i64]) -> Container {
-    let mut c = Container::new(shape, 0.5, quant.radius);
-    let (mut payload, mut lz) = (Vec::new(), LzScratch::new());
-    c.push(
-        SectionTag::Residuals,
-        encode_codes_into(codes, &mut payload, &mut lz),
-    );
-    c.push(
-        SectionTag::Outliers,
-        encode_outliers_into(outliers, &mut payload, &mut lz),
-    );
-    c
-}
-
-fn leading(c: &Container, predictor: &dyn Predictor, rows: usize) -> Result<Field, CfcError> {
-    SzCompressor::baseline(1e-3).decompress_rows_with(c, predictor, rows, &mut DecodeScratch::new())
-}
 
 /// One predictor family over one shape. `predictor(rows)` is the predictor
 /// a decode of `rows` leading rows runs under — the archive reader cuts a

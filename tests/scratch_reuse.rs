@@ -182,6 +182,81 @@ fn steady_state_block_decode_reuses_buffers() {
     );
 }
 
+/// A delta chain through one scratch — keyframe under Lorenzo, then link
+/// after link under the temporal hybrid, each predicted from the field the
+/// link before it decoded to, which is how the archive reader resolves a
+/// delta block. The temporal kernels convert the previous epoch a row at a
+/// time into buffers of their own, so the second chain decode on finds
+/// every scratch buffer at its size.
+#[test]
+fn delta_chain_decode_stops_growing_the_scratch_after_the_first_chain() {
+    use cross_field_compression::core::predictor::TemporalHybridPredictor;
+    use cross_field_compression::core::HybridModel;
+    use cross_field_compression::sz::{LorenzoPredictor, Predictor, QuantLattice};
+
+    let eb = 0.01;
+    let epochs: Vec<Field> = (0..4)
+        .map(|e| {
+            Field::from_fn(Shape::d2(64, 48), |i| {
+                let (r, c, t) = (i[0] as f32, i[1] as f32, e as f32);
+                (0.11 * r + 0.2 * t).sin() * 12.0 + (0.07 * c - 0.1 * t).cos() * 7.0
+            })
+        })
+        .collect();
+    let sz = SzCompressor::baseline(1e-3);
+    let temporal = |prev: &Field| -> Box<dyn Predictor> {
+        let model = HybridModel {
+            weights: vec![0.2, 0.5, 0.3],
+            losses: Vec::new(),
+        };
+        Box::new(TemporalHybridPredictor::new(prev, eb, model))
+    };
+    // each link is encoded against the reader's view of the one before it
+    let mut enc = EncodeScratch::new();
+    let mut containers = Vec::new();
+    let mut view: Option<Field> = None;
+    for field in &epochs {
+        let lattice = QuantLattice::prequantize(field, eb);
+        let predictor = view
+            .as_ref()
+            .map_or(Box::new(LorenzoPredictor) as _, temporal);
+        containers.push(
+            sz.compress_lattice_with(&lattice, &*predictor, eb, &mut enc)
+                .0,
+        );
+        view = Some(lattice.reconstruct(eb));
+    }
+
+    let mut dec = DecodeScratch::new();
+    let chain = |dec: &mut DecodeScratch| -> Field {
+        let mut view: Option<Field> = None;
+        for container in &containers {
+            let predictor = view
+                .as_ref()
+                .map_or(Box::new(LorenzoPredictor) as _, temporal);
+            let lattice = sz
+                .decompress_lattice_with(container, &*predictor, dec)
+                .expect("own chain");
+            view = Some(lattice.reconstruct(eb));
+        }
+        view.expect("four links")
+    };
+    let first = chain(&mut dec);
+    let warmed = dec.growths();
+    assert!(warmed > 0, "the first chain must have allocated something");
+    for _ in 0..3 {
+        assert_eq!(chain(&mut dec).as_slice(), first.as_slice());
+        assert_eq!(dec.growths(), warmed, "a later chain grew the scratch");
+    }
+    assert_eq!(
+        first.as_slice(),
+        QuantLattice::prequantize(&epochs[3], eb)
+            .reconstruct(eb)
+            .as_slice(),
+        "the chain's tail is the last epoch's lattice"
+    );
+}
+
 /// The CFNN activation workspace rides in the same scratch: it must cost
 /// nothing until a cross-field target block is decoded, and nothing more
 /// after the first one.

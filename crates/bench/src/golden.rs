@@ -26,7 +26,7 @@ use cfc_core::config::TrainConfig;
 use cfc_core::pipeline::CrossFieldCompressor;
 use cfc_core::train::train_cfnn;
 use cfc_core::CfnnSpec;
-use cfc_sz::{Codec, ErrorBound, PredictorKind, QuantizerConfig, SzCompressor};
+use cfc_sz::{ErrorBound, PredictorKind, QuantizerConfig, SzCompressor};
 use cfc_tensor::{Dataset, Field, Shape};
 
 /// Relative error bound every golden fixture is written at.

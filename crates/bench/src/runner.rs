@@ -23,7 +23,7 @@ use cfc_core::pipeline::{CrossFieldCompressor, CrossFieldStream, TargetFit};
 use cfc_core::train::{train_cfnn, TrainedCfnn};
 use cfc_datagen::{Dataset, GenParams};
 use cfc_metrics::{max_abs_error, psnr};
-use cfc_sz::{Codec, EncodedStream};
+use cfc_sz::EncodedStream;
 use cfc_tensor::{Field, Shape};
 
 /// The relative error bounds of the paper's Table II, largest to smallest.

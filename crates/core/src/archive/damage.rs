@@ -133,21 +133,6 @@ impl DamageMap {
         });
     }
 
-    /// Fold another map's entries into this one (same dedup rule) — for
-    /// callers aggregating damage across several per-field decode calls.
-    pub fn merge(&mut self, other: DamageMap) {
-        for d in other.damaged {
-            if self
-                .damaged
-                .iter()
-                .any(|s| s.field == d.field && s.block == d.block)
-            {
-                continue;
-            }
-            self.damaged.push(d);
-        }
-    }
-
     /// Compact single-line rendering for logs and HTTP headers:
     /// fields in first-damaged order, sorted block lists —
     /// `"T:0,3;RH:1"`. Empty string when healthy.
@@ -233,21 +218,6 @@ mod tests {
         m.record("RH", 1, None, err());
         m.record("T", 0, None, err());
         assert_eq!(m.summary(), "T:0,3;RH:1");
-    }
-
-    #[test]
-    fn merge_keeps_existing_locations() {
-        let mut a = DamageMap::new();
-        a.record("T", 1, None, err());
-        let mut b = DamageMap::new();
-        b.record("T", 1, Some("A".into()), err());
-        b.record("P", 0, None, err());
-        a.merge(b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(
-            a.iter().find(|d| d.field == "T").unwrap().cascaded_from,
-            None
-        );
     }
 
     #[test]

@@ -271,16 +271,6 @@ impl ArchiveEntry {
         self.chunk_slabs
     }
 
-    /// Decoded (raw `f32`) byte size of block `idx` — what a cache entry
-    /// for this block costs. `None` for v1 entries, whose manifests do not
-    /// record the shape.
-    pub fn block_decoded_bytes(&self, idx: usize) -> Option<usize> {
-        if idx >= self.blocks.len() {
-            return None;
-        }
-        Some(self.slab_shape(idx)?.len() * 4)
-    }
-
     /// Axis-0 row range `[r0, r1)` block `idx` covers — `None` when the
     /// manifest records no geometry (v1: the one block is the whole field).
     pub(crate) fn block_rows(&self, idx: usize) -> Option<(usize, usize)> {
@@ -1133,7 +1123,7 @@ mod tests {
     }
 
     #[test]
-    fn block_decoded_bytes_matches_slab_size() {
+    fn slab_shape_of_an_entry_is_partial_at_the_end() {
         let entry = ArchiveEntry {
             name: "T".into(),
             role: FieldRole::Independent,
@@ -1164,9 +1154,8 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(entry.block_decoded_bytes(0), Some(4 * 6 * 4));
+        assert_eq!(entry.slab_shape(0), Some(Shape::d2(4, 6)));
         // last block is partial: rows 8..10
-        assert_eq!(entry.block_decoded_bytes(2), Some(2 * 6 * 4));
-        assert_eq!(entry.block_decoded_bytes(3), None);
+        assert_eq!(entry.slab_shape(2), Some(Shape::d2(2, 6)));
     }
 }

@@ -164,7 +164,7 @@ pub(crate) fn record_block_damage(damage: &mut DamageMap, name: &str, idx: usize
 pub struct ArchiveScratch {
     /// Raw block bytes read from the source (CRC-checked before decode).
     block: Vec<u8>,
-    /// Codec-level reusable buffers (payload/codes/outliers).
+    /// Entropy-stage reusable buffers (payload/codes/outliers).
     dec: DecodeScratch,
     /// CFNN activations: empty until the first cross-field target block,
     /// so workers that only see baseline or delta blocks never pay for it.
@@ -400,7 +400,7 @@ impl<R: ArchiveSource> ArchiveReader<R> {
 
     /// Flat index of the first entry of `epoch`, or the typed error for an
     /// epoch the archive does not have.
-    fn epoch_base(&self, epoch: usize) -> Result<usize, CfcError> {
+    pub(crate) fn epoch_base(&self, epoch: usize) -> Result<usize, CfcError> {
         if epoch >= self.n_epochs {
             return Err(CfcError::InvalidInput(format!(
                 "archive has {} epochs, asked for {epoch}",

@@ -31,20 +31,30 @@
 //!   round-trip. Tier-1 evictions *demote* (refresh the tier-2 entry);
 //!   tier-2 hits *promote* back into tier 1 on decode.
 //! * **Speculative prefetch** — `read` and `decode_block` report the
-//!   block window they covered; two consecutive
-//!   windows on a field with the same positive axis-0 stride make an
-//!   active scan, and the next [`StoreConfig::prefetch_depth`] blocks are
-//!   decoded ahead on detached workers through the same single-flight
-//!   slots, so a demand read arriving mid-prefetch coalesces instead of
-//!   decoding twice.
+//!   block window they covered; two consecutive windows on a field with
+//!   the same positive axis-0 stride make an active scan, and the next
+//!   [`StoreConfig::prefetch_depth`] blocks are decoded ahead on
+//!   `prefetch::WORKERS` = 2 detached workers through the same
+//!   single-flight slots, so a demand read arriving mid-prefetch
+//!   coalesces instead of decoding twice.
 //! * **Single-flight dedup** — concurrent requests for the same block
 //!   coalesce: one thread decodes, the rest wait and share the result.
+//! * **Retry** — a block decode that failed with a *transient* I/O error
+//!   ([`CfcError::is_transient`]) is retried `MAX_RETRIES` = 2 times, after
+//!   `RETRY_BACKOFF` = 1 ms and then 2 ms, before the error surfaces
+//!   (counted in [`StoreStats::retries`]).
 //! * **Negative caching** — repeated probes for unknown field names are
 //!   answered from a small error cache instead of re-formatting the error
 //!   each time (counted in [`StoreStats::negative_hits`]).
 //! * **Shared scratch pool** — decode workers borrow
-//!   [`ArchiveScratch`] buffers from a [`ScratchPool`] so steady-state
-//!   serving stays allocation-light without per-thread ownership.
+//!   [`ArchiveScratch`] buffers from a [`ScratchPool`], which keeps one
+//!   idle per available core, so steady-state serving stays
+//!   allocation-light without per-thread ownership.
+//!
+//! A caller sets only the two tier budgets and the prefetch depth
+//! ([`StoreConfig`]); the worker count, retry schedule and idle scratch
+//! above are fixed. The archive's own metadata is
+//! [`ArchiveStore::reader`]'s.
 //!
 //! Nothing ever enters either tier unless its whole decode succeeded:
 //! CRC-failed bytes and [`DecodePolicy::Salvage`](super::DecodePolicy::Salvage) fill are never cached,
@@ -68,7 +78,7 @@
 //!     StoreConfig::with_capacity(256 << 20),
 //! ));
 //! let window = store.decode_region("RH", &Region::d2(100, 200, 0, 512)).unwrap();
-//! println!("{} samples, stats {:?}", window.len(), store.stats());
+//! println!("{} samples, stats {:?}", window.len(), store.snapshot());
 //! ```
 
 mod prefetch;
@@ -76,6 +86,7 @@ mod tier;
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use cfc_sz::{CfcError, ScratchPool};
 use cfc_tensor::{Field, Region};
@@ -94,7 +105,18 @@ use tier::{lock, CacheInner, Flight, FlightPublisher};
 /// adversarial probe stream can't grow the map without limit).
 const NEGATIVE_CACHE_CAP: usize = 256;
 
-/// Configuration for an [`ArchiveStore`].
+/// Times a block decode that failed with a transient I/O error is retried
+/// before the error surfaces.
+const MAX_RETRIES: u32 = 2;
+
+/// Sleep before retry `n` (1-based) is `n × RETRY_BACKOFF` — linear
+/// backoff, so a persistently flaky source backs off harder.
+const RETRY_BACKOFF: Duration = Duration::from_millis(1);
+
+/// Configuration for an [`ArchiveStore`]: the two tier budgets and the
+/// prefetch depth. The rest is fixed (see the [module docs](self)): 2
+/// transient retries at 1 ms linear backoff, 2 prefetch workers, one idle
+/// scratch per available core.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreConfig {
     /// Byte budget for tier 1, the cache of decoded blocks (decoded `f32`
@@ -108,40 +130,20 @@ pub struct StoreConfig {
     /// re-enter with an in-memory decode instead of a source read. `0`
     /// disables the tier.
     pub tier2_capacity_bytes: usize,
-    /// Idle [`ArchiveScratch`] values kept in the worker pool (extras
-    /// returned beyond this are dropped).
-    pub max_idle_scratch: usize,
-    /// Times a block decode that failed with a *transient* I/O error
-    /// ([`CfcError::is_transient`]) is retried before the error is
-    /// surfaced. `0` disables retrying.
-    pub max_retries: u32,
-    /// Sleep before retry `n` (1-based) is `n × retry_backoff` — linear
-    /// backoff, so a persistently flaky source backs off harder.
-    pub retry_backoff: std::time::Duration,
     /// Blocks decoded ahead of an active sequential scan. `0` disables
     /// prefetch.
     pub prefetch_depth: usize,
-    /// Detached prefetch workers (spawned lazily on the first prediction;
-    /// a store that never scans spawns none). `0` disables prefetch.
-    pub prefetch_workers: usize,
 }
 
 impl Default for StoreConfig {
     /// 256 MiB of decoded blocks over 64 MiB of compressed bytes (≈
-    /// 400+ MiB of decoded coverage at the typical 6–7× ratio), one idle
-    /// scratch per available core, 2 transient retries at 1 ms linear
-    /// backoff, prefetch 4 blocks ahead on 2 workers.
+    /// 400+ MiB of decoded coverage at the typical 6–7× ratio), prefetch
+    /// 4 blocks ahead.
     fn default() -> Self {
         StoreConfig {
             capacity_bytes: 256 << 20,
             tier2_capacity_bytes: 64 << 20,
-            max_idle_scratch: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(8),
-            max_retries: 2,
-            retry_backoff: std::time::Duration::from_millis(1),
             prefetch_depth: 4,
-            prefetch_workers: 2,
         }
     }
 }
@@ -171,7 +173,6 @@ impl StoreConfig {
             capacity_bytes: 0,
             tier2_capacity_bytes: 0,
             prefetch_depth: 0,
-            ..Self::default()
         }
     }
 
@@ -218,8 +219,8 @@ pub struct StoreStats {
     pub cached_bytes: usize,
     /// Configured tier-1 byte budget.
     pub capacity_bytes: usize,
-    /// Block decodes re-attempted after a transient I/O failure
-    /// ([`StoreConfig::max_retries`] bounds the attempts per decode).
+    /// Block decodes re-attempted after a transient I/O failure (at most
+    /// 2 per decode).
     pub retries: u64,
     /// Damaged blocks replaced by fill values by a
     /// [`DecodePolicy::Salvage`](super::DecodePolicy::Salvage) decode instead of failing the call.
@@ -310,7 +311,10 @@ impl<R: ArchiveSource + 'static> ArchiveStore<R> {
             core: Arc::new(StoreCore {
                 reader,
                 cache: Mutex::new(CacheInner::default()),
-                scratch: ScratchPool::new(config.max_idle_scratch),
+                // one idle scratch per core that can be decoding at once
+                scratch: ScratchPool::new(
+                    std::thread::available_parallelism().map_or(8, |n| n.get()),
+                ),
                 metas: Mutex::new(HashMap::new()),
                 negatives: Mutex::new(HashMap::new()),
                 prefetch: Arc::clone(&prefetch),
@@ -326,40 +330,10 @@ impl<R: ArchiveSource + 'static> ArchiveStore<R> {
         Ok(Self::new(ArchiveReader::open(src)?, config))
     }
 
-    /// The wrapped reader (manifest access, uncached decode calls).
+    /// The wrapped reader: the archive's name, version, epochs and field
+    /// metadata, and uncached decode calls.
     pub fn reader(&self) -> &ArchiveReader<R> {
         &self.core.reader
-    }
-
-    /// Archive (dataset) name.
-    pub fn archive_name(&self) -> &str {
-        self.core.reader.name()
-    }
-
-    /// Container version of the wrapped archive (1, 2, or 3).
-    pub fn version(&self) -> u16 {
-        self.core.reader.version()
-    }
-
-    /// Number of epochs in the wrapped archive (1 for v1/v2).
-    pub fn n_epochs(&self) -> usize {
-        self.core.reader.n_epochs()
-    }
-
-    /// Keyframe interval of the wrapped archive (1 for v1/v2).
-    pub fn keyframe_interval(&self) -> usize {
-        self.core.reader.keyframe_interval()
-    }
-
-    /// Read-only metadata views of every field, in archive order.
-    pub fn field_infos(&self) -> Vec<super::format::FieldInfo> {
-        self.core.reader.field_infos()
-    }
-
-    /// Metadata view of one field, `None` when the archive has no field of
-    /// that name.
-    pub fn field_info(&self, name: &str) -> Option<super::format::FieldInfo> {
-        self.core.reader.field_info(name)
     }
 
     /// Consistent point-in-time snapshot of the cache counters: every
@@ -393,11 +367,6 @@ impl<R: ArchiveSource + 'static> ArchiveStore<R> {
             prefetch_hits: g.prefetch_hits,
             negative_hits: g.negative_hits,
         }
-    }
-
-    /// Alias for [`ArchiveStore::snapshot`] (historical name).
-    pub fn stats(&self) -> StoreStats {
-        self.snapshot()
     }
 
     /// Drop every cached block from both tiers (counters keep
@@ -454,12 +423,7 @@ impl<R: ArchiveSource + 'static> ArchiveStore<R> {
     /// epoch's bytes in place.
     pub fn invalidate_field_at(&self, name: &str, epoch: usize) -> Result<(), CfcError> {
         let pos = self.core.entry_index(name)?;
-        let n_epochs = self.core.reader.n_epochs();
-        if epoch >= n_epochs {
-            return Err(CfcError::InvalidInput(format!(
-                "archive has {n_epochs} epochs, asked for {epoch}"
-            )));
-        }
+        self.core.reader.epoch_base(epoch)?;
         let mut victims = self.stale_after(pos, epoch, name);
         victims.sort_unstable();
         victims.dedup();
@@ -588,29 +552,7 @@ impl<R: ArchiveSource + 'static> ArchiveStore<R> {
     /// Strictly decode an axis-aligned region of `field` through the cache
     /// ([`ArchiveStore::read`] with the defaults).
     pub fn decode_region(&self, field: &str, region: &Region) -> Result<Field, CfcError> {
-        self.decode_region_at(field, region, 0)
-    }
-
-    /// [`ArchiveStore::decode_region`] at an explicit epoch.
-    pub fn decode_region_at(
-        &self,
-        field: &str,
-        region: &Region,
-        epoch: usize,
-    ) -> Result<Field, CfcError> {
-        let req = ReadRequest::new(field).at(epoch).region(region);
-        self.read(&req).map(|s| s.data)
-    }
-
-    /// Strictly decode a whole field through the cache (stitched owned
-    /// copy; [`ArchiveStore::read`] with the defaults).
-    pub fn decode_field(&self, field: &str) -> Result<Field, CfcError> {
-        self.decode_field_at(field, 0)
-    }
-
-    /// [`ArchiveStore::decode_field`] at an explicit epoch.
-    pub fn decode_field_at(&self, field: &str, epoch: usize) -> Result<Field, CfcError> {
-        self.read(&ReadRequest::new(field).at(epoch))
+        self.read(&ReadRequest::new(field).region(region))
             .map(|s| s.data)
     }
 
@@ -620,7 +562,7 @@ impl<R: ArchiveSource + 'static> ArchiveStore<R> {
     /// enabled and an active scan is detected.
     fn maybe_prefetch(&self, fi: usize, b_first: usize, b_last: usize) {
         let cfg = &self.core.config;
-        if cfg.capacity_bytes == 0 || cfg.prefetch_depth == 0 || cfg.prefetch_workers == 0 {
+        if cfg.capacity_bytes == 0 || cfg.prefetch_depth == 0 {
             return;
         }
         let n_blocks = self.core.reader.entries()[fi].n_blocks();
@@ -642,7 +584,7 @@ impl<R: ArchiveSource + 'static> ArchiveStore<R> {
         if keys.is_empty() {
             return;
         }
-        self.workers.ensure(&self.core, cfg.prefetch_workers);
+        self.workers.ensure(&self.core);
         let issued = self.core.prefetch.enqueue(&keys);
         if issued > 0 {
             lock(&self.core.cache).prefetch_issued += issued as u64;
@@ -675,16 +617,11 @@ impl<R: ArchiveSource> StoreCore<R> {
 
     /// Flat entry index of `name` at `epoch` (the cache key space is flat
     /// across epochs, so the same block index in different epochs never
-    /// collides).
+    /// collides): the name through the negative cache, the epoch through
+    /// the reader's own check.
     fn entry_index_at(&self, name: &str, epoch: usize) -> Result<usize, CfcError> {
         let pos = self.entry_index(name)?;
-        let n_epochs = self.reader.n_epochs();
-        if epoch >= n_epochs {
-            return Err(CfcError::InvalidInput(format!(
-                "archive has {n_epochs} epochs, asked for {epoch}"
-            )));
-        }
-        Ok(epoch * self.reader.fields_per_epoch() + pos)
+        Ok(self.reader.epoch_base(epoch)? + pos)
     }
 
     /// Cache-or-decode one block: the reader's dependency walk over this
@@ -725,8 +662,7 @@ impl<R: ArchiveSource> StoreCore<R> {
     ///
     /// A decode that failed with a *transient* I/O error
     /// ([`CfcError::is_transient`] — interrupted syscall, timeout) is
-    /// re-attempted up to [`StoreConfig::max_retries`] times with linear
-    /// backoff. Deterministic failures (checksum mismatch, truncation,
+    /// re-attempted up to [`MAX_RETRIES`] times with linear backoff. Deterministic failures (checksum mismatch, truncation,
     /// structural corruption) are never retried — the same bad bytes would
     /// just be re-read. Dependencies were resolved (and retried) on their
     /// own before this call.
@@ -772,10 +708,10 @@ impl<R: ArchiveSource> StoreCore<R> {
                 Ok(field)
             })();
             match once {
-                Err(e) if e.is_transient() && attempt < self.config.max_retries => {
+                Err(e) if e.is_transient() && attempt < MAX_RETRIES => {
                     attempt += 1;
                     lock(&self.cache).retries += 1;
-                    std::thread::sleep(self.config.retry_backoff * attempt);
+                    std::thread::sleep(RETRY_BACKOFF * attempt);
                 }
                 other => return other,
             }

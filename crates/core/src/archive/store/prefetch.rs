@@ -24,6 +24,9 @@ use super::super::source::ArchiveSource;
 use super::tier::lock;
 use super::StoreCore;
 
+/// Detached prefetch workers in a store's pool.
+const WORKERS: usize = 2;
+
 /// Per-field scan detector: the last accessed block window and the stride
 /// between the last two windows.
 struct ScanTracker {
@@ -242,12 +245,12 @@ impl WorkerSet {
     }
 
     /// Spawn the worker pool if it isn't running yet (first prediction).
-    pub(super) fn ensure<R: ArchiveSource + 'static>(&self, core: &Arc<StoreCore<R>>, n: usize) {
+    pub(super) fn ensure<R: ArchiveSource + 'static>(&self, core: &Arc<StoreCore<R>>) {
         let mut handles = lock(&self.handles);
         if !handles.is_empty() {
             return;
         }
-        for i in 0..n.max(1) {
+        for i in 0..WORKERS {
             let core = Arc::clone(core);
             let handle = std::thread::Builder::new()
                 .name(format!("cfc-prefetch-{i}"))

@@ -570,7 +570,10 @@ fn store_serves_blocks_regions_and_fields_matching_reader() {
     let store = ArchiveStore::new(ArchiveReader::new(&bytes).unwrap(), StoreConfig::default());
 
     for name in ["T", "P", "RH"] {
-        assert_eq!(&store.decode_field(name).unwrap(), plain.expect_field(name));
+        assert_eq!(
+            &store.read(&ReadRequest::new(name)).unwrap().data,
+            plain.expect_field(name)
+        );
         for bi in 0..5 {
             assert_eq!(
                 store.decode_block(name, bi).unwrap().as_slice(),
@@ -592,7 +595,7 @@ fn store_serves_blocks_regions_and_fields_matching_reader() {
             );
         }
     }
-    let stats = store.stats();
+    let stats = store.snapshot();
     assert!(stats.hits > 0, "warm reads must hit: {stats:?}");
     assert!(stats.cached_bytes > 0 && stats.cached_blocks > 0);
     assert_eq!(stats.capacity_bytes, StoreConfig::default().capacity_bytes);
@@ -605,7 +608,7 @@ fn store_warm_cache_decodes_each_block_once() {
     let store = ArchiveStore::new(ArchiveReader::new(&bytes).unwrap(), StoreConfig::default());
     let region = Region::d2(5, 30, 0, 40); // RH blocks 0..=3 (+ T, P anchors)
     let first = store.decode_region("RH", &region).unwrap();
-    let cold = store.stats();
+    let cold = store.snapshot();
     // 4 RH blocks + 4 T blocks + 4 P blocks decoded, nothing twice
     assert_eq!(cold.misses, 12, "{cold:?}");
     assert_eq!(cold.insertions, 12, "{cold:?}");
@@ -613,7 +616,7 @@ fn store_warm_cache_decodes_each_block_once() {
     for _ in 0..5 {
         assert_eq!(store.decode_region("RH", &region).unwrap(), first);
     }
-    let warm = store.stats();
+    let warm = store.snapshot();
     assert_eq!(warm.misses, cold.misses, "warm reads must not decode");
     assert_eq!(warm.hits, cold.hits + 5 * 4, "5 repeats × 4 target blocks");
     assert_eq!(warm.evictions, 0);
@@ -632,17 +635,17 @@ fn store_respects_byte_budget_and_evicts_lru() {
     for bi in 0..5 {
         store.decode_block("T", bi).unwrap();
     }
-    let stats = store.stats();
+    let stats = store.snapshot();
     assert!(stats.cached_bytes <= stats.capacity_bytes, "{stats:?}");
     assert_eq!(stats.cached_blocks, 2, "{stats:?}");
     assert_eq!(stats.evictions, 3, "{stats:?}");
     // most-recent blocks survive: 3 and 4 hit, 0 misses again
     store.decode_block("T", 4).unwrap();
     store.decode_block("T", 3).unwrap();
-    let warm = store.stats();
+    let warm = store.snapshot();
     assert_eq!(warm.hits, stats.hits + 2);
     store.decode_block("T", 0).unwrap();
-    assert_eq!(store.stats().misses, warm.misses + 1);
+    assert_eq!(store.snapshot().misses, warm.misses + 1);
 }
 
 #[test]
@@ -657,7 +660,7 @@ fn store_with_zero_capacity_never_caches_but_matches() {
             plain.expect_field("RH").crop(&region)
         );
     }
-    let stats = store.stats();
+    let stats = store.snapshot();
     assert_eq!(stats.hits, 0);
     assert_eq!(stats.cached_blocks, 0);
     assert_eq!(stats.cached_bytes, 0);
@@ -668,17 +671,17 @@ fn store_with_zero_capacity_never_caches_but_matches() {
 fn store_clear_drops_blocks_but_keeps_counters() {
     let (_, bytes) = chunked_cross_field_archive();
     let store = ArchiveStore::new(ArchiveReader::new(&bytes).unwrap(), StoreConfig::default());
-    store.decode_field("T").unwrap();
-    let before = store.stats();
+    store.read(&ReadRequest::new("T")).unwrap();
+    let before = store.snapshot();
     assert!(before.cached_blocks > 0);
     store.clear();
-    let after = store.stats();
+    let after = store.snapshot();
     assert_eq!(after.cached_blocks, 0);
     assert_eq!(after.cached_bytes, 0);
     assert_eq!(after.misses, before.misses);
     // decoding again repopulates
-    store.decode_field("T").unwrap();
-    assert!(store.stats().cached_blocks > 0);
+    store.read(&ReadRequest::new("T")).unwrap();
+    assert!(store.snapshot().cached_blocks > 0);
 }
 
 #[test]
@@ -699,7 +702,7 @@ fn store_concurrent_same_block_decodes_once() {
             });
         }
     });
-    let stats = store.stats();
+    let stats = store.snapshot();
     // RH block 2 + anchors T and P block 2: exactly 3 decodes total,
     // no matter how the threads interleave (single-flight)
     assert_eq!(stats.misses, 3, "{stats:?}");
@@ -817,11 +820,11 @@ fn temporal_archive_roundtrips_and_is_epoch_addressable() {
 
     // the store serves bit-identical data through its cache
     let store = ArchiveStore::new(ArchiveReader::new(&bytes).unwrap(), StoreConfig::default());
-    assert_eq!(store.n_epochs(), 7);
-    assert_eq!(store.keyframe_interval(), 3);
+    assert_eq!(store.reader().n_epochs(), 7);
+    assert_eq!(store.reader().keyframe_interval(), 3);
     for e in [0usize, 2, 4, 6] {
         for name in ["T", "P", "RH"] {
-            let a = store.decode_field_at(name, e).unwrap();
+            let a = store.read(&ReadRequest::new(name).at(e)).unwrap().data;
             let b = reader.decode_field_at(name, e).unwrap();
             assert!(
                 a.as_slice()

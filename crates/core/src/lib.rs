@@ -21,10 +21,9 @@
 //! * [`hybrid`] learns the weighted combination of the `n+1` predictors
 //!   (paper §III-D3);
 //! * [`predictor`] adapts everything into a causal [`cfc_sz::Predictor`];
-//! * [`pipeline`] is the single-field compressor: anchors in, error-bounded
-//!   stream (with embedded model) out — plus [`CrossFieldCodec`], which
-//!   packages model + anchors behind the unified fallible
-//!   [`cfc_sz::Codec`] trait;
+//! * [`pipeline`] is the single-field compressor,
+//!   [`CrossFieldCompressor`]: target and decompressed anchors in,
+//!   error-bounded stream (with embedded model) out, and back;
 //! * [`archive`] is the dataset-level entry point, layered as
 //!   `archive::format` (wire structs) / `archive::writer` /
 //!   `archive::reader` / `archive::store`: [`ArchiveBuilder`] →
@@ -58,5 +57,5 @@ pub use archive::{
 };
 pub use config::{CfnnSpec, CrossFieldConfig, TrainConfig};
 pub use hybrid::HybridModel;
-pub use pipeline::{CrossFieldCodec, CrossFieldCompressor, CrossFieldStream};
+pub use pipeline::{CrossFieldCompressor, CrossFieldStream};
 pub use train::{train_cfnn, TrainReport, TrainedCfnn};

@@ -28,16 +28,15 @@
 //! decode path is fallible — corrupt or adversarial streams return
 //! [`CfcError`], never panic.
 //!
-//! [`CrossFieldCodec`] packages a trained model plus its decompressed
-//! anchors behind the unified [`Codec`] trait, so a cross-field target
-//! compresses/decompresses through the same two-method API as the baseline.
+//! [`CrossFieldCompressor::compress`] and
+//! [`CrossFieldCompressor::decompress`] take the decompressed anchors
+//! explicitly: they are the one cross-field call for a single target.
 
 use bytes::BufMut;
 use cfc_sz::error::Reader;
 use cfc_sz::stream::{Container, SectionTag};
 use cfc_sz::{
-    CfcError, Codec, DecodeScratch, EncodeScratch, EncodedStream, ErrorBound, QuantLattice,
-    QuantizerConfig, SzCompressor,
+    CfcError, DecodeScratch, EncodeScratch, ErrorBound, QuantLattice, QuantizerConfig, SzCompressor,
 };
 use cfc_tensor::{Field, FieldStats, Normalizer};
 
@@ -315,63 +314,6 @@ impl CrossFieldStream {
         }
         self.bytes.len() as f64 * 8.0 / n_samples as f64
     }
-
-    /// View as a plain [`EncodedStream`] (drops cross-field bookkeeping).
-    pub fn to_encoded(&self) -> EncodedStream {
-        EncodedStream {
-            bytes: self.bytes.clone(),
-            eb_abs: self.eb_abs,
-            n_outliers: self.n_outliers,
-        }
-    }
-}
-
-/// A **self-contained** cross-field codec: a trained CFNN plus the
-/// decompressed anchor fields, packaged behind the unified [`Codec`] trait.
-///
-/// `compress` runs inference + hybrid fitting + encoding for one target
-/// field; `decompress` needs only the stream bytes — the CFNN and hybrid
-/// weights ride in the stream, and the anchors are part of the codec state
-/// (exactly the situation inside an archive, where anchors are decoded
-/// before their dependants).
-pub struct CrossFieldCodec {
-    inner: CrossFieldCompressor,
-    trained: TrainedCfnn,
-    anchors_dec: Vec<Field>,
-}
-
-impl CrossFieldCodec {
-    /// Package a pipeline configuration, trained model, and decompressed
-    /// anchors into a self-contained codec.
-    pub fn new(inner: CrossFieldCompressor, trained: TrainedCfnn, anchors_dec: Vec<Field>) -> Self {
-        CrossFieldCodec {
-            inner,
-            trained,
-            anchors_dec,
-        }
-    }
-
-    /// The decompressed anchors this codec conditions on.
-    pub fn anchors(&self) -> &[Field] {
-        &self.anchors_dec
-    }
-}
-
-impl Codec for CrossFieldCodec {
-    fn compress(&self, field: &Field) -> Result<EncodedStream, CfcError> {
-        let refs: Vec<&Field> = self.anchors_dec.iter().collect();
-        let stream = self.inner.compress(&self.trained, field, &refs)?;
-        Ok(stream.to_encoded())
-    }
-
-    fn decompress(&self, bytes: &[u8]) -> Result<Field, CfcError> {
-        let refs: Vec<&Field> = self.anchors_dec.iter().collect();
-        self.inner.decompress(bytes, &refs)
-    }
-
-    fn name(&self) -> &'static str {
-        "cross-field-hybrid"
-    }
 }
 
 /// Model section layout: spec (5×u32) | input norms | target norms | net.
@@ -625,20 +567,6 @@ mod tests {
             matches!(res, Err(CfcError::ShapeMismatch { .. })),
             "{res:?}"
         );
-    }
-
-    #[test]
-    fn codec_trait_roundtrips_self_contained() {
-        let (anchor, target) = coupled_2d(40, 40);
-        let comp = CrossFieldCompressor::new(1e-3);
-        let anchor_dec = comp.roundtrip_anchor(&anchor).unwrap();
-        let spec = CfnnSpec::compact(1, 2);
-        let trained = train_cfnn(&spec, &TrainConfig::fast(), &[&anchor], &target);
-        let codec = CrossFieldCodec::new(comp, trained, vec![anchor_dec]);
-        let stream = codec.compress(&target).unwrap();
-        let dec = codec.decompress(&stream.bytes).unwrap();
-        check_bound(&target, &dec, stream.eb_abs);
-        assert_eq!(codec.name(), "cross-field-hybrid");
     }
 
     #[test]

@@ -54,13 +54,6 @@ impl GenParams {
         self.noise_floor = n;
         self
     }
-
-    /// Builder-style roughness override.
-    pub fn with_roughness(mut self, r: f32) -> Self {
-        assert!((0.0..1.0).contains(&r));
-        self.roughness = r;
-        self
-    }
 }
 
 #[cfg(test)]

@@ -76,5 +76,5 @@ mod router;
 pub mod server;
 
 pub use client::{ClientResponse, HttpClient};
-pub use query::{region_from_query, region_request_from_query, RegionQueryError};
+pub use query::{region_request_from_query, RegionQueryError};
 pub use server::{ArchiveServer, ServeConfig, ServerStats};

@@ -1,39 +1,33 @@
-//! Typed parsing of `Region` requests from URL query strings.
+//! Typed parsing of region-endpoint and block-endpoint URL query strings.
 //!
 //! The region endpoint addresses an axis-aligned box as two comma-joined
-//! integer lists:
+//! integer lists, optionally followed by a decode-policy suffix and a
+//! temporal-archive epoch selector:
 //!
 //! ```text
 //! /field/RH/region?start=0,0,0&shape=4,64,64
+//! /field/RH/region?start=0,0&shape=4,64&mode=salvage&fill=-1&epoch=3
 //! ```
 //!
-//! [`region_from_query`] turns that into a validated
-//! [`cfc_tensor::Region`] or a [`RegionQueryError`] that names exactly
-//! what was wrong — missing or duplicated parameters, unparseable or
-//! overflowing integers, rank mismatches, empty extents. The parser never
+//! [`region_request_from_query`] turns that into a validated
+//! [`cfc_tensor::Region`], [`DecodePolicy`] and epoch, or a
+//! [`RegionQueryError`] that names exactly what was wrong — missing,
+//! duplicated or unknown parameters, unparseable or overflowing integers,
+//! rank mismatches, empty extents, a bad mode or fill. The parser never
 //! panics on any input (in particular it front-runs the panicking
 //! `Region::from_ranges` constructor on empty axes and start+shape
 //! overflow).
 //!
-//! Bounds against a concrete field shape are *not* checked here — the
-//! caller validates the parsed region against the field it addresses
-//! (`Region::validate`), which is where out-of-range requests become
-//! `422` responses.
-//!
-//! The region endpoint additionally accepts a decode-policy suffix and a
-//! temporal-archive epoch selector, parsed by
-//! [`region_request_from_query`]:
-//!
-//! ```text
-//! /field/RH/region?start=0,0&shape=4,64&mode=salvage&fill=-1&epoch=3
-//! ```
-//!
 //! `mode` is `strict` (the default) or `salvage`; `fill` (salvage only)
 //! is the finite `f32` written over damaged blocks, default `0`; `epoch`
-//! selects a snapshot of a v3 temporal archive, default `0`. Whether the
-//! epoch actually exists is the caller's check (out-of-range epochs are
-//! `404`s, like unknown fields). The block endpoint accepts `epoch`
-//! alone, via [`epoch_from_query`].
+//! selects a snapshot of a v3 temporal archive, default `0`. The block
+//! endpoint accepts `epoch` alone, via [`epoch_from_query`]; both grammars
+//! walk the query through one `key=value` loop.
+//!
+//! Bounds are *not* checked here: the caller validates the region against
+//! the field it addresses (`Region::validate`), which is where
+//! out-of-range requests become `422` responses, and whether the epoch
+//! exists (out-of-range epochs are `404`s, like unknown fields).
 
 use cfc_core::archive::DecodePolicy;
 use cfc_tensor::{Region, MAX_DIMS};
@@ -159,34 +153,6 @@ fn build_region(
     Ok(Region::from_ranges(&ranges))
 }
 
-/// Parse `start=…&shape=…` into a [`Region`]. See the [module docs](self)
-/// for the grammar and error taxonomy. `mode`/`fill` are *not* accepted
-/// here — use [`region_request_from_query`] for the full region-endpoint
-/// grammar.
-pub fn region_from_query(query: &str) -> Result<Region, RegionQueryError> {
-    let mut start: Option<Vec<usize>> = None;
-    let mut shape: Option<Vec<usize>> = None;
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
-        match key {
-            "start" => {
-                if start.is_some() {
-                    return Err(RegionQueryError::DuplicateParam("start"));
-                }
-                start = Some(parse_list("start", value)?);
-            }
-            "shape" => {
-                if shape.is_some() {
-                    return Err(RegionQueryError::DuplicateParam("shape"));
-                }
-                shape = Some(parse_list("shape", value)?);
-            }
-            other => return Err(RegionQueryError::UnknownParam(other.to_string())),
-        }
-    }
-    build_region(start, shape)
-}
-
 /// Parse an `epoch` parameter value into a non-negative integer.
 fn parse_epoch(raw: &str) -> Result<usize, RegionQueryError> {
     let raw = raw.trim();
@@ -194,23 +160,39 @@ fn parse_epoch(raw: &str) -> Result<usize, RegionQueryError> {
         .map_err(|_| RegionQueryError::BadEpoch(raw.to_string()))
 }
 
+/// The one `key=value` walk behind both endpoint grammars: each pair is
+/// handed to `take` in query order, after the checks every parameter
+/// shares — a key outside `keys` is [`RegionQueryError::UnknownParam`],
+/// a key seen twice [`RegionQueryError::DuplicateParam`].
+fn for_each_param<'q>(
+    query: &'q str,
+    keys: &[&'static str],
+    mut take: impl FnMut(&'static str, &'q str) -> Result<(), RegionQueryError>,
+) -> Result<(), RegionQueryError> {
+    let mut seen = 0u32;
+    for pair in query.split('&').filter(|p| !p.is_empty()) {
+        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
+        let Some(k) = keys.iter().position(|&name| name == key) else {
+            return Err(RegionQueryError::UnknownParam(key.to_string()));
+        };
+        if seen & (1 << k) != 0 {
+            return Err(RegionQueryError::DuplicateParam(keys[k]));
+        }
+        seen |= 1 << k;
+        take(keys[k], value)?;
+    }
+    Ok(())
+}
+
 /// Parse the block-endpoint query grammar: empty, or `epoch=N` alone.
 /// Returns the epoch to decode at (default 0).
 pub fn epoch_from_query(query: &str) -> Result<usize, RegionQueryError> {
-    let mut epoch: Option<usize> = None;
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
-        match key {
-            "epoch" => {
-                if epoch.is_some() {
-                    return Err(RegionQueryError::DuplicateParam("epoch"));
-                }
-                epoch = Some(parse_epoch(value)?);
-            }
-            other => return Err(RegionQueryError::UnknownParam(other.to_string())),
-        }
-    }
-    Ok(epoch.unwrap_or(0))
+    let mut epoch = 0;
+    for_each_param(query, &["epoch"], |_, value| {
+        epoch = parse_epoch(value)?;
+        Ok(())
+    })?;
+    Ok(epoch)
 }
 
 /// Parse the full region-endpoint grammar:
@@ -224,47 +206,22 @@ pub fn epoch_from_query(query: &str) -> Result<usize, RegionQueryError> {
 pub fn region_request_from_query(
     query: &str,
 ) -> Result<(Region, DecodePolicy, usize), RegionQueryError> {
-    let mut start: Option<Vec<usize>> = None;
-    let mut shape: Option<Vec<usize>> = None;
-    let mut mode: Option<&str> = None;
-    let mut fill_raw: Option<&str> = None;
-    let mut epoch: Option<usize> = None;
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
+    let mut start = None;
+    let mut shape = None;
+    let mut mode = None;
+    let mut fill_raw = None;
+    let mut epoch = 0;
+    let keys = ["start", "shape", "mode", "fill", "epoch"];
+    for_each_param(query, &keys, |key, value| {
         match key {
-            "start" => {
-                if start.is_some() {
-                    return Err(RegionQueryError::DuplicateParam("start"));
-                }
-                start = Some(parse_list("start", value)?);
-            }
-            "shape" => {
-                if shape.is_some() {
-                    return Err(RegionQueryError::DuplicateParam("shape"));
-                }
-                shape = Some(parse_list("shape", value)?);
-            }
-            "mode" => {
-                if mode.is_some() {
-                    return Err(RegionQueryError::DuplicateParam("mode"));
-                }
-                mode = Some(value);
-            }
-            "fill" => {
-                if fill_raw.is_some() {
-                    return Err(RegionQueryError::DuplicateParam("fill"));
-                }
-                fill_raw = Some(value);
-            }
-            "epoch" => {
-                if epoch.is_some() {
-                    return Err(RegionQueryError::DuplicateParam("epoch"));
-                }
-                epoch = Some(parse_epoch(value)?);
-            }
-            other => return Err(RegionQueryError::UnknownParam(other.to_string())),
+            "start" => start = Some(parse_list(key, value)?),
+            "shape" => shape = Some(parse_list(key, value)?),
+            "mode" => mode = Some(value),
+            "fill" => fill_raw = Some(value),
+            _ => epoch = parse_epoch(value)?,
         }
-    }
+        Ok(())
+    })?;
     let region = build_region(start, shape)?;
     let policy = match mode {
         None | Some("strict") => {
@@ -291,46 +248,45 @@ pub fn region_request_from_query(
         }
         Some(other) => return Err(RegionQueryError::BadMode(other.to_string())),
     };
-    Ok((region, policy, epoch.unwrap_or(0)))
+    Ok((region, policy, epoch))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The region of a query, or why it has none.
+    fn region_of(query: &str) -> Result<Region, RegionQueryError> {
+        region_request_from_query(query).map(|(region, _, _)| region)
+    }
+
     #[test]
     fn parses_well_formed_queries() {
         assert_eq!(
-            region_from_query("start=0,0,0&shape=4,64,64").unwrap(),
+            region_of("start=0,0,0&shape=4,64,64").unwrap(),
             Region::d3(0, 4, 0, 64, 0, 64)
         );
-        assert_eq!(
-            region_from_query("shape=8&start=3").unwrap(),
-            Region::d1(3, 11)
-        );
+        assert_eq!(region_of("shape=8&start=3").unwrap(), Region::d1(3, 11));
         // whitespace around elements tolerated
         assert_eq!(
-            region_from_query("start=1, 2&shape= 3,4").unwrap(),
+            region_of("start=1, 2&shape= 3,4").unwrap(),
             Region::d2(1, 4, 2, 6)
         );
     }
 
     #[test]
     fn rejects_missing_and_duplicate_params() {
+        assert_eq!(region_of(""), Err(RegionQueryError::MissingParam("start")));
         assert_eq!(
-            region_from_query(""),
-            Err(RegionQueryError::MissingParam("start"))
-        );
-        assert_eq!(
-            region_from_query("start=0,0"),
+            region_of("start=0,0"),
             Err(RegionQueryError::MissingParam("shape"))
         );
         assert_eq!(
-            region_from_query("start=1&start=2&shape=3"),
+            region_of("start=1&start=2&shape=3"),
             Err(RegionQueryError::DuplicateParam("start"))
         );
         assert_eq!(
-            region_from_query("start=1&shape=2&limit=9"),
+            region_of("start=1&shape=2&limit=9"),
             Err(RegionQueryError::UnknownParam("limit".into()))
         );
     }
@@ -344,16 +300,13 @@ mod tests {
             "start=&shape=2",
         ] {
             assert!(
-                matches!(
-                    region_from_query(bad),
-                    Err(RegionQueryError::BadInteger { .. })
-                ),
+                matches!(region_of(bad), Err(RegionQueryError::BadInteger { .. })),
                 "{bad} should be a BadInteger error"
             );
         }
         // a value that overflows usize is a parse error, not a panic
         assert!(matches!(
-            region_from_query("start=99999999999999999999999999&shape=2"),
+            region_of("start=99999999999999999999999999&shape=2"),
             Err(RegionQueryError::BadInteger { param: "start", .. })
         ));
     }
@@ -361,11 +314,11 @@ mod tests {
     #[test]
     fn rejects_rank_problems() {
         assert_eq!(
-            region_from_query("start=0,0&shape=4,64,64"),
+            region_of("start=0,0&shape=4,64,64"),
             Err(RegionQueryError::RankMismatch { start: 2, shape: 3 })
         );
         assert_eq!(
-            region_from_query("start=0,0,0,0&shape=1,1,1,1"),
+            region_of("start=0,0,0,0&shape=1,1,1,1"),
             Err(RegionQueryError::BadRank(4))
         );
     }
@@ -439,9 +392,9 @@ mod tests {
             region_request_from_query("start=0&shape=4&mode=salvage&mode=strict"),
             Err(RegionQueryError::DuplicateParam("mode"))
         );
-        // the plain region parser still refuses policy parameters
+        // the block grammar refuses policy parameters
         assert_eq!(
-            region_from_query("start=0&shape=4&mode=salvage"),
+            epoch_from_query("epoch=1&mode=salvage"),
             Err(RegionQueryError::UnknownParam("mode".into()))
         );
     }
@@ -449,11 +402,11 @@ mod tests {
     #[test]
     fn rejects_empty_axes_and_overflow() {
         assert_eq!(
-            region_from_query("start=0,3&shape=4,0"),
+            region_of("start=0,3&shape=4,0"),
             Err(RegionQueryError::EmptyAxis(1))
         );
         assert_eq!(
-            region_from_query(&format!("start={}&shape=2", usize::MAX)),
+            region_of(&format!("start={}&shape=2", usize::MAX)),
             Err(RegionQueryError::Overflow(0))
         );
     }

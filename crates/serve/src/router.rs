@@ -108,15 +108,16 @@ fn handle_fields<R: ArchiveSource + 'static>(
     store: &ArchiveStore<R>,
     body: &mut Vec<u8>,
 ) -> ResponseHead {
-    let fields: Vec<String> = store.field_infos().iter().map(field_json).collect();
+    let reader = store.reader();
+    let fields: Vec<String> = reader.field_infos().iter().map(field_json).collect();
     body.extend_from_slice(
         format!(
             "{{\"archive\": \"{}\", \"version\": {}, \"epochs\": {}, \
              \"keyframe_interval\": {}, \"fields\": [\n  {}\n]}}\n",
-            json_escape(store.archive_name()),
-            store.version(),
-            store.n_epochs(),
-            store.keyframe_interval(),
+            json_escape(reader.name()),
+            reader.version(),
+            reader.n_epochs(),
+            reader.keyframe_interval(),
             fields.join(",\n  "),
         )
         .as_bytes(),
@@ -130,19 +131,17 @@ fn handle_region<R: ArchiveSource + 'static>(
     query: &str,
     body: &mut Vec<u8>,
 ) -> ResponseHead {
-    let Some(info) = store.field_info(name) else {
+    let Some(info) = store.reader().field_info(name) else {
         return error_response(body, 404, &format!("archive has no field {name}"));
     };
     let (region, policy, epoch) = match region_request_from_query(query) {
         Ok(r) => r,
         Err(e) => return error_response(body, 400, &e.to_string()),
     };
-    if epoch >= store.n_epochs() {
-        return error_response(
-            body,
-            404,
-            &format!("archive has {} epochs, asked for {epoch}", store.n_epochs()),
-        );
+    let n_epochs = store.reader().n_epochs();
+    if epoch >= n_epochs {
+        let msg = format!("archive has {n_epochs} epochs, asked for {epoch}");
+        return error_response(body, 404, &msg);
     }
     let req = ReadRequest::new(name)
         .at(epoch)
@@ -187,7 +186,7 @@ fn handle_block<R: ArchiveSource + 'static>(
     query: &str,
     body: &mut Vec<u8>,
 ) -> ResponseHead {
-    let Some(info) = store.field_info(name) else {
+    let Some(info) = store.reader().field_info(name) else {
         return error_response(body, 404, &format!("archive has no field {name}"));
     };
     let Ok(idx) = idx_raw.parse::<usize>() else {
@@ -201,12 +200,10 @@ fn handle_block<R: ArchiveSource + 'static>(
         Ok(e) => e,
         Err(e) => return error_response(body, 400, &e.to_string()),
     };
-    if epoch >= store.n_epochs() {
-        return error_response(
-            body,
-            404,
-            &format!("archive has {} epochs, asked for {epoch}", store.n_epochs()),
-        );
+    let n_epochs = store.reader().n_epochs();
+    if epoch >= n_epochs {
+        let msg = format!("archive has {n_epochs} epochs, asked for {epoch}");
+        return error_response(body, 404, &msg);
     }
     if idx >= info.n_blocks {
         return error_response(

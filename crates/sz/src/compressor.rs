@@ -1,9 +1,9 @@
-//! Top-level error-bounded compressor (the SZ3 baseline of the paper),
-//! exposed through the fallible [`Codec`] trait.
+//! Top-level error-bounded compressor (the SZ3 baseline of the paper):
+//! [`SzCompressor::compress`] / [`SzCompressor::decompress`], both
+//! fallible, and the [`EncodedStream`] they trade in.
 
 use cfc_tensor::{Field, FieldStats, Shape};
 
-use crate::api::{Codec, EncodedStream};
 use crate::codec;
 use crate::error::CfcError;
 use crate::error_bound::ErrorBound;
@@ -20,6 +20,43 @@ use crate::stream::{Container, SectionTag};
 pub enum PredictorKind {
     /// 1-layer Lorenzo (the paper's baseline configuration).
     Lorenzo,
+}
+
+/// A compressed field plus the bookkeeping the evaluation harness reports.
+#[derive(Debug, Clone)]
+pub struct EncodedStream {
+    /// Serialized self-describing container (header + tagged sections).
+    pub bytes: Vec<u8>,
+    /// Absolute error bound the reconstruction satisfies pointwise.
+    pub eb_abs: f64,
+    /// Number of escaped (outlier) samples.
+    pub n_outliers: usize,
+}
+
+impl EncodedStream {
+    /// Compression ratio against `f32` input: `4·n_samples / stream bytes`
+    /// (dimensionless; > 1 means the stream is smaller than the raw data).
+    ///
+    /// Returns `0.0` for an empty input (`n_samples == 0`) — there is no
+    /// meaningful ratio for zero samples, and callers must not divide by it.
+    pub fn ratio(&self, n_samples: usize) -> f64 {
+        if n_samples == 0 || self.bytes.is_empty() {
+            return 0.0;
+        }
+        (n_samples * 4) as f64 / self.bytes.len() as f64
+    }
+
+    /// Bit rate in **bits per sample** against `f32` input (raw data is 32
+    /// bits/sample; lower is better).
+    ///
+    /// Returns `0.0` for an empty input (`n_samples == 0`) rather than
+    /// dividing by zero.
+    pub fn bit_rate(&self, n_samples: usize) -> f64 {
+        if n_samples == 0 {
+            return 0.0;
+        }
+        self.bytes.len() as f64 * 8.0 / n_samples as f64
+    }
 }
 
 /// An error-bounded prediction-based lossy compressor.
@@ -145,38 +182,29 @@ fn push_residual_sections(container: &mut Container, scratch: &mut EncodeScratch
     outliers.len()
 }
 
-impl Codec for SzCompressor {
-    /// Compress one field.
+impl SzCompressor {
+    /// Compress one field into a self-describing byte stream.
     ///
     /// Fails with [`CfcError::InvalidInput`] on non-finite samples or a
     /// bound that resolves non-positive (e.g. a relative bound on a
     /// constant field) — both detected by `ErrorBound::try_resolve`.
-    fn compress(&self, field: &Field) -> Result<EncodedStream, CfcError> {
+    pub fn compress(&self, field: &Field) -> Result<EncodedStream, CfcError> {
         self.compress_with(field, &mut EncodeScratch::new())
     }
 
-    /// Decompress a stream produced by [`Codec::compress`].
+    /// Decode a stream produced by [`SzCompressor::compress`].
     ///
     /// Total over arbitrary bytes: corruption anywhere — header, section
     /// table, Huffman payloads, outlier varints, residual replay — returns
     /// `Err`, never panics.
-    fn decompress(&self, bytes: &[u8]) -> Result<Field, CfcError> {
+    pub fn decompress(&self, bytes: &[u8]) -> Result<Field, CfcError> {
         self.decompress_with(bytes, &mut DecodeScratch::new())
     }
 
-    fn name(&self) -> &'static str {
-        match self.predictor {
-            PredictorKind::Lorenzo => "sz-lorenzo",
-        }
-    }
-}
-
-impl SzCompressor {
-    /// [`Codec::compress`] with reusable scratch buffers: residuals, codes,
-    /// and outliers are staged in `scratch`, so per-block encode loops
-    /// reuse the element-proportional buffers across blocks. Output bytes
-    /// are identical to
-    /// [`Codec::compress`].
+    /// [`SzCompressor::compress`] with reusable scratch buffers: residuals,
+    /// codes, and outliers are staged in `scratch`, so per-block encode
+    /// loops reuse the element-proportional buffers across blocks. Output
+    /// bytes are identical to [`SzCompressor::compress`].
     pub fn compress_with(
         &self,
         field: &Field,
@@ -203,7 +231,7 @@ impl SzCompressor {
         })
     }
 
-    /// [`Codec::decompress`] with reusable scratch buffers:
+    /// [`SzCompressor::decompress`] with reusable scratch buffers:
     /// [`SzCompressor::decompress_rows_with`] of every row under this
     /// compressor's own predictor.
     pub fn decompress_with(
@@ -549,6 +577,19 @@ mod tests {
         ] {
             assert!(matches!(c.compress(&f), Err(CfcError::InvalidInput(_))));
         }
+    }
+
+    #[test]
+    fn ratio_and_bitrate_guard_zero_samples() {
+        let s = EncodedStream {
+            bytes: vec![0u8; 100],
+            eb_abs: 1e-3,
+            n_outliers: 0,
+        };
+        assert_eq!(s.ratio(0), 0.0);
+        assert_eq!(s.bit_rate(0), 0.0);
+        assert!((s.ratio(100) - 4.0).abs() < 1e-12);
+        assert!((s.bit_rate(100) - 8.0).abs() < 1e-12);
     }
 
     #[test]

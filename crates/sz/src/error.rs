@@ -8,8 +8,8 @@
 
 use std::fmt;
 
-/// Error enum shared by [`crate::Codec`] implementations and the archive
-/// subsystem in `cfc-core`.
+/// Error enum shared by [`crate::SzCompressor`], the cross-field
+/// compressor and the archive subsystem in `cfc-core`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CfcError {
     /// The buffer does not start with the expected magic bytes.

@@ -52,8 +52,8 @@ pub struct HuffmanTable {
     /// Canonical code per symbol, aligned with `lengths`.
     codes: Vec<u64>,
     /// Cached `(symbol, code length)` sorted by symbol — the O(log n)
-    /// index behind [`HuffmanTable::expected_bits`] (encoder-side only,
-    /// so built lazily like the LUTs).
+    /// index behind [`HuffmanTable::wide_code`], the encoder's path for
+    /// symbols past the dense LUT (built lazily like the LUTs).
     by_sym: OnceLock<Vec<(u32, u32)>>,
     /// Cached dense encoder LUT: symbol → (bit-reversed code, length).
     enc: OnceLock<Vec<(u64, u32)>>,
@@ -116,11 +116,6 @@ impl HuffmanTable {
         Self::from_frequencies(&freqs)
     }
 
-    /// Number of distinct symbols.
-    pub fn alphabet_len(&self) -> usize {
-        self.lengths.len()
-    }
-
     /// The cached `(symbol, code length)` index sorted by symbol.
     fn by_sym(&self) -> &[(u32, u32)] {
         self.by_sym.get_or_init(|| {
@@ -128,18 +123,6 @@ impl HuffmanTable {
             v.sort_unstable_by_key(|&(sym, _)| sym);
             v
         })
-    }
-
-    /// Expected encoded size in bits for the given frequencies.
-    pub fn expected_bits(&self, freqs: &[(u32, u64)]) -> u64 {
-        let by_sym = self.by_sym();
-        let mut total = 0u64;
-        for &(sym, count) in freqs {
-            if let Ok(i) = by_sym.binary_search_by_key(&sym, |&(s, _)| s) {
-                total += count * by_sym[i].1 as u64;
-            }
-        }
-        total
     }
 
     /// The cached dense encoder LUT (symbol → bit-reversed code + length)
@@ -724,7 +707,7 @@ mod tests {
     fn single_symbol_alphabet() {
         let data = vec![7u32; 100];
         let table = HuffmanTable::from_symbols(&data);
-        assert_eq!(table.alphabet_len(), 1);
+        assert_eq!(table.lengths.len(), 1);
         let bits = table.try_encode(&data).unwrap();
         let dec = table.try_decode(&bits, 100).unwrap();
         assert_eq!(dec, data);
@@ -949,21 +932,5 @@ mod tests {
         table.serialize_into(&mut buf);
         assert_eq!(buf[0], 9);
         assert_eq!(&buf[1..], &table.serialize()[..]);
-    }
-
-    #[test]
-    fn expected_bits_matches_encoded_len() {
-        let data: Vec<u32> = (0..4000).map(|i| (i * 7) % 120).collect();
-        let table = HuffmanTable::from_symbols(&data);
-        let mut counts = std::collections::BTreeMap::new();
-        for &s in &data {
-            *counts.entry(s).or_insert(0u64) += 1;
-        }
-        let freqs: Vec<(u32, u64)> = counts.into_iter().collect();
-        let expect = table.expected_bits(&freqs);
-        let actual = table.try_encode(&data).unwrap().len() * 8;
-        assert!(expect as usize <= actual && actual < expect as usize + 8);
-        // unknown symbols contribute nothing
-        assert_eq!(table.expected_bits(&[(9999, 100)]), 0);
     }
 }

@@ -1,5 +1,5 @@
 //! `cfc-sz` — an SZ3-style prediction-based error-bounded lossy compressor
-//! behind a unified, fallible [`Codec`] API.
+//! with a fallible API.
 //!
 //! This crate is the substrate the paper's contribution plugs into. It
 //! reimplements, from scratch, the full pipeline of a modern
@@ -11,13 +11,15 @@
 //!             error-bounded)    pluggable)    outliers)                    like)
 //! ```
 //!
-//! * **Unified fallible API** ([`api`]): every compressor implements
-//!   [`Codec`] — `compress(&Field) -> Result<EncodedStream, CfcError>` /
-//!   `decompress(&[u8]) -> Result<Field, CfcError>`. The decode path is
-//!   *total*: malformed, truncated, or adversarial bytes return
-//!   [`CfcError`], never panic, so streams can be accepted from untrusted
-//!   sources. The cross-field codec and the multi-field archive in
-//!   `cfc-core` implement/compose the same trait.
+//! * **Fallible API** ([`compressor`]): [`SzCompressor::compress`]
+//!   `(&Field) -> Result<EncodedStream, CfcError>` and
+//!   [`SzCompressor::decompress`] `(&[u8]) -> Result<Field, CfcError>`. The
+//!   decode path is *total*: malformed, truncated, or adversarial bytes
+//!   return [`CfcError`], never panic, so streams can be accepted from
+//!   untrusted sources. The cross-field compressor and the multi-field
+//!   archive in `cfc-core` build on the same pipeline through
+//!   [`SzCompressor::compress_lattice_with`] and
+//!   [`SzCompressor::decompress_rows_with`].
 //! * **Dual quantization** (paper §III-D1, after cuSZ): values are snapped to
 //!   the `2·eb` lattice *before* prediction, eliminating the read-after-write
 //!   dependency of classic SZ and guaranteeing `|v − v'| ≤ eb` regardless of
@@ -34,10 +36,7 @@
 //! * **Self-describing container** ([`stream`]): magic, version, shape,
 //!   bound, and tagged sections, validated end to end by
 //!   [`stream::Container::try_from_bytes`].
-//!
-//! The baseline implementation of [`Codec`] is [`SzCompressor`].
 
-pub mod api;
 pub mod bitstream;
 pub mod codec;
 pub mod compressor;
@@ -52,8 +51,7 @@ pub mod quantizer;
 pub mod scratch;
 pub mod stream;
 
-pub use api::{Codec, EncodedStream};
-pub use compressor::{PredictorKind, SzCompressor};
+pub use compressor::{EncodedStream, PredictorKind, SzCompressor};
 pub use crc::crc32;
 pub use error::CfcError;
 pub use error_bound::ErrorBound;

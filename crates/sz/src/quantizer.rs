@@ -13,8 +13,8 @@ pub const DEFAULT_RADIUS: u32 = 512;
 /// Configuration of the residual quantizer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuantizerConfig {
-    /// Residuals in `(-radius, +radius]`… actually `[-radius, radius]` are
-    /// representable; see [`QuantizerConfig::encode_one`].
+    /// Residuals `d` with `-radius < d < radius` are coded in range; `±radius`
+    /// and beyond escape to the outlier section.
     pub radius: u32,
 }
 
@@ -46,18 +46,6 @@ impl QuantizerConfig {
     #[inline]
     pub fn escape(&self) -> u32 {
         2 * self.radius
-    }
-
-    /// Encode one residual. Returns `(code, Some(lattice_value))` when the
-    /// residual escapes the radius.
-    #[inline]
-    pub fn encode_one(&self, delta: i64, q: i64) -> (u32, Option<i64>) {
-        let r = self.radius as i64;
-        if delta > -r && delta < r {
-            ((delta + r) as u32, None)
-        } else {
-            (self.escape(), Some(q))
-        }
     }
 
     /// Classify one *untrusted* code: `Ok(Some(delta))` for in-range codes,
@@ -129,9 +117,9 @@ mod tests {
     fn small_residuals_roundtrip() {
         let q = QuantizerConfig { radius: 8 };
         for d in -7..=7i64 {
-            let (code, out) = q.encode_one(d, 999);
-            assert!(out.is_none(), "{d} should be in-range");
-            assert_eq!(q.check_one(code), Ok(Some(d)));
+            let enc = q.encode(&[d], &[999]);
+            assert!(enc.outliers.is_empty(), "{d} should be in-range");
+            assert_eq!(q.check_one(enc.codes[0]), Ok(Some(d)));
         }
     }
 
@@ -139,10 +127,10 @@ mod tests {
     fn boundary_residuals_escape() {
         let q = QuantizerConfig { radius: 8 };
         for d in [-8i64, 8, 100, -1000] {
-            let (code, out) = q.encode_one(d, 42);
-            assert_eq!(code, q.escape());
-            assert_eq!(out, Some(42));
-            assert_eq!(q.check_one(code), Ok(None));
+            let enc = q.encode(&[d], &[42]);
+            assert_eq!(enc.codes, vec![q.escape()]);
+            assert_eq!(enc.outliers, vec![42]);
+            assert_eq!(q.check_one(enc.codes[0]), Ok(None));
         }
     }
 

@@ -78,22 +78,6 @@ impl Normalizer {
         }
     }
 
-    /// Map `[min, max]` onto `[0, target]`; constant fields map to 0.
-    pub fn min_max(stats: &FieldStats, target: f32) -> Self {
-        let range = stats.range();
-        if range <= 0.0 || !range.is_finite() {
-            Normalizer {
-                shift: stats.min,
-                scale: 1.0,
-            }
-        } else {
-            Normalizer {
-                shift: stats.min,
-                scale: target / range,
-            }
-        }
-    }
-
     /// Map to zero mean, unit standard deviation (constant fields map to 0).
     pub fn standard(stats: &FieldStats) -> Self {
         if stats.std <= f64::EPSILON {
@@ -138,11 +122,6 @@ impl Normalizer {
     pub fn apply_field(&self, field: &Field) -> Field {
         field.map(|v| self.apply(v))
     }
-
-    /// Denormalize a whole field.
-    pub fn invert_field(&self, field: &Field) -> Field {
-        field.map(|v| self.invert(v))
-    }
 }
 
 #[cfg(test)]
@@ -162,24 +141,11 @@ mod tests {
     }
 
     #[test]
-    fn min_max_normalizer_maps_range() {
-        let f = Field::from_vec(Shape::d1(3), vec![-2.0, 0.0, 6.0]);
-        let n = Normalizer::min_max(&FieldStats::of(&f), 300.0);
-        assert!((n.apply(-2.0) - 0.0).abs() < 1e-5);
-        assert!((n.apply(6.0) - 300.0).abs() < 1e-3);
-        for &v in f.as_slice() {
-            assert!((n.invert(n.apply(v)) - v).abs() < 1e-4);
-        }
-    }
-
-    #[test]
     fn constant_field_normalizer_is_safe() {
         let f = Field::full(Shape::d1(5), 7.0);
-        let n = Normalizer::min_max(&FieldStats::of(&f), 1.0);
-        assert_eq!(n.apply(7.0), 0.0);
-        assert_eq!(n.invert(0.0), 7.0);
         let s = Normalizer::standard(&FieldStats::of(&f));
         assert_eq!(s.apply(7.0), 0.0);
+        assert_eq!(s.invert(0.0), 7.0);
     }
 
     #[test]
@@ -190,6 +156,9 @@ mod tests {
         let s = FieldStats::of(&g);
         assert!(s.mean.abs() < 1e-6);
         assert!((s.std - 1.0).abs() < 1e-5);
+        for (a, b) in g.as_slice().iter().zip(f.as_slice()) {
+            assert!((n.invert(*a) - b).abs() < 1e-4);
+        }
     }
 
     #[test]
@@ -197,15 +166,5 @@ mod tests {
         let n = Normalizer::max_abs(&[-4.0, 2.0, 1.0], 1.0);
         assert!((n.apply(-4.0) + 1.0).abs() < 1e-6);
         assert!((n.apply(2.0) - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn roundtrip_field_normalization() {
-        let f = Field::from_fn(Shape::d2(8, 8), |idx| (idx[0] as f32).sin() * 40.0 + 3.0);
-        let n = Normalizer::min_max(&FieldStats::of(&f), 300.0);
-        let rec = n.invert_field(&n.apply_field(&f));
-        for (a, b) in rec.as_slice().iter().zip(f.as_slice()) {
-            assert!((a - b).abs() < 1e-3);
-        }
     }
 }

@@ -16,7 +16,6 @@ use cross_field_compression::core::pipeline::CrossFieldCompressor;
 use cross_field_compression::core::train::train_cfnn;
 use cross_field_compression::datagen::{paper_catalog, GenParams};
 use cross_field_compression::metrics::pearson;
-use cross_field_compression::sz::Codec;
 use cross_field_compression::tensor::{diff, Axis, Field};
 
 fn main() {

@@ -156,7 +156,7 @@ fn main() {
             });
         }
     });
-    let stats = store.stats();
+    let stats = store.snapshot();
     println!(
         "✓ ArchiveStore served 32 concurrent reads with {} block decodes, \
          {} cache hits ({:.1}% hit rate, {:.1} KiB cached)",

@@ -15,7 +15,6 @@ use cross_field_compression::core::pipeline::CrossFieldCompressor;
 use cross_field_compression::core::train::train_cfnn;
 use cross_field_compression::datagen::{paper_catalog, GenParams};
 use cross_field_compression::metrics::{psnr, ssim_field};
-use cross_field_compression::sz::Codec;
 use cross_field_compression::tensor::{Field, FieldStats};
 
 fn main() {

@@ -1,9 +1,10 @@
-//! Quickstart: the unified `Codec` API.
+//! Quickstart: one field, two compressors.
 //!
-//! Both compressors — the SZ-style baseline and the cross-field codec —
-//! implement the same fallible trait: `compress(&Field) ->
-//! Result<EncodedStream, CfcError>` / `decompress(&[u8]) -> Result<Field,
-//! CfcError>`. This example compresses one field both ways and verifies the
+//! The SZ-style baseline is `SzCompressor::{compress, decompress}`; the
+//! cross-field compressor is `CrossFieldCompressor::{compress, decompress}`,
+//! which also take the decompressed anchors the target is predicted from.
+//! Both are fallible: a bad input or corrupt bytes are a `CfcError`, never
+//! a panic. This example compresses one field both ways and verifies the
 //! error bound.
 //!
 //! ```sh
@@ -12,11 +13,10 @@
 
 use cross_field_compression::core::archive::{ArchiveBuilder, ArchiveReader};
 use cross_field_compression::core::config::{CfnnSpec, TrainConfig};
-use cross_field_compression::core::pipeline::{CrossFieldCodec, CrossFieldCompressor};
+use cross_field_compression::core::pipeline::CrossFieldCompressor;
 use cross_field_compression::core::train::train_cfnn;
 use cross_field_compression::datagen::FractalNoise;
 use cross_field_compression::metrics::{psnr, ssim_field};
-use cross_field_compression::sz::Codec;
 use cross_field_compression::tensor::{Dataset, Field, Region, Shape};
 
 fn main() {
@@ -58,8 +58,7 @@ fn main() {
             .collect(),
     );
 
-    // 2. Baseline: error-bounded SZ-style compression (Lorenzo + dual-quant)
-    //    through the Codec trait.
+    // 2. Baseline: error-bounded SZ-style compression (Lorenzo + dual-quant).
     let rel_eb = 2e-4;
     let comp = CrossFieldCompressor::new(rel_eb);
     let baseline = comp.baseline();
@@ -76,15 +75,17 @@ fn main() {
     );
 
     // 3. Cross-field: train a CFNN once (on original data — one model serves
-    //    every error bound), package it with the decompressed anchor into a
-    //    self-contained codec, and use the *same* two-method API.
+    //    every error bound), then compress against the anchor as the decoder
+    //    will have it; the model rides in the stream, the anchor does not.
     let spec = CfnnSpec::compact(1, 2);
     let trained = train_cfnn(&spec, &TrainConfig::default(), &[&anchor], &target);
     let anchor_dec = comp.roundtrip_anchor(&anchor).expect("anchor roundtrip");
-    let codec = CrossFieldCodec::new(comp, trained, vec![anchor_dec]);
-    let stream = codec.compress(&target).expect("cross-field compress");
-    let rec = codec
-        .decompress(&stream.bytes)
+    let anchors = [&anchor_dec];
+    let stream = comp
+        .compress(&trained, &target, &anchors)
+        .expect("cross-field compress");
+    let rec = comp
+        .decompress(&stream.bytes, &anchors)
         .expect("cross-field decompress");
     println!(
         "cross-field  : {:.2}x  ({:.3} bits/value, PSNR {:.2} dB, SSIM {:.4})",
@@ -98,9 +99,10 @@ fn main() {
     //    total over arbitrary input.
     let mut corrupt = stream.bytes.clone();
     corrupt[0] ^= 0xFF;
-    println!("corrupt bytes: {}", codec.decompress(&corrupt).unwrap_err());
+    let err = comp.decompress(&corrupt, &anchors).unwrap_err();
+    println!("corrupt bytes: {err}");
 
-    // 5. The error bound holds pointwise for both codecs.
+    // 5. The error bound holds pointwise.
     let eb = stream.eb_abs;
     let worst = target
         .as_slice()

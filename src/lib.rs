@@ -3,9 +3,9 @@
 //! Reproduction of "Enhancing Lossy Compression Through Cross-Field
 //! Information for Scientific Applications" (SC 2024).
 //!
-//! Start with the unified fallible [`Codec`] trait (implemented by
-//! [`sz::SzCompressor`] and [`core::CrossFieldCodec`]) for single fields,
-//! and [`core::archive`] ([`core::ArchiveBuilder`] → `ArchiveWriter` /
+//! Start with [`sz::SzCompressor`] (the baseline) and
+//! [`core::CrossFieldCompressor`] (a target conditioned on its decompressed
+//! anchors) for single fields, and [`core::archive`] ([`core::ArchiveBuilder`] → `ArchiveWriter` /
 //! `ArchiveReader`) for whole multi-field snapshots. Every decode-path
 //! failure is a typed [`CfcError`], never a panic.
 
@@ -16,4 +16,4 @@ pub use cfc_nn as nn;
 pub use cfc_sz as sz;
 pub use cfc_tensor as tensor;
 
-pub use cfc_sz::{CfcError, Codec, EncodedStream};
+pub use cfc_sz::{CfcError, EncodedStream};

@@ -7,7 +7,7 @@ use cross_field_compression::core::pipeline::CrossFieldCompressor;
 use cross_field_compression::core::train::train_cfnn;
 use cross_field_compression::datagen::{self, GenParams};
 use cross_field_compression::metrics::{max_abs_error, psnr, ssim_field};
-use cross_field_compression::sz::{CfcError, Codec, SzCompressor};
+use cross_field_compression::sz::{CfcError, SzCompressor};
 use cross_field_compression::tensor::{Field, FieldStats, Shape};
 
 fn small_params() -> GenParams {

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use cross_field_compression::sz::{
-    CfcError, Codec, ErrorBound, PredictorKind, QuantizerConfig, SzCompressor,
+    CfcError, ErrorBound, PredictorKind, QuantizerConfig, SzCompressor,
 };
 use cross_field_compression::tensor::{Field, Shape};
 

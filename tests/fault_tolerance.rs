@@ -155,18 +155,17 @@ fn exhausted_retries_surface_as_transient_errors() {
     let (off, len) = block_span(&bytes, "A", 0);
     // effectively never clears within this test's handful of attempts
     let plan = FaultPlan::new().transient_at(off..off + len as u64, 1_000);
-    let config = StoreConfig {
-        max_retries: 1,
-        retry_backoff: std::time::Duration::from_micros(100),
-        ..StoreConfig::default()
-    };
-    let store = faulty_store(bytes, plan, config);
+    let store = faulty_store(bytes, plan, StoreConfig::default());
 
     let err = store
         .decode_block("A", 0)
         .expect_err("fault never clears, so retries must exhaust");
     assert!(err.is_transient(), "{err}");
-    assert_eq!(store.snapshot().retries, 1, "one retry, then give up");
+    assert_eq!(
+        store.snapshot().retries,
+        2,
+        "the store's two retries, then give up"
+    );
 
     // salvage turns the same exhaustion into fill + damage
     let s = store
@@ -353,16 +352,14 @@ fn repair_truncation_plus_epoch_invalidation_drops_stale_entries() {
 
     let store = ArchiveStore::open(
         std::fs::File::open(&path).expect("open"),
-        StoreConfig {
-            max_retries: 0,
-            ..StoreConfig::default().no_prefetch()
-        },
+        StoreConfig::default().no_prefetch(),
     )
     .expect("parse");
     // warm epoch 0 and the whole second chain (keyframe 3 + deltas 4, 5)
-    let e3 = store.decode_field_at("A", 3).expect("epoch 3");
+    let a_at = |epoch| store.read(&ReadRequest::new("A").at(epoch)).map(|s| s.data);
+    let e3 = a_at(3).expect("epoch 3");
     for epoch in [0usize, 4, 5] {
-        store.decode_field_at("A", epoch).expect("warm");
+        a_at(epoch).expect("warm");
     }
 
     // the file is torn inside epoch 4 and repaired in place: cfc-fsck
@@ -392,13 +389,13 @@ fn repair_truncation_plus_epoch_invalidation_drops_stale_entries() {
 
     // the surviving chain still serves from cache (no new misses)...
     let misses = store.snapshot().misses;
-    assert_eq!(store.decode_field_at("A", 3).expect("cached epoch 3"), e3);
+    assert_eq!(a_at(3).expect("cached epoch 3"), e3);
     assert_eq!(store.snapshot().misses, misses, "epoch 3 must stay cached");
 
     // ...while the dropped epochs are gone: nothing stale is served, the
     // read goes to disk and finds the bytes missing
     assert!(
-        store.decode_field_at("A", 4).is_err(),
+        a_at(4).is_err(),
         "epoch 4 must not be served from a stale cache after invalidation"
     );
     let _ = std::fs::remove_file(&path);

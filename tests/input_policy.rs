@@ -37,7 +37,7 @@ use std::cell::Cell;
 
 use cross_field_compression::core::archive::{ArchiveBuilder, ArchiveReader};
 use cross_field_compression::core::config::TrainConfig;
-use cross_field_compression::sz::{CfcError, Codec, ErrorBound, SzCompressor};
+use cross_field_compression::sz::{CfcError, ErrorBound, SzCompressor};
 use cross_field_compression::tensor::{Dataset, Field, Shape};
 
 thread_local! {

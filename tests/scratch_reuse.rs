@@ -9,7 +9,6 @@ use cross_field_compression::sz::{
     DecodeScratch, EncodeScratch, ErrorBound, PredictorKind, QuantizerConfig, SzCompressor,
 };
 use cross_field_compression::tensor::{Dataset, Field, Shape};
-use cross_field_compression::Codec;
 
 fn snapshot(rows: usize, cols: usize) -> Dataset {
     let shape = Shape::d2(rows, cols);
@@ -323,7 +322,6 @@ mod encode_sweep {
     use cross_field_compression::sz::lossless;
     use cross_field_compression::sz::{EncodeScratch, SzCompressor};
     use cross_field_compression::tensor::{Field, Shape};
-    use cross_field_compression::Codec;
     use proptest::prelude::*;
 
     /// Shape a raw arbitrary stream into one of three regimes: skewed

@@ -3,7 +3,8 @@
 //!
 //! * region and block bytes fetched over HTTP must be **bit-identical**
 //!   to direct `ArchiveStore::decode_region` / `decode_block` output,
-//!   from 8 concurrent client threads on keep-alive connections;
+//!   from 8 concurrent client threads on keep-alive connections — and, on
+//!   a temporal series, to the reader's read at every `epoch=`;
 //! * the error surface is typed: `404` for unknown fields and
 //!   out-of-range blocks, `422` for unsatisfiable regions, `400` for
 //!   malformed queries, `405` for non-GET methods;
@@ -17,9 +18,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cross_field_compression::core::archive::{
-    ArchiveBuilder, ArchiveReader, ArchiveStore, FaultInjectingReader, FaultPlan, StoreConfig,
+    ArchiveBuilder, ArchiveReader, ArchiveStore, FaultInjectingReader, FaultPlan, ReadRequest,
+    StoreConfig,
 };
 use cross_field_compression::core::TrainConfig;
+use cross_field_compression::sz::CfcError;
 use cross_field_compression::tensor::{Dataset, Field, Region, Shape};
 
 use cfc_serve::{ArchiveServer, HttpClient, ServeConfig};
@@ -131,7 +134,7 @@ fn block_endpoint_matches_direct_decode() {
     let reference = store();
     let server = ArchiveServer::bind(store(), "127.0.0.1:0", test_config()).expect("bind");
     let mut client = HttpClient::connect(server.local_addr()).expect("connect");
-    let n_blocks = reference.field_info("RH").unwrap().n_blocks;
+    let n_blocks = reference.reader().field_info("RH").unwrap().n_blocks;
     assert!(n_blocks > 1, "test archive must be chunked");
     for idx in 0..n_blocks {
         let resp = client
@@ -146,6 +149,108 @@ fn block_endpoint_matches_direct_decode() {
                 .zip(want.as_slice())
                 .all(|(a, b)| a.to_bits() == b.to_bits()),
             "block {idx} bytes differ"
+        );
+    }
+}
+
+/// The samples of a frame response, bit for bit against `want`.
+fn assert_frame_bits(resp: &cfc_serve::ClientResponse, want: &Field, what: &str) {
+    assert_eq!(resp.status, 200, "{what}: {}", resp.body_str());
+    let got = resp.payload_f32().expect("frame payload");
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    assert!(
+        got.iter()
+            .zip(want.as_slice())
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "{what}: bytes differ"
+    );
+}
+
+/// `epoch=` over HTTP on a fresh v3 series — 5 epochs at keyframe
+/// interval 2, so three keyframe groups and delta tails of one link: the
+/// manifest reports the reader's epoch geometry, every epoch's region and
+/// block responses are the reader's own reads, and the first epoch past
+/// the end is a `404` in the reader's words.
+#[test]
+fn epochs_over_http_match_the_reader() {
+    const EPOCHS: usize = 5;
+    let shape = Shape::d2(48, 32);
+    let series: Vec<Dataset> = (0..EPOCHS)
+        .map(|e| {
+            let drift = e as f32 * 0.3;
+            let t = Field::from_fn(shape, |i| {
+                ((i[0] as f32) * 0.13 + drift).sin() * 11.0 + (i[1] as f32) * 0.2 + 284.0
+            });
+            let rh = t.map(|v| 0.5 * (v - 284.0) + 50.0);
+            let mut ds = Dataset::new("SERVE-SERIES", shape);
+            ds.push("T", t);
+            ds.push("RH", rh);
+            ds
+        })
+        .collect();
+    let bytes = ArchiveBuilder::relative(1e-3)
+        .train_config(TrainConfig::fast())
+        .cross_field("RH", &["T"])
+        .chunk_elements(8 * 32)
+        .keyframe_interval(2)
+        .build()
+        .write_epochs(&series)
+        .expect("write series");
+    let reader = ArchiveReader::new(&bytes).expect("open");
+    let store =
+        ArchiveStore::open(Cursor::new(bytes.clone()), StoreConfig::default()).expect("parse");
+    let server = ArchiveServer::bind(store, "127.0.0.1:0", test_config()).expect("bind");
+    let mut client = HttpClient::connect(server.local_addr()).expect("connect");
+
+    let served = server.store().reader();
+    assert_eq!(served.n_epochs(), EPOCHS);
+    let manifest = client.get("/fields").expect("fields").body_str();
+    for pair in [
+        format!("\"epochs\": {}", served.n_epochs()),
+        format!("\"keyframe_interval\": {}", served.keyframe_interval()),
+    ] {
+        assert!(manifest.contains(&pair), "missing {pair} in {manifest}");
+    }
+
+    let region = Region::d2(5, 29, 3, 27);
+    for epoch in 0..EPOCHS {
+        for field in ["T", "RH"] {
+            let at = format!("{field}@e{epoch}");
+            let want = reader
+                .read(&ReadRequest::new(field).at(epoch).region(&region))
+                .expect("reader region")
+                .data;
+            let resp = client
+                .get(&format!(
+                    "/field/{field}/region?start=5,3&shape=24,24&epoch={epoch}"
+                ))
+                .expect("region request");
+            assert_frame_bits(&resp, &want, &format!("{at} region"));
+            let n_blocks = reader.field_info(field).expect("field").n_blocks;
+            for idx in 0..n_blocks {
+                let want = reader.decode_block_at(field, idx, epoch).expect("block");
+                let resp = client
+                    .get(&format!("/field/{field}/block/{idx}?epoch={epoch}"))
+                    .expect("block request");
+                assert_frame_bits(&resp, &want, &format!("{at} block {idx}"));
+            }
+        }
+    }
+
+    let Err(CfcError::InvalidInput(message)) = reader.read(&ReadRequest::new("T").at(EPOCHS))
+    else {
+        panic!("an epoch past the end must be InvalidInput");
+    };
+    for target in [
+        format!("/field/T/region?start=0,0&shape=8,32&epoch={EPOCHS}"),
+        format!("/field/T/block/0?epoch={EPOCHS}"),
+    ] {
+        let resp = client.get(&target).expect("request");
+        assert_eq!(resp.status, 404, "{target}: {}", resp.body_str());
+        assert!(
+            resp.body_str().contains(&message),
+            "{target}: {}",
+            resp.body_str()
         );
     }
 }

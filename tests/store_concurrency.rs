@@ -13,7 +13,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use cross_field_compression::core::archive::{
-    ArchiveBuilder, ArchiveReader, ArchiveStore, StoreConfig,
+    ArchiveBuilder, ArchiveReader, ArchiveStore, ReadRequest, StoreConfig,
 };
 use cross_field_compression::core::TrainConfig;
 use cross_field_compression::tensor::{Dataset, Field, Region, Shape};
@@ -92,12 +92,12 @@ fn hammered_store_matches_decode_all_cold_and_warm() {
     ));
     // cold: first pass populates the cache under contention
     hammer(&store, &reference, 1);
-    let cold = store.stats();
+    let cold = store.snapshot();
     assert!(cold.misses > 0);
     // warm: the whole archive fits the default budget, so a second pass
     // must serve entirely from cache — not a single new decode
     hammer(&store, &reference, 2);
-    let warm = store.stats();
+    let warm = store.snapshot();
     assert_eq!(warm.misses, cold.misses, "warm pass must not decode");
     assert!(warm.hits > cold.hits);
 }
@@ -115,7 +115,7 @@ fn hammered_store_matches_under_eviction_pressure() {
         StoreConfig::with_capacity(2 * 7 * 32 * 4),
     ));
     hammer(&store, &reference, 3);
-    let stats = store.stats();
+    let stats = store.snapshot();
     assert!(stats.evictions > 0, "tiny budget must evict: {stats:?}");
     assert!(
         stats.cached_bytes <= stats.capacity_bytes,
@@ -145,7 +145,7 @@ fn hammered_tiered_store_matches_under_eviction_pressure() {
     ));
     hammer(&store, &reference, 5);
     store.prefetch_quiesce();
-    let stats = store.stats();
+    let stats = store.snapshot();
     assert!(stats.evictions > 0, "tiny tier 1 must evict: {stats:?}");
     assert!(
         stats.demotions > 0,
@@ -253,7 +253,7 @@ fn store_serves_v1_golden_fixture() {
     let store = ArchiveStore::new(ArchiveReader::new(&bytes).unwrap(), StoreConfig::default());
     for e in store.reader().entries() {
         let name = e.name.clone();
-        let full = store.decode_field(&name).unwrap();
+        let full = store.read(&ReadRequest::new(&name)).unwrap().data;
         assert_eq!(&full, reference.expect_field(&name), "{name}");
         // v1 random access degrades to cached whole-field decode + crop
         let shape = full.shape();
@@ -261,11 +261,11 @@ fn store_serves_v1_golden_fixture() {
         assert_eq!(store.decode_region(&name, &region).unwrap(), full);
     }
     // second pass over every field is all cache hits
-    let before = store.stats();
+    let before = store.snapshot();
     for e in store.reader().entries() {
-        store.decode_field(&e.name).unwrap();
+        store.read(&ReadRequest::new(&e.name)).unwrap();
     }
-    let after = store.stats();
+    let after = store.snapshot();
     assert_eq!(after.misses, before.misses, "v1 fields must cache too");
 }
 
@@ -323,6 +323,6 @@ proptest! {
                 prop_assert_eq!(&uncached.decode_region(name, &region).expect("uncached"), &want);
             }
         }
-        prop_assert_eq!(uncached.stats().hits, 0);
+        prop_assert_eq!(uncached.snapshot().hits, 0);
     }
 }

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use cross_field_compression::core::archive::{
-    ArchiveBuilder, ArchiveReader, ArchiveStore, StoreConfig,
+    ArchiveBuilder, ArchiveReader, ArchiveStore, ReadRequest, StoreConfig,
 };
 use cross_field_compression::core::TrainConfig;
 use cross_field_compression::tensor::{Dataset, Field, Region, Shape};
@@ -67,13 +67,19 @@ fn evicted_blocks_promote_from_tier2_byte_exactly() {
         ArchiveReader::new(&bytes).unwrap(),
         StoreConfig::with_tiers(2 * BLOCK_BYTES, 1 << 20).no_prefetch(),
     );
-    assert_eq!(store.decode_field("A").unwrap(), *want.expect_field("A"));
+    assert_eq!(
+        store.read(&ReadRequest::new("A")).unwrap().data,
+        *want.expect_field("A")
+    );
     let after_first = store.snapshot();
     assert!(after_first.evictions > 0, "{after_first:?}");
     assert!(after_first.demotions > 0, "{after_first:?}");
     assert_eq!(after_first.tier2_hits, 0, "first sweep came from source");
 
-    assert_eq!(store.decode_field("A").unwrap(), *want.expect_field("A"));
+    assert_eq!(
+        store.read(&ReadRequest::new("A")).unwrap().data,
+        *want.expect_field("A")
+    );
     let after_second = store.snapshot();
     assert!(
         after_second.tier2_hits > 0 && after_second.promotions > 0,
@@ -93,8 +99,8 @@ fn zero_tier2_budget_disables_the_tier() {
         ArchiveReader::new(&bytes).unwrap(),
         StoreConfig::with_tiers(2 * BLOCK_BYTES, 0).no_prefetch(),
     );
-    store.decode_field("A").unwrap();
-    store.decode_field("A").unwrap();
+    store.read(&ReadRequest::new("A")).unwrap();
+    store.read(&ReadRequest::new("A")).unwrap();
     let s = store.snapshot();
     assert_eq!(s.tier2_insertions, 0, "{s:?}");
     assert_eq!(s.tier2_hits, 0, "{s:?}");

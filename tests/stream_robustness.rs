@@ -7,10 +7,10 @@ use cross_field_compression::core::archive::{
     ArchiveBuilder, ArchiveReader, DecodePolicy, ReadRequest,
 };
 use cross_field_compression::core::config::{CfnnSpec, TrainConfig};
-use cross_field_compression::core::pipeline::{CrossFieldCodec, CrossFieldCompressor};
+use cross_field_compression::core::pipeline::CrossFieldCompressor;
 use cross_field_compression::core::train::train_cfnn;
 use cross_field_compression::sz::stream::{Container, SectionTag};
-use cross_field_compression::sz::{CfcError, Codec, SzCompressor};
+use cross_field_compression::sz::{CfcError, SzCompressor};
 use cross_field_compression::tensor::{Dataset, Field, Shape};
 
 fn sample_field() -> Field {
@@ -168,20 +168,23 @@ fn cross_field_codec_survives_bit_flips() {
     let anchor_dec = comp.roundtrip_anchor(&anchor).expect("anchor roundtrip");
     let spec = CfnnSpec::compact(1, 2);
     let trained = train_cfnn(&spec, &TrainConfig::fast(), &[&anchor], &target);
-    let codec = CrossFieldCodec::new(comp, trained, vec![anchor_dec]);
-    let bytes = codec.compress(&target).expect("compress").bytes;
+    let anchors = [&anchor_dec];
+    let bytes = comp
+        .compress(&trained, &target, &anchors)
+        .expect("compress")
+        .bytes;
     // valid stream decodes
-    assert!(codec.decompress(&bytes).is_ok());
+    assert!(comp.decompress(&bytes, &anchors).is_ok());
     // flips across the stream (header, residuals, embedded model, weights)
     for pos in (0..bytes.len()).step_by(7) {
         let mut bad = bytes.clone();
         bad[pos] ^= 0xFF;
-        let res = std::panic::catch_unwind(|| codec.decompress(&bad));
+        let res = std::panic::catch_unwind(|| comp.decompress(&bad, &anchors));
         assert!(res.is_ok(), "cross-field byte flip at {pos} panicked");
     }
     // truncations too
     for cut in (0..bytes.len()).step_by(13) {
-        let res = std::panic::catch_unwind(|| codec.decompress(&bytes[..cut]));
+        let res = std::panic::catch_unwind(|| comp.decompress(&bytes[..cut], &anchors));
         assert!(
             matches!(res, Ok(Err(_))),
             "cross-field truncation at {cut} must be Err"

@@ -50,7 +50,8 @@
 //! | caller | "already have it?" | "produce it" |
 //! |---|---|---|
 //! | `ArchiveReader::read` / `decode_block` | never | read from the source into the caller's scratch, decode |
-//! | `ArchiveReader::decode_all`, target phase | the slab of a field the first phase decoded | same |
+//! | `ArchiveReader::decode_epoch`, a delta's predecessor | the slab of a field of the previous epoch, when the call before decoded that epoch | same |
+//! | `ArchiveReader::decode_epoch` (and `decode_all`), target phase | the slab of a field the first phase decoded | same |
 //! | `ArchiveStore` (demand and prefetch) | tier-1 hit, or wait on the block's in-flight decode | claim the single-flight slot, bytes from tier 2 or the source (with retry), decode, insert, publish |
 //!
 //! The walk also carries how many leading axis-0 rows of the block are
@@ -86,10 +87,13 @@
 //! * [`source`](mod@source) — [`ArchiveSource`]: the positional
 //!   (`pread`-style) byte-source trait archives are read through, so
 //!   concurrent block decodes never serialize on a shared cursor.
-//! * [`reader`] — [`ArchiveReader`]: stateless, lazily-reading decode of
-//!   whole snapshots, single fields, single blocks, or axis-aligned
-//!   regions from any [`ArchiveSource`]; home of the walk, the block
-//!   decoder and [`ReadRequest`].
+//! * [`reader`] — [`ArchiveReader`]: lazily-reading decode of whole
+//!   snapshots, single fields, single blocks, or axis-aligned regions from
+//!   any [`ArchiveSource`]; home of the walk, the block decoder and
+//!   [`ReadRequest`]. It keeps one thing between calls: the fields of the
+//!   last epoch `decode_epoch` decoded, while the next epoch has deltas to
+//!   decode against them — so an in-order pass decodes each block once.
+//!   Every other read decodes from the source.
 //! * [`store`] — [`ArchiveStore`]: a concurrent serving layer over a
 //!   reader, with a two-tier block cache (decoded fields over compressed
 //!   bytes), speculative sequential prefetch, and [`StoreStats`] counters.

@@ -1,5 +1,5 @@
-//! Archive read path: lazy, stateless decode of whole snapshots, single
-//! fields, single blocks, or axis-aligned regions.
+//! Archive read path: lazy decode of whole snapshots, single fields,
+//! single blocks, or axis-aligned regions.
 //!
 //! [`ArchiveReader::open`] parses and validates only the manifest; payload
 //! bytes are read (and CRC-checked) when something is decoded. Every
@@ -50,8 +50,8 @@
 //! `BlockBackend`, which answers "do you already have block `(fi, idx)`?"
 //! and "here are its dependencies, produce it". This module's backend
 //! (`Direct`) reads from the source through a caller's [`ArchiveScratch`]
-//! and, inside an epoch decode, hands out slabs of the fields an earlier
-//! phase decoded; [`super::store::ArchiveStore`]'s backend is its cache
+//! and, inside an epoch decode, hands out slabs of the fields it already
+//! has; [`super::store::ArchiveStore`]'s backend is its cache
 //! (tier 1 → single-flight → tier 2 → source).
 //!
 //! ## One epoch decode
@@ -61,19 +61,33 @@
 //! epoch 0): one `(field, block)` task list over the epoch's entries, run
 //! across the worker threads through the walk above, in two phases — first
 //! everything that is not a cross-field target (a delta entry resolves its
-//! own chain back to the keyframe, whatever roles it passes on the way),
-//! then the targets against the fields the first phase decoded. Results
-//! come back in task order, so the error of a damaged archive is the one
-//! the first failing block in `(field, block)` order raises, at any thread
-//! count.
+//! own chain back to the keyframe, whatever roles it passes on the way, or
+//! only its own block when the call before left the previous epoch — see
+//! below), then the targets against the fields the first phase decoded.
+//! Results come back in task order, so the error of a damaged archive is
+//! the one the first failing block in `(field, block)` order raises, at any
+//! thread count.
 //!
-//! The reader is deliberately *stateless*: nothing decoded is retained
-//! between calls (beyond caller-provided [`ArchiveScratch`] buffers).
-//! For a serving layer that caches decoded blocks across calls and
-//! threads, wrap a reader in [`super::store::ArchiveStore`].
+//! ## What the reader keeps between calls
+//!
+//! One thing: the fields of the last epoch [`ArchiveReader::decode_epoch`]
+//! decoded, and only when the epoch after it has a temporal-delta entry.
+//! A call for that next epoch starts its first phase from them — each
+//! delta's predecessor is a slab of a field already in hand, the same
+//! lookup the target phase makes — so an in-order pass over a keyframe
+//! group decodes every block once instead of re-walking the chain at every
+//! epoch. Every `decode_epoch` call replaces that one slot, and leaves it
+//! empty on an error, at the end of a group, at the last epoch and for
+//! every one-epoch (v1/v2) archive; so at most one epoch's decoded fields
+//! are held. Nothing else reads it: [`ArchiveReader::read`], the
+//! `decode_block*` primitives, the store and scrub decode from the source
+//! every time (beyond caller-provided [`ArchiveScratch`] buffers). For a
+//! serving layer that caches decoded blocks across calls and threads, wrap
+//! a reader in [`super::store::ArchiveStore`].
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use cfc_sz::stream::Container;
 use cfc_sz::{crc32, CfcError, DecodeScratch, LorenzoPredictor, SzCompressor};
@@ -294,7 +308,15 @@ pub struct ArchiveReader<R> {
     keyframe_interval: usize,
     src: R,
     src_len: u64,
+    /// The last epoch [`ArchiveReader::decode_epoch`] decoded, with those
+    /// of its fields the next epoch's deltas decode against (see the
+    /// module docs). Only [`ArchiveReader::epoch_with_threads`] reads or
+    /// replaces it.
+    last_epoch: Mutex<Option<Arc<EpochFields>>>,
 }
+
+/// An epoch and fields of it, by flat entry index.
+type EpochFields = (usize, HashMap<usize, Field>);
 
 impl ArchiveReader<std::io::Cursor<Vec<u8>>> {
     /// Parse an in-memory archive (thin wrapper over
@@ -328,6 +350,7 @@ impl<R: ArchiveSource> ArchiveReader<R> {
             keyframe_interval: header.keyframe_interval as usize,
             src,
             src_len,
+            last_epoch: Mutex::new(None),
         })
     }
 
@@ -786,7 +809,7 @@ impl<R: ArchiveSource> ArchiveReader<R> {
 
     /// [`ArchiveReader::decode_block`] at an explicit epoch. A temporal
     /// delta decodes its chain back to the covering keyframe — at most
-    /// `1 + keyframe_interval − 1` blocks of this field position.
+    /// `keyframe_interval` blocks of this field position.
     pub fn decode_block_at(
         &self,
         field: &str,
@@ -907,6 +930,15 @@ impl<R: ArchiveSource> ArchiveReader<R> {
     /// covering keyframe — then the targets, which find their anchors among
     /// the fields the first fan-out decoded. The first error in that order
     /// is the one returned.
+    ///
+    /// Called right after a successful call for `epoch − 1`, the deltas
+    /// decode their own blocks only: that call kept the fields they decode
+    /// against. Each call keeps its own fields, for the next one, only when
+    /// it succeeds and `epoch + 1` has a temporal-delta entry, and drops
+    /// whatever the call before kept — so the reader holds at most one
+    /// epoch's decoded fields between calls, and none after the last epoch
+    /// of a keyframe group, after an error, or on a one-epoch archive. The
+    /// result is the same in any call order.
     pub fn decode_epoch(&self, epoch: usize) -> Result<Dataset, CfcError> {
         self.epoch_with_threads(
             epoch,
@@ -923,12 +955,43 @@ impl<R: ArchiveSource> ArchiveReader<R> {
         epoch: usize,
         threads: usize,
     ) -> Result<Dataset, CfcError> {
+        let prev = self.slot().clone().filter(|kept| kept.0 + 1 == epoch);
+        let decoded = self.epoch_from(epoch, threads, prev.as_deref());
+        *self.slot() = decoded.as_ref().ok().and_then(|(_, kept)| kept.clone());
+        decoded.map(|(ds, _)| ds)
+    }
+
+    /// The last-epoch slot, locked. Every update of it is one assignment,
+    /// so even a poisoned lock guards a whole value.
+    fn slot(&self) -> MutexGuard<'_, Option<Arc<EpochFields>>> {
+        self.last_epoch
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// [`ArchiveReader::epoch_with_threads`] given the fields of
+    /// `epoch − 1` that the call before kept, if any: the dataset, and the
+    /// fields of `epoch` that `epoch + 1`'s deltas decode against (`None`
+    /// when it has none).
+    fn epoch_from(
+        &self,
+        epoch: usize,
+        threads: usize,
+        prev: Option<&EpochFields>,
+    ) -> Result<(Dataset, Option<Arc<EpochFields>>), CfcError> {
         let first = self.epoch_base(epoch)?;
         let entries = first..first + self.n_fields;
         // whole fields by flat entry index
         let mut decoded: HashMap<usize, Field> = HashMap::new();
         let mut metas = Vec::new();
         for targets in [false, true] {
+            // what the walk finds in hand: the previous epoch for the
+            // first phase's deltas, this epoch's first phase for the targets
+            let lent = if targets {
+                Some(&decoded)
+            } else {
+                prev.map(|(_, fields)| fields)
+            };
             let fields: Vec<usize> = entries
                 .clone()
                 .filter(|&fi| (self.entries[fi].role == FieldRole::Target) == targets)
@@ -944,7 +1007,7 @@ impl<R: ArchiveSource> ArchiveReader<R> {
                 run_parallel_scratch(tasks.len(), threads, ArchiveScratch::new, |s, t| {
                     let (fi, bi) = tasks[t];
                     let mut backend = Direct::new(self, s, &metas);
-                    backend.decoded = Some(&decoded);
+                    backend.decoded = lent;
                     self.resolve_block(fi, bi, ALL_ROWS, &mut backend)
                 });
             let mut slabs: HashMap<usize, Vec<Field>> = HashMap::new();
@@ -952,7 +1015,12 @@ impl<R: ArchiveSource> ArchiveReader<R> {
                 slabs.entry(fi).or_default().push(res?);
             }
             for (fi, parts) in slabs {
-                decoded.insert(fi, Field::concat_axis0(&parts));
+                // a one-block field is its block
+                let whole = match <[Field; 1]>::try_from(parts) {
+                    Ok([block]) => block,
+                    Err(parts) => Field::concat_axis0(&parts),
+                };
+                decoded.insert(fi, whole);
             }
         }
 
@@ -960,6 +1028,7 @@ impl<R: ArchiveSource> ArchiveReader<R> {
         // (panicking) `Dataset::push` can see a mismatch
         let shape = decoded[&entries.start].shape();
         let mut ds = Dataset::new(self.name.clone(), shape);
+        let mut kept = HashMap::new();
         for fi in entries {
             let field = decoded.remove(&fi).expect("every entry decoded");
             let name = &self.entries[fi].name;
@@ -969,9 +1038,14 @@ impl<R: ArchiveSource> ArchiveReader<R> {
                     found: format!("{} in field {name}", field.shape()),
                 });
             }
+            let next = self.entries.get(fi + self.n_fields);
+            if next.is_some_and(|e| e.role == FieldRole::Delta) {
+                kept.insert(fi, field.clone());
+            }
             ds.push(name.clone(), field);
         }
-        Ok(ds)
+        let kept = (!kept.is_empty()).then(|| Arc::new((epoch, kept)));
+        Ok((ds, kept))
     }
 }
 
@@ -986,8 +1060,10 @@ struct Direct<'a, R> {
     /// walk reaches (a chain link, the keyframe under it) is parsed when
     /// its block is.
     metas: &'a [(usize, TargetMeta)],
-    /// Whole fields an earlier phase of an epoch decode produced, by entry
-    /// index; their slabs are served without touching the source.
+    /// Whole fields an epoch decode already has, by entry index — the
+    /// previous epoch's for its first phase (when the call before kept
+    /// them), its first phase's for its targets; their slabs are served
+    /// without touching the source.
     decoded: Option<&'a HashMap<usize, Field>>,
 }
 
@@ -1067,4 +1143,12 @@ fn verify_crc(context: &'static str, expected: Option<u32>, bytes: &[u8]) -> Res
         });
     }
     Ok(())
+}
+
+#[cfg(test)]
+impl<R: ArchiveSource> ArchiveReader<R> {
+    /// The epoch whose fields the last-epoch slot holds, if any.
+    pub(crate) fn kept_epoch(&self) -> Option<usize> {
+        self.slot().as_ref().map(|kept| kept.0)
+    }
 }

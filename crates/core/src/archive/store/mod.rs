@@ -2,9 +2,10 @@
 //! [`ArchiveReader`] with a two-tier block cache and speculative
 //! sequential prefetch.
 //!
-//! A plain [`ArchiveReader`] is stateless: every read re-decodes the
-//! blocks it covers, and a cross-field target pays an extra decode of its
-//! anchor blocks on every read. [`ArchiveStore`] turns the per-request
+//! A plain [`ArchiveReader`] keeps nothing a read can use (only its epoch
+//! decode keeps the last epoch, for the next one): every read re-decodes
+//! the blocks it covers, and a cross-field target pays an extra decode of
+//! its anchor blocks on every read. [`ArchiveStore`] turns the per-request
 //! decode tax into a cache hit.
 //!
 //! The store decodes nothing on its own terms: a block request runs the

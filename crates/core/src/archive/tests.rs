@@ -968,26 +968,36 @@ fn an_epoch_decodes_to_its_per_field_reads_at_any_thread_count() {
     }
 }
 
-#[test]
-fn a_damaged_chain_link_fails_every_later_epoch_of_its_group_with_the_first_fields_error() {
-    for (name, mut bytes) in [
+/// Three series, each with one bit flipped in the last block of the second
+/// field's first delta (returned beside the bytes): fields before it in
+/// archive order still decode, tasks before it still succeed.
+fn damaged_chain_links() -> Vec<(&'static str, Vec<u8>, ArchiveEntry)> {
+    [
         ("small_v3_delta.cfar", golden("small_v3_delta.cfar")),
         ("partial_v3.cfar", golden("partial_v3.cfar")),
         ("3-D series", series_3d()),
-    ] {
-        // the last block of the second field's first delta: fields before
-        // it in archive order still decode, tasks before it still succeed
+    ]
+    .into_iter()
+    .map(|(name, mut bytes)| {
         let clean = ArchiveReader::new(&bytes).unwrap();
         let (interval, n_fields) = (clean.keyframe_interval(), clean.fields_per_epoch());
         assert!(interval > 1 && n_fields > 1, "{name}: no chain to damage");
-        let link = &clean.entries()[n_fields + 1];
+        let link = clean.entries()[n_fields + 1].clone();
         assert_eq!(link.role, FieldRole::Delta);
-        let idx = link.n_blocks() - 1;
-        let at = link.payload_base + link.blocks[idx].rel_offset;
-        let (field, link_name) = (link.name.clone(), link.qualified_name());
+        let at = link.payload_base + link.blocks[link.n_blocks() - 1].rel_offset;
         bytes[at as usize + 5] ^= 0x40;
+        (name, bytes, link)
+    })
+    .collect()
+}
 
+#[test]
+fn a_damaged_chain_link_fails_every_later_epoch_of_its_group_with_the_first_fields_error() {
+    for (name, bytes, link) in damaged_chain_links() {
+        let idx = link.n_blocks() - 1;
+        let (field, link_name) = (link.name.clone(), link.qualified_name());
         let reader = ArchiveReader::new(&bytes).unwrap();
+        let interval = reader.keyframe_interval();
         for epoch in 0..reader.n_epochs() {
             let affected = (1..interval).contains(&epoch);
             let want = reader.decode_field_at(&field, epoch);
@@ -1009,6 +1019,145 @@ fn a_damaged_chain_link_fails_every_later_epoch_of_its_group_with_the_first_fiel
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// the epoch decode's last-epoch slot
+// ---------------------------------------------------------------------
+
+/// Every field of `got` and `want` is the same bits.
+fn same_datasets(got: &Dataset, want: &Dataset) -> bool {
+    got.len() == want.len()
+        && want
+            .iter()
+            .all(|(name, field)| same_bits(got.expect_field(name), field))
+}
+
+#[test]
+fn the_epoch_decode_keeps_an_epoch_only_while_the_next_one_has_deltas() {
+    // a one-epoch archive has no next epoch
+    let reader = ArchiveReader::new(&golden("small_v2.cfar")).unwrap();
+    reader.decode_all().unwrap();
+    assert_eq!(reader.kept_epoch(), None);
+
+    // keyframes at 0 and 3 of five epochs: mid-group epochs are kept, the
+    // end of a group and the last epoch are not, and an error empties it
+    let bytes = series_3d();
+    let reader = ArchiveReader::new(&bytes).unwrap();
+    for (epoch, kept) in [
+        (0, Some(0)),
+        (1, Some(1)),
+        (2, None),
+        (3, Some(3)),
+        (4, None),
+    ] {
+        reader.decode_epoch(epoch).unwrap();
+        assert_eq!(reader.kept_epoch(), kept, "after epoch {epoch}");
+    }
+    reader.decode_epoch(0).unwrap();
+    assert!(reader.decode_epoch(reader.n_epochs()).is_err());
+    assert_eq!(reader.kept_epoch(), None, "after an error");
+
+    // with epoch 0 kept, every other read of epoch 1 and 2 still walks its
+    // chain from the source — byte for byte what a fresh reader reads —
+    // and leaves the slot alone
+    type Read = fn(&CountingArchiveReader) -> Field;
+    let reads: [(&str, Read); 4] = [
+        ("read", |r| {
+            r.read(&ReadRequest::new("B").at(1)).unwrap().data
+        }),
+        ("decode_field_at", |r| r.decode_field_at("C", 2).unwrap()),
+        ("decode_region_at", |r| {
+            let window = Region::d3(2, 5, 0, 16, 0, 18);
+            r.decode_region_at("B", &window, 2).unwrap()
+        }),
+        ("decode_block_at", |r| r.decode_block_at("B", 1, 1).unwrap()),
+    ];
+    let (warm, warm_read) = counting_reader(&bytes);
+    warm.decode_epoch(0).unwrap();
+    for (what, read) in reads {
+        let (cold, cold_read) = counting_reader(&bytes);
+        let (before, cold_before) = (
+            warm_read.load(Ordering::Relaxed),
+            cold_read.load(Ordering::Relaxed),
+        );
+        let (got, want) = (read(&warm), read(&cold));
+        assert!(same_bits(&got, &want), "{what}");
+        assert_eq!(
+            warm_read.load(Ordering::Relaxed) - before,
+            cold_read.load(Ordering::Relaxed) - cold_before,
+            "{what} read a different number of bytes with an epoch kept"
+        );
+        assert_eq!(warm.kept_epoch(), Some(0), "{what}");
+    }
+    // and so does the store over such a reader
+    let store = ArchiveStore::new(warm, StoreConfig::default());
+    let before = warm_read.load(Ordering::Relaxed);
+    let got = store.read(&ReadRequest::new("B").at(1)).unwrap();
+    let (cold, cold_read) = counting_reader(&bytes);
+    let cold_before = cold_read.load(Ordering::Relaxed);
+    let want = ArchiveStore::new(cold, StoreConfig::default())
+        .read(&ReadRequest::new("B").at(1))
+        .unwrap();
+    assert!(same_bits(&got.data, &want.data));
+    assert_eq!(
+        warm_read.load(Ordering::Relaxed) - before,
+        cold_read.load(Ordering::Relaxed) - cold_before
+    );
+    assert_eq!(store.reader().kept_epoch(), Some(0));
+}
+
+#[test]
+fn in_order_epochs_on_a_damaged_chain_match_a_fresh_reader_per_epoch() {
+    for (name, bytes, _) in damaged_chain_links() {
+        let reader = ArchiveReader::new(&bytes).unwrap();
+        for epoch in 0..reader.n_epochs() {
+            let got = reader.decode_epoch(epoch);
+            let want = ArchiveReader::new(&bytes).unwrap().decode_epoch(epoch);
+            match (&got, &want) {
+                (Ok(got), Ok(want)) => {
+                    assert!(same_datasets(got, want), "{name}: epoch {epoch}")
+                }
+                _ => assert_eq!(
+                    got.as_ref().err(),
+                    want.as_ref().err(),
+                    "{name}: epoch {epoch}"
+                ),
+            }
+            if got.is_err() {
+                assert_eq!(reader.kept_epoch(), None, "{name}: epoch {epoch}");
+            }
+        }
+    }
+}
+
+#[test]
+fn two_threads_decoding_one_reader_in_opposite_orders_get_every_epoch_right() {
+    for bytes in [golden("small_v3_delta.cfar"), series_3d()] {
+        let n = ArchiveReader::new(&bytes).unwrap().n_epochs();
+        let want: Vec<Dataset> = (0..n)
+            .map(|e| ArchiveReader::new(&bytes).unwrap().decode_epoch(e).unwrap())
+            .collect();
+        let reader = ArchiveReader::new(&bytes).unwrap();
+        // each round starts both passes together; whatever interleaving
+        // follows, every epoch must come out right
+        let start = std::sync::Barrier::new(2);
+        let pass = |order: &[usize]| {
+            for _ in 0..3 {
+                start.wait();
+                for &e in order {
+                    let got = reader.decode_epoch(e).unwrap();
+                    assert!(same_datasets(&got, &want[e]), "epoch {e} of {order:?}");
+                }
+            }
+        };
+        let forward: Vec<usize> = (0..n).collect();
+        let backward: Vec<usize> = (0..n).rev().collect();
+        std::thread::scope(|s| {
+            s.spawn(|| pass(&forward));
+            s.spawn(|| pass(&backward));
+        });
     }
 }
 

@@ -10,8 +10,13 @@
 //! * random access to one block of one epoch reads only the covering
 //!   keyframe plus the delta chain back to it — counted at the source, so
 //!   a regression that silently pulls extra blocks (or whole epochs) fails
-//!   here.
+//!   here;
+//! * decoding the epochs in order reads every meta area and every block
+//!   exactly once (each call starts from the epoch the call before
+//!   decoded), and any other order of calls on one reader decodes what a
+//!   fresh reader decodes.
 
+use std::io::Cursor;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -101,6 +106,32 @@ impl<R: ArchiveSource> ArchiveSource for CountingReader<R> {
         self.read.fetch_add(buf.len() as u64, Ordering::Relaxed);
         Ok(())
     }
+}
+
+type CountingArchiveReader = ArchiveReader<CountingReader<Cursor<Vec<u8>>>>;
+
+/// A reader over `bytes` that counts every byte it reads from the source.
+fn counting_reader(bytes: Vec<u8>) -> (CountingArchiveReader, Arc<AtomicU64>) {
+    let read = Arc::new(AtomicU64::new(0));
+    let src = CountingReader {
+        inner: Cursor::new(bytes),
+        read: Arc::clone(&read),
+    };
+    (ArchiveReader::open(src).expect("parse counted"), read)
+}
+
+/// Every field of two decodes of one epoch is the same bits.
+fn same_bits(got: &Dataset, want: &Dataset) -> bool {
+    got.len() == want.len()
+        && want.iter().all(|(name, w)| {
+            got.field(name).is_some_and(|g| {
+                g.shape() == w.shape()
+                    && g.as_slice()
+                        .iter()
+                        .zip(w.as_slice())
+                        .all(|(a, b)| a.to_bits() == b.to_bits())
+            })
+        })
 }
 
 proptest! {
@@ -200,12 +231,7 @@ proptest! {
             .sum();
         prop_assert!(epoch - keyframe < interval, "chain longer than interval");
 
-        let read = Arc::new(AtomicU64::new(0));
-        let src = CountingReader {
-            inner: std::io::Cursor::new(bytes.clone()),
-            read: Arc::clone(&read),
-        };
-        let counted = ArchiveReader::open(src).expect("parse counted");
+        let (counted, read) = counting_reader(bytes.clone());
         let toc = read.load(Ordering::Relaxed);
         let got = counted.decode_block_at("A", idx, epoch).expect("block at epoch");
         let payload_bytes = read.load(Ordering::Relaxed) - toc;
@@ -226,5 +252,84 @@ proptest! {
             .expect_field("A")
             .crop(&Region::d2(r0, r1, 0, cols));
         prop_assert_eq!(got, want);
+    }
+
+    /// Decoding every epoch in order reads each meta area and each block
+    /// exactly once: a delta decodes against the epoch the call before
+    /// decoded, never by walking its chain again.
+    #[test]
+    fn in_order_epoch_decode_reads_the_payload_once(
+        rows in 10usize..24,
+        cols in 6usize..12,
+        chunk_rows in 2usize..6,
+        n_epochs in 3usize..9,
+        interval in 1usize..5,
+        k0 in 0u32..8,
+    ) {
+        let shape = Shape::d2(rows, cols);
+        let snapshots = epoch_snapshots(shape, n_epochs, k0 as f32, 2.0);
+        let bytes = builder(chunk_rows, cols)
+            .keyframe_interval(interval)
+            .build()
+            .write_epochs(&snapshots)
+            .expect("v3 write");
+        let (reader, read) = counting_reader(bytes);
+        let payload: u64 = reader
+            .entries()
+            .iter()
+            .map(|e| {
+                let blocks: usize = (0..e.n_blocks()).filter_map(|i| e.block_len(i)).sum();
+                (e.meta_len() + blocks) as u64
+            })
+            .sum();
+
+        let toc = read.load(Ordering::Relaxed);
+        for epoch in 0..n_epochs {
+            reader.decode_epoch(epoch).expect("decode epoch");
+        }
+        prop_assert_eq!(read.load(Ordering::Relaxed) - toc, payload);
+    }
+
+    /// Any order of `decode_epoch` calls on one reader — reversed, strided,
+    /// every epoch twice, one epoch of each group in turn — decodes every
+    /// epoch to the bits a fresh reader decodes it to.
+    #[test]
+    fn every_call_order_decodes_what_a_fresh_reader_decodes(
+        rows in 10usize..20,
+        cols in 6usize..12,
+        chunk_rows in 2usize..6,
+        n_epochs in 3usize..9,
+        interval in 1usize..5,
+        k0 in 0u32..8,
+    ) {
+        let shape = Shape::d2(rows, cols);
+        let snapshots = epoch_snapshots(shape, n_epochs, k0 as f32, 5.0);
+        let bytes = builder(chunk_rows, cols)
+            .keyframe_interval(interval)
+            .build()
+            .write_epochs(&snapshots)
+            .expect("v3 write");
+        let fresh = |e| {
+            let reader = ArchiveReader::new(&bytes).expect("parse v3");
+            reader.decode_epoch(e).expect("decode epoch")
+        };
+        let want: Vec<Dataset> = (0..n_epochs).map(fresh).collect();
+
+        let reversed: Vec<usize> = (0..n_epochs).rev().collect();
+        let strided: Vec<usize> = (0..n_epochs)
+            .step_by(2)
+            .chain((1..n_epochs).step_by(2))
+            .collect();
+        let repeated: Vec<usize> = (0..n_epochs).flat_map(|e| [e, e]).collect();
+        let across_groups: Vec<usize> = (0..interval)
+            .flat_map(|k| (k..n_epochs).step_by(interval))
+            .collect();
+        let reader = ArchiveReader::new(&bytes).expect("parse v3");
+        for order in [reversed, strided, repeated, across_groups] {
+            for &e in &order {
+                let got = reader.decode_epoch(e).expect("decode epoch");
+                prop_assert!(same_bits(&got, &want[e]), "epoch {} of {:?}", e, order);
+            }
+        }
     }
 }

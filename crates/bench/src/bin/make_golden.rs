@@ -4,26 +4,30 @@
 //! cargo run --release -p cfc-bench --bin make_golden
 //! ```
 //!
-//! Three fixtures are produced, all deterministic (fixed seeds, fixed
+//! Four fixtures are produced, all deterministic (fixed seeds, fixed
 //! shapes, thread-count-independent encoding):
 //!
 //! * `small_v1.cfar` — the frozen CFAR **v1** layout (one monolithic
 //!   stream per field), via [`cfc_bench::golden::write_v1`]. Proves v1
 //!   archives written before the chunked container still decode.
-//! * `small_v2.cfar` — the chunked single-snapshot container for the same
-//!   2-D dataset (4 blocks of 8 rows, cross-field `RH` on `T`+`P`).
-//! * `partial_v2.cfar` — a 3-D baseline-only dataset whose depth is not a
-//!   multiple of the chunk, pinning partial-final-block accounting.
 //! * `small_v3_keyframes.cfar` — a 3-epoch **v3** temporal archive with
-//!   `keyframe_interval(1)`: every epoch a keyframe, no delta chains.
+//!   `keyframe_interval(1)`: every epoch a keyframe, no delta chains. Its
+//!   epoch 0 is what the writer emits as a snapshot of the 2-D dataset.
 //! * `small_v3_delta.cfar` — 6 epochs at interval 3: two keyframes, each
 //!   heading a two-delta chain.
 //! * `partial_v3.cfar` — the evolving 3-D dataset, 4 epochs at interval 2,
-//!   pinning partial-final-block accounting inside delta epochs.
+//!   pinning partial-final-block accounting inside delta epochs; its epoch
+//!   0 is the writer's snapshot of the 3-D dataset.
+//!
+//! `small_v2.cfar` and `partial_v2.cfar` are frozen: the chunked
+//! single-snapshot container the writer emitted before a snapshot became a
+//! one-epoch v3 archive. Nothing writes v2 any more, so they are never
+//! regenerated; they keep proving that v2 archives decode.
 //!
 //! `tests/format_conformance.rs` asserts the production writer still
-//! reproduces the v2/v3 fixtures byte-for-byte and that all of them decode
-//! with the expected manifests, ratios, and error bounds.
+//! reproduces the v3 fixtures byte-for-byte, and a snapshot as their epoch
+//! 0, and that all six decode with the expected manifests, ratios, and
+//! error bounds.
 
 use cfc_bench::golden;
 
@@ -31,27 +35,9 @@ fn main() {
     let dir = std::path::Path::new("tests/golden");
     std::fs::create_dir_all(dir).expect("create tests/golden");
 
-    let ds = golden::golden_dataset();
-
-    let v1 = golden::write_v1(&ds);
+    let v1 = golden::write_v1(&golden::golden_dataset());
     std::fs::write(dir.join("small_v1.cfar"), &v1).expect("write v1 fixture");
     println!("small_v1.cfar:   {} bytes", v1.len());
-
-    let v2 = golden::golden_builder()
-        .chunk_elements(golden::GOLDEN_CHUNK_ELEMENTS)
-        .build()
-        .write(&ds)
-        .expect("write v2");
-    std::fs::write(dir.join("small_v2.cfar"), &v2).expect("write v2 fixture");
-    println!("small_v2.cfar:   {} bytes", v2.len());
-
-    let ds3 = golden::golden_dataset_3d();
-    let v2p = golden::golden_partial_builder()
-        .build()
-        .write(&ds3)
-        .expect("write partial v2");
-    std::fs::write(dir.join("partial_v2.cfar"), &v2p).expect("write partial fixture");
-    println!("partial_v2.cfar: {} bytes", v2p.len());
 
     let v3k = golden::golden_builder()
         .chunk_elements(golden::GOLDEN_CHUNK_ELEMENTS)

@@ -10,12 +10,17 @@
 //!
 //! * [`write_v1`] — a frozen reimplementation of the CFAR **v1** layout
 //!   (one monolithic CFSZ stream per field). The production
-//!   `ArchiveWriter` moved on to the chunked v2 container, so this is the
+//!   `ArchiveWriter` moved on to the chunked container, so this is the
 //!   only way to produce fresh v1 bytes; the committed `small_v1.cfar`
 //!   fixture was generated by the pre-chunking writer and `write_v1` is
 //!   asserted byte-identical to it.
-//! * the production `ArchiveWriter` (via [`golden_builder`]) — produces the
-//!   current-version fixture.
+//! * the production `ArchiveWriter` (via [`golden_builder`] and
+//!   [`golden_partial_builder`]) — produces the v3 fixtures.
+//!
+//! `small_v2.cfar` and `partial_v2.cfar` are frozen: nothing writes v2 any
+//! more (a snapshot is a one-epoch v3 archive, the same bytes as epoch 0
+//! of `small_v3_keyframes.cfar` and `partial_v3.cfar`), so they are
+//! committed bytes only, kept to prove that v2 archives decode.
 //!
 //! Everything is deterministic: fixed seeds, fixed shapes, fixed plans, and
 //! thread-count-independent encoding (asserted in `cfc-core`'s tests).
@@ -32,8 +37,8 @@ use cfc_tensor::{Dataset, Field, Shape};
 /// Relative error bound every golden fixture is written at.
 pub const GOLDEN_REL_EB: f64 = 1e-3;
 
-/// Element count per chunk used for the chunked (v2) fixture — small enough
-/// that the 32×32 fields split into four blocks.
+/// Element count per chunk used for the chunked 2-D fixtures — small
+/// enough that the 32×32 fields split into four blocks.
 pub const GOLDEN_CHUNK_ELEMENTS: usize = 8 * 32;
 
 /// The fixture snapshot: three coupled 32×32 fields. `T` and `P` are
@@ -86,7 +91,7 @@ pub const GOLDEN_V3_EPOCHS: usize = 6;
 
 /// One epoch of the evolving fixture sequence: the [`golden_dataset`]
 /// structure with closed-form phase drift, so consecutive epochs differ by
-/// a small smooth increment and epoch 0 is *not* the static snapshot.
+/// a small smooth increment; epoch 0 is the static [`golden_dataset`].
 pub fn golden_epoch_dataset(t: f32) -> Dataset {
     let shape = Shape::d2(32, 32);
     let tfield = Field::from_fn(shape, |i| {

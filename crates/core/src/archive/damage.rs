@@ -1,7 +1,7 @@
 //! Salvage-decode policy and damage reporting.
 //!
-//! CFAR v2 verifies every block against its recorded CRC32 before the
-//! entropy decoder sees it — but detection alone turns one flipped bit into
+//! A chunked CFAR archive (v2 or v3) verifies every block against its
+//! recorded CRC32 before the entropy decoder sees it — but detection alone turns one flipped bit into
 //! a failed request for the 99% of blocks that are healthy. The types here
 //! let callers choose the other trade-off:
 //!

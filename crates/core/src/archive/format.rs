@@ -23,12 +23,13 @@
 //! meta    := model_len:u64 model hybrid_len:u64 hybrid
 //! ```
 //!
-//! v1 and v2 archives are one epoch with no kind byte. Block offsets count
-//! from the start of the payload; `crc` is the CRC32 of the block's bytes,
-//! `meta_crc` of the meta area. Only cross-field targets (`model` = the
-//! serialized CFNN, `hybrid` = the fitted mixing weights) and temporal
-//! deltas (`model_len` 0: the anchor is the previous epoch) have a meta
-//! area; for every other role `meta_len` is 0.
+//! The writer emits v3 only, a snapshot as one epoch; v1 and v2 archives
+//! are one epoch with no kind byte, and their meta areas carry no CRC.
+//! Block offsets count from the start of the payload; `crc` is the CRC32 of
+//! the block's bytes, `meta_crc` of the meta area. Only cross-field targets
+//! (`model` = the serialized CFNN, `hybrid` = the fitted mixing weights)
+//! and temporal deltas (`model_len` 0: the anchor is the previous epoch)
+//! have a meta area; for every other role `meta_len` is 0.
 //!
 //! ## One reader, one writer, one rule list
 //!
@@ -39,7 +40,8 @@
 //! byte, extents `u64`, index rows unjudged); a payload or block index the
 //! source ends inside is recorded — fewer bytes present than declared —
 //! not failed on. `write_header` / `write_row` are their inverses for v2
-//! and v3 (nothing writes v1).
+//! and v3: the writer emits v3, and repair re-emits a v2 archive it is
+//! handed as v2 (nothing writes v1).
 //!
 //! What a manifest must satisfy beyond being laid out readably is the rule
 //! list: `check_header`, `check_row` as each row is read, `check_rows`
@@ -81,15 +83,12 @@ use super::source::ArchiveSource;
 
 /// Archive magic bytes.
 pub const ARCHIVE_MAGIC: &[u8; 4] = b"CFAR";
-/// Current archive container version (temporal: multi-epoch with delta
-/// snapshots and CRC-protected field meta).
+/// The container version every archive is written in: a sequence of
+/// epochs (a snapshot is one), keyframes and temporal deltas, with a CRC32
+/// over every meta area.
 pub const ARCHIVE_VERSION: u16 = 3;
-/// Container version emitted for single-snapshot archives. Single
-/// snapshots keep the v2 layout so existing archives stay byte-identical;
-/// only multi-epoch writes ([`super::ArchiveWriter::write_epochs_to`])
-/// emit v3.
-pub const ARCHIVE_VERSION_SNAPSHOT: u16 = 2;
-/// Oldest container version this build still decodes.
+/// Oldest container version this build still decodes (v1 and v2 are read,
+/// never written).
 pub const MIN_SUPPORTED_VERSION: u16 = 1;
 /// Default keyframe interval for multi-epoch archives: every fourth epoch
 /// is a full keyframe, the rest are deltas against the previous epoch.

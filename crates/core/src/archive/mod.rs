@@ -12,8 +12,9 @@
 //!        every field split into fixed-slab blocks along axis 0, each
 //!        block encoded as its own stream (own quantizer + Huffman state)
 //!        and CRC'd; blocks encoded in parallel across ALL fields
-//!        ──► one versioned, self-describing CFAR v2 container with a
-//!            per-field block index (offset | length | CRC32)
+//!        ──► one versioned, self-describing CFAR v3 container (one epoch)
+//!            with a per-field block index (offset | length | CRC32) and a
+//!            CRC32 over each meta area
 //!
 //!   ArchiveReader::open(impl ArchiveSource) ──► manifest only (no payloads)
 //!        read(&ReadRequest { field, epoch, region, policy }): the general
@@ -106,22 +107,21 @@
 //!
 //! ## Container versions
 //!
-//! * **v3** (current, temporal): a sequence of epochs, each holding every
+//! * **v3** (the one written): a sequence of epochs, each holding every
 //!   field in the v2 per-field layout plus a CRC32 over the meta area.
 //!   Epochs at multiples of the keyframe interval are **keyframes**
-//!   (encoded exactly like a v2 snapshot, cross-field plan included);
-//!   the rest are **delta epochs** whose fields carry
-//!   [`FieldRole::Delta`] and encode against the decoded previous epoch,
-//!   so random access to any epoch decodes at most one keyframe block
-//!   plus the delta chain back to it. Written by
-//!   [`ArchiveWriter::write_epochs_to`]; single-snapshot writes keep
-//!   emitting v2 so existing fixtures stay byte-identical.
-//! * **v2**: chunked. Per field the header stores shape, chunk
-//!   geometry, a meta area (embedded CFNN + hybrid weights for targets),
-//!   and the block index; payloads follow. Blocks decode independently —
-//!   the slab boundary resets predictor context (neighbours outside the
-//!   block predict 0, the SZ convention), so any block can be decoded
-//!   after reading only its own bytes.
+//!   (cross-field plan included); the rest are **delta epochs** whose
+//!   fields carry [`FieldRole::Delta`] and encode against the decoded
+//!   previous epoch, so random access to any epoch decodes at most one
+//!   keyframe block plus the delta chain back to it. Written by
+//!   [`ArchiveWriter::write_epochs_to`], and by
+//!   [`ArchiveWriter::write_to`] as a one-epoch series.
+//! * **v2** (read-only): chunked. Per field the header stores shape,
+//!   chunk geometry, a meta area (embedded CFNN + hybrid weights for
+//!   targets, with no CRC over it), and the block index; payloads follow.
+//!   Blocks decode independently — the slab boundary resets predictor
+//!   context (neighbours outside the block predict 0, the SZ convention),
+//!   so any block can be decoded after reading only its own bytes.
 //! * **v1** (read-only): one monolithic CFSZ stream per field, model
 //!   embedded in the stream. Read as a one-block entry, so random access
 //!   degrades to whole-field decode.
@@ -145,8 +145,8 @@ pub mod writer;
 pub use damage::{BlockDamage, DamageMap, DecodePolicy, Salvaged};
 pub use fault::{FaultInjectingReader, FaultPlan, FaultStats};
 pub use format::{
-    ArchiveEntry, FieldInfo, FieldRole, ARCHIVE_MAGIC, ARCHIVE_VERSION, ARCHIVE_VERSION_SNAPSHOT,
-    DEFAULT_CHUNK_ELEMENTS, DEFAULT_KEYFRAME_INTERVAL, MIN_SUPPORTED_VERSION,
+    ArchiveEntry, FieldInfo, FieldRole, ARCHIVE_MAGIC, ARCHIVE_VERSION, DEFAULT_CHUNK_ELEMENTS,
+    DEFAULT_KEYFRAME_INTERVAL, MIN_SUPPORTED_VERSION,
 };
 pub use reader::{ArchiveReader, ArchiveScratch, ReadRequest};
 pub use scrub::{

@@ -78,8 +78,8 @@
 //! group decodes every block once instead of re-walking the chain at every
 //! epoch. Every `decode_epoch` call replaces that one slot, and leaves it
 //! empty on an error, at the end of a group, at the last epoch and for
-//! every one-epoch (v1/v2) archive; so at most one epoch's decoded fields
-//! are held. Nothing else reads it: [`ArchiveReader::read`], the
+//! every one-epoch archive (a snapshot, or v1/v2); so at most one epoch's
+//! decoded fields are held. Nothing else reads it: [`ArchiveReader::read`], the
 //! `decode_block*` primitives, the store and scrub decode from the source
 //! every time (beyond caller-provided [`ArchiveScratch`] buffers). For a
 //! serving layer that caches decoded blocks across calls and threads, wrap

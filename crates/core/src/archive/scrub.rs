@@ -24,28 +24,32 @@
 //! The result is a machine-readable [`ScrubReport`] ([`ScrubReport::to_json`]
 //! for tooling, `Display`-style text via the `cfc-fsck` binary).
 //!
-//! [`repair_bytes`] attempts the two recoveries that need no re-encoding,
-//! because CFAR v2 blocks are self-delimiting `CFSZ` containers:
+//! [`repair_bytes`] attempts the recoveries that need no re-encoding,
+//! because the blocks of a v2 or v3 archive are self-delimiting `CFSZ`
+//! containers. One rule covers both versions (a v2 archive is one epoch):
 //!
-//! * **Index rebuild** — when a field's index rows disagree with the block
-//!   boundaries found by scanning the payload (each container records its
-//!   own section lengths, so the scan is exact), the rows are rebuilt from
+//! * **Index rebuild** — when a row's index disagrees with the block
+//!   boundaries found by scanning its payload (each container records its
+//!   own section lengths, so the scan is exact), the index is rebuilt from
 //!   the scan: offsets, lengths, and CRCs recomputed from the bytes that
-//!   are actually there. Checksum mismatches *without* a boundary
-//!   disagreement are payload rot, not index rot, and are left alone —
-//!   rebuilding would bless corrupt data.
-//! * **Torn-tail truncation** — when the archive ends mid-payload (a torn
-//!   upload), every field is cut back to the longest common prefix of
-//!   fully-present blocks, manifests rewritten for the reduced axis-0
-//!   extent, and fields whose manifests or meta areas are gone (plus any
-//!   targets orphaned by a dropped anchor) are dropped.
+//!   are actually there, in any epoch. Checksum mismatches *without* a
+//!   boundary disagreement are payload rot, not index rot, and are left
+//!   alone — rebuilding would bless corrupt data.
+//! * **Complete epochs** — an epoch is complete when every row is there,
+//!   none is torn, every block is where its (rebuilt) index says and every
+//!   anchor resolves. The longest prefix of complete epochs is kept under a
+//!   header that counts that many: cutting blocks of a later epoch would
+//!   orphan every delta epoch chained on it.
+//! * **Epoch 0 cut to a block prefix** — when not even epoch 0 is complete
+//!   (a snapshot torn mid-payload, say), it is kept alone: fields whose
+//!   rows, meta areas or every block are gone are dropped, then any target
+//!   orphaned by a dropped anchor, and every field left is cut back to the
+//!   longest common prefix of intact blocks, its rows rewritten for the
+//!   reduced axis-0 extent.
 //!
-//! Multi-epoch (v3) archives repair at epoch granularity instead: a torn
-//! tail is cut back to the longest prefix of fully-present epochs under a
-//! header that counts that many. Truncating *inside* an epoch
-//! would break its intra-epoch anchor graph, and cutting a keyframe's
-//! blocks would orphan every delta epoch chained on it, so no finer repair
-//! is attempted.
+//! Bytes repair rewrites are read back through the manifest rules with
+//! `open`'s stop-at-first sink; a rewrite that breaks one is an error, not
+//! an outcome.
 //!
 //! Both operate on in-memory bytes: a scrubber is an offline tool and
 //! archives are file-sized. Neither parses or judges a manifest itself:
@@ -62,8 +66,8 @@ use cfc_sz::{crc32, CfcError};
 
 use super::damage::DecodePolicy;
 use super::format::{
-    n_blocks_for, read_manifest, write_header, write_row, FieldRole, RawBlock, RawHeader,
-    RawManifest, RawRow,
+    epoch_kind, n_blocks_for, read_manifest, write_header, write_row, FieldRole, RawBlock,
+    RawHeader, RawManifest, RawRow,
 };
 use super::reader::{ArchiveReader, ReadRequest};
 
@@ -413,66 +417,130 @@ fn scan_blocks(payload: &[u8], meta_len: u64) -> Vec<RawBlock> {
     rows
 }
 
-/// v3 repair: truncate a torn tail at an epoch boundary. Cutting blocks
-/// *inside* an epoch would break its intra-epoch anchor graph, and cutting
-/// a keyframe's blocks would orphan every delta epoch chained on it, so
-/// the only re-encoding-free recovery is keeping the longest prefix of
-/// fully-present epochs under a header that counts that many. Non-torn
-/// damage (payload or index rot) is left untouched — rewriting it would
-/// bless corrupt data.
-fn repair_v3(bytes: &[u8], m: &RawManifest) -> Result<RepairOutcome, CfcError> {
-    let (n_epochs, per_epoch) = (m.header.n_epochs as usize, m.header.n_fields as usize);
-    let is_complete = |epoch: usize| {
-        let rows = m.rows.get(epoch * per_epoch..(epoch + 1) * per_epoch);
-        rows.is_some_and(|ep| !ep.iter().any(RawRow::is_torn))
-    };
-    let complete = (0..n_epochs).take_while(|&e| is_complete(e)).count();
-    if complete == 0 {
-        return Err(CfcError::Corrupt {
-            context: "archive repair",
-            detail: "no complete epoch to keep".into(),
-        });
-    }
-    if complete == n_epochs {
-        return Ok(RepairOutcome {
-            bytes: bytes.to_vec(),
-            actions: Vec::new(),
-        });
-    }
-    let last = &m.rows[complete * per_epoch - 1];
-    let end = (last.payload_base + last.payload_len) as usize;
-    // the same header with fewer epochs is the same length
-    let mut out = Vec::with_capacity(end);
-    let header = RawHeader {
-        n_epochs: complete as u32,
-        ..m.header.clone()
-    };
-    write_header(&mut out, &header);
-    let kept_from = out.len();
-    out.extend_from_slice(&bytes[kept_from..end]);
-    Ok(RepairOutcome {
-        bytes: out,
-        actions: vec![format!(
-            "truncate torn tail: keep the first {complete} of {n_epochs} epoch(s)"
-        )],
-    })
-}
-
-/// Attempt to repair an archive without re-encoding anything. Two repairs
-/// are possible (see the [module docs](self)): rebuilding index rows from
-/// scanned block boundaries, and truncating a torn tail to the longest
-/// fully-present block prefix. Returns the repaired bytes plus a log of
-/// actions; an archive that needed neither comes back byte-identical with
-/// an empty action list.
-///
-/// Errors when the archive is structurally beyond repair: unreadable
-/// header, v1 container (no block structure to recover), no field with
-/// any intact block, or payload rot that scanning cannot resolve.
-pub fn repair_bytes(bytes: &[u8]) -> Result<RepairOutcome, CfcError> {
-    let m = walk(bytes, &mut Findings::default()).map_err(|detail| CfcError::Corrupt {
+fn beyond_repair(detail: String) -> CfcError {
+    CfcError::Corrupt {
         context: "archive repair",
         detail,
-    })?;
+    }
+}
+
+/// The first of `rows` (one epoch's) that names an anchor not among them.
+fn orphaned(rows: &[RawRow]) -> Option<usize> {
+    rows.iter()
+        .position(|r| r.anchors.iter().any(|a| !rows.iter().any(|o| &o.name == a)))
+}
+
+/// Row `e` with its index pointing at the blocks repair can keep: the
+/// declared rows where a boundary scan of the payload agrees with them (a
+/// CRC mismatch there is payload rot, not index rot — refuse to bless it),
+/// the scan where only the index is wrong, the scan's intact prefix where
+/// the payload is torn. `None`, with the reason logged, for a row with no
+/// block to keep; `Err` where a payload that is all there scans to another
+/// block count.
+fn recover(
+    e: &RawRow,
+    bytes: &[u8],
+    actions: &mut Vec<String>,
+) -> Result<Option<RawRow>, CfcError> {
+    let name = e.qualified_name();
+    if e.present() < e.meta_len {
+        actions.push(format!("drop field {name}: meta area torn off"));
+        return Ok(None);
+    }
+    let declared = e.blocks.len();
+    let scanned = scan_blocks(payload(e, bytes), e.meta_len);
+    if scanned.is_empty() {
+        actions.push(format!("drop field {name}: no intact blocks found"));
+        return Ok(None);
+    }
+    let boundaries_match = scanned.len() == declared
+        && scanned
+            .iter()
+            .zip(&e.blocks)
+            .all(|(s, d)| s.rel_offset == d.rel_offset && s.len == d.len);
+    let blocks = if boundaries_match {
+        e.blocks.clone()
+    } else if e.is_torn() {
+        scanned
+    } else if scanned.len() == declared {
+        actions.push(format!(
+            "rebuild index of field {name}: {declared} rows recovered by boundary scan"
+        ));
+        scanned
+    } else {
+        return Err(beyond_repair(format!(
+            "field {name}: boundary scan found {} blocks where the manifest \
+             declares {declared}; payload is not scan-recoverable",
+            scanned.len()
+        )));
+    };
+    Ok(Some(RawRow {
+        blocks,
+        ..e.clone()
+    }))
+}
+
+/// Epoch 0's `rows` when not even epoch 0 is complete: the fields with no
+/// block left dropped, then the targets such a drop orphans, then every
+/// field cut back to the longest block prefix all of them still hold
+/// (fields share their geometry, so a truncation in one truncates them
+/// all).
+fn cut_to_common_prefix(
+    rows: &[RawRow],
+    bytes: &[u8],
+    actions: &mut Vec<String>,
+) -> Result<Vec<RawRow>, CfcError> {
+    let mut kept = Vec::with_capacity(rows.len());
+    for e in rows {
+        kept.extend(recover(e, bytes, actions)?);
+    }
+    if kept.is_empty() {
+        return Err(beyond_repair("no field retains any intact block".into()));
+    }
+    while let Some(pos) = orphaned(&kept) {
+        actions.push(format!(
+            "drop field {}: anchor no longer present",
+            kept[pos].name
+        ));
+        kept.remove(pos);
+        if kept.is_empty() {
+            return Err(beyond_repair("every field depended on dropped data".into()));
+        }
+    }
+    let keep = kept.iter().map(|r| r.blocks.len()).min().unwrap_or(0);
+    if kept
+        .iter()
+        .all(|r| r.blocks.len() == keep && r.n_blocks as usize == keep)
+    {
+        return Ok(kept);
+    }
+    actions.push(format!("truncate every field to its first {keep} block(s)"));
+    let chunk_slabs = kept[0].chunk_slabs as usize;
+    for r in &mut kept {
+        r.blocks.truncate(keep);
+        let dim0 = &mut r.dims[0];
+        if keep < n_blocks_for(*dim0 as usize, chunk_slabs.max(1)) {
+            *dim0 = (keep * chunk_slabs) as u64;
+        }
+    }
+    Ok(kept)
+}
+
+/// Attempt to repair an archive without re-encoding anything, by one rule
+/// for v2 and v3 (see the [module docs](self)): every row's index rebuilt
+/// from scanned block boundaries where only the index is wrong; the
+/// longest prefix of complete epochs kept; and when not even epoch 0 is
+/// complete, epoch 0 alone, cut back to the block prefix all its fields
+/// still hold. Returns the repaired bytes plus a log of actions; an
+/// archive that needed nothing comes back byte-identical with an empty
+/// action list. Rewritten bytes always open.
+///
+/// Errors when the archive is beyond repair: unreadable header, v1
+/// container (no block structure to recover), no field with any intact
+/// block, payload rot that scanning cannot resolve, or a rewrite that
+/// still breaks a manifest rule (the error `open` would give for it).
+pub fn repair_bytes(bytes: &[u8]) -> Result<RepairOutcome, CfcError> {
+    let m = walk(bytes, &mut Findings::default()).map_err(beyond_repair)?;
     if m.header.version == 1 {
         return Err(CfcError::InvalidInput(
             "v1 archives hold one monolithic stream per field; there is no \
@@ -480,102 +548,40 @@ pub fn repair_bytes(bytes: &[u8]) -> Result<RepairOutcome, CfcError> {
                 .into(),
         ));
     }
-    if m.header.version >= 3 {
-        return repair_v3(bytes, &m);
-    }
+    let (n_epochs, n_fields) = (m.header.n_epochs as usize, m.header.n_fields as usize);
     let mut actions = Vec::new();
 
-    // Per entry: recover rows by scanning, note how many blocks are intact.
-    struct Plan<'a> {
-        entry: &'a RawRow,
-        rows: Vec<RawBlock>,
-    }
-    let mut plans = Vec::with_capacity(m.rows.len());
-    for e in &m.rows {
-        let meta_len = e.meta_len;
-        if e.present() < meta_len {
-            actions.push(format!("drop field {}: meta area torn off", e.name));
-            continue;
+    // an epoch is complete when every row is there, none is torn, every
+    // block is where its index (rebuilt or not) says, and every anchor
+    // resolves
+    let mut kept = Vec::with_capacity(m.rows.len());
+    let mut epochs = 0;
+    for ep in m.rows.chunks(n_fields.max(1)) {
+        if ep.len() < n_fields || ep.iter().any(RawRow::is_torn) {
+            break;
         }
-        let declared = e.blocks.len();
-        let scanned = scan_blocks(payload(e, bytes), meta_len);
-        if scanned.is_empty() {
-            actions.push(format!("drop field {}: no intact blocks found", e.name));
-            continue;
-        }
-        let boundaries_match = scanned.len() == declared
-            && scanned
-                .iter()
-                .zip(&e.blocks)
-                .all(|(s, d)| s.rel_offset == d.rel_offset && s.len == d.len);
-        let rows = if boundaries_match {
-            // Index offsets agree with the payload. A CRC mismatch here is
-            // payload rot, not index rot — refuse to bless it.
-            e.blocks.clone()
-        } else if !e.is_torn() && scanned.len() == declared {
-            actions.push(format!(
-                "rebuild index of field {}: {} rows recovered by boundary scan",
-                e.name, declared
-            ));
-            scanned
-        } else if e.is_torn() {
-            scanned
-        } else {
-            return Err(CfcError::Corrupt {
-                context: "archive repair",
-                detail: format!(
-                    "field {}: boundary scan found {} blocks where the manifest \
-                     declares {declared}; payload is not scan-recoverable",
-                    e.name,
-                    scanned.len()
-                ),
-            });
-        };
-        plans.push(Plan { entry: e, rows });
-    }
-    if plans.is_empty() {
-        return Err(CfcError::Corrupt {
-            context: "archive repair",
-            detail: "no field retains any intact block".into(),
-        });
-    }
-
-    // Drop targets orphaned by dropped anchors (to a fixpoint).
-    loop {
-        let names: Vec<String> = plans.iter().map(|p| p.entry.name.clone()).collect();
-        let Some(pos) = plans
+        let mut log = Vec::new();
+        let rows: Option<Vec<RawRow>> = ep
             .iter()
-            .position(|p| p.entry.anchors.iter().any(|a| !names.contains(a)))
-        else {
+            .map(|e| recover(e, bytes, &mut log))
+            .collect::<Result<_, _>>()?;
+        let Some(rows) = rows.filter(|rows| orphaned(rows).is_none()) else {
             break;
         };
-        actions.push(format!(
-            "drop field {}: anchor no longer present",
-            plans[pos].entry.name
-        ));
-        plans.remove(pos);
-        if plans.is_empty() {
-            return Err(CfcError::Corrupt {
-                context: "archive repair",
-                detail: "every field depended on dropped data".into(),
-            });
-        }
+        actions.append(&mut log);
+        kept.extend(rows);
+        epochs += 1;
     }
-
-    // Common intact prefix across fields (v2 fields share shape, so a
-    // truncation in one field truncates them all).
-    let keep_blocks = plans.iter().map(|p| p.rows.len()).min().unwrap_or(0);
-    let full = plans.iter().all(|p| {
-        let declared = p.entry.blocks.len();
-        p.rows.len() == declared && keep_blocks == declared
-    });
-    if !full {
+    if epochs == 0 {
+        let ep0 = &m.rows[..m.rows.len().min(n_fields)];
+        kept = cut_to_common_prefix(ep0, bytes, &mut actions)?;
+        epochs = 1;
+    }
+    if epochs < n_epochs {
         actions.push(format!(
-            "truncate every field to its first {keep_blocks} block(s)"
+            "truncate torn tail: keep the first {epochs} of {n_epochs} epoch(s)"
         ));
     }
-
-    // Nothing to do and nothing dropped: return the input unchanged.
     if actions.is_empty() {
         return Ok(RepairOutcome {
             bytes: bytes.to_vec(),
@@ -583,39 +589,33 @@ pub fn repair_bytes(bytes: &[u8]) -> Result<RepairOutcome, CfcError> {
         });
     }
 
-    // ---- emit the repaired archive --------------------------------------
-    let chunk_slabs = plans[0].entry.chunk_slabs as usize;
-    let new_dim0 = |orig: u64| -> u64 {
-        if keep_blocks < n_blocks_for(orig as usize, chunk_slabs.max(1)) {
-            (keep_blocks * chunk_slabs) as u64
-        } else {
-            orig
-        }
-    };
-    let mut out = Vec::with_capacity(bytes.len());
+    let per_epoch = kept.len() / epochs;
     let header = RawHeader {
-        n_fields: plans.len() as u32,
+        n_epochs: epochs as u32,
+        n_fields: per_epoch as u32,
         ..m.header.clone()
     };
+    let mut out = Vec::with_capacity(bytes.len());
     write_header(&mut out, &header);
-    for p in &plans {
-        let e = p.entry;
-        let meta_len = e.meta_len;
-        let kept = &p.rows[..keep_blocks];
-        // rows, re-packed adjacent from the meta boundary
-        let mut row = e.clone();
-        row.tile(kept.iter().map(|r| (r.len, r.crc)));
-        if let Some(d) = row.dims.first_mut() {
-            *d = new_dim0(*d);
+    for (epoch, rows) in kept.chunks(per_epoch).enumerate() {
+        if header.version >= 3 {
+            out.push(epoch_kind(epoch, header.keyframe_interval as usize));
         }
-        write_row(&mut out, &row);
-        // payload: meta area, then each kept block's bytes
-        let payload = payload(e, bytes);
-        out.extend_from_slice(&payload[..meta_len as usize]);
-        for row in kept {
-            out.extend_from_slice(&payload[row.rel_offset as usize..][..row.len as usize]);
+        for row in rows {
+            // the row with its kept blocks re-packed adjacent from the
+            // meta boundary, then the meta area and those blocks
+            let mut tiled = row.clone();
+            tiled.tile(row.blocks.iter().map(|b| (b.len, b.crc)));
+            write_row(&mut out, &tiled);
+            let payload = payload(row, bytes);
+            out.extend_from_slice(&payload[..row.meta_len as usize]);
+            for b in &row.blocks {
+                out.extend_from_slice(&payload[b.rel_offset as usize..][..b.len as usize]);
+            }
         }
     }
+    // a rewrite `open` would refuse is no repair
+    read_manifest(&out.as_slice(), out.len() as u64, &mut |_, _, _, e| Err(e))?;
     Ok(RepairOutcome {
         bytes: out,
         actions,
@@ -703,7 +703,7 @@ mod tests {
         let mut needle = Vec::with_capacity(20);
         needle.extend_from_slice(&b.rel_offset.to_le_bytes());
         needle.extend_from_slice(&(b.len as u64).to_le_bytes());
-        needle.extend_from_slice(&b.crc.expect("v2 rows record a crc").to_le_bytes());
+        needle.extend_from_slice(&b.crc.expect("v2+ rows record a crc").to_le_bytes());
         find(bytes, &needle)
     }
 
@@ -712,7 +712,7 @@ mod tests {
         let bytes = sample_archive();
         let report = scrub_bytes(&bytes, &ScrubOptions { deep: true });
         assert!(report.is_clean(), "{:?}", report.findings);
-        assert_eq!(report.version, 2);
+        assert_eq!(report.version, 3);
         assert_eq!(report.fields_checked, 2);
         assert_eq!(report.blocks_checked, 8);
         assert!(report.to_json().contains("\"clean\":true"));
@@ -953,14 +953,94 @@ mod tests {
         }
     }
 
+    /// A tear inside epoch 0 leaves no complete epoch: epoch 0 is kept
+    /// alone, cut back to the block prefix its present fields still hold,
+    /// and the target whose row the tear took is gone with it.
     #[test]
-    fn torn_first_epoch_refuses_repair() {
+    fn torn_first_epoch_keeps_its_intact_block_prefix() {
         let clean = sample_temporal_archive();
         let reader = ArchiveReader::new(&clean).expect("open");
+        let want = reader.decode_epoch(0).expect("epoch 0");
         let e = &reader.entries()[0];
         let cut = e.payload_base as usize + e.payload_len / 2;
         drop(reader);
-        assert!(repair_bytes(&clean[..cut]).is_err());
+
+        let fixed = repair_bytes(&clean[..cut]).expect("repairable");
+        assert!(
+            fixed
+                .actions
+                .iter()
+                .any(|a| a.contains("truncate every field")),
+            "{:?}",
+            fixed.actions
+        );
+        let report = scrub_bytes(&fixed.bytes, &ScrubOptions { deep: true });
+        assert!(report.is_clean(), "{:?}", report.findings);
+        let got = ArchiveReader::new(&fixed.bytes).expect("open repaired");
+        assert_eq!((got.version(), got.n_epochs()), (3, 1));
+        let dec = got.decode_epoch(0).expect("decode repaired");
+        assert_eq!(dec.field_names(), ["A"]);
+        let kept = dec.expect_field("A");
+        let rows = kept.shape().dims()[0];
+        assert!(
+            rows > 0 && rows < 24 && rows.is_multiple_of(6),
+            "{rows} rows kept"
+        );
+        assert_eq!(
+            kept.as_slice(),
+            &want.expect_field("A").as_slice()[..rows * 16],
+            "the kept prefix must survive repair bit-exactly"
+        );
+    }
+
+    /// An index row of a delta epoch lying about where its block lives is
+    /// rebuilt from the boundary scan, and every epoch decodes as before.
+    #[test]
+    fn garbled_delta_index_row_is_rebuilt() {
+        let clean = sample_temporal_archive();
+        let reader = ArchiveReader::new(&clean).expect("open");
+        let want: Vec<_> = (0..4)
+            .map(|e| reader.decode_epoch(e).expect("decode clean"))
+            .collect();
+        // entry 3 = field T of delta epoch 1
+        assert_eq!(reader.entries()[3].qualified_name(), "T@e1");
+        drop(reader);
+        let mut bytes = clean.clone();
+        let pos = index_row_pos(&bytes, 3, 2);
+        bytes[pos] ^= 0x5a;
+        bytes[pos + 8] ^= 0x2c;
+        let report = scrub_bytes(&bytes, &ScrubOptions::default());
+        assert!(
+            report
+                .findings
+                .iter()
+                .any(|f| f.kind == ScrubKind::IndexBounds && f.field.as_deref() == Some("T@e1")),
+            "{:?}",
+            report.findings
+        );
+
+        let fixed = repair_bytes(&bytes).expect("repairable");
+        assert_eq!(
+            fixed.actions,
+            ["rebuild index of field T@e1: 4 rows recovered by boundary scan"]
+        );
+        assert_eq!(fixed.bytes, clean, "the rebuilt index is the written one");
+        let report = scrub_bytes(&fixed.bytes, &ScrubOptions { deep: true });
+        assert!(report.is_clean(), "{:?}", report.findings);
+        let got = ArchiveReader::new(&fixed.bytes).expect("open repaired");
+        for (epoch, want) in want.iter().enumerate() {
+            let dec = got.decode_epoch(epoch).expect("decode repaired epoch");
+            for name in ["A", "T"] {
+                assert!(
+                    dec.expect_field(name)
+                        .as_slice()
+                        .iter()
+                        .zip(want.expect_field(name).as_slice())
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "epoch {epoch} field {name} must survive repair bit-exactly"
+                );
+            }
+        }
     }
 
     #[test]

@@ -64,9 +64,9 @@ fn archive_roundtrips_every_field_within_bound() {
 
     let reader = ArchiveReader::new(&bytes).unwrap();
     assert_eq!(reader.name(), "SNAP");
-    // single-snapshot writes stay on the v2 container; only
-    // `write_epochs_to` emits v3
-    assert_eq!(reader.version(), ARCHIVE_VERSION_SNAPSHOT);
+    // a snapshot is a one-epoch v3 archive
+    assert_eq!(reader.version(), 3);
+    assert_eq!(reader.n_epochs(), 1);
     let dec = reader.decode_all().unwrap();
     assert_eq!(dec.field_names(), ds.field_names());
     for fr in &report.fields {

@@ -1,12 +1,14 @@
 //! Archive write path: planning, the one block encoder, and the one
-//! emitter behind the v2 snapshot and the v3 epoch series.
+//! emitter behind every archive this crate writes — a v3 epoch series, of
+//! which a snapshot is the one-epoch case.
 //!
 //! [`ArchiveBuilder`] collects the error bound, training configuration,
 //! chunking, and the paper-Table-3-style field-role plan;
 //! [`ArchiveBuilder::build`] finalizes it into an [`ArchiveWriter`] whose
 //! [`write_to`](ArchiveWriter::write_to) streams one dataset, and
 //! [`write_epochs_to`](ArchiveWriter::write_epochs_to) a series of them,
-//! into any `io::Write` sink without seeking.
+//! into any `io::Write` sink without seeking. v1 and v2 archives are read,
+//! never written.
 //!
 //! ## One encode step
 //!
@@ -47,7 +49,7 @@ use crate::train::train_cfnn;
 use super::format::{
     block_range, chunk_slabs_for, epoch_kind, n_blocks_for, slab_shape_of, write_header,
     write_meta_area, write_row, FieldRole, RawHeader, RawRow, ARCHIVE_VERSION,
-    ARCHIVE_VERSION_SNAPSHOT, DEFAULT_CHUNK_ELEMENTS, DEFAULT_KEYFRAME_INTERVAL,
+    DEFAULT_CHUNK_ELEMENTS, DEFAULT_KEYFRAME_INTERVAL,
 };
 use super::{run_parallel, run_parallel_scratch};
 
@@ -120,11 +122,11 @@ impl ArchiveBuilder {
         self
     }
 
-    /// Epochs between full keyframes in multi-epoch (v3) archives
-    /// (default [`DEFAULT_KEYFRAME_INTERVAL`]). `1` makes every epoch a
-    /// keyframe; larger values trade longer delta chains (more blocks to
-    /// decode on random epoch access) for ratio. 0 is clamped to 1.
-    /// Ignored by single-snapshot writes.
+    /// Epochs between full keyframes (default
+    /// [`DEFAULT_KEYFRAME_INTERVAL`]). `1` makes every epoch a keyframe;
+    /// larger values trade longer delta chains (more blocks to decode on
+    /// random epoch access) for ratio. 0 is clamped to 1. A snapshot is
+    /// one keyframe whatever the interval, and records it in its header.
     pub fn keyframe_interval(mut self, n: usize) -> Self {
         self.keyframe_interval = n.max(1);
         self
@@ -333,15 +335,9 @@ impl EncodedField<'_> {
     }
 
     /// Serialize the field (manifest row, meta area, blocks) into `sink`,
-    /// returning the bytes written. v3 rows (`with_meta_crc`) record a
-    /// CRC32 over the meta area.
-    fn write_to<W: Write>(
-        &self,
-        sink: &mut W,
-        name: &str,
-        plan: &Plan,
-        with_meta_crc: bool,
-    ) -> Result<usize, CfcError> {
+    /// returning the bytes written. The row records a CRC32 over the meta
+    /// area.
+    fn write_to<W: Write>(&self, sink: &mut W, name: &str, plan: &Plan) -> Result<usize, CfcError> {
         let mut row = RawRow {
             name: name.to_string(),
             role: self.role as u8,
@@ -350,7 +346,7 @@ impl EncodedField<'_> {
             dims: plan.shape.dims().iter().map(|&d| d as u64).collect(),
             chunk_slabs: plan.chunk_slabs as u32,
             meta_len: self.meta.len() as u64,
-            meta_crc: with_meta_crc.then(|| cfc_sz::crc32(&self.meta)),
+            meta_crc: Some(cfc_sz::crc32(&self.meta)),
             ..RawRow::default()
         };
         let blocks = self.blocks.iter();
@@ -387,11 +383,10 @@ impl ArchiveWriter {
     ///
     /// Blocks are written in field order as soon as the (parallel) encode
     /// completes; the sink never needs to seek, so a growing file, a socket,
-    /// or a pipe all work. A single snapshot is a one-epoch series in the
-    /// v2 layout, which it keeps emitting byte for byte; only multi-epoch
-    /// writes bump to [`ARCHIVE_VERSION`].
+    /// or a pipe all work. A snapshot is a one-epoch series: the same bytes
+    /// [`write_epochs_to`](Self::write_epochs_to) emits for `&[ds]`.
     pub fn write_to<W: Write>(&self, ds: &Dataset, sink: W) -> Result<ArchiveReport, CfcError> {
-        let mut series = self.emit(std::slice::from_ref(ds), ARCHIVE_VERSION_SNAPSHOT, sink)?;
+        let mut series = self.emit(std::slice::from_ref(ds), sink)?;
         let epoch = series.epochs.pop().expect("one epoch written");
         // an epoch's report leaves out the archive header; a snapshot's counts it
         Ok(ArchiveReport {
@@ -400,16 +395,16 @@ impl ArchiveWriter {
         })
     }
 
-    /// Compress a sequence of snapshots into one multi-epoch (v3) archive
-    /// (thin wrapper over [`ArchiveWriter::write_epochs_to`]).
+    /// Compress a sequence of snapshots into one multi-epoch archive (thin
+    /// wrapper over [`ArchiveWriter::write_epochs_to`]).
     pub fn write_epochs(&self, snapshots: &[Dataset]) -> Result<Vec<u8>, CfcError> {
         let mut buf = Vec::new();
         self.write_epochs_to(snapshots, &mut buf)?;
         Ok(buf)
     }
 
-    /// Compress a sequence of snapshots into one multi-epoch (v3) archive
-    /// and stream it into `sink`.
+    /// Compress a sequence of snapshots into one multi-epoch archive and
+    /// stream it into `sink`.
     ///
     /// Epoch 0 and every `keyframe_interval`-th epoch is a full keyframe
     /// (encoded exactly like a single-snapshot archive, cross-field plan
@@ -422,22 +417,19 @@ impl ArchiveWriter {
         snapshots: &[Dataset],
         sink: W,
     ) -> Result<TemporalReport, CfcError> {
-        self.emit(snapshots, ARCHIVE_VERSION, sink)
+        self.emit(snapshots, sink)
     }
 
     /// The one emitter: plan, header, then epoch after epoch — each encoded
-    /// in full, then its rows and payloads streamed out in field order. A
-    /// `version` before [`ARCHIVE_VERSION`] has no epoch columns: no kind
-    /// byte ahead of an epoch, no CRC over a meta area.
+    /// in full, then its kind byte, rows and payloads streamed out in field
+    /// order.
     fn emit<W: Write>(
         &self,
         snapshots: &[Dataset],
-        version: u16,
         mut sink: W,
     ) -> Result<TemporalReport, CfcError> {
         let plan = self.plan(snapshots)?;
         let interval = self.cfg.keyframe_interval;
-        let temporal = version >= ARCHIVE_VERSION;
         // pooled scratch: worker buffers return to the pool between phases
         // and between epochs, so steady-state capacity is paid once per
         // thread for the whole write, not once per task list
@@ -445,7 +437,7 @@ impl ArchiveWriter {
 
         let mut head = Vec::new();
         let header = RawHeader {
-            version,
+            version: ARCHIVE_VERSION,
             name: snapshots[0].name().to_string(),
             n_epochs: snapshots.len() as u32,
             keyframe_interval: interval as u32,
@@ -461,14 +453,11 @@ impl ArchiveWriter {
             // the reader's view is only carried while a delta epoch follows
             let next_is_delta = e + 1 < snapshots.len() && (e + 1) % interval != 0;
             let encoded = self.encode_epoch(&plan, e, ds, &views, next_is_delta, &pool)?;
-            let mut epoch_bytes = 0;
-            if temporal {
-                sink.write_all(&[epoch_kind(e, interval)]).map_err(io_err)?;
-                epoch_bytes += 1;
-            }
+            sink.write_all(&[epoch_kind(e, interval)]).map_err(io_err)?;
+            let mut epoch_bytes = 1;
             let mut fields = Vec::with_capacity(encoded.len());
             for (name, f) in plan.names.iter().zip(&encoded) {
-                epoch_bytes += f.write_to(&mut sink, name, &plan, temporal)?;
+                epoch_bytes += f.write_to(&mut sink, name, &plan)?;
                 fields.push(f.report(name));
             }
             written += epoch_bytes;

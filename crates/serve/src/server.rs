@@ -254,6 +254,13 @@ impl<R: ArchiveSource + 'static> ArchiveServer<R> {
     /// Stop accepting, drain queued and in-flight requests, join every
     /// thread. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
+        self.stop();
+    }
+}
+
+impl<R> ArchiveServer<R> {
+    /// What [`ArchiveServer::shutdown`] and drop both run.
+    fn stop(&mut self) {
         if !self.shared.shutdown.swap(true, Ordering::SeqCst) {
             self.shared.ready.notify_all();
             // unblock the acceptor's blocking accept() with a throwaway
@@ -271,16 +278,7 @@ impl<R: ArchiveSource + 'static> ArchiveServer<R> {
 
 impl<R> Drop for ArchiveServer<R> {
     fn drop(&mut self) {
-        if !self.shared.shutdown.swap(true, Ordering::SeqCst) {
-            self.shared.ready.notify_all();
-            let _ = TcpStream::connect(self.addr);
-        }
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+        self.stop();
     }
 }
 

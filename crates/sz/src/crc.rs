@@ -1,9 +1,10 @@
-//! CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the per-block
-//! integrity check of the chunked CFAR v2 container.
+//! CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the integrity
+//! check of the chunked CFAR containers (v2 and v3).
 //!
-//! Each archive block carries its CRC in the block index, so a flipped bit
-//! anywhere in a block payload is detected *before* the entropy decoder
-//! runs, surfacing as a typed [`crate::CfcError::ChecksumMismatch`] instead
+//! Each archive block carries its CRC in the block index, and a v3 row one
+//! over its meta area (embedded model and hybrid weights), so a flipped bit
+//! anywhere in a block payload or a meta area is detected *before* the
+//! entropy decoder or the model parser runs, surfacing as a typed [`crate::CfcError::ChecksumMismatch`] instead
 //! of a garbage decode. Slice-by-8: eight tables per process (lazily
 //! built), eight input bytes a step.
 

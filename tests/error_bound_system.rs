@@ -9,6 +9,10 @@
 //! The other read-path suites compare decode paths with each other; if all
 //! of them drifted together, only a comparison with the input would notice.
 //!
+//! A snapshot's meta areas are under the same contract: every bit of a
+//! target's embedded model and hybrid weights, flipped, is a checksum
+//! error, never a decode — of a field that would miss the bound.
+//!
 //! And the two callers of the one cross-field encode step against each
 //! other: `CrossFieldCompressor::compress` and a one-block `ArchiveWriter`
 //! target reconstruct the same field bit for bit, and `decompress` and the
@@ -278,4 +282,50 @@ fn a_wrong_arity_hybrid_is_the_same_error_through_decompress_and_the_reader() {
         .decode_field("RH")
         .unwrap_err();
     assert_eq!(through_reader.root_cause(), &direct);
+}
+
+/// Each bit of every target's meta area (embedded CFNN and hybrid weights)
+/// of a golden-plan snapshot, flipped one at a time: the read of that
+/// target is a typed checksum error, never `Ok`.
+#[test]
+fn every_flipped_bit_of_a_snapshot_meta_area_is_a_checksum_error() {
+    let clean = golden::golden_builder()
+        .chunk_elements(golden::GOLDEN_CHUNK_ELEMENTS)
+        .build()
+        .write(&golden::golden_dataset())
+        .expect("write");
+    let reader = ArchiveReader::new(&clean).expect("open");
+    // a meta area ends where block 0 begins
+    let metas: Vec<(String, usize, usize)> = reader
+        .entries()
+        .iter()
+        .filter(|e| e.role == FieldRole::Target)
+        .map(|e| {
+            let block0 = e.block_span(0).expect("span").0 as usize;
+            (e.name.clone(), block0 - e.meta_len(), e.meta_len())
+        })
+        .collect();
+    assert_eq!(metas.len(), 1, "the golden plan has one target");
+    drop(reader);
+
+    let mut bytes = clean.clone();
+    let mut flips = 0;
+    for (name, start, len) in &metas {
+        for bit in 0..len * 8 {
+            let (at, mask) = (start + bit / 8, 1u8 << (bit % 8));
+            bytes[at] ^= mask;
+            let read = ArchiveReader::new(&bytes)
+                .and_then(|r| r.read(&ReadRequest::new(name)).map(|_| ()));
+            match read {
+                Err(e) if matches!(e.root_cause(), CfcError::ChecksumMismatch { .. }) => {}
+                other => panic!("{name}: meta bit {bit} flipped reads {other:?}"),
+            }
+            bytes[at] ^= mask;
+            flips += 1;
+        }
+    }
+    assert!(
+        flips > 8 * 1000,
+        "{flips} flips: the model is in the meta area"
+    );
 }

@@ -5,9 +5,11 @@
 //!
 //! Each test decodes a committed fixture and asserts the manifest (names,
 //! roles, anchors, shapes, block counts), the compression ratios, and the
-//! pointwise max-error bounds — and, for layouts the current writer can
-//! produce, that it still reproduces the fixture **byte-for-byte**. Any
-//! accidental change to the serialized layout fails here first.
+//! pointwise max-error bounds — and that the current writer still
+//! reproduces the v3 fixtures **byte-for-byte**, and a snapshot of each v2
+//! fixture's dataset as epoch 0 of the v3 fixture of that dataset.
+//! The v1 and v2 fixtures are frozen: read, never written. Any accidental
+//! change to the serialized layout fails here first.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -132,20 +134,48 @@ fn v2_fixture_decodes_with_expected_manifest() {
     }
 }
 
+/// `snapshot` is epoch 0 of the committed series fixture `name`, byte for
+/// byte, under a header that differs from the fixture's only in its epoch
+/// count and keyframe interval: a snapshot is a one-epoch series.
+fn assert_snapshot_is_epoch_0_of(snapshot: &[u8], name: &str) {
+    let series = fixture(name);
+    let reader = ArchiveReader::new(&series).expect("parse series");
+    let snap = ArchiveReader::new(snapshot).expect("parse snapshot");
+    assert_eq!((snap.version(), snap.n_epochs()), (3, 1));
+    // header: magic(4) version(2) name(2 + len), then n_epochs,
+    // keyframe_interval and n_fields, a u32 each
+    let counts_at = 4 + 2 + 2 + reader.name().len();
+    let header_len = counts_at + 12;
+    let last = &reader.entries()[reader.fields_per_epoch() - 1];
+    let (off, len) = last.block_span(last.n_blocks() - 1).expect("span");
+    let epoch0_end = off as usize + len;
+    assert_eq!(
+        snapshot[..counts_at],
+        series[..counts_at],
+        "{name}: magic, version, name"
+    );
+    assert_eq!(
+        snapshot[counts_at + 8..header_len],
+        series[counts_at + 8..header_len],
+        "{name}: field count"
+    );
+    assert_eq!(snapshot.len(), epoch0_end, "{name}: epoch 0 length");
+    assert!(
+        snapshot[header_len..] == series[header_len..epoch0_end],
+        "the production writer's snapshot drifted from epoch 0 of the committed {name}"
+    );
+}
+
 #[test]
 fn v2_writer_reproduces_fixture_byte_for_byte() {
-    let bytes = fixture("small_v2.cfar");
+    // the v2 fixture is frozen: the writer emits the same snapshot as a
+    // one-epoch v3 archive, which is epoch 0 of the v3 keyframe fixture
     let written = golden::golden_builder()
         .chunk_elements(golden::GOLDEN_CHUNK_ELEMENTS)
         .build()
         .write(&golden::golden_dataset())
         .expect("write");
-    assert_eq!(
-        written, bytes,
-        "the production writer drifted from the committed v2 fixture — \
-         if the format change is intentional, bump ARCHIVE_VERSION and \
-         regenerate with make_golden"
-    );
+    assert_snapshot_is_epoch_0_of(&written, "small_v3_keyframes.cfar");
 }
 
 #[test]
@@ -168,7 +198,7 @@ fn partial_block_fixture_accounts_exactly() {
         .build()
         .write(&ds)
         .expect("write");
-    assert_eq!(written, bytes, "partial-block fixture drifted");
+    assert_snapshot_is_epoch_0_of(&written, "partial_v3.cfar");
 
     let dec = reader.decode_all().expect("decode");
     let bounds: Vec<(String, f64)> = reader

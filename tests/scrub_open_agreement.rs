@@ -7,10 +7,9 @@
 //!
 //! * a **light-clean** archive opens;
 //! * a **deep-clean** archive decodes, every epoch, under the strict policy;
-//! * what `repair_bytes` rewrites is one more archive the first promise
-//!   covers. (Repair refuses to bless rot it cannot tell from index damage,
-//!   and leaves alone what it has no repair for, so its output may still
-//!   be damaged: the scrubber's word on it is what has to be reliable.)
+//! * what `repair_bytes` rewrites opens. (Repair refuses to bless rot it
+//!   cannot tell from index damage, and leaves alone what it has no repair
+//!   for, so bytes it hands back unchanged may still be damaged.)
 //!
 //! This file holds those three to a deterministic sweep of damaged
 //! archives: over each committed golden fixture every manifest byte
@@ -45,9 +44,9 @@ const FIXTURES: [(&str, u32); 6] = [
     ("small_v1.cfar", 0x6b647b55),
     ("small_v2.cfar", 0xa8354526),
     ("partial_v2.cfar", 0x0ba6e6cd),
-    ("small_v3_keyframes.cfar", 0x252926d9),
-    ("small_v3_delta.cfar", 0xede2e6c4),
-    ("partial_v3.cfar", 0xa04cde57),
+    ("small_v3_keyframes.cfar", 0x6abab3c5),
+    ("small_v3_delta.cfar", 0x3e173c83),
+    ("partial_v3.cfar", 0x69c2786c),
 ];
 
 /// One payload byte in this many is flipped (every manifest byte is).
@@ -88,12 +87,10 @@ struct Verdicts {
     /// `Some` when the deep pass ran: is it clean, and the first epoch
     /// that then failed to decode strictly.
     deep: Option<(bool, Option<String>)>,
-    /// Action count and, where bytes were rewritten, whether they scrub
-    /// light-clean and what `open` says to them.
-    repair: Result<(usize, Option<Rewritten>), CfcError>,
+    /// Action count and, where bytes were rewritten, what `open` says to
+    /// them.
+    repair: Result<(usize, Option<Result<(), CfcError>>), CfcError>,
 }
-
-type Rewritten = (bool, Result<(), CfcError>);
 
 fn probe(bytes: &[u8], want_deep: impl FnOnce(bool) -> bool) -> Verdicts {
     let open = ArchiveReader::new(bytes);
@@ -116,12 +113,8 @@ fn probe(bytes: &[u8], want_deep: impl FnOnce(bool) -> bool) -> Verdicts {
         (clean, failed)
     });
     let repair = repair_bytes(bytes).map(|out| {
-        let rewritten = (!out.actions.is_empty()).then(|| {
-            (
-                scrub_bytes(&out.bytes, &ScrubOptions::default()).is_clean(),
-                ArchiveReader::new(&out.bytes).map(|_| ()),
-            )
-        });
+        let rewritten =
+            (!out.actions.is_empty()).then(|| ArchiveReader::new(&out.bytes).map(|_| ()));
         (out.actions.len(), rewritten)
     });
     Verdicts {
@@ -159,10 +152,9 @@ impl Sweep {
             self.broken
                 .push(format!("{id}: deep scrub is clean but {failed}"));
         }
-        if let Ok((_, Some((true, Err(e))))) = &v.repair {
-            self.broken.push(format!(
-                "{id}: repaired bytes scrub light-clean but open says: {e}"
-            ));
+        if let Ok((_, Some(Err(e)))) = &v.repair {
+            self.broken
+                .push(format!("{id}: repaired bytes do not open: {e}"));
         }
         let _ = write!(self.listing, "{id} open=");
         match &v.open {
@@ -180,7 +172,7 @@ impl Sweep {
         }
         let _ = match &v.repair {
             Ok((actions, None)) => writeln!(self.listing, "] repair=Ok({actions})"),
-            Ok((actions, Some((_, open)))) => {
+            Ok((actions, Some(open))) => {
                 let open = open.as_ref().map_or_else(variant, |()| "Ok");
                 writeln!(self.listing, "] repair=Ok({actions})>{open}")
             }
@@ -301,23 +293,28 @@ fn builder() -> ArchiveBuilder {
 /// Three archives the scrubber blessed while `open` refused them, each a
 /// writer's output with a few bytes patched. `(what, bytes)`.
 fn drift_archives() -> Vec<(&'static str, Vec<u8>)> {
-    let v2 = builder()
+    let snapshot = builder()
         .build()
         .write(&two_field_dataset(0.0))
-        .expect("v2 write");
-    // header: magic(4) version(2) name(2 + 5), then the u32 field count
-    let count_at = 4 + 2 + 2 + "DRIFT".len();
+        .expect("snapshot write");
+    // header: magic(4) version(2) name(2 + 5) epoch count(4) keyframe
+    // interval(4), then the u32 field count
+    let count_at = 4 + 2 + 2 + "DRIFT".len() + 4 + 4;
+    assert_eq!(snapshot[count_at..count_at + 4], 2u32.to_le_bytes());
 
-    let mut zero_fields = v2.clone();
+    let mut zero_fields = snapshot.clone();
     zero_fields[count_at..count_at + 4].copy_from_slice(&0u32.to_le_bytes());
 
-    // a baseline row: name(2 + 1) role(1) anchor count(2) bound(8) ndim(1),
-    // then the u64 extents
-    let mut huge_dims = v2.clone();
-    let reader = ArchiveReader::new(&v2).expect("open");
-    let mut row_at = count_at + 4;
+    // epoch 0's kind byte, then the rows. A baseline row: name(2 + 1)
+    // role(1) anchor count(2) bound(8) ndim(1), then the u64 extents; its
+    // meta CRC and block index follow them, and its payload (no meta area)
+    // starts at block 0
+    let mut huge_dims = snapshot.clone();
+    let reader = ArchiveReader::new(&snapshot).expect("open");
+    let mut row_at = count_at + 4 + 1;
     for e in reader.entries() {
         let dim1_at = row_at + (2 + 1) + 1 + 2 + 8 + 1 + 8;
+        assert_eq!(snapshot[dim1_at..dim1_at + 8], 8u64.to_le_bytes());
         huge_dims[dim1_at..dim1_at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
         row_at = e.block_span(0).expect("span").0 as usize + e.stream_len();
     }

@@ -245,7 +245,7 @@ fn archive_bit_flips_never_panic() {
 fn archive_chunked_manifest_records_blocks() {
     let (bytes, _) = sample_archive();
     let reader = ArchiveReader::new(&bytes).expect("parse");
-    assert_eq!(reader.version(), 2);
+    assert_eq!(reader.version(), 3);
     for e in reader.entries() {
         assert_eq!(e.n_blocks(), 4, "{}", e.name);
     }

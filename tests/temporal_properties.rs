@@ -53,7 +53,7 @@ fn builder(chunk_rows: usize, cols: usize) -> ArchiveBuilder {
     ArchiveBuilder::relative(1e-3).chunk_elements(chunk_rows * cols)
 }
 
-/// Decode every epoch of each snapshot encoded *alone* (a v2 archive):
+/// Decode every epoch of each snapshot encoded *alone* (a one-epoch archive):
 /// the ground truth the delta chains are measured against.
 fn independent_decodes(snapshots: &[Dataset], chunk_rows: usize, cols: usize) -> Vec<Dataset> {
     snapshots
@@ -62,11 +62,11 @@ fn independent_decodes(snapshots: &[Dataset], chunk_rows: usize, cols: usize) ->
             let bytes = builder(chunk_rows, cols)
                 .build()
                 .write(ds)
-                .expect("v2 write");
+                .expect("snapshot write");
             ArchiveReader::new(&bytes)
-                .expect("parse v2")
+                .expect("parse snapshot")
                 .decode_all()
-                .expect("decode v2")
+                .expect("decode snapshot")
         })
         .collect()
 }

@@ -9,22 +9,25 @@
 //! delta, so a delta epoch conditions on a keyframe's mirror and on another
 //! delta's — each written at one, two and three worker threads.
 //!
-//! The constants were captured at commit 93f3550 (the parent of the one
+//! The series constants were captured at commit 93f3550 (the parent of the one
 //! block-encode step, where anchors were still decoded back from the bytes
 //! just written and the three roles had a block loop each): this file was
 //! dropped into a `git clone` of that commit with every constant zeroed,
 //! `cargo test --release --test writer_pin` run there, and the values copied
 //! from the failure message, which prints them as Rust literals. The
-//! dataset uses no transcendental function, so the bytes depend on nothing
-//! but this repository's arithmetic.
+//! snapshot constants were captured the same way when a snapshot became a
+//! one-epoch v3 archive, and the series test holds a snapshot's bytes
+//! behind its header to the pinned series' epoch 0. The dataset uses no
+//! transcendental function, so the bytes depend on nothing but this
+//! repository's arithmetic.
 
 use cross_field_compression::core::archive::{ArchiveBuilder, ArchiveReader, FieldRole};
 use cross_field_compression::core::config::TrainConfig;
 use cross_field_compression::sz::crc32;
 use cross_field_compression::tensor::{Dataset, Field, Shape};
 
-const SNAPSHOT_LEN: usize = 23489;
-const SNAPSHOT_CRC32: u32 = 0x14ffa29d;
+const SNAPSHOT_LEN: usize = 23514;
+const SNAPSHOT_CRC32: u32 = 0xd6556d1a;
 const SERIES_LEN: usize = 61617;
 const SERIES_CRC32: u32 = 0xe80b1849;
 
@@ -132,4 +135,14 @@ fn three_d_cross_field_series_writes_the_pinned_bytes_at_any_thread_count() {
         .map(|e| reader.entries()[e * 4].role == FieldRole::Delta)
         .collect();
     assert_eq!(deltas, [false, true, true, false, true]);
+
+    // a snapshot is a one-epoch series: behind its header (magic, version,
+    // name, epoch count, keyframe interval, field count) are the bytes of
+    // the pinned series' epoch 0
+    let header_len = 4 + 2 + 2 + "PIN3D".len() + 3 * 4;
+    let snapshot = builder(1).build().write(&snaps[0]).expect("write");
+    assert!(
+        snapshot.len() > header_len && snapshot[header_len..] == bytes[header_len..snapshot.len()],
+        "the snapshot is not the series' epoch 0"
+    );
 }

@@ -24,7 +24,8 @@
 //!            conveniences)
 //!        decode_block(field, i): reads + decodes ONE block (plus the same
 //!            anchor blocks when the field is a cross-field target)
-//!        decode_all(): every block of every field in parallel
+//!        decode_all(): every block of every field in parallel, each
+//!            straight into its field's one buffer
 //!
 //!   ArchiveStore::new(reader, config) ──► shared, thread-safe serving
 //!        layer: the same calls behind a two-tier cache (byte-budgeted LRU
@@ -45,7 +46,9 @@
 //! depth-first with an explicit stack (a delta chain may be thousands of
 //! links long; the call stack must not be) and hands each block, with its
 //! decoded dependencies, to the one block decoder,
-//! `ArchiveReader::decode_block_bytes`. What differs between callers is
+//! `ArchiveReader::decode_block_bytes`, which puts the block where it is
+//! told: into a field of its own, or — in an epoch decode — into its slab
+//! of the field's one buffer. What differs between callers is
 //! only *where blocks come from*, a `BlockBackend`:
 //!
 //! | caller | "already have it?" | "produce it" |
@@ -165,28 +168,38 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_parallel_scratch(n, threads, || (), |(), i| f(i))
+    run_parallel_scratch((0..n).collect(), threads, || (), |(), i| f(i))
 }
 
-/// [`run_parallel`] with per-worker scratch state: each worker calls
-/// `init` once and threads the value through every task it claims, so
-/// steady-state block processing reuses one set of buffers per thread
-/// instead of allocating per block.
-pub(crate) fn run_parallel_scratch<T, S, I, F>(n: usize, threads: usize, init: I, f: F) -> Vec<T>
+/// [`run_parallel`] over owned task inputs, with per-worker scratch state:
+/// task `i` is `f(scratch, inputs[i])`, each input moved into exactly one
+/// call (an epoch decode hands each block the slab of its field's buffer
+/// it writes). Each worker calls `init` once and threads the value through
+/// every task it claims, so steady-state block processing reuses one set
+/// of buffers per thread instead of allocating per block.
+pub(crate) fn run_parallel_scratch<In, T, S, I, F>(
+    inputs: Vec<In>,
+    threads: usize,
+    init: I,
+    f: F,
+) -> Vec<T>
 where
+    In: Send,
     T: Send,
     I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
+    F: Fn(&mut S, In) -> T + Sync,
 {
+    let n = inputs.len();
     if n == 0 {
         return Vec::new();
     }
     let workers = threads.clamp(1, n);
     if workers == 1 {
         let mut scratch = init();
-        return (0..n).map(|i| f(&mut scratch, i)).collect();
+        return inputs.into_iter().map(|x| f(&mut scratch, x)).collect();
     }
     let next = AtomicUsize::new(0);
+    let inputs: Vec<Mutex<Option<In>>> = inputs.into_iter().map(|x| Mutex::new(Some(x))).collect();
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let work = || {
         let mut scratch = init();
@@ -195,7 +208,8 @@ where
             if i >= n {
                 break;
             }
-            let r = f(&mut scratch, i);
+            let input = inputs[i].lock().expect("worker slot poisoned").take();
+            let r = f(&mut scratch, input.expect("each task is claimed once"));
             *slots[i].lock().expect("worker slot poisoned") = Some(r);
         }
     };

@@ -13,9 +13,11 @@
 //! version and every caller:
 //!
 //! * `ArchiveReader::decode_block_bytes` is the only function that turns
-//!   block bytes into a [`Field`]: fetched, CRC-checked bytes + the decoded
-//!   slabs the block depends on + the entry's parsed meta in, slab out, one
-//!   `match` on the entry's role.
+//!   block bytes into samples: fetched, CRC-checked bytes + the decoded
+//!   slabs the block depends on + the entry's parsed meta in, one `match`
+//!   on the entry's role, the slab out to the destination it is handed —
+//!   a [`Field`] of its own, or in an epoch decode its slab of the field's
+//!   one buffer.
 //! * `ArchiveReader::resolve_block` is the only function that knows what a
 //!   block depends on — the same block of each same-epoch anchor for a
 //!   cross-field target, the same block of the same field one epoch back
@@ -37,7 +39,7 @@
 //! a delta's chain predecessors bring the same leading rows; a 2-D target's
 //! block is one CNN plane, so its anchors come whole and only its own walk
 //! stops), `BlockBackend::finish` to `decode_block_bytes`, and that to the
-//! codec ([`SzCompressor::decompress_rows_with`]). What stays whole: the
+//! codec ([`cfc_sz::SzCompressor::decompress_rows_with`]). What stays whole: the
 //! block's bytes are fetched and CRC-checked whole, its entropy sections
 //! are decoded whole, and the codes and outliers past the rows are still
 //! held to the alphabet and to each other — a short decode fails on exactly
@@ -64,9 +66,20 @@
 //! own chain back to the keyframe, whatever roles it passes on the way, or
 //! only its own block when the call before left the previous epoch — see
 //! below), then the targets against the fields the first phase decoded.
-//! Results come back in task order, so the error of a damaged archive is
-//! the one the first failing block in `(field, block)` order raises, at any
-//! thread count.
+//! Before each phase fans out, the calling thread allocates every field of
+//! it that has several blocks one buffer, shaped by the manifest, and cuts
+//! it into its blocks' slabs; each task decodes its block straight into
+//! its slab, so no block is allocated on its own or copied into its field
+//! afterwards. A field of one block is its block, as a read would decode
+//! it. The manifest's shape is untrusted, so a field gets a buffer only
+//! when its blocks' bytes could decode to that many samples
+//! ([`cfc_sz::compressor::MAX_SAMPLES_PER_BYTE`]); one claiming more gets
+//! none, and its blocks fail as they would with one — a stream that
+//! decodes at all decodes to the slab its own header records, and the
+//! manifest is checked against that before anything is written. Results
+//! come back in task order, so the error of a damaged archive is the one
+//! the first failing block in `(field, block)` order raises, at any thread
+//! count.
 //!
 //! ## What the reader keeps between calls
 //!
@@ -89,12 +102,15 @@ use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use cfc_sz::compressor::MAX_SAMPLES_PER_BYTE;
 use cfc_sz::stream::Container;
-use cfc_sz::{crc32, CfcError, DecodeScratch, LorenzoPredictor, SzCompressor};
+use cfc_sz::{crc32, CfcError, DecodeScratch, LorenzoPredictor};
 use cfc_tensor::{Dataset, Field, Region};
 
 use crate::hybrid::HybridModel;
-use crate::pipeline::{check_model_fits, decode_target_rows, deserialize_model};
+use crate::pipeline::{
+    check_model_fits, decode_target_rows, deserialize_model, CrossFieldCompressor, Dest, Own,
+};
 use crate::predict::CfnnInference;
 use crate::predictor::{TemporalHybridPredictor, TEMPORAL_ARITY};
 
@@ -172,8 +188,11 @@ pub(crate) fn record_block_damage(damage: &mut DamageMap, name: &str, idx: usize
 /// block bytes, the codec-level [`DecodeScratch`] and the CFNN activation
 /// workspace. One scratch per worker thread lets steady-state block decode
 /// reuse its big element-proportional buffers instead of reallocating them
-/// per block; only the decoded field itself (and small per-stream
-/// transients) is freshly allocated.
+/// per block. Beyond small per-stream transients, what is freshly
+/// allocated is the output: in an epoch decode each field's one buffer
+/// (for a field of several blocks, allocated before the fan-out and
+/// written by every block); in a read of single blocks or a region, each
+/// block's own slab.
 #[derive(Debug, Default)]
 pub struct ArchiveScratch {
     /// Raw block bytes read from the source (CRC-checked before decode).
@@ -590,11 +609,14 @@ impl<R: ArchiveSource> ArchiveReader<R> {
     /// `idx` of `entry`, the decoded slabs it depends on (`deps`, in
     /// [`ArchiveReader::block_deps`] order, each cut to
     /// [`ArchiveReader::dep_rows`]) and the entry's parsed meta in; the
-    /// leading `rows` rows of the block's slab out — all of it for
-    /// [`ALL_ROWS`]. Pure CPU — no source I/O, no cache. Errors carry the
-    /// epoch-qualified field and the block index.
+    /// leading `rows` rows of the block's slab — all of it for [`ALL_ROWS`]
+    /// — out to `out`: an epoch decode hands each block its slab of the
+    /// field's one buffer, every other caller [`Own`]. The block's stream is
+    /// held to the manifest's geometry and to the slabs it is predicted
+    /// from before it is decoded. Pure CPU — no source I/O, no cache.
+    /// Errors carry the epoch-qualified field and the block index.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn decode_block_bytes(
+    pub(crate) fn decode_block_bytes<D: Dest>(
         &self,
         entry: &ArchiveEntry,
         idx: usize,
@@ -603,19 +625,21 @@ impl<R: ArchiveSource> ArchiveReader<R> {
         meta: Option<&TargetMeta>,
         rows: usize,
         scratch: &mut ArchiveScratch,
-    ) -> Result<Field, CfcError> {
+        out: D,
+    ) -> Result<D::Out, CfcError> {
         let ArchiveScratch { dec, nn, .. } = scratch;
-        // the bound is irrelevant on decode (streams carry their own), so
-        // any positive value works
-        let sz = SzCompressor::baseline(1e-3);
         // open a lattice-coded block and hold it to the manifest's geometry
         // and to the slabs it is about to be predicted from
-        let open = |what: &str| {
+        let open = || {
             let container = Container::try_from_bytes(bytes)?;
             entry.check_slab_shape(idx, container.shape)?;
             let whole = container.shape.dims()[0];
             let lent = slab_shape_of(container.shape, Self::dep_rows(entry, rows).min(whole));
             if deps.iter().any(|d| d.shape() != lent) {
+                let what = match entry.role {
+                    FieldRole::Delta => "previous-epoch",
+                    _ => "anchor",
+                };
                 return Err(CfcError::ShapeMismatch {
                     expected: lent.to_string(),
                     found: format!("{what} slab with a different shape"),
@@ -629,24 +653,21 @@ impl<R: ArchiveSource> ArchiveReader<R> {
         };
         (|| match (entry.role, meta) {
             (FieldRole::Independent | FieldRole::Anchor, _) => {
-                let container = Container::try_from_bytes(bytes)?;
-                let field = sz.decompress_rows_with(&container, &LorenzoPredictor, rows, dec)?;
-                entry.check_slab_shape(idx, container.shape)?;
-                Ok(field)
+                out.decode(&open()?, &LorenzoPredictor, rows, dec)
             }
             // no meta area: a v1 target, whose monolithic stream carries its
             // model and hybrid weights as sections — the one-block caller of
             // the decode below, and all the read path knows about v1
             (FieldRole::Target, None) => {
-                crate::pipeline::CrossFieldCompressor::new(1e-3).decompress(bytes, deps)
+                out.whole(CrossFieldCompressor::new(1e-3).decompress(bytes, deps)?)
             }
             (FieldRole::Target, Some(meta)) => {
-                let container = open("anchor")?;
+                let container = open()?;
                 let model = meta.model.as_ref().ok_or_else(|| missing("a model"))?;
-                decode_target_rows(&container, model, &meta.hybrid, deps, rows, nn, dec)
+                decode_target_rows(&container, model, &meta.hybrid, deps, rows, nn, dec, out)
             }
             (FieldRole::Delta, Some(meta)) => {
-                let container = open("previous-epoch")?;
+                let container = open()?;
                 let [prev] = deps else {
                     return Err(missing("its previous epoch"));
                 };
@@ -659,7 +680,7 @@ impl<R: ArchiveSource> ArchiveReader<R> {
                     losses: Vec::new(),
                 };
                 let predictor = TemporalHybridPredictor::new(prev, container.eb, hybrid);
-                sz.decompress_rows_with(&container, &predictor, rows, dec)
+                out.decode(&container, &predictor, rows, dec)
             }
             (FieldRole::Delta, None) => Err(missing("meta")),
         })()
@@ -928,8 +949,9 @@ impl<R: ArchiveSource> ArchiveReader<R> {
     /// entry that is not a cross-field target — baselines, anchors, and
     /// temporal deltas, each of which resolves its own chain back to the
     /// covering keyframe — then the targets, which find their anchors among
-    /// the fields the first fan-out decoded. The first error in that order
-    /// is the one returned.
+    /// the fields the first fan-out decoded. The blocks of a field decode
+    /// straight into its one buffer (see the module docs). The first error
+    /// in that order is the one returned.
     ///
     /// Called right after a successful call for `epoch − 1`, the deltas
     /// decode their own blocks only: that call kept the fields they decode
@@ -999,26 +1021,58 @@ impl<R: ArchiveSource> ArchiveReader<R> {
             for &fi in &fields {
                 metas.extend(self.own_meta(fi)?);
             }
-            let tasks: Vec<BlockKey> = fields
+            // a field of several blocks gets one buffer, allocated here on
+            // the calling thread as the manifest shapes it, and each block a
+            // slab of it to write — but only as large as the blocks' bytes
+            // could decode to: a field claiming more gets an empty one, and
+            // its blocks fail as they would with room. A field of one block
+            // (every v1 field among them) has no copy to save: it is its
+            // block, decoded into a field of its own as a read decodes it
+            let mut buffers: Vec<Option<Vec<f32>>> = fields
                 .iter()
-                .flat_map(|&fi| (0..self.entries[fi].blocks.len()).map(move |bi| (fi, bi)))
+                .map(|&fi| {
+                    let entry = &self.entries[fi];
+                    let stored: usize = entry.blocks.iter().map(|b| b.len).sum();
+                    let held = stored.saturating_mul(MAX_SAMPLES_PER_BYTE);
+                    let blocks = entry.shape.filter(|_| entry.blocks.len() > 1);
+                    blocks.map(|shape| match shape.len() {
+                        n if n <= held => vec![0.0; n],
+                        _ => Vec::new(),
+                    })
+                })
                 .collect();
+            let mut tasks: Vec<(BlockKey, Option<&mut [f32]>)> = Vec::new();
+            for (&fi, buffer) in fields.iter().zip(&mut buffers) {
+                let entry = &self.entries[fi];
+                let slab = entry.slab_shape(0).map_or(1, |s| s.len());
+                let mut slabs = buffer.as_deref_mut().map(|b| b.chunks_mut(slab));
+                for bi in 0..entry.blocks.len() {
+                    let out = slabs.as_mut().map(|s| s.next().unwrap_or_default());
+                    tasks.push(((fi, bi), out));
+                }
+            }
             let results =
-                run_parallel_scratch(tasks.len(), threads, ArchiveScratch::new, |s, t| {
-                    let (fi, bi) = tasks[t];
+                run_parallel_scratch(tasks, threads, ArchiveScratch::new, |s, (key, out)| {
                     let mut backend = Direct::new(self, s, &metas);
                     backend.decoded = lent;
-                    self.resolve_block(fi, bi, ALL_ROWS, &mut backend)
+                    match out {
+                        Some(out) => backend.decode_into(key, out).map(|()| None),
+                        None => self
+                            .resolve_block(key.0, key.1, ALL_ROWS, &mut backend)
+                            .map(Some),
+                    }
                 });
-            let mut slabs: HashMap<usize, Vec<Field>> = HashMap::new();
-            for (&(fi, _), res) in tasks.iter().zip(results) {
-                slabs.entry(fi).or_default().push(res?);
-            }
-            for (fi, parts) in slabs {
-                // a one-block field is its block
-                let whole = match <[Field; 1]>::try_from(parts) {
-                    Ok([block]) => block,
-                    Err(parts) => Field::concat_axis0(&parts),
+            // in task order, so the first error is the first failing block's
+            let mut results = results.into_iter();
+            for (fi, buffer) in fields.into_iter().zip(buffers) {
+                let entry = &self.entries[fi];
+                let mut block = None;
+                for res in results.by_ref().take(entry.blocks.len()) {
+                    block = res?;
+                }
+                let whole = match (entry.shape, buffer) {
+                    (Some(shape), Some(buffer)) => Field::from_vec(shape, buffer),
+                    _ => block.expect("a field without a buffer is one block"),
                 };
                 decoded.insert(fi, whole);
             }
@@ -1100,31 +1154,61 @@ impl<R: ArchiveSource> BlockBackend for Direct<'_, R> {
 
     fn finish(
         &mut self,
-        (fi, idx): BlockKey,
+        key: BlockKey,
         (): (),
         deps: &[&Field],
         rows: usize,
     ) -> Result<Field, CfcError> {
-        let entry = &self.reader.entries[fi];
+        self.decode(key, deps, rows, Own)
+    }
+}
+
+impl<R: ArchiveSource> Direct<'_, R> {
+    /// Read block `(fi, idx)` into the scratch, CRC-checked, and decode its
+    /// leading `rows` rows against `deps` to `out`.
+    fn decode<D: Dest>(
+        &mut self,
+        (fi, idx): BlockKey,
+        deps: &[&Field],
+        rows: usize,
+        out: D,
+    ) -> Result<D::Out, CfcError> {
+        let reader = self.reader;
+        let entry = &reader.entries[fi];
         let parsed;
         let meta = match self.metas.iter().find(|(i, _)| *i == fi) {
             Some((_, meta)) => Some(meta),
             None => {
-                parsed = self.reader.target_meta(entry)?;
+                parsed = reader.target_meta(entry)?;
                 parsed.as_ref()
             }
         };
-        self.reader
+        reader
             .read_block_into(entry, idx, self.scratch)
             .map_err(|e| e.in_field(&entry.qualified_name(), Some(idx)))?;
         // lend the fetched bytes to the decoder alongside the rest of the
         // scratch, then hand the buffer back for the next block
         let bytes = std::mem::take(&mut self.scratch.block);
-        let field =
-            self.reader
-                .decode_block_bytes(entry, idx, &bytes, deps, meta, rows, self.scratch);
+        let decoded =
+            reader.decode_block_bytes(entry, idx, &bytes, deps, meta, rows, self.scratch, out);
         self.scratch.block = bytes;
-        field
+        decoded
+    }
+
+    /// Block `(fi, idx)` whole, straight into `out` — its slab of the
+    /// field's buffer in an epoch decode. What it decodes against comes out
+    /// of the walk first, as it would for [`ArchiveReader::resolve_block`]
+    /// of the block itself.
+    fn decode_into(&mut self, (fi, idx): BlockKey, out: &mut [f32]) -> Result<(), CfcError> {
+        let reader = self.reader;
+        let deps = reader
+            .block_deps(fi)
+            .into_iter()
+            .map(|d| reader.resolve_block(d, idx, ALL_ROWS, self))
+            .collect::<Result<Vec<_>, _>>()?;
+        let deps: Vec<&Field> = deps.iter().collect();
+        self.decode((fi, idx), &deps, ALL_ROWS, out)?;
+        Ok(())
     }
 }
 

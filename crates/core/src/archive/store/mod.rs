@@ -92,6 +92,8 @@ use std::time::Duration;
 use cfc_sz::{CfcError, ScratchPool};
 use cfc_tensor::{Field, Region};
 
+use crate::pipeline::Own;
+
 use super::damage::Salvaged;
 use super::reader::{
     salvage_blocks, ArchiveReader, ArchiveScratch, BlockBackend, BlockKey, Lookup, ReadRequest,
@@ -690,6 +692,7 @@ impl<R: ArchiveSource> StoreCore<R> {
                         meta,
                         ALL_ROWS,
                         &mut scratch,
+                        Own,
                     );
                 }
                 let bytes = self
@@ -704,6 +707,7 @@ impl<R: ArchiveSource> StoreCore<R> {
                     meta,
                     ALL_ROWS,
                     &mut scratch,
+                    Own,
                 )?;
                 self.stash_tier2((fi, idx), bytes, gen);
                 Ok(field)

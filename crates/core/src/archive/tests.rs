@@ -919,13 +919,39 @@ fn same_bits(a: &Field, b: &Field) -> bool {
             .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
+/// A 3-D baseline snapshot of three fields, cut into four blocks of three
+/// slabs and a last block of one.
+fn baseline_3d() -> Vec<u8> {
+    let shape = Shape::d3(10, 12, 14);
+    let mut ds = Dataset::new("BASE3D", shape);
+    for (k, name) in ["U", "V", "W"].into_iter().enumerate() {
+        let s = k as f32 + 1.0;
+        ds.push(
+            name,
+            Field::from_fn(shape, |i| {
+                (i[0] as f32 * 0.7 * s).sin() * 5.0 + (i[1] as f32) * 0.3 * s - (i[2] as f32) * 0.1
+            }),
+        );
+    }
+    ArchiveBuilder::relative(1e-3)
+        .chunk_elements(3 * 12 * 14)
+        .build()
+        .write(&ds)
+        .unwrap()
+}
+
 #[test]
 fn an_epoch_decodes_to_its_per_field_reads_at_any_thread_count() {
     let archives = [
+        // no recorded shape: each field's one block is the field
+        ("small_v1.cfar", golden("small_v1.cfar")),
+        ("small_v2.cfar", golden("small_v2.cfar")),
+        ("partial_v2.cfar", golden("partial_v2.cfar")),
         ("small_v3_delta.cfar", golden("small_v3_delta.cfar")),
         ("small_v3_keyframes.cfar", golden("small_v3_keyframes.cfar")),
         ("partial_v3.cfar", golden("partial_v3.cfar")),
         ("3-D series", series_3d()),
+        ("3-D baseline snapshot", baseline_3d()),
     ];
     for (name, bytes) in &archives {
         let reader = ArchiveReader::new(bytes).unwrap();
@@ -965,6 +991,35 @@ fn an_epoch_decodes_to_its_per_field_reads_at_any_thread_count() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn a_damaged_middle_block_fails_the_epoch_decode_where_the_field_read_fails() {
+    let mut bytes = baseline_3d();
+    let clean = ArchiveReader::new(&bytes).unwrap();
+    // the second field's second block of four: the first field's blocks,
+    // and the blocks around the damaged one, are tasks that succeed
+    let entry = clean.entries()[1].clone();
+    assert_eq!((entry.role, entry.n_blocks()), (FieldRole::Independent, 4));
+    let (at, len) = entry.block_span(1).unwrap();
+    bytes[at as usize + len / 2] ^= 0x08;
+    let reader = ArchiveReader::new(&bytes).unwrap();
+    let want = reader.decode_field(&entry.name).unwrap_err();
+    assert!(
+        matches!(&want, CfcError::InField { field, block: Some(1), .. } if *field == entry.name),
+        "{want}"
+    );
+    assert!(matches!(
+        want.root_cause(),
+        CfcError::ChecksumMismatch { .. }
+    ));
+    for threads in 1..=3 {
+        assert_eq!(
+            reader.epoch_with_threads(0, threads).unwrap_err(),
+            want,
+            "{threads} threads"
+        );
     }
 }
 

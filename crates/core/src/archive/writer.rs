@@ -684,11 +684,10 @@ impl ArchiveWriter {
             predictor: PredictorKind::Lorenzo,
         };
         let done = run_parallel_scratch(
-            tasks.len(),
+            tasks.clone(),
             self.threads(),
             || pool.get(),
-            |scratch, t| {
-                let (fi, bi) = tasks[t];
+            |scratch, (fi, bi)| {
                 let block = block_of(fi, bi, plan.rows(bi))?;
                 let (container, _) = sz.compress_lattice_with(
                     &block.lattice,

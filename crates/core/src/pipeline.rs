@@ -36,9 +36,10 @@ use bytes::BufMut;
 use cfc_sz::error::Reader;
 use cfc_sz::stream::{Container, SectionTag};
 use cfc_sz::{
-    CfcError, DecodeScratch, EncodeScratch, ErrorBound, QuantLattice, QuantizerConfig, SzCompressor,
+    CfcError, DecodeScratch, EncodeScratch, ErrorBound, Predictor, QuantLattice, QuantizerConfig,
+    SzCompressor,
 };
-use cfc_tensor::{Field, FieldStats, Normalizer};
+use cfc_tensor::{Field, FieldStats, Normalizer, Shape};
 
 use crate::archive::run_parallel_scratch;
 use crate::hybrid::{HybridConfig, HybridModel};
@@ -88,11 +89,10 @@ impl TargetFit {
         let inference = deserialize_model(&model)?;
         let lattice = QuantLattice::prequantize(target, eb);
         let block_diffs: Vec<Vec<Field>> = run_parallel_scratch(
-            blocks.len(),
+            blocks.to_vec(),
             threads,
             cfc_nn::Workspace::default,
-            |ws, bi| {
-                let (r0, r1) = blocks[bi];
+            |ws, (r0, r1)| {
                 let slabs: Vec<Field> = anchors.iter().map(|a| a.slab(r0, r1)).collect();
                 inference.predict(&slabs.iter().collect::<Vec<_>>(), ws)
             },
@@ -125,10 +125,11 @@ impl TargetFit {
 }
 
 /// The one cross-field block decode: the leading `rows` axis-0 rows of
-/// `container` (all of them past its extent), predicted from `anchors` —
-/// already held to the shape of the rows they are needed for — by `model`
-/// and `hybrid`, which [`check_model_fits`] has passed.
-pub(crate) fn decode_target_rows(
+/// `container` (all of them past its extent) to `out`, predicted from
+/// `anchors` — already held to the shape of the rows they are needed for —
+/// by `model` and `hybrid`, which [`check_model_fits`] has passed.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn decode_target_rows<D: Dest>(
     container: &Container,
     model: &CfnnInference,
     hybrid: &HybridModel,
@@ -136,13 +137,80 @@ pub(crate) fn decode_target_rows(
     rows: usize,
     nn: &mut cfc_nn::Workspace,
     dec: &mut DecodeScratch,
-) -> Result<Field, CfcError> {
+    out: D,
+) -> Result<D::Out, CfcError> {
     // one slice at a time for a 3-D block, so only the slices the anchors
     // were cut to; a 2-D block is one plane
     let diffs = model.predict(anchors, nn);
     let predictor = CrossFieldHybridPredictor::new(&diffs, container.eb, hybrid.clone());
-    // the bound is irrelevant on decode (streams carry their own)
-    SzCompressor::baseline(1e-3).decompress_rows_with(container, &predictor, rows, dec)
+    out.decode(container, &predictor, rows, dec)
+}
+
+/// Where a block decode puts its samples: into a slab of a buffer
+/// allocated before the decode (`&mut [f32]`: an epoch decode's field
+/// buffer; the slab's shape out), or into a [`Field`] of its own,
+/// allocated once the stream has decoded ([`Own`]).
+pub(crate) trait Dest {
+    type Out;
+
+    /// The leading `rows` axis-0 rows of `container` under `predictor`.
+    fn decode(
+        self,
+        container: &Container,
+        predictor: &dyn Predictor,
+        rows: usize,
+        dec: &mut DecodeScratch,
+    ) -> Result<Self::Out, CfcError>;
+
+    /// A block another decode made whole (a v1 target's stream).
+    fn whole(self, block: Field) -> Result<Self::Out, CfcError>;
+}
+
+impl Dest for &mut [f32] {
+    type Out = Shape;
+
+    fn decode(
+        self,
+        container: &Container,
+        predictor: &dyn Predictor,
+        rows: usize,
+        dec: &mut DecodeScratch,
+    ) -> Result<Shape, CfcError> {
+        // the bound is irrelevant on decode (streams carry their own)
+        SzCompressor::baseline(1e-3).decompress_rows_into(container, predictor, rows, dec, self)
+    }
+
+    fn whole(self, block: Field) -> Result<Shape, CfcError> {
+        if block.len() != self.len() {
+            return Err(CfcError::ShapeMismatch {
+                expected: format!("a slab of {} samples", self.len()),
+                found: block.shape().to_string(),
+            });
+        }
+        self.copy_from_slice(block.as_slice());
+        Ok(block.shape())
+    }
+}
+
+/// A block decoded into a [`Field`] of its own.
+pub(crate) struct Own;
+
+impl Dest for Own {
+    type Out = Field;
+
+    fn decode(
+        self,
+        container: &Container,
+        predictor: &dyn Predictor,
+        rows: usize,
+        dec: &mut DecodeScratch,
+    ) -> Result<Field, CfcError> {
+        SzCompressor::baseline(1e-3).decompress_rows_with(container, predictor, rows, dec)
+    }
+
+    fn whole(self, block: Field) -> Result<Field, CfcError> {
+        Ok(block)
+    }
 }
 
 /// Cross-field enhanced error-bounded compressor.
@@ -276,6 +344,7 @@ impl CrossFieldCompressor {
             usize::MAX,
             &mut cfc_nn::Workspace::default(),
             &mut DecodeScratch::new(),
+            Own,
         )
     }
 }

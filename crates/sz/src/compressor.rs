@@ -244,18 +244,9 @@ impl SzCompressor {
         self.decompress_rows_with(&container, &LorenzoPredictor, usize::MAX, scratch)
     }
 
-    /// Decode the leading `rows` axis-0 rows of `container` (all of them
-    /// when `rows` reaches the extent) under an arbitrary predictor — what
-    /// a region read that ends inside a block asks of that block. The
-    /// staging buffers of [`SzCompressor::decompress_lattice_with`] and the
-    /// lattice itself live in `scratch`, and the samples are dequantized
-    /// straight out of it, so a steady-state block decode allocates only
-    /// the returned [`Field`].
-    ///
-    /// The rows are the whole decode's first rows bit for bit, and the
-    /// call fails on exactly the streams the whole decode fails on: the
-    /// entropy stage still decodes every code and outlier, and what the
-    /// predictor does not walk is still checked.
+    /// [`SzCompressor::decompress_rows_into`] into a fresh [`Field`],
+    /// allocated once the stream has decoded (and so holds that many
+    /// samples) and written once.
     ///
     /// # Panics
     /// If `rows` is zero.
@@ -266,23 +257,89 @@ impl SzCompressor {
         rows: usize,
         scratch: &mut DecodeScratch,
     ) -> Result<Field, CfcError> {
-        // written by the block-regression predictor this codec once had; no
-        // predictor left reads it, and replaying such a stream through
-        // another would return garbage as `Ok`
-        if container.section(SectionTag::PredictorSideInfo).is_some() {
-            return Err(CfcError::Corrupt {
-                context: "predictor side info",
-                detail: "block-regression streams are not supported".into(),
+        let shape = decode_rows(container, predictor, rows, scratch)?;
+        let samples = dequantize(&scratch.lattice, container.eb).collect();
+        Ok(Field::from_vec(shape, samples))
+    }
+
+    /// Decode the leading `rows` axis-0 rows of `container` (all of them
+    /// when `rows` reaches the extent) under an arbitrary predictor into
+    /// `out`, and return their shape — the one decode behind every block a
+    /// reader asks for, a region read that ends inside a block included.
+    /// The staging buffers of [`SzCompressor::decompress_lattice_with`] and
+    /// the lattice itself live in `scratch`, and the samples are
+    /// dequantized straight out of it into `out`, so a steady-state decode
+    /// allocates nothing that scales with the block.
+    ///
+    /// The rows are the whole decode's first rows bit for bit, and the
+    /// call fails on exactly the streams the whole decode fails on: the
+    /// entropy stage still decodes every code and outlier, and what the
+    /// predictor does not walk is still checked. `out` is looked at only
+    /// after all that: a destination that does not hold exactly those rows
+    /// is a [`CfcError::ShapeMismatch`], and nothing is written to it.
+    ///
+    /// # Panics
+    /// If `rows` is zero.
+    pub fn decompress_rows_into(
+        &self,
+        container: &Container,
+        predictor: &dyn Predictor,
+        rows: usize,
+        scratch: &mut DecodeScratch,
+        out: &mut [f32],
+    ) -> Result<Shape, CfcError> {
+        let shape = decode_rows(container, predictor, rows, scratch)?;
+        if out.len() != shape.len() {
+            return Err(CfcError::ShapeMismatch {
+                expected: format!("{shape} ({} samples)", shape.len()),
+                found: format!("a destination of {} samples", out.len()),
             });
         }
-        let before = scratch.caps();
-        let mut lattice = std::mem::take(&mut scratch.lattice);
-        let decoded = decode_lattice_into(container, predictor, rows, scratch, &mut lattice);
-        scratch.lattice = lattice;
-        scratch.track(before);
-        Ok(dequantize(decoded?, &scratch.lattice, container.eb))
+        for (v, q) in out
+            .iter_mut()
+            .zip(dequantize(&scratch.lattice, container.eb))
+        {
+            *v = q;
+        }
+        Ok(shape)
     }
 }
+
+/// The decode both [`SzCompressor::decompress_rows_into`] and
+/// [`SzCompressor::decompress_rows_with`] run: the lattice integers of the
+/// leading `rows` axis-0 rows into `scratch.lattice`; returns their shape.
+fn decode_rows(
+    container: &Container,
+    predictor: &dyn Predictor,
+    rows: usize,
+    scratch: &mut DecodeScratch,
+) -> Result<Shape, CfcError> {
+    // written by the block-regression predictor this codec once had; no
+    // predictor left reads it, and replaying such a stream through
+    // another would return garbage as `Ok`
+    if container.section(SectionTag::PredictorSideInfo).is_some() {
+        return Err(CfcError::Corrupt {
+            context: "predictor side info",
+            detail: "block-regression streams are not supported".into(),
+        });
+    }
+    let before = scratch.caps();
+    let mut lattice = std::mem::take(&mut scratch.lattice);
+    let decoded = decode_lattice_into(container, predictor, rows, scratch, &mut lattice);
+    scratch.lattice = lattice;
+    scratch.track(before);
+    decoded
+}
+
+/// The most samples one stored byte of a residual section can decode to:
+/// the lossless stage makes at most `8 × MAX_MATCH` bytes of each
+/// (`lossless::decode_tokens` holds a stream to one flag bit per token and
+/// `MAX_MATCH` bytes per token), and Huffman at most 8 codes of each of
+/// those ([`HuffmanTable::try_decode_into`] holds a count to one bit per
+/// symbol), one code per sample. A decode of more samples than this many
+/// times the bytes it reads fails in those checks, so a destination sized
+/// from an untrusted header is allocated only below it.
+pub const MAX_SAMPLES_PER_BYTE: usize = 8 * lossless::MAX_MATCH * 8;
 
 /// Huffman + LZSS encode residual codes through caller-owned staging: the
 /// Huffman table and bitstream land in `payload` (cleared first) and the
@@ -549,6 +606,57 @@ mod tests {
             for j in 0..16 {
                 assert_eq!(s.get(&[i, j]), dec.get(&[2, i, j]));
             }
+        }
+    }
+
+    #[test]
+    fn a_destination_of_the_wrong_length_is_a_typed_error_and_stays_untouched() {
+        let f = smooth_field_3d(6, 10, 12);
+        let c = SzCompressor::baseline(1e-3);
+        let container = Container::try_from_bytes(&c.compress(&f).unwrap().bytes).unwrap();
+        let whole = c.decompress(&container.to_bytes()).unwrap();
+        let into = |rows: usize, out: &mut [f32]| {
+            let mut scratch = DecodeScratch::new();
+            c.decompress_rows_into(&container, &LorenzoPredictor, rows, &mut scratch, out)
+        };
+        for rows in [1, 4, 6, usize::MAX] {
+            let n = rows.min(6) * 10 * 12;
+            for len in [0, 1, n - 1, n + 1, 2 * n] {
+                let mut out = vec![f32::NAN; len];
+                let got = into(rows, &mut out);
+                assert!(
+                    matches!(got, Err(CfcError::ShapeMismatch { .. })),
+                    "{rows} rows into {len}: {got:?}"
+                );
+                assert!(out.iter().all(|v| v.is_nan()), "{rows} rows into {len}");
+            }
+            let mut out = vec![f32::NAN; n];
+            let shape = into(rows, &mut out).unwrap();
+            let want = whole.slab(0, rows.min(6));
+            assert_eq!(shape, want.shape());
+            assert!(out
+                .iter()
+                .zip(want.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+        // a damaged stream reports the damage whatever it is handed: the
+        // destination is looked at only once the stream has decoded
+        let mut damaged = container.clone();
+        damaged
+            .sections
+            .retain(|(tag, _)| *tag != SectionTag::Outliers as u8);
+        let mut scratch = DecodeScratch::new();
+        for len in [0, 6 * 120] {
+            assert!(matches!(
+                c.decompress_rows_into(
+                    &damaged,
+                    &LorenzoPredictor,
+                    usize::MAX,
+                    &mut scratch,
+                    &mut vec![0.0; len]
+                ),
+                Err(CfcError::MissingSection { .. })
+            ));
         }
     }
 

@@ -53,7 +53,7 @@ impl QuantLattice {
 
     /// Dequantize back to values (dual-quant reconstruction).
     pub fn reconstruct(&self, eb: f64) -> Field {
-        dequantize(self.shape, &self.data, eb)
+        Field::from_vec(self.shape, dequantize(&self.data, eb).collect())
     }
 
     /// Shape of the lattice.
@@ -132,13 +132,12 @@ impl QuantLattice {
     }
 }
 
-/// Dual-quant reconstruction of raw lattice integers: `q · 2·eb` as `f32`.
-pub(crate) fn dequantize(shape: Shape, data: &[i64], eb: f64) -> Field {
+/// Dual-quant reconstruction of raw lattice integers, one sample per
+/// integer: `q · 2·eb` as `f32` — collected into a fresh buffer, or written
+/// into a caller's slice.
+pub(crate) fn dequantize(data: &[i64], eb: f64) -> impl ExactSizeIterator<Item = f32> + '_ {
     let step = 2.0 * eb;
-    Field::from_vec(
-        shape,
-        data.iter().map(|&q| (q as f64 * step) as f32).collect(),
-    )
+    data.iter().map(move |&q| (q as f64 * step) as f32)
 }
 
 #[cfg(test)]

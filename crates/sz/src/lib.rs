@@ -19,7 +19,7 @@
 //!   untrusted sources. The cross-field compressor and the multi-field
 //!   archive in `cfc-core` build on the same pipeline through
 //!   [`SzCompressor::compress_lattice_with`] and
-//!   [`SzCompressor::decompress_rows_with`].
+//!   [`SzCompressor::decompress_rows_into`].
 //! * **Dual quantization** (paper §III-D1, after cuSZ): values are snapped to
 //!   the `2·eb` lattice *before* prediction, eliminating the read-after-write
 //!   dependency of classic SZ and guaranteeing `|v − v'| ≤ eb` regardless of

@@ -30,7 +30,9 @@ use crate::error::CfcError;
 use crate::huffman::HuffmanTable;
 
 const MIN_MATCH: usize = 4;
-const MAX_MATCH: usize = 258;
+/// Longest match; `decode_tokens` holds a claimed size to `MAX_MATCH` bytes
+/// per token.
+pub(crate) const MAX_MATCH: usize = 258;
 const WINDOW: usize = 1 << 16;
 const HASH_BITS: u32 = 15;
 

@@ -107,6 +107,22 @@ pub fn container(
     c
 }
 
+/// The leading `rows` rows of `c` under `predictor` — through
+/// `decompress_rows_with`, after holding it to `decompress_rows_into` of
+/// the same rows into a dirty buffer: the same bits, or the same error.
 pub fn leading(c: &Container, predictor: &dyn Predictor, rows: usize) -> Result<Field, CfcError> {
-    SzCompressor::baseline(1e-3).decompress_rows_with(c, predictor, rows, &mut DecodeScratch::new())
+    let sz = SzCompressor::baseline(1e-3);
+    let with = sz.decompress_rows_with(c, predictor, rows, &mut DecodeScratch::new());
+    let dims = c.shape.dims();
+    let mut out = vec![f32::NAN; rows.min(dims[0]) * dims[1..].iter().product::<usize>()];
+    let into = sz.decompress_rows_into(c, predictor, rows, &mut DecodeScratch::new(), &mut out);
+    match (&with, into) {
+        (Ok(field), Ok(shape)) => {
+            assert_eq!(field.shape(), shape);
+            let mut pairs = field.as_slice().iter().zip(&out);
+            assert!(pairs.all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+        (with, into) => assert_eq!(with.as_ref().err(), into.err().as_ref()),
+    }
+    with
 }

@@ -16,17 +16,31 @@
 //! (eight 256-bit registers), `XT_512 = 32` in the AVX-512 body (eight
 //! 512-bit ones); a lone output channel (depthwise, or a remainder tile)
 //! takes `XT_LONE = 64` pixels on every body to get its eight (four)
-//! chains. A row too narrow for its body's strip falls back to 16 and then
-//! to 8 pixels — a 12-pixel training patch runs on 8-pixel strips under
-//! every body. Weights are repacked `[oc tile][ic][ky][kx][oc in tile]`
-//! ([`PackedConv`]) so the four broadcasts of one tap are adjacent. The
-//! last strip of a row overlaps its neighbour rather than running short
-//! (an output element is computed from scratch, so computing it twice is
-//! harmless); the `k / 2` border columns, where some taps fall outside
-//! the plane, and planes narrower than the narrowest strip plus padding
-//! take a scalar path with the same loop nest. A pointwise convolution's
-//! pixels do not see each other, so its plane is handed over as one long
-//! row.
+//! chains. Weights are repacked `[oc tile][ic][ky][kx][oc in tile]`
+//! ([`PackedConv`]) so the four broadcasts of one tap are adjacent.
+//!
+//! Strips cover each row from column 0; there is no scalar path. A strip
+//! whose every tap reads inside the row is *interior* and runs the plain
+//! loop nest. The others — the first and last strips of a row, and every
+//! strip a wide kernel overhangs — are *edge* strips: the same nest, but
+//! for a tap whose source column falls outside `[0, w)` in some lanes
+//! those lanes are masked, a tap that no stored lane reads is passed over,
+//! and only the lanes inside the plane are stored. A masked lane must
+//! leave its accumulator as it is. With finite weights and no `-0.0` bias
+//! it may read `+0.0` instead, because adding `w · 0 = ±0` then changes
+//! nothing (see `zero_pad_is_exact`), and the tap runs as a plain one over
+//! zeroed lanes. Otherwise — an embedded model is untrusted and may hold
+//! infinities — the tap is added lane by lane over the lanes it reaches,
+//! out of line. A row narrower than the body's strip is one strip of the narrowest
+//! width that holds it, masked on both sides: a 12-pixel training row is
+//! one 16-pixel strip on every body. Edge strips read their source values
+//! straight from the input, so a lane that overhangs its row reads the
+//! neighbouring row; only where that would run off either end of the
+//! input do they read a small copy of its first or last values beside
+//! padding (`Margins`). A lane that reads a value outside its row is
+//! masked or not stored, whatever the kernel edge (`k` wider than the
+//! plane included). A pointwise convolution's pixels do not see each
+//! other, so its plane is handed over as one long row.
 //!
 //! # Order of operations is the contract
 //!
@@ -186,6 +200,8 @@ pub struct PackedConv {
     bias: Vec<f32>,
     /// Some weight is exactly ±0: take the body that skips such taps.
     has_zero: bool,
+    /// Every weight is finite (see [`zero_pad_is_exact`]).
+    finite: bool,
 }
 
 impl PackedConv {
@@ -214,6 +230,7 @@ impl PackedConv {
             weight: packed,
             bias: bias.to_vec(),
             has_zero: weight.contains(&0.0), // either sign
+            finite: weight.iter().all(|w| w.is_finite()),
         }
     }
 
@@ -326,12 +343,13 @@ fn conv_sample<const W: usize>(p: &PackedConv, src: &[f32], dst: &mut [f32], h: 
         let wts = &p.weight[oc0 * p.in_c * kk..][..oct * p.in_c * kk];
         let bias = &p.bias[oc0..oc0 + oct];
         let dst = &mut dst[oc0 * hw..(oc0 + oct) * hw];
+        let pad0 = p.finite && zero_pad_is_exact(&[], bias);
         macro_rules! tile {
             ($oct:literal) => {
                 if p.has_zero {
-                    tile_planes::<W, $oct, true>(wts, bias, p.in_c, p.k, src, dst, h, w)
+                    tile_planes::<W, $oct, true>(wts, bias, p.in_c, p.k, pad0, src, dst, h, w)
                 } else {
-                    tile_planes::<W, $oct, false>(wts, bias, p.in_c, p.k, src, dst, h, w)
+                    tile_planes::<W, $oct, false>(wts, bias, p.in_c, p.k, pad0, src, dst, h, w)
                 }
             };
         }
@@ -358,11 +376,13 @@ fn depthwise_sample<const W: usize>(
     let kk = k * k;
     for (c, b) in bias.iter().enumerate() {
         let plane = c * hw..(c + 1) * hw;
+        let (wts, bias) = (&weight[c * kk..(c + 1) * kk], std::slice::from_ref(b));
         tile_planes::<W, 1, false>(
-            &weight[c * kk..(c + 1) * kk],
-            std::slice::from_ref(b),
+            wts,
+            bias,
             1,
             k,
+            zero_pad_is_exact(wts, bias),
             &src[plane.clone()],
             &mut dst[plane],
             h,
@@ -371,11 +391,23 @@ fn depthwise_sample<const W: usize>(
     }
 }
 
+/// Whether an out-of-plane tap may read `+0.0` instead of being skipped
+/// without changing a bit: true when every weight is finite (`w · 0` is
+/// then `±0`, never NaN) and no bias is `-0.0`. Adding `±0` leaves every
+/// accumulator but `-0.0` as it is, and an accumulator that starts at any
+/// other bias is never `-0.0`: a sum of two values is `-0.0` only when
+/// both are. Pass `wts` empty when the finiteness is known.
+fn zero_pad_is_exact(wts: &[f32], bias: &[f32]) -> bool {
+    wts.iter().all(|w| w.is_finite()) && bias.iter().all(|b| b.to_bits() != (-0.0f32).to_bits())
+}
+
 /// All of `dst`'s `T` output planes from `src`'s `in_c` input planes;
-/// `wts` is `[ic][ky][kx][T]`. `SKIP` leaves out taps whose weight is zero.
-/// A row is cut into the widest strips that fit it: [`XT_LONE`] for a lone
-/// output channel, else `W` (the body's two registers a channel), else the
-/// halvings of `W` down to 8.
+/// `wts` is `[ic][ky][kx][T]`. `SKIP` leaves out taps whose weight is zero;
+/// `pad0` is [`zero_pad_is_exact`] for these weights and biases.
+/// Every row is covered from column 0 by strips of one width: the body's
+/// widest for the tile — [`XT_LONE`] for a lone output channel, else `W`
+/// (two registers a channel) — or, for a row narrower than `W`, the
+/// narrowest of [`XT`] and `W` that holds it.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn tile_planes<const W: usize, const T: usize, const SKIP: bool>(
@@ -383,47 +415,83 @@ fn tile_planes<const W: usize, const T: usize, const SKIP: bool>(
     bias: &[f32],
     in_c: usize,
     k: usize,
+    pad0: bool,
     src: &[f32],
     dst: &mut [f32],
     h: usize,
     w: usize,
 ) {
-    const NARROW: usize = 8;
     let pad = k / 2;
-    // columns where every tap of a row lies inside the plane
-    let inner = pad..w.saturating_sub(pad);
-    // strip starts for width `n`, the last one pulled back to end at `inner.end`
-    let strips = |n: usize| inner.clone().step_by(n).map(move |x| x.min(inner.end - n));
-    // what the strips leave to the scalar path: the borders, or everything
-    let scalar = match inner.len() {
-        n if n >= NARROW => (0..inner.start).chain(inner.end..w),
-        _ => (0..w).chain(w..w),
-    };
-    for y in 0..h {
-        let tap = Taps::new(wts, in_c, k, src, h, w, y);
-        macro_rules! strips {
-            ($n:expr) => {
-                for x0 in strips($n) {
-                    strip::<{ $n }, T, SKIP>(&tap, bias, dst, x0);
+    macro_rules! rows {
+        ($n:expr) => {{
+            let margins = Margins::<{ $n }>::new(src);
+            for y in 0..h {
+                let tap = Taps::new(wts, in_c, k, src, h, w, y);
+                // a row at least a strip wide ends on a whole strip that
+                // overlaps its neighbour (a pixel computed twice comes out
+                // the same): no strip runs past the row but a narrower one
+                for x0 in (0..w).step_by($n).map(|x0| x0.min(w.saturating_sub($n))) {
+                    let (tap, m) = (&tap, &margins);
+                    if pad <= x0 && x0 + $n + pad <= w {
+                        strip::<{ $n }, T, SKIP, false, false>(tap, m, bias, dst, x0);
+                    } else if pad0 {
+                        strip::<{ $n }, T, SKIP, true, true>(tap, m, bias, dst, x0);
+                    } else {
+                        strip::<{ $n }, T, SKIP, true, false>(tap, m, bias, dst, x0);
+                    }
                 }
-            };
-        }
-        if T == 1 && inner.len() >= XT_LONE {
-            // one output channel (depthwise, or a remainder tile) fills a
-            // quarter of a tile's registers, whose add chains wait on each
-            // other: a longer strip keeps as many chains in flight as a
-            // full tile does
-            strips!(XT_LONE)
-        } else if W > XT && inner.len() >= W {
-            strips!(W)
-        } else if inner.len() >= XT {
-            strips!(XT)
-        } else if inner.len() >= NARROW {
-            strips!(NARROW)
-        }
-        for x in scalar.clone() {
-            point::<T, SKIP>(&tap, bias, dst, x);
-        }
+            }
+        }};
+    }
+    if w <= XT {
+        rows!(XT)
+    } else if w <= W || T > 1 {
+        rows!(W)
+    } else {
+        // one output channel (depthwise, or a remainder tile) fills a
+        // quarter of a tile's registers, whose add chains wait on each
+        // other: a longer strip keeps as many chains in flight as a full
+        // tile does
+        rows!(XT_LONE)
+    }
+}
+
+/// The first and last `2N` values of a tile's input, each beside `N`
+/// values of padding: an edge strip whose `N` source values would start
+/// before the input or end past it reads them here. Only lanes that are
+/// masked or not stored read the padding.
+struct Margins<const N: usize> {
+    /// Flat input indices `-N..2N`.
+    head: [[f32; N]; 3],
+    /// Flat input indices `len - 2N..len + N`.
+    tail: [[f32; N]; 3],
+}
+
+impl<const N: usize> Margins<N> {
+    #[inline(always)]
+    fn new(src: &[f32]) -> Self {
+        let n = src.len().min(2 * N);
+        let (mut head, mut tail) = ([[0.0; N]; 3], [[0.0; N]; 3]);
+        head.as_flattened_mut()[N..N + n].copy_from_slice(&src[..n]);
+        tail.as_flattened_mut()[2 * N - n..2 * N].copy_from_slice(&src[src.len() - n..]);
+        Margins { head, tail }
+    }
+
+    /// `src[at..at + N]`, for any `at` from `1 - N` to `src.len() - 1`:
+    /// the lanes that fall outside `src` read padding.
+    #[inline(always)]
+    fn lanes<'a>(&'a self, src: &'a [f32], at: isize) -> &'a [f32; N] {
+        let len = src.len() as isize;
+        let (from, i) = if at < 0 {
+            (self.head.as_flattened(), at + N as isize)
+        } else if at + N as isize > len {
+            (self.tail.as_flattened(), at - len + 2 * N as isize)
+        } else {
+            (src, at)
+        };
+        from[i as usize..][..N]
+            .try_into()
+            .expect("slice of length N")
     }
 }
 
@@ -465,10 +533,17 @@ impl<'a> Taps<'a> {
         }
     }
 
+    /// Flat index of the source row under kernel row `ky` in input plane
+    /// `ic`.
+    #[inline(always)]
+    fn row_start(&self, ic: usize, ky: usize) -> usize {
+        ic * self.hw + (self.y + ky - self.k / 2) * self.w
+    }
+
     /// Source row under kernel row `ky` in input plane `ic`.
     #[inline(always)]
     fn row(&self, ic: usize, ky: usize) -> &'a [f32] {
-        &self.src[ic * self.hw + (self.y + ky - self.k / 2) * self.w..][..self.w]
+        &self.src[self.row_start(ic, ky)..][..self.w]
     }
 
     /// The tile's `T` weights of one tap.
@@ -480,10 +555,15 @@ impl<'a> Taps<'a> {
     }
 }
 
-/// `N` pixels from column `x0` (all taps in range) × `T` output channels.
+/// `N` pixels from column `x0` × `T` output channels. In an interior
+/// strip every tap of every lane reads inside the row. An `EDGE` strip
+/// masks each tap to the lanes whose source column lies in `[0, w)` and
+/// stores only the lanes inside the plane; `PAD0` is [`zero_pad_is_exact`]
+/// for its weights and biases.
 #[inline(always)]
-fn strip<const N: usize, const T: usize, const SKIP: bool>(
+fn strip<const N: usize, const T: usize, const SKIP: bool, const EDGE: bool, const PAD0: bool>(
     tap: &Taps,
+    margins: &Margins<N>,
     bias: &[f32],
     dst: &mut [f32],
     x0: usize,
@@ -493,56 +573,169 @@ fn strip<const N: usize, const T: usize, const SKIP: bool>(
     for o in 0..T {
         acc[o] = [bias[o]; N];
     }
-    for ic in 0..tap.in_c {
-        for ky in tap.ky.clone() {
-            let row = tap.row(ic, ky);
-            for kx in 0..tap.k {
-                let x: &[f32; N] = row[x0 + kx - pad..][..N]
-                    .try_into()
-                    .expect("slice of length N");
-                let wv = tap.weights::<T>(ic, ky, kx);
-                for o in 0..T {
-                    let kv = wv[o];
-                    if SKIP && kv == 0.0 {
-                        continue;
-                    }
-                    for j in 0..N {
-                        acc[o][j] += kv * x[j];
-                    }
+    if !EDGE {
+        for ic in 0..tap.in_c {
+            for ky in tap.ky.clone() {
+                let row = tap.row(ic, ky);
+                for kx in 0..tap.k {
+                    let x: &[f32; N] = row[x0 + kx - pad..][..N]
+                        .try_into()
+                        .expect("slice of length N");
+                    add_tap::<N, T, SKIP>(&mut acc, tap.weights(ic, ky, kx), x);
                 }
             }
         }
+        for o in 0..T {
+            dst[o * tap.hw + tap.y * tap.w + x0..][..N].copy_from_slice(&acc[o]);
+        }
+        return;
     }
+    let w = tap.w as isize;
+    let stored = N.min(tap.w - x0);
+    // lane 0 of tap `kx` reads source column `base + kx`. The taps some
+    // stored lane reads inside the row are `first..end`; of those, every
+    // stored lane reads `full..part` inside it, and the others are masked.
+    let base = x0 as isize - pad as isize;
+    let first = (1 - stored as isize - base).max(0) as usize;
+    let end = (w - base).min(tap.k as isize) as usize;
+    // (`max` then `min`, not `clamp`, which the compiler may leave a call)
+    let full = (-base).max(first as isize).min(end as isize) as usize;
+    let part = (w - stored as isize - base + 1)
+        .max(full as isize)
+        .min(end as isize) as usize;
+    for ic in 0..tap.in_c {
+        for ky in tap.ky.clone() {
+            let row = tap.row_start(ic, ky) as isize + base;
+            for kx in first..full {
+                let lo = (-base - kx as isize) as usize;
+                let (wv, x) = (
+                    tap.weights(ic, ky, kx),
+                    margins.lanes(tap.src, row + kx as isize),
+                );
+                add_masked_tap::<N, T, SKIP, PAD0>(&mut acc, wv, x, lo..N.min(lo + tap.w));
+            }
+            for kx in full..part {
+                let (wv, x) = (
+                    tap.weights(ic, ky, kx),
+                    margins.lanes(tap.src, row + kx as isize),
+                );
+                add_tap::<N, T, SKIP>(&mut acc, wv, x);
+            }
+            for kx in part..end {
+                let hi = (w - base - kx as isize) as usize;
+                let (wv, x) = (
+                    tap.weights(ic, ky, kx),
+                    margins.lanes(tap.src, row + kx as isize),
+                );
+                add_masked_tap::<N, T, SKIP, PAD0>(&mut acc, wv, x, 0..hi);
+            }
+        }
+    }
+    let at = tap.y * tap.w + x0;
     for o in 0..T {
-        dst[o * tap.hw + tap.y * tap.w + x0..][..N].copy_from_slice(&acc[o]);
+        let plane = &mut dst[o * tap.hw..][..tap.hw];
+        if at + N <= tap.hw {
+            // the lanes past the row land on pixels of this plane that a
+            // later strip computes and stores again: one whole-strip store
+            plane[at..][..N].copy_from_slice(&acc[o]);
+        } else {
+            // (a whole-array copy first keeps `acc` in registers up to here)
+            let out = acc[o];
+            plane[at..][..stored].copy_from_slice(&out[..stored]);
+        }
     }
 }
 
-/// One pixel × `T` output channels, taps outside the plane skipped.
+/// One tap on every output channel of a strip: `acc[o][j] = acc[o][j] +
+/// wv[o] * x[j]`, a rounded multiply then a rounded add.
 #[inline(always)]
-fn point<const T: usize, const SKIP: bool>(tap: &Taps, bias: &[f32], dst: &mut [f32], x: usize) {
-    let pad = tap.k / 2;
-    let kxs = pad.saturating_sub(x)..tap.k.min(tap.w + pad - x);
-    let mut acc = [0.0f32; T];
-    acc.copy_from_slice(bias);
-    for ic in 0..tap.in_c {
-        for ky in tap.ky.clone() {
-            let row = tap.row(ic, ky);
-            for kx in kxs.clone() {
-                let xv = row[x + kx - pad];
-                let wv = tap.weights::<T>(ic, ky, kx);
-                for o in 0..T {
-                    let kv = wv[o];
-                    if SKIP && kv == 0.0 {
-                        continue;
-                    }
-                    acc[o] += kv * xv;
-                }
-            }
+fn add_tap<const N: usize, const T: usize, const SKIP: bool>(
+    acc: &mut [[f32; N]; T],
+    wv: &[f32; T],
+    x: &[f32; N],
+) {
+    for o in 0..T {
+        let kv = wv[o];
+        if SKIP && kv == 0.0 {
+            continue;
+        }
+        for j in 0..N {
+            acc[o][j] += kv * x[j];
         }
     }
+}
+
+/// `ONES_FROM[XT_LONE - n + j]` is set exactly when `j >= n`: a strip's
+/// lane masks, `N` lanes from any offset, for any `n` up to `N`.
+static ONES_FROM: [u32; 2 * XT_LONE] = {
+    let mut t = [0; 2 * XT_LONE];
+    let mut i = XT_LONE;
+    while i < t.len() {
+        t[i] = !0;
+        i += 1;
+    }
+    t
+};
+
+/// `N` lanes of mask, set in `lanes` (which lies in `0..=N`).
+#[inline(always)]
+fn lane_mask<const N: usize>(lanes: std::ops::Range<usize>) -> [u32; N] {
+    let from = |n: usize| -> &[u32; N] {
+        ONES_FROM[XT_LONE - n..][..N]
+            .try_into()
+            .expect("slice of length N")
+    };
+    let (from_lo, from_hi) = (from(lanes.start), from(lanes.end));
+    // loops rather than `array::from_fn`, which the compiler may leave as
+    // a call, and then the accumulators around it go to memory
+    let mut mask = [0; N];
+    for j in 0..N {
+        mask[j] = from_lo[j] & !from_hi[j];
+    }
+    mask
+}
+
+/// [`add_tap`] in `lanes` only, every other lane keeping its accumulator
+/// (adding `w · 0` instead would turn `-0.0` into `+0.0` and `∞ · 0` into
+/// NaN). With `PAD0` ([`zero_pad_is_exact`]) that is the plain tap over `x`
+/// with the other lanes zeroed.
+#[inline(always)]
+fn add_masked_tap<const N: usize, const T: usize, const SKIP: bool, const PAD0: bool>(
+    acc: &mut [[f32; N]; T],
+    wv: &[f32; T],
+    x: &[f32; N],
+    lanes: std::ops::Range<usize>,
+) {
+    if !PAD0 {
+        return add_lanes::<N, T, SKIP>(acc, wv, x, lanes);
+    }
+    let mask = lane_mask::<N>(lanes);
+    let mut zeroed = [0.0; N];
+    for j in 0..N {
+        zeroed[j] = f32::from_bits(x[j].to_bits() & mask[j]);
+    }
+    add_tap::<N, T, SKIP>(acc, wv, &zeroed)
+}
+
+/// [`add_tap`] in `lanes` only, lane by lane: the masked taps of a tile
+/// that zero padding would change ([`zero_pad_is_exact`]), which only an
+/// untrusted model with infinite weights or `-0.0` biases brings. Out of
+/// line, so that only such tiles pay for accumulators in memory.
+#[inline(never)]
+fn add_lanes<const N: usize, const T: usize, const SKIP: bool>(
+    acc: &mut [[f32; N]; T],
+    wv: &[f32; T],
+    x: &[f32; N],
+    lanes: std::ops::Range<usize>,
+) {
     for o in 0..T {
-        dst[o * tap.hw + tap.y * tap.w + x] = acc[o];
+        let kv = wv[o];
+        if SKIP && kv == 0.0 {
+            continue;
+        }
+        for j in lanes.clone() {
+            acc[o][j] += kv * x[j];
+        }
     }
 }
 

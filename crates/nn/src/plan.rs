@@ -18,6 +18,13 @@ use crate::conv::{self, Kernel, PackedConv};
 use crate::layer::relu_in_place;
 use crate::sequential::{AnyLayer, Sequential};
 
+/// Widest activation, in channels, a plan accepts. The workspace holds two
+/// buffers of that many planes, and a model is untrusted input: a
+/// depthwise channel costs it 8 bytes, so without a bound a 130 KB model
+/// over a 128×128 slab would ask for 2 GiB. 1 024 is 7× the widest network
+/// the writer builds (`paper_3d`, 139).
+const MAX_PLAN_CHANNELS: usize = 1024;
+
 enum Step {
     Conv(PackedConv),
     Depthwise {
@@ -61,8 +68,8 @@ impl Workspace {
 
 impl InferencePlan {
     /// Compile `net` for `in_channels` input planes. Fails when the layers
-    /// do not chain: each must accept the channel count the previous one
-    /// produces.
+    /// do not chain — each must accept the channel count the previous one
+    /// produces — or when an activation is wider than 1 024 channels.
     pub fn compile(net: &Sequential, in_channels: usize) -> Result<Self, String> {
         let mut channels = in_channels;
         let mut max_c = in_channels;
@@ -95,6 +102,11 @@ impl InferencePlan {
             channels = gives;
             max_c = max_c.max(gives);
             steps.push(step);
+        }
+        if max_c > MAX_PLAN_CHANNELS {
+            return Err(format!(
+                "an activation of {max_c} channels is wider than {MAX_PLAN_CHANNELS}"
+            ));
         }
         Ok(InferencePlan {
             steps,
@@ -207,6 +219,17 @@ mod tests {
         assert!(err.contains("expects 3 channels"), "{err}");
         let bad = Sequential::new().conv(2, 4, 3, 0).depthwise(5, 3, 1);
         assert!(InferencePlan::compile(&bad, 2).is_err());
+    }
+
+    #[test]
+    fn activations_wider_than_the_bound_are_refused() {
+        let wide = |c: usize| Sequential::new().depthwise(c, 3, 0);
+        let err = InferencePlan::compile(&wide(2048), 2048)
+            .err()
+            .expect("2 048 channels");
+        assert!(err.contains("2048 channels"), "{err}");
+        let plan = InferencePlan::compile(&wide(MAX_PLAN_CHANNELS), MAX_PLAN_CHANNELS);
+        assert_eq!(plan.map(|p| p.out_channels()).ok(), Some(1024));
     }
 
     #[test]

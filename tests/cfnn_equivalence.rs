@@ -15,6 +15,9 @@
 //!   host) over kernel sizes, plane shapes on both sides of every strip
 //!   threshold, channel counts that do not divide the tile, zero weights
 //!   and non-finite inputs;
+//! * the masks of the edge strips: weights only on the kernel's border
+//!   taps (infinities and NaN among them) and `-0.0` biases, over row
+//!   widths around every strip width and kernels wider than the row;
 //! * the same kernels' backward passes — `grad_w`, `grad_b` and `grad_in`
 //!   of full and depthwise convolutions — over the same axes, batch 1 and
 //!   4, accumulated over two calls, with `-0.0`, NaN and infinities in the
@@ -531,6 +534,83 @@ fn depthwise_matches_reference() {
         }
         check_depthwise(24, k, 12, 12, false);
         check_depthwise(33, k, 3, 33, true);
+    }
+}
+
+/// Row widths on both sides of every strip width (16, 32, 64) and of the
+/// 12-pixel training row, around the 128-pixel plane, and 3, where a 9×9
+/// kernel overhangs the whole row on both sides.
+const EDGE_WIDTHS: [usize; 15] = [1, 2, 3, 11, 12, 13, 16, 17, 18, 33, 34, 127, 128, 129, 130];
+
+/// Weights that are zero but on the kernel's outermost rows and columns —
+/// the taps that overhang a plane's border — and biases that are all one
+/// value: a lane that adds an overhanging tap instead of skipping it turns a
+/// `-0.0` bias into `+0.0`, or, where that tap's weight is infinite or NaN,
+/// a finite output into NaN.
+fn edge_tap_weights(n: usize, k: usize, specials: bool, rng: &mut Lcg) -> Vec<f32> {
+    let nonfinite = [f32::INFINITY, f32::NAN, f32::NEG_INFINITY];
+    (0..n * k * k)
+        .map(|i| {
+            let (ky, kx) = (i % (k * k) / k, i % k);
+            if ky != 0 && kx != 0 && ky != k - 1 && kx != k - 1 {
+                0.0
+            } else if specials && i % 5 == 2 {
+                nonfinite[i / 5 % 3]
+            } else {
+                rng.next() * 0.4
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn border_taps_are_skipped_on_every_row_width() {
+    // (non-finite edge weights, bias): the exact masked path with and
+    // without infinities, and the zero-padded one, which is exact only for
+    // finite weights and biases other than -0.0 (its neighbours' NaN and
+    // infinities must not leak into a masked lane either)
+    let flavours = [(true, -0.0), (false, -0.0), (false, 0.0)];
+    let mut rng = Lcg(0xED6E);
+    for w in EDGE_WIDTHS {
+        let ks: &[usize] = if w == 3 {
+            &[1, 3, 5, 7, 9]
+        } else {
+            &[1, 3, 5, 7]
+        };
+        for &k in ks {
+            for h in [1, 3] {
+                for (specials, b) in flavours {
+                    let (in_c, out_c) = (2, 5);
+                    let weight = edge_tap_weights(out_c * in_c, k, specials, &mut rng);
+                    let bias = vec![b; out_c];
+                    let mut src = rng.vec(in_c * h * w, 1.0);
+                    poison(&mut src, &mut rng);
+                    let mut want = vec![0.0; out_c * h * w];
+                    reference_conv(&weight, &bias, in_c, k, &src, &mut want, h, w);
+                    let packed = PackedConv::new(in_c, out_c, k, &weight, &bias);
+
+                    let dw_weight = edge_tap_weights(in_c, k, specials, &mut rng);
+                    let dw_bias = vec![b; in_c];
+                    let mut dw_want = vec![0.0; in_c * h * w];
+                    reference_depthwise(&dw_weight, &dw_bias, k, &src, &mut dw_want, h, w);
+
+                    for kernel in Kernel::available() {
+                        let what = |conv: &str| {
+                            format!(
+                                "{} {conv} k{k} {h}x{w} non-finite={specials} bias={b:?}",
+                                kernel.name()
+                            )
+                        };
+                        let mut got = vec![f32::NAN; out_c * h * w];
+                        packed.run(kernel, &src, &mut got, h, w);
+                        assert_same(&got, &want, &what("conv"));
+                        let mut got = vec![f32::NAN; in_c * h * w];
+                        depthwise(kernel, k, &dw_weight, &dw_bias, &src, &mut got, h, w);
+                        assert_same(&got, &dw_want, &what("depthwise"));
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -67,6 +67,18 @@
 //!   the epoch to non-targets; every epoch lists epoch 0's fields in epoch
 //!   0's order; all rows agree on shape and chunking.
 //!
+//! Within a row, the order decides what `open` returns for a row that
+//! both breaks a rule and is torn (the source ends inside it); partial
+//! rows are not judged any further than this. `check_row` looks at the
+//! role byte, bound, extents, chunk slabs and block count first: one of
+//! them broken is that rule's `Corrupt` error, torn or not. Then the meta
+//! and payload lengths against everything the source has left behind
+//! them: one longer is `Truncated`, ahead of the meta-inside-payload and
+//! index-row rules. Last, the payload against what is left behind the
+//! block index: a payload torn only there reports a broken index row
+//! first, and `Truncated` only when the index is sound. The scrubber
+//! files every one of them, the tear once.
+//!
 //! A row that passes converts to an [`ArchiveEntry`]. That conversion is
 //! the one place that knows the container versions differ: a v1 row (one
 //! monolithic stream, no shape, no index, no CRC) becomes an entry with

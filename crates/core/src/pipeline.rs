@@ -639,6 +639,39 @@ mod tests {
     }
 
     #[test]
+    fn a_model_with_a_non_finite_weight_stops_the_writer() {
+        // a diverged training run: the model the writer would ship is one
+        // the reader refuses, so the fit that parses it fails first
+        let (anchor, target) = coupled_2d(24, 24);
+        let untrained = TrainConfig {
+            epochs: 0,
+            ..TrainConfig::fast()
+        };
+        let spec = CfnnSpec::compact(1, 2);
+        for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut trained = train_cfnn(&spec, &untrained, &[&anchor], &target);
+            trained.net.params()[0].values[0] = v;
+            let fit = TargetFit::new(
+                serialize_model(&trained),
+                &target,
+                1e-3,
+                &[&anchor],
+                &[(0, 24)],
+                &HybridConfig::default(),
+                1,
+            );
+            match fit {
+                Err(CfcError::Corrupt { context, detail }) => {
+                    assert_eq!(context, "embedded model");
+                    assert!(detail.contains(&v.to_string()), "{detail}");
+                }
+                Err(e) => panic!("{v}: {e:?}"),
+                Ok(_) => panic!("{v}: a non-finite weight was fitted"),
+            }
+        }
+    }
+
+    #[test]
     fn corrupt_model_section_is_an_error() {
         let (anchor, target) = coupled_2d(32, 32);
         let comp = CrossFieldCompressor::new(1e-3);

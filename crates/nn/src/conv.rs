@@ -24,23 +24,32 @@
 //! loop nest. The others — the first and last strips of a row, and every
 //! strip a wide kernel overhangs — are *edge* strips: the same nest, but
 //! for a tap whose source column falls outside `[0, w)` in some lanes
-//! those lanes are masked, a tap that no stored lane reads is passed over,
-//! and only the lanes inside the plane are stored. A masked lane must
-//! leave its accumulator as it is. With finite weights and no `-0.0` bias
-//! it may read `+0.0` instead, because adding `w · 0 = ±0` then changes
-//! nothing (see `zero_pad_is_exact`), and the tap runs as a plain one over
-//! zeroed lanes. Otherwise — an embedded model is untrusted and may hold
-//! infinities — the tap is added lane by lane over the lanes it reaches,
-//! out of line. A row narrower than the body's strip is one strip of the narrowest
-//! width that holds it, masked on both sides: a 12-pixel training row is
-//! one 16-pixel strip on every body. Edge strips read their source values
-//! straight from the input, so a lane that overhangs its row reads the
-//! neighbouring row; only where that would run off either end of the
-//! input do they read a small copy of its first or last values beside
-//! padding (`Margins`). A lane that reads a value outside its row is
-//! masked or not stored, whatever the kernel edge (`k` wider than the
-//! plane included). A pointwise convolution's pixels do not see each
-//! other, so its plane is handed over as one long row.
+//! those lanes read `+0.0`, a tap that no stored lane reads is passed
+//! over, and only the lanes inside the plane are stored. A row narrower
+//! than the body's strip is one strip of the narrowest width that holds
+//! it, masked on both sides: a 12-pixel training row is one 16-pixel strip
+//! on every body. Edge strips read their source values straight from the
+//! input, so a lane that overhangs its row reads the neighbouring row;
+//! only where that would run off either end of the input do they read a
+//! small copy of its first or last values beside padding (`Margins`). A
+//! lane that reads a value outside its row is masked or not stored,
+//! whatever the kernel edge (`k` wider than the plane included). A
+//! pointwise convolution's pixels do not see each other, so its plane is
+//! handed over as one long row.
+//!
+//! # Precondition: finite weights, no `-0.0` bias
+//!
+//! Every kernel here assumes that every weight is finite and that no bias
+//! is `-0.0`. Then a masked lane adds `w · 0 = ±0` to an accumulator that
+//! is never `-0.0` (it starts at a bias that is not, and a sum is `-0.0`
+//! only when both addends are), which changes nothing: reading `+0.0` is
+//! the same as skipping the tap, which is what the contract below asks
+//! for. Training meets the precondition unless it diverges — biases start
+//! at `+0.0`, and an optimizer step `b - d` or `b + d` never lands on
+//! `-0.0` — and `Sequential::try_deserialize` refuses any model that
+//! breaks it, so every parsed model meets it, and the writer, which parses
+//! the model it ships, stops on a diverged one. The inputs may hold
+//! anything.
 //!
 //! # Order of operations is the contract
 //!
@@ -200,13 +209,12 @@ pub struct PackedConv {
     bias: Vec<f32>,
     /// Some weight is exactly ±0: take the body that skips such taps.
     has_zero: bool,
-    /// Every weight is finite (see [`zero_pad_is_exact`]).
-    finite: bool,
 }
 
 impl PackedConv {
     /// Repack `[out_c][in_c][k][k]` weights. Panics on a length mismatch
-    /// or an even kernel edge.
+    /// or an even kernel edge. The output is the contract's only for
+    /// finite weights and no `-0.0` bias (see the module doc).
     pub fn new(in_c: usize, out_c: usize, k: usize, weight: &[f32], bias: &[f32]) -> Self {
         assert!(k % 2 == 1, "kernel edge must be odd for same padding");
         let kk = k * k;
@@ -230,7 +238,6 @@ impl PackedConv {
             weight: packed,
             bias: bias.to_vec(),
             has_zero: weight.contains(&0.0), // either sign
-            finite: weight.iter().all(|w| w.is_finite()),
         }
     }
 
@@ -263,7 +270,8 @@ impl PackedConv {
 /// Depthwise convolution of one sample: `c` planes of `h × w`, one `k × k`
 /// kernel (`weight[c][k][k]`) and bias per plane. Needs no repacking — a
 /// plane is a one-in, one-out convolution — and, like the layer always
-/// has, multiplies zero weights through instead of skipping them.
+/// has, multiplies zero weights through instead of skipping them. Same
+/// precondition as [`PackedConv::new`].
 #[allow(clippy::too_many_arguments)]
 pub fn depthwise(
     kernel: Kernel,
@@ -343,13 +351,12 @@ fn conv_sample<const W: usize>(p: &PackedConv, src: &[f32], dst: &mut [f32], h: 
         let wts = &p.weight[oc0 * p.in_c * kk..][..oct * p.in_c * kk];
         let bias = &p.bias[oc0..oc0 + oct];
         let dst = &mut dst[oc0 * hw..(oc0 + oct) * hw];
-        let pad0 = p.finite && zero_pad_is_exact(&[], bias);
         macro_rules! tile {
             ($oct:literal) => {
                 if p.has_zero {
-                    tile_planes::<W, $oct, true>(wts, bias, p.in_c, p.k, pad0, src, dst, h, w)
+                    tile_planes::<W, $oct, true>(wts, bias, p.in_c, p.k, src, dst, h, w)
                 } else {
-                    tile_planes::<W, $oct, false>(wts, bias, p.in_c, p.k, pad0, src, dst, h, w)
+                    tile_planes::<W, $oct, false>(wts, bias, p.in_c, p.k, src, dst, h, w)
                 }
             };
         }
@@ -377,33 +384,12 @@ fn depthwise_sample<const W: usize>(
     for (c, b) in bias.iter().enumerate() {
         let plane = c * hw..(c + 1) * hw;
         let (wts, bias) = (&weight[c * kk..(c + 1) * kk], std::slice::from_ref(b));
-        tile_planes::<W, 1, false>(
-            wts,
-            bias,
-            1,
-            k,
-            zero_pad_is_exact(wts, bias),
-            &src[plane.clone()],
-            &mut dst[plane],
-            h,
-            w,
-        );
+        tile_planes::<W, 1, false>(wts, bias, 1, k, &src[plane.clone()], &mut dst[plane], h, w);
     }
 }
 
-/// Whether an out-of-plane tap may read `+0.0` instead of being skipped
-/// without changing a bit: true when every weight is finite (`w · 0` is
-/// then `±0`, never NaN) and no bias is `-0.0`. Adding `±0` leaves every
-/// accumulator but `-0.0` as it is, and an accumulator that starts at any
-/// other bias is never `-0.0`: a sum of two values is `-0.0` only when
-/// both are. Pass `wts` empty when the finiteness is known.
-fn zero_pad_is_exact(wts: &[f32], bias: &[f32]) -> bool {
-    wts.iter().all(|w| w.is_finite()) && bias.iter().all(|b| b.to_bits() != (-0.0f32).to_bits())
-}
-
 /// All of `dst`'s `T` output planes from `src`'s `in_c` input planes;
-/// `wts` is `[ic][ky][kx][T]`. `SKIP` leaves out taps whose weight is zero;
-/// `pad0` is [`zero_pad_is_exact`] for these weights and biases.
+/// `wts` is `[ic][ky][kx][T]`. `SKIP` leaves out taps whose weight is zero.
 /// Every row is covered from column 0 by strips of one width: the body's
 /// widest for the tile — [`XT_LONE`] for a lone output channel, else `W`
 /// (two registers a channel) — or, for a row narrower than `W`, the
@@ -415,7 +401,6 @@ fn tile_planes<const W: usize, const T: usize, const SKIP: bool>(
     bias: &[f32],
     in_c: usize,
     k: usize,
-    pad0: bool,
     src: &[f32],
     dst: &mut [f32],
     h: usize,
@@ -433,11 +418,9 @@ fn tile_planes<const W: usize, const T: usize, const SKIP: bool>(
                 for x0 in (0..w).step_by($n).map(|x0| x0.min(w.saturating_sub($n))) {
                     let (tap, m) = (&tap, &margins);
                     if pad <= x0 && x0 + $n + pad <= w {
-                        strip::<{ $n }, T, SKIP, false, false>(tap, m, bias, dst, x0);
-                    } else if pad0 {
-                        strip::<{ $n }, T, SKIP, true, true>(tap, m, bias, dst, x0);
+                        strip::<{ $n }, T, SKIP, false>(tap, m, bias, dst, x0);
                     } else {
-                        strip::<{ $n }, T, SKIP, true, false>(tap, m, bias, dst, x0);
+                        strip::<{ $n }, T, SKIP, true>(tap, m, bias, dst, x0);
                     }
                 }
             }
@@ -558,10 +541,11 @@ impl<'a> Taps<'a> {
 /// `N` pixels from column `x0` × `T` output channels. In an interior
 /// strip every tap of every lane reads inside the row. An `EDGE` strip
 /// masks each tap to the lanes whose source column lies in `[0, w)` and
-/// stores only the lanes inside the plane; `PAD0` is [`zero_pad_is_exact`]
-/// for its weights and biases.
+/// stores only the lanes inside the plane; under the module's
+/// precondition (finite weights, no `-0.0` bias) a masked lane reading
+/// `+0.0` is the same as a skipped tap.
 #[inline(always)]
-fn strip<const N: usize, const T: usize, const SKIP: bool, const EDGE: bool, const PAD0: bool>(
+fn strip<const N: usize, const T: usize, const SKIP: bool, const EDGE: bool>(
     tap: &Taps,
     margins: &Margins<N>,
     bias: &[f32],
@@ -612,7 +596,7 @@ fn strip<const N: usize, const T: usize, const SKIP: bool, const EDGE: bool, con
                     tap.weights(ic, ky, kx),
                     margins.lanes(tap.src, row + kx as isize),
                 );
-                add_masked_tap::<N, T, SKIP, PAD0>(&mut acc, wv, x, lo..N.min(lo + tap.w));
+                add_masked_tap::<N, T, SKIP>(&mut acc, wv, x, lo..N.min(lo + tap.w));
             }
             for kx in full..part {
                 let (wv, x) = (
@@ -627,7 +611,7 @@ fn strip<const N: usize, const T: usize, const SKIP: bool, const EDGE: bool, con
                     tap.weights(ic, ky, kx),
                     margins.lanes(tap.src, row + kx as isize),
                 );
-                add_masked_tap::<N, T, SKIP, PAD0>(&mut acc, wv, x, 0..hi);
+                add_masked_tap::<N, T, SKIP>(&mut acc, wv, x, 0..hi);
             }
         }
     }
@@ -695,48 +679,23 @@ fn lane_mask<const N: usize>(lanes: std::ops::Range<usize>) -> [u32; N] {
     mask
 }
 
-/// [`add_tap`] in `lanes` only, every other lane keeping its accumulator
-/// (adding `w · 0` instead would turn `-0.0` into `+0.0` and `∞ · 0` into
-/// NaN). With `PAD0` ([`zero_pad_is_exact`]) that is the plain tap over `x`
-/// with the other lanes zeroed.
+/// [`add_tap`] with every lane outside `lanes` reading `+0.0`. Under the
+/// module's precondition that leaves those lanes' accumulators as they
+/// are: `w · 0` is `±0` for a finite `w`, and adding `±0` changes no
+/// accumulator but a `-0.0` one, which none is.
 #[inline(always)]
-fn add_masked_tap<const N: usize, const T: usize, const SKIP: bool, const PAD0: bool>(
+fn add_masked_tap<const N: usize, const T: usize, const SKIP: bool>(
     acc: &mut [[f32; N]; T],
     wv: &[f32; T],
     x: &[f32; N],
     lanes: std::ops::Range<usize>,
 ) {
-    if !PAD0 {
-        return add_lanes::<N, T, SKIP>(acc, wv, x, lanes);
-    }
     let mask = lane_mask::<N>(lanes);
     let mut zeroed = [0.0; N];
     for j in 0..N {
         zeroed[j] = f32::from_bits(x[j].to_bits() & mask[j]);
     }
     add_tap::<N, T, SKIP>(acc, wv, &zeroed)
-}
-
-/// [`add_tap`] in `lanes` only, lane by lane: the masked taps of a tile
-/// that zero padding would change ([`zero_pad_is_exact`]), which only an
-/// untrusted model with infinite weights or `-0.0` biases brings. Out of
-/// line, so that only such tiles pay for accumulators in memory.
-#[inline(never)]
-fn add_lanes<const N: usize, const T: usize, const SKIP: bool>(
-    acc: &mut [[f32; N]; T],
-    wv: &[f32; T],
-    x: &[f32; N],
-    lanes: std::ops::Range<usize>,
-) {
-    for o in 0..T {
-        let kv = wv[o];
-        if SKIP && kv == 0.0 {
-            continue;
-        }
-        for j in lanes.clone() {
-            acc[o][j] += kv * x[j];
-        }
-    }
 }
 
 /// `src` — planes of `hw` values — with channels adjacent: `dst[p * cp +

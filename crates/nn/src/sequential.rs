@@ -192,9 +192,20 @@ impl Sequential {
     ///
     /// Validates every read against the remaining buffer and every weight
     /// block against the layer geometry it claims, so hostile input can
-    /// neither panic nor demand allocations beyond its own size. The error
-    /// is a plain `String` to keep this crate free of codec dependencies;
-    /// callers wrap it into their own error type.
+    /// neither panic nor demand allocations beyond its own size.
+    ///
+    /// It also refuses a weight or bias that is NaN or infinite, in any
+    /// layer, and a `-0.0` bias of a full or depthwise convolution. A
+    /// training run that does not diverge produces neither (biases start
+    /// at `+0.0`, and an optimizer step never turns `+0.0` into `-0.0`),
+    /// and the convolution kernels reproduce their reference chain of
+    /// operations bit for bit only without them (see the precondition in
+    /// [`crate::conv`]). A model that parses therefore predicts the same
+    /// bits on every host, and one that was damaged into such values is
+    /// an error, not a garbled prediction.
+    ///
+    /// The error is a plain `String` to keep this crate free of codec
+    /// dependencies; callers wrap it into their own error type.
     pub fn try_deserialize(buf: &[u8]) -> Result<Self, String> {
         // channel/kernel sanity caps: largest legitimate CFNN here is ~139
         // channels with 3×3 kernels
@@ -210,13 +221,13 @@ impl Sequential {
                     let in_c = r.dim(MAX_CHANNELS, "in_channels")?;
                     let out_c = r.dim(MAX_CHANNELS, "out_channels")?;
                     let k = r.dim(MAX_KERNEL, "kernel")?;
-                    let (w, b) = (r.f32s()?, r.f32s()?);
+                    let (w, b) = (r.f32s()?, r.biases()?);
                     Conv2d::from_weights(in_c, out_c, k, w, b).map(AnyLayer::Conv)
                 }
                 2 => {
                     let c = r.dim(MAX_CHANNELS, "channels")?;
                     let k = r.dim(MAX_KERNEL, "kernel")?;
-                    let (w, b) = (r.f32s()?, r.f32s()?);
+                    let (w, b) = (r.f32s()?, r.biases()?);
                     DepthwiseConv2d::from_weights(c, k, w, b).map(AnyLayer::Depthwise)
                 }
                 3 => Ok(AnyLayer::ReLU(ReLU::new())),
@@ -276,14 +287,27 @@ impl TryReader<'_> {
     }
 
     /// A length-prefixed f32 block, validated against the remaining buffer
-    /// before any allocation.
+    /// before any allocation; every value finite.
     fn f32s(&mut self) -> Result<Vec<f32>, String> {
         let n = self.u32()? as usize;
         let bytes = self.take(n.checked_mul(4).ok_or("f32 block length overflows")?)?;
-        Ok(bytes
+        let vals: Vec<f32> = bytes
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+            .collect();
+        match vals.iter().position(|v| !v.is_finite()) {
+            Some(i) => Err(format!("value {i} of a weight block is {}", vals[i])),
+            None => Ok(vals),
+        }
+    }
+
+    /// A convolution's bias block: [`Self::f32s`], and no `-0.0`.
+    fn biases(&mut self) -> Result<Vec<f32>, String> {
+        let b = self.f32s()?;
+        match b.iter().position(|v| v.to_bits() == (-0.0f32).to_bits()) {
+            Some(i) => Err(format!("bias {i} is -0.0")),
+            None => Ok(b),
+        }
     }
 }
 
@@ -380,6 +404,61 @@ mod tests {
         let out2 = net2.forward(&input, false);
         assert_eq!(out1.data, out2.data);
         assert_eq!(net.num_params(), net2.num_params());
+    }
+
+    /// One weighted layer of `kind` as [`Sequential::serialize`] writes it,
+    /// with its first weight set to `w0` and its last bias (the attention
+    /// gate's second weight block) to `b0`.
+    fn one_layer(kind: u8, w0: f32, b0: f32) -> Vec<u8> {
+        let blocks = |n: usize, m: usize| {
+            let (mut w, mut b) = (vec![0.25; n], vec![0.5; m]);
+            (w[0], b[m - 1]) = (w0, b0);
+            (w, b)
+        };
+        let layer = match kind {
+            1 => {
+                let (w, b) = blocks(2 * 3 * 9, 3);
+                AnyLayer::Conv(Conv2d::from_weights(2, 3, 3, w, b).unwrap())
+            }
+            2 => {
+                let (w, b) = blocks(3 * 9, 3);
+                AnyLayer::Depthwise(DepthwiseConv2d::from_weights(3, 3, w, b).unwrap())
+            }
+            _ => {
+                let (w1, w2) = blocks(4 * 2, 2 * 4);
+                AnyLayer::Attention(ChannelAttention::from_weights(4, 2, w1, w2).unwrap())
+            }
+        };
+        let bytes = Sequential {
+            layers: vec![layer],
+        }
+        .serialize();
+        assert_eq!(bytes[2], kind);
+        bytes
+    }
+
+    #[test]
+    fn non_finite_weights_and_negative_zero_biases_are_refused() {
+        for kind in [1, 2, 4] {
+            for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                for (w0, b0) in [(v, 0.5), (0.25, v)] {
+                    let parsed = Sequential::try_deserialize(&one_layer(kind, w0, b0));
+                    let err = parsed
+                        .err()
+                        .unwrap_or_else(|| panic!("tag {kind}: {w0}, {b0}"));
+                    assert!(err.contains(&v.to_string()), "tag {kind}: {err}");
+                }
+            }
+            // what the writer does write parses: a -0.0 weight, a +0.0 bias
+            for (w0, b0) in [(-0.0, 0.5), (0.25, 0.0), (-0.0, 0.0)] {
+                Sequential::try_deserialize(&one_layer(kind, w0, b0)).unwrap();
+            }
+            let negative_zero = Sequential::try_deserialize(&one_layer(kind, 0.25, -0.0));
+            match kind {
+                4 => assert!(negative_zero.is_ok(), "an attention weight may be -0.0"),
+                _ => assert_eq!(negative_zero.err().unwrap(), "bias 2 is -0.0"),
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!
 //! A snapshot's meta areas are under the same contract: every bit of a
 //! target's embedded model and hybrid weights, flipped, is a checksum
-//! error, never a decode — of a field that would miss the bound.
+//! error, never a decode — of a field that would miss the bound. A v2 meta
+//! area has no checksum; there a NaN written over a model weight is a
+//! corrupt model, refused when the model is parsed.
 //!
 //! And the two callers of the one cross-field encode step against each
 //! other: `CrossFieldCompressor::compress` and a one-block `ArchiveWriter`
@@ -282,6 +284,50 @@ fn a_wrong_arity_hybrid_is_the_same_error_through_decompress_and_the_reader() {
         .decode_field("RH")
         .unwrap_err();
     assert_eq!(through_reader.root_cause(), &direct);
+}
+
+/// The frozen v2 fixture with one weight of its embedded model (the first
+/// of the 4→12 convolution) overwritten by NaN. A v2 meta area carries no
+/// CRC, so only the model parser stands between that byte and a garbled
+/// target: the target's read is a corrupt model, `decode_all` fails, and
+/// the anchors read as they always did.
+#[test]
+fn a_nan_model_weight_in_a_v2_meta_area_is_a_corrupt_model() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/small_v2.cfar");
+    let clean = std::fs::read(&path).expect("golden v2 fixture");
+    // tag 1 (conv), in 4, out 12, kernel 3, 432 weights — then the weights
+    let mut header = vec![1u8];
+    for v in [4u32, 12, 3, 432] {
+        header.extend_from_slice(&v.to_le_bytes());
+    }
+    assert_eq!(&clean[2249..2266], &header[..], "the conv layer has moved");
+    let mut bad = clean.clone();
+    bad[2266..2270].copy_from_slice(&f32::NAN.to_le_bytes());
+
+    let (clean, bad) = (
+        ArchiveReader::new(&clean).expect("open clean"),
+        ArchiveReader::new(&bad).expect("a v2 manifest does not cover its meta areas"),
+    );
+    assert_eq!(bad.version(), 2);
+    let rh = bad.read(&ReadRequest::new("RH")).map(|_| ()).unwrap_err();
+    assert!(
+        matches!(rh.root_cause(), CfcError::Corrupt { context, .. } if *context == "embedded model"),
+        "{rh:?}"
+    );
+    assert!(bad.decode_all().is_err());
+    for anchor in ["T", "P"] {
+        let want = clean.read(&ReadRequest::new(anchor)).expect("clean anchor");
+        let got = bad.read(&ReadRequest::new(anchor)).expect("anchor");
+        assert_eq!(got.data.shape(), want.data.shape());
+        assert!(
+            got.data
+                .as_slice()
+                .iter()
+                .zip(want.data.as_slice())
+                .all(|(g, w)| g.to_bits() == w.to_bits()),
+            "{anchor} differs"
+        );
+    }
 }
 
 /// Each bit of every target's meta area (embedded CFNN and hybrid weights)

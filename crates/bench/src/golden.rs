@@ -15,7 +15,11 @@
 //!   fixture was generated by the pre-chunking writer and `write_v1` is
 //!   asserted byte-identical to it.
 //! * the production `ArchiveWriter` (via [`golden_builder`] and
-//!   [`golden_partial_builder`]) — produces the v3 fixtures.
+//!   [`golden_partial_builder`]) — produces the v3 fixtures. The golden
+//!   plan's `RH` is written with `ArchiveBuilder::always_cross_field`:
+//!   on these 32×32 fields it encodes to about 5.6 kB cross-field, 4.7 kB
+//!   of that the model, against under 1 kB independent, so the default
+//!   builder would demote it and the fixtures would hold no target row.
 //!
 //! `small_v2.cfar` and `partial_v2.cfar` are frozen: nothing writes v2 any
 //! more (a snapshot is a one-epoch v3 archive, the same bytes as epoch 0
@@ -150,11 +154,14 @@ pub fn golden_train_config() -> TrainConfig {
 }
 
 /// The production builder configured exactly like the fixtures: relative
-/// bound [`GOLDEN_REL_EB`], fast training, `RH` cross-field on `T`+`P`.
+/// bound [`GOLDEN_REL_EB`], fast training, `RH` cross-field on `T`+`P`,
+/// written as a target whatever its size
+/// ([`ArchiveBuilder::always_cross_field`]; see the module doc).
 pub fn golden_builder() -> ArchiveBuilder {
     ArchiveBuilder::relative(GOLDEN_REL_EB)
         .train_config(golden_train_config())
         .cross_field("RH", &["T", "P"])
+        .always_cross_field()
 }
 
 /// Builder for the 3-D partial-block fixture: baseline-only, chunk of 2

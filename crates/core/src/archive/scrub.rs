@@ -625,6 +625,7 @@ pub fn repair_bytes(bytes: &[u8]) -> Result<RepairOutcome, CfcError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::archive::tests::assert_has_target;
     use crate::archive::writer::ArchiveBuilder;
     use crate::config::TrainConfig;
     use cfc_tensor::{Dataset, Field, Shape};
@@ -647,13 +648,16 @@ mod tests {
         let mut ds = Dataset::new("SCRUB", shape);
         ds.push("A", a);
         ds.push("T", t);
-        ArchiveBuilder::relative(1e-3)
+        let bytes = ArchiveBuilder::relative(1e-3)
             .train_config(TrainConfig::fast())
             .cross_field("T", &["A"])
+            .always_cross_field()
             .chunk_elements(6 * 16)
             .build()
             .write(&ds)
-            .expect("archive write")
+            .expect("archive write");
+        assert_has_target(&bytes);
+        bytes
     }
 
     /// `n` evolving epochs of the [`sample_archive`] structure: same two
@@ -679,14 +683,17 @@ mod tests {
     /// epochs 0 and 2 are keyframes, 1 and 3 temporal deltas. Same block
     /// geometry as [`sample_archive`] (4 blocks per field per epoch).
     fn sample_temporal_archive() -> Vec<u8> {
-        ArchiveBuilder::relative(1e-3)
+        let bytes = ArchiveBuilder::relative(1e-3)
             .train_config(TrainConfig::fast())
             .cross_field("T", &["A"])
+            .always_cross_field()
             .chunk_elements(6 * 16)
             .keyframe_interval(2)
             .build()
             .write_epochs(&sample_epochs(4))
-            .expect("temporal archive write")
+            .expect("temporal archive write");
+        assert_has_target(&bytes);
+        bytes
     }
 
     fn find(haystack: &[u8], needle: &[u8]) -> usize {

@@ -49,6 +49,18 @@ fn small_train() -> TrainConfig {
     TrainConfig::fast()
 }
 
+/// `bytes` holds a cross-field target row. On fields this small the writer
+/// demotes a planned target, so the tests whose subject is a target row
+/// write with [`ArchiveBuilder::always_cross_field`] and check here that
+/// the row is there.
+pub(super) fn assert_has_target(bytes: &[u8]) {
+    let reader = ArchiveReader::new(bytes).unwrap();
+    assert!(
+        reader.entries().iter().any(|e| e.role == FieldRole::Target),
+        "the archive holds no target row"
+    );
+}
+
 #[test]
 fn archive_roundtrips_every_field_within_bound() {
     let ds = snapshot(40, 40);
@@ -56,9 +68,11 @@ fn archive_roundtrips_every_field_within_bound() {
     let report = ArchiveBuilder::relative(1e-3)
         .train_config(small_train())
         .cross_field("RH", &["T", "P"])
+        .always_cross_field()
         .build()
         .write_to(&ds, &mut bytes)
         .unwrap();
+    assert_has_target(&bytes);
     assert_eq!(report.fields.len(), 3);
     assert!(report.ratio() > 1.0, "ratio {}", report.ratio());
 
@@ -86,10 +100,12 @@ fn chunked_archive_roundtrips_and_blocks_match_slabs() {
     let report = ArchiveBuilder::relative(1e-3)
         .train_config(small_train())
         .cross_field("RH", &["T", "P"])
+        .always_cross_field()
         .chunk_elements(8 * 40)
         .build()
         .write_to(&ds, &mut bytes)
         .unwrap();
+    assert_has_target(&bytes);
     assert!(report.fields.iter().all(|f| f.n_blocks == 5), "{report:?}");
 
     let reader = ArchiveReader::new(&bytes).unwrap();
@@ -120,10 +136,12 @@ fn decode_region_matches_decode_all_crop() {
     let bytes = ArchiveBuilder::relative(1e-3)
         .train_config(small_train())
         .cross_field("RH", &["T", "P"])
+        .always_cross_field()
         .chunk_elements(6 * 24)
         .build()
         .write(&ds)
         .unwrap();
+    assert_has_target(&bytes);
     let reader = ArchiveReader::new(&bytes).unwrap();
     let dec = reader.decode_all().unwrap();
     for name in ["T", "P", "RH"] {
@@ -270,6 +288,7 @@ fn roles_recorded_in_manifest() {
     let bytes = ArchiveBuilder::relative(1e-2)
         .train_config(small_train())
         .cross_field("RH", &["T"])
+        .always_cross_field()
         .build()
         .write(&ds)
         .unwrap();
@@ -296,9 +315,11 @@ fn decode_field_reads_one_target() {
     let ds = snapshot(24, 24);
     let builder = ArchiveBuilder::relative(1e-3)
         .train_config(small_train())
-        .cross_field("RH", &["T", "P"]);
+        .cross_field("RH", &["T", "P"])
+        .always_cross_field();
     let mut bytes = Vec::new();
     let report = builder.build().write_to(&ds, &mut bytes).unwrap();
+    assert_has_target(&bytes);
     let reader = ArchiveReader::new(&bytes).unwrap();
     let rh = reader.decode_field("RH").unwrap();
     let eb = report
@@ -392,12 +413,14 @@ fn parallel_and_serial_writes_are_bit_identical() {
         ArchiveBuilder::relative(1e-3)
             .train_config(small_train())
             .cross_field("RH", &["T", "P"])
+            .always_cross_field()
             .chunk_elements(8 * 32)
             .threads(threads)
             .build()
             .write(&ds)
             .unwrap()
     };
+    assert_has_target(&build(1));
     assert_eq!(build(1), build(4), "thread count must not change bytes");
 }
 
@@ -519,10 +542,12 @@ fn decode_region_reads_each_anchor_block_once_even_with_duplicate_anchors() {
     let bytes = ArchiveBuilder::relative(1e-3)
         .train_config(small_train())
         .cross_field("RH", &["T", "T"])
+        .always_cross_field()
         .chunk_elements(8 * 40)
         .build()
         .write(&ds)
         .unwrap();
+    assert_has_target(&bytes);
 
     let (reader, read) = counting_reader(&bytes);
     let entry = |name: &str| reader.entries()[reader.entry_index(name).unwrap()].clone();
@@ -556,10 +581,12 @@ fn chunked_cross_field_archive() -> (Dataset, Vec<u8>) {
     let bytes = ArchiveBuilder::relative(1e-3)
         .train_config(small_train())
         .cross_field("RH", &["T", "P"])
+        .always_cross_field()
         .chunk_elements(8 * 40)
         .build()
         .write(&ds)
         .unwrap();
+    assert_has_target(&bytes);
     (ds, bytes)
 }
 
@@ -783,11 +810,13 @@ fn temporal_archive_roundtrips_and_is_epoch_addressable() {
     let report = ArchiveBuilder::relative(1e-3)
         .train_config(small_train())
         .cross_field("RH", &["T", "P"])
+        .always_cross_field()
         .chunk_elements(6 * 30)
         .keyframe_interval(3)
         .build()
         .write_epochs_to(&snaps, &mut bytes)
         .unwrap();
+    assert_has_target(&bytes);
     assert_eq!(report.epochs.len(), 7);
     assert_eq!(report.keyframe_interval, 3);
     assert!(report.ratio() > 1.0, "ratio {}", report.ratio());
@@ -894,7 +923,7 @@ fn series_3d() -> Vec<u8> {
             ds
         })
         .collect();
-    ArchiveBuilder::relative(1e-3)
+    let bytes = ArchiveBuilder::relative(1e-3)
         .train_config(TrainConfig {
             patch: 6,
             n_patches: 8,
@@ -904,11 +933,14 @@ fn series_3d() -> Vec<u8> {
             seed: 5,
         })
         .cross_field("B", &["A"])
+        .always_cross_field()
         .chunk_elements(3 * 16 * 18)
         .keyframe_interval(3)
         .build()
         .write_epochs(&snaps)
-        .unwrap()
+        .unwrap();
+    assert_has_target(&bytes);
+    bytes
 }
 
 fn same_bits(a: &Field, b: &Field) -> bool {

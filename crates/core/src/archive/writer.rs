@@ -22,7 +22,7 @@
 //! | role | lattice | predictor |
 //! |---|---|---|
 //! | independent, anchor | the slab, quantized at the bound its own statistics resolve | Lorenzo |
-//! | target | the slab's rows of the whole-field lattice (the hybrid fit samples it whole) | Lorenzo mixed with the CFNN differences inferred from the anchors' views of that block — both out of one [`TargetFit`], the step `CrossFieldCompressor::compress` takes with one block |
+//! | target | the slab's rows of the whole-field lattice (the hybrid fit samples it whole) | Lorenzo mixed with the CFNN differences inferred from the anchors' views of that block — both out of one [`TargetFit`], the step `CrossFieldCompressor::compress` takes with one block. Kept only where model, hybrid weights and blocks come to fewer bytes than the field's independent encoding, which is written in its place otherwise |
 //! | delta | the slab, quantized like an independent's | Lorenzo mixed with the previous epoch's view of that slab |
 //!
 //! Lattice coding is lossless: the reader rebuilds exactly the lattice that
@@ -73,6 +73,7 @@ pub struct ArchiveBuilder {
     threads: usize,
     chunk_elements: usize,
     keyframe_interval: usize,
+    always_cross_field: bool,
 }
 
 impl ArchiveBuilder {
@@ -87,6 +88,7 @@ impl ArchiveBuilder {
             threads: 0,
             chunk_elements: DEFAULT_CHUNK_ELEMENTS,
             keyframe_interval: DEFAULT_KEYFRAME_INTERVAL,
+            always_cross_field: false,
         }
     }
 
@@ -135,6 +137,15 @@ impl ArchiveBuilder {
     /// Mark `target` as a cross-field target conditioned on `anchors`
     /// (paper Table 3 row), with the default architecture for the dataset's
     /// dimensionality.
+    ///
+    /// A plan row is a request. Each keyframe encodes the target both ways
+    /// and keeps the cross-field row only where its meta area (model and
+    /// hybrid weights) plus blocks is strictly smaller than the field's
+    /// independent (Lorenzo) encoding; otherwise the field is written as an
+    /// independent row, and reading it runs no CFNN. A model the writer just
+    /// trained that diverged (a non-finite weight) is demoted the same way.
+    /// The anchors keep their role either way. See
+    /// [`always_cross_field`](Self::always_cross_field).
     pub fn cross_field(mut self, target: &str, anchors: &[&str]) -> Self {
         self.targets.push((
             target.to_string(),
@@ -147,7 +158,8 @@ impl ArchiveBuilder {
     }
 
     /// Adopt experiment rows (e.g. `paper_table3()` filtered to one
-    /// dataset) as the role plan.
+    /// dataset) as the role plan. Each row is a request, kept per keyframe
+    /// only where it is smaller, as for [`cross_field`](Self::cross_field).
     pub fn plan_from(mut self, rows: &[CrossFieldConfig]) -> Self {
         for row in rows {
             self.targets.push((
@@ -158,6 +170,20 @@ impl ArchiveBuilder {
                 },
             ));
         }
+        self
+    }
+
+    /// Write every planned target as a cross-field row, even where the
+    /// independent encoding is smaller, and fail the write on a trained
+    /// model the reader would refuse instead of demoting the target.
+    ///
+    /// For fixtures and tests whose subject is a target row. On a small
+    /// field the model dominates: the golden 32×32 `RH` encodes to about
+    /// 5.6 kB cross-field (4 685 B of it the model) against under 1 kB
+    /// independent, so without this the golden archives would carry no
+    /// target row at all.
+    pub fn always_cross_field(mut self) -> Self {
+        self.always_cross_field = true;
         self
     }
 
@@ -177,7 +203,8 @@ pub struct ArchiveWriter {
 pub struct FieldReport {
     /// Field name.
     pub name: String,
-    /// Role the plan assigned.
+    /// Role the field was written with: a planned target the writer
+    /// demoted is [`FieldRole::Independent`].
     pub role: FieldRole,
     /// Compressed payload size in bytes (meta + all blocks).
     pub bytes: usize,
@@ -324,11 +351,16 @@ struct EncodedField<'p> {
 }
 
 impl EncodedField<'_> {
+    /// Payload size: meta area and every block.
+    fn bytes(&self) -> usize {
+        self.meta.len() + self.blocks.iter().map(Vec::len).sum::<usize>()
+    }
+
     fn report(&self, name: &str) -> FieldReport {
         FieldReport {
             name: name.to_string(),
             role: self.role,
-            bytes: self.meta.len() + self.blocks.iter().map(Vec::len).sum::<usize>(),
+            bytes: self.bytes(),
             n_blocks: self.blocks.len(),
             eb_abs: self.eb_abs,
         }
@@ -716,10 +748,12 @@ impl ArchiveWriter {
             .collect())
     }
 
-    /// Encode a keyframe: anchors and independents first (one task list
-    /// across all of them), then every CFNN trained in parallel, then the
-    /// targets — each inferred, fitted and encoded blockwise against its
-    /// anchors' views.
+    /// Encode a keyframe: every field's independent (Lorenzo) encoding
+    /// first, in one task list — a planned target's is its fallback — then
+    /// every CFNN trained in parallel, then the targets, each inferred,
+    /// fitted and encoded blockwise against its anchors' views, and kept
+    /// only where it is smaller than its fallback (see
+    /// [`ArchiveBuilder::cross_field`]).
     fn encode_keyframe<'p>(
         &self,
         plan: &'p Plan,
@@ -729,18 +763,15 @@ impl ArchiveWriter {
         pool: &ScratchPool<EncodeScratch>,
     ) -> Result<Vec<EncodedField<'p>>, CfcError> {
         let threads = self.threads();
-        let base: Vec<usize> = (0..fields.len())
-            .filter(|&fi| plan.roles[fi] != FieldRole::Target)
-            .collect();
         let encoded = self.encode_blocks(
             plan,
             pool,
-            base.len(),
+            fields.len(),
             // a target's inference must see its anchors as the reader will
-            |i| want_views || plan.roles[base[i]] == FieldRole::Anchor,
-            |i, _, (r0, r1)| {
-                let slab = fields[base[i]].slab(r0, r1);
-                let (lattice, eb) = quantize_slab(&slab, bounds[base[i]].0)?;
+            |fi| want_views || plan.roles[fi] == FieldRole::Anchor,
+            |fi, _, (r0, r1)| {
+                let slab = fields[fi].slab(r0, r1);
+                let (lattice, eb) = quantize_slab(&slab, bounds[fi].0)?;
                 Ok(Block {
                     lattice,
                     eb,
@@ -748,17 +779,21 @@ impl ArchiveWriter {
                 })
             },
         )?;
-        let mut out: Vec<Option<EncodedField>> = fields.iter().map(|_| None).collect();
-        for (&fi, (blocks, view)) in base.iter().zip(encoded) {
-            out[fi] = Some(EncodedField {
-                role: plan.roles[fi],
+        let mut out: Vec<EncodedField> = encoded
+            .into_iter()
+            .enumerate()
+            .map(|(fi, (blocks, view))| EncodedField {
+                role: match plan.roles[fi] {
+                    FieldRole::Target => FieldRole::Independent,
+                    role => role,
+                },
                 anchors: &[],
                 eb_abs: bounds[fi].0,
                 meta: Vec::new(),
                 blocks,
                 view,
-            });
-        }
+            })
+            .collect();
 
         // every CFNN trains in parallel (training dominates the cost), on
         // original data: one model serves every bound (paper §III-D2)
@@ -777,10 +812,10 @@ impl ArchiveWriter {
             let anchors: Vec<&Field> = row
                 .anchors
                 .iter()
-                .map(|&a| out[a].as_ref().and_then(|f| f.view.as_ref()))
+                .map(|&a| out[a].view.as_ref())
                 .collect::<Option<_>>()
-                .expect("anchors are encoded first and keep their view");
-            let fit = TargetFit::new(
+                .expect("anchors keep their view");
+            let fit = match TargetFit::new(
                 model,
                 fields[row.field],
                 eb,
@@ -788,7 +823,15 @@ impl ArchiveWriter {
                 &rows,
                 &self.cfg.hybrid,
                 threads,
-            )?;
+            ) {
+                Ok(fit) => fit,
+                // a diverged training run: the reader would refuse the model
+                Err(CfcError::Corrupt {
+                    context: "embedded model",
+                    ..
+                }) if !self.cfg.always_cross_field => continue,
+                Err(e) => return Err(e),
+            };
 
             let (blocks, view) = self
                 .encode_blocks(
@@ -810,19 +853,19 @@ impl ArchiveWriter {
                 )?
                 .pop()
                 .expect("one field asked for");
-            out[row.field] = Some(EncodedField {
+            let cross = EncodedField {
                 role: FieldRole::Target,
                 anchors: row.anchor_names,
                 eb_abs: eb_user,
                 meta: write_meta_area(&fit.model, &fit.hybrid.serialize()),
                 blocks,
                 view,
-            });
+            };
+            if self.cfg.always_cross_field || cross.bytes() < out[row.field].bytes() {
+                out[row.field] = cross;
+            }
         }
-        Ok(out
-            .into_iter()
-            .map(|f| f.expect("every field is a target or not"))
-            .collect())
+        Ok(out)
     }
 
     /// Encode one delta epoch: every field is conditioned on the reader's
@@ -930,7 +973,7 @@ mod tests {
         ds
     }
 
-    fn writer() -> ArchiveWriter {
+    fn builder() -> ArchiveBuilder {
         ArchiveBuilder::relative(1e-3)
             .train_config(TrainConfig {
                 patch: 6,
@@ -944,16 +987,24 @@ mod tests {
             .chunk_elements(3 * 16 * 18)
             .keyframe_interval(3)
             .threads(2)
-            .build()
     }
 
     /// The view an epoch hands to the next is what a reader decodes from
     /// the bytes written up to and including that epoch — for a keyframe's
-    /// anchor and target, for a delta on a keyframe, for a delta on a delta.
+    /// anchor and target (kept, and demoted to its independent encoding),
+    /// for a delta on a keyframe, for a delta on a delta.
     #[test]
     fn the_view_each_epoch_hands_on_is_what_the_reader_decodes() {
+        for (builder, b_role) in [
+            (builder(), FieldRole::Independent),
+            (builder().always_cross_field(), FieldRole::Target),
+        ] {
+            views_are_what_the_reader_decodes(builder.build(), b_role);
+        }
+    }
+
+    fn views_are_what_the_reader_decodes(writer: ArchiveWriter, b_role: FieldRole) {
         let snaps: Vec<Dataset> = (0..5).map(|e| epoch(e as f32)).collect();
-        let writer = writer();
         let plan = writer.plan(&snaps).unwrap();
         let pool = ScratchPool::new(2);
         let mut views: Vec<Option<Field>> = Vec::new();
@@ -961,6 +1012,9 @@ mod tests {
             let encoded = writer
                 .encode_epoch(&plan, e, &snaps[e], &views, true, &pool)
                 .unwrap();
+            if e % 3 == 0 {
+                assert_eq!(encoded[1].role, b_role, "B@e{e}");
+            }
             views = encoded.into_iter().map(|f| f.view).collect();
 
             let so_far = writer.write_epochs(&snaps[..=e]).unwrap();
@@ -1000,7 +1054,7 @@ mod tests {
             }
             ds
         };
-        let writer = writer();
+        let writer = builder().build();
         assert!(writer.plan(&[good.clone(), good.clone()]).is_ok());
         for name in ["A", "B"] {
             for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {

@@ -7,7 +7,10 @@
 //! plan sends RH and W through the cross-field pipeline (anchor roundtrip,
 //! CFNN training, hybrid fitting all happen inside the writer), everything
 //! else through the baseline compressor — and every field is split into
-//! independently decodable CRC'd blocks, encoded in parallel.
+//! independently decodable CRC'd blocks, encoded in parallel. A target
+//! whose cross-field encoding, model included, is not smaller than its
+//! baseline one is written as an independent field; the role column
+//! shows which.
 //!
 //! The read side opens the file with `ArchiveReader::open`, parses only
 //! the manifest, and then:

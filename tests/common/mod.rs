@@ -1,8 +1,12 @@
-//! Residual-stream builders shared by the kernel differential tests
-//! (`lorenzo_kernel.rs`, `temporal_kernel.rs`): seeded code and outlier
-//! streams, well-formed and malformed, and the container a block decoder
-//! meets them in.
+//! Helpers shared by the integration tests. Residual-stream builders for
+//! the kernel differential tests (`lorenzo_kernel.rs`,
+//! `temporal_kernel.rs`): seeded code and outlier streams, well-formed and
+//! malformed, and the container a block decoder meets them in. And
+//! [`assert_has_target`], for every test whose subject is a cross-field
+//! target row. Each test binary uses a part of this module.
+#![allow(dead_code)]
 
+use cross_field_compression::core::archive::{ArchiveReader, FieldRole};
 use cross_field_compression::sz::compressor::{encode_codes_into, encode_outliers_into};
 use cross_field_compression::sz::lossless::LzScratch;
 use cross_field_compression::sz::stream::{Container, SectionTag};
@@ -125,4 +129,18 @@ pub fn leading(c: &Container, predictor: &dyn Predictor, rows: usize) -> Result<
         (with, into) => assert_eq!(with.as_ref().err(), into.err().as_ref()),
     }
     with
+}
+
+/// `bytes` holds a cross-field target row. The writer demotes a target
+/// whose cross-field encoding is not smaller than its independent one, and
+/// on test-sized fields it nearly always is not: a test whose subject is a
+/// target row writes with `ArchiveBuilder::always_cross_field` and checks
+/// here that the row is there, so it cannot turn into a baseline test
+/// unnoticed.
+pub fn assert_has_target(bytes: &[u8]) {
+    let reader = ArchiveReader::new(bytes).expect("open");
+    assert!(
+        reader.entries().iter().any(|e| e.role == FieldRole::Target),
+        "the archive holds no target row"
+    );
 }

@@ -1,6 +1,8 @@
 //! Cross-crate integration tests: the full paper pipeline on the synthetic
 //! datasets, spanning `cfc-datagen → cfc-core → cfc-sz → cfc-metrics`.
 
+mod common;
+
 use cross_field_compression::core::archive::{ArchiveBuilder, ArchiveReader};
 use cross_field_compression::core::config::{CfnnSpec, TrainConfig};
 use cross_field_compression::core::pipeline::CrossFieldCompressor;
@@ -249,6 +251,7 @@ fn a_bad_train_config_is_a_typed_error_and_an_untrained_net_is_a_model() {
         let written = ArchiveBuilder::relative(1e-3)
             .train_config(cfg)
             .cross_field("RH", &["T", "QV", "PRES"])
+            .always_cross_field()
             .build()
             .write(&ds);
         match (written, rejected) {
@@ -256,6 +259,7 @@ fn a_bad_train_config_is_a_typed_error_and_an_untrained_net_is_a_model() {
                 assert!(why.contains(field), "{what}: {why}");
             }
             (Ok(bytes), None) => {
+                common::assert_has_target(&bytes);
                 let reader = ArchiveReader::new(&bytes).expect("parse");
                 let dec = reader.decode_all().expect("decode");
                 for e in reader.entries() {

@@ -19,10 +19,17 @@
 //! other: `CrossFieldCompressor::compress` and a one-block `ArchiveWriter`
 //! target reconstruct the same field bit for bit, and `decompress` and the
 //! reader refuse the same wrong-arity hybrid weights with the same error.
+//!
+//! And the writer's guard: a planned target whose cross-field encoding is
+//! not smaller than its independent one — or whose freshly trained model
+//! diverged — is written as the row a baseline-only write holds, which
+//! opens, scrubs clean, needs no repair and holds the bound; each keyframe
+//! of a series decides on its own.
 
 use cfc_bench::golden;
 use cross_field_compression::core::archive::{
-    ArchiveBuilder, ArchiveReader, ArchiveStore, FieldRole, ReadRequest, StoreConfig,
+    repair_bytes, scrub_bytes, ArchiveBuilder, ArchiveEntry, ArchiveReader, ArchiveStore,
+    FieldRole, ReadRequest, ScrubOptions, StoreConfig,
 };
 use cross_field_compression::core::{
     train_cfnn, CfnnSpec, CrossFieldCompressor, HybridModel, TrainConfig,
@@ -132,6 +139,7 @@ fn snapshot_holds_the_bound_against_the_original_on_every_read_path() {
     let bytes = ArchiveBuilder::relative(1e-3)
         .train_config(barely)
         .cross_field("RH", &["T", "QV", "PRES"])
+        .always_cross_field()
         .chunk_elements(2 * 24 * 24)
         .build()
         .write(&ds)
@@ -212,6 +220,7 @@ fn compress_and_a_one_block_writer_target_reconstruct_the_same_field() {
     let archive = ArchiveBuilder::relative(golden::GOLDEN_REL_EB)
         .train_config(barely)
         .cross_field("RH", &["T", "P"])
+        .always_cross_field()
         .build()
         .write(&ds)
         .expect("write");
@@ -374,4 +383,183 @@ fn every_flipped_bit_of_a_snapshot_meta_area_is_a_checksum_error() {
         flips > 8 * 1000,
         "{flips} flips: the model is in the meta area"
     );
+}
+
+/// The golden plan under the default builder: on 32×32 fields the model
+/// alone outweighs `RH`'s independent encoding, so the writer demotes `RH`
+/// to the row a baseline-only write holds — same bytes, same samples, no
+/// anchors, no meta area — while `T` and `P` stay anchors. That archive
+/// opens, scrubs clean light and deep, is left as it is by `repair_bytes`,
+/// and holds the bound on every read path.
+#[test]
+fn a_planned_target_that_loses_is_written_as_its_baseline_row() {
+    let ds = golden::golden_dataset();
+    let write = |builder: ArchiveBuilder| {
+        let mut bytes = Vec::new();
+        let report = builder
+            .chunk_elements(golden::GOLDEN_CHUNK_ELEMENTS)
+            .build()
+            .write_to(&ds, &mut bytes)
+            .expect("write");
+        let rh = report.fields.into_iter().find(|f| f.name == "RH");
+        (bytes, rh.expect("RH reported"))
+    };
+    let (guarded, rh) = write(
+        ArchiveBuilder::relative(golden::GOLDEN_REL_EB)
+            .train_config(golden::golden_train_config())
+            .cross_field("RH", &["T", "P"]),
+    );
+    let (baseline, baseline_rh) = write(ArchiveBuilder::relative(golden::GOLDEN_REL_EB));
+    assert_eq!(rh.role, FieldRole::Independent);
+    assert_eq!(rh.bytes, baseline_rh.bytes);
+
+    let reader = ArchiveReader::new(&guarded).expect("open");
+    let roles: Vec<(&str, FieldRole)> = reader
+        .entries()
+        .iter()
+        .map(|e| (e.name.as_str(), e.role))
+        .collect();
+    use FieldRole::{Anchor, Independent};
+    assert_eq!(roles, [("T", Anchor), ("P", Anchor), ("RH", Independent)]);
+    let entry = reader.entries().iter().find(|e| e.name == "RH").unwrap();
+    assert!(entry.anchors.is_empty() && entry.meta_len() == 0);
+    let want = ArchiveReader::new(&baseline)
+        .and_then(|r| r.decode_field("RH"))
+        .expect("baseline RH");
+    let got = reader.decode_field("RH").expect("RH");
+    assert!(
+        same_bits(&got, &want),
+        "RH differs from its baseline decode"
+    );
+
+    for deep in [false, true] {
+        let scrub = scrub_bytes(&guarded, &ScrubOptions { deep });
+        assert!(scrub.is_clean(), "deep {deep}: {:?}", scrub.findings);
+    }
+    let repaired = repair_bytes(&guarded).expect("repair");
+    assert!(repaired.actions.is_empty(), "{:?}", repaired.actions);
+    assert!(repaired.bytes == guarded, "repair rewrote a clean archive");
+    assert_eq!(
+        check_every_path(&guarded, std::slice::from_ref(&ds), 8),
+        ds.len()
+    );
+}
+
+/// Each keyframe of a series with a plan decides its targets on its own:
+/// its rows and payloads are the ones a snapshot of that epoch alone
+/// writes. And the delta chain still decodes bit-equal to snapshots
+/// written with no plan.
+#[test]
+fn each_keyframe_of_a_series_decides_on_its_own() {
+    let snaps = golden::golden_epochs(golden::GOLDEN_V3_EPOCHS);
+    let plain = || {
+        ArchiveBuilder::relative(golden::GOLDEN_REL_EB)
+            .chunk_elements(golden::GOLDEN_CHUNK_ELEMENTS)
+    };
+    let planned = || {
+        plain()
+            .train_config(golden::golden_train_config())
+            .cross_field("RH", &["T", "P"])
+            .keyframe_interval(golden::GOLDEN_KEYFRAME_INTERVAL)
+    };
+    let series = planned()
+        .build()
+        .write_epochs(&snaps)
+        .expect("write_epochs");
+    let reader = ArchiveReader::new(&series).expect("open");
+    let payload = |bytes: &[u8], e: &ArchiveEntry| {
+        let block0 = e.block_span(0).expect("span").0 as usize;
+        let (off, len) = e.block_span(e.n_blocks() - 1).expect("span");
+        bytes[block0 - e.meta_len()..off as usize + len].to_vec()
+    };
+    for (epoch, ds) in snaps.iter().enumerate() {
+        if epoch % golden::GOLDEN_KEYFRAME_INTERVAL == 0 {
+            let alone = planned().build().write(ds).expect("write");
+            let alone_reader = ArchiveReader::new(&alone).expect("open");
+            for e in reader.entries().iter().filter(|e| e.epoch == epoch) {
+                let a = alone_reader.entries().iter().find(|a| a.name == e.name);
+                let a = a.expect("same fields");
+                assert_eq!(
+                    (e.role, e.meta_len()),
+                    (a.role, a.meta_len()),
+                    "{}@e{epoch}",
+                    e.name
+                );
+                assert!(
+                    payload(&series, e) == payload(&alone, a),
+                    "{}@e{epoch}: the keyframe is not the snapshot's",
+                    e.name
+                );
+            }
+        }
+        let want = plain().build().write(ds).expect("write");
+        let want = ArchiveReader::new(&want)
+            .and_then(|r| r.decode_all())
+            .expect("decode");
+        let got = reader.decode_epoch(epoch).expect("decode_epoch");
+        for (name, w) in want.iter() {
+            assert!(same_bits(got.expect_field(name), w), "{name}@e{epoch}");
+        }
+    }
+}
+
+/// A training run that diverges: at a learning rate of 1e30 the weights
+/// leave the finite range within a few steps (asserted below). That model
+/// is one the reader refuses, and under the default
+/// builder it is not a failed write: the target is written as its
+/// independent encoding, within its bound. Under `always_cross_field` it
+/// stops the write, as a corrupt embedded model.
+#[test]
+fn a_diverged_training_run_demotes_the_target_instead_of_failing_the_write() {
+    let ds = golden::golden_dataset();
+    let diverged = TrainConfig {
+        lr: 1e30,
+        ..golden::golden_train_config()
+    };
+    let anchors = [ds.expect_field("T"), ds.expect_field("P")];
+    // the model the writer trains: same spec, same data, same seed
+    let mut trained = train_cfnn(
+        &CfnnSpec::scaled_2d(2),
+        &diverged,
+        &anchors,
+        ds.expect_field("RH"),
+    );
+    let params = trained.net.params();
+    assert!(
+        params
+            .iter()
+            .any(|p| p.values.iter().any(|v| !v.is_finite())),
+        "the training run did not diverge"
+    );
+    let builder = || {
+        ArchiveBuilder::relative(golden::GOLDEN_REL_EB)
+            .train_config(diverged)
+            .cross_field("RH", &["T", "P"])
+            .chunk_elements(golden::GOLDEN_CHUNK_ELEMENTS)
+    };
+    let bytes = builder()
+        .build()
+        .write(&ds)
+        .expect("a diverged model demotes");
+    let reader = ArchiveReader::new(&bytes).expect("open");
+    let rh = reader.entries().iter().find(|e| e.name == "RH").unwrap();
+    assert_eq!(rh.role, FieldRole::Independent);
+    assert_eq!(
+        check_every_path(&bytes, std::slice::from_ref(&ds), 8),
+        ds.len()
+    );
+    let refused = builder().always_cross_field().build().write(&ds);
+    assert!(
+        matches!(&refused, Err(CfcError::Corrupt { context, .. }) if *context == "embedded model"),
+        "{:?}",
+        refused.map(|b| b.len())
+    );
+}
+
+fn same_bits(a: &Field, b: &Field) -> bool {
+    a.shape() == b.shape()
+        && a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
 }

@@ -14,6 +14,8 @@
 //!   keyframe — while epoch-scoped store invalidation drops exactly the
 //!   entries a torn-tail repair removed from disk.
 
+mod common;
+
 use std::io::Cursor;
 
 use cross_field_compression::core::archive::{
@@ -40,13 +42,16 @@ fn sample_archive() -> Vec<u8> {
             let mut ds = Dataset::new("FAULT", shape);
             ds.push("A", anchor);
             ds.push("T", target);
-            ArchiveBuilder::relative(1e-3)
+            let bytes = ArchiveBuilder::relative(1e-3)
                 .train_config(TrainConfig::fast())
                 .cross_field("T", &["A"])
+                .always_cross_field()
                 .chunk_elements(ROWS_PER_BLOCK * COLS)
                 .build()
                 .write(&ds)
-                .expect("archive write")
+                .expect("archive write");
+            common::assert_has_target(&bytes);
+            bytes
         })
         .clone()
 }
@@ -75,14 +80,17 @@ fn temporal_archive() -> Vec<u8> {
                     ds
                 })
                 .collect();
-            ArchiveBuilder::relative(1e-3)
+            let bytes = ArchiveBuilder::relative(1e-3)
                 .train_config(TrainConfig::fast())
                 .cross_field("T", &["A"])
+                .always_cross_field()
                 .chunk_elements(ROWS_PER_BLOCK * COLS)
                 .keyframe_interval(INTERVAL)
                 .build()
                 .write_epochs(&snapshots)
-                .expect("temporal archive write")
+                .expect("temporal archive write");
+            common::assert_has_target(&bytes);
+            bytes
         })
         .clone()
 }

@@ -17,6 +17,8 @@
 //! * the store resolves a delta chain with the same constant stack the
 //!   reader does, however long the chain is.
 
+mod common;
+
 use std::io::Cursor;
 
 use cross_field_compression::core::archive::{
@@ -287,10 +289,12 @@ fn a_window_is_the_crop_of_the_whole_on_every_row_range() {
     let volume = ArchiveBuilder::relative(1e-3)
         .train_config(barely)
         .cross_field("RH", &["T", "QV", "PRES"])
+        .always_cross_field()
         .chunk_elements(4 * 16 * 16)
         .build()
         .write(&ds)
         .expect("write");
+    common::assert_has_target(&volume);
     assert_eq!(check_row_windows(&volume, "3-D snapshot"), 55 * ds.len());
 
     // 2-D cross-field plan in three blocks of eight rows — a block is one
@@ -302,17 +306,20 @@ fn a_window_is_the_crop_of_the_whole_on_every_row_range() {
         ArchiveBuilder::relative(1e-3)
             .train_config(barely)
             .cross_field("RH", &["TS", "PS"])
+            .always_cross_field()
             .chunk_elements(8 * 32)
             .keyframe_interval(3)
             .build()
     };
     let snapshot = planar().write(&epochs[0]).expect("write");
+    common::assert_has_target(&snapshot);
     let per_field = row_windows(24, 8).len();
     assert_eq!(
         check_row_windows(&snapshot, "2-D snapshot"),
         per_field * epochs[0].len()
     );
     let series = planar().write_epochs(&epochs).expect("write_epochs");
+    common::assert_has_target(&series);
     assert_eq!(
         check_row_windows(&series, "2-D series"),
         per_field * epochs[0].len() * 2

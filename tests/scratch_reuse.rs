@@ -4,6 +4,8 @@
 //! lattice/byte buffers (asserted via the scratch types' capacity-growth
 //! counters).
 
+mod common;
+
 use cross_field_compression::core::archive::{ArchiveBuilder, ArchiveReader, ArchiveScratch};
 use cross_field_compression::sz::{
     DecodeScratch, EncodeScratch, ErrorBound, PredictorKind, QuantizerConfig, SzCompressor,
@@ -270,10 +272,12 @@ fn cfnn_workspace_is_lazy_then_reused() {
     let bytes = ArchiveBuilder::relative(1e-3)
         .train_config(TrainConfig::fast())
         .cross_field("RH", &["T", "P"])
+        .always_cross_field()
         .chunk_elements(6 * 40) // 8 equal blocks
         .build()
         .write(&ds)
         .unwrap();
+    common::assert_has_target(&bytes);
     let reader = ArchiveReader::new(&bytes).unwrap();
     let n_blocks = reader.entries()[0].n_blocks();
     let pass = |field: &str, scratch: &mut ArchiveScratch| -> Vec<Field> {

@@ -12,6 +12,8 @@
 //! * shutdown is clean: every server thread joins, the port stops
 //!   accepting, and a server dropped mid-traffic does not hang.
 
+mod common;
+
 use std::io::{Cursor, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -57,13 +59,16 @@ fn archive_bytes() -> Vec<u8> {
     static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
     BYTES
         .get_or_init(|| {
-            ArchiveBuilder::relative(1e-3)
+            let bytes = ArchiveBuilder::relative(1e-3)
                 .train_config(TrainConfig::fast())
                 .cross_field("RH", &["T", "P"])
+                .always_cross_field()
                 .chunk_elements(CHUNK_ROWS * COLS)
                 .build()
                 .write(&snapshot())
-                .expect("write test archive")
+                .expect("write test archive");
+            common::assert_has_target(&bytes);
+            bytes
         })
         .clone()
 }
@@ -191,11 +196,13 @@ fn epochs_over_http_match_the_reader() {
     let bytes = ArchiveBuilder::relative(1e-3)
         .train_config(TrainConfig::fast())
         .cross_field("RH", &["T"])
+        .always_cross_field()
         .chunk_elements(8 * 32)
         .keyframe_interval(2)
         .build()
         .write_epochs(&series)
         .expect("write series");
+    common::assert_has_target(&bytes);
     let reader = ArchiveReader::new(&bytes).expect("open");
     let store =
         ArchiveStore::open(Cursor::new(bytes.clone()), StoreConfig::default()).expect("parse");

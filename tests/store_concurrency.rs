@@ -8,6 +8,8 @@
 //! * the v1 golden fixture served through the store matches its direct
 //!   reader decode.
 
+mod common;
+
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -38,13 +40,16 @@ fn snapshot(rows: usize, cols: usize) -> Dataset {
 }
 
 fn cross_field_archive(rows: usize, cols: usize, chunk_rows: usize) -> Vec<u8> {
-    ArchiveBuilder::relative(1e-3)
+    let bytes = ArchiveBuilder::relative(1e-3)
         .train_config(TrainConfig::fast())
         .cross_field("RH", &["T", "P"])
+        .always_cross_field()
         .chunk_elements(chunk_rows * cols)
         .build()
         .write(&snapshot(rows, cols))
-        .expect("write")
+        .expect("write");
+    common::assert_has_target(&bytes);
+    bytes
 }
 
 use cfc_bench::rng::XorShift;

@@ -8,6 +8,8 @@
 //!   byte-exact and accounted separately from demand traffic;
 //! * repeated probes for unknown field names hit the negative name cache.
 
+mod common;
+
 use std::sync::Arc;
 
 use cross_field_compression::core::archive::{
@@ -34,13 +36,16 @@ fn sample_archive() -> Vec<u8> {
             let mut ds = Dataset::new("TIERS", shape);
             ds.push("A", anchor);
             ds.push("T", target);
-            ArchiveBuilder::relative(1e-3)
+            let bytes = ArchiveBuilder::relative(1e-3)
                 .train_config(TrainConfig::fast())
                 .cross_field("T", &["A"])
+                .always_cross_field()
                 .chunk_elements(CHUNK_ROWS * COLS)
                 .build()
                 .write(&ds)
-                .expect("archive write")
+                .expect("archive write");
+            common::assert_has_target(&bytes);
+            bytes
         })
         .clone()
 }

@@ -3,6 +3,8 @@
 //! return `Err(CfcError)` — never panic, never decode garbage silently —
 //! through both the baseline [`SzCompressor`] and the archive reader.
 
+mod common;
+
 use cross_field_compression::core::archive::{
     ArchiveBuilder, ArchiveReader, DecodePolicy, ReadRequest,
 };
@@ -38,10 +40,12 @@ fn sample_archive() -> (Vec<u8>, Dataset) {
     let bytes = ArchiveBuilder::relative(1e-3)
         .train_config(TrainConfig::fast())
         .cross_field("T", &["A"])
+        .always_cross_field()
         .chunk_elements(6 * 24)
         .build()
         .write(&ds)
         .expect("archive write");
+    common::assert_has_target(&bytes);
     (bytes, ds)
 }
 
@@ -547,11 +551,13 @@ fn v3_meta_corruption_sweep_is_typed_not_garbled() {
     let bytes = ArchiveBuilder::relative(1e-3)
         .train_config(TrainConfig::fast())
         .cross_field("T", &["A"])
+        .always_cross_field()
         .chunk_elements(6 * 24)
         .keyframe_interval(2)
         .build()
         .write_epochs(&snapshots)
         .expect("v3 write");
+    common::assert_has_target(&bytes);
 
     let reader = ArchiveReader::new(&bytes).expect("parse");
     assert_eq!(reader.version(), 3);

@@ -81,6 +81,7 @@ fn builder(threads: usize) -> ArchiveBuilder {
             seed: 3,
         })
         .cross_field("W", &["U", "V"])
+        .always_cross_field()
         .chunk_elements(3 * ROWS * COLS)
         .keyframe_interval(3)
         .threads(threads)

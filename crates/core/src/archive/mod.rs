@@ -20,8 +20,7 @@
 //!        read(&ReadRequest { field, epoch, region, policy }): the general
 //!            read — touches only the blocks that intersect the region's
 //!            axis-0 range, the last of them only up to the region's last
-//!            row (decode_region / decode_field are its strict one-line
-//!            conveniences)
+//!            row (decode_region is its strict one-line convenience)
 //!        decode_block(field, i): reads + decodes ONE block (plus the same
 //!            anchor blocks when the field is a cross-field target)
 //!        decode_all(): every block of every field in parallel, each

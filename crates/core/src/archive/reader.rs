@@ -921,17 +921,6 @@ impl<R: ArchiveSource> ArchiveReader<R> {
         self.read(&req).map(|s| s.data)
     }
 
-    /// Strictly decode a whole field by name ([`ArchiveReader::read`] with
-    /// the defaults).
-    pub fn decode_field(&self, name: &str) -> Result<Field, CfcError> {
-        self.decode_field_at(name, 0)
-    }
-
-    /// [`ArchiveReader::decode_field`] at an explicit epoch.
-    pub fn decode_field_at(&self, name: &str, epoch: usize) -> Result<Field, CfcError> {
-        self.read(&ReadRequest::new(name).at(epoch)).map(|s| s.data)
-    }
-
     /// Decode every field of the first epoch: [`ArchiveReader::decode_epoch`]
     /// of epoch 0, which is all of a single-snapshot archive.
     pub fn decode_all(&self) -> Result<Dataset, CfcError> {

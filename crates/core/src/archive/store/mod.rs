@@ -44,9 +44,6 @@
 //!   ([`CfcError::is_transient`]) is retried `MAX_RETRIES` = 2 times, after
 //!   `RETRY_BACKOFF` = 1 ms and then 2 ms, before the error surfaces
 //!   (counted in [`StoreStats::retries`]).
-//! * **Negative caching** — repeated probes for unknown field names are
-//!   answered from a small error cache instead of re-formatting the error
-//!   each time (counted in [`StoreStats::negative_hits`]).
 //! * **Shared scratch pool** — decode workers borrow
 //!   [`ArchiveScratch`] buffers from a [`ScratchPool`], which keeps one
 //!   idle per available core, so steady-state serving stays
@@ -55,7 +52,10 @@
 //! A caller sets only the two tier budgets and the prefetch depth
 //! ([`StoreConfig`]); the worker count, retry schedule and idle scratch
 //! above are fixed. The archive's own metadata is
-//! [`ArchiveStore::reader`]'s.
+//! [`ArchiveStore::reader`]'s, and so is name resolution: a field name
+//! resolves through the reader's manifest on every call, before the
+//! epoch, so an unknown name is the error the store returns even at an
+//! epoch the archive lacks.
 //!
 //! Nothing ever enters either tier unless its whole decode succeeded:
 //! CRC-failed bytes and [`DecodePolicy::Salvage`](super::DecodePolicy::Salvage) fill are never cached,
@@ -103,10 +103,6 @@ use super::source::ArchiveSource;
 
 use prefetch::{PrefetchShared, WorkerSet};
 use tier::{lock, CacheInner, Flight, FlightPublisher};
-
-/// Unknown-field errors cached for negative lookups (bounded so an
-/// adversarial probe stream can't grow the map without limit).
-const NEGATIVE_CACHE_CAP: usize = 256;
 
 /// Times a block decode that failed with a transient I/O error is retried
 /// before the error surfaces.
@@ -255,8 +251,6 @@ pub struct StoreStats {
     /// Demand hits on a block a prefetch worker had decoded ahead of the
     /// scan (each prefetched block counts at most once).
     pub prefetch_hits: u64,
-    /// Unknown-field probes answered from the negative name cache.
-    pub negative_hits: u64,
 }
 
 impl StoreStats {
@@ -277,9 +271,10 @@ impl StoreStats {
 }
 
 /// Everything the store and its detached prefetch workers share: the
-/// reader, configuration, both cache tiers, scratch, metadata caches, and
-/// the prefetch queue. Reference-counted so workers can outlive a single
-/// call and still be joined on store drop.
+/// reader (which also resolves field names), configuration, both cache
+/// tiers and their counters, scratch, parsed target meta, and the
+/// prefetch queue. Reference-counted so workers can outlive a single call
+/// and still be joined on store drop.
 struct StoreCore<R> {
     reader: ArchiveReader<R>,
     config: StoreConfig,
@@ -287,9 +282,6 @@ struct StoreCore<R> {
     scratch: ScratchPool<ArchiveScratch>,
     /// Parsed target meta (CFNN bytes + hybrid weights), once per field.
     metas: Mutex<HashMap<usize, Arc<TargetMeta>>>,
-    /// Pre-built unknown-field errors, so repeated bad-name probes skip
-    /// the per-probe scan + format (bounded by [`NEGATIVE_CACHE_CAP`]).
-    negatives: Mutex<HashMap<String, CfcError>>,
     prefetch: Arc<PrefetchShared>,
 }
 
@@ -319,7 +311,6 @@ impl<R: ArchiveSource + 'static> ArchiveStore<R> {
                     std::thread::available_parallelism().map_or(8, |n| n.get()),
                 ),
                 metas: Mutex::new(HashMap::new()),
-                negatives: Mutex::new(HashMap::new()),
                 prefetch: Arc::clone(&prefetch),
                 config,
             }),
@@ -347,48 +338,26 @@ impl<R: ArchiveSource + 'static> ArchiveStore<R> {
     pub fn snapshot(&self) -> StoreStats {
         let g = lock(&self.core.cache);
         StoreStats {
-            hits: g.hits,
-            misses: g.misses,
-            evictions: g.evictions,
-            insertions: g.insertions,
-            coalesced: g.coalesced,
-            cached_blocks: g.t1_blocks(),
-            cached_bytes: g.t1_cached_bytes(),
+            cached_blocks: g.t1.len(),
+            cached_bytes: g.t1.bytes(),
             capacity_bytes: self.core.config.capacity_bytes,
-            retries: g.retries,
-            salvaged_blocks: g.salvaged_blocks,
-            tier2_hits: g.tier2_hits,
-            tier2_insertions: g.tier2_insertions,
-            tier2_evictions: g.tier2_evictions,
-            tier2_blocks: g.t2_blocks(),
-            tier2_bytes: g.t2_cached_bytes(),
+            tier2_blocks: g.t2.len(),
+            tier2_bytes: g.t2.bytes(),
             tier2_capacity_bytes: self.core.config.tier2_capacity_bytes,
-            demotions: g.demotions,
-            promotions: g.promotions,
-            prefetch_issued: g.prefetch_issued,
-            prefetched_blocks: g.prefetched_blocks,
-            prefetch_hits: g.prefetch_hits,
-            negative_hits: g.negative_hits,
+            ..g.stats
         }
     }
 
-    /// Drop every cached block from both tiers (counters keep
-    /// accumulating; in-flight decodes are unaffected and will re-insert
-    /// on completion). To also drop parsed metadata and fence out
-    /// in-flight re-insertion — e.g. after the underlying archive file
-    /// was rewritten — use [`ArchiveStore::purge`].
-    pub fn clear(&self) {
-        lock(&self.core.cache).clear_cached();
-    }
-
     /// Drop *all* cached state — both cache tiers, parsed target
-    /// metadata, the negative name cache, queued prefetches — and fence
-    /// out in-flight decodes, so nothing read before the purge can
-    /// re-enter the cache afterwards.
+    /// metadata, queued prefetches — and fence out in-flight decodes, so
+    /// nothing read before the purge can re-enter the cache afterwards.
+    /// The counters keep accumulating: the dropped blocks count as
+    /// evictions.
     ///
-    /// This is the call to make after the underlying archive bytes change
-    /// under the store (e.g. `cfc-fsck --repair` rewrote the file):
-    /// a subsequent read re-fetches everything from the source.
+    /// This is the one call that drops cached state wholesale, to make
+    /// after the underlying archive bytes change under the store (e.g.
+    /// `cfc-fsck --repair` rewrote the file): a subsequent read re-fetches
+    /// everything from the source.
     pub fn purge(&self) {
         {
             let mut g = lock(&self.core.cache);
@@ -396,7 +365,6 @@ impl<R: ArchiveSource + 'static> ArchiveStore<R> {
             g.clear_cached();
         }
         lock(&self.core.metas).clear();
-        lock(&self.core.negatives).clear();
         self.core.prefetch.reset();
     }
 
@@ -408,7 +376,7 @@ impl<R: ArchiveSource + 'static> ArchiveStore<R> {
     /// [`ArchiveStore::purge`] does. Errors when the archive has no field
     /// of that name.
     pub fn invalidate_field(&self, name: &str) -> Result<(), CfcError> {
-        let pos = self.core.entry_index(name)?;
+        let pos = self.core.reader.entry_index(name)?;
         let mut victims: Vec<usize> = (0..self.core.reader.n_epochs())
             .flat_map(|e| self.stale_after(pos, e, name))
             .collect();
@@ -425,7 +393,7 @@ impl<R: ArchiveSource + 'static> ArchiveStore<R> {
     /// keyframe breaks the chain. The call after a repair rewrote one
     /// epoch's bytes in place.
     pub fn invalidate_field_at(&self, name: &str, epoch: usize) -> Result<(), CfcError> {
-        let pos = self.core.entry_index(name)?;
+        let pos = self.core.reader.entry_index(name)?;
         self.core.reader.epoch_base(epoch)?;
         let mut victims = self.stale_after(pos, epoch, name);
         victims.sort_unstable();
@@ -508,8 +476,11 @@ impl<R: ArchiveSource + 'static> ArchiveStore<R> {
         idx: usize,
         epoch: usize,
     ) -> Result<Arc<Field>, CfcError> {
-        let fi = self.core.entry_index_at(field, epoch)?;
-        let n_blocks = self.core.reader.entries()[fi].n_blocks();
+        let reader = &self.core.reader;
+        // the name before the epoch: an unknown name is the error even at
+        // an epoch the archive lacks
+        let fi = reader.entry_index(field)? + reader.epoch_base(epoch)?;
+        let n_blocks = reader.entries()[fi].n_blocks();
         if idx >= n_blocks {
             return Err(CfcError::InvalidInput(format!(
                 "field {field} has {n_blocks} blocks, asked for {idx}"
@@ -533,8 +504,11 @@ impl<R: ArchiveSource + 'static> ArchiveStore<R> {
     /// than being served fill. Each filled block bumps
     /// [`StoreStats::salvaged_blocks`].
     pub fn read(&self, req: &ReadRequest<'_>) -> Result<Salvaged<Field>, CfcError> {
-        let fi = self.core.entry_index_at(req.field, req.epoch)?;
-        let entry = &self.core.reader.entries()[fi];
+        let reader = &self.core.reader;
+        // a flat entry index keys the cache, so one block index in two
+        // epochs never collides; the name resolves first, as above
+        let fi = reader.entry_index(req.field)? + reader.epoch_base(req.epoch)?;
+        let entry = &reader.entries()[fi];
         let cover = entry.block_cover(req.region.as_ref())?;
         self.maybe_prefetch(fi, cover.0, cover.1);
         let (blocks, damage) = salvage_blocks(
@@ -543,7 +517,7 @@ impl<R: ArchiveSource + 'static> ArchiveStore<R> {
             req.policy,
             |bi| self.core.get_block(fi, bi, true),
             |fill| {
-                lock(&self.core.cache).salvaged_blocks += 1;
+                lock(&self.core.cache).stats.salvaged_blocks += 1;
                 Arc::new(fill)
             },
         )?;
@@ -581,7 +555,7 @@ impl<R: ArchiveSource + 'static> ArchiveStore<R> {
             preds
                 .into_iter()
                 .map(|b| (fi, b))
-                .filter(|k| !g.t1_contains(k) && !g.inflight.contains_key(k))
+                .filter(|k| !g.t1.contains(k) && !g.inflight.contains_key(k))
                 .collect()
         };
         if keys.is_empty() {
@@ -590,43 +564,12 @@ impl<R: ArchiveSource + 'static> ArchiveStore<R> {
         self.workers.ensure(&self.core);
         let issued = self.core.prefetch.enqueue(&keys);
         if issued > 0 {
-            lock(&self.core.cache).prefetch_issued += issued as u64;
+            lock(&self.core.cache).stats.prefetch_issued += issued as u64;
         }
     }
 }
 
 impl<R: ArchiveSource> StoreCore<R> {
-    /// Position of `name` in the manifest (epoch 0), with negative
-    /// caching: the linear name scan runs lock-free on the hot
-    /// (known-name) path, and unknown names are answered from a bounded
-    /// error cache after the first probe.
-    fn entry_index(&self, name: &str) -> Result<usize, CfcError> {
-        if let Some(i) = self.reader.entries().iter().position(|e| e.name == name) {
-            return Ok(i);
-        }
-        let mut negatives = lock(&self.negatives);
-        if let Some(err) = negatives.get(name) {
-            let err = err.clone();
-            drop(negatives);
-            lock(&self.cache).negative_hits += 1;
-            return Err(err);
-        }
-        let err = CfcError::InvalidInput(format!("archive has no field {name}"));
-        if negatives.len() < NEGATIVE_CACHE_CAP {
-            negatives.insert(name.to_string(), err.clone());
-        }
-        Err(err)
-    }
-
-    /// Flat entry index of `name` at `epoch` (the cache key space is flat
-    /// across epochs, so the same block index in different epochs never
-    /// collides): the name through the negative cache, the epoch through
-    /// the reader's own check.
-    fn entry_index_at(&self, name: &str, epoch: usize) -> Result<usize, CfcError> {
-        let pos = self.entry_index(name)?;
-        Ok(self.reader.epoch_base(epoch)? + pos)
-    }
-
     /// Cache-or-decode one block: the reader's dependency walk over this
     /// store's cache (see [`Cached`]). A tier-1 hit returns from the
     /// walk's first lookup; a miss resolves what the block decodes
@@ -650,7 +593,7 @@ impl<R: ArchiveSource> StoreCore<R> {
     fn prefetch_block(&self, key: BlockKey) {
         {
             let g = lock(&self.cache);
-            if g.t1_contains(&key) || g.inflight.contains_key(&key) {
+            if g.t1.contains(&key) || g.inflight.contains_key(&key) {
                 return;
             }
         }
@@ -715,7 +658,7 @@ impl<R: ArchiveSource> StoreCore<R> {
             match once {
                 Err(e) if e.is_transient() && attempt < MAX_RETRIES => {
                     attempt += 1;
-                    lock(&self.cache).retries += 1;
+                    lock(&self.cache).stats.retries += 1;
                     std::thread::sleep(RETRY_BACKOFF * attempt);
                 }
                 other => return other,
@@ -733,7 +676,7 @@ impl<R: ArchiveSource> StoreCore<R> {
         if g.generation != gen {
             return;
         }
-        g.insert_t2(key, Arc::new(bytes), self.config.tier2_capacity_bytes);
+        g.insert_compressed(key, Arc::new(bytes), self.config.tier2_capacity_bytes);
     }
 
     /// Parse (once) and share an entry's meta area — `None` for entries
@@ -788,7 +731,7 @@ impl<'a, R: ArchiveSource> BlockBackend for Cached<'a, R> {
         let mut g = lock(&core.cache);
         if core.config.capacity_bytes == 0 {
             if demand {
-                g.misses += 1;
+                g.stats.misses += 1;
             }
             return Ok(Lookup::Miss(Claim {
                 publisher: None,
@@ -796,7 +739,7 @@ impl<'a, R: ArchiveSource> BlockBackend for Cached<'a, R> {
                 gen: 0,
             }));
         }
-        if let Some(field) = g.t1_lookup(key, demand) {
+        if let Some(field) = g.decoded(key, demand) {
             return Ok(Lookup::Ready(field));
         }
         if let Some(f) = g.inflight.get(&key) {
@@ -804,19 +747,19 @@ impl<'a, R: ArchiveSource> BlockBackend for Cached<'a, R> {
             // whatever it produces — even when it is too big to cache
             let f = Arc::clone(f);
             if demand {
-                g.coalesced += 1;
+                g.stats.coalesced += 1;
             }
             drop(g);
             let shared = f.wait()?;
             if demand {
-                lock(&core.cache).hits += 1;
+                lock(&core.cache).stats.hits += 1;
             }
             return Ok(Lookup::Ready(shared));
         }
         if demand {
-            g.misses += 1;
+            g.stats.misses += 1;
         }
-        let t2 = g.t2_lookup(&key, demand);
+        let t2 = g.compressed(key, demand);
         let flight = Arc::new(Flight::default());
         g.inflight.insert(key, Arc::clone(&flight));
         Ok(Lookup::Miss(Claim {
@@ -849,13 +792,13 @@ impl<'a, R: ArchiveSource> BlockBackend for Cached<'a, R> {
         if let Ok(arc) = &result {
             let mut g = lock(&core.cache);
             if g.generation == claim.gen {
-                g.insert_t1(key, Arc::clone(arc), !demand, core.config.capacity_bytes);
+                g.insert_decoded(key, Arc::clone(arc), !demand, core.config.capacity_bytes);
                 if claim.t2.is_some() {
-                    g.promotions += 1;
+                    g.stats.promotions += 1;
                 }
             }
             if !demand {
-                g.prefetched_blocks += 1;
+                g.stats.prefetched_blocks += 1;
             }
         }
         publisher.outcome = Some(result.clone());

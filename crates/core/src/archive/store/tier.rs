@@ -1,23 +1,26 @@
 //! The store's two-tier block cache state and single-flight machinery.
 //!
 //! Everything here lives behind one mutex ([`CacheInner`]) so counters and
-//! cache contents mutate atomically:
+//! cache contents mutate atomically. Both tiers are one type: [`Lru`], a
+//! block-keyed LRU over a byte budget, instantiated twice.
 //!
-//! * **Tier 1** — decoded `Arc<Field>` blocks, LRU over a byte budget
-//!   measured in decoded `f32` bytes. A hit is free (an `Arc` clone).
+//! * **Tier 1** — decoded `Arc<Field>` blocks, sized in decoded `f32`
+//!   bytes. A hit is free (an `Arc` clone).
 //! * **Tier 2** — raw *compressed* block bytes (CRC-verified at fetch
-//!   time), LRU over its own byte budget. At the archive's typical 6–7×
-//!   ratio the same budget holds ~6–7× more blocks than tier 1; a hit
-//!   pays an in-memory decode but no source I/O.
+//!   time), sized in bytes. At the archive's typical 6–7× ratio the same
+//!   budget holds ~6–7× more blocks than tier 1; a hit pays an in-memory
+//!   decode but no source I/O.
 //!
-//! The tiers are *inclusive*: every successful source decode stashes the
-//! block's compressed bytes in tier 2, so when the decoded copy is later
-//! evicted from tier 1 the bytes are (usually) still resident — that
-//! eviction refreshes the tier-2 entry (a **demotion**), and the next read
-//! of the block decodes from memory and re-enters tier 1 (a
-//! **promotion**). Nothing is ever written into either tier unless the
-//! whole decode succeeded, which is what keeps salvage fill and
-//! CRC-failed bytes out of both tiers.
+//! What differs between the tiers lives in [`CacheInner`]: tier 1 marks
+//! blocks a prefetch worker decoded, and a prefetch probe does not
+//! refresh its recency. The tiers are *inclusive*: every successful
+//! source decode stashes the block's compressed bytes in tier 2, so when
+//! the decoded copy is later evicted from tier 1 the bytes are (usually)
+//! still resident — that eviction refreshes the tier-2 entry (a
+//! **demotion**), and the next read of the block decodes from memory and
+//! re-enters tier 1 (a **promotion**). Nothing is ever written into either
+//! tier unless the whole decode succeeded, which is what keeps salvage
+//! fill and CRC-failed bytes out of both tiers.
 //!
 //! [`CacheInner::generation`] guards invalidation against in-flight
 //! decodes: `purge`/`invalidate_field` bump it, and inserts started under
@@ -31,36 +34,141 @@ use cfc_sz::CfcError;
 use cfc_tensor::Field;
 
 use super::super::reader::BlockKey;
+use super::StoreStats;
 
-struct T1Entry {
-    field: Arc<Field>,
-    /// LRU timestamp (key into `CacheInner::t1_lru`).
+struct Slot<V> {
+    value: V,
+    /// LRU timestamp (key into `Lru::order`).
     tick: u64,
-    /// Decoded byte size (4 × elements).
+    /// Size charged against the budget.
     bytes: usize,
+}
+
+/// A block-keyed LRU over a byte budget. Ticks are unique, so `order` is
+/// a total recency order, oldest first.
+pub(super) struct Lru<V> {
+    map: HashMap<BlockKey, Slot<V>>,
+    order: BTreeMap<u64, BlockKey>,
+    bytes: usize,
+    tick: u64,
+}
+
+impl<V> Default for Lru<V> {
+    fn default() -> Self {
+        Lru {
+            map: HashMap::new(),
+            order: BTreeMap::new(),
+            bytes: 0,
+            tick: 0,
+        }
+    }
+}
+
+impl<V> Lru<V> {
+    pub(super) fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// Bytes charged against the budget.
+    pub(super) fn bytes(&self) -> usize {
+        self.bytes
+    }
+
+    pub(super) fn contains(&self, key: &BlockKey) -> bool {
+        self.map.contains_key(key)
+    }
+
+    /// The entry under `key`, recency untouched.
+    fn peek(&self, key: &BlockKey) -> Option<&V> {
+        self.map.get(key).map(|s| &s.value)
+    }
+
+    /// The entry under `key`, moved to the most-recent end.
+    fn get(&mut self, key: &BlockKey) -> Option<&mut V> {
+        let slot = self.map.get_mut(key)?;
+        self.tick += 1;
+        self.order.remove(&slot.tick);
+        self.order.insert(self.tick, *key);
+        slot.tick = self.tick;
+        Some(&mut slot.value)
+    }
+
+    /// Insert `value`, charged `bytes`, as the most recent entry —
+    /// replacing whatever `key` held — then evict the oldest entries until
+    /// `capacity` holds, handing each victim's key to `evicted`. Returns
+    /// how many entries were dropped, a replaced one included, or `None`
+    /// when `value` alone is over the budget and is not inserted.
+    fn insert(
+        &mut self,
+        key: BlockKey,
+        value: V,
+        bytes: usize,
+        capacity: usize,
+        mut evicted: impl FnMut(BlockKey),
+    ) -> Option<u64> {
+        if bytes > capacity {
+            return None;
+        }
+        self.tick += 1;
+        let tick = self.tick;
+        let mut dropped = 0;
+        if let Some(old) = self.map.insert(key, Slot { value, tick, bytes }) {
+            self.order.remove(&old.tick);
+            self.bytes -= old.bytes;
+            dropped += 1;
+        }
+        self.order.insert(tick, key);
+        self.bytes += bytes;
+        while self.bytes > capacity {
+            let (_, victim) = self.order.pop_first().expect("over budget implies entries");
+            self.bytes -= self.map.remove(&victim).expect("ordered entry").bytes;
+            dropped += 1;
+            evicted(victim);
+        }
+        Some(dropped)
+    }
+
+    /// Drop every entry of field `fi`; returns how many there were.
+    fn remove_field(&mut self, fi: usize) -> u64 {
+        let before = self.map.len();
+        let (order, bytes) = (&mut self.order, &mut self.bytes);
+        self.map.retain(|key, slot| {
+            let keep = key.0 != fi;
+            if !keep {
+                order.remove(&slot.tick);
+                *bytes -= slot.bytes;
+            }
+            keep
+        });
+        (before - self.map.len()) as u64
+    }
+
+    /// Drop every entry; returns how many there were.
+    fn clear(&mut self) -> u64 {
+        let n = self.map.len() as u64;
+        self.map.clear();
+        self.order.clear();
+        self.bytes = 0;
+        n
+    }
+}
+
+/// A tier-1 entry.
+pub(super) struct Decoded {
+    field: Arc<Field>,
     /// Inserted by a prefetch worker and not yet touched by a demand
     /// read — the first demand hit clears this and counts a
     /// `prefetch_hits`.
     prefetched: bool,
 }
 
-struct T2Entry {
-    bytes: Arc<Vec<u8>>,
-    /// LRU timestamp (key into `CacheInner::t2_lru`).
-    tick: u64,
-}
-
-/// All mutable cache state, under one lock. Ticks are shared across both
-/// LRUs and unique, so each `BTreeMap` is a total recency order.
+/// All mutable cache state, under one lock.
 #[derive(Default)]
 pub(super) struct CacheInner {
-    t1: HashMap<BlockKey, T1Entry>,
-    t1_lru: BTreeMap<u64, BlockKey>,
-    t1_bytes: usize,
-    t2: HashMap<BlockKey, T2Entry>,
-    t2_lru: BTreeMap<u64, BlockKey>,
-    t2_bytes: usize,
-    tick: u64,
+    /// Tier 1: decoded blocks.
+    pub(super) t1: Lru<Decoded>,
+    /// Tier 2: compressed block bytes.
+    pub(super) t2: Lru<Arc<Vec<u8>>>,
     /// Blocks currently being decoded by some thread (single-flight).
     /// Waiters clone the [`Flight`] and block on its condvar; the decoder
     /// publishes its result there, so waiters are served even when the
@@ -70,82 +178,48 @@ pub(super) struct CacheInner {
     /// record the generation they started under and are discarded when it
     /// moved, so an in-flight decode can never resurrect invalidated data.
     pub(super) generation: u64,
-    // ---- counters (same lock, so snapshots are mutually consistent) ----
-    pub(super) hits: u64,
-    pub(super) misses: u64,
-    pub(super) evictions: u64,
-    pub(super) insertions: u64,
-    pub(super) coalesced: u64,
-    pub(super) retries: u64,
-    pub(super) salvaged_blocks: u64,
-    pub(super) tier2_hits: u64,
-    pub(super) tier2_insertions: u64,
-    pub(super) tier2_evictions: u64,
-    pub(super) demotions: u64,
-    pub(super) promotions: u64,
-    pub(super) prefetch_issued: u64,
-    pub(super) prefetched_blocks: u64,
-    pub(super) prefetch_hits: u64,
-    pub(super) negative_hits: u64,
+    /// The counters (same lock, so snapshots are mutually consistent).
+    /// The gauges — blocks, bytes and budgets — are filled in by
+    /// `snapshot`.
+    pub(super) stats: StoreStats,
 }
 
 impl CacheInner {
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    /// Tier-1 lookup. A demand hit re-ticks the LRU entry, counts `hits`
-    /// (and `prefetch_hits` the first time a prefetched block is hit); a
+    /// Tier-1 lookup. A demand hit refreshes recency, counts `hits` (and
+    /// `prefetch_hits` the first time a prefetched block is hit); a
     /// prefetch probe leaves recency and counters untouched.
-    pub(super) fn t1_lookup(&mut self, key: BlockKey, demand: bool) -> Option<Arc<Field>> {
+    pub(super) fn decoded(&mut self, key: BlockKey, demand: bool) -> Option<Arc<Field>> {
         if !demand {
-            return self.t1.get(&key).map(|e| Arc::clone(&e.field));
+            return self.t1.peek(&key).map(|e| Arc::clone(&e.field));
         }
-        if !self.t1.contains_key(&key) {
-            return None;
-        }
-        let tick = self.next_tick();
-        let e = self.t1.get_mut(&key).expect("checked above");
-        self.t1_lru.remove(&e.tick);
-        self.t1_lru.insert(tick, key);
-        e.tick = tick;
-        self.hits += 1;
+        let e = self.t1.get(&key)?;
+        self.stats.hits += 1;
         if e.prefetched {
             e.prefetched = false;
-            self.prefetch_hits += 1;
+            self.stats.prefetch_hits += 1;
         }
         Some(Arc::clone(&e.field))
-    }
-
-    pub(super) fn t1_contains(&self, key: &BlockKey) -> bool {
-        self.t1.contains_key(key)
     }
 
     /// Tier-2 lookup: refreshes recency; a demand hit counts
     /// `tier2_hits` (a prefetch probe stays silent, preserving
     /// `tier2_hits ≤ misses`).
-    pub(super) fn t2_lookup(&mut self, key: &BlockKey, demand: bool) -> Option<Arc<Vec<u8>>> {
-        if !self.t2.contains_key(key) {
-            return None;
-        }
-        let tick = self.next_tick();
-        let e = self.t2.get_mut(key).expect("checked above");
-        self.t2_lru.remove(&e.tick);
-        self.t2_lru.insert(tick, *key);
-        e.tick = tick;
+    pub(super) fn compressed(&mut self, key: BlockKey, demand: bool) -> Option<Arc<Vec<u8>>> {
+        let bytes = Arc::clone(self.t2.get(&key)?);
         if demand {
-            self.tier2_hits += 1;
+            self.stats.tier2_hits += 1;
         }
-        Some(Arc::clone(&e.bytes))
+        Some(bytes)
     }
 
-    /// Insert a decoded block into tier 1 and evict least-recently-used
+    /// Insert a decoded block into tier 1, evicting least-recently-used
     /// blocks until the budget holds. Blocks bigger than the whole budget
     /// are served but not cached. Evicting a block whose compressed bytes
     /// are still resident in tier 2 refreshes that entry and counts a
-    /// demotion — the block stays one cheap in-memory decode away.
-    pub(super) fn insert_t1(
+    /// demotion — the block stays one cheap in-memory decode away. A
+    /// replaced entry is a dropped cached block, so it counts as an
+    /// eviction and `cached_blocks == insertions - evictions` holds.
+    pub(super) fn insert_decoded(
         &mut self,
         key: BlockKey,
         field: Arc<Field>,
@@ -153,124 +227,46 @@ impl CacheInner {
         capacity: usize,
     ) {
         let bytes = field.len() * 4;
-        if bytes > capacity {
-            return;
-        }
-        let tick = self.next_tick();
-        if let Some(old) = self.t1.insert(
-            key,
-            T1Entry {
-                field,
-                tick,
-                bytes,
-                prefetched,
-            },
-        ) {
-            self.t1_lru.remove(&old.tick);
-            self.t1_bytes -= old.bytes;
-            // a replaced entry is a dropped cached block: count it as an
-            // eviction so `cached_blocks == insertions - evictions` holds
-            self.evictions += 1;
-        }
-        self.t1_lru.insert(tick, key);
-        self.t1_bytes += bytes;
-        self.insertions += 1;
-        while self.t1_bytes > capacity {
-            let (&oldest, &victim) = self
-                .t1_lru
-                .iter()
-                .next()
-                .expect("over budget implies entries");
-            self.t1_lru.remove(&oldest);
-            let e = self.t1.remove(&victim).expect("lru entry cached");
-            self.t1_bytes -= e.bytes;
-            self.evictions += 1;
-            if self.t2.contains_key(&victim) {
-                let tick = self.next_tick();
-                let t2e = self.t2.get_mut(&victim).expect("checked above");
-                self.t2_lru.remove(&t2e.tick);
-                self.t2_lru.insert(tick, victim);
-                t2e.tick = tick;
-                self.demotions += 1;
+        let Self { t1, t2, stats, .. } = self;
+        let value = Decoded { field, prefetched };
+        let demote = |victim| {
+            if t2.get(&victim).is_some() {
+                stats.demotions += 1;
             }
+        };
+        if let Some(dropped) = t1.insert(key, value, bytes, capacity, demote) {
+            stats.insertions += 1;
+            stats.evictions += dropped;
         }
     }
 
     /// Insert a block's compressed bytes into tier 2 (LRU over its own
     /// byte budget; oversized blocks are skipped, and a zero budget
     /// disables the tier).
-    pub(super) fn insert_t2(&mut self, key: BlockKey, bytes: Arc<Vec<u8>>, capacity: usize) {
+    pub(super) fn insert_compressed(
+        &mut self,
+        key: BlockKey,
+        bytes: Arc<Vec<u8>>,
+        capacity: usize,
+    ) {
         let len = bytes.len();
-        if len > capacity {
-            return;
-        }
-        let tick = self.next_tick();
-        if let Some(old) = self.t2.insert(key, T2Entry { bytes, tick }) {
-            self.t2_lru.remove(&old.tick);
-            self.t2_bytes -= old.bytes.len();
-            self.tier2_evictions += 1;
-        }
-        self.t2_lru.insert(tick, key);
-        self.t2_bytes += len;
-        self.tier2_insertions += 1;
-        while self.t2_bytes > capacity {
-            let (&oldest, &victim) = self
-                .t2_lru
-                .iter()
-                .next()
-                .expect("over budget implies entries");
-            self.t2_lru.remove(&oldest);
-            let e = self.t2.remove(&victim).expect("lru entry cached");
-            self.t2_bytes -= e.bytes.len();
-            self.tier2_evictions += 1;
+        if let Some(dropped) = self.t2.insert(key, bytes, len, capacity, |_| {}) {
+            self.stats.tier2_insertions += 1;
+            self.stats.tier2_evictions += dropped;
         }
     }
 
     /// Drop every cached block from both tiers (counted as evictions;
     /// counters keep accumulating).
     pub(super) fn clear_cached(&mut self) {
-        self.evictions += self.t1.len() as u64;
-        self.t1.clear();
-        self.t1_lru.clear();
-        self.t1_bytes = 0;
-        self.tier2_evictions += self.t2.len() as u64;
-        self.t2.clear();
-        self.t2_lru.clear();
-        self.t2_bytes = 0;
+        self.stats.evictions += self.t1.clear();
+        self.stats.tier2_evictions += self.t2.clear();
     }
 
     /// Drop every cached block of one field (both tiers).
     pub(super) fn invalidate_entry(&mut self, fi: usize) {
-        let victims: Vec<BlockKey> = self.t1.keys().filter(|k| k.0 == fi).copied().collect();
-        for key in victims {
-            let e = self.t1.remove(&key).expect("key just listed");
-            self.t1_lru.remove(&e.tick);
-            self.t1_bytes -= e.bytes;
-            self.evictions += 1;
-        }
-        let victims: Vec<BlockKey> = self.t2.keys().filter(|k| k.0 == fi).copied().collect();
-        for key in victims {
-            let e = self.t2.remove(&key).expect("key just listed");
-            self.t2_lru.remove(&e.tick);
-            self.t2_bytes -= e.bytes.len();
-            self.tier2_evictions += 1;
-        }
-    }
-
-    pub(super) fn t1_blocks(&self) -> usize {
-        self.t1.len()
-    }
-
-    pub(super) fn t1_cached_bytes(&self) -> usize {
-        self.t1_bytes
-    }
-
-    pub(super) fn t2_blocks(&self) -> usize {
-        self.t2.len()
-    }
-
-    pub(super) fn t2_cached_bytes(&self) -> usize {
-        self.t2_bytes
+        self.stats.evictions += self.t1.remove_field(fi);
+        self.stats.tier2_evictions += self.t2.remove_field(fi);
     }
 }
 

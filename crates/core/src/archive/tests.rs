@@ -321,7 +321,7 @@ fn decode_field_reads_one_target() {
     let report = builder.build().write_to(&ds, &mut bytes).unwrap();
     assert_has_target(&bytes);
     let reader = ArchiveReader::new(&bytes).unwrap();
-    let rh = reader.decode_field("RH").unwrap();
+    let rh = reader.read(&ReadRequest::new("RH")).unwrap().data;
     let eb = report
         .fields
         .iter()
@@ -329,7 +329,7 @@ fn decode_field_reads_one_target() {
         .unwrap()
         .eb_abs;
     check_bound(ds.expect_field("RH"), &rh, eb);
-    assert!(reader.decode_field("missing").is_err());
+    assert!(reader.read(&ReadRequest::new("missing")).is_err());
 }
 
 #[test]
@@ -701,7 +701,7 @@ fn store_clear_drops_blocks_but_keeps_counters() {
     store.read(&ReadRequest::new("T")).unwrap();
     let before = store.snapshot();
     assert!(before.cached_blocks > 0);
-    store.clear();
+    store.purge();
     let after = store.snapshot();
     assert_eq!(after.cached_blocks, 0);
     assert_eq!(after.cached_bytes, 0);
@@ -842,7 +842,7 @@ fn temporal_archive_roundtrips_and_is_epoch_addressable() {
     // region decode at an epoch crops the same samples as the full decode
     let region = Region::d2(5, 17, 3, 27);
     for e in [1usize, 3, 6] {
-        let full = reader.decode_field_at("T", e).unwrap();
+        let full = reader.read(&ReadRequest::new("T").at(e)).unwrap().data;
         let got = reader.decode_region_at("T", &region, e).unwrap();
         assert_eq!(got, full.crop(&region), "epoch {e}");
     }
@@ -854,7 +854,7 @@ fn temporal_archive_roundtrips_and_is_epoch_addressable() {
     for e in [0usize, 2, 4, 6] {
         for name in ["T", "P", "RH"] {
             let a = store.read(&ReadRequest::new(name).at(e)).unwrap().data;
-            let b = reader.decode_field_at(name, e).unwrap();
+            let b = reader.read(&ReadRequest::new(name).at(e)).unwrap().data;
             assert!(
                 a.as_slice()
                     .iter()
@@ -866,7 +866,7 @@ fn temporal_archive_roundtrips_and_is_epoch_addressable() {
     }
 
     // out-of-range epochs are typed errors everywhere
-    assert!(reader.decode_field_at("T", 7).is_err());
+    assert!(reader.read(&ReadRequest::new("T").at(7)).is_err());
     assert!(reader.decode_epoch(7).is_err());
     assert!(store.decode_block_at("T", 0, 7).is_err());
     assert!(store.invalidate_field_at("T", 7).is_err());
@@ -1037,7 +1037,7 @@ fn a_damaged_middle_block_fails_the_epoch_decode_where_the_field_read_fails() {
     let (at, len) = entry.block_span(1).unwrap();
     bytes[at as usize + len / 2] ^= 0x08;
     let reader = ArchiveReader::new(&bytes).unwrap();
-    let want = reader.decode_field(&entry.name).unwrap_err();
+    let want = reader.read(&ReadRequest::new(&entry.name)).unwrap_err();
     assert!(
         matches!(&want, CfcError::InField { field, block: Some(1), .. } if *field == entry.name),
         "{want}"
@@ -1087,7 +1087,7 @@ fn a_damaged_chain_link_fails_every_later_epoch_of_its_group_with_the_first_fiel
         let interval = reader.keyframe_interval();
         for epoch in 0..reader.n_epochs() {
             let affected = (1..interval).contains(&epoch);
-            let want = reader.decode_field_at(&field, epoch);
+            let want = reader.read(&ReadRequest::new(&field).at(epoch));
             assert_eq!(want.is_err(), affected, "{name}: {field}@e{epoch}");
             for threads in 1..=3 {
                 let got = reader.epoch_with_threads(epoch, threads).map(|_| ());
@@ -1154,7 +1154,9 @@ fn the_epoch_decode_keeps_an_epoch_only_while_the_next_one_has_deltas() {
         ("read", |r| {
             r.read(&ReadRequest::new("B").at(1)).unwrap().data
         }),
-        ("decode_field_at", |r| r.decode_field_at("C", 2).unwrap()),
+        ("read C", |r| {
+            r.read(&ReadRequest::new("C").at(2)).unwrap().data
+        }),
         ("decode_region_at", |r| {
             let window = Region::d3(2, 5, 0, 16, 0, 18);
             r.decode_region_at("B", &window, 2).unwrap()

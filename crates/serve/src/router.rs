@@ -246,8 +246,7 @@ fn handle_stats<R: ArchiveSource + 'static>(
              \"salvaged_blocks\": {}, \"tier2_hits\": {}, \"tier2_insertions\": {}, \
              \"tier2_evictions\": {}, \"tier2_blocks\": {}, \"tier2_bytes\": {}, \
              \"tier2_capacity_bytes\": {}, \"demotions\": {}, \"promotions\": {}, \
-             \"prefetch_issued\": {}, \"prefetched_blocks\": {}, \"prefetch_hits\": {}, \
-             \"negative_hits\": {}}}}}\n",
+             \"prefetch_issued\": {}, \"prefetched_blocks\": {}, \"prefetch_hits\": {}}}}}\n",
             c.connections,
             c.rejected_saturated,
             c.fields,
@@ -279,7 +278,6 @@ fn handle_stats<R: ArchiveSource + 'static>(
             s.prefetch_issued,
             s.prefetched_blocks,
             s.prefetch_hits,
-            s.negative_hits,
         )
         .as_bytes(),
     );

@@ -20,7 +20,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use cfc_bench::golden;
-use cross_field_compression::core::archive::{ArchiveBuilder, ArchiveReader, ArchiveScratch};
+use cross_field_compression::core::archive::{
+    ArchiveBuilder, ArchiveReader, ArchiveScratch, ReadRequest,
+};
 use cross_field_compression::sz::CfcError;
 use cross_field_compression::tensor::{Dataset, Field, Shape};
 
@@ -134,7 +136,10 @@ fn probe(ds: &Dataset, rows: usize) -> Probe {
     // the first decode is the measured one: nothing is warm
     let (dec, (_, big)) = allocated_by(|| reader.decode_all_with_threads(1).expect("decode"));
     for name in FIELDS {
-        let whole = reader.decode_field(name).expect("per-field read");
+        let whole = reader
+            .read(&ReadRequest::new(name))
+            .expect("per-field read")
+            .data;
         assert_eq!(dec.expect_field(name), &whole, "{name}, {rows} rows/block");
     }
     let (block, (_, one)) = allocated_by(|| {

@@ -228,7 +228,7 @@ fn compress_and_a_one_block_writer_target_reconstruct_the_same_field() {
     let entry = reader.entries().iter().find(|e| e.name == "RH").unwrap();
     assert_eq!((entry.role, entry.n_blocks()), (FieldRole::Target, 1));
     assert_eq!(entry.eb_abs, stream.eb_abs);
-    let from_archive = reader.decode_field("RH").expect("decode_field");
+    let from_archive = reader.read(&ReadRequest::new("RH")).expect("read").data;
     assert_eq!(from_archive.shape(), from_stream.shape());
     assert!(
         from_archive
@@ -273,8 +273,8 @@ fn a_wrong_arity_hybrid_is_the_same_error_through_decompress_and_the_reader() {
     let bad = bad.to_bytes();
 
     let anchors = [
-        reader.decode_field("T").unwrap(),
-        reader.decode_field("P").unwrap(),
+        reader.read(&ReadRequest::new("T")).unwrap().data,
+        reader.read(&ReadRequest::new("P")).unwrap().data,
     ];
     let direct = CrossFieldCompressor::new(golden::GOLDEN_REL_EB)
         .decompress(&bad, &anchors.iter().collect::<Vec<_>>())
@@ -290,7 +290,7 @@ fn a_wrong_arity_hybrid_is_the_same_error_through_decompress_and_the_reader() {
     patched.extend_from_slice(&bad);
     let through_reader = ArchiveReader::new(&patched)
         .expect("open")
-        .decode_field("RH")
+        .read(&ReadRequest::new("RH"))
         .unwrap_err();
     assert_eq!(through_reader.root_cause(), &direct);
 }
@@ -424,9 +424,10 @@ fn a_planned_target_that_loses_is_written_as_its_baseline_row() {
     let entry = reader.entries().iter().find(|e| e.name == "RH").unwrap();
     assert!(entry.anchors.is_empty() && entry.meta_len() == 0);
     let want = ArchiveReader::new(&baseline)
-        .and_then(|r| r.decode_field("RH"))
-        .expect("baseline RH");
-    let got = reader.decode_field("RH").expect("RH");
+        .and_then(|r| r.read(&ReadRequest::new("RH")))
+        .expect("baseline RH")
+        .data;
+    let got = reader.read(&ReadRequest::new("RH")).expect("RH").data;
     assert!(
         same_bits(&got, &want),
         "RH differs from its baseline decode"

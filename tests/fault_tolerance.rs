@@ -135,8 +135,9 @@ fn transient_faults_are_retried_invisibly() {
     let plan = FaultPlan::new().transient_at(off..off + len as u64, 2);
     let clean = ArchiveReader::new(&bytes)
         .expect("parse")
-        .decode_field("A")
-        .expect("clean decode");
+        .read(&ReadRequest::new("A"))
+        .expect("clean decode")
+        .data;
 
     let store = faulty_store(bytes, plan.clone(), StoreConfig::default());
     let region = Region::d2(ROWS_PER_BLOCK, 2 * ROWS_PER_BLOCK, 0, COLS);

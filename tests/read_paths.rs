@@ -101,22 +101,12 @@ fn every_read_entry_point_agrees_on_every_golden_fixture() {
 
                 // the store, cold (first touch of this epoch's blocks was the
                 // salvage read above, so go around the cache once) and warm
-                store.clear();
+                store.purge();
                 for pass in ["cold", "warm"] {
                     let got = store.read(&whole).expect("store.read");
                     assert!(got.damage.is_empty(), "{at}: store {pass} reports damage");
                     assert_same_bits(&got.data, &want, &format!("{at}: store {pass}"));
                 }
-
-                // the strict convenience is the same read (the store's
-                // strict whole-field read is `store.read(&whole)` above)
-                assert_same_bits(
-                    &reader
-                        .decode_field_at(field, epoch)
-                        .expect("decode_field_at"),
-                    &want,
-                    &format!("{at}: reader.decode_field_at"),
-                );
 
                 // the block primitive, every block, on both layers
                 let entry = reader
@@ -246,9 +236,7 @@ fn check_row_windows(bytes: &[u8], what: &str) -> usize {
     for epoch in epochs {
         for info in reader.field_infos() {
             let whole = ReadRequest::new(&info.name).at(epoch);
-            let want = reader
-                .decode_field_at(&info.name, epoch)
-                .expect("decode_field_at");
+            let want = reader.read(&whole).expect("whole read").data;
             let middle = interior(want.shape());
             let mut ranges: Vec<(usize, usize)> = (0..middle.ndim())
                 .map(|axis| (middle.start(axis), middle.end(axis)))
@@ -365,8 +353,9 @@ fn store_reads_the_tail_of_a_long_delta_chain_on_a_small_stack() {
     let last = EPOCHS - 1;
     let want = ArchiveReader::new(&bytes)
         .expect("open")
-        .decode_field_at("X", last)
-        .expect("reader decodes the tail");
+        .read(&ReadRequest::new("X").at(last))
+        .expect("reader decodes the tail")
+        .data;
 
     // 256 KiB is an eighth of the stack a `cfc-serve` worker gets
     let got = std::thread::Builder::new()

@@ -6,7 +6,9 @@
 
 mod common;
 
-use cross_field_compression::core::archive::{ArchiveBuilder, ArchiveReader, ArchiveScratch};
+use cross_field_compression::core::archive::{
+    ArchiveBuilder, ArchiveReader, ArchiveScratch, ReadRequest,
+};
 use cross_field_compression::sz::{
     DecodeScratch, EncodeScratch, ErrorBound, PredictorKind, QuantizerConfig, SzCompressor,
 };
@@ -155,7 +157,7 @@ fn steady_state_block_decode_reuses_buffers() {
         .write(&ds)
         .unwrap();
     let reader = ArchiveReader::new(&bytes).unwrap();
-    let full = reader.decode_field("T").unwrap();
+    let full = reader.read(&ReadRequest::new("T")).unwrap().data;
 
     let mut scratch = ArchiveScratch::new();
     // warm pass: buffers grow to their steady-state capacity
@@ -311,7 +313,7 @@ fn cfnn_workspace_is_lazy_then_reused() {
     assert_eq!(first, second);
     assert_eq!(
         Field::concat_axis0(&second),
-        reader.decode_field("RH").unwrap()
+        reader.read(&ReadRequest::new("RH")).unwrap().data
     );
 }
 

@@ -397,7 +397,6 @@ fn stats_schema_is_pinned() {
         "prefetch_issued",
         "prefetched_blocks",
         "prefetch_hits",
-        "negative_hits",
     ] {
         assert!(
             stats.contains(&format!("\"{key}\"")),

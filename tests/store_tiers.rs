@@ -6,7 +6,7 @@
 //!   in-place repair of the underlying file never serve stale blocks;
 //! * a sequential scan triggers speculative readahead whose blocks are
 //!   byte-exact and accounted separately from demand traffic;
-//! * repeated probes for unknown field names hit the negative name cache.
+//! * repeated probes for an unknown field name get the same error.
 
 mod common;
 
@@ -246,15 +246,10 @@ fn sequential_scan_prefetches_ahead_byte_exactly() {
 }
 
 #[test]
-fn unknown_field_probes_hit_the_negative_cache() {
+fn unknown_field_probes_return_the_same_error() {
     let bytes = sample_archive();
     let store = ArchiveStore::new(ArchiveReader::new(&bytes).unwrap(), StoreConfig::default());
     let e1 = store.decode_block("missing", 0).expect_err("unknown");
-    assert_eq!(store.snapshot().negative_hits, 0, "first probe builds");
     let e2 = store.decode_block("missing", 0).expect_err("unknown");
     assert_eq!(e1.to_string(), e2.to_string());
-    assert_eq!(store.snapshot().negative_hits, 1, "second probe hits");
-    // known fields never go near the negative path
-    store.decode_region("A", &block_region(0)).unwrap();
-    assert_eq!(store.snapshot().negative_hits, 1);
 }

@@ -383,7 +383,7 @@ fn salvage_sweep_recovers_every_healthy_block() {
         let r = ArchiveReader::new(&bad).expect("manifest still parses");
 
         let err = r
-            .decode_field(name)
+            .read(&ReadRequest::new(name))
             .expect_err("strict decode of a corrupt block must fail");
         match &err {
             CfcError::InField { field, block, .. } => {
@@ -595,7 +595,7 @@ fn v3_meta_corruption_sweep_is_typed_not_garbled() {
 
             // strict decode: the typed checksum error, never garbled data
             let err = reader
-                .decode_field_at(&name, epoch)
+                .read(&ReadRequest::new(&name).at(epoch))
                 .expect_err("meta flip must not decode");
             assert!(
                 matches!(

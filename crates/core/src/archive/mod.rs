@@ -93,10 +93,12 @@
 //! * [`reader`] — [`ArchiveReader`]: lazily-reading decode of whole
 //!   snapshots, single fields, single blocks, or axis-aligned regions from
 //!   any [`ArchiveSource`]; home of the walk, the block decoder and
-//!   [`ReadRequest`]. It keeps one thing between calls: the fields of the
-//!   last epoch `decode_epoch` decoded, while the next epoch has deltas to
-//!   decode against them — so an in-order pass decodes each block once.
-//!   Every other read decodes from the source.
+//!   [`ReadRequest`]. It keeps two things between calls: the fields of
+//!   the last epoch `decode_epoch` decoded, while the next epoch has deltas
+//!   to decode against them — so an in-order pass decodes each block once
+//!   — and the scratch buffers of its one-request reads, whose target
+//!   blocks run their CFNN slices on every core. Every other read decodes
+//!   from the source.
 //! * [`store`] — [`ArchiveStore`]: a concurrent serving layer over a
 //!   reader, with a two-tier block cache (decoded fields over compressed
 //!   bytes), speculative sequential prefetch, and [`StoreStats`] counters.

@@ -48,6 +48,21 @@
 //! `decode_block*` primitives, scrub, the store's cache — asks for
 //! `ALL_ROWS`: there is one read path, and a cache entry is a whole block.
 //!
+//! ## One request, every core
+//!
+//! A 3-D target block's CFNN is the slowest step of any read, and its
+//! slices are independent: each reads its own slice and the one before it
+//! of the anchors and writes its own planes of the prediction. How many
+//! threads they run on is set by whoever owns the [`ArchiveScratch`]. The
+//! entry points that run one request on a scratch of the reader's own —
+//! [`ArchiveReader::read`] (so `decode_region{,_at}` and deep scrub) and
+//! `decode_block{,_at}` — spread the slices over the host's cores, capped
+//! at the slices the block needs. Everything that is already one worker
+//! among many keeps one thread, so fan-outs never nest: the block workers
+//! of [`ArchiveReader::decode_epoch`], `decode_block_with` on a caller's
+//! scratch, the store (and the server over it), and the writer. Each slice
+//! computes the same bits wherever it runs.
+//!
 //! The walk never touches bytes or caches itself; it drives a
 //! `BlockBackend`, which answers "do you already have block `(fi, idx)`?"
 //! and "here are its dependencies, produce it". This module's backend
@@ -83,7 +98,15 @@
 //!
 //! ## What the reader keeps between calls
 //!
-//! One thing: the fields of the last epoch [`ArchiveReader::decode_epoch`]
+//! Two things. The first is the scratch of its one-request reads (see
+//! above): [`ArchiveReader::read`] and `decode_block{,_at}` take it, or
+//! build a wide one while another call holds it, and hand it back when they
+//! are done, so one scratch's buffers — stale samples never returned by
+//! anything — are kept. A fresh CFNN workspace costs its 4 MB in page
+//! faults on every worker, about two thirds of a 128×128 slice's inference
+//! on a 2-vCPU guest; kept, each read after the first starts warm.
+//!
+//! The second: the fields of the last epoch [`ArchiveReader::decode_epoch`]
 //! decoded, and only when the epoch after it has a temporal-delta entry.
 //! A call for that next epoch starts its first phase from them — each
 //! delta's predecessor is a slab of a field already in hand, the same
@@ -94,13 +117,13 @@
 //! every one-epoch archive (a snapshot, or v1/v2); so at most one epoch's
 //! decoded fields are held. Nothing else reads it: [`ArchiveReader::read`], the
 //! `decode_block*` primitives, the store and scrub decode from the source
-//! every time (beyond caller-provided [`ArchiveScratch`] buffers). For a
+//! every time (beyond kept or caller-provided [`ArchiveScratch`] buffers). For a
 //! serving layer that caches decoded blocks across calls and threads, wrap
 //! a reader in [`super::store::ArchiveStore`].
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use cfc_sz::compressor::MAX_SAMPLES_PER_BYTE;
 use cfc_sz::stream::Container;
@@ -193,6 +216,15 @@ pub(crate) fn record_block_damage(damage: &mut DamageMap, name: &str, idx: usize
 /// (for a field of several blocks, allocated before the fan-out and
 /// written by every block); in a read of single blocks or a region, each
 /// block's own slab.
+///
+/// A scratch is also how wide a cross-field target block's CFNN runs. One
+/// built with [`ArchiveScratch::new`] — a caller's, the store's, each of
+/// an epoch decode's block workers' — runs a block's 2-D slices one after
+/// another on its own thread: it is already one worker among many. The
+/// reader's own scratch, which [`ArchiveReader::read`] and
+/// `decode_block{,_at}` run their one request on, spreads the slices over
+/// the host's cores, one extra CFNN workspace per extra worker. The output
+/// is the same bits either way.
 #[derive(Debug, Default)]
 pub struct ArchiveScratch {
     /// Raw block bytes read from the source (CRC-checked before decode).
@@ -202,6 +234,9 @@ pub struct ArchiveScratch {
     /// CFNN activations: empty until the first cross-field target block,
     /// so workers that only see baseline or delta blocks never pay for it.
     nn: cfc_nn::Workspace,
+    /// One CFNN workspace per extra worker a target block's slices may
+    /// spread over (none: the calling thread alone); each as lazy as `nn`.
+    helpers: Vec<cfc_nn::Workspace>,
     /// Times the raw block buffer had to grow.
     block_growths: usize,
 }
@@ -212,13 +247,31 @@ impl ArchiveScratch {
         Self::default()
     }
 
+    /// A scratch whose target blocks run their CFNN slices on up to
+    /// `workers` threads, the calling one included.
+    pub(crate) fn wide(workers: usize) -> Self {
+        ArchiveScratch {
+            helpers: (1..workers).map(|_| Default::default()).collect(),
+            ..Self::default()
+        }
+    }
+
     /// Total capacity growths across the raw block buffer, the
     /// codec-level buffers and the CFNN activations since construction.
     /// Stable across decodes ⇔ steady-state block decode reuses the
     /// covered buffers.
     pub fn growths(&self) -> usize {
-        self.block_growths + self.dec.growths() + self.nn.growths()
+        let nn: usize = self.helpers.iter().map(cfc_nn::Workspace::growths).sum();
+        self.block_growths + self.dec.growths() + self.nn.growths() + nn
     }
+}
+
+/// Worker threads for work of the reader's own: what the host offers.
+/// Asked once per process — on Linux the query reads cgroup files, tens
+/// of microseconds, a tenth of an uncached baseline block read.
+fn host_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// `(flat entry index, block index along axis 0)` — how the walk, its
@@ -332,6 +385,10 @@ pub struct ArchiveReader<R> {
     /// module docs). Only [`ArchiveReader::epoch_with_threads`] reads or
     /// replaces it.
     last_epoch: Mutex<Option<Arc<EpochFields>>>,
+    /// The scratch of the one-request reads, kept for the next one (see
+    /// the module docs). Only [`ArchiveReader::with_scratch`] reads or
+    /// replaces it.
+    spare: Mutex<Option<ArchiveScratch>>,
 }
 
 /// An epoch and fields of it, by flat entry index.
@@ -370,6 +427,7 @@ impl<R: ArchiveSource> ArchiveReader<R> {
             src,
             src_len,
             last_epoch: Mutex::new(None),
+            spare: Mutex::new(None),
         })
     }
 
@@ -627,7 +685,9 @@ impl<R: ArchiveSource> ArchiveReader<R> {
         scratch: &mut ArchiveScratch,
         out: D,
     ) -> Result<D::Out, CfcError> {
-        let ArchiveScratch { dec, nn, .. } = scratch;
+        let ArchiveScratch {
+            dec, nn, helpers, ..
+        } = scratch;
         // open a lattice-coded block and hold it to the manifest's geometry
         // and to the slabs it is about to be predicted from
         let open = || {
@@ -664,6 +724,7 @@ impl<R: ArchiveSource> ArchiveReader<R> {
             (FieldRole::Target, Some(meta)) => {
                 let container = open()?;
                 let model = meta.model.as_ref().ok_or_else(|| missing("a model"))?;
+                let nn = (nn, helpers.as_mut_slice());
                 decode_target_rows(&container, model, &meta.hybrid, deps, rows, nn, dec, out)
             }
             (FieldRole::Delta, Some(meta)) => {
@@ -823,26 +884,32 @@ impl<R: ArchiveSource> ArchiveReader<R> {
     /// touching only that block's bytes — plus, for a cross-field target,
     /// the same block of each anchor and the field's meta area.
     ///
-    /// A v1 field is one block holding the whole field.
+    /// One request on the reader's own scratch: a 3-D target block's CFNN
+    /// slices run over up to all of the host's cores (capped at the
+    /// block's slices), with the same bits as one worker. A v1 field is one
+    /// block holding the whole field.
     pub fn decode_block(&self, field: &str, idx: usize) -> Result<Field, CfcError> {
-        self.block_at(field, idx, 0, &mut ArchiveScratch::new())
+        self.with_scratch(|s| self.block_at(field, idx, 0, s))
     }
 
-    /// [`ArchiveReader::decode_block`] at an explicit epoch. A temporal
-    /// delta decodes its chain back to the covering keyframe — at most
-    /// `keyframe_interval` blocks of this field position.
+    /// [`ArchiveReader::decode_block`] at an explicit epoch, fanned out the
+    /// same way. A temporal delta decodes its chain back to the covering
+    /// keyframe — at most `keyframe_interval` blocks of this field
+    /// position.
     pub fn decode_block_at(
         &self,
         field: &str,
         idx: usize,
         epoch: usize,
     ) -> Result<Field, CfcError> {
-        self.block_at(field, idx, epoch, &mut ArchiveScratch::new())
+        self.with_scratch(|s| self.block_at(field, idx, epoch, s))
     }
 
     /// [`ArchiveReader::decode_block`] through a caller-owned
     /// [`ArchiveScratch`], so a loop over blocks reuses one set of decode
-    /// buffers instead of allocating per block.
+    /// buffers instead of allocating per block. The caller's scratch runs
+    /// a target block's CFNN on the calling thread alone: a caller that
+    /// loops over blocks is usually one worker among several already.
     pub fn decode_block_with(
         &self,
         field: &str,
@@ -861,8 +928,14 @@ impl<R: ArchiveSource> ArchiveReader<R> {
     /// Each block's bytes are still read, checksummed and entropy-decoded
     /// whole, and the part the predictor does not walk is still checked,
     /// so a window fails where the whole block would (see the module
-    /// docs). The entry's meta area is parsed once for the call; one
-    /// scratch serves every block.
+    /// docs). The entry's meta area is parsed once for the call, and one
+    /// scratch serves every block: the reader's own, kept between calls.
+    /// It runs a 3-D target block's CFNN slices over up to all of the
+    /// host's cores, capped at the slices the block needs (a 2-D target or
+    /// a one-slice window runs on the calling thread alone), with the bits
+    /// one worker computes.
+    /// [`ArchiveReader::decode_region`], [`ArchiveReader::decode_region_at`]
+    /// and deep scrub read through here.
     ///
     /// Under [`DecodePolicy::Strict`] the first damaged block fails the
     /// call and the returned [`DamageMap`] is always empty. Under
@@ -887,18 +960,19 @@ impl<R: ArchiveSource> ArchiveReader<R> {
             (Some(region), Some((r0, _))) => region.end(0) - r0,
             _ => ALL_ROWS,
         };
-        let mut scratch = ArchiveScratch::new();
-        let (slabs, damage) = salvage_blocks(
-            entry,
-            cover,
-            req.policy,
-            |bi| {
-                let metas = metas.as_ref().map_err(CfcError::clone)?;
-                let rows = if bi == cover.1 { last_rows } else { ALL_ROWS };
-                self.resolve_block(fi, bi, rows, &mut Direct::new(self, &mut scratch, metas))
-            },
-            |fill| fill,
-        )?;
+        let (slabs, damage) = self.with_scratch(|scratch| {
+            salvage_blocks(
+                entry,
+                cover,
+                req.policy,
+                |bi| {
+                    let metas = metas.as_ref().map_err(CfcError::clone)?;
+                    let rows = if bi == cover.1 { last_rows } else { ALL_ROWS };
+                    self.resolve_block(fi, bi, rows, &mut Direct::new(self, scratch, metas))
+                },
+                |fill| fill,
+            )
+        })?;
         let refs: Vec<&Field> = slabs.iter().collect();
         let data = entry.cut(req.region.as_ref(), cover.0, &refs)?;
         Ok(Salvaged { data, damage })
@@ -951,12 +1025,7 @@ impl<R: ArchiveSource> ArchiveReader<R> {
     /// of a keyframe group, after an error, or on a one-epoch archive. The
     /// result is the same in any call order.
     pub fn decode_epoch(&self, epoch: usize) -> Result<Dataset, CfcError> {
-        self.epoch_with_threads(
-            epoch,
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
+        self.epoch_with_threads(epoch, host_threads())
     }
 
     /// The one epoch decode, behind [`ArchiveReader::decode_epoch`] and
@@ -970,6 +1039,19 @@ impl<R: ArchiveSource> ArchiveReader<R> {
         let decoded = self.epoch_from(epoch, threads, prev.as_deref());
         *self.slot() = decoded.as_ref().ok().and_then(|(_, kept)| kept.clone());
         decoded.map(|(ds, _)| ds)
+    }
+
+    /// `f` on the reader's spare scratch, or on a fresh wide one while
+    /// another call holds it; either is handed back for the next call, so
+    /// the reader keeps at most one. Wide: a target block's CFNN slices
+    /// run on up to all of the host's cores.
+    fn with_scratch<T>(&self, f: impl FnOnce(&mut ArchiveScratch) -> T) -> T {
+        let spare = || self.spare.lock().unwrap_or_else(PoisonError::into_inner);
+        let kept = spare().take();
+        let mut scratch = kept.unwrap_or_else(|| ArchiveScratch::wide(host_threads()));
+        let out = f(&mut scratch);
+        *spare() = Some(scratch);
+        out
     }
 
     /// The last-epoch slot, locked. Every update of it is one assignment,
@@ -1223,5 +1305,11 @@ impl<R: ArchiveSource> ArchiveReader<R> {
     /// The epoch whose fields the last-epoch slot holds, if any.
     pub(crate) fn kept_epoch(&self) -> Option<usize> {
         self.slot().as_ref().map(|kept| kept.0)
+    }
+
+    /// [`ArchiveScratch::growths`] of the kept one-request scratch, if any.
+    pub(crate) fn spare_growths(&self) -> Option<usize> {
+        let spare = self.spare.lock().unwrap_or_else(PoisonError::into_inner);
+        spare.as_ref().map(ArchiveScratch::growths)
     }
 }

@@ -1272,3 +1272,57 @@ fn chain_decodes_stop_growing_the_scratch_after_the_first() {
         );
     }
 }
+
+/// A wide scratch spreads a target block's CFNN slices over helper
+/// workspaces of its own. Reused — by hand, or as the scratch the reader
+/// keeps for its one-request reads — it sizes them on the first pass and
+/// never again, and decodes what a one-worker scratch does, also while two
+/// threads read at once (one of them on a scratch of its own).
+#[test]
+fn a_wide_scratch_stops_growing_after_its_first_pass() {
+    let bytes = series_3d();
+    let reader = ArchiveReader::new(&bytes).unwrap();
+    let n_blocks = reader.field_info("B").unwrap().n_blocks;
+    let (mut wide, mut narrow) = (ArchiveScratch::wide(3), ArchiveScratch::new());
+    let pass = |scratch: &mut ArchiveScratch| -> Vec<Field> {
+        (0..n_blocks)
+            .map(|b| reader.block_at("B", b, 0, scratch).unwrap())
+            .collect()
+    };
+    let one = pass(&mut narrow);
+    let first = pass(&mut wide);
+    let warmed = wide.growths();
+    assert!(
+        warmed > narrow.growths(),
+        "three-slice blocks size the helpers too"
+    );
+    let second = pass(&mut wide);
+    assert_eq!(
+        wide.growths(),
+        warmed,
+        "a second pass grew the wide scratch"
+    );
+    for (b, ((x, y), z)) in first.iter().zip(&second).zip(&one).enumerate() {
+        assert!(same_bits(x, y) && same_bits(x, z), "block {b}");
+    }
+
+    // the reader's own: kept after the first read, then never grown
+    let whole = Field::concat_axis0(&one);
+    let read = || reader.read(&ReadRequest::new("B")).unwrap().data;
+    assert_eq!(reader.spare_growths(), None, "nothing read yet");
+    assert!(same_bits(&read(), &whole));
+    let kept = reader.spare_growths().expect("the read kept its scratch");
+    for _ in 0..2 {
+        assert!(same_bits(&read(), &whole));
+        assert_eq!(reader.spare_growths(), Some(kept), "a later read grew it");
+    }
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                for _ in 0..3 {
+                    assert!(same_bits(&read(), &whole), "concurrent read");
+                }
+            });
+        }
+    });
+}

@@ -127,7 +127,9 @@ impl TargetFit {
 /// The one cross-field block decode: the leading `rows` axis-0 rows of
 /// `container` (all of them past its extent) to `out`, predicted from
 /// `anchors` — already held to the shape of the rows they are needed for —
-/// by `model` and `hybrid`, which [`check_model_fits`] has passed.
+/// by `model` and `hybrid`, which [`check_model_fits`] has passed. `nn` is
+/// the calling thread's CFNN workspace and one per extra worker the
+/// block's slices may spread over (`CfnnInference::predict_on`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn decode_target_rows<D: Dest>(
     container: &Container,
@@ -135,13 +137,13 @@ pub(crate) fn decode_target_rows<D: Dest>(
     hybrid: &HybridModel,
     anchors: &[&Field],
     rows: usize,
-    nn: &mut cfc_nn::Workspace,
+    (nn, helpers): (&mut cfc_nn::Workspace, &mut [cfc_nn::Workspace]),
     dec: &mut DecodeScratch,
     out: D,
 ) -> Result<D::Out, CfcError> {
-    // one slice at a time for a 3-D block, so only the slices the anchors
+    // one slice per task for a 3-D block, so only the slices the anchors
     // were cut to; a 2-D block is one plane
-    let diffs = model.predict(anchors, nn);
+    let diffs = model.predict_on(anchors, nn, helpers);
     let predictor = CrossFieldHybridPredictor::new(&diffs, container.eb, hybrid.clone());
     out.decode(container, &predictor, rows, dec)
 }
@@ -342,7 +344,7 @@ impl CrossFieldCompressor {
             &hybrid,
             anchors_dec,
             usize::MAX,
-            &mut cfc_nn::Workspace::default(),
+            (&mut cfc_nn::Workspace::default(), &mut []),
             &mut DecodeScratch::new(),
             Own,
         )

@@ -4,6 +4,7 @@
 use cfc_nn::{InferencePlan, Sequential, Workspace};
 use cfc_tensor::{Field, Normalizer};
 
+use crate::archive::run_parallel_scratch;
 use crate::diffnet;
 use crate::train::TrainedCfnn;
 
@@ -58,11 +59,30 @@ impl CfnnInference {
     /// predicted backward-difference fields for the target, in axis order,
     /// already denormalized to physical units.
     ///
-    /// One 2-D slice at a time: the anchors' normalized backward
-    /// differences are written straight into the plan's input planes and
-    /// its output planes denormalized straight into the result, so with a
-    /// kept `ws` only the returned fields are allocated.
+    /// One 2-D slice at a time, on the calling thread: the anchors'
+    /// normalized backward differences are written straight into the
+    /// plan's input planes and its output planes denormalized straight into
+    /// the result, so with a kept `ws` only the returned fields are
+    /// allocated. The archive reader's own one-request reads run the same
+    /// slices over several threads (`predict_on`); each slice is computed
+    /// the same way wherever it runs, so the result is the same bits.
     pub fn predict(&self, anchors: &[&Field], ws: &mut Workspace) -> Vec<Field> {
+        self.predict_on(anchors, ws, &mut [])
+    }
+
+    /// [`CfnnInference::predict`] with the 2-D slices spread over up to
+    /// `1 + helpers.len()` workers, in runs of adjacent slices: the first
+    /// run on `ws`, each other on a workspace of its own from `helpers`. A
+    /// slice's arithmetic and its place in the output do not depend on the
+    /// worker that runs it, so the result is bit-identical for every width.
+    /// No more workers run than there are slices: a 2-D field (one plane)
+    /// or a one-slice block spawns none and touches no helper.
+    pub(crate) fn predict_on(
+        &self,
+        anchors: &[&Field],
+        ws: &mut Workspace,
+        helpers: &mut [Workspace],
+    ) -> Vec<Field> {
         let shape = anchors[0].shape();
         let ndim = shape.ndim();
         assert_eq!(
@@ -78,32 +98,74 @@ impl CfnnInference {
         let hw = h * w;
 
         let mut outputs: Vec<Vec<f32>> = vec![vec![0.0; shape.len()]; self.out_channels()];
-        for k in 0..n_slices {
-            let y = self.plan.run(ws, h, w, |input| {
-                for (ci, plane) in input.chunks_exact_mut(hw).enumerate() {
-                    // channel layout: anchor-major, then axis
-                    let v = &anchors[ci / ndim].as_slice()[k * hw..(k + 1) * hw];
-                    // the same slice one step back along the slice axis
-                    let below =
-                        (k > 0).then(|| &anchors[ci / ndim].as_slice()[(k - 1) * hw..k * hw]);
-                    let axis = ci % ndim + (3 - ndim);
-                    normalized_diff_plane(plane, v, below, axis, w, &self.input_norms[ci]);
-                }
-            });
-            for ((out, norm), plane) in outputs
+        // slice k's plane of every output channel
+        let mut planes: Vec<_> = outputs.iter_mut().map(|o| o.chunks_exact_mut(hw)).collect();
+        let mut slices = (0..n_slices).map(|k| {
+            let out = planes
                 .iter_mut()
-                .zip(&self.target_norms)
-                .zip(y.chunks_exact(hw))
-            {
-                for (o, &v) in out[k * hw..(k + 1) * hw].iter_mut().zip(plane) {
-                    *o = norm.invert(v);
+                .map(|p| p.next().expect("a plane per slice"));
+            (k, out.collect::<Vec<&mut [f32]>>())
+        });
+        // one task per worker: a run of adjacent slices and the workspace
+        // it runs on — `ws` for the first, a helper for each other — so
+        // which workspace a slice runs on does not depend on scheduling
+        let workers = n_slices.min(1 + helpers.len());
+        let tasks: Vec<_> = std::iter::once(ws)
+            .chain(helpers)
+            .take(workers)
+            .enumerate()
+            .map(|(t, ws)| {
+                let n = (t + 1) * n_slices / workers - t * n_slices / workers;
+                (ws, slices.by_ref().take(n).collect::<Vec<_>>())
+            })
+            .collect();
+        run_parallel_scratch(
+            tasks,
+            workers,
+            || (),
+            |(), (ws, run)| {
+                for (k, mut out) in run {
+                    self.slice(anchors, k, (h, w), ws, &mut out);
                 }
-            }
-        }
+            },
+        );
         outputs
             .into_iter()
             .map(|data| Field::from_vec(shape, data))
             .collect()
+    }
+
+    /// Slice `k` (`h × w`) of the prediction into `out`, one plane per
+    /// output channel.
+    fn slice(
+        &self,
+        anchors: &[&Field],
+        k: usize,
+        (h, w): (usize, usize),
+        ws: &mut Workspace,
+        out: &mut [&mut [f32]],
+    ) {
+        let ndim = anchors[0].shape().ndim();
+        let hw = h * w;
+        let y = self.plan.run(ws, h, w, |input| {
+            for (ci, plane) in input.chunks_exact_mut(hw).enumerate() {
+                // channel layout: anchor-major, then axis
+                let v = &anchors[ci / ndim].as_slice()[k * hw..(k + 1) * hw];
+                // the same slice one step back along the slice axis
+                let below = (k > 0).then(|| &anchors[ci / ndim].as_slice()[(k - 1) * hw..k * hw]);
+                let axis = ci % ndim + (3 - ndim);
+                normalized_diff_plane(plane, v, below, axis, w, &self.input_norms[ci]);
+            }
+        });
+        for ((out, norm), plane) in out
+            .iter_mut()
+            .zip(&self.target_norms)
+            .zip(y.chunks_exact(hw))
+        {
+            for (o, &v) in out.iter_mut().zip(plane) {
+                *o = norm.invert(v);
+            }
+        }
     }
 }
 
@@ -254,6 +316,7 @@ fn candidate_values(original: &Field, diffs: &[Field], idx: &[usize]) -> (f64, V
 mod tests {
     use super::*;
     use crate::config::{CfnnSpec, TrainConfig};
+    use crate::diffnet::build_cfnn;
     use crate::train::train_cfnn;
     use cfc_tensor::{diff, Shape};
 
@@ -306,5 +369,77 @@ mod tests {
             m_pred < m_zero * 0.6,
             "prediction mse {m_pred} not clearly better than zero baseline {m_zero}"
         );
+    }
+
+    /// Two anchors over `shape`, with NaN and ±∞ in the last slice of the
+    /// first (the attention gate spreads a non-finite value over its whole
+    /// slice, so the others stay finite).
+    fn special_anchors(shape: Shape) -> Vec<Field> {
+        let (slices, h, w) = diffnet::slice_geometry(shape);
+        (0..2)
+            .map(|a| {
+                let mut f = Field::from_fn(shape, |i| {
+                    let t: usize = i.iter().enumerate().map(|(d, &v)| (d + 2) * v).sum();
+                    ((t + 7 * a) as f32 * 0.29).sin() * (2.0 + a as f32) + 0.02 * t as f32
+                });
+                if a == 0 {
+                    let last = (slices - 1) * h * w;
+                    for (j, v) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY]
+                        .iter()
+                        .enumerate()
+                    {
+                        f.as_mut_slice()[last + 5 * j + 3] = *v;
+                    }
+                }
+                f
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_worker_count_predicts_the_bits_of_one() {
+        let norms = |n: usize, scale: f32| -> Vec<Normalizer> {
+            (0..n)
+                .map(|i| Normalizer {
+                    shift: 0.125 * i as f32,
+                    scale,
+                })
+                .collect()
+        };
+        let (d3, d2) = (CfnnSpec::scaled_3d(2), CfnnSpec::scaled_2d(2));
+        let cases = [
+            (d3, Shape::d3(1, 9, 21)),
+            (d3, Shape::d3(2, 9, 21)),
+            (d3, Shape::d3(4, 9, 21)),
+            (d3, Shape::d3(5, 9, 21)),
+            (d2, Shape::d2(12, 24)),
+        ];
+        for (spec, shape) in cases {
+            let net = build_cfnn(&spec, 17);
+            let (n_in, n_out) = (spec.in_channels, spec.out_channels);
+            let inference = CfnnInference::new(&net, norms(n_in, 0.5), norms(n_out, 3.0)).unwrap();
+            let anchors = special_anchors(shape);
+            let refs: Vec<&Field> = anchors.iter().collect();
+            let want = inference.predict(&refs, &mut Workspace::default());
+            // two workers, three, and more than there are slices
+            for extra in [1, 2, 6] {
+                let mut helpers: Vec<Workspace> =
+                    (0..extra).map(|_| Workspace::default()).collect();
+                let got = inference.predict_on(&refs, &mut Workspace::default(), &mut helpers);
+                for (axis, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g.shape(), shape);
+                    let same = g
+                        .as_slice()
+                        .iter()
+                        .zip(w.as_slice())
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(same, "{shape}, {} workers, axis {axis}", 1 + extra);
+                }
+                // a helper runs only where there is a slice for it
+                let used = helpers.iter().filter(|ws| ws.growths() > 0).count();
+                let (n_slices, _, _) = diffnet::slice_geometry(shape);
+                assert_eq!(used, n_slices.min(1 + extra) - 1, "{shape}: helpers run");
+            }
+        }
     }
 }

@@ -62,7 +62,10 @@
 //! rounded add (never fused); taps outside the plane are skipped, not
 //! added as `w * 0`; full convolutions also skip taps whose weight is
 //! exactly zero (depthwise ones do not). Tiling only changes *which*
-//! elements are in flight together, never the chain of one element. The
+//! elements are in flight together, never the chain of one element. An
+//! inference plan's convolution that a `ReLU` follows then applies ReLU's
+//! select to the finished sum before storing it, as the separate pass
+//! would have after it. The
 //! AVX2 and AVX-512 bodies are the same safe Rust compiled with wider
 //! registers — `avx2`, or `avx512f`, without `fma` — so they cannot
 //! contract the multiply-add: every lane still rounds its product and then
@@ -209,6 +212,12 @@ pub struct PackedConv {
     bias: Vec<f32>,
     /// Some weight is exactly ±0: take the body that skips such taps.
     has_zero: bool,
+    /// Store every output as `ReLU` would leave it: `if v < 0.0 { 0.0 }
+    /// else { v }` on the finished sum, the select `relu_in_place` makes,
+    /// so NaN and `-0.0` pass as they would through a separate pass
+    /// (`f32::max` would turn NaN into 0). Set by an inference plan for a
+    /// convolution a `ReLU` directly follows.
+    pub(crate) relu: bool,
 }
 
 impl PackedConv {
@@ -238,6 +247,7 @@ impl PackedConv {
             weight: packed,
             bias: bias.to_vec(),
             has_zero: weight.contains(&0.0), // either sign
+            relu: false,
         }
     }
 
@@ -352,11 +362,15 @@ fn conv_sample<const W: usize>(p: &PackedConv, src: &[f32], dst: &mut [f32], h: 
         let bias = &p.bias[oc0..oc0 + oct];
         let dst = &mut dst[oc0 * hw..(oc0 + oct) * hw];
         macro_rules! tile {
+            ($oct:literal, $skip:literal, $relu:literal) => {
+                tile_planes::<W, $oct, $skip, $relu>(wts, bias, p.in_c, p.k, src, dst, h, w)
+            };
             ($oct:literal) => {
-                if p.has_zero {
-                    tile_planes::<W, $oct, true>(wts, bias, p.in_c, p.k, src, dst, h, w)
-                } else {
-                    tile_planes::<W, $oct, false>(wts, bias, p.in_c, p.k, src, dst, h, w)
+                match (p.has_zero, p.relu) {
+                    (true, true) => tile!($oct, true, true),
+                    (true, false) => tile!($oct, true, false),
+                    (false, true) => tile!($oct, false, true),
+                    (false, false) => tile!($oct, false, false),
                 }
             };
         }
@@ -384,19 +398,29 @@ fn depthwise_sample<const W: usize>(
     for (c, b) in bias.iter().enumerate() {
         let plane = c * hw..(c + 1) * hw;
         let (wts, bias) = (&weight[c * kk..(c + 1) * kk], std::slice::from_ref(b));
-        tile_planes::<W, 1, false>(wts, bias, 1, k, &src[plane.clone()], &mut dst[plane], h, w);
+        tile_planes::<W, 1, false, false>(
+            wts,
+            bias,
+            1,
+            k,
+            &src[plane.clone()],
+            &mut dst[plane],
+            h,
+            w,
+        );
     }
 }
 
 /// All of `dst`'s `T` output planes from `src`'s `in_c` input planes;
-/// `wts` is `[ic][ky][kx][T]`. `SKIP` leaves out taps whose weight is zero.
+/// `wts` is `[ic][ky][kx][T]`. `SKIP` leaves out taps whose weight is zero;
+/// `RELU` stores each finished sum through ReLU's select.
 /// Every row is covered from column 0 by strips of one width: the body's
 /// widest for the tile — [`XT_LONE`] for a lone output channel, else `W`
 /// (two registers a channel) — or, for a row narrower than `W`, the
 /// narrowest of [`XT`] and `W` that holds it.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn tile_planes<const W: usize, const T: usize, const SKIP: bool>(
+fn tile_planes<const W: usize, const T: usize, const SKIP: bool, const RELU: bool>(
     wts: &[f32],
     bias: &[f32],
     in_c: usize,
@@ -418,9 +442,9 @@ fn tile_planes<const W: usize, const T: usize, const SKIP: bool>(
                 for x0 in (0..w).step_by($n).map(|x0| x0.min(w.saturating_sub($n))) {
                     let (tap, m) = (&tap, &margins);
                     if pad <= x0 && x0 + $n + pad <= w {
-                        strip::<{ $n }, T, SKIP, false>(tap, m, bias, dst, x0);
+                        strip::<{ $n }, T, SKIP, RELU, false>(tap, m, bias, dst, x0);
                     } else {
-                        strip::<{ $n }, T, SKIP, true>(tap, m, bias, dst, x0);
+                        strip::<{ $n }, T, SKIP, RELU, true>(tap, m, bias, dst, x0);
                     }
                 }
             }
@@ -543,9 +567,10 @@ impl<'a> Taps<'a> {
 /// masks each tap to the lanes whose source column lies in `[0, w)` and
 /// stores only the lanes inside the plane; under the module's
 /// precondition (finite weights, no `-0.0` bias) a masked lane reading
-/// `+0.0` is the same as a skipped tap.
+/// `+0.0` is the same as a skipped tap. `RELU` passes the finished sums
+/// through ReLU's select before they are stored.
 #[inline(always)]
-fn strip<const N: usize, const T: usize, const SKIP: bool, const EDGE: bool>(
+fn strip<const N: usize, const T: usize, const SKIP: bool, const RELU: bool, const EDGE: bool>(
     tap: &Taps,
     margins: &Margins<N>,
     bias: &[f32],
@@ -568,6 +593,9 @@ fn strip<const N: usize, const T: usize, const SKIP: bool, const EDGE: bool>(
                     add_tap::<N, T, SKIP>(&mut acc, tap.weights(ic, ky, kx), x);
                 }
             }
+        }
+        if RELU {
+            relu_lanes(&mut acc);
         }
         for o in 0..T {
             dst[o * tap.hw + tap.y * tap.w + x0..][..N].copy_from_slice(&acc[o]);
@@ -615,6 +643,9 @@ fn strip<const N: usize, const T: usize, const SKIP: bool, const EDGE: bool>(
             }
         }
     }
+    if RELU {
+        relu_lanes(&mut acc);
+    }
     let at = tap.y * tap.w + x0;
     for o in 0..T {
         let plane = &mut dst[o * tap.hw..][..tap.hw];
@@ -645,6 +676,18 @@ fn add_tap<const N: usize, const T: usize, const SKIP: bool>(
         }
         for j in 0..N {
             acc[o][j] += kv * x[j];
+        }
+    }
+}
+
+/// ReLU on every finished sum of a strip, by the select `relu_in_place`
+/// makes: a NaN or `-0.0` sum is kept.
+#[inline(always)]
+fn relu_lanes<const N: usize, const T: usize>(acc: &mut [[f32; N]; T]) {
+    for o in 0..T {
+        for j in 0..N {
+            let v = acc[o][j];
+            acc[o][j] = if v < 0.0 { 0.0 } else { v };
         }
     }
 }

@@ -12,6 +12,15 @@
 //! Both paths run the same kernels in the same order, so a plan's output
 //! is bit-identical to `Sequential::forward(_, false)` — for any batch
 //! size, since no layer mixes samples.
+//!
+//! One step is merged, not reordered: a `ReLU` that directly follows a
+//! full convolution is folded into that convolution's store
+//! ([`PackedConv`] keeps the flag), so its activation is written once
+//! instead of written and then swept again. The fold applies ReLU's own
+//! select, `if v < 0.0 { 0.0 } else { v }`, to each finished sum — the
+//! same operation on the same value as the separate pass, NaN and `-0.0`
+//! kept — so the plan and `Sequential` still match bit for bit. A `ReLU`
+//! after any other layer stays its own step.
 
 use crate::attention::ChannelAttention;
 use crate::conv::{self, Kernel, PackedConv};
@@ -75,6 +84,10 @@ impl InferencePlan {
         let mut max_c = in_channels;
         let mut steps = Vec::with_capacity(net.len());
         for layer in net.layers() {
+            if let (AnyLayer::ReLU(_), Some(Step::Conv(p))) = (layer, steps.last_mut()) {
+                p.relu = true;
+                continue;
+            }
             let (step, takes, gives) = match layer {
                 AnyLayer::Conv(c) => (Step::Conv(c.packed()), c.in_c, c.out_c),
                 AnyLayer::Depthwise(d) => {
@@ -211,6 +224,37 @@ mod tests {
                 .all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(same, "sample {b} differs");
         }
+    }
+
+    #[test]
+    fn a_relu_after_a_conv_is_folded_and_any_other_stays_a_step() {
+        let mut net = Sequential::new()
+            .conv(2, 5, 3, 1)
+            .relu()
+            .depthwise(5, 3, 2)
+            .relu()
+            .conv(5, 4, 1, 3)
+            .relu()
+            .attention(4, 2, 4)
+            .relu()
+            .conv(4, 2, 3, 5);
+        let plan = InferencePlan::compile(&net, 2).unwrap();
+        let relus = plan.steps.iter().filter(|s| matches!(s, Step::Relu));
+        assert_eq!(relus.count(), 2, "after the depthwise and the attention");
+        let fused = plan
+            .steps
+            .iter()
+            .filter(|s| matches!(s, Step::Conv(p) if p.relu));
+        assert_eq!(fused.count(), 2, "the 3x3 and the 1x1 in front of a ReLU");
+        // (non-finite inputs through the folded stores: cfnn_equivalence)
+        let (h, w) = (6, 19);
+        let x = init::kaiming_uniform(&mut init::seeded(3), 2 * h * w, 2);
+        let want = net.forward(&Tensor::from_vec(1, 2, h, w, x.clone()), false);
+        let mut ws = Workspace::default();
+        let got = plan.run(&mut ws, h, w, |d| d.copy_from_slice(&x));
+        let same = got.iter().zip(&want.data);
+        assert!(same.clone().all(|(a, b)| a.to_bits() == b.to_bits()));
+        assert!(same.clone().any(|(a, _)| *a != 0.0), "not all zero");
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //!   4, accumulated over two calls, with `-0.0`, NaN and infinities in the
 //!   output gradient;
 //! * [`InferencePlan`] and `Sequential::forward` on the paper's networks,
-//!   batch 1 against batch 4;
+//!   batch 1 against batch 4, up to the benchmark's 128×128 slice and a
+//!   130-pixel row (the plan folds each ReLU that follows a convolution
+//!   into that convolution's store);
 //! * `predict_differences` on 2-D fields and on a partial last block.
 //!
 //! NaN *payloads* are outside the contract: where two different NaNs meet
@@ -849,6 +851,11 @@ fn plan_and_forward_match_reference_on_the_3d_network() {
     check_network(&spec, 11, 12, 12, false); // a training patch
     check_network(&spec, 12, 7, 33, true);
     check_network(&spec, 13, 32, 32, false); // the golden fixtures' planes
+                                             // the benchmark's SCALE slice and a row two pixels past it: whole
+                                             // interior strips, and a last strip pulled back over its neighbour,
+                                             // each stored through the ReLU the plan folds into the convolution
+    check_network(&spec, 14, 128, 128, true);
+    check_network(&spec, 15, 5, 130, false);
 }
 
 #[test]

@@ -22,7 +22,8 @@ mod common;
 use std::io::Cursor;
 
 use cross_field_compression::core::archive::{
-    ArchiveBuilder, ArchiveReader, ArchiveStore, DecodePolicy, ReadRequest, StoreConfig,
+    ArchiveBuilder, ArchiveReader, ArchiveScratch, ArchiveStore, DecodePolicy, ReadRequest,
+    StoreConfig,
 };
 use cross_field_compression::core::hybrid::HybridConfig;
 use cross_field_compression::core::TrainConfig;
@@ -283,6 +284,31 @@ fn a_window_is_the_crop_of_the_whole_on_every_row_range() {
         .write(&ds)
         .expect("write");
     common::assert_has_target(&volume);
+    // a target block of four slices: the windows that end in it hand the
+    // CFNN one, two, three and four slices, so a read fans its slices out
+    // over one worker, two, and as many as the host has with a remainder
+    let reader = ArchiveReader::new(&volume).expect("open");
+    let rh = reader.field_info("RH").expect("RH");
+    assert_eq!(
+        (rh.chunk_slabs, rh.n_blocks),
+        (4, 3),
+        "target block geometry"
+    );
+    // and a fanned-out read is the one-worker decode: decode_all runs one
+    // worker per block, decode_block_with one on the caller's scratch
+    let whole = reader.read(&ReadRequest::new("RH")).expect("read").data;
+    let all = reader.decode_all().expect("decode_all");
+    assert_same_bits(&whole, all.expect_field("RH"), "RH read vs decode_all");
+    let mut scratch = ArchiveScratch::new();
+    for b in 0..rh.n_blocks {
+        let block = reader.decode_block("RH", b).expect("decode_block");
+        let one = reader
+            .decode_block_with("RH", b, &mut scratch)
+            .expect("decode_block_with");
+        let at = format!("RH block {b}");
+        assert_same_bits(&block, &one, &at);
+        assert_same_bits(&block, &whole.slab(4 * b, (4 * b + 4).min(10)), &at);
+    }
     assert_eq!(check_row_windows(&volume, "3-D snapshot"), 55 * ds.len());
 
     // 2-D cross-field plan in three blocks of eight rows — a block is one

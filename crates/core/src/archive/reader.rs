@@ -123,7 +123,7 @@
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use cfc_sz::compressor::MAX_SAMPLES_PER_BYTE;
 use cfc_sz::stream::Container;
@@ -141,8 +141,8 @@ use super::damage::{DamageMap, DecodePolicy, Salvaged};
 use super::format::{
     read_manifest, read_meta_area, slab_shape_of, ArchiveEntry, BlockMeta, FieldRole, RawManifest,
 };
-use super::run_parallel_scratch;
 use super::source::ArchiveSource;
+use super::{host_threads, run_parallel_scratch};
 
 /// One read, fully specified: which field, at which epoch, which part of
 /// it, and what to do about damaged blocks. The argument of
@@ -264,14 +264,6 @@ impl ArchiveScratch {
         let nn: usize = self.helpers.iter().map(cfc_nn::Workspace::growths).sum();
         self.block_growths + self.dec.growths() + self.nn.growths() + nn
     }
-}
-
-/// Worker threads for work of the reader's own: what the host offers.
-/// Asked once per process — on Linux the query reads cgroup files, tens
-/// of microseconds, a tenth of an uncached baseline block read.
-fn host_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// `(flat entry index, block index along axis 0)` — how the walk, its

@@ -95,6 +95,7 @@ use cfc_tensor::{Field, Region};
 use crate::pipeline::Own;
 
 use super::damage::Salvaged;
+use super::host_threads;
 use super::reader::{
     salvage_blocks, ArchiveReader, ArchiveScratch, BlockBackend, BlockKey, Lookup, ReadRequest,
     TargetMeta, ALL_ROWS,
@@ -307,9 +308,7 @@ impl<R: ArchiveSource + 'static> ArchiveStore<R> {
                 reader,
                 cache: Mutex::new(CacheInner::default()),
                 // one idle scratch per core that can be decoding at once
-                scratch: ScratchPool::new(
-                    std::thread::available_parallelism().map_or(8, |n| n.get()),
-                ),
+                scratch: ScratchPool::new(host_threads()),
                 metas: Mutex::new(HashMap::new()),
                 prefetch: Arc::clone(&prefetch),
                 config,

@@ -51,7 +51,7 @@ use super::format::{
     write_meta_area, write_row, FieldRole, RawHeader, RawRow, ARCHIVE_VERSION,
     DEFAULT_CHUNK_ELEMENTS, DEFAULT_KEYFRAME_INTERVAL,
 };
-use super::{run_parallel, run_parallel_scratch};
+use super::{host_threads, run_parallel, run_parallel_scratch};
 
 /// Per-target plan: which anchors condition it, and (optionally) a specific
 /// CFNN architecture. When `spec` is `None` the writer picks the scaled
@@ -946,9 +946,7 @@ impl ArchiveWriter {
         if self.cfg.threads > 0 {
             self.cfg.threads
         } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            host_threads()
         }
     }
 }

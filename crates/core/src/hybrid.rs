@@ -10,6 +10,8 @@
 //! matches the paper's reported weight vectors (e.g. 67%/25%/4%/4% on Wf48)
 //! and keeps SGD well-conditioned on huge lattice values.
 
+use cfc_sz::error::Reader;
+use cfc_sz::CfcError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -177,22 +179,18 @@ impl HybridModel {
     /// Parse weights written by [`HybridModel::serialize`]. The bytes are
     /// untrusted: validates the declared count against the payload and
     /// requires finite weights.
-    pub fn try_deserialize(bytes: &[u8]) -> Result<Self, cfc_sz::CfcError> {
-        use cfc_sz::CfcError;
-        let n = *bytes.first().ok_or(CfcError::Truncated {
-            context: "hybrid weight count",
-            needed: 1,
-            available: 0,
-        })? as usize;
-        if bytes.len() != 1 + n * 8 {
+    pub fn try_deserialize(bytes: &[u8]) -> Result<Self, CfcError> {
+        let mut r = Reader::new(bytes);
+        let n = r.u8("hybrid weight count")? as usize;
+        if r.remaining() != n * 8 {
             return Err(CfcError::Corrupt {
                 context: "hybrid weights",
-                detail: format!("{n} weights claimed in {} payload bytes", bytes.len() - 1),
+                detail: format!("{n} weights claimed in {} payload bytes", r.remaining()),
             });
         }
-        let weights: Vec<f64> = (0..n)
-            .map(|i| f64::from_le_bytes(bytes[1 + i * 8..9 + i * 8].try_into().unwrap()))
-            .collect();
+        let weights = (0..n)
+            .map(|_| r.f64("hybrid weights"))
+            .collect::<Result<Vec<f64>, _>>()?;
         if weights.iter().any(|w| !w.is_finite()) {
             return Err(CfcError::Corrupt {
                 context: "hybrid weights",

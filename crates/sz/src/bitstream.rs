@@ -1,95 +1,20 @@
-//! Bit-level I/O for the entropy coders.
+//! Bit-level reader for the entropy decoders.
 //!
-//! Bits are packed LSB-first within each byte; the writer pads the final
-//! byte with zeros. Reader and writer are exact mirrors.
+//! Bits are packed LSB-first within each byte, and a stream's last byte is
+//! zero-padded. The reader refills a 64-bit accumulator eight bytes at a
+//! time and serves `peek`/`consume` out of it, so the per-symbol hot path
+//! of the Huffman decoder touches no byte-granular cursor arithmetic.
+//! Every read it offers is total: past the end a peek reads zeros and
+//! [`BitReader::try_read_bit`] returns `None`.
 //!
-//! Both sides run on a 64-bit accumulator: the writer stages bits in a
-//! `u64` and flushes whole bytes in bulk; the reader refills the
-//! accumulator eight bytes at a time and serves `peek`/`consume`/`read`
-//! out of it, so the per-symbol hot path of the Huffman decoder touches no
-//! byte-granular cursor arithmetic.
+//! The writers live with their formats: Huffman emission packs codes into
+//! a 64-bit word of its own ([`crate::huffman::HuffmanTable::try_encode_append`]),
+//! and the LZ stage sets its flag bits straight into bytes.
 
-/// Maximum bits a single `read_bits`/`write_bits`/`peek_bits` call may
-/// move. The 64-bit accumulator can hold up to 7 carried-over bits next to
-/// a fresh value, so `64 − 7 = 57` is the widest safe transfer. Shared by
-/// [`BitWriter`] and [`BitReader`].
+/// Maximum bits a single [`BitReader::peek_bits`] call may return. The
+/// 64-bit accumulator can hold up to 7 carried-over bits next to a fresh
+/// refill, so `64 − 7 = 57` is the widest safe peek.
 pub const MAX_BITS_PER_CALL: u32 = 57;
-
-/// Append-only bit writer.
-///
-/// Writes accumulate in a 64-bit word and flush eight bytes at a time: a
-/// `write_bits` call only touches the byte buffer when the accumulator
-/// fills, so several short codes (the Huffman hot path) share one branch
-/// and one 8-byte store per 64 emitted bits. Between calls up to 63 bits
-/// may be staged; [`BitWriter::finish`] flushes the remainder.
-#[derive(Debug, Default)]
-pub struct BitWriter {
-    buf: Vec<u8>,
-    /// Bits currently staged in `acc` (< 64 between calls).
-    nbits: u32,
-    /// Staged bits, LSB-first; bits at positions ≥ `nbits` are zero.
-    acc: u64,
-}
-
-impl BitWriter {
-    /// New empty writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Writer that *appends* to `buf` — existing bytes are kept, so callers
-    /// can stage a header and the bitstream in one reusable allocation.
-    pub fn append_to(buf: Vec<u8>) -> Self {
-        BitWriter {
-            buf,
-            nbits: 0,
-            acc: 0,
-        }
-    }
-
-    /// Write the low `n` bits of `value` (LSB first), `n ≤` [`MAX_BITS_PER_CALL`].
-    #[inline]
-    pub fn write_bits(&mut self, value: u64, n: u32) {
-        debug_assert!(
-            n <= MAX_BITS_PER_CALL,
-            "write_bits supports at most {MAX_BITS_PER_CALL} bits per call"
-        );
-        debug_assert!(value < (1u64 << n), "value {value} wider than {n} bits");
-        let total = self.nbits + n;
-        if total >= 64 {
-            // the accumulator fills: emit the whole word, carry the bits of
-            // `value` that did not fit. Shifts stay in range: nbits ≤ 63,
-            // and total ≥ 64 with n ≤ 57 forces nbits ≥ 7 > 0, so
-            // 64 − nbits ≤ 57.
-            let merged = self.acc | (value << self.nbits);
-            self.buf.extend_from_slice(&merged.to_le_bytes());
-            self.acc = value >> (64 - self.nbits);
-            self.nbits = total - 64;
-        } else {
-            self.acc |= value << self.nbits;
-            self.nbits = total;
-        }
-    }
-
-    /// Write one bit.
-    #[inline]
-    pub fn write_bit(&mut self, bit: bool) {
-        self.write_bits(bit as u64, 1);
-    }
-
-    /// Number of bits written so far.
-    pub fn bit_len(&self) -> usize {
-        self.buf.len() * 8 + self.nbits as usize
-    }
-
-    /// Flush and return the byte buffer (staged bits are padded to whole
-    /// bytes with zeros).
-    pub fn finish(mut self) -> Vec<u8> {
-        let bytes = (self.nbits as usize).div_ceil(8);
-        self.buf.extend_from_slice(&self.acc.to_le_bytes()[..bytes]);
-        self.buf
-    }
-}
 
 /// Sequential bit reader over a byte slice.
 #[derive(Debug)]
@@ -199,40 +124,15 @@ impl<'a> BitReader<'a> {
         self.acc_bits -= n;
     }
 
-    /// Checked variant of [`BitReader::read_bits`]: `None` when fewer than
-    /// `n` bits remain (the decode-path primitive — never panics).
-    #[inline]
-    pub fn try_read_bits(&mut self, n: u32) -> Option<u64> {
-        if n as usize > self.remaining() {
-            return None;
-        }
-        Some(self.read_bits(n))
-    }
-
-    /// Checked single-bit read.
+    /// Read one bit, `None` past the end of the stream.
     #[inline]
     pub fn try_read_bit(&mut self) -> Option<bool> {
-        self.try_read_bits(1).map(|b| b != 0)
-    }
-
-    /// Read `n ≤` [`MAX_BITS_PER_CALL`] bits (LSB-first). Panics past the end.
-    #[inline]
-    pub fn read_bits(&mut self, n: u32) -> u64 {
-        debug_assert!(n <= MAX_BITS_PER_CALL);
-        assert!(n as usize <= self.remaining(), "bitstream exhausted");
-        if self.acc_bits < n {
-            self.refill();
+        if self.remaining() == 0 {
+            return None;
         }
-        let out = self.acc & ((1u64 << n) - 1);
-        self.acc >>= n;
-        self.acc_bits -= n;
-        out
-    }
-
-    /// Read one bit.
-    #[inline]
-    pub fn read_bit(&mut self) -> bool {
-        self.read_bits(1) != 0
+        let bit = self.peek_bits(1) != 0;
+        self.consume(1);
+        Some(bit)
     }
 }
 
@@ -240,132 +140,47 @@ impl<'a> BitReader<'a> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn roundtrip_mixed_widths() {
-        let mut w = BitWriter::new();
-        let values: Vec<(u64, u32)> = vec![
-            (1, 1),
-            (0b1011, 4),
-            (0xFFFF, 16),
-            (0, 3),
-            (0x1234_5678, 31),
-            (1, 1),
-            (0x1FFF_FFFF_FFFF, 45),
-        ];
-        for &(v, n) in &values {
-            w.write_bits(v, n);
-        }
-        let bytes = w.finish();
-        let mut r = BitReader::new(&bytes);
-        for &(v, n) in &values {
-            assert_eq!(r.read_bits(n), v, "width {n}");
-        }
+    /// Bits `pos..pos + n` of `bytes` as an LSB-first integer, one bit at
+    /// a time: the layout spelled out, with zeros past the end.
+    fn bits_at(bytes: &[u8], pos: usize, n: u32) -> u64 {
+        (0..n as usize).fold(0, |v, k| {
+            let (byte, bit) = ((pos + k) / 8, (pos + k) % 8);
+            let b = bytes.get(byte).map_or(0, |&x| (x >> bit) & 1);
+            v | (u64::from(b) << k)
+        })
+    }
+
+    /// 29 bytes of a fixed LCG: long enough for two bulk refills.
+    fn sample_bytes() -> Vec<u8> {
+        let mut x = 0x1234_5678_9ABC_DEF0u64;
+        (0..29)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (x >> 56) as u8
+            })
+            .collect()
     }
 
     #[test]
-    fn bit_len_counts() {
-        let mut w = BitWriter::new();
-        w.write_bits(0b101, 3);
-        assert_eq!(w.bit_len(), 3);
-        w.write_bits(0xFF, 8);
-        assert_eq!(w.bit_len(), 11);
-        let bytes = w.finish();
-        assert_eq!(bytes.len(), 2);
-    }
-
-    #[test]
-    fn single_bits() {
-        let mut w = BitWriter::new();
-        let pattern = [true, false, true, true, false, false, true, false, true];
-        for &b in &pattern {
-            w.write_bit(b);
-        }
-        let bytes = w.finish();
-        let mut r = BitReader::new(&bytes);
-        for &b in &pattern {
-            assert_eq!(r.read_bit(), b);
-        }
-    }
-
-    #[test]
-    fn empty_stream() {
-        let bytes = BitWriter::new().finish();
-        assert!(bytes.is_empty());
-        let r = BitReader::new(&bytes);
+    fn bits_come_out_lsb_first() {
+        let mut r = BitReader::new(&[0b0000_0111, 0b1000_0001]);
+        let bits: Vec<bool> = std::iter::from_fn(|| r.try_read_bit()).collect();
+        let want = [1, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1];
+        assert_eq!(bits, want.map(|b| b == 1));
         assert_eq!(r.remaining(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "bitstream exhausted")]
-    fn overread_panics() {
-        let mut w = BitWriter::new();
-        w.write_bits(0b1, 1);
-        let bytes = w.finish();
-        let mut r = BitReader::new(&bytes);
-        let _ = r.read_bits(9);
-    }
-
-    #[test]
-    fn lsb_first_layout() {
-        let mut w = BitWriter::new();
-        w.write_bits(0b1, 1); // bit 0 of byte 0
-        w.write_bits(0b11, 2); // bits 1-2
-        let bytes = w.finish();
-        assert_eq!(bytes[0], 0b0000_0111);
-    }
-
-    #[test]
-    fn max_width_writes_roundtrip() {
-        // back-to-back 57-bit writes exercise the full-accumulator flush
-        // (nbits hits 64) on both sides
-        let vals = [
-            (1u64 << MAX_BITS_PER_CALL) - 1,
-            0x00AA_AAAA_AAAA_AAAA & ((1 << 57) - 1),
-            1,
-            0,
-            (1 << 56) | 1,
-        ];
-        let mut w = BitWriter::new();
-        for &v in &vals {
-            w.write_bits(v, MAX_BITS_PER_CALL);
-        }
-        let bytes = w.finish();
-        assert_eq!(bytes.len(), (57 * vals.len()).div_ceil(8));
-        let mut r = BitReader::new(&bytes);
-        for &v in &vals {
-            assert_eq!(r.read_bits(MAX_BITS_PER_CALL), v);
-        }
-    }
-
-    #[test]
-    fn finish_flushes_multi_byte_tail() {
-        // the word-level writer can hold up to 63 staged bits at finish()
-        let mut w = BitWriter::new();
-        w.write_bits(0x0055_AA55_AA55_AA55 & ((1 << 55) - 1), 55);
-        assert_eq!(w.bit_len(), 55);
-        let bytes = w.finish();
-        assert_eq!(bytes.len(), 7);
-        let mut r = BitReader::new(&bytes);
-        assert_eq!(r.read_bits(55), 0x0055_AA55_AA55_AA55 & ((1 << 55) - 1));
-    }
-
-    #[test]
-    fn append_to_preserves_prefix() {
-        let mut prefix = vec![0xDE, 0xAD];
-        prefix.reserve(64);
-        let mut w = BitWriter::append_to(prefix);
-        w.write_bits(0b101, 3);
-        let bytes = w.finish();
-        assert_eq!(&bytes[..2], &[0xDE, 0xAD]);
-        assert_eq!(bytes[2], 0b101);
-        assert!(bytes.capacity() >= 64, "appending keeps the allocation");
+    fn empty_stream_reads_nothing() {
+        let mut r = BitReader::new(&[]);
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(r.peek_bits(MAX_BITS_PER_CALL), 0);
+        assert_eq!(r.try_read_bit(), None);
     }
 
     #[test]
     fn peek_is_idempotent_and_consume_advances() {
-        let mut w = BitWriter::new();
-        w.write_bits(0b1101_0110_1001, 12);
-        let bytes = w.finish(); // stream as an LSB-first integer: 0x0D69
+        let bytes = [0x69, 0x0D]; // the stream as an LSB-first integer: 0x0D69
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.peek_bits(5), 0x0D69 & 0x1F);
         assert_eq!(r.peek_bits(5), 0x0D69 & 0x1F, "peek must not consume");
@@ -374,49 +189,62 @@ mod tests {
         assert_eq!(r.remaining(), 16 - 4);
         assert_eq!(r.peek_bits(8), (0x0D69 >> 4) & 0xFF);
         r.consume(8);
-        assert_eq!(r.read_bits(4), 0x0D69 >> 12); // final padding nibble (zero)
+        assert_eq!(r.peek_bits(4), 0x0D69 >> 12);
+        r.consume(4);
         assert_eq!(r.remaining(), 0);
     }
 
     #[test]
     fn peek_past_end_is_zero_padded() {
-        let mut w = BitWriter::new();
-        w.write_bits(0b111, 3);
-        let bytes = w.finish(); // one byte: 0b0000_0111
-        let mut r = BitReader::new(&bytes);
+        let mut r = BitReader::new(&[0b0000_0111]);
         assert_eq!(r.remaining(), 8);
         assert_eq!(r.peek_bits(12), 0b0000_0111, "missing high bits are zero");
         r.consume(3);
         assert_eq!(r.peek_bits(12), 0, "only padding left");
-        assert_eq!(r.read_bits(5), 0);
+        r.consume(5);
         assert_eq!(r.remaining(), 0);
         assert_eq!(r.peek_bits(16), 0, "past-the-end bits read as zero");
-        assert_eq!(r.try_read_bits(1), None);
+        assert_eq!(r.try_read_bit(), None, "a read past the end is refused");
     }
 
     #[test]
-    fn interleaved_peek_read_matches_plain_reads() {
-        // the same stream read two ways must agree
-        let mut w = BitWriter::new();
-        let widths = [3u32, 11, 1, 7, 19, 2, 33, 5, 13, 8];
-        let mut x = 0x1234_5678_9ABC_DEF0u64;
-        let mut vals = Vec::new();
-        for &n in &widths {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let v = x & ((1u64 << n) - 1);
-            vals.push(v);
-            w.write_bits(v, n);
-        }
-        let bytes = w.finish();
-
-        let mut plain = BitReader::new(&bytes);
+    fn mixed_width_peeks_match_the_layout() {
+        // widths up to the 57-bit maximum, so refills run both eight bytes
+        // at a time and byte by byte at the tail; each step is checked
+        // against a bit-serial reader of the same bytes
+        let bytes = sample_bytes();
+        let widths = [3u32, 11, 1, 7, 19, 2, 33, 5, 13, 8, 57, 57, 1];
         let mut peeky = BitReader::new(&bytes);
-        for (&n, &v) in widths.iter().zip(&vals) {
-            assert_eq!(plain.read_bits(n), v);
-            let p = peeky.peek_bits(n);
-            assert_eq!(p, v, "peek width {n}");
+        let mut serial = BitReader::new(&bytes);
+        let mut pos = 0usize;
+        for &n in &widths {
+            let want = bits_at(&bytes, pos, n);
+            assert_eq!(peeky.peek_bits(n), want, "peek of {n} at bit {pos}");
             peeky.consume(n);
-            assert_eq!(peeky.remaining(), plain.remaining());
+            let got = (0..n).fold(0u64, |v, k| {
+                v | (u64::from(serial.try_read_bit().expect("in range")) << k)
+            });
+            assert_eq!(got, want, "{n} single bits at bit {pos}");
+            pos += n as usize;
+            assert_eq!(peeky.remaining(), bytes.len() * 8 - pos);
+            assert_eq!(serial.remaining(), peeky.remaining());
         }
+    }
+
+    #[test]
+    fn bulk_refill_serves_57_bits_from_the_accumulator() {
+        let bytes = sample_bytes();
+        let mut r = BitReader::new(&bytes);
+        let mut pos = 0usize;
+        while r.can_refill_bulk() {
+            r.refill_now();
+            for n in [11u32, 11, 11, 11, 13] {
+                assert_eq!(r.peek_acc(n), bits_at(&bytes, pos, n), "bit {pos}");
+                r.consume(n);
+                pos += n as usize;
+            }
+        }
+        assert!(bytes.len() - pos / 8 < 16, "stops within a word of the end");
+        assert_eq!(r.remaining(), bytes.len() * 8 - pos);
     }
 }

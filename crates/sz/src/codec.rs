@@ -23,7 +23,6 @@ use crate::error::CfcError;
 use crate::lattice::QuantLattice;
 use crate::predict::{check_unwalked, Predictor};
 use crate::quantizer::{EncodedResiduals, QuantizerConfig};
-use crate::scratch::EncodeScratch;
 
 /// Encode a lattice into residual codes + outliers in one step.
 pub fn encode(
@@ -33,7 +32,9 @@ pub fn encode(
 ) -> EncodedResiduals {
     let mut deltas = Vec::new();
     predictor.residuals_into(lattice, &mut deltas);
-    quant.encode(&deltas, lattice.as_slice())
+    let (mut codes, mut outliers) = (Vec::new(), Vec::new());
+    quant.encode_into(&deltas, lattice.as_slice(), &mut codes, &mut outliers);
+    EncodedResiduals { codes, outliers }
 }
 
 /// Compute `delta[i] = q[i] − predict(q, i)` for every point into a
@@ -46,30 +47,6 @@ pub fn encode_residuals_into(
     out: &mut Vec<i64>,
 ) {
     predictor.residuals_into(lattice, out);
-}
-
-/// [`encode`] into reusable scratch buffers: residuals, codes, and
-/// outliers land in `scratch` (read back via [`EncodeScratch::streams`]),
-/// producing the same streams as [`encode`] with no steady-state
-/// allocation.
-pub fn encode_with(
-    lattice: &QuantLattice,
-    predictor: &dyn Predictor,
-    quant: &QuantizerConfig,
-    scratch: &mut EncodeScratch,
-) {
-    let before = scratch.caps();
-    // split borrows: deltas is input to the quantizer, codes/outliers are
-    // outputs — all three live in the same scratch
-    let EncodeScratch {
-        deltas,
-        codes,
-        outliers,
-        ..
-    } = scratch;
-    encode_residuals_into(lattice, predictor, deltas);
-    quant.encode_into(deltas, lattice.as_slice(), codes, outliers);
-    scratch.track(before);
 }
 
 /// Reconstruct the lattice from codes + outliers.

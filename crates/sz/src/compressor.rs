@@ -5,7 +5,7 @@
 use cfc_tensor::{Field, FieldStats, Shape};
 
 use crate::codec;
-use crate::error::CfcError;
+use crate::error::{CfcError, Reader};
 use crate::error_bound::ErrorBound;
 use crate::huffman::HuffmanTable;
 use crate::lattice::{dequantize, QuantLattice};
@@ -83,10 +83,12 @@ impl SzCompressor {
 
     /// Compress a prequantized lattice with an arbitrary (causal) predictor,
     /// returning the container for callers that append extra sections and
-    /// the outlier count — the entry point the cross-field pipeline and the
-    /// archive's block encoder in `cfc-core` build on. Residuals, codes and
-    /// outliers live in `scratch`, so per-block encode loops stop growing
-    /// their big element-proportional buffers after the first block.
+    /// the outlier count — the one encode every `SzCompressor` stream, the
+    /// cross-field pipeline and the archive's block encoder in `cfc-core`
+    /// go through. Residuals, codes, outliers, the staged entropy payload
+    /// and the LZ matcher all live in `scratch`, so per-block encode loops
+    /// stop growing their element-proportional buffers after the first
+    /// block.
     pub fn compress_lattice_with(
         &self,
         lattice: &QuantLattice,
@@ -98,15 +100,34 @@ impl SzCompressor {
             predictor.is_causal(),
             "refusing to encode with a non-causal predictor"
         );
+        let before = scratch.caps();
+        // split borrows: each stage's output is the next one's input
+        let EncodeScratch {
+            deltas,
+            codes,
+            outliers,
+            payload,
+            lz,
+            ..
+        } = scratch;
+        predictor.residuals_into(lattice, deltas);
+        self.quantizer
+            .encode_into(deltas, lattice.as_slice(), codes, outliers);
         let mut container = Container::new(lattice.shape(), eb, self.quantizer.radius);
-        codec::encode_with(lattice, predictor, &self.quantizer, scratch);
-        let n_outliers = push_residual_sections(&mut container, scratch);
+        container.push(SectionTag::Residuals, encode_codes_into(codes, payload, lz));
+        container.push(
+            SectionTag::Outliers,
+            encode_outliers_into(outliers, payload, lz),
+        );
+        let n_outliers = outliers.len();
+        scratch.track(before);
         (container, n_outliers)
     }
 
     /// Decode a container's residual sections with an arbitrary predictor.
     ///
-    /// Fully fallible: missing sections, corrupt payloads, and count
+    /// Fully fallible, and refuses what every other decode refuses:
+    /// predictor side info, missing sections, corrupt payloads, and count
     /// mismatches all return [`CfcError`]. The lossless payload, residual
     /// codes, and outliers decode into `scratch`, so repeated block decodes
     /// through one scratch allocate only the reconstructed lattice.
@@ -116,70 +137,10 @@ impl SzCompressor {
         predictor: &dyn Predictor,
         scratch: &mut DecodeScratch,
     ) -> Result<QuantLattice, CfcError> {
-        let before = scratch.caps();
         let mut data = Vec::new();
-        let decoded = decode_lattice_into(container, predictor, usize::MAX, scratch, &mut data);
-        scratch.track(before);
-        decoded.map(|shape| QuantLattice::from_vec(shape, data))
+        let shape = decode_rows(container, predictor, usize::MAX, scratch, Some(&mut data))?;
+        Ok(QuantLattice::from_vec(shape, data))
     }
-}
-
-/// Entropy-decode `container`'s two residual sections — whole, whatever
-/// `rows` says — through `scratch`'s staging buffers and rebuild the raw
-/// lattice integers of the leading `rows` axis-0 rows into `out`; returns
-/// their shape (see [`codec::try_decode_into`]).
-fn decode_lattice_into(
-    container: &Container,
-    predictor: &dyn Predictor,
-    rows: usize,
-    scratch: &mut DecodeScratch,
-    out: &mut Vec<i64>,
-) -> Result<Shape, CfcError> {
-    let shape = container.shape;
-    let quant = QuantizerConfig {
-        radius: container.radius,
-    };
-    try_decode_codes_into(
-        container.require_section(SectionTag::Residuals)?,
-        shape.len(),
-        &mut scratch.payload,
-        &mut scratch.codes,
-    )?;
-    try_decode_outliers_bounded_into(
-        container.require_section(SectionTag::Outliers)?,
-        shape.len(),
-        &mut scratch.payload,
-        &mut scratch.outliers,
-    )?;
-    codec::try_decode_into(
-        shape,
-        rows,
-        &scratch.codes,
-        &scratch.outliers,
-        predictor,
-        &quant,
-        out,
-    )
-}
-
-/// Entropy-code the `(codes, outliers)` the last [`codec::encode_with`]
-/// left in `scratch` into `container`'s two residual sections; returns the
-/// outlier count.
-fn push_residual_sections(container: &mut Container, scratch: &mut EncodeScratch) -> usize {
-    // split borrows: codes/outliers are inputs, payload/lz are staging
-    let EncodeScratch {
-        codes,
-        outliers,
-        payload,
-        lz,
-        ..
-    } = scratch;
-    container.push(SectionTag::Residuals, encode_codes_into(codes, payload, lz));
-    container.push(
-        SectionTag::Outliers,
-        encode_outliers_into(outliers, payload, lz),
-    );
-    outliers.len()
 }
 
 impl SzCompressor {
@@ -218,12 +179,9 @@ impl SzCompressor {
         let eb_user = self.bound.try_resolve(&stats)?;
         let eb = self.bound.try_resolve_quantization(&stats)?;
         let lattice = QuantLattice::prequantize(field, eb);
-        let mut container = Container::new(field.shape(), eb, self.quantizer.radius);
-        let before = scratch.caps();
         let PredictorKind::Lorenzo = self.predictor;
-        codec::encode_with(&lattice, &LorenzoPredictor, &self.quantizer, scratch);
-        let n_outliers = push_residual_sections(&mut container, scratch);
-        scratch.track(before);
+        let (container, n_outliers) =
+            self.compress_lattice_with(&lattice, &LorenzoPredictor, eb, scratch);
         Ok(EncodedStream {
             bytes: container.to_bytes(),
             eb_abs: eb_user,
@@ -257,7 +215,7 @@ impl SzCompressor {
         rows: usize,
         scratch: &mut DecodeScratch,
     ) -> Result<Field, CfcError> {
-        let shape = decode_rows(container, predictor, rows, scratch)?;
+        let shape = decode_rows(container, predictor, rows, scratch, None)?;
         let samples = dequantize(&scratch.lattice, container.eb).collect();
         Ok(Field::from_vec(shape, samples))
     }
@@ -288,7 +246,7 @@ impl SzCompressor {
         scratch: &mut DecodeScratch,
         out: &mut [f32],
     ) -> Result<Shape, CfcError> {
-        let shape = decode_rows(container, predictor, rows, scratch)?;
+        let shape = decode_rows(container, predictor, rows, scratch, None)?;
         if out.len() != shape.len() {
             return Err(CfcError::ShapeMismatch {
                 expected: format!("{shape} ({} samples)", shape.len()),
@@ -305,14 +263,18 @@ impl SzCompressor {
     }
 }
 
-/// The decode both [`SzCompressor::decompress_rows_into`] and
-/// [`SzCompressor::decompress_rows_with`] run: the lattice integers of the
-/// leading `rows` axis-0 rows into `scratch.lattice`; returns their shape.
+/// The one decode every `SzCompressor` decode runs: entropy-decode
+/// `container`'s two residual sections — whole, whatever `rows` says —
+/// through `scratch`'s staging buffers and rebuild the raw lattice integers
+/// of the leading `rows` axis-0 rows (see [`codec::try_decode_into`]) into
+/// `out`, or into `scratch.lattice` when `out` is `None`; returns their
+/// shape.
 fn decode_rows(
     container: &Container,
     predictor: &dyn Predictor,
     rows: usize,
     scratch: &mut DecodeScratch,
+    out: Option<&mut Vec<i64>>,
 ) -> Result<Shape, CfcError> {
     // written by the block-regression predictor this codec once had; no
     // predictor left reads it, and replaying such a stream through
@@ -325,10 +287,51 @@ fn decode_rows(
     }
     let before = scratch.caps();
     let mut lattice = std::mem::take(&mut scratch.lattice);
-    let decoded = decode_lattice_into(container, predictor, rows, scratch, &mut lattice);
+    let decoded = decode_sections(
+        container,
+        predictor,
+        rows,
+        scratch,
+        out.unwrap_or(&mut lattice),
+    );
     scratch.lattice = lattice;
     scratch.track(before);
     decoded
+}
+
+/// [`decode_rows`] past its checks, between its scratch bookkeeping.
+fn decode_sections(
+    container: &Container,
+    predictor: &dyn Predictor,
+    rows: usize,
+    scratch: &mut DecodeScratch,
+    out: &mut Vec<i64>,
+) -> Result<Shape, CfcError> {
+    let shape = container.shape;
+    try_decode_codes_into(
+        container.require_section(SectionTag::Residuals)?,
+        shape.len(),
+        &mut scratch.payload,
+        &mut scratch.codes,
+    )?;
+    try_decode_outliers_bounded_into(
+        container.require_section(SectionTag::Outliers)?,
+        shape.len(),
+        &mut scratch.payload,
+        &mut scratch.outliers,
+    )?;
+    let quant = QuantizerConfig {
+        radius: container.radius,
+    };
+    codec::try_decode_into(
+        shape,
+        rows,
+        &scratch.codes,
+        &scratch.outliers,
+        predictor,
+        &quant,
+        out,
+    )
 }
 
 /// The most samples one stored byte of a residual section can decode to:
@@ -413,32 +416,24 @@ pub fn try_decode_outliers_bounded_into(
     out.clear();
     let budget = max_count.saturating_mul(10).saturating_add(8);
     lossless::try_decompress_bounded_into(bytes, budget, payload)?;
-    let raw = payload.as_slice();
-    if raw.len() < 8 {
-        return Err(CfcError::Truncated {
-            context: "outlier count",
-            needed: 8,
-            available: raw.len(),
-        });
-    }
-    let n = u64::from_le_bytes(raw[0..8].try_into().unwrap()) as usize;
-    if n > max_count {
+    let mut r = Reader::new(payload);
+    let n = r.u64("outlier count")?;
+    if n > max_count as u64 {
         return Err(CfcError::Corrupt {
             context: "outlier stream",
             detail: format!("{n} outliers for at most {max_count} samples"),
         });
     }
     // every outlier occupies at least one varint byte
-    if n > raw.len() - 8 {
+    if n > r.remaining() as u64 {
         return Err(CfcError::Corrupt {
             context: "outlier stream",
-            detail: format!("{n} outliers claimed in {} payload bytes", raw.len() - 8),
+            detail: format!("{n} outliers claimed in {} payload bytes", r.remaining()),
         });
     }
-    let mut pos = 8usize;
-    out.reserve(n);
+    out.reserve(n as usize);
     for _ in 0..n {
-        let zz = read_varint(raw, &mut pos)?;
+        let zz = read_varint(&mut r)?;
         out.push(((zz >> 1) as i64) ^ -((zz & 1) as i64));
     }
     Ok(())
@@ -456,16 +451,11 @@ fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, CfcError> {
+fn read_varint(r: &mut Reader) -> Result<u64, CfcError> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
-        let byte = *bytes.get(*pos).ok_or(CfcError::Truncated {
-            context: "outlier varint",
-            needed: 1,
-            available: 0,
-        })?;
-        *pos += 1;
+        let byte = r.u8("outlier varint")?;
         v |= ((byte & 0x7F) as u64) << shift;
         if byte & 0x80 == 0 {
             break;

@@ -24,7 +24,7 @@
 //! for differential testing.
 
 use crate::bitstream::BitReader;
-use crate::error::CfcError;
+use crate::error::{CfcError, Reader};
 use std::sync::OnceLock;
 
 /// Maximum code length; fits the `u64` bit-I/O fast path comfortably.
@@ -364,20 +364,16 @@ impl HuffmanTable {
     /// symbol uniqueness (duplicates would silently corrupt canonical code
     /// assignment).
     pub fn try_deserialize(bytes: &[u8]) -> Result<(Self, usize), CfcError> {
-        if bytes.len() < 4 {
-            return Err(CfcError::Truncated {
-                context: "Huffman table header",
-                needed: 4,
-                available: bytes.len(),
-            });
-        }
-        let n = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
+        let mut r = Reader::new(bytes);
+        let n = r.u32("Huffman table header")? as usize;
         if n == 0 {
             return Err(CfcError::Corrupt {
                 context: "Huffman table",
                 detail: "empty alphabet".into(),
             });
         }
+        // checked here rather than per entry: the error names the whole
+        // table's size against the whole buffer
         let need = 4usize.saturating_add(n.saturating_mul(5));
         if bytes.len() < need {
             return Err(CfcError::Truncated {
@@ -387,10 +383,9 @@ impl HuffmanTable {
             });
         }
         let mut lengths = Vec::with_capacity(n);
-        for k in 0..n {
-            let off = 4 + k * 5;
-            let sym = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-            let len = bytes[off + 4] as u32;
+        for _ in 0..n {
+            let sym = r.u32("Huffman table body")?;
+            let len = r.u8("Huffman table body")? as u32;
             if len == 0 || len > MAX_CODE_LEN {
                 return Err(CfcError::Corrupt {
                     context: "Huffman table",
@@ -411,7 +406,7 @@ impl HuffmanTable {
             });
         }
         lengths.sort_by_key(|&(sym, len)| (len, sym));
-        Ok((Self::from_sorted(lengths), need))
+        Ok((Self::from_sorted(lengths), r.position()))
     }
 }
 

@@ -30,12 +30,15 @@
 //!   The cross-field + hybrid predictor of the paper lives in `cfc-core` and
 //!   implements the same [`predict::Predictor`] trait.
 //! * **Entropy stage**: canonical Huffman over quantization codes
-//!   ([`huffman`]), backed by a bit-level I/O layer ([`bitstream`]).
+//!   ([`huffman`]), decoded through a checked bit reader ([`bitstream`]).
 //! * **Lossless back-end**: an LZSS + Huffman byte compressor ([`lossless`])
 //!   standing in for zstd.
 //! * **Self-describing container** ([`stream`]): magic, version, shape,
 //!   bound, and tagged sections, validated end to end by
-//!   [`stream::Container::try_from_bytes`].
+//!   [`stream::Container::try_from_bytes`]. Every field this crate
+//!   parses out of an untrusted byte slice is read through
+//!   [`error::Reader`], which returns [`CfcError::Truncated`] instead of
+//!   running past the end.
 
 pub mod bitstream;
 pub mod codec;

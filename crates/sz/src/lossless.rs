@@ -15,7 +15,10 @@
 //!   probed increasingly sparsely (LZ4-style acceleration), so
 //!   incompressible data degrades to near-memcpy cost;
 //! * tokens split into three streams — a flag bitmap, literal bytes, and
-//!   match `(length, distance)` records — each Huffman-coded independently,
+//!   match `(length, distance)` records. The bitmap holds one bit per
+//!   token (1 = match), LSB-first within each byte and zero-padded to a
+//!   whole byte, and is stored raw; the other streams are each
+//!   Huffman-coded independently,
 //! * incompressible inputs fall back to stored mode, so the worst-case
 //!   expansion is exactly the 1-byte mode header ([`compress_with`]'s
 //!   `input.len() + 1` contract). An entropy lower bound on the token
@@ -25,8 +28,7 @@
 //! Steady-state encode is allocation-free through [`LzScratch`]
 //! (chains, token buffers, and stream staging all reused across blocks).
 
-use crate::bitstream::{BitReader, BitWriter};
-use crate::error::CfcError;
+use crate::error::{CfcError, Reader};
 use crate::huffman::HuffmanTable;
 
 const MIN_MATCH: usize = 4;
@@ -368,24 +370,22 @@ fn encode_tokens_with(raw_len: usize, s: &mut LzScratch) -> Option<Vec<u8>> {
     s.dist_lo.clear();
     s.dist_hi.clear();
     s.flag_buf.clear();
-    let mut flags = BitWriter::append_to(std::mem::take(&mut s.flag_buf));
+    s.flag_buf.resize(s.tokens.len().div_ceil(8), 0);
     let mut lit_hist = [0u64; 256];
-    for t in &s.tokens {
-        match *t {
+    for (t, token) in s.tokens.iter().enumerate() {
+        match *token {
             Token::Literal(b) => {
-                flags.write_bit(false);
                 s.literals.push(b as u32);
                 lit_hist[b as usize] += 1;
             }
             Token::Match { len, dist } => {
-                flags.write_bit(true);
+                s.flag_buf[t >> 3] |= 1 << (t & 7);
                 s.lens.push(len as u32 - MIN_MATCH as u32);
                 s.dist_lo.push((dist & 0xFF) as u32);
                 s.dist_hi.push((dist >> 8) as u32);
             }
         }
     }
-    s.flag_buf = flags.finish();
     let ntokens = s.tokens.len();
     let nlit = s.literals.len();
     let nmatch = s.lens.len();
@@ -453,69 +453,39 @@ fn write_coded(out: &mut Vec<u8>, symbols: &[u32]) {
     out[len_at..len_at + 8].copy_from_slice(&section_len.to_le_bytes());
 }
 
-fn read_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, CfcError> {
-    if *pos + 8 > bytes.len() {
-        return Err(CfcError::Truncated {
-            context: "lossless header",
-            needed: 8,
-            available: bytes.len().saturating_sub(*pos),
-        });
-    }
-    let v = u64::from_le_bytes(bytes[*pos..*pos + 8].try_into().unwrap());
-    *pos += 8;
-    Ok(v)
+fn read_section<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], CfcError> {
+    let len = usize::try_from(r.u64("lossless header")?).unwrap_or(usize::MAX);
+    r.bytes(len, "lossless section")
 }
 
-fn read_section<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<&'a [u8], CfcError> {
-    let len = read_u64(bytes, pos)? as usize;
-    let end = pos
-        .checked_add(len)
-        .filter(|&e| e <= bytes.len())
-        .ok_or(CfcError::Truncated {
-            context: "lossless section",
-            needed: len,
-            available: bytes.len().saturating_sub(*pos),
-        })?;
-    let s = &bytes[*pos..end];
-    *pos = end;
-    Ok(s)
-}
-
-fn read_coded(bytes: &[u8], pos: &mut usize) -> Result<Vec<u32>, CfcError> {
-    let section = read_section(bytes, pos)?;
+fn read_coded(r: &mut Reader) -> Result<Vec<u32>, CfcError> {
+    let section = read_section(r)?;
     if section.is_empty() {
         return Ok(Vec::new());
     }
-    if section.len() < 8 {
-        return Err(CfcError::Truncated {
-            context: "coded section header",
-            needed: 8,
-            available: section.len(),
-        });
-    }
-    let count = u64::from_le_bytes(section[0..8].try_into().unwrap()) as usize;
+    let count = Reader::new(section).u64("coded section header")? as usize;
     let (table, used) = HuffmanTable::try_deserialize(&section[8..])?;
     table.try_decode(&section[8 + used..], count)
 }
 
 fn decode_tokens(bytes: &[u8], max_len: usize, out: &mut Vec<u8>) -> Result<(), CfcError> {
-    let mut pos = 0usize;
-    let raw_len = read_u64(bytes, &mut pos)? as usize;
+    let mut r = Reader::new(bytes);
+    let raw_len = r.u64("lossless header")? as usize;
     if raw_len > max_len {
         return Err(CfcError::Corrupt {
             context: "lossless stream",
             detail: format!("claimed size {raw_len} exceeds budget {max_len}"),
         });
     }
-    let ntokens = read_u64(bytes, &mut pos)? as usize;
-    let flag_bytes = read_section(bytes, &mut pos)?;
+    let ntokens = r.u64("lossless header")? as usize;
+    let flags = read_section(&mut r)?;
     // one flag bit per token bounds the token count by the flag section, so
     // the loop below — and the output allocation — stay proportional to the
     // actual input size no matter what the header claims
-    if ntokens > flag_bytes.len().saturating_mul(8) {
+    if ntokens > flags.len().saturating_mul(8) {
         return Err(CfcError::Corrupt {
             context: "lossless stream",
-            detail: format!("{ntokens} tokens exceed {} flag bits", flag_bytes.len() * 8),
+            detail: format!("{ntokens} tokens exceed {} flag bits", flags.len() * 8),
         });
     }
     if raw_len > ntokens.saturating_mul(MAX_MATCH) && !(ntokens == 0 && raw_len == 0) {
@@ -524,10 +494,10 @@ fn decode_tokens(bytes: &[u8], max_len: usize, out: &mut Vec<u8>) -> Result<(), 
             detail: format!("claimed size {raw_len} unreachable from {ntokens} tokens"),
         });
     }
-    let literals = read_coded(bytes, &mut pos)?;
-    let lens = read_coded(bytes, &mut pos)?;
-    let dist_lo = read_coded(bytes, &mut pos)?;
-    let dist_hi = read_coded(bytes, &mut pos)?;
+    let literals = read_coded(&mut r)?;
+    let lens = read_coded(&mut r)?;
+    let dist_lo = read_coded(&mut r)?;
+    let dist_hi = read_coded(&mut r)?;
 
     let corrupt = |detail: String| CfcError::Corrupt {
         context: "LZ token stream",
@@ -536,11 +506,10 @@ fn decode_tokens(bytes: &[u8], max_len: usize, out: &mut Vec<u8>) -> Result<(), 
     // cap the upfront allocation; genuinely large outputs grow amortized,
     // while a hostile header can't demand gigabytes before decoding starts
     out.reserve(raw_len.min(1 << 24));
-    let mut flags = BitReader::new(flag_bytes);
     let (mut li, mut mi) = (0usize, 0usize);
-    for _ in 0..ntokens {
+    for t in 0..ntokens {
         // bound checked above: ntokens flags always fit the section
-        if flags.read_bit() {
+        if flags[t >> 3] & (1 << (t & 7)) != 0 {
             let (&l, &lo, &hi) = match (lens.get(mi), dist_lo.get(mi), dist_hi.get(mi)) {
                 (Some(l), Some(lo), Some(hi)) => (l, lo, hi),
                 _ => return Err(corrupt(format!("match stream exhausted at token {mi}"))),

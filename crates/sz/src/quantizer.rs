@@ -60,16 +60,9 @@ impl QuantizerConfig {
         }
     }
 
-    /// Encode a full residual stream given lattice values (for escapes).
-    pub fn encode(&self, deltas: &[i64], lattice: &[i64]) -> EncodedResiduals {
-        let mut codes = Vec::new();
-        let mut outliers = Vec::new();
-        self.encode_into(deltas, lattice, &mut codes, &mut outliers);
-        EncodedResiduals { codes, outliers }
-    }
-
-    /// [`QuantizerConfig::encode`] into caller-owned buffers (cleared
-    /// first), so per-block encode loops reuse steady-state capacity.
+    /// Map residuals to codes, and the lattice values of the escaped ones
+    /// to outliers, into caller-owned buffers (cleared first), so
+    /// per-block encode loops reuse steady-state capacity.
     ///
     /// The codes pass is branchless (a select per element, which LLVM
     /// vectorizes); outliers — rare by construction — are collected in a
@@ -113,11 +106,17 @@ impl QuantizerConfig {
 mod tests {
     use super::*;
 
+    fn encode(q: &QuantizerConfig, deltas: &[i64], lattice: &[i64]) -> EncodedResiduals {
+        let (mut codes, mut outliers) = (Vec::new(), Vec::new());
+        q.encode_into(deltas, lattice, &mut codes, &mut outliers);
+        EncodedResiduals { codes, outliers }
+    }
+
     #[test]
     fn small_residuals_roundtrip() {
         let q = QuantizerConfig { radius: 8 };
         for d in -7..=7i64 {
-            let enc = q.encode(&[d], &[999]);
+            let enc = encode(&q, &[d], &[999]);
             assert!(enc.outliers.is_empty(), "{d} should be in-range");
             assert_eq!(q.check_one(enc.codes[0]), Ok(Some(d)));
         }
@@ -127,7 +126,7 @@ mod tests {
     fn boundary_residuals_escape() {
         let q = QuantizerConfig { radius: 8 };
         for d in [-8i64, 8, 100, -1000] {
-            let enc = q.encode(&[d], &[42]);
+            let enc = encode(&q, &[d], &[42]);
             assert_eq!(enc.codes, vec![q.escape()]);
             assert_eq!(enc.outliers, vec![42]);
             assert_eq!(q.check_one(enc.codes[0]), Ok(None));
@@ -146,7 +145,7 @@ mod tests {
         let q = QuantizerConfig { radius: 4 };
         let deltas = vec![0, 3, -3, 100, -100, 2];
         let lattice = vec![10, 11, 12, 13, 14, 15];
-        let enc = q.encode(&deltas, &lattice);
+        let enc = encode(&q, &deltas, &lattice);
         assert_eq!(enc.codes.len(), 6);
         assert_eq!(enc.outliers, vec![13, 14]);
         assert_eq!(enc.codes.iter().filter(|&&c| c == q.escape()).count(), 2);

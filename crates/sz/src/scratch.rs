@@ -101,7 +101,8 @@ impl EncodeScratch {
     }
 
     /// The encoded `(codes, outliers)` streams of the last
-    /// [`crate::codec::encode_with`] call through this scratch.
+    /// [`crate::SzCompressor::compress_lattice_with`] call through this
+    /// scratch.
     pub fn streams(&self) -> (&[u32], &[i64]) {
         (&self.codes, &self.outliers)
     }

@@ -70,3 +70,22 @@ proptest! {
         prop_assert_eq!(out, codes);
     }
 }
+
+/// The LZ flag bitmap is one bit per token, 1 for a match, LSB-first in
+/// each byte and zero-padded to a whole byte: 16 distinct literals then 7
+/// maximal matches are flag bytes `00 00 7F`.
+#[test]
+fn lz_flag_bitmap_is_lsb_first_and_zero_padded() {
+    let mut data: Vec<u8> = (0..16u8).map(|b| b * 13 + 3).collect();
+    while data.len() < 16 + 7 * 258 {
+        data.push(data[data.len() - 16]);
+    }
+    let c = lossless::compress_with(&data, &mut LzScratch::new());
+    let u64_at = |at: usize| u64::from_le_bytes(c[at..at + 8].try_into().expect("8 bytes"));
+    assert_eq!(c[0], 1, "LZ mode");
+    assert_eq!(u64_at(1), data.len() as u64, "raw length");
+    assert_eq!(u64_at(9), 16 + 7, "tokens");
+    assert_eq!(u64_at(17), 3, "flag section length");
+    assert_eq!(c[25..28], [0x00, 0x00, 0x7F]);
+    assert_eq!(lz_roundtrip(&data), data);
+}

@@ -320,6 +320,73 @@ fn transient_faults_stay_invisible_to_the_model() {
     assert_eq!(plan.stats().transient_errors, 2);
 }
 
+/// A block on a bad sector: every read of block 2 of `A@1` fails. A strict
+/// read of it is the I/O error, never retried; a salvage read of the field
+/// fills and records exactly that block and returns every other block as a
+/// fresh reader does.
+#[test]
+fn a_permanently_unreadable_block_fails_alone() {
+    let bytes = series();
+    let (off, len) = ArchiveReader::new(&bytes)
+        .expect("open")
+        .entries()
+        .iter()
+        .find(|e| e.name == "A" && e.epoch == 1)
+        .expect("entry")
+        .block_span(2)
+        .expect("span");
+    let plan = FaultPlan::new().unreadable_at(off..off + len as u64);
+    let cfg = StoreConfig::with_tiers(2 * BLOCK_BYTES, 1 << 20).no_prefetch();
+    let source = FaultInjectingReader::new(Cursor::new(bytes.clone()), plan.clone());
+    let store = ArchiveStore::open(source, cfg).expect("manifest reads cleanly");
+
+    let err = store
+        .decode_block_at("A", 2, 1)
+        .expect_err("an unreadable block cannot decode");
+    assert!(
+        matches!(err.root_cause(), CfcError::Io { .. }),
+        "want the I/O error, got {err:?}"
+    );
+    assert_eq!(
+        store.snapshot().retries,
+        0,
+        "a permanent error is not retried"
+    );
+    assert!(plan.stats().permanent_errors > 0, "{:?}", plan.stats());
+
+    let salvage = ReadRequest::new("A").at(1).policy(DecodePolicy::salvage());
+    let got = store.read(&salvage).expect("salvage read");
+    let damaged: Vec<(&str, usize)> = got
+        .damage
+        .iter()
+        .map(|d| (d.field.as_str(), d.block))
+        .collect();
+    assert_eq!(damaged, [("A@e1", 2)]);
+    let fill = DecodePolicy::salvage().fill().expect("salvage fills");
+    let want = ArchiveReader::new(&bytes)
+        .expect("open")
+        .read(&ReadRequest::new("A").at(1))
+        .expect("fresh read")
+        .data;
+    let rows = got
+        .data
+        .as_slice()
+        .chunks(COLS)
+        .zip(want.as_slice().chunks(COLS));
+    for (row, (g, w)) in rows.enumerate() {
+        if row / CHUNK_ROWS == 2 {
+            assert!(g.iter().all(|v| v.to_bits() == fill.to_bits()), "row {row}");
+        } else {
+            assert_bits(
+                &Field::from_vec(Shape::d1(COLS), g.to_vec()),
+                &Field::from_vec(Shape::d1(COLS), w.to_vec()),
+                &format!("row {row}"),
+            );
+        }
+    }
+    check_counters(&store.snapshot(), "after the salvage read");
+}
+
 /// An unknown name is refused by name, ahead of any epoch check.
 #[test]
 fn an_unknown_name_is_refused_before_the_epoch() {

@@ -12,7 +12,7 @@ use cross_field_compression::core::config::{CfnnSpec, TrainConfig};
 use cross_field_compression::core::pipeline::CrossFieldCompressor;
 use cross_field_compression::core::train::train_cfnn;
 use cross_field_compression::sz::stream::{Container, SectionTag};
-use cross_field_compression::sz::{CfcError, SzCompressor};
+use cross_field_compression::sz::{CfcError, DecodeScratch, LorenzoPredictor, SzCompressor};
 use cross_field_compression::tensor::{Dataset, Field, Shape};
 
 fn sample_field() -> Field {
@@ -162,6 +162,125 @@ fn mismatched_decoder_predictor_is_an_error() {
         ),
         "must not silently decode with the wrong predictor: {res:?}"
     );
+    // the lattice entry point refuses the same stream the same way
+    let res = c.decompress_lattice_with(&container, &LorenzoPredictor, &mut DecodeScratch::new());
+    assert!(
+        matches!(
+            &res,
+            Err(CfcError::Corrupt { context, .. }) if *context == "predictor side info"
+        ),
+        "decompress_lattice_with must refuse it too: {res:?}"
+    );
+}
+
+fn expect_truncated<T: std::fmt::Debug>(
+    res: Result<T, CfcError>,
+    context: &str,
+    needed: usize,
+    available: usize,
+) {
+    match res {
+        Err(CfcError::Truncated {
+            context: c,
+            needed: n,
+            available: a,
+        }) if (c, n, a) == (context, needed, available) => {}
+        other => panic!("want Truncated {{ {context}, {needed}, {available} }}, got {other:?}"),
+    }
+}
+
+fn expect_corrupt<T: std::fmt::Debug>(res: Result<T, CfcError>, context: &str) {
+    match res {
+        Err(CfcError::Corrupt { context: c, .. }) if c == context => {}
+        other => panic!("want Corrupt {{ {context} }}, got {other:?}"),
+    }
+}
+
+/// `parts` back to back, each `u64` little-endian.
+fn le(parts: &[u64]) -> Vec<u8> {
+    parts.iter().flat_map(|v| v.to_le_bytes()).collect()
+}
+
+/// One hand-built stream per error of each entropy-stage parser and of the
+/// hybrid weights, pinned to its variant, context and (for truncation)
+/// byte counts.
+#[test]
+fn every_parser_error_is_typed_and_counted() {
+    use cross_field_compression::core::HybridModel;
+    use cross_field_compression::sz::compressor::try_decode_outliers_bounded_into;
+    use cross_field_compression::sz::huffman::HuffmanTable;
+    use cross_field_compression::sz::lossless::try_decompress_bounded;
+
+    // Huffman table: a 3-byte header, then 2 entries claimed in 5 bytes
+    expect_truncated(
+        HuffmanTable::try_deserialize(&[1, 0, 0]),
+        "Huffman table header",
+        4,
+        3,
+    );
+    expect_truncated(
+        HuffmanTable::try_deserialize(&[2, 0, 0, 0, 5, 0, 0, 0, 1]),
+        "Huffman table body",
+        14,
+        9,
+    );
+
+    // LZ container: mode byte, header, section, coded-section header
+    let lz = |rest: &[u8]| try_decompress_bounded(&[&[1u8][..], rest].concat(), usize::MAX);
+    expect_truncated(
+        try_decompress_bounded(&[], usize::MAX),
+        "lossless mode byte",
+        1,
+        0,
+    );
+    expect_corrupt(try_decompress_bounded(&[9], usize::MAX), "lossless stream");
+    expect_truncated(lz(&[0; 5]), "lossless header", 8, 5);
+    expect_truncated(
+        lz(&[le(&[0, 0, 100]), vec![7; 3]].concat()),
+        "lossless section",
+        100,
+        3,
+    );
+    // no tokens, an empty flag section, then a 4-byte literal section
+    expect_truncated(
+        lz(&[le(&[0, 0, 0, 4]), vec![1; 4]].concat()),
+        "coded section header",
+        8,
+        4,
+    );
+
+    // outliers, behind a stored-mode lossless byte
+    let outliers = |payload: &[u8]| {
+        let stored = [&[0u8][..], payload].concat();
+        try_decode_outliers_bounded_into(&stored, 10, &mut Vec::new(), &mut Vec::new())
+    };
+    expect_truncated(outliers(&[1, 2, 3]), "outlier count", 8, 3);
+    expect_truncated(
+        outliers(&[le(&[1]), vec![0x80]].concat()),
+        "outlier varint",
+        1,
+        0,
+    );
+    expect_corrupt(
+        outliers(&[le(&[1]), vec![0xFF; 10]].concat()),
+        "outlier varint",
+    );
+
+    // hybrid weights: no count byte, then 2 weights in 8 bytes
+    expect_truncated(
+        HybridModel::try_deserialize(&[]),
+        "hybrid weight count",
+        1,
+        0,
+    );
+    let res = HybridModel::try_deserialize(&[&[2u8][..], &1.0f64.to_le_bytes()].concat());
+    match res {
+        Err(CfcError::Corrupt { context, detail }) => {
+            assert_eq!(context, "hybrid weights");
+            assert_eq!(detail, "2 weights claimed in 8 payload bytes");
+        }
+        other => panic!("want Corrupt {{ hybrid weights }}, got {other:?}"),
+    }
 }
 
 #[test]

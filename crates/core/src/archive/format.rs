@@ -811,9 +811,15 @@ pub(crate) fn read_meta_area(meta: &[u8]) -> Result<(&[u8], &[u8]), CfcError> {
     Ok((model, r.bytes(hybrid_len, "hybrid weights")?))
 }
 
+/// Bytes of the meta area [`write_meta_area`] builds from a model and
+/// hybrid weights of these lengths.
+pub(crate) fn meta_area_len(model_len: usize, hybrid_len: usize) -> usize {
+    16 + model_len + hybrid_len
+}
+
 /// Build a meta area: the inverse of `read_meta_area`.
 pub(crate) fn write_meta_area(model: &[u8], hybrid: &[u8]) -> Vec<u8> {
-    let mut meta = Vec::with_capacity(16 + model.len() + hybrid.len());
+    let mut meta = Vec::with_capacity(meta_area_len(model.len(), hybrid.len()));
     meta.put_u64_le(model.len() as u64);
     meta.put_slice(model);
     meta.put_u64_le(hybrid.len() as u64);

@@ -22,7 +22,7 @@
 //! | role | lattice | predictor |
 //! |---|---|---|
 //! | independent, anchor | the slab, quantized at the bound its own statistics resolve | Lorenzo |
-//! | target | the slab's rows of the whole-field lattice (the hybrid fit samples it whole) | Lorenzo mixed with the CFNN differences inferred from the anchors' views of that block — both out of one [`TargetFit`], the step `CrossFieldCompressor::compress` takes with one block. Kept only where model, hybrid weights and blocks come to fewer bytes than the field's independent encoding, which is written in its place otherwise |
+//! | target | the slab's rows of the whole-field lattice (the hybrid fit samples it whole) | Lorenzo mixed with the CFNN differences inferred from the anchors' views of that block — both out of one [`TargetFit`](crate::pipeline::TargetFit), the step `CrossFieldCompressor::compress` takes with one block. Kept only where model, hybrid weights and blocks come to fewer bytes than the field's independent encoding, which is written in its place otherwise. One that clearly loses is demoted right after training, from its meta area's size or one inferred block, before the rest is inferred |
 //! | delta | the slab, quantized like an independent's | Lorenzo mixed with the previous epoch's view of that slab |
 //!
 //! Lattice coding is lossless: the reader rebuilds exactly the lattice that
@@ -42,12 +42,12 @@ use cfc_tensor::{Dataset, Field, FieldStats, Shape};
 
 use crate::config::{CfnnSpec, CrossFieldConfig, TrainConfig};
 use crate::hybrid::{HybridConfig, HybridModel};
-use crate::pipeline::{serialize_model, TargetFit};
+use crate::pipeline::{serialize_model, TargetInference};
 use crate::predictor::{sample_temporal_training, TemporalHybridPredictor};
 use crate::train::train_cfnn;
 
 use super::format::{
-    block_range, chunk_slabs_for, epoch_kind, n_blocks_for, slab_shape_of, write_header,
+    block_range, chunk_slabs_for, epoch_kind, meta_area_len, n_blocks_for, write_header,
     write_meta_area, write_row, FieldRole, RawHeader, RawRow, ARCHIVE_VERSION,
     DEFAULT_CHUNK_ELEMENTS, DEFAULT_KEYFRAME_INTERVAL,
 };
@@ -144,7 +144,15 @@ impl ArchiveBuilder {
     /// independent (Lorenzo) encoding; otherwise the field is written as an
     /// independent row, and reading it runs no CFNN. A model the writer just
     /// trained that diverged (a non-finite weight) is demoted the same way.
-    /// The anchors keep their role either way. See
+    /// The anchors keep their role either way.
+    ///
+    /// A target that clearly loses is demoted right after training, from
+    /// one block, without inferring, fitting and encoding the whole field:
+    /// when its meta area alone is at least the independent encoding, or
+    /// when its middle axis-0 block, inferred, fitted on its own sample and
+    /// encoded, puts the cross-field row more than 3 % above it. Only a
+    /// target inside that margin is encoded both ways, so the bytes differ
+    /// from an exact comparison only where that estimate is wrong. See
     /// [`always_cross_field`](Self::always_cross_field).
     pub fn cross_field(mut self, target: &str, anchors: &[&str]) -> Self {
         self.targets.push((
@@ -159,7 +167,9 @@ impl ArchiveBuilder {
 
     /// Adopt experiment rows (e.g. `paper_table3()` filtered to one
     /// dataset) as the role plan. Each row is a request, kept per keyframe
-    /// only where it is smaller, as for [`cross_field`](Self::cross_field).
+    /// only where it is smaller — and demoted after training, from one
+    /// block, where it clearly is not — as for
+    /// [`cross_field`](Self::cross_field).
     pub fn plan_from(mut self, rows: &[CrossFieldConfig]) -> Self {
         for row in rows {
             self.targets.push((
@@ -175,7 +185,9 @@ impl ArchiveBuilder {
 
     /// Write every planned target as a cross-field row, even where the
     /// independent encoding is smaller, and fail the write on a trained
-    /// model the reader would refuse instead of demoting the target.
+    /// model the reader would refuse instead of demoting the target. This
+    /// bypasses the one-block estimate as it bypasses the guard: every
+    /// target is inferred, fitted and encoded whole.
     ///
     /// For fixtures and tests whose subject is a target row. On a small
     /// field the model dominates: the golden 32×32 `RH` encodes to about
@@ -297,6 +309,53 @@ fn quantize_slab(slab: &Field, eb_user: f64) -> Result<(QuantLattice, f64), CfcE
 /// where asked for, the reader's view of the field.
 type FieldBlocks = (Vec<Vec<u8>>, Option<Field>);
 
+/// How far, in percent of a target's baseline row, its [`Estimate`] may
+/// exceed that row and the target still be fitted whole, for the guard to
+/// judge on exact sizes. The one-block estimate is a few percent off the
+/// real row either way (1.056–1.121× against 1.07–1.14× on the benchmark's
+/// losing `RH`, within 0.1 % on its winning `W`), so a target inside the
+/// margin may still win, and one beyond it has lost on every probe run.
+const ESTIMATE_MARGIN_PERCENT: u128 = 3;
+
+/// The block a target's estimate samples: the middle one along axis 0,
+/// whatever the thread count or seed. `None` for a one-block field, whose
+/// sample would be the whole fit.
+fn sampled_block(n_blocks: usize) -> Option<usize> {
+    (n_blocks > 1).then_some(n_blocks / 2)
+}
+
+/// What one sampled block says about a target's cross-field row, in bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Estimate {
+    /// The block sampled ([`sampled_block`]).
+    block: usize,
+    /// The meta area the cross-field row would carry.
+    meta: usize,
+    /// The target's baseline row: every block of its independent encoding.
+    baseline_row: usize,
+    /// The sampled block encoded with hybrid weights fitted on it alone.
+    cross_block: usize,
+    /// The sampled block in the baseline row.
+    baseline_block: usize,
+}
+
+impl Estimate {
+    /// The estimated cross-field row — `meta + baseline_row × cross_block /
+    /// baseline_block` — exceeds the baseline row by more than
+    /// [`ESTIMATE_MARGIN_PERCENT`]. Integer arithmetic: the margin's
+    /// boundary is exact.
+    fn loses(&self) -> bool {
+        let [meta, row, cross, base] = [
+            self.meta,
+            self.baseline_row,
+            self.cross_block,
+            self.baseline_block,
+        ]
+        .map(|n| n as u128);
+        (meta * base + row * cross) * 100 > row * base * (100 + ESTIMATE_MARGIN_PERCENT)
+    }
+}
+
 /// One cross-field row of the plan, resolved against the dataset.
 struct TargetRow<'a> {
     /// Position of the target in the dataset.
@@ -331,6 +390,11 @@ impl Plan<'_> {
     /// Axis-0 rows `[r0, r1)` of block `bi`.
     fn rows(&self, bi: usize) -> (usize, usize) {
         block_range(self.shape.dims()[0], self.chunk_slabs, bi)
+    }
+
+    /// Axis-0 rows of every block, in order.
+    fn blocks(&self) -> Vec<(usize, usize)> {
+        (0..self.n_blocks).map(|bi| self.rows(bi)).collect()
     }
 }
 
@@ -708,13 +772,7 @@ impl ArchiveWriter {
         let tasks: Vec<(usize, usize)> = (0..n_fields)
             .flat_map(|fi| (0..plan.n_blocks).map(move |bi| (fi, bi)))
             .collect();
-        let sz = SzCompressor {
-            // the block carries the bound it was quantized at; this one is
-            // never consulted
-            bound: self.cfg.bound,
-            quantizer: QuantizerConfig::default(),
-            predictor: PredictorKind::Lorenzo,
-        };
+        let sz = self.block_compressor();
         let done = run_parallel_scratch(
             tasks.clone(),
             self.threads(),
@@ -750,10 +808,12 @@ impl ArchiveWriter {
 
     /// Encode a keyframe: every field's independent (Lorenzo) encoding
     /// first, in one task list — a planned target's is its fallback — then
-    /// every CFNN trained in parallel, then the targets, each inferred,
-    /// fitted and encoded blockwise against its anchors' views, and kept
-    /// only where it is smaller than its fallback (see
-    /// [`ArchiveBuilder::cross_field`]).
+    /// every CFNN trained in parallel, then the targets one after another.
+    /// Each is judged before its whole fit ([`ArchiveWriter::judge`]): one
+    /// that clearly loses is left as its fallback, from its meta area's
+    /// size or from one inferred block. The rest are inferred, fitted and
+    /// encoded blockwise against their anchors' views, and kept only where
+    /// smaller than their fallback (see [`ArchiveBuilder::cross_field`]).
     fn encode_keyframe<'p>(
         &self,
         plan: &'p Plan,
@@ -805,8 +865,6 @@ impl ArchiveWriter {
         });
         // one target after another, so that one target's differences are
         // alive at a time
-        let slab_len: usize = plan.shape.dims()[1..].iter().product::<usize>().max(1);
-        let rows: Vec<(usize, usize)> = (0..plan.n_blocks).map(|bi| plan.rows(bi)).collect();
         for (row, model) in plan.targets.iter().zip(models) {
             let (eb_user, eb) = bounds[row.field];
             let anchors: Vec<&Field> = row
@@ -815,23 +873,19 @@ impl ArchiveWriter {
                 .map(|&a| out[a].view.as_ref())
                 .collect::<Option<_>>()
                 .expect("anchors keep their view");
-            let fit = match TargetFit::new(
-                model,
-                fields[row.field],
-                eb,
-                &anchors,
-                &rows,
-                &self.cfg.hybrid,
-                threads,
-            ) {
-                Ok(fit) => fit,
-                // a diverged training run: the reader would refuse the model
-                Err(CfcError::Corrupt {
-                    context: "embedded model",
-                    ..
-                }) if !self.cfg.always_cross_field => continue,
-                Err(e) => return Err(e),
-            };
+            let target = fields[row.field];
+            let inference =
+                match self.judge(plan, pool, model, target, eb, &anchors, &out[row.field]) {
+                    Ok(Some(inference)) => inference,
+                    Ok(None) => continue,
+                    // a diverged training run: the reader would refuse the model
+                    Err(CfcError::Corrupt {
+                        context: "embedded model",
+                        ..
+                    }) if !self.cfg.always_cross_field => continue,
+                    Err(e) => return Err(e),
+                };
+            let fit = inference.fit(&anchors, &self.cfg.hybrid, threads);
 
             let (blocks, view) = self
                 .encode_blocks(
@@ -839,13 +893,9 @@ impl ArchiveWriter {
                     pool,
                     1,
                     |_| want_views,
-                    |_, bi, (r0, r1)| {
-                        let q = &fit.lattice.as_slice()[r0 * slab_len..r1 * slab_len];
+                    |_, bi, rows| {
                         Ok(Block {
-                            lattice: QuantLattice::from_vec(
-                                slab_shape_of(plan.shape, r1 - r0),
-                                q.to_vec(),
-                            ),
+                            lattice: fit.block_lattice(rows),
                             eb,
                             predictor: Box::new(fit.predictor(bi)),
                         })
@@ -866,6 +916,80 @@ impl ArchiveWriter {
             }
         }
         Ok(out)
+    }
+
+    /// Judge a planned target, quantized at `eb`, before its whole fit,
+    /// against `baseline`, its independent encoding. `None`: it loses, and
+    /// no fit is built.
+    ///
+    /// 1. A meta area (`model` and hybrid weights, whose length the arity
+    ///    fixes) at least as large as the baseline row can only lose. This
+    ///    is decided from sizes, before the model is even parsed.
+    /// 2. Otherwise, with more than one block, the [`sampled_block`] alone
+    ///    is inferred from `anchors` and encoded ([`Self::estimate`]); an
+    ///    estimate beyond [`ESTIMATE_MARGIN_PERCENT`] loses.
+    /// 3. Anything else comes back to be fitted whole, the sampled block's
+    ///    inference kept, and the guard decides on exact sizes.
+    ///
+    /// Under `always_cross_field` every target goes straight to step 3. A
+    /// model the reader would refuse is `Err(Corrupt { context: "embedded
+    /// model" })`.
+    #[allow(clippy::too_many_arguments)]
+    fn judge(
+        &self,
+        plan: &Plan,
+        pool: &ScratchPool<EncodeScratch>,
+        model: Vec<u8>,
+        target: &Field,
+        eb: f64,
+        anchors: &[&Field],
+        baseline: &EncodedField,
+    ) -> Result<Option<TargetInference>, CfcError> {
+        let always = self.cfg.always_cross_field;
+        let arity = plan.shape.ndim() + 1;
+        let meta = meta_area_len(model.len(), HybridModel::serialized_len(arity));
+        if !always && meta >= baseline.bytes() {
+            return Ok(None);
+        }
+        let mut inference = TargetInference::new(model, target, eb, &plan.blocks())?;
+        if let Some(block) = sampled_block(plan.n_blocks).filter(|_| !always) {
+            let estimate = self.estimate(pool, &mut inference, block, eb, anchors, meta, baseline);
+            if estimate.loses() {
+                return Ok(None);
+            }
+        }
+        Ok(Some(inference))
+    }
+
+    /// Step 2 of [`Self::judge`]: block `block` of a target inferred alone,
+    /// fitted on its own sample, encoded at `eb`, and set against the same
+    /// block of `baseline`.
+    #[allow(clippy::too_many_arguments)]
+    fn estimate(
+        &self,
+        pool: &ScratchPool<EncodeScratch>,
+        inference: &mut TargetInference,
+        block: usize,
+        eb: f64,
+        anchors: &[&Field],
+        meta: usize,
+        baseline: &EncodedField,
+    ) -> Estimate {
+        let (lattice, predictor) =
+            inference.sample_block(block, anchors, &self.cfg.hybrid, self.threads());
+        let (container, _) = self.block_compressor().compress_lattice_with(
+            &lattice,
+            &predictor,
+            eb,
+            &mut pool.get(),
+        );
+        Estimate {
+            block,
+            meta,
+            baseline_row: baseline.bytes(),
+            cross_block: container.to_bytes().len(),
+            baseline_block: baseline.blocks[block].len(),
+        }
     }
 
     /// Encode one delta epoch: every field is conditioned on the reader's
@@ -942,6 +1066,17 @@ impl ArchiveWriter {
             .collect())
     }
 
+    /// The compressor every block is encoded with.
+    fn block_compressor(&self) -> SzCompressor {
+        SzCompressor {
+            // the block carries the bound it was quantized at; this one is
+            // never consulted
+            bound: self.cfg.bound,
+            quantizer: QuantizerConfig::default(),
+            predictor: PredictorKind::Lorenzo,
+        }
+    }
+
     fn threads(&self) -> usize {
         if self.cfg.threads > 0 {
             self.cfg.threads
@@ -955,6 +1090,7 @@ impl ArchiveWriter {
 mod tests {
     use super::*;
     use crate::archive::ArchiveReader;
+    use crate::pipeline::TargetFit;
 
     /// Epoch `t` of a small evolving 3-D snapshot with a cross-field pair,
     /// seven slabs deep.
@@ -1070,5 +1206,145 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A stand-in for the independent row a target is judged against:
+    /// `n_blocks` blocks of `block` bytes. The verdict reads its sizes only.
+    fn baseline_of(n_blocks: usize, block: usize) -> EncodedField<'static> {
+        EncodedField {
+            role: FieldRole::Independent,
+            anchors: &[],
+            eb_abs: 1e-3,
+            meta: Vec::new(),
+            blocks: vec![vec![0; block]; n_blocks],
+            view: None,
+        }
+    }
+
+    /// Step 1 of the verdict reads sizes alone: where the meta area a model
+    /// would make is at least the baseline row, the target is demoted
+    /// before the model is parsed — bytes no reader would take for a model
+    /// are a demotion, not an error — and with one byte more of baseline
+    /// row the same bytes go on to be parsed, and are refused. Under
+    /// `always_cross_field` they are parsed whatever the sizes.
+    #[test]
+    fn step_one_demotes_from_sizes_alone() {
+        let snaps = [epoch(0.0)];
+        let (a, b) = (snaps[0].expect_field("A"), snaps[0].expect_field("B"));
+        let garbage = vec![0xA5; 600];
+        let meta = meta_area_len(garbage.len(), HybridModel::serialized_len(4));
+        // the size step 1 reads is the meta area a kept target would carry
+        let hybrid = HybridModel {
+            weights: vec![0.25; 4],
+            losses: Vec::new(),
+        };
+        assert_eq!(write_meta_area(&garbage, &hybrid.serialize()).len(), meta);
+        let pool = ScratchPool::new(2);
+        for (writer, always) in [
+            (builder().build(), false),
+            (builder().always_cross_field().build(), true),
+        ] {
+            let plan = writer.plan(&snaps).unwrap();
+            let judge = |row: usize| {
+                let mut baseline = baseline_of(plan.n_blocks, row / plan.n_blocks);
+                baseline.blocks[0].resize(row - (plan.n_blocks - 1) * (row / plan.n_blocks), 0);
+                assert_eq!(baseline.bytes(), row);
+                let model = garbage.clone();
+                writer
+                    .judge(&plan, &pool, model, b, 1e-3, &[a], &baseline)
+                    .map(|fit| fit.is_some())
+            };
+            let refused = |r| {
+                matches!(
+                    r,
+                    Err(CfcError::Corrupt {
+                        context: "embedded model",
+                        ..
+                    })
+                )
+            };
+            assert_eq!(refused(judge(meta)), always, "always {always}");
+            if !always {
+                assert!(matches!(judge(meta), Ok(false)));
+            }
+            assert!(refused(judge(meta + 1)), "always {always}");
+        }
+    }
+
+    /// The margin decides on both sides of its boundary, exactly: an
+    /// estimate of the baseline row plus [`ESTIMATE_MARGIN_PERCENT`] is
+    /// fitted whole, one byte more is demoted — whether the excess comes
+    /// from the meta area or from the sampled block's ratio.
+    #[test]
+    fn the_margin_decides_both_sides_of_its_boundary() {
+        let estimate = |meta, cross_block| Estimate {
+            block: 1,
+            meta,
+            baseline_row: 3000,
+            cross_block,
+            baseline_block: 300,
+        };
+        // 90 + 3000 × 300 / 300 = 3090 = 3000 × 1.03
+        assert!(!estimate(90, 300).loses());
+        assert!(estimate(91, 300).loses());
+        // 0 + 3000 × 309 / 300 = 3090, and 3100
+        assert!(!estimate(0, 309).loses());
+        assert!(estimate(0, 310).loses());
+        // a block that beats its baseline pays for a meta area up to the
+        // margin: 1090 + 3000 × 200 / 300 = 3090, and 3091
+        assert!(!estimate(1090, 200).loses());
+        assert!(estimate(1091, 200).loses());
+    }
+
+    /// The estimate samples the middle block whatever the thread count: at
+    /// one, two and three workers it samples the same block and finds the
+    /// same bytes. The inference it keeps is the one the whole fit would
+    /// make — the fit built on it is a fresh one-worker fit, bit for bit.
+    #[test]
+    fn the_sampled_block_is_the_same_at_any_thread_count() {
+        let sampled: Vec<Option<usize>> = (1..=6).map(sampled_block).collect();
+        assert_eq!(sampled, [None, Some(1), Some(1), Some(2), Some(2), Some(3)]);
+
+        let snaps = [epoch(0.0)];
+        let (a, b) = (snaps[0].expect_field("A"), snaps[0].expect_field("B"));
+        let spec = builder().build().plan(&snaps).unwrap().targets[0].spec;
+        let model = serialize_model(&train_cfnn(&spec, &builder().train, &[a], b));
+        let estimates: Vec<Estimate> = [1, 2, 3]
+            .into_iter()
+            .map(|threads| {
+                let writer = builder().threads(threads).build();
+                let plan = writer.plan(&snaps).unwrap();
+                let eb = plan.bounds[0][1].1;
+                let rows = plan.blocks();
+                let block = sampled_block(plan.n_blocks).expect("three blocks");
+                let mut inference = TargetInference::new(model.clone(), b, eb, &rows).unwrap();
+                let pool = ScratchPool::new(threads);
+                let baseline = baseline_of(plan.n_blocks, 400);
+                let estimate =
+                    writer.estimate(&pool, &mut inference, block, eb, &[a], 100, &baseline);
+
+                let hybrid = &writer.cfg.hybrid;
+                let fit = inference.fit(&[a], hybrid, threads);
+                let fresh = TargetFit::new(model.clone(), b, eb, &[a], &rows, hybrid, 1).unwrap();
+                assert_eq!(fit.hybrid, fresh.hybrid, "threads {threads}");
+                for (bi, (got, want)) in fit.block_diffs.iter().zip(&fresh.block_diffs).enumerate()
+                {
+                    assert!(
+                        got.iter().zip(want).all(|(g, w)| g
+                            .as_slice()
+                            .iter()
+                            .zip(w.as_slice())
+                            .all(|(g, w)| g.to_bits() == w.to_bits())),
+                        "threads {threads}, block {bi}"
+                    );
+                }
+                estimate
+            })
+            .collect();
+        assert_eq!(estimates[0].block, 1);
+        assert!(
+            estimates.iter().all(|e| *e == estimates[0]),
+            "{estimates:?}"
+        );
     }
 }

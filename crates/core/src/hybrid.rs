@@ -166,9 +166,14 @@ impl HybridModel {
         }
     }
 
+    /// Bytes [`serialize`](Self::serialize) writes for `arity` weights.
+    pub(crate) fn serialized_len(arity: usize) -> usize {
+        1 + 8 * arity
+    }
+
     /// Serialize weights (f64 LE).
     pub fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(1 + 8 * self.weights.len());
+        let mut out = Vec::with_capacity(Self::serialized_len(self.weights.len()));
         out.push(self.weights.len() as u8);
         for &w in &self.weights {
             out.extend_from_slice(&w.to_le_bytes());

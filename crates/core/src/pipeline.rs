@@ -20,6 +20,9 @@
 //! the archive writer hands it a field's chunk geometry, and
 //! [`CrossFieldCompressor`] is its one-block caller — one block, the whole
 //! field, model and weights as sections of the stream instead of a meta area.
+//! The writer builds it through a `TargetInference`, which can run steps 2
+//! and 3 on one block first, for the writer to judge the target on, and
+//! keeps that block's inference for the whole fit.
 //!
 //! Decoder: rebuild the CFNN from the stream, rerun inference on the same
 //! decompressed anchors, replay the hybrid predictions sequentially —
@@ -86,42 +89,164 @@ impl TargetFit {
         cfg: &HybridConfig,
         threads: usize,
     ) -> Result<Self, CfcError> {
-        let inference = deserialize_model(&model)?;
-        let lattice = QuantLattice::prequantize(target, eb);
-        let block_diffs: Vec<Vec<Field>> = run_parallel_scratch(
-            blocks.to_vec(),
-            threads,
-            cfc_nn::Workspace::default,
-            |ws, (r0, r1)| {
-                let slabs: Vec<Field> = anchors.iter().map(|a| a.slab(r0, r1)).collect();
-                inference.predict(&slabs.iter().collect::<Vec<_>>(), ws)
-            },
-        );
-        let step = 2.0 * eb;
-        let dq: Vec<Vec<f64>> = (0..target.shape().ndim())
-            .map(|axis| {
-                block_diffs
-                    .iter()
-                    .flat_map(|d| d[axis].as_slice().iter().map(|&v| v as f64 / step))
-                    .collect()
-            })
-            .collect();
-        let samples = sample_hybrid_training(&lattice, &dq, cfg.n_samples, cfg.seed);
-        let hybrid = HybridModel::fit_least_squares(&samples.0, &samples.1);
-        Ok(TargetFit {
-            lattice,
-            eb,
-            block_diffs,
-            samples,
-            hybrid,
-            model,
-        })
+        Ok(TargetInference::new(model, target, eb, blocks)?.fit(anchors, cfg, threads))
     }
 
     /// The causal predictor block `block`'s residuals are taken against.
     pub fn predictor(&self, block: usize) -> CrossFieldHybridPredictor {
         CrossFieldHybridPredictor::new(&self.block_diffs[block], self.eb, self.hybrid.clone())
     }
+
+    /// The lattice of block `[r0, r1)`: its rows of the whole-field lattice.
+    pub(crate) fn block_lattice(&self, (r0, r1): (usize, usize)) -> QuantLattice {
+        lattice_rows(&self.lattice, r0, r1)
+    }
+}
+
+/// A [`TargetFit`] on its way: the model parsed as a reader parses it, the
+/// lattice quantized, and the blocks inferred so far. The archive writer
+/// holds one while it judges a target on a single block
+/// ([`sample_block`](Self::sample_block)), and the [`fit`](Self::fit) it
+/// then builds infers only the blocks not inferred yet.
+pub(crate) struct TargetInference {
+    model: Vec<u8>,
+    inference: CfnnInference,
+    lattice: QuantLattice,
+    eb: f64,
+    blocks: Vec<(usize, usize)>,
+    block_diffs: Vec<Option<Vec<Field>>>,
+}
+
+impl TargetInference {
+    /// Parse `model` (a diverged or damaged one is `Corrupt { context:
+    /// "embedded model" }`) and quantize `target` at `eb`, to be fitted in
+    /// axis-0 blocks of rows `[r0, r1)`.
+    pub(crate) fn new(
+        model: Vec<u8>,
+        target: &Field,
+        eb: f64,
+        blocks: &[(usize, usize)],
+    ) -> Result<Self, CfcError> {
+        Ok(TargetInference {
+            inference: deserialize_model(&model)?,
+            model,
+            lattice: QuantLattice::prequantize(target, eb),
+            eb,
+            blocks: blocks.to_vec(),
+            block_diffs: vec![None; blocks.len()],
+        })
+    }
+
+    /// Block `block` on its own: its lattice, and the predictor it would be
+    /// encoded with if the hybrid weights were fitted on a sample of that
+    /// block alone. Its slices are inferred on up to `threads` workers —
+    /// the same bits at any count — and kept for [`fit`](Self::fit).
+    pub(crate) fn sample_block(
+        &mut self,
+        block: usize,
+        anchors: &[&Field],
+        cfg: &HybridConfig,
+        threads: usize,
+    ) -> (QuantLattice, CrossFieldHybridPredictor) {
+        let (r0, r1) = self.blocks[block];
+        let mut helpers: Vec<cfc_nn::Workspace> =
+            (1..threads).map(|_| cfc_nn::Workspace::default()).collect();
+        let mut ws = cfc_nn::Workspace::default();
+        let diffs = infer_rows(&self.inference, anchors, (r0, r1), &mut ws, &mut helpers);
+        let lattice = lattice_rows(&self.lattice, r0, r1);
+        let (_, hybrid) = fit_hybrid(&lattice, &[&diffs], self.eb, cfg);
+        let predictor = CrossFieldHybridPredictor::new(&diffs, self.eb, hybrid);
+        self.block_diffs[block] = Some(diffs);
+        (lattice, predictor)
+    }
+
+    /// The whole fit: every block not inferred yet, on up to `threads`
+    /// workers, then the hybrid weights fitted on a sample of the whole
+    /// lattice against `anchors`.
+    pub(crate) fn fit(self, anchors: &[&Field], cfg: &HybridConfig, threads: usize) -> TargetFit {
+        let TargetInference {
+            model,
+            inference,
+            lattice,
+            eb,
+            blocks,
+            block_diffs,
+        } = self;
+        let mut inferred = run_parallel_scratch(
+            blocks
+                .iter()
+                .zip(&block_diffs)
+                .filter(|(_, d)| d.is_none())
+                .map(|(&rows, _)| rows)
+                .collect(),
+            threads,
+            cfc_nn::Workspace::default,
+            |ws, rows| infer_rows(&inference, anchors, rows, ws, &mut []),
+        )
+        .into_iter();
+        let block_diffs: Vec<Vec<Field>> = block_diffs
+            .into_iter()
+            .map(|d| d.unwrap_or_else(|| inferred.next().expect("one inference per block")))
+            .collect();
+        let (samples, hybrid) = fit_hybrid(&lattice, &block_diffs, eb, cfg);
+        TargetFit {
+            lattice,
+            eb,
+            block_diffs,
+            samples,
+            hybrid,
+            model,
+        }
+    }
+}
+
+/// The differences `inference` predicts for axis-0 rows `[r0, r1)` from
+/// `anchors`, the block's slices spread over `ws` and `helpers`.
+fn infer_rows(
+    inference: &CfnnInference,
+    anchors: &[&Field],
+    (r0, r1): (usize, usize),
+    ws: &mut cfc_nn::Workspace,
+    helpers: &mut [cfc_nn::Workspace],
+) -> Vec<Field> {
+    let slabs: Vec<Field> = anchors.iter().map(|a| a.slab(r0, r1)).collect();
+    inference.predict_on(&slabs.iter().collect::<Vec<_>>(), ws, helpers)
+}
+
+/// Rows `[r0, r1)` of `lattice` along axis 0.
+fn lattice_rows(lattice: &QuantLattice, r0: usize, r1: usize) -> QuantLattice {
+    let shape = lattice.shape();
+    let slab_len: usize = shape.dims()[1..].iter().product();
+    let mut dims = shape.dims().to_vec();
+    dims[0] = r1 - r0;
+    QuantLattice::from_vec(
+        Shape::from_slice(&dims),
+        lattice.as_slice()[r0 * slab_len..r1 * slab_len].to_vec(),
+    )
+}
+
+/// The hybrid weights for `lattice`, quantized at `eb`, under the backward
+/// differences predicted for its axis-0 blocks in order (`block_diffs[b]
+/// [axis]`, physical units): least squares on `cfg.n_samples` sampled
+/// points, returned with that sample.
+fn fit_hybrid<D: AsRef<[Field]>>(
+    lattice: &QuantLattice,
+    block_diffs: &[D],
+    eb: f64,
+    cfg: &HybridConfig,
+) -> ((Vec<Vec<f64>>, Vec<f64>), HybridModel) {
+    let step = 2.0 * eb;
+    let dq: Vec<Vec<f64>> = (0..lattice.shape().ndim())
+        .map(|axis| {
+            block_diffs
+                .iter()
+                .flat_map(|d| d.as_ref()[axis].as_slice().iter().map(|&v| v as f64 / step))
+                .collect()
+        })
+        .collect();
+    let samples = sample_hybrid_training(lattice, &dq, cfg.n_samples, cfg.seed);
+    let hybrid = HybridModel::fit_least_squares(&samples.0, &samples.1);
+    (samples, hybrid)
 }
 
 /// The one cross-field block decode: the leading `rows` axis-0 rows of

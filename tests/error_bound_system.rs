@@ -24,7 +24,9 @@
 //! not smaller than its independent one — or whose freshly trained model
 //! diverged — is written as the row a baseline-only write holds, which
 //! opens, scrubs clean, needs no repair and holds the bound; each keyframe
-//! of a series decides on its own.
+//! of a series decides on its own. The same holds for a target demoted
+//! before its whole fit, from its meta area's size or from the estimate
+//! one inferred block gives.
 
 use cfc_bench::golden;
 use cross_field_compression::core::archive::{
@@ -468,11 +470,6 @@ fn each_keyframe_of_a_series_decides_on_its_own() {
         .write_epochs(&snaps)
         .expect("write_epochs");
     let reader = ArchiveReader::new(&series).expect("open");
-    let payload = |bytes: &[u8], e: &ArchiveEntry| {
-        let block0 = e.block_span(0).expect("span").0 as usize;
-        let (off, len) = e.block_span(e.n_blocks() - 1).expect("span");
-        bytes[block0 - e.meta_len()..off as usize + len].to_vec()
-    };
     for (epoch, ds) in snaps.iter().enumerate() {
         if epoch % golden::GOLDEN_KEYFRAME_INTERVAL == 0 {
             let alone = planned().build().write(ds).expect("write");
@@ -555,6 +552,128 @@ fn a_diverged_training_run_demotes_the_target_instead_of_failing_the_write() {
         "{:?}",
         refused.map(|b| b.len())
     );
+}
+
+/// A 2-D snapshot of 96×96 whose `N` is noise its anchors `T` and `P` know
+/// nothing of: a SplitMix64 hash of the sample's position over a shallow
+/// trend, so `N`'s baseline row (about 20 kB) outweighs a 2-D model's meta
+/// area (under 5 kB) and nothing but the hybrid's own mixing of neighbours
+/// can help its cross-field row.
+fn unpredicted_dataset() -> Dataset {
+    let shape = Shape::d2(96, 96);
+    let hash = |i: &[usize]| {
+        let mut x = (i[0] * 65536 + i[1]) as u64;
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^= x >> 31;
+        (x >> 40) as f32 / (1u64 << 24) as f32
+    };
+    let mut ds = Dataset::new("UNPREDICTED", shape);
+    ds.push(
+        "T",
+        Field::from_fn(shape, |i| {
+            280.0 + 0.2 * i[0] as f32 - 0.001 * (i[1] as f32 - 40.0).powi(2)
+        }),
+    );
+    ds.push(
+        "P",
+        Field::from_fn(shape, |i| 1000.0 - 0.5 * i[0] as f32 + 0.03 * i[1] as f32),
+    );
+    ds.push(
+        "N",
+        Field::from_fn(shape, |i| 0.01 * i[0] as f32 + 10.0 * hash(i)),
+    );
+    ds
+}
+
+/// A target that only the one-block estimate can demote: its meta area is
+/// smaller than its baseline row (so the size check lets it through), it
+/// has three blocks (so there is a block to sample), and its anchors do
+/// not predict it (so its cross-field row loses — the guard would demote
+/// it too). It is written as the row a baseline-only write holds: same
+/// bytes, no anchors, no meta area. That archive holds the bound on every
+/// read path and scrubs clean light and deep.
+#[test]
+fn a_target_the_estimate_demotes_is_written_as_its_baseline_row() {
+    let ds = unpredicted_dataset();
+    let chunk_rows = 32;
+    let builder = || ArchiveBuilder::relative(1e-3).chunk_elements(chunk_rows * 96);
+    let planned = || {
+        builder()
+            .train_config(golden::golden_train_config())
+            .cross_field("N", &["T", "P"])
+    };
+    let write = |b: ArchiveBuilder| b.build().write(&ds).expect("write");
+    let (guarded, forced, baseline) = (
+        write(planned()),
+        write(planned().always_cross_field()),
+        write(builder()),
+    );
+    let entry = |bytes: &[u8]| {
+        let reader = ArchiveReader::new(bytes).expect("open");
+        let n = reader.entries().iter().find(|e| e.name == "N").cloned();
+        n.expect("N")
+    };
+    let row_bytes = |e: &ArchiveEntry| {
+        let blocks: usize = (0..e.n_blocks())
+            .map(|b| e.block_span(b).expect("span").1)
+            .sum();
+        e.meta_len() + blocks
+    };
+
+    // the premises
+    let (cross, plain) = (entry(&forced), entry(&baseline));
+    assert_eq!(cross.role, FieldRole::Target);
+    assert_eq!(cross.n_blocks(), 3);
+    assert!(
+        cross.meta_len() < row_bytes(&plain),
+        "meta area {} against a baseline row of {}: the size check alone demotes",
+        cross.meta_len(),
+        row_bytes(&plain)
+    );
+    assert!(
+        row_bytes(&cross) > row_bytes(&plain),
+        "the cross-field row ({} B) wins against {} B",
+        row_bytes(&cross),
+        row_bytes(&plain)
+    );
+
+    let got = entry(&guarded);
+    assert_eq!(got.role, FieldRole::Independent);
+    assert!(got.anchors.is_empty() && got.meta_len() == 0);
+    assert!(
+        payload(&guarded, &got) == payload(&baseline, &plain),
+        "N is not the row a baseline-only write holds"
+    );
+    let roles: Vec<(String, FieldRole)> = ArchiveReader::new(&guarded)
+        .expect("open")
+        .entries()
+        .iter()
+        .map(|e| (e.name.clone(), e.role))
+        .collect();
+    assert_eq!(
+        roles,
+        [
+            ("T".to_string(), FieldRole::Anchor),
+            ("P".to_string(), FieldRole::Anchor),
+            ("N".to_string(), FieldRole::Independent)
+        ]
+    );
+    assert_eq!(
+        check_every_path(&guarded, std::slice::from_ref(&ds), chunk_rows),
+        ds.len()
+    );
+    for deep in [false, true] {
+        let scrub = scrub_bytes(&guarded, &ScrubOptions { deep });
+        assert!(scrub.is_clean(), "deep {deep}: {:?}", scrub.findings);
+    }
+}
+
+/// A field's meta area and blocks, as they lie in `bytes`.
+fn payload(bytes: &[u8], e: &ArchiveEntry) -> Vec<u8> {
+    let block0 = e.block_span(0).expect("span").0 as usize;
+    let (off, len) = e.block_span(e.n_blocks() - 1).expect("span");
+    bytes[block0 - e.meta_len()..off as usize + len].to_vec()
 }
 
 fn same_bits(a: &Field, b: &Field) -> bool {

@@ -20,9 +20,16 @@
 //! behind its header to the pinned series' epoch 0. The dataset uses no
 //! transcendental function, so the bytes depend on nothing but this
 //! repository's arithmetic.
+//!
+//! Every pin above writes with `always_cross_field`, which fits each target
+//! whole. Under the default builder the writer first estimates a target
+//! from one inferred block, and the whole fit of a target the estimate lets
+//! through reuses that block's inference. The last test writes such a
+//! target and holds it to the bytes `always_cross_field` writes.
 
 use cross_field_compression::core::archive::{ArchiveBuilder, ArchiveReader, FieldRole};
 use cross_field_compression::core::config::TrainConfig;
+use cross_field_compression::datagen::{self, GenParams};
 use cross_field_compression::sz::crc32;
 use cross_field_compression::tensor::{Dataset, Field, Shape};
 
@@ -146,4 +153,48 @@ fn three_d_cross_field_series_writes_the_pinned_bytes_at_any_thread_count() {
         snapshot.len() > header_len && snapshot[header_len..] == bytes[header_len..snapshot.len()],
         "the snapshot is not the series' epoch 0"
     );
+}
+
+/// A target the one-block estimate lets through and the guard keeps: the
+/// SCALE analogue at 8×128×128 in four blocks of two slabs, `W` on `U`,
+/// `V` and `PRES` (its cross-field row about 4 % under its baseline row,
+/// as the estimate from block 2 also finds). Under the default builder the
+/// whole fit reuses block 2's inference instead of running it again, and
+/// the archive is byte for byte the one `always_cross_field` writes, which
+/// skips the estimate — at one, two and three threads.
+#[test]
+fn a_kept_target_reuses_its_sampled_block_and_writes_the_same_bytes() {
+    let ds = datagen::scale::generate(Shape::d3(8, 128, 128), GenParams::default());
+    let write = |builder: ArchiveBuilder, threads: usize| {
+        builder
+            .train_config(TrainConfig {
+                patch: 8,
+                n_patches: 16,
+                batch: 8,
+                epochs: 2,
+                lr: 4e-3,
+                seed: 7,
+            })
+            .cross_field("W", &["U", "V", "PRES"])
+            .chunk_elements(2 * 128 * 128)
+            .threads(threads)
+            .build()
+            .write(&ds)
+            .expect("write")
+    };
+    let forced = write(ArchiveBuilder::relative(1e-3).always_cross_field(), 1);
+    for threads in [1, 2, 3] {
+        let bytes = write(ArchiveBuilder::relative(1e-3), threads);
+        let reader = ArchiveReader::new(&bytes).expect("open");
+        let w = reader.entries().iter().find(|e| e.name == "W").expect("W");
+        assert_eq!(
+            (w.role, w.n_blocks()),
+            (FieldRole::Target, 4),
+            "threads({threads}): the premise is a kept target of four blocks"
+        );
+        assert!(
+            bytes == forced,
+            "threads({threads}): the kept target is not the row always_cross_field writes"
+        );
+    }
 }

@@ -290,10 +290,10 @@ impl TemporalReport {
 /// lattice, the bound it was quantized at (recorded in the block, so the
 /// reader dequantizes at the same), and the causal predictor its residuals
 /// are taken against.
-struct Block {
+struct Block<'a> {
     lattice: QuantLattice,
     eb: f64,
-    predictor: Box<dyn Predictor>,
+    predictor: Box<dyn Predictor + 'a>,
 }
 
 /// The block of a baseline or delta field: the slab quantized at the bound
@@ -761,13 +761,13 @@ impl ArchiveWriter {
     /// `want_view(field)` the reader's view of the field — each block's
     /// lattice dequantized at the bound the block records, which is all a
     /// reader does with the lattice it decodes.
-    fn encode_blocks(
+    fn encode_blocks<'b>(
         &self,
         plan: &Plan,
         pool: &ScratchPool<EncodeScratch>,
         n_fields: usize,
         want_view: impl Fn(usize) -> bool + Sync,
-        block_of: impl Fn(usize, usize, (usize, usize)) -> Result<Block, CfcError> + Sync,
+        block_of: impl Fn(usize, usize, (usize, usize)) -> Result<Block<'b>, CfcError> + Sync,
     ) -> Result<Vec<FieldBlocks>, CfcError> {
         let tasks: Vec<(usize, usize)> = (0..n_fields)
             .flat_map(|fi| (0..plan.n_blocks).map(move |bi| (fi, bi)))

@@ -47,7 +47,7 @@ use cfc_tensor::{Field, FieldStats, Normalizer, Shape};
 use crate::archive::run_parallel_scratch;
 use crate::hybrid::{HybridConfig, HybridModel};
 use crate::predict::CfnnInference;
-use crate::predictor::{sample_hybrid_training, CrossFieldHybridPredictor};
+use crate::predictor::{sample_hybrid_training_by, CrossFieldHybridPredictor};
 use crate::train::TrainedCfnn;
 
 /// One cross-field target at one bound, set up as far as the residual
@@ -92,9 +92,14 @@ impl TargetFit {
         Ok(TargetInference::new(model, target, eb, blocks)?.fit(anchors, cfg, threads))
     }
 
-    /// The causal predictor block `block`'s residuals are taken against.
-    pub fn predictor(&self, block: usize) -> CrossFieldHybridPredictor {
-        CrossFieldHybridPredictor::new(&self.block_diffs[block], self.eb, self.hybrid.clone())
+    /// The causal predictor block `block`'s residuals are taken against,
+    /// on the block's differences where they lie.
+    pub fn predictor(&self, block: usize) -> CrossFieldHybridPredictor<'_> {
+        CrossFieldHybridPredictor::from_planes(
+            &self.block_diffs[block],
+            self.eb,
+            self.hybrid.clone(),
+        )
     }
 
     /// The lattice of block `[r0, r1)`: its rows of the whole-field lattice.
@@ -147,7 +152,7 @@ impl TargetInference {
         anchors: &[&Field],
         cfg: &HybridConfig,
         threads: usize,
-    ) -> (QuantLattice, CrossFieldHybridPredictor) {
+    ) -> (QuantLattice, CrossFieldHybridPredictor<'_>) {
         let (r0, r1) = self.blocks[block];
         let mut helpers: Vec<cfc_nn::Workspace> =
             (1..threads).map(|_| cfc_nn::Workspace::default()).collect();
@@ -155,9 +160,11 @@ impl TargetInference {
         let diffs = infer_rows(&self.inference, anchors, (r0, r1), &mut ws, &mut helpers);
         let lattice = lattice_rows(&self.lattice, r0, r1);
         let (_, hybrid) = fit_hybrid(&lattice, &[&diffs], self.eb, cfg);
-        let predictor = CrossFieldHybridPredictor::new(&diffs, self.eb, hybrid);
-        self.block_diffs[block] = Some(diffs);
-        (lattice, predictor)
+        let diffs = &*self.block_diffs[block].insert(diffs);
+        (
+            lattice,
+            CrossFieldHybridPredictor::from_planes(diffs, self.eb, hybrid),
+        )
     }
 
     /// The whole fit: every block not inferred yet, on up to `threads`
@@ -228,7 +235,8 @@ fn lattice_rows(lattice: &QuantLattice, r0: usize, r1: usize) -> QuantLattice {
 /// The hybrid weights for `lattice`, quantized at `eb`, under the backward
 /// differences predicted for its axis-0 blocks in order (`block_diffs[b]
 /// [axis]`, physical units): least squares on `cfg.n_samples` sampled
-/// points, returned with that sample.
+/// points, returned with that sample. A sampled point's difference is
+/// looked up in its block's plane and converted to lattice units there.
 fn fit_hybrid<D: AsRef<[Field]>>(
     lattice: &QuantLattice,
     block_diffs: &[D],
@@ -236,15 +244,20 @@ fn fit_hybrid<D: AsRef<[Field]>>(
     cfg: &HybridConfig,
 ) -> ((Vec<Vec<f64>>, Vec<f64>), HybridModel) {
     let step = 2.0 * eb;
-    let dq: Vec<Vec<f64>> = (0..lattice.shape().ndim())
-        .map(|axis| {
-            block_diffs
-                .iter()
-                .flat_map(|d| d.as_ref()[axis].as_slice().iter().map(|&v| v as f64 / step))
-                .collect()
+    // the whole-field offset each block's planes start at
+    let starts: Vec<usize> = block_diffs
+        .iter()
+        .scan(0, |at, d| {
+            let start = *at;
+            *at += d.as_ref()[0].len();
+            Some(start)
         })
         .collect();
-    let samples = sample_hybrid_training(lattice, &dq, cfg.n_samples, cfg.seed);
+    let dq = |axis: usize, off: usize| {
+        let b = starts.partition_point(|&start| start <= off) - 1;
+        block_diffs[b].as_ref()[axis].as_slice()[off - starts[b]] as f64 / step
+    };
+    let samples = sample_hybrid_training_by(lattice, dq, cfg.n_samples, cfg.seed);
     let hybrid = HybridModel::fit_least_squares(&samples.0, &samples.1);
     (samples, hybrid)
 }
@@ -269,7 +282,7 @@ pub(crate) fn decode_target_rows<D: Dest>(
     // one slice per task for a 3-D block, so only the slices the anchors
     // were cut to; a 2-D block is one plane
     let diffs = model.predict_on(anchors, nn, helpers);
-    let predictor = CrossFieldHybridPredictor::new(&diffs, container.eb, hybrid.clone());
+    let predictor = CrossFieldHybridPredictor::from_planes(diffs, container.eb, hybrid.clone());
     out.decode(container, &predictor, rows, dec)
 }
 

@@ -1,5 +1,10 @@
 //! The cross-field hybrid predictor: a causal [`cfc_sz::Predictor`] that
-//! fuses Lorenzo with CFNN-predicted backward differences (paper §III-C).
+//! fuses Lorenzo with CFNN-predicted backward differences (paper §III-C),
+//! and its temporal counterpart for delta epochs. Both run on row kernels
+//! (SZ3's split of a predictor into a row stage and the per-point model it
+//! is held to); `predict` is each one's per-point specification.
+
+use std::borrow::Cow;
 
 use cfc_sz::{CfcError, Predictor, QuantLattice, QuantizerConfig};
 use cfc_tensor::{Field, Shape};
@@ -15,6 +20,21 @@ pub fn candidate_predictions(
     idx: &[usize],
     out: &mut [f64],
 ) {
+    cross_field_candidates(lattice, |axis, off| dq[axis][off], idx, out)
+}
+
+/// [`candidate_predictions`] over any way of looking a CFNN difference up
+/// by axis and offset, in lattice units. The order of the float operations
+/// here — `(a + b) − c` and its seven-term 3-D form, `neighbour + dq` per
+/// axis — is the contract the row kernels of [`CrossFieldHybridPredictor`]
+/// reproduce.
+#[inline]
+fn cross_field_candidates(
+    lattice: &QuantLattice,
+    dq: impl Fn(usize, usize) -> f64,
+    idx: &[usize],
+    out: &mut [f64],
+) {
     match *idx {
         [i, j] => {
             let (ii, jj) = (i as isize, j as isize);
@@ -24,8 +44,8 @@ pub fn candidate_predictions(
             let shape = lattice.shape();
             let off = i * shape.dims()[1] + j;
             out[0] = a + b - c; // Lorenzo
-            out[1] = a + dq[0][off]; // axis-0 difference
-            out[2] = b + dq[1][off]; // axis-1 difference
+            out[1] = a + dq(0, off); // axis-0 difference
+            out[2] = b + dq(1, off); // axis-1 difference
         }
         [k, i, j] => {
             let (kk, ii, jj) = (k as isize, i as isize, j as isize);
@@ -41,9 +61,9 @@ pub fn candidate_predictions(
             let dims = d.dims();
             let off = (k * dims[1] + i) * dims[2] + j;
             out[0] = lorenzo;
-            out[1] = pk + dq[0][off];
-            out[2] = pi + dq[1][off];
-            out[3] = pj + dq[2][off];
+            out[1] = pk + dq(0, off);
+            out[2] = pi + dq(1, off);
+            out[3] = pj + dq(2, off);
         }
         _ => unreachable!("cross-field prediction is 2-D/3-D"),
     }
@@ -51,41 +71,165 @@ pub fn candidate_predictions(
 
 /// Causal hybrid predictor over the prequantized lattice.
 ///
-/// `dq[axis][offset]` holds the CFNN-predicted backward difference at each
-/// point, already converted to lattice units (`value / (2·eb)`); both sides
-/// compute it from the *decompressed* anchors, so predictions agree exactly.
-pub struct CrossFieldHybridPredictor {
-    dq: Vec<Vec<f64>>,
+/// The CFNN-predicted backward difference along each axis is converted to
+/// lattice units (`value / (2·eb)`) where a prediction needs it; both sides
+/// compute it from the *decompressed* anchors, so predictions agree
+/// exactly. [`new`](Self::new) copies the planes; the writer lends its
+/// fit's and a reader hands its inference over, so no target path copies
+/// one.
+///
+/// The float-order contract is the temporal hybrid's (see
+/// [`TemporalHybridPredictor`]): [`candidate_predictions`] then
+/// [`HybridModel::combine`] (`0.0 + w₀·l + w₁·c₁ + …`), then `f64::round`,
+/// then a saturating `as i64`. [`Predictor::predict`] spells it out per
+/// point and is the oracle; the bulk methods are row kernels held to it bit
+/// for bit (`tests/cross_field_kernel.rs`).
+pub struct CrossFieldHybridPredictor<'a> {
+    /// `diffs[axis]`: the predicted backward differences, physical units.
+    diffs: Cow<'a, [Field]>,
+    /// The lattice step, `2·eb`.
+    step: f64,
     model: HybridModel,
-    ndim: usize,
 }
 
-impl CrossFieldHybridPredictor {
+impl<'a> CrossFieldHybridPredictor<'a> {
     /// Build from predicted difference fields (physical units) and the
-    /// absolute error bound of the target stream.
+    /// absolute error bound of the target stream, on a copy of the fields.
     pub fn new(predicted_diffs: &[Field], eb: f64, model: HybridModel) -> Self {
-        let ndim = predicted_diffs.len();
+        Self::from_planes(predicted_diffs.to_vec(), eb, model)
+    }
+
+    /// [`new`](Self::new) on planes handed over by value or lent.
+    pub(crate) fn from_planes(
+        predicted_diffs: impl Into<Cow<'a, [Field]>>,
+        eb: f64,
+        model: HybridModel,
+    ) -> Self {
+        let diffs = predicted_diffs.into();
+        let ndim = diffs.len();
         assert!(ndim == 2 || ndim == 3);
         assert_eq!(model.arity(), ndim + 1, "hybrid arity must be ndim+1");
-        let step = 2.0 * eb;
-        let dq: Vec<Vec<f64>> = predicted_diffs
-            .iter()
-            .map(|f| f.as_slice().iter().map(|&v| v as f64 / step).collect())
-            .collect();
-        CrossFieldHybridPredictor { dq, model, ndim }
+        CrossFieldHybridPredictor {
+            diffs,
+            step: 2.0 * eb,
+            model,
+        }
+    }
+
+    /// The predicted difference along `axis` at `off`, in lattice units.
+    #[inline]
+    fn dq(&self, axis: usize, off: usize) -> f64 {
+        self.diffs[axis].as_slice()[off] as f64 / self.step
     }
 }
 
-impl Predictor for CrossFieldHybridPredictor {
+impl Predictor for CrossFieldHybridPredictor<'_> {
     #[inline]
     fn predict(&self, lattice: &QuantLattice, idx: &[usize]) -> i64 {
+        let arity = self.model.arity();
         let mut preds = [0.0f64; 4];
-        candidate_predictions(lattice, &self.dq, idx, &mut preds[..self.ndim + 1]);
-        self.model.combine(&preds[..self.ndim + 1]).round() as i64
+        cross_field_candidates(lattice, |a, off| self.dq(a, off), idx, &mut preds[..arity]);
+        self.model.combine(&preds[..arity]).round() as i64
+    }
+
+    fn residuals_into(&self, lattice: &QuantLattice, out: &mut Vec<i64>) {
+        residuals_by_rows(CrossFieldRows::new(self, lattice.shape()), lattice, out)
+    }
+
+    fn reconstruct_into(
+        &self,
+        shape: Shape,
+        codes: &[u32],
+        outliers: &[i64],
+        quant: &QuantizerConfig,
+        out: &mut Vec<i64>,
+    ) -> Result<(), CfcError> {
+        let rows = CrossFieldRows::new(self, shape);
+        reconstruct_by_rows(rows, self, shape, codes, outliers, quant, out)
     }
 
     fn name(&self) -> &'static str {
         "cross-field-hybrid"
+    }
+}
+
+/// The row-at-a-time walk behind both bulk methods of
+/// [`CrossFieldHybridPredictor`]: the [`LatticeRows`], and the walked row
+/// of each CFNN plane in lattice units, converted a row at a time with the
+/// expression [`predict`](Predictor::predict) uses.
+struct CrossFieldRows<'p> {
+    planes: &'p [Field],
+    step: f64,
+    /// The hybrid weights, Lorenzo first; a 2-D walk uses three.
+    weights: [f64; 4],
+    lattice: LatticeRows,
+    dq: [Vec<f64>; 3],
+}
+
+impl<'p> CrossFieldRows<'p> {
+    /// A walk over a lattice of `shape`, which may have fewer axis-0 rows
+    /// than the CFNN planes (a decode of a block's leading rows).
+    fn new(predictor: &'p CrossFieldHybridPredictor<'_>, shape: Shape) -> Self {
+        let lattice = LatticeRows::new(shape);
+        let mut weights = [0.0f64; 4];
+        weights[..predictor.model.arity()].copy_from_slice(&predictor.model.weights);
+        CrossFieldRows {
+            planes: &predictor.diffs,
+            step: predictor.step,
+            weights,
+            dq: std::array::from_fn(|_| vec![0.0f64; lattice.n2]),
+            lattice,
+        }
+    }
+}
+
+impl RowWalk for CrossFieldRows<'_> {
+    fn row_len(&self) -> usize {
+        self.lattice.n2
+    }
+
+    #[inline]
+    fn walk(
+        &mut self,
+        r: usize,
+        done: &[i64],
+        mut value_at: impl FnMut(usize, i64) -> Option<i64>,
+    ) -> Option<()> {
+        self.lattice.advance(r, done);
+        let n2 = self.lattice.n2;
+        let step = self.step;
+        for (row, plane) in self.dq.iter_mut().zip(self.planes) {
+            for (o, &v) in row.iter_mut().zip(&plane.as_slice()[r * n2..][..n2]) {
+                *o = v as f64 / step;
+            }
+        }
+        let [qc, qi, qk, qa] = &mut self.lattice.q;
+        let [d0, d1, d2] = &self.dq;
+        let [w0, w1, w2, w3] = self.weights;
+        // the one in-row dependency: the left neighbour, zero at column −1
+        let mut left = 0.0f64;
+        if self.lattice.three_d {
+            for j in 0..n2 {
+                let (pk, pi) = (qk[j + 1], qi[j + 1]);
+                // float operations in exactly `cross_field_candidates` order
+                let lorenzo = pk + pi + left - qa[j + 1] - qk[j] - qi[j] + qa[j];
+                let (c0, c1, c2) = (pk + d0[j], pi + d1[j], left + d2[j]);
+                // … and in `HybridModel::combine` order
+                let mix = 0.0 + w0 * lorenzo + w1 * c0 + w2 * c1 + w3 * c2;
+                left = value_at(j, round_to_i64(mix))? as f64;
+                qc[j + 1] = left;
+            }
+        } else {
+            for j in 0..n2 {
+                let a = qi[j + 1];
+                let lorenzo = a + left - qi[j];
+                let (c0, c1) = (a + d0[j], left + d1[j]);
+                let mix = 0.0 + w0 * lorenzo + w1 * c0 + w2 * c1;
+                left = value_at(j, round_to_i64(mix))? as f64;
+                qc[j + 1] = left;
+            }
+        }
+        Some(())
     }
 }
 
@@ -253,21 +397,12 @@ impl TemporalHybridPredictor {
 }
 
 /// The row-at-a-time walk behind both bulk methods of
-/// [`TemporalHybridPredictor`]: lattice (`q`) and previous-epoch (`p`) rows
-/// as `f64`, each `n2 + 1` long with the zero padding of column −1 in front
-/// — `[0]` the row being walked, `[1]` the row before it in its plane
-/// (`i − 1`), `[2]` the same row one plane back (`k − 1`), `[3]` that one's
-/// predecessor. A lattice value is converted once, when it is produced,
-/// and a row that does not exist is zero padding all the way, so an edge
-/// row runs the same operations on the same zeros as the per-point walk.
+/// [`TemporalHybridPredictor`]: the [`LatticeRows`], and the same four
+/// rows of the previous epoch in lattice units.
 struct TemporalRows<'a> {
     predictor: &'a TemporalHybridPredictor,
     weights: [f64; TEMPORAL_ARITY],
-    three_d: bool,
-    /// Rows to a plane (a 2-D lattice is one plane) and samples to a row.
-    n1: usize,
-    n2: usize,
-    q: [Vec<f64>; 4],
+    lattice: LatticeRows,
     p: [Vec<f64>; 4],
 }
 
@@ -275,27 +410,23 @@ impl<'a> TemporalRows<'a> {
     /// A walk over a lattice of `shape`, which may have fewer axis-0 rows
     /// than the previous epoch's slab (a decode of a block's leading rows).
     fn new(predictor: &'a TemporalHybridPredictor, shape: Shape) -> Self {
-        let d = shape.dims();
-        let (n1, n2) = (d[d.len() - 2], d[d.len() - 1]);
-        let rows = || std::array::from_fn(|_| vec![0.0f64; n2 + 1]);
+        let lattice = LatticeRows::new(shape);
         TemporalRows {
             predictor,
             weights: predictor.model.weights[..]
                 .try_into()
                 .expect("arity checked at construction"),
-            three_d: d.len() == 3,
-            n1,
-            n2,
-            q: rows(),
-            p: rows(),
+            p: padded_rows(lattice.n2),
+            lattice,
         }
     }
+}
 
-    /// Walk row `r` (counted across planes; call with `r = 0, 1, …`), given
-    /// the rows before it (`done`). `value_at(j, prediction)` is handed each
-    /// sample's prediction in order and returns the sample's value — which
-    /// the encoder knows and the decoder has just worked out — or `None`
-    /// to stop.
+impl RowWalk for TemporalRows<'_> {
+    fn row_len(&self) -> usize {
+        self.lattice.n2
+    }
+
     #[inline]
     fn walk(
         &mut self,
@@ -303,17 +434,9 @@ impl<'a> TemporalRows<'a> {
         done: &[i64],
         mut value_at: impl FnMut(usize, i64) -> Option<i64>,
     ) -> Option<()> {
-        let (n1, n2) = (self.n1, self.n2);
-        let (k, i) = (r / n1, r % n1);
-        // what was the current row is now the row above, in both planes
-        for rows in [&mut self.q, &mut self.p] {
-            rows.swap(0, 1);
-            rows.swap(2, 3);
-            if i == 0 {
-                rows[1].fill(0.0);
-                rows[3].fill(0.0);
-            }
-        }
+        let (n1, n2) = (self.lattice.n1, self.lattice.n2);
+        let (k, i) = self.lattice.advance(r, done);
+        rotate(&mut self.p, i);
         let prev = self.predictor.prev.as_slice();
         let step = self.predictor.step;
         let prev_row = |r: usize, out: &mut [f64]| {
@@ -324,18 +447,15 @@ impl<'a> TemporalRows<'a> {
         prev_row(r, &mut self.p[0]);
         if k > 0 {
             prev_row(r - n1, &mut self.p[2]);
-            for (o, &v) in self.q[2][1..].iter_mut().zip(&done[(r - n1) * n2..][..n2]) {
-                *o = v as f64;
-            }
         }
         let [w0, w1, w2] = self.weights;
-        let [qc, qi, qk, qa] = &mut self.q;
+        let [qc, qi, qk, qa] = &mut self.lattice.q;
         let [pc, pi, pk, pa] = &self.p;
         // the one in-row dependency: the left neighbour, zero at column −1
         let mut left = 0.0f64;
         for j in 0..n2 {
             // float operations in exactly `temporal_candidates` order
-            let (lorenzo, p_lorenzo) = if self.three_d {
+            let (lorenzo, p_lorenzo) = if self.lattice.three_d {
                 (
                     qk[j + 1] + qi[j + 1] + left - qa[j + 1] - qk[j] - qi[j] + qa[j],
                     pk[j + 1] + pi[j + 1] + pc[j] - pa[j + 1] - pk[j] - pi[j] + pa[j],
@@ -354,22 +474,6 @@ impl<'a> TemporalRows<'a> {
     }
 }
 
-/// [`TemporalHybridPredictor::predict`] with none of the bulk overrides:
-/// the trait's per-point walk, which a malformed stream is handed back to
-/// so that its error is the oracle's own.
-struct PerPoint<'a>(&'a TemporalHybridPredictor);
-
-impl Predictor for PerPoint<'_> {
-    #[inline]
-    fn predict(&self, lattice: &QuantLattice, idx: &[usize]) -> i64 {
-        self.0.predict(lattice, idx)
-    }
-
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-}
-
 impl Predictor for TemporalHybridPredictor {
     #[inline]
     fn predict(&self, lattice: &QuantLattice, idx: &[usize]) -> i64 {
@@ -379,28 +483,10 @@ impl Predictor for TemporalHybridPredictor {
         self.model.combine(&preds).round() as i64
     }
 
-    /// Row kernel: with the whole lattice known, a row's predictions depend
-    /// on nothing the walk produces.
     fn residuals_into(&self, lattice: &QuantLattice, out: &mut Vec<i64>) {
-        let shape = lattice.shape();
-        let data = lattice.as_slice();
-        out.clear();
-        out.reserve(shape.len());
-        let mut rows = TemporalRows::new(self, shape);
-        for (r, cur) in data.chunks_exact(rows.n2).enumerate() {
-            rows.walk(r, data, |j, prediction| {
-                out.push(cur[j].wrapping_sub(prediction));
-                Some(cur[j])
-            });
-        }
+        residuals_by_rows(TemporalRows::new(self, lattice.shape()), lattice, out)
     }
 
-    /// Row kernel: the decode-side twin, with the left neighbour the only
-    /// thing a sample waits for. Codes and outliers are untrusted, and the
-    /// kernel holds them to what the per-point walk does — but it does not
-    /// word the refusal: the first code outside the alphabet, escape
-    /// without an outlier or outlier left over sends the whole stream
-    /// through that walk, which stops at the same element with its error.
     fn reconstruct_into(
         &self,
         shape: Shape,
@@ -409,33 +495,162 @@ impl Predictor for TemporalHybridPredictor {
         quant: &QuantizerConfig,
         out: &mut Vec<i64>,
     ) -> Result<(), CfcError> {
-        assert_eq!(codes.len(), shape.len(), "one code per sample");
-        out.clear();
-        out.resize(shape.len(), 0);
-        let mut rows = TemporalRows::new(self, shape);
-        let n2 = rows.n2;
-        let mut pending = outliers.iter();
-        let well_formed = codes.chunks_exact(n2).enumerate().all(|(r, codes)| {
-            let (done, rest) = out.split_at_mut(r * n2);
-            let cur = &mut rest[..n2];
-            rows.walk(r, done, |j, prediction| {
-                cur[j] = match quant.check_one(codes[j]) {
-                    Ok(Some(delta)) => prediction.wrapping_add(delta),
-                    Ok(None) => *pending.next()?,
-                    Err(_) => return None,
-                };
-                Some(cur[j])
-            })
-            .is_some()
-        });
-        if well_formed && pending.next().is_none() {
-            return Ok(());
-        }
-        PerPoint(self).reconstruct_into(shape, codes, outliers, quant, out)
+        let rows = TemporalRows::new(self, shape);
+        reconstruct_by_rows(rows, self, shape, codes, outliers, quant, out)
     }
 
     fn name(&self) -> &'static str {
         "temporal-hybrid"
+    }
+}
+
+/// Four rows of a lattice-shaped plane as `f64`, each `n2 + 1` long with
+/// the zero padding of column −1 in front: `[0]` the row being walked,
+/// `[1]` the row before it in its plane (`i − 1`), `[2]` the same row one
+/// plane back (`k − 1`), `[3]` that one's predecessor. A row that does not
+/// exist is zero padding all the way, so an edge row runs the same
+/// operations on the same zeros as the per-point walk.
+fn padded_rows(n2: usize) -> [Vec<f64>; 4] {
+    std::array::from_fn(|_| vec![0.0f64; n2 + 1])
+}
+
+/// Move [`padded_rows`] on to in-plane row `i`: the walked row and its twin
+/// one plane back become the rows before them, and at `i == 0` there are
+/// none.
+#[inline]
+fn rotate(rows: &mut [Vec<f64>; 4], i: usize) {
+    rows.swap(0, 1);
+    rows.swap(2, 3);
+    if i == 0 {
+        rows[1].fill(0.0);
+        rows[3].fill(0.0);
+    }
+}
+
+/// What both hybrids' row walks share: the geometry, and the lattice's
+/// [`padded_rows`], each value converted once, when it is produced (the
+/// walked row, by the walk) or passed (the row one plane back, here).
+struct LatticeRows {
+    three_d: bool,
+    /// Rows to a plane (a 2-D lattice is one plane) and samples to a row.
+    n1: usize,
+    n2: usize,
+    q: [Vec<f64>; 4],
+}
+
+impl LatticeRows {
+    fn new(shape: Shape) -> Self {
+        let d = shape.dims();
+        let n2 = d[d.len() - 1];
+        LatticeRows {
+            three_d: d.len() == 3,
+            n1: d[d.len() - 2],
+            n2,
+            q: padded_rows(n2),
+        }
+    }
+
+    /// Move on to row `r` (counted across planes), given the rows before
+    /// it (`done`); returns its plane and its row in the plane, `(k, i)`.
+    #[inline]
+    fn advance(&mut self, r: usize, done: &[i64]) -> (usize, usize) {
+        let (n1, n2) = (self.n1, self.n2);
+        let (k, i) = (r / n1, r % n1);
+        rotate(&mut self.q, i);
+        if k > 0 {
+            for (o, &v) in self.q[2][1..].iter_mut().zip(&done[(r - n1) * n2..][..n2]) {
+                *o = v as f64;
+            }
+        }
+        (k, i)
+    }
+}
+
+/// A hybrid's row walk, the one part its two row kernels do not share.
+trait RowWalk {
+    /// Samples to a row.
+    fn row_len(&self) -> usize;
+
+    /// Walk row `r` (counted across planes; call with `r = 0, 1, …`), given
+    /// the rows before it (`done`). `value_at(j, prediction)` is handed each
+    /// sample's prediction in order and returns the sample's value — which
+    /// the encoder knows and the decoder has just worked out — or `None`
+    /// to stop.
+    fn walk(
+        &mut self,
+        r: usize,
+        done: &[i64],
+        value_at: impl FnMut(usize, i64) -> Option<i64>,
+    ) -> Option<()>;
+}
+
+/// [`Predictor::residuals_into`] by rows: with the whole lattice known, a
+/// row's predictions depend on nothing the walk produces.
+fn residuals_by_rows(mut rows: impl RowWalk, lattice: &QuantLattice, out: &mut Vec<i64>) {
+    let data = lattice.as_slice();
+    out.clear();
+    out.reserve(data.len());
+    for (r, cur) in data.chunks_exact(rows.row_len()).enumerate() {
+        rows.walk(r, data, |j, prediction| {
+            out.push(cur[j].wrapping_sub(prediction));
+            Some(cur[j])
+        });
+    }
+}
+
+/// [`Predictor::reconstruct_into`] by rows: the decode-side twin, with the
+/// left neighbour the only thing a sample waits for. Codes and outliers are
+/// untrusted, and the walk holds them to what the per-point walk does —
+/// but it does not word the refusal: the first code outside the alphabet,
+/// escape without an outlier or outlier left over sends the whole stream
+/// through `oracle`'s per-point walk, which stops at the same element with
+/// its error.
+fn reconstruct_by_rows<P: Predictor>(
+    mut rows: impl RowWalk,
+    oracle: &P,
+    shape: Shape,
+    codes: &[u32],
+    outliers: &[i64],
+    quant: &QuantizerConfig,
+    out: &mut Vec<i64>,
+) -> Result<(), CfcError> {
+    assert_eq!(codes.len(), shape.len(), "one code per sample");
+    out.clear();
+    out.resize(shape.len(), 0);
+    let n2 = rows.row_len();
+    let mut pending = outliers.iter();
+    let well_formed = codes.chunks_exact(n2).enumerate().all(|(r, codes)| {
+        let (done, rest) = out.split_at_mut(r * n2);
+        let cur = &mut rest[..n2];
+        rows.walk(r, done, |j, prediction| {
+            cur[j] = match quant.check_one(codes[j]) {
+                Ok(Some(delta)) => prediction.wrapping_add(delta),
+                Ok(None) => *pending.next()?,
+                Err(_) => return None,
+            };
+            Some(cur[j])
+        })
+        .is_some()
+    });
+    if well_formed && pending.next().is_none() {
+        return Ok(());
+    }
+    PerPoint(oracle).reconstruct_into(shape, codes, outliers, quant, out)
+}
+
+/// A predictor's `predict` with none of its bulk overrides: the trait's
+/// per-point walk, which a malformed stream is handed back to so that its
+/// error is the oracle's own.
+struct PerPoint<'a, P>(&'a P);
+
+impl<P: Predictor> Predictor for PerPoint<'_, P> {
+    #[inline]
+    fn predict(&self, lattice: &QuantLattice, idx: &[usize]) -> i64 {
+        self.0.predict(lattice, idx)
+    }
+
+    fn name(&self) -> &'static str {
+        self.0.name()
     }
 }
 
@@ -493,8 +708,20 @@ pub fn sample_hybrid_training(
     n: usize,
     seed: u64,
 ) -> (Vec<Vec<f64>>, Vec<f64>) {
+    sample_hybrid_training_by(lattice, |axis, off| dq[axis][off], n, seed)
+}
+
+/// [`sample_hybrid_training`] over any way of looking the predicted
+/// difference along an axis up by offset, in lattice units — the same
+/// sample, drawn without a whole-field copy of the differences.
+pub(crate) fn sample_hybrid_training_by(
+    lattice: &QuantLattice,
+    dq: impl Fn(usize, usize) -> f64,
+    n: usize,
+    seed: u64,
+) -> (Vec<Vec<f64>>, Vec<f64>) {
     sample_training(lattice, lattice.shape().ndim() + 1, n, seed, |idx, out| {
-        candidate_predictions(lattice, dq, idx, out)
+        cross_field_candidates(lattice, &dq, idx, out)
     })
 }
 
@@ -530,6 +757,20 @@ mod tests {
         vec![d0, d1]
     }
 
+    /// A cross-field predictor whose differences are `dq` (small integers,
+    /// exact as `f32`) at a lattice step of one.
+    fn cross_field(
+        shape: Shape,
+        dq: &[Vec<f64>],
+        model: HybridModel,
+    ) -> CrossFieldHybridPredictor<'static> {
+        let planes: Vec<Field> = dq
+            .iter()
+            .map(|plane| Field::from_vec(shape, plane.iter().map(|&v| v as f32).collect()))
+            .collect();
+        CrossFieldHybridPredictor::from_planes(planes, 0.5, model)
+    }
+
     #[test]
     fn perfect_differences_give_perfect_prediction() {
         let lat = lattice2(12, 12, |i, j| (i * i) as i64 + 3 * j as i64);
@@ -539,11 +780,7 @@ mod tests {
             weights: vec![0.0, 1.0, 0.0],
             losses: vec![],
         };
-        let pred = CrossFieldHybridPredictor {
-            dq: dq.clone(),
-            model,
-            ndim: 2,
-        };
+        let pred = cross_field(lat.shape(), &dq, model);
         for i in 1..12 {
             for j in 1..12 {
                 assert_eq!(
@@ -563,7 +800,7 @@ mod tests {
         let dq = exact_dq_2d(&lat);
         let (preds, targets) = sample_hybrid_training(&lat, &dq, 500, 3);
         let model = HybridModel::fit_least_squares(&preds, &targets);
-        let predictor = CrossFieldHybridPredictor { dq, model, ndim: 2 };
+        let predictor = cross_field(lat.shape(), &dq, model);
         let quant = QuantizerConfig { radius: 512 };
         let enc = codec::encode(&lat, &predictor, &quant);
         let dec =
@@ -585,7 +822,7 @@ mod tests {
             weights: vec![0.4, 0.3, 0.3],
             losses: vec![],
         };
-        let predictor = CrossFieldHybridPredictor { dq, model, ndim: 2 };
+        let predictor = cross_field(lat.shape(), &dq, model);
         let quant = QuantizerConfig { radius: 512 };
         let enc = codec::encode(&lat, &predictor, &quant);
         let dec =
@@ -610,7 +847,7 @@ mod tests {
             weights: vec![1.0, 0.0, 0.0, 0.0],
             losses: vec![],
         };
-        let predictor = CrossFieldHybridPredictor { dq, model, ndim: 3 };
+        let predictor = cross_field(shape, &dq, model);
         let quant = QuantizerConfig { radius: 512 };
         let enc = codec::encode(&lat, &predictor, &quant);
         let dec = codec::try_decode(shape, &enc.codes, &enc.outliers, &predictor, &quant).unwrap();
@@ -807,9 +1044,10 @@ mod tests {
             losses: vec![],
         };
         let p = CrossFieldHybridPredictor::new(&[f, g], 0.1, model);
-        for (got, want) in p.dq[0].iter().zip([1.0, 2.0, -1.0, 0.0]) {
+        for (off, want) in [1.0, 2.0, -1.0, 0.0].into_iter().enumerate() {
+            let got = p.dq(0, off);
             assert!((got - want).abs() < 1e-6, "{got} vs {want}"); // v / (2·0.1)
+            assert_eq!(p.dq(1, off), 0.0);
         }
-        assert!(p.dq.iter().all(|plane| plane.len() == 4) && p.ndim == 2);
     }
 }

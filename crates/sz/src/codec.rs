@@ -10,8 +10,9 @@
 //! contract assumes — but it too asks the predictor for the whole lattice
 //! at once ([`Predictor::reconstruct_into`]): the trait's default walks the
 //! points one by one through `predict`, Lorenzo overrides it with row
-//! kernels that resolve the in-row dependency as a prefix sum, and both
-//! check every code and outlier of the untrusted stream on the way.
+//! kernels that resolve the in-row dependency as a prefix sum (the hybrids
+//! of `cfc-core` with row walks of their own), and all of them check
+//! every code and outlier of the untrusted stream on the way.
 //! Row-major causality also means the first rows of a lattice depend on
 //! nothing after them, so a caller that wants only those (a region read
 //! ending inside a block) has the predictor rebuild a shorter lattice and

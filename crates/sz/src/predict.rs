@@ -47,8 +47,8 @@ pub trait Predictor: Sync {
     ///
     /// The default walks the lattice point by point through `predict`;
     /// predictors with exploitable structure override it with row-sliced
-    /// kernels: Lorenzo here (integer rows LLVM autovectorizes), the
-    /// temporal hybrid in `cfc-core` (`f64` rows converted once).
+    /// kernels: Lorenzo here (integer rows LLVM autovectorizes), both
+    /// hybrids in `cfc-core` (`f64` rows converted once).
     fn residuals_into(&self, lattice: &QuantLattice, out: &mut Vec<i64>) {
         let shape = lattice.shape();
         out.clear();
@@ -110,12 +110,11 @@ pub trait Predictor: Sync {
     /// prediction does not look at how many rows follow.
     ///
     /// The default is the per-point walk — monomorphised per predictor, so
-    /// `predict` inlines into it — and the reference the two overrides are
+    /// `predict` inlines into it — and the reference the overrides are
     /// tested against: Lorenzo's row kernels (`tests/lorenzo_kernel.rs`)
-    /// and, in `cfc-core`, the temporal hybrid's, where the left neighbour
-    /// is the only thing a sample waits for (`tests/temporal_kernel.rs`).
-    /// The cross-field hybrid stays on the default: its block is bound by
-    /// CFNN inference, not by this walk.
+    /// and, in `cfc-core`, both hybrids', where the left neighbour is the
+    /// only thing a sample waits for (`tests/temporal_kernel.rs`,
+    /// `tests/cross_field_kernel.rs`).
     ///
     /// # Panics
     /// If `codes.len() != shape.len()`; [`crate::codec::try_decode`] checks

@@ -1,9 +1,10 @@
 //! Helpers shared by the integration tests. Residual-stream builders for
 //! the kernel differential tests (`lorenzo_kernel.rs`,
-//! `temporal_kernel.rs`): seeded code and outlier streams, well-formed and
-//! malformed, and the container a block decoder meets them in. And
-//! [`assert_has_target`], for every test whose subject is a cross-field
-//! target row. Each test binary uses a part of this module.
+//! `temporal_kernel.rs`, `cross_field_kernel.rs`): seeded code and outlier
+//! streams, well-formed and malformed, and the container a block decoder
+//! meets them in. And [`assert_has_target`], for every test whose subject
+//! is a cross-field target row. Each test binary uses a part of this
+//! module.
 #![allow(dead_code)]
 
 use cross_field_compression::core::archive::{ArchiveReader, FieldRole};

@@ -7,8 +7,8 @@
 //!
 //! Beside it, the decode that stops after a block's leading rows
 //! (`SzCompressor::decompress_rows_with`, what a region read asks of the
-//! last block it covers): under Lorenzo's kernels and under the hybrids'
-//! default walk it returns the whole decode's first rows, and it fails
+//! last block it covers): under Lorenzo's kernels and under both hybrids'
+//! row kernels it returns the whole decode's first rows, and it fails
 //! with the whole decode's error on streams damaged past those rows.
 
 mod common;

@@ -5,8 +5,8 @@
 //!    the learned hybrid (paper §III-C's motivation for combining).
 //! 2. **Difference CNN vs direct-value CNN** — the paper's §III-B argument
 //!    that predicting raw values "rarely performs well".
-//! 3. **Causality** — the central-difference predictor's encode/decode
-//!    mismatch (paper Fig. 3).
+//! 3. **Causality** — a central-difference rule's encode/decode mismatch
+//!    against Lorenzo's exact round trip (paper Fig. 3).
 //! 4. **Coupling sweep** — cross-field gains as a function of the actual
 //!    cross-field information content (0 → independent fields).
 //! 5. **Model size** — compact / scaled / paper-parity CFNNs on one field,
@@ -23,7 +23,8 @@ use cfc_core::train::fit_patches;
 use cfc_datagen::GenParams;
 use cfc_sz::compressor::{encode_codes_into, encode_outliers_into};
 use cfc_sz::lossless::LzScratch;
-use cfc_sz::{codec, CentralDiffPredictor, QuantLattice, QuantizerConfig};
+use cfc_sz::predict::{reconstruct_per_point, residuals_per_point};
+use cfc_sz::{codec, LorenzoPredictor, Predictor, QuantLattice, QuantizerConfig};
 use cfc_tensor::{Field, FieldStats, Normalizer};
 
 use crate::runner::{table3_row, Case, ExperimentContext};
@@ -147,32 +148,71 @@ fn train_value_cnn(case: &Case, cfg: &TrainConfig) -> f64 {
 /// 3. Central differences are non-causal: the decoder diverges (paper Fig. 3).
 fn causality_demo() {
     println!("== Ablation 3: causality (paper Fig. 3) ==");
+    let lattice = causality_lattice();
+    let n = lattice.len();
+    let central = round_trip_mismatches(central_difference, &lattice);
+    let lorenzo = round_trip_mismatches(|l, i| LorenzoPredictor.predict(l, i), &lattice);
+    println!("  central-difference round-trip mismatches: {central}/{n} lattice points");
+    println!("  Lorenzo round-trip mismatches           : {lorenzo}/{n} lattice points\n");
+}
+
+/// The lattice the causality ablation runs on: a smooth 64×64 field at a
+/// 1e-3 relative bound.
+fn causality_lattice() -> QuantLattice {
     let f = Field::from_fn(cfc_tensor::Shape::d2(64, 64), |i| {
         ((i[0] as f32) * 0.23).sin() * 12.0 + ((i[1] as f32) * 0.31).cos() * 9.0
     });
     let eb = 1e-3 * FieldStats::of(&f).range() as f64;
-    let lattice = QuantLattice::prequantize(&f, eb);
+    QuantLattice::prequantize(&f, eb)
+}
+
+/// Central differences along the last axis, `(q(j−1) + q(j+1)) / 2`, as a
+/// per-point rule. Non-causal: it reads `q(j+1)`, which a row-major decode
+/// has not rebuilt yet.
+fn central_difference(lattice: &QuantLattice, idx: &[usize]) -> i64 {
+    match *idx {
+        [i, j] => {
+            let (i, j) = (i as isize, j as isize);
+            lattice.get2(i, j - 1).wrapping_add(lattice.get2(i, j + 1)) / 2
+        }
+        [k, i, j] => {
+            let (k, i, j) = (k as isize, i as isize, j as isize);
+            lattice
+                .get3(k, i, j - 1)
+                .wrapping_add(lattice.get3(k, i, j + 1))
+                / 2
+        }
+        _ => unreachable!("the causality ablation is 2-D/3-D"),
+    }
+}
+
+/// Encode `lattice` under the per-point rule `predict` and decode it again,
+/// both through `cfc-sz`'s per-point walks; the number of points that come
+/// back different. A causal rule gives 0.
+fn round_trip_mismatches(
+    predict: impl Fn(&QuantLattice, &[usize]) -> i64,
+    lattice: &QuantLattice,
+) -> usize {
     let quant = QuantizerConfig::default();
-    let enc = codec::encode(&lattice, &CentralDiffPredictor, &quant);
-    let dec = codec::try_decode(
+    let mut deltas = Vec::new();
+    residuals_per_point(&predict, lattice, &mut deltas);
+    let (mut codes, mut outliers) = (Vec::new(), Vec::new());
+    quant.encode_into(&deltas, lattice.as_slice(), &mut codes, &mut outliers);
+    let mut decoded = Vec::new();
+    reconstruct_per_point(
+        &predict,
         lattice.shape(),
-        &enc.codes,
-        &enc.outliers,
-        &CentralDiffPredictor,
+        &codes,
+        &outliers,
         &quant,
+        &mut decoded,
     )
     .expect("codes and outliers straight from the encoder");
-    let mismatches = dec
-        .as_slice()
+    decoded
         .iter()
         .zip(lattice.as_slice())
         .filter(|(a, b)| a != b)
-        .count();
-    println!(
-        "  central-difference round-trip mismatches: {mismatches}/{} lattice points",
-        lattice.len()
-    );
-    println!("  (Lorenzo and the cross-field backward-difference predictor give 0)\n");
+        .count()
 }
 
 /// 4. Gains vs cross-field coupling strength.
@@ -210,4 +250,27 @@ fn model_size_sweep(ctx: &mut ExperimentContext, wf: &CrossFieldConfig) {
         );
     }
     println!("  (bigger nets must pay for themselves; on scaled grids they cannot)");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The paper's Fig. 3 point, on the ablation's own lattice and on a
+    /// 3-D one: central differences read a neighbour the decoder has not
+    /// rebuilt and diverge, Lorenzo round-trips exactly.
+    #[test]
+    fn only_the_causal_rule_round_trips() {
+        let volume = QuantLattice::from_vec(
+            cfc_tensor::Shape::d3(4, 8, 8),
+            (0..256)
+                .map(|o| ((o * 31 + o / 8 * 17) % 97) as i64)
+                .collect(),
+        );
+        for lattice in [causality_lattice(), volume] {
+            let lorenzo = |l: &QuantLattice, i: &[usize]| LorenzoPredictor.predict(l, i);
+            assert!(round_trip_mismatches(central_difference, &lattice) > 0);
+            assert_eq!(round_trip_mismatches(lorenzo, &lattice), 0);
+        }
+    }
 }

@@ -121,7 +121,7 @@
 //! serving layer that caches decoded blocks across calls and threads, wrap
 //! a reader in [`super::store::ArchiveStore`].
 
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -732,7 +732,8 @@ impl<R: ArchiveSource> ArchiveReader<R> {
                     weights: meta.hybrid.weights.clone(),
                     losses: Vec::new(),
                 };
-                let predictor = TemporalHybridPredictor::new(prev, container.eb, hybrid);
+                let predictor =
+                    TemporalHybridPredictor::from_slab(Cow::Borrowed(prev), container.eb, hybrid);
                 out.decode(&container, &predictor, rows, dec)
             }
             (FieldRole::Delta, None) => Err(missing("meta")),

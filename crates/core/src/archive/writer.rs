@@ -32,6 +32,7 @@
 //! whatever conditions on the block: a target's inference, the next epoch's
 //! deltas.
 
+use std::borrow::Cow;
 use std::io::Write;
 
 use cfc_sz::{
@@ -43,7 +44,7 @@ use cfc_tensor::{Dataset, Field, FieldStats, Shape};
 use crate::config::{CfnnSpec, CrossFieldConfig, TrainConfig};
 use crate::hybrid::{HybridConfig, HybridModel};
 use crate::pipeline::{serialize_model, TargetInference};
-use crate::predictor::{sample_temporal_training, TemporalHybridPredictor};
+use crate::predictor::{sample_temporal_training_by, TemporalHybridPredictor};
 use crate::train::train_cfnn;
 
 use super::format::{
@@ -1020,15 +1021,10 @@ impl ArchiveWriter {
         let hybrids = run_parallel(fields.len(), self.threads(), |fi| {
             let eb_fit = bounds[fi].1;
             let lattice = QuantLattice::prequantize(fields[fi], eb_fit);
-            let step = 2.0 * eb_fit;
-            let pq: Vec<f64> = prev[fi]
-                .as_slice()
-                .iter()
-                .map(|&v| v as f64 / step)
-                .collect();
-            let (preds, targets) = sample_temporal_training(
+            let (step, prev) = (2.0 * eb_fit, prev[fi].as_slice());
+            let (preds, targets) = sample_temporal_training_by(
                 &lattice,
-                &pq,
+                |off| prev[off] as f64 / step,
                 self.cfg.hybrid.n_samples,
                 self.cfg.hybrid.seed,
             );
@@ -1042,8 +1038,9 @@ impl ArchiveWriter {
             |fi, _, (r0, r1)| {
                 let slab = fields[fi].slab(r0, r1);
                 let (lattice, eb) = quantize_slab(&slab, bounds[fi].0)?;
-                let prev_slab = prev[fi].slab(r0, r1);
-                let predictor = TemporalHybridPredictor::new(&prev_slab, eb, hybrids[fi].clone());
+                let prev_slab = Cow::Owned(prev[fi].slab(r0, r1));
+                let predictor =
+                    TemporalHybridPredictor::from_slab(prev_slab, eb, hybrids[fi].clone());
                 Ok(Block {
                     lattice,
                     eb,

@@ -6,6 +6,7 @@ use cfc_tensor::{Field, Normalizer};
 
 use crate::archive::run_parallel_scratch;
 use crate::diffnet;
+use crate::predictor::cross_field_candidates;
 use crate::train::TrainedCfnn;
 
 /// A CFNN ready for inference: the network compiled into an
@@ -221,7 +222,8 @@ pub fn predict_differences(trained: &TrainedCfnn, anchors: &[&Field]) -> Vec<Fie
 
 /// One-step-ahead prediction fields: at every point, the value each
 /// predictor would produce from the *true* causal neighbours (exactly what
-/// the encoder's residual stage sees, without quantization).
+/// the encoder's residual stage sees, without quantization), through the
+/// candidate rule the hybrid predictor runs ([`cross_field_candidates`]).
 ///
 /// Returns `(lorenzo, cross_field_mean, hybrid)` given predicted difference
 /// fields and hybrid weights (Lorenzo first). Border samples (index 0 along
@@ -233,83 +235,44 @@ pub fn one_step_predictions(
     weights: &[f64],
 ) -> (Field, Field, Field) {
     let shape = original.shape();
-    let ndim = shape.ndim();
+    let (ndim, dims) = (shape.ndim(), shape.dims());
+    assert!(ndim == 2 || ndim == 3, "unsupported dimensionality");
     assert_eq!(diffs.len(), ndim);
     assert_eq!(weights.len(), ndim + 1);
     let mut lorenzo = original.clone();
     let mut cross = original.clone();
     let mut hybrid = original.clone();
-    let idx_iter: Vec<Vec<usize>> = match ndim {
-        2 => {
-            let d = shape.dims();
-            (1..d[0])
-                .flat_map(|i| (1..d[1]).map(move |j| vec![i, j]))
-                .collect()
-        }
-        3 => {
-            let d = shape.dims().to_vec();
-            let mut v = Vec::new();
-            for k in 1..d[0] {
-                for i in 1..d[1] {
-                    for j in 1..d[2] {
-                        v.push(vec![k, i, j]);
-                    }
-                }
-            }
-            v
-        }
-        _ => panic!("unsupported dimensionality"),
+    // interior points only: every neighbour lies inside the field
+    let sample = |at: &[isize]| {
+        let off = at
+            .iter()
+            .zip(dims)
+            .fold(0, |off, (&x, &d)| off * d + x as usize);
+        original.as_slice()[off] as f64
     };
-    for idx in idx_iter {
-        let (lor, axis_preds) = candidate_values(original, diffs, &idx);
+    let diff = |axis: usize, off: usize| diffs[axis].as_slice()[off] as f64;
+    let mut preds = [0.0f64; 4];
+    for off in 0..shape.len() {
+        let (mut idx, mut rest) = ([0usize; 3], off);
+        for (i, &d) in idx[..ndim].iter_mut().zip(dims).rev() {
+            *i = rest % d;
+            rest /= d;
+        }
+        if idx[..ndim].contains(&0) {
+            continue;
+        }
+        cross_field_candidates(dims, sample, diff, &idx[..ndim], &mut preds[..=ndim]);
+        let (lor, axis_preds) = (preds[0], &preds[1..=ndim]);
         let cross_mean = axis_preds.iter().sum::<f64>() / axis_preds.len() as f64;
         let mut hyb = weights[0] * lor;
         for (k, &p) in axis_preds.iter().enumerate() {
             hyb += weights[k + 1] * p;
         }
-        lorenzo.set(&idx, lor as f32);
-        cross.set(&idx, cross_mean as f32);
-        hybrid.set(&idx, hyb as f32);
+        lorenzo.as_mut_slice()[off] = lor as f32;
+        cross.as_mut_slice()[off] = cross_mean as f32;
+        hybrid.as_mut_slice()[off] = hyb as f32;
     }
     (lorenzo, cross, hybrid)
-}
-
-/// Candidate predictions at one interior point from true neighbours:
-/// `(lorenzo, per-axis neighbour+diff)`.
-fn candidate_values(original: &Field, diffs: &[Field], idx: &[usize]) -> (f64, Vec<f64>) {
-    match *idx {
-        [i, j] => {
-            let a = original.get(&[i - 1, j]) as f64;
-            let b = original.get(&[i, j - 1]) as f64;
-            let c = original.get(&[i - 1, j - 1]) as f64;
-            (
-                a + b - c,
-                vec![
-                    a + diffs[0].get(&[i, j]) as f64,
-                    b + diffs[1].get(&[i, j]) as f64,
-                ],
-            )
-        }
-        [k, i, j] => {
-            let pk = original.get(&[k - 1, i, j]) as f64;
-            let pi = original.get(&[k, i - 1, j]) as f64;
-            let pj = original.get(&[k, i, j - 1]) as f64;
-            let lor = pk + pi + pj
-                - original.get(&[k - 1, i - 1, j]) as f64
-                - original.get(&[k - 1, i, j - 1]) as f64
-                - original.get(&[k, i - 1, j - 1]) as f64
-                + original.get(&[k - 1, i - 1, j - 1]) as f64;
-            (
-                lor,
-                vec![
-                    pk + diffs[0].get(&[k, i, j]) as f64,
-                    pi + diffs[1].get(&[k, i, j]) as f64,
-                    pj + diffs[2].get(&[k, i, j]) as f64,
-                ],
-            )
-        }
-        _ => unreachable!(),
-    }
 }
 
 #[cfg(test)]

@@ -2,35 +2,30 @@
 //! fuses Lorenzo with CFNN-predicted backward differences (paper §III-C),
 //! and its temporal counterpart for delta epochs. Both run on row kernels
 //! (SZ3's split of a predictor into a row stage and the per-point model it
-//! is held to); `predict` is each one's per-point specification.
+//! is held to); `predict` is each one's per-point specification, and the
+//! candidate rules below are the one place each float order is written.
 
 use std::borrow::Cow;
+use std::convert::Infallible;
 
+use cfc_sz::predict::ResidualStream;
 use cfc_sz::{CfcError, Predictor, QuantLattice, QuantizerConfig};
 use cfc_tensor::{Field, Shape};
 
 use crate::hybrid::HybridModel;
 
-/// Per-point candidate predictions on the lattice (Lorenzo first, then one
-/// per axis). Shared by the predictor below and hybrid-model training.
+/// The cross-field candidates at `idx` (Lorenzo first, then one per axis)
+/// of a `dims` grid, given its samples `q` by multi-index (zero padding
+/// outside the grid) and the CFNN difference along an axis `dq` by offset,
+/// both in one unit. The order of the float operations here — `(a + b) − c`
+/// and its seven-term 3-D form, `neighbour + dq` per axis — is the contract
+/// the row kernels of [`CrossFieldHybridPredictor`] reproduce; the hybrid
+/// fit samples it on the lattice, and Figure 6's one-step predictions
+/// (`crate::predict`) take it on the original field.
 #[inline]
-pub fn candidate_predictions(
-    lattice: &QuantLattice,
-    dq: &[Vec<f64>],
-    idx: &[usize],
-    out: &mut [f64],
-) {
-    cross_field_candidates(lattice, |axis, off| dq[axis][off], idx, out)
-}
-
-/// [`candidate_predictions`] over any way of looking a CFNN difference up
-/// by axis and offset, in lattice units. The order of the float operations
-/// here — `(a + b) − c` and its seven-term 3-D form, `neighbour + dq` per
-/// axis — is the contract the row kernels of [`CrossFieldHybridPredictor`]
-/// reproduce.
-#[inline]
-fn cross_field_candidates(
-    lattice: &QuantLattice,
+pub(crate) fn cross_field_candidates(
+    dims: &[usize],
+    q: impl Fn(&[isize]) -> f64,
     dq: impl Fn(usize, usize) -> f64,
     idx: &[usize],
     out: &mut [f64],
@@ -38,33 +33,40 @@ fn cross_field_candidates(
     match *idx {
         [i, j] => {
             let (ii, jj) = (i as isize, j as isize);
-            let a = lattice.get2(ii - 1, jj) as f64;
-            let b = lattice.get2(ii, jj - 1) as f64;
-            let c = lattice.get2(ii - 1, jj - 1) as f64;
-            let shape = lattice.shape();
-            let off = i * shape.dims()[1] + j;
+            let a = q(&[ii - 1, jj]);
+            let b = q(&[ii, jj - 1]);
+            let c = q(&[ii - 1, jj - 1]);
+            let off = i * dims[1] + j;
             out[0] = a + b - c; // Lorenzo
             out[1] = a + dq(0, off); // axis-0 difference
             out[2] = b + dq(1, off); // axis-1 difference
         }
         [k, i, j] => {
             let (kk, ii, jj) = (k as isize, i as isize, j as isize);
-            let pk = lattice.get3(kk - 1, ii, jj) as f64;
-            let pi = lattice.get3(kk, ii - 1, jj) as f64;
-            let pj = lattice.get3(kk, ii, jj - 1) as f64;
+            let pk = q(&[kk - 1, ii, jj]);
+            let pi = q(&[kk, ii - 1, jj]);
+            let pj = q(&[kk, ii, jj - 1]);
             let lorenzo = pk + pi + pj
-                - lattice.get3(kk - 1, ii - 1, jj) as f64
-                - lattice.get3(kk - 1, ii, jj - 1) as f64
-                - lattice.get3(kk, ii - 1, jj - 1) as f64
-                + lattice.get3(kk - 1, ii - 1, jj - 1) as f64;
-            let d = lattice.shape();
-            let dims = d.dims();
+                - q(&[kk - 1, ii - 1, jj])
+                - q(&[kk - 1, ii, jj - 1])
+                - q(&[kk, ii - 1, jj - 1])
+                + q(&[kk - 1, ii - 1, jj - 1]);
             let off = (k * dims[1] + i) * dims[2] + j;
             out[0] = lorenzo;
             out[1] = pk + dq(0, off);
             out[2] = pi + dq(1, off);
             out[3] = pj + dq(2, off);
         }
+        _ => unreachable!("cross-field prediction is 2-D/3-D"),
+    }
+}
+
+/// A lattice's samples as `f64` by multi-index, zero outside it: the `q`
+/// of [`cross_field_candidates`].
+fn lattice_f64(lattice: &QuantLattice) -> impl Fn(&[isize]) -> f64 + '_ {
+    move |at| match *at {
+        [i, j] => lattice.get2(i, j) as f64,
+        [k, i, j] => lattice.get3(k, i, j) as f64,
         _ => unreachable!("cross-field prediction is 2-D/3-D"),
     }
 }
@@ -79,7 +81,7 @@ fn cross_field_candidates(
 /// one.
 ///
 /// The float-order contract is the temporal hybrid's (see
-/// [`TemporalHybridPredictor`]): [`candidate_predictions`] then
+/// [`TemporalHybridPredictor`]): [`cross_field_candidates`] then
 /// [`HybridModel::combine`] (`0.0 + w₀·l + w₁·c₁ + …`), then `f64::round`,
 /// then a saturating `as i64`. [`Predictor::predict`] spells it out per
 /// point and is the oracle; the bulk methods are row kernels held to it bit
@@ -128,7 +130,13 @@ impl Predictor for CrossFieldHybridPredictor<'_> {
     fn predict(&self, lattice: &QuantLattice, idx: &[usize]) -> i64 {
         let arity = self.model.arity();
         let mut preds = [0.0f64; 4];
-        cross_field_candidates(lattice, |a, off| self.dq(a, off), idx, &mut preds[..arity]);
+        cross_field_candidates(
+            lattice.shape().dims(),
+            lattice_f64(lattice),
+            |axis, off| self.dq(axis, off),
+            idx,
+            &mut preds[..arity],
+        );
         self.model.combine(&preds[..arity]).round() as i64
     }
 
@@ -145,11 +153,7 @@ impl Predictor for CrossFieldHybridPredictor<'_> {
         out: &mut Vec<i64>,
     ) -> Result<(), CfcError> {
         let rows = CrossFieldRows::new(self, shape);
-        reconstruct_by_rows(rows, self, shape, codes, outliers, quant, out)
-    }
-
-    fn name(&self) -> &'static str {
-        "cross-field-hybrid"
+        reconstruct_by_rows(rows, shape, codes, outliers, quant, out)
     }
 }
 
@@ -189,12 +193,12 @@ impl RowWalk for CrossFieldRows<'_> {
     }
 
     #[inline]
-    fn walk(
+    fn walk<E>(
         &mut self,
         r: usize,
         done: &[i64],
-        mut value_at: impl FnMut(usize, i64) -> Option<i64>,
-    ) -> Option<()> {
+        mut value_at: impl FnMut(usize, i64) -> Result<i64, E>,
+    ) -> Result<(), E> {
         self.lattice.advance(r, done);
         let n2 = self.lattice.n2;
         let step = self.step;
@@ -229,7 +233,7 @@ impl RowWalk for CrossFieldRows<'_> {
                 qc[j + 1] = left;
             }
         }
-        Some(())
+        Ok(())
     }
 }
 
@@ -237,23 +241,12 @@ impl RowWalk for CrossFieldRows<'_> {
 /// temporally-corrected Lorenzo, independent of dimensionality.
 pub const TEMPORAL_ARITY: usize = 3;
 
-/// Per-point candidate predictions for a temporal-delta block (see
-/// [`TemporalHybridPredictor`]). `pq` is the previous epoch's decoded slab
-/// in *current* lattice units; `out` must hold [`TEMPORAL_ARITY`] slots.
-#[inline]
-pub fn temporal_candidate_predictions(
-    lattice: &QuantLattice,
-    pq: &[f64],
-    idx: &[usize],
-    out: &mut [f64],
-) {
-    temporal_candidates(lattice, |off| pq[off], idx, out)
-}
-
-/// [`temporal_candidate_predictions`] over any way of looking the previous
-/// epoch up by offset. The order of the float operations here — `(a + b) −
-/// c` and its seven-term 3-D form, `p + (lorenzo − p_lorenzo)` — is the
-/// contract the row kernels of [`TemporalHybridPredictor`] reproduce.
+/// The temporal candidates at `idx` (see [`TemporalHybridPredictor`]),
+/// given the previous epoch `pq` by offset in *current* lattice units;
+/// `out` holds [`TEMPORAL_ARITY`] slots. The order of the float operations
+/// here — `(a + b) − c` and its seven-term 3-D form, `p + (lorenzo −
+/// p_lorenzo)` — is the contract the row kernels of
+/// [`TemporalHybridPredictor`] reproduce.
 #[inline]
 fn temporal_candidates(
     lattice: &QuantLattice,
@@ -353,7 +346,7 @@ fn round_to_i64(x: f64) -> i64 {
 /// A prediction is a handful of `f64` operations rounded to the lattice,
 /// and encoder and decoder — possibly different builds on different
 /// machines — must round the same way, so the order of those operations is
-/// part of the format: [`temporal_candidate_predictions`] then
+/// part of the format: [`temporal_candidates`] then
 /// [`HybridModel::combine`] (`0.0 + w₀·l + w₁·p + w₂·t`), then
 /// `f64::round`, then a saturating `as i64`. [`Predictor::predict`] spells
 /// that out per point and is the oracle (and what
@@ -362,19 +355,26 @@ fn round_to_i64(x: f64) -> i64 {
 /// neighbouring rows as `f64`, converted once, so that only the
 /// left-neighbour recurrence is left in the inner loop — but they may not
 /// reassociate, fuse a multiply-add, or round differently (`round_to_i64`).
-pub struct TemporalHybridPredictor {
+pub struct TemporalHybridPredictor<'a> {
     /// The previous epoch's decoded slab, in physical units: a row is
     /// converted to lattice units (`v / step`) when a prediction needs it.
-    prev: Field,
+    prev: Cow<'a, Field>,
     /// The lattice step, `2·eb`.
     step: f64,
     model: HybridModel,
 }
 
-impl TemporalHybridPredictor {
+impl<'a> TemporalHybridPredictor<'a> {
     /// Build from the previous epoch's decoded slab (physical units) and
-    /// the absolute error bound of the current block's lattice.
+    /// the absolute error bound of the current block's lattice, on a copy
+    /// of the slab.
     pub fn new(prev_slab: &Field, eb: f64, model: HybridModel) -> Self {
+        Self::from_slab(Cow::Owned(prev_slab.clone()), eb, model)
+    }
+
+    /// [`new`](Self::new) on a slab handed over by value or lent: the
+    /// writer cuts each block's slab once, a reader lends its decoded one.
+    pub(crate) fn from_slab(prev_slab: Cow<'a, Field>, eb: f64, model: HybridModel) -> Self {
         let ndim = prev_slab.shape().ndim();
         assert!(ndim == 2 || ndim == 3);
         assert_eq!(
@@ -383,7 +383,7 @@ impl TemporalHybridPredictor {
             "temporal hybrid arity is fixed"
         );
         TemporalHybridPredictor {
-            prev: prev_slab.clone(),
+            prev: prev_slab,
             step: 2.0 * eb,
             model,
         }
@@ -399,20 +399,22 @@ impl TemporalHybridPredictor {
 /// The row-at-a-time walk behind both bulk methods of
 /// [`TemporalHybridPredictor`]: the [`LatticeRows`], and the same four
 /// rows of the previous epoch in lattice units.
-struct TemporalRows<'a> {
-    predictor: &'a TemporalHybridPredictor,
+struct TemporalRows<'p> {
+    prev: &'p [f32],
+    step: f64,
     weights: [f64; TEMPORAL_ARITY],
     lattice: LatticeRows,
     p: [Vec<f64>; 4],
 }
 
-impl<'a> TemporalRows<'a> {
+impl<'p> TemporalRows<'p> {
     /// A walk over a lattice of `shape`, which may have fewer axis-0 rows
     /// than the previous epoch's slab (a decode of a block's leading rows).
-    fn new(predictor: &'a TemporalHybridPredictor, shape: Shape) -> Self {
+    fn new(predictor: &'p TemporalHybridPredictor<'_>, shape: Shape) -> Self {
         let lattice = LatticeRows::new(shape);
         TemporalRows {
-            predictor,
+            prev: predictor.prev.as_slice(),
+            step: predictor.step,
             weights: predictor.model.weights[..]
                 .try_into()
                 .expect("arity checked at construction"),
@@ -428,17 +430,16 @@ impl RowWalk for TemporalRows<'_> {
     }
 
     #[inline]
-    fn walk(
+    fn walk<E>(
         &mut self,
         r: usize,
         done: &[i64],
-        mut value_at: impl FnMut(usize, i64) -> Option<i64>,
-    ) -> Option<()> {
+        mut value_at: impl FnMut(usize, i64) -> Result<i64, E>,
+    ) -> Result<(), E> {
         let (n1, n2) = (self.lattice.n1, self.lattice.n2);
         let (k, i) = self.lattice.advance(r, done);
         rotate(&mut self.p, i);
-        let prev = self.predictor.prev.as_slice();
-        let step = self.predictor.step;
+        let (prev, step) = (self.prev, self.step);
         let prev_row = |r: usize, out: &mut [f64]| {
             for (o, &v) in out[1..].iter_mut().zip(&prev[r * n2..][..n2]) {
                 *o = v as f64 / step;
@@ -470,11 +471,11 @@ impl RowWalk for TemporalRows<'_> {
             left = value as f64;
             qc[j + 1] = left;
         }
-        Some(())
+        Ok(())
     }
 }
 
-impl Predictor for TemporalHybridPredictor {
+impl Predictor for TemporalHybridPredictor<'_> {
     #[inline]
     fn predict(&self, lattice: &QuantLattice, idx: &[usize]) -> i64 {
         debug_assert_eq!(idx.len(), self.prev.shape().ndim());
@@ -496,11 +497,7 @@ impl Predictor for TemporalHybridPredictor {
         out: &mut Vec<i64>,
     ) -> Result<(), CfcError> {
         let rows = TemporalRows::new(self, shape);
-        reconstruct_by_rows(rows, self, shape, codes, outliers, quant, out)
-    }
-
-    fn name(&self) -> &'static str {
-        "temporal-hybrid"
+        reconstruct_by_rows(rows, shape, codes, outliers, quant, out)
     }
 }
 
@@ -574,14 +571,14 @@ trait RowWalk {
     /// Walk row `r` (counted across planes; call with `r = 0, 1, …`), given
     /// the rows before it (`done`). `value_at(j, prediction)` is handed each
     /// sample's prediction in order and returns the sample's value — which
-    /// the encoder knows and the decoder has just worked out — or `None`
-    /// to stop.
-    fn walk(
+    /// the encoder knows and the decoder has just read off the stream — or
+    /// the error that stops the walk.
+    fn walk<E>(
         &mut self,
         r: usize,
         done: &[i64],
-        value_at: impl FnMut(usize, i64) -> Option<i64>,
-    ) -> Option<()>;
+        value_at: impl FnMut(usize, i64) -> Result<i64, E>,
+    ) -> Result<(), E>;
 }
 
 /// [`Predictor::residuals_into`] by rows: with the whole lattice known, a
@@ -591,23 +588,19 @@ fn residuals_by_rows(mut rows: impl RowWalk, lattice: &QuantLattice, out: &mut V
     out.clear();
     out.reserve(data.len());
     for (r, cur) in data.chunks_exact(rows.row_len()).enumerate() {
-        rows.walk(r, data, |j, prediction| {
+        let Ok(()) = rows.walk(r, data, |j, prediction| {
             out.push(cur[j].wrapping_sub(prediction));
-            Some(cur[j])
+            Ok::<_, Infallible>(cur[j])
         });
     }
 }
 
 /// [`Predictor::reconstruct_into`] by rows: the decode-side twin, with the
 /// left neighbour the only thing a sample waits for. Codes and outliers are
-/// untrusted, and the walk holds them to what the per-point walk does —
-/// but it does not word the refusal: the first code outside the alphabet,
-/// escape without an outlier or outlier left over sends the whole stream
-/// through `oracle`'s per-point walk, which stops at the same element with
-/// its error.
-fn reconstruct_by_rows<P: Predictor>(
+/// untrusted and read through one [`ResidualStream`], so the walk stops at
+/// the first malformed element in scan order with its error.
+fn reconstruct_by_rows(
     mut rows: impl RowWalk,
-    oracle: &P,
     shape: Shape,
     codes: &[u32],
     outliers: &[i64],
@@ -618,40 +611,16 @@ fn reconstruct_by_rows<P: Predictor>(
     out.clear();
     out.resize(shape.len(), 0);
     let n2 = rows.row_len();
-    let mut pending = outliers.iter();
-    let well_formed = codes.chunks_exact(n2).enumerate().all(|(r, codes)| {
+    let mut stream = ResidualStream::new(quant, outliers);
+    for (r, codes) in codes.chunks_exact(n2).enumerate() {
         let (done, rest) = out.split_at_mut(r * n2);
         let cur = &mut rest[..n2];
         rows.walk(r, done, |j, prediction| {
-            cur[j] = match quant.check_one(codes[j]) {
-                Ok(Some(delta)) => prediction.wrapping_add(delta),
-                Ok(None) => *pending.next()?,
-                Err(_) => return None,
-            };
-            Some(cur[j])
-        })
-        .is_some()
-    });
-    if well_formed && pending.next().is_none() {
-        return Ok(());
+            cur[j] = stream.value(codes[j], prediction)?;
+            Ok(cur[j])
+        })?;
     }
-    PerPoint(oracle).reconstruct_into(shape, codes, outliers, quant, out)
-}
-
-/// A predictor's `predict` with none of its bulk overrides: the trait's
-/// per-point walk, which a malformed stream is handed back to so that its
-/// error is the oracle's own.
-struct PerPoint<'a, P>(&'a P);
-
-impl<P: Predictor> Predictor for PerPoint<'_, P> {
-    #[inline]
-    fn predict(&self, lattice: &QuantLattice, idx: &[usize]) -> i64 {
-        self.0.predict(lattice, idx)
-    }
-
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
+    stream.finish()
 }
 
 /// The one sampler behind both hybrid fits: `n` deterministic interior
@@ -686,7 +655,7 @@ fn sample_training(
 }
 
 /// Sample temporal-hybrid training data from the true lattice (encoder
-/// side): `(candidate_predictions, targets)` at `n` deterministic interior
+/// side): `(candidates, targets)` at `n` deterministic interior
 /// points. `pq` is the previous epoch in current lattice units.
 pub fn sample_temporal_training(
     lattice: &QuantLattice,
@@ -694,13 +663,25 @@ pub fn sample_temporal_training(
     n: usize,
     seed: u64,
 ) -> (Vec<Vec<f64>>, Vec<f64>) {
+    sample_temporal_training_by(lattice, |off| pq[off], n, seed)
+}
+
+/// [`sample_temporal_training`] over any way of looking the previous epoch
+/// up by offset, in current lattice units — the same sample, drawn without
+/// a whole-field copy of the previous epoch.
+pub(crate) fn sample_temporal_training_by(
+    lattice: &QuantLattice,
+    pq: impl Fn(usize) -> f64,
+    n: usize,
+    seed: u64,
+) -> (Vec<Vec<f64>>, Vec<f64>) {
     sample_training(lattice, TEMPORAL_ARITY, n, seed, |idx, out| {
-        temporal_candidate_predictions(lattice, pq, idx, out)
+        temporal_candidates(lattice, &pq, idx, out)
     })
 }
 
 /// Sample hybrid-model training data from the true lattice (encoder side):
-/// returns `(candidate_predictions, targets)` at `n` deterministic interior
+/// returns `(candidates, targets)` at `n` deterministic interior
 /// points.
 pub fn sample_hybrid_training(
     lattice: &QuantLattice,
@@ -720,8 +701,9 @@ pub(crate) fn sample_hybrid_training_by(
     n: usize,
     seed: u64,
 ) -> (Vec<Vec<f64>>, Vec<f64>) {
-    sample_training(lattice, lattice.shape().ndim() + 1, n, seed, |idx, out| {
-        cross_field_candidates(lattice, &dq, idx, out)
+    let shape = lattice.shape();
+    sample_training(lattice, shape.ndim() + 1, n, seed, |idx, out| {
+        cross_field_candidates(shape.dims(), lattice_f64(lattice), &dq, idx, out)
     })
 }
 
@@ -870,7 +852,7 @@ mod tests {
 
     /// A temporal predictor whose previous epoch is `prev`'s lattice values
     /// (small integers, exact as `f32`) at a lattice step of one.
-    fn temporal(prev: &QuantLattice, weights: [f64; 3]) -> TemporalHybridPredictor {
+    fn temporal(prev: &QuantLattice, weights: [f64; 3]) -> TemporalHybridPredictor<'static> {
         let samples = prev.as_slice().iter().map(|&v| v as f32).collect();
         let model = HybridModel {
             weights: weights.to_vec(),

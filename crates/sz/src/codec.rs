@@ -3,26 +3,26 @@
 //!
 //! Thanks to dual quantization the encoder sees the *final* lattice up
 //! front, so the residual of a point depends on no other residual and the
-//! encoder may compute them in any order ([`Predictor::residuals_into`];
-//! Lorenzo does it a row at a time). The decoder has no such freedom —
-//! each reconstructed value is a neighbour of later predictions, so the
-//! lattice comes back in the row-major order the predictor's causality
-//! contract assumes — but it too asks the predictor for the whole lattice
-//! at once ([`Predictor::reconstruct_into`]): the trait's default walks the
-//! points one by one through `predict`, Lorenzo overrides it with row
-//! kernels that resolve the in-row dependency as a prefix sum (the hybrids
-//! of `cfc-core` with row walks of their own), and all of them check
-//! every code and outlier of the untrusted stream on the way.
+//! encoder may compute them in any order ([`Predictor::residuals_into`]).
+//! The decoder has no such freedom — each reconstructed value is a
+//! neighbour of later predictions, so the lattice comes back in row-major
+//! order — but it too asks the predictor for the whole lattice at once
+//! ([`Predictor::reconstruct_into`]). Every predictor answers with row
+//! kernels: Lorenzo's resolve the in-row dependency as a prefix sum, the
+//! hybrids of `cfc-core` walk a row with the left neighbour carried, and
+//! all of them read the untrusted codes and outliers through one
+//! [`ResidualStream`], which refuses a malformed stream at its first
+//! offender in scan order.
 //! Row-major causality also means the first rows of a lattice depend on
 //! nothing after them, so a caller that wants only those (a region read
 //! ending inside a block) has the predictor rebuild a shorter lattice and
-//! the codec check the codes it skipped (`try_decode_into`).
+//! reads the codes it skipped through the same stream (`try_decode_into`).
 
 use cfc_tensor::Shape;
 
 use crate::error::CfcError;
 use crate::lattice::QuantLattice;
-use crate::predict::{check_unwalked, Predictor};
+use crate::predict::{Predictor, ResidualStream};
 use crate::quantizer::{EncodedResiduals, QuantizerConfig};
 
 /// Encode a lattice into residual codes + outliers in one step.
@@ -40,8 +40,7 @@ pub fn encode(
 
 /// Compute `delta[i] = q[i] − predict(q, i)` for every point into a
 /// reusable buffer, so per-block archive workers allocate nothing per
-/// call. Dispatches to [`Predictor::residuals_into`], so structured
-/// predictors (Lorenzo) run their vectorized row kernels.
+/// call: [`Predictor::residuals_into`], the predictor's row kernels.
 pub fn encode_residuals_into(
     lattice: &QuantLattice,
     predictor: &dyn Predictor,
@@ -82,7 +81,7 @@ pub fn try_decode(
 /// whole decode's first rows bit for bit: the predictor reconstructs a
 /// lattice of the shorter shape from the codes of those rows and the
 /// outliers they escape to. The rest of the stream is not walked but still
-/// checked, in scan order and with the walk's own errors — a short decode
+/// checked, in scan order through the same [`ResidualStream`] — a short decode
 /// accepts and rejects exactly the streams a whole one does.
 pub(crate) fn try_decode_into(
     shape: Shape,
@@ -113,14 +112,16 @@ pub(crate) fn try_decode_into(
     let escapes = codes.iter().filter(|&&c| c == quant.escape()).count();
     let (outliers, tail_outliers) = outliers.split_at(escapes.min(outliers.len()));
     predictor.reconstruct_into(lead, codes, outliers, quant, out)?;
-    check_unwalked(tail, tail_outliers, quant)?;
+    let mut rest = ResidualStream::new(quant, tail_outliers);
+    rest.skip(tail)?;
+    rest.finish()?;
     Ok(lead)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predict::{CentralDiffPredictor, LorenzoPredictor};
+    use crate::predict::LorenzoPredictor;
 
     fn lattice2(rows: usize, cols: usize, f: impl Fn(usize, usize) -> i64) -> QuantLattice {
         let mut data = Vec::with_capacity(rows * cols);
@@ -207,28 +208,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(dec.as_slice(), lat.as_slice());
-    }
-
-    #[test]
-    fn non_causal_predictor_diverges() {
-        // The paper's Figure 3 point: central differences read not-yet-decoded
-        // neighbours, so encode/decode disagree on generic data.
-        let lat = lattice2(16, 16, |i, j| ((i * 31 + j * 17) % 97) as i64);
-        let quant = QuantizerConfig { radius: 512 };
-        let enc = encode(&lat, &CentralDiffPredictor, &quant);
-        let dec = try_decode(
-            lat.shape(),
-            &enc.codes,
-            &enc.outliers,
-            &CentralDiffPredictor,
-            &quant,
-        )
-        .unwrap();
-        assert_ne!(
-            dec.as_slice(),
-            lat.as_slice(),
-            "central-difference predictor should not round-trip"
-        );
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl SzCompressor {
         }
     }
 
-    /// Compress a prequantized lattice with an arbitrary (causal) predictor,
+    /// Compress a prequantized lattice with an arbitrary predictor,
     /// returning the container for callers that append extra sections and
     /// the outlier count — the one encode every `SzCompressor` stream, the
     /// cross-field pipeline and the archive's block encoder in `cfc-core`
@@ -96,10 +96,6 @@ impl SzCompressor {
         eb: f64,
         scratch: &mut EncodeScratch,
     ) -> (Container, usize) {
-        assert!(
-            predictor.is_causal(),
-            "refusing to encode with a non-causal predictor"
-        );
         let before = scratch.caps();
         // split borrows: each stage's output is the next one's input
         let EncodeScratch {

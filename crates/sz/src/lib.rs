@@ -25,10 +25,11 @@
 //!   dependency of classic SZ and guaranteeing `|v − v'| ≤ eb` regardless of
 //!   the predictor. Compression-side prediction is embarrassingly parallel.
 //! * **Pluggable predictors** over the integer lattice ([`predict`]):
-//!   Lorenzo (1/2/3-D) and a central-difference predictor kept solely to
-//!   demonstrate the decode-order conflict of paper Fig. 3.
-//!   The cross-field + hybrid predictor of the paper lives in `cfc-core` and
-//!   implements the same [`predict::Predictor`] trait.
+//!   Lorenzo (1/2/3-D) on row kernels, held to its per-point rule by the
+//!   per-point walks [`predict::residuals_per_point`] and
+//!   [`predict::reconstruct_per_point`]. The cross-field + hybrid predictor
+//!   of the paper lives in `cfc-core` and implements the same
+//!   [`predict::Predictor`] trait.
 //! * **Entropy stage**: canonical Huffman over quantization codes
 //!   ([`huffman`]), decoded through a checked bit reader ([`bitstream`]).
 //! * **Lossless back-end**: an LZSS + Huffman byte compressor ([`lossless`])
@@ -59,6 +60,6 @@ pub use crc::crc32;
 pub use error::CfcError;
 pub use error_bound::ErrorBound;
 pub use lattice::QuantLattice;
-pub use predict::{CentralDiffPredictor, LorenzoPredictor, Predictor};
+pub use predict::{LorenzoPredictor, Predictor};
 pub use quantizer::{QuantizerConfig, DEFAULT_RADIUS};
 pub use scratch::{DecodeScratch, EncodeScratch, PooledScratch, ScratchPool};

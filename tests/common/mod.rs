@@ -1,8 +1,8 @@
-//! Helpers shared by the integration tests. Residual-stream builders for
-//! the kernel differential tests (`lorenzo_kernel.rs`,
-//! `temporal_kernel.rs`, `cross_field_kernel.rs`): seeded code and outlier
-//! streams, well-formed and malformed, and the container a block decoder
-//! meets them in. And [`assert_has_target`], for every test whose subject
+//! Helpers shared by the integration tests. For the kernel differential
+//! tests (`lorenzo_kernel.rs`, `temporal_kernel.rs`,
+//! `cross_field_kernel.rs`): seeded code and outlier streams, well-formed
+//! and malformed, the container a block decoder meets them in, and a
+//! predictor's per-point rule through `cfc-sz`'s oracle walks. And [`assert_has_target`], for every test whose subject
 //! is a cross-field target row. Each test binary uses a part of this
 //! module.
 #![allow(dead_code)]
@@ -10,9 +10,11 @@
 use cross_field_compression::core::archive::{ArchiveReader, FieldRole};
 use cross_field_compression::sz::compressor::{encode_codes_into, encode_outliers_into};
 use cross_field_compression::sz::lossless::LzScratch;
+use cross_field_compression::sz::predict::{reconstruct_per_point, residuals_per_point};
+use cross_field_compression::sz::quantizer::EncodedResiduals;
 use cross_field_compression::sz::stream::{Container, SectionTag};
 use cross_field_compression::sz::{
-    CfcError, DecodeScratch, Predictor, QuantizerConfig, SzCompressor,
+    CfcError, DecodeScratch, Predictor, QuantLattice, QuantizerConfig, SzCompressor,
 };
 use cross_field_compression::tensor::{Field, Shape};
 
@@ -88,6 +90,44 @@ pub fn stream(
         })
         .collect();
     (codes, outliers)
+}
+
+/// `p`'s per-point rule through the oracle's decode walk: what
+/// `p.reconstruct_into`, a row kernel, is held to.
+pub fn walk_decode(
+    p: &dyn Predictor,
+    shape: Shape,
+    codes: &[u32],
+    outliers: &[i64],
+    quant: &QuantizerConfig,
+    out: &mut Vec<i64>,
+) -> Result<(), CfcError> {
+    reconstruct_per_point(|l, i| p.predict(l, i), shape, codes, outliers, quant, out)
+}
+
+/// `p`'s per-point rule through the oracle's encode walk: what
+/// `p.residuals_into`, a row kernel, is held to.
+pub fn walk_residuals(p: &dyn Predictor, lattice: &QuantLattice) -> Vec<i64> {
+    let mut out = Vec::new();
+    residuals_per_point(|l, i| p.predict(l, i), lattice, &mut out);
+    out
+}
+
+/// [`walk_residuals`] through the quantizer: the stream `codec::encode`
+/// would write if `p` had no row kernels.
+pub fn walk_encode(
+    p: &dyn Predictor,
+    lattice: &QuantLattice,
+    quant: &QuantizerConfig,
+) -> EncodedResiduals {
+    let (mut codes, mut outliers) = (Vec::new(), Vec::new());
+    quant.encode_into(
+        &walk_residuals(p, lattice),
+        lattice.as_slice(),
+        &mut codes,
+        &mut outliers,
+    );
+    EncodedResiduals { codes, outliers }
 }
 
 /// Codes and outliers as a block decoder meets them: behind the entropy

@@ -1,6 +1,6 @@
 //! Differential test for the cross-field hybrid's row kernels:
 //! `CrossFieldHybridPredictor::{residuals_into, reconstruct_into}` against
-//! the `Predictor` trait's per-point defaults over the same `predict`. The
+//! `cfc-sz`'s per-point walks over the same `predict`. The
 //! contract is the one `temporal_kernel.rs` holds the temporal hybrid to —
 //! equal residuals on encode; equal lattice, or equal error (variant,
 //! context and detail), on decode; a decode of a block's leading rows is
@@ -15,25 +15,13 @@
 
 mod common;
 
-use common::{container, leading, stream, Codes, Outliers, XorShift};
+use common::{
+    container, leading, stream, walk_decode, walk_encode, walk_residuals, Codes, Outliers, XorShift,
+};
 use cross_field_compression::core::predictor::CrossFieldHybridPredictor;
 use cross_field_compression::core::HybridModel;
 use cross_field_compression::sz::{codec, CfcError, Predictor, QuantLattice, QuantizerConfig};
 use cross_field_compression::tensor::{Field, Shape};
-
-/// The cross-field hybrid's `predict` with none of its bulk overrides:
-/// both bulk methods on this type are the trait's per-point walks.
-struct PerPointCrossField(CrossFieldHybridPredictor<'static>);
-
-impl Predictor for PerPointCrossField {
-    fn predict(&self, lattice: &QuantLattice, idx: &[usize]) -> i64 {
-        self.0.predict(lattice, idx)
-    }
-
-    fn name(&self) -> &'static str {
-        "cross-field-per-point"
-    }
-}
 
 /// `1×n`, `n×1`, `1×1×n`, single planes and rows, and slabs of a depth no
 /// chunking would give every block (a partial last slab).
@@ -145,28 +133,21 @@ fn non_finite_planes(shape: Shape) -> Vec<Field> {
         .collect()
 }
 
-fn pair(
-    planes: &[Field],
-    eb: f64,
-    weights: &[f64; 4],
-) -> (CrossFieldHybridPredictor<'static>, PerPointCrossField) {
-    let model = || HybridModel {
+fn hybrid(planes: &[Field], eb: f64, weights: &[f64; 4]) -> CrossFieldHybridPredictor<'static> {
+    let model = HybridModel {
         weights: weights[..planes.len() + 1].to_vec(),
         losses: Vec::new(),
     };
-    (
-        CrossFieldHybridPredictor::new(planes, eb, model()),
-        PerPointCrossField(CrossFieldHybridPredictor::new(planes, eb, model())),
-    )
+    CrossFieldHybridPredictor::new(planes, eb, model)
 }
 
-/// Every predictor pair the sweeps run under: each kind of CFNN output,
+/// Every predictor the sweeps run under: each kind of CFNN output,
 /// each weight set, at a lattice step of one (where `edge_planes` lands on
 /// the ties) and at an ordinary one.
-fn for_each_pair(
+fn for_each_hybrid(
     shape: Shape,
     rng: &mut XorShift,
-    mut check: impl FnMut(&CrossFieldHybridPredictor, &PerPointCrossField, &mut XorShift, &str),
+    mut check: impl FnMut(&CrossFieldHybridPredictor, &mut XorShift, &str),
 ) {
     for (planes_kind, planes) in [
         ("smooth", smooth_planes(shape)),
@@ -175,10 +156,10 @@ fn for_each_pair(
     ] {
         for (weights_kind, weights) in weight_sets() {
             for eb in [0.5, 0.013] {
-                let (kernel, walk) = pair(&planes, eb, &weights);
+                let kernel = hybrid(&planes, eb, &weights);
                 let what =
                     format!("{shape}, {planes_kind} planes, {weights_kind} weights, eb {eb}");
-                check(&kernel, &walk, rng, &what);
+                check(&kernel, rng, &what);
             }
         }
     }
@@ -189,7 +170,7 @@ fn decode_kernel_matches_the_per_point_walk_on_every_stream_kind() {
     let mut rng = XorShift(0x2545_F491_4F6C_DD1D);
     let (mut oks, mut errors) = (0usize, 0usize);
     for shape in shapes() {
-        for_each_pair(shape, &mut rng, |kernel, walk, rng, what| {
+        for_each_hybrid(shape, &mut rng, |kernel, rng, what| {
             for radius in [4u32, 512] {
                 let quant = QuantizerConfig { radius };
                 for (codes, outliers, huge) in [
@@ -208,7 +189,7 @@ fn decode_kernel_matches_the_per_point_walk_on_every_stream_kind() {
                     let mut got = vec![-1i64; 7];
                     let mut want = vec![5i64; shape.len() + 3];
                     let k = kernel.reconstruct_into(shape, &c, &o, &quant, &mut got);
-                    let w = walk.reconstruct_into(shape, &c, &o, &quant, &mut want);
+                    let w = walk_decode(kernel, shape, &c, &o, &quant, &mut want);
                     let what = format!("{what}, radius {radius} {codes:?} {outliers:?} {huge}");
                     assert_eq!(k, w, "{what}: outcomes differ");
                     if k.is_ok() {
@@ -228,11 +209,11 @@ fn decode_kernel_matches_the_per_point_walk_on_every_stream_kind() {
 fn each_malformed_stream_has_the_walks_error() {
     let quant = QuantizerConfig { radius: 4 };
     for shape in [Shape::d2(3, 4), Shape::d3(2, 2, 3)] {
-        let (kernel, walk) = pair(&smooth_planes(shape), 0.5, &[0.4, 0.3, 0.2, 0.1]);
+        let kernel = hybrid(&smooth_planes(shape), 0.5, &[0.4, 0.3, 0.2, 0.1]);
         let esc = quant.escape();
         let detail = |codes: &[u32], outliers: &[i64]| {
             let k = kernel.reconstruct_into(shape, codes, outliers, &quant, &mut Vec::new());
-            let w = walk.reconstruct_into(shape, codes, outliers, &quant, &mut Vec::new());
+            let w = walk_decode(&kernel, shape, codes, outliers, &quant, &mut Vec::new());
             assert_eq!(k, w);
             match k {
                 Err(CfcError::Corrupt { context, detail }) => {
@@ -284,25 +265,25 @@ fn encode_kernel_matches_the_per_point_walk_and_each_side_inverts_the_other() {
     let mut rng = XorShift(0xD1B5_4A32_D192_ED03);
     let quant = QuantizerConfig { radius: 64 };
     for shape in shapes() {
-        for_each_pair(shape, &mut rng, |kernel, walk, rng, what| {
+        for_each_hybrid(shape, &mut rng, |kernel, rng, what| {
             for huge in [false, true] {
                 let lattice = lattice(shape, rng, huge);
-                let (mut got, mut want) = (vec![3i64; 5], Vec::new());
+                let mut got = vec![3i64; 5];
                 kernel.residuals_into(&lattice, &mut got);
-                walk.residuals_into(&lattice, &mut want);
+                let want = walk_residuals(kernel, &lattice);
                 assert_eq!(got, want, "{what}, huge {huge}: residuals differ");
 
                 // the kernel's stream under the walk and the walk's under
                 // the kernel both give the lattice back
-                for (encoder, decoder) in [
-                    (kernel as &dyn Predictor, walk as &dyn Predictor),
-                    (walk, kernel),
-                ] {
-                    let enc = codec::encode(&lattice, encoder, &quant);
-                    let dec = codec::try_decode(shape, &enc.codes, &enc.outliers, decoder, &quant)
-                        .expect("own stream");
-                    assert_eq!(dec, lattice, "{what}, huge {huge}: round trip");
-                }
+                let enc = codec::encode(&lattice, kernel, &quant);
+                let mut dec = Vec::new();
+                walk_decode(kernel, shape, &enc.codes, &enc.outliers, &quant, &mut dec)
+                    .expect("own stream");
+                assert_eq!(dec, lattice.as_slice(), "{what}, huge {huge}: round trip");
+                let enc = walk_encode(kernel, &lattice, &quant);
+                let dec = codec::try_decode(shape, &enc.codes, &enc.outliers, kernel, &quant)
+                    .expect("own stream");
+                assert_eq!(dec, lattice, "{what}, huge {huge}: round trip");
             }
         });
     }
@@ -322,7 +303,7 @@ fn leading_rows_decode_like_the_whole_and_fail_like_the_whole() {
             // infers it, and whole, as a 2-D one's
             let predictor = |rows: usize| {
                 let cut: Vec<Field> = planes.iter().map(|p| p.slab(0, rows)).collect();
-                pair(&cut, 0.5, &[0.4, 0.3, 0.2, 0.1]).0
+                hybrid(&cut, 0.5, &[0.4, 0.3, 0.2, 0.1])
             };
             let whole_predictor = predictor(n0);
             for (codes, outliers) in [

@@ -1,9 +1,11 @@
 //! Differential test for the inverse-Lorenzo row kernels:
-//! `LorenzoPredictor::reconstruct_into` against the `Predictor` trait's
-//! per-point default walk, over well-formed and malformed residual
-//! streams. The contract is equal lattice, or equal error (variant,
-//! context and detail) — the kernel may not accept, refuse or wrap
-//! differently from the walk on any input.
+//! `LorenzoPredictor::reconstruct_into` against `cfc-sz`'s per-point
+//! decode walk over Lorenzo's `predict`, over well-formed and malformed
+//! residual streams. The contract is equal lattice, or equal error
+//! (variant, context and detail) — the kernel may not accept, refuse or
+//! wrap differently from the walk on any input. The wording of each
+//! malformed-stream error is pinned here for all three kernels: Lorenzo's
+//! and both hybrids'.
 //!
 //! Beside it, the decode that stops after a block's leading rows
 //! (`SzCompressor::decompress_rows_with`, what a region read asks of the
@@ -13,7 +15,7 @@
 
 mod common;
 
-use common::{container, leading, stream, Codes, Outliers, XorShift};
+use common::{container, leading, stream, walk_decode, Codes, Outliers, XorShift};
 use cross_field_compression::core::predictor::{
     CrossFieldHybridPredictor, TemporalHybridPredictor,
 };
@@ -22,20 +24,6 @@ use cross_field_compression::sz::{
     codec, CfcError, LorenzoPredictor, Predictor, QuantLattice, QuantizerConfig,
 };
 use cross_field_compression::tensor::{Field, Shape};
-
-/// Lorenzo's `predict` with none of its bulk overrides: `reconstruct_into`
-/// on this type is the trait's per-point walk.
-struct PerPointLorenzo;
-
-impl Predictor for PerPointLorenzo {
-    fn predict(&self, lattice: &QuantLattice, idx: &[usize]) -> i64 {
-        LorenzoPredictor.predict(lattice, idx)
-    }
-
-    fn name(&self) -> &'static str {
-        "lorenzo-per-point"
-    }
-}
 
 fn shapes() -> Vec<Shape> {
     vec![
@@ -52,12 +40,19 @@ fn shapes() -> Vec<Shape> {
     ]
 }
 
-fn agree(shape: Shape, codes: &[u32], outliers: &[i64], quant: &QuantizerConfig, what: &str) {
+fn agree(
+    p: &dyn Predictor,
+    shape: Shape,
+    codes: &[u32],
+    outliers: &[i64],
+    quant: &QuantizerConfig,
+    what: &str,
+) {
     // dirty, differently sized buffers: both sides must clear and resize
     let mut kernel = vec![-1i64; 7];
     let mut walk = vec![5i64; shape.len() + 3];
-    let k = LorenzoPredictor.reconstruct_into(shape, codes, outliers, quant, &mut kernel);
-    let w = PerPointLorenzo.reconstruct_into(shape, codes, outliers, quant, &mut walk);
+    let k = p.reconstruct_into(shape, codes, outliers, quant, &mut kernel);
+    let w = walk_decode(p, shape, codes, outliers, quant, &mut walk);
     assert_eq!(k, w, "{what}: outcomes differ");
     if k.is_ok() {
         assert_eq!(kernel, walk, "{what}: lattices differ");
@@ -83,10 +78,10 @@ fn kernel_matches_the_per_point_walk_on_every_stream_kind() {
                         let (c, o) = stream(&mut rng, shape.len(), &quant, codes, outliers, huge);
                         let what =
                             format!("{shape} radius {radius} {codes:?} {outliers:?} huge {huge}");
-                        agree(shape, &c, &o, &quant, &what);
-                        let ok = PerPointLorenzo
-                            .reconstruct_into(shape, &c, &o, &quant, &mut Vec::new())
-                            .is_ok();
+                        agree(&LorenzoPredictor, shape, &c, &o, &quant, &what);
+                        let ok =
+                            walk_decode(&LorenzoPredictor, shape, &c, &o, &quant, &mut Vec::new())
+                                .is_ok();
                         oks += usize::from(ok);
                         errors += usize::from(!ok);
                     }
@@ -103,31 +98,76 @@ fn each_malformed_stream_has_its_error() {
     let quant = QuantizerConfig { radius: 4 };
     let shape = Shape::d2(3, 4);
     let esc = quant.escape();
-    let detail = |codes: &[u32], outliers: &[i64]| {
-        agree(shape, codes, outliers, &quant, "malformed");
-        match LorenzoPredictor.reconstruct_into(shape, codes, outliers, &quant, &mut Vec::new()) {
-            Err(CfcError::Corrupt { context, detail }) => {
-                assert_eq!(context, "residual stream");
-                detail
+    // every kernel words its own refusal: Lorenzo's and both hybrids'
+    let planes = [side(shape, 1), side(shape, 2)];
+    let kernels: [(&str, Box<dyn Predictor>); 3] = [
+        ("lorenzo", Box::new(LorenzoPredictor)),
+        (
+            "temporal hybrid",
+            Box::new(TemporalHybridPredictor::new(
+                &side(shape, 7),
+                0.5,
+                mix(&[0.2, 0.5, 0.3]),
+            )),
+        ),
+        (
+            "cross-field hybrid",
+            Box::new(CrossFieldHybridPredictor::new(
+                &planes,
+                0.5,
+                mix(&[0.4, 0.3, 0.3]),
+            )),
+        ),
+    ];
+    for (what, p) in &kernels {
+        let detail = |codes: &[u32], outliers: &[i64]| {
+            agree(p.as_ref(), shape, codes, outliers, &quant, what);
+            match p.reconstruct_into(shape, codes, outliers, &quant, &mut Vec::new()) {
+                Err(CfcError::Corrupt { context, detail }) => {
+                    assert_eq!(context, "residual stream", "{what}");
+                    detail
+                }
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
             }
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-    };
-    let mut codes = vec![4u32; 12];
-    codes[5] = esc;
-    assert_eq!(detail(&codes, &[]), "outlier stream exhausted");
-    assert_eq!(detail(&codes, &[7, 8]), "outlier stream not fully consumed");
-    // the first offender in scan order wins: the bad code in row 0 comes
-    // before the unfed escape in row 1
-    codes[2] = esc + 5;
-    assert_eq!(
-        detail(&codes, &[]),
-        format!("code {} outside alphabet of radius 4", esc + 5)
-    );
-    // and the other way round
-    codes[2] = esc;
-    codes[5] = esc + 5;
-    assert_eq!(detail(&codes, &[]), "outlier stream exhausted");
+        };
+        let mut codes = vec![4u32; 12];
+        codes[5] = esc;
+        assert_eq!(detail(&codes, &[]), "outlier stream exhausted", "{what}");
+        assert_eq!(
+            detail(&codes, &[7, 8]),
+            "outlier stream not fully consumed",
+            "{what}"
+        );
+        // the first offender in scan order wins: the bad code in row 0
+        // comes before the unfed escape in row 1
+        codes[2] = esc + 5;
+        assert_eq!(
+            detail(&codes, &[]),
+            format!("code {} outside alphabet of radius 4", esc + 5),
+            "{what}"
+        );
+        // and the other way round
+        codes[2] = esc;
+        codes[5] = esc + 5;
+        assert_eq!(detail(&codes, &[]), "outlier stream exhausted", "{what}");
+    }
+}
+
+/// A side field for the hybrids (a CFNN plane or a previous epoch):
+/// anything deterministic will do.
+fn side(shape: Shape, salt: usize) -> Field {
+    Field::from_fn(shape, |i| {
+        let at = i.iter().fold(salt, |at, &x| at * 31 + x);
+        (at % 23) as f32 * 0.5 - 5.0
+    })
+}
+
+/// Hybrid weights, with no loss history.
+fn mix(weights: &[f64]) -> HybridModel {
+    HybridModel {
+        weights: weights.to_vec(),
+        losses: Vec::new(),
+    }
 }
 
 #[test]
@@ -272,17 +312,6 @@ fn leading_rows_decode_like_the_whole_and_fail_like_the_whole() {
             &format!("lorenzo {shape}"),
         );
     }
-    // side fields for the hybrids: anything deterministic will do
-    let side = |shape: Shape, salt: usize| {
-        Field::from_fn(shape, |i| {
-            let at = i.iter().fold(salt, |at, &x| at * 31 + x);
-            (at % 23) as f32 * 0.5 - 5.0
-        })
-    };
-    let mix = |weights: &[f64]| HybridModel {
-        weights: weights.to_vec(),
-        losses: Vec::new(),
-    };
     for shape in [Shape::d2(13, 17), Shape::d3(4, 5, 6), Shape::d3(5, 12, 12)] {
         let ndim = shape.ndim();
         let diffs: Vec<Field> = (0..ndim).map(|axis| side(shape, axis + 1)).collect();

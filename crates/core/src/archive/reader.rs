@@ -732,8 +732,13 @@ impl<R: ArchiveSource> ArchiveReader<R> {
                     weights: meta.hybrid.weights.clone(),
                     losses: Vec::new(),
                 };
-                let predictor =
-                    TemporalHybridPredictor::from_slab(Cow::Borrowed(prev), container.eb, hybrid);
+                let prev_slab = Cow::Borrowed(prev.as_slice());
+                let predictor = TemporalHybridPredictor::from_slab(
+                    prev.shape(),
+                    prev_slab,
+                    container.eb,
+                    hybrid,
+                );
                 out.decode(&container, &predictor, rows, dec)
             }
             (FieldRole::Delta, None) => Err(missing("meta")),

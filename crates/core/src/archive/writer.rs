@@ -1038,9 +1038,15 @@ impl ArchiveWriter {
             |fi, _, (r0, r1)| {
                 let slab = fields[fi].slab(r0, r1);
                 let (lattice, eb) = quantize_slab(&slab, bounds[fi].0)?;
-                let prev_slab = Cow::Owned(prev[fi].slab(r0, r1));
-                let predictor =
-                    TemporalHybridPredictor::from_slab(prev_slab, eb, hybrids[fi].clone());
+                // the same rows of the previous epoch, lent where they lie
+                let row = slab.len() / (r1 - r0);
+                let prev_slab = Cow::Borrowed(&prev[fi].as_slice()[r0 * row..r1 * row]);
+                let predictor = TemporalHybridPredictor::from_slab(
+                    slab.shape(),
+                    prev_slab,
+                    eb,
+                    hybrids[fi].clone(),
+                );
                 Ok(Block {
                     lattice,
                     eb,

@@ -137,7 +137,8 @@ impl CfnnInference {
     }
 
     /// Slice `k` (`h × w`) of the prediction into `out`, one plane per
-    /// output channel.
+    /// output channel: the normalized differences are written into the
+    /// plan's input rows and denormalized out of its output rows.
     fn slice(
         &self,
         anchors: &[&Field],
@@ -148,34 +149,33 @@ impl CfnnInference {
     ) {
         let ndim = anchors[0].shape().ndim();
         let hw = h * w;
-        let y = self.plan.run(ws, h, w, |input| {
-            for (ci, plane) in input.chunks_exact_mut(hw).enumerate() {
+        let y = self.plan.run_planes(ws, h, w, |mut input| {
+            for (ci, norm) in self.input_norms.iter().enumerate() {
                 // channel layout: anchor-major, then axis
                 let v = &anchors[ci / ndim].as_slice()[k * hw..(k + 1) * hw];
                 // the same slice one step back along the slice axis
                 let below = (k > 0).then(|| &anchors[ci / ndim].as_slice()[(k - 1) * hw..k * hw]);
                 let axis = ci % ndim + (3 - ndim);
-                normalized_diff_plane(plane, v, below, axis, w, &self.input_norms[ci]);
+                normalized_diff_plane(input.rows_mut(ci), v, below, axis, w, norm);
             }
         });
-        for ((out, norm), plane) in out
-            .iter_mut()
-            .zip(&self.target_norms)
-            .zip(y.chunks_exact(hw))
-        {
-            for (o, &v) in out.iter_mut().zip(plane) {
-                *o = norm.invert(v);
+        for (c, (out, norm)) in out.iter_mut().zip(&self.target_norms).enumerate() {
+            for (o, row) in out.chunks_exact_mut(w).zip(y.rows(c)) {
+                for (o, &v) in o.iter_mut().zip(row) {
+                    *o = norm.invert(v);
+                }
             }
         }
     }
 }
 
-/// One slice `v` (rows of `w`) of [`cfc_tensor::diff::backward_diff`], normalized, into
-/// `dst`. `axis` counts as in a 3-D field — 0 steps between slices
-/// (`below` is the previous one, `None` on the first), 1 between rows, 2
-/// between columns; the first sample along the axis has difference 0.
-fn normalized_diff_plane(
-    dst: &mut [f32],
+/// One slice `v` (rows of `w`) of [`cfc_tensor::diff::backward_diff`],
+/// normalized, into `dst`'s rows. `axis` counts as in a 3-D field — 0
+/// steps between slices (`below` is the previous one, `None` on the
+/// first), 1 between rows, 2 between columns; the first sample along the
+/// axis has difference 0.
+fn normalized_diff_plane<'d>(
+    dst: impl Iterator<Item = &'d mut [f32]>,
     v: &[f32],
     below: Option<&[f32]>,
     axis: usize,
@@ -183,21 +183,32 @@ fn normalized_diff_plane(
     norm: &Normalizer,
 ) {
     let edge = norm.apply(0.0);
+    let rows = dst.zip(v.chunks_exact(w));
     match (axis, below) {
-        (0, None) => dst.fill(edge),
+        (0, None) => rows.for_each(|(d, _)| d.fill(edge)),
         (0, Some(below)) => {
-            for ((d, &cur), &prev) in dst.iter_mut().zip(v).zip(below) {
-                *d = norm.apply(cur - prev);
+            for ((d, row), prev) in rows.zip(below.chunks_exact(w)) {
+                for ((d, &cur), &prev) in d.iter_mut().zip(row).zip(prev) {
+                    *d = norm.apply(cur - prev);
+                }
             }
         }
         (1, _) => {
-            dst[..w].fill(edge);
-            for ((d, &cur), &prev) in dst[w..].iter_mut().zip(&v[w..]).zip(v) {
-                *d = norm.apply(cur - prev);
+            let mut prev: Option<&[f32]> = None;
+            for (d, row) in rows {
+                match prev {
+                    None => d.fill(edge),
+                    Some(prev) => {
+                        for ((d, &cur), &prev) in d.iter_mut().zip(row).zip(prev) {
+                            *d = norm.apply(cur - prev);
+                        }
+                    }
+                }
+                prev = Some(row);
             }
         }
         _ => {
-            for (d, row) in dst.chunks_exact_mut(w).zip(v.chunks_exact(w)) {
+            for (d, row) in rows {
                 d[0] = edge;
                 for (d, pair) in d[1..].iter_mut().zip(row.windows(2)) {
                     *d = norm.apply(pair[1] - pair[0]);

@@ -356,9 +356,11 @@ fn round_to_i64(x: f64) -> i64 {
 /// left-neighbour recurrence is left in the inner loop — but they may not
 /// reassociate, fuse a multiply-add, or round differently (`round_to_i64`).
 pub struct TemporalHybridPredictor<'a> {
-    /// The previous epoch's decoded slab, in physical units: a row is
-    /// converted to lattice units (`v / step`) when a prediction needs it.
-    prev: Cow<'a, Field>,
+    /// The shape of the previous epoch's decoded slab, and its samples in
+    /// physical units: a row is converted to lattice units (`v / step`)
+    /// when a prediction needs it.
+    shape: Shape,
+    prev: Cow<'a, [f32]>,
     /// The lattice step, `2·eb`.
     step: f64,
     model: HybridModel,
@@ -369,21 +371,30 @@ impl<'a> TemporalHybridPredictor<'a> {
     /// the absolute error bound of the current block's lattice, on a copy
     /// of the slab.
     pub fn new(prev_slab: &Field, eb: f64, model: HybridModel) -> Self {
-        Self::from_slab(Cow::Owned(prev_slab.clone()), eb, model)
+        let prev = Cow::Owned(prev_slab.as_slice().to_vec());
+        Self::from_slab(prev_slab.shape(), prev, eb, model)
     }
 
-    /// [`new`](Self::new) on a slab handed over by value or lent: the
-    /// writer cuts each block's slab once, a reader lends its decoded one.
-    pub(crate) fn from_slab(prev_slab: Cow<'a, Field>, eb: f64, model: HybridModel) -> Self {
-        let ndim = prev_slab.shape().ndim();
+    /// [`new`](Self::new) on the samples of a slab of `shape`, lent or
+    /// handed over: the writer lends each block's rows of the previous
+    /// epoch, a reader its decoded slab.
+    pub(crate) fn from_slab(
+        shape: Shape,
+        prev: Cow<'a, [f32]>,
+        eb: f64,
+        model: HybridModel,
+    ) -> Self {
+        let ndim = shape.ndim();
         assert!(ndim == 2 || ndim == 3);
+        assert_eq!(prev.len(), shape.len(), "previous slab size");
         assert_eq!(
             model.arity(),
             TEMPORAL_ARITY,
             "temporal hybrid arity is fixed"
         );
         TemporalHybridPredictor {
-            prev: prev_slab,
+            shape,
+            prev,
             step: 2.0 * eb,
             model,
         }
@@ -392,7 +403,7 @@ impl<'a> TemporalHybridPredictor<'a> {
     /// The previous epoch at `off`, in current lattice units.
     #[inline]
     fn pq(&self, off: usize) -> f64 {
-        self.prev.as_slice()[off] as f64 / self.step
+        self.prev[off] as f64 / self.step
     }
 }
 
@@ -413,7 +424,7 @@ impl<'p> TemporalRows<'p> {
     fn new(predictor: &'p TemporalHybridPredictor<'_>, shape: Shape) -> Self {
         let lattice = LatticeRows::new(shape);
         TemporalRows {
-            prev: predictor.prev.as_slice(),
+            prev: &predictor.prev,
             step: predictor.step,
             weights: predictor.model.weights[..]
                 .try_into()
@@ -478,7 +489,7 @@ impl RowWalk for TemporalRows<'_> {
 impl Predictor for TemporalHybridPredictor<'_> {
     #[inline]
     fn predict(&self, lattice: &QuantLattice, idx: &[usize]) -> i64 {
-        debug_assert_eq!(idx.len(), self.prev.shape().ndim());
+        debug_assert_eq!(idx.len(), self.shape.ndim());
         let mut preds = [0.0f64; TEMPORAL_ARITY];
         temporal_candidates(lattice, |off| self.pq(off), idx, &mut preds);
         self.model.combine(&preds).round() as i64

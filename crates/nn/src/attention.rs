@@ -5,6 +5,7 @@
 //! each, the results are summed and squashed by a sigmoid into per-channel
 //! gates that rescale the feature map.
 
+use crate::conv::Grid;
 use crate::init;
 use crate::layer::{keep, sigmoid, Layer, ParamSet};
 use crate::tensor::Tensor;
@@ -119,10 +120,12 @@ impl ChannelAttention {
         }
     }
 
-    /// Inference on one sample (`c` planes of `hw` values) in place.
-    /// `scratch` is resized to hold the pooled statistics and gates, so a
-    /// caller that keeps it allocates nothing after the first call.
-    pub(crate) fn gate_in_place(&self, sample: &mut [f32], hw: usize, scratch: &mut Vec<f32>) {
+    /// Inference on one sample in place: `c` planes laid out as `g`, of
+    /// which only the interior pixels are read and written (the halo stays
+    /// as it is). `scratch` is resized to hold the pooled statistics and
+    /// gates, so a caller that keeps it allocates nothing after the first
+    /// call.
+    pub(crate) fn gate_in_place(&self, sample: &mut [f32], g: Grid, scratch: &mut Vec<f32>) {
         let (c, hidden) = (self.c, self.hidden);
         scratch.clear();
         scratch.resize(3 * c + 2 * hidden, 0.0);
@@ -130,54 +133,64 @@ impl ChannelAttention {
         let (mx, rest) = rest.split_at_mut(c);
         let (gate, rest) = rest.split_at_mut(c);
         let (pre_a, pre_m) = rest.split_at_mut(hidden);
-        pool_sample(sample, hw, |cc, (sum, m, _)| {
-            avg[cc] = sum / hw as f32;
+        let hw = (g.h * g.w) as f32;
+        let g = g.flat();
+        pool_sample(sample, g, |cc, (sum, m, _)| {
+            avg[cc] = sum / hw;
             mx[cc] = m;
         });
         self.gates(avg, mx, pre_a, pre_m, gate);
-        for (plane, &s) in sample.chunks_exact_mut(hw).zip(gate.iter()) {
-            for v in plane {
-                *v *= s;
+        for (plane, &s) in sample.chunks_exact_mut(g.plane()).zip(gate.iter()) {
+            for row in g.rows_mut(plane) {
+                for v in row {
+                    *v *= s;
+                }
             }
         }
     }
 }
 
-/// Sum, maximum and first position of the maximum of each of `L` planes.
-/// Every sum is its own sequential, index-order `sum += v` — never a vector
-/// reduction: its rounding is part of what encoder and decoder must agree
-/// on. Walking `L` planes in step only lets their independent add chains
-/// overlap instead of each waiting out the adder's latency alone.
-fn pool_planes<const L: usize>(planes: [&[f32]; L]) -> [(f32, f32, usize); L] {
+/// Sum, maximum and first raster position of the maximum of the interior
+/// pixels of each of `L` planes laid out as `g`. Every sum is its own
+/// sequential, raster-order `sum += v` — never a vector reduction: its
+/// rounding is part of what encoder and decoder must agree on. Walking `L`
+/// planes in step only lets their independent add chains overlap instead
+/// of each waiting out the adder's latency alone.
+fn pool_planes<const L: usize>(planes: [&[f32]; L], g: Grid) -> [(f32, f32, usize); L] {
     let mut acc = [(0.0f32, f32::NEG_INFINITY, 0usize); L];
-    for i in 0..planes[0].len() {
-        for (a, plane) in acc.iter_mut().zip(planes) {
-            let v = plane[i];
-            a.0 += v;
-            if v > a.1 {
-                a.1 = v;
-                a.2 = i;
+    for y in 0..g.h {
+        let at = y * g.stride() + g.pad;
+        let rows = planes.map(|p| &p[at..][..g.w]);
+        for x in 0..g.w {
+            for (a, row) in acc.iter_mut().zip(rows) {
+                let v = row[x];
+                a.0 += v;
+                if v > a.1 {
+                    a.1 = v;
+                    a.2 = y * g.w + x;
+                }
             }
         }
     }
     acc
 }
 
-/// [`pool_planes`] over every `hw`-long plane of one sample, four at a
-/// time; `put(channel, (sum, max, argmax))` receives each result.
-fn pool_sample(sample: &[f32], hw: usize, mut put: impl FnMut(usize, (f32, f32, usize))) {
-    let mut quads = sample.chunks_exact(4 * hw);
+/// [`pool_planes`] over every plane of one sample laid out as `g`, four at
+/// a time; `put(channel, (sum, max, argmax))` receives each result.
+fn pool_sample(sample: &[f32], g: Grid, mut put: impl FnMut(usize, (f32, f32, usize))) {
+    let n = g.plane();
+    let mut quads = sample.chunks_exact(4 * n);
     let mut cc = 0;
     for quad in &mut quads {
-        let (a, b) = quad.split_at(2 * hw);
-        let ((p0, p1), (p2, p3)) = (a.split_at(hw), b.split_at(hw));
-        for stats in pool_planes([p0, p1, p2, p3]) {
+        let (a, b) = quad.split_at(2 * n);
+        let ((p0, p1), (p2, p3)) = (a.split_at(n), b.split_at(n));
+        for stats in pool_planes([p0, p1, p2, p3], g) {
             put(cc, stats);
             cc += 1;
         }
     }
-    for plane in quads.remainder().chunks_exact(hw) {
-        put(cc, pool_planes([plane])[0]);
+    for plane in quads.remainder().chunks_exact(n) {
+        put(cc, pool_planes([plane], g)[0]);
         cc += 1;
     }
 }
@@ -194,8 +207,9 @@ impl Layer for ChannelAttention {
         let mut gate = vec![0.0f32; n * c];
         let mut pre_a = vec![0.0f32; n * hidden];
         let mut pre_m = vec![0.0f32; n * hidden];
+        let flat = Grid::dense(1, h * w);
         for b in 0..n {
-            pool_sample(input.sample(b), h * w, |cc, (sum, m, am)| {
+            pool_sample(input.sample(b), flat, |cc, (sum, m, am)| {
                 avg[b * c + cc] = sum / hw;
                 mx[b * c + cc] = m;
                 argmax[b * c + cc] = am;

@@ -19,33 +19,37 @@
 //! chains. Weights are repacked `[oc tile][ic][ky][kx][oc in tile]`
 //! ([`PackedConv`]) so the four broadcasts of one tap are adjacent.
 //!
-//! Strips cover each row from column 0; there is no scalar path. A strip
-//! whose every tap reads inside the row is *interior* and runs the plain
-//! loop nest. The others — the first and last strips of a row, and every
-//! strip a wide kernel overhangs — are *edge* strips: the same nest, but
-//! for a tap whose source column falls outside `[0, w)` in some lanes
-//! those lanes read `+0.0`, a tap that no stored lane reads is passed
-//! over, and only the lanes inside the plane are stored. A row narrower
-//! than the body's strip is one strip of the narrowest width that holds
-//! it, masked on both sides: a 12-pixel training row is one 16-pixel strip
-//! on every body. Edge strips read their source values straight from the
-//! input, so a lane that overhangs its row reads the neighbouring row;
-//! only where that would run off either end of the input do they read a
-//! small copy of its first or last values beside padding (`Margins`). A
-//! lane that reads a value outside its row is masked or not stored,
-//! whatever the kernel edge (`k` wider than the plane included). A
-//! pointwise convolution's pixels do not see each other, so its plane is
-//! handed over as one long row.
+//! Every kernel runs on zero-haloed planes (`Grid`): each row is stored
+//! between `k / 2` columns of `+0.0` on either side, so a tap that
+//! overhangs the row reads the halo, and every strip — the first and last
+//! of a row, and every strip a wide kernel overhangs — runs the same plain
+//! loop nest: no lane is masked and no strip is special. (A kernel column
+//! reaching more than `w - 1` past every pixel reads none: it is skipped,
+//! and the halo is never wider.) Strips cover each row from column 0;
+//! there is no scalar path. A row at least a strip wide ends on a whole
+//! strip that overlaps its neighbour; a row narrower than the body's
+//! strip is one strip of the narrowest width that holds it, its
+//! lanes past the row reading on into whatever follows (a `SLACK` past
+//! the last plane) and never stored: a 12-pixel training row is one
+//! 16-pixel strip on every body. Only interior pixels are stored, so the
+//! halo of an inference plan's buffers stays zero from layer to layer (see
+//! `plan`'s module doc); [`PackedConv::run`] and [`depthwise`], which take
+//! plain planes, copy the sample into a haloed scratch first. A full
+//! convolution runs row by row, and in each row every tile of output
+//! channels, so the row's source rows stay in L1 while all tiles read
+//! them; a pointwise one's strip walks its input channels without a loop
+//! over taps, and its planes, when they have no halo, are one long row —
+//! its pixels do not see each other.
 //!
 //! # Precondition: finite weights, no `-0.0` bias
 //!
 //! Every kernel here assumes that every weight is finite and that no bias
-//! is `-0.0`. Then a masked lane adds `w · 0 = ±0` to an accumulator that
-//! is never `-0.0` (it starts at a bias that is not, and a sum is `-0.0`
-//! only when both addends are), which changes nothing: reading `+0.0` is
-//! the same as skipping the tap, which is what the contract below asks
-//! for. Training meets the precondition unless it diverges — biases start
-//! at `+0.0`, and an optimizer step `b - d` or `b + d` never lands on
+//! is `-0.0`. Then a halo read adds `w · (+0.0) = ±0` to an accumulator
+//! that is never `-0.0` (it starts at a bias that is not, and a sum is
+//! `-0.0` only when both addends are), which changes nothing: reading the
+//! halo is the same as skipping the tap, which is what the contract below
+//! asks for. Training meets the precondition unless it diverges — biases
+//! start at `+0.0`, and an optimizer step `b - d` or `b + d` never lands on
 //! `-0.0` — and `Sequential::try_deserialize` refuses any model that
 //! breaks it, so every parsed model meets it, and the writer, which parses
 //! the model it ships, stops on a diverged one. The inputs may hold
@@ -257,31 +261,152 @@ impl PackedConv {
     }
 
     /// Convolve one sample: `src` holds `in_c` planes of `h × w`, `dst`
-    /// receives `out_c` planes.
+    /// receives `out_c` planes. The kernel is the one an inference plan
+    /// runs on its zero-haloed planes, here on a haloed copy of `src`
+    /// wherever it reads past a row.
     pub fn run(&self, kernel: Kernel, src: &[f32], dst: &mut [f32], h: usize, w: usize) {
         assert_eq!(src.len(), self.in_c * h * w, "conv input size");
         assert_eq!(dst.len(), self.out_c * h * w, "conv output size");
-        // a pointwise convolution's pixels do not see each other: its plane
-        // is one long row — all strips and no borders, however narrow the
-        // rows (a training patch's are narrower than a strip)
-        let (h, w) = if self.k == 1 { (1, h * w) } else { (h, w) };
-        match kernel.0 {
-            Isa::Portable => conv_sample::<XT>(self, src, dst, h, w),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Isa::Avx2` is only constructed by `Kernel` after AVX2 was detected
-            Isa::Avx2 => unsafe { conv_sample_avx2(self, src, dst, h, w) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Isa::Avx512` is only constructed by `Kernel` after AVX-512F was detected
-            Isa::Avx512 => unsafe { conv_sample_avx512(self, src, dst, h, w) },
+        let (src_g, dst_g) = self.grids(Grid::new(h, w, self.k), Grid::dense(h, w));
+        with_halo(src, self.in_c, src_g, |src| {
+            self.run_on(kernel, src, src_g, dst, dst_g)
+        })
+    }
+
+    /// The layouts the kernel runs on: a pointwise convolution's pixels do
+    /// not see each other, so planes with no halo are each one long row —
+    /// all strips, however narrow the rows (a training patch's are
+    /// narrower than a strip).
+    fn grids(&self, src_g: Grid, dst_g: Grid) -> (Grid, Grid) {
+        if self.k == 1 && src_g.pad == 0 && dst_g.pad == 0 {
+            (src_g.flat(), dst_g.flat())
+        } else {
+            (src_g, dst_g)
         }
     }
+
+    /// Convolve one sample from planes laid out as `src_g` into planes laid
+    /// out as `dst_g` (same `h × w`). `src` holds `in_c` planes and their
+    /// [`SLACK`], with zero halos at least [`reach`] wide; only `dst`'s
+    /// interior pixels are written.
+    pub(crate) fn run_on(
+        &self,
+        kernel: Kernel,
+        src: &[f32],
+        src_g: Grid,
+        dst: &mut [f32],
+        dst_g: Grid,
+    ) {
+        let (src_g, dst_g) = self.grids(src_g, dst_g);
+        let s = Sample::new(self.k, src, src_g, dst, dst_g);
+        match kernel.0 {
+            Isa::Portable => conv_sample::<XT>(self, s),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Isa::Avx2` is only constructed by `Kernel` after AVX2 was detected
+            Isa::Avx2 => unsafe { conv_sample_avx2(self, s) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Isa::Avx512` is only constructed by `Kernel` after AVX-512F was detected
+            Isa::Avx512 => unsafe { conv_sample_avx512(self, s) },
+        }
+    }
+}
+
+/// Where one sample's planes lie in a buffer: `h` rows of `w` pixels, each
+/// stored between `pad` halo columns on either side, so a row takes
+/// `w + 2·pad` values and a plane `h` rows of them. A kernel reads the
+/// halo of its source as `+0.0` — every buffer a kernel reads keeps it
+/// zero — and stores only into its destination's interior pixels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Grid {
+    pub(crate) h: usize,
+    pub(crate) w: usize,
+    pub(crate) pad: usize,
+}
+
+/// Columns a `k`-wide kernel reads past either end of a `w`-wide row:
+/// `k / 2`, but no more than `w - 1` — a tap that reaches further from
+/// every pixel of the row never lands on one, and is skipped ([`Taps`]).
+pub(crate) fn reach(k: usize, w: usize) -> usize {
+    (k / 2).min(w.saturating_sub(1))
+}
+
+/// Values a source buffer holds past its last plane. A strip wider than
+/// its row — a row narrower than the strip — reads on past the row's end,
+/// by less than a strip; the lanes that do are never stored.
+pub(crate) const SLACK: usize = XT_LONE;
+
+impl Grid {
+    /// Planes of `h × w` with the halo a `k × k` kernel reads: [`reach`].
+    pub(crate) fn new(h: usize, w: usize, k: usize) -> Self {
+        let pad = reach(k, w);
+        Grid { h, w, pad }
+    }
+
+    /// Planes of `h × w` with no halo: plain `h·w`-value planes.
+    pub(crate) fn dense(h: usize, w: usize) -> Self {
+        Grid { h, w, pad: 0 }
+    }
+
+    /// These planes as one long row each if they have no halo, for work
+    /// whose pixels do not see each other: the same values in the same
+    /// order, with no row ends.
+    pub(crate) fn flat(self) -> Self {
+        if self.pad == 0 {
+            Grid::dense(1, self.h * self.w)
+        } else {
+            self
+        }
+    }
+
+    pub(crate) fn stride(self) -> usize {
+        self.w + 2 * self.pad
+    }
+
+    /// Values of one plane, halo included.
+    pub(crate) fn plane(self) -> usize {
+        self.h * self.stride()
+    }
+
+    /// Values of a source buffer of `c` planes: the planes and [`SLACK`].
+    pub(crate) fn len(self, c: usize) -> usize {
+        c * self.plane() + SLACK
+    }
+
+    /// The interior pixels of every plane of `planes`, a row at a time.
+    pub(crate) fn rows(self, planes: &[f32]) -> impl Iterator<Item = &[f32]> {
+        planes
+            .chunks_exact(self.stride().max(1))
+            .map(move |row| &row[self.pad..][..self.w])
+    }
+
+    /// [`Grid::rows`], writable.
+    pub(crate) fn rows_mut(self, planes: &mut [f32]) -> impl Iterator<Item = &mut [f32]> {
+        planes
+            .chunks_exact_mut(self.stride().max(1))
+            .map(move |row| &mut row[self.pad..][..self.w])
+    }
+}
+
+/// `run(planes)` on `src`'s `c` dense planes laid out as `g`: on `src`
+/// itself where that already is the layout and no strip reads past it (no
+/// halo, rows at least [`SLACK`] long), else on a zeroed copy.
+fn with_halo<R>(src: &[f32], c: usize, g: Grid, run: impl FnOnce(&[f32]) -> R) -> R {
+    if g.pad == 0 && g.w >= SLACK {
+        return run(src);
+    }
+    let mut planes = vec![0.0; g.len(c)];
+    let rows = g.rows_mut(&mut planes[..c * g.plane()]);
+    rows.zip(src.chunks_exact(g.w.max(1)))
+        .for_each(|(row, from)| row.copy_from_slice(from));
+    run(&planes)
 }
 
 /// Depthwise convolution of one sample: `c` planes of `h × w`, one `k × k`
 /// kernel (`weight[c][k][k]`) and bias per plane. Needs no repacking — a
 /// plane is a one-in, one-out convolution — and, like the layer always
 /// has, multiplies zero weights through instead of skipping them. Same
-/// precondition as [`PackedConv::new`].
+/// precondition as [`PackedConv::new`], and like [`PackedConv::run`] it
+/// runs on a zero-haloed copy of `src`.
 #[allow(clippy::too_many_arguments)]
 pub fn depthwise(
     kernel: Kernel,
@@ -293,264 +418,230 @@ pub fn depthwise(
     h: usize,
     w: usize,
 ) {
-    assert!(k % 2 == 1, "kernel edge must be odd for same padding");
-    assert_eq!(weight.len(), bias.len() * k * k, "depthwise weight count");
     assert_eq!(src.len(), bias.len() * h * w, "depthwise input size");
     assert_eq!(dst.len(), src.len(), "depthwise output size");
+    let src_g = Grid::new(h, w, k);
+    with_halo(src, bias.len(), src_g, |src| {
+        depthwise_on(kernel, k, weight, bias, src, src_g, dst, Grid::dense(h, w))
+    })
+}
+
+/// [`depthwise`] between laid-out planes, as [`PackedConv::run_on`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn depthwise_on(
+    kernel: Kernel,
+    k: usize,
+    weight: &[f32],
+    bias: &[f32],
+    src: &[f32],
+    src_g: Grid,
+    dst: &mut [f32],
+    dst_g: Grid,
+) {
+    assert!(k % 2 == 1, "kernel edge must be odd for same padding");
+    assert_eq!(weight.len(), bias.len() * k * k, "depthwise weight count");
+    let s = Sample::new(k, src, src_g, dst, dst_g);
     match kernel.0 {
-        Isa::Portable => depthwise_sample::<XT>(k, weight, bias, src, dst, h, w),
+        Isa::Portable => depthwise_sample::<XT>(k, weight, bias, s),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Isa::Avx2` is only constructed by `Kernel` after AVX2 was detected
-        Isa::Avx2 => unsafe { depthwise_sample_avx2(k, weight, bias, src, dst, h, w) },
+        Isa::Avx2 => unsafe { depthwise_sample_avx2(k, weight, bias, s) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Isa::Avx512` is only constructed by `Kernel` after AVX-512F was detected
-        Isa::Avx512 => unsafe { depthwise_sample_avx512(k, weight, bias, src, dst, h, w) },
+        Isa::Avx512 => unsafe { depthwise_sample_avx512(k, weight, bias, s) },
+    }
+}
+
+/// One sample's operands: source planes and their layout, destination
+/// planes and theirs.
+struct Sample<'a> {
+    src: &'a [f32],
+    src_g: Grid,
+    dst: &'a mut [f32],
+    dst_g: Grid,
+}
+
+impl<'a> Sample<'a> {
+    /// Panics unless both layouts are of one `h × w` and `src`'s halo is as
+    /// wide as a `k`-wide kernel reads.
+    fn new(k: usize, src: &'a [f32], src_g: Grid, dst: &'a mut [f32], dst_g: Grid) -> Self {
+        assert_eq!((src_g.h, src_g.w), (dst_g.h, dst_g.w), "plane shape");
+        assert!(
+            src_g.pad >= reach(k, src_g.w),
+            "halo narrower than the kernel"
+        );
+        Sample {
+            src,
+            src_g,
+            dst,
+            dst_g,
+        }
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn conv_sample_avx2(p: &PackedConv, src: &[f32], dst: &mut [f32], h: usize, w: usize) {
-    conv_sample::<XT>(p, src, dst, h, w)
+fn conv_sample_avx2(p: &PackedConv, s: Sample) {
+    conv_sample::<XT>(p, s)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn conv_sample_avx512(p: &PackedConv, src: &[f32], dst: &mut [f32], h: usize, w: usize) {
-    conv_sample::<XT_512>(p, src, dst, h, w)
+fn conv_sample_avx512(p: &PackedConv, s: Sample) {
+    conv_sample::<XT_512>(p, s)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn depthwise_sample_avx2(
-    k: usize,
-    weight: &[f32],
-    bias: &[f32],
-    src: &[f32],
-    dst: &mut [f32],
-    h: usize,
-    w: usize,
-) {
-    depthwise_sample::<XT>(k, weight, bias, src, dst, h, w)
+fn depthwise_sample_avx2(k: usize, weight: &[f32], bias: &[f32], s: Sample) {
+    depthwise_sample::<XT>(k, weight, bias, s)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn depthwise_sample_avx512(
-    k: usize,
-    weight: &[f32],
-    bias: &[f32],
-    src: &[f32],
-    dst: &mut [f32],
-    h: usize,
-    w: usize,
-) {
-    depthwise_sample::<XT_512>(k, weight, bias, src, dst, h, w)
+fn depthwise_sample_avx512(k: usize, weight: &[f32], bias: &[f32], s: Sample) {
+    depthwise_sample::<XT_512>(k, weight, bias, s)
 }
 
 // The bodies below are `inline(always)` so that each entry point above —
 // portable or `target_feature` — compiles its own copy with its own
 // register width and its own strip width `W`.
 
+/// Row by row, and in each row every tile of `OCT` output channels: the
+/// row's source rows stay in L1 while all tiles read them.
 #[inline(always)]
-fn conv_sample<const W: usize>(p: &PackedConv, src: &[f32], dst: &mut [f32], h: usize, w: usize) {
-    let hw = h * w;
+fn conv_sample<const W: usize>(p: &PackedConv, s: Sample) {
     let kk = p.k * p.k;
-    for oc0 in (0..p.out_c).step_by(OCT) {
-        let oct = OCT.min(p.out_c - oc0);
-        let wts = &p.weight[oc0 * p.in_c * kk..][..oct * p.in_c * kk];
-        let bias = &p.bias[oc0..oc0 + oct];
-        let dst = &mut dst[oc0 * hw..(oc0 + oct) * hw];
-        macro_rules! tile {
-            ($oct:literal, $skip:literal, $relu:literal) => {
-                tile_planes::<W, $oct, $skip, $relu>(wts, bias, p.in_c, p.k, src, dst, h, w)
-            };
-            ($oct:literal) => {
-                match (p.has_zero, p.relu) {
-                    (true, true) => tile!($oct, true, true),
-                    (true, false) => tile!($oct, true, false),
-                    (false, true) => tile!($oct, false, true),
-                    (false, false) => tile!($oct, false, false),
-                }
-            };
-        }
-        match oct {
-            4 => tile!(4),
-            3 => tile!(3),
-            2 => tile!(2),
-            _ => tile!(1),
+    for y in 0..s.src_g.h {
+        for oc0 in (0..p.out_c).step_by(OCT) {
+            let oct = OCT.min(p.out_c - oc0);
+            let wts = &p.weight[oc0 * p.in_c * kk..][..oct * p.in_c * kk];
+            let tap = Taps::new(wts, p.in_c, p.k, s.src, s.src_g, y);
+            let bias = &p.bias[oc0..oc0 + oct];
+            let (dst, dst_g) = (&mut s.dst[oc0 * s.dst_g.plane()..], s.dst_g);
+            macro_rules! tile {
+                ($oct:literal, $skip:literal, $relu:literal) => {
+                    row::<W, $oct, $skip, $relu>(&tap, bias, dst, dst_g, y)
+                };
+                ($oct:literal) => {
+                    match (p.has_zero, p.relu) {
+                        (true, true) => tile!($oct, true, true),
+                        (true, false) => tile!($oct, true, false),
+                        (false, true) => tile!($oct, false, true),
+                        (false, false) => tile!($oct, false, false),
+                    }
+                };
+            }
+            match oct {
+                4 => tile!(4),
+                3 => tile!(3),
+                2 => tile!(2),
+                _ => tile!(1),
+            }
         }
     }
 }
 
 #[inline(always)]
-fn depthwise_sample<const W: usize>(
-    k: usize,
-    weight: &[f32],
-    bias: &[f32],
-    src: &[f32],
-    dst: &mut [f32],
-    h: usize,
-    w: usize,
-) {
-    let hw = h * w;
+fn depthwise_sample<const W: usize>(k: usize, weight: &[f32], bias: &[f32], s: Sample) {
     let kk = k * k;
     for (c, b) in bias.iter().enumerate() {
-        let plane = c * hw..(c + 1) * hw;
-        let (wts, bias) = (&weight[c * kk..(c + 1) * kk], std::slice::from_ref(b));
-        tile_planes::<W, 1, false, false>(
-            wts,
-            bias,
-            1,
-            k,
-            &src[plane.clone()],
-            &mut dst[plane],
-            h,
-            w,
-        );
+        let src = &s.src[c * s.src_g.plane()..];
+        let dst = &mut s.dst[c * s.dst_g.plane()..];
+        let wts = &weight[c * kk..(c + 1) * kk];
+        for y in 0..s.src_g.h {
+            let tap = Taps::new(wts, 1, k, src, s.src_g, y);
+            row::<W, 1, false, false>(&tap, std::slice::from_ref(b), dst, s.dst_g, y);
+        }
     }
 }
 
-/// All of `dst`'s `T` output planes from `src`'s `in_c` input planes;
-/// `wts` is `[ic][ky][kx][T]`. `SKIP` leaves out taps whose weight is zero;
-/// `RELU` stores each finished sum through ReLU's select.
-/// Every row is covered from column 0 by strips of one width: the body's
-/// widest for the tile — [`XT_LONE`] for a lone output channel, else `W`
-/// (two registers a channel) — or, for a row narrower than `W`, the
-/// narrowest of [`XT`] and `W` that holds it.
+/// Row `y` of `dst`'s `T` output planes; `SKIP` leaves out taps whose
+/// weight is zero, `RELU` stores each finished sum through ReLU's select.
+/// Strips of one width cover the row from column 0: the body's widest for
+/// the tile — [`XT_LONE`] for a lone output channel, else `W` (two
+/// registers a channel) — or, for a row narrower than `W`, the narrowest
+/// of [`XT`] and `W` that holds it. A row at least a strip wide ends on a
+/// whole strip that overlaps its neighbour (a pixel computed twice comes
+/// out the same); a narrower row is one strip whose lanes past the row are
+/// not stored.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn tile_planes<const W: usize, const T: usize, const SKIP: bool, const RELU: bool>(
-    wts: &[f32],
+fn row<const W: usize, const T: usize, const SKIP: bool, const RELU: bool>(
+    tap: &Taps,
     bias: &[f32],
-    in_c: usize,
-    k: usize,
-    src: &[f32],
     dst: &mut [f32],
-    h: usize,
-    w: usize,
+    dst_g: Grid,
+    y: usize,
 ) {
-    let pad = k / 2;
-    macro_rules! rows {
+    let (w, plane) = (dst_g.w, dst_g.plane());
+    let at = y * dst_g.stride() + dst_g.pad;
+    macro_rules! strips {
         ($n:expr) => {{
-            let margins = Margins::<{ $n }>::new(src);
-            for y in 0..h {
-                let tap = Taps::new(wts, in_c, k, src, h, w, y);
-                // a row at least a strip wide ends on a whole strip that
-                // overlaps its neighbour (a pixel computed twice comes out
-                // the same): no strip runs past the row but a narrower one
-                for x0 in (0..w).step_by($n).map(|x0| x0.min(w.saturating_sub($n))) {
-                    let (tap, m) = (&tap, &margins);
-                    if pad <= x0 && x0 + $n + pad <= w {
-                        strip::<{ $n }, T, SKIP, RELU, false>(tap, m, bias, dst, x0);
-                    } else {
-                        strip::<{ $n }, T, SKIP, RELU, true>(tap, m, bias, dst, x0);
-                    }
-                }
+            // a row narrower than the strip: one strip, its first `w` lanes
+            // stored
+            let stored = w.min($n);
+            for x0 in (0..w).step_by($n).map(|x0| x0.min(w - stored)) {
+                let at = at + x0;
+                strip::<{ $n }, T, SKIP, RELU>(tap, bias, x0, dst, plane, at, stored);
             }
         }};
     }
     if w <= XT {
-        rows!(XT)
+        strips!(XT)
     } else if w <= W || T > 1 {
-        rows!(W)
+        strips!(W)
     } else {
         // one output channel (depthwise, or a remainder tile) fills a
         // quarter of a tile's registers, whose add chains wait on each
         // other: a longer strip keeps as many chains in flight as a full
         // tile does
-        rows!(XT_LONE)
+        strips!(XT_LONE)
     }
 }
 
-/// The first and last `2N` values of a tile's input, each beside `N`
-/// values of padding: an edge strip whose `N` source values would start
-/// before the input or end past it reads them here. Only lanes that are
-/// masked or not stored read the padding.
-struct Margins<const N: usize> {
-    /// Flat input indices `-N..2N`.
-    head: [[f32; N]; 3],
-    /// Flat input indices `len - 2N..len + N`.
-    tail: [[f32; N]; 3],
-}
-
-impl<const N: usize> Margins<N> {
-    #[inline(always)]
-    fn new(src: &[f32]) -> Self {
-        let n = src.len().min(2 * N);
-        let (mut head, mut tail) = ([[0.0; N]; 3], [[0.0; N]; 3]);
-        head.as_flattened_mut()[N..N + n].copy_from_slice(&src[..n]);
-        tail.as_flattened_mut()[2 * N - n..2 * N].copy_from_slice(&src[src.len() - n..]);
-        Margins { head, tail }
-    }
-
-    /// `src[at..at + N]`, for any `at` from `1 - N` to `src.len() - 1`:
-    /// the lanes that fall outside `src` read padding.
-    #[inline(always)]
-    fn lanes<'a>(&'a self, src: &'a [f32], at: isize) -> &'a [f32; N] {
-        let len = src.len() as isize;
-        let (from, i) = if at < 0 {
-            (self.head.as_flattened(), at + N as isize)
-        } else if at + N as isize > len {
-            (self.tail.as_flattened(), at - len + 2 * N as isize)
-        } else {
-            (src, at)
-        };
-        from[i as usize..][..N]
-            .try_into()
-            .expect("slice of length N")
-    }
-}
-
-/// What every output element of row `y` of one tile shares: the operands
-/// and the kernel rows that fall inside the plane.
+/// What every output element of row `y` of one tile shares: the operands,
+/// and the kernel rows and columns that can fall inside the plane.
 struct Taps<'a> {
     wts: &'a [f32],
     src: &'a [f32],
     in_c: usize,
     k: usize,
-    w: usize,
-    hw: usize,
-    y: usize,
+    /// Values a source plane and a source row take.
+    plane: usize,
+    stride: usize,
+    /// Flat index, in source plane 0, of the column tap `kx.start` reads
+    /// for pixel 0 of row `y`.
+    at: usize,
     /// `ky` range whose source row `y + ky - k / 2` exists.
     ky: std::ops::Range<usize>,
+    /// `kx` range whose source column `x + kx - k / 2` is in the row for some `x`.
+    kx: std::ops::Range<usize>,
 }
 
 impl<'a> Taps<'a> {
     #[inline(always)]
-    fn new(
-        wts: &'a [f32],
-        in_c: usize,
-        k: usize,
-        src: &'a [f32],
-        h: usize,
-        w: usize,
-        y: usize,
-    ) -> Self {
-        let pad = k / 2;
+    fn new(wts: &'a [f32], in_c: usize, k: usize, src: &'a [f32], src_g: Grid, y: usize) -> Self {
+        let (pad, r) = (k / 2, reach(k, src_g.w));
         Taps {
             wts,
             src,
             in_c,
             k,
-            w,
-            hw: h * w,
-            y,
-            ky: pad.saturating_sub(y)..k.min(h + pad - y),
+            plane: src_g.plane(),
+            stride: src_g.stride(),
+            at: y * src_g.stride() + src_g.pad - r,
+            ky: pad.saturating_sub(y)..k.min(src_g.h + pad - y),
+            kx: pad - r..pad + r + 1,
         }
     }
 
-    /// Flat index of the source row under kernel row `ky` in input plane
-    /// `ic`.
-    #[inline(always)]
-    fn row_start(&self, ic: usize, ky: usize) -> usize {
-        ic * self.hw + (self.y + ky - self.k / 2) * self.w
-    }
-
-    /// Source row under kernel row `ky` in input plane `ic`.
+    /// Input plane `ic`'s source row under kernel row `ky`, from the column
+    /// tap `kx.start` reads for pixel 0 (inside the halo) to the end of the
+    /// buffer.
     #[inline(always)]
     fn row(&self, ic: usize, ky: usize) -> &'a [f32] {
-        &self.src[self.row_start(ic, ky)..][..self.w]
+        let pad = self.k / 2;
+        &self.src[ic * self.plane + self.at + ky * self.stride - pad * self.stride..]
     }
 
     /// The tile's `T` weights of one tap.
@@ -562,101 +653,58 @@ impl<'a> Taps<'a> {
     }
 }
 
-/// `N` pixels from column `x0` × `T` output channels. In an interior
-/// strip every tap of every lane reads inside the row. An `EDGE` strip
-/// masks each tap to the lanes whose source column lies in `[0, w)` and
-/// stores only the lanes inside the plane; under the module's
-/// precondition (finite weights, no `-0.0` bias) a masked lane reading
-/// `+0.0` is the same as a skipped tap. `RELU` passes the finished sums
-/// through ReLU's select before they are stored.
+/// `N` pixels from column `x0` × `T` output channels, of which the first
+/// `stored` go to `dst` from `at` in each of its `T` planes (`plane` values
+/// apart). Every tap of every lane reads its source row or the row's halo
+/// — under the module's precondition (finite weights, no `-0.0` bias) a
+/// halo read is the same as a skipped tap — except the lanes of a strip
+/// wider than its row, which read on into whatever follows the row and
+/// are not stored. `RELU` passes the finished sums through ReLU's select.
 #[inline(always)]
-fn strip<const N: usize, const T: usize, const SKIP: bool, const RELU: bool, const EDGE: bool>(
+#[allow(clippy::too_many_arguments)]
+fn strip<const N: usize, const T: usize, const SKIP: bool, const RELU: bool>(
     tap: &Taps,
-    margins: &Margins<N>,
     bias: &[f32],
-    dst: &mut [f32],
     x0: usize,
+    dst: &mut [f32],
+    plane: usize,
+    at: usize,
+    stored: usize,
 ) {
-    let pad = tap.k / 2;
     let mut acc = [[0.0f32; N]; T];
     for o in 0..T {
         acc[o] = [bias[o]; N];
     }
-    if !EDGE {
+    if tap.k == 1 {
+        // pointwise: one tap an input channel, and no loop over taps
+        for (ic, wv) in tap.wts.chunks_exact(T).enumerate() {
+            let x: &[f32; N] = tap.src[ic * tap.plane + tap.at + x0..][..N]
+                .try_into()
+                .expect("slice of length N");
+            add_tap::<N, T, SKIP>(&mut acc, wv.try_into().expect("T weights"), x);
+        }
+    } else {
         for ic in 0..tap.in_c {
             for ky in tap.ky.clone() {
                 let row = tap.row(ic, ky);
-                for kx in 0..tap.k {
-                    let x: &[f32; N] = row[x0 + kx - pad..][..N]
-                        .try_into()
-                        .expect("slice of length N");
+                for (dx, kx) in tap.kx.clone().enumerate() {
+                    let x: &[f32; N] = row[x0 + dx..][..N].try_into().expect("slice of length N");
                     add_tap::<N, T, SKIP>(&mut acc, tap.weights(ic, ky, kx), x);
                 }
-            }
-        }
-        if RELU {
-            relu_lanes(&mut acc);
-        }
-        for o in 0..T {
-            dst[o * tap.hw + tap.y * tap.w + x0..][..N].copy_from_slice(&acc[o]);
-        }
-        return;
-    }
-    let w = tap.w as isize;
-    let stored = N.min(tap.w - x0);
-    // lane 0 of tap `kx` reads source column `base + kx`. The taps some
-    // stored lane reads inside the row are `first..end`; of those, every
-    // stored lane reads `full..part` inside it, and the others are masked.
-    let base = x0 as isize - pad as isize;
-    let first = (1 - stored as isize - base).max(0) as usize;
-    let end = (w - base).min(tap.k as isize) as usize;
-    // (`max` then `min`, not `clamp`, which the compiler may leave a call)
-    let full = (-base).max(first as isize).min(end as isize) as usize;
-    let part = (w - stored as isize - base + 1)
-        .max(full as isize)
-        .min(end as isize) as usize;
-    for ic in 0..tap.in_c {
-        for ky in tap.ky.clone() {
-            let row = tap.row_start(ic, ky) as isize + base;
-            for kx in first..full {
-                let lo = (-base - kx as isize) as usize;
-                let (wv, x) = (
-                    tap.weights(ic, ky, kx),
-                    margins.lanes(tap.src, row + kx as isize),
-                );
-                add_masked_tap::<N, T, SKIP>(&mut acc, wv, x, lo..N.min(lo + tap.w));
-            }
-            for kx in full..part {
-                let (wv, x) = (
-                    tap.weights(ic, ky, kx),
-                    margins.lanes(tap.src, row + kx as isize),
-                );
-                add_tap::<N, T, SKIP>(&mut acc, wv, x);
-            }
-            for kx in part..end {
-                let hi = (w - base - kx as isize) as usize;
-                let (wv, x) = (
-                    tap.weights(ic, ky, kx),
-                    margins.lanes(tap.src, row + kx as isize),
-                );
-                add_masked_tap::<N, T, SKIP>(&mut acc, wv, x, 0..hi);
             }
         }
     }
     if RELU {
         relu_lanes(&mut acc);
     }
-    let at = tap.y * tap.w + x0;
     for o in 0..T {
-        let plane = &mut dst[o * tap.hw..][..tap.hw];
-        if at + N <= tap.hw {
-            // the lanes past the row land on pixels of this plane that a
-            // later strip computes and stores again: one whole-strip store
-            plane[at..][..N].copy_from_slice(&acc[o]);
+        let out = &mut dst[o * plane + at..][..stored];
+        if stored == N {
+            out.copy_from_slice(&acc[o]);
         } else {
             // (a whole-array copy first keeps `acc` in registers up to here)
-            let out = acc[o];
-            plane[at..][..stored].copy_from_slice(&out[..stored]);
+            let lanes = acc[o];
+            out.copy_from_slice(&lanes[..stored]);
         }
     }
 }
@@ -690,55 +738,6 @@ fn relu_lanes<const N: usize, const T: usize>(acc: &mut [[f32; N]; T]) {
             acc[o][j] = if v < 0.0 { 0.0 } else { v };
         }
     }
-}
-
-/// `ONES_FROM[XT_LONE - n + j]` is set exactly when `j >= n`: a strip's
-/// lane masks, `N` lanes from any offset, for any `n` up to `N`.
-static ONES_FROM: [u32; 2 * XT_LONE] = {
-    let mut t = [0; 2 * XT_LONE];
-    let mut i = XT_LONE;
-    while i < t.len() {
-        t[i] = !0;
-        i += 1;
-    }
-    t
-};
-
-/// `N` lanes of mask, set in `lanes` (which lies in `0..=N`).
-#[inline(always)]
-fn lane_mask<const N: usize>(lanes: std::ops::Range<usize>) -> [u32; N] {
-    let from = |n: usize| -> &[u32; N] {
-        ONES_FROM[XT_LONE - n..][..N]
-            .try_into()
-            .expect("slice of length N")
-    };
-    let (from_lo, from_hi) = (from(lanes.start), from(lanes.end));
-    // loops rather than `array::from_fn`, which the compiler may leave as
-    // a call, and then the accumulators around it go to memory
-    let mut mask = [0; N];
-    for j in 0..N {
-        mask[j] = from_lo[j] & !from_hi[j];
-    }
-    mask
-}
-
-/// [`add_tap`] with every lane outside `lanes` reading `+0.0`. Under the
-/// module's precondition that leaves those lanes' accumulators as they
-/// are: `w · 0` is `±0` for a finite `w`, and adding `±0` changes no
-/// accumulator but a `-0.0` one, which none is.
-#[inline(always)]
-fn add_masked_tap<const N: usize, const T: usize, const SKIP: bool>(
-    acc: &mut [[f32; N]; T],
-    wv: &[f32; T],
-    x: &[f32; N],
-    lanes: std::ops::Range<usize>,
-) {
-    let mask = lane_mask::<N>(lanes);
-    let mut zeroed = [0.0; N];
-    for j in 0..N {
-        zeroed[j] = f32::from_bits(x[j].to_bits() & mask[j]);
-    }
-    add_tap::<N, T, SKIP>(acc, wv, &zeroed)
 }
 
 /// `src` — planes of `hw` values — with channels adjacent: `dst[p * cp +

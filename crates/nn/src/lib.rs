@@ -38,6 +38,6 @@ pub use conv::{Conv2d, DepthwiseConv2d, Kernel, PackedConv};
 pub use layer::{Layer, ParamSet, ReLU};
 pub use loss::{mse_loss, mse_loss_masked};
 pub use optim::{Adam, Optimizer, Sgd};
-pub use plan::{InferencePlan, Workspace};
+pub use plan::{InferencePlan, Planes, PlanesMut, Workspace};
 pub use sequential::{AnyLayer, Sequential};
 pub use tensor::Tensor;

@@ -21,17 +21,44 @@
 //! same operation on the same value as the separate pass, NaN and `-0.0`
 //! kept — so the plan and `Sequential` still match bit for bit. A `ReLU`
 //! after any other layer stays its own step.
+//!
+//! # Workspace layout
+//!
+//! Each of the two buffers holds up to the plan's widest activation in
+//! planes of `h` rows, and every row sits between `pad` zero columns on
+//! either side: `k / 2` for the plan's widest kernel `k`, but no more than
+//! `w - 1`, since a kernel column reaching further from every pixel reads
+//! none and is skipped. A row takes `w + 2·pad` values — less than `3·w`
+//! — and after the last plane come a strip's worth of values that only the
+//! unstored lanes of a row narrower than a strip read. Every convolution
+//! strip is then an interior one — a tap past the row's end reads the
+//! halo's `+0.0` — so no kernel masks a lane.
+//!
+//! The halo stays zero because nothing stores into it. The convolutions
+//! (and the ReLU folded into them), a standalone ReLU and attention's gate
+//! write interior pixels only; attention's pool reads them only, in raster
+//! order; [`InferencePlan::run_planes`] hands its `fill` the interior rows
+//! and its caller reads the interior rows back. The workspace remembers
+//! the layout (`h`, `w`, `pad`) its halos are zero for, and on any other
+//! it zeroes both buffers before the plan runs: a halo column of one
+//! layout is an interior pixel of another.
 
 use crate::attention::ChannelAttention;
-use crate::conv::{self, Kernel, PackedConv};
+use crate::conv::{self, Grid, Kernel, PackedConv};
 use crate::layer::relu_in_place;
 use crate::sequential::{AnyLayer, Sequential};
 
-/// Widest activation, in channels, a plan accepts. The workspace holds two
-/// buffers of that many planes, and a model is untrusted input: a
-/// depthwise channel costs it 8 bytes, so without a bound a 130 KB model
-/// over a 128×128 slab would ask for 2 GiB. 1 024 is 7× the widest network
-/// the writer builds (`paper_3d`, 139).
+/// Widest activation, in channels, a plan accepts. A model is untrusted
+/// input, and the workspace holds two buffers of that many haloed planes:
+/// a channel costs 8 bytes a pixel and, for the halo, `16 · pad` bytes a
+/// row. Without a bound a 130 KB model over a 128×128 slab would ask for
+/// 2 GiB. With it the buffers of an `h × w` plane hold at most
+/// `8 · 1 024 · h · (w + 2·pad)` bytes and 512 more for the slack, where
+/// `pad` is at most 31 (the parser's widest kernel, 63) and at most
+/// `w − 1`: 190 MiB on a 128×128 slab with that kernel, and on a 1-wide
+/// plane 8 KiB a row, as with no halo at all. 1 024 is 7× the widest
+/// network the writer builds (`paper_3d`, 139), whose 3×3 kernels need a
+/// halo of one column.
 const MAX_PLAN_CHANNELS: usize = 1024;
 
 enum Step {
@@ -52,15 +79,19 @@ pub struct InferencePlan {
     out_c: usize,
     /// Widest activation, in channels: sizes the workspace buffers.
     max_c: usize,
+    /// Widest kernel: sizes the halo.
+    k: usize,
     kernel: Kernel,
 }
 
-/// Reusable activation buffers for [`InferencePlan::run`]. Empty until a
-/// plan first runs with it; afterwards it only grows when a larger plan or
-/// plane comes along.
+/// Reusable activation buffers for [`InferencePlan::run_planes`] (see the
+/// module doc's layout). Empty until a plan first runs with it; afterwards
+/// it only grows when a larger plan or plane comes along.
 #[derive(Debug, Default)]
 pub struct Workspace {
     bufs: [Vec<f32>; 2],
+    /// The layout whose halos are zero in `bufs`.
+    grid: Option<Grid>,
     /// Attention's pooled statistics and gates.
     pooled: Vec<f32>,
     growths: usize,
@@ -73,6 +104,52 @@ impl Workspace {
     pub fn growths(&self) -> usize {
         self.growths
     }
+
+    /// Both activation buffers laid out as `g`, with room for `c` planes
+    /// and zero halos: zeroed first on a new layout.
+    fn lay_out(&mut self, g: Grid, c: usize) {
+        let (fresh, len) = (self.grid != Some(g), g.len(c));
+        for buf in &mut self.bufs {
+            if fresh {
+                buf.clear();
+            }
+            if buf.len() < len {
+                self.growths += usize::from(len > buf.capacity());
+                buf.resize(len, 0.0);
+            }
+        }
+        self.grid = Some(g);
+    }
+}
+
+/// A plan's input planes, as [`InferencePlan::run_planes`] hands them to
+/// its `fill`: the interior rows of the haloed layout.
+pub struct PlanesMut<'a> {
+    data: &'a mut [f32],
+    g: Grid,
+}
+
+impl PlanesMut<'_> {
+    /// The `h` rows of `w` values of input plane `c`, in order. They hold
+    /// stale values: write every one.
+    pub fn rows_mut(&mut self, c: usize) -> impl Iterator<Item = &mut [f32]> {
+        let n = self.g.plane();
+        self.g.rows_mut(&mut self.data[c * n..][..n])
+    }
+}
+
+/// A plan's output planes, as [`InferencePlan::run_planes`] returns them.
+pub struct Planes<'a> {
+    data: &'a [f32],
+    g: Grid,
+}
+
+impl<'a> Planes<'a> {
+    /// The `h` rows of `w` values of output plane `c`, in order.
+    pub fn rows(&self, c: usize) -> impl Iterator<Item = &'a [f32]> {
+        let n = self.g.plane();
+        self.g.rows(&self.data[c * n..][..n])
+    }
 }
 
 impl InferencePlan {
@@ -82,6 +159,7 @@ impl InferencePlan {
     pub fn compile(net: &Sequential, in_channels: usize) -> Result<Self, String> {
         let mut channels = in_channels;
         let mut max_c = in_channels;
+        let mut k = 1;
         let mut steps = Vec::with_capacity(net.len());
         for layer in net.layers() {
             if let (AnyLayer::ReLU(_), Some(Step::Conv(p))) = (layer, steps.last_mut()) {
@@ -89,7 +167,10 @@ impl InferencePlan {
                 continue;
             }
             let (step, takes, gives) = match layer {
-                AnyLayer::Conv(c) => (Step::Conv(c.packed()), c.in_c, c.out_c),
+                AnyLayer::Conv(c) => {
+                    k = k.max(c.k);
+                    (Step::Conv(c.packed()), c.in_c, c.out_c)
+                }
                 AnyLayer::Depthwise(d) => {
                     let (w, b) = d.weights();
                     let step = Step::Depthwise {
@@ -97,6 +178,7 @@ impl InferencePlan {
                         weight: w.to_vec(),
                         bias: b.to_vec(),
                     };
+                    k = k.max(d.k);
                     (step, d.c, d.c)
                 }
                 AnyLayer::ReLU(_) => (Step::Relu, channels, channels),
@@ -126,6 +208,7 @@ impl InferencePlan {
             in_c: in_channels,
             out_c: channels,
             max_c,
+            k,
             kernel: Kernel::detect(),
         })
     }
@@ -140,46 +223,59 @@ impl InferencePlan {
         self.out_c
     }
 
-    /// Run one `h × w` sample. `fill` writes the `in_channels` input planes
-    /// (it sees stale values: write every element); the returned slice
-    /// holds the `out_channels` output planes until the workspace's next
-    /// use.
-    pub fn run<'w>(
+    /// Run one `h × w` sample on the workspace's haloed planes. `fill`
+    /// writes the `in_channels` input planes a row at a time (the rows
+    /// hold stale values: write every one); the returned planes hold the
+    /// `out_channels` outputs until the workspace's next use.
+    pub fn run_planes<'w>(
         &self,
         ws: &'w mut Workspace,
         h: usize,
         w: usize,
-        fill: impl FnOnce(&mut [f32]),
-    ) -> &'w [f32] {
-        let hw = h * w;
-        for buf in &mut ws.bufs {
-            if buf.len() < self.max_c * hw {
-                buf.resize(self.max_c * hw, 0.0);
-                ws.growths += 1;
-            }
+        fill: impl FnOnce(PlanesMut<'_>),
+    ) -> Planes<'w> {
+        let g = Grid::new(h, w, self.k);
+        ws.lay_out(g, self.max_c);
+        Planes {
+            data: self.forward(&mut ws.bufs, &mut ws.pooled, g, fill),
+            g,
         }
-        let [cur, next] = &mut ws.bufs;
+    }
+
+    /// Every step on buffers laid out as `g`: the input planes written by
+    /// `fill`, the output planes returned.
+    fn forward<'a>(
+        &self,
+        bufs: &'a mut [Vec<f32>; 2],
+        pooled: &mut Vec<f32>,
+        g: Grid,
+        fill: impl FnOnce(PlanesMut<'_>),
+    ) -> &'a [f32] {
+        let n = g.plane();
+        let [cur, next] = bufs;
         let (mut cur, mut next) = (cur, next);
         let mut c = self.in_c;
-        fill(&mut cur[..c * hw]);
+        fill(PlanesMut {
+            data: &mut cur[..c * n],
+            g,
+        });
         for step in &self.steps {
             match step {
                 Step::Conv(p) => {
-                    let out_c = p.out_channels();
-                    p.run(self.kernel, &cur[..c * hw], &mut next[..out_c * hw], h, w);
-                    c = out_c;
+                    p.run_on(self.kernel, cur, g, next, g);
+                    c = p.out_channels();
                     std::mem::swap(&mut cur, &mut next);
                 }
                 Step::Depthwise { k, weight, bias } => {
-                    let (src, dst) = (&cur[..c * hw], &mut next[..c * hw]);
-                    conv::depthwise(self.kernel, *k, weight, bias, src, dst, h, w);
+                    conv::depthwise_on(self.kernel, *k, weight, bias, cur, g, next, g);
                     std::mem::swap(&mut cur, &mut next);
                 }
-                Step::Relu => relu_in_place(&mut cur[..c * hw]),
-                Step::Attention(gate) => gate.gate_in_place(&mut cur[..c * hw], hw, &mut ws.pooled),
+                Step::Relu => g.rows_mut(&mut cur[..c * n]).for_each(relu_in_place),
+                Step::Attention(gate) => gate.gate_in_place(&mut cur[..c * n], g, pooled),
             }
         }
-        &cur[..c * hw]
+        let cur: &'a Vec<f32> = cur;
+        &cur[..c * n]
     }
 }
 
@@ -188,6 +284,26 @@ mod tests {
     use super::*;
     use crate::init;
     use crate::tensor::Tensor;
+
+    /// `plan` on one sample of dense planes through `run_planes`, its
+    /// output planes collected dense.
+    fn run_dense(
+        plan: &InferencePlan,
+        ws: &mut Workspace,
+        h: usize,
+        w: usize,
+        x: &[f32],
+    ) -> Vec<f32> {
+        let out = plan.run_planes(ws, h, w, |mut planes| {
+            for (c, plane) in x.chunks_exact(h * w).enumerate() {
+                for (row, from) in planes.rows_mut(c).zip(plane.chunks_exact(w)) {
+                    row.copy_from_slice(from);
+                }
+            }
+        });
+        let rows = (0..plan.out_channels()).flat_map(|c| out.rows(c));
+        rows.flatten().copied().collect()
+    }
 
     fn net(seed: u64) -> Sequential {
         Sequential::new()
@@ -217,7 +333,7 @@ mod tests {
         let want = net.forward(&x, false);
         let mut ws = Workspace::default();
         for b in 0..2 {
-            let got = plan.run(&mut ws, h, w, |dst| dst.copy_from_slice(x.sample(b)));
+            let got = run_dense(&plan, &mut ws, h, w, x.sample(b));
             let same = got
                 .iter()
                 .zip(want.sample(b))
@@ -251,7 +367,7 @@ mod tests {
         let x = init::kaiming_uniform(&mut init::seeded(3), 2 * h * w, 2);
         let want = net.forward(&Tensor::from_vec(1, 2, h, w, x.clone()), false);
         let mut ws = Workspace::default();
-        let got = plan.run(&mut ws, h, w, |d| d.copy_from_slice(&x));
+        let got = run_dense(&plan, &mut ws, h, w, &x);
         let same = got.iter().zip(&want.data);
         assert!(same.clone().all(|(a, b)| a.to_bits() == b.to_bits()));
         assert!(same.clone().any(|(a, _)| *a != 0.0), "not all zero");
@@ -287,10 +403,45 @@ mod tests {
         let plan = InferencePlan::compile(&net(2), 3).unwrap();
         let mut ws = Workspace::default();
         assert_eq!(ws.growths(), 0);
-        plan.run(&mut ws, 16, 16, |d| d.fill(0.5));
+        run_dense(&plan, &mut ws, 16, 16, &[0.5; 3 * 16 * 16]);
         assert_eq!(ws.growths(), 2);
-        plan.run(&mut ws, 16, 16, |d| d.fill(0.25));
-        plan.run(&mut ws, 8, 16, |d| d.fill(0.25));
+        run_dense(&plan, &mut ws, 16, 16, &[0.25; 3 * 16 * 16]);
+        run_dense(&plan, &mut ws, 8, 16, &[0.25; 3 * 8 * 16]);
         assert_eq!(ws.growths(), 2);
+    }
+
+    /// Bytes the workspace holds.
+    fn bytes(ws: &Workspace) -> usize {
+        let bufs = ws.bufs.iter().chain([&ws.pooled]);
+        4 * bufs.map(Vec::capacity).sum::<usize>()
+    }
+
+    #[test]
+    fn the_widest_kernel_keeps_the_workspace_under_its_bound() {
+        // the parser's widest kernel, 63: a halo of 31 columns a side, or
+        // `w - 1` on a narrower plane
+        let mut net = Sequential::new()
+            .depthwise(2, 63, 1)
+            .relu()
+            .conv(2, 3, 63, 2);
+        let plan = InferencePlan::compile(&net, 2).unwrap();
+        assert_eq!((plan.k, plan.max_c), (63, 3));
+        // MAX_PLAN_CHANNELS's arithmetic for `c` channels: two buffers of
+        // `c` planes of `h` rows of `w + 2·pad`, and the slack
+        let bound = |c: usize, h: usize, w: usize| 8 * c * h * (w + 2 * 31.min(w - 1)) + 512;
+        assert_eq!(bound(1024, 128, 128), (190 << 20) + 512);
+        assert_eq!(bound(1024, 1, 1), (8 << 10) + 512, "no halo");
+        for (h, w) in [(16, 1), (6, 20), (4, 128)] {
+            let x = init::kaiming_uniform(&mut init::seeded(4), 2 * h * w, 2);
+            let mut ws = Workspace::default();
+            let got = run_dense(&plan, &mut ws, h, w, &x);
+            let want = net.forward(&Tensor::from_vec(1, 2, h, w, x), false);
+            assert!(got
+                .iter()
+                .zip(&want.data)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+            let (used, cap) = (bytes(&ws), bound(plan.max_c, h, w));
+            assert!(used <= cap, "{h}x{w}: {used} B > {cap} B");
+        }
     }
 }

@@ -15,9 +15,10 @@
 //!   host) over kernel sizes, plane shapes on both sides of every strip
 //!   threshold, channel counts that do not divide the tile, zero weights
 //!   and non-finite inputs;
-//! * the masks of the edge strips: weights only on the kernel's border
-//!   taps, over row widths around every strip width and kernels wider than
-//!   the row, with NaN and infinities in the inputs those taps overhang;
+//! * the halo reads of the border strips: weights only on the kernel's
+//!   border taps, over row widths around every strip width and kernels
+//!   wider than the row, with NaN and infinities in the inputs those taps
+//!   overhang;
 //!
 //! all of it inside the kernels' precondition — finite weights, no `-0.0`
 //! bias — which `Sequential::try_deserialize` enforces on every model it
@@ -29,7 +30,8 @@
 //! * [`InferencePlan`] and `Sequential::forward` on the paper's networks,
 //!   batch 1 against batch 4, up to the benchmark's 128×128 slice and a
 //!   130-pixel row (the plan folds each ReLU that follows a convolution
-//!   into that convolution's store);
+//!   into that convolution's store), and one workspace across plane
+//!   widths, where a stale or written halo would show;
 //! * `predict_differences` on 2-D fields and on a partial last block.
 //!
 //! NaN *payloads* are outside the contract: where two different NaNs meet
@@ -567,9 +569,9 @@ fn edge_tap_weights(n: usize, k: usize, rng: &mut Lcg) -> Vec<f32> {
 
 #[test]
 fn border_taps_are_skipped_on_every_row_width() {
-    // a masked lane reads +0.0, which is a skipped tap for finite weights
-    // and a +0.0 bias; the neighbouring rows' NaN and infinities must not
-    // leak into it either
+    // a halo read is +0.0, which is a skipped tap for finite weights and a
+    // +0.0 bias; the neighbouring rows' NaN and infinities must not leak
+    // into it either
     let b = 0.0;
     let mut rng = Lcg(0xED6E);
     for w in EDGE_WIDTHS {
@@ -806,6 +808,20 @@ fn depthwise_gradients_match_reference() {
 
 // ---- plans and networks against the oracle --------------------------------
 
+/// `plan` on one sample of dense planes through `run_planes`, its output
+/// planes collected dense.
+fn run_plan(plan: &InferencePlan, ws: &mut Workspace, h: usize, w: usize, x: &[f32]) -> Vec<f32> {
+    let out = plan.run_planes(ws, h, w, |mut planes| {
+        for (c, plane) in x.chunks_exact(h * w).enumerate() {
+            for (row, from) in planes.rows_mut(c).zip(plane.chunks_exact(w)) {
+                row.copy_from_slice(from);
+            }
+        }
+    });
+    let rows = (0..plan.out_channels()).flat_map(|c| out.rows(c));
+    rows.flatten().copied().collect()
+}
+
 /// Plan (per sample) and `Sequential::forward` (whole batch) against the
 /// oracle, on a batch of 4 and on each sample as a batch of 1.
 fn check_network(spec: &CfnnSpec, seed: u64, h: usize, w: usize, special: bool) {
@@ -840,8 +856,8 @@ fn check_network(spec: &CfnnSpec, seed: u64, h: usize, w: usize, special: bool) 
             &want,
             &what("forward batch 1"),
         );
-        let got = plan.run(&mut ws, h, w, |dst| dst.copy_from_slice(batch.sample(b)));
-        assert_same(got, &want, &what("plan"));
+        let got = run_plan(&plan, &mut ws, h, w, batch.sample(b));
+        assert_same(&got, &want, &what("plan"));
     }
 }
 
@@ -883,8 +899,31 @@ fn a_workspace_serves_plans_and_planes_of_any_size() {
         (&small_plan, &small, 4, 17, 24),
     ] {
         let x = rng.vec(in_c * h * w, 1.0);
-        let got = plan.run(&mut ws, h, w, |dst| dst.copy_from_slice(&x));
-        assert_same(got, &reference_forward(net, &x, h, w), "shared workspace");
+        let got = run_plan(plan, &mut ws, h, w, &x);
+        assert_same(&got, &reference_forward(net, &x, h, w), "shared workspace");
+    }
+}
+
+#[test]
+fn a_stale_or_dirty_halo_cannot_leak() {
+    // a 1×1 with biases far above zero and a folded ReLU stores no pixel
+    // near zero, and the 3×3 behind it reads the halo around them: a halo
+    // column left from another plane width, or one the 1×1 wrote, moves
+    // the 3×3's border outputs
+    let mut net = Sequential::new().conv(3, 6, 1, 31).relu().conv(6, 2, 3, 32);
+    for (i, b) in net.params()[1].values.iter_mut().enumerate() {
+        *b = 40.0 + i as f32;
+    }
+    let plan = InferencePlan::compile(&net, 3).expect("chains");
+    let mut rng = Lcg(0x4A10);
+    let mut ws = Workspace::default();
+    for (h, w) in [(128, 128), (7, 21), (128, 128)] {
+        let x = rng.vec(3 * h * w, 1.0);
+        let want = reference_forward(&net, &x, h, w);
+        let forward = net.forward(&Tensor::from_vec(1, 3, h, w, x.clone()), false);
+        assert_same(&forward.data, &want, &format!("forward at {h}x{w}"));
+        let got = run_plan(&plan, &mut ws, h, w, &x);
+        assert_same(&got, &want, &format!("plan at {h}x{w}"));
     }
 }
 

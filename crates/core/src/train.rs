@@ -13,7 +13,7 @@
 //! whatever the channels hold (`crates/bench`'s ablation fits raw values
 //! through it).
 
-use cfc_nn::{mse_loss, Adam, Optimizer, Sequential, Tensor};
+use cfc_nn::{mse_loss, Adam, Sequential, Tensor};
 use cfc_tensor::{Field, Normalizer, Shape};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

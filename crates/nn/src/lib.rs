@@ -16,7 +16,7 @@
 //! * [`Sequential`] — layer stack with full backprop,
 //! * [`InferencePlan`] — a `Sequential` compiled once for allocation-free,
 //!   thread-shareable, bit-identical forward passes,
-//! * [`Adam`] / [`Sgd`] — optimizers,
+//! * [`Adam`] — the optimizer,
 //! * [`mse_loss`] — the paper's training loss,
 //! * byte-exact model (de)serialization for embedding into streams.
 //!
@@ -36,8 +36,8 @@ pub mod tensor;
 pub use attention::ChannelAttention;
 pub use conv::{Conv2d, DepthwiseConv2d, Kernel, PackedConv};
 pub use layer::{Layer, ParamSet, ReLU};
-pub use loss::{mse_loss, mse_loss_masked};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use loss::mse_loss;
+pub use optim::Adam;
 pub use plan::{InferencePlan, Planes, PlanesMut, Workspace};
 pub use sequential::{AnyLayer, Sequential};
 pub use tensor::Tensor;

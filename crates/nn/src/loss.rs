@@ -1,4 +1,4 @@
-//! Training losses.
+//! The training loss.
 
 use crate::tensor::Tensor;
 
@@ -17,26 +17,6 @@ pub fn mse_loss(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
         grad.data[i] = 2.0 * d / n;
     }
     ((loss / n as f64) as f32, grad)
-}
-
-/// MSE restricted to elements where `mask` is non-zero — used when training
-/// patches contain boundary samples whose backward difference is the
-/// zero-filled convention rather than real data.
-pub fn mse_loss_masked(pred: &Tensor, target: &Tensor, mask: &Tensor) -> (f32, Tensor) {
-    assert_eq!(pred.dims(), target.dims());
-    assert_eq!(pred.dims(), mask.dims());
-    let count = mask.data.iter().filter(|&&m| m != 0.0).count().max(1) as f32;
-    let mut grad = pred.zeros_like();
-    let mut loss = 0.0f64;
-    for i in 0..pred.len() {
-        if mask.data[i] == 0.0 {
-            continue;
-        }
-        let d = pred.data[i] - target.data[i];
-        loss += (d as f64) * (d as f64);
-        grad.data[i] = 2.0 * d / count;
-    }
-    ((loss / count as f64) as f32, grad)
 }
 
 #[cfg(test)]
@@ -58,16 +38,6 @@ mod tests {
         let (l, g) = mse_loss(&p, &t);
         assert!((l - 5.0).abs() < 1e-6); // (1 + 9) / 2
         assert_eq!(g.data, vec![1.0, 3.0]); // 2·d/n
-    }
-
-    #[test]
-    fn masked_ignores_zeros() {
-        let p = Tensor::from_vec(1, 1, 1, 3, vec![1.0, 100.0, 2.0]);
-        let t = Tensor::from_vec(1, 1, 1, 3, vec![0.0, 0.0, 0.0]);
-        let m = Tensor::from_vec(1, 1, 1, 3, vec![1.0, 0.0, 1.0]);
-        let (l, g) = mse_loss_masked(&p, &t, &m);
-        assert!((l - 2.5).abs() < 1e-6); // (1 + 4) / 2
-        assert_eq!(g.data[1], 0.0);
     }
 
     #[test]

@@ -1,49 +1,6 @@
-//! Optimizers.
+//! The optimizer CFNN training steps with.
 
 use crate::layer::ParamSet;
-
-/// A first-order optimizer stepping parameter blocks in place.
-pub trait Optimizer {
-    /// Apply one update step to all parameter blocks. Blocks must be passed
-    /// in a stable order across steps (state is positional).
-    fn step(&mut self, params: &mut [ParamSet<'_>]);
-}
-
-/// Plain SGD with optional momentum.
-#[derive(Debug)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum factor (0 disables).
-    pub momentum: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// New SGD optimizer.
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [ParamSet<'_>]) {
-        if self.velocity.len() != params.len() {
-            self.velocity = params.iter().map(|p| vec![0.0; p.values.len()]).collect();
-        }
-        for (p, vel) in params.iter_mut().zip(&mut self.velocity) {
-            assert_eq!(p.values.len(), vel.len(), "parameter block shape changed");
-            for i in 0..p.values.len() {
-                vel[i] = self.momentum * vel[i] - self.lr * p.grads[i];
-                p.values[i] += vel[i];
-            }
-        }
-    }
-}
 
 /// Adam (Kingma & Ba) with bias correction.
 #[derive(Debug)]
@@ -74,10 +31,10 @@ impl Adam {
             v: Vec::new(),
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [ParamSet<'_>]) {
+    /// Apply one update step to all parameter blocks. Blocks must be passed
+    /// in a stable order across steps (state is positional).
+    pub fn step(&mut self, params: &mut [ParamSet<'_>]) {
         if self.m.len() != params.len() {
             self.m = params.iter().map(|p| vec![0.0; p.values.len()]).collect();
             self.v = params.iter().map(|p| vec![0.0; p.values.len()]).collect();
@@ -103,8 +60,8 @@ impl Optimizer for Adam {
 mod tests {
     use super::*;
 
-    /// Minimize f(x) = (x − 3)² with each optimizer.
-    fn minimize(opt: &mut dyn Optimizer, steps: usize) -> f32 {
+    /// Minimize f(x) = (x − 3)² with Adam.
+    fn minimize(opt: &mut Adam, steps: usize) -> f32 {
         let mut x = vec![0.0f32];
         let mut g = vec![0.0f32];
         for _ in 0..steps {
@@ -116,20 +73,6 @@ mod tests {
             opt.step(&mut params);
         }
         x[0]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut sgd = Sgd::new(0.1, 0.0);
-        let x = minimize(&mut sgd, 100);
-        assert!((x - 3.0).abs() < 1e-3, "x = {x}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let mut sgd = Sgd::new(0.05, 0.9);
-        let x = minimize(&mut sgd, 200);
-        assert!((x - 3.0).abs() < 1e-2, "x = {x}");
     }
 
     #[test]

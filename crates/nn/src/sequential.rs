@@ -323,7 +323,7 @@ mod tests {
     use super::*;
     use crate::init;
     use crate::loss::mse_loss;
-    use crate::optim::{Adam, Optimizer};
+    use crate::optim::Adam;
 
     fn rand_tensor(n: usize, c: usize, h: usize, w: usize, seed: u64) -> Tensor {
         let mut rng = init::seeded(seed);

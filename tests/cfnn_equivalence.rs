@@ -27,18 +27,20 @@
 //!   of full and depthwise convolutions — over the same axes, batch 1 and
 //!   4, accumulated over two calls, with `-0.0`, NaN and infinities in the
 //!   output gradient;
-//! * [`InferencePlan`] and `Sequential::forward` on the paper's networks,
+//! * [`InferencePlan`] and `Sequential::forward` on the paper's networks —
+//!   the proportional specs and every width Table III ships —
 //!   batch 1 against batch 4, up to the benchmark's 128×128 slice and a
 //!   130-pixel row (the plan folds each ReLU that follows a convolution
 //!   into that convolution's store), and one workspace across plane
 //!   widths, where a stale or written halo would show;
-//! * `predict_differences` on 2-D fields and on a partial last block.
+//! * `predict_differences` on 2-D fields and on a partial last block, at a
+//!   wide and a narrow width.
 //!
 //! NaN *payloads* are outside the contract: where two different NaNs meet
 //! in an add, IEEE 754 lets either through and compilers are free to
 //! commute the operands. Whether a value is NaN is inside it.
 
-use cross_field_compression::core::config::CfnnSpec;
+use cross_field_compression::core::config::{paper_table3, CfnnSpec};
 use cross_field_compression::core::diffnet::{build_cfnn, fit_normalizers};
 use cross_field_compression::core::predict::predict_differences;
 use cross_field_compression::core::train::{TrainReport, TrainedCfnn};
@@ -883,6 +885,19 @@ fn plan_and_forward_match_reference_on_the_2d_network() {
 }
 
 #[test]
+fn plan_and_forward_match_reference_on_every_table3_width() {
+    // the widths the paper's rows ship with: channel attention with a
+    // one-unit bottleneck (`feat2 < reduction`) and planes of 2–8
+    // channels, which fill a 4-channel output tile only in part
+    for (i, row) in paper_table3().iter().enumerate() {
+        let seed = 51 + 3 * i as u64;
+        check_network(&row.spec, seed, 12, 12, false); // a training patch
+        check_network(&row.spec, seed + 1, 128, 128, true); // the benchmark's slice
+        check_network(&row.spec, seed + 2, 5, 130, false);
+    }
+}
+
+#[test]
 fn a_workspace_serves_plans_and_planes_of_any_size() {
     // the store hands one scratch to blocks of different targets and
     // shapes: stale activations from a bigger run must not leak
@@ -1003,6 +1018,13 @@ fn predict_differences_matches_the_old_path_on_a_partial_last_block() {
     check_predict(Shape::d3(3, 9, 14), CfnnSpec::scaled_3d(3), 31);
     // a single slab: the slice-axis difference is all boundary
     check_predict(Shape::d3(1, 5, 20), CfnnSpec::scaled_3d(2), 32);
+    // a narrow net: two-channel planes and a one-unit attention bottleneck
+    let narrow = CfnnSpec {
+        feat1: 2,
+        feat2: 4,
+        ..CfnnSpec::scaled_3d(3)
+    };
+    check_predict(Shape::d3(3, 9, 14), narrow, 33);
 }
 
 #[test]

@@ -12,13 +12,16 @@
 //! Table III. The whole tables are `#[ignore]`d for their cost (CI runs
 //! them in release: `cargo test --release --test paper_tables --
 //! --include-ignored`), the full-size one together with the two sentences
-//! the paper writes about it.
+//! the paper writes about it and a ceiling on its negative cells.
 
 use cfc_bench::runner::{table3_row, ExperimentContext, FieldResult, CSV_HEADER};
 use cfc_datagen::GenParams;
 
 const QUICK_CSV: &str = include_str!("golden/table2_quick.csv");
 const FULL_CSV: &str = include_str!("golden/table2_full.csv");
+
+/// Negative cells in the committed full-size table.
+const NEGATIVE_CELLS: usize = 6;
 
 /// The rows of a committed CSV.
 fn committed(csv: &str) -> Vec<FieldResult> {
@@ -114,7 +117,7 @@ fn quick_table2_matches_every_committed_cell() {
 }
 
 #[test]
-#[ignore = "all 30 full-size cells: ~1 min in the release profile"]
+#[ignore = "all 30 full-size cells: ~20 s in the release profile"]
 fn full_table2_matches_every_committed_cell_and_the_papers_two_sentences() {
     let results = whole_table_matches(false, FULL_CSV);
     // the paper: cross-field prediction improves the ratio by up to 25 % …
@@ -129,5 +132,12 @@ fn full_table2_matches_every_committed_cell_and_the_papers_two_sentences() {
         2 * improved > results.len(),
         "{improved} of {} cells improved",
         results.len()
+    );
+    // Table III's measured widths leave six cells negative, all CESM:
+    // CLDTOT 5e-3 … 5e-4, LWCF 5e-3 and 2e-3
+    let negative = results.iter().filter(|r| r.improvement_pct() < 0.0).count();
+    assert!(
+        negative <= NEGATIVE_CELLS,
+        "{negative} cells negative, at most {NEGATIVE_CELLS} committed"
     );
 }

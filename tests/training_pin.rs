@@ -1,9 +1,10 @@
 //! Pins 3-D CFNN training end to end.
 //!
 //! The golden archives embed a trained model, but only the 2-D
-//! `scaled_2d(2)` net (4 → 12 → 16 → 2). This pins the paper-plan shape the
-//! benchmark trains — `scaled_3d(3)`: 9 → 24 → 32 → 3, in-channels off the
-//! gradient kernels' lane width, three outputs — so that a change to the
+//! `scaled_2d(2)` net (4 → 12 → 16 → 2). This pins the 3-D net the archive
+//! writer trains for a plan entry without a spec — `scaled_3d(3)`: 9 → 24 →
+//! 32 → 3, in-channels off the gradient kernels' lane width, three outputs
+//! (Table III's rows ship narrower, measured widths) — so that a change to the
 //! patch sampler, the normalizers, the forward or backward kernels, the
 //! loss or the optimizer that moves a single bit of the trained model
 //! fails here by name.

@@ -27,7 +27,7 @@ use cfc_sz::predict::{reconstruct_per_point, residuals_per_point};
 use cfc_sz::{codec, LorenzoPredictor, Predictor, QuantLattice, QuantizerConfig};
 use cfc_tensor::{Field, FieldStats, Normalizer};
 
-use crate::runner::{table3_row, Case, ExperimentContext};
+use crate::runner::{cfnn_params, row_ndim, table3_row, Case, ExperimentContext};
 
 /// All five ablations in order.
 pub fn ablation(ctx: &mut ExperimentContext) -> io::Result<()> {
@@ -129,7 +129,7 @@ fn train_value_cnn(case: &Case, cfg: &TrainConfig) -> f64 {
             row.copy_from_slice(&slice[(r0 + i) * cols + c0..][..p]);
         }
     };
-    let (_, report) = fit_patches(&case.trained.spec, cfg, shape, |k, r0, c0, x, y| {
+    let gather = |k, r0, c0, x: &mut [f32], y: &mut [f32]| {
         // every field's values replicated per axis, so the architecture
         // (and parameter count) is identical to the difference net
         for (ci, plane) in x.chunks_exact_mut(p * p).enumerate() {
@@ -138,7 +138,8 @@ fn train_value_cnn(case: &Case, cfg: &TrainConfig) -> f64 {
         for plane in y.chunks_exact_mut(p * p) {
             window(&y_field, k, r0, c0, plane);
         }
-    });
+    };
+    let (_, report) = fit_patches(&case.trained.spec, cfg, shape, x_fields.len(), gather);
     let final_loss = report.losses.last().copied().unwrap_or(f32::INFINITY);
     // relative to the normalized target variance
     let s = FieldStats::of(&y_field);
@@ -234,24 +235,21 @@ fn coupling_sweep(wf: &CrossFieldConfig, quick: bool) {
 /// 5. Model-size sweep on one field, from a 2 × 2 net to the paper's width.
 fn model_size_sweep(ctx: &mut ExperimentContext, wf: &CrossFieldConfig) {
     println!("== Ablation 5: CFNN size (Hurricane Wf, rel 1e-3) ==");
-    let width = |feat1, feat2| CfnnSpec {
-        feat1,
-        feat2,
-        ..wf.spec
-    };
+    let width = |feat1, feat2| CfnnSpec { feat1, feat2 };
+    let ndim = row_ndim(wf);
     for (name, spec) in [
         ("2x2", width(2, 2)),
         ("4x4", width(4, 4)),
         ("8x8", width(8, 8)),
-        ("compact 16x24", CfnnSpec::compact(3, 3)),
+        ("16x24", width(16, 24)),
         ("Table III 12x32", wf.spec),
-        ("proportional 24x32", CfnnSpec::scaled_3d(3)),
-        ("paper-parity", CfnnSpec::paper_3d(3)),
+        ("default 24x32", CfnnSpec::writer_default(ndim)),
+        ("paper-parity", CfnnSpec::paper(ndim)),
     ] {
         let r = ctx.run(&CrossFieldConfig { spec, ..wf.clone() }, 1e-3);
         println!(
             "  {name:<18} {:>7} params  model {:>7} B  ours {:6.2}x  ({:+.2}% vs baseline {:.2}x)",
-            spec.num_params(),
+            cfnn_params(wf, &spec),
             r.model_bytes,
             r.ours_ratio,
             r.improvement_pct(),

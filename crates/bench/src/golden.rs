@@ -217,7 +217,7 @@ pub fn write_v1(ds: &Dataset) -> Vec<u8> {
     // target: CFNN trained on originals, inference on decoded anchors
     let orig_refs: Vec<&Field> = anchors.iter().map(|a| ds.expect_field(a)).collect();
     let dec_refs: Vec<&Field> = anchors_dec.iter().collect();
-    let spec = CfnnSpec::scaled_2d(anchors.len());
+    let spec = CfnnSpec::writer_default(ds.shape().ndim());
     let trained = train_cfnn(
         &spec,
         &golden_train_config(),

@@ -19,6 +19,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use cfc_core::config::{paper_table3, CfnnSpec, CrossFieldConfig, TrainConfig};
+use cfc_core::diffnet::build_cfnn;
 use cfc_core::pipeline::{CrossFieldCompressor, CrossFieldStream, TargetFit};
 use cfc_core::train::{train_cfnn, TrainedCfnn};
 use cfc_datagen::{Dataset, GenParams};
@@ -110,6 +111,20 @@ pub fn table3_row(target: &str) -> CrossFieldConfig {
         .into_iter()
         .find(|r| r.target == target)
         .unwrap_or_else(|| panic!("Table III has no target {target}"))
+}
+
+/// The dimensionality of `row`'s dataset: with the row's anchors it fixes
+/// the CFNN's channel counts.
+pub fn row_ndim(row: &CrossFieldConfig) -> usize {
+    cfc_datagen::catalog::find(row.dataset)
+        .unwrap_or_else(|| panic!("unknown dataset {}", row.dataset))
+        .default_dims
+        .ndim()
+}
+
+/// Learnable parameters of the CFNN at `spec`'s widths on `row`'s data.
+pub fn cfnn_params(row: &CrossFieldConfig, spec: &CfnnSpec) -> usize {
+    build_cfnn(spec, row.anchors.len(), row_ndim(row), 0).num_params()
 }
 
 /// Generated datasets + trained models, reused across experiments.

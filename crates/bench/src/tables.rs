@@ -6,7 +6,9 @@ use std::path::Path;
 use cfc_core::config::{paper_table3, CfnnSpec};
 use cfc_datagen::paper_catalog;
 
-use crate::runner::{write_csv, ExperimentContext, FieldResult, PAPER_ERROR_BOUNDS};
+use crate::runner::{
+    cfnn_params, row_ndim, write_csv, ExperimentContext, FieldResult, PAPER_ERROR_BOUNDS,
+};
 
 /// **Table I** — details of the tested datasets: the paper's dimensions
 /// alongside the scaled default dimensions used by this reproduction.
@@ -116,23 +118,18 @@ pub fn table3(_ctx: &mut ExperimentContext) -> io::Result<()> {
     );
     println!("{:-<96}", "");
     for row in paper_table3() {
-        let n_anchors = row.anchors.len();
-        let paper_spec = if row.spec.out_channels == 3 {
-            CfnnSpec::paper_3d(n_anchors)
-        } else {
-            CfnnSpec::paper_2d(n_anchors)
-        };
+        let ndim = row_ndim(&row);
         // hybrid model: one weight per predictor (Lorenzo + one per axis),
         // matching the paper's "Model Size Hybrid" column of 4 (2-D) / 5
         // (3-D) — the paper counts n+1 weights plus the normalization concat
-        let hybrid_params = row.spec.out_channels + 1 + 1;
+        let hybrid_params = ndim + 1 + 1;
         println!(
             "{:<10}{:<8}{:<28}{:>14}{:>16}{:>12}",
             row.dataset,
             row.target,
             row.anchors.join(","),
-            row.spec.num_params(),
-            paper_spec.num_params(),
+            cfnn_params(&row, &row.spec),
+            cfnn_params(&row, &CfnnSpec::paper(ndim)),
             hybrid_params,
         );
     }

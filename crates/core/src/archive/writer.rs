@@ -54,9 +54,9 @@ use super::format::{
 };
 use super::{host_threads, run_parallel, run_parallel_scratch};
 
-/// Per-target plan: which anchors condition it, and (optionally) a specific
-/// CFNN architecture. When `spec` is `None` the writer picks the scaled
-/// paper architecture for the dataset's dimensionality.
+/// Per-target plan: which anchors condition it, and (optionally) the
+/// CFNN's widths. When `spec` is `None` the writer picks
+/// [`CfnnSpec::writer_default`] for the dataset's dimensionality.
 #[derive(Debug, Clone)]
 struct TargetPlan {
     anchors: Vec<String>,
@@ -711,16 +711,14 @@ impl ArchiveWriter {
                 return Err(invalid(format!("duplicate plan for target {target}")));
             }
             roles[field] = FieldRole::Target;
-            // without a spec, the scaled paper architecture for the
-            // dataset's dimensionality
-            let spec = plan.spec.unwrap_or_else(|| match ndim {
-                3 => CfnnSpec::scaled_3d(anchors.len()),
-                _ => CfnnSpec::scaled_2d(anchors.len()),
-            });
-            if spec.in_channels != anchors.len() * ndim || spec.out_channels != ndim {
+            // the channel counts follow from the anchors and the data;
+            // without a spec, the default widths for its dimensionality
+            let spec = plan.spec.unwrap_or(CfnnSpec::writer_default(ndim));
+            if spec.feat1 == 0 || spec.feat2 == 0 {
                 return Err(invalid(format!(
-                    "spec for target {target} does not match {} anchors × {ndim} axes",
-                    anchors.len()
+                    "spec for target {target} has a zero width ({} x {}); \
+                     both must be at least 1",
+                    spec.feat1, spec.feat2
                 )));
             }
             rows.push(TargetRow {

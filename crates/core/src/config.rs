@@ -1,97 +1,44 @@
 //! Experiment and model configuration, mirroring the paper's Table III.
+//!
+//! A CFNN's shape is its two widths, [`CfnnSpec`]; the network is built
+//! from them and the data in one place, [`crate::diffnet::build_cfnn`].
+//! Two constructors name the widths used beside Table III's measured ones:
+//! [`CfnnSpec::paper`], the paper-parity widths, and
+//! [`CfnnSpec::writer_default`], what the archive writer trains for a plan
+//! row without a spec.
 
-/// CFNN architecture hyperparameters (paper Fig. 4).
-///
-/// The network is: `conv3×3(in→f1) → ReLU → depthwise3×3(f1) →
-/// pointwise1×1(f1→f2) → ReLU → channel-attention(f2, r) → conv3×3(f2→out)`.
+/// The CFNN's two free widths (paper Fig. 4). The rest of the network is
+/// fixed, and built in one place, [`crate::diffnet::build_cfnn`]: its
+/// channel counts come from the data — the anchors' `n_anchors × ndim`
+/// backward differences in, the target's `ndim` out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CfnnSpec {
-    /// Input channels: `n_anchors × n_dims` backward-difference planes.
-    pub in_channels: usize,
-    /// Output channels: `n_dims` predicted target differences.
-    pub out_channels: usize,
     /// Feature width after the initial convolution.
     pub feat1: usize,
     /// Feature width after the pointwise convolution.
     pub feat2: usize,
-    /// Channel-attention bottleneck reduction.
-    pub reduction: usize,
 }
 
 impl CfnnSpec {
-    /// Exact learnable-parameter count of the generated network.
-    pub fn num_params(&self) -> usize {
-        let k2 = 9;
-        let initial = self.in_channels * self.feat1 * k2 + self.feat1;
-        let depthwise = self.feat1 * k2 + self.feat1;
-        let pointwise = self.feat1 * self.feat2 + self.feat2;
-        let hidden = (self.feat2 / self.reduction).max(1);
-        let attention = 2 * self.feat2 * hidden;
-        let final_conv = self.feat2 * self.out_channels * k2 + self.out_channels;
-        initial + depthwise + pointwise + attention + final_conv
+    /// The widths at which the network's parameter count lands near the
+    /// paper's Table III: 139 × 104 for `ndim`-3 data (32 863 parameters at
+    /// 3 anchors against the paper's 32 871), 44 × 34 otherwise (4 484 /
+    /// 5 276 / 6 068 at 2 / 3 / 4 anchors against 4 470 / 5 270 / 6 070).
+    pub fn paper(ndim: usize) -> Self {
+        let (feat1, feat2) = if ndim == 3 { (139, 104) } else { (44, 34) };
+        CfnnSpec { feat1, feat2 }
     }
 
-    /// Spec sized for the paper's 3-D cases (3 anchors → ~33 k parameters,
-    /// Table III reports 32 871).
-    pub fn paper_3d(n_anchors: usize) -> Self {
-        CfnnSpec {
-            in_channels: n_anchors * 3,
-            out_channels: 3,
-            feat1: 139,
-            feat2: 104,
-            reduction: 8,
-        }
-    }
-
-    /// Spec sized near the paper's CESM (2-D) cases (~4.5–6 k parameters).
-    pub fn paper_2d(n_anchors: usize) -> Self {
-        CfnnSpec {
-            in_channels: n_anchors * 2,
-            out_channels: 2,
-            feat1: 44,
-            feat2: 34,
-            reduction: 8,
-        }
-    }
-
-    /// A small, fast spec for tests and quick experiments.
-    pub fn compact(n_anchors: usize, n_dims: usize) -> Self {
-        CfnnSpec {
-            in_channels: n_anchors * n_dims,
-            out_channels: n_dims,
-            feat1: 16,
-            feat2: 24,
-            reduction: 8,
-        }
-    }
-
-    /// The 3-D spec the archive writer trains for a plan entry that names
-    /// none (`ArchiveBuilder::cross_field`): 9 → 24 → 32 → 3 at 3 anchors,
-    /// 4 131 parameters, 16.5 kB of `f32`. On the scaled grids it is wider
-    /// than the data pays for — [`paper_table3`]'s rows carry measured
-    /// widths — and it keeps this width because the writer's pinned bytes
-    /// and `training_pin` are made with it.
-    pub fn scaled_3d(n_anchors: usize) -> Self {
-        CfnnSpec {
-            in_channels: n_anchors * 3,
-            out_channels: 3,
-            feat1: 24,
-            feat2: 32,
-            reduction: 8,
-        }
-    }
-
-    /// The 2-D spec the archive writer trains for a plan entry that names
-    /// none, and the net the golden fixtures embed: `feat1` 12, `feat2` 16
-    /// (see [`CfnnSpec::scaled_3d`] for why Table III no longer uses it).
-    pub fn scaled_2d(n_anchors: usize) -> Self {
-        CfnnSpec {
-            in_channels: n_anchors * 2,
-            out_channels: 2,
-            feat1: 12,
-            feat2: 16,
-            reduction: 8,
-        }
+    /// The widths the archive writer trains for a plan entry that names
+    /// none (`ArchiveBuilder::cross_field`): 24 × 32 for `ndim`-3 data
+    /// (4 131 parameters at 3 anchors, 16.5 kB of `f32`), 12 × 16
+    /// otherwise — the net the golden fixtures embed. On the scaled grids
+    /// they are wider than the data pays for ([`paper_table3`]'s rows carry
+    /// measured widths); they stay because the writer's pinned bytes,
+    /// `training_pin` and the golden fixtures are made with them.
+    pub fn writer_default(ndim: usize) -> Self {
+        let (feat1, feat2) = if ndim == 3 { (24, 32) } else { (12, 16) };
+        CfnnSpec { feat1, feat2 }
     }
 }
 
@@ -173,15 +120,6 @@ pub struct CrossFieldConfig {
     pub spec: CfnnSpec,
 }
 
-/// `spec` at widths `feat1` → `feat2`, everything else kept.
-fn width(spec: CfnnSpec, feat1: usize, feat2: usize) -> CfnnSpec {
-    CfnnSpec {
-        feat1,
-        feat2,
-        ..spec
-    }
-}
-
 /// The paper's Table III experiment configurations.
 ///
 /// Each row's CFNN widths are measured, not sized by proportion. Over
@@ -198,48 +136,64 @@ pub fn paper_table3() -> Vec<CrossFieldConfig> {
             dataset: "SCALE",
             target: "RH",
             anchors: vec!["T", "QV", "PRES"],
-            spec: width(CfnnSpec::scaled_3d(3), 4, 8),
+            spec: CfnnSpec { feat1: 4, feat2: 8 },
         },
         CrossFieldConfig {
             dataset: "SCALE",
             target: "W",
             anchors: vec!["U", "V", "PRES"],
-            spec: width(CfnnSpec::scaled_3d(3), 2, 2),
+            spec: CfnnSpec { feat1: 2, feat2: 2 },
         },
         CrossFieldConfig {
             dataset: "Hurricane",
             target: "Wf",
             anchors: vec!["Uf", "Vf", "Pf"],
-            spec: width(CfnnSpec::scaled_3d(3), 12, 32),
+            spec: CfnnSpec {
+                feat1: 12,
+                feat2: 32,
+            },
         },
         CrossFieldConfig {
             dataset: "CESM-ATM",
             target: "CLDTOT",
             anchors: vec!["CLDLOW", "CLDMED", "CLDHGH"],
-            spec: width(CfnnSpec::scaled_2d(3), 4, 4),
+            spec: CfnnSpec { feat1: 4, feat2: 4 },
         },
         CrossFieldConfig {
             dataset: "CESM-ATM",
             target: "LWCF",
             anchors: vec!["FLUTC", "FLNT"],
-            spec: width(CfnnSpec::scaled_2d(2), 4, 4),
+            spec: CfnnSpec { feat1: 4, feat2: 4 },
         },
         CrossFieldConfig {
             dataset: "CESM-ATM",
             target: "FLUT",
             anchors: vec!["FLNT", "FLNTC", "FLUTC", "LWCF"],
-            spec: width(CfnnSpec::scaled_2d(4), 4, 4),
+            spec: CfnnSpec { feat1: 4, feat2: 4 },
         },
     ]
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::diffnet::build_cfnn;
+
+    /// The narrow 16 × 24 net the crate's unit tests train.
+    pub(crate) const NARROW: CfnnSpec = CfnnSpec {
+        feat1: 16,
+        feat2: 24,
+    };
+
+    /// Learnable parameters of `spec`'s network over `n_anchors` anchors
+    /// of `ndim`-D data.
+    fn params(spec: &CfnnSpec, n_anchors: usize, ndim: usize) -> usize {
+        build_cfnn(spec, n_anchors, ndim, 1).num_params()
+    }
 
     #[test]
-    fn paper_3d_spec_lands_near_33k_params() {
-        let n = CfnnSpec::paper_3d(3).num_params();
+    fn paper_parity_3d_lands_near_33k_params() {
+        let n = params(&CfnnSpec::paper(3), 3, 3);
         // solved to land within 10 parameters of the paper's 32 871
         assert!(
             (32_800..32_900).contains(&n),
@@ -248,9 +202,9 @@ mod tests {
     }
 
     #[test]
-    fn paper_2d_specs_land_near_5k_params() {
+    fn paper_parity_2d_lands_near_5k_params() {
         for anchors in [2usize, 3, 4] {
-            let n = CfnnSpec::paper_2d(anchors).num_params();
+            let n = params(&CfnnSpec::paper(2), anchors, 2);
             // paper: 4 470 (2 anchors), 5 270 (3), 6 070 (4); f1=44/f2=34
             // lands within ~100 of each
             let paper = 4470 + (anchors - 2) * 800;
@@ -269,12 +223,14 @@ mod tests {
         assert_eq!(wf.anchors, vec!["Uf", "Vf", "Pf"]);
         let flut = rows.iter().find(|r| r.target == "FLUT").unwrap();
         assert_eq!(flut.anchors.len(), 4);
-        // the widths the sweep chose (see `paper_table3`), reduction 8 throughout
+        // the widths the sweep chose (see `paper_table3`); CESM is the 2-D
+        // dataset
         let widths: Vec<_> = rows
             .iter()
             .map(|r| {
-                assert_eq!(r.spec.reduction, 8, "{}", r.target);
-                (r.target, r.spec.feat1, r.spec.feat2, r.spec.num_params())
+                let ndim = if r.dataset == "CESM-ATM" { 2 } else { 3 };
+                let n = params(&r.spec, r.anchors.len(), ndim);
+                (r.target, r.spec.feat1, r.spec.feat2, n)
             })
             .collect();
         assert_eq!(
@@ -288,12 +244,5 @@ mod tests {
                 ("FLUT", 4, 4, 434),
             ]
         );
-    }
-
-    #[test]
-    fn num_params_formula_is_consistent_with_built_model() {
-        let spec = CfnnSpec::compact(3, 2);
-        let mut net = crate::diffnet::build_cfnn(&spec, 1);
-        assert_eq!(net.num_params(), spec.num_params());
     }
 }

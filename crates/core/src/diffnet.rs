@@ -6,16 +6,23 @@ use cfc_tensor::{Field, Normalizer, Shape};
 
 use crate::config::CfnnSpec;
 
-/// Build the CFNN network for a spec, deterministically seeded.
-pub fn build_cfnn(spec: &CfnnSpec, seed: u64) -> Sequential {
+/// Channel-attention bottleneck reduction: the attention block squeezes
+/// `feat2` channels to `max(feat2 / 8, 1)` and back, in every CFNN.
+pub const ATTENTION_REDUCTION: usize = 8;
+
+/// Build the CFNN network (paper Fig. 4) at `spec`'s widths for
+/// `n_anchors` anchors of `ndim`-D data — the anchors' `n_anchors × ndim`
+/// backward differences in, the target's `ndim` out — deterministically
+/// seeded.
+pub fn build_cfnn(spec: &CfnnSpec, n_anchors: usize, ndim: usize, seed: u64) -> Sequential {
     Sequential::new()
-        .conv(spec.in_channels, spec.feat1, 3, seed ^ 0x11)
+        .conv(n_anchors * ndim, spec.feat1, 3, seed ^ 0x11)
         .relu()
         .depthwise(spec.feat1, 3, seed ^ 0x22)
         .conv(spec.feat1, spec.feat2, 1, seed ^ 0x33)
         .relu()
-        .attention(spec.feat2, spec.reduction, seed ^ 0x44)
-        .conv(spec.feat2, spec.out_channels, 3, seed ^ 0x55)
+        .attention(spec.feat2, ATTENTION_REDUCTION, seed ^ 0x44)
+        .conv(spec.feat2, ndim, 3, seed ^ 0x55)
 }
 
 /// Per-channel normalizers (symmetric max-abs to `[-1, 1]`) for a set of
@@ -45,23 +52,22 @@ pub fn slice_geometry(shape: Shape) -> (usize, usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::tests::NARROW;
 
     #[test]
     fn cfnn_output_shape_matches_spec() {
-        let spec = CfnnSpec::compact(2, 2);
-        let mut net = build_cfnn(&spec, 3);
-        let input = cfc_nn::Tensor::zeros(2, spec.in_channels, 16, 16);
+        let mut net = build_cfnn(&NARROW, 2, 2, 3);
+        let input = cfc_nn::Tensor::zeros(2, 4, 16, 16);
         let out = net.forward(&input, false);
-        assert_eq!(out.dims(), (2, spec.out_channels, 16, 16));
+        assert_eq!(out.dims(), (2, 2, 16, 16));
     }
 
     #[test]
     fn cfnn_is_deterministic_per_seed() {
-        let spec = CfnnSpec::compact(1, 2);
-        let a = build_cfnn(&spec, 9).serialize();
-        let b = build_cfnn(&spec, 9).serialize();
+        let a = build_cfnn(&NARROW, 1, 2, 9).serialize();
+        let b = build_cfnn(&NARROW, 1, 2, 9).serialize();
         assert_eq!(a, b);
-        let c = build_cfnn(&spec, 10).serialize();
+        let c = build_cfnn(&NARROW, 1, 2, 10).serialize();
         assert_ne!(a, c);
     }
 

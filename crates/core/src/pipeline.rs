@@ -45,6 +45,7 @@ use cfc_sz::{
 use cfc_tensor::{Field, FieldStats, Normalizer, Shape};
 
 use crate::archive::run_parallel_scratch;
+use crate::diffnet::ATTENTION_REDUCTION;
 use crate::hybrid::{HybridConfig, HybridModel};
 use crate::predict::CfnnInference;
 use crate::predictor::{sample_hybrid_training_by, CrossFieldHybridPredictor};
@@ -408,10 +409,10 @@ impl CrossFieldCompressor {
                 "anchor shapes must match target shape {shape}"
             )));
         }
-        if trained.spec.in_channels != anchors_dec.len() * ndim {
+        if trained.input_norms.len() != anchors_dec.len() * ndim {
             return Err(CfcError::InvalidInput(format!(
                 "model expects {} input channels, {} anchors × {ndim} axes provide {}",
-                trained.spec.in_channels,
+                trained.input_norms.len(),
                 anchors_dec.len(),
                 anchors_dec.len() * ndim
             )));
@@ -525,16 +526,17 @@ impl CrossFieldStream {
     }
 }
 
-/// Model section layout: spec (5×u32) | input norms | target norms | net.
+/// Model section layout: in channels, out channels, `feat1`, `feat2`,
+/// attention reduction (5×u32) | input norms | target norms | net.
 /// Crate-visible: the chunked archive stores one copy per target field (in
 /// the field's meta area) instead of one per stream.
 pub(crate) fn serialize_model(trained: &TrainedCfnn) -> Vec<u8> {
     let mut out = Vec::new();
-    out.put_u32_le(trained.spec.in_channels as u32);
-    out.put_u32_le(trained.spec.out_channels as u32);
+    out.put_u32_le(trained.input_norms.len() as u32);
+    out.put_u32_le(trained.target_norms.len() as u32);
     out.put_u32_le(trained.spec.feat1 as u32);
     out.put_u32_le(trained.spec.feat2 as u32);
-    out.put_u32_le(trained.spec.reduction as u32);
+    out.put_u32_le(ATTENTION_REDUCTION as u32);
     put_norms(&mut out, &trained.input_norms);
     put_norms(&mut out, &trained.target_norms);
     let net = trained.net.serialize();
@@ -584,7 +586,7 @@ pub(crate) fn check_model_fits(
 /// Fallible inverse of [`serialize_model`] for untrusted bytes, straight to
 /// the inference-only form: validates the spec, normalizer counts, and —
 /// critically — that the embedded network's layers chain with compatible
-/// channel counts from `spec.in_channels` to `spec.out_channels`, so
+/// channel counts from the header's in channels to its out channels, so
 /// inference cannot hit a shape assert later.
 pub(crate) fn deserialize_model(buf: &[u8]) -> Result<CfnnInference, CfcError> {
     let corrupt = |detail: String| CfcError::Corrupt {
@@ -656,7 +658,8 @@ fn get_norms(r: &mut Reader) -> Result<Vec<Normalizer>, CfcError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CfnnSpec, TrainConfig};
+    use crate::config::tests::NARROW;
+    use crate::config::TrainConfig;
     use crate::train::train_cfnn;
     use cfc_tensor::Shape;
 
@@ -684,8 +687,7 @@ mod tests {
         let (anchor, target) = coupled_2d(48, 48);
         let comp = CrossFieldCompressor::new(1e-3);
         let anchor_dec = comp.roundtrip_anchor(&anchor).unwrap();
-        let spec = CfnnSpec::compact(1, 2);
-        let trained = train_cfnn(&spec, &TrainConfig::fast(), &[&anchor], &target);
+        let trained = train_cfnn(&NARROW, &TrainConfig::fast(), &[&anchor], &target);
         let stream = comp.compress(&trained, &target, &[&anchor_dec]).unwrap();
         let dec = comp.decompress(&stream.bytes, &[&anchor_dec]).unwrap();
         check_bound(&target, &dec, stream.eb_abs);
@@ -702,7 +704,6 @@ mod tests {
         let target = anchor.map(|v| 1.3 * v - 2.0);
         let comp = CrossFieldCompressor::new(1e-3);
         let anchor_dec = comp.roundtrip_anchor(&anchor).unwrap();
-        let spec = CfnnSpec::compact(1, 3);
         let cfg = TrainConfig {
             patch: 10,
             n_patches: 40,
@@ -711,7 +712,7 @@ mod tests {
             lr: 4e-3,
             seed: 3,
         };
-        let trained = train_cfnn(&spec, &cfg, &[&anchor], &target);
+        let trained = train_cfnn(&NARROW, &cfg, &[&anchor], &target);
         let stream = comp.compress(&trained, &target, &[&anchor_dec]).unwrap();
         let dec = comp.decompress(&stream.bytes, &[&anchor_dec]).unwrap();
         check_bound(&target, &dec, stream.eb_abs);
@@ -723,8 +724,7 @@ mod tests {
         let (anchor, target) = coupled_2d(40, 40);
         let comp = CrossFieldCompressor::new(5e-4);
         let anchor_dec = comp.roundtrip_anchor(&anchor).unwrap();
-        let spec = CfnnSpec::compact(1, 2);
-        let trained = train_cfnn(&spec, &TrainConfig::fast(), &[&anchor], &target);
+        let trained = train_cfnn(&NARROW, &TrainConfig::fast(), &[&anchor], &target);
         let stream = comp.compress(&trained, &target, &[&anchor_dec]).unwrap();
         let a = comp.decompress(&stream.bytes, &[&anchor_dec]).unwrap();
         let b = comp.decompress(&stream.bytes, &[&anchor_dec]).unwrap();
@@ -736,13 +736,12 @@ mod tests {
         let (anchor, target) = coupled_2d(32, 32);
         let comp = CrossFieldCompressor::new(1e-3);
         let anchor_dec = comp.roundtrip_anchor(&anchor).unwrap();
-        let spec = CfnnSpec::compact(1, 2);
-        let trained = train_cfnn(&spec, &TrainConfig::fast(), &[&anchor], &target);
+        let trained = train_cfnn(&NARROW, &TrainConfig::fast(), &[&anchor], &target);
         let stream = comp.compress(&trained, &target, &[&anchor_dec]).unwrap();
         assert!(stream.model_bytes > 0);
         assert!(stream.bytes.len() > stream.model_bytes);
         // model ≈ 4 bytes/param + arch overhead
-        let params = spec.num_params();
+        let params = crate::diffnet::build_cfnn(&NARROW, 1, 2, 0).num_params();
         assert!(stream.model_bytes >= params * 4);
         assert!(stream.model_bytes < params * 5 + 1024);
     }
@@ -752,8 +751,7 @@ mod tests {
         let (anchor, target) = coupled_2d(32, 32);
         let comp = CrossFieldCompressor::new(1e-3);
         let anchor_dec = comp.roundtrip_anchor(&anchor).unwrap();
-        let spec = CfnnSpec::compact(1, 2);
-        let trained = train_cfnn(&spec, &TrainConfig::fast(), &[&anchor], &target);
+        let trained = train_cfnn(&NARROW, &TrainConfig::fast(), &[&anchor], &target);
         let stream = comp.compress(&trained, &target, &[&anchor_dec]).unwrap();
         let sum: f64 = stream.hybrid.weights.iter().sum();
         assert!(
@@ -768,10 +766,17 @@ mod tests {
         let (anchor, target) = coupled_2d(32, 32);
         let comp = CrossFieldCompressor::new(1e-3);
         let anchor_dec = comp.roundtrip_anchor(&anchor).unwrap();
-        let spec = CfnnSpec::compact(1, 2);
-        let trained = train_cfnn(&spec, &TrainConfig::fast(), &[&anchor], &target);
+        let trained = train_cfnn(&NARROW, &TrainConfig::fast(), &[&anchor], &target);
+        let two = [&anchor_dec, &anchor_dec];
+        // the write side: a model trained on one anchor, given two
+        let res = comp.compress(&trained, &target, &two);
+        assert!(
+            matches!(res, Err(CfcError::InvalidInput(_))),
+            "{:?}",
+            res.err()
+        );
         let stream = comp.compress(&trained, &target, &[&anchor_dec]).unwrap();
-        let res = comp.decompress(&stream.bytes, &[&anchor_dec, &anchor_dec]);
+        let res = comp.decompress(&stream.bytes, &two);
         assert!(
             matches!(res, Err(CfcError::ShapeMismatch { .. })),
             "{res:?}"
@@ -787,9 +792,8 @@ mod tests {
             epochs: 0,
             ..TrainConfig::fast()
         };
-        let spec = CfnnSpec::compact(1, 2);
         for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-            let mut trained = train_cfnn(&spec, &untrained, &[&anchor], &target);
+            let mut trained = train_cfnn(&NARROW, &untrained, &[&anchor], &target);
             trained.net.params()[0].values[0] = v;
             let fit = TargetFit::new(
                 serialize_model(&trained),
@@ -816,8 +820,7 @@ mod tests {
         let (anchor, target) = coupled_2d(32, 32);
         let comp = CrossFieldCompressor::new(1e-3);
         let anchor_dec = comp.roundtrip_anchor(&anchor).unwrap();
-        let spec = CfnnSpec::compact(1, 2);
-        let trained = train_cfnn(&spec, &TrainConfig::fast(), &[&anchor], &target);
+        let trained = train_cfnn(&NARROW, &TrainConfig::fast(), &[&anchor], &target);
         let stream = comp.compress(&trained, &target, &[&anchor_dec]).unwrap();
         // find and corrupt bytes inside the model section payload
         let len = stream.bytes.len();

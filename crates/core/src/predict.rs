@@ -289,6 +289,7 @@ pub fn one_step_predictions(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::tests::NARROW;
     use crate::config::{CfnnSpec, TrainConfig};
     use crate::diffnet::build_cfnn;
     use crate::train::train_cfnn;
@@ -305,8 +306,7 @@ mod tests {
     #[test]
     fn predicted_differences_have_target_shape() {
         let (a, t) = correlated_pair(40, 40);
-        let spec = CfnnSpec::compact(1, 2);
-        let trained = train_cfnn(&spec, &TrainConfig::fast(), &[&a], &t);
+        let trained = train_cfnn(&NARROW, &TrainConfig::fast(), &[&a], &t);
         let diffs = predict_differences(&trained, &[&a]);
         assert_eq!(diffs.len(), 2);
         for d in &diffs {
@@ -319,12 +319,11 @@ mod tests {
         // predicting dx/dy from a perfectly-correlated anchor must beat
         // predicting all-zero differences
         let (a, t) = correlated_pair(56, 56);
-        let spec = CfnnSpec::compact(1, 2);
         let cfg = TrainConfig {
             epochs: 20,
             ..TrainConfig::fast()
         };
-        let trained = train_cfnn(&spec, &cfg, &[&a], &t);
+        let trained = train_cfnn(&NARROW, &cfg, &[&a], &t);
         let pred = predict_differences(&trained, &[&a]);
         let truth = diff::backward_diff_all(&t);
         let mse = |x: &Field, y: &Field| -> f64 {
@@ -380,18 +379,18 @@ mod tests {
                 })
                 .collect()
         };
-        let (d3, d2) = (CfnnSpec::scaled_3d(2), CfnnSpec::scaled_2d(2));
         let cases = [
-            (d3, Shape::d3(1, 9, 21)),
-            (d3, Shape::d3(2, 9, 21)),
-            (d3, Shape::d3(4, 9, 21)),
-            (d3, Shape::d3(5, 9, 21)),
-            (d2, Shape::d2(12, 24)),
+            Shape::d3(1, 9, 21),
+            Shape::d3(2, 9, 21),
+            Shape::d3(4, 9, 21),
+            Shape::d3(5, 9, 21),
+            Shape::d2(12, 24),
         ];
-        for (spec, shape) in cases {
-            let net = build_cfnn(&spec, 17);
-            let (n_in, n_out) = (spec.in_channels, spec.out_channels);
-            let inference = CfnnInference::new(&net, norms(n_in, 0.5), norms(n_out, 3.0)).unwrap();
+        for shape in cases {
+            let ndim = shape.ndim();
+            let net = build_cfnn(&CfnnSpec::writer_default(ndim), 2, ndim, 17);
+            let inference =
+                CfnnInference::new(&net, norms(2 * ndim, 0.5), norms(ndim, 3.0)).unwrap();
             let anchors = special_anchors(shape);
             let refs: Vec<&Field> = anchors.iter().collect();
             let want = inference.predict(&refs, &mut Workspace::default());

@@ -46,7 +46,8 @@ impl TrainReport {
 pub struct TrainedCfnn {
     /// The network.
     pub net: Sequential,
-    /// Architecture (needed to rebuild on the decoder side).
+    /// The widths it was built at. The model header records them; the
+    /// decoder rebuilds the network from its layer records.
     pub spec: CfnnSpec,
     /// Input-channel normalizers (`n_anchors × ndim`).
     pub input_norms: Vec<Normalizer>,
@@ -56,8 +57,8 @@ pub struct TrainedCfnn {
     pub report: TrainReport,
 }
 
-/// Train a CFNN to predict the target field's backward differences from the
-/// anchors' backward differences.
+/// Train a CFNN at `spec`'s widths to predict the target field's backward
+/// differences from the anchors' backward differences.
 pub fn train_cfnn(
     spec: &CfnnSpec,
     cfg: &TrainConfig,
@@ -65,26 +66,16 @@ pub fn train_cfnn(
     target: &Field,
 ) -> TrainedCfnn {
     let shape = target.shape();
-    let ndim = shape.ndim();
     assert!(
         anchors.iter().all(|a| a.shape() == shape),
         "anchor/target shape mismatch"
-    );
-    assert_eq!(
-        spec.in_channels,
-        anchors.len() * ndim,
-        "spec does not match anchor count"
-    );
-    assert_eq!(
-        spec.out_channels, ndim,
-        "spec does not match dimensionality"
     );
 
     // channel layout: anchor-major, then axis
     let x_channels: Vec<DiffChannel> = anchors.iter().flat_map(|a| diff_channels(a)).collect();
     let y_channels = diff_channels(target);
     let pp = cfg.patch * cfg.patch;
-    let (net, report) = fit_patches(spec, cfg, shape, |k, r0, c0, x, y| {
+    let (net, report) = fit_patches(spec, cfg, shape, anchors.len(), |k, r0, c0, x, y| {
         for (channels, planes) in [(&x_channels, x), (&y_channels, y)] {
             for (ch, plane) in channels.iter().zip(planes.chunks_exact_mut(pp)) {
                 ch.gather(k, r0, c0, cfg.patch, plane);
@@ -102,10 +93,11 @@ pub fn train_cfnn(
 }
 
 /// Sample `cfg.n_patches` windows of `cfg.patch`² from the 2-D slices of
-/// `shape` and fit a freshly built CFNN to them.
+/// `shape` and fit a freshly built CFNN — `n_anchors` anchors of
+/// `shape.ndim()`-D data — to them.
 ///
-/// `gather(k, r0, c0, x, y)` fills one window's `spec.in_channels` input
-/// planes and `spec.out_channels` target planes (channel-major, `patch`²
+/// `gather(k, r0, c0, x, y)` fills one window's `n_anchors × ndim` input
+/// planes and `ndim` target planes (channel-major, `patch`²
 /// values each) from slice `k`, rows from `r0`, columns from `c0`. Windows
 /// never touch index 0 of an axis that has more than one sample.
 ///
@@ -118,6 +110,7 @@ pub fn fit_patches(
     spec: &CfnnSpec,
     cfg: &TrainConfig,
     shape: Shape,
+    n_anchors: usize,
     mut gather: impl FnMut(usize, usize, usize, &mut [f32], &mut [f32]),
 ) -> (Sequential, TrainReport) {
     if let Err(why) = cfg.validate() {
@@ -129,7 +122,9 @@ pub fn fit_patches(
         p + 1 < rows && p + 1 < cols,
         "patch {p} too large for {rows}x{cols} slices"
     );
-    let (in_len, out_len) = (spec.in_channels * p * p, spec.out_channels * p * p);
+    let ndim = shape.ndim();
+    let (in_c, out_c) = (n_anchors * ndim, ndim);
+    let (in_len, out_len) = (in_c * p * p, out_c * p * p);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
     let mut xs = vec![0.0f32; cfg.n_patches * in_len];
@@ -150,13 +145,13 @@ pub fn fit_patches(
         gather(k, r0, c0, x, y);
     }
 
-    let mut net = diffnet::build_cfnn(spec, cfg.seed);
+    let mut net = diffnet::build_cfnn(spec, n_anchors, ndim, cfg.seed);
     let mut opt = Adam::new(cfg.lr);
     let mut losses = Vec::with_capacity(cfg.epochs);
     let mut order: Vec<usize> = (0..cfg.n_patches).collect();
     // the batch tensors are filled in place, step after step
-    let mut x = Tensor::zeros(0, spec.in_channels, p, p);
-    let mut y = Tensor::zeros(0, spec.out_channels, p, p);
+    let mut x = Tensor::zeros(0, in_c, p, p);
+    let mut y = Tensor::zeros(0, out_c, p, p);
     for _epoch in 0..cfg.epochs {
         order.shuffle(&mut rng);
         let mut epoch_loss = 0.0f64;
@@ -274,6 +269,7 @@ impl DiffChannel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::tests::NARROW;
     use cfc_tensor::Shape;
 
     /// Anchors and a target whose differences are a simple linear function of
@@ -293,8 +289,7 @@ mod tests {
     fn training_loss_decreases_on_learnable_relation() {
         let (anchors, target) = linear_family_2d(64, 64);
         let refs: Vec<&Field> = anchors.iter().collect();
-        let spec = CfnnSpec::compact(2, 2);
-        let trained = train_cfnn(&spec, &TrainConfig::fast(), &refs, &target);
+        let trained = train_cfnn(&NARROW, &TrainConfig::fast(), &refs, &target);
         assert_eq!(trained.report.losses.len(), TrainConfig::fast().epochs);
         assert!(
             trained.report.converged(0.6),
@@ -348,9 +343,8 @@ mod tests {
     fn training_is_deterministic() {
         let (anchors, target) = linear_family_2d(48, 48);
         let refs: Vec<&Field> = anchors.iter().collect();
-        let spec = CfnnSpec::compact(2, 2);
-        let a = train_cfnn(&spec, &TrainConfig::fast(), &refs, &target);
-        let b = train_cfnn(&spec, &TrainConfig::fast(), &refs, &target);
+        let a = train_cfnn(&NARROW, &TrainConfig::fast(), &refs, &target);
+        let b = train_cfnn(&NARROW, &TrainConfig::fast(), &refs, &target);
         assert_eq!(a.report.losses, b.report.losses);
         assert_eq!(a.net.serialize(), b.net.serialize());
     }
@@ -359,8 +353,7 @@ mod tests {
     fn normalizer_counts_match_layout() {
         let (anchors, target) = linear_family_2d(40, 40);
         let refs: Vec<&Field> = anchors.iter().collect();
-        let spec = CfnnSpec::compact(2, 2);
-        let trained = train_cfnn(&spec, &TrainConfig::fast(), &refs, &target);
+        let trained = train_cfnn(&NARROW, &TrainConfig::fast(), &refs, &target);
         assert_eq!(trained.input_norms.len(), 4); // 2 anchors × 2 dims
         assert_eq!(trained.target_norms.len(), 2);
     }
@@ -372,7 +365,6 @@ mod tests {
             (i[0] as f32) * 0.5 + ((i[1] as f32) * 0.2).sin() * 3.0 + (i[2] as f32) * 0.05
         });
         let t = a.map(|v| 1.5 * v - 2.0);
-        let spec = CfnnSpec::compact(1, 3);
         let cfg = TrainConfig {
             patch: 10,
             n_patches: 32,
@@ -381,18 +373,9 @@ mod tests {
             lr: 4e-3,
             seed: 3,
         };
-        let trained = train_cfnn(&spec, &cfg, &[&a], &t);
+        let trained = train_cfnn(&NARROW, &cfg, &[&a], &t);
         assert_eq!(trained.input_norms.len(), 3);
         assert_eq!(trained.target_norms.len(), 3);
         assert!(trained.report.losses.iter().all(|l| l.is_finite()));
-    }
-
-    #[test]
-    #[should_panic(expected = "spec does not match")]
-    fn spec_mismatch_is_rejected() {
-        let (anchors, target) = linear_family_2d(32, 32);
-        let refs: Vec<&Field> = anchors.iter().collect();
-        let spec = CfnnSpec::compact(3, 2); // wrong anchor count
-        let _ = train_cfnn(&spec, &TrainConfig::fast(), &refs, &target);
     }
 }

@@ -56,9 +56,9 @@ use crate::sequential::{AnyLayer, Sequential};
 /// `8 · 1 024 · h · (w + 2·pad)` bytes and 512 more for the slack, where
 /// `pad` is at most 31 (the parser's widest kernel, 63) and at most
 /// `w − 1`: 190 MiB on a 128×128 slab with that kernel, and on a 1-wide
-/// plane 8 KiB a row, as with no halo at all. 1 024 is 7× the widest
-/// network the writer builds (`paper_3d`, 139), whose 3×3 kernels need a
-/// halo of one column.
+/// plane 8 KiB a row, as with no halo at all. 1 024 is 7× the widest net
+/// trained, the ablation's paper-parity 139 (the writer trains what its
+/// plan names, 24 × 32 by default); 3×3 kernels need a halo of one column.
 const MAX_PLAN_CHANNELS: usize = 1024;
 
 enum Step {

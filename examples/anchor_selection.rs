@@ -56,11 +56,7 @@ fn main() {
     for k in 1..=scored.len().min(3) {
         let chosen: Vec<&str> = scored[..k].iter().map(|(n, _)| *n).collect();
         let anchors: Vec<&Field> = chosen.iter().map(|n| ds.expect_field(n)).collect();
-        let spec = CfnnSpec {
-            in_channels: anchors.len() * 3,
-            out_channels: 3,
-            ..CfnnSpec::scaled_3d(anchors.len())
-        };
+        let spec = CfnnSpec::writer_default(target.shape().ndim());
         let trained = train_cfnn(&spec, &TrainConfig::default(), &anchors, target);
         let anchors_dec: Vec<Field> = anchors
             .iter()

@@ -77,7 +77,10 @@ fn main() {
     // 3. Cross-field: train a CFNN once (on original data — one model serves
     //    every error bound), then compress against the anchor as the decoder
     //    will have it; the model rides in the stream, the anchor does not.
-    let spec = CfnnSpec::compact(1, 2);
+    let spec = CfnnSpec {
+        feat1: 16,
+        feat2: 24,
+    };
     let trained = train_cfnn(&spec, &TrainConfig::default(), &[&anchor], &target);
     let anchor_dec = comp.roundtrip_anchor(&anchor).expect("anchor roundtrip");
     let anchors = [&anchor_dec];

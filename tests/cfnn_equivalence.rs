@@ -44,6 +44,7 @@ use cross_field_compression::core::config::{paper_table3, CfnnSpec};
 use cross_field_compression::core::diffnet::{build_cfnn, fit_normalizers};
 use cross_field_compression::core::predict::predict_differences;
 use cross_field_compression::core::train::{TrainReport, TrainedCfnn};
+use cross_field_compression::datagen::catalog;
 use cross_field_compression::nn::conv::depthwise;
 use cross_field_compression::nn::layer::sigmoid;
 use cross_field_compression::nn::{
@@ -825,10 +826,18 @@ fn run_plan(plan: &InferencePlan, ws: &mut Workspace, h: usize, w: usize, x: &[f
 }
 
 /// Plan (per sample) and `Sequential::forward` (whole batch) against the
-/// oracle, on a batch of 4 and on each sample as a batch of 1.
-fn check_network(spec: &CfnnSpec, seed: u64, h: usize, w: usize, special: bool) {
-    let mut net = build_cfnn(spec, seed);
-    let (in_c, out_c) = (spec.in_channels, spec.out_channels);
+/// oracle, on a batch of 4 and on each sample as a batch of 1: the CFNN at
+/// `spec`'s widths over `n_anchors` anchors of `ndim`-D data.
+fn check_network(
+    spec: &CfnnSpec,
+    (n_anchors, ndim): (usize, usize),
+    seed: u64,
+    h: usize,
+    w: usize,
+    special: bool,
+) {
+    let mut net = build_cfnn(spec, n_anchors, ndim, seed);
+    let (in_c, out_c) = (n_anchors * ndim, ndim);
     let mut rng = Lcg(seed ^ 0xABCD);
     let mut data = rng.vec(4 * in_c * h * w, 1.0);
     if special {
@@ -865,23 +874,23 @@ fn check_network(spec: &CfnnSpec, seed: u64, h: usize, w: usize, special: bool) 
 
 #[test]
 fn plan_and_forward_match_reference_on_the_3d_network() {
-    let spec = CfnnSpec::scaled_3d(3);
-    check_network(&spec, 11, 12, 12, false); // a training patch
-    check_network(&spec, 12, 7, 33, true);
-    check_network(&spec, 13, 32, 32, false); // the golden fixtures' planes
-                                             // the benchmark's SCALE slice and a row two pixels past it: whole
-                                             // interior strips, and a last strip pulled back over its neighbour,
-                                             // each stored through the ReLU the plan folds into the convolution
-    check_network(&spec, 14, 128, 128, true);
-    check_network(&spec, 15, 5, 130, false);
+    let spec = CfnnSpec::writer_default(3);
+    check_network(&spec, (3, 3), 11, 12, 12, false); // a training patch
+    check_network(&spec, (3, 3), 12, 7, 33, true);
+    check_network(&spec, (3, 3), 13, 32, 32, false); // the golden fixtures' planes
+                                                     // the benchmark's SCALE slice and a row two pixels past it: whole
+                                                     // interior strips, and a last strip pulled back over its neighbour,
+                                                     // each stored through the ReLU the plan folds into the convolution
+    check_network(&spec, (3, 3), 14, 128, 128, true);
+    check_network(&spec, (3, 3), 15, 5, 130, false);
 }
 
 #[test]
 fn plan_and_forward_match_reference_on_the_2d_network() {
-    let spec = CfnnSpec::scaled_2d(2);
-    check_network(&spec, 21, 24, 24, false); // the other training patch
-    check_network(&spec, 22, 3, 17, true);
-    check_network(&spec, 23, 1, 1, false);
+    let spec = CfnnSpec::writer_default(2);
+    check_network(&spec, (2, 2), 21, 24, 24, false); // the other training patch
+    check_network(&spec, (2, 2), 22, 3, 17, true);
+    check_network(&spec, (2, 2), 23, 1, 1, false);
 }
 
 #[test]
@@ -891,9 +900,11 @@ fn plan_and_forward_match_reference_on_every_table3_width() {
     // channels, which fill a 4-channel output tile only in part
     for (i, row) in paper_table3().iter().enumerate() {
         let seed = 51 + 3 * i as u64;
-        check_network(&row.spec, seed, 12, 12, false); // a training patch
-        check_network(&row.spec, seed + 1, 128, 128, true); // the benchmark's slice
-        check_network(&row.spec, seed + 2, 5, 130, false);
+        let info = catalog::find(row.dataset).expect("a catalog dataset");
+        let data = (row.anchors.len(), info.default_dims.ndim());
+        check_network(&row.spec, data, seed, 12, 12, false); // a training patch
+        check_network(&row.spec, data, seed + 1, 128, 128, true); // the benchmark's slice
+        check_network(&row.spec, data, seed + 2, 5, 130, false);
     }
 }
 
@@ -901,8 +912,8 @@ fn plan_and_forward_match_reference_on_every_table3_width() {
 fn a_workspace_serves_plans_and_planes_of_any_size() {
     // the store hands one scratch to blocks of different targets and
     // shapes: stale activations from a bigger run must not leak
-    let big = build_cfnn(&CfnnSpec::scaled_3d(3), 1);
-    let small = build_cfnn(&CfnnSpec::scaled_2d(2), 2);
+    let big = build_cfnn(&CfnnSpec::writer_default(3), 3, 3, 1);
+    let small = build_cfnn(&CfnnSpec::writer_default(2), 2, 2, 2);
     let big_plan = InferencePlan::compile(&big, 9).unwrap();
     let small_plan = InferencePlan::compile(&small, 4).unwrap();
     let mut rng = Lcg(77);
@@ -971,8 +982,8 @@ fn reference_predict(trained: &TrainedCfnn, anchors: &[&Field]) -> Vec<Vec<f32>>
     out
 }
 
-fn check_predict(shape: Shape, spec: CfnnSpec, seed: u64) {
-    let n_anchors = spec.in_channels / shape.ndim();
+fn check_predict(shape: Shape, n_anchors: usize, spec: CfnnSpec, seed: u64) {
+    let ndim = shape.ndim();
     let anchors: Vec<Field> = (0..n_anchors)
         .map(|a| {
             Field::from_fn(shape, |i| {
@@ -987,11 +998,11 @@ fn check_predict(shape: Shape, spec: CfnnSpec, seed: u64) {
         .flat_map(|a| diff::backward_diff_all(a))
         .collect();
     let trained = TrainedCfnn {
-        net: build_cfnn(&spec, seed),
+        net: build_cfnn(&spec, n_anchors, ndim, seed),
         spec,
         input_norms: fit_normalizers(&diffs),
         // any non-trivial scale and shift: the inverse must be applied as is
-        target_norms: fit_normalizers(&diffs[..spec.out_channels])
+        target_norms: fit_normalizers(&diffs[..ndim])
             .into_iter()
             .map(|mut n| {
                 n.shift = 0.25;
@@ -1015,19 +1026,16 @@ fn check_predict(shape: Shape, spec: CfnnSpec, seed: u64) {
 #[test]
 fn predict_differences_matches_the_old_path_on_a_partial_last_block() {
     // 3 of a block's 4 slabs, planes on the narrow-strip path
-    check_predict(Shape::d3(3, 9, 14), CfnnSpec::scaled_3d(3), 31);
+    let wide = CfnnSpec::writer_default(3);
+    check_predict(Shape::d3(3, 9, 14), 3, wide, 31);
     // a single slab: the slice-axis difference is all boundary
-    check_predict(Shape::d3(1, 5, 20), CfnnSpec::scaled_3d(2), 32);
+    check_predict(Shape::d3(1, 5, 20), 2, wide, 32);
     // a narrow net: two-channel planes and a one-unit attention bottleneck
-    let narrow = CfnnSpec {
-        feat1: 2,
-        feat2: 4,
-        ..CfnnSpec::scaled_3d(3)
-    };
-    check_predict(Shape::d3(3, 9, 14), narrow, 33);
+    let narrow = CfnnSpec { feat1: 2, feat2: 4 };
+    check_predict(Shape::d3(3, 9, 14), 3, narrow, 33);
 }
 
 #[test]
 fn predict_differences_matches_the_old_path_in_2d() {
-    check_predict(Shape::d2(12, 24), CfnnSpec::scaled_2d(2), 41);
+    check_predict(Shape::d2(12, 24), 2, CfnnSpec::writer_default(2), 41);
 }

@@ -3,11 +3,13 @@
 //! `cross_field_kernel.rs`): seeded code and outlier streams, well-formed
 //! and malformed, the container a block decoder meets them in, and a
 //! predictor's per-point rule through `cfc-sz`'s oracle walks. And [`assert_has_target`], for every test whose subject
-//! is a cross-field target row. Each test binary uses a part of this
+//! is a cross-field target row, and [`NARROW_CFNN`], the net the
+//! cross-field stream tests train. Each test binary uses a part of this
 //! module.
 #![allow(dead_code)]
 
 use cross_field_compression::core::archive::{ArchiveReader, FieldRole};
+use cross_field_compression::core::config::CfnnSpec;
 use cross_field_compression::sz::compressor::{encode_codes_into, encode_outliers_into};
 use cross_field_compression::sz::lossless::LzScratch;
 use cross_field_compression::sz::predict::{reconstruct_per_point, residuals_per_point};
@@ -17,6 +19,12 @@ use cross_field_compression::sz::{
     CfcError, DecodeScratch, Predictor, QuantLattice, QuantizerConfig, SzCompressor,
 };
 use cross_field_compression::tensor::{Field, Shape};
+
+/// A narrow 16 × 24 CFNN: quick to train on test-sized fields.
+pub const NARROW_CFNN: CfnnSpec = CfnnSpec {
+    feat1: 16,
+    feat2: 24,
+};
 
 pub struct XorShift(pub u64);
 

@@ -4,7 +4,7 @@
 mod common;
 
 use cross_field_compression::core::archive::{ArchiveBuilder, ArchiveReader};
-use cross_field_compression::core::config::{CfnnSpec, TrainConfig};
+use cross_field_compression::core::config::TrainConfig;
 use cross_field_compression::core::pipeline::CrossFieldCompressor;
 use cross_field_compression::core::train::train_cfnn;
 use cross_field_compression::datagen::{self, GenParams};
@@ -59,8 +59,7 @@ fn cross_field_pipeline_roundtrips_on_hurricane() {
         .map(|a| comp.roundtrip_anchor(a).unwrap())
         .collect();
     let refs: Vec<&Field> = anchors_dec.iter().collect();
-    let spec = CfnnSpec::compact(3, 3);
-    let trained = train_cfnn(&spec, &TrainConfig::fast(), &anchors, target);
+    let trained = train_cfnn(&common::NARROW_CFNN, &TrainConfig::fast(), &anchors, target);
     let stream = comp.compress(&trained, target, &refs).unwrap();
     let dec = comp.decompress(&stream.bytes, &refs).unwrap();
     assert!(max_abs_error(target, &dec) <= stream.eb_abs * (1.0 + 1e-9));
@@ -96,13 +95,12 @@ fn cross_field_beats_baseline_on_strongly_coupled_pair() {
     );
     let comp = CrossFieldCompressor::new(5e-4);
     let anchor_dec = comp.roundtrip_anchor(&anchor).unwrap();
-    let spec = CfnnSpec::compact(1, 2);
     let cfg = TrainConfig {
         epochs: 16,
         n_patches: 128,
         ..TrainConfig::fast()
     };
-    let trained = train_cfnn(&spec, &cfg, &[&anchor], &target);
+    let trained = train_cfnn(&common::NARROW_CFNN, &cfg, &[&anchor], &target);
     let ours = comp.compress(&trained, &target, &[&anchor_dec]).unwrap();
     let base = comp.baseline().compress(&target).unwrap();
     let n = target.len();
@@ -123,8 +121,7 @@ fn psnr_identical_between_methods_at_same_bound() {
     let anchors: Vec<&Field> = ["FLNT"].iter().map(|a| ds.expect_field(a)).collect();
     let comp = CrossFieldCompressor::new(1e-3);
     let anchor_dec = comp.roundtrip_anchor(anchors[0]).unwrap();
-    let spec = CfnnSpec::compact(1, 2);
-    let trained = train_cfnn(&spec, &TrainConfig::fast(), &anchors, target);
+    let trained = train_cfnn(&common::NARROW_CFNN, &TrainConfig::fast(), &anchors, target);
     let ours = comp.compress(&trained, target, &[&anchor_dec]).unwrap();
     let ours_rec = comp.decompress(&ours.bytes, &[&anchor_dec]).unwrap();
     let base = comp.baseline();
@@ -154,8 +151,7 @@ fn model_rides_in_stream_and_decoder_needs_no_training() {
         .map(|a| comp.roundtrip_anchor(a).unwrap())
         .collect();
     let refs: Vec<&Field> = anchors_dec.iter().collect();
-    let spec = CfnnSpec::compact(2, 2);
-    let trained = train_cfnn(&spec, &TrainConfig::fast(), &anchors, target);
+    let trained = train_cfnn(&common::NARROW_CFNN, &TrainConfig::fast(), &anchors, target);
     let stream = comp.compress(&trained, target, &refs).unwrap();
     drop(trained); // decoder must not need it
     let dec = comp.decompress(&stream.bytes, &refs).unwrap();
@@ -179,8 +175,7 @@ fn coupling_zero_removes_cross_field_advantage() {
         .map(|a| comp.roundtrip_anchor(a).unwrap())
         .collect();
     let refs: Vec<&Field> = anchors_dec.iter().collect();
-    let spec = CfnnSpec::compact(3, 3);
-    let trained = train_cfnn(&spec, &TrainConfig::fast(), &anchors, target);
+    let trained = train_cfnn(&common::NARROW_CFNN, &TrainConfig::fast(), &anchors, target);
     let ours = comp.compress(&trained, target, &refs).unwrap();
     let base = comp.baseline().compress(target).unwrap();
     // the learned model discovered the anchors carry nothing: Lorenzo gets

@@ -213,7 +213,7 @@ fn compress_and_a_one_block_writer_target_reconstruct_the_same_field() {
     let comp = CrossFieldCompressor::new(golden::GOLDEN_REL_EB);
     let anchors_dec = originals.map(|a| comp.roundtrip_anchor(a).expect("anchor"));
     let refs: Vec<&Field> = anchors_dec.iter().collect();
-    let trained = train_cfnn(&CfnnSpec::scaled_2d(2), &barely, &originals, target);
+    let trained = train_cfnn(&CfnnSpec::writer_default(2), &barely, &originals, target);
     let stream = comp.compress(&trained, target, &refs).expect("compress");
     let from_stream = comp.decompress(&stream.bytes, &refs).expect("decompress");
     assert_within(target, &from_stream, stream.eb_abs, "decompress");
@@ -517,7 +517,7 @@ fn a_diverged_training_run_demotes_the_target_instead_of_failing_the_write() {
     let anchors = [ds.expect_field("T"), ds.expect_field("P")];
     // the model the writer trains: same spec, same data, same seed
     let mut trained = train_cfnn(
-        &CfnnSpec::scaled_2d(2),
+        &CfnnSpec::writer_default(2),
         &diverged,
         &anchors,
         ds.expect_field("RH"),

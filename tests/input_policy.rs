@@ -16,6 +16,7 @@
 //! | a single-element 1-D field | as a constant field |
 //! | `max|v| / 2eb ≥ 2⁶²` (the lattice would saturate `i64`) | `InvalidInput` |
 //! | anything else finite | round-trips within the bound |
+//! | a plan row whose CFNN has a zero width | `InvalidInput` |
 //!
 //! An accepted field is held to `|v − v'| ≤ eb` pointwise against the
 //! *original*; a refused one to the typed error; nothing may panic. CI runs
@@ -36,7 +37,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use cross_field_compression::core::archive::{ArchiveBuilder, ArchiveReader};
-use cross_field_compression::core::config::TrainConfig;
+use cross_field_compression::core::config::{CfnnSpec, CrossFieldConfig, TrainConfig};
 use cross_field_compression::sz::{CfcError, ErrorBound, SzCompressor};
 use cross_field_compression::tensor::{Dataset, Field, Shape};
 
@@ -348,5 +349,32 @@ fn a_lattice_that_would_saturate_is_refused_and_one_that_fits_holds_the_bound() 
         let series = [ds.clone(), with_field(&ds, "H", |f| f.map(|v| v * 1.001))];
         let bytes = writer.write_epochs(&series).expect("write_epochs");
         assert_archive_within(&format!("{magnitude:e} at {eb:e}"), &bytes, &series, eb);
+    }
+}
+
+#[test]
+fn a_zero_cfnn_width_is_refused_before_any_work() {
+    let ds = snapshot(0.0);
+    for (feat1, feat2) in [(0, 4), (4, 0)] {
+        let row = CrossFieldConfig {
+            dataset: "POLICY",
+            target: "RH",
+            anchors: vec!["T", "P"],
+            spec: CfnnSpec { feat1, feat2 },
+        };
+        // with the writer's guard and without it
+        for always in [false, true] {
+            let mut builder = ArchiveBuilder::relative(1e-3)
+                .train_config(TrainConfig::default())
+                .plan_from(std::slice::from_ref(&row))
+                .chunk_elements(8 * SIDE)
+                .threads(1);
+            if always {
+                builder = builder.always_cross_field();
+            }
+            let writer = builder.build();
+            let what = format!("{feat1} x {feat2}, always_cross_field {always}");
+            assert_refused_up_front(&what, || writer.write(&ds));
+        }
     }
 }

@@ -8,7 +8,7 @@ mod common;
 use cross_field_compression::core::archive::{
     ArchiveBuilder, ArchiveReader, DecodePolicy, ReadRequest,
 };
-use cross_field_compression::core::config::{CfnnSpec, TrainConfig};
+use cross_field_compression::core::config::TrainConfig;
 use cross_field_compression::core::pipeline::CrossFieldCompressor;
 use cross_field_compression::core::train::train_cfnn;
 use cross_field_compression::sz::stream::{Container, SectionTag};
@@ -289,8 +289,12 @@ fn cross_field_codec_survives_bit_flips() {
     let target = anchor.map(|v| 1.1 * v - 3.0);
     let comp = CrossFieldCompressor::new(1e-3);
     let anchor_dec = comp.roundtrip_anchor(&anchor).expect("anchor roundtrip");
-    let spec = CfnnSpec::compact(1, 2);
-    let trained = train_cfnn(&spec, &TrainConfig::fast(), &[&anchor], &target);
+    let trained = train_cfnn(
+        &common::NARROW_CFNN,
+        &TrainConfig::fast(),
+        &[&anchor],
+        &target,
+    );
     let anchors = [&anchor_dec];
     let bytes = comp
         .compress(&trained, &target, &anchors)

@@ -1,9 +1,10 @@
 //! Pins 3-D CFNN training end to end.
 //!
 //! The golden archives embed a trained model, but only the 2-D
-//! `scaled_2d(2)` net (4 → 12 → 16 → 2). This pins the 3-D net the archive
-//! writer trains for a plan entry without a spec — `scaled_3d(3)`: 9 → 24 →
-//! 32 → 3, in-channels off the gradient kernels' lane width, three outputs
+//! `CfnnSpec::writer_default(2)` net at two anchors (4 → 12 → 16 → 2). This
+//! pins the 3-D net the archive writer trains for a plan entry without a
+//! spec — `CfnnSpec::writer_default(3)` at three anchors: 9 → 24 → 32 → 3,
+//! in-channels off the gradient kernels' lane width, three outputs
 //! (Table III's rows ship narrower, measured widths) — so that a change to the
 //! patch sampler, the normalizers, the forward or backward kernels, the
 //! loss or the optimizer that moves a single bit of the trained model
@@ -48,11 +49,11 @@ fn literal(bits: &[u32]) -> String {
 }
 
 #[test]
-fn scaled_3d_training_reproduces_the_pinned_model() {
+fn writer_default_3d_training_reproduces_the_pinned_model() {
     let ds = scale::generate(Shape::d3(6, 32, 32), GenParams::default().with_seed(1));
     let anchors = ["T", "QV", "PRES"].map(|name| ds.expect_field(name));
     let trained = train_cfnn(
-        &CfnnSpec::scaled_3d(3),
+        &CfnnSpec::writer_default(3),
         &TrainConfig::fast(),
         &anchors,
         ds.expect_field("RH"),

@@ -35,6 +35,7 @@
 use std::borrow::Cow;
 use std::io::Write;
 
+use cfc_nn::MAX_CHANNELS;
 use cfc_sz::{
     CfcError, EncodeScratch, ErrorBound, LorenzoPredictor, Predictor, PredictorKind, QuantLattice,
     QuantizerConfig, ScratchPool, SzCompressor,
@@ -719,6 +720,19 @@ impl ArchiveWriter {
                     "spec for target {target} has a zero width ({} x {}); \
                      both must be at least 1",
                     spec.feat1, spec.feat2
+                )));
+            }
+            // the widest activation, refused before its training would
+            // allocate for it and the model parser refuse what it trained
+            let widest = (plan.anchors.len() * ndim).max(spec.feat1).max(spec.feat2);
+            if widest > MAX_CHANNELS {
+                return Err(invalid(format!(
+                    "the network for target {target} is {widest} channels wide \
+                     ({} anchors x {ndim} axes in, {} x {} wide); at most \
+                     {MAX_CHANNELS}",
+                    plan.anchors.len(),
+                    spec.feat1,
+                    spec.feat2
                 )));
             }
             rows.push(TargetRow {

@@ -36,6 +36,7 @@
 //! explicitly: they are the one cross-field call for a single target.
 
 use bytes::BufMut;
+use cfc_nn::MAX_CHANNELS;
 use cfc_sz::error::Reader;
 use cfc_sz::stream::{Container, SectionTag};
 use cfc_sz::{
@@ -545,10 +546,6 @@ pub(crate) fn serialize_model(trained: &TrainedCfnn) -> Vec<u8> {
     out
 }
 
-/// Sanity cap on model hyperparameters accepted from untrusted streams
-/// (the largest legitimate spec here is ~139 channels).
-const MAX_SPEC_DIM: usize = 1 << 14;
-
 /// A model's channel counts, and the arity of the hybrid that mixes its
 /// outputs with Lorenzo, against the anchors and dimensionality they are
 /// about to be run on.
@@ -596,8 +593,9 @@ pub(crate) fn deserialize_model(buf: &[u8]) -> Result<CfnnInference, CfcError> {
     let mut r = Reader::new(buf);
     let dim = |r: &mut Reader, what: &'static str| -> Result<usize, CfcError> {
         let v = r.u32(what)? as usize;
-        if v == 0 || v > MAX_SPEC_DIM {
-            return Err(corrupt(format!("{what} {v} outside 1..={MAX_SPEC_DIM}")));
+        // channel counts, and the attention reduction, which is 8
+        if v == 0 || v > MAX_CHANNELS {
+            return Err(corrupt(format!("{what} {v} outside 1..={MAX_CHANNELS}")));
         }
         Ok(v)
     };

@@ -13,7 +13,7 @@
 //! whatever the channels hold (`crates/bench`'s ablation fits raw values
 //! through it).
 
-use cfc_nn::{mse_loss, Adam, Sequential, Tensor};
+use cfc_nn::{mse_loss, Adam, Sequential, TrainWorkspace};
 use cfc_tensor::{Field, Normalizer, Shape};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -104,8 +104,10 @@ pub fn train_cfnn(
 /// One `StdRng` seeded with `cfg.seed` draws every window (`k`, `r0`, `c0`
 /// in that order) and then every epoch's shuffle, so the draw order — and
 /// with it the trained model — is a function of `cfg` and the data alone.
-/// Panics on a configuration [`TrainConfig::validate`] rejects or a patch
-/// that leaves no border inside a slice.
+/// Panics on a configuration [`TrainConfig::validate`] rejects, a patch
+/// that leaves no border inside a slice, or a network with an activation
+/// wider than [`cfc_nn::MAX_CHANNELS`] (the archive writer refuses such a
+/// plan before it samples anything).
 pub fn fit_patches(
     spec: &CfnnSpec,
     cfg: &TrainConfig,
@@ -146,40 +148,77 @@ pub fn fit_patches(
     }
 
     let mut net = diffnet::build_cfnn(spec, n_anchors, ndim, cfg.seed);
-    let mut opt = Adam::new(cfg.lr);
-    let mut losses = Vec::with_capacity(cfg.epochs);
-    let mut order: Vec<usize> = (0..cfg.n_patches).collect();
-    // the batch tensors are filled in place, step after step
-    let mut x = Tensor::zeros(0, in_c, p, p);
-    let mut y = Tensor::zeros(0, out_c, p, p);
-    for _epoch in 0..cfg.epochs {
-        order.shuffle(&mut rng);
-        let mut epoch_loss = 0.0f64;
-        let mut n_batches = 0usize;
-        for chunk in order.chunks(cfg.batch) {
-            x.set_batch(chunk.len());
-            y.set_batch(chunk.len());
-            for (bi, &pi) in chunk.iter().enumerate() {
-                x.sample_mut(bi)
-                    .copy_from_slice(&xs[pi * in_len..][..in_len]);
-                y.sample_mut(bi)
-                    .copy_from_slice(&ys[pi * out_len..][..out_len]);
-            }
-            net.zero_grad();
-            let out = net.forward(&x, true);
-            let (loss, grad) = mse_loss(&out, &y);
-            net.backward(&grad);
-            opt.step(&mut net.params());
-            epoch_loss += loss as f64;
-            n_batches += 1;
-        }
-        losses.push((epoch_loss / n_batches.max(1) as f64) as f32);
-    }
+    let samples = Samples {
+        xs,
+        ys,
+        p,
+        channels: (in_c, out_c),
+    };
+    let losses = samples.fit(&mut net, cfg, &mut rng, &mut TrainWorkspace::default());
     let report = TrainReport {
         losses,
         n_patches: cfg.n_patches,
     };
     (net, report)
+}
+
+/// The sampled windows, `p`² values a plane: each window's input planes
+/// in `xs` and its target planes in `ys`, `channels` of each.
+struct Samples {
+    xs: Vec<f32>,
+    ys: Vec<f32>,
+    p: usize,
+    channels: (usize, usize),
+}
+
+impl Samples {
+    /// `cfg.epochs` of mini-batches in a fresh shuffle each, every batch
+    /// one forward, loss, backward and Adam step through `ws`; returns the
+    /// mean loss of each epoch.
+    fn fit(
+        &self,
+        net: &mut Sequential,
+        cfg: &TrainConfig,
+        rng: &mut StdRng,
+        ws: &mut TrainWorkspace,
+    ) -> Vec<f32> {
+        let (p, (in_c, out_c)) = (self.p, self.channels);
+        let (in_len, out_len) = (in_c * p * p, out_c * p * p);
+        let mut opt = Adam::new(cfg.lr);
+        let mut losses = Vec::with_capacity(cfg.epochs);
+        let mut order: Vec<usize> = (0..cfg.n_patches).collect();
+        // the batch's targets and loss gradient, filled in place batch after
+        // batch
+        let (mut y, mut grad) = (Vec::new(), Vec::new());
+        for _epoch in 0..cfg.epochs {
+            order.shuffle(rng);
+            let mut epoch_loss = 0.0f64;
+            let mut n_batches = 0usize;
+            for chunk in order.chunks(cfg.batch) {
+                y.clear();
+                for &pi in chunk {
+                    y.extend_from_slice(&self.ys[pi * out_len..][..out_len]);
+                }
+                grad.resize(y.len(), 0.0);
+                net.zero_grad();
+                let out = ws.forward(net, in_c, chunk.len(), (p, p), |b, mut planes| {
+                    let x = &self.xs[chunk[b] * in_len..][..in_len];
+                    for (c, plane) in x.chunks_exact(p * p).enumerate() {
+                        for (row, from) in planes.rows_mut(c).zip(plane.chunks_exact(p)) {
+                            row.copy_from_slice(from);
+                        }
+                    }
+                });
+                let loss = mse_loss(out, &y, &mut grad);
+                ws.backward(net, &grad, None);
+                opt.step(&mut net.params());
+                epoch_loss += loss as f64;
+                n_batches += 1;
+            }
+            losses.push((epoch_loss / n_batches.max(1) as f64) as f32);
+        }
+        losses
+    }
 }
 
 /// One CFNN channel: a field's backward difference along one axis,
@@ -356,6 +395,36 @@ mod tests {
         let trained = train_cfnn(&NARROW, &TrainConfig::fast(), &refs, &target);
         assert_eq!(trained.input_norms.len(), 4); // 2 anchors × 2 dims
         assert_eq!(trained.target_norms.len(), 2);
+    }
+
+    #[test]
+    fn the_training_workspace_stops_growing_after_its_first_batch() {
+        let (p, in_c, out_c) = (8, 4, 2);
+        let samples = |n: usize| {
+            let wave = |len: usize| (0..len).map(|i| (i * 7 % 13) as f32 / 13.0 - 0.5).collect();
+            Samples {
+                xs: wave(n * in_c * p * p),
+                ys: wave(n * out_c * p * p),
+                p,
+                channels: (in_c, out_c),
+            }
+        };
+        let cfg = |n_patches, epochs| TrainConfig {
+            patch: p,
+            n_patches,
+            batch: 4,
+            epochs,
+            lr: 1e-3,
+            seed: 1,
+        };
+        let mut net = diffnet::build_cfnn(&NARROW, 2, 2, 1);
+        let (mut rng, mut ws) = (StdRng::seed_from_u64(1), TrainWorkspace::default());
+        samples(4).fit(&mut net, &cfg(4, 1), &mut rng, &mut ws);
+        let first = ws.growths();
+        assert!(first > 0, "the first batch lays the planes out");
+        // three more epochs of two whole batches and a short one
+        samples(10).fit(&mut net, &cfg(10, 3), &mut rng, &mut ws);
+        assert_eq!(ws.growths(), first, "a later batch grew a buffer");
     }
 
     #[test]

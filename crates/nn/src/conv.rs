@@ -32,9 +32,9 @@
 //! lanes past the row reading on into whatever follows (a `SLACK` past
 //! the last plane) and never stored: a 12-pixel training row is one
 //! 16-pixel strip on every body. Only interior pixels are stored, so the
-//! halo of an inference plan's buffers stays zero from layer to layer (see
-//! `plan`'s module doc); [`PackedConv::run`] and [`depthwise`], which take
-//! plain planes, copy the sample into a haloed scratch first. A full
+//! halo of a plan's and a training workspace's buffers stays zero from
+//! layer to layer (see `plan`'s module doc); there is no other layout and
+//! no copy into one. A full
 //! convolution runs row by row, and in each row every tile of output
 //! channels, so the row's source rows stay in L1 while all tiles read
 //! them; a pointwise one's strip walks its input channels without a loop
@@ -115,15 +115,33 @@
 //! vector body, the AVX2 one, and the AVX-512 [`Kernel`] runs it. The
 //! input gradient is a reduction over channels and taps for each pixel,
 //! exactly like the forward pass, and runs on the forward kernels:
-//! weights transposed `[ic][oc]` and repacked per step, zero bias, and the
-//! planes of `go` reversed end to end — a same-padded correlation of a
-//! plane reversed in both axes *is* the correlation with mirrored
-//! offsets, read backwards, with the taps still walked in ascending
-//! `(ky, kx)` order — then the result reversed back.
+//! weights transposed `[ic][oc]` and repacked per batch, zero bias, and
+//! the haloed planes of `go` reversed end to end in place — a same-padded
+//! correlation of a plane reversed in both axes *is* the correlation with
+//! mirrored offsets, read backwards, with the taps still walked in
+//! ascending `(ky, kx)` order, and a haloed plane reversed is the reversed
+//! plane under the same halo — then the result reversed back.
+//!
+//! The halo in the gradient chains: the weight gradient reads only
+//! interior pixels (its operands are the interior, made pixel-major), and
+//! its border taps are skipped by range. The input gradient is a forward
+//! pass over weights that are finite whenever the forward's are and a
+//! `+0.0` bias, so a halo read there is a skipped tap by the precondition's
+//! argument. The ReLU folded into a convolution's store masks the output
+//! gradient by `out > 0` on the stored output, which is `pre > 0` on the
+//! sum it was selected from, NaN and `-0.0` included (ReLU's select keeps
+//! both, and neither is `> 0`): the mask a separate ReLU takes from its
+//! input.
+//!
+//! Why grouping the work changes no bit: every accumulator of the backward
+//! pass — a weight's or a bias's gradient — receives one term per sample,
+//! that sample's chain, in ascending `b`. Training walks the batch layer by
+//! layer and, within a layer, sample by sample, so each accumulator still
+//! adds the same terms in the same order; a chain itself depends only on
+//! its sample's planes, which no other sample's work touches.
 
 use crate::init;
-use crate::layer::{keep, Layer, ParamSet};
-use crate::tensor::Tensor;
+use crate::optim::{param_set, ParamSet};
 
 /// Output channels per register tile.
 const OCT: usize = 4;
@@ -203,10 +221,10 @@ impl Kernel {
 }
 
 /// A full convolution's weights repacked for the tiled kernel: immutable,
-/// `Send + Sync`, built once per inference plan (or per training forward,
+/// `Send + Sync`, built once per inference plan (or per training batch,
 /// where the optimizer has just moved the weights).
 #[derive(Debug, Clone)]
-pub struct PackedConv {
+pub(crate) struct PackedConv {
     in_c: usize,
     out_c: usize,
     k: usize,
@@ -217,8 +235,8 @@ pub struct PackedConv {
     /// Some weight is exactly ±0: take the body that skips such taps.
     has_zero: bool,
     /// Store every output as `ReLU` would leave it: `if v < 0.0 { 0.0 }
-    /// else { v }` on the finished sum, the select `relu_in_place` makes,
-    /// so NaN and `-0.0` pass as they would through a separate pass
+    /// else { v }` on the finished sum, the select a separate ReLU step
+    /// makes, so NaN and `-0.0` pass as they would through that step
     /// (`f32::max` would turn NaN into 0). Set by an inference plan for a
     /// convolution a `ReLU` directly follows.
     pub(crate) relu: bool,
@@ -228,7 +246,7 @@ impl PackedConv {
     /// Repack `[out_c][in_c][k][k]` weights. Panics on a length mismatch
     /// or an even kernel edge. The output is the contract's only for
     /// finite weights and no `-0.0` bias (see the module doc).
-    pub fn new(in_c: usize, out_c: usize, k: usize, weight: &[f32], bias: &[f32]) -> Self {
+    pub(crate) fn new(in_c: usize, out_c: usize, k: usize, weight: &[f32], bias: &[f32]) -> Self {
         assert!(k % 2 == 1, "kernel edge must be odd for same padding");
         let kk = k * k;
         assert_eq!(weight.len(), out_c * in_c * kk, "conv weight count");
@@ -256,27 +274,13 @@ impl PackedConv {
     }
 
     /// Output channels.
-    pub fn out_channels(&self) -> usize {
+    pub(crate) fn out_channels(&self) -> usize {
         self.out_c
-    }
-
-    /// Convolve one sample: `src` holds `in_c` planes of `h × w`, `dst`
-    /// receives `out_c` planes. The kernel is the one an inference plan
-    /// runs on its zero-haloed planes, here on a haloed copy of `src`
-    /// wherever it reads past a row.
-    pub fn run(&self, kernel: Kernel, src: &[f32], dst: &mut [f32], h: usize, w: usize) {
-        assert_eq!(src.len(), self.in_c * h * w, "conv input size");
-        assert_eq!(dst.len(), self.out_c * h * w, "conv output size");
-        let (src_g, dst_g) = self.grids(Grid::new(h, w, self.k), Grid::dense(h, w));
-        with_halo(src, self.in_c, src_g, |src| {
-            self.run_on(kernel, src, src_g, dst, dst_g)
-        })
     }
 
     /// The layouts the kernel runs on: a pointwise convolution's pixels do
     /// not see each other, so planes with no halo are each one long row —
-    /// all strips, however narrow the rows (a training patch's are
-    /// narrower than a strip).
+    /// all strips, however narrow the rows.
     fn grids(&self, src_g: Grid, dst_g: Grid) -> (Grid, Grid) {
         if self.k == 1 && src_g.pad == 0 && dst_g.pad == 0 {
             (src_g.flat(), dst_g.flat())
@@ -387,46 +391,12 @@ impl Grid {
     }
 }
 
-/// `run(planes)` on `src`'s `c` dense planes laid out as `g`: on `src`
-/// itself where that already is the layout and no strip reads past it (no
-/// halo, rows at least [`SLACK`] long), else on a zeroed copy.
-fn with_halo<R>(src: &[f32], c: usize, g: Grid, run: impl FnOnce(&[f32]) -> R) -> R {
-    if g.pad == 0 && g.w >= SLACK {
-        return run(src);
-    }
-    let mut planes = vec![0.0; g.len(c)];
-    let rows = g.rows_mut(&mut planes[..c * g.plane()]);
-    rows.zip(src.chunks_exact(g.w.max(1)))
-        .for_each(|(row, from)| row.copy_from_slice(from));
-    run(&planes)
-}
-
-/// Depthwise convolution of one sample: `c` planes of `h × w`, one `k × k`
-/// kernel (`weight[c][k][k]`) and bias per plane. Needs no repacking — a
-/// plane is a one-in, one-out convolution — and, like the layer always
-/// has, multiplies zero weights through instead of skipping them. Same
-/// precondition as [`PackedConv::new`], and like [`PackedConv::run`] it
-/// runs on a zero-haloed copy of `src`.
-#[allow(clippy::too_many_arguments)]
-pub fn depthwise(
-    kernel: Kernel,
-    k: usize,
-    weight: &[f32],
-    bias: &[f32],
-    src: &[f32],
-    dst: &mut [f32],
-    h: usize,
-    w: usize,
-) {
-    assert_eq!(src.len(), bias.len() * h * w, "depthwise input size");
-    assert_eq!(dst.len(), src.len(), "depthwise output size");
-    let src_g = Grid::new(h, w, k);
-    with_halo(src, bias.len(), src_g, |src| {
-        depthwise_on(kernel, k, weight, bias, src, src_g, dst, Grid::dense(h, w))
-    })
-}
-
-/// [`depthwise`] between laid-out planes, as [`PackedConv::run_on`].
+/// Depthwise convolution of one sample between laid-out planes, as
+/// [`PackedConv::run_on`]: `c` planes, one `k × k` kernel (`weight[c][k][k]`)
+/// and bias per plane. Needs no repacking — a plane is a one-in, one-out
+/// convolution — and, like the layer always has, multiplies zero weights
+/// through instead of skipping them. Same precondition as
+/// [`PackedConv::new`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn depthwise_on(
     kernel: Kernel,
@@ -740,47 +710,30 @@ fn relu_lanes<const N: usize, const T: usize>(acc: &mut [[f32; N]; T]) {
     }
 }
 
-/// `src` — planes of `hw` values — with channels adjacent: `dst[p * cp +
-/// c]`. Returns `cp`, the channel count rounded up to whole [`GL`] lanes;
-/// the padding lanes are zero.
-fn pixel_major(src: &[f32], hw: usize, dst: &mut Vec<f32>) -> usize {
-    let cp = (src.len() / hw).next_multiple_of(GL);
+/// The interior pixels of `c` planes laid out as `g`, channels adjacent:
+/// `dst[p * cp + ch]`, `p` the raster position. Returns `cp`, the channel
+/// count rounded up to whole [`GL`] lanes; the padding lanes are zero.
+fn pixel_major(src: &[f32], c: usize, g: Grid, dst: &mut Vec<f32>) -> usize {
+    let cp = c.next_multiple_of(GL);
     dst.clear();
-    dst.resize(hw * cp, 0.0);
-    for (ch, plane) in src.chunks_exact(hw).enumerate() {
-        for (p, &v) in plane.iter().enumerate() {
-            dst[p * cp + ch] = v;
+    dst.resize(g.h * g.w * cp, 0.0);
+    for (ch, plane) in src.chunks_exact(g.plane()).take(c).enumerate() {
+        for (y, row) in g.rows(plane).enumerate() {
+            let at = &mut dst[y * g.w * cp + ch..];
+            for (x, &v) in row.iter().enumerate() {
+                at[x * cp] = v;
+            }
         }
     }
     cp
 }
 
-fn reverse_planes(data: &mut [f32], hw: usize) {
-    for plane in data.chunks_exact_mut(hw) {
-        plane.reverse();
+/// Every plane of `data` reversed end to end: a haloed plane's interior
+/// reversed in both axes, its halo onto its halo.
+fn reverse_planes(data: &mut [f32], plane: usize) {
+    for p in data.chunks_exact_mut(plane) {
+        p.reverse();
     }
-}
-
-/// A layer's input gradient (shaped like `input`) on a forward kernel:
-/// `correlate(src, dst)` runs it over one sample, and sees every plane of
-/// the output gradient reversed end to end; its result is reversed back.
-fn input_gradient(
-    input: &Tensor,
-    grad_out: &Tensor,
-    mut correlate: impl FnMut(&[f32], &mut [f32]),
-) -> Tensor {
-    let hw = input.h * input.w;
-    let mut grad_in = input.zeros_like();
-    let mut reversed = Vec::new();
-    for b in 0..input.n {
-        reversed.clear();
-        reversed.extend_from_slice(grad_out.sample(b));
-        reverse_planes(&mut reversed, hw);
-        let gi = grad_in.sample_mut(b);
-        correlate(&reversed, gi);
-        reverse_planes(gi, hw);
-    }
-    grad_in
 }
 
 /// `grad_b[c] +=` the sum of channel `c`'s plane in raster order, every
@@ -843,31 +796,121 @@ impl GradOperands<'_> {
     }
 }
 
-/// A batch's parameter gradients, sample by sample: input and output
-/// gradient transposed to pixel-major, the bias gradient accumulated, and
-/// `weight_grad` handed the operands.
-fn param_gradients(
-    input: &Tensor,
-    grad_out: &Tensor,
-    k: usize,
-    grad_b: &mut [f32],
-    mut weight_grad: impl FnMut(&GradOperands),
-) {
-    let (n, _, h, w) = input.dims();
-    let (mut src_t, mut go_t) = (Vec::new(), Vec::new());
-    for b in 0..n {
-        let ops = GradOperands {
-            icp: pixel_major(input.sample(b), h * w, &mut src_t),
-            ocp: pixel_major(grad_out.sample(b), h * w, &mut go_t),
-            src_t: &src_t,
-            go_t: &go_t,
-            k,
-            h,
-            w,
+/// One layer's backward pass over a batch: `n` samples of the layer's
+/// input planes `x` and of the gradient of its output `go`, and — when the
+/// layer below reads it — where the gradient of its input goes, `gi`. All
+/// are laid out as `g`, whole samples one after another, and `go` holds
+/// the slack a forward kernel reads past its last plane.
+pub(crate) struct Backward<'a> {
+    pub(crate) kernel: Kernel,
+    pub(crate) g: Grid,
+    pub(crate) n: usize,
+    pub(crate) x: &'a [f32],
+    pub(crate) go: &'a mut [f32],
+    pub(crate) gi: Option<&'a mut [f32]>,
+    /// Scratch for a sample's pixel-major operands.
+    pub(crate) operands: &'a mut [Vec<f32>; 2],
+}
+
+impl Backward<'_> {
+    /// A convolution's backward pass from `in_c` to `out_c` channels with a
+    /// `k`-wide kernel. Every sample's parameter gradients, in batch order:
+    /// input and output gradient made pixel-major, the bias gradient added,
+    /// and `weight_grad` handed the operands. Then, when asked for, the
+    /// input gradient on a forward kernel: `go`'s planes are reversed in
+    /// place, `correlate(src, dst)` runs over each sample, and the result is
+    /// reversed back.
+    fn run(
+        self,
+        (in_c, out_c, k): (usize, usize, usize),
+        grad_b: &mut [f32],
+        mut weight_grad: impl FnMut(&GradOperands),
+        mut correlate: impl FnMut(&[f32], &mut [f32]),
+    ) {
+        let Backward {
+            g,
+            n,
+            x,
+            go,
+            gi,
+            operands: [src_t, go_t],
+            ..
+        } = self;
+        let (ni, no) = (in_c * g.plane(), out_c * g.plane());
+        for s in 0..n {
+            let icp = pixel_major(&x[s * ni..][..ni], in_c, g, src_t);
+            let ocp = pixel_major(&go[s * no..][..no], out_c, g, go_t);
+            let ops = GradOperands {
+                src_t: src_t.as_slice(),
+                icp,
+                go_t: go_t.as_slice(),
+                ocp,
+                k,
+                h: g.h,
+                w: g.w,
+            };
+            bias_grad(ops.go_t, ops.ocp, grad_b);
+            weight_grad(&ops);
+        }
+        let Some(gi) = gi else {
+            return;
         };
-        bias_grad(ops.go_t, ops.ocp, grad_b);
-        weight_grad(&ops);
+        reverse_planes(&mut go[..n * no], g.plane());
+        for s in 0..n {
+            correlate(&go[s * no..], &mut gi[s * ni..][..ni]);
+        }
+        reverse_planes(&mut gi[..n * ni], g.plane());
     }
+}
+
+/// A full convolution's backward pass (see [`Backward`]; `weight` is the
+/// `[out_c][in_c][k][k]` block `p` was packed from).
+pub(crate) fn conv_backward(
+    b: Backward,
+    p: &PackedConv,
+    weight: &[f32],
+    grad_w: &mut [f32],
+    grad_b: &mut [f32],
+) {
+    let (in_c, out_c, k, kernel, g) = (p.in_c, p.out_c, p.k, b.kernel, b.g);
+    // the forward kernel with the channel roles swapped
+    let transposed = b.gi.is_some().then(|| {
+        let kk = k * k;
+        let mut t = vec![0.0; weight.len()];
+        for (at, taps) in weight.chunks_exact(kk).enumerate() {
+            let (oc, ic) = (at / in_c, at % in_c);
+            t[(ic * out_c + oc) * kk..][..kk].copy_from_slice(taps);
+        }
+        PackedConv::new(out_c, in_c, k, &t, &vec![0.0; in_c])
+    });
+    b.run(
+        (in_c, out_c, k),
+        grad_b,
+        |ops| conv_grad_w(kernel, ops, in_c, out_c, grad_w),
+        |src, dst| {
+            let t = transposed.as_ref().expect("packed when asked for");
+            t.run_on(kernel, src, g, dst, g)
+        },
+    );
+}
+
+/// A depthwise convolution's backward pass (see [`Backward`]; `weight` is
+/// `[c][k][k]`).
+pub(crate) fn depthwise_backward(
+    b: Backward,
+    k: usize,
+    weight: &[f32],
+    grad_w: &mut [f32],
+    grad_b: &mut [f32],
+) {
+    let (c, kernel, g) = (grad_b.len(), b.kernel, b.g);
+    let zero_bias = vec![0.0; c];
+    b.run(
+        (c, c, k),
+        grad_b,
+        |ops| depthwise_grad_w(kernel, ops, c, grad_w),
+        |src, dst| depthwise_on(kernel, k, weight, &zero_bias, src, g, dst, g),
+    );
 }
 
 /// One sample's contribution to a full convolution's weight gradient
@@ -1005,10 +1048,9 @@ pub struct Conv2d {
     pub k: usize,
     weight: Vec<f32>, // [out_c][in_c][k][k]
     bias: Vec<f32>,   // [out_c]
-    // gradient accumulators: empty until the first training forward
+    // gradient accumulators: empty until the parameters are first asked for
     grad_w: Vec<f32>,
     grad_b: Vec<f32>,
-    cached_input: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -1051,7 +1093,6 @@ impl Conv2d {
             bias,
             grad_w: Vec::new(),
             grad_b: Vec::new(),
-            cached_input: None,
         })
     }
 
@@ -1060,94 +1101,17 @@ impl Conv2d {
         (&self.weight, &self.bias)
     }
 
-    /// Overwrite weights.
-    pub fn set_weights(&mut self, weight: &[f32], bias: &[f32]) {
-        assert_eq!(weight.len(), self.weight.len());
-        assert_eq!(bias.len(), self.bias.len());
-        self.weight.copy_from_slice(weight);
-        self.bias.copy_from_slice(bias);
-    }
-
     /// The weights repacked for the tiled kernel.
     pub(crate) fn packed(&self) -> PackedConv {
         PackedConv::new(self.in_c, self.out_c, self.k, &self.weight, &self.bias)
     }
 
-    /// [`Layer::backward`] on a chosen kernel body; all of them accumulate
-    /// and return the same bits (see the module docs for the chains).
-    pub fn backward_with(
-        &mut self,
-        kernel: Kernel,
-        grad_out: &Tensor,
-        want_input: bool,
-    ) -> Option<Tensor> {
-        let input = self.cached_input.as_ref().expect("backward before forward");
-        let (n, _, h, w) = input.dims();
-        assert_eq!(
-            grad_out.dims(),
-            (n, self.out_c, h, w),
-            "conv2d gradient shape"
-        );
-        let (in_c, out_c, k) = (self.in_c, self.out_c, self.k);
-        param_gradients(input, grad_out, k, &mut self.grad_b, |ops| {
-            conv_grad_w(kernel, ops, in_c, out_c, &mut self.grad_w)
-        });
-        if !want_input {
-            return None;
-        }
-        // the forward kernel with the channel roles swapped; the optimizer
-        // moves the weights between calls: transpose and repack each time
-        let kk = k * k;
-        let mut transposed = vec![0.0; self.weight.len()];
-        for (at, taps) in self.weight.chunks_exact(kk).enumerate() {
-            let (oc, ic) = (at / in_c, at % in_c);
-            transposed[(ic * out_c + oc) * kk..][..kk].copy_from_slice(taps);
-        }
-        let packed = PackedConv::new(out_c, in_c, k, &transposed, &vec![0.0; in_c]);
-        Some(input_gradient(input, grad_out, |src, dst| {
-            packed.run(kernel, src, dst, h, w)
-        }))
-    }
-}
-
-impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        assert_eq!(input.c, self.in_c, "conv2d channel mismatch");
-        let (n, _, h, w) = input.dims();
-        let mut out = Tensor::zeros(n, self.out_c, h, w);
-        // the optimizer moves the weights between calls: repack each time
-        let packed = self.packed();
-        let kernel = Kernel::detect();
-        for b in 0..n {
-            packed.run(kernel, input.sample(b), out.sample_mut(b), h, w);
-        }
-        if train {
-            self.grad_w.resize(self.weight.len(), 0.0);
-            self.grad_b.resize(self.bias.len(), 0.0);
-            self.cached_input = Some(keep(self.cached_input.take(), input));
-        }
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor, want_input: bool) -> Option<Tensor> {
-        self.backward_with(Kernel::detect(), grad_out, want_input)
-    }
-
-    fn params(&mut self) -> Vec<ParamSet<'_>> {
-        vec![
-            ParamSet {
-                values: &mut self.weight,
-                grads: &mut self.grad_w,
-            },
-            ParamSet {
-                values: &mut self.bias,
-                grads: &mut self.grad_b,
-            },
+    /// Weights and biases with their gradient accumulators.
+    pub(crate) fn params(&mut self) -> [ParamSet<'_>; 2] {
+        [
+            param_set(&mut self.weight, &mut self.grad_w),
+            param_set(&mut self.bias, &mut self.grad_b),
         ]
-    }
-
-    fn name(&self) -> &'static str {
-        "conv2d"
     }
 }
 
@@ -1160,10 +1124,9 @@ pub struct DepthwiseConv2d {
     pub k: usize,
     weight: Vec<f32>, // [c][k][k]
     bias: Vec<f32>,
-    // gradient accumulators: empty until the first training forward
+    // gradient accumulators: empty until the parameters are first asked for
     grad_w: Vec<f32>,
     grad_b: Vec<f32>,
-    cached_input: Option<Tensor>,
 }
 
 impl DepthwiseConv2d {
@@ -1195,7 +1158,6 @@ impl DepthwiseConv2d {
             bias,
             grad_w: Vec::new(),
             grad_b: Vec::new(),
-            cached_input: None,
         })
     }
 
@@ -1204,234 +1166,71 @@ impl DepthwiseConv2d {
         (&self.weight, &self.bias)
     }
 
-    /// Overwrite weights.
-    pub fn set_weights(&mut self, weight: &[f32], bias: &[f32]) {
-        assert_eq!(weight.len(), self.weight.len());
-        assert_eq!(bias.len(), self.bias.len());
-        self.weight.copy_from_slice(weight);
-        self.bias.copy_from_slice(bias);
-    }
-}
-
-impl DepthwiseConv2d {
-    /// [`Layer::backward`] on a chosen kernel body; see
-    /// [`Conv2d::backward_with`].
-    pub fn backward_with(
-        &mut self,
-        kernel: Kernel,
-        grad_out: &Tensor,
-        want_input: bool,
-    ) -> Option<Tensor> {
-        let input = self.cached_input.as_ref().expect("backward before forward");
-        let (_, c, h, w) = input.dims();
-        assert_eq!(grad_out.dims(), input.dims(), "depthwise gradient shape");
-        let k = self.k;
-        param_gradients(input, grad_out, k, &mut self.grad_b, |ops| {
-            depthwise_grad_w(kernel, ops, c, &mut self.grad_w)
-        });
-        if !want_input {
-            return None;
-        }
-        let zero_bias = vec![0.0; c];
-        Some(input_gradient(input, grad_out, |src, dst| {
-            depthwise(kernel, k, &self.weight, &zero_bias, src, dst, h, w)
-        }))
-    }
-}
-
-impl Layer for DepthwiseConv2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        assert_eq!(input.c, self.c, "depthwise channel mismatch");
-        let (n, _, h, w) = input.dims();
-        let mut out = input.zeros_like();
-        let kernel = Kernel::detect();
-        for b in 0..n {
-            depthwise(
-                kernel,
-                self.k,
-                &self.weight,
-                &self.bias,
-                input.sample(b),
-                out.sample_mut(b),
-                h,
-                w,
-            );
-        }
-        if train {
-            self.grad_w.resize(self.weight.len(), 0.0);
-            self.grad_b.resize(self.bias.len(), 0.0);
-            self.cached_input = Some(keep(self.cached_input.take(), input));
-        }
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor, want_input: bool) -> Option<Tensor> {
-        self.backward_with(Kernel::detect(), grad_out, want_input)
-    }
-
-    fn params(&mut self) -> Vec<ParamSet<'_>> {
-        vec![
-            ParamSet {
-                values: &mut self.weight,
-                grads: &mut self.grad_w,
-            },
-            ParamSet {
-                values: &mut self.bias,
-                grads: &mut self.grad_b,
-            },
+    /// Weights and biases with their gradient accumulators.
+    pub(crate) fn params(&mut self) -> [ParamSet<'_>; 2] {
+        [
+            param_set(&mut self.weight, &mut self.grad_w),
+            param_set(&mut self.bias, &mut self.grad_b),
         ]
-    }
-
-    fn name(&self) -> &'static str {
-        "depthwise-conv2d"
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::loss::mse_loss;
+    use crate::train::tests::{forward, rand};
+    use crate::Sequential;
 
-    /// Finite-difference gradient check of a layer's parameter and input
-    /// gradients on a tiny problem.
-    fn grad_check<L: Layer>(layer: &mut L, input: &Tensor, target: &Tensor, tol: f32) {
-        // analytic
-        layer.zero_grad();
-        let out = layer.forward(input, true);
-        let (_, grad) = mse_loss(&out, target);
-        let grad_in = layer
-            .backward(&grad, true)
-            .expect("asked for the input gradient");
-
-        // numeric parameter gradients
-        let eps = 1e-3f32;
-        let analytic: Vec<Vec<f32>> = layer.params().iter().map(|p| p.grads.to_vec()).collect();
-        for (pi, block) in analytic.iter().enumerate() {
-            for wi in (0..block.len()).step_by(block.len().div_ceil(12).max(1)) {
-                let orig = layer.params()[pi].values[wi];
-                layer.params()[pi].values[wi] = orig + eps;
-                let (lp, _) = mse_loss(&layer.forward(input, false), target);
-                layer.params()[pi].values[wi] = orig - eps;
-                let (lm, _) = mse_loss(&layer.forward(input, false), target);
-                layer.params()[pi].values[wi] = orig;
-                let numeric = (lp - lm) / (2.0 * eps);
-                let a = block[wi];
-                assert!(
-                    (a - numeric).abs() < tol * (1.0 + numeric.abs()),
-                    "param[{pi}][{wi}]: analytic {a} vs numeric {numeric}"
-                );
-            }
+    /// A one-convolution network with weights `w` and biases `b`.
+    fn conv(in_c: usize, out_c: usize, k: usize, w: &[f32], b: &[f32]) -> Sequential {
+        let mut net = Sequential::new().conv(in_c, out_c, k, 0);
+        for (p, v) in net.params().into_iter().zip([w, b]) {
+            p.values.copy_from_slice(v);
         }
-
-        // numeric input gradients
-        let mut input = input.clone();
-        for xi in (0..input.len()).step_by(input.len().div_ceil(10).max(1)) {
-            let orig = input.data[xi];
-            input.data[xi] = orig + eps;
-            let (lp, _) = mse_loss(&layer.forward(&input, false), target);
-            input.data[xi] = orig - eps;
-            let (lm, _) = mse_loss(&layer.forward(&input, false), target);
-            input.data[xi] = orig;
-            let numeric = (lp - lm) / (2.0 * eps);
-            let a = grad_in.data[xi];
-            assert!(
-                (a - numeric).abs() < tol * (1.0 + numeric.abs()),
-                "input[{xi}]: analytic {a} vs numeric {numeric}"
-            );
-        }
-    }
-
-    fn rand_tensor(n: usize, c: usize, h: usize, w: usize, seed: u64) -> Tensor {
-        let mut rng = init::seeded(seed);
-        Tensor::from_vec(
-            n,
-            c,
-            h,
-            w,
-            init::kaiming_uniform(&mut rng, n * c * h * w, 4),
-        )
+        net
     }
 
     #[test]
     fn conv_identity_kernel_passes_through() {
-        let mut conv = Conv2d::new(1, 1, 3, 0);
         let mut w = vec![0.0f32; 9];
         w[4] = 1.0; // centre tap
-        conv.set_weights(&w, &[0.0]);
-        let input = rand_tensor(1, 1, 5, 5, 3);
-        let out = conv.forward(&input, false);
-        assert_eq!(out.data, input.data);
+        let x = rand(25, 3);
+        assert_eq!(forward(&conv(1, 1, 3, &w, &[0.0]), (1, 5, 5), &x), x);
     }
 
     #[test]
     fn conv_shift_kernel_shifts() {
-        let mut conv = Conv2d::new(1, 1, 3, 0);
         let mut w = vec![0.0f32; 9];
         w[3] = 1.0; // tap (ky=1, kx=0) → reads (y, x-1)
-        conv.set_weights(&w, &[0.0]);
-        let input = Tensor::from_vec(1, 1, 1, 4, vec![1.0, 2.0, 3.0, 4.0]);
-        let out = conv.forward(&input, false);
-        assert_eq!(out.data, vec![0.0, 1.0, 2.0, 3.0]);
+        let out = forward(&conv(1, 1, 3, &w, &[0.0]), (1, 1, 4), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(out, [0.0, 1.0, 2.0, 3.0]);
     }
 
     #[test]
     fn conv_bias_applies() {
-        let mut conv = Conv2d::new(1, 2, 1, 0);
-        conv.set_weights(&[1.0, 2.0], &[10.0, -5.0]);
-        let input = Tensor::from_vec(1, 1, 1, 2, vec![1.0, 2.0]);
-        let out = conv.forward(&input, false);
-        assert_eq!(out.data, vec![11.0, 12.0, -3.0, -1.0]);
-    }
-
-    #[test]
-    fn conv_gradients_match_finite_differences() {
-        let mut conv = Conv2d::new(2, 3, 3, 7);
-        let input = rand_tensor(2, 2, 5, 5, 11);
-        let target = rand_tensor(2, 3, 5, 5, 13);
-        grad_check(&mut conv, &input, &target, 2e-2);
-    }
-
-    #[test]
-    fn pointwise_conv_gradients() {
-        let mut conv = Conv2d::new(4, 2, 1, 5);
-        let input = rand_tensor(1, 4, 4, 4, 17);
-        let target = rand_tensor(1, 2, 4, 4, 19);
-        grad_check(&mut conv, &input, &target, 2e-2);
-    }
-
-    #[test]
-    fn depthwise_gradients_match_finite_differences() {
-        let mut conv = DepthwiseConv2d::new(3, 3, 9);
-        let input = rand_tensor(2, 3, 4, 4, 23);
-        let target = rand_tensor(2, 3, 4, 4, 29);
-        grad_check(&mut conv, &input, &target, 2e-2);
+        let net = conv(1, 2, 1, &[1.0, 2.0], &[10.0, -5.0]);
+        let out = forward(&net, (1, 1, 2), &[1.0, 2.0]);
+        assert_eq!(out, [11.0, 12.0, -3.0, -1.0]);
     }
 
     #[test]
     fn depthwise_channels_are_independent() {
-        let mut conv = DepthwiseConv2d::new(2, 3, 1);
-        let mut input = Tensor::zeros(1, 2, 3, 3);
-        input.plane_mut(0, 0).fill(1.0);
-        let out = conv.forward(&input, false);
+        let net = Sequential::new().depthwise(2, 3, 1);
+        let mut x = vec![0.0; 2 * 9];
+        x[..9].fill(1.0);
+        let out = forward(&net, (2, 3, 3), &x);
         // channel 1 saw zero input → output is exactly its bias (0)
-        assert!(out.plane(0, 1).iter().all(|&v| v == 0.0));
+        assert!(out[9..].iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn param_counts() {
-        let mut conv = Conv2d::new(9, 32, 3, 0);
-        assert_eq!(conv.num_params(), 9 * 32 * 9 + 32);
-        let mut dw = DepthwiseConv2d::new(32, 3, 0);
-        assert_eq!(dw.num_params(), 32 * 9 + 32);
-    }
-
-    #[test]
-    fn serialization_roundtrip() {
-        let mut a = Conv2d::new(2, 2, 3, 42);
-        let (w, b) = (a.weights().0.to_vec(), a.weights().1.to_vec());
-        let mut c = Conv2d::new(2, 2, 3, 99);
-        c.set_weights(&w, &b);
-        let input = rand_tensor(1, 2, 4, 4, 1);
-        assert_eq!(a.forward(&input, false).data, c.forward(&input, false).data);
+        assert_eq!(
+            Sequential::new().conv(9, 32, 3, 0).num_params(),
+            9 * 32 * 9 + 32
+        );
+        assert_eq!(
+            Sequential::new().depthwise(32, 3, 0).num_params(),
+            32 * 9 + 32
+        );
     }
 }

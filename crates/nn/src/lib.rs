@@ -8,36 +8,34 @@
 //!
 //! Provided pieces (exactly what CFNN's architecture in paper Fig. 4 needs):
 //!
-//! * [`Tensor`] — NCHW activation tensor,
 //! * [`Conv2d`] — same-padded convolution (also used as the 1×1 pointwise),
 //! * [`DepthwiseConv2d`] — per-channel convolution,
 //! * [`ChannelAttention`] — CBAM-style avg+max pooled MLP gate,
-//! * [`ReLU`] — activation,
-//! * [`Sequential`] — layer stack with full backprop,
+//! * [`Sequential`] — the layer stack (ReLU is a layer of it): the weights,
+//!   and their byte-exact (de)serialization for embedding into streams,
 //! * [`InferencePlan`] — a `Sequential` compiled once for allocation-free,
-//!   thread-shareable, bit-identical forward passes,
+//!   thread-shareable, bit-identical forward passes on zero-haloed planes,
+//! * [`TrainWorkspace`] — training's forward and backward passes over the
+//!   same plan steps and planes,
 //! * [`Adam`] — the optimizer,
-//! * [`mse_loss`] — the paper's training loss,
-//! * byte-exact model (de)serialization for embedding into streams.
+//! * [`mse_loss`] — the paper's training loss.
 //!
-//! Every layer implements analytic backward passes, validated against
-//! finite-difference gradients in the test suite.
+//! Every layer's backward pass is validated against finite-difference
+//! gradients in the test suite.
 
 pub mod attention;
 pub mod conv;
 pub mod init;
-pub mod layer;
 pub mod loss;
 pub mod optim;
 pub mod plan;
 pub mod sequential;
-pub mod tensor;
+pub mod train;
 
 pub use attention::ChannelAttention;
-pub use conv::{Conv2d, DepthwiseConv2d, Kernel, PackedConv};
-pub use layer::{Layer, ParamSet, ReLU};
+pub use conv::{Conv2d, DepthwiseConv2d, Kernel};
 pub use loss::mse_loss;
-pub use optim::Adam;
-pub use plan::{InferencePlan, Planes, PlanesMut, Workspace};
+pub use optim::{Adam, ParamSet};
+pub use plan::{InferencePlan, Planes, PlanesMut, Workspace, MAX_CHANNELS};
 pub use sequential::{AnyLayer, Sequential};
-pub use tensor::Tensor;
+pub use train::TrainWorkspace;

@@ -1,18 +1,36 @@
 //! The optimizer CFNN training steps with.
 
-use crate::layer::ParamSet;
+/// One learnable parameter block: values and their accumulated gradients.
+///
+/// Returned by [`crate::Sequential::params`] so the optimizer can update in
+/// place without knowing layer internals. Block order is stable across
+/// calls — optimizer state (Adam moments) is keyed by position.
+pub struct ParamSet<'a> {
+    /// Parameter values.
+    pub values: &'a mut [f32],
+    /// Gradient accumulator (same length).
+    pub grads: &'a mut [f32],
+}
 
-/// Adam (Kingma & Ba) with bias correction.
+/// `values` with the accumulator `grads`, which starts at zeros the first
+/// time it is asked for.
+pub(crate) fn param_set<'a>(values: &'a mut [f32], grads: &'a mut Vec<f32>) -> ParamSet<'a> {
+    grads.resize(values.len(), 0.0);
+    ParamSet { values, grads }
+}
+
+/// First-moment decay.
+const BETA1: f32 = 0.9;
+/// Second-moment decay.
+const BETA2: f32 = 0.999;
+/// Numerical epsilon.
+const EPS: f32 = 1e-8;
+
+/// Adam (Kingma & Ba) with bias correction and the standard decays.
 #[derive(Debug)]
 pub struct Adam {
     /// Learning rate.
     pub lr: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Numerical epsilon.
-    pub eps: f32,
     t: u64,
     m: Vec<Vec<f32>>,
     v: Vec<Vec<f32>>,
@@ -23,9 +41,6 @@ impl Adam {
     pub fn new(lr: f32) -> Self {
         Adam {
             lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
@@ -40,17 +55,17 @@ impl Adam {
             self.v = params.iter().map(|p| vec![0.0; p.values.len()]).collect();
         }
         self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
+        let b1t = 1.0 - BETA1.powi(self.t as i32);
+        let b2t = 1.0 - BETA2.powi(self.t as i32);
         for ((p, m), v) in params.iter_mut().zip(&mut self.m).zip(&mut self.v) {
             assert_eq!(p.values.len(), m.len(), "parameter block shape changed");
             for i in 0..p.values.len() {
                 let g = p.grads[i];
-                m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * g;
-                v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * g * g;
+                m[i] = BETA1 * m[i] + (1.0 - BETA1) * g;
+                v[i] = BETA2 * v[i] + (1.0 - BETA2) * g * g;
                 let mhat = m[i] / b1t;
                 let vhat = v[i] / b2t;
-                p.values[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
+                p.values[i] -= self.lr * mhat / (vhat.sqrt() + EPS);
             }
         }
     }

@@ -1,17 +1,13 @@
 //! Inference plans: a [`Sequential`] compiled once for forward-only use.
 //!
-//! `Sequential::forward` serves training — it takes `&mut self`, caches
-//! activations for `backward`, allocates every intermediate tensor and
-//! repacks convolution weights on each call because the optimizer keeps
-//! moving them. Inference on fixed weights needs none of that. An
-//! [`InferencePlan`] validates the layer chain and packs the weights once,
-//! is immutable and `Send + Sync` (one plan serves every decode thread),
-//! and runs one sample at a time through two ping-pong buffers in a
-//! caller-owned [`Workspace`], so steady-state inference allocates nothing.
-//!
-//! Both paths run the same kernels in the same order, so a plan's output
-//! is bit-identical to `Sequential::forward(_, false)` — for any batch
-//! size, since no layer mixes samples.
+//! An [`InferencePlan`] validates the layer chain and packs the weights
+//! once, is immutable and `Send + Sync` (one plan serves every decode
+//! thread), and runs one sample at a time through two ping-pong buffers in
+//! a caller-owned [`Workspace`], so steady-state inference allocates
+//! nothing. Training runs the same steps on the same layout
+//! ([`crate::TrainWorkspace`]), compiling a plan for each batch because
+//! the optimizer keeps moving the weights; no layer mixes samples, so a
+//! sample's output does not depend on the batch it is in.
 //!
 //! One step is merged, not reordered: a `ReLU` that directly follows a
 //! full convolution is folded into that convolution's store
@@ -19,8 +15,7 @@
 //! instead of written and then swept again. The fold applies ReLU's own
 //! select, `if v < 0.0 { 0.0 } else { v }`, to each finished sum — the
 //! same operation on the same value as the separate pass, NaN and `-0.0`
-//! kept — so the plan and `Sequential` still match bit for bit. A `ReLU`
-//! after any other layer stays its own step.
+//! kept. A `ReLU` after any other layer stays its own step.
 //!
 //! # Workspace layout
 //!
@@ -45,23 +40,25 @@
 
 use crate::attention::ChannelAttention;
 use crate::conv::{self, Grid, Kernel, PackedConv};
-use crate::layer::relu_in_place;
 use crate::sequential::{AnyLayer, Sequential};
 
-/// Widest activation, in channels, a plan accepts. A model is untrusted
-/// input, and the workspace holds two buffers of that many haloed planes:
-/// a channel costs 8 bytes a pixel and, for the halo, `16 · pad` bytes a
-/// row. Without a bound a 130 KB model over a 128×128 slab would ask for
-/// 2 GiB. With it the buffers of an `h × w` plane hold at most
-/// `8 · 1 024 · h · (w + 2·pad)` bytes and 512 more for the slack, where
-/// `pad` is at most 31 (the parser's widest kernel, 63) and at most
-/// `w − 1`: 190 MiB on a 128×128 slab with that kernel, and on a 1-wide
-/// plane 8 KiB a row, as with no halo at all. 1 024 is 7× the widest net
-/// trained, the ablation's paper-parity 139 (the writer trains what its
-/// plan names, 24 × 32 by default); 3×3 kernels need a halo of one column.
-const MAX_PLAN_CHANNELS: usize = 1024;
+/// Widest activation, in channels, a network may have: the model parser,
+/// [`InferencePlan::compile`] and the archive writer's plan check all hold
+/// to it. A model is untrusted input, and a workspace holds two buffers of
+/// that many haloed planes: a channel costs 8 bytes a pixel and, for the
+/// halo, `16 · pad` bytes a row. Without a bound a 130 KB model over a
+/// 128×128 slab would ask for 2 GiB. With it the buffers of an `h × w`
+/// plane hold at most `8 · 1 024 · h · (w + 2·pad)` bytes and 512 more for
+/// the slack, where `pad` is at most 31 (the parser's widest kernel, 63)
+/// and at most `w − 1`: 190 MiB on a 128×128 slab with that kernel, and on
+/// a 1-wide plane 8 KiB a row, as with no halo at all. 1 024 is 7× the
+/// widest net trained, the ablation's paper-parity 139 (the writer trains
+/// what its plan names, 24 × 32 by default); 3×3 kernels need a halo of
+/// one column.
+pub const MAX_CHANNELS: usize = 1024;
 
-enum Step {
+/// One step of a compiled network.
+pub(crate) enum Step {
     Conv(PackedConv),
     Depthwise {
         k: usize,
@@ -72,15 +69,70 @@ enum Step {
     Attention(Box<ChannelAttention>),
 }
 
+impl Step {
+    /// A ReLU or a gate: rewrites its planes rather than filling another
+    /// buffer.
+    pub(crate) fn in_place(&self) -> bool {
+        matches!(self, Step::Relu | Step::Attention(_))
+    }
+
+    /// Channels out of the step for `c` in.
+    pub(crate) fn out_channels(&self, c: usize) -> usize {
+        match self {
+            Step::Conv(p) => p.out_channels(),
+            _ => c,
+        }
+    }
+
+    /// Values and positions a sample's statistics take: a gate's.
+    pub(crate) fn stats_len(&self) -> (usize, usize) {
+        match self {
+            Step::Attention(gate) => (gate.stats_len(), gate.c),
+            _ => (0, 0),
+        }
+    }
+
+    /// The step on `c` planes laid out as `g`: in place on `cur`, or from
+    /// `cur` into `next`. A gate leaves its statistics in `stats`.
+    pub(crate) fn run(
+        &self,
+        kernel: Kernel,
+        cur: &mut [f32],
+        next: &mut [f32],
+        (c, g): (usize, Grid),
+        stats: (&mut [f32], &mut [usize]),
+    ) {
+        let n = c * g.plane();
+        match self {
+            Step::Conv(p) => p.run_on(kernel, cur, g, next, g),
+            Step::Depthwise { k, weight, bias } => {
+                conv::depthwise_on(kernel, *k, weight, bias, cur, g, next, g)
+            }
+            Step::Relu => g.rows_mut(&mut cur[..n]).for_each(relu_in_place),
+            Step::Attention(gate) => gate.gate_in_place(&mut cur[..n], g, stats),
+        }
+    }
+}
+
+/// ReLU in place. A comparison, not `max`: NaN and `-0.0` pass through
+/// unchanged. Every element is stored, so the comparison compiles to a
+/// select rather than a branch that activations of mixed sign mispredict
+/// half the time.
+fn relu_in_place(data: &mut [f32]) {
+    for v in data {
+        *v = if *v < 0.0 { 0.0 } else { *v };
+    }
+}
+
 /// A network compiled for inference. See the [module docs](self).
 pub struct InferencePlan {
-    steps: Vec<Step>,
+    pub(crate) steps: Vec<Step>,
     in_c: usize,
     out_c: usize,
     /// Widest activation, in channels: sizes the workspace buffers.
-    max_c: usize,
+    pub(crate) max_c: usize,
     /// Widest kernel: sizes the halo.
-    k: usize,
+    pub(crate) k: usize,
     kernel: Kernel,
 }
 
@@ -92,8 +144,9 @@ pub struct Workspace {
     bufs: [Vec<f32>; 2],
     /// The layout whose halos are zero in `bufs`.
     grid: Option<Grid>,
-    /// Attention's pooled statistics and gates.
-    pooled: Vec<f32>,
+    /// A gate's statistics.
+    stats: Vec<f32>,
+    argmax: Vec<usize>,
     growths: usize,
 }
 
@@ -104,29 +157,31 @@ impl Workspace {
     pub fn growths(&self) -> usize {
         self.growths
     }
+}
 
-    /// Both activation buffers laid out as `g`, with room for `c` planes
-    /// and zero halos: zeroed first on a new layout.
-    fn lay_out(&mut self, g: Grid, c: usize) {
-        let (fresh, len) = (self.grid != Some(g), g.len(c));
-        for buf in &mut self.bufs {
-            if fresh {
-                buf.clear();
-            }
-            if buf.len() < len {
-                self.growths += usize::from(len > buf.capacity());
-                buf.resize(len, 0.0);
-            }
-        }
-        self.grid = Some(g);
+/// `buf` holding at least `len` values with zero halos, emptied first when
+/// its planes are to be `fresh`ly laid out; counts a growth in `growths`
+/// when it has to reallocate.
+pub(crate) fn lay_out<T: Copy + Default>(
+    buf: &mut Vec<T>,
+    len: usize,
+    fresh: bool,
+    growths: &mut usize,
+) {
+    if fresh {
+        buf.clear();
+    }
+    if buf.len() < len {
+        *growths += usize::from(len > buf.capacity());
+        buf.resize(len, T::default());
     }
 }
 
 /// A plan's input planes, as [`InferencePlan::run_planes`] hands them to
 /// its `fill`: the interior rows of the haloed layout.
 pub struct PlanesMut<'a> {
-    data: &'a mut [f32],
-    g: Grid,
+    pub(crate) data: &'a mut [f32],
+    pub(crate) g: Grid,
 }
 
 impl PlanesMut<'_> {
@@ -155,14 +210,14 @@ impl<'a> Planes<'a> {
 impl InferencePlan {
     /// Compile `net` for `in_channels` input planes. Fails when the layers
     /// do not chain — each must accept the channel count the previous one
-    /// produces — or when an activation is wider than 1 024 channels.
+    /// produces — or when an activation is wider than [`MAX_CHANNELS`].
     pub fn compile(net: &Sequential, in_channels: usize) -> Result<Self, String> {
         let mut channels = in_channels;
         let mut max_c = in_channels;
         let mut k = 1;
         let mut steps = Vec::with_capacity(net.len());
         for layer in net.layers() {
-            if let (AnyLayer::ReLU(_), Some(Step::Conv(p))) = (layer, steps.last_mut()) {
+            if let (AnyLayer::ReLU, Some(Step::Conv(p))) = (layer, steps.last_mut()) {
                 p.relu = true;
                 continue;
             }
@@ -181,7 +236,7 @@ impl InferencePlan {
                     k = k.max(d.k);
                     (step, d.c, d.c)
                 }
-                AnyLayer::ReLU(_) => (Step::Relu, channels, channels),
+                AnyLayer::ReLU => (Step::Relu, channels, channels),
                 AnyLayer::Attention(a) => {
                     let (w1, w2) = a.weights();
                     let gate =
@@ -198,9 +253,9 @@ impl InferencePlan {
             max_c = max_c.max(gives);
             steps.push(step);
         }
-        if max_c > MAX_PLAN_CHANNELS {
+        if max_c > MAX_CHANNELS {
             return Err(format!(
-                "an activation of {max_c} channels is wider than {MAX_PLAN_CHANNELS}"
+                "an activation of {max_c} channels is wider than {MAX_CHANNELS}"
             ));
         }
         Ok(InferencePlan {
@@ -235,9 +290,17 @@ impl InferencePlan {
         fill: impl FnOnce(PlanesMut<'_>),
     ) -> Planes<'w> {
         let g = Grid::new(h, w, self.k);
-        ws.lay_out(g, self.max_c);
+        let fresh = ws.grid != Some(g);
+        for buf in &mut ws.bufs {
+            lay_out(buf, g.len(self.max_c), fresh, &mut ws.growths);
+        }
+        ws.grid = Some(g);
+        let (values, positions) = (self.steps.iter().map(Step::stats_len))
+            .fold((0, 0), |(v, p), (sv, sp)| (v.max(sv), p.max(sp)));
+        ws.stats.resize(ws.stats.len().max(values), 0.0);
+        ws.argmax.resize(ws.argmax.len().max(positions), 0);
         Planes {
-            data: self.forward(&mut ws.bufs, &mut ws.pooled, g, fill),
+            data: self.forward(&mut ws.bufs, (&mut ws.stats, &mut ws.argmax), g, fill),
             g,
         }
     }
@@ -247,7 +310,7 @@ impl InferencePlan {
     fn forward<'a>(
         &self,
         bufs: &'a mut [Vec<f32>; 2],
-        pooled: &mut Vec<f32>,
+        stats: (&mut [f32], &mut [usize]),
         g: Grid,
         fill: impl FnOnce(PlanesMut<'_>),
     ) -> &'a [f32] {
@@ -260,18 +323,16 @@ impl InferencePlan {
             g,
         });
         for step in &self.steps {
-            match step {
-                Step::Conv(p) => {
-                    p.run_on(self.kernel, cur, g, next, g);
-                    c = p.out_channels();
-                    std::mem::swap(&mut cur, &mut next);
-                }
-                Step::Depthwise { k, weight, bias } => {
-                    conv::depthwise_on(self.kernel, *k, weight, bias, cur, g, next, g);
-                    std::mem::swap(&mut cur, &mut next);
-                }
-                Step::Relu => g.rows_mut(&mut cur[..c * n]).for_each(relu_in_place),
-                Step::Attention(gate) => gate.gate_in_place(&mut cur[..c * n], g, pooled),
+            step.run(
+                self.kernel,
+                cur,
+                next,
+                (c, g),
+                (&mut *stats.0, &mut *stats.1),
+            );
+            c = step.out_channels(c);
+            if !step.in_place() {
+                std::mem::swap(&mut cur, &mut next);
             }
         }
         let cur: &'a Vec<f32> = cur;
@@ -283,7 +344,7 @@ impl InferencePlan {
 mod tests {
     use super::*;
     use crate::init;
-    use crate::tensor::Tensor;
+    use crate::train::tests::forward;
 
     /// `plan` on one sample of dense planes through `run_planes`, its
     /// output planes collected dense.
@@ -305,6 +366,10 @@ mod tests {
         rows.flatten().copied().collect()
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     fn net(seed: u64) -> Sequential {
         Sequential::new()
             .conv(3, 9, 3, seed)
@@ -317,34 +382,24 @@ mod tests {
     }
 
     #[test]
-    fn plan_matches_sequential_forward_bit_for_bit() {
-        let mut net = net(5);
+    fn plan_matches_the_training_forward_bit_for_bit() {
+        let net = net(5);
         let plan = InferencePlan::compile(&net, 3).unwrap();
         assert_eq!((plan.in_channels(), plan.out_channels()), (3, 2));
         let (h, w) = (7, 21);
-        let mut rng = init::seeded(9);
-        let x = Tensor::from_vec(
-            2,
-            3,
-            h,
-            w,
-            init::kaiming_uniform(&mut rng, 2 * 3 * h * w, 2),
-        );
-        let want = net.forward(&x, false);
+        let x = init::kaiming_uniform(&mut init::seeded(9), 2 * 3 * h * w, 2);
+        let want = forward(&net, (3, h, w), &x);
         let mut ws = Workspace::default();
         for b in 0..2 {
-            let got = run_dense(&plan, &mut ws, h, w, x.sample(b));
-            let same = got
-                .iter()
-                .zip(want.sample(b))
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "sample {b} differs");
+            let got = run_dense(&plan, &mut ws, h, w, &x[b * 3 * h * w..][..3 * h * w]);
+            let want = &want[b * 2 * h * w..][..2 * h * w];
+            assert_eq!(bits(&got), bits(want), "sample {b}");
         }
     }
 
     #[test]
     fn a_relu_after_a_conv_is_folded_and_any_other_stays_a_step() {
-        let mut net = Sequential::new()
+        let net = Sequential::new()
             .conv(2, 5, 3, 1)
             .relu()
             .depthwise(5, 3, 2)
@@ -365,12 +420,11 @@ mod tests {
         // (non-finite inputs through the folded stores: cfnn_equivalence)
         let (h, w) = (6, 19);
         let x = init::kaiming_uniform(&mut init::seeded(3), 2 * h * w, 2);
-        let want = net.forward(&Tensor::from_vec(1, 2, h, w, x.clone()), false);
+        let want = forward(&net, (2, h, w), &x);
         let mut ws = Workspace::default();
         let got = run_dense(&plan, &mut ws, h, w, &x);
-        let same = got.iter().zip(&want.data);
-        assert!(same.clone().all(|(a, b)| a.to_bits() == b.to_bits()));
-        assert!(same.clone().any(|(a, _)| *a != 0.0), "not all zero");
+        assert_eq!(bits(&got), bits(&want));
+        assert!(got.iter().any(|&v| v != 0.0), "not all zero");
     }
 
     #[test]
@@ -388,7 +442,7 @@ mod tests {
             .err()
             .expect("2 048 channels");
         assert!(err.contains("2048 channels"), "{err}");
-        let plan = InferencePlan::compile(&wide(MAX_PLAN_CHANNELS), MAX_PLAN_CHANNELS);
+        let plan = InferencePlan::compile(&wide(MAX_CHANNELS), MAX_CHANNELS);
         assert_eq!(plan.map(|p| p.out_channels()).ok(), Some(1024));
     }
 
@@ -412,22 +466,22 @@ mod tests {
 
     /// Bytes the workspace holds.
     fn bytes(ws: &Workspace) -> usize {
-        let bufs = ws.bufs.iter().chain([&ws.pooled]);
-        4 * bufs.map(Vec::capacity).sum::<usize>()
+        let bufs = ws.bufs.iter().chain([&ws.stats]);
+        4 * bufs.map(Vec::capacity).sum::<usize>() + 8 * ws.argmax.capacity()
     }
 
     #[test]
     fn the_widest_kernel_keeps_the_workspace_under_its_bound() {
         // the parser's widest kernel, 63: a halo of 31 columns a side, or
         // `w - 1` on a narrower plane
-        let mut net = Sequential::new()
+        let net = Sequential::new()
             .depthwise(2, 63, 1)
             .relu()
             .conv(2, 3, 63, 2);
         let plan = InferencePlan::compile(&net, 2).unwrap();
         assert_eq!((plan.k, plan.max_c), (63, 3));
-        // MAX_PLAN_CHANNELS's arithmetic for `c` channels: two buffers of
-        // `c` planes of `h` rows of `w + 2·pad`, and the slack
+        // MAX_CHANNELS's arithmetic for `c` channels: two buffers of `c`
+        // planes of `h` rows of `w + 2·pad`, and the slack
         let bound = |c: usize, h: usize, w: usize| 8 * c * h * (w + 2 * 31.min(w - 1)) + 512;
         assert_eq!(bound(1024, 128, 128), (190 << 20) + 512);
         assert_eq!(bound(1024, 1, 1), (8 << 10) + 512, "no halo");
@@ -435,11 +489,7 @@ mod tests {
             let x = init::kaiming_uniform(&mut init::seeded(4), 2 * h * w, 2);
             let mut ws = Workspace::default();
             let got = run_dense(&plan, &mut ws, h, w, &x);
-            let want = net.forward(&Tensor::from_vec(1, 2, h, w, x), false);
-            assert!(got
-                .iter()
-                .zip(&want.data)
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
+            assert_eq!(bits(&got), bits(&forward(&net, (2, h, w), &x)));
             let (used, cap) = (bytes(&ws), bound(plan.max_c, h, w));
             assert!(used <= cap, "{h}x{w}: {used} B > {cap} B");
         }

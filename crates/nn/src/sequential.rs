@@ -4,8 +4,8 @@ use bytes::BufMut;
 
 use crate::attention::ChannelAttention;
 use crate::conv::{Conv2d, DepthwiseConv2d};
-use crate::layer::{Layer, ParamSet, ReLU};
-use crate::tensor::Tensor;
+use crate::optim::ParamSet;
+use crate::plan::MAX_CHANNELS;
 
 /// A concrete layer variant. Using an enum (instead of trait objects) keeps
 /// (de)serialization byte-exact and dependency-free.
@@ -15,32 +15,48 @@ pub enum AnyLayer {
     /// Depthwise convolution.
     Depthwise(DepthwiseConv2d),
     /// ReLU activation.
-    ReLU(ReLU),
+    ReLU,
     /// Channel attention gate.
     Attention(ChannelAttention),
 }
 
 impl AnyLayer {
-    fn as_layer(&mut self) -> &mut dyn Layer {
-        match self {
-            AnyLayer::Conv(l) => l,
-            AnyLayer::Depthwise(l) => l,
-            AnyLayer::ReLU(l) => l,
-            AnyLayer::Attention(l) => l,
-        }
-    }
-
     fn kind_tag(&self) -> u8 {
         match self {
             AnyLayer::Conv(_) => 1,
             AnyLayer::Depthwise(_) => 2,
-            AnyLayer::ReLU(_) => 3,
+            AnyLayer::ReLU => 3,
             AnyLayer::Attention(_) => 4,
         }
     }
+
+    /// The learnable blocks — weights then biases, an attention gate's
+    /// two weight blocks — with their gradient accumulators; a ReLU has
+    /// none.
+    fn params(&mut self) -> Option<[ParamSet<'_>; 2]> {
+        match self {
+            AnyLayer::Conv(c) => Some(c.params()),
+            AnyLayer::Depthwise(d) => Some(d.params()),
+            AnyLayer::ReLU => None,
+            AnyLayer::Attention(a) => Some(a.params()),
+        }
+    }
+
+    /// Learnable values.
+    fn num_params(&self) -> usize {
+        let (a, b) = match self {
+            AnyLayer::Conv(c) => c.weights(),
+            AnyLayer::Depthwise(d) => d.weights(),
+            AnyLayer::ReLU => return 0,
+            AnyLayer::Attention(a) => a.weights(),
+        };
+        a.len() + b.len()
+    }
 }
 
-/// A feed-forward stack of layers trained end to end.
+/// A feed-forward stack of layers: the weights a network is trained into
+/// ([`crate::TrainWorkspace`]) and compiled for inference from
+/// ([`crate::InferencePlan`]), and their byte-exact serialization.
 pub struct Sequential {
     layers: Vec<AnyLayer>,
 }
@@ -73,7 +89,7 @@ impl Sequential {
 
     /// Append a ReLU.
     pub fn relu(mut self) -> Self {
-        self.layers.push(AnyLayer::ReLU(ReLU::new()));
+        self.layers.push(AnyLayer::ReLU);
         self
     }
 
@@ -100,53 +116,25 @@ impl Sequential {
         &self.layers
     }
 
-    /// Forward pass through the stack.
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut layers = self.layers.iter_mut();
-        let Some(first) = layers.next() else {
-            return input.clone();
-        };
-        let mut x = first.as_layer().forward(input, train);
-        for l in layers {
-            x = l.as_layer().forward(&x, train);
-        }
-        x
-    }
-
-    /// Backward pass (after a training forward): accumulates every
-    /// layer's parameter gradients from the loss gradient `grad_out`. The
-    /// gradient flows down to the first layer's output and stops there —
-    /// the gradient with respect to the network's input has no reader, so
-    /// the first layer is not asked for it.
-    pub fn backward(&mut self, grad_out: &Tensor) {
-        let mut below: Option<Tensor> = None;
-        for (i, l) in self.layers.iter_mut().enumerate().rev() {
-            let g = below.as_ref().unwrap_or(grad_out);
-            below = l.as_layer().backward(g, i > 0);
-        }
-    }
-
-    /// All parameter blocks in layer order.
+    /// All parameter blocks in layer order, two a learnable layer.
     pub fn params(&mut self) -> Vec<ParamSet<'_>> {
         self.layers
             .iter_mut()
-            .flat_map(|l| l.as_layer().params())
+            .filter_map(AnyLayer::params)
+            .flatten()
             .collect()
     }
 
     /// Zero all gradients.
     pub fn zero_grad(&mut self) {
-        for l in &mut self.layers {
-            l.as_layer().zero_grad();
+        for p in self.params() {
+            p.grads.fill(0.0);
         }
     }
 
     /// Total learnable parameters.
-    pub fn num_params(&mut self) -> usize {
-        self.layers
-            .iter_mut()
-            .map(|l| l.as_layer().num_params())
-            .sum()
+    pub fn num_params(&self) -> usize {
+        self.layers.iter().map(AnyLayer::num_params).sum()
     }
 
     /// Serialize architecture + weights to bytes.
@@ -174,7 +162,7 @@ impl Sequential {
                     put_f32s(&mut out, w);
                     put_f32s(&mut out, b);
                 }
-                AnyLayer::ReLU(_) => {}
+                AnyLayer::ReLU => {}
                 AnyLayer::Attention(a) => {
                     out.put_u32_le(a.c as u32);
                     out.put_u32_le(a.reduction as u32);
@@ -207,9 +195,7 @@ impl Sequential {
     /// The error is a plain `String` to keep this crate free of codec
     /// dependencies; callers wrap it into their own error type.
     pub fn try_deserialize(buf: &[u8]) -> Result<Self, String> {
-        // channel/kernel sanity caps: largest legitimate CFNN here is ~139
-        // channels with 3×3 kernels
-        const MAX_CHANNELS: usize = 1 << 14;
+        // kernel sanity cap: a CFNN's kernels are 3×3
         const MAX_KERNEL: usize = 64;
 
         let mut r = TryReader { buf, pos: 0 };
@@ -230,7 +216,7 @@ impl Sequential {
                     let (w, b) = (r.f32s()?, r.biases()?);
                     DepthwiseConv2d::from_weights(c, k, w, b).map(AnyLayer::Depthwise)
                 }
-                3 => Ok(AnyLayer::ReLU(ReLU::new())),
+                3 => Ok(AnyLayer::ReLU),
                 4 => {
                     let c = r.dim(MAX_CHANNELS, "channels")?;
                     let red = r.dim(MAX_CHANNELS, "reduction")?;
@@ -321,20 +307,7 @@ fn put_f32s(out: &mut Vec<u8>, vals: &[f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::init;
-    use crate::loss::mse_loss;
-    use crate::optim::Adam;
-
-    fn rand_tensor(n: usize, c: usize, h: usize, w: usize, seed: u64) -> Tensor {
-        let mut rng = init::seeded(seed);
-        Tensor::from_vec(
-            n,
-            c,
-            h,
-            w,
-            init::kaiming_uniform(&mut rng, n * c * h * w, 4),
-        )
-    }
+    use crate::train::tests::{forward, rand};
 
     fn tiny_cfnn(seed: u64) -> Sequential {
         Sequential::new()
@@ -349,60 +322,20 @@ mod tests {
 
     #[test]
     fn forward_shapes() {
-        let mut net = tiny_cfnn(1);
-        let out = net.forward(&rand_tensor(3, 2, 8, 8, 2), false);
-        assert_eq!(out.dims(), (3, 1, 8, 8));
-    }
-
-    #[test]
-    fn training_reduces_loss_on_learnable_task() {
-        // target = smoothed version of channel 0 — a conv net must fit this
-        let input = rand_tensor(4, 2, 8, 8, 3);
-        let mut target = Tensor::zeros(4, 1, 8, 8);
-        for b in 0..4 {
-            for y in 0..8 {
-                for x in 0..8 {
-                    let mut acc = 0.0;
-                    let mut cnt = 0.0;
-                    for dy in -1i32..=1 {
-                        for dx in -1i32..=1 {
-                            let (yy, xx) = (y as i32 + dy, x as i32 + dx);
-                            if (0..8).contains(&yy) && (0..8).contains(&xx) {
-                                acc += input.at(b, 0, yy as usize, xx as usize);
-                                cnt += 1.0;
-                            }
-                        }
-                    }
-                    target.set(b, 0, y, x, acc / cnt);
-                }
-            }
-        }
-        let mut net = tiny_cfnn(5);
-        let mut opt = Adam::new(1e-2);
-        let mut first = None;
-        let mut last = 0.0;
-        for _ in 0..60 {
-            net.zero_grad();
-            let out = net.forward(&input, true);
-            let (loss, grad) = mse_loss(&out, &target);
-            net.backward(&grad);
-            opt.step(&mut net.params());
-            first.get_or_insert(loss);
-            last = loss;
-        }
-        let first = first.unwrap();
-        assert!(last < first * 0.3, "loss did not drop: {first} → {last}");
+        let out = forward(&tiny_cfnn(1), (2, 8, 8), &rand(3 * 2 * 64, 2));
+        assert_eq!(out.len(), 3 * 64);
     }
 
     #[test]
     fn serialization_preserves_behaviour() {
-        let mut net = tiny_cfnn(7);
-        let input = rand_tensor(1, 2, 6, 6, 8);
-        let out1 = net.forward(&input, false);
+        let net = tiny_cfnn(7);
+        let input = rand(2 * 36, 8);
         let bytes = net.serialize();
-        let mut net2 = Sequential::try_deserialize(&bytes).unwrap();
-        let out2 = net2.forward(&input, false);
-        assert_eq!(out1.data, out2.data);
+        let net2 = Sequential::try_deserialize(&bytes).unwrap();
+        assert_eq!(
+            forward(&net, (2, 6, 6), &input),
+            forward(&net2, (2, 6, 6), &input)
+        );
         assert_eq!(net.num_params(), net2.num_params());
     }
 
@@ -463,46 +396,19 @@ mod tests {
 
     #[test]
     fn num_params_counts_all_layers() {
-        let mut net = Sequential::new().conv(2, 4, 3, 0).relu().attention(4, 2, 1);
+        let net = Sequential::new().conv(2, 4, 3, 0).relu().attention(4, 2, 1);
         // conv: 2·4·9 + 4 = 76 ; attention: 2·(4·2) = 16
         assert_eq!(net.num_params(), 76 + 16);
+        assert_eq!(Sequential::new().relu().num_params(), 0);
     }
 
     #[test]
     fn deterministic_construction() {
-        let mut a = tiny_cfnn(42);
-        let mut b = tiny_cfnn(42);
-        let input = rand_tensor(1, 2, 5, 5, 0);
-        assert_eq!(a.forward(&input, false).data, b.forward(&input, false).data);
-    }
-
-    #[test]
-    fn whole_stack_gradcheck() {
-        // end-to-end finite difference through a 3-layer net on a few params
-        let mut net = Sequential::new().conv(1, 4, 3, 2).relu().conv(4, 1, 3, 3);
-        let input = rand_tensor(1, 1, 5, 5, 4);
-        let target = rand_tensor(1, 1, 5, 5, 5);
-        net.zero_grad();
-        let out = net.forward(&input, true);
-        let (_, grad) = mse_loss(&out, &target);
-        net.backward(&grad);
-        let analytic: Vec<Vec<f32>> = net.params().iter().map(|p| p.grads.to_vec()).collect();
-        let eps = 1e-3;
-        for (pi, block) in analytic.iter().enumerate() {
-            for wi in (0..block.len()).step_by((block.len() / 6).max(1)) {
-                let orig = net.params()[pi].values[wi];
-                net.params()[pi].values[wi] = orig + eps;
-                let (lp, _) = mse_loss(&net.forward(&input, false), &target);
-                net.params()[pi].values[wi] = orig - eps;
-                let (lm, _) = mse_loss(&net.forward(&input, false), &target);
-                net.params()[pi].values[wi] = orig;
-                let numeric = (lp - lm) / (2.0 * eps);
-                assert!(
-                    (block[wi] - numeric).abs() < 2e-2 * (1.0 + numeric.abs()),
-                    "param[{pi}][{wi}]: {} vs {numeric}",
-                    block[wi]
-                );
-            }
-        }
+        let input = rand(2 * 25, 0);
+        let (a, b) = (tiny_cfnn(42), tiny_cfnn(42));
+        assert_eq!(
+            forward(&a, (2, 5, 5), &input),
+            forward(&b, (2, 5, 5), &input)
+        );
     }
 }

@@ -12,7 +12,8 @@
 //! `to_bits()`:
 //!
 //! * every [`Kernel`] the host offers (the portable body too, on an AVX2
-//!   host) over kernel sizes, plane shapes on both sides of every strip
+//!   host), one convolution at a time through the training forward
+//!   ([`TrainWorkspace::forward_with`]), over kernel sizes, plane shapes on both sides of every strip
 //!   threshold, channel counts that do not divide the tile, zero weights
 //!   and non-finite inputs;
 //! * the halo reads of the border strips: weights only on the kernel's
@@ -23,16 +24,18 @@
 //! all of it inside the kernels' precondition — finite weights, no `-0.0`
 //! bias — which `Sequential::try_deserialize` enforces on every model it
 //! parses (a model outside it is refused there, not run here);
-//! * the same kernels' backward passes — `grad_w`, `grad_b` and `grad_in`
-//!   of full and depthwise convolutions — over the same axes, batch 1 and
-//!   4, accumulated over two calls, with `-0.0`, NaN and infinities in the
+//! * the same kernels' backward passes through
+//!   [`TrainWorkspace::backward`] — `grad_w`, `grad_b` and `grad_in` of
+//!   full and depthwise convolutions — over the same axes, batch 1 and 4,
+//!   accumulated over two calls, with `-0.0`, NaN and infinities in the
 //!   output gradient;
-//! * [`InferencePlan`] and `Sequential::forward` on the paper's networks —
-//!   the proportional specs and every width Table III ships —
-//!   batch 1 against batch 4, up to the benchmark's 128×128 slice and a
-//!   130-pixel row (the plan folds each ReLU that follows a convolution
-//!   into that convolution's store), and one workspace across plane
-//!   widths, where a stale or written halo would show;
+//! * [`InferencePlan`] and the training forward
+//!   ([`TrainWorkspace::forward`]) on the paper's networks — the
+//!   proportional specs and every width Table III ships — batch 1 against
+//!   batch 4, up to the benchmark's 128×128 slice and a 130-pixel row (both
+//!   fold each ReLU that follows a convolution into that convolution's
+//!   store), and one workspace across plane widths, where a stale or
+//!   written halo would show;
 //! * `predict_differences` on 2-D fields and on a partial last block, at a
 //!   wide and a narrow width.
 //!
@@ -45,15 +48,39 @@ use cross_field_compression::core::diffnet::{build_cfnn, fit_normalizers};
 use cross_field_compression::core::predict::predict_differences;
 use cross_field_compression::core::train::{TrainReport, TrainedCfnn};
 use cross_field_compression::datagen::catalog;
-use cross_field_compression::nn::conv::depthwise;
-use cross_field_compression::nn::layer::sigmoid;
+use cross_field_compression::nn::attention::sigmoid;
 use cross_field_compression::nn::{
-    AnyLayer, Conv2d, DepthwiseConv2d, InferencePlan, Kernel, Layer, PackedConv, Sequential,
-    Tensor, Workspace,
+    AnyLayer, InferencePlan, Kernel, PlanesMut, Sequential, TrainWorkspace, Workspace,
 };
 use cross_field_compression::tensor::{diff, Field, Shape};
 
 // ---- the oracle -----------------------------------------------------------
+
+/// A batch of `n` samples of `c` planes of `h × w`, dense.
+struct Batch {
+    data: Vec<f32>,
+    n: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+}
+
+impl Batch {
+    fn zeros(n: usize, c: usize, h: usize, w: usize) -> Self {
+        Batch {
+            data: vec![0.0; n * c * h * w],
+            n,
+            c,
+            h,
+            w,
+        }
+    }
+
+    fn plane(&self, b: usize, c: usize) -> &[f32] {
+        let hw = self.h * self.w;
+        &self.data[(b * self.c + c) * hw..][..hw]
+    }
+}
 
 /// Full convolution of one sample, one whole-plane sweep per kernel tap.
 #[allow(clippy::too_many_arguments)]
@@ -185,7 +212,7 @@ fn reference_input_tap(
 
 /// Bias gradient of either convolution: each output-gradient plane summed
 /// front to back, sample after sample.
-fn reference_grad_b(grad_b: &mut [f32], grad_out: &Tensor) {
+fn reference_grad_b(grad_b: &mut [f32], grad_out: &Batch) {
     for b in 0..grad_out.n {
         for (oc, gb) in grad_b.iter_mut().enumerate() {
             *gb += grad_out.plane(b, oc).iter().sum::<f32>();
@@ -194,8 +221,8 @@ fn reference_grad_b(grad_b: &mut [f32], grad_out: &Tensor) {
 }
 
 /// Weight gradient (`[out_c][in_c][k][k]`) of a full convolution.
-fn reference_grad_w(grad_w: &mut [f32], k: usize, input: &Tensor, grad_out: &Tensor) {
-    let (n, in_c, h, w) = input.dims();
+fn reference_grad_w(grad_w: &mut [f32], k: usize, input: &Batch, grad_out: &Batch) {
+    let (n, in_c, h, w) = (input.n, input.c, input.h, input.w);
     let (kk, pad) = (k * k, k / 2);
     for (oc, gw) in grad_w.chunks_exact_mut(in_c * kk).enumerate() {
         for b in 0..n {
@@ -215,10 +242,10 @@ fn reference_grad_w(grad_w: &mut [f32], k: usize, input: &Tensor, grad_out: &Ten
 }
 
 /// Input gradient of a full convolution: zero weights are skipped.
-fn reference_grad_in(weight: &[f32], in_c: usize, k: usize, grad_out: &Tensor) -> Tensor {
-    let (n, out_c, h, w) = grad_out.dims();
+fn reference_grad_in(weight: &[f32], in_c: usize, k: usize, grad_out: &Batch) -> Batch {
+    let (n, out_c, h, w) = (grad_out.n, grad_out.c, grad_out.h, grad_out.w);
     let (kk, pad) = (k * k, k / 2);
-    let mut grad_in = Tensor::zeros(n, in_c, h, w);
+    let mut grad_in = Batch::zeros(n, in_c, h, w);
     for (plane, gi) in grad_in.data.chunks_exact_mut(h * w).enumerate() {
         let (b, ic) = (plane / in_c, plane % in_c);
         for oc in 0..out_c {
@@ -241,8 +268,8 @@ fn reference_grad_in(weight: &[f32], in_c: usize, k: usize, grad_out: &Tensor) -
 }
 
 /// Weight gradient (`[c][k][k]`) of a depthwise convolution.
-fn reference_depthwise_grad_w(grad_w: &mut [f32], k: usize, input: &Tensor, grad_out: &Tensor) {
-    let (n, _, h, w) = input.dims();
+fn reference_depthwise_grad_w(grad_w: &mut [f32], k: usize, input: &Batch, grad_out: &Batch) {
+    let (n, h, w) = (input.n, input.h, input.w);
     let pad = k / 2;
     for (c, gw) in grad_w.chunks_exact_mut(k * k).enumerate() {
         for b in 0..n {
@@ -260,10 +287,10 @@ fn reference_depthwise_grad_w(grad_w: &mut [f32], k: usize, input: &Tensor, grad
 
 /// Input gradient of a depthwise convolution: zero weights are *not*
 /// skipped.
-fn reference_depthwise_grad_in(weight: &[f32], k: usize, grad_out: &Tensor) -> Tensor {
-    let (_, c, h, w) = grad_out.dims();
+fn reference_depthwise_grad_in(weight: &[f32], k: usize, grad_out: &Batch) -> Batch {
+    let (n, c, h, w) = (grad_out.n, grad_out.c, grad_out.h, grad_out.w);
     let (kk, pad) = (k * k, k / 2);
-    let mut grad_in = grad_out.zeros_like();
+    let mut grad_in = Batch::zeros(n, c, h, w);
     for (plane, gi) in grad_in.data.chunks_exact_mut(h * w).enumerate() {
         let go = grad_out.plane(plane / c, plane % c);
         let kernel = &weight[(plane % c) * kk..][..kk];
@@ -341,7 +368,7 @@ fn reference_forward(net: &Sequential, input: &[f32], h: usize, w: usize) -> Vec
                 reference_depthwise(wt, b, d.k, &x, &mut y, h, w);
                 x = y;
             }
-            AnyLayer::ReLU(_) => reference_relu(&mut x),
+            AnyLayer::ReLU => reference_relu(&mut x),
             AnyLayer::Attention(a) => {
                 let (w1, w2) = a.weights();
                 reference_attention(w1, w2, a.c, &mut x, hw);
@@ -404,6 +431,36 @@ fn poison(data: &mut [f32], rng: &mut Lcg) {
     }
 }
 
+/// A one-layer network: `layer` with its parameter blocks set to `blocks`.
+fn one_layer(layer: Sequential, blocks: [&[f32]; 2]) -> Sequential {
+    let mut net = layer;
+    for (p, b) in net.params().into_iter().zip(blocks) {
+        p.values.copy_from_slice(b);
+    }
+    net
+}
+
+/// `net`'s training forward on `kernel` over `x`, dense samples of `in_c`
+/// planes of `h × w`; the outputs, dense.
+fn forward(
+    ws: &mut TrainWorkspace,
+    kernel: Kernel,
+    net: &Sequential,
+    (in_c, h, w): (usize, usize, usize),
+    x: &[f32],
+) -> Vec<f32> {
+    let n = x.len() / (in_c * h * w);
+    let fill = |b: usize, mut planes: PlanesMut<'_>| {
+        let sample = &x[b * in_c * h * w..][..in_c * h * w];
+        for (c, plane) in sample.chunks_exact(h * w).enumerate() {
+            for (row, from) in planes.rows_mut(c).zip(plane.chunks_exact(w)) {
+                row.copy_from_slice(from);
+            }
+        }
+    };
+    ws.forward_with(kernel, net, in_c, n, (h, w), fill).to_vec()
+}
+
 /// Every kernel variant against the oracle on one full convolution.
 fn check_conv(in_c: usize, out_c: usize, k: usize, h: usize, w: usize, zeros: bool, special: bool) {
     let mut rng = Lcg((in_c * 31 + out_c * 17 + k * 7 + h * 3 + w) as u64);
@@ -424,10 +481,10 @@ fn check_conv(in_c: usize, out_c: usize, k: usize, h: usize, w: usize, zeros: bo
     }
     let mut want = vec![0.0; out_c * h * w];
     reference_conv(&weight, &bias, in_c, k, &src, &mut want, h, w);
-    let packed = PackedConv::new(in_c, out_c, k, &weight, &bias);
+    let net = one_layer(Sequential::new().conv(in_c, out_c, k, 0), [&weight, &bias]);
+    let mut ws = TrainWorkspace::default();
     for kernel in Kernel::available() {
-        let mut got = vec![f32::NAN; out_c * h * w];
-        packed.run(kernel, &src, &mut got, h, w);
+        let got = forward(&mut ws, kernel, &net, (in_c, h, w), &src);
         let what = format!(
             "{} conv {in_c}->{out_c} k{k} {h}x{w} zeros={zeros} special={special}",
             kernel.name()
@@ -451,9 +508,10 @@ fn check_depthwise(c: usize, k: usize, h: usize, w: usize, special: bool) {
     }
     let mut want = vec![0.0; c * h * w];
     reference_depthwise(&weight, &bias, k, &src, &mut want, h, w);
+    let net = one_layer(Sequential::new().depthwise(c, k, 0), [&weight, &bias]);
+    let mut ws = TrainWorkspace::default();
     for kernel in Kernel::available() {
-        let mut got = vec![f32::NAN; c * h * w];
-        depthwise(kernel, k, &weight, &bias, &src, &mut got, h, w);
+        let got = forward(&mut ws, kernel, &net, (c, h, w), &src);
         let what = format!(
             "{} depthwise {c} k{k} {h}x{w} special={special}",
             kernel.name()
@@ -592,20 +650,23 @@ fn border_taps_are_skipped_on_every_row_width() {
                 poison(&mut src, &mut rng);
                 let mut want = vec![0.0; out_c * h * w];
                 reference_conv(&weight, &bias, in_c, k, &src, &mut want, h, w);
-                let packed = PackedConv::new(in_c, out_c, k, &weight, &bias);
+                let conv = one_layer(Sequential::new().conv(in_c, out_c, k, 0), [&weight, &bias]);
 
                 let dw_weight = edge_tap_weights(in_c, k, &mut rng);
                 let dw_bias = vec![b; in_c];
                 let mut dw_want = vec![0.0; in_c * h * w];
                 reference_depthwise(&dw_weight, &dw_bias, k, &src, &mut dw_want, h, w);
+                let dw = one_layer(
+                    Sequential::new().depthwise(in_c, k, 0),
+                    [&dw_weight, &dw_bias],
+                );
 
+                let mut ws = TrainWorkspace::default();
                 for kernel in Kernel::available() {
                     let what = |conv: &str| format!("{} {conv} k{k} {h}x{w}", kernel.name());
-                    let mut got = vec![f32::NAN; out_c * h * w];
-                    packed.run(kernel, &src, &mut got, h, w);
+                    let got = forward(&mut ws, kernel, &conv, (in_c, h, w), &src);
                     assert_same(&got, &want, &what("conv"));
-                    let mut got = vec![f32::NAN; in_c * h * w];
-                    depthwise(kernel, k, &dw_weight, &dw_bias, &src, &mut got, h, w);
+                    let got = forward(&mut ws, kernel, &dw, (in_c, h, w), &src);
                     assert_same(&got, &dw_want, &what("depthwise"));
                 }
             }
@@ -622,27 +683,10 @@ enum Conv {
     Depthwise { c: usize },
 }
 
-/// One training forward, then a backward call per output gradient with no
-/// `zero_grad` in between: `(grad_w, grad_b, every call's grad_in)`.
-fn run_backward<L: Layer>(
-    layer: Result<L, String>,
-    input: &Tensor,
-    grad_outs: &[Tensor],
-    mut backward: impl FnMut(&mut L, &Tensor) -> Option<Tensor>,
-) -> (Vec<f32>, Vec<f32>, Vec<Option<Tensor>>) {
-    let mut layer = layer.expect("consistent geometry");
-    layer.forward(input, true);
-    let grad_in = grad_outs
-        .iter()
-        .map(|go| backward(&mut layer, go))
-        .collect();
-    let params = layer.params();
-    (params[0].grads.to_vec(), params[1].grads.to_vec(), grad_in)
-}
-
 /// Every kernel variant's `grad_w`, `grad_b` and `grad_in` against the
-/// oracle: a batch of `n`, two backward calls on different output
-/// gradients without `zero_grad` between them.
+/// oracle: a batch of `n` through a one-layer network's training forward,
+/// then a backward call per output gradient — two, different — without
+/// `zero_grad` between them.
 fn check_backward(conv: Conv, k: usize, h: usize, w: usize, n: usize, zeros: bool, special: bool) {
     let (in_c, out_c) = match conv {
         Conv::Full { in_c, out_c } => (in_c, out_c),
@@ -664,14 +708,20 @@ fn check_backward(conv: Conv, k: usize, h: usize, w: usize, n: usize, zeros: boo
         }
     }
     let bias = rng.vec(out_c, 0.2);
-    let input = Tensor::from_vec(n, in_c, h, w, rng.vec(n * in_c * h * w, 1.0));
-    let grad_outs: Vec<Tensor> = (0..2)
+    let input = Batch {
+        data: rng.vec(n * in_c * h * w, 1.0),
+        ..Batch::zeros(n, in_c, h, w)
+    };
+    let grad_outs: Vec<Batch> = (0..2)
         .map(|_| {
             let mut data = rng.vec(n * out_c * h * w, 0.05);
             if special {
                 poison(&mut data, &mut rng);
             }
-            Tensor::from_vec(n, out_c, h, w, data)
+            Batch {
+                data,
+                ..Batch::zeros(n, out_c, h, w)
+            }
         })
         .collect();
 
@@ -706,32 +756,23 @@ fn check_backward(conv: Conv, k: usize, h: usize, w: usize, n: usize, zeros: boo
         // with and without the input gradient: the parameter gradients
         // must not depend on whether anyone asked for it
         for want_input in [true, false] {
-            let (grad_w, grad_b, grad_in) = match conv {
-                Conv::Full { in_c, out_c } => run_backward(
-                    Conv2d::from_weights(in_c, out_c, k, weight.clone(), bias.clone()),
-                    &input,
-                    &grad_outs,
-                    |layer, go| layer.backward_with(kernel, go, want_input),
-                ),
-                Conv::Depthwise { c } => run_backward(
-                    DepthwiseConv2d::from_weights(c, k, weight.clone(), bias.clone()),
-                    &input,
-                    &grad_outs,
-                    |layer, go| layer.backward_with(kernel, go, want_input),
-                ),
+            let layer = match conv {
+                Conv::Full { in_c, out_c } => Sequential::new().conv(in_c, out_c, k, 0),
+                Conv::Depthwise { c } => Sequential::new().depthwise(c, k, 0),
             };
-            assert_same(&grad_w, &want_w, &what("grad_w"));
-            assert_same(&grad_b, &want_b, &what("grad_b"));
-            for (call, (got, want)) in grad_in.iter().zip(&want_in).enumerate() {
-                match got {
-                    Some(got) if want_input => {
-                        assert_eq!(got.dims(), want.dims());
-                        assert_same(&got.data, &want.data, &what(&format!("grad_in #{call}")));
-                    }
-                    None if !want_input => {}
-                    _ => panic!("{}", what("grad_in present exactly when asked for")),
+            let mut net = one_layer(layer, [&weight, &bias]);
+            let mut ws = TrainWorkspace::default();
+            forward(&mut ws, kernel, &net, (in_c, h, w), &input.data);
+            for (call, (go, want)) in grad_outs.iter().zip(&want_in).enumerate() {
+                let mut grad_in = vec![f32::NAN; want.data.len()];
+                ws.backward(&mut net, &go.data, want_input.then_some(&mut grad_in[..]));
+                if want_input {
+                    assert_same(&grad_in, &want.data, &what(&format!("grad_in #{call}")));
                 }
             }
+            let params = net.params();
+            assert_same(params[0].grads, &want_w, &what("grad_w"));
+            assert_same(params[1].grads, &want_b, &what("grad_b"));
         }
     }
 }
@@ -825,9 +866,9 @@ fn run_plan(plan: &InferencePlan, ws: &mut Workspace, h: usize, w: usize, x: &[f
     rows.flatten().copied().collect()
 }
 
-/// Plan (per sample) and `Sequential::forward` (whole batch) against the
-/// oracle, on a batch of 4 and on each sample as a batch of 1: the CFNN at
-/// `spec`'s widths over `n_anchors` anchors of `ndim`-D data.
+/// Plan (per sample) and the training forward (whole batch, and each
+/// sample as a batch of its own) against the oracle, on a batch of 4: the
+/// CFNN at `spec`'s widths over `n_anchors` anchors of `ndim`-D data.
 fn check_network(
     spec: &CfnnSpec,
     (n_anchors, ndim): (usize, usize),
@@ -836,7 +877,7 @@ fn check_network(
     w: usize,
     special: bool,
 ) {
-    let mut net = build_cfnn(spec, n_anchors, ndim, seed);
+    let net = build_cfnn(spec, n_anchors, ndim, seed);
     let (in_c, out_c) = (n_anchors * ndim, ndim);
     let mut rng = Lcg(seed ^ 0xABCD);
     let mut data = rng.vec(4 * in_c * h * w, 1.0);
@@ -846,9 +887,10 @@ fn check_network(
         let n = data.len();
         poison(&mut data[n - in_c * h * w..], &mut rng);
     }
-    let batch = Tensor::from_vec(4, in_c, h, w, data);
-    let forward4 = net.forward(&batch, false);
-    assert_eq!(forward4.dims(), (4, out_c, h, w));
+    let mut train = TrainWorkspace::default();
+    let detect = Kernel::detect();
+    let forward4 = forward(&mut train, detect, &net, (in_c, h, w), &data);
+    assert_eq!(forward4.len(), 4 * out_c * h * w);
 
     let plan = InferencePlan::compile(&net, in_c).expect("build_cfnn chains");
     assert_eq!(
@@ -857,17 +899,14 @@ fn check_network(
         "plan geometry"
     );
     let mut ws = Workspace::default();
-    for b in 0..4 {
+    for (b, sample) in data.chunks_exact(in_c * h * w).enumerate() {
         let what = |path: &str| format!("{path}, sample {b} of {h}x{w} special={special}");
-        let want = reference_forward(&net, batch.sample(b), h, w);
-        assert_same(forward4.sample(b), &want, &what("forward batch 4"));
-        let single = Tensor::from_vec(1, in_c, h, w, batch.sample(b).to_vec());
-        assert_same(
-            &net.forward(&single, false).data,
-            &want,
-            &what("forward batch 1"),
-        );
-        let got = run_plan(&plan, &mut ws, h, w, batch.sample(b));
+        let want = reference_forward(&net, sample, h, w);
+        let got4 = &forward4[b * out_c * h * w..][..out_c * h * w];
+        assert_same(got4, &want, &what("forward batch 4"));
+        let single = forward(&mut train, detect, &net, (in_c, h, w), sample);
+        assert_same(&single, &want, &what("forward batch 1"));
+        let got = run_plan(&plan, &mut ws, h, w, sample);
         assert_same(&got, &want, &what("plan"));
     }
 }
@@ -942,12 +981,12 @@ fn a_stale_or_dirty_halo_cannot_leak() {
     }
     let plan = InferencePlan::compile(&net, 3).expect("chains");
     let mut rng = Lcg(0x4A10);
-    let mut ws = Workspace::default();
+    let (mut ws, mut train) = (Workspace::default(), TrainWorkspace::default());
     for (h, w) in [(128, 128), (7, 21), (128, 128)] {
         let x = rng.vec(3 * h * w, 1.0);
         let want = reference_forward(&net, &x, h, w);
-        let forward = net.forward(&Tensor::from_vec(1, 3, h, w, x.clone()), false);
-        assert_same(&forward.data, &want, &format!("forward at {h}x{w}"));
+        let got = forward(&mut train, Kernel::detect(), &net, (3, h, w), &x);
+        assert_same(&got, &want, &format!("forward at {h}x{w}"));
         let got = run_plan(&plan, &mut ws, h, w, &x);
         assert_same(&got, &want, &format!("plan at {h}x{w}"));
     }

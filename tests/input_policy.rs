@@ -355,7 +355,8 @@ fn a_lattice_that_would_saturate_is_refused_and_one_that_fits_holds_the_bound() 
 #[test]
 fn a_zero_cfnn_width_is_refused_before_any_work() {
     let ds = snapshot(0.0);
-    for (feat1, feat2) in [(0, 4), (4, 0)] {
+    // a zero width, and a width past the widest activation a model may have
+    for (feat1, feat2) in [(0, 4), (4, 0), (1100, 4), (4, 1100)] {
         let row = CrossFieldConfig {
             dataset: "POLICY",
             target: "RH",
